@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full crash-smoke fuzz chaos-smoke
+.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke crash-smoke fuzz chaos-smoke
 
-check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal chaos-smoke crash-smoke
+check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke
 
 vet:
 	$(GO) vet ./...
@@ -87,6 +87,17 @@ bench-wal-full:
 	VNFOPT_BENCH_FULL=1 VNFOPT_BENCH_OUT=$(CURDIR)/results/BENCH_wal.json \
 		$(GO) test -run TestBenchWAL -v -timeout 20m ./cmd/vnfoptd/
 
+# The reaction-time benchmark (bench/, the one BENCHMARK.json runs) is a
+# module of its own, so `go test ./...` neither compiles nor runs it: a
+# change to cmd/vnfoptd or internal/* can break it unnoticed. Vet it and
+# run its tests — a short pass of every workload against the real daemon,
+# oracle included (~10 s) — against this checkout. -count=1 because the
+# test builds cmd/vnfoptd in a subprocess, which the test cache cannot
+# see change.
+bench-e2e-smoke:
+	$(GO) -C bench vet .
+	$(GO) -C bench test -count=1 .
+
 # Crash-injection matrix under the race detector: kill the filesystem
 # at every I/O boundary of a live workload (both clean and torn-write
 # flavors) and demand bit-identical recovery, plus the replay-abort and
@@ -113,8 +124,8 @@ bench-kernels:
 	$(GO) test -bench 'BenchmarkAPSPFatTree|BenchmarkCommCostAggregated' -benchmem -run xxx .
 	$(GO) test -bench BenchmarkKernel -benchmem -run xxx ./internal/bnb/
 
-# Short fuzz pass over the solver-invariant web and the cost-kernel
-# equivalence property.
+# Short fuzz pass over the solver-invariant web, the cost-kernel
+# equivalence property, and the daemon's hostile-log-record replay.
 fuzz:
 	$(GO) test -fuzz FuzzCostCacheEquivalence -fuzztime 30s -run xxx ./internal/differential/
 	$(GO) test -fuzz FuzzDifferential -fuzztime 30s -run xxx ./internal/differential/
@@ -124,3 +135,4 @@ fuzz:
 	$(GO) test -fuzz FuzzParallelKernel -fuzztime 30s -run xxx ./internal/differential/
 	$(GO) test -fuzz FuzzMinCostFlow -fuzztime 30s -run xxx ./internal/mcf/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s -run xxx ./internal/wal/
+	$(GO) test -fuzz FuzzDecodeCommand -fuzztime 30s -run xxx ./cmd/vnfoptd/

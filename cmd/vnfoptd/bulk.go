@@ -12,7 +12,6 @@ import (
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/shard"
-	"vnfopt/internal/wal"
 )
 
 // Bulk ingest: POST /v1/scenarios/{id}/rates:bulk carries an arbitrary
@@ -54,8 +53,7 @@ const maxBulkLine = 1 << 20
 type bulkAccount struct {
 	mu      sync.Mutex
 	batches []engine.IngestResult
-	err     error // first engine rejection, sticky
-	walErr  error // first WAL append failure, sticky (500, not 422)
+	err     error // first failed batch, sticky
 }
 
 func (a *bulkAccount) record(res engine.IngestResult, err error) {
@@ -70,27 +68,10 @@ func (a *bulkAccount) record(res engine.IngestResult, err error) {
 	a.batches = append(a.batches, res)
 }
 
-func (a *bulkAccount) recordWAL(err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.walErr == nil {
-		a.walErr = err
-	}
-}
-
 func (a *bulkAccount) failed() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.walErr != nil {
-		return a.walErr
-	}
 	return a.err
-}
-
-func (a *bulkAccount) failedWAL() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.walErr
 }
 
 func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
@@ -124,19 +105,11 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		err := sc.actor.SubmitCtx(ctx, func() {
 			defer wg.Done()
-			// Validate → WAL append → apply, same discipline as /rates: a
-			// batch is only acknowledged (counted in the 200 response)
-			// once its record is in the log, and a rejected batch never
-			// pollutes the log.
-			if err := sc.eng.ValidateRates(batch); err != nil {
-				acc.record(engine.IngestResult{}, err)
-				return
-			}
-			if err := sc.appendWAL(wal.TypeIngest, encodeRates(batch)); err != nil {
-				acc.recordWAL(err)
-				return
-			}
-			acc.record(sc.eng.Ingest(batch))
+			// A batch is only counted in the 200 response once it ran the
+			// whole pipeline; a rejected batch never reaches the log.
+			c := &ingestCmd{updates: batch}
+			err := sc.run(c)
+			acc.record(c.res, err)
 		})
 		if err != nil {
 			wg.Done()
@@ -155,7 +128,7 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case errors.Is(parseErr, shard.ErrClosed):
-		writeError(w, codeNotFound, "scenario %q was deleted", id)
+		s.writeCommandErr(w, id, parseErr)
 		return
 	case ctx.Err() != nil:
 		// The client is gone; nothing to answer.
@@ -163,13 +136,7 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 	case parseErr != nil && acc.failed() == nil:
 		writeError(w, codeBadRequest, "bulk body: %v", parseErr)
 		return
-	}
-	if err := acc.failedWAL(); err != nil {
-		writeError(w, codeInternal, "scenario %q: wal: %v", id, err)
-		return
-	}
-	if err := acc.failed(); err != nil {
-		writeError(w, codeInvalidArgument, "%v", err)
+	case s.writeCommandErr(w, id, acc.failed()):
 		return
 	}
 
@@ -183,25 +150,11 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 		resp.Epoch = sc.eng.Snapshot().Epoch + 1
 	}
 	if step {
-		var stepErr error
-		actorErr, walErr, _ := sc.doWithWAL(nil, wal.TypeStep, func() []byte { return nil }, func() {
-			res, err := sc.eng.Step()
-			if err != nil {
-				stepErr = err
-				return
-			}
-			resp.Step = &res
-		})
-		switch {
-		case s.writeActorErr(w, id, actorErr):
-			return
-		case walErr != nil:
-			writeError(w, codeInternal, "scenario %q: wal: %v", id, walErr)
-			return
-		case stepErr != nil:
-			writeError(w, codeInternal, "%v", stepErr)
+		c := &stepCmd{}
+		if s.writeCommandErr(w, id, sc.do(c)) {
 			return
 		}
+		resp.Step = &c.res
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

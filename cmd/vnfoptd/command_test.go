@@ -1,0 +1,374 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"vnfopt/internal/engine"
+	"vnfopt/internal/failfs"
+	"vnfopt/internal/fault"
+	"vnfopt/internal/topology"
+	"vnfopt/internal/wal"
+)
+
+// Tests of the command pipeline: every logged mutation is one command
+// kind, its codec round-trips, and a log written by live requests
+// replays to the state those requests left — for every kind, because
+// live and replay share one apply.
+
+// commandSamples is one populated command per kind.
+func commandSamples() []command {
+	return []command{
+		&ingestCmd{updates: []engine.RateUpdate{{Flow: 0, Rate: 1.5}, {Flow: 7, Rate: 0}, {Flow: 7, Rate: 1e308}}},
+		&stepCmd{},
+		&faultsCmd{
+			inject: []fault.Fault{{Kind: fault.Switch, U: 9}, {Kind: fault.Degrade, U: 3, V: 11, Factor: 4}},
+			heal:   []fault.Fault{{Kind: fault.Link, U: 2, V: 10}},
+		},
+	}
+}
+
+// TestCommandCodecCoversEveryType walks the whole wal.Type space: every
+// type the log layer names is either one of the two non-commands (the
+// create record that builds the scenario, the compaction anchor) or has
+// a decoder that inverts its command's encode. A record type added
+// without a command fails here.
+func TestCommandCodecCoversEveryType(t *testing.T) {
+	samples := make(map[wal.Type]command)
+	for _, c := range commandSamples() {
+		samples[c.walType()] = c
+	}
+	for n := 0; n < 256; n++ {
+		typ := wal.Type(n)
+		if strings.HasPrefix(typ.String(), "type(") {
+			if _, err := decodeCommand(typ, nil); err == nil {
+				t.Errorf("%v: decoded a type the log layer does not name", typ)
+			}
+			continue
+		}
+		if typ == wal.TypeCreate || typ == wal.TypeAnchor {
+			continue
+		}
+		c, ok := samples[typ]
+		if !ok {
+			t.Errorf("%v: no command for this record type", typ)
+			continue
+		}
+		payload, err := c.encode()
+		if err != nil {
+			t.Errorf("%v: encode: %v", typ, err)
+			continue
+		}
+		back, err := decodeCommand(typ, payload)
+		if err != nil {
+			t.Errorf("%v: no decoder for its own encoding: %v", typ, err)
+			continue
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Errorf("%v: decode(encode(c)) = %+v, want %+v", typ, back, c)
+		}
+	}
+}
+
+// get serves one GET through the route table and returns status + body.
+func get(t *testing.T, h http.Handler, path string) (int, []byte) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+	return rec.Code, rec.Body.Bytes()
+}
+
+// driveMixedSchedule creates spec on the server behind ts and sends it
+// every kind of mutating request, accepted and refused: ingest,
+// ingest+step in one call, NDJSON bulk with and without a step, a switch
+// fault, a link degrade, their heal, requests the engine rejects (422)
+// and a step that fails (500).
+func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec ScenarioSpec) {
+	t.Helper()
+	want := func(what string, code, wantCode int) {
+		t.Helper()
+		if code != wantCode {
+			t.Fatalf("%s: HTTP %d, want %d", what, code, wantCode)
+		}
+	}
+	want("create", do(t, ts, "POST", "/v1/scenarios", spec, nil), http.StatusCreated)
+	base := "/v1/scenarios/" + spec.ID
+	flows := srv.get(spec.ID).eng.Flows()
+	all := func(scale float64) []engine.RateUpdate {
+		ups := make([]engine.RateUpdate, flows)
+		for i := range ups {
+			ups[i] = engine.RateUpdate{Flow: i, Rate: scale * float64(1+i%7)}
+		}
+		return ups
+	}
+	rates := func(step bool, ups ...engine.RateUpdate) ratesRequest {
+		return ratesRequest{Updates: ups, Step: step}
+	}
+
+	want("ingest", do(t, ts, "POST", base+"/rates", rates(false, engine.RateUpdate{Flow: 0, Rate: 40}, engine.RateUpdate{Flow: 3, Rate: 0.5}), nil), http.StatusOK)
+	want("step", do(t, ts, "POST", base+"/step", nil, nil), http.StatusOK)
+	want("ingest+step", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 5, Rate: 90}, engine.RateUpdate{Flow: 5, Rate: 75.25}), nil), http.StatusOK)
+	want("refused ingest", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: flows, Rate: 1}), nil), http.StatusUnprocessableEntity)
+	if _, code := postBulk(t, ts, spec.ID, ndjsonBody(t, all(3)), true); code != http.StatusOK {
+		t.Fatalf("bulk+step: HTTP %d", code)
+	}
+	if _, code := postBulk(t, ts, spec.ID, ndjsonBody(t, all(1.25)[:flows/2]), false); code != http.StatusOK {
+		t.Fatalf("bulk: HTTP %d", code)
+	}
+
+	victim := srv.get(spec.ID).eng.Snapshot().Placement[0]
+	want("inject", do(t, ts, "POST", base+"/faults", faultsRequest{Inject: []fault.Fault{{Kind: fault.Switch, U: victim}}}, nil), http.StatusOK)
+	want("step degraded", do(t, ts, "POST", base+"/step", nil, nil), http.StatusOK)
+	topo := topology.MustFatTree(spec.K, nil)
+	u := srv.get(spec.ID).eng.Snapshot().Placement[1]
+	v := topo.Graph.Neighbors(u)[0].To
+	want("degrade", do(t, ts, "POST", base+"/faults", faultsRequest{Inject: []fault.Fault{{Kind: fault.Degrade, U: u, V: v, Factor: 4}}}, nil), http.StatusOK)
+	// Refused by apply, not by validate — so it is in the log, and replay
+	// has to refuse it again.
+	want("refused heal", do(t, ts, "POST", base+"/faults", faultsRequest{Heal: []fault.Fault{{Kind: fault.Link, U: u, V: v}}}, nil), http.StatusUnprocessableEntity)
+	want("ingest+step degraded", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 2, Rate: 33}), nil), http.StatusOK)
+	want("heal", do(t, ts, "POST", base+"/faults", faultsRequest{Heal: []fault.Fault{{Kind: fault.Switch, U: victim}, {Kind: fault.Degrade, U: u, V: v}}}, nil), http.StatusOK)
+
+	// A rate whose cost overflows float64 leaves the migrator no finite
+	// frontier: the step fails, deterministically, after folding the
+	// pending rates. Re-sending the whole rate vector rebuilds the cost
+	// cache and the engine carries on.
+	want("failing ingest+step", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 1, Rate: 1e308}), nil), http.StatusInternalServerError)
+	want("failing step", do(t, ts, "POST", base+"/step", nil, nil), http.StatusInternalServerError)
+	want("recovering ingest+step", do(t, ts, "POST", base+"/rates", ratesRequest{Updates: all(2), Step: true}, nil), http.StatusOK)
+}
+
+// TestLiveEqualsReplay sends the mixed schedule to server A, then boots
+// server B from nothing but A's log and demands the same GET /state and
+// GET /routing bytes (wall-clock timings aside). The routed case runs
+// over capacity, where admission reroutes and rejects: replay is only
+// identical there because the router breaks overflow ties
+// deterministically.
+func TestLiveEqualsReplay(t *testing.T) {
+	routed := diffSpec("routed")
+	routed.Routing = &engine.RoutingConfig{LinkCapacity: 60, Alpha: 1, Classify: true}
+	for _, spec := range []ScenarioSpec{diffSpec("plain"), routed} {
+		t.Run(spec.ID, func(t *testing.T) {
+			dir := t.TempDir()
+			a := newWALServer(failfs.OS, dir)
+			ts := httptest.NewServer(a.handler())
+			driveMixedSchedule(t, a, ts, spec)
+			ts.Close()
+
+			statePath := "/v1/scenarios/" + spec.ID + "/state"
+			routingPath := "/v1/scenarios/" + spec.ID + "/routing"
+			_, wantState := get(t, a.handler(), statePath)
+			routingCode, wantRouting := get(t, a.handler(), routingPath)
+			if spec.Routing != nil {
+				var body struct {
+					Routing engine.RoutingReport `json:"routing"`
+				}
+				if err := json.Unmarshal(wantRouting, &body); err != nil {
+					t.Fatal(err)
+				}
+				rerouted := 0
+				for _, d := range body.Routing.Decisions {
+					if d.Reroutes > 0 {
+						rerouted++
+					}
+				}
+				if body.Routing.Rejected == 0 || rerouted == 0 {
+					t.Fatalf("routed case is not overloaded: %d rejected, %d rerouted", body.Routing.Rejected, rerouted)
+				}
+			}
+			a.closeAll()
+			a.closeWALs()
+
+			// The schedule must have put every command kind in the log.
+			l, err := wal.Open(filepath.Join(dir, "wal", scenarioDirName(spec.ID)), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged := make(map[wal.Type]int)
+			if err := l.Replay(func(rec wal.Record) error { logged[rec.Type]++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+			l.Close()
+			for _, c := range commandSamples() {
+				if logged[c.walType()] == 0 {
+					t.Fatalf("schedule logged no %v record: %v", c.walType(), logged)
+				}
+			}
+
+			b := bootWAL(t, dir, filepath.Join(dir, "no-snapshot.json"))
+			defer b.closeWALs()
+			defer b.closeAll()
+			_, gotState := get(t, b.handler(), statePath)
+			if got, want := canonicalState(t, gotState), canonicalState(t, wantState); !bytes.Equal(got, want) {
+				t.Fatalf("replayed /state diverges\n got: %s\nwant: %s", got, want)
+			}
+			if code, got := get(t, b.handler(), routingPath); code != routingCode || !bytes.Equal(got, wantRouting) {
+				t.Fatalf("replayed /routing diverges (HTTP %d vs %d)\n got: %s\nwant: %s", code, routingCode, got, wantRouting)
+			}
+		})
+	}
+}
+
+// TestGoldenWALReplays boots from a log directory written by the commit
+// before the command pipeline (testdata/golden-wal: meta.json plus one
+// segment holding a create and 15 ingest/step/faults records) and
+// demands the state and routing report that commit served — the on-disk
+// format and the replay semantics did not move.
+func TestGoldenWALReplays(t *testing.T) {
+	// Recovery may write (tail repair), so it runs on a copy.
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "wal", "g1"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{walMetaFile, "00000000000000000001.wal"} {
+		data, err := os.ReadFile(filepath.Join("testdata/golden-wal/wal/g1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "wal", "g1", name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := bootWAL(t, dir, filepath.Join(dir, "no-snapshot.json"))
+	defer srv.closeWALs()
+	defer srv.closeAll()
+	wantState, err := os.ReadFile("testdata/golden-wal/state.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := normalizedState(t, srv, "g1"); got != strings.TrimSpace(string(wantState)) {
+		t.Fatalf("golden log replays to a different state\n got: %s\nwant: %s", got, wantState)
+	}
+	wantRouting, err := os.ReadFile("testdata/golden-wal/routing.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := get(t, srv.handler(), "/v1/scenarios/g1/routing"); !bytes.Equal(got, wantRouting) {
+		t.Fatalf("golden log replays to a different routing report\n got: %s\nwant: %s", got, wantRouting)
+	}
+}
+
+// FuzzDecodeCommand appends one arbitrary (type, payload) record behind
+// a valid create and boots from that log: recovery never panics, and
+// when it refuses the record the error names its seq.
+func FuzzDecodeCommand(f *testing.F) {
+	for _, c := range commandSamples() {
+		payload, _ := c.encode()
+		f.Add(uint8(c.walType()), payload)
+	}
+	f.Add(uint8(wal.TypeIngest), []byte{1, 0})                                       // too short
+	f.Add(uint8(wal.TypeIngest), []byte{2, 0, 0, 0, 1, 0, 0, 0})                     // count ≠ length
+	f.Add(uint8(wal.TypeIngest), encodeRates([]engine.RateUpdate{{Flow: -1 << 31}})) // well-framed, bad flow
+	f.Add(uint8(wal.TypeFaults), []byte(`{"inject":`))
+	f.Add(uint8(wal.TypeFaults), []byte(`{"inject":[{"kind":"switch","u":-7}],"heal":[{"kind":"degrade","u":1,"v":99999}]}`))
+	f.Add(uint8(wal.TypeStep), []byte("ignored"))
+	f.Add(uint8(wal.TypeCreate), []byte(`{"id":"c1","spec":{"k":64}}`))
+	f.Add(uint8(wal.TypeAnchor), []byte{0xff})
+	f.Add(uint8(0), []byte(nil))
+	f.Add(uint8(200), []byte("x"))
+
+	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
+		dir := t.TempDir()
+		a := newWALServer(failfs.OS, dir)
+		a.walOpts.Policy = wal.SyncOS
+		if code := post(t, a.handler(), "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
+			t.Fatalf("create: %d", code)
+		}
+		sc := a.get("c1")
+		var appendErr error
+		if err := sc.actor.Do(func() { appendErr = sc.appendWAL(wal.Type(typ), payload) }); err != nil || appendErr != nil {
+			t.Fatalf("append: %v / %v", err, appendErr)
+		}
+		seq := sc.walSeq
+		a.closeAll()
+		a.closeWALs()
+
+		b := newWALServer(failfs.OS, dir)
+		b.recovering.Store(true)
+		err := b.recoverState(context.Background(), filepath.Join(dir, "no-snapshot.json"))
+		defer b.closeWALs()
+		defer b.closeAll()
+		if err != nil {
+			if !strings.Contains(err.Error(), fmt.Sprintf("seq %d:", seq)) {
+				t.Fatalf("replay error does not name seq %d: %v", seq, err)
+			}
+			return
+		}
+		if b.get("c1") == nil {
+			t.Fatal("recovery succeeded without the scenario")
+		}
+	})
+}
+
+// blockingFS holds every ReadFile until released — a recovery that
+// cannot get past its snapshot load.
+type blockingFS struct {
+	failfs.FS
+	release chan struct{}
+}
+
+func (f *blockingFS) ReadFile(name string) ([]byte, error) {
+	<-f.release
+	return f.FS.ReadFile(name)
+}
+
+// TestReadyzGatedUntilRecoveryReturns: from the moment startRecovery
+// returns — which is before main starts the listener — until
+// recoverState is done, /readyz answers 503 "recovering" and /v1 is
+// closed; only then does the recovered scenario become readable.
+func TestReadyzGatedUntilRecoveryReturns(t *testing.T) {
+	dir := t.TempDir()
+	snap := filepath.Join(dir, "snap.json")
+	a := newWALServer(failfs.OS, dir)
+	if code := post(t, a.handler(), "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	if err := a.saveSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	a.closeAll()
+	a.closeWALs()
+
+	fs := &blockingFS{FS: failfs.OS, release: make(chan struct{})}
+	srv := newWALServer(fs, dir)
+	h := srv.handler()
+	if code, _ := get(t, h, "/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz before startRecovery: %d (the gate is startRecovery's to close)", code)
+	}
+	recovered := srv.startRecovery(context.Background(), snap, 0)
+	for i := 0; i < 3; i++ {
+		code, body := get(t, h, "/readyz")
+		if code != http.StatusServiceUnavailable || !bytes.Contains(body, []byte(`"recovering"`)) {
+			t.Fatalf("readyz during recovery: %d %s", code, body)
+		}
+		if code, _ := get(t, h, "/v1/scenarios/c1/state"); code != http.StatusServiceUnavailable {
+			t.Fatalf("/v1 during recovery: %d", code)
+		}
+	}
+	select {
+	case err := <-recovered:
+		t.Fatalf("recovery finished while its snapshot read was blocked: %v", err)
+	default:
+	}
+	close(fs.release)
+	if err := <-recovered; err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if code, body := get(t, h, "/readyz"); code != http.StatusOK {
+		t.Fatalf("readyz after recovery: %d %s", code, body)
+	}
+	if code, _ := get(t, h, "/v1/scenarios/c1/state"); code != http.StatusOK {
+		t.Fatalf("/v1 after recovery: %d", code)
+	}
+	srv.closeAll()
+	srv.closeWALs()
+}

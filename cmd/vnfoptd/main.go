@@ -109,23 +109,15 @@ func main() {
 	}
 	loopCtx, loopCancel := context.WithCancel(context.Background())
 	defer loopCancel()
+	// Recovery (snapshot load + WAL replay) runs while the listener is
+	// up: /healthz answers immediately, /readyz and the /v1 surface
+	// answer 503 "recovering" until it finishes. The gate is closed
+	// before the listener exists, so no request can slip in ahead of it.
+	// SIGTERM during a long replay cancels it cleanly between records.
+	recovered := srv.startRecovery(loopCtx, *snapshot, *snapEvery)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Printf("vnfoptd: listening on %s\n", *addr)
-
-	// Recovery (snapshot load + WAL replay) runs while the listener is
-	// already up: /healthz answers immediately, /readyz and the /v1
-	// surface answer 503 "recovering" until it finishes. SIGTERM during
-	// a long replay cancels it cleanly between records.
-	srv.recovering.Store(true)
-	recovered := make(chan error, 1)
-	go func() {
-		err := srv.recoverState(loopCtx, *snapshot)
-		if err == nil && *snapshot != "" && *snapEvery > 0 {
-			go srv.snapshotLoop(loopCtx, *snapshot, *snapEvery)
-		}
-		recovered <- err
-	}()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

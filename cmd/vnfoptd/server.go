@@ -460,27 +460,6 @@ func (s *server) get(id string) *scenario {
 	return sc
 }
 
-// writeActorErr maps a failed command offer to its HTTP answer and
-// reports whether err was non-nil. A full mailbox is backpressure (429
-// + Retry-After); a closed actor means the scenario was deleted while
-// the request held a reference to it (404, same as any other lookup
-// miss).
-func (s *server) writeActorErr(w http.ResponseWriter, id string, err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, shard.ErrMailboxFull):
-		s.rejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, codeResourceExhausted, "scenario %q mailbox full, retry later", id)
-	case errors.Is(err, shard.ErrClosed):
-		writeError(w, codeNotFound, "scenario %q was deleted", id)
-	default:
-		writeError(w, codeInternal, "scenario %q: %v", id, err)
-	}
-	return true
-}
-
 // maxBodyBytes bounds every non-streaming JSON request body: a
 // well-formed request is a few KB (rate batches scale with flow count,
 // never past a few MB), so 8 MiB rejects pathological bodies before the
@@ -525,26 +504,9 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Durability handshake: the create record must be on disk before the
-	// scenario is published or the 201 sent. The scenario is not yet
-	// reachable, so appending outside its actor is safe.
+	// scenario is published or the 201 sent.
 	if s.walEnabled() {
-		l, err := s.openScenarioWAL(id)
-		if err == nil {
-			sc.wal = l
-			sc.walGen = newWALGen()
-			// Meta before the first record: recovery refuses records it
-			// cannot tie to a generation.
-			if err = s.writeWALMeta(id, walMeta{Gen: sc.walGen}); err == nil {
-				var payload []byte
-				if payload, err = json.Marshal(walCreate{ID: id, Spec: &spec}); err == nil {
-					err = sc.appendWAL(wal.TypeCreate, payload)
-				}
-			}
-		}
-		if err != nil {
-			if sc.wal != nil {
-				sc.wal.Close()
-			}
+		if err := s.startScenarioWAL(sc, &spec, ""); err != nil {
 			_ = s.dropWALDir(id)
 			sc.actor.Close()
 			writeError(w, codeInternal, "scenario %q: wal: %v", id, err)
@@ -725,48 +687,21 @@ func (s *server) handleRates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, codeBadRequest, "bad rates body: %v", err)
 		return
 	}
-	var (
-		resp    ingestResponse
-		ingErr  error
-		stepErr error
-		walErr  error
-	)
-	err := sc.actor.Do(func() {
-		// Append-before-apply: the batch is validated (so it can never
-		// poison a replay), logged durably, and only then applied. The
-		// step rides in the same command but is its own record.
-		if ingErr = sc.eng.ValidateRates(req.Updates); ingErr != nil {
-			return
-		}
-		if walErr = sc.appendWAL(wal.TypeIngest, encodeRates(req.Updates)); walErr != nil {
-			return
-		}
-		resp.IngestResult, ingErr = sc.eng.Ingest(req.Updates)
-		if ingErr != nil || !req.Step {
-			return
-		}
-		if walErr = sc.appendWAL(wal.TypeStep, nil); walErr != nil {
-			return
-		}
-		res, err := sc.eng.Step()
-		if err != nil {
-			stepErr = err
-			return
-		}
-		resp.Step = &res
-	})
-	switch {
-	case s.writeActorErr(w, id, err):
+	// The step rides in the same mailbox slot as the ingest but is its own
+	// command (and its own log record).
+	ing := &ingestCmd{updates: req.Updates}
+	cmds := []command{ing}
+	var step *stepCmd
+	if req.Step {
+		step = &stepCmd{}
+		cmds = append(cmds, step)
+	}
+	if s.writeCommandErr(w, id, sc.do(cmds...)) {
 		return
-	case ingErr != nil:
-		writeError(w, codeInvalidArgument, "%v", ingErr)
-		return
-	case walErr != nil:
-		writeError(w, codeInternal, "scenario %q: wal: %v", id, walErr)
-		return
-	case stepErr != nil:
-		writeError(w, codeInternal, "%v", stepErr)
-		return
+	}
+	resp := ingestResponse{IngestResult: ing.res}
+	if step != nil {
+		resp.Step = &step.res
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -788,20 +723,11 @@ func (s *server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := stepResponse{QueueDrained: sc.actor.Depth()}
-	var stepErr error
-	actorErr, walErr, _ := sc.doWithWAL(nil, wal.TypeStep, func() []byte { return nil }, func() {
-		resp.StepResult, stepErr = sc.eng.Step()
-	})
-	switch {
-	case s.writeActorErr(w, id, actorErr):
-		return
-	case walErr != nil:
-		writeError(w, codeInternal, "scenario %q: wal: %v", id, walErr)
-		return
-	case stepErr != nil:
-		writeError(w, codeInternal, "%v", stepErr)
+	step := &stepCmd{}
+	if s.writeCommandErr(w, id, sc.do(step)) {
 		return
 	}
+	resp.StepResult = step.res
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -830,10 +756,6 @@ func (s *server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, codeBadRequest, "bad faults body: %v", err)
 		return
 	}
-	var (
-		res      *engine.FaultResult
-		faultErr error
-	)
 	ctx := r.Context()
 	if sc.wal != nil {
 		// A logged fault transition must behave identically on replay,
@@ -842,31 +764,11 @@ func (s *server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		// engine about whether the transition applied.
 		ctx = context.WithoutCancel(ctx)
 	}
-	// Marshal outside the actor and fail the request on error: appending
-	// an unparseable (empty) payload would poison the log — its replay
-	// aborts every future recovery.
-	payload, err := json.Marshal(walFaults{Inject: req.Inject, Heal: req.Heal})
-	if err != nil {
-		writeError(w, codeInternal, "scenario %q: wal payload: %v", id, err)
+	c := &faultsCmd{inject: req.Inject, heal: req.Heal, ctx: ctx}
+	if s.writeCommandErr(w, id, sc.do(c)) {
 		return
 	}
-	actorErr, walErr, _ := sc.doWithWAL(nil, wal.TypeFaults, func() []byte { return payload }, func() {
-		res, faultErr = sc.eng.ApplyFaults(ctx, req.Inject, req.Heal)
-	})
-	switch {
-	case s.writeActorErr(w, id, actorErr):
-		return
-	case walErr != nil:
-		writeError(w, codeInternal, "scenario %q: wal: %v", id, walErr)
-		return
-	case errors.Is(faultErr, engine.ErrInfeasible):
-		writeError(w, codeUnavailable, "%v", faultErr)
-		return
-	case faultErr != nil:
-		writeError(w, codeInvalidArgument, "%v", faultErr)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, c.res)
 }
 
 // handleFaultsGet reports the scenario's active faults and unserved
@@ -987,7 +889,7 @@ func (s *server) handleState(w http.ResponseWriter, r *http.Request) {
 	}
 	var st *engine.State
 	err := sc.actor.Do(func() { st = sc.eng.State() })
-	if s.writeActorErr(w, id, err) {
+	if s.writeCommandErr(w, id, err) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)

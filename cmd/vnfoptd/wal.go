@@ -20,16 +20,17 @@ import (
 	"vnfopt/internal/wal"
 )
 
-// WAL glue: with -wal set, every mutating command — create, ingest
-// batch, step, fault transition — is appended to the scenario's
+// WAL glue: with -wal set, every mutation — a scenario's create and
+// each command after it (command.go) — is appended to the scenario's
 // write-ahead log *before* it is applied and acknowledged, so a crash
 // between snapshots loses nothing that a client was told succeeded
 // (modulo the -wal-sync policy; see docs/RESILIENCE.md). Recovery is
-// snapshot + replay: the boot restores the last snapshot, then
-// re-executes each scenario's logged suffix through the real engine.
-// The engine is deterministic, so replay lands bit-identically on the
-// pre-crash state — including commands that failed (a step that errored
-// errors again, changing nothing).
+// snapshot + replay: the boot restores the last snapshot, then decodes
+// each scenario's logged suffix back into commands and applies them to
+// the real engine — the same apply the live request ran. The engine is
+// deterministic, so replay lands bit-identically on the pre-crash state
+// — including commands that failed (a step that errored errors again,
+// changing nothing).
 //
 // Payload encodings (the log frames and checksums; the daemon owns the
 // bytes):
@@ -212,21 +213,35 @@ func (s *server) walPath(name string) string {
 	return strings.TrimSuffix(s.walDir, "/") + "/" + name
 }
 
-// appendWAL appends one record for sc and advances the scenario's
+// appendWAL appends one record to sc's log and advances the scenario's
 // applied-seq watermark. It must be called from the scenario's actor
 // (or before the scenario is published), so appends are serialized per
 // scenario; the caller must not apply or acknowledge the command unless
-// it returns nil. No-op without a WAL.
+// it returns nil.
 func (sc *scenario) appendWAL(typ wal.Type, payload []byte) error {
-	if sc.wal == nil {
-		return nil
-	}
 	seq, err := sc.wal.Append(typ, payload)
 	if err != nil {
 		return err
 	}
 	sc.walSeq = seq
 	return nil
+}
+
+// startRecovery closes the recovery gate and runs recoverState in the
+// background, starting the periodic snapshot loop once it succeeds. The
+// gate is closed by the time startRecovery returns — call it before the
+// listener starts. The returned channel delivers recoverState's result.
+func (s *server) startRecovery(ctx context.Context, snapshotPath string, snapEvery time.Duration) <-chan error {
+	s.recovering.Store(true)
+	recovered := make(chan error, 1)
+	go func() {
+		err := s.recoverState(ctx, snapshotPath)
+		if err == nil && snapshotPath != "" && snapEvery > 0 {
+			go s.snapshotLoop(ctx, snapshotPath, snapEvery)
+		}
+		recovered <- err
+	}()
+	return recovered
 }
 
 // recoverState drives the boot-time restore: snapshot load, the
@@ -374,53 +389,11 @@ func (s *server) recoverScenario(ctx context.Context, id string, snapSc *scenari
 			return nil // covered by the snapshot / not a command
 		}
 		replayed++
-		switch rec.Type {
-		case wal.TypeCreate:
-			if sc != nil {
-				return fmt.Errorf("seq %d: create record for an existing scenario", rec.Seq)
-			}
-			var c walCreate
-			if err := json.Unmarshal(rec.Payload, &c); err != nil {
-				return fmt.Errorf("seq %d: create payload: %w", rec.Seq, err)
-			}
-			if c.ID != id {
-				return fmt.Errorf("seq %d: create record for %q in log of %q", rec.Seq, c.ID, id)
-			}
-			built, err := s.buildScenario(id, c.Spec)
-			if err != nil {
-				return fmt.Errorf("seq %d: rebuild: %w", rec.Seq, err)
-			}
-			sc = built
-		case wal.TypeIngest:
-			if sc == nil {
-				return fmt.Errorf("seq %d: %s record before create", rec.Seq, rec.Type)
-			}
-			updates, err := decodeRates(rec.Payload)
-			if err != nil {
-				return fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
-			// Logged commands were validated before logging; a business
-			// error here (or on step/faults below) reproduces the original
-			// run's rejection, which changed nothing — exactly what the
-			// live server answered, so replay ignores it.
-			_, _ = sc.eng.Ingest(updates)
-		case wal.TypeStep:
-			if sc == nil {
-				return fmt.Errorf("seq %d: %s record before create", rec.Seq, rec.Type)
-			}
-			_, _ = sc.eng.Step()
-		case wal.TypeFaults:
-			if sc == nil {
-				return fmt.Errorf("seq %d: %s record before create", rec.Seq, rec.Type)
-			}
-			var f walFaults
-			if err := json.Unmarshal(rec.Payload, &f); err != nil {
-				return fmt.Errorf("seq %d: faults payload: %w", rec.Seq, err)
-			}
-			_, _ = sc.eng.ApplyFaults(context.Background(), f.Inject, f.Heal)
-		default:
-			return fmt.Errorf("seq %d: unknown record type %v", rec.Seq, rec.Type)
+		next, err := s.replayRecord(id, sc, rec)
+		if err != nil {
+			return fmt.Errorf("seq %d: %w", rec.Seq, err)
 		}
+		sc = next
 		sc.walSeq = rec.Seq
 		return nil
 	})
@@ -484,43 +457,82 @@ func orUnset(gen string) string {
 	return gen
 }
 
-// seedScenarioWAL starts a log for a scenario that predates the WAL,
-// writing a create record that carries the full current state. The meta
-// file — generation plus the hash of the snapshot being seeded over —
-// is made durable first, so a crash between seeding and the next
-// snapshot is recoverable: the next boot sees the same snapshot hash,
-// trusts the seed create record, and rebuilds from it.
-func (s *server) seedScenarioWAL(sc *scenario, snapHash string) error {
+// replayRecord applies one logged record during recovery and returns
+// the scenario it now describes: a create record builds the scenario
+// (sc must still be nil), anything else decodes into the command that
+// wrote it and runs that command's apply. Logged commands passed
+// validate before they were logged; an apply error reproduces the
+// original run's rejection, which changed nothing — exactly what the
+// live server answered, so replay ignores it.
+func (s *server) replayRecord(id string, sc *scenario, rec wal.Record) (*scenario, error) {
+	if rec.Type == wal.TypeCreate {
+		if sc != nil {
+			return nil, fmt.Errorf("create record for an existing scenario")
+		}
+		var c walCreate
+		if err := json.Unmarshal(rec.Payload, &c); err != nil {
+			return nil, fmt.Errorf("create payload: %w", err)
+		}
+		if c.ID != id {
+			return nil, fmt.Errorf("create record for %q in log of %q", c.ID, id)
+		}
+		built, err := s.buildScenario(id, c.Spec)
+		if err != nil {
+			return nil, fmt.Errorf("rebuild: %w", err)
+		}
+		return built, nil
+	}
+	c, err := decodeCommand(rec.Type, rec.Payload)
+	if err != nil {
+		return nil, err
+	}
+	if sc == nil {
+		return nil, fmt.Errorf("%s record before create", rec.Type)
+	}
+	_ = c.apply(sc.eng)
+	return sc, nil
+}
+
+// startScenarioWAL begins a log incarnation for the still-unpublished
+// sc: a fresh generation, then a create record carrying spec as record
+// 1. The meta file is made durable before that record — recovery
+// refuses records it cannot tie to a generation. On failure sc is left
+// without a log; the directory husk is the caller's to drop or keep.
+func (s *server) startScenarioWAL(sc *scenario, spec *ScenarioSpec, seededFrom string) error {
+	payload, err := json.Marshal(walCreate{ID: sc.ID, Spec: spec})
+	if err != nil {
+		return err
+	}
 	l, err := s.openScenarioWAL(sc.ID)
 	if err != nil {
 		return err
 	}
-	gen := newWALGen()
-	if err := s.writeWALMeta(sc.ID, walMeta{Gen: gen, SeededFrom: snapHash}); err != nil {
-		l.Close()
-		return err
+	sc.wal, sc.walGen = l, newWALGen()
+	err = s.writeWALMeta(sc.ID, walMeta{Gen: sc.walGen, SeededFrom: seededFrom})
+	if err == nil {
+		err = sc.appendWAL(wal.TypeCreate, payload)
 	}
+	if err != nil {
+		sc.wal, sc.walGen = nil, ""
+		l.Close()
+	}
+	return err
+}
+
+// seedScenarioWAL starts a log for a scenario that predates the WAL:
+// its create record carries the full current state, and its meta file
+// the hash of the snapshot being seeded over, so a crash between
+// seeding and the next snapshot is recoverable — the next boot sees the
+// same snapshot hash, trusts the seed create record, and rebuilds from
+// it.
+func (s *server) seedScenarioWAL(sc *scenario, snapHash string) error {
 	blob, err := sc.eng.MarshalState()
 	if err != nil {
-		l.Close()
 		return err
 	}
 	spec := *sc.Spec
 	spec.State = blob
-	payload, err := json.Marshal(walCreate{ID: sc.ID, Spec: &spec})
-	if err != nil {
-		l.Close()
-		return err
-	}
-	sc.wal = l
-	sc.walGen = gen
-	if err := sc.appendWAL(wal.TypeCreate, payload); err != nil {
-		sc.wal = nil
-		sc.walGen = ""
-		l.Close()
-		return err
-	}
-	return nil
+	return s.startScenarioWAL(sc, &spec, snapHash)
 }
 
 // dropWALDir atomically retires a scenario's WAL directory: the rename
@@ -537,25 +549,4 @@ func (s *server) dropWALDir(id string) error {
 	}
 	_ = s.fs.SyncDir(s.walDir)
 	return s.fs.RemoveAll(tomb)
-}
-
-// doWithWAL wraps the common mutating-command pattern: run validate
-// (may be nil), append the record, then apply — all serialized inside
-// the scenario's actor. The returned errors are (transport, wal,
-// validation); apply only runs when all three are nil so far.
-func (sc *scenario) doWithWAL(validate func() error, typ wal.Type, payload func() []byte, apply func()) (actorErr, walErr, valErr error) {
-	actorErr = sc.actor.Do(func() {
-		if validate != nil {
-			if err := validate(); err != nil {
-				valErr = err
-				return
-			}
-		}
-		if err := sc.appendWAL(typ, payload()); err != nil {
-			walErr = err
-			return
-		}
-		apply()
-	})
-	return actorErr, walErr, valErr
 }

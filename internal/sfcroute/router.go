@@ -382,13 +382,16 @@ func (r *Router) Admit(src, dst int, rate float64) (Decision, error) {
 			return Decision{}, err
 		}
 		// Multi-traversal check: the walk may cross one physical link in
-		// several layers; the committed load is rate × traversals.
+		// several layers; the committed load is rate × traversals. The
+		// worst overflow is blocked; equal excess (a tour crossing two
+		// links twice each) goes to the lowest link index, never to map
+		// order — admission must replay identically.
 		over := -1
 		overBy := 0.0
 		counts := r.walkCounts(res.Walk)
 		for link, c := range counts {
 			if excess := r.load[link] + float64(c)*rate - r.lcap[link]*r.cfg.MaxUtilization; excess > 1e-12 {
-				if excess > overBy {
+				if excess > overBy || (excess == overBy && link < over) {
 					over, overBy = link, excess
 				}
 			}

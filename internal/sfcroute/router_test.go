@@ -2,6 +2,7 @@ package sfcroute
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"vnfopt/internal/graph"
@@ -347,5 +348,60 @@ func TestSaturatedReport(t *testing.T) {
 	}
 	if hot := r.Saturated(0.5); len(hot) != 0 {
 		t.Fatalf("Saturated(0.5) = %d links, want 0 (strictly above)", len(hot))
+	}
+}
+
+// TestAdmitDeterministicUnderTightCapacity pins the tie-break of the
+// multi-traversal overflow check: a tour that visits a VNF site off its
+// path crosses two links twice each and overflows both by the same
+// excess, so which one the reroute blocks must not depend on map
+// iteration order. The daemon's WAL replay relies on it — a routed
+// engine has to re-admit the same flows the same way.
+func TestAdmitDeterministicUnderTightCapacity(t *testing.T) {
+	d := model.MustNew(topology.MustFatTree(4, nil), model.Options{})
+	sw := d.Switches()
+	sites := [][]int{{sw[0]}, {sw[len(sw)/2]}, {sw[len(sw)-1]}}
+	hosts := d.Hosts()
+	run := func() []Decision {
+		r, err := NewRouter(d, Config{Capacity: 25, Alpha: 1, Classify: true})
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		var out []Decision
+		for epoch := 0; epoch < 2; epoch++ {
+			if err := r.BeginEpoch(sites); err != nil {
+				t.Fatalf("BeginEpoch: %v", err)
+			}
+			for i := 0; i < 24; i++ {
+				dec, err := r.Admit(hosts[i%len(hosts)], hosts[(i*13+5)%len(hosts)], 10)
+				if err != nil {
+					t.Fatalf("Admit %d: %v", i, err)
+				}
+				out = append(out, dec)
+			}
+		}
+		return out
+	}
+	want := run()
+	rerouted, rejected := 0, 0
+	for _, dec := range want {
+		if dec.Reroutes > 0 {
+			rerouted++
+		}
+		if !dec.Admitted {
+			rejected++
+		}
+	}
+	if rerouted == 0 || rejected == 0 {
+		t.Fatalf("sequence is not tight: %d rerouted, %d rejected of %d", rerouted, rejected, len(want))
+	}
+	for rep := 1; rep < 50; rep++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("repeat %d, admit %d diverges:\n got %+v\nwant %+v", rep, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -188,8 +188,12 @@ func TestActorSubmitCtxCancel(t *testing.T) {
 	a := NewActor(1)
 	gate := make(chan struct{})
 	defer close(gate)
-	_ = a.Submit(func() { <-gate })
-	// Fill the one queue slot (the gated command may be executing).
+	started := make(chan struct{})
+	_ = a.Submit(func() { close(started); <-gate })
+	// Fill the one queue slot only once the gated command is executing:
+	// filled while it still sits in the queue, the slot frees as soon as
+	// the run loop picks it up and the SubmitCtx below gets in.
+	<-started
 	for a.Submit(func() {}) == nil {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
