@@ -125,14 +125,17 @@ bench-kernels:
 	$(GO) test -bench BenchmarkKernel -benchmem -run xxx ./internal/bnb/
 
 # Short fuzz pass over the solver-invariant web, the cost-kernel
-# equivalence property, and the daemon's hostile-log-record replay.
+# equivalence property, the bitwise APSP gates and the daemon's
+# hostile-log-record replay. This is the only list of fuzz targets: CI
+# runs it with a shorter per-target budget (make fuzz FUZZTIME=10s).
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz FuzzCostCacheEquivalence -fuzztime 30s -run xxx ./internal/differential/
-	$(GO) test -fuzz FuzzDifferential -fuzztime 30s -run xxx ./internal/differential/
-	$(GO) test -fuzz FuzzFaultHealRoundTrip -fuzztime 30s -run xxx ./internal/fault/
-	$(GO) test -fuzz FuzzIncrementalAPSP -fuzztime 30s -run xxx ./internal/fault/
-	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime 30s -run xxx ./internal/fault/
-	$(GO) test -fuzz FuzzParallelKernel -fuzztime 30s -run xxx ./internal/differential/
-	$(GO) test -fuzz FuzzMinCostFlow -fuzztime 30s -run xxx ./internal/mcf/
-	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s -run xxx ./internal/wal/
-	$(GO) test -fuzz FuzzDecodeCommand -fuzztime 30s -run xxx ./cmd/vnfoptd/
+	$(GO) test -fuzz FuzzCostCacheEquivalence -fuzztime $(FUZZTIME) -run xxx ./internal/differential/
+	$(GO) test -fuzz FuzzDifferential -fuzztime $(FUZZTIME) -run xxx ./internal/differential/
+	$(GO) test -fuzz FuzzFaultHealRoundTrip -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
+	$(GO) test -fuzz FuzzIncrementalAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
+	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
+	$(GO) test -fuzz FuzzParallelKernel -fuzztime $(FUZZTIME) -run xxx ./internal/differential/
+	$(GO) test -fuzz FuzzMinCostFlow -fuzztime $(FUZZTIME) -run xxx ./internal/mcf/
+	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/
+	$(GO) test -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/

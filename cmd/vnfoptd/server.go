@@ -80,7 +80,7 @@ type ScenarioSpec struct {
 	// unlimited (the search can then take O(|V|^n) time — lab use only).
 	NodeBudget int `json:"node_budget,omitempty"`
 	// SearchWorkers fans the exact branch-and-bound searches across
-	// goroutines (engine.WithSearchWorkers semantics: 0 = sequential,
+	// goroutines (engine.Config.SearchWorkers semantics: 0 = sequential,
 	// > 1 = that many workers, < 0 = GOMAXPROCS). Results are
 	// bit-identical to the sequential search at any width.
 	SearchWorkers int `json:"search_workers,omitempty"`

@@ -67,7 +67,7 @@ func main() {
 			}
 		}
 		prev = sched[h-1]
-		if _, err := eng.OfferRates(ups); err != nil {
+		if _, err := eng.Ingest(ups); err != nil {
 			log.Fatalf("hour %d: %v", h, err)
 		}
 		res, err := eng.Step()

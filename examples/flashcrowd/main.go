@@ -39,13 +39,14 @@ func main() {
 	}
 	sfc := vnfopt.NewSFC(2)
 
-	eng, err := vnfopt.NewEngine(
-		vnfopt.EngineConfig{PPDC: dc, SFC: sfc, Base: w, Mu: 1},
-		vnfopt.WithCapacityRouting(vnfopt.RoutingConfig{
+	eng, err := vnfopt.NewEngine(vnfopt.EngineConfig{
+		PPDC: dc, SFC: sfc, Base: w, Mu: 1,
+		Routing: &vnfopt.RoutingConfig{
 			LinkCapacity:   capacity,
 			MaxUtilization: target,
 			Classify:       true,
-		}))
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -273,10 +273,10 @@ func Run(ctx context.Context, cfg Config, sched *Schedule) (*Report, error) {
 				ups = append(ups, engine.RateUpdate{Flow: i, Rate: r})
 			}
 			if len(ups) > 0 {
-				if _, err := chaosEng.OfferRates(ups); err != nil {
+				if _, err := chaosEng.Ingest(ups); err != nil {
 					return nil, fmt.Errorf("chaos: epoch %d: %w", ep, err)
 				}
-				if _, err := refEng.OfferRates(ups); err != nil {
+				if _, err := refEng.Ingest(ups); err != nil {
 					return nil, fmt.Errorf("chaos: epoch %d: %w", ep, err)
 				}
 			}

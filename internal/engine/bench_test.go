@@ -10,7 +10,7 @@ import (
 // optional observer, pre-binding the hourly rate updates.
 func benchEngine(b *testing.B, o *Observer) (*Engine, [][]RateUpdate) {
 	b.Helper()
-	e, sched := newEngineOpts(b, Policy{Hysteresis: 1.05, Cooldown: 1}, 7, WithObserver(o))
+	e, sched := newEngineCfg(b, 7, Config{Policy: Policy{Hysteresis: 1.05, Cooldown: 1}, Observer: o})
 	updates := make([][]RateUpdate, len(sched))
 	for h, rates := range sched {
 		updates[h] = hourUpdates(rates)
@@ -24,7 +24,7 @@ func runEngineBench(b *testing.B, o *Observer) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u := updates[i%len(updates)]
-		if _, err := e.OfferRates(u); err != nil {
+		if _, err := e.Ingest(u); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := e.Step(); err != nil {

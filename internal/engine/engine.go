@@ -7,7 +7,7 @@
 // (internal/sim) replays that as a precomputed hourly schedule. The engine
 // turns it into a control loop:
 //
-//   - writers stream per-flow rate updates with OfferRates; updates are
+//   - writers stream per-flow rate updates with Ingest; updates are
 //     coalesced (last write wins per flow) into a pending set,
 //   - Step closes an epoch: it folds the pending set into the aggregated
 //     WorkloadCache — via the O(|V|)-per-pair ApplyDelta fast path when
@@ -73,12 +73,10 @@ type Policy struct {
 	RepairBackoff time.Duration `json:"repair_backoff_ns"`
 }
 
-// Config describes one engine instance. The first four fields (PPDC,
-// SFC, Base, Mu) define the scenario and are always set as struct
-// fields; the optional fields below them predate functional options and
-// suffer from zero-value ambiguity (a zero Policy is a real, meaningful
-// policy — "consult every epoch" — indistinguishable from "unset").
-// Prefer passing the matching Option to New for everything optional.
+// Config describes one engine instance and is the one way to configure
+// it. The first four fields (PPDC, SFC, Base, Mu) define the scenario;
+// every field below them is optional, and its zero value is a real
+// setting, not "unset" — a zero Policy consults the migrator every epoch.
 type Config struct {
 	// PPDC is the fabric.
 	PPDC *model.PPDC
@@ -90,37 +88,28 @@ type Config struct {
 	// Mu is the migration coefficient μ.
 	Mu float64
 	// Initial is the starting placement; nil computes one with Placer.
-	//
-	// Deprecated: prefer WithInitial, which states intent explicitly.
 	Initial model.Placement
 	// Placer computes the initial placement when Initial is nil
 	// (nil = Algorithm 3).
-	//
-	// Deprecated: prefer WithPlacer.
 	Placer placement.Solver
 	// Migrator is the TOM algorithm the drift trigger consults
 	// (nil = Algorithm 5, mPareto).
-	//
-	// Deprecated: prefer WithMigrator.
 	Migrator migration.Migrator
 	// Policy holds the hysteresis/cooldown/budget knobs.
-	//
-	// Deprecated: prefer WithPolicy — the zero value here silently means
-	// "consult every epoch", which is easy to set by accident.
 	Policy Policy
 	// Observer, when non-nil, receives metrics and events (see
-	// Observer). Prefer WithObserver.
+	// Observer).
 	Observer *Observer
 	// Routing, when non-nil, enables the per-epoch capacity-aware SFC
 	// routing pass (admission control + link utilization; see
-	// RoutingConfig). Prefer WithCapacityRouting.
+	// RoutingConfig).
 	Routing *RoutingConfig
 	// SearchWorkers fans the exact branch-and-bound searches (the
 	// Optimal placer and the Exhaustive migrator) out across goroutines
 	// when the configured solver or migrator supports it (implements its
 	// package's WorkerTunable): 0 leaves solvers untouched, > 1 uses
 	// that many workers, < 0 uses GOMAXPROCS. Results stay bit-identical
-	// to the sequential search. Prefer WithSearchWorkers.
+	// to the sequential search.
 	SearchWorkers int
 }
 
@@ -195,7 +184,7 @@ type StepResult struct {
 type Metrics struct {
 	// Epochs is the number of completed Steps.
 	Epochs int `json:"epochs"`
-	// UpdatesAccepted counts rate updates accepted by OfferRates.
+	// UpdatesAccepted counts rate updates accepted by Ingest.
 	UpdatesAccepted int64 `json:"updates_accepted"`
 	// Consults counts epochs in which the migrator ran.
 	Consults int `json:"consults"`
@@ -270,12 +259,8 @@ type Engine struct {
 
 // New validates the configuration, computes (or adopts) the initial
 // placement, builds the aggregated cost cache, and publishes the first
-// snapshot. Options are applied over cfg in order (see Option); the
-// variadic form keeps every existing New(cfg) call compiling.
-func New(cfg Config, opts ...Option) (*Engine, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+// snapshot.
+func New(cfg Config) (*Engine, error) {
 	if cfg.PPDC == nil {
 		return nil, fmt.Errorf("engine: nil PPDC")
 	}
@@ -417,13 +402,6 @@ func (e *Engine) Ingest(updates []RateUpdate) (IngestResult, error) {
 	e.met.UpdatesCoalesced += int64(coalesced)
 	e.obs.observeIngest(len(updates), coalesced)
 	return IngestResult{Accepted: len(updates), Coalesced: coalesced, Epoch: e.epoch + 1}, nil
-}
-
-// OfferRates is Ingest reduced to the accepted count, kept for existing
-// callers (the simulator, the chaos harness, examples).
-func (e *Engine) OfferRates(updates []RateUpdate) (int, error) {
-	res, err := e.Ingest(updates)
-	return res.Accepted, err
 }
 
 // Step closes the current epoch: it folds the pending updates into the
@@ -611,7 +589,7 @@ func (e *Engine) publish(curCost float64) {
 }
 
 // Snapshot returns the last published placement view without taking the
-// engine lock; safe to call concurrently with OfferRates and Step.
+// engine lock; safe to call concurrently with Ingest and Step.
 func (e *Engine) Snapshot() *Snapshot { return e.snap.Load() }
 
 // Metrics returns a copy of the engine counters.

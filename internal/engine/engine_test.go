@@ -7,6 +7,8 @@ import (
 
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
+	"vnfopt/internal/obs"
+	"vnfopt/internal/placement"
 	"vnfopt/internal/topology"
 	"vnfopt/internal/workload"
 )
@@ -30,19 +32,16 @@ func fixture(t testing.TB, seed int64) (*model.PPDC, model.Workload, [][]float64
 }
 
 func newEngine(t testing.TB, pol Policy, seed int64) (*Engine, [][]float64) {
-	return newEngineOpts(t, pol, seed)
+	return newEngineCfg(t, seed, Config{Policy: pol})
 }
 
-func newEngineOpts(t testing.TB, pol Policy, seed int64, opts ...Option) (*Engine, [][]float64) {
+// newEngineCfg builds an engine over the seeded fixture scenario; cfg
+// supplies the optional fields (policy, migrator, observer, ...).
+func newEngineCfg(t testing.TB, seed int64, cfg Config) (*Engine, [][]float64) {
 	t.Helper()
 	d, base, sched := fixture(t, seed)
-	e, err := New(Config{
-		PPDC:   d,
-		SFC:    model.NewSFC(3),
-		Base:   base,
-		Mu:     1e3,
-		Policy: pol,
-	}, opts...)
+	cfg.PPDC, cfg.SFC, cfg.Base, cfg.Mu = d, model.NewSFC(3), base, 1e3
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,34 +79,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestOfferRatesValidatesWholeBatch(t *testing.T) {
-	e, _ := newEngine(t, Policy{}, 1)
-	bad := [][]RateUpdate{
-		{{Flow: -1, Rate: 1}},
-		{{Flow: e.Flows(), Rate: 1}},
-		{{Flow: 0, Rate: -1}},
-		{{Flow: 0, Rate: math.NaN()}},
-		{{Flow: 0, Rate: math.Inf(1)}},
-		{{Flow: 0, Rate: 5}, {Flow: 1, Rate: -2}}, // one bad update poisons the batch
-	}
-	for i, b := range bad {
-		if _, err := e.OfferRates(b); err == nil {
-			t.Errorf("batch %d accepted", i)
-		}
-	}
-	// The poisoned batch must not have half-applied.
-	if n, err := e.OfferRates(nil); err != nil || n != 0 {
-		t.Fatalf("empty batch: %d, %v", n, err)
-	}
-	res, err := e.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epoch != 1 {
-		t.Fatalf("epoch %d", res.Epoch)
-	}
-}
-
 // TestAlwaysPolicyMatchesDirectMigratorLoop: with the always-consult
 // policy the engine's epoch loop is exactly the batch simulator's hourly
 // loop — identical calls, identical reported costs, identical placements.
@@ -118,7 +89,7 @@ func TestAlwaysPolicyMatchesDirectMigratorLoop(t *testing.T) {
 	p := e.Snapshot().Placement
 
 	for h, rates := range sched {
-		if _, err := e.OfferRates(hourUpdates(rates)); err != nil {
+		if _, err := e.Ingest(hourUpdates(rates)); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Step()
@@ -154,7 +125,7 @@ func TestDriftTriggerGatesMigration(t *testing.T) {
 	var totAlways, totDrift, totFrozen float64
 	for _, rates := range sched {
 		for _, e := range []*Engine{always, drift, frozen} {
-			if _, err := e.OfferRates(hourUpdates(rates)); err != nil {
+			if _, err := e.Ingest(hourUpdates(rates)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -204,7 +175,7 @@ func TestCooldownSpacesMigrations(t *testing.T) {
 	e, sched := newEngine(t, Policy{Hysteresis: 1.01, Cooldown: cd}, 4)
 	last := -1
 	for _, rates := range sched {
-		if _, err := e.OfferRates(hourUpdates(rates)); err != nil {
+		if _, err := e.Ingest(hourUpdates(rates)); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Step()
@@ -234,7 +205,7 @@ func TestBudgetCapsEpochMoves(t *testing.T) {
 	}
 	moved := 0
 	for _, rates := range sched {
-		if _, err := e.OfferRates(hourUpdates(rates)); err != nil {
+		if _, err := e.Ingest(hourUpdates(rates)); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Step()
@@ -259,7 +230,7 @@ func TestDeltaVsRebuildPaths(t *testing.T) {
 	w := base.WithRates(sched[0])
 
 	// Dense epoch: every flow changes → rebuild.
-	if _, err := e.OfferRates(hourUpdates(sched[1])); err != nil {
+	if _, err := e.Ingest(hourUpdates(sched[1])); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Step(); err != nil {
@@ -269,7 +240,7 @@ func TestDeltaVsRebuildPaths(t *testing.T) {
 	// Sparse epochs: one flow at a time → delta path.
 	for i := 0; i < 5; i++ {
 		w[i].Rate += 7
-		if _, err := e.OfferRates([]RateUpdate{{Flow: i, Rate: w[i].Rate}}); err != nil {
+		if _, err := e.Ingest([]RateUpdate{{Flow: i, Rate: w[i].Rate}}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Step()
@@ -295,7 +266,7 @@ func TestSnapshotAndMetrics(t *testing.T) {
 		t.Fatalf("initial snapshot %+v", s0)
 	}
 	for h, rates := range sched {
-		if _, err := e.OfferRates(hourUpdates(rates)); err != nil {
+		if _, err := e.Ingest(hourUpdates(rates)); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Step()
@@ -331,7 +302,7 @@ func TestStateRoundTrip(t *testing.T) {
 	a, sched := newEngine(t, pol, 8)
 	half := len(sched) / 2
 	for _, rates := range sched[:half] {
-		if _, err := a.OfferRates(hourUpdates(rates)); err != nil {
+		if _, err := a.Ingest(hourUpdates(rates)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := a.Step(); err != nil {
@@ -358,7 +329,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	for h, rates := range sched[half:] {
 		for _, e := range []*Engine{a, b} {
-			if _, err := e.OfferRates(hourUpdates(rates)); err != nil {
+			if _, err := e.Ingest(hourUpdates(rates)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -387,5 +358,113 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	if _, err := Resume(Config{PPDC: d, SFC: model.NewSFC(3), Base: base, Mu: 1e3}, &State{Rates: make([]float64, len(base))}); err == nil {
 		t.Fatal("state without placement accepted")
+	}
+}
+
+// TestWithInitialAdoptsPlacement: Config.Initial skips the placer run.
+func TestWithInitialAdoptsPlacement(t *testing.T) {
+	d, base, _ := fixture(t, 2)
+	ref, err := New(Config{PPDC: d, SFC: model.NewSFC(3), Base: base, Mu: 1e3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p0 := ref.Snapshot().Placement
+	e, err := New(Config{PPDC: d, SFC: model.NewSFC(3), Base: base, Mu: 1e3, Initial: p0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.Snapshot().Placement.Equal(p0) {
+		t.Fatalf("initial %v, want adopted %v", e.Snapshot().Placement, p0)
+	}
+}
+
+// TestWithSearchWorkers: Config.SearchWorkers reaches WorkerTunable
+// solvers on both the migrator and placer sides, and leaves others
+// untouched.
+func TestWithSearchWorkers(t *testing.T) {
+	e, _ := newEngineCfg(t, 3, Config{
+		Migrator:      migration.Exhaustive{NodeBudget: 10_000, Seed: migration.MPareto{}},
+		Placer:        placement.Optimal{NodeBudget: 10_000, Seed: placement.DP{}},
+		SearchWorkers: 4,
+	})
+	if got := e.mig.(migration.Exhaustive).Workers; got != 4 {
+		t.Fatalf("migrator workers %d, want 4", got)
+	}
+	if got := e.cfg.Placer.(placement.Optimal).Workers; got != 4 {
+		t.Fatalf("placer workers %d, want 4", got)
+	}
+
+	// A non-tunable migrator passes through unchanged.
+	e2, _ := newEngineCfg(t, 3, Config{Migrator: migration.NoMigration{}, SearchWorkers: 4})
+	if got := e2.MigratorName(); got != "NoMigration" {
+		t.Fatalf("migrator %q, want NoMigration untouched", got)
+	}
+}
+
+// TestWithObserverWiring: a live Config.Observer sees epochs, ingests,
+// cache activity, and migration events flow through the engine.
+func TestWithObserverWiring(t *testing.T) {
+	r := obs.NewRegistry()
+	ev := obs.NewEventLog(8)
+	e, sched := newEngineCfg(t, 3, Config{Observer: NewObserver(r, ev, "t")})
+	moves := 0
+	for h := 0; h < 6; h++ {
+		if _, err := e.Ingest(hourUpdates(sched[h])); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		moves += res.Moves
+	}
+	l := `{scenario="t"}`
+	if got := r.Counter("vnfopt_engine_epochs_total" + l).Value(); got != 6 {
+		t.Fatalf("epochs counter %d, want 6", got)
+	}
+	if got := r.Histogram("vnfopt_engine_epoch_seconds" + l).Count(); got != 6 {
+		t.Fatalf("epoch histogram count %d, want 6", got)
+	}
+	if got := r.Counter("vnfopt_engine_updates_total" + l).Value(); got != int64(6*e.Flows()) {
+		t.Fatalf("updates counter %d, want %d", got, 6*e.Flows())
+	}
+	cache := r.Counter("vnfopt_cache_rebuilds_total"+l).Value() +
+		r.Counter("vnfopt_cache_deltas_total"+l).Value()
+	if cache == 0 {
+		t.Fatal("no cache accounting reached the observer")
+	}
+	if moves > 0 {
+		if got := r.Counter("vnfopt_engine_moves_total" + l).Value(); got != int64(moves) {
+			t.Fatalf("moves counter %d, want %d", got, moves)
+		}
+		if ev.Total() == 0 {
+			t.Fatal("migrations produced no events")
+		}
+		for _, event := range ev.Events() {
+			if event.Type != "migration" {
+				t.Fatalf("unexpected event %+v", event)
+			}
+		}
+	}
+	if drift := r.Gauge("vnfopt_engine_drift_ratio" + l).Value(); drift <= 0 {
+		t.Fatalf("drift gauge %v, want > 0", drift)
+	}
+}
+
+// TestMetricsCountCoalescedUpdates: duplicate flow ids in one epoch are
+// coalesced and surfaced both in Metrics and through the observer.
+func TestMetricsCountCoalescedUpdates(t *testing.T) {
+	r := obs.NewRegistry()
+	e, sched := newEngineCfg(t, 4, Config{Observer: NewObserver(r, nil, "c")})
+	ups := hourUpdates(sched[0])
+	ups = append(ups, RateUpdate{Flow: 0, Rate: sched[0][0] + 1}) // duplicate
+	if _, err := e.Ingest(ups); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Metrics().UpdatesCoalesced; got != 1 {
+		t.Fatalf("UpdatesCoalesced %d, want 1", got)
+	}
+	if got := r.Counter(`vnfopt_engine_updates_coalesced_total{scenario="c"}`).Value(); got != 1 {
+		t.Fatalf("coalesced counter %d, want 1", got)
 	}
 }

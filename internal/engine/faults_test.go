@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -50,9 +52,10 @@ func (m failNMigrator) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p
 func TestStepRecoversMigratorPanic(t *testing.T) {
 	reg := obs.NewRegistry()
 	events := obs.NewEventLog(64)
-	e, _ := newEngineOpts(t, Policy{}, 11,
-		WithMigrator(panicMigrator{}),
-		WithObserver(NewObserver(reg, events, "")))
+	e, _ := newEngineCfg(t, 11, Config{
+		Migrator: panicMigrator{},
+		Observer: NewObserver(reg, events, ""),
+	})
 	if _, err := e.Step(); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("Step with panicking migrator: err=%v, want panic surfaced as error", err)
 	}
@@ -77,7 +80,7 @@ func TestStepRecoversMigratorPanic(t *testing.T) {
 func TestApplyFaultsRepairsPlacement(t *testing.T) {
 	reg := obs.NewRegistry()
 	events := obs.NewEventLog(256)
-	e, _ := newEngineOpts(t, Policy{}, 7, WithObserver(NewObserver(reg, events, "")))
+	e, _ := newEngineCfg(t, 7, Config{Observer: NewObserver(reg, events, "")})
 	victim := e.Snapshot().Placement[0]
 	f := fault.Fault{Kind: fault.Switch, U: victim}
 
@@ -166,7 +169,7 @@ func TestApplyFaultsDeadHostExcludesFlow(t *testing.T) {
 		t.Fatalf("snapshot unserved=%d, want %d", snap.UnservedFlows, len(res.Unserved))
 	}
 	// Rate updates to an unserved flow are still accepted and recorded.
-	if _, err := e.OfferRates([]RateUpdate{{Flow: res.Unserved[0].Flow, Rate: 42}}); err != nil {
+	if _, err := e.Ingest([]RateUpdate{{Flow: res.Unserved[0].Flow, Rate: 42}}); err != nil {
 		t.Fatal(err)
 	}
 	if sr, err := e.Step(); err != nil {
@@ -210,8 +213,10 @@ func TestApplyFaultsInfeasibleIsAtomic(t *testing.T) {
 
 func TestApplyFaultsRetriesThenExactRepair(t *testing.T) {
 	fails := 2
-	e, _ := newEngineOpts(t, Policy{RepairRetries: 3, RepairBackoff: time.Millisecond}, 7,
-		WithMigrator(failNMigrator{n: &fails, panics: true}))
+	e, _ := newEngineCfg(t, 7, Config{
+		Policy:   Policy{RepairRetries: 3, RepairBackoff: time.Millisecond},
+		Migrator: failNMigrator{n: &fails, panics: true},
+	})
 	victim := e.Snapshot().Placement[0]
 	res, err := e.ApplyFaults(context.Background(), []fault.Fault{{Kind: fault.Switch, U: victim}}, nil)
 	if err != nil {
@@ -229,8 +234,10 @@ func TestApplyFaultsRetriesThenExactRepair(t *testing.T) {
 }
 
 func TestApplyFaultsAcceptsFallbackAfterRetries(t *testing.T) {
-	e, _ := newEngineOpts(t, Policy{RepairRetries: 2, RepairBackoff: time.Millisecond}, 7,
-		WithMigrator(panicMigrator{}))
+	e, _ := newEngineCfg(t, 7, Config{
+		Policy:   Policy{RepairRetries: 2, RepairBackoff: time.Millisecond},
+		Migrator: panicMigrator{},
+	})
 	victim := e.Snapshot().Placement[0]
 	res, err := e.ApplyFaults(context.Background(), []fault.Fault{{Kind: fault.Switch, U: victim}}, nil)
 	if err != nil {
@@ -278,39 +285,92 @@ func TestApplyFaultsNoopAndHealValidation(t *testing.T) {
 	}
 }
 
+// TestStateRoundTripWithFaults: Resume rebuilds the degraded view through
+// the delta path (fault.ApplyDelta from the pristine matrix). For every
+// fault mix the resumed view must match the full-rebuild oracle bitwise,
+// and the resumed engine must then track the engine that never stopped
+// through a further inject, step and heal, State() byte for byte.
 func TestStateRoundTripWithFaults(t *testing.T) {
-	e, _ := newEngine(t, Policy{}, 7)
-	victim := e.Snapshot().Placement[0]
-	if _, err := e.ApplyFaults(context.Background(), []fault.Fault{{Kind: fault.Switch, U: victim}}, nil); err != nil {
-		t.Fatal(err)
+	ref, _ := newEngine(t, Policy{}, 7)
+	d := ref.cfg.PPDC
+	victim := ref.Snapshot().Placement[0]
+	// Switch-to-switch links clear of the victim, and one flow's host with
+	// its (pendant) uplink.
+	var links [][2]int
+	for _, e := range d.Topo.Graph.Edges() {
+		if d.Topo.Kind[e.U] == topology.Switch && d.Topo.Kind[e.V] == topology.Switch && e.U != victim && e.V != victim {
+			links = append(links, [2]int{e.U, e.V})
+		}
 	}
-	if _, err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := ResumeJSON(e.cfg, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, s2 := e.Snapshot(), r.Snapshot()
-	if !s2.Degraded || s2.ActiveFaults != 1 {
-		t.Fatalf("resumed engine lost degraded mode: %+v", s2)
-	}
-	if s1.CommCost != s2.CommCost || s1.Epoch != s2.Epoch {
-		t.Fatalf("resume mismatch: %+v vs %+v", s1, s2)
-	}
-	if len(r.Faults()) != 1 {
-		t.Fatalf("faults=%v, want 1", r.Faults())
-	}
-	// The resumed engine can heal back to pristine.
-	if _, err := r.ApplyFaults(context.Background(), nil, []fault.Fault{{Kind: fault.Switch, U: victim}}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Snapshot().Degraded {
-		t.Fatal("heal after resume failed")
+	host := ref.cfg.Base[0].Src
+	uplink := d.Topo.Graph.Neighbors(host)[0].To
+	link := func(i int) fault.Fault { return fault.Fault{Kind: fault.Link, U: links[i][0], V: links[i][1]} }
+	degrade := func(u, v int) fault.Fault { return fault.Fault{Kind: fault.Degrade, U: u, V: v, Factor: 4} }
+
+	for name, faults := range map[string][]fault.Fault{
+		"switch":              {{Kind: fault.Switch, U: victim}},
+		"link+uplink degrade": {link(0), degrade(host, uplink)},
+		"host+switch+degrade": {{Kind: fault.Host, U: host}, {Kind: fault.Switch, U: victim}, degrade(links[1][0], links[1][1])},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, _ := newEngine(t, Policy{}, 7)
+			if _, err := e.ApplyFaults(context.Background(), faults, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := e.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ResumeJSON(e.cfg, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := r.Snapshot(); !s.Degraded || s.ActiveFaults != len(faults) {
+				t.Fatalf("resumed engine lost degraded mode: %+v", s)
+			}
+			oracle, err := fault.Apply(d, fault.NewFaultSet(faults...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fault.Diff(r.view, oracle); err != nil {
+				t.Fatalf("resumed view diverges from the full rebuild: %v", err)
+			}
+
+			state := func(x *Engine) []byte {
+				st := x.State()
+				st.Metrics.LastEpoch, st.Metrics.TotalEpoch = 0, 0
+				out, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			extra := []fault.Fault{link(2)}
+			for _, x := range []*Engine{e, r} {
+				if _, err := x.ApplyFaults(context.Background(), extra, nil); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := x.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := x.ApplyFaults(context.Background(), nil, extra); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := state(r), state(e); !bytes.Equal(got, want) {
+				t.Fatalf("resumed engine diverged from the one that never stopped:\n%s\n%s", got, want)
+			}
+			// The resumed engine can heal back to pristine.
+			if _, err := r.ApplyFaults(context.Background(), nil, faults); err != nil {
+				t.Fatal(err)
+			}
+			if r.Snapshot().Degraded {
+				t.Fatal("heal after resume failed")
+			}
+		})
 	}
 }
 

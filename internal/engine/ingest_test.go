@@ -59,6 +59,8 @@ func TestIngestAccounting(t *testing.T) {
 func TestIngestAtomicValidation(t *testing.T) {
 	e, _ := newEngine(t, Policy{Hysteresis: 1e9}, 1)
 	for name, bad := range map[string][]RateUpdate{
+		"negative flow":     {{Flow: -1, Rate: 1}},
+		"flow == Flows()":   {{Flow: 0, Rate: 1}, {Flow: e.Flows(), Rate: 1}},
 		"flow out of range": {{Flow: 0, Rate: 1}, {Flow: 10_000, Rate: 1}},
 		"negative rate":     {{Flow: 0, Rate: 1}, {Flow: 1, Rate: -2}},
 		"nan rate":          {{Flow: 0, Rate: 1}, {Flow: 1, Rate: math.NaN()}},
@@ -70,6 +72,9 @@ func TestIngestAtomicValidation(t *testing.T) {
 	}
 	if m := e.Metrics(); m.UpdatesAccepted != 0 {
 		t.Fatalf("rejected batches leaked %d accepted updates", m.UpdatesAccepted)
+	}
+	if res, err := e.Ingest(nil); err != nil || res.Accepted != 0 {
+		t.Fatalf("empty batch: %+v, %v", res, err)
 	}
 	// The pending set is untouched: a later good batch coalesces nothing.
 	res, err := e.Ingest([]RateUpdate{{Flow: 0, Rate: 2}})

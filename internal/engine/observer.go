@@ -108,7 +108,7 @@ func (o *Observer) CacheDelta(magnitude float64) {
 	o.deltaMagnitude.Observe(magnitude)
 }
 
-// observeIngest records one accepted OfferRates batch.
+// observeIngest records one accepted Ingest batch.
 func (o *Observer) observeIngest(accepted, coalesced int) {
 	if o == nil {
 		return

@@ -7,7 +7,7 @@ import (
 )
 
 // TestConcurrentIngestAndReads hammers the engine from concurrent
-// writers (OfferRates), a stepper, and lock-free readers (Snapshot) plus
+// writers (Ingest), a stepper, and lock-free readers (Snapshot) plus
 // locked readers (Metrics, State). Run under `go test -race`: the test's
 // assertions are weak on purpose — the race detector is the oracle.
 func TestConcurrentIngestAndReads(t *testing.T) {
@@ -29,7 +29,7 @@ func TestConcurrentIngestAndReads(t *testing.T) {
 				default:
 				}
 				i := rng.Intn(e.Flows())
-				if _, err := e.OfferRates([]RateUpdate{{Flow: i, Rate: rng.Float64() * 50}}); err != nil {
+				if _, err := e.Ingest([]RateUpdate{{Flow: i, Rate: rng.Float64() * 50}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -63,7 +63,7 @@ func TestConcurrentIngestAndReads(t *testing.T) {
 	// The stepper threads the hourly schedule through while the chaos
 	// writers race it.
 	for _, rates := range sched {
-		if _, err := e.OfferRates(hourUpdates(rates)); err != nil {
+		if _, err := e.Ingest(hourUpdates(rates)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Step(); err != nil {

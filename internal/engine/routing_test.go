@@ -28,9 +28,8 @@ func TestEngineCapacityRoutingPublishes(t *testing.T) {
 	d, sfc, w := routingScenario(t)
 	reg := obs.NewRegistry()
 	o := NewObserver(reg, obs.NewEventLog(16), "test")
-	e, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1},
-		WithCapacityRouting(RoutingConfig{LinkCapacity: 1000}),
-		WithObserver(o))
+	e, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+		Routing: &RoutingConfig{LinkCapacity: 1000}, Observer: o})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -73,9 +72,8 @@ func TestEngineAdmissionRejectsOverCapacity(t *testing.T) {
 	// Capacity 15 admits one 10-rate flow per link but not two; the four
 	// flows funnel through the two shared chain switches, so some must be
 	// rejected — and Classify proves the ones that are.
-	e, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1},
-		WithCapacityRouting(RoutingConfig{LinkCapacity: 15, Classify: true}),
-		WithObserver(o))
+	e, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+		Routing: &RoutingConfig{LinkCapacity: 15, Classify: true}, Observer: o})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -100,8 +98,8 @@ func TestEngineAdmissionRejectsOverCapacity(t *testing.T) {
 
 func TestEngineRoutingSurvivesFaultTransition(t *testing.T) {
 	d, sfc, w := routingScenario(t)
-	e, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1},
-		WithCapacityRouting(RoutingConfig{LinkCapacity: 1000}))
+	e, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+		Routing: &RoutingConfig{LinkCapacity: 1000}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -130,25 +128,25 @@ func TestEngineRoutingDisabledByDefault(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	if e.Snapshot().Routing != nil || e.RoutingReport() != nil {
-		t.Fatal("routing artifacts present without WithCapacityRouting")
+		t.Fatal("routing artifacts present without Config.Routing")
 	}
 	res, err := e.Step()
 	if err != nil {
 		t.Fatalf("Step: %v", err)
 	}
 	if res.Routing != nil {
-		t.Fatal("step routing summary present without WithCapacityRouting")
+		t.Fatal("step routing summary present without Config.Routing")
 	}
 }
 
 func TestEngineRoutingConfigValidation(t *testing.T) {
 	d, sfc, w := routingScenario(t)
-	if _, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1},
-		WithCapacityRouting(RoutingConfig{})); err == nil {
+	if _, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+		Routing: &RoutingConfig{}}); err == nil {
 		t.Fatal("accepted zero link capacity")
 	}
-	if _, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1},
-		WithCapacityRouting(RoutingConfig{LinkCapacity: 10, Alpha: -1})); err == nil {
+	if _, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+		Routing: &RoutingConfig{LinkCapacity: 10, Alpha: -1}}); err == nil {
 		t.Fatal("accepted negative alpha")
 	}
 }
@@ -166,8 +164,8 @@ func TestEngineAdmissionSpreadsWithinEpoch(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		w = append(w, model.VMPair{Src: hosts[i], Dst: hosts[8+i], Rate: 20})
 	}
-	e, err := New(Config{PPDC: d, SFC: model.NewSFC(1), Base: w, Mu: 1},
-		WithCapacityRouting(RoutingConfig{LinkCapacity: 100, MaxUtilization: 0.40, Classify: true}))
+	e, err := New(Config{PPDC: d, SFC: model.NewSFC(1), Base: w, Mu: 1,
+		Routing: &RoutingConfig{LinkCapacity: 100, MaxUtilization: 0.40, Classify: true}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

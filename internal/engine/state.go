@@ -81,7 +81,7 @@ func Resume(cfg Config, st *State) (*Engine, error) {
 		// already repaired, so no new repair pass runs — it only has to
 		// still validate on the degraded serving model.
 		fs := fault.NewFaultSet(st.Faults...)
-		v, err := fault.Apply(cfg.PPDC, fs)
+		v, err := fault.ApplyDelta(cfg.PPDC, nil, fs)
 		if err != nil {
 			return nil, fmt.Errorf("engine: state faults: %w", err)
 		}

@@ -23,10 +23,12 @@ type View struct {
 	ncomp    int
 }
 
-// Apply builds the degraded view of d under fs. An empty fault set
-// short-circuits to the pristine model itself (no rebuild); Rebuild is
-// the always-reconstruct variant the round-trip fuzz uses to prove the
-// reconstruction path is bit-identical.
+// Apply builds the degraded view of d under fs with a full APSP build.
+// It is the oracle the tests, the fuzz targets and the chaos harness
+// hold ApplyDelta — the one path production code takes — against. An
+// empty fault set short-circuits to the pristine model itself (no
+// rebuild); Rebuild is the always-reconstruct variant the round-trip
+// fuzz uses to prove the reconstruction path is bit-identical.
 func Apply(d *model.PPDC, fs FaultSet) (*View, error) {
 	if err := fs.Validate(d); err != nil {
 		return nil, err
@@ -127,11 +129,11 @@ func keepEdge(dead []bool, down linkSet, u, w int) bool {
 }
 
 // effWeight returns the cost a surviving pristine edge {u, w} of weight
-// wt carries under the degrade factors. Rebuild's CloneMapped and
-// RebuildFrom's delta records both evaluate exactly this expression, so
+// wt carries under the degrade factors. Rebuild's degradedClone and
+// ApplyDelta's delta records both evaluate exactly this expression, so
 // the incremental path's restored/reweighted weights are bit-identical
 // to the full rebuild's. A factor of 1 (no degrade) returns wt itself —
-// no float operation that could perturb the pristine fast path.
+// no float operation that could perturb an undegraded edge.
 func effWeight(degr degradeSet, u, w int, wt float64) float64 {
 	if f := degr.factor(u, w); f != 1 {
 		return wt * f
@@ -142,11 +144,6 @@ func effWeight(degr degradeSet, u, w int, wt float64) float64 {
 // degradedClone builds the filtered, re-weighted graph of a fault set
 // expanded into (dead, down, degr), preserving pristine adjacency order.
 func degradedClone(pg *graph.Graph, dead []bool, down linkSet, degr degradeSet) *graph.Graph {
-	if len(degr) == 0 {
-		return pg.CloneFiltered(func(u, w int, _ float64) bool {
-			return keepEdge(dead, down, u, w)
-		})
-	}
 	return pg.CloneMapped(func(u, w int, wt float64) (float64, bool) {
 		if !keepEdge(dead, down, u, w) {
 			return 0, false
@@ -207,16 +204,27 @@ func Rebuild(d *model.PPDC, fs FaultSet) *View {
 	return buildView(v, d, g, graph.AllPairs(g))
 }
 
-// RebuildFrom constructs the degraded view of fs by delta-updating the
-// APSP oracle of a previous view of the same pristine model: only the
-// Dijkstra sources whose cached shortest-path trees are invalidated by
-// the fault transition are re-run (graph.APSP.ApplyDeltas); every other
-// row is carried over verbatim. The result is bit-identical to
-// Rebuild(prev.Pristine(), fs) — the differential fuzz target
+// ApplyDelta is Apply with an incremental APSP update: when prev is a
+// view of the same pristine model, only the Dijkstra sources whose cached
+// shortest-path trees the fault transition invalidates are re-run
+// (graph.APSP.ApplyEdgeDeltas); every other row is carried over verbatim.
+// The result is bit-identical to Apply — the differential fuzz target
 // FuzzIncrementalAPSP pins this over random inject/heal sequences — at a
-// fraction of the cost for the typical 1–3 element transition.
-func RebuildFrom(prev *View, fs FaultSet) *View {
-	d := prev.pristine
+// fraction of the cost for the typical 1–3 element transition. A nil
+// prev (or a prev of a different model) delta-updates from the pristine
+// matrix itself; an empty fault set short-circuits to the pristine model.
+func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
+	if err := fs.Validate(d); err != nil {
+		return nil, err
+	}
+	if fs.Empty() {
+		v := &View{pristine: d, faults: fs, degraded: d}
+		v.label(d.Topo.Graph)
+		return v, nil
+	}
+	if prev == nil || prev.pristine != d {
+		prev = &View{pristine: d, faults: FaultSet{}, degraded: d}
+	}
 	pg := d.Topo.Graph
 	n := pg.Order()
 	v := &View{pristine: d, faults: fs}
@@ -234,7 +242,7 @@ func RebuildFrom(prev *View, fs FaultSet) *View {
 	// edge patches in bit-identical to the full rebuild, and an edge that
 	// is degraded and removed in one transition flows through the removal
 	// rule, composing the two classifiers in any order.
-	var removed, restored, reweighted []graph.EdgeRecord
+	var delta graph.EdgeDelta
 	for u := 0; u < n; u++ {
 		for _, e := range pg.Neighbors(u) {
 			if u > e.To {
@@ -244,42 +252,20 @@ func RebuildFrom(prev *View, fs FaultSet) *View {
 			kn := keepEdge(v.dead, down, u, e.To)
 			switch {
 			case ko && !kn:
-				removed = append(removed, graph.EdgeRecord{U: u, V: e.To, Weight: effWeight(oldDegr, u, e.To, e.Weight)})
+				delta.Removed = append(delta.Removed, graph.EdgeRecord{U: u, V: e.To, Weight: effWeight(oldDegr, u, e.To, e.Weight)})
 			case !ko && kn:
-				restored = append(restored, graph.EdgeRecord{U: u, V: e.To, Weight: effWeight(degr, u, e.To, e.Weight)})
+				delta.Restored = append(delta.Restored, graph.EdgeRecord{U: u, V: e.To, Weight: effWeight(degr, u, e.To, e.Weight)})
 			case ko && kn:
 				ow := effWeight(oldDegr, u, e.To, e.Weight)
 				nw := effWeight(degr, u, e.To, e.Weight)
 				if ow != nw {
-					reweighted = append(reweighted, graph.EdgeRecord{U: u, V: e.To, Weight: nw})
+					delta.Reweighted = append(delta.Reweighted, graph.EdgeRecord{U: u, V: e.To, Weight: nw})
 				}
 			}
 		}
 	}
-	apsp, _ := prev.degraded.APSP.ApplyEdgeDeltas(g, removed, restored, reweighted, 0)
-	return buildView(v, d, g, apsp)
-}
-
-// ApplyDelta is Apply with an incremental APSP update: when prev is a
-// view of the same pristine model, the new view's oracle reuses every
-// shortest-path tree the fault transition leaves intact instead of
-// re-running all |V| Dijkstra sources. Output is bit-identical to Apply.
-// A nil prev (or a prev of a different model) delta-updates from the
-// pristine matrix itself; an empty fault set short-circuits to the
-// pristine model.
-func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
-	if err := fs.Validate(d); err != nil {
-		return nil, err
-	}
-	if fs.Empty() {
-		v := &View{pristine: d, faults: fs, degraded: d}
-		v.label(d.Topo.Graph)
-		return v, nil
-	}
-	if prev == nil || prev.pristine != d {
-		prev = &View{pristine: d, faults: FaultSet{}, degraded: d}
-	}
-	return RebuildFrom(prev, fs), nil
+	apsp, _ := prev.degraded.APSP.ApplyEdgeDeltas(g, delta, 0)
+	return buildView(v, d, g, apsp), nil
 }
 
 // Diff reports the first divergence between two views of the same

@@ -34,7 +34,7 @@ func SetAPSPObserver(fn APSPObserver) {
 // every communication and migration cost is a λ- or μ-weighted APSP lookup.
 //
 // Rows are independent slices: a full build lays them over one contiguous
-// row-major buffer, while an incremental ApplyDeltas result shares the
+// row-major buffer, while an incremental ApplyEdgeDeltas result shares the
 // unchanged rows of its parent matrix outright. APSP values are therefore
 // immutable once returned — mutating a row would silently corrupt every
 // matrix sharing it.
@@ -87,8 +87,7 @@ func newAPSP(n int) *APSP {
 // edges; BenchmarkAPSPFatTree): ~74 ms for the sequential [][]Edge
 // oracle at ~18.8k heap allocations, ~53 ms for the CSR kernel on one
 // core at 26 allocations (just the result matrices plus per-chunk
-// scratch), dropping near-linearly with additional cores since every
-// source is independent.
+// scratch).
 func AllPairs(g *Graph) *APSP {
 	return AllPairsWorkers(g, 0)
 }
@@ -121,37 +120,6 @@ func AllPairsWorkers(g *Graph, workers int) *APSP {
 	}
 	if obs != nil {
 		(*obs)(n, g.Size(), workers, time.Since(start))
-	}
-	return a
-}
-
-// AllPairsCSR is AllPairsWorkers over an already-frozen snapshot, for
-// callers that maintain their graph as a CSR (the congestion-pricing
-// router re-prices one weight buffer over an immutable structure every
-// epoch). Output is bit-identical to AllPairsWorkers on the graph the
-// snapshot was frozen from, at any worker count.
-func AllPairsCSR(csr *CSR, workers int) *APSP {
-	obs := apspObserver.Load()
-	var start time.Time
-	if obs != nil {
-		start = time.Now()
-	}
-	n := csr.Order()
-	a := newAPSP(n)
-	err := parallel.MapChunked(n, workers, func(lo, hi int) error {
-		var scratch SSSPScratch
-		for src := lo; src < hi; src++ {
-			csr.DijkstraInto(src, a.dist[src], a.prev[src], &scratch)
-		}
-		return nil
-	})
-	if err != nil {
-		// DijkstraInto cannot fail on a valid snapshot; a surfaced panic
-		// is a kernel bug and must not be swallowed.
-		panic(err)
-	}
-	if obs != nil {
-		(*obs)(n, csr.NumSlots()/2, workers, time.Since(start))
 	}
 	return a
 }

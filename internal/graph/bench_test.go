@@ -58,8 +58,7 @@ func BenchmarkAllPairsSequential(b *testing.B) {
 
 // BenchmarkAllPairsParallel sweeps worker counts over the CSR kernel.
 // workers=1 isolates the CSR + scratch-reuse win; workers=0 (GOMAXPROCS)
-// adds the fan-out (near-linear on multi-core hosts: the 1344 sources are
-// fully independent).
+// adds the fan-out.
 func BenchmarkAllPairsParallel(b *testing.B) {
 	g := fatTreeScaleGraph()
 	for _, workers := range []int{1, 2, 4, 0} {

@@ -103,10 +103,6 @@ func (c *CSR) Dijkstra(src int) (dist []float64, prev []int32) {
 // add their inter-layer slots on top).
 func (c *CSR) NumSlots() int { return len(c.to) }
 
-// Degree returns the number of edge slots leaving u (the undirected
-// degree for a frozen Graph, parallel edges counted separately).
-func (c *CSR) Degree(u int) int { return int(c.rowStart[u+1] - c.rowStart[u]) }
-
 // ForEachSlot calls f once per directed edge slot in slot order:
 // f(slot, u, v, w) for the slot'th edge u→v of weight w. Routing layers
 // use it to build slot-indexed side tables (physical-link ids, pricing

@@ -48,8 +48,7 @@ func SetAPSPDeltaObserver(fn APSPDeltaObserver) {
 type deltaPlan struct {
 	// isolated[x]: every old edge of x was removed, so x has degree zero
 	// in the new graph. Clean rows handle these by patching column x to
-	// unreachable instead of re-running Dijkstra. nil for weight-only
-	// deltas (no structural change, nothing to patch).
+	// unreachable instead of re-running Dijkstra.
 	isolated []bool
 	isoList  []int32
 	// pendant[v] >= 0: v was isolated in the old graph and the delta
@@ -78,17 +77,12 @@ type deltaPlan struct {
 	// forced rows always recompute: isolated and pendant vertices' own
 	// rows (their Dijkstra traces change shape or float association).
 	forced []int32
-	// fixedKind, when set, is the observer label decided before
-	// splitPendantReweights moved pendant re-weights into the pendant
-	// patch lists (which would otherwise misread as structural).
-	fixedKind DeltaKind
 }
 
-// kind labels the plan for the delta observer.
+// kind labels the plan for the delta observer. It must be read before
+// splitPendantReweights moves pendant re-weights into the pendant patch
+// lists, which would otherwise misread as structural.
 func (p *deltaPlan) kind() DeltaKind {
-	if p.fixedKind != "" {
-		return p.fixedKind
-	}
 	structural := len(p.links) > 0 || len(p.grown) > 0 || len(p.isoList) > 0 || len(p.pendList) > 0
 	switch {
 	case structural && len(p.reweighted) > 0:
@@ -103,22 +97,23 @@ func (p *deltaPlan) kind() DeltaKind {
 // planDeltas splits the raw removed/restored lists into the patchable
 // and generic cases. Old degrees are reconstructed from the new graph
 // plus the delta, so callers never need to retain the old filtered graph.
-func planDeltas(next *Graph, removed, restored []EdgeRecord) *deltaPlan {
+func planDeltas(next *Graph, d EdgeDelta) *deltaPlan {
 	n := next.Order()
 	p := &deltaPlan{
-		isolated: make([]bool, n),
-		pendant:  make([]int32, n),
+		isolated:   make([]bool, n),
+		pendant:    make([]int32, n),
+		reweighted: d.Reweighted,
 	}
 	for i := range p.pendant {
 		p.pendant[i] = -1
 	}
 	removedAt := make([]int32, n)
 	restoredAt := make([]int32, n)
-	for _, e := range removed {
+	for _, e := range d.Removed {
 		removedAt[e.U]++
 		removedAt[e.V]++
 	}
-	for _, e := range restored {
+	for _, e := range d.Restored {
 		restoredAt[e.U]++
 		restoredAt[e.V]++
 	}
@@ -130,7 +125,7 @@ func planDeltas(next *Graph, removed, restored []EdgeRecord) *deltaPlan {
 		}
 	}
 	p.pendantW = make([]float64, n)
-	for _, e := range restored {
+	for _, e := range d.Restored {
 		for _, side := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
 			v, u := side[0], side[1]
 			// v gains its single edge back and had none before: a pendant
@@ -144,7 +139,7 @@ func planDeltas(next *Graph, removed, restored []EdgeRecord) *deltaPlan {
 		}
 	}
 	var seenCand []bool
-	for _, e := range removed {
+	for _, e := range d.Removed {
 		if !p.isolated[e.U] && !p.isolated[e.V] {
 			p.links = append(p.links, e)
 			continue
@@ -159,7 +154,7 @@ func planDeltas(next *Graph, removed, restored []EdgeRecord) *deltaPlan {
 			}
 		}
 	}
-	for _, e := range restored {
+	for _, e := range d.Restored {
 		if p.pendant[e.U] < 0 && p.pendant[e.V] < 0 {
 			p.grown = append(p.grown, e)
 		}
@@ -179,14 +174,13 @@ func planDeltas(next *Graph, removed, restored []EdgeRecord) *deltaPlan {
 // (fat trees), where congestion pricing touches host uplinks every
 // epoch, that degenerates the weight-delta path into a full rebuild.
 //
-// degree reports each vertex's degree in the (structurally unchanged)
-// graph. Zero-weight pendant edges stay in the generic list: with w'=0
-// a relax back out of the leaf could tie-flip the neighbor's
-// predecessor, which the column patch cannot express.
-func (p *deltaPlan) splitPendantReweights(n int, degree func(int) int) {
+// Zero-weight pendant edges stay in the generic list: with w'=0 a relax
+// back out of the leaf could tie-flip the neighbor's predecessor, which
+// the column patch cannot express.
+func (p *deltaPlan) splitPendantReweights(next *Graph) {
 	var kept []EdgeRecord
 	for i, e := range p.reweighted {
-		pu, pv := degree(e.U) == 1, degree(e.V) == 1
+		pu, pv := next.Degree(e.U) == 1, next.Degree(e.V) == 1
 		if (!pu && !pv) || !(e.Weight > 0) {
 			if kept != nil {
 				kept = append(kept, e)
@@ -208,13 +202,6 @@ func (p *deltaPlan) splitPendantReweights(n int, degree func(int) int) {
 		v, u := e.U, e.V
 		if pv {
 			v, u = e.V, e.U
-		}
-		if p.pendant == nil {
-			p.pendant = make([]int32, n)
-			for j := range p.pendant {
-				p.pendant[j] = -1
-			}
-			p.pendantW = make([]float64, n)
 		}
 		p.pendant[v] = int32(u)
 		p.pendantW[v] = e.Weight
@@ -368,51 +355,27 @@ func (p *deltaPlan) patchRow(dist []float64, prev []int32) {
 	}
 }
 
-// ApplyDeltas builds the APSP matrix of `next` incrementally from the
-// cached matrix of the graph next was derived from, for a purely
-// structural delta: `removed` lists edges present in the old graph but
-// absent from next, `restored` lists edges absent from the old graph but
-// present in next (with their weights in next). Vertex failures and
-// revivals are expressed through their incident edges; the vertex set
-// itself never changes. See ApplyEdgeDeltas for the dirty-source rules
-// and the bit-identity guarantee.
-func (a *APSP) ApplyDeltas(next *Graph, removed, restored []EdgeRecord, workers int) (*APSP, int) {
-	return a.ApplyEdgeDeltas(next, removed, restored, nil, workers)
-}
-
-// ApplyWeightDeltas builds the APSP matrix of `next` incrementally for a
-// weight-only delta: next has the same vertex set and edge set as the
-// graph this matrix was built from, but the edges listed in `reweighted`
-// carry new weights (each record holds the NEW weight; the old weight is
-// never needed — see the re-weight rule in ApplyEdgeDeltas). Edges whose
-// weight did not change must not be listed: a listed-but-unchanged tree
-// edge costs a spurious dirty row (correct, just wasted work).
-func (a *APSP) ApplyWeightDeltas(next *Graph, reweighted []EdgeRecord, workers int) (*APSP, int) {
-	return a.ApplyEdgeDeltas(next, nil, nil, reweighted, workers)
-}
-
-// ApplyWeightDeltasCSR is ApplyWeightDeltas for callers that already
-// hold the new graph as a frozen CSR snapshot — the congestion-pricing
-// router re-prices one weight buffer per epoch over an immutable
-// structure, so forcing it through *Graph would rebuild adjacency lists
-// it never mutates. The snapshot's weights must be the new weights; the
-// structure must be the one this matrix was built over.
-func (a *APSP) ApplyWeightDeltasCSR(next *CSR, reweighted []EdgeRecord, workers int) (*APSP, int) {
-	if next.Order() != a.n {
-		panic("graph: ApplyWeightDeltasCSR vertex count mismatch")
-	}
-	plan := &deltaPlan{reweighted: reweighted, fixedKind: DeltaWeight}
-	plan.splitPendantReweights(a.n, next.Degree)
-	return a.applyPlan(plan, next, workers)
+// EdgeDelta is the full edge difference between the graph an APSP
+// matrix was built over and the graph it is being repaired for. Vertex
+// failures and revivals are expressed through their incident edges; the
+// vertex set itself never changes.
+type EdgeDelta struct {
+	// Removed lists edges present in the old graph but absent from the new.
+	Removed []EdgeRecord
+	// Restored lists edges absent from the old graph but present in the
+	// new, with their weights in the new graph.
+	Restored []EdgeRecord
+	// Reweighted lists edges present in both whose weight changed, each
+	// carrying the NEW weight; the old weight is never needed (see the
+	// re-weight rule on ApplyEdgeDeltas). Edges whose weight did not
+	// change must not be listed: a listed-but-unchanged tree edge costs a
+	// spurious dirty row (correct, just wasted work).
+	Reweighted []EdgeRecord
 }
 
 // ApplyEdgeDeltas builds the APSP matrix of `next` incrementally from
-// the cached matrix of the graph next was derived from. The caller
-// supplies the full edge delta between the two graphs: `removed` lists
-// edges present in the old graph but absent from next, `restored` lists
-// edges absent from the old graph but present in next, and `reweighted`
-// lists edges present in both whose weight changed — restored and
-// reweighted records carry the weights in next.
+// the cached matrix of the graph next was derived from; d is the full
+// edge delta between the two graphs.
 //
 // The receiver is never mutated: untouched rows are shared with the
 // receiver (both matrices are immutable), rows with a provably-exact
@@ -458,31 +421,14 @@ func (a *APSP) ApplyWeightDeltasCSR(next *CSR, reweighted []EdgeRecord, workers 
 //   - re-weighted pendant edge (a degree-1 endpoint, positive weight):
 //     the leaf's column patches to dist(s,u)+w' in every clean row and
 //     only the leaf's own row recomputes — see splitPendantReweights.
-func (a *APSP) ApplyEdgeDeltas(next *Graph, removed, restored, reweighted []EdgeRecord, workers int) (*APSP, int) {
-	if next.Order() != a.n {
+func (a *APSP) ApplyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, int) {
+	n := a.n
+	if next.Order() != n {
 		panic("graph: ApplyEdgeDeltas vertex count mismatch")
 	}
-	plan := planDeltas(next, removed, restored)
-	plan.reweighted = reweighted
-	plan.fixedKind = plan.kind()
-	plan.splitPendantReweights(next.Order(), next.Degree)
-	// Freeze lazily: an all-clean delta (every row shared or patched)
-	// never needs the CSR.
-	var csr *CSR
-	return a.applyPlan(plan, nil, workers, func() *CSR {
-		if csr == nil {
-			csr = next.Freeze()
-		}
-		return csr
-	})
-}
-
-// applyPlan runs the classify/share/patch/recompute pipeline for one
-// delta plan. Exactly one of `frozen` (a ready CSR of the new graph) or
-// `freeze` (a lazy builder, invoked only when dirty rows exist) must be
-// non-nil.
-func (a *APSP) applyPlan(plan *deltaPlan, frozen *CSR, workers int, freeze ...func() *CSR) (*APSP, int) {
-	n := a.n
+	plan := planDeltas(next, d)
+	kind := plan.kind()
+	plan.splitPendantReweights(next)
 	obs := apspDeltaObserver.Load()
 	var start time.Time
 	if obs != nil {
@@ -537,10 +483,9 @@ func (a *APSP) applyPlan(plan *deltaPlan, frozen *CSR, workers int, freeze ...fu
 		}
 	}
 	if len(rows) > 0 {
-		csr := frozen
-		if csr == nil {
-			csr = freeze[0]()
-		}
+		// Frozen only here: an all-clean delta (every row shared or
+		// patched) never needs the CSR.
+		csr := next.Freeze()
 		// Dirty rows tile a fresh stride-padded buffer (see apspStride):
 		// chunk boundaries fall on cache-line boundaries, so parallel
 		// workers never write the same line.
@@ -564,7 +509,7 @@ func (a *APSP) applyPlan(plan *deltaPlan, frozen *CSR, workers int, freeze ...fu
 		}
 	}
 	if obs != nil {
-		(*obs)(plan.kind(), n, len(rows), workers, time.Since(start))
+		(*obs)(kind, n, len(rows), workers, time.Since(start))
 	}
 	return out, len(rows)
 }

@@ -27,19 +27,18 @@ func apspBitEqual(t *testing.T, a, b *APSP) {
 	}
 }
 
-// filterEdges splits g's edges by a down-set and returns the filtered
-// graph plus the removed records.
+// filterEdges returns g without the edges in the down-set.
 func filterEdges(g *Graph, down map[[2]int]bool) *Graph {
-	return g.CloneFiltered(func(u, v int, _ float64) bool {
+	return g.CloneMapped(func(u, v int, w float64) (float64, bool) {
 		if u > v {
 			u, v = v, u
 		}
-		return !down[[2]int{u, v}]
+		return w, !down[[2]int{u, v}]
 	})
 }
 
 // TestApplyDeltasRandomSequence drives random fail/restore sequences over
-// random connected graphs and pins ApplyDeltas bit-for-bit against a full
+// random connected graphs and pins ApplyEdgeDeltas bit-for-bit against a full
 // AllPairs rebuild of the filtered graph, at several worker counts.
 func TestApplyDeltasRandomSequence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -64,7 +63,7 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 			}
 			next := filterEdges(g, down)
 			workers := []int{1, 2, 5, 0}[step%4]
-			inc, dirty := cur.ApplyDeltas(next, removed, restored, workers)
+			inc, dirty := cur.ApplyEdgeDeltas(next, EdgeDelta{Removed: removed, Restored: restored}, workers)
 			full := AllPairs(next)
 			apspBitEqual(t, inc, full)
 			if dirty < 0 || dirty > n {
@@ -75,14 +74,18 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 	}
 }
 
-// TestApplyDeltasEmptyDelta checks that a no-op delta recomputes zero
-// rows and shares every row with the (immutable) receiver rather than
-// copying the matrix.
+// TestApplyDeltasEmptyDelta checks that an empty EdgeDelta recomputes
+// zero rows, shares every row with the (immutable) receiver rather than
+// copying the matrix, and never freezes the graph.
 func TestApplyDeltasEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedGraph(rng, 20, 25)
 	a := AllPairs(g)
-	b, dirty := a.ApplyDeltas(g, nil, nil, 0)
+	// Freeze sizes its arrays from the edge count, so it panics on this
+	// copy: the call below returns only if the all-clean delta skips it.
+	unfreezable := g.Clone()
+	unfreezable.m = -1
+	b, dirty := a.ApplyEdgeDeltas(unfreezable, EdgeDelta{}, 0)
 	if dirty != 0 {
 		t.Fatalf("no-op delta recomputed %d rows", dirty)
 	}
@@ -108,7 +111,7 @@ func TestApplyDeltasDisconnects(t *testing.T) {
 	bridge := []EdgeRecord{{U: 2, V: 3, Weight: 1}}
 	down := map[[2]int]bool{{2, 3}: true}
 	cut := filterEdges(g, down)
-	b, dirty := a.ApplyDeltas(cut, bridge, nil, 1)
+	b, dirty := a.ApplyEdgeDeltas(cut, EdgeDelta{Removed: bridge}, 1)
 	apspBitEqual(t, b, AllPairs(cut))
 	if dirty != 6 {
 		// Every source's tree crosses the bridge.
@@ -117,7 +120,7 @@ func TestApplyDeltasDisconnects(t *testing.T) {
 	if !math.IsInf(b.Cost(0, 5), 1) {
 		t.Fatalf("cut bridge still reports cost %v", b.Cost(0, 5))
 	}
-	c, dirty := b.ApplyDeltas(g, nil, bridge, 1)
+	c, dirty := b.ApplyEdgeDeltas(g, EdgeDelta{Restored: bridge}, 1)
 	apspBitEqual(t, c, a)
 	if dirty != 6 {
 		t.Fatalf("bridge heal dirtied %d sources, want 6", dirty)
@@ -141,7 +144,7 @@ func TestApplyDeltasSparseDirtySet(t *testing.T) {
 	// must leave sources 0 and 1 clean only if their trees avoid it.
 	down := map[[2]int]bool{{2, 3}: true}
 	cut := filterEdges(g, down)
-	b, dirty := a.ApplyDeltas(cut, []EdgeRecord{{U: 2, V: 3, Weight: 1}}, nil, 1)
+	b, dirty := a.ApplyEdgeDeltas(cut, EdgeDelta{Removed: []EdgeRecord{{U: 2, V: 3, Weight: 1}}}, 1)
 	apspBitEqual(t, b, AllPairs(cut))
 	if dirty >= 4 {
 		t.Fatalf("equal-cost alternate removal dirtied all %d sources", dirty)
@@ -224,10 +227,10 @@ func randomSimpleGraph(rng *rand.Rand, n, extra int) *Graph {
 }
 
 // reweight returns a copy of g with the listed edges carrying their new
-// weights, plus the delta records (new weights only, as ApplyWeightDeltas
-// receives them). Edges whose drawn weight equals the old one are
-// dropped from the records — unchanged edges must not be listed.
-func reweight(g *Graph, newWt map[[2]int]float64) (*Graph, []EdgeRecord) {
+// weights, plus the weight-only delta (new weights only, as
+// EdgeDelta.Reweighted carries them). Callers must not list an edge
+// whose new weight equals the old one.
+func reweight(g *Graph, newWt map[[2]int]float64) (*Graph, EdgeDelta) {
 	var recs []EdgeRecord
 	for key, w := range newWt {
 		recs = append(recs, EdgeRecord{U: key[0], V: key[1], Weight: w})
@@ -241,13 +244,13 @@ func reweight(g *Graph, newWt map[[2]int]float64) (*Graph, []EdgeRecord) {
 		}
 		return w, true
 	})
-	return next, recs
+	return next, EdgeDelta{Reweighted: recs}
 }
 
 // TestApplyWeightDeltasRandomSequence drives chained random re-weights —
-// increases, decreases, tie-creating and tie-breaking — and pins
-// ApplyWeightDeltas bit-for-bit against the full rebuild at several
-// worker counts.
+// increases, decreases, tie-creating and tie-breaking — and pins a
+// re-weight-only ApplyEdgeDeltas bit-for-bit against the full rebuild at
+// several worker counts.
 func TestApplyWeightDeltasRandomSequence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
@@ -267,7 +270,7 @@ func TestApplyWeightDeltasRandomSequence(t *testing.T) {
 			}
 			next, recs := reweight(g, newWt)
 			workers := []int{1, 2, 5, 0}[step%4]
-			inc, dirty := cur.ApplyWeightDeltas(next, recs, workers)
+			inc, dirty := cur.ApplyEdgeDeltas(next, recs, workers)
 			apspBitEqual(t, inc, AllPairs(next))
 			if dirty < 0 || dirty > n {
 				t.Fatalf("seed %d step %d: dirty=%d out of range", seed, step, dirty)
@@ -295,7 +298,7 @@ func TestApplyWeightDeltasIncreaseNonTreeClean(t *testing.T) {
 		}
 	}
 	next, recs := reweight(g, map[[2]int]float64{{2, 3}: 5})
-	b, dirty := a.ApplyWeightDeltas(next, recs, 1)
+	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	// Only sources 2 and 3 hold {2,3} as a tree edge (their direct hop
 	// to each other); every other tree routes via vertex 1 and stays
@@ -323,7 +326,7 @@ func TestApplyWeightDeltasDecreaseReroutes(t *testing.T) {
 		t.Fatalf("fixture: cost(0,1)=%v pred=%d", a.Cost(0, 1), a.Pred(0, 1))
 	}
 	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 1})
-	b, dirty := a.ApplyWeightDeltas(next, recs, 1)
+	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	if b.Cost(0, 1) != 1 || b.Pred(0, 1) != 0 {
 		t.Fatalf("after decrease: cost(0,1)=%v pred=%d", b.Cost(0, 1), b.Pred(0, 1))
@@ -333,50 +336,34 @@ func TestApplyWeightDeltasDecreaseReroutes(t *testing.T) {
 	}
 }
 
-// TestApplyWeightDeltasCSR pins the CSR fast path (the router's epoch
-// re-pricing shape: one frozen structure, weights rewritten in place)
-// against AllPairsCSR at several worker counts.
-func TestApplyWeightDeltasCSR(t *testing.T) {
+// TestApplyEdgeDeltasRepriceRealWeights pins the congestion re-pricing
+// shape — one fixed structure whose weights are rescaled by real-valued
+// factors step after step, so no two path costs tie — against AllPairs
+// at several worker counts.
+func TestApplyEdgeDeltasRepriceRealWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomSimpleGraph(rng, 30, 40)
-	base := g.Freeze()
-	wt := make([]float64, base.NumSlots())
-	snap := base.Reweight(wt, func(_, _ int, w float64) float64 { return w })
-	cur := AllPairsCSR(snap, 0)
+	cur := AllPairs(g)
 	for step := 0; step < 6; step++ {
-		// Re-price a random subset of undirected edges in the weight
-		// buffer, collecting one record per changed edge (u < v).
 		changed := map[[2]int]float64{}
-		base.ForEachSlot(func(_, u, v int, w float64) {
-			if u < v && rng.Intn(3) == 0 {
-				changed[[2]int{u, v}] = w * (1 + rng.Float64())
+		for _, e := range g.Edges() {
+			if rng.Intn(3) == 0 {
+				changed[[2]int{e.U, e.V}] = e.Weight * (1 + rng.Float64())
 			}
-		})
-		var recs []EdgeRecord
-		base.ForEachSlot(func(slot, u, v int, _ float64) {
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			if nw, ok := changed[[2]int{a, b}]; ok {
-				wt[slot] = nw
-				if u < v {
-					recs = append(recs, EdgeRecord{U: u, V: v, Weight: nw})
-				}
-			}
-		})
+		}
+		next, recs := reweight(g, changed)
 		workers := []int{1, 3, 0}[step%3]
-		inc, dirty := cur.ApplyWeightDeltasCSR(snap, recs, workers)
-		apspBitEqual(t, inc, AllPairsCSR(snap, 0))
-		if dirty > snap.Order() {
+		inc, dirty := cur.ApplyEdgeDeltas(next, recs, workers)
+		apspBitEqual(t, inc, AllPairs(next))
+		if dirty > g.Order() {
 			t.Fatalf("step %d: dirty=%d out of range", step, dirty)
 		}
-		cur = inc
+		g, cur = next, inc
 	}
 }
 
 // TestApplyEdgeDeltasMixed drives structural and weight changes in one
-// transition — the shape fault.RebuildFrom produces when a degrade and a
+// transition — the shape fault.ApplyDelta produces when a degrade and a
 // removal land in the same event.
 func TestApplyEdgeDeltasMixed(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
@@ -426,7 +413,7 @@ func TestApplyEdgeDeltasMixed(t *testing.T) {
 				curWt[key] = w
 				reweighted = append(reweighted, EdgeRecord{U: key[0], V: key[1], Weight: w})
 			}
-			inc, dirty := cur.ApplyEdgeDeltas(next, removed, restored, reweighted, []int{1, 4, 0}[step%3])
+			inc, dirty := cur.ApplyEdgeDeltas(next, EdgeDelta{Removed: removed, Restored: restored, Reweighted: reweighted}, []int{1, 4, 0}[step%3])
 			apspBitEqual(t, inc, AllPairs(next))
 			if dirty < 0 || dirty > n {
 				t.Fatalf("seed %d step %d: dirty=%d", seed, step, dirty)
@@ -490,12 +477,12 @@ func TestWeightDeltaObserverKinds(t *testing.T) {
 	defer SetAPSPDeltaObserver(nil)
 
 	e01 := []EdgeRecord{{U: 0, V: 1, Weight: 1}}
-	cut := g.CloneFiltered(func(u, v int, _ float64) bool { return !(u == 0 && v == 1 || u == 1 && v == 0) })
-	b, _ := a.ApplyDeltas(cut, e01, nil, 1)
-	_, _ = b.ApplyDeltas(g, nil, e01, 1)
+	cut := filterEdges(g, map[[2]int]bool{{0, 1}: true})
+	b, _ := a.ApplyEdgeDeltas(cut, EdgeDelta{Removed: e01}, 1)
+	_, _ = b.ApplyEdgeDeltas(g, EdgeDelta{Restored: e01}, 1)
 
 	rw, recs := reweight(g, map[[2]int]float64{{2, 3}: 3})
-	_, _ = a.ApplyWeightDeltas(rw, recs, 1)
+	_, _ = a.ApplyEdgeDeltas(rw, recs, 1)
 
 	mixed := g.CloneMapped(func(u, v int, w float64) (float64, bool) {
 		if u == 0 && v == 1 || u == 1 && v == 0 {
@@ -506,7 +493,7 @@ func TestWeightDeltaObserverKinds(t *testing.T) {
 		}
 		return w, true
 	})
-	_, _ = a.ApplyEdgeDeltas(mixed, e01, nil, recs, 1)
+	_, _ = a.ApplyEdgeDeltas(mixed, EdgeDelta{Removed: e01, Reweighted: recs.Reweighted}, 1)
 
 	want := []DeltaKind{DeltaFault, DeltaFault, DeltaWeight, DeltaMixed}
 	if len(kinds) != len(want) {
@@ -536,7 +523,7 @@ func TestApplyWeightDeltasPendantPatch(t *testing.T) {
 	a := AllPairs(g)
 
 	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 3})
-	b, dirty := a.ApplyWeightDeltas(next, recs, 1)
+	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	if dirty != 1 {
 		t.Fatalf("pendant re-weight dirtied %d sources, want 1 (the leaf)", dirty)
@@ -554,18 +541,13 @@ func TestApplyWeightDeltasPendantPatch(t *testing.T) {
 		}
 	}
 
-	// The same edge via the CSR path, chained twice (3 -> 0.5).
-	csr1 := next.Freeze()
-	c, dirty := b.ApplyWeightDeltasCSR(csr1.Reweight(nil, func(u, v int, w float64) float64 {
-		if (u == 0 && v == 1) || (u == 1 && v == 0) {
-			return 0.5
-		}
-		return w
-	}), []EdgeRecord{{U: 0, V: 1, Weight: 0.5}}, 1)
+	// The same edge re-priced again from the patched matrix (3 -> 0.5):
+	// the second patch reads the first one's clean rows.
+	next2, recs2 := reweight(next, map[[2]int]float64{{0, 1}: 0.5})
+	c, dirty := b.ApplyEdgeDeltas(next2, recs2, 1)
 	if dirty != 1 {
-		t.Fatalf("CSR pendant re-weight dirtied %d sources, want 1", dirty)
+		t.Fatalf("chained pendant re-weight dirtied %d sources, want 1", dirty)
 	}
-	next2, _ := reweight(g, map[[2]int]float64{{0, 1}: 0.5})
 	apspBitEqual(t, c, AllPairs(next2))
 }
 
@@ -579,7 +561,7 @@ func TestApplyWeightDeltasPendantK2(t *testing.T) {
 	g.AddEdge(3, 4, 2)
 	a := AllPairs(g)
 	next, recs := reweight(g, map[[2]int]float64{{3, 4}: 7})
-	b, dirty := a.ApplyWeightDeltas(next, recs, 1)
+	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	if dirty != 2 {
 		t.Fatalf("K2 re-weight dirtied %d sources, want 2", dirty)

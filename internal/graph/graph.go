@@ -112,39 +112,17 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// CloneFiltered returns a copy of the graph with the same vertex set but
-// only the edges for which keep(u, v, w) is true. The predicate must be
-// symmetric (keep(u,v,w) == keep(v,u,w)); both directions of an
-// undirected edge are filtered with it, and an asymmetric predicate
-// would corrupt the adjacency invariant. Adjacency order of the kept
-// edges is preserved, so rebuilding with an always-true predicate
-// reproduces the original graph exactly — the degraded-fabric views in
-// internal/fault rely on this to make inject/heal round-trips
+// CloneMapped returns a copy of the graph with the same vertex set,
+// filtered and re-weighted in one pass: an edge for which mapEdge(u, v, w)
+// returns (w', true) survives with weight w', one returning false is
+// dropped. mapEdge must be symmetric in its keep decision AND its weight
+// (mapEdge(u,v,w) and mapEdge(v,u,w) must agree): both directions of an
+// undirected edge go through it, and an asymmetric function would
+// corrupt the adjacency invariant. Adjacency order of the kept edges is
+// preserved, so mapping every edge to (w, true) reproduces the original
+// graph exactly — the degraded-fabric views in internal/fault rely on
+// this to make inject/heal round-trips and incremental rebuilds
 // bit-identical.
-func (g *Graph) CloneFiltered(keep func(u, v int, w float64) bool) *Graph {
-	c := &Graph{adj: make([][]Edge, len(g.adj))}
-	kept := 0
-	for u, es := range g.adj {
-		for _, e := range es {
-			if keep(u, e.To, e.Weight) {
-				c.adj[u] = append(c.adj[u], e)
-				kept++
-			}
-		}
-	}
-	// Every undirected edge stores two directed endpoint records; a
-	// symmetric predicate keeps both or neither.
-	c.m = kept / 2
-	return c
-}
-
-// CloneMapped is CloneFiltered with per-edge re-weighting folded into
-// the same pass: edges map(u, v, w) returns (w', true) for survive with
-// weight w', edges returning false are dropped. Like CloneFiltered the
-// function must be symmetric in its keep decision AND its weight
-// (map(u,v,w) and map(v,u,w) must agree), and adjacency order of kept
-// edges is preserved — the degraded-fabric views in internal/fault rely
-// on order preservation for bit-identical incremental rebuilds.
 func (g *Graph) CloneMapped(mapEdge func(u, v int, w float64) (float64, bool)) *Graph {
 	c := &Graph{adj: make([][]Edge, len(g.adj))}
 	kept := 0

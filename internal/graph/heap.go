@@ -14,7 +14,7 @@ type heapItem struct {
 // removed or restored edge cannot reorder equal-cost settlements. That is
 // what makes a Dijkstra run over a delta-filtered graph bit-identical to
 // a from-scratch run whenever the delta does not touch the source's
-// shortest-path tree (see APSP.ApplyDeltas).
+// shortest-path tree (see APSP.ApplyEdgeDeltas).
 func less(a, b heapItem) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost

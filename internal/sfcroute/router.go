@@ -71,7 +71,6 @@ type Router struct {
 	d   *model.PPDC
 	cfg Config
 
-	base  *graph.CSR // pristine fabric weights
 	links []routing.Link
 	lcap  []float64 // capacity per link
 	load  []float64 // committed load per link
@@ -93,16 +92,6 @@ type Router struct {
 	laySlotLink []int32
 	layWt       []float64
 	pruneWt     []float64
-
-	// Priced metric closure, built lazily by Closure() and maintained
-	// across epoch re-pricings through the weight-delta APSP path:
-	// closureWt snapshots the pricedWt the closure corresponds to, so
-	// BeginEpoch can diff the new prices against it and re-run only the
-	// Dijkstra sources the price changes dirty. closureDirty records the
-	// dirty-source count of the last delta update.
-	closure      *graph.APSP
-	closureWt    []float64
-	closureDirty int
 
 	dist    []float64
 	prev    []int32
@@ -132,7 +121,7 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	if cfg.MaxReroutes == 0 {
 		cfg.MaxReroutes = 4
 	}
-	r := &Router{d: d, cfg: cfg, base: d.Topo.Graph.Freeze(), lidx: make(map[routing.Link]int)}
+	r := &Router{d: d, cfg: cfg, lidx: make(map[routing.Link]int)}
 	// Parallel edges (none in the shipped topologies) collapse onto one
 	// physical link sharing one capacity.
 	for _, rec := range d.Topo.Graph.Edges() {
@@ -150,16 +139,17 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	}
 	r.load = make([]float64, len(r.links))
 	r.blocked = make([]bool, len(r.links))
-	ns := r.base.NumSlots()
+	base := d.Topo.Graph.Freeze() // pristine fabric weights
+	ns := base.NumSlots()
 	r.slotLink = make([]int32, ns)
 	r.baseWt = make([]float64, ns)
 	r.pricedWt = make([]float64, ns)
-	r.base.ForEachSlot(func(slot, u, v int, w float64) {
+	base.ForEachSlot(func(slot, u, v int, w float64) {
 		r.slotLink[slot] = int32(r.lidx[mkLink(u, v)])
 		r.baseWt[slot] = w
 	})
 	copy(r.pricedWt, r.baseWt)
-	r.priced = r.base.WithWeights(r.pricedWt)
+	r.priced = base.WithWeights(r.pricedWt)
 	return r, nil
 }
 
@@ -201,9 +191,6 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 		for slot, link := range r.slotLink {
 			r.pricedWt[slot] = r.price(r.baseWt[slot], int(link))
 		}
-	}
-	if r.closure != nil {
-		r.refreshClosure()
 	}
 	for i := range r.load {
 		r.load[i] = 0
@@ -252,80 +239,6 @@ func resizeF(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// Closure returns the all-pairs metric closure of the congestion-priced
-// fabric (NOT the layered expansion) for the current epoch. The first
-// call pays one full APSP over the priced weights; from then on every
-// BeginEpoch re-pricing repairs the matrix through the weight-delta
-// path (graph.ApplyWeightDeltasCSR), re-running only the sources whose
-// shortest-path trees the price changes actually touch. The result is
-// bit-identical to rebuilding from scratch each epoch.
-func (r *Router) Closure() *graph.APSP {
-	if r.closure == nil {
-		r.closure = graph.AllPairsCSR(r.priced, 0)
-		r.closureWt = append(r.closureWt[:0], r.pricedWt...)
-	}
-	return r.closure
-}
-
-// ClosureDirty reports how many Dijkstra sources the last epoch's
-// closure repair re-ran (0 when prices did not move, or before the
-// closure exists). Observability for the delta-vs-rebuild win.
-func (r *Router) ClosureDirty() int { return r.closureDirty }
-
-// refreshClosure repairs the priced closure after a re-pricing pass by
-// diffing the new pricedWt against the snapshot the closure was built
-// over. Both directions of an undirected edge are priced by the same
-// expression, so the u < v slot diff covers every change.
-func (r *Router) refreshClosure() {
-	var recs []graph.EdgeRecord
-	r.base.ForEachSlot(func(slot, u, v int, _ float64) {
-		if u < v && r.pricedWt[slot] != r.closureWt[slot] {
-			recs = append(recs, graph.EdgeRecord{U: u, V: v, Weight: r.pricedWt[slot]})
-		}
-	})
-	if len(recs) == 0 {
-		r.closureDirty = 0
-		return
-	}
-	r.closure, r.closureDirty = r.closure.ApplyWeightDeltasCSR(r.priced, recs, 0)
-	copy(r.closureWt, r.pricedWt)
-}
-
-// BlindChainCost is the closure consumer: the capacity-blind cost of
-// the chain-constrained walk src → gateway₁ ∈ sites[0] → … → dst under
-// the current epoch's prices, computed as a stage DP over closure rows
-// instead of a layered Dijkstra. It equals Route(src, dst).Cost up to
-// floating-point summation order and costs O(Σᵢ|sitesᵢ|·|sitesᵢ₊₁|)
-// closure lookups. Returns +Inf when no chain walk exists.
-func (r *Router) BlindChainCost(src, dst int) (float64, error) {
-	if r.lay == nil {
-		return 0, fmt.Errorf("sfcroute: BeginEpoch not called")
-	}
-	cl := r.Closure()
-	cost := []float64{0}
-	at := []int{src}
-	for _, stage := range r.sites {
-		next := make([]float64, len(stage))
-		for j, h := range stage {
-			best := math.Inf(1)
-			for i, g := range at {
-				if c := cost[i] + cl.Cost(g, h); c < best {
-					best = c
-				}
-			}
-			next[j] = best
-		}
-		cost, at = next, stage
-	}
-	best := math.Inf(1)
-	for i, g := range at {
-		if c := cost[i] + cl.Cost(g, dst); c < best {
-			best = c
-		}
-	}
-	return best, nil
 }
 
 // Route computes the chain-constrained shortest path under the current

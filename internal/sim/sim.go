@@ -204,16 +204,15 @@ func (s *Simulator) RunVNF(mig migration.Migrator) (*Trace, error) {
 func (s *Simulator) RunEngine(mig migration.Migrator, pol engine.Policy) (*Trace, error) {
 	first := s.firstActive()
 	eng, err := engine.New(engine.Config{
-		PPDC: s.cfg.PPDC,
-		SFC:  s.cfg.SFC,
-		Base: s.hours[first],
-		Mu:   s.cfg.Mu,
-	},
-		engine.WithInitial(s.p0),
-		engine.WithMigrator(mig),
-		engine.WithPolicy(pol),
-		engine.WithObserver(s.cfg.Observer),
-	)
+		PPDC:     s.cfg.PPDC,
+		SFC:      s.cfg.SFC,
+		Base:     s.hours[first],
+		Mu:       s.cfg.Mu,
+		Initial:  s.p0,
+		Migrator: mig,
+		Policy:   pol,
+		Observer: s.cfg.Observer,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: engine: %w", err)
 	}
@@ -225,7 +224,7 @@ func (s *Simulator) RunEngine(mig migration.Migrator, pol engine.Policy) (*Trace
 		for i, f := range w {
 			updates[i] = engine.RateUpdate{Flow: i, Rate: f.Rate}
 		}
-		if _, err := eng.OfferRates(updates); err != nil {
+		if _, err := eng.Ingest(updates); err != nil {
 			return nil, fmt.Errorf("sim: hour %d: %w", h+1, err)
 		}
 		res, err := eng.Step()

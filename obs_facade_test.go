@@ -23,12 +23,12 @@ func TestObservabilityFacade(t *testing.T) {
 
 	reg := vnfopt.NewMetricsRegistry()
 	events := vnfopt.NewEventLog(8)
-	eng, err := vnfopt.NewEngine(vnfopt.EngineConfig{PPDC: dc, SFC: sfc, Base: flows, Mu: 1e3},
-		vnfopt.WithEnginePlacer(vnfopt.InstrumentedPlacement(vnfopt.DPPlacement(), reg)),
-		vnfopt.WithEngineMigrator(vnfopt.InstrumentedMigration(vnfopt.MPareto(), reg)),
-		vnfopt.WithEnginePolicy(vnfopt.EnginePolicy{}),
-		vnfopt.WithEngineObserver(vnfopt.NewObserver(reg, events, "facade")),
-	)
+	eng, err := vnfopt.NewEngine(vnfopt.EngineConfig{
+		PPDC: dc, SFC: sfc, Base: flows, Mu: 1e3,
+		Placer:   vnfopt.InstrumentedPlacement(vnfopt.DPPlacement(), reg),
+		Migrator: vnfopt.InstrumentedMigration(vnfopt.MPareto(), reg),
+		Observer: vnfopt.NewObserver(reg, events, "facade"),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestObservabilityFacade(t *testing.T) {
 		for i, r := range vnfopt.GenerateRates(len(flows), rng) {
 			updates[i] = vnfopt.RateUpdate{Flow: i, Rate: r}
 		}
-		if _, err := eng.OfferRates(updates); err != nil {
+		if _, err := eng.Ingest(updates); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Step(); err != nil {

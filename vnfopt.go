@@ -171,20 +171,15 @@ func MustNewPPDC(t *Topology, opts Options) *PPDC { return model.MustNew(t, opts
 // NewSFC builds a service function chain of n generic VNFs f1..fn.
 func NewSFC(n int) SFC { return model.NewSFC(n) }
 
-// GeneratePairs places l VM pairs on the topology's hosts with the paper's
-// rack locality and rate mix.
-func GeneratePairs(t *Topology, l int, intraRack float64, rng *rand.Rand) (Workload, error) {
-	return workload.Pairs(t, l, intraRack, rng)
-}
-
-// MustGeneratePairs is GeneratePairs but panics on error.
+// MustGeneratePairs places l VM pairs on the topology's hosts with the
+// paper's rack locality and rate mix, panicking on error.
 func MustGeneratePairs(t *Topology, l int, intraRack float64, rng *rand.Rand) Workload {
 	return workload.MustPairs(t, l, intraRack, rng)
 }
 
-// GeneratePairsClustered is GeneratePairs with tenant concentration: all
-// pairs live in a random subset of tenantRacks racks (the skew that makes
-// dynamic traffic move the traffic-optimal placement; see
+// GeneratePairsClustered places l VM pairs with tenant concentration:
+// all pairs live in a random subset of tenantRacks racks (the skew that
+// makes dynamic traffic move the traffic-optimal placement; see
 // workload.PairsClustered).
 func GeneratePairsClustered(t *Topology, l, tenantRacks int, intraRack float64, rng *rand.Rand) (Workload, error) {
 	return workload.PairsClustered(t, l, tenantRacks, intraRack, rng)
@@ -241,10 +236,6 @@ func AnnealPlacement(iterations int, seed int64) PlacementSolver {
 	return placement.Anneal{Iterations: iterations, Seed: seed}
 }
 
-// ColocatedPlacement returns the whole-chain-on-one-switch solver (the
-// paper's future-work relaxation; requires per-switch capacity ≥ n).
-func ColocatedPlacement() PlacementSolver { return placement.Colocated{} }
-
 // Top1DP solves TOP-1 (one flow) with Algorithm 2's DP-Stroll.
 func Top1DP(d *PPDC, f VMPair, n int) (Placement, float64, error) {
 	return placement.Top1DP(d, f, n)
@@ -285,11 +276,6 @@ func OptimalMigrationContext(ctx context.Context, d *PPDC, w Workload, sfc SFC, 
 func OptimalMigrationParallel(nodeBudget, workers int) Migrator {
 	return migration.Exhaustive{NodeBudget: nodeBudget, Seed: migration.MPareto{}, Workers: workers}
 }
-
-// OptimalMigrationSurrogate returns the paper-scale stand-in for
-// Algorithm 6 used at k=16 (refined LayeredDP ∧ refined mPareto; see
-// DESIGN.md substitution #2).
-func OptimalMigrationSurrogate() Migrator { return migration.OptimalSurrogate() }
 
 // NoMigration returns the keep-everything-in-place reference.
 func NoMigration() Migrator { return migration.NoMigration{} }
@@ -420,47 +406,11 @@ type EngineSnapshot = engine.Snapshot
 // EngineStepResult reports one epoch of the control loop.
 type EngineStepResult = engine.StepResult
 
-// EngineOption is a functional configuration knob for NewEngine,
-// layered over EngineConfig (see WithEnginePolicy and friends).
-type EngineOption = engine.Option
-
-// NewEngine validates a scenario and returns a running engine. Optional
-// knobs may be given either as EngineConfig fields or as options;
-// options are applied last and win.
-func NewEngine(cfg EngineConfig, opts ...EngineOption) (*Engine, error) {
-	return engine.New(cfg, opts...)
-}
-
-// WithEnginePolicy sets the TOM control-loop policy.
-func WithEnginePolicy(p EnginePolicy) EngineOption { return engine.WithPolicy(p) }
-
-// WithEngineMigrator sets the TOM migrator the drift trigger consults.
-func WithEngineMigrator(m Migrator) EngineOption { return engine.WithMigrator(m) }
-
-// WithEnginePlacer sets the TOP solver used for the initial placement.
-func WithEnginePlacer(s PlacementSolver) EngineOption { return engine.WithPlacer(s) }
-
-// WithEngineInitial adopts a precomputed initial placement.
-func WithEngineInitial(p Placement) EngineOption { return engine.WithInitial(p) }
-
-// WithEngineObserver attaches an observability sink (see NewObserver).
-func WithEngineObserver(o *EngineObserver) EngineOption { return engine.WithObserver(o) }
-
-// WithEngineSearchWorkers fans the exact branch-and-bound searches out
-// across n goroutines when the configured placer/migrator supports it
-// (placement.Optimal, migration.Exhaustive): 0 leaves solvers
-// untouched, > 1 uses that many workers, < 0 uses GOMAXPROCS. Purely a
-// latency knob — completed searches are bit-identical at any width.
-func WithEngineSearchWorkers(n int) EngineOption { return engine.WithSearchWorkers(n) }
-
-// ResumeEngine restores an engine from a durable state snapshot
-// (Engine.MarshalState / vnfoptd GET /v1/scenarios/{id}/state).
-func ResumeEngine(cfg EngineConfig, stateJSON []byte) (*Engine, error) {
-	return engine.ResumeJSON(cfg, stateJSON)
-}
+// NewEngine validates a scenario and returns a running engine.
+func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
 // RoutingConfig enables the engine's per-epoch capacity-aware SFC
-// routing pass (see WithCapacityRouting): link capacity, congestion
+// routing pass (set EngineConfig.Routing): link capacity, congestion
 // pricing exponent, admission utilization target, and max-flow
 // rejection classification.
 type RoutingConfig = engine.RoutingConfig
@@ -476,14 +426,6 @@ type RoutingSummary = engine.RoutingSummary
 
 // FlowDecision is one flow's admission outcome within a RoutingReport.
 type FlowDecision = engine.FlowDecision
-
-// WithCapacityRouting enables the capacity-aware SFC routing pass: each
-// epoch, flows are routed through the committed chain on the layered
-// expansion against residual link capacity, infeasible flows are
-// rejected with a max-flow certificate when rc.Classify is set, and
-// per-link utilization is published (EngineSnapshot.Routing,
-// Engine.RoutingReport, vnfopt_sfcroute_* metrics).
-func WithCapacityRouting(rc RoutingConfig) EngineOption { return engine.WithCapacityRouting(rc) }
 
 // --- Observability ---------------------------------------------------------
 
@@ -514,7 +456,7 @@ func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
 
 // NewObserver resolves the engine metric family against r, labelling
 // every series with the scenario name when non-empty. Attach the result
-// with WithEngineObserver (or SimConfig.Observer). Either argument may
+// as EngineConfig.Observer (or SimConfig.Observer). Either argument may
 // be nil.
 func NewObserver(r *MetricsRegistry, events *EventLog, scenario string) *EngineObserver {
 	return engine.NewObserver(r, events, scenario)
@@ -544,13 +486,6 @@ func TriggeredMigration(inner Migrator, hysteresis float64) Migrator {
 // PeriodicMigration wraps a migrator to act only every interval-th call.
 func PeriodicMigration(inner Migrator, interval int) Migrator {
 	return &migration.Periodic{Inner: inner, Interval: interval}
-}
-
-// BudgetedMigration wraps a migrator with a hard per-call move budget:
-// when the inner proposal exceeds budget moves, the cheapest reversals are
-// applied until it fits (or it degrades to staying put).
-func BudgetedMigration(inner Migrator, budget int) Migrator {
-	return migration.Budgeted{Inner: inner, Budget: budget}
 }
 
 // PredictiveMigration wraps a migrator with an EWMA traffic forecaster:
