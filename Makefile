@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke crash-smoke fuzz chaos-smoke
+.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke bench-compare crash-smoke fuzz chaos-smoke
 
 check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke
 
@@ -56,12 +56,14 @@ bench-apsp-delta:
 bench-apsp-weight:
 	$(GO) test -run TestWeightEventIncrementalMatchesRebuild -bench BenchmarkWeightEvent -benchtime 1x -short ./internal/fault/
 
-# Differential assert plus one-iteration smoke of the layered SFC
+# Differential asserts plus one-iteration smoke of the layered SFC
 # routing subsystem: the layered shortest path must reproduce the
-# metric-closure chain cost before the build/route/admission benches run
-# once (results/BENCH_sfcroute.json records the full numbers).
+# metric-closure chain cost, and the batched route pass (AdmitAll, one
+# search per distinct source) must equal the per-flow Admit loop bit for
+# bit, before the build/route/admission/route-pass benches run once
+# (results/BENCH_sfcroute.json records the full numbers).
 bench-sfcroute:
-	$(GO) test -run TestDifferentialMetricClosure -bench 'BenchmarkLayered|BenchmarkAdmitSaturated' -benchtime 1x ./internal/sfcroute/
+	$(GO) test -run 'TestDifferentialMetricClosure|TestAdmitAllMatchesPerFlowAdmit' -bench 'BenchmarkLayered|BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
 
 # Control-plane load smoke: internal/loadgen drives the sharded daemon
 # over HTTP (create fleet, per-call ingest, bulk NDJSON ingest, snapshot
@@ -97,6 +99,30 @@ bench-wal-full:
 bench-e2e-smoke:
 	$(GO) -C bench vet .
 	$(GO) -C bench test -count=1 .
+
+# Diff two result files of the reaction-time benchmark against the bounds
+# in BENCHMARK.json: one row per (workload, metric), ok / worse /
+# unresolved; non-zero exit on `worse` or a failed run.
+#
+#	make bench-compare A=parent.json B=change.json
+#
+# To compare two commits, check each out into its own directory (the
+# benchmark builds what it runs from its checkout) and run ten
+# alternating pairs, so drift on the host hits both sides alike:
+#
+#	for i in 1 2 3 4 5 6 7 8 9 10; do
+#	  if [ $$((i % 2)) = 1 ]; then first=parent second=change; else first=change second=parent; fi
+#	  (cd $$first  && bash bench/run.sh -out $$PWD/../$$first.$$i.json)
+#	  (cd $$second && bash bench/run.sh -out $$PWD/../$$second.$$i.json)
+#	  make bench-compare A=parent.$$i.json B=change.$$i.json
+#	done
+#
+# A gain is claimed only when the change wins at least nine of the ten
+# pairs and the medians differ by more than the parent's own quartile
+# spread; `-runs 10` on one side measures that spread.
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=<result.json> B=<result.json>"; exit 2; }
+	bash bench/run.sh -compare $(A) $(B)
 
 # Crash-injection matrix under the race detector: kill the filesystem
 # at every I/O boundary of a live workload (both clean and torn-write

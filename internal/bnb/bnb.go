@@ -6,7 +6,9 @@
 // kernel factors that recursion out once, allocation-free on the hot
 // path, and adds an optional parallel mode that fans the first one to
 // two tree levels out across goroutines with a process-shared incumbent
-// — bit-identical to the sequential search at any worker count.
+// — the same answer as the sequential search at any worker count,
+// bitwise where cost arithmetic is exact and to a few ulp where it is
+// not (see "Determinism of the parallel mode").
 //
 // # Search shape
 //
@@ -37,13 +39,27 @@
 //     smallest — i.e. the same leaf the sequential scan would have kept.
 //
 // Costs are accumulated in the same association order as the sequential
-// recursion (((0 + step_0) + step_1) + ...), so equal costs are equal
+// recursion (((0 + step_0) + step_1) + ...), so one tuple has one cost
 // bitwise and the comparison above is exact, not tolerance-based.
+//
+// That makes the winner identical whenever pruning is exact, which needs
+// TailBound admissible to the last bit. It is on integer-valued
+// instances (unit link weights, integer rates: every sum is an integer
+// below 2^53, so float addition is exact), and there completed searches
+// agree bitwise. On real-valued instances the callers' bounds are
+// admissible in real arithmetic only: cur + TailBound can round an ulp
+// above the true cost of a leaf below it, so a subtree holding a leaf a
+// few ulp better than the incumbent is pruned or not depending on which
+// incumbent was in place when the search reached it — and the fan-out
+// changes that history. Both searches still complete and return valid
+// tuples, each with its own exact accumulated cost; the two costs lie
+// within a few ulp (FuzzParallelKernel holds them to 4) but the tuples
+// may differ.
 //
 // Under cancellation or budget exhaustion the parallel incumbent may
 // legitimately differ from the sequential one (workers explore subtrees
 // the sequential search would not have reached yet); both still report
-// proven=false and a valid incumbent. Bit-identity is guaranteed for
+// proven=false and a valid incumbent. The guarantees above are for
 // searches that run to completion.
 package bnb
 

@@ -108,8 +108,9 @@ type Config struct {
 	// Optimal placer and the Exhaustive migrator) out across goroutines
 	// when the configured solver or migrator supports it (implements its
 	// package's WorkerTunable): 0 leaves solvers untouched, > 1 uses
-	// that many workers, < 0 uses GOMAXPROCS. Results stay bit-identical
-	// to the sequential search.
+	// that many workers, < 0 uses GOMAXPROCS. Results match the
+	// sequential search: bitwise on integer-valued instances, within a
+	// few ulp of cost otherwise (package bnb).
 	SearchWorkers int
 }
 

@@ -28,6 +28,7 @@ type Observer struct {
 	improvement     *obs.Histogram
 	deltaMagnitude  *obs.Histogram
 	rebuildSeconds  *obs.Histogram
+	sfcPassSeconds  *obs.Histogram
 	drift           *obs.Gauge
 	commCost        *obs.Gauge
 	degraded        *obs.Gauge
@@ -48,6 +49,7 @@ type Observer struct {
 	faultsHealed    *obs.Counter
 	repairs         *obs.Counter
 	repairFallbacks *obs.Counter
+	sfcSearches     *obs.Counter
 }
 
 // NewObserver resolves the engine metric family against r, labelling
@@ -67,6 +69,7 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 		improvement:     r.Histogram("vnfopt_engine_improvement" + l),
 		deltaMagnitude:  r.Histogram("vnfopt_cache_delta_magnitude" + l),
 		rebuildSeconds:  r.Histogram("vnfopt_cache_rebuild_seconds" + l),
+		sfcPassSeconds:  r.Histogram("vnfopt_sfcroute_pass_seconds" + l),
 		drift:           r.Gauge("vnfopt_engine_drift_ratio" + l),
 		commCost:        r.Gauge("vnfopt_engine_comm_cost" + l),
 		degraded:        r.Gauge("vnfopt_engine_degraded" + l),
@@ -87,6 +90,7 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 		faultsHealed:    r.Counter("vnfopt_engine_faults_healed_total" + l),
 		repairs:         r.Counter("vnfopt_engine_repairs_total" + l),
 		repairFallbacks: r.Counter("vnfopt_engine_repair_fallbacks_total" + l),
+		sfcSearches:     r.Counter("vnfopt_sfcroute_searches_total" + l),
 	}
 }
 
@@ -147,13 +151,16 @@ func (o *Observer) observeStep(res StepResult, drift float64, consultTime time.D
 	}
 }
 
-// observeRouting records one capacity-aware routing pass: admission
-// gauges, the hottest link's utilization, and an event when the pass
-// rejected flows.
-func (o *Observer) observeRouting(rep *RoutingReport) {
+// observeRouting records one capacity-aware routing pass: how long it
+// took (router rebuild, re-pricing and admission) and how many
+// shortest-path searches it ran, the admission gauges, the hottest
+// link's utilization, and an event when the pass rejected flows.
+func (o *Observer) observeRouting(rep *RoutingReport, elapsed time.Duration, searches int) {
 	if o == nil {
 		return
 	}
+	o.sfcPassSeconds.Observe(elapsed.Seconds())
+	o.sfcSearches.Add(int64(searches))
 	o.sfcAdmitted.Set(float64(rep.Admitted))
 	o.sfcRejected.Set(float64(rep.Rejected))
 	o.linkUtilization.Set(rep.MaxUtilization)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"vnfopt/internal/routing"
 	"vnfopt/internal/sfcroute"
@@ -88,6 +89,7 @@ func (e *Engine) routeEpoch() error {
 	if rc == nil {
 		return nil
 	}
+	start := time.Now()
 	if e.router == nil || e.router.Model() != e.d {
 		r, err := sfcroute.NewRouter(e.d, sfcroute.Config{
 			Capacity:       rc.LinkCapacity,
@@ -103,26 +105,31 @@ func (e *Engine) routeEpoch() error {
 	if err := e.router.BeginEpoch(sfcroute.PlacementSites(e.p)); err != nil {
 		return fmt.Errorf("routing: %w", err)
 	}
+	// One batch in flow-index order: admission order decides who gets
+	// residual capacity, and the router shares one search per source.
 	rep := &RoutingReport{Epoch: e.epoch, Decisions: make([]FlowDecision, 0, len(e.flows))}
-	for i := range e.flows {
+	demands := make([]sfcroute.Demand, 0, len(e.flows))
+	for i, f := range e.flows {
 		if e.servable != nil && !e.servable[i] {
 			continue
 		}
-		f := e.flows[i]
-		dec, err := e.router.Admit(f.Src, f.Dst, f.Rate)
-		if err != nil {
-			return fmt.Errorf("routing: flow %d: %w", i, err)
-		}
-		rep.Decisions = append(rep.Decisions, FlowDecision{
-			Flow: i, Admitted: dec.Admitted, Cost: dec.Cost,
-			Reroutes: dec.Reroutes, Reason: dec.Reason,
-		})
+		rep.Decisions = append(rep.Decisions, FlowDecision{Flow: i})
+		demands = append(demands, sfcroute.Demand{Src: f.Src, Dst: f.Dst, Rate: f.Rate})
+	}
+	decs, err := e.router.AdmitAll(demands)
+	if err != nil {
+		return fmt.Errorf("routing: flow %d: %w", rep.Decisions[len(decs)].Flow, err)
+	}
+	for j, dec := range decs {
+		fd := &rep.Decisions[j]
+		fd.Admitted, fd.Cost, fd.Reroutes, fd.Reason = dec.Admitted, dec.Cost, dec.Reroutes, dec.Reason
+		rate := demands[j].Rate
 		if dec.Admitted {
 			rep.Admitted++
-			rep.AdmittedRate += f.Rate
+			rep.AdmittedRate += rate
 		} else {
 			rep.Rejected++
-			rep.RejectedRate += f.Rate
+			rep.RejectedRate += rate
 			if rep.RejectReasons == nil {
 				rep.RejectReasons = make(map[string]int)
 			}
@@ -141,7 +148,7 @@ func (e *Engine) routeEpoch() error {
 	rep.Saturated = rep.Links[:cut]
 	rep.MaxUtilization, rep.MaxLink = e.router.MaxUtilization()
 	e.routingReport = rep
-	e.obs.observeRouting(rep)
+	e.obs.observeRouting(rep, time.Since(start), e.router.Searches())
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package sfcroute
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"vnfopt/internal/benchmeta"
 	"vnfopt/internal/model"
 	"vnfopt/internal/topology"
 )
@@ -97,5 +100,57 @@ func BenchmarkAdmitSaturated(b *testing.B) {
 	b.StopTimer()
 	if b.N > 100 && (admitted == 0 || rejected == 0) {
 		b.Fatalf("saturated scenario not saturated: %d admitted, %d rejected", admitted, rejected)
+	}
+}
+
+// BenchmarkRoutePass times one whole route pass — BeginEpoch plus the
+// admission of 1 000 flows leaving all 128 hosts of a k=8 fat-tree — as
+// the engine runs it (AdmitAll) and as it used to (one Admit per flow).
+// Loose capacity never prunes, so AdmitAll runs 128 searches where the
+// loop runs 1 000; saturated capacity prunes most flows, where the two
+// must cost about the same.
+func BenchmarkRoutePass(b *testing.B) {
+	d := model.MustNew(topology.MustFatTree(8, nil), model.Options{})
+	hosts := d.Hosts()
+	sites := benchSites(d)
+	rng := rand.New(rand.NewSource(1))
+	demands := passDemands(rng, hosts, 1000, len(hosts))
+	for i := range demands {
+		demands[i].Rate = 1 + 9*rng.Float64()
+	}
+	// The environment block results/BENCH_sfcroute.json is recorded with.
+	host, _ := json.Marshal(benchmeta.Collect())
+	b.Logf("host %s", host)
+	for _, regime := range []struct {
+		name     string
+		capacity float64
+	}{{"loose", 1e9}, {"saturated", 400}} {
+		for _, mode := range []struct {
+			name  string
+			admit func(*Router) error
+		}{
+			{"AdmitAll", func(r *Router) error { _, err := r.AdmitAll(demands); return err }},
+			{"Admit", func(r *Router) error { admitEach(b, r, demands); return nil }},
+		} {
+			b.Run(regime.name+"/"+mode.name, func(b *testing.B) {
+				r, err := NewRouter(d, Config{Capacity: regime.capacity, Alpha: 0.5})
+				if err != nil {
+					b.Fatal(err)
+				}
+				searches := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := r.BeginEpoch(sites); err != nil {
+						b.Fatal(err)
+					}
+					if err := mode.admit(r); err != nil {
+						b.Fatal(err)
+					}
+					searches += r.Searches()
+				}
+				b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
@@ -98,6 +99,18 @@ type Router struct {
 	scratch graph.SSSPScratch
 	blocked []bool
 	epoch   int
+
+	// minHeadroom is the smallest headroom over all links: set in
+	// BeginEpoch and lowered on each commit over the committed walk's
+	// links only — loads only grow within an epoch, so it stays exact. A
+	// flow whose rate it covers has an empty prune set.
+	minHeadroom float64
+	// searches counts the Dijkstra runs since BeginEpoch.
+	searches int
+	// cnt[link] is the traversal count of the walk walkLinks last
+	// tallied; touched lists its non-zero entries.
+	cnt     []int32
+	touched []int32
 }
 
 // NewRouter builds a router over d's fabric. The fabric snapshot is
@@ -139,6 +152,7 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	}
 	r.load = make([]float64, len(r.links))
 	r.blocked = make([]bool, len(r.links))
+	r.cnt = make([]int32, len(r.links))
 	base := d.Topo.Graph.Freeze() // pristine fabric weights
 	ns := base.NumSlots()
 	r.slotLink = make([]int32, ns)
@@ -192,9 +206,12 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 			r.pricedWt[slot] = r.price(r.baseWt[slot], int(link))
 		}
 	}
+	r.minHeadroom = math.Inf(1)
 	for i := range r.load {
 		r.load[i] = 0
+		r.minHeadroom = min(r.minHeadroom, r.headroom(i))
 	}
+	r.searches = 0
 	lay, err := BuildLayered(r.priced, sites)
 	if err != nil {
 		return err
@@ -249,8 +266,27 @@ func (r *Router) Route(src, dst int) (PathResult, error) {
 	if r.lay == nil {
 		return PathResult{}, fmt.Errorf("sfcroute: BeginEpoch not called")
 	}
-	return r.lay.ShortestPathOn(r.lay.CSR(), src, dst, r.dist, r.prev, &r.scratch)
+	return r.unpruned(src, dst, nil)
 }
+
+// Demand is one flow offered to AdmitAll.
+type Demand struct {
+	Src, Dst int
+	Rate     float64
+}
+
+// sharedRoute is a demand's route on the epoch's unpruned prices, read
+// out of its source's tree by AdmitAll ahead of the demand's turn (have
+// is false for a demand no tree was read for).
+type sharedRoute struct {
+	res  PathResult
+	err  error // nil or ErrUnroutable
+	have bool
+}
+
+// Searches returns the number of shortest-path searches run since
+// BeginEpoch.
+func (r *Router) Searches() int { return r.searches }
 
 // Admit routes one flow of the given rate against residual capacity and
 // commits its load on success. Links whose residual headroom cannot
@@ -259,14 +295,103 @@ func (r *Router) Route(src, dst int) (PathResult, error) {
 // bounded reroute with that link blocked. A zero-rate flow is admitted
 // along its priced route without consuming capacity.
 func (r *Router) Admit(src, dst int, rate float64) (Decision, error) {
+	return r.admit(Demand{Src: src, Dst: dst, Rate: rate}, nil)
+}
+
+// AdmitAll admits the demands in index order — the order decides who
+// gets residual capacity — with exactly the outcome of calling Admit on
+// each in turn, but one unpruned search per distinct source where Admit
+// runs one per flow. Prices are frozen for the epoch and the search is
+// deterministic, so while no link is pruned for a flow its first search
+// rebuilds the same tree as every other flow's from that source. The
+// first flow of a source to need that tree builds it and reads out the
+// route of every later flow from the source that may still use it;
+// admission takes the route if the flow's prune set is still empty when
+// its turn comes, and prunes and searches as Admit does otherwise. Only
+// routes are kept, never trees — the one dist/prev scratch is
+// overwritten by the next search — and they die with the call. On error
+// the returned decisions cover the demands before the failing one, whose
+// load stays committed.
+func (r *Router) AdmitAll(demands []Demand) ([]Decision, error) {
+	if r.lay == nil {
+		return nil, fmt.Errorf("sfcroute: BeginEpoch not called")
+	}
+	// Counting sort of the demand indices by source: source s owns
+	// order[first[s]:first[s+1]], ascending. A demand off the fabric is
+	// left out; admit reports it when its turn comes.
+	onFabric := func(dm Demand) bool { return r.lay.checkEndpoints(dm.Src, dm.Dst) == nil }
+	n := r.lay.BaseOrder()
+	first := make([]int32, n+2)
+	for _, dm := range demands {
+		if onFabric(dm) {
+			first[dm.Src+2]++
+		}
+	}
+	for s := 2; s < len(first); s++ {
+		first[s] += first[s-1]
+	}
+	order := make([]int32, first[n+1])
+	for i, dm := range demands {
+		if onFabric(dm) {
+			order[first[dm.Src+1]] = int32(i)
+			first[dm.Src+1]++
+		}
+	}
+	shared := make([]sharedRoute, len(demands))
+	out := make([]Decision, 0, len(demands))
+	for i, dm := range demands {
+		if !shared[i].have && r.pruneFree(dm.Rate) && onFabric(dm) {
+			// This flow would run the unpruned search itself. Flows skipped
+			// here exceed the minimum headroom, which only falls, so they
+			// prune when their turn comes: one tree per source is enough.
+			r.searches++
+			r.lay.CSR().DijkstraInto(dm.Src, r.dist, r.prev, &r.scratch)
+			for _, j := range order[first[dm.Src]:first[dm.Src+1]] {
+				if to := demands[j]; int(j) >= i && r.pruneFree(to.Rate) {
+					res, err := r.lay.pathFrom(to.Src, to.Dst, r.dist, r.prev)
+					shared[j] = sharedRoute{res: res, err: err, have: true}
+				}
+			}
+		}
+		dec, err := r.admit(dm, &shared[i])
+		if err != nil {
+			return out, err
+		}
+		out = append(out, dec)
+	}
+	return out, nil
+}
+
+// pruneFree reports whether a flow of this rate has an empty prune set
+// before anything is blocked for it: it consumes nothing, or every link
+// can absorb one traversal.
+func (r *Router) pruneFree(rate float64) bool {
+	return rate >= 0 && rate <= r.minHeadroom
+}
+
+// unpruned returns the route on the epoch's own priced weights: pre's
+// when AdmitAll already read it out of the source's tree, a fresh
+// search otherwise.
+func (r *Router) unpruned(src, dst int, pre *sharedRoute) (PathResult, error) {
+	if pre != nil && pre.have {
+		return pre.res, pre.err
+	}
+	r.searches++
+	return r.lay.ShortestPathOn(r.lay.CSR(), src, dst, r.dist, r.prev, &r.scratch)
+}
+
+// admit is the one admission routine behind Admit and AdmitAll; pre,
+// when it holds a route, stands in for the unpruned search.
+func (r *Router) admit(dm Demand, pre *sharedRoute) (Decision, error) {
 	if r.lay == nil {
 		return Decision{}, fmt.Errorf("sfcroute: BeginEpoch not called")
 	}
+	src, dst, rate := dm.Src, dm.Dst, dm.Rate
 	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return Decision{}, fmt.Errorf("sfcroute: invalid rate %v", rate)
 	}
 	if rate == 0 {
-		res, err := r.lay.ShortestPathOn(r.lay.CSR(), src, dst, r.dist, r.prev, &r.scratch)
+		res, err := r.unpruned(src, dst, pre)
 		if err != nil {
 			if errors.Is(err, ErrUnroutable) {
 				return Decision{Reason: ReasonNoPath}, nil
@@ -275,19 +400,25 @@ func (r *Router) Admit(src, dst int, rate float64) (Decision, error) {
 		}
 		return Decision{Admitted: true, Cost: res.Cost, Walk: res.Walk, Gateways: res.Gateways}, nil
 	}
-	for i := range r.blocked {
-		r.blocked[i] = false
-	}
+	clear(r.blocked)
 	for attempt := 0; attempt <= r.cfg.MaxReroutes; attempt++ {
-		// Prune links that cannot absorb one traversal of this flow.
-		for slot, link := range r.laySlotLink {
-			if link >= 0 && (r.blocked[link] || r.headroom(int(link)) < rate) {
-				r.pruneWt[slot] = graph.Inf
-			} else {
-				r.pruneWt[slot] = r.layWt[slot]
+		var res PathResult
+		var err error
+		if attempt == 0 && r.pruneFree(rate) {
+			// The pruned weights would equal layWt slot for slot.
+			res, err = r.unpruned(src, dst, pre)
+		} else {
+			// Prune links that cannot absorb one traversal of this flow.
+			for slot, link := range r.laySlotLink {
+				if link >= 0 && (r.blocked[link] || r.headroom(int(link)) < rate) {
+					r.pruneWt[slot] = graph.Inf
+				} else {
+					r.pruneWt[slot] = r.layWt[slot]
+				}
 			}
+			r.searches++
+			res, err = r.lay.ShortestPathOn(r.lay.CSR().WithWeights(r.pruneWt), src, dst, r.dist, r.prev, &r.scratch)
 		}
-		res, err := r.lay.ShortestPathOn(r.lay.CSR().WithWeights(r.pruneWt), src, dst, r.dist, r.prev, &r.scratch)
 		if err != nil {
 			if errors.Is(err, ErrUnroutable) {
 				return r.reject(src, dst, rate, attempt), nil
@@ -297,21 +428,21 @@ func (r *Router) Admit(src, dst int, rate float64) (Decision, error) {
 		// Multi-traversal check: the walk may cross one physical link in
 		// several layers; the committed load is rate × traversals. The
 		// worst overflow is blocked; equal excess (a tour crossing two
-		// links twice each) goes to the lowest link index, never to map
-		// order — admission must replay identically.
-		over := -1
-		overBy := 0.0
-		counts := r.walkCounts(res.Walk)
-		for link, c := range counts {
-			if excess := r.load[link] + float64(c)*rate - r.lcap[link]*r.cfg.MaxUtilization; excess > 1e-12 {
-				if excess > overBy || (excess == overBy && link < over) {
-					over, overBy = link, excess
-				}
+		// links twice each) goes to the lowest link index — the links come
+		// in ascending order, so the first maximum is it. Admission must
+		// replay identically.
+		links := r.walkLinks(res.Walk)
+		over, overBy := -1, 0.0
+		for _, link := range links {
+			excess := r.load[link] + float64(r.cnt[link])*rate - r.lcap[link]*r.cfg.MaxUtilization
+			if excess > 1e-12 && excess > overBy {
+				over, overBy = int(link), excess
 			}
 		}
 		if over < 0 {
-			for link, c := range counts {
-				r.load[link] += float64(c) * rate
+			for _, link := range links {
+				r.load[link] += float64(r.cnt[link]) * rate
+				r.minHeadroom = min(r.minHeadroom, r.headroom(int(link)))
 			}
 			return Decision{Admitted: true, Cost: res.Cost, Walk: res.Walk, Gateways: res.Gateways, Reroutes: attempt}, nil
 		}
@@ -348,13 +479,23 @@ func (r *Router) headroom(link int) float64 {
 	return h
 }
 
-// walkCounts tallies per-link traversals of a projected walk.
-func (r *Router) walkCounts(walk []int) map[int]int {
-	counts := make(map[int]int, len(walk))
-	for i := 0; i+1 < len(walk); i++ {
-		counts[r.lidx[mkLink(walk[i], walk[i+1])]]++
+// walkLinks tallies a projected walk's per-link traversals into r.cnt
+// and returns the links it crosses in ascending index order. The tally
+// is valid until the next call, which clears it.
+func (r *Router) walkLinks(walk []int) []int32 {
+	for _, link := range r.touched {
+		r.cnt[link] = 0
 	}
-	return counts
+	r.touched = r.touched[:0]
+	for i := 0; i+1 < len(walk); i++ {
+		link := int32(r.lidx[mkLink(walk[i], walk[i+1])])
+		if r.cnt[link] == 0 {
+			r.touched = append(r.touched, link)
+		}
+		r.cnt[link]++
+	}
+	slices.Sort(r.touched)
+	return r.touched
 }
 
 // Loads returns a copy of the committed per-link loads (zero-load links

@@ -30,7 +30,11 @@
 // with utilization), residual-capacity tracking, unsplittable-path
 // admission with bounded rerouting, and max-flow-backed rejection
 // classification. The online engine re-prices and re-routes every epoch
-// in its drift loop.
+// in its drift loop, handing the epoch's flows to Router.AdmitAll in one
+// batch: prices are frozen per epoch and the search is deterministic, so
+// every flow whose prune set is empty shares its source's one unpruned
+// shortest-path tree instead of re-deriving it — one search per distinct
+// source, bit-identical to admitting flow by flow.
 package sfcroute
 
 import (
@@ -134,10 +138,25 @@ func (L *Layered) ShortestPathOn(w *graph.CSR, src, dst int, dist []float64, pre
 	if w.Order() != L.csr.Order() {
 		return PathResult{}, fmt.Errorf("sfcroute: weight view order %d does not match layered order %d", w.Order(), L.csr.Order())
 	}
-	if src < 0 || src >= L.n || dst < 0 || dst >= L.n {
-		return PathResult{}, fmt.Errorf("sfcroute: endpoints (%d,%d) out of range [0,%d)", src, dst, L.n)
+	if err := L.checkEndpoints(src, dst); err != nil {
+		return PathResult{}, err
 	}
 	w.DijkstraInto(src, dist, prev, s)
+	return L.pathFrom(src, dst, dist, prev)
+}
+
+func (L *Layered) checkEndpoints(src, dst int) error {
+	if src < 0 || src >= L.n || dst < 0 || dst >= L.n {
+		return fmt.Errorf("sfcroute: endpoints (%d,%d) out of range [0,%d)", src, dst, L.n)
+	}
+	return nil
+}
+
+// pathFrom reads dst's route out of the shortest-path tree a
+// DijkstraInto run from (0, src) left in dist/prev. One tree serves
+// every destination, so a caller routing several flows from one source
+// on one weight view searches once and calls this per flow.
+func (L *Layered) pathFrom(src, dst int, dist []float64, prev []int32) (PathResult, error) {
 	target := L.stages*L.n + dst
 	cost := dist[target]
 	if cost == graph.Inf {

@@ -44,8 +44,9 @@ type ExhaustiveOptions struct {
 	NodeBudget int
 	// Workers fans the branch-and-bound out across goroutines sharing
 	// one incumbent: 0 or 1 is the sequential oracle, > 1 uses that many
-	// workers, < 0 uses GOMAXPROCS. Completed searches are bit-identical
-	// to the sequential oracle at any width.
+	// workers, < 0 uses GOMAXPROCS. Completed searches match the
+	// sequential oracle at any width: bitwise on integer-valued
+	// instances, within a few ulp of cost otherwise (package bnb).
 	Workers int
 }
 
