@@ -31,12 +31,11 @@ race:
 bench-smoke:
 	$(GO) test -run NONE -bench BenchmarkEngine -benchtime 1x ./internal/engine/
 
-# One-iteration branch-and-bound solver benchmarks plus the
-# parallel-vs-sequential sanity assert: the 8-worker kernel must
-# reproduce the sequential cost bitwise before the benches run
-# (results/BENCH_solver.json records the full numbers).
+# One-iteration smoke of the branch-and-bound solver benchmarks and the
+# kernel microbench (results/BENCH_solver.json records the full numbers).
 bench-solver:
-	$(GO) test -run TestSolverParallelMatchesSequential -bench BenchmarkSolver -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench BenchmarkSolver -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench BenchmarkKernelSequential -benchtime 1x -benchmem ./internal/bnb/
 
 # Bitwise assert plus one-iteration smoke of the incremental fault-event
 # APSP path against the full rebuild: every event class (link, switch,
@@ -161,7 +160,6 @@ fuzz:
 	$(GO) test -fuzz FuzzFaultHealRoundTrip -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzIncrementalAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
-	$(GO) test -fuzz FuzzParallelKernel -fuzztime $(FUZZTIME) -run xxx ./internal/differential/
 	$(GO) test -fuzz FuzzMinCostFlow -fuzztime $(FUZZTIME) -run xxx ./internal/mcf/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/

@@ -16,6 +16,7 @@ import (
 	"vnfopt/internal/engine"
 	"vnfopt/internal/failfs"
 	"vnfopt/internal/fault"
+	"vnfopt/internal/migration"
 	"vnfopt/internal/topology"
 	"vnfopt/internal/wal"
 )
@@ -91,11 +92,16 @@ func get(t *testing.T, h http.Handler, path string) (int, []byte) {
 // every kind of mutating request, accepted and refused: ingest,
 // ingest+step in one call, NDJSON bulk with and without a step, a switch
 // fault, a link degrade, their heal, requests the engine rejects (422)
-// and a step that fails (500).
-func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec ScenarioSpec) {
+// and a step that fails (500). It returns the most exact-search
+// expansions any one request spent (0 under a migrator that does not
+// search).
+func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec ScenarioSpec) (consult int64) {
 	t.Helper()
+	last := migration.SearchExpansions()
 	want := func(what string, code, wantCode int) {
 		t.Helper()
+		now := migration.SearchExpansions()
+		consult, last = max(consult, now-last), now
 		if code != wantCode {
 			t.Fatalf("%s: HTTP %d, want %d", what, code, wantCode)
 		}
@@ -118,12 +124,10 @@ func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec Sce
 	want("step", do(t, ts, "POST", base+"/step", nil, nil), http.StatusOK)
 	want("ingest+step", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 5, Rate: 90}, engine.RateUpdate{Flow: 5, Rate: 75.25}), nil), http.StatusOK)
 	want("refused ingest", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: flows, Rate: 1}), nil), http.StatusUnprocessableEntity)
-	if _, code := postBulk(t, ts, spec.ID, ndjsonBody(t, all(3)), true); code != http.StatusOK {
-		t.Fatalf("bulk+step: HTTP %d", code)
-	}
-	if _, code := postBulk(t, ts, spec.ID, ndjsonBody(t, all(1.25)[:flows/2]), false); code != http.StatusOK {
-		t.Fatalf("bulk: HTTP %d", code)
-	}
+	_, code := postBulk(t, ts, spec.ID, ndjsonBody(t, all(3)), true)
+	want("bulk+step", code, http.StatusOK)
+	_, code = postBulk(t, ts, spec.ID, ndjsonBody(t, all(1.25)[:flows/2]), false)
+	want("bulk", code, http.StatusOK)
 
 	victim := srv.get(spec.ID).eng.Snapshot().Placement[0]
 	want("inject", do(t, ts, "POST", base+"/faults", faultsRequest{Inject: []fault.Fault{{Kind: fault.Switch, U: victim}}}, nil), http.StatusOK)
@@ -141,10 +145,15 @@ func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec Sce
 	// A rate whose cost overflows float64 leaves the migrator no finite
 	// frontier: the step fails, deterministically, after folding the
 	// pending rates. Re-sending the whole rate vector rebuilds the cost
-	// cache and the engine carries on.
+	// cache and the engine carries on. The exact migrator has no such
+	// step: it drops a seed that fails and searches on from staying put.
+	if spec.Migrator == "exhaustive" {
+		return consult
+	}
 	want("failing ingest+step", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 1, Rate: 1e308}), nil), http.StatusInternalServerError)
 	want("failing step", do(t, ts, "POST", base+"/step", nil, nil), http.StatusInternalServerError)
 	want("recovering ingest+step", do(t, ts, "POST", base+"/rates", ratesRequest{Updates: all(2), Step: true}, nil), http.StatusOK)
+	return consult
 }
 
 // TestLiveEqualsReplay sends the mixed schedule to server A, then boots
@@ -152,17 +161,25 @@ func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec Sce
 // GET /routing bytes (wall-clock timings aside). The routed case runs
 // over capacity, where admission reroutes and rejects: replay is only
 // identical there because the router breaks overflow ties
-// deterministically.
+// deterministically. The exhaustive case runs Algorithm 6 under a node
+// budget that cuts a consult short: replay is only identical there
+// because the one search stops at the same node every time.
 func TestLiveEqualsReplay(t *testing.T) {
 	routed := diffSpec("routed")
 	routed.Routing = &engine.RoutingConfig{LinkCapacity: 60, Alpha: 1, Classify: true}
-	for _, spec := range []ScenarioSpec{diffSpec("plain"), routed} {
+	exhaustive := diffSpec("exhaustive")
+	exhaustive.Migrator, exhaustive.NodeBudget = "exhaustive", 5
+	for _, spec := range []ScenarioSpec{diffSpec("plain"), routed, exhaustive} {
 		t.Run(spec.ID, func(t *testing.T) {
 			dir := t.TempDir()
 			a := newWALServer(failfs.OS, dir)
 			ts := httptest.NewServer(a.handler())
-			driveMixedSchedule(t, a, ts, spec)
+			consult := driveMixedSchedule(t, a, ts, spec)
 			ts.Close()
+			// A search that runs out of budget counts the node it stopped at.
+			if spec.NodeBudget > 0 && consult <= int64(spec.NodeBudget) {
+				t.Fatalf("no consult reached the node budget %d: at most %d expansions in one request", spec.NodeBudget, consult)
+			}
 
 			statePath := "/v1/scenarios/" + spec.ID + "/state"
 			routingPath := "/v1/scenarios/" + spec.ID + "/routing"

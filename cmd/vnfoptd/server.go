@@ -79,11 +79,6 @@ type ScenarioSpec struct {
 	// consult. 0 picks a safe daemon default (500000); < 0 means
 	// unlimited (the search can then take O(|V|^n) time — lab use only).
 	NodeBudget int `json:"node_budget,omitempty"`
-	// SearchWorkers fans the exact branch-and-bound searches across
-	// goroutines (engine.Config.SearchWorkers semantics: 0 = sequential,
-	// > 1 = that many workers, < 0 = GOMAXPROCS). Results are
-	// bit-identical to the sequential search at any width.
-	SearchWorkers int `json:"search_workers,omitempty"`
 	// Policy holds the drift/cooldown/budget knobs.
 	Policy engine.Policy `json:"policy"`
 	// Routing, when set, enables the capacity-aware SFC routing pass:
@@ -181,7 +176,7 @@ func buildEngine(spec *ScenarioSpec, reg *obs.Registry, o *engine.Observer) (*en
 		case budget < 0:
 			budget = 0 // explicit opt-in to an unlimited search
 		}
-		mig = migration.Exhaustive{NodeBudget: budget, Seed: migration.MPareto{}, Workers: spec.SearchWorkers}
+		mig = migration.Exhaustive{NodeBudget: budget, Seed: migration.MPareto{}}
 	case "nomigration":
 		mig = migration.NoMigration{}
 	default:
@@ -205,11 +200,6 @@ func buildEngine(spec *ScenarioSpec, reg *obs.Registry, o *engine.Observer) (*en
 		Policy:   spec.Policy,
 		Routing:  spec.Routing,
 		Observer: o,
-		// The Exhaustive migrator above already carries Workers (the
-		// instrumentation wrapper hides WorkerTunable from the engine);
-		// SearchWorkers still reaches any WorkerTunable placer/migrator
-		// configured without wrappers.
-		SearchWorkers: spec.SearchWorkers,
 	}
 	if len(spec.State) > 0 {
 		return engine.ResumeJSON(cfg, spec.State)

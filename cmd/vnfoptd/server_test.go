@@ -590,8 +590,8 @@ func TestEventsEndpoint(t *testing.T) {
 
 // TestLeafSpineScenario: the daemon serves non-fat-tree fabrics too.
 // TestExhaustiveMigratorScenario: the daemon accepts the exact
-// Algorithm 6 migrator with a node budget and parallel search workers,
-// reports it under its own (non-colliding) name, and steps normally.
+// Algorithm 6 migrator with a node budget, reports it under its own
+// (non-colliding) name, and steps normally.
 func TestExhaustiveMigratorScenario(t *testing.T) {
 	ts := httptest.NewServer(newServer().handler())
 	defer ts.Close()
@@ -602,7 +602,7 @@ func TestExhaustiveMigratorScenario(t *testing.T) {
 	}
 	spec := ScenarioSpec{
 		Flows: 10, Seed: 3, SFCLen: 3,
-		Migrator: "exhaustive", NodeBudget: 50_000, SearchWorkers: 2,
+		Migrator: "exhaustive", NodeBudget: 50_000,
 	}
 	if code := do(t, ts, "POST", "/v1/scenarios", spec, &created); code != http.StatusCreated {
 		t.Fatalf("exhaustive create: %d", code)

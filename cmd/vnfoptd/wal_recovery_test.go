@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,6 +13,8 @@ import (
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/failfs"
+	"vnfopt/internal/migration"
+	"vnfopt/internal/wal"
 )
 
 // Regression suite for the snapshot↔WAL pairing rules: which logs a
@@ -310,4 +313,77 @@ func TestDeleteWALRetireFailure(t *testing.T) {
 	if srv2.scenarios.Len() != 0 {
 		t.Fatalf("deleted scenario resurrected after retried delete")
 	}
+}
+
+// TestRemovedSearchWorkersStillLoads: search_workers left the scenario
+// spec, so a live create that sends it is refused like any unknown
+// field — but the create records and snapshots an older daemon wrote
+// with it must still boot (they decode leniently), and their exhaustive
+// migrator steps on the one search that is left.
+func TestRemovedSearchWorkersStillLoads(t *testing.T) {
+	const oldSpec = `{"search_workers":2,"k":4,"flows":10,"seed":3,"sfc_len":3,"migrator":"exhaustive","node_budget":50000`
+
+	live := newServer()
+	defer live.closeAll()
+	if code := post(t, live.handler(), "POST", "/v1/scenarios", json.RawMessage(oldSpec+`}`)); code != http.StatusBadRequest {
+		t.Fatalf("live create with search_workers: HTTP %d, want 400", code)
+	}
+
+	stepsExhaustive := func(t *testing.T, srv *server, wantEpoch int) {
+		t.Helper()
+		sc := srv.get("old")
+		if sc == nil {
+			t.Fatal("scenario not recovered")
+		}
+		if got := sc.eng.MigratorName(); got != "Exhaustive" {
+			t.Fatalf("recovered migrator %q, want Exhaustive", got)
+		}
+		before := migration.SearchExpansions()
+		if code := post(t, srv.handler(), "POST", "/v1/scenarios/old/step", nil); code != http.StatusOK {
+			t.Fatalf("step after recovery: HTTP %d", code)
+		}
+		if migration.SearchExpansions() == before {
+			t.Fatal("step after recovery ran no exact search")
+		}
+		if got := sc.eng.Snapshot().Epoch; got != wantEpoch {
+			t.Fatalf("epoch %d after recovery + one step, want %d", got, wantEpoch)
+		}
+	}
+
+	t.Run("create record", func(t *testing.T) {
+		dir := t.TempDir()
+		logDir := filepath.Join(dir, "wal", scenarioDirName("old"))
+		l, err := wal.Open(logDir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(wal.TypeCreate, []byte(`{"id":"old","spec":`+oldSpec+`}}`)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(wal.TypeStep, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(logDir, walMetaFile), []byte(`{"gen":"old-gen"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := bootWAL(t, dir, filepath.Join(dir, "no-snapshot.json"))
+		defer srv.closeWALs()
+		defer srv.closeAll()
+		stepsExhaustive(t, srv, 2)
+	})
+
+	t.Run("snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		snap := filepath.Join(dir, "snap.json")
+		if err := os.WriteFile(snap, []byte(`[{"id":"old","spec":`+oldSpec+`}}]`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := bootWAL(t, dir, snap)
+		defer srv.closeWALs()
+		defer srv.closeAll()
+		stepsExhaustive(t, srv, 1)
+	})
 }

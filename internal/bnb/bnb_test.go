@@ -132,60 +132,16 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestParallelBitIdentical is the kernel's core guarantee: at any worker
-// count a completed search returns the same (cost, path, proven) as the
-// sequential oracle, bit for bit, including on tie-heavy instances.
-func TestParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + rng.Intn(5)
-		k := n + rng.Intn(8)
-		capacity := []int{1, 2, 0}[trial%3]
-		quant := 0.0
-		if trial%2 == 0 {
-			quant = 25 // coarse grid: many equal-cost optima
-		}
-		s := tableSpec(rng, n, k, capacity, quant)
-		seq, err := Search(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			s.Workers = workers
-			par, err := Search(context.Background(), s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Cost != seq.Cost || par.Proven != seq.Proven {
-				t.Fatalf("trial %d workers %d: (%v,%v) vs sequential (%v,%v)",
-					trial, workers, par.Cost, par.Proven, seq.Cost, seq.Proven)
-			}
-			if len(par.Path) != len(seq.Path) {
-				t.Fatalf("trial %d workers %d: path %v vs %v", trial, workers, par.Path, seq.Path)
-			}
-			for i := range par.Path {
-				if par.Path[i] != seq.Path[i] {
-					t.Fatalf("trial %d workers %d: path %v vs sequential %v (tie-break broken)",
-						trial, workers, par.Path, seq.Path)
-				}
-			}
-		}
-	}
-}
-
 func TestSeedNeverBeatenKeepsSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := tableSpec(rng, 3, 5, 1, 0)
 	s.SeedCost = 0 // cheaper than any tuple (all costs >= 1)
-	for _, workers := range []int{0, 4} {
-		s.Workers = workers
-		res, err := Search(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost != 0 || res.Path != nil || !res.Proven {
-			t.Fatalf("workers %d: %+v, want seed kept", workers, res)
-		}
+	res, err := Search(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost != 0 || res.Path != nil || !res.Proven {
+		t.Fatalf("%+v, want seed kept", res)
 	}
 }
 
@@ -193,24 +149,20 @@ func TestNodeBudgetStopsSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := tableSpec(rng, 5, 9, 1, 0)
 	s.TailBound = func(int, int) float64 { return -1e12 } // defeat pruning: full tree
-	for _, workers := range []int{0, 4} {
-		s.Workers = workers
-		s.NodeBudget = 0
-		full, err := Search(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.NodeBudget = 100
-		res, err := Search(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Proven {
-			t.Fatalf("workers %d: budget 100 of %d expansions claimed proven", workers, full.Expansions)
-		}
-		if res.Expansions >= full.Expansions {
-			t.Fatalf("workers %d: budgeted search expanded %d >= full %d", workers, res.Expansions, full.Expansions)
-		}
+	full, err := Search(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.NodeBudget = 100
+	res, err := Search(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Proven {
+		t.Fatalf("budget 100 of %d expansions claimed proven", full.Expansions)
+	}
+	if res.Expansions >= full.Expansions {
+		t.Fatalf("budgeted search expanded %d >= full %d", res.Expansions, full.Expansions)
 	}
 }
 
@@ -233,16 +185,13 @@ func TestCancellationMidSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := tableSpec(rng, 6, 10, 1, 0)
 	s.TailBound = func(int, int) float64 { return -1e12 } // full tree, polls guaranteed
-	for _, workers := range []int{0, 4} {
-		s.Workers = workers
-		cc := &countdownCtx{Context: context.Background()}
-		res, err := Search(cc, s)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers %d: err %v, want Canceled", workers, err)
-		}
-		if res.Proven {
-			t.Fatalf("workers %d: cancelled search claimed proven", workers)
-		}
+	cc := &countdownCtx{Context: context.Background()}
+	res, err := Search(cc, s)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want Canceled", err)
+	}
+	if res.Proven {
+		t.Fatal("cancelled search claimed proven")
 	}
 }
 
@@ -250,7 +199,6 @@ func TestCapacityRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, capacity := range []int{1, 2} {
 		s := tableSpec(rng, 4, 4, capacity, 0)
-		s.Workers = 3
 		res, err := Search(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
@@ -271,15 +219,12 @@ func TestCapacityRespected(t *testing.T) {
 func TestInfeasibleReturnsSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := tableSpec(rng, 4, 3, 1, 0)
-	for _, workers := range []int{0, 4} {
-		s.Workers = workers
-		res, err := Search(context.Background(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Path != nil || !res.Proven || !math.IsInf(res.Cost, 1) {
-			t.Fatalf("workers %d: %+v, want proven seed", workers, res)
-		}
+	res, err := Search(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Path != nil || !res.Proven || !math.IsInf(res.Cost, 1) {
+		t.Fatalf("%+v, want proven seed", res)
 	}
 }
 

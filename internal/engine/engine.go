@@ -104,14 +104,6 @@ type Config struct {
 	// routing pass (admission control + link utilization; see
 	// RoutingConfig).
 	Routing *RoutingConfig
-	// SearchWorkers fans the exact branch-and-bound searches (the
-	// Optimal placer and the Exhaustive migrator) out across goroutines
-	// when the configured solver or migrator supports it (implements its
-	// package's WorkerTunable): 0 leaves solvers untouched, > 1 uses
-	// that many workers, < 0 uses GOMAXPROCS. Results match the
-	// sequential search: bitwise on integer-valued instances, within a
-	// few ulp of cost otherwise (package bnb).
-	SearchWorkers int
 }
 
 // RateUpdate is one streaming event: flow Flow's rate is now Rate.
@@ -279,17 +271,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Migrator == nil {
 		cfg.Migrator = migration.MPareto{}
-	}
-	if cfg.SearchWorkers != 0 {
-		// Applied before the Budgeted wrap below so the knob reaches the
-		// inner exact search; wrappers applied by callers beforehand (e.g.
-		// instrumentation) opt out by not implementing WorkerTunable.
-		if wt, ok := cfg.Migrator.(migration.WorkerTunable); ok {
-			cfg.Migrator = wt.WithWorkers(cfg.SearchWorkers)
-		}
-		if wt, ok := cfg.Placer.(placement.WorkerTunable); ok {
-			cfg.Placer = wt.WithWorkers(cfg.SearchWorkers)
-		}
 	}
 	if cfg.Policy.RebuildFraction == 0 {
 		cfg.Policy.RebuildFraction = 0.5

@@ -8,7 +8,6 @@ import (
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/obs"
-	"vnfopt/internal/placement"
 	"vnfopt/internal/topology"
 	"vnfopt/internal/workload"
 )
@@ -375,29 +374,6 @@ func TestWithInitialAdoptsPlacement(t *testing.T) {
 	}
 	if !e.Snapshot().Placement.Equal(p0) {
 		t.Fatalf("initial %v, want adopted %v", e.Snapshot().Placement, p0)
-	}
-}
-
-// TestWithSearchWorkers: Config.SearchWorkers reaches WorkerTunable
-// solvers on both the migrator and placer sides, and leaves others
-// untouched.
-func TestWithSearchWorkers(t *testing.T) {
-	e, _ := newEngineCfg(t, 3, Config{
-		Migrator:      migration.Exhaustive{NodeBudget: 10_000, Seed: migration.MPareto{}},
-		Placer:        placement.Optimal{NodeBudget: 10_000, Seed: placement.DP{}},
-		SearchWorkers: 4,
-	})
-	if got := e.mig.(migration.Exhaustive).Workers; got != 4 {
-		t.Fatalf("migrator workers %d, want 4", got)
-	}
-	if got := e.cfg.Placer.(placement.Optimal).Workers; got != 4 {
-		t.Fatalf("placer workers %d, want 4", got)
-	}
-
-	// A non-tunable migrator passes through unchanged.
-	e2, _ := newEngineCfg(t, 3, Config{Migrator: migration.NoMigration{}, SearchWorkers: 4})
-	if got := e2.MigratorName(); got != "NoMigration" {
-		t.Fatalf("migrator %q, want NoMigration untouched", got)
 	}
 }
 

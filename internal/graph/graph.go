@@ -167,23 +167,6 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int) {
 	return dist, prev
 }
 
-// ShortestPath returns a minimum-cost s-t vertex sequence (inclusive of both
-// endpoints) and its cost. ok is false when t is unreachable from s.
-func (g *Graph) ShortestPath(s, t int) (path []int, cost float64, ok bool) {
-	dist, prev := g.Dijkstra(s)
-	if math.IsInf(dist[t], 1) {
-		return nil, Inf, false
-	}
-	for v := t; v != -1; v = prev[v] {
-		path = append(path, v)
-	}
-	// Reverse into s..t order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[t], true
-}
-
 // BFSHops returns hop counts from src, ignoring weights. Unreachable
 // vertices get -1.
 func (g *Graph) BFSHops(src int) []int {

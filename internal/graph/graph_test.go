@@ -119,35 +119,29 @@ func TestDijkstraPrefersCheapDetour(t *testing.T) {
 	g.AddEdge(0, 1, 10)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(2, 1, 2)
-	dist, _ := g.Dijkstra(0)
+	dist, prev := g.Dijkstra(0)
 	if dist[1] != 3 {
 		t.Fatalf("dist[1] = %v, want 3", dist[1])
 	}
-	path, cost, ok := g.ShortestPath(0, 1)
-	if !ok || cost != 3 {
-		t.Fatalf("ShortestPath cost = %v ok=%v", cost, ok)
-	}
-	want := []int{0, 2, 1}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
+	if prev[1] != 2 || prev[2] != 0 || prev[0] != -1 {
+		t.Fatalf("prev = %v, want the path 0-2-1", prev)
 	}
 }
 
 func TestShortestPathUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
-	if _, _, ok := g.ShortestPath(0, 2); ok {
-		t.Fatal("expected unreachable")
+	dist, prev := g.Dijkstra(0)
+	if !math.IsInf(dist[2], 1) || prev[2] != -1 {
+		t.Fatalf("dist[2] = %v prev[2] = %d, want unreachable", dist[2], prev[2])
 	}
 }
 
 func TestShortestPathSelf(t *testing.T) {
 	g := line(3)
-	path, cost, ok := g.ShortestPath(1, 1)
-	if !ok || cost != 0 || len(path) != 1 || path[0] != 1 {
-		t.Fatalf("self path = %v cost=%v ok=%v", path, cost, ok)
+	dist, prev := g.Dijkstra(1)
+	if dist[1] != 0 || prev[1] != -1 {
+		t.Fatalf("self dist = %v prev = %d", dist[1], prev[1])
 	}
 }
 
@@ -271,16 +265,16 @@ func TestShortestPathCostMatchesEdgeSum(t *testing.T) {
 		n := 2 + rng.Intn(25)
 		g := randomConnectedGraph(rng, n, n)
 		s, tgt := rng.Intn(n), rng.Intn(n)
-		path, cost, ok := g.ShortestPath(s, tgt)
-		if !ok {
+		dist, prev := g.Dijkstra(s)
+		if math.IsInf(dist[tgt], 1) {
 			t.Fatal("connected graph must have a path")
 		}
 		sum := 0.0
-		for i := 0; i+1 < len(path); i++ {
-			sum += g.EdgeWeight(path[i], path[i+1])
+		for v := tgt; v != s; v = prev[v] {
+			sum += g.EdgeWeight(prev[v], v)
 		}
-		if math.Abs(sum-cost) > 1e-9 {
-			t.Fatalf("path edge sum %v != reported cost %v", sum, cost)
+		if math.Abs(sum-dist[tgt]) > 1e-9 {
+			t.Fatalf("path edge sum %v != reported cost %v", sum, dist[tgt])
 		}
 	}
 }

@@ -92,59 +92,6 @@ func TestMigrateContextMidSearch(t *testing.T) {
 	}
 }
 
-// TestMigrateContextMidSearchParallel mirrors the placement test: the
-// parallel fan-out cancels cooperatively and returns a valid incumbent
-// no worse than staying put. Each worker polls the context on its own
-// 1024-expansion counter, and the shared incumbent can prune the search
-// to completion before any worker gets there — so whether the
-// cancellation lands is up to the scheduler, and a search that finished
-// first must instead equal the sequential result.
-func TestMigrateContextMidSearchParallel(t *testing.T) {
-	d, w, sfc, p := hardMigration(t)
-	stay := d.CommCost(w, p)
-	cc := &countdownCtx{Context: context.Background(), after: 1}
-	m, c, proven, err := (Exhaustive{Seed: MPareto{}, Workers: 4}).MigrateProvenContext(cc, d, w, sfc, p, 1)
-	if err == nil {
-		m1, c1, proven1, err := (Exhaustive{Seed: MPareto{}}).MigrateProven(d, w, sfc, p, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c != c1 || proven != proven1 || !m.Equal(m1) {
-			t.Fatalf("uncancelled parallel search diverged: %v/%v/%v vs %v/%v/%v", m, c, proven, m1, c1, proven1)
-		}
-		return
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want Canceled or a completed search (%d polls)", err, cc.calls.Load())
-	}
-	if proven {
-		t.Fatal("cancelled parallel search claimed proven optimality")
-	}
-	if err := m.Validate(d, sfc); err != nil {
-		t.Fatalf("cancelled incumbent invalid: %v", err)
-	}
-	if c > stay || math.IsInf(c, 0) {
-		t.Fatalf("incumbent C_t %v worse than staying put (%v)", c, stay)
-	}
-}
-
-// TestMigrateParallelMatchesSequential: a completed Workers=4 search is
-// bit-identical to the sequential oracle on the hard instance.
-func TestMigrateParallelMatchesSequential(t *testing.T) {
-	d, w, sfc, p := hardMigration(t)
-	m1, c1, proven1, err := (Exhaustive{Seed: MPareto{}}).MigrateProven(d, w, sfc, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, c2, proven2, err := (Exhaustive{Seed: MPareto{}, Workers: 4}).MigrateProven(d, w, sfc, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 || proven1 != proven2 || !m1.Equal(m2) {
-		t.Fatalf("parallel diverged: %v/%v/%v vs %v/%v/%v", m2, c2, proven2, m1, c1, proven1)
-	}
-}
-
 func TestMigrateContextCompletesUncancelled(t *testing.T) {
 	d, w, sfc, p := fig3(t)
 	m1, c1, err := (Exhaustive{}).Migrate(d, w, sfc, p, 1)

@@ -7,6 +7,7 @@ import (
 
 	"vnfopt/internal/bnb"
 	"vnfopt/internal/model"
+	"vnfopt/internal/placement"
 )
 
 // searchExpansions accumulates node expansions across every Exhaustive
@@ -27,8 +28,7 @@ func SearchExpansions() int64 { return searchExpansions.Load() }
 //	lower bound      = partial + Λ·(nearestHop + (edges remaining − 1)·minSwitchDist) + minEgress
 //
 // (the migration terms of unplaced VNFs are bounded below by zero).
-// MigrateContext makes unbounded searches cancellable, and Workers fans
-// the search across goroutines with bit-identical results.
+// MigrateContext makes unbounded searches cancellable.
 type Exhaustive struct {
 	// NodeBudget caps search expansions; 0 = unlimited.
 	NodeBudget int
@@ -36,25 +36,11 @@ type Exhaustive struct {
 	// When it implements ContextMigrator it is consulted under the same
 	// context as the search.
 	Seed Migrator
-	// Workers fans the branch-and-bound out across goroutines sharing
-	// one incumbent: 0 or 1 is the sequential oracle, > 1 uses that many
-	// workers, < 0 uses GOMAXPROCS. Completed searches match the
-	// sequential oracle at any width: bitwise on integer-valued
-	// instances, within a few ulp of cost otherwise (package bnb).
-	Workers int
 }
 
 // Name implements Migrator. (It once returned "Optimal", colliding with
 // placement.Optimal in metric and benchmark labels.)
 func (Exhaustive) Name() string { return "Exhaustive" }
-
-// WithWorkers returns a copy of the migrator with the parallel fan-out
-// width set; it implements WorkerTunable so the engine can thread its
-// SearchWorkers option through without knowing the concrete type.
-func (a Exhaustive) WithWorkers(n int) Migrator {
-	a.Workers = n
-	return a
-}
 
 // Migrate implements Migrator.
 func (a Exhaustive) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
@@ -110,7 +96,7 @@ func (a Exhaustive) MigrateProvenContext(ctx context.Context, d *model.PPDC, w m
 		}
 	}
 
-	hop, minEdge := nearestHopTable(d, sw)
+	hop, minEdge := placement.NearestHopTable(d, sw)
 	minEg := math.Inf(1)
 	for _, s := range sw {
 		if eg[s] < minEg {
@@ -139,7 +125,6 @@ func (a Exhaustive) MigrateProvenContext(ctx context.Context, d *model.PPDC, w m
 		LeafCost:   func(last int) float64 { return eg[sw[last]] },
 		SeedCost:   bestCost,
 		NodeBudget: a.NodeBudget,
-		Workers:    a.Workers,
 	})
 	searchExpansions.Add(res.Expansions)
 	if res.Path != nil {
@@ -153,31 +138,4 @@ func (a Exhaustive) MigrateProvenContext(ctx context.Context, d *model.PPDC, w m
 		return best, bestCost, false, err
 	}
 	return best, bestCost, res.Proven, nil
-}
-
-// nearestHopTable returns, per switch (dense index into sw), the cost
-// of its cheapest hop to a distinct switch, plus the global minimum —
-// the admissible chain-edge bounds used by TailBound. With colocation
-// allowed (capacity ≠ 1) both collapse to 0.
-func nearestHopTable(d *model.PPDC, sw []int) ([]float64, float64) {
-	hop := make([]float64, len(sw))
-	if d.SwitchCap() != 1 {
-		return hop, 0
-	}
-	minEdge := math.Inf(1)
-	for i, u := range sw {
-		h := math.Inf(1)
-		for j, v := range sw {
-			if i != j {
-				if c := d.APSP.Cost(u, v); c < h {
-					h = c
-				}
-			}
-		}
-		hop[i] = h
-		if h < minEdge {
-			minEdge = h
-		}
-	}
-	return hop, minEdge
 }

@@ -32,15 +32,6 @@ type ContextMigrator interface {
 	MigrateContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error)
 }
 
-// WorkerTunable is implemented by migrators whose exact search can fan
-// out across goroutines (Exhaustive). WithWorkers returns a copy with
-// the width set: 0 or 1 = sequential, > 1 = that many workers, < 0 =
-// GOMAXPROCS. The engine uses it to apply its SearchWorkers option.
-type WorkerTunable interface {
-	Migrator
-	WithWorkers(n int) Migrator
-}
-
 // checkInputs validates the common preconditions of all migrators.
 func checkInputs(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) error {
 	if d == nil {

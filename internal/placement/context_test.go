@@ -95,56 +95,6 @@ func TestPlaceContextMidSearch(t *testing.T) {
 	}
 }
 
-// TestPlaceContextMidSearchParallel: the parallel fan-out honors the
-// same cancellation contract as the sequential oracle — every worker
-// polls ctx, the first cancelled poll broadcasts a stop flag, and the
-// shared incumbent (never worse than the seed) comes back with
-// proven=false and ctx.Err().
-func TestPlaceContextMidSearchParallel(t *testing.T) {
-	d, w, sfc := bigInstance(t)
-	_, seedCost, err := (DP{}).Place(d, w, sfc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Poll 1 is the pre-search check; the first worker poll (after 1024
-	// expansions on that worker) cancels.
-	cc := &countdownCtx{Context: context.Background(), after: 1}
-	p, c, proven, err := (Optimal{Seed: DP{}, Workers: 4}).PlaceProvenContext(cc, d, w, sfc)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err %v, want Canceled (search may be too small: %d polls)", err, cc.calls.Load())
-	}
-	if proven {
-		t.Fatal("cancelled parallel search claimed proven optimality")
-	}
-	if err := p.Validate(d, sfc); err != nil {
-		t.Fatalf("cancelled incumbent invalid: %v", err)
-	}
-	if c > seedCost || math.IsInf(c, 0) {
-		t.Fatalf("incumbent cost %v worse than its own seed %v", c, seedCost)
-	}
-	if got := d.CommCost(w, p); math.Abs(got-c) > 1e-9*math.Max(1, got) {
-		t.Fatalf("reported cost %v != recomputed %v", c, got)
-	}
-}
-
-// TestPlaceParallelMatchesSequential: on the weak-pruning hard instance
-// a completed Workers=4 search is bit-identical to the oracle.
-func TestPlaceParallelMatchesSequential(t *testing.T) {
-	d, w, _ := bigInstance(t)
-	sfc := model.NewSFC(5)
-	p1, c1, proven1, err := (Optimal{Seed: DP{}}).PlaceProven(d, w, sfc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, c2, proven2, err := (Optimal{Seed: DP{}, Workers: 4}).PlaceProven(d, w, sfc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 || proven1 != proven2 || !p1.Equal(p2) {
-		t.Fatalf("parallel diverged: %v/%v/%v vs %v/%v/%v", p2, c2, proven2, p1, c1, proven1)
-	}
-}
-
 // TestPlaceContextCompletesUncancelled: a background context changes
 // nothing relative to Place.
 func TestPlaceContextCompletesUncancelled(t *testing.T) {

@@ -33,9 +33,8 @@ func SearchExpansions() int64 { return searchExpansions.Load() }
 //
 // The paper's complexity O(|V|^n) makes Algorithm 4 a small-instance
 // benchmark only; NodeBudget turns it into an anytime search that reports
-// whether optimality was proven, PlaceContext makes unbounded searches
-// cancellable, and Workers fans the first search levels across
-// goroutines with results bit-identical to the sequential search.
+// whether optimality was proven, and PlaceContext makes unbounded
+// searches cancellable.
 type Optimal struct {
 	// NodeBudget caps search expansions; 0 = unlimited.
 	NodeBudget int
@@ -44,24 +43,10 @@ type Optimal struct {
 	// the seed implements ContextSolver it is consulted under the same
 	// context as the search, so cancellation reaches it too.
 	Seed Solver
-	// Workers fans the branch-and-bound out across goroutines sharing
-	// one incumbent: 0 or 1 is the sequential oracle, > 1 uses that many
-	// workers, < 0 uses GOMAXPROCS. Completed searches match the
-	// sequential oracle at any width: bitwise on integer-valued
-	// instances, within a few ulp of cost otherwise (package bnb).
-	Workers int
 }
 
 // Name implements Solver.
 func (Optimal) Name() string { return "Optimal" }
-
-// WithWorkers returns a copy of the solver with the parallel fan-out
-// width set; it implements WorkerTunable so the engine can thread its
-// SearchWorkers option through without knowing the concrete type.
-func (a Optimal) WithWorkers(n int) Solver {
-	a.Workers = n
-	return a
-}
 
 // Place implements Solver. Callers that need the proven-optimality flag
 // should use PlaceProven; callers that need cancellation, PlaceContext.
@@ -129,7 +114,7 @@ func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.
 		}
 	}
 
-	hop, minEdge := nearestHopTable(d, sw)
+	hop, minEdge := NearestHopTable(d, sw)
 	minEg := math.Inf(1)
 	for _, s := range sw {
 		if eg[s] < minEg {
@@ -157,7 +142,6 @@ func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.
 		LeafCost:   func(last int) float64 { return eg[sw[last]] },
 		SeedCost:   bestCost,
 		NodeBudget: a.NodeBudget,
-		Workers:    a.Workers,
 	})
 	searchExpansions.Add(res.Expansions)
 	if res.Path != nil {
@@ -176,13 +160,14 @@ func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.
 	return best, bestCost, res.Proven, nil
 }
 
-// nearestHopTable returns, per switch (dense index into sw), the cost of
+// NearestHopTable returns, per switch (dense index into sw), the cost of
 // its cheapest hop to a distinct switch, plus the global minimum over
 // those — the admissible bounds on a chain edge leaving a known
-// (respectively unknown) switch. With colocation allowed (capacity ≠ 1)
+// (respectively unknown) switch, shared by the TailBound of Optimal and
+// of migration.Exhaustive. With colocation allowed (capacity ≠ 1)
 // consecutive VNFs can share a switch at zero cost, so both collapse
 // to 0.
-func nearestHopTable(d *model.PPDC, sw []int) ([]float64, float64) {
+func NearestHopTable(d *model.PPDC, sw []int) ([]float64, float64) {
 	hop := make([]float64, len(sw))
 	if d.SwitchCap() != 1 {
 		return hop, 0

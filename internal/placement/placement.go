@@ -32,15 +32,6 @@ type ContextSolver interface {
 	PlaceContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error)
 }
 
-// WorkerTunable is implemented by solvers whose exact search can fan
-// out across goroutines (Optimal). WithWorkers returns a copy with the
-// width set: 0 or 1 = sequential, > 1 = that many workers, < 0 =
-// GOMAXPROCS. The engine uses it to apply its SearchWorkers option.
-type WorkerTunable interface {
-	Solver
-	WithWorkers(n int) Solver
-}
-
 // checkInputs validates the common preconditions of all solvers.
 func checkInputs(d *model.PPDC, w model.Workload, sfc model.SFC) error {
 	if d == nil {

@@ -25,8 +25,7 @@ import (
 //
 // NodeBudget caps the search; when exhausted the best incumbent is
 // returned with Optimal=false. ExhaustiveContext adds cooperative
-// cancellation with the same incumbent semantics, and Workers fans the
-// search across goroutines with bit-identical results.
+// cancellation with the same incumbent semantics.
 
 // searchExpansions accumulates node expansions across every Exhaustive
 // search in the process, batched once per call.
@@ -42,12 +41,6 @@ type ExhaustiveOptions struct {
 	// unlimited. When the budget runs out the incumbent is returned with
 	// Result.Optimal == false.
 	NodeBudget int
-	// Workers fans the branch-and-bound out across goroutines sharing
-	// one incumbent: 0 or 1 is the sequential oracle, > 1 uses that many
-	// workers, < 0 uses GOMAXPROCS. Completed searches match the
-	// sequential oracle at any width: bitwise on integer-valued
-	// instances, within a few ulp of cost otherwise (package bnb).
-	Workers int
 }
 
 // Exhaustive finds a provably optimal n-stroll (paper Algorithms 4/6 use
@@ -142,7 +135,6 @@ func ExhaustiveContext(ctx context.Context, in Instance, opts ExhaustiveOptions)
 		LeafCost:   func(last int) float64 { return in.Cost[cands[last]][in.T] },
 		SeedCost:   best.Cost,
 		NodeBudget: opts.NodeBudget,
-		Workers:    opts.Workers,
 	})
 	searchExpansions.Add(res.Expansions)
 

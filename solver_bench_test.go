@@ -1,18 +1,19 @@
 // Benchmarks for the shared branch-and-bound solver kernel behind
 // placement.Optimal (Algorithm 4), migration.Exhaustive (Algorithm 6),
-// and the exhaustive n-stroll solver. Each solver is measured
-// sequentially and at 8 workers on a hard 24-switch mesh (wide-spread
-// delays prune poorly, so the search actually explores a large tree)
-// plus the k=8 fat-tree TOP instance the paper evaluates. Recorded
-// numbers live in results/BENCH_solver.json; `make bench-solver` runs
-// this file at -benchtime 1x as a smoke gate.
+// and the exhaustive n-stroll solver. Each solver is measured on a hard
+// 24-switch mesh (wide-spread delays prune poorly, so the search
+// actually explores a large tree) plus the k=8 fat-tree TOP instance
+// the paper evaluates. Recorded numbers live in
+// results/BENCH_solver.json; `make bench-solver` runs this file at
+// -benchtime 1x as a smoke gate.
 package vnfopt_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
-	"vnfopt"
+	"vnfopt/internal/benchmeta"
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/placement"
@@ -44,10 +45,10 @@ func solverMesh(tb testing.TB) (*model.PPDC, model.Workload) {
 	return d, w
 }
 
-func benchPlacement(b *testing.B, d *model.PPDC, w model.Workload, n, workers int) {
+func benchPlacement(b *testing.B, d *model.PPDC, w model.Workload, n int) {
 	b.Helper()
 	sfc := model.NewSFC(n)
-	sol := placement.Optimal{Seed: placement.DP{}, Workers: workers}
+	sol := placement.Optimal{Seed: placement.DP{}}
 	b.ReportAllocs()
 	start := placement.SearchExpansions()
 	b.ResetTimer()
@@ -62,18 +63,20 @@ func benchPlacement(b *testing.B, d *model.PPDC, w model.Workload, n, workers in
 
 // BenchmarkSolverPlacementMesh24 measures Algorithm 4 on the hard mesh
 // at n=7 (the largest chain the instance completes in well under a
-// second), sequentially and fanned out.
+// second).
 func BenchmarkSolverPlacementMesh24(b *testing.B) {
 	d, w := solverMesh(b)
-	b.Run("seq", func(b *testing.B) { benchPlacement(b, d, w, 7, 0) })
-	b.Run("par8", func(b *testing.B) { benchPlacement(b, d, w, 7, 8) })
+	// The environment block results/BENCH_solver.json is recorded with.
+	host, _ := json.Marshal(benchmeta.Collect())
+	b.Logf("host %s", host)
+	b.Run("seq", func(b *testing.B) { benchPlacement(b, d, w, 7) })
 }
 
 // BenchmarkSolverPlacementFatTree is the ISSUE-named configuration: the
 // k=8 fat-tree at n=3, DP-seeded. The fat-tree's uniform link delays
 // make the bound nearly tight, so the search proves the seed optimal
-// after a handful of expansions — this bench pins that the kernel keeps
-// the easy case cheap rather than showing fan-out gains.
+// after a single expansion — this bench pins that the kernel keeps the
+// easy case cheap.
 func BenchmarkSolverPlacementFatTree(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	d := model.MustNew(topology.MustFatTree(8, nil), model.Options{SwitchCapacity: 1})
@@ -86,18 +89,17 @@ func BenchmarkSolverPlacementFatTree(b *testing.B) {
 			Rate: 1 + rng.Float64(),
 		}
 	}
-	b.Run("seq", func(b *testing.B) { benchPlacement(b, d, w, 3, 0) })
-	b.Run("par8", func(b *testing.B) { benchPlacement(b, d, w, 3, 8) })
+	b.Run("seq", func(b *testing.B) { benchPlacement(b, d, w, 3) })
 }
 
-func benchMigration(b *testing.B, d *model.PPDC, w1, w2 model.Workload, n, workers int) {
+func benchMigration(b *testing.B, d *model.PPDC, w1, w2 model.Workload, n int) {
 	b.Helper()
 	sfc := model.NewSFC(n)
 	p, _, err := (placement.DP{}).Place(d, w1, sfc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mig := migration.Exhaustive{Seed: migration.MPareto{}, Workers: workers}
+	mig := migration.Exhaustive{Seed: migration.MPareto{}}
 	b.ReportAllocs()
 	start := migration.SearchExpansions()
 	b.ResetTimer()
@@ -120,53 +122,5 @@ func BenchmarkSolverMigrationMesh24(b *testing.B) {
 		rates[i] = 1 + rng.Float64()
 	}
 	w2 := w1.WithRates(rates)
-	b.Run("seq", func(b *testing.B) { benchMigration(b, d, w1, w2, 6, 0) })
-	b.Run("par8", func(b *testing.B) { benchMigration(b, d, w1, w2, 6, 8) })
-}
-
-// TestSolverParallelMatchesSequential is the bench-gate sanity assert
-// (`make bench-solver` runs it before the benchmarks): on the hard mesh
-// the 8-worker kernel must reproduce the sequential cost bitwise, the
-// same placement, and the same proven flag, through the public facade.
-func TestSolverParallelMatchesSequential(t *testing.T) {
-	d, w := solverMesh(t)
-	sfc := model.NewSFC(5)
-
-	seqP, seqC, err := vnfopt.OptimalPlacement(0).Place(d, w, sfc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parP, parC, err := vnfopt.OptimalPlacementParallel(0, 8).Place(d, w, sfc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parC != seqC || !parP.Equal(seqP) {
-		t.Fatalf("placement diverged: parallel (%v, %v) vs sequential (%v, %v)", parP, parC, seqP, seqC)
-	}
-
-	seqM, seqCt, err := vnfopt.OptimalMigration(0).Migrate(d, w, sfc, seqP, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parM, parCt, err := vnfopt.OptimalMigrationParallel(0, 8).Migrate(d, w, sfc, seqP, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parCt != seqCt || !parM.Equal(seqM) {
-		t.Fatalf("migration diverged: parallel (%v, %v) vs sequential (%v, %v)", parM, parCt, seqM, seqCt)
-	}
-
-	sw := d.Topo.Switches
-	in := vnfopt.StrollInstance{Cost: d.APSP.CostMatrix(sw), S: 0, T: len(sw) - 1, N: 4}
-	seqR, err := vnfopt.SolveStrollOptimal(in, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parR, err := vnfopt.SolveStrollOptimalParallel(in, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parR.Cost != seqR.Cost || parR.Optimal != seqR.Optimal {
-		t.Fatalf("stroll diverged: parallel (%v, %v) vs sequential (%v, %v)", parR.Cost, parR.Optimal, seqR.Cost, seqR.Optimal)
-	}
+	b.Run("seq", func(b *testing.B) { benchMigration(b, d, w1, w2, 6) })
 }

@@ -215,14 +215,6 @@ func OptimalPlacementContext(ctx context.Context, d *PPDC, w Workload, sfc SFC, 
 	return placement.Optimal{NodeBudget: nodeBudget, Seed: placement.DP{}}.PlaceContext(ctx, d, w, sfc)
 }
 
-// OptimalPlacementParallel is OptimalPlacement with the branch-and-bound
-// fanned out across `workers` goroutines sharing one incumbent (0 or 1 =
-// sequential, < 0 = GOMAXPROCS). Completed searches return bit-identical
-// results to the sequential solver at any width.
-func OptimalPlacementParallel(nodeBudget, workers int) PlacementSolver {
-	return placement.Optimal{NodeBudget: nodeBudget, Seed: placement.DP{}, Workers: workers}
-}
-
 // SteeringPlacement returns the Steering [55] comparison baseline.
 func SteeringPlacement() PlacementSolver { return placement.Steering{} }
 
@@ -269,14 +261,6 @@ func OptimalMigrationContext(ctx context.Context, d *PPDC, w Workload, sfc SFC, 
 	return migration.Exhaustive{NodeBudget: nodeBudget, Seed: migration.MPareto{}}.MigrateContext(ctx, d, w, sfc, p, mu)
 }
 
-// OptimalMigrationParallel is OptimalMigration with the branch-and-bound
-// fanned out across `workers` goroutines sharing one incumbent (0 or 1 =
-// sequential, < 0 = GOMAXPROCS). Completed searches return bit-identical
-// results to the sequential migrator at any width.
-func OptimalMigrationParallel(nodeBudget, workers int) Migrator {
-	return migration.Exhaustive{NodeBudget: nodeBudget, Seed: migration.MPareto{}, Workers: workers}
-}
-
 // NoMigration returns the keep-everything-in-place reference.
 func NoMigration() Migrator { return migration.NoMigration{} }
 
@@ -316,14 +300,6 @@ func SolveStrollDP(in StrollInstance) (StrollResult, error) { return stroll.DP(i
 // unlimited).
 func SolveStrollOptimal(in StrollInstance, nodeBudget int) (StrollResult, error) {
 	return stroll.Exhaustive(in, stroll.ExhaustiveOptions{NodeBudget: nodeBudget})
-}
-
-// SolveStrollOptimalParallel is SolveStrollOptimal with the
-// branch-and-bound fanned out across `workers` goroutines sharing one
-// incumbent (0 or 1 = sequential, < 0 = GOMAXPROCS). Completed searches
-// return bit-identical results at any width.
-func SolveStrollOptimalParallel(in StrollInstance, nodeBudget, workers int) (StrollResult, error) {
-	return stroll.Exhaustive(in, stroll.ExhaustiveOptions{NodeBudget: nodeBudget, Workers: workers})
 }
 
 // SolveStrollOptimalContext is SolveStrollOptimal under a context: once
