@@ -124,11 +124,13 @@ bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
 # Crash-injection matrix under the race detector: kill the filesystem
-# at every I/O boundary of a live workload (both clean and torn-write
-# flavors) and demand bit-identical recovery, plus the replay-abort and
-# compaction-race invariants.
+# at every I/O boundary of a live workload — checkpoints, delete and
+# re-create included, then a first boot importing an older build's state
+# file — in both clean and torn-write flavors, and demand bit-identical
+# recovery; plus the replay-abort, checkpoint-race, delete-then-kill and
+# legacy-log invariants.
 crash-smoke:
-	$(GO) test -race -run 'TestCrashInjectionBitIdentical|TestRecoveryCancelLeavesLogIntact|TestSnapshotCompactionRacesIngest|TestWALDeleteAtomicity|TestSeedCrashThenReboot|TestWALToggleRefused|TestGenerationMismatchRefused|TestWALDirMissingWithGenRefused|TestDeleteCommittedNoResurrect|TestDeletingSuffixIDIsSafe|TestDeleteWALRetireFailure' ./cmd/vnfoptd/
+	$(GO) test -race -run 'TestCrashInjectionBitIdentical|TestRecoveryCancelLeavesLogIntact|TestSnapshotCompactionRacesIngest|TestCheckpointedReplayEqualsLive|TestCheckpointWaitsForEpochBoundary|TestWALDeleteAtomicity|TestSeedCrashThenReboot|TestLegacyImportSkipsLoggedAndRefusesLost|TestDeleteThenKillStaysDeleted|TestDeleteRecreateThenKillServesSuccessor|TestLegacyAnchorRecordSkipped|TestLogWithoutCreateRefused|TestDeleteCommittedNoResurrect|TestDeletingSuffixIDIsSafe|TestDeleteWALRetireFailure' ./cmd/vnfoptd/
 	$(GO) test -race ./internal/wal/ ./internal/failfs/
 
 # Seeded chaos run under the race detector: a deterministic fault

@@ -73,7 +73,6 @@ func walBenchConfig(full bool) loadgen.Config {
 func runWALBenchArm(t *testing.T, cfg loadgen.Config, policy wal.SyncPolicy, withWAL bool) *loadgen.Report {
 	t.Helper()
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
 	ffs := failfs.NewFaulty(failfs.OS)
 
 	srv := newServer()
@@ -109,7 +108,7 @@ func runWALBenchArm(t *testing.T, cfg loadgen.Config, policy wal.SyncPolicy, wit
 			srv2.recovering.Store(true)
 			ts2 = httptest.NewServer(srv2.handler())
 			// Recovery runs behind the 503 gate, exactly as in main().
-			go func() { recErr <- srv2.recoverState(context.Background(), snap) }()
+			go func() { recErr <- srv2.recoverState(context.Background(), "") }()
 			return ts2.URL, nil
 		}
 		defer func() {

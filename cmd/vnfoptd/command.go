@@ -116,7 +116,8 @@ func decodeCommand(typ wal.Type, payload []byte) (command, error) {
 // run takes one command through validate → log → apply. It must be
 // called from the scenario's actor, so records are appended in the order
 // they are applied; nothing is applied (or acknowledged) unless its
-// record is in the log.
+// record is in the log. A checkpoint the scenario owes (see checkpoint)
+// is taken behind the command that settles the engine.
 func (sc *scenario) run(c command) error {
 	if err := c.validate(sc.eng); err != nil {
 		return refused{err}
@@ -130,7 +131,11 @@ func (sc *scenario) run(c command) error {
 			return fmt.Errorf("scenario %q: wal: %w", sc.ID, err)
 		}
 	}
-	return c.apply(sc.eng)
+	err := c.apply(sc.eng)
+	if sc.owed {
+		sc.offerCheckpoint()
+	}
+	return err
 }
 
 // do runs cmds back to back in one mailbox slot and waits for them,

@@ -40,8 +40,8 @@ func commandSamples() []command {
 
 // TestCommandCodecCoversEveryType walks the whole wal.Type space: every
 // type the log layer names is either one of the two non-commands (the
-// create record that builds the scenario, the compaction anchor) or has
-// a decoder that inverts its command's encode. A record type added
+// create record that builds the scenario, the anchor older builds wrote)
+// or has a decoder that inverts its command's encode. A record type added
 // without a command fails here.
 func TestCommandCodecCoversEveryType(t *testing.T) {
 	samples := make(map[wal.Type]command)
@@ -94,8 +94,8 @@ func get(t *testing.T, h http.Handler, path string) (int, []byte) {
 // fault, a link degrade, their heal, requests the engine rejects (422)
 // and a step that fails (500). It returns the most exact-search
 // expansions any one request spent (0 under a migrator that does not
-// search).
-func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec ScenarioSpec) (consult int64) {
+// search). after, when non-nil, runs behind every request, named.
+func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec ScenarioSpec, after func(what string)) (consult int64) {
 	t.Helper()
 	last := migration.SearchExpansions()
 	want := func(what string, code, wantCode int) {
@@ -104,6 +104,9 @@ func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec Sce
 		consult, last = max(consult, now-last), now
 		if code != wantCode {
 			t.Fatalf("%s: HTTP %d, want %d", what, code, wantCode)
+		}
+		if after != nil {
+			after(what)
 		}
 	}
 	want("create", do(t, ts, "POST", "/v1/scenarios", spec, nil), http.StatusCreated)
@@ -120,13 +123,13 @@ func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec Sce
 		return ratesRequest{Updates: ups, Step: step}
 	}
 
-	want("ingest", do(t, ts, "POST", base+"/rates", rates(false, engine.RateUpdate{Flow: 0, Rate: 40}, engine.RateUpdate{Flow: 3, Rate: 0.5}), nil), http.StatusOK)
+	want("ingest", do(t, ts, "POST", base+"/rates", rates(false, engine.RateUpdate{Flow: 0, Rate: 40}, engine.RateUpdate{Flow: 3, Rate: 0.3}), nil), http.StatusOK)
 	want("step", do(t, ts, "POST", base+"/step", nil, nil), http.StatusOK)
 	want("ingest+step", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 5, Rate: 90}, engine.RateUpdate{Flow: 5, Rate: 75.25}), nil), http.StatusOK)
 	want("refused ingest", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: flows, Rate: 1}), nil), http.StatusUnprocessableEntity)
 	_, code := postBulk(t, ts, spec.ID, ndjsonBody(t, all(3)), true)
 	want("bulk+step", code, http.StatusOK)
-	_, code = postBulk(t, ts, spec.ID, ndjsonBody(t, all(1.25)[:flows/2]), false)
+	_, code = postBulk(t, ts, spec.ID, ndjsonBody(t, all(1.1)[:flows/2]), false)
 	want("bulk", code, http.StatusOK)
 
 	victim := srv.get(spec.ID).eng.Snapshot().Placement[0]
@@ -139,17 +142,13 @@ func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec Sce
 	// Refused by apply, not by validate — so it is in the log, and replay
 	// has to refuse it again.
 	want("refused heal", do(t, ts, "POST", base+"/faults", faultsRequest{Heal: []fault.Fault{{Kind: fault.Link, U: u, V: v}}}, nil), http.StatusUnprocessableEntity)
-	want("ingest+step degraded", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 2, Rate: 33}), nil), http.StatusOK)
+	want("ingest+step degraded", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 2, Rate: 33.3}), nil), http.StatusOK)
 	want("heal", do(t, ts, "POST", base+"/faults", faultsRequest{Heal: []fault.Fault{{Kind: fault.Switch, U: victim}, {Kind: fault.Degrade, U: u, V: v}}}, nil), http.StatusOK)
 
-	// A rate whose cost overflows float64 leaves the migrator no finite
-	// frontier: the step fails, deterministically, after folding the
-	// pending rates. Re-sending the whole rate vector rebuilds the cost
-	// cache and the engine carries on. The exact migrator has no such
-	// step: it drops a seed that fails and searches on from staying put.
-	if spec.Migrator == "exhaustive" {
-		return consult
-	}
+	// A rate whose cost overflows float64 leaves no finite C_a to decide
+	// on: the step fails, deterministically and under every migrator,
+	// after folding the pending rates. Re-sending the whole rate vector
+	// rebuilds the cost cache and the engine carries on.
 	want("failing ingest+step", do(t, ts, "POST", base+"/rates", rates(true, engine.RateUpdate{Flow: 1, Rate: 1e308}), nil), http.StatusInternalServerError)
 	want("failing step", do(t, ts, "POST", base+"/step", nil, nil), http.StatusInternalServerError)
 	want("recovering ingest+step", do(t, ts, "POST", base+"/rates", ratesRequest{Updates: all(2), Step: true}, nil), http.StatusOK)
@@ -174,7 +173,7 @@ func TestLiveEqualsReplay(t *testing.T) {
 			dir := t.TempDir()
 			a := newWALServer(failfs.OS, dir)
 			ts := httptest.NewServer(a.handler())
-			consult := driveMixedSchedule(t, a, ts, spec)
+			consult := driveMixedSchedule(t, a, ts, spec, nil)
 			ts.Close()
 			// A search that runs out of budget counts the node it stopped at.
 			if spec.NodeBudget > 0 && consult <= int64(spec.NodeBudget) {
@@ -206,22 +205,17 @@ func TestLiveEqualsReplay(t *testing.T) {
 			a.closeWALs()
 
 			// The schedule must have put every command kind in the log.
-			l, err := wal.Open(filepath.Join(dir, "wal", scenarioDirName(spec.ID)), wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			logged := make(map[wal.Type]int)
-			if err := l.Replay(func(rec wal.Record) error { logged[rec.Type]++; return nil }); err != nil {
-				t.Fatal(err)
+			for _, typ := range logRecords(t, dir, spec.ID) {
+				logged[typ]++
 			}
-			l.Close()
 			for _, c := range commandSamples() {
 				if logged[c.walType()] == 0 {
 					t.Fatalf("schedule logged no %v record: %v", c.walType(), logged)
 				}
 			}
 
-			b := bootWAL(t, dir, filepath.Join(dir, "no-snapshot.json"))
+			b := bootWAL(t, dir, "")
 			defer b.closeWALs()
 			defer b.closeAll()
 			_, gotState := get(t, b.handler(), statePath)
@@ -235,18 +229,125 @@ func TestLiveEqualsReplay(t *testing.T) {
 	}
 }
 
+// TestCheckpointedReplayEqualsLive: the same demand with checkpoints in
+// the log — a checkpoint round behind every request of the schedule,
+// wherever that falls: behind an un-stepped ingest, a refused command, a
+// failed step. After each request a daemon booted from the log as it
+// stands (the last checkpoint taken plus what was appended since) serves
+// the /state and /routing bytes the live one does. Then server B boots
+// from A's final checkpoint alone, C from B's log — that checkpoint plus
+// the commands B took after it. Under congestion pricing (alpha > 0) that
+// only holds because a checkpoint carries the loads that priced the last
+// routing pass.
+func TestCheckpointedReplayEqualsLive(t *testing.T) {
+	for _, alpha := range []float64{0, 1} {
+		t.Run(fmt.Sprintf("alpha=%v", alpha), func(t *testing.T) {
+			spec := diffSpec("ckpt")
+			spec.Routing = &engine.RoutingConfig{LinkCapacity: 60, Alpha: alpha, Classify: true}
+			dir := t.TempDir()
+			served := func(srv *server) (state, routing []byte) {
+				t.Helper()
+				_, state = get(t, srv.handler(), "/v1/scenarios/ckpt/state")
+				_, routing = get(t, srv.handler(), "/v1/scenarios/ckpt/routing")
+				return canonicalState(t, state), routing
+			}
+			kill := func(srv *server) {
+				srv.closeAll()
+				srv.closeWALs()
+			}
+
+			a := newWALServer(failfs.OS, dir)
+			ts := httptest.NewServer(a.handler())
+			deferred := 0
+			driveMixedSchedule(t, a, ts, spec, func(what string) {
+				t.Helper()
+				// Recovery may write (tail repair), so it runs on a copy.
+				at := t.TempDir()
+				copyTree(t, dir, at)
+				b := bootWAL(t, at, "")
+				wantState, wantRouting := served(a)
+				if state, routing := served(b); !bytes.Equal(state, wantState) || !bytes.Equal(routing, wantRouting) {
+					t.Fatalf("boot behind %q diverges\n got: %s\n      %s\nwant: %s\n      %s", what, state, routing, wantState, wantRouting)
+				}
+				kill(b)
+				if err := checkpointNow(a); err != nil {
+					t.Fatalf("checkpoint behind %q: %v", what, err)
+				}
+				if a.get("ckpt").owed {
+					deferred++
+				}
+			})
+			ts.Close()
+			// The un-stepped ingest, the un-stepped bulk and the two failed
+			// steps each leave the engine between epochs.
+			if deferred < 4 {
+				t.Fatalf("%d checkpoint rounds were put off to the next epoch boundary, want >= 4", deferred)
+			}
+			wantState, wantRouting := served(a)
+			kill(a)
+			if got := logRecords(t, dir, "ckpt"); len(got) != 1 || got[0] != wal.TypeCreate {
+				t.Fatalf("log after checkpoint holds %v, want the one create record", got)
+			}
+
+			b := bootWAL(t, dir, "")
+			if state, routing := served(b); !bytes.Equal(state, wantState) || !bytes.Equal(routing, wantRouting) {
+				t.Fatalf("boot from the checkpoint diverges\n got: %s\n      %s\nwant: %s\n      %s", state, routing, wantState, wantRouting)
+			}
+			victim := b.get("ckpt").eng.Snapshot().Placement[2]
+			if code := post(t, b.handler(), "POST", "/v1/scenarios/ckpt/faults", faultsRequest{Inject: []fault.Fault{{Kind: fault.Switch, U: victim}}}); code != http.StatusOK {
+				t.Fatalf("inject after checkpoint: %d", code)
+			}
+			if code := post(t, b.handler(), "POST", "/v1/scenarios/ckpt/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 4, Rate: 55}, {Flow: 9, Rate: 0}}, Step: true}); code != http.StatusOK {
+				t.Fatalf("ingest+step after checkpoint: %d", code)
+			}
+			wantState, wantRouting = served(b)
+			kill(b)
+
+			c := bootWAL(t, dir, "")
+			defer kill(c)
+			if state, routing := served(c); !bytes.Equal(state, wantState) || !bytes.Equal(routing, wantRouting) {
+				t.Fatalf("replay behind the checkpoint diverges\n got: %s\n      %s\nwant: %s\n      %s", state, routing, wantState, wantRouting)
+			}
+		})
+	}
+}
+
+// copyTree copies the directory tree under src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGoldenWALReplays boots from a log directory written by the commit
-// before the command pipeline (testdata/golden-wal: meta.json plus one
-// segment holding a create and 15 ingest/step/faults records) and
-// demands the state and routing report that commit served — the on-disk
-// format and the replay semantics did not move.
+// before the command pipeline (testdata/golden-wal: one segment holding
+// a create and 15 ingest/step/faults records, next to the meta.json that
+// build kept and this one ignores) and demands the state and routing
+// report that commit served — the on-disk format and the replay
+// semantics did not move. (state.json has since gained the one field the
+// engine state grew, `priced_from`; every other byte is that commit's.)
 func TestGoldenWALReplays(t *testing.T) {
 	// Recovery may write (tail repair), so it runs on a copy.
 	dir := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(dir, "wal", "g1"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{walMetaFile, "00000000000000000001.wal"} {
+	for _, name := range []string{"meta.json", "00000000000000000001.wal"} {
 		data, err := os.ReadFile(filepath.Join("testdata/golden-wal/wal/g1", name))
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +356,7 @@ func TestGoldenWALReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := bootWAL(t, dir, filepath.Join(dir, "no-snapshot.json"))
+	srv := bootWAL(t, dir, "")
 	defer srv.closeWALs()
 	defer srv.closeAll()
 	wantState, err := os.ReadFile("testdata/golden-wal/state.json")
@@ -276,7 +377,9 @@ func TestGoldenWALReplays(t *testing.T) {
 
 // FuzzDecodeCommand appends one arbitrary (type, payload) record behind
 // a valid create and boots from that log: recovery never panics, and
-// when it refuses the record the error names its seq.
+// when it refuses the record the error names its seq. A create record
+// is a rebuild — a well-formed one replaces the scenario — so its spec
+// is held to a size the fuzzer can afford to build.
 func FuzzDecodeCommand(f *testing.F) {
 	for _, c := range commandSamples() {
 		payload, _ := c.encode()
@@ -288,12 +391,19 @@ func FuzzDecodeCommand(f *testing.F) {
 	f.Add(uint8(wal.TypeFaults), []byte(`{"inject":`))
 	f.Add(uint8(wal.TypeFaults), []byte(`{"inject":[{"kind":"switch","u":-7}],"heal":[{"kind":"degrade","u":1,"v":99999}]}`))
 	f.Add(uint8(wal.TypeStep), []byte("ignored"))
-	f.Add(uint8(wal.TypeCreate), []byte(`{"id":"c1","spec":{"k":64}}`))
+	f.Add(uint8(wal.TypeCreate), []byte(`{"id":"c1","spec":{"k":6,"flows":9}}`))
 	f.Add(uint8(wal.TypeAnchor), []byte{0xff})
+	f.Add(uint8(wal.TypeCreate), []byte(`{"id":"c1"}`)) // no spec to rebuild from
 	f.Add(uint8(0), []byte(nil))
 	f.Add(uint8(200), []byte("x"))
 
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
+		var c walCreate
+		if wal.Type(typ) == wal.TypeCreate && json.Unmarshal(payload, &c) == nil && c.Spec != nil {
+			if sp := c.Spec; max(sp.K, sp.Leaves, sp.Spines, sp.HostsPerLeaf, sp.SFCLen) > 8 || max(sp.Flows, len(sp.Pairs)) > 256 {
+				t.Skip("create record with a spec too large to build per fuzz input")
+			}
+		}
 		dir := t.TempDir()
 		a := newWALServer(failfs.OS, dir)
 		a.walOpts.Policy = wal.SyncOS
@@ -305,13 +415,13 @@ func FuzzDecodeCommand(f *testing.F) {
 		if err := sc.actor.Do(func() { appendErr = sc.appendWAL(wal.Type(typ), payload) }); err != nil || appendErr != nil {
 			t.Fatalf("append: %v / %v", err, appendErr)
 		}
-		seq := sc.walSeq
+		seq := sc.wal.NextSeq() - 1
 		a.closeAll()
 		a.closeWALs()
 
 		b := newWALServer(failfs.OS, dir)
 		b.recovering.Store(true)
-		err := b.recoverState(context.Background(), filepath.Join(dir, "no-snapshot.json"))
+		err := b.recoverState(context.Background(), "")
 		defer b.closeWALs()
 		defer b.closeAll()
 		if err != nil {
@@ -327,7 +437,7 @@ func FuzzDecodeCommand(f *testing.F) {
 }
 
 // blockingFS holds every ReadFile until released — a recovery that
-// cannot get past its snapshot load.
+// cannot get past its first segment.
 type blockingFS struct {
 	failfs.FS
 	release chan struct{}
@@ -344,12 +454,14 @@ func (f *blockingFS) ReadFile(name string) ([]byte, error) {
 // closed; only then does the recovered scenario become readable.
 func TestReadyzGatedUntilRecoveryReturns(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
 	a := newWALServer(failfs.OS, dir)
 	if code := post(t, a.handler(), "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
-	if err := a.saveSnapshot(snap); err != nil {
+	if code := post(t, a.handler(), "POST", "/v1/scenarios/c1/step", nil); code != http.StatusOK {
+		t.Fatalf("step: %d", code)
+	}
+	if err := checkpointNow(a); err != nil {
 		t.Fatal(err)
 	}
 	a.closeAll()
@@ -361,7 +473,7 @@ func TestReadyzGatedUntilRecoveryReturns(t *testing.T) {
 	if code, _ := get(t, h, "/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz before startRecovery: %d (the gate is startRecovery's to close)", code)
 	}
-	recovered := srv.startRecovery(context.Background(), snap, 0)
+	recovered := srv.startRecovery(context.Background(), "", 0)
 	for i := 0; i < 3; i++ {
 		code, body := get(t, h, "/readyz")
 		if code != http.StatusServiceUnavailable || !bytes.Contains(body, []byte(`"recovering"`)) {
@@ -373,7 +485,7 @@ func TestReadyzGatedUntilRecoveryReturns(t *testing.T) {
 	}
 	select {
 	case err := <-recovered:
-		t.Fatalf("recovery finished while its snapshot read was blocked: %v", err)
+		t.Fatalf("recovery finished while its segment read was blocked: %v", err)
 	default:
 	}
 	close(fs.release)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -70,10 +71,18 @@ type errorEnvelope struct {
 	Error apiError `json:"error"`
 }
 
+// writeJSON encodes v before it writes anything, so a value JSON cannot
+// carry (a non-finite float) answers 500 internal instead of a status
+// line with an empty body behind it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeError(w, codeInternal, "response not encodable: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError emits the uniform error envelope for code.

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
-	"time"
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/fault"
@@ -158,61 +156,6 @@ func TestFaultsEndpointErrors(t *testing.T) {
 	do(t, ts, "GET", path, nil, &fstate)
 	if len(fstate.Active) != 0 {
 		t.Fatalf("rejected transition left faults active: %v", fstate.Active)
-	}
-}
-
-// TestSnapshotTornWriteSafety simulates crash debris around the snapshot
-// file: a stale, corrupt temp file must never shadow or corrupt the real
-// snapshot, and a failed write must leave the previous snapshot intact.
-func TestSnapshotTornWriteSafety(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/state.json"
-
-	srv := newServer()
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	var created struct {
-		ID string `json:"id"`
-	}
-	do(t, ts, "POST", "/v1/scenarios", ScenarioSpec{Flows: 8}, &created)
-
-	// Crash debris: a torn temp file from a previous attempt.
-	if err := os.WriteFile(path+".tmp", []byte(`[{"id":"torn"`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.saveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind after successful save")
-	}
-	srv2 := newServer()
-	if _, _, err := srv2.loadSnapshot(path); err != nil {
-		t.Fatalf("snapshot unreadable after save over torn temp: %v", err)
-	}
-	if srv2.get(created.ID) == nil {
-		t.Fatal("scenario lost")
-	}
-
-	// A failed write (parent is a file, so the temp cannot be created)
-	// leaves the existing snapshot byte-identical.
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bogus := dir + "/notadir/state.json"
-	if err := os.WriteFile(dir+"/notadir", []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.saveSnapshotRetry(bogus, 2, time.Millisecond); err == nil {
-		t.Fatal("save into non-directory should fail")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("failed save mutated the existing snapshot")
 	}
 }
 

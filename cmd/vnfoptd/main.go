@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	vnfoptd -addr :8080 -snapshot /var/lib/vnfoptd/state.json
+//	vnfoptd -addr :8080 -wal /var/lib/vnfoptd/wal
 //
 // API (see docs/API.md for the full reference and a curl session):
 //
@@ -34,12 +34,17 @@
 //	GET    /readyz                        readiness (503 while any scenario is degraded)
 //	GET    /debug/pprof/*                 profiling (only with -pprof)
 //
-// On SIGTERM/SIGINT the daemon drains in-flight requests (bounded by
-// -drain), drains and stops every scenario's mailbox, and, when
-// -snapshot is set, persists every scenario's engine state; the next
-// boot restores them. With -snapshot set the state is also persisted
-// periodically (-snapshot-every, fsync + atomic rename), so a crash
-// loses at most one interval.
+// Without -wal the daemon keeps everything in memory. With it, each
+// scenario's log directory under the WAL root is that scenario's whole
+// durable state: every mutation is logged before it is acknowledged, and
+// the next boot replays the logs. Every -snapshot-every, and once more
+// on SIGTERM/SIGINT after in-flight requests have drained (bounded by
+// -drain), each scenario that moved since its last checkpoint appends
+// one to its log — its full engine state — and the log drops everything
+// older, so replay time follows the checkpoint interval, not the
+// scenario's age. A checkpoint waits for an epoch boundary: updates
+// ingested and not yet stepped exist only in the log. -snapshot names a state file written by an older
+// build; it is imported into the logs once and renamed to *.imported.
 package main
 
 import (
@@ -60,8 +65,8 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		snapshot   = flag.String("snapshot", "", "state file for crash recovery (empty = no persistence)")
-		snapEvery  = flag.Duration("snapshot-every", time.Minute, "periodic snapshot interval (requires -snapshot; 0 disables)")
+		snapshot   = flag.String("snapshot", "", "state file of an older build to import into the WAL once (requires -wal; renamed to FILE.imported, absent = nothing to do)")
+		snapEvery  = flag.Duration("snapshot-every", time.Minute, "checkpoint interval: how often a scenario's log is cut down to its current state (requires -wal; 0 disables)")
 		walDir     = flag.String("wal", "", "write-ahead log root directory (empty = no WAL); every mutating command is logged before it is acknowledged")
 		walSync    = flag.String("wal-sync", "always", "WAL fsync policy: always (durable per command), interval (group commit), or os (page cache)")
 		walSyncEvy = flag.Duration("wal-sync-every", 50*time.Millisecond, "group-commit window for -wal-sync interval")
@@ -87,6 +92,10 @@ func main() {
 		srv.mailboxCap = *mailbox
 	}
 	srv.scenarioMetrics = *scMetrics
+	if *snapshot != "" && *walDir == "" {
+		fmt.Fprintln(os.Stderr, "vnfoptd: -snapshot imports a state file into the write-ahead log and needs -wal; without -wal nothing is persisted")
+		os.Exit(2)
+	}
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walSync)
 		if err != nil {
@@ -109,10 +118,10 @@ func main() {
 	}
 	loopCtx, loopCancel := context.WithCancel(context.Background())
 	defer loopCancel()
-	// Recovery (snapshot load + WAL replay) runs while the listener is
-	// up: /healthz answers immediately, /readyz and the /v1 surface
-	// answer 503 "recovering" until it finishes. The gate is closed
-	// before the listener exists, so no request can slip in ahead of it.
+	// Recovery (WAL replay) runs while the listener is up: /healthz
+	// answers immediately, /readyz and the /v1 surface answer 503
+	// "recovering" until it finishes. The gate is closed before the
+	// listener exists, so no request can slip in ahead of it.
 	// SIGTERM during a long replay cancels it cleanly between records.
 	recovered := srv.startRecovery(loopCtx, *snapshot, *snapEvery)
 	errCh := make(chan error, 1)
@@ -151,21 +160,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "vnfoptd: drain: %v\n", err)
 			}
 			cancel()
-			// Every in-flight request is done; drain and stop the scenario
-			// run loops so the final snapshot sees fully-settled engines.
-			srv.closeAll()
-			if *snapshot != "" && !srv.recovering.Load() {
-				if err := srv.saveSnapshotRetry(*snapshot, 3, 100*time.Millisecond); err != nil {
-					fmt.Fprintf(os.Stderr, "vnfoptd: snapshot: %v\n", err)
-					os.Exit(1)
-				}
-				fmt.Printf("vnfoptd: state saved to %s\n", *snapshot)
-			} else if srv.recovering.Load() {
-				// An incomplete recovery must not snapshot: it would
-				// capture partial state and anchor away records the next
-				// boot still needs.
+			// Every in-flight request is done: queue one last checkpoint per
+			// scenario, then drain and stop the run loops. An incomplete
+			// recovery must not checkpoint — it would capture partial state
+			// and drop records the next boot still needs.
+			if err := srv.checkpointAll(); err != nil {
 				fmt.Printf("vnfoptd: shutdown during recovery; durable state left as found\n")
 			}
+			srv.closeAll()
 			srv.closeWALs()
 			return
 		}

@@ -3,14 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -221,17 +219,15 @@ type scenario struct {
 	events *obs.EventLog
 	actor  *shard.Actor
 
-	// wal is the scenario's write-ahead log (nil with -wal unset).
-	// walSeq is the seq of the last command appended for this scenario:
-	// written only from the actor (appendWAL) or before the scenario is
-	// published, read via actor.Do — or directly once the actor has
-	// drained (snapshot-at-shutdown). walGen identifies the log's
-	// incarnation (see walMeta); immutable once the scenario is
-	// published, stamped into every snapshot so boot can refuse to replay
-	// a log against a snapshot it does not extend.
-	wal    *wal.Log
-	walSeq uint64
-	walGen string
+	// wal is the scenario's write-ahead log (nil with -wal unset). dirty
+	// says the log has grown since its last create or checkpoint record,
+	// owed that a checkpoint round found the engine between epochs and the
+	// next epoch boundary takes the checkpoint; both are touched only from
+	// the actor, or before the scenario is published.
+	wal   *wal.Log
+	dirty bool
+	owed  bool
+	log   *slog.Logger
 }
 
 // status classifies the scenario for the list filter.
@@ -267,9 +263,8 @@ type server struct {
 	// dominating the run.
 	scenarioMetrics bool
 
-	// fs is the filesystem seam for everything durable (WAL segments,
-	// snapshot files). Production uses failfs.OS; the crash-injection
-	// suite swaps in a failfs.Faulty.
+	// fs is the filesystem seam for everything durable. Production uses
+	// failfs.OS; the crash-injection suite swaps in a failfs.Faulty.
 	fs failfs.FS
 	// walDir is the WAL root ("" = durability off); each scenario logs
 	// under walDir/<escaped-id>/. walOpts carries the fsync policy and
@@ -277,13 +272,9 @@ type server struct {
 	walDir     string
 	walOpts    wal.Options
 	walMetrics *wal.Metrics
-	// recovering gates /v1 and /readyz while the boot-time snapshot load
-	// + WAL replay runs; cleared by recoverState.
+	// recovering gates /v1 and /readyz while the boot-time WAL replay
+	// runs; cleared by recoverState.
 	recovering atomic.Bool
-	// snapMu serializes snapshot+anchor cycles (periodic loop vs
-	// shutdown), so compaction can never race a concurrent snapshot into
-	// anchoring past what the older snapshot file covers.
-	snapMu sync.Mutex
 
 	reg       *obs.Registry
 	rejected  *obs.Counter // mailbox-full 429s
@@ -373,6 +364,7 @@ func (s *server) newScenario(id string, spec *ScenarioSpec, eng *engine.Engine, 
 		ID: id, Spec: spec, Created: time.Now(),
 		eng: eng, events: events,
 		actor: shard.NewActor(s.mailboxCap),
+		log:   s.log,
 	}
 	panics := s.reg.Counter("vnfoptd_actor_panics_total")
 	sc.actor.OnPanic = func(v any) {
@@ -383,9 +375,12 @@ func (s *server) newScenario(id string, spec *ScenarioSpec, eng *engine.Engine, 
 }
 
 // buildScenario materializes a spec into a registered-but-unpublished
-// scenario shard: engine + observer + actor. Shared by live create,
-// snapshot load, and WAL replay so all three produce identical shards.
+// scenario shard: engine + observer + actor. Shared by live create, WAL
+// replay and the legacy import so all three produce identical shards.
 func (s *server) buildScenario(id string, spec *ScenarioSpec) (*scenario, error) {
+	if spec == nil {
+		return nil, fmt.Errorf("no spec")
+	}
 	events := obs.NewEventLog(0)
 	var o *engine.Observer
 	if s.scenarioMetrics {
@@ -400,9 +395,9 @@ func (s *server) buildScenario(id string, spec *ScenarioSpec) (*scenario, error)
 
 // handler builds the route table (Go 1.22 pattern mux). Every route is
 // wrapped in the request middleware (metrics + structured log); the /v1
-// surface is additionally gated on boot-time recovery — until the
-// snapshot is loaded and every WAL replayed, scenario state is
-// incomplete and nothing may read or (worse) mutate it.
+// surface is additionally gated on boot-time recovery — until every WAL
+// is replayed, scenario state is incomplete and nothing may read or
+// (worse) mutate it.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern string, h http.HandlerFunc) {
@@ -412,7 +407,7 @@ func (s *server) handler() http.Handler {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if s.recovering.Load() {
 				w.Header().Set("Retry-After", "1")
-				writeError(w, codeUnavailable, "server is recovering (snapshot load / wal replay in progress)")
+				writeError(w, codeUnavailable, "server is recovering (wal replay in progress)")
 				return
 			}
 			h(w, r)
@@ -496,7 +491,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// Durability handshake: the create record must be on disk before the
 	// scenario is published or the 201 sent.
 	if s.walEnabled() {
-		if err := s.startScenarioWAL(sc, &spec, ""); err != nil {
+		if err := s.startScenarioWAL(sc, &spec, false); err != nil {
 			_ = s.dropWALDir(id)
 			sc.actor.Close()
 			writeError(w, codeInternal, "scenario %q: wal: %v", id, err)
@@ -587,7 +582,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 // accepted still run, their waiting callers get answers, and only then
 // is the deletion acknowledged. With a WAL, the scenario's log
 // directory is retired after the drain — rename first (the atomic
-// commit point; a crash mid-delete is swept at boot, never replayed
+// commit point; a crash mid-delete is collected at boot, never replayed
 // back to life), then collect.
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
@@ -814,7 +809,7 @@ var buildInfo = sync.OnceValue(func() map[string]string {
 })
 
 // handleReady is the readiness probe: 503 {"status":"recovering"}
-// while the boot-time snapshot load / WAL replay runs (scenario state
+// while the boot-time WAL replay runs (scenario state
 // is incomplete — routing traffic here would serve stale or partial
 // answers), 200 once recovery is done and every scenario serves its
 // full fabric, 503 (with the degraded scenario ids) while any is in
@@ -925,9 +920,9 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// closeAll drains every scenario's mailbox and stops its run loop; part
-// of graceful shutdown, after the HTTP listener has stopped accepting
-// requests and before the final snapshot is captured.
+// closeAll drains every scenario's mailbox — the shutdown checkpoints
+// queued there included — and stops its run loop; part of graceful
+// shutdown, after the HTTP listener has stopped accepting requests.
 func (s *server) closeAll() {
 	s.scenarios.Range(func(_ string, sc *scenario) bool {
 		sc.actor.Close()
@@ -935,9 +930,9 @@ func (s *server) closeAll() {
 	})
 }
 
-// closeWALs syncs and closes every scenario's log. Runs after the final
-// snapshot (so the shutdown snapshot can still anchor) — the close's
-// sync is what makes an interval-policy tail durable on clean shutdown.
+// closeWALs syncs and closes every scenario's log, once the actors have
+// drained — the close's sync is what makes an interval-policy tail
+// durable on clean shutdown.
 func (s *server) closeWALs() {
 	s.scenarios.Range(func(id string, sc *scenario) bool {
 		if sc.wal != nil {
@@ -947,140 +942,6 @@ func (s *server) closeWALs() {
 		}
 		return true
 	})
-}
-
-// persistedScenario is the on-disk form of one scenario in the daemon's
-// snapshot file: the spec with the engine state embedded, so loading is
-// exactly a sequence of create-with-state calls. WalSeq is the
-// scenario's applied WAL seq at capture time — the replay start point
-// and the compaction anchor (0 with the WAL disabled).
-type persistedScenario struct {
-	ID     string        `json:"id"`
-	Spec   *ScenarioSpec `json:"spec"`
-	WalSeq uint64        `json:"wal_seq,omitempty"`
-	// WalGen is the generation of the log the WalSeq refers to (empty
-	// when the snapshot was taken without a WAL — such a snapshot can
-	// never be combined with a pre-existing log at boot).
-	WalGen string `json:"wal_gen,omitempty"`
-}
-
-// saveSnapshot writes every scenario's spec+state to path atomically
-// (fsync + rename via the failfs seam), so a crash mid-write never
-// tears the snapshot — then anchors each scenario's WAL at the captured
-// seq, letting the log drop segments the snapshot now covers.
-//
-// Capture semantics differ by durability mode. With a WAL, (state,
-// walSeq) must be one atomic pair, so the capture runs as an actor
-// command; when the actor has already drained (shutdown), the direct
-// read is safe because nothing else writes. Without a WAL, state is
-// captured directly from the engine (whose own lock serializes against
-// the run loop) — a snapshot then cannot be wedged by a stuck command,
-// which the WAL-less path keeps as its liveness property.
-func (s *server) saveSnapshot(path string) error {
-	if s.recovering.Load() {
-		// A snapshot taken mid-recovery would capture partially-replayed
-		// engines and, worse, anchor (= compact away) log records that
-		// the next recovery still needs.
-		return fmt.Errorf("snapshot refused: recovery in progress")
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	ids := s.scenarios.Keys()
-	out := make([]persistedScenario, 0, len(ids))
-	anchors := make(map[*scenario]uint64)
-	for _, id := range ids {
-		sc := s.get(id)
-		if sc == nil {
-			continue // deleted since the Keys snapshot
-		}
-		var (
-			blob   json.RawMessage
-			seq    uint64
-			gen    string
-			capErr error
-		)
-		if sc.wal != nil {
-			// walGen is immutable after publish; only (state, seq) need
-			// the actor's atomicity.
-			gen = sc.walGen
-			err := sc.actor.Do(func() {
-				blob, capErr = sc.eng.MarshalState()
-				seq = sc.walSeq
-			})
-			if errors.Is(err, shard.ErrClosed) {
-				// Post-drain: the actor is gone and so are all writers.
-				blob, capErr = sc.eng.MarshalState()
-				seq = sc.walSeq
-			} else if err != nil {
-				return fmt.Errorf("scenario %s: %w", id, err)
-			}
-		} else {
-			blob, capErr = sc.eng.MarshalState()
-		}
-		if capErr != nil {
-			return fmt.Errorf("scenario %s: %w", id, capErr)
-		}
-		spec := *sc.Spec
-		spec.State = blob
-		out = append(out, persistedScenario{ID: id, Spec: &spec, WalSeq: seq, WalGen: gen})
-		if sc.wal != nil {
-			anchors[sc] = seq
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := failfs.WriteFileAtomic(s.fs, path, data, 0o644); err != nil {
-		return err
-	}
-	// The snapshot is durable; the logs may now drop what it covers.
-	// Compaction failing is not a snapshot failure — the log stays
-	// correct, just longer.
-	for sc, seq := range anchors {
-		if seq == 0 {
-			continue
-		}
-		if err := sc.wal.Anchor(seq); err != nil && !errors.Is(err, wal.ErrClosed) {
-			s.log.Warn("wal anchor failed", slog.String("scenario", sc.ID), slog.Any("err", err))
-		}
-	}
-	return nil
-}
-
-// loadSnapshot restores scenarios from a snapshot file into the
-// registry and returns them by id plus the file's content hash (both
-// for the WAL replay that follows — the hash resolves seed-crash
-// recovery); a missing file is a clean first boot.
-func (s *server) loadSnapshot(path string) (map[string]*scenario, string, error) {
-	restored := make(map[string]*scenario)
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return restored, "", nil
-		}
-		return nil, "", err
-	}
-	var in []persistedScenario
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, "", fmt.Errorf("snapshot %s: %w", path, err)
-	}
-	s.createMu.Lock()
-	defer s.createMu.Unlock()
-	for _, ps := range in {
-		sc, err := s.buildScenario(ps.ID, ps.Spec)
-		if err != nil {
-			return nil, "", fmt.Errorf("snapshot scenario %s: %w", ps.ID, err)
-		}
-		sc.walSeq = ps.WalSeq
-		sc.walGen = ps.WalGen
-		if !s.scenarios.Insert(ps.ID, sc) {
-			return nil, "", fmt.Errorf("snapshot scenario %s: duplicate id", ps.ID)
-		}
-		restored[ps.ID] = sc
-		s.bumpNextID(ps.ID)
-	}
-	return restored, snapshotHash(data), nil
 }
 
 // bumpNextID advances the auto-id counter past a restored scenario's

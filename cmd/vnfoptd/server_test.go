@@ -14,10 +14,12 @@ import (
 	"testing"
 
 	"vnfopt/internal/engine"
+	"vnfopt/internal/failfs"
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/sim"
 	"vnfopt/internal/topology"
+	"vnfopt/internal/wal"
 	"vnfopt/internal/workload"
 )
 
@@ -355,10 +357,12 @@ func TestStateRoundTripOverHTTP(t *testing.T) {
 	}
 }
 
-// TestDaemonSnapshotFileRoundTrip: saveSnapshot → fresh server →
-// loadSnapshot restores scenarios with their ids, epochs, and placements.
+// TestDaemonSnapshotFileRoundTrip: checkpoint → fresh server → recovery
+// from the checkpoint alone restores scenarios with their ids, epochs,
+// and placements.
 func TestDaemonSnapshotFileRoundTrip(t *testing.T) {
-	srv := newServer()
+	dir := t.TempDir()
+	srv := newWALServer(failfs.OS, dir)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -383,15 +387,18 @@ func TestDaemonSnapshotFileRoundTrip(t *testing.T) {
 	var before engine.Snapshot
 	do(t, ts, "GET", fmt.Sprintf("/v1/scenarios/%s/placement", created.ID), nil, &before)
 
-	path := t.TempDir() + "/state.json"
-	if err := srv.saveSnapshot(path); err != nil {
+	if err := checkpointNow(srv); err != nil {
 		t.Fatal(err)
+	}
+	srv.closeAll()
+	srv.closeWALs()
+	if got := logRecords(t, dir, created.ID); len(got) != 1 || got[0] != wal.TypeCreate {
+		t.Fatalf("log after checkpoint holds %v, want the one create record", got)
 	}
 
-	srv2 := newServer()
-	if _, _, err := srv2.loadSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
+	srv2 := bootWAL(t, dir, "")
+	defer srv2.closeWALs()
+	defer srv2.closeAll()
 	ts2 := httptest.NewServer(srv2.handler())
 	defer ts2.Close()
 	var after engine.Snapshot
@@ -409,9 +416,9 @@ func TestDaemonSnapshotFileRoundTrip(t *testing.T) {
 	if created2.ID == created.ID {
 		t.Fatalf("id collision after restore: %s", created2.ID)
 	}
-	// A missing snapshot file is a clean boot.
-	if _, _, err := newServer().loadSnapshot(t.TempDir() + "/none.json"); err != nil {
-		t.Fatal(err)
+	// An empty WAL root and a missing state file to import are a clean boot.
+	if n := bootWAL(t, t.TempDir(), dir+"/none.json").scenarios.Len(); n != 0 {
+		t.Fatalf("clean boot came up with %d scenarios", n)
 	}
 }
 
@@ -515,6 +522,14 @@ func TestErrorEnvelopeAndConflict(t *testing.T) {
 	}
 	if gen.ID == created.ID {
 		t.Fatalf("generated id collided with %q", created.ID)
+	}
+
+	// A body JSON cannot carry is a 500 with the envelope, not a 200
+	// status line with nothing behind it.
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"cost": math.Inf(1)})
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusInternalServerError || env.Error.Code != "internal" {
+		t.Fatalf("unencodable body: status %d, body %q (%v)", rec.Code, rec.Body.String(), err)
 	}
 }
 

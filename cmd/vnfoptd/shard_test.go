@@ -7,13 +7,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"vnfopt/internal/engine"
+	"vnfopt/internal/failfs"
+	"vnfopt/internal/wal"
 )
 
 // Tests of the sharded control plane itself: the actor/registry
@@ -279,10 +280,11 @@ func TestBackpressure429(t *testing.T) {
 	}
 	sc := srv.get("bp")
 
-	gate := make(chan struct{})
-	if err := sc.actor.Submit(func() { <-gate }); err != nil {
+	gate, stuck := make(chan struct{}), make(chan struct{})
+	if err := sc.actor.Submit(func() { close(stuck); <-gate }); err != nil {
 		t.Fatal(err)
 	}
+	<-stuck
 	// The run loop is stuck on the gate; one more command fills the
 	// capacity-1 mailbox.
 	if err := sc.actor.Submit(func() {}); err != nil {
@@ -313,6 +315,11 @@ func TestBackpressure429(t *testing.T) {
 	}
 
 	close(gate)
+	// Until the run loop has taken the queued command out of the
+	// capacity-1 mailbox, 429 is still the right answer.
+	for deadline := time.Now().Add(5 * time.Second); sc.actor.Depth() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if code := do(t, ts, "POST", "/v1/scenarios/bp/rates",
 		map[string]any{"updates": []engine.RateUpdate{{Flow: 0, Rate: 1}}}, nil); code != http.StatusOK {
 		t.Fatalf("post-gate ingest: %d", code)
@@ -386,16 +393,21 @@ func TestDeleteWhileMailboxDraining(t *testing.T) {
 	}
 }
 
-// TestSnapshotDuringDrain captures a daemon snapshot while one
-// scenario's run loop is wedged behind a gate with commands queued: the
-// snapshot must not block on the actor (it reads engines directly) and
-// must include the wedged scenario.
+// TestSnapshotDuringDrain checkpoints the daemon while one scenario's
+// run loop is wedged behind a gate with commands queued: the round must
+// not block on that actor (it queues the checkpoint there and moves on),
+// and the wedged scenario must be there after a reboot — checkpointed
+// once its run loop gets to it.
 func TestSnapshotDuringDrain(t *testing.T) {
-	srv := newServer()
+	dir := t.TempDir()
+	srv := newWALServer(failfs.OS, dir)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 	if code := do(t, ts, "POST", "/v1/scenarios", diffSpec("snap"), nil); code != http.StatusCreated {
 		t.Fatal("create failed")
+	}
+	if code := do(t, ts, "POST", "/v1/scenarios/snap/step", nil, nil); code != http.StatusOK {
+		t.Fatal("step failed")
 	}
 	sc := srv.get("snap")
 	gate := make(chan struct{})
@@ -408,27 +420,29 @@ func TestSnapshotDuringDrain(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join(t.TempDir(), "state.json")
 	snapDone := make(chan error, 1)
-	go func() { snapDone <- srv.saveSnapshot(path) }()
+	go func() { snapDone <- srv.checkpointAll() }()
 	select {
 	case err := <-snapDone:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("saveSnapshot blocked on a wedged actor")
+		t.Fatal("checkpointAll blocked on a wedged actor")
 	}
 	close(gate)
-
-	srv2 := newServer()
-	if _, _, err := srv2.loadSnapshot(path); err != nil {
-		t.Fatal(err)
+	srv.closeAll() // drains the mailbox, the queued checkpoint included
+	srv.closeWALs()
+	if got := logRecords(t, dir, "snap"); len(got) != 1 || got[0] != wal.TypeCreate {
+		t.Fatalf("log of the wedged scenario holds %v, want the one checkpoint", got)
 	}
+
+	srv2 := bootWAL(t, dir, "")
 	if srv2.get("snap") == nil {
-		t.Fatal("snapshot lost the wedged scenario")
+		t.Fatal("checkpoint lost the wedged scenario")
 	}
 	srv2.closeAll()
+	srv2.closeWALs()
 }
 
 // TestConcurrentCreateDeleteIngest hammers the registry from many

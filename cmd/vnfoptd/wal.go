@@ -2,41 +2,44 @@ package main
 
 import (
 	"context"
-	cryptorand "crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/url"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"vnfopt/internal/engine"
-	"vnfopt/internal/failfs"
 	"vnfopt/internal/fault"
+	"vnfopt/internal/shard"
 	"vnfopt/internal/wal"
 )
 
-// WAL glue: with -wal set, every mutation — a scenario's create and
-// each command after it (command.go) — is appended to the scenario's
-// write-ahead log *before* it is applied and acknowledged, so a crash
-// between snapshots loses nothing that a client was told succeeded
-// (modulo the -wal-sync policy; see docs/RESILIENCE.md). Recovery is
-// snapshot + replay: the boot restores the last snapshot, then decodes
-// each scenario's logged suffix back into commands and applies them to
-// the real engine — the same apply the live request ran. The engine is
-// deterministic, so replay lands bit-identically on the pre-crash state
-// — including commands that failed (a step that errored errors again,
-// changing nothing).
+// WAL glue: with -wal set, a scenario's log directory is its whole
+// durable state. Every mutation — a scenario's create and each command
+// after it (command.go) — is appended to the scenario's write-ahead log
+// *before* it is applied and acknowledged, so a crash loses nothing that
+// a client was told succeeded (modulo the -wal-sync policy; see
+// docs/RESILIENCE.md). A checkpoint is one more create record, carrying
+// the full engine state, after which the log drops everything older.
+// Recovery is replay: the boot rebuilds each scenario from its log's
+// latest create record, then decodes the records after it back into
+// commands and applies them to the real engine — the same apply the live
+// request ran. The engine is deterministic, so replay lands
+// bit-identically on the pre-crash state — including commands that
+// failed (a step that errored errors again, changing nothing).
 //
 // Payload encodings (the log frames and checksums; the daemon owns the
 // bytes):
 //
 //	create  JSON {"id": ..., "spec": {...}}  (spec after defaulting, so
-//	        rebuild is deterministic; carries State when resuming)
+//	        rebuild is deterministic; carries State when resuming and
+//	        in every checkpoint)
 //	ingest  u32 LE count, then per update u32 LE flow, f64 LE rate
 //	step    empty
 //	faults  JSON {"inject": [...], "heal": [...]}
@@ -122,77 +125,6 @@ func scenarioDirID(name string) (string, error) {
 // leftovers — so a crash mid-delete can never resurrect the scenario.
 const deletingSuffix = ".deleting"
 
-// walMetaFile sits next to a scenario's segments and ties the log to the
-// snapshots taken over it. It does not match the *.wal segment pattern,
-// so the log layer ignores it.
-const walMetaFile = "meta.json"
-
-// walMeta identifies one incarnation of a scenario's log. Gen is stamped
-// into every snapshot captured while the log is live; at boot a snapshot
-// may only be combined with the log whose generation it recorded —
-// anything else (the WAL was toggled off and state advanced un-logged,
-// the WAL root was swapped, the scenario was deleted and re-created)
-// would replay a log against a state it does not extend.
-type walMeta struct {
-	Gen string `json:"gen"`
-	// SeededFrom is set when the log was seeded over a snapshot that
-	// predates the WAL: the SHA-256 of that snapshot file's bytes. It
-	// resolves the one legitimate "snapshot has no generation but a log
-	// exists" boot: if the loaded snapshot still hashes to SeededFrom, the
-	// seed create record (which embeds that exact state) is authoritative
-	// and recovery rebuilds from it; any other hash means the snapshot
-	// moved on without the log, and recovery refuses.
-	SeededFrom string `json:"seeded_from,omitempty"`
-}
-
-// newWALGen mints a fresh log-incarnation id.
-func newWALGen() string {
-	var b [16]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		// Generations only need to differ across log incarnations.
-		return fmt.Sprintf("t%d", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// writeWALMeta persists a scenario's meta file atomically. It must be
-// durable before the log's first record: a record without a meta file is
-// unrecoverable by design (recovery refuses logs it cannot tie to a
-// generation).
-func (s *server) writeWALMeta(id string, m walMeta) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	path := s.walPath(scenarioDirName(id)) + "/" + walMetaFile
-	return failfs.WriteFileAtomic(s.fs, path, b, 0o644)
-}
-
-// readWALMeta loads a scenario's meta file; a missing file is a zero
-// meta (an empty directory husk from a crashed create).
-func (s *server) readWALMeta(id string) (walMeta, error) {
-	path := s.walPath(scenarioDirName(id)) + "/" + walMetaFile
-	data, err := s.fs.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return walMeta{}, nil
-		}
-		return walMeta{}, err
-	}
-	var m walMeta
-	if err := json.Unmarshal(data, &m); err != nil {
-		return walMeta{}, fmt.Errorf("wal meta %s: %w", path, err)
-	}
-	return m, nil
-}
-
-// snapshotHash fingerprints a snapshot file's bytes for the seed
-// linkage.
-func snapshotHash(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // walEnabled reports whether the daemon runs with a write-ahead log.
 func (s *server) walEnabled() bool { return s.walDir != "" }
 
@@ -213,52 +145,166 @@ func (s *server) walPath(name string) string {
 	return strings.TrimSuffix(s.walDir, "/") + "/" + name
 }
 
-// appendWAL appends one record to sc's log and advances the scenario's
-// applied-seq watermark. It must be called from the scenario's actor
-// (or before the scenario is published), so appends are serialized per
-// scenario; the caller must not apply or acknowledge the command unless
-// it returns nil.
+// appendWAL appends one record to sc's log and marks the scenario as
+// having moved past its last checkpoint. It must be called from the
+// scenario's actor (or before the scenario is published), so appends are
+// serialized per scenario; the caller must not apply or acknowledge the
+// command unless it returns nil.
 func (sc *scenario) appendWAL(typ wal.Type, payload []byte) error {
-	seq, err := sc.wal.Append(typ, payload)
+	if _, err := sc.wal.Append(typ, payload); err != nil {
+		return err
+	}
+	sc.dirty = true
+	return nil
+}
+
+// startScenarioWAL begins the log of the still-unpublished sc with a
+// create record carrying spec as its first record — fsynced whatever
+// -wal-sync says when durable is set. On failure sc is left without a
+// log; the directory husk is the caller's to drop (the next boot drops
+// it otherwise).
+func (s *server) startScenarioWAL(sc *scenario, spec *ScenarioSpec, durable bool) error {
+	payload, err := json.Marshal(walCreate{ID: sc.ID, Spec: spec})
 	if err != nil {
 		return err
 	}
-	sc.walSeq = seq
+	l, err := s.openScenarioWAL(sc.ID)
+	if err != nil {
+		return err
+	}
+	if durable {
+		err = l.Checkpoint(wal.TypeCreate, payload)
+	} else {
+		_, err = l.Append(wal.TypeCreate, payload)
+	}
+	if err != nil {
+		l.Close()
+		return err
+	}
+	sc.wal = l
+	return nil
+}
+
+// checkpoint appends sc's whole state as a create record and lets the
+// log drop everything before it, so the log stays proportional to the
+// traffic since the last checkpoint rather than to the scenario's
+// lifetime. A scenario that has appended nothing since its create or
+// last checkpoint is left alone. It must run on sc's actor: (state,
+// position in the log) is one atomic pair. A failure is a failed append
+// (docs/RESILIENCE.md, footnote 1); the log stays correct, just longer.
+//
+// Only a settled engine is checkpointed: its state leaves out updates
+// that were ingested but not yet stepped, and dropping their ingest
+// records would lose acknowledged writes. Until then the checkpoint is
+// owed, and run takes it at the next epoch boundary; a scenario that
+// never closes another epoch keeps its log whole.
+//
+// A boot from the checkpoint resumes an engine whose cost cache is
+// rebuilt from the rates, where this one's has history; the engine is
+// rebased behind the record so both hold the same bits from here on.
+func (sc *scenario) checkpoint() error {
+	if sc.wal == nil || !sc.dirty {
+		return nil
+	}
+	if sc.owed = !sc.eng.Settled(); sc.owed {
+		return nil
+	}
+	blob, err := sc.eng.MarshalState()
+	if err != nil {
+		return err
+	}
+	spec := *sc.Spec
+	spec.State = blob
+	payload, err := json.Marshal(walCreate{ID: sc.ID, Spec: &spec})
+	if err != nil {
+		return err
+	}
+	at := sc.wal.NextSeq()
+	err = sc.wal.Checkpoint(wal.TypeCreate, payload)
+	if sc.wal.NextSeq() > at {
+		// The record is in the log (even if dropping older segments then
+		// failed), and a boot will resume from it: carry on from the same
+		// bits that boot will have.
+		sc.eng.Rebase()
+	}
+	if err != nil {
+		return err
+	}
+	sc.dirty = false
+	return nil
+}
+
+// offerCheckpoint is checkpoint where nobody waits for the outcome: a
+// checkpoint round, and the epoch boundary that takes an owed one.
+func (sc *scenario) offerCheckpoint() {
+	if err := sc.checkpoint(); err != nil {
+		sc.log.Error("checkpoint failed", slog.String("scenario", sc.ID), slog.Any("err", err))
+	}
+}
+
+// checkpointAll offers every scenario a checkpoint on its own actor and
+// does not wait for them: a wedged scenario delays only its own. A full
+// mailbox skips the scenario until the next round; a closed actor means
+// it was deleted. Refused while recovery is incomplete — a checkpoint of
+// a half-replayed engine would drop records the next boot still needs.
+func (s *server) checkpointAll() error {
+	if s.recovering.Load() {
+		return fmt.Errorf("checkpoint refused: recovery in progress")
+	}
+	s.scenarios.Range(func(id string, sc *scenario) bool {
+		if err := sc.actor.Submit(sc.offerCheckpoint); err != nil && !errors.Is(err, shard.ErrClosed) {
+			s.log.Warn("checkpoint skipped", slog.String("scenario", id), slog.Any("err", err))
+		}
+		return true
+	})
 	return nil
 }
 
 // startRecovery closes the recovery gate and runs recoverState in the
-// background, starting the periodic snapshot loop once it succeeds. The
-// gate is closed by the time startRecovery returns — call it before the
-// listener starts. The returned channel delivers recoverState's result.
-func (s *server) startRecovery(ctx context.Context, snapshotPath string, snapEvery time.Duration) <-chan error {
+// background, starting the periodic checkpoint loop once it succeeds.
+// The gate is closed by the time startRecovery returns — call it before
+// the listener starts. The returned channel delivers recoverState's
+// result.
+func (s *server) startRecovery(ctx context.Context, importPath string, checkpointEvery time.Duration) <-chan error {
 	s.recovering.Store(true)
 	recovered := make(chan error, 1)
 	go func() {
-		err := s.recoverState(ctx, snapshotPath)
-		if err == nil && snapshotPath != "" && snapEvery > 0 {
-			go s.snapshotLoop(ctx, snapshotPath, snapEvery)
+		err := s.recoverState(ctx, importPath)
+		if err == nil && s.walEnabled() && checkpointEvery > 0 {
+			go s.checkpointLoop(ctx, checkpointEvery)
 		}
 		recovered <- err
 	}()
 	return recovered
 }
 
-// recoverState drives the boot-time restore: snapshot load, the
-// .deleting sweep, and per-scenario WAL replay. ctx aborts the replay
-// between records (SIGTERM during a long recovery): segments are left
-// exactly as found — recovery never deletes or truncates anything
-// beyond the torn tail of the final segment — so the next boot resumes
-// from the same log. The server must not serve /v1 traffic until this
-// returns nil; main gates that on s.recovering, which is cleared only
-// on success — a half-recovered server must never serve, and above all
-// must never snapshot (that would capture partial state and compact
-// away log records the next recovery still needs).
-func (s *server) recoverState(ctx context.Context, snapshotPath string) error {
-	restored, snapHash, err := s.loadSnapshot(snapshotPath)
-	if err != nil {
-		return err
+// checkpointLoop checkpoints every scenario that moved since its last
+// one, every interval, until ctx is cancelled.
+func (s *server) checkpointLoop(ctx context.Context, interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			_ = s.checkpointAll() // the gate is open: the loop starts after recovery
+		}
 	}
+}
+
+// recoverState drives the boot-time restore: the .deleting sweep, one
+// replay per scenario directory, and the one-shot import of a pre-WAL
+// state file (importPath, "" = none). ctx aborts the replay between
+// records (SIGTERM during a long recovery): segments are left exactly as
+// found — recovery never deletes or truncates anything beyond the torn
+// tail of the final segment — so the next boot resumes from the same
+// log. The server must not serve /v1 traffic until this returns nil;
+// main gates that on s.recovering, which is cleared only on success — a
+// half-recovered server must never serve, and above all must never
+// checkpoint (that would capture partial state and compact away log
+// records the next recovery still needs).
+func (s *server) recoverState(ctx context.Context, importPath string) error {
 	if !s.walEnabled() {
 		s.recovering.Store(false)
 		return nil
@@ -270,27 +316,16 @@ func (s *server) recoverState(ctx context.Context, snapshotPath string) error {
 	if err != nil {
 		return fmt.Errorf("wal root: %w", err)
 	}
-	// Pass 1 — sweep delete tombstones, remembering which ids they
-	// retire. A tombstone is the commit point of an acked delete, so the
-	// snapshot copy of that scenario is dead: it must not be replayed
-	// (pass 2, when the id was re-created) nor kept or re-seeded (pass 3).
-	// Sweeping first also means a tombstone that sorts after its id's
-	// re-created live directory is still seen in time.
-	swept := make(map[string]bool)
+	// A tombstone is the commit point of an acked delete and retired the
+	// only copy of its scenario: collect what a crash left of it. Sweeping
+	// first means a tombstone can never be mistaken for a live directory.
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, deletingSuffix) {
-			continue
-		}
-		if id, err := scenarioDirID(strings.TrimSuffix(name, deletingSuffix)); err == nil {
-			swept[id] = true
-		}
-		if err := s.fs.RemoveAll(s.walPath(name)); err != nil {
-			return fmt.Errorf("sweep %s: %w", name, err)
+		if name := e.Name(); strings.HasSuffix(name, deletingSuffix) {
+			if err := s.fs.RemoveAll(s.walPath(name)); err != nil {
+				return fmt.Errorf("sweep %s: %w", name, err)
+			}
 		}
 	}
-	// Pass 2 — replay every live scenario log over its snapshot state.
-	seen := make(map[string]bool)
 	for _, e := range entries {
 		name := e.Name()
 		if !e.IsDir() || strings.HasSuffix(name, deletingSuffix) {
@@ -300,239 +335,163 @@ func (s *server) recoverState(ctx context.Context, snapshotPath string) error {
 		if err != nil {
 			return fmt.Errorf("wal dir %q: %w", name, err)
 		}
-		seen[id] = true
-		if err := s.recoverScenario(ctx, id, restored[id], snapHash, swept[id]); err != nil {
+		if err := s.recoverScenario(ctx, id); err != nil {
 			return fmt.Errorf("scenario %q: %w", id, err)
 		}
 	}
-	// Pass 3 — snapshot scenarios without a live WAL directory.
-	for id, sc := range restored {
-		if seen[id] || sc.wal != nil {
-			continue
-		}
-		if swept[id] {
-			// The delete committed after the snapshot was taken; finish it.
-			s.scenarios.Delete(id)
-			sc.actor.Close()
-			continue
-		}
-		if sc.walGen != "" {
-			// The snapshot says this scenario had a log (generation
-			// recorded) but the directory is gone: acknowledged records
-			// were lost. Refuse rather than silently serve the stale
-			// snapshot state.
-			return fmt.Errorf("scenario %q: wal directory missing but snapshot records wal generation %s (wrong -wal root?)", id, sc.walGen)
-		}
-		// First boot with -wal over a pre-WAL snapshot: start the log with
-		// a create record carrying the current state, so it can rebuild
-		// its scenario from seq 1.
-		if err := s.seedScenarioWAL(sc, snapHash); err != nil {
-			return fmt.Errorf("scenario %q: seed wal: %w", id, err)
+	if importPath != "" {
+		if err := s.importLegacyState(importPath); err != nil {
+			return err
 		}
 	}
 	s.recovering.Store(false)
 	return nil
 }
 
-// recoverScenario replays one scenario's log. The normal shapes: snapSc
-// == nil (the scenario was created after the snapshot — its create
-// record is in the log) replays from scratch; snapSc with a recorded
-// generation matching the log's replays the suffix past the snapshot's
-// applied seq. Two recorded histories discard the snapshot shard and
-// rebuild from the log alone: sweptOld (the snapshot-era log was retired
-// by an acked delete, so this directory belongs to a re-created
-// successor) and a seed log whose SeededFrom still matches the loaded
-// snapshot (the boot that seeded it crashed before the next snapshot
-// could record the linkage — the seed create record embeds that exact
-// state). Every other snapshot/log pairing is refused: replaying a log
-// against a state it does not extend would diverge silently.
-func (s *server) recoverScenario(ctx context.Context, id string, snapSc *scenario, snapHash string, sweptOld bool) error {
+// recoverScenario replays one scenario's log. A create record (re)builds
+// the scenario from its spec; every other record decodes into the
+// command that wrote it and runs that command's apply. A create behind
+// other records is a checkpoint: it supersedes everything before it —
+// normally the log has already dropped all that, and a crash between a
+// checkpoint's fsync and the removal of the older segments is the one
+// way to see both. Logged commands passed validate before they were
+// logged; an apply error reproduces the original run's rejection, which
+// changed nothing — exactly what the live server answered, so replay
+// ignores it. A log that never gets to a create cannot be rebuilt and is
+// refused, naming its first record.
+func (s *server) recoverScenario(ctx context.Context, id string) error {
 	l, err := s.openScenarioWAL(id)
 	if err != nil {
 		return err
 	}
-	meta, err := s.readWALMeta(id)
-	if err != nil {
-		l.Close()
-		return err
-	}
-	sc := snapSc
-	snapSeq := uint64(0)
-	rebuilt := false
-	switch {
-	case snapSc == nil:
-		// Created after the snapshot; the log carries its create record.
-	case sweptOld:
-		sc, rebuilt = nil, true
-	case snapSc.walGen != "":
-		if meta.Gen != snapSc.walGen {
-			l.Close()
-			return fmt.Errorf("wal generation mismatch: snapshot records %s, log is %s — the log does not extend this snapshot (wrong -wal root, or the scenario was re-created?); clear the log directory or restore the matching snapshot", snapSc.walGen, orUnset(meta.Gen))
-		}
-		snapSeq = snapSc.walSeq
-	default:
-		// The snapshot has no WAL linkage (pre-WAL, or taken with -wal
-		// off): only a log seeded from exactly this snapshot may be
-		// combined with it.
-		if meta.SeededFrom == "" || meta.SeededFrom != snapHash {
-			l.Close()
-			return fmt.Errorf("snapshot has no wal generation but a log exists (generation %s) — the snapshot advanced without the log (was -wal toggled off and back on?); clear the log directory or restore the matching snapshot", orUnset(meta.Gen))
-		}
-		sc, rebuilt = nil, true
-	}
-	replayed := 0
+	var sc *scenario
+	orphan := "" // the first record, while no create has been seen
 	err = l.Replay(func(rec wal.Record) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if rec.Seq <= snapSeq || rec.Type == wal.TypeAnchor {
-			return nil // covered by the snapshot / not a command
+		if rec.Type == wal.TypeCreate {
+			built, err := s.buildFromCreate(id, rec.Payload)
+			if err != nil {
+				return fmt.Errorf("seq %d: %w", rec.Seq, err)
+			}
+			if sc != nil {
+				sc.actor.Close()
+			}
+			sc = built
+			return nil
 		}
-		replayed++
-		next, err := s.replayRecord(id, sc, rec)
+		if sc == nil {
+			if orphan == "" {
+				orphan = fmt.Sprintf("seq %d: first record is %s, not create", rec.Seq, rec.Type)
+			}
+			return nil
+		}
+		if rec.Type == wal.TypeAnchor {
+			return nil // an older build's compaction marker, not a command
+		}
+		c, err := decodeCommand(rec.Type, rec.Payload)
 		if err != nil {
 			return fmt.Errorf("seq %d: %w", rec.Seq, err)
 		}
-		sc = next
-		sc.walSeq = rec.Seq
+		_ = c.apply(sc.eng)
+		sc.dirty = true
 		return nil
 	})
+	if err == nil && sc == nil && orphan != "" {
+		err = fmt.Errorf("%s — the log was compacted by an older build; see docs/RESILIENCE.md", orphan)
+	}
 	if err != nil {
 		l.Close()
+		if sc != nil {
+			sc.actor.Close()
+		}
 		return err
 	}
 	if sc == nil {
-		// An empty log directory: a create (or a re-seed) that crashed
-		// between opening the log and appending its first record. Drop the
-		// husk; what happens to the snapshot shard depends on why there is
-		// none in the log.
+		// An empty log directory: a create (or an import) that crashed
+		// between opening the log and appending its first record. The
+		// scenario never existed; drop the husk.
 		l.Close()
-		if err := s.dropWALDir(id); err != nil {
-			return err
-		}
-		switch {
-		case snapSc == nil:
-			// The scenario never existed.
-			return nil
-		case sweptOld:
-			// The delete committed; the husk was an aborted re-create.
-			// Finish the delete.
-			s.scenarios.Delete(id)
-			snapSc.actor.Close()
-			return nil
-		default:
-			// An aborted seed (meta durable, create record never landed):
-			// the snapshot shard is still authoritative — seed it again.
-			return s.seedScenarioWAL(snapSc, snapHash)
-		}
-	}
-	if meta.Gen == "" {
-		l.Close()
-		return fmt.Errorf("wal log has records but no meta file — cannot tie it to a generation; clear the log directory")
+		return s.dropWALDir(id)
 	}
 	sc.wal = l
-	sc.walGen = meta.Gen
-	if replayed > 0 {
-		s.log.Info("wal replayed", "scenario", id, "records", replayed)
-	}
 	s.createMu.Lock()
-	if rebuilt && snapSc != nil {
-		// The log, not the snapshot, is this id's history: swap the
-		// snapshot-built shard out of the registry.
-		snapSc.actor.Close()
-		s.scenarios.Set(id, sc)
-	} else if _, loaded := s.scenarios.Get(id); !loaded {
-		s.scenarios.Insert(id, sc)
-	}
+	s.scenarios.Insert(id, sc)
 	s.bumpNextID(id)
 	s.createMu.Unlock()
 	return nil
 }
 
-// orUnset renders a possibly-empty generation for error messages.
-func orUnset(gen string) string {
-	if gen == "" {
-		return "unset"
+// buildFromCreate rebuilds the scenario a create record describes.
+func (s *server) buildFromCreate(id string, payload []byte) (*scenario, error) {
+	var c walCreate
+	if err := json.Unmarshal(payload, &c); err != nil {
+		return nil, fmt.Errorf("create payload: %w", err)
 	}
-	return gen
-}
-
-// replayRecord applies one logged record during recovery and returns
-// the scenario it now describes: a create record builds the scenario
-// (sc must still be nil), anything else decodes into the command that
-// wrote it and runs that command's apply. Logged commands passed
-// validate before they were logged; an apply error reproduces the
-// original run's rejection, which changed nothing — exactly what the
-// live server answered, so replay ignores it.
-func (s *server) replayRecord(id string, sc *scenario, rec wal.Record) (*scenario, error) {
-	if rec.Type == wal.TypeCreate {
-		if sc != nil {
-			return nil, fmt.Errorf("create record for an existing scenario")
-		}
-		var c walCreate
-		if err := json.Unmarshal(rec.Payload, &c); err != nil {
-			return nil, fmt.Errorf("create payload: %w", err)
-		}
-		if c.ID != id {
-			return nil, fmt.Errorf("create record for %q in log of %q", c.ID, id)
-		}
-		built, err := s.buildScenario(id, c.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("rebuild: %w", err)
-		}
-		return built, nil
+	if c.ID != id {
+		return nil, fmt.Errorf("create record for %q in log of %q", c.ID, id)
 	}
-	c, err := decodeCommand(rec.Type, rec.Payload)
+	sc, err := s.buildScenario(id, c.Spec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rebuild: %w", err)
 	}
-	if sc == nil {
-		return nil, fmt.Errorf("%s record before create", rec.Type)
-	}
-	_ = c.apply(sc.eng)
 	return sc, nil
 }
 
-// startScenarioWAL begins a log incarnation for the still-unpublished
-// sc: a fresh generation, then a create record carrying spec as record
-// 1. The meta file is made durable before that record — recovery
-// refuses records it cannot tie to a generation. On failure sc is left
-// without a log; the directory husk is the caller's to drop or keep.
-func (s *server) startScenarioWAL(sc *scenario, spec *ScenarioSpec, seededFrom string) error {
-	payload, err := json.Marshal(walCreate{ID: sc.ID, Spec: spec})
+// importLegacyState is the one-shot import of a state file written by a
+// build that kept a daemon-wide snapshot next to the logs (-snapshot):
+// every scenario in it that has no log directory gets one, seeded with a
+// create record carrying the file's state — fsynced under every -wal-sync
+// policy, so the rename below can never outlive it. An id whose log exists
+// is skipped — the log is that scenario's history. The file is then renamed
+// to path + ".imported", before the recovery gate opens, so a later
+// delete can never be undone by a re-import; a crash before the rename
+// re-runs the import, which skips what it already seeded. An absent file
+// is a no-op.
+func (s *server) importLegacyState(path string) error {
+	data, err := s.fs.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
 	if err != nil {
 		return err
 	}
-	l, err := s.openScenarioWAL(sc.ID)
-	if err != nil {
-		return err
+	var in []struct {
+		ID     string        `json:"id"`
+		Spec   *ScenarioSpec `json:"spec"`
+		WalGen string        `json:"wal_gen"`
 	}
-	sc.wal, sc.walGen = l, newWALGen()
-	err = s.writeWALMeta(sc.ID, walMeta{Gen: sc.walGen, SeededFrom: seededFrom})
-	if err == nil {
-		err = sc.appendWAL(wal.TypeCreate, payload)
+	if err := json.Unmarshal(data, &in); err != nil {
+		return fmt.Errorf("import %s: %w", path, err)
 	}
-	if err != nil {
-		sc.wal, sc.walGen = nil, ""
-		l.Close()
+	s.createMu.Lock()
+	defer s.createMu.Unlock()
+	for _, ps := range in {
+		if s.get(ps.ID) != nil {
+			continue
+		}
+		if ps.WalGen != "" {
+			// The file says this scenario had a log, and it is gone:
+			// acknowledged records were lost. Refuse rather than silently
+			// serve the older state.
+			return fmt.Errorf("import %s: scenario %q: wal directory missing but the state file records wal generation %s (wrong -wal root?)", path, ps.ID, ps.WalGen)
+		}
+		sc, err := s.buildScenario(ps.ID, ps.Spec)
+		if err != nil {
+			return fmt.Errorf("import %s: scenario %q: %w", path, ps.ID, err)
+		}
+		if err := s.startScenarioWAL(sc, ps.Spec, true); err != nil {
+			sc.actor.Close()
+			return fmt.Errorf("import %s: scenario %q: seed wal: %w", path, ps.ID, err)
+		}
+		s.scenarios.Insert(ps.ID, sc)
+		s.bumpNextID(ps.ID)
 	}
-	return err
-}
-
-// seedScenarioWAL starts a log for a scenario that predates the WAL:
-// its create record carries the full current state, and its meta file
-// the hash of the snapshot being seeded over, so a crash between
-// seeding and the next snapshot is recoverable — the next boot sees the
-// same snapshot hash, trusts the seed create record, and rebuilds from
-// it.
-func (s *server) seedScenarioWAL(sc *scenario, snapHash string) error {
-	blob, err := sc.eng.MarshalState()
-	if err != nil {
-		return err
+	if err := s.fs.Rename(path, path+".imported"); err != nil {
+		return fmt.Errorf("import %s: %w", path, err)
 	}
-	spec := *sc.Spec
-	spec.State = blob
-	return s.startScenarioWAL(sc, &spec, snapHash)
+	return s.fs.SyncDir(filepath.Dir(path))
 }
 
 // dropWALDir atomically retires a scenario's WAL directory: the rename

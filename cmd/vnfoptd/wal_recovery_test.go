@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,190 +19,402 @@ import (
 	"vnfopt/internal/wal"
 )
 
-// Regression suite for the snapshot↔WAL pairing rules: which logs a
-// boot may replay over which snapshots (generation tie, seed linkage),
-// how committed deletes interact with older snapshots, and the
-// durability of the delete acknowledgement itself.
+// Regression suite for the one-store rules: a scenario's log directory
+// is its whole durable state, so a delete retires the only copy, a
+// checkpoint is just another create record, and the state file of an
+// older build is imported once and never read again.
 
-// bootWAL runs a fresh recovery over dir and returns the server.
-func bootWAL(t *testing.T, dir, snap string) *server {
+// bootWAL runs a fresh recovery over dir (importing the older build's
+// state file at importPath, "" = none) and returns the server.
+func bootWAL(t *testing.T, dir, importPath string) *server {
 	t.Helper()
 	srv := newWALServer(failfs.OS, dir)
 	srv.recovering.Store(true)
-	if err := srv.recoverState(context.Background(), snap); err != nil {
+	if err := srv.recoverState(context.Background(), importPath); err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	return srv
 }
 
-// TestSeedCrashThenReboot: enabling -wal over a pre-WAL snapshot seeds
-// each scenario's log with a create record; a crash before the next
-// snapshot used to make every later boot fail ("create record for an
-// existing scenario") because the old snapshot still carried wal_seq 0.
-// Now the seed linkage (meta.seeded_from == hash of the loaded
-// snapshot) tells recovery to trust the seed record and rebuild from
-// the log alone.
-func TestSeedCrashThenReboot(t *testing.T) {
-	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
-
-	// Era 1: no WAL; workload, then a plain snapshot.
-	srv := newServer()
-	h := srv.handler()
-	if code := post(t, h, "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
-		t.Fatalf("create: %d", code)
-	}
-	if code := post(t, h, "POST", "/v1/scenarios/c1/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 0, Rate: 15}}, Step: true}); code != http.StatusOK {
-		t.Fatal("ingest")
-	}
-	if err := srv.saveSnapshot(snap); err != nil {
+// logRecords lists the record types in a scenario's log under dir.
+func logRecords(t *testing.T, dir, id string) []wal.Type {
+	t.Helper()
+	l, err := wal.Open(filepath.Join(dir, "wal", scenarioDirName(id)), wal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv.closeAll()
+	defer l.Close()
+	var types []wal.Type
+	if err := l.Replay(func(rec wal.Record) error { types = append(types, rec.Type); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return types
+}
 
-	// Era 2: first boot with -wal. Recovery seeds the log, more commands
-	// append to it, and then the process dies before any new snapshot.
-	srv2 := bootWAL(t, dir, snap)
+// TestSeedCrashThenReboot: import, crash, reboot. The first boot with a
+// state file written by an older build seeds each scenario's log with a
+// create record carrying the file's state and renames the file; a crash
+// any time after that boots from the log alone, and the renamed file is
+// never read again — so a scenario deleted later stays deleted.
+func TestSeedCrashThenReboot(t *testing.T) {
+	dir := t.TempDir()
+	snap := legacyStateFile(dir)
+	writeLegacyStateFile(t, dir, legacySpec(t))
+
+	// First boot: the import seeds the log; more commands append to it,
+	// and then the process dies. The seed is fsynced even under a policy
+	// that never syncs an append — the rename must not outrun it.
+	srv2 := newWALServer(failfs.OS, dir)
+	srv2.walOpts.Policy = wal.SyncOS
+	srv2.recovering.Store(true)
+	if err := srv2.recoverState(context.Background(), snap); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if got := srv2.reg.Counter("vnfopt_wal_fsyncs_total").Value(); got < 1 {
+		t.Fatalf("%d fsyncs behind the import under -wal-sync os, want the seeded create synced", got)
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Fatalf("state file still in place after the import: %v", err)
+	}
+	if _, err := os.Stat(snap + ".imported"); err != nil {
+		t.Fatalf("imported state file not kept under its new name: %v", err)
+	}
 	h2 := srv2.handler()
 	if code := post(t, h2, "POST", "/v1/scenarios/c1/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 1, Rate: 4}}, Step: true}); code != http.StatusOK {
 		t.Fatal("post-seed ingest")
 	}
 	want := normalizedState(t, srv2, "c1")
 	srv2.closeAll()
-	srv2.closeWALs() // crash: no snapshot taken, old snapshot still has wal_seq 0
+	srv2.closeWALs()
 
-	// Era 3: boot again over the stale snapshot + seeded log.
+	// Second boot, same flags: nothing to import, the log has it all.
 	srv3 := bootWAL(t, dir, snap)
 	if got := normalizedState(t, srv3, "c1"); got != want {
 		t.Fatalf("seed-crash recovery diverges\n got: %.200s\nwant: %.200s", got, want)
 	}
-	// The rebuilt shard must be the one the registry serves.
 	if code := post(t, srv3.handler(), "POST", "/v1/scenarios/c1/step", nil); code != http.StatusOK {
 		t.Fatal("step after seed-crash recovery")
 	}
+	if code := post(t, srv3.handler(), "DELETE", "/v1/scenarios/c1", nil); code != http.StatusOK {
+		t.Fatal("delete after seed-crash recovery")
+	}
 	srv3.closeAll()
 	srv3.closeWALs()
+	if n := bootWAL(t, dir, snap).scenarios.Len(); n != 0 {
+		t.Fatalf("delete undone by a re-import: %d scenarios", n)
+	}
 }
 
-// TestWALToggleRefused: running with -wal, then without it (the
-// snapshot advances past the log), then with -wal again must refuse to
-// boot instead of silently replaying the stale log over newer state.
-func TestWALToggleRefused(t *testing.T) {
+// TestLegacyImportSkipsLoggedAndRefusesLost: an id whose log directory
+// exists is not imported — the log is that scenario's history, the file
+// an older copy — and an entry the older build recorded a log for
+// (wal_gen) whose directory is gone is refused: acknowledged records
+// were lost.
+func TestLegacyImportSkipsLoggedAndRefusesLost(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
-
-	// Era 1: WAL on; snapshot records the log's generation.
 	srv := newWALServer(failfs.OS, dir)
 	h := srv.handler()
 	if code := post(t, h, "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
-	if err := srv.saveSnapshot(snap); err != nil {
-		t.Fatal(err)
+	if code := post(t, h, "POST", "/v1/scenarios/c1/step", nil); code != http.StatusOK {
+		t.Fatal("step")
 	}
+	want := normalizedState(t, srv, "c1")
 	srv.closeAll()
 	srv.closeWALs()
 
-	// Era 2: WAL off; state advances un-logged and is snapshotted
-	// (wal_seq/wal_gen dropped).
-	srv2 := newServer()
-	srv2.recovering.Store(true)
-	if err := srv2.recoverState(context.Background(), snap); err != nil {
-		t.Fatalf("no-wal recovery: %v", err)
-	}
-	h2 := srv2.handler()
-	if code := post(t, h2, "POST", "/v1/scenarios/c1/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 2, Rate: 9}}, Step: true}); code != http.StatusOK {
-		t.Fatal("no-wal ingest")
-	}
-	if err := srv2.saveSnapshot(snap); err != nil {
+	// The file holds c1 before its step, tied to a log by the older build.
+	spec, err := json.Marshal(crashSpec())
+	if err != nil {
 		t.Fatal(err)
 	}
+	file := []byte(`[{"id":"c1","spec":` + string(spec) + `,"wal_seq":1,"wal_gen":"7783"}]`)
+	snap := legacyStateFile(dir)
+	if err := os.WriteFile(snap, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := bootWAL(t, dir, snap)
+	if got := normalizedState(t, srv2, "c1"); got != want {
+		t.Fatal("import overwrote a scenario that has a log")
+	}
 	srv2.closeAll()
+	srv2.closeWALs()
 
-	// Era 3: WAL on again — the log does not extend this snapshot.
+	// Same file, but the log directory it names is gone.
+	if err := os.RemoveAll(filepath.Join(dir, "wal", "c1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	srv3 := newWALServer(failfs.OS, dir)
 	srv3.recovering.Store(true)
-	err := srv3.recoverState(context.Background(), snap)
-	if err == nil {
-		t.Fatal("boot combined a stale wal with a newer snapshot")
-	}
-	if !strings.Contains(err.Error(), "toggled") {
-		t.Fatalf("unhelpful refusal: %v", err)
+	err = srv3.recoverState(context.Background(), snap)
+	if err == nil || !strings.Contains(err.Error(), "wal directory missing") {
+		t.Fatalf("want missing-directory refusal, got %v", err)
 	}
 	if !srv3.recovering.Load() {
 		t.Fatal("recovering flag cleared by a refused recovery")
 	}
+	if _, err := os.Stat(snap); err != nil {
+		t.Fatalf("refused import moved the state file: %v", err)
+	}
 }
 
-// TestGenerationMismatchRefused: a snapshot that names one generation
-// must not replay a log of another (e.g. the -wal root was swapped).
-func TestGenerationMismatchRefused(t *testing.T) {
+// TestCheckpointWaitsForEpochBoundary: an ingest answered 200 and not yet
+// stepped lives only in its log record — the engine state a checkpoint
+// carries leaves pending updates out. A checkpoint round that finds one
+// drops nothing; the step that folds it takes the checkpoint it put off.
+// The same holds for the round after the SIGTERM drain: the log stays
+// whole, and the reboot still holds the update.
+func TestCheckpointWaitsForEpochBoundary(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
+	live := newWALServer(failfs.OS, dir)
+	ref := newServer() // same requests, no log, never restarted
+	defer ref.closeAll()
+	send := func(what, method, path string, body any) {
+		t.Helper()
+		for _, srv := range []*server{ref, live} {
+			if code := post(t, srv.handler(), method, path, body); !is2xx(code) {
+				t.Fatalf("%s: %d", what, code)
+			}
+		}
+	}
+	logged := func() []wal.Type {
+		t.Helper()
+		at := t.TempDir() // opening a log may repair it: read a copy
+		copyTree(t, dir, at)
+		return logRecords(t, at, "c1")
+	}
+	ingest := func(rate float64) ratesRequest {
+		return ratesRequest{Updates: []engine.RateUpdate{{Flow: 0, Rate: rate}, {Flow: 2, Rate: 0.5}}}
+	}
+
+	send("create", "POST", "/v1/scenarios", crashSpec())
+	send("ingest", "POST", "/v1/scenarios/c1/rates", ingest(20))
+	if err := checkpointNow(live); err != nil {
+		t.Fatal(err)
+	}
+	if got := logged(); !slices.Equal(got, []wal.Type{wal.TypeCreate, wal.TypeIngest}) {
+		t.Fatalf("log behind a checkpoint round with an update pending: %v, want create + ingest", got)
+	}
+	send("step", "POST", "/v1/scenarios/c1/step", nil)
+	if got := logged(); !slices.Equal(got, []wal.Type{wal.TypeCreate}) {
+		t.Fatalf("log behind the step: %v, want the checkpoint it owed and nothing else", got)
+	}
+
+	// Shutdown with an update pending: drain, last round, close.
+	send("second ingest", "POST", "/v1/scenarios/c1/rates", ingest(7))
+	if err := live.checkpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	live.closeAll()
+	live.closeWALs()
+	if got := logged(); !slices.Equal(got, []wal.Type{wal.TypeCreate, wal.TypeIngest}) {
+		t.Fatalf("log behind the shutdown round: %v, want checkpoint + ingest", got)
+	}
+
+	live = bootWAL(t, dir, "")
+	defer live.closeWALs()
+	defer live.closeAll()
+	send("step after the restart", "POST", "/v1/scenarios/c1/step", nil)
+	if got, want := normalizedState(t, live, "c1"), normalizedState(t, ref, "c1"); got != want {
+		t.Fatalf("restart lost an acknowledged ingest\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestCheckpointRebasesLiveEngine: a boot from a checkpoint builds its
+// cost cache from the rates, while the daemon that wrote the checkpoint
+// has a cache with history — sparse updates take the delta path, one
+// rounding each — and the two agree only to reassociation tolerance. So
+// the daemon rebuilds its own cache behind every checkpoint it writes,
+// and the epochs after it come out the same on both, bit for bit, under
+// rates no float sums exactly.
+func TestCheckpointRebasesLiveEngine(t *testing.T) {
+	dir := t.TempDir()
+	srv := newWALServer(failfs.OS, dir)
+	h := srv.handler()
+	if code := post(t, h, "POST", "/v1/scenarios", diffSpec("c1")); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	rng := rand.New(rand.NewSource(5))
+	epochs := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			body := ratesRequest{Updates: []engine.RateUpdate{{Flow: rng.Intn(24), Rate: 100 * rng.Float64()}, {Flow: rng.Intn(24), Rate: 0.1 * float64(i)}}, Step: true}
+			if code := post(t, h, "POST", "/v1/scenarios/c1/rates", body); code != http.StatusOK {
+				t.Fatalf("epoch %d: %d", i, code)
+			}
+		}
+	}
+	epochs(12)
+	if err := checkpointNow(srv); err != nil {
+		t.Fatal(err)
+	}
+	epochs(12)
+	if m := srv.get("c1").eng.Metrics(); m.DeltaEpochs < 20 {
+		t.Fatalf("only %d of 24 epochs took the delta path", m.DeltaEpochs)
+	}
+	want := normalizedState(t, srv, "c1")
+	wantSnap := *srv.get("c1").eng.Snapshot()
+	srv.closeAll()
+	srv.closeWALs()
+
+	srv2 := bootWAL(t, dir, "")
+	defer srv2.closeWALs()
+	defer srv2.closeAll()
+	if got := normalizedState(t, srv2, "c1"); got != want {
+		t.Fatalf("boot from checkpoint + 12 epochs diverges\n got: %s\nwant: %s", got, want)
+	}
+	if got := *srv2.get("c1").eng.Snapshot(); got.CommCost != wantSnap.CommCost || got.CommittedCost != wantSnap.CommittedCost {
+		t.Fatalf("snapshot costs %v / %v, want %v / %v", got.CommCost, got.CommittedCost, wantSnap.CommCost, wantSnap.CommittedCost)
+	}
+}
+
+// TestDeleteThenKillStaysDeleted: create, checkpoint, DELETE answered
+// 200, kill with no further checkpoint. The next boot is clean — no
+// scenario, nothing left under the WAL root. (With a daemon-wide
+// snapshot file next to the logs this boot was refused: the file still
+// named the log the delete had retired.)
+func TestDeleteThenKillStaysDeleted(t *testing.T) {
+	dir := t.TempDir()
 	srv := newWALServer(failfs.OS, dir)
 	h := srv.handler()
 	if code := post(t, h, "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
-	if err := srv.saveSnapshot(snap); err != nil {
+	if code := post(t, h, "POST", "/v1/scenarios/c1/step", nil); code != http.StatusOK {
+		t.Fatal("step")
+	}
+	if err := checkpointNow(srv); err != nil {
 		t.Fatal(err)
 	}
-	srv.closeAll()
-	srv.closeWALs()
+	if code := post(t, h, "DELETE", "/v1/scenarios/c1", nil); code != http.StatusOK {
+		t.Fatalf("delete: %d", code)
+	}
+	srv.closeAll() // kill: no shutdown checkpoint, no log close
 
-	// Forge a different generation into the scenario's meta file.
-	meta := filepath.Join(dir, "wal", "c1", walMetaFile)
-	if err := os.WriteFile(meta, []byte(`{"gen":"deadbeef"}`), 0o644); err != nil {
-		t.Fatal(err)
+	srv2 := bootWAL(t, dir, "")
+	if n := srv2.scenarios.Len(); n != 0 {
+		t.Fatalf("acknowledged delete came back: %d scenarios", n)
 	}
-	srv2 := newWALServer(failfs.OS, dir)
-	srv2.recovering.Store(true)
-	err := srv2.recoverState(context.Background(), snap)
-	if err == nil || !strings.Contains(err.Error(), "generation mismatch") {
-		t.Fatalf("want generation mismatch refusal, got %v", err)
+	if entries, err := os.ReadDir(filepath.Join(dir, "wal")); err != nil || len(entries) != 0 {
+		t.Fatalf("wal root not empty after delete + reboot: %v %v", entries, err)
 	}
 }
 
-// TestWALDirMissingWithGenRefused: the snapshot says the scenario had a
-// log, but the directory is gone — acknowledged records were lost, and
-// the boot must say so instead of serving the stale snapshot.
-func TestWALDirMissingWithGenRefused(t *testing.T) {
+// TestDeleteRecreateThenKillServesSuccessor: as above, with the same id
+// re-created after the delete. The reboot serves the successor's state;
+// nothing of the checkpointed predecessor leaks into it.
+func TestDeleteRecreateThenKillServesSuccessor(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
 	srv := newWALServer(failfs.OS, dir)
 	h := srv.handler()
 	if code := post(t, h, "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
-	if err := srv.saveSnapshot(snap); err != nil {
+	if code := post(t, h, "POST", "/v1/scenarios/c1/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 0, Rate: 20}}, Step: true}); code != http.StatusOK {
+		t.Fatal("ingest")
+	}
+	if err := checkpointNow(srv); err != nil {
 		t.Fatal(err)
 	}
+	predecessor := normalizedState(t, srv, "c1")
+	if code := post(t, h, "DELETE", "/v1/scenarios/c1", nil); code != http.StatusOK {
+		t.Fatalf("delete: %d", code)
+	}
+	if code := post(t, h, "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
+		t.Fatalf("re-create: %d", code)
+	}
+	if code := post(t, h, "POST", "/v1/scenarios/c1/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 2, Rate: 1.5}}}); code != http.StatusOK {
+		t.Fatal("successor ingest")
+	}
+	want := normalizedState(t, srv, "c1")
+	if want == predecessor {
+		t.Fatal("successor and predecessor states are equal; the test is vacuous")
+	}
+	srv.closeAll() // kill
+
+	srv2 := bootWAL(t, dir, "")
+	defer srv2.closeWALs()
+	defer srv2.closeAll()
+	if got := normalizedState(t, srv2, "c1"); got != want {
+		t.Fatalf("reboot does not serve the successor\n got: %.200s\nwant: %.200s", got, want)
+	}
+}
+
+// TestLegacyAnchorRecordSkipped: a log an older build compacted carries
+// anchor records (markers tying it to a snapshot file). They still
+// decode, and replay steps over them.
+func TestLegacyAnchorRecordSkipped(t *testing.T) {
+	dir := t.TempDir()
+	srv := newWALServer(failfs.OS, dir)
+	h := srv.handler()
+	if code := post(t, h, "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	sc := srv.get("c1")
+	var appendErr error
+	if err := sc.actor.Do(func() { appendErr = sc.appendWAL(wal.TypeAnchor, []byte{1, 0, 0, 0, 0, 0, 0, 0}) }); err != nil || appendErr != nil {
+		t.Fatalf("append: %v / %v", err, appendErr)
+	}
+	if code := post(t, h, "POST", "/v1/scenarios/c1/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 0, Rate: 20}}, Step: true}); code != http.StatusOK {
+		t.Fatal("ingest")
+	}
+	want := normalizedState(t, srv, "c1")
 	srv.closeAll()
 	srv.closeWALs()
-	if err := os.RemoveAll(filepath.Join(dir, "wal", "c1")); err != nil {
-		t.Fatal(err)
+	if got := logRecords(t, dir, "c1"); len(got) != 4 || got[1] != wal.TypeAnchor {
+		t.Fatalf("log holds %v, want create, anchor, ingest, step", got)
 	}
 
-	srv2 := newWALServer(failfs.OS, dir)
-	srv2.recovering.Store(true)
-	err := srv2.recoverState(context.Background(), snap)
-	if err == nil || !strings.Contains(err.Error(), "wal directory missing") {
-		t.Fatalf("want missing-directory refusal, got %v", err)
+	srv2 := bootWAL(t, dir, "")
+	defer srv2.closeWALs()
+	defer srv2.closeAll()
+	if got := normalizedState(t, srv2, "c1"); got != want {
+		t.Fatal("replay over an anchor record diverges")
+	}
+}
+
+// TestLogWithoutCreateRefused: a log an older build compacted past its
+// create record (it kept the state in a snapshot file instead) cannot be
+// rebuilt from; the boot says so, naming the first record.
+func TestLogWithoutCreateRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(filepath.Join(dir, "wal", "c1"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seqs 1–2 are where the create and an ingest used to be.
+	for _, typ := range []wal.Type{wal.TypeStep, wal.TypeStep, wal.TypeAnchor, wal.TypeStep} {
+		if _, err := l.Append(typ, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	srv := newWALServer(failfs.OS, dir)
+	srv.recovering.Store(true)
+	err = srv.recoverState(context.Background(), "")
+	if err == nil || !strings.Contains(err.Error(), "seq 1: first record is step, not create") {
+		t.Fatalf("want a refusal naming seq 1, got %v", err)
 	}
 }
 
 // TestDeleteCommittedNoResurrect: a delete whose tombstone rename
 // committed but whose collection crashed must stay deleted at the next
-// boot even when an older snapshot still carries the scenario.
+// boot, checkpointed or not.
 func TestDeleteCommittedNoResurrect(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
 	srv := newWALServer(failfs.OS, dir)
 	h := srv.handler()
 	if code := post(t, h, "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
-	if err := srv.saveSnapshot(snap); err != nil {
+	if code := post(t, h, "POST", "/v1/scenarios/c1/step", nil); code != http.StatusOK {
+		t.Fatal("step")
+	}
+	if err := checkpointNow(srv); err != nil {
 		t.Fatal(err)
 	}
 	srv.closeAll()
@@ -210,12 +424,12 @@ func TestDeleteCommittedNoResurrect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2 := bootWAL(t, dir, snap)
+	srv2 := bootWAL(t, dir, "")
 	if srv2.scenarios.Len() != 0 {
 		t.Fatalf("committed delete resurrected: %d scenarios", srv2.scenarios.Len())
 	}
 	if _, err := os.Stat(filepath.Join(dir, "wal", "c1"+deletingSuffix)); !os.IsNotExist(err) {
-		t.Fatalf("tombstone not swept: %v", err)
+		t.Fatalf("tombstone not collected: %v", err)
 	}
 }
 
@@ -233,7 +447,6 @@ func TestDeletingSuffixIDIsSafe(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.json")
 	srv := newWALServer(failfs.OS, dir)
 	h := srv.handler()
 	spec := crashSpec()
@@ -248,7 +461,7 @@ func TestDeletingSuffixIDIsSafe(t *testing.T) {
 	srv.closeAll()
 	srv.closeWALs()
 
-	srv2 := bootWAL(t, dir, snap)
+	srv2 := bootWAL(t, dir, "")
 	if got := normalizedState(t, srv2, "prod.deleting"); got != want {
 		t.Fatal("scenario with .deleting id lost across reboot")
 	}
@@ -309,7 +522,7 @@ func TestDeleteWALRetireFailure(t *testing.T) {
 	}
 
 	// Nothing resurrects at the next boot.
-	srv2 := bootWAL(t, dir, filepath.Join(dir, "snap.json"))
+	srv2 := bootWAL(t, dir, "")
 	if srv2.scenarios.Len() != 0 {
 		t.Fatalf("deleted scenario resurrected after retried delete")
 	}
@@ -317,7 +530,7 @@ func TestDeleteWALRetireFailure(t *testing.T) {
 
 // TestRemovedSearchWorkersStillLoads: search_workers left the scenario
 // spec, so a live create that sends it is refused like any unknown
-// field — but the create records and snapshots an older daemon wrote
+// field — but the create records and state files an older daemon wrote
 // with it must still boot (they decode leniently), and their exhaustive
 // migrator steps on the one search that is left.
 func TestRemovedSearchWorkersStillLoads(t *testing.T) {
@@ -366,10 +579,7 @@ func TestRemovedSearchWorkersStillLoads(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(logDir, walMetaFile), []byte(`{"gen":"old-gen"}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		srv := bootWAL(t, dir, filepath.Join(dir, "no-snapshot.json"))
+		srv := bootWAL(t, dir, "")
 		defer srv.closeWALs()
 		defer srv.closeAll()
 		stepsExhaustive(t, srv, 2)

@@ -39,6 +39,7 @@ import (
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/placement"
+	"vnfopt/internal/routing"
 	"vnfopt/internal/sfcroute"
 )
 
@@ -237,14 +238,19 @@ type Engine struct {
 
 	// Capacity-aware routing state (see routing.go). router is rebuilt
 	// lazily whenever the serving model changes; routingReport holds the
-	// last completed pass.
+	// last completed pass, pricedFrom the link loads that priced it
+	// (Routing.Alpha > 0 only; empty after a rebuild).
 	router        *sfcroute.Router
 	routingReport *RoutingReport
+	pricedFrom    map[routing.Link]float64
 
 	epoch          int
 	committedCost  float64
 	committedEpoch int
 	lastMigEpoch   int // epoch of the last commit; -1 before any
+	// open says a failed Step holds its epoch open: the rates it folded
+	// are live, the routing pass over them has not run.
+	open bool
 
 	met  Metrics
 	snap atomic.Pointer[Snapshot]
@@ -254,6 +260,16 @@ type Engine struct {
 // placement, builds the aggregated cost cache, and publishes the first
 // snapshot.
 func New(cfg Config) (*Engine, error) {
+	e, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.begin(e.committedCost)
+}
+
+// build is New up to, not including, the first routing pass and
+// snapshot: Resume restores its saved state in between.
+func build(cfg Config) (*Engine, error) {
 	if cfg.PPDC == nil {
 		return nil, fmt.Errorf("engine: nil PPDC")
 	}
@@ -320,10 +336,16 @@ func New(cfg Config) (*Engine, error) {
 		e.p = p0
 	}
 	e.committedCost = e.cache.CommCost(e.p)
+	return e, nil
+}
+
+// begin runs the routing pass over what the constructor assembled and
+// publishes the first snapshot; curCost is C_a under e.p.
+func (e *Engine) begin(curCost float64) (*Engine, error) {
 	if err := e.routeEpoch(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	e.publish(e.committedCost)
+	e.publish(curCost)
 	return e, nil
 }
 
@@ -398,7 +420,19 @@ func (e *Engine) Step() (StepResult, error) {
 	e.epoch++
 	res := StepResult{Epoch: e.epoch}
 
+	// failEpoch leaves the epoch open: nothing is committed, the pending
+	// rates stay folded.
+	failEpoch := func(err error) (StepResult, error) {
+		e.open = true
+		e.epoch--
+		e.obs.observeError(e.epoch+1, err)
+		return StepResult{}, fmt.Errorf("engine: epoch %d: %w", e.epoch+1, err)
+	}
+
 	curCost := e.cache.CommCost(e.p)
+	if err := finiteCost("C_a", curCost); err != nil {
+		return failEpoch(err)
+	}
 	res.TotalCost = curCost
 	preCost := curCost
 	drift := 1.0
@@ -417,10 +451,11 @@ func (e *Engine) Step() (StepResult, error) {
 		consultStart := time.Now()
 		m, ct, err := e.safeMigrate(served)
 		consultTime = time.Since(consultStart)
+		if err == nil {
+			err = finiteCost("C_t", ct)
+		}
 		if err != nil {
-			e.epoch-- // the epoch did not close; pending already folded
-			e.obs.observeError(e.epoch+1, err)
-			return StepResult{}, fmt.Errorf("engine: epoch %d: %w", e.epoch+1, err)
+			return failEpoch(err)
 		}
 		res.Consulted = true
 		e.met.Consults++
@@ -441,11 +476,10 @@ func (e *Engine) Step() (StepResult, error) {
 	res.CommCost = curCost
 	res.Placement = e.p.Clone()
 	if err := e.routeEpoch(); err != nil {
-		e.epoch--
-		e.obs.observeError(e.epoch+1, err)
-		return StepResult{}, fmt.Errorf("engine: epoch %d: %w", e.epoch+1, err)
+		return failEpoch(err)
 	}
 	res.Routing = e.routingSummary()
+	e.open = false
 
 	e.met.Epochs = e.epoch
 	e.met.LastEpoch = time.Since(start)
@@ -458,6 +492,26 @@ func (e *Engine) Step() (StepResult, error) {
 	e.obs.observeStep(res, drift, consultTime, preCost-curCost)
 	e.publish(curCost)
 	return res, nil
+}
+
+// Settled reports whether the engine stands exactly where its last closed
+// epoch or fault transition left it: nothing ingested since, and no
+// failed Step holding an epoch open. Only then does State describe all of
+// it — pending updates are not part of State, and the routing pass Resume
+// runs is the one the saved engine last ran.
+func (e *Engine) Settled() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.pending) == 0 && !e.open
+}
+
+// finiteCost rejects a cost no decision can be made on — and no JSON
+// encoder can carry, so it must never reach the metrics or the state.
+func finiteCost(what string, c float64) error {
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		return fmt.Errorf("non-finite %s (%v): rates overflow the cost", what, c)
+	}
+	return nil
 }
 
 // applyPending folds the coalesced pending updates into flows and the

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -442,5 +443,123 @@ func TestMetricsCountCoalescedUpdates(t *testing.T) {
 	}
 	if got := r.Counter(`vnfopt_engine_updates_coalesced_total{scenario="c"}`).Value(); got != 1 {
 		t.Fatalf("coalesced counter %d, want 1", got)
+	}
+}
+
+// TestStepFailsOnNonFiniteCost: a rate whose cost overflows float64
+// leaves no finite C_a (or C_t) to decide on. The epoch fails and
+// commits nothing, whatever the migrator does with the overflow — the
+// exact search swallows its failed seed and would otherwise hand +Inf
+// back as the best cost — so no Inf ever reaches the metrics, and the
+// state stays encodable. Restoring the rate lets the engine carry on.
+// Settled follows along: false from the ingest until a step closes the
+// epoch, the failed one — which folded the rates and left it open — not
+// counting.
+func TestStepFailsOnNonFiniteCost(t *testing.T) {
+	for _, mig := range []migration.Migrator{
+		migration.MPareto{},
+		migration.NoMigration{},
+		migration.Exhaustive{NodeBudget: 50, Seed: migration.MPareto{}},
+	} {
+		t.Run(mig.Name(), func(t *testing.T) {
+			e, sched := newEngineCfg(t, 4, Config{Migrator: mig})
+			if _, err := e.Ingest([]RateUpdate{{Flow: 1, Rate: 1e308}}); err != nil {
+				t.Fatal(err)
+			}
+			before := e.Snapshot()
+			if e.Settled() {
+				t.Fatal("settled with an update pending")
+			}
+			if res, err := e.Step(); err == nil {
+				t.Fatalf("step over an overflowing rate succeeded: %+v", res)
+			}
+			if e.Settled() {
+				t.Fatal("settled behind a failed step")
+			}
+			if after := e.Snapshot(); after.Epoch != before.Epoch || !after.Placement.Equal(before.Placement) {
+				t.Fatalf("failed step committed something: %+v -> %+v", before, after)
+			}
+			for _, c := range e.Metrics().Trajectory {
+				if math.IsInf(c, 0) || math.IsNaN(c) {
+					t.Fatalf("non-finite cost in the trajectory: %v", e.Metrics().Trajectory)
+				}
+			}
+			if _, err := e.MarshalState(); err != nil {
+				t.Fatalf("state not encodable after the failed step: %v", err)
+			}
+			if _, err := e.Ingest(hourUpdates(sched[1])); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Step(); err != nil {
+				t.Fatalf("step after restoring the rates: %v", err)
+			}
+			if !e.Settled() {
+				t.Fatal("not settled behind the step that closed the epoch")
+			}
+		})
+	}
+}
+
+// TestRebaseKeepsResumeBitIdentical: sparse updates go through the cost
+// cache's delta path, whose sums depend on the order they were built in,
+// so an engine and one resumed from its State (a rebuilt cache) agree
+// only to reassociation tolerance — unless the saved engine rebases
+// where the state was taken. Then every later epoch comes out bit for
+// bit the same on both, whatever the rates.
+func TestRebaseKeepsResumeBitIdentical(t *testing.T) {
+	d, base, _ := fixture(t, 8)
+	cfg := Config{PPDC: d, SFC: model.NewSFC(3), Base: base, Mu: 1e3}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comparable := func(e *Engine) string {
+		st := e.State()
+		st.Metrics.LastEpoch, st.Metrics.TotalEpoch = 0, 0
+		blob, err := json.Marshal(struct {
+			State *State
+			Snap  *Snapshot
+		}{st, e.Snapshot()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var b *Engine
+	for epoch := 1; epoch <= 40; epoch++ {
+		updates := []RateUpdate{
+			{Flow: rng.Intn(len(base)), Rate: 100 * rng.Float64()},
+			{Flow: rng.Intn(len(base)), Rate: 0.1 * float64(epoch)},
+		}
+		for _, e := range []*Engine{a, b} {
+			if e == nil {
+				continue
+			}
+			if _, err := e.Ingest(updates); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b != nil {
+			if got, want := comparable(b), comparable(a); got != want {
+				t.Fatalf("epoch %d: resumed engine drifted from the one it was saved from\n got: %s\nwant: %s", epoch, got, want)
+			}
+		}
+		if epoch%8 == 5 {
+			blob, err := a.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.Rebase()
+			if b, err = ResumeJSON(cfg, blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m := a.Metrics(); m.DeltaEpochs < 30 {
+		t.Fatalf("only %d of 40 epochs took the delta path", m.DeltaEpochs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"vnfopt/internal/fault"
 	"vnfopt/internal/migration"
+	"vnfopt/internal/model"
 )
 
 // ErrInfeasible reports a fault transition that would leave the fabric
@@ -81,13 +82,16 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 		return e.faultResult(nil, 0, 0, 0), nil
 	}
 
-	// Fold pending rates directly into the flow table so the service
-	// plan and the rebuilt cache see the latest offered rates; the cache
-	// is reconstructed below either way.
-	for i, r := range e.pending {
-		e.flows[i].Rate = r
+	// Fold pending rates into the flow table the service plan and the
+	// rebuilt cache see (the cache is reconstructed below either way) — a
+	// copy until the commit, so a refused transition keeps them pending.
+	flows := e.flows
+	if len(e.pending) > 0 {
+		flows = append(model.Workload(nil), e.flows...)
+		for i, r := range e.pending {
+			flows[i].Rate = r
+		}
 	}
-	clear(e.pending)
 
 	// Delta-update from the currently served view (nil when pristine):
 	// only the Dijkstra sources the transition invalidates are re-run,
@@ -96,7 +100,7 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	if err != nil {
 		return nil, err
 	}
-	plan := view.PlanService(e.flows)
+	plan := view.PlanService(flows)
 	if err := plan.Feasible(e.cfg.SFC.Len()); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
@@ -128,8 +132,10 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 		backoff *= 2
 	}
 
-	// Commit: swap serving model, cache, masks, and placement together
-	// under the engine lock.
+	// Commit: swap flow table, serving model, cache, masks, and placement
+	// together under the engine lock.
+	e.flows = flows
+	clear(e.pending)
 	cache := plan.PPDC.NewWorkloadCache(plan.Served)
 	if e.obs != nil {
 		cache.SetObserver(e.obs)
@@ -164,10 +170,12 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	// committed, so a routing failure — an engine invariant violation,
 	// since capacities and placements were validated — degrades to an
 	// event plus a dropped report rather than unwinding the fault apply.
-	if rerr := e.routeEpoch(); rerr != nil {
+	rerr := e.routeEpoch()
+	if rerr != nil {
 		e.obs.observeError(e.epoch, rerr)
 		e.routingReport = nil
 	}
+	e.open = rerr != nil
 	out := e.faultResult(res, injected, healed, attempts)
 	e.obs.observeFaults(out)
 	e.publish(cur)

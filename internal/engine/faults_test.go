@@ -194,6 +194,11 @@ func TestApplyFaultsInfeasibleIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.Snapshot()
+	// An un-stepped update rides along: the refusal must leave it pending,
+	// not fold it into the flow table behind the cost cache's back.
+	if _, err := e.Ingest([]RateUpdate{{Flow: 0, Rate: 5}}); err != nil {
+		t.Fatal(err)
+	}
 	var kill []fault.Fault
 	for _, s := range topo.Switches {
 		kill = append(kill, fault.Fault{Kind: fault.Switch, U: s})
@@ -208,6 +213,16 @@ func TestApplyFaultsInfeasibleIsAtomic(t *testing.T) {
 	}
 	if after.Epoch != before.Epoch || after.CommCost != before.CommCost {
 		t.Fatalf("snapshot changed on rejected transition: %+v vs %+v", before, after)
+	}
+	if e.Settled() || e.State().Rates[0] != 2 {
+		t.Fatalf("rejected transition folded the pending update: settled %v, rates %v", e.Settled(), e.State().Rates)
+	}
+	sr, err := e.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := before.CommCost * 5 / 2; sr.CommCost != want {
+		t.Fatalf("C_a after the step %v, want %v: the pending rate never reached the cost cache", sr.CommCost, want)
 	}
 }
 

@@ -80,6 +80,28 @@ type RoutingSummary struct {
 	SaturatedLinks     int     `json:"saturated_links"`
 }
 
+// ensureRouter builds the router for the active serving model when there
+// is none yet or a fault transition swapped the model; a fresh router
+// holds no loads, so its first pass is unpriced. Called with e.mu held
+// and e.cfg.Routing set.
+func (e *Engine) ensureRouter() error {
+	if e.router != nil && e.router.Model() == e.d {
+		return nil
+	}
+	rc := e.cfg.Routing
+	r, err := sfcroute.NewRouter(e.d, sfcroute.Config{
+		Capacity:       rc.LinkCapacity,
+		Alpha:          rc.Alpha,
+		MaxUtilization: rc.MaxUtilization,
+		Classify:       rc.Classify,
+	})
+	if err != nil {
+		return fmt.Errorf("routing: %w", err)
+	}
+	e.router = r
+	return nil
+}
+
 // routeEpoch runs the capacity-aware routing pass for the current
 // placement and serving model, rebuilding the router lazily when a fault
 // transition swapped the serving model. Called with e.mu held; a nil
@@ -90,17 +112,11 @@ func (e *Engine) routeEpoch() error {
 		return nil
 	}
 	start := time.Now()
-	if e.router == nil || e.router.Model() != e.d {
-		r, err := sfcroute.NewRouter(e.d, sfcroute.Config{
-			Capacity:       rc.LinkCapacity,
-			Alpha:          rc.Alpha,
-			MaxUtilization: rc.MaxUtilization,
-			Classify:       rc.Classify,
-		})
-		if err != nil {
-			return fmt.Errorf("routing: %w", err)
-		}
-		e.router = r
+	if err := e.ensureRouter(); err != nil {
+		return err
+	}
+	if rc.Alpha > 0 {
+		e.pricedFrom = e.router.Loads()
 	}
 	if err := e.router.BeginEpoch(sfcroute.PlacementSites(e.p)); err != nil {
 		return fmt.Errorf("routing: %w", err)

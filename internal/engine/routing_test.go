@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"vnfopt/internal/fault"
@@ -188,5 +190,89 @@ func TestEngineAdmissionSpreadsWithinEpoch(t *testing.T) {
 		if !dec.Admitted && dec.Reason == sfcroute.ReasonInfeasible {
 			t.Fatalf("flow %d provably infeasible under 0.40 target: %+v", dec.Flow, dec)
 		}
+	}
+}
+
+// TestResumeRoutesRestoredState: an engine resumed from State serves the
+// routing report of what it restored — the saved rates and placement on
+// the saved degraded fabric, at the saved epoch — not the base-rate,
+// pristine-fabric, epoch-0 pass its construction ran, and from there on
+// routes every epoch as the saved engine does. With congestion pricing
+// (Alpha > 0) that takes the loads that priced the saved engine's last
+// pass, which State carries.
+func TestResumeRoutesRestoredState(t *testing.T) {
+	for _, alpha := range []float64{0, 2} {
+		t.Run(fmt.Sprintf("alpha=%v", alpha), func(t *testing.T) {
+			d, sfc, w := routingScenario(t)
+			cfg := Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+				Routing: &RoutingConfig{LinkCapacity: 12, Alpha: alpha, Classify: true}}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			same := func(stage string, r *Engine) {
+				t.Helper()
+				if got, want := r.RoutingReport(), e.RoutingReport(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: resumed routing report\n got: %+v\nwant: %+v", stage, got, want)
+				}
+				if got, want := r.Snapshot().Routing, e.Snapshot().Routing; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: resumed snapshot summary %+v, want %+v", stage, got, want)
+				}
+			}
+			resume := func(stage string) *Engine {
+				t.Helper()
+				blob, err := e.MarshalState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := ResumeJSON(cfg, blob)
+				if err != nil {
+					t.Fatalf("%s: ResumeJSON: %v", stage, err)
+				}
+				same(stage+", just resumed", r)
+				return r
+			}
+
+			core := d.Switches()[len(d.Switches())-1]
+			step := func(updates ...RateUpdate) func(*Engine) error {
+				return func(x *Engine) error {
+					if _, err := x.Ingest(updates); err != nil {
+						return err
+					}
+					_, err := x.Step()
+					return err
+				}
+			}
+			// r is resumed after every stage and then taken through the next
+			// one next to e: it must land where e does.
+			r := resume("new")
+			priced := false
+			for i, stage := range []func(*Engine) error{
+				step(RateUpdate{Flow: 0, Rate: 11}),
+				step(RateUpdate{Flow: 1, Rate: 4}),
+				func(x *Engine) error {
+					_, err := x.ApplyFaults(context.Background(), []fault.Fault{{Kind: fault.Switch, U: core}}, nil)
+					return err
+				},
+				step(RateUpdate{Flow: 0, Rate: 24}, RateUpdate{Flow: 3, Rate: 2}),
+				step(),
+			} {
+				name := fmt.Sprintf("stage %d", i)
+				for _, x := range []*Engine{e, r} {
+					if err := stage(x); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+				same(name+", one epoch after resuming", r)
+				priced = priced || len(e.State().PricedFrom) > 0
+				r = resume(name)
+			}
+			if rep := e.RoutingReport(); rep.Rejected == 0 || rep.Admitted == 0 {
+				t.Fatalf("fixture is not over capacity: %+v", rep)
+			}
+			if priced != (alpha > 0) {
+				t.Fatalf("state carried pricing loads: %v, with alpha %v", priced, alpha)
+			}
+		})
 	}
 }

@@ -1,17 +1,20 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"vnfopt/internal/fault"
 	"vnfopt/internal/model"
+	"vnfopt/internal/routing"
 )
 
 // State is the engine's durable core — everything needed to resume the
 // control loop after a crash or restart, given the same Config (the PPDC,
 // SFC, flow endpoints, and policy are configuration, not state). The
-// daemon persists one State per scenario on graceful shutdown.
+// daemon writes one into a scenario's log with every checkpoint.
 type State struct {
 	// Epoch is the number of completed epochs.
 	Epoch int `json:"epoch"`
@@ -27,12 +30,25 @@ type State struct {
 	// Faults holds the active topology faults; Resume reapplies them so
 	// a restarted engine comes back in the same degraded mode it left.
 	Faults []fault.Fault `json:"faults,omitempty"`
+	// PricedFrom holds the link loads that priced the last routing pass,
+	// by link (Routing.Alpha > 0; absent when that pass ran unpriced).
+	// Resume re-runs the pass from them, so the routing report and every
+	// later pass come out as the saved engine's.
+	PricedFrom []PricedLink `json:"priced_from,omitempty"`
 	// Metrics carries the monotonic counters across the restart.
 	Metrics Metrics `json:"metrics"`
 }
 
+// PricedLink is one link's load in State.PricedFrom.
+type PricedLink struct {
+	U    int     `json:"u"`
+	V    int     `json:"v"`
+	Load float64 `json:"load"`
+}
+
 // State captures the engine's durable core. Pending (un-stepped) updates
-// are not part of it: an epoch that has not closed has not happened.
+// are not part of it: an epoch that has not closed has not happened — a
+// caller that must lose nothing captures a Settled engine.
 func (e *Engine) State() *State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -47,12 +63,32 @@ func (e *Engine) State() *State {
 		Metrics:        e.met,
 	}
 	st.Metrics.Trajectory = append([]float64(nil), e.met.Trajectory...)
+	for l, load := range e.pricedFrom {
+		st.PricedFrom = append(st.PricedFrom, PricedLink{U: l.U, V: l.V, Load: load})
+	}
+	slices.SortFunc(st.PricedFrom, func(a, b PricedLink) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+	})
 	return st
 }
 
 // MarshalState serializes State as JSON.
 func (e *Engine) MarshalState() ([]byte, error) {
 	return json.Marshal(e.State())
+}
+
+// Rebase rebuilds the cost cache from the live rates, the way Resume
+// builds it, and republishes the snapshot. The cache's delta path
+// accumulates one rounding per update, so a cache with history and a
+// rebuilt one agree to reassociation tolerance, not bit for bit. A caller
+// that has saved State and will Resume from it in place of this engine's
+// history — the daemon, behind a checkpoint — rebases, so this engine and
+// the resumed one carry on from the same bits.
+func (e *Engine) Rebase() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.cache.SetWorkload(e.servedWorkload())
+	e.publish(e.cache.CommCost(e.p))
 }
 
 // Resume builds an engine from a configuration plus a saved State,
@@ -70,7 +106,7 @@ func Resume(cfg Config, st *State) (*Engine, error) {
 		return nil, fmt.Errorf("engine: state has no placement")
 	}
 	cfg.Initial = st.Placement
-	e, err := New(cfg)
+	e, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -106,8 +142,22 @@ func Resume(cfg Config, st *State) (*Engine, error) {
 	e.lastMigEpoch = st.LastMigration
 	e.met = st.Metrics
 	e.met.Trajectory = append([]float64(nil), st.Metrics.Trajectory...)
-	e.publish(e.cache.CommCost(e.p))
-	return e, nil
+	// The routing pass begin runs is the saved engine's last one over
+	// again: same rates, placement and serving model, priced from the
+	// same loads.
+	if len(st.PricedFrom) > 0 && e.cfg.Routing != nil {
+		if err := e.ensureRouter(); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		loads := make(map[routing.Link]float64, len(st.PricedFrom))
+		for _, pl := range st.PricedFrom {
+			loads[routing.Link{U: pl.U, V: pl.V}] = pl.Load
+		}
+		if err := e.router.SetLoads(loads); err != nil {
+			return nil, fmt.Errorf("engine: state priced_from: %w", err)
+		}
+	}
+	return e.begin(e.cache.CommCost(e.p))
 }
 
 // ResumeJSON is Resume from serialized state.

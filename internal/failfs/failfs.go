@@ -1,13 +1,13 @@
 // Package failfs is the filesystem seam the durability layer is proven
 // through. Everything that must survive a crash — the write-ahead log
-// (internal/wal) and the daemon's snapshot writer — performs its I/O
-// through the FS interface instead of the os package, so a test can
-// substitute Faulty: a wrapper that kills the "process" at the N-th
-// write/fsync/rename boundary, optionally committing a torn prefix of
-// the final write, exactly like a power cut would. The crash-injection
-// suite in cmd/vnfoptd iterates that kill point across every I/O
-// boundary of a live workload and asserts recovery is bit-identical to
-// an engine that never crashed.
+// (internal/wal) and the daemon's handling of its directories —
+// performs its I/O through the FS interface instead of the os package,
+// so a test can substitute Faulty: a wrapper that kills the "process" at
+// the N-th write/fsync/rename boundary, optionally committing a torn
+// prefix of the final write, exactly like a power cut would. The
+// crash-injection suite in cmd/vnfoptd iterates that kill point across
+// every I/O boundary of a live workload and asserts recovery is
+// bit-identical to an engine that never crashed.
 //
 // Only mutating operations count as crash points; reads fail after the
 // crash (a dead process reads nothing) but never advance the op
@@ -18,7 +18,6 @@ package failfs
 import (
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // File is the subset of *os.File the durability layer writes through.
@@ -32,8 +31,8 @@ type File interface {
 	Truncate(size int64) error
 }
 
-// FS is the operation set wal and the snapshot writer need. OS is the
-// real filesystem; Faulty wraps any FS with crash injection.
+// FS is the operation set wal and the daemon need. OS is the real
+// filesystem; Faulty wraps any FS with crash injection.
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics. Opening with
 	// os.O_CREATE counts as a mutating op on a Faulty FS.
@@ -75,51 +74,4 @@ func (osFS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// WriteFileAtomic writes data to path so a crash at any instant leaves
-// either the old file or the new one, never a torn mix:
-//
-//  1. the bytes land in a same-directory temp file (rename only works
-//     atomically within one filesystem),
-//  2. the temp file is fsynced before rename — otherwise the rename can
-//     hit disk before the data and a power cut leaves an empty file
-//     under the final name,
-//  3. the rename swaps it in,
-//  4. the directory is fsynced so the rename itself is durable.
-//
-// The temp name is fixed (path + ".tmp"), so an interrupted write is
-// overwritten by the next attempt instead of leaking files. This is the
-// one audited fsync+rename+dir-sync path shared by the daemon snapshot
-// writer and anything else persisting whole files; going through fsys
-// keeps it crash-injectable.
-func WriteFileAtomic(fsys FS, path string, data []byte, perm os.FileMode) error {
-	tmp := path + ".tmp"
-	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return err
-	}
-	// Best-effort like the historical daemon path: the rename has already
-	// ordered data before name, and a lost dir entry is equivalent to
-	// crashing a moment earlier.
-	_ = fsys.SyncDir(filepath.Dir(path))
-	return nil
 }

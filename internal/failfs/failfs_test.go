@@ -7,13 +7,52 @@ import (
 	"testing"
 )
 
+// writeFileAtomic is the textbook whole-file protocol the two tests
+// below push through the seam — temp file in the same directory, fsync,
+// rename, directory fsync — so that a crash at any instant leaves either
+// the old file or the new one. Nothing in the tree persists whole files
+// any more (every durable byte goes through internal/wal); the protocol
+// stays here as the workload that proves Faulty counts, tears and kills
+// the way a power cut would. A wal workload could not stand in for it:
+// the log never renames, and the daemon's delete tombstone and state-file
+// import lean on exactly the rename and dir-sync behaviour pinned here.
+func writeFileAtomic(fsys FS, path string, data []byte, perm os.FileMode) error {
+	tmp := path + ".tmp"
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	// Best-effort: the rename has already ordered data before name, and a
+	// lost dir entry is equivalent to crashing a moment earlier.
+	_ = fsys.SyncDir(filepath.Dir(path))
+	return nil
+}
+
 // TestWriteFileAtomicRoundTrip: the happy path writes the bytes and
 // leaves no temp file behind.
 func TestWriteFileAtomicRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
 	for i, payload := range []string{"first", "second, longer payload"} {
-		if err := WriteFileAtomic(OS, path, []byte(payload), 0o644); err != nil {
+		if err := writeFileAtomic(OS, path, []byte(payload), 0o644); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		got, err := os.ReadFile(path)
@@ -40,10 +79,10 @@ func TestWriteFileAtomicCrashEveryPoint(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "state.json")
 		old, new_ := []byte("old-payload-old-payload"), []byte("NEW-PAYLOAD-NEW-PAYLOAD-NEW")
-		if err := WriteFileAtomic(OS, path, old, 0o644); err != nil {
+		if err := writeFileAtomic(OS, path, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFileAtomic(probe, path, new_, 0o644); err != nil {
+		if err := writeFileAtomic(probe, path, new_, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		total := probe.Ops()
@@ -54,12 +93,12 @@ func TestWriteFileAtomicCrashEveryPoint(t *testing.T) {
 		for k := 1; k <= total; k++ {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "state.json")
-			if err := WriteFileAtomic(OS, path, old, 0o644); err != nil {
+			if err := writeFileAtomic(OS, path, old, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			ffs := NewFaulty(OS)
 			ffs.CrashAt(k, torn)
-			err := WriteFileAtomic(ffs, path, new_, 0o644)
+			err := writeFileAtomic(ffs, path, new_, 0o644)
 			if err == nil {
 				// Only the advisory dir-sync may crash without failing the
 				// call; the rename must then already have happened.

@@ -153,7 +153,7 @@ type RestartPhase struct {
 	// and the post-restart verification reads.
 	Seconds float64 `json:"seconds"`
 	// RecoverySeconds is the wait from the hook returning until the /v1
-	// surface answered 200 — snapshot load plus WAL replay.
+	// surface answered 200 — the WAL replay.
 	RecoverySeconds float64 `json:"recovery_seconds"`
 	// ScenariosOK counts scenarios whose metrics were readable after the
 	// restart.

@@ -510,6 +510,24 @@ func (r *Router) Loads() map[routing.Link]float64 {
 	return out
 }
 
+// SetLoads replaces the committed loads with a Loads result saved from a
+// router over the same fabric, so the next BeginEpoch prices from them:
+// a resumed engine re-enters the drift loop where the saved one stood.
+func (r *Router) SetLoads(loads map[routing.Link]float64) error {
+	clear(r.load)
+	for l, v := range loads {
+		i, ok := r.lidx[mkLink(l.U, l.V)]
+		if !ok {
+			return fmt.Errorf("sfcroute: no link (%d,%d) in the fabric", l.U, l.V)
+		}
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sfcroute: link (%d,%d): invalid load %v", l.U, l.V, v)
+		}
+		r.load[i] = v
+	}
+	return nil
+}
+
 // LinkLoads returns the capacity-aware load records of the committed
 // flows, hottest first (routing.Loads over the router's capacities).
 func (r *Router) LinkLoads() []routing.LinkLoad {

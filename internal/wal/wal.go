@@ -1,11 +1,10 @@
-// Package wal is a per-scenario write-ahead log: the durability layer
-// that closes the gap between the daemon's periodic snapshots and the
-// moment of a crash. Each scenario shard appends one record per
-// mutating command — create, ingest batch, step, fault transition —
-// *before* the command is applied and acknowledged, so recovery is
-// snapshot + replay: restore the last durable snapshot, then re-execute
-// the logged suffix through the real (deterministic) engine, landing on
-// the exact pre-crash decision state instead of a stale checkpoint.
+// Package wal is a per-scenario write-ahead log: a scenario's log
+// directory is its whole durable state. Each scenario shard appends one
+// record per mutating command — create, ingest batch, step, fault
+// transition — *before* the command is applied and acknowledged, so
+// recovery is replay: rebuild the scenario from the log's latest create
+// record, then re-execute the records after it through the real
+// (deterministic) engine, landing on the exact pre-crash decision state.
 //
 // On-disk layout: one directory per scenario holding numbered segment
 // files (<firstSeq>.wal). A segment starts with an 8-byte magic+version
@@ -23,12 +22,11 @@
 // was never acknowledged. Corruption in the *middle* of the chain
 // (which append-only writing cannot produce) is reported as an error.
 //
-// Segments rotate at Options.SegmentBytes. Compaction is
-// snapshot-anchored: after the daemon's snapshot (which embeds the
-// applied seq per scenario) is durably on disk, Anchor(seq) appends an
-// anchor record and deletes the segments whose records all fall at or
-// below seq — replay of the surviving suffix on top of that snapshot
-// reconstructs the full state.
+// Segments rotate at Options.SegmentBytes. Compaction is a checkpoint:
+// Checkpoint appends a record that by itself rebuilds the owner's state
+// (the daemon's create-with-state) as the first record of a fresh
+// segment, fsyncs it, and deletes every older segment — the log stays
+// proportional to the traffic since the last checkpoint.
 package wal
 
 import (
@@ -61,8 +59,8 @@ const (
 	TypeStep Type = 3
 	// TypeFaults carries one fault transition (JSON inject/heal sets).
 	TypeFaults Type = 4
-	// TypeAnchor marks a durable snapshot covering every record up to the
-	// seq in its 8-byte payload; replay skips it.
+	// TypeAnchor is no longer written: logs compacted by an older build
+	// carry it (a snapshot-file marker), and replay skips it.
 	TypeAnchor Type = 5
 )
 
@@ -162,8 +160,8 @@ const (
 	frameOverhead = 8
 	// bodyMin = type byte + seq.
 	bodyMin = 9
-	// maxBody bounds one record's body during decode; anything larger is
-	// treated as a torn/corrupt length.
+	// maxBody bounds one record's body: append refuses anything larger,
+	// and decode treats a larger length as torn/corrupt.
 	maxBody = 64 << 20
 )
 
@@ -174,8 +172,8 @@ var header = [headerSize]byte{'V', 'W', 'A', 'L', 'S', 'E', 'G', 1}
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Log is one scenario's write-ahead log. All methods are safe for
-// concurrent use; in the daemon, appends come from the scenario's actor
-// and Anchor from the snapshot loop.
+// concurrent use; in the daemon, appends and checkpoints both come from
+// the scenario's actor.
 type Log struct {
 	mu   sync.Mutex
 	fs   failfs.FS
@@ -408,16 +406,60 @@ func (l *Log) Replay(fn func(Record) error) error {
 // poisons the log (the segment tail is suspect) — every later Append
 // fails until the log is reopened, which re-runs torn-tail recovery.
 func (l *Log) Append(typ Type, payload []byte) (uint64, error) {
-	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.appendLocked(typ, payload, false)
+}
+
+// Checkpoint appends a record that by itself rebuilds everything the
+// log's earlier records describe, and drops those records: it starts a
+// fresh segment, appends the record as its first, fsyncs whatever the
+// sync policy, and only then removes every older segment. A crash
+// before the fsync leaves the old chain (plus a torn tail Open drops);
+// a crash after it leaves old segments in front of the checkpoint, which
+// the record supersedes on replay. Failing to append poisons the log
+// like any failed Append; failing to remove an old segment is returned
+// but leaves the log fully usable — the next Checkpoint removes it.
+func (l *Log) Checkpoint(typ Type, payload []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, err := l.appendLocked(typ, payload, true); err != nil {
+		return err
+	}
+	removed := 0
+	for len(l.segs) > 1 {
+		if err := l.fs.Remove(filepath.Join(l.dir, l.segs[0].name)); err != nil {
+			return fmt.Errorf("wal: compact: %w", err)
+		}
+		l.segs = l.segs[1:]
+		removed++
+		l.m.observeCompact(1)
+		l.m.observeSegments(-1)
+	}
+	if removed > 0 {
+		if err := l.fs.SyncDir(l.dir); err != nil {
+			return fmt.Errorf("wal: compact: %w", err)
+		}
+	}
+	return nil
+}
+
+// appendLocked is Append with l.mu held. checkpoint makes the record
+// the first of a fresh segment and durable before returning.
+func (l *Log) appendLocked(typ Type, payload []byte, checkpoint bool) (uint64, error) {
+	start := time.Now()
 	if l.closed {
 		return 0, ErrClosed
 	}
 	if l.failed != nil {
 		return 0, fmt.Errorf("wal: log poisoned by earlier append failure: %w", l.failed)
 	}
-	if err := l.ensureSegmentLocked(); err != nil {
+	if bodyMin+len(payload) > maxBody {
+		// Decode would take it for a torn tail and truncate it away; refuse
+		// before touching the segment, so the log stays usable.
+		return 0, fmt.Errorf("wal: %s record of %d bytes exceeds the %d-byte limit", typ, len(payload), maxBody-bodyMin)
+	}
+	if err := l.ensureSegmentLocked(checkpoint); err != nil {
 		l.failed = err
 		return 0, err
 	}
@@ -437,18 +479,11 @@ func (l *Log) Append(typ Type, payload []byte) (uint64, error) {
 	}
 	l.actSize += int64(len(buf))
 	l.dirty = true
-	switch l.opts.Policy {
-	case SyncAlways:
+	if checkpoint || l.opts.Policy == SyncAlways ||
+		(l.opts.Policy == SyncInterval && time.Since(l.lastSync) >= l.opts.SyncEvery) {
 		if err := l.syncLocked(); err != nil {
 			l.failed = err
 			return 0, err
-		}
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.SyncEvery {
-			if err := l.syncLocked(); err != nil {
-				l.failed = err
-				return 0, err
-			}
 		}
 	}
 	l.nextSeq++
@@ -457,12 +492,21 @@ func (l *Log) Append(typ Type, payload []byte) (uint64, error) {
 }
 
 // ensureSegmentLocked opens the active segment, creating or rotating as
-// needed. Called with l.mu held.
-func (l *Log) ensureSegmentLocked() error {
-	if l.active != nil && l.actSize < l.opts.SegmentBytes {
-		return nil
+// needed: the next record goes into the last segment while that has
+// room — or, when fresh is set, only if it would be that segment's
+// first record. Called with l.mu held.
+func (l *Log) ensureSegmentLocked(fresh bool) error {
+	usable := func(size int64) bool {
+		if fresh {
+			return l.segs[len(l.segs)-1].first == l.nextSeq
+		}
+		return size < l.opts.SegmentBytes
 	}
-	if l.active != nil { // rotate: seal the full segment
+	if l.active != nil {
+		if usable(l.actSize) {
+			return nil
+		}
+		// Rotate: seal the segment.
 		if err := l.syncLocked(); err != nil {
 			return err
 		}
@@ -472,13 +516,13 @@ func (l *Log) ensureSegmentLocked() error {
 		l.active = nil
 	} else if len(l.segs) > 0 {
 		// Fresh log handle over an existing chain: append to the last
-		// segment unless it is already full.
+		// segment if it can take the record.
 		seg := l.segs[len(l.segs)-1]
 		fi, err := l.fs.Stat(filepath.Join(l.dir, seg.name))
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		if fi.Size() < l.opts.SegmentBytes {
+		if usable(fi.Size()) {
 			f, err := l.fs.OpenFile(filepath.Join(l.dir, seg.name), os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return fmt.Errorf("wal: %w", err)
@@ -528,56 +572,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Sync forces any buffered appends to stable storage (a no-op when
-// clean). Interval-policy users call it before acknowledging work that
-// must be durable immediately, e.g. a final snapshot anchor.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.syncLocked()
-}
-
-// Anchor records that a snapshot covering every record with seq <=
-// appliedSeq is durably on disk: it appends (and fsyncs) an anchor
-// record, then deletes the segments made redundant by the snapshot.
-// The active segment is never deleted. Compaction failures are returned
-// but leave the log fully usable — deleting old segments is an
-// optimization, not a correctness requirement.
-func (l *Log) Anchor(appliedSeq uint64) error {
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint64(payload, appliedSeq)
-	if _, err := l.Append(TypeAnchor, payload); err != nil {
-		return err
-	}
-	if err := l.Sync(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// A segment is redundant when every record in it has seq <=
-	// appliedSeq, i.e. the next segment starts at or below appliedSeq+1.
-	removed := 0
-	for len(l.segs) > 1 && l.segs[1].first <= appliedSeq+1 {
-		path := filepath.Join(l.dir, l.segs[0].name)
-		if err := l.fs.Remove(path); err != nil {
-			return fmt.Errorf("wal: compact: %w", err)
-		}
-		l.segs = l.segs[1:]
-		removed++
-	}
-	if removed > 0 {
-		if err := l.fs.SyncDir(l.dir); err != nil {
-			return fmt.Errorf("wal: compact: %w", err)
-		}
-		l.m.observeCompact(removed)
-		l.m.observeSegments(-removed)
-	}
-	return nil
-}
-
 // NextSeq is the sequence number the next Append will assign.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
@@ -598,9 +592,6 @@ func (l *Log) TruncatedTails() int {
 	defer l.mu.Unlock()
 	return l.truncated
 }
-
-// Dir is the log's directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Close syncs and closes the active segment. Idempotent; appends after
 // Close fail with ErrClosed.

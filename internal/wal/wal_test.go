@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -89,9 +88,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 // TestSegmentRotationAndCompaction: a small segment size forces
-// rotation; anchoring at an applied seq deletes exactly the segments
-// the snapshot covers, and replay of the survivors starts past the
-// anchor-covered prefix.
+// rotation; a checkpoint lands as the first record of a fresh segment
+// and deletes every segment before it, and later appends chain on.
 func TestSegmentRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 256})
@@ -109,41 +107,51 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 	if l.Segments() < 3 {
 		t.Fatalf("expected rotation, got %d segments", l.Segments())
 	}
-	before := l.Segments()
 
-	anchor := lastSeq - 5
-	if err := l.Anchor(anchor); err != nil {
+	if err := l.Checkpoint(TypeCreate, []byte("whole state")); err != nil {
 		t.Fatal(err)
 	}
-	if l.Segments() >= before {
-		t.Fatalf("compaction removed nothing: %d -> %d segments", before, l.Segments())
+	if l.Segments() != 1 {
+		t.Fatalf("checkpoint left %d segments, want 1", l.Segments())
 	}
-	// Every surviving record below the anchor must still chain correctly,
-	// and nothing at or after anchor+1 may be missing.
+	if _, err := os.Stat(filepath.Join(dir, segName(lastSeq+1))); err != nil {
+		t.Fatalf("checkpoint did not start a segment of its own: %v", err)
+	}
+	if _, err := l.Append(TypeStep, nil); err != nil {
+		t.Fatal(err)
+	}
 	got := replayAll(t, l)
-	if got[0].Seq > anchor+1 {
-		t.Fatalf("compaction deleted too much: first surviving seq %d > anchor+1 %d", got[0].Seq, anchor+1)
+	if len(got) != 2 || got[0].Type != TypeCreate || got[0].Seq != lastSeq+1 || string(got[0].Payload) != "whole state" || got[1].Seq != lastSeq+2 {
+		t.Fatalf("replay after checkpoint: %+v, want the checkpoint at seq %d and one step", got, lastSeq+1)
 	}
-	last := got[len(got)-1]
-	if last.Type != TypeAnchor {
-		t.Fatalf("last record %v, want anchor", last.Type)
+	// A checkpoint right behind a checkpoint still gets a fresh segment.
+	if err := l.Checkpoint(TypeCreate, []byte("again")); err != nil {
+		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint64(last.Payload); v != anchor {
-		t.Fatalf("anchor payload %d, want %d", v, anchor)
+	if got := replayAll(t, l); len(got) != 1 || string(got[0].Payload) != "again" {
+		t.Fatalf("replay after second checkpoint: %+v", got)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Seq != got[i-1].Seq+1 {
-			t.Fatalf("seq gap %d -> %d", got[i-1].Seq, got[i].Seq)
-		}
+	// A record too large to decode is refused before anything is written
+	// or removed, and the log stays usable.
+	if err := l.Checkpoint(TypeCreate, make([]byte, maxBody)); err == nil {
+		t.Fatal("oversized checkpoint accepted")
+	}
+	if _, err := l.Append(TypeStep, nil); err != nil {
+		t.Fatalf("append after a refused oversized record: %v", err)
+	}
+	if got := replayAll(t, l); len(got) != 2 || string(got[0].Payload) != "again" {
+		t.Fatalf("replay after the refused record: %+v", got)
 	}
 }
 
 // TestReopenAfterCompaction: a compacted log no longer starts at seq 1;
-// reopening must accept a chain that begins at the first surviving
-// segment and keep appending from the true tail.
+// reopening must accept a chain that begins at the checkpoint's segment
+// and keep appending from the true tail — and a checkpoint is fsynced
+// whatever the sync policy.
 func TestReopenAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 256})
+	m := NewMetrics(obs.NewRegistry())
+	l, err := Open(dir, Options{SegmentBytes: 256, Policy: SyncOS, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +162,12 @@ func TestReopenAfterCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Anchor(last - 3); err != nil {
+	syncs := m.syncs.Value()
+	if err := l.Checkpoint(TypeCreate, payload); err != nil {
 		t.Fatal(err)
+	}
+	if m.syncs.Value() == syncs {
+		t.Fatal("checkpoint under the os policy was not fsynced")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -166,12 +178,88 @@ func TestReopenAfterCompaction(t *testing.T) {
 		t.Fatalf("reopen after compaction: %v", err)
 	}
 	defer l2.Close()
-	got := replayAll(t, l2)
-	if got[0].Seq == 1 {
-		t.Fatal("compaction removed nothing; test is vacuous")
+	if got := replayAll(t, l2); len(got) != 1 || got[0].Seq != last+1 {
+		t.Fatalf("replay after reopen: %+v, want only the checkpoint at seq %d", got, last+1)
 	}
 	if seq, err := l2.Append(TypeStep, nil); err != nil || seq != last+2 {
 		t.Fatalf("append after reopen: seq %d err %v, want %d", seq, err, last+2)
+	}
+}
+
+// TestCheckpointCrashEveryPoint kills the filesystem at every I/O
+// boundary of a checkpoint over a multi-segment log, in both flavours,
+// and reopens what is left: the chain is contiguous, it still holds a
+// create record, and everything the dead process had appended is either
+// in front of the checkpoint or superseded by it.
+func TestCheckpointCrashEveryPoint(t *testing.T) {
+	build := func(fs failfs.FS) (string, *Log, uint64) {
+		dir := t.TempDir()
+		l, err := Open(dir, Options{FS: fs, SegmentBytes: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, err := l.Append(TypeCreate, []byte("v0"))
+		for i := 0; i < 12 && err == nil; i++ {
+			last, err = l.Append(TypeIngest, bytes.Repeat([]byte{byte(i)}, 32))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Segments() < 3 {
+			t.Fatalf("expected rotation, got %d segments", l.Segments())
+		}
+		return dir, l, last
+	}
+	probe := failfs.NewFaulty(failfs.OS)
+	_, l, _ := build(probe)
+	probe.CrashAt(0, false)
+	if err := l.Checkpoint(TypeCreate, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	total := probe.Ops()
+	if total < 7 { // create, header, fsync, dir sync, record, fsync, ≥ 2 removes, dir sync
+		t.Fatalf("suspiciously few I/O boundaries in a checkpoint: %d", total)
+	}
+	for _, torn := range []bool{false, true} {
+		for k := 1; k <= total; k++ {
+			ffs := failfs.NewFaulty(failfs.OS)
+			dir, l, last := build(ffs)
+			ffs.CrashAt(k, torn)
+			if err := l.Checkpoint(TypeCreate, []byte("v1")); err == nil {
+				t.Fatalf("torn=%v k=%d: checkpoint through a crashed fs succeeded", torn, k)
+			}
+			l.Close()
+
+			l2, err := Open(dir, Options{SegmentBytes: 128})
+			if err != nil {
+				t.Fatalf("torn=%v k=%d: reopen: %v", torn, k, err)
+			}
+			got := replayAll(t, l2)
+			l2.Close()
+			lastCreate := -1
+			for i, r := range got {
+				if i > 0 && r.Seq != got[i-1].Seq+1 {
+					t.Fatalf("torn=%v k=%d: seq gap %d -> %d", torn, k, got[i-1].Seq, r.Seq)
+				}
+				if r.Type == TypeCreate {
+					lastCreate = i
+				}
+			}
+			if lastCreate < 0 {
+				t.Fatalf("torn=%v k=%d: no create record survived: %+v", torn, k, got)
+			}
+			// Either the checkpoint is the tail, or it never landed and the
+			// original chain is whole.
+			tail := got[len(got)-1]
+			if string(got[lastCreate].Payload) == "v1" {
+				if lastCreate != len(got)-1 || tail.Seq != last+1 {
+					t.Fatalf("torn=%v k=%d: checkpoint at index %d of %d, seq %d", torn, k, lastCreate, len(got), tail.Seq)
+				}
+			} else if got[0].Seq != 1 || tail.Seq != last {
+				t.Fatalf("torn=%v k=%d: checkpoint lost and the old chain is %d..%d, want 1..%d", torn, k, got[0].Seq, tail.Seq, last)
+			}
+		}
 	}
 }
 
@@ -350,9 +438,10 @@ func TestAppendFailurePoisonsLog(t *testing.T) {
 	}
 }
 
-// TestConcurrentAppendAnchor exercises the append path racing Anchor
-// (the daemon's snapshot loop) under -race.
-func TestConcurrentAppendAnchor(t *testing.T) {
+// TestConcurrentAppendCheckpoint exercises the append path racing
+// Checkpoint under -race (the daemon runs both on one actor; the log
+// does not rely on that).
+func TestConcurrentAppendCheckpoint(t *testing.T) {
 	l := openTemp(t, Options{SegmentBytes: 512})
 	done := make(chan error, 1)
 	go func() {
@@ -365,11 +454,8 @@ func TestConcurrentAppendAnchor(t *testing.T) {
 		done <- nil
 	}()
 	for i := 0; i < 20; i++ {
-		seq := l.NextSeq()
-		if seq > 1 {
-			if err := l.Anchor(seq - 1); err != nil {
-				t.Fatal(err)
-			}
+		if err := l.Checkpoint(TypeCreate, []byte("state")); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := <-done; err != nil {
