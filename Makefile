@@ -39,11 +39,12 @@ bench-solver:
 
 # Bitwise assert plus one-iteration smoke of the incremental fault-event
 # APSP path against the full rebuild: every event class (link, switch,
-# rack, and the worst-case picks) must produce a view identical to
-# Rebuild before the bench-harness runs once over the -short topologies
-# (results/BENCH_apsp.json records the full numbers).
+# rack, the worst-case picks, and the heals — switch_back among them)
+# must produce a view identical to Rebuild before the bench-harness runs
+# once over the -short topologies (results/BENCH_apsp.json records the
+# full numbers).
 bench-apsp-delta:
-	$(GO) test -run TestFaultEventIncrementalMatchesRebuild -bench BenchmarkFaultEvent -benchtime 1x -short ./internal/fault/
+	$(GO) test -run TestFaultEventIncrementalMatchesRebuild -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal' -benchtime 1x -short ./internal/fault/
 
 # Bitwise assert plus one-iteration smoke of the weight-delta APSP path
 # (degrade faults / link re-pricing) against the full rebuild: every
@@ -162,6 +163,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFaultHealRoundTrip -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzIncrementalAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
+	$(GO) test -fuzz FuzzRepairRows -fuzztime $(FUZZTIME) -run xxx ./internal/graph/
 	$(GO) test -fuzz FuzzMinCostFlow -fuzztime $(FUZZTIME) -run xxx ./internal/mcf/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/

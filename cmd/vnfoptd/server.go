@@ -330,11 +330,11 @@ func newServer() *server {
 		apsp.Observe(elapsed.Seconds())
 		apspVerts.Set(float64(vertices))
 	})
-	// Incremental APSP updates: wall time per delta, how many Dijkstra
-	// sources the last transition actually re-ran — the live view of the
-	// dirty-source optimisation doing its job — and per-kind counters so
-	// fault-transition deltas (inject/heal) and weight deltas (degrade,
-	// epoch re-pricing) are distinguishable in exposition.
+	// Incremental APSP updates: wall time per delta, how many rows the
+	// last transition could not carry over or patch (repaired or re-run)
+	// — the live view of the dirty-source classifier — and per-kind
+	// counters so fault-transition deltas (inject/heal) and weight deltas
+	// (degrade, epoch re-pricing) are distinguishable in exposition.
 	apspDelta := s.reg.Histogram("vnfopt_apsp_delta_seconds")
 	apspDirty := s.reg.Gauge("vnfopt_apsp_dirty_sources")
 	apspFaultDeltas := s.reg.Counter("vnfopt_apsp_fault_deltas")

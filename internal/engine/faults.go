@@ -113,11 +113,14 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	if backoff <= 0 {
 		backoff = 25 * time.Millisecond
 	}
+	// One cost cache per event: every repair attempt prices against it and
+	// the commit below installs the same object.
+	cache := plan.PPDC.NewWorkloadCache(plan.Served)
 	var res *migration.RepairResult
 	attempts := 0
 	for {
 		attempts++
-		res, err = migration.Repair(ctx, plan.PPDC, e.cfg.PPDC, plan.Served, e.cfg.SFC, e.p, e.cfg.Mu, e.mig)
+		res, err = migration.Repair(ctx, plan.PPDC, e.cfg.PPDC, plan.Served, cache, e.cfg.SFC, e.p, e.cfg.Mu, e.mig)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 		}
@@ -136,7 +139,6 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	// together under the engine lock.
 	e.flows = flows
 	clear(e.pending)
-	cache := plan.PPDC.NewWorkloadCache(plan.Served)
 	if e.obs != nil {
 		cache.SetObserver(e.obs)
 	}

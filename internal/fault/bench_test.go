@@ -1,11 +1,13 @@
 package fault
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"vnfopt/internal/benchmeta"
 	"vnfopt/internal/model"
 	"vnfopt/internal/topology"
 )
@@ -16,6 +18,13 @@ import (
 // numbers under "fault_events".
 
 var benchModels sync.Map // name -> *model.PPDC
+
+// logHost prints the environment block results/BENCH_apsp.json is
+// recorded with.
+func logHost(b *testing.B) {
+	host, _ := json.Marshal(benchmeta.Collect())
+	b.Logf("host %s", host)
+}
 
 func benchModel(b *testing.B, name string) *model.PPDC {
 	if d, ok := benchModels.Load(name); ok {
@@ -112,8 +121,9 @@ var benchEvents = []string{"link", "switch", "rack", "link_worst", "switch_worst
 
 // BenchmarkFaultEvent measures one inject transition from the pristine
 // fabric: the incremental path (ApplyDelta from the pristine view,
-// recomputing only dirty Dijkstra sources) against the full Rebuild.
+// repairing only the dirty rows) against the full Rebuild.
 func BenchmarkFaultEvent(b *testing.B) {
+	logHost(b)
 	topos := []string{"fattree_k8", "fattree_k16"}
 	if !testing.Short() {
 		topos = append(topos, "jellyfish_5k")
@@ -149,39 +159,57 @@ func BenchmarkFaultEvent(b *testing.B) {
 	}
 }
 
-// BenchmarkFaultHeal measures the restore direction: from a two-fault
-// degraded view, heal one link (the other fault keeps the view off the
-// empty-set shortcut, so the delta path really runs).
+// healEvent builds one named heal transition on d: the degraded set the
+// heal starts from and the set it leaves. A second fault (the last
+// switch) stays active throughout, keeping the view off the empty-set
+// shortcut so the delta path really runs.
+func healEvent(d *model.PPDC, event string) (both, after FaultSet) {
+	var healed Fault
+	switch event {
+	case "link":
+		link, _ := eventFaults(d, "link")
+		healed = link.Faults()[0]
+	case "switch_back":
+		// The fault storm's heaviest class: the lowest-id core switch comes
+		// back. Its restored links win the (cost, vertex) tie-break nearly
+		// everywhere, so every source is dirty — for about two changed
+		// cells a row.
+		healed = Fault{Kind: Switch, U: d.Topo.Switches[0]}
+	}
+	after = NewFaultSet(Fault{Kind: Switch, U: d.Topo.Switches[len(d.Topo.Switches)-1]})
+	return after.Add(healed), after
+}
+
+var healEvents = []string{"link", "switch_back"}
+
+// BenchmarkFaultHeal measures the restore direction, from a two-fault
+// degraded view: heal one link, and bring a switch back.
 func BenchmarkFaultHeal(b *testing.B) {
+	logHost(b)
 	for _, name := range []string{"fattree_k8", "fattree_k16"} {
 		b.Run(name, func(b *testing.B) {
 			d := benchModel(b, name)
-			linkSet, ok := eventFaults(d, "link")
-			if !ok {
-				b.Fatal("no link event")
-			}
-			link := linkSet.Faults()[0]
-			other := Fault{Kind: Switch, U: d.Topo.Switches[len(d.Topo.Switches)-1]}
-			both := NewFaultSet(link, other)
-			after := NewFaultSet(other)
-			degraded, err := Apply(d, both)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run("incremental", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := ApplyDelta(d, degraded, after); err != nil {
-						b.Fatal(err)
+			for _, event := range healEvents {
+				both, after := healEvent(d, event)
+				degraded, err := Apply(d, both)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Run(event+"/incremental", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := ApplyDelta(d, degraded, after); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-			})
-			b.Run("rebuild", func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					Rebuild(d, after)
-				}
-			})
+				})
+				b.Run(event+"/rebuild", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						Rebuild(d, after)
+					}
+				})
+			}
 		})
 	}
 }
@@ -231,6 +259,21 @@ func TestFaultEventIncrementalMatchesRebuild(t *testing.T) {
 			}
 			viewEqual(t, d, incHeal, Rebuild(d, healed))
 		}
+	}
+	// The heal classes of BenchmarkFaultHeal, switch_back among them: a
+	// second fault stays active, so neither step takes the shortcut.
+	for _, event := range healEvents {
+		both, after := healEvent(d, event)
+		degraded, err := ApplyDelta(d, pristine, both)
+		if err != nil {
+			t.Fatalf("%s: %v", event, err)
+		}
+		viewEqual(t, d, degraded, Rebuild(d, both))
+		inc, err := ApplyDelta(d, degraded, after)
+		if err != nil {
+			t.Fatalf("%s heal: %v", event, err)
+		}
+		viewEqual(t, d, inc, Rebuild(d, after))
 	}
 	// The pristine shortcut itself must match the model's own matrix.
 	n := d.Topo.Graph.Order()

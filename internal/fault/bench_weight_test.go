@@ -64,6 +64,7 @@ var weightEvents = []string{"uplink", "host_uplink", "spine_worst"}
 // The -short run keeps the fat trees; the full run adds the k=32 fat
 // tree and the 10k-switch jellyfish (gigabyte-matrix scale).
 func BenchmarkWeightEvent(b *testing.B) {
+	logHost(b)
 	topos := []string{"fattree_k8", "fattree_k16"}
 	if !testing.Short() {
 		topos = append(topos, "fattree_k32", "jellyfish_10k")

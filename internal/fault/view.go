@@ -205,8 +205,8 @@ func Rebuild(d *model.PPDC, fs FaultSet) *View {
 }
 
 // ApplyDelta is Apply with an incremental APSP update: when prev is a
-// view of the same pristine model, only the Dijkstra sources whose cached
-// shortest-path trees the fault transition invalidates are re-run
+// view of the same pristine model, only the rows whose cached
+// shortest-path trees the fault transition invalidates are repaired
 // (graph.APSP.ApplyEdgeDeltas); every other row is carried over verbatim.
 // The result is bit-identical to Apply — the differential fuzz target
 // FuzzIncrementalAPSP pins this over random inject/heal sequences — at a

@@ -42,6 +42,12 @@ type APSP struct {
 	n    int
 	dist [][]float64 // dist[u][v]: shortest-path cost u->v
 	prev [][]int32   // prev[u][v]: predecessor of v on the shortest u->v path
+	// span bounds every finite cost in the matrix when the relaxations of
+	// the graph it was built over are strictly increasing (strictRelax) —
+	// every row is then canonical, the premise of ApplyEdgeDeltas' row
+	// reuse and repair. +Inf when they are not: the next delta re-runs
+	// every row.
+	span float64
 }
 
 // apspStride returns the blocked row-major stride for an n-order
@@ -105,6 +111,7 @@ func AllPairsWorkers(g *Graph, workers int) *APSP {
 	}
 	n := g.Order()
 	a := newAPSP(n)
+	a.span = canonicalSpan(g.weightBounds())
 	csr := g.Freeze()
 	err := parallel.MapChunked(n, workers, func(lo, hi int) error {
 		var scratch SSSPScratch
@@ -131,6 +138,7 @@ func AllPairsWorkers(g *Graph, workers int) *APSP {
 func AllPairsSequential(g *Graph) *APSP {
 	n := g.Order()
 	a := newAPSP(n)
+	a.span = canonicalSpan(g.weightBounds())
 	for src := 0; src < n; src++ {
 		dist, prev := g.Dijkstra(src)
 		copy(a.dist[src], dist)

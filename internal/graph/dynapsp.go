@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,8 +25,9 @@ const (
 )
 
 // APSPDeltaObserver receives the outcome of one incremental APSP update:
-// what kind of delta ran, the matrix order, the number of dirty sources
-// actually re-run, the worker count, and the wall time. Fault and weight
+// what kind of delta ran, the matrix order, the number of dirty rows —
+// those the delta could neither carry over nor patch, repaired or re-run
+// — the worker count, and the wall time. Fault and weight
 // deltas report through this one hook — there is no second registration
 // point per delta flavor. Like APSPObserver it is a process-wide hook so
 // the graph package stays free of observability dependencies.
@@ -74,8 +76,8 @@ type deltaPlan struct {
 	// isolated x is in the removed list, so scanning these columns is
 	// equivalent to scanning all n.
 	childCand []int32
-	// forced rows always recompute: isolated and pendant vertices' own
-	// rows (their Dijkstra traces change shape or float association).
+	// forced rows always re-run in full: isolated and pendant vertices'
+	// own rows, where every cell changes and a repair would save nothing.
 	forced []int32
 }
 
@@ -359,6 +361,12 @@ func (p *deltaPlan) patchRow(dist []float64, prev []int32) {
 // matrix was built over and the graph it is being repaired for. Vertex
 // failures and revivals are expressed through their incident edges; the
 // vertex set itself never changes.
+//
+// The row repair takes the records only as the places where the two
+// graphs differ and reads every weight from the new graph, so a delta
+// that names a pair of parallel edges once still has each of them
+// relaxed. The clean-row tests and the pendant patch do read a Restored
+// or Reweighted record's weight: each such edge is listed with its own.
 type EdgeDelta struct {
 	// Removed lists edges present in the old graph but absent from the new.
 	Removed []EdgeRecord
@@ -373,30 +381,75 @@ type EdgeDelta struct {
 	Reweighted []EdgeRecord
 }
 
+// endpoints flattens the endpoint pairs of every record, in the form
+// CSR.repairRow takes them.
+func (d EdgeDelta) endpoints() []int32 {
+	ends := make([]int32, 0, 2*(len(d.Removed)+len(d.Restored)+len(d.Reweighted)))
+	for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
+		for _, e := range recs {
+			ends = append(ends, int32(e.U), int32(e.V))
+		}
+	}
+	return ends
+}
+
+// deltaStats counts what one delta did with the rows it could neither
+// carry over nor patch. Tests bound the repair's work with it.
+type deltaStats struct {
+	repaired  int // rows repaired from the parent's row
+	rerun     int // rows re-run in full: forced rows, or every row when the guard fails
+	settled   int // vertices the repairs' drains settled
+	prevCells int // prev cells the repairs recomputed
+}
+
+func (s *deltaStats) add(o deltaStats) {
+	s.repaired += o.repaired
+	s.rerun += o.rerun
+	s.settled += o.settled
+	s.prevCells += o.prevCells
+}
+
+// Row states of one delta.
+const (
+	rowClean  uint8 = iota // shared with the parent, or cloned and patched
+	rowRepair              // cloned and repaired (CSR.repairRow)
+	rowRerun               // full DijkstraInto
+)
+
 // ApplyEdgeDeltas builds the APSP matrix of `next` incrementally from
 // the cached matrix of the graph next was derived from; d is the full
 // edge delta between the two graphs.
 //
 // The receiver is never mutated: untouched rows are shared with the
 // receiver (both matrices are immutable), rows with a provably-exact
-// column fix are cloned and patched, and only the dirty sources re-run
-// the zero-alloc CSR Dijkstra kernel into fresh storage, fanned over
-// `workers` goroutines exactly like AllPairsWorkers (workers ≤ 0 =
-// GOMAXPROCS). The result is bit-identical to AllPairs(next) at any
-// worker count — FuzzIncrementalAPSP and FuzzWeightDeltaAPSP in
-// internal/fault pin this differentially. It returns the new matrix and
-// the number of rows recomputed.
+// column fix are cloned and patched, and a dirty row is cloned and
+// repaired — only the vertices whose distance the delta moves are
+// re-settled, and prev is recomputed only next to them (CSR.repairRow) —
+// fanned over `workers` goroutines exactly like AllPairsWorkers (workers
+// ≤ 0 = GOMAXPROCS). The result is bit-identical to AllPairs(next) at any
+// worker count — FuzzRepairRows here and FuzzIncrementalAPSP /
+// FuzzWeightDeltaAPSP in internal/fault pin this differentially. It
+// returns the new matrix and the number of rows it could not carry over
+// or patch (repaired or re-run).
 //
-// Dirty-source rule. Dijkstra from s over the frozen adjacency order
-// with the heap's strict (cost, vertex) total order is a deterministic
-// trace; a source stays clean exactly when the delta provably cannot
-// change that trace's output:
+// Guard. Row reuse and repair both rest on rows being canonical — a
+// function of the graph, not of the Dijkstra trace (see repair.go) —
+// which holds when every relaxation strictly increases the cost: over
+// the old graph (the receiver's span is finite), over next, and for
+// next's weights added to the old rows' distances. strictRelax decides
+// that from the two graphs' weight ranges in O(E). When it fails — a
+// zero weight, or a degrade factor so extreme that 1e300 + 1 == 1e300 —
+// every row re-runs DijkstraInto, which is the rebuild by construction.
+// That is the only selection between the two row procedures, and it is a
+// property of the input.
+//
+// Dirty-source rule. A row is canonical for both graphs, hence stays
+// clean, exactly when the delta provably cannot change the fixed point
+// or any tie-break:
 //
 //   - removed edge, neither endpoint isolated: dirty iff it is a tree
-//     edge of s (prev[v]==u or prev[u]==v). Non-tree removed edges only
-//     ever contributed relaxations that lost — immediately or after
-//     being overwritten — and the total-order heap makes the leftover
-//     stale entries unable to reorder the effective settlements.
+//     edge of s (prev[v]==u or prev[u]==v). A non-tree edge supported no
+//     distance and won no tie-break, so its removal changes no cell.
 //   - vertices losing all incident edges: dirty iff one of them has a
 //     tree child outside the group; otherwise they are leaves of s's
 //     tree and their columns patch to Inf/-1.
@@ -405,8 +458,8 @@ type EdgeDelta struct {
 //     the (cost, vertex) tie-break against the incumbent predecessor.
 //   - restored pendant attachment (vertex regains its single edge):
 //     clean rows patch the column to dist(s,u)+w, the exact expression
-//     the full run evaluates; the pendant's own row is recomputed since
-//     its trace accumulates sums in a different association order.
+//     the full run evaluates; the pendant's own row is re-run in full
+//     (every cell of it changes).
 //   - re-weighted edge: dirty iff it is a tree edge of s, OR its new
 //     weight strictly improves / tie-flips a settled distance. The two
 //     tests cover both directions without the old weight: a weight
@@ -415,13 +468,17 @@ type EdgeDelta struct {
 //     exactly a restore at the new weight; an *increase* on a tree edge
 //     trips the tree test; and an increase on a non-tree edge is always
 //     clean — dist[v] ≤ dist[u]+w_old holds for every settled pair
-//     (else the old trace would have used the edge), so a larger weight
-//     keeps every relaxation losing and, by the total-order argument
-//     above, the trace output is unchanged.
+//     (else the old row would have used the edge), so a larger weight
+//     keeps every relaxation losing.
 //   - re-weighted pendant edge (a degree-1 endpoint, positive weight):
 //     the leaf's column patches to dist(s,u)+w' in every clean row and
-//     only the leaf's own row recomputes — see splitPendantReweights.
+//     only the leaf's own row re-runs — see splitPendantReweights.
 func (a *APSP) ApplyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, int) {
+	out, st := a.applyEdgeDeltas(next, d, workers)
+	return out, st.repaired + st.rerun
+}
+
+func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, deltaStats) {
 	n := a.n
 	if next.Order() != n {
 		panic("graph: ApplyEdgeDeltas vertex count mismatch")
@@ -435,81 +492,104 @@ func (a *APSP) ApplyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, in
 		start = time.Now()
 	}
 
+	minW, reach := next.weightBounds()
 	out := &APSP{
 		n:    n,
 		dist: make([][]float64, n),
 		prev: make([][]int32, n),
+		span: canonicalSpan(minW, reach),
 	}
 
-	dirty := make([]bool, n)
-	for _, s := range plan.forced {
-		dirty[s] = true
-	}
-	// Classify every row in parallel: each worker owns a contiguous row
-	// range, reads only the old matrix, and writes only its own rows of
-	// the new one, so the outcome is independent of the worker count.
-	// A clean row the patches cannot touch is shared with the parent
-	// matrix outright; a patched row is append-cloned (the runtime skips
-	// zeroing pointer-free backing arrays on that path) so the parent
-	// stays immutable. Dirty rows get fresh storage in the Dijkstra pass.
-	if err := parallel.MapChunked(n, workers, func(lo, hi int) error {
-		for s := lo; s < hi; s++ {
-			if dirty[s] {
-				continue
-			}
-			distRow, prevRow := a.dist[s], a.prev[s]
-			if plan.rowDirty(s, distRow, prevRow) {
-				dirty[s] = true
-				continue
-			}
-			if plan.patchChanges(distRow) {
-				nd := append([]float64(nil), distRow...)
-				np := append([]int32(nil), prevRow...)
-				plan.patchRow(nd, np)
-				out.dist[s], out.prev[s] = nd, np
-			} else {
-				out.dist[s], out.prev[s] = distRow, prevRow
-			}
+	state := make([]uint8, n)
+	if !strictRelax(minW, math.Max(a.span, reach)) {
+		// The guard failed: no row of the parent can be trusted to be the
+		// one a fresh run over next produces.
+		for s := range state {
+			state[s] = rowRerun
 		}
-		return nil
-	}); err != nil {
-		panic(err)
+	} else {
+		for _, s := range plan.forced {
+			state[s] = rowRerun
+		}
+		// Classify every row in parallel: each worker owns a contiguous row
+		// range, reads only the old matrix, and writes only its own rows of
+		// the new one, so the outcome is independent of the worker count.
+		// A clean row the patches cannot touch is shared with the parent
+		// matrix outright; a patched row is append-cloned (the runtime skips
+		// zeroing pointer-free backing arrays on that path) so the parent
+		// stays immutable. Dirty rows are cloned in the repair pass.
+		if err := parallel.MapChunked(n, workers, func(lo, hi int) error {
+			for s := lo; s < hi; s++ {
+				if state[s] != rowClean {
+					continue
+				}
+				distRow, prevRow := a.dist[s], a.prev[s]
+				if plan.rowDirty(s, distRow, prevRow) {
+					state[s] = rowRepair
+					continue
+				}
+				if plan.patchChanges(distRow) {
+					nd := append([]float64(nil), distRow...)
+					np := append([]int32(nil), prevRow...)
+					plan.patchRow(nd, np)
+					out.dist[s], out.prev[s] = nd, np
+				} else {
+					out.dist[s], out.prev[s] = distRow, prevRow
+				}
+			}
+			return nil
+		}); err != nil {
+			panic(err)
+		}
 	}
 
 	rows := make([]int, 0, len(plan.forced))
-	for s, d := range dirty {
-		if d {
+	for s, st := range state {
+		if st != rowClean {
 			rows = append(rows, s)
 		}
 	}
+	var stats deltaStats
 	if len(rows) > 0 {
 		// Frozen only here: an all-clean delta (every row shared or
 		// patched) never needs the CSR.
 		csr := next.Freeze()
-		// Dirty rows tile a fresh stride-padded buffer (see apspStride):
-		// chunk boundaries fall on cache-line boundaries, so parallel
-		// workers never write the same line.
-		stride := apspStride(n)
-		db := make([]float64, len(rows)*stride)
-		pb := make([]int32, len(rows)*stride)
+		ends := d.endpoints()
+		var mu sync.Mutex
 		if err := parallel.MapChunked(len(rows), workers, func(lo, hi int) error {
-			var scratch SSSPScratch
-			for i := lo; i < hi; i++ {
-				src := rows[i]
-				nd := db[i*stride : i*stride+n : i*stride+n]
-				np := pb[i*stride : i*stride+n : i*stride+n]
-				csr.DijkstraInto(src, nd, np, &scratch)
+			var scratch repairScratch
+			var st deltaStats
+			for _, src := range rows[lo:hi] {
+				var nd []float64
+				var np []int32
+				if state[src] == rowRerun {
+					nd, np = make([]float64, n), make([]int32, n)
+					csr.DijkstraInto(src, nd, np, &scratch.sssp)
+					st.rerun++
+				} else {
+					// Cloned like a patched row: no zero-fill of cells the
+					// copy overwrites anyway.
+					nd = append([]float64(nil), a.dist[src]...)
+					np = append([]int32(nil), a.prev[src]...)
+					settled, cells := csr.repairRow(src, nd, np, ends, &scratch)
+					st.repaired++
+					st.settled += settled
+					st.prevCells += cells
+				}
 				out.dist[src], out.prev[src] = nd, np
 			}
+			mu.Lock()
+			stats.add(st)
+			mu.Unlock()
 			return nil
 		}); err != nil {
-			// DijkstraInto cannot fail on a valid Graph; a surfaced panic
-			// is a kernel bug and must not be swallowed.
+			// Neither kernel can fail on a valid Graph; a surfaced panic is
+			// a kernel bug and must not be swallowed.
 			panic(err)
 		}
 	}
 	if obs != nil {
 		(*obs)(kind, n, len(rows), workers, time.Since(start))
 	}
-	return out, len(rows)
+	return out, stats
 }

@@ -15,6 +15,12 @@ type heapItem struct {
 // what makes a Dijkstra run over a delta-filtered graph bit-identical to
 // a from-scratch run whenever the delta does not touch the source's
 // shortest-path tree (see APSP.ApplyEdgeDeltas).
+//
+// The row repair leans on the same order a second way: where relaxations
+// strictly increase the cost, vertices settle in exactly (cost, vertex)
+// order, so the predecessor a full run leaves at v is the tight neighbour
+// smallest in that order — a rule repairRow can apply to final distances
+// without replaying the run (see repair.go).
 func less(a, b heapItem) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost

@@ -1,0 +1,251 @@
+package graph
+
+import "math"
+
+// Row repair: the dynamic single-source kernel behind ApplyEdgeDeltas.
+//
+// Canonical row. Call a graph's relaxations strictly increasing when
+// fl(d + w) > d for every edge weight w and every finite distance d a
+// row over it can hold (strictRelax decides this from the weights).
+// Then DijkstraInto settles each vertex once, in (dist, id) order, and
+// rewrites a cell on strict < only, so its output is a function of the
+// graph alone, not of the trace:
+//
+//   - dist is the unique solution of dist[s] = 0,
+//     dist[v] = min over edges {u,v} of fl(dist[u] + w(u,v)), +Inf where
+//     no edge offers a finite candidate. (No solution exceeds the cost of
+//     any s→v path: induct along it, fl(· + w) is monotone. And every
+//     finite value has a tight neighbour, which is strictly closer, so
+//     tight neighbours lead back to s along a real path of exactly that
+//     cost. Both bounds meet at the shortest-path cost.)
+//   - prev[v] is the neighbour with the smallest (dist[u], u) among those
+//     with fl(dist[u] + w(u,v)) == dist[v]: tight neighbours are strictly
+//     closer, hence popped before v in exactly that order, and only the
+//     first of them finds dist[v] still larger. -1 for s and for
+//     unreachable vertices.
+//
+// Any procedure that reaches that fixed point and applies that rule
+// yields the bits of a from-scratch run. repairRow does, starting from
+// the row of the graph the delta was taken against, in the manner of
+// Ramalingam & Reps (J. Algorithms 21, 1996), touching only the vertices
+// whose distance the delta can move and their neighbourhoods.
+
+// relaxEps is 2⁻⁵²: ulp(d) ≤ d·relaxEps for every normal float64 d.
+const relaxEps = 0x1p-52
+
+// weightBounds returns g's smallest edge weight (+Inf without edges) and
+// its reach: Order() × the largest weight, an upper bound on every finite
+// shortest-path cost over g. A path has fewer than Order() edges and each
+// addition rounds up by at most a factor 1+2⁻⁵³, which the spare edge
+// absorbs at any order a matrix can be allocated for.
+func (g *Graph) weightBounds() (minW, reach float64) {
+	minW, maxW := Inf, 0.0
+	for _, es := range g.adj {
+		for _, e := range es {
+			if e.Weight < minW {
+				minW = e.Weight
+			}
+			if e.Weight > maxW {
+				maxW = e.Weight
+			}
+		}
+	}
+	return minW, float64(len(g.adj)) * maxW
+}
+
+// strictRelax reports whether fl(d + w) > d for every weight w ≥ minW and
+// every distance 0 ≤ d ≤ reach. Rounding absorbs w only when w ≤ ulp(d)/2
+// and ulp(d) ≤ d·2⁻⁵², so the test leaves a factor two of headroom (it
+// also covers the rounding of reach itself). reach ≥ 0, so a true result
+// implies minW > 0; a zero, +Inf or overflowing weight fails it.
+func strictRelax(minW, reach float64) bool {
+	return minW > reach*relaxEps
+}
+
+// canonicalSpan is the APSP.span of a matrix built over a graph with the
+// given weightBounds.
+func canonicalSpan(minW, reach float64) float64 {
+	if strictRelax(minW, reach) {
+		return reach
+	}
+	return Inf
+}
+
+// repairScratch holds the reusable buffers of one row-repair stream. The
+// two mark arrays are generation-stamped, so starting a row costs O(1)
+// instead of an O(n) clear.
+type repairScratch struct {
+	sssp SSSPScratch
+	// mark[v] == gen: v lost its support in this row.
+	mark []uint32
+	// seen[v] == gen: queued in the support pass; gen+1: pushed as a
+	// record endpoint; gen+2: predecessor recomputed.
+	seen    []uint32
+	gen     uint32
+	touched []int32 // vertices whose dist cell the repair wrote
+}
+
+// begin starts a row over an n-vertex graph and returns its generation.
+func (s *repairScratch) begin(n int) uint32 {
+	if len(s.mark) != n {
+		s.mark, s.seen, s.gen = make([]uint32, n), make([]uint32, n), 0
+	} else if s.gen > math.MaxUint32-6 {
+		clear(s.mark)
+		clear(s.seen)
+		s.gen = 0
+	}
+	s.gen += 3
+	return s.gen
+}
+
+// repairRow rewrites dist/prev — a private copy of source src's canonical
+// row over the delta's old graph — into src's canonical row over c. ends
+// lists the endpoint pairs of every delta record, flattened. The records
+// only name where the two graphs may differ: every weight is read from c,
+// so naming a multi-edge pair once, or an unchanged edge, is harmless.
+//
+// Both graphs' relaxations must be strictly increasing over the old
+// row's distances as well as the new (ApplyEdgeDeltas' guard); the old
+// row is then canonical, and every "strictly closer" below holds.
+//
+// It returns the number of vertices the drain settled and the number of
+// prev cells recomputed.
+func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *repairScratch) (settled, prevCells int) {
+	gen := s.begin(c.n)
+	h := &s.sssp.heap
+	h.items = h.items[:0]
+
+	// (1) Lost support. A vertex can lose its distance only through its
+	// tree edge: seed the child end of every named tree edge and pop in
+	// (old dist, id) order. A popped vertex keeps its distance — as an
+	// upper bound a real path of c witnesses — if an unmarked neighbour
+	// still offers a candidate no larger; otherwise it is marked and its
+	// tree children queue up (a child over a removed edge is not adjacent
+	// in c any more, but that edge is named, so it is a seed already).
+	// One pass is enough: a supporter is strictly closer, so it has been
+	// popped and decided, or never will be.
+	for i := 0; i < len(ends); i += 2 {
+		u, v := ends[i], ends[i+1]
+		if prev[v] == u && s.seen[v] != gen {
+			s.seen[v] = gen
+			h.push(heapItem{v: int(v), cost: dist[v]})
+		}
+		if prev[u] == v && s.seen[u] != gen {
+			s.seen[u] = gen
+			h.push(heapItem{v: int(u), cost: dist[u]})
+		}
+	}
+	touched := s.touched[:0]
+	for h.Len() > 0 {
+		it := h.pop()
+		lo, hi := c.rowStart[it.v], c.rowStart[it.v+1]
+		supported := false
+		for e := lo; e < hi; e++ {
+			if u := c.to[e]; s.mark[u] != gen && dist[u]+c.wt[e] <= it.cost {
+				supported = true
+				break
+			}
+		}
+		if supported {
+			continue
+		}
+		s.mark[it.v] = gen
+		touched = append(touched, int32(it.v))
+		for e := lo; e < hi; e++ {
+			if ch := c.to[e]; prev[ch] == int32(it.v) && s.seen[ch] != gen {
+				s.seen[ch] = gen
+				h.push(heapItem{v: int(ch), cost: dist[ch]})
+			}
+		}
+	}
+
+	// (2) Re-settle. Every marked vertex restarts from its best candidate
+	// over unmarked neighbours (+Inf if none: an isolated vertex needs no
+	// case of its own). Marked cells are only written here, unmarked ones
+	// only read, so the order does not matter.
+	for _, v := range touched {
+		best := Inf
+		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
+			if u := c.to[e]; s.mark[u] != gen {
+				if nd := dist[u] + c.wt[e]; nd < best {
+					best = nd
+				}
+			}
+		}
+		dist[v] = best
+		if best < Inf {
+			h.push(heapItem{v: int(v), cost: best})
+		}
+	}
+
+	// (3) Gains. An edge that appeared or got cheaper can only improve
+	// what lies beyond its endpoints: queue both, so the drain relaxes
+	// their whole adjacency in c — every parallel edge of a named pair
+	// included. Marked endpoints are queued already.
+	for _, x := range ends {
+		if s.seen[x] != gen+1 && s.mark[x] != gen {
+			s.seen[x] = gen + 1
+			if dist[x] < Inf {
+				h.push(heapItem{v: int(x), cost: dist[x]})
+			}
+		}
+	}
+
+	// (4) One ordinary Dijkstra drain over all of c. Every cell is an upper
+	// bound witnessed by a path, and every edge that could still lower its
+	// head has its tail queued, so the drain ends at the fixed point. prev
+	// is left alone: (5) derives it from the final distances.
+	for h.Len() > 0 {
+		it := h.pop()
+		if it.cost > dist[it.v] {
+			continue // stale entry
+		}
+		settled++
+		for e := c.rowStart[it.v]; e < c.rowStart[it.v+1]; e++ {
+			to := c.to[e]
+			if nd := it.cost + c.wt[e]; nd < dist[to] {
+				dist[to] = nd
+				touched = append(touched, to)
+				h.push(heapItem{v: int(to), cost: nd})
+			}
+		}
+	}
+
+	// (5) Predecessors. The canonical prev of v reads dist[v], v's edges
+	// and its neighbours' distances — so it can differ from the old row
+	// only at a record endpoint, a written cell, or next to one.
+	for _, x := range ends {
+		prevCells += c.canonicalPrev(src, x, dist, prev, s)
+	}
+	for _, v := range touched {
+		prevCells += c.canonicalPrev(src, v, dist, prev, s)
+		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
+			prevCells += c.canonicalPrev(src, c.to[e], dist, prev, s)
+		}
+	}
+	s.touched = touched
+	return settled, prevCells
+}
+
+// canonicalPrev sets prev[v] by the canonical rule (see the top of the
+// file), once per row; it returns 1 when it did the work.
+func (c *CSR) canonicalPrev(src int, v int32, dist []float64, prev []int32, s *repairScratch) int {
+	if s.seen[v] == s.gen+2 {
+		return 0
+	}
+	s.seen[v] = s.gen + 2
+	if int(v) == src {
+		return 0 // prev[src] is -1 in every row
+	}
+	best, bestD := int32(-1), Inf
+	if dv := dist[v]; dv < Inf {
+		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
+			u := c.to[e]
+			if du := dist[u]; du+c.wt[e] == dv && (du < bestD || du == bestD && u < best) {
+				best, bestD = u, du
+			}
+		}
+	}
+	prev[v] = best
+	return 1
+}

@@ -33,8 +33,10 @@ type RepairResult struct {
 // Repair computes a repair migration after a topology fault: given the
 // degraded serving model d (live switches only — typically
 // fault.ServicePlan.PPDC), the pristine model the current placement p
-// was computed on, and the served workload w, it returns a placement on
-// surviving switches minimizing C_t.
+// was computed on, the served workload w and d's aggregated cost cache
+// over it (d.NewWorkloadCache(w) — only read here, so the caller builds
+// it once per fault event, shares it across retries and goes on serving
+// from it), it returns a placement on surviving switches minimizing C_t.
 //
 // The repair runs in two stages:
 //
@@ -52,7 +54,7 @@ type RepairResult struct {
 //
 // Repair returns an error only when no feasible patch exists (fewer
 // usable switches than the SFC needs) or the inputs are inconsistent.
-func Repair(ctx context.Context, d, pristine *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64, inner Migrator) (*RepairResult, error) {
+func Repair(ctx context.Context, d, pristine *model.PPDC, w model.Workload, cache *model.WorkloadCache, sfc model.SFC, p model.Placement, mu float64, inner Migrator) (*RepairResult, error) {
 	if d == nil || pristine == nil {
 		return nil, fmt.Errorf("migration: repair needs degraded and pristine models")
 	}
@@ -81,7 +83,6 @@ func Repair(ctx context.Context, d, pristine *model.PPDC, w model.Workload, sfc 
 			count[s]++
 		}
 	}
-	cache := d.NewWorkloadCache(w)
 
 	// Provisional pass: park every displaced VNF on any feasible live
 	// switch first. Until the whole placement is live, candidate C_a
