@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke bench-compare crash-smoke fuzz chaos-smoke
+.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke bench-compare crash-smoke fuzz fuzz-list chaos-smoke
 
-check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke
+check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke fuzz-list
 
 vet:
 	$(GO) vet ./...
@@ -153,9 +153,10 @@ bench-kernels:
 	$(GO) test -bench BenchmarkKernel -benchmem -run xxx ./internal/bnb/
 
 # Short fuzz pass over the solver-invariant web, the cost-kernel
-# equivalence property, the bitwise APSP gates and the daemon's
-# hostile-log-record replay. This is the only list of fuzz targets: CI
-# runs it with a shorter per-target budget (make fuzz FUZZTIME=10s).
+# equivalence property, the bitwise APSP gates, DP-Stroll against the
+# exhaustive stroll and the daemon's hostile-log-record replay. This is
+# the only list of fuzz targets (fuzz-list holds it to that): CI runs it
+# with a shorter per-target budget (make fuzz FUZZTIME=10s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzCostCacheEquivalence -fuzztime $(FUZZTIME) -run xxx ./internal/differential/
@@ -165,5 +166,15 @@ fuzz:
 	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzRepairRows -fuzztime $(FUZZTIME) -run xxx ./internal/graph/
 	$(GO) test -fuzz FuzzMinCostFlow -fuzztime $(FUZZTIME) -run xxx ./internal/mcf/
+	$(GO) test -fuzz FuzzDPAgainstExhaustive -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/
+
+# A fuzz target that is not on the recipe above is one CI never runs:
+# fail when the repository (bench/ is its own module) declares one the
+# recipe does not name.
+fuzz-list:
+	@listed="$$($(MAKE) -s -n fuzz | grep -o -- '-fuzz Fuzz[A-Za-z0-9_]*' | cut -d' ' -f2)"; \
+	for f in $$(grep -rh '^func Fuzz' --include='*_test.go' --exclude-dir=bench . | sed 's/^func \([A-Za-z0-9_]*\).*/\1/'); do \
+		echo "$$listed" | grep -qx "$$f" || { echo "fuzz target $$f is not in 'make fuzz'"; bad=1; }; \
+	done; test -z "$$bad"

@@ -340,7 +340,9 @@ func copyTree(t *testing.T, src, dst string) {
 // build kept and this one ignores) and demands the state and routing
 // report that commit served — the on-disk format and the replay
 // semantics did not move. (state.json has since gained the one field the
-// engine state grew, `priced_from`; every other byte is that commit's.)
+// engine state grew, `priced_from`, and lost the three counters of the
+// cost cache's delta path, whose "rebuild_fraction":0 the create record
+// still carries; every other byte is that commit's.)
 func TestGoldenWALReplays(t *testing.T) {
 	// Recovery may write (tail repair), so it runs on a copy.
 	dir := t.TempDir()

@@ -104,9 +104,7 @@ var checkpointCommand = crashCommand{name: "checkpoint", run: func(_ *testing.T,
 // checkpoint); the third finds an update ingested and not yet stepped, so
 // it is put off and step3 takes it, behind its own record. The delete
 // puts the tombstone there, and the re-create shows the successor never
-// inherits anything from the scenario it replaces. Every rate is one
-// floats sum exactly: a checkpoint rebases the engine's cost cache, and
-// the reference, which has no log, takes none.
+// inherits anything from the scenario it replaces.
 func crashWorkload(victim int) []crashCommand {
 	return []crashCommand{
 		httpCommand("create", "POST", "/v1/scenarios", crashSpec()),
@@ -229,9 +227,16 @@ func newWALServer(fs failfs.FS, dir string) *server {
 // crashSpec commits to, which is the same on every run.
 func crashVictim(t *testing.T) int {
 	t.Helper()
+	return firstPlaced(t, crashSpec())
+}
+
+// firstPlaced is the switch a scenario created from spec (id c1) puts
+// its first VNF on.
+func firstPlaced(t *testing.T, spec any) int {
+	t.Helper()
 	srv := newServer()
 	defer srv.closeAll()
-	if code := post(t, srv.handler(), "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
+	if code := post(t, srv.handler(), "POST", "/v1/scenarios", spec); code != http.StatusCreated {
 		t.Fatalf("reference create: %d", code)
 	}
 	return srv.get("c1").eng.Snapshot().Placement[0]

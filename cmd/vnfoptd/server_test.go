@@ -254,9 +254,6 @@ func TestE2EDaemonMatchesOfflineSim(t *testing.T) {
 	if len(m.Trajectory) != len(sched) {
 		t.Fatalf("trajectory length %d", len(m.Trajectory))
 	}
-	if m.DeltaEpochs+m.RebuildEpochs == 0 {
-		t.Fatal("no cache-path accounting")
-	}
 
 	// /metrics is Prometheus text exposition; the run above must have
 	// advanced the engine, cache, and solver series.
@@ -277,8 +274,8 @@ func TestE2EDaemonMatchesOfflineSim(t *testing.T) {
 	if got := prom[`vnfopt_engine_migrations_total`+sl]; got != float64(migrations) {
 		t.Fatalf("migrations_total %v, want %d", got, migrations)
 	}
-	if got := prom[`vnfopt_cache_rebuilds_total`+sl] + prom[`vnfopt_cache_deltas_total`+sl]; got == 0 {
-		t.Fatal("cache rebuild/delta counters did not advance")
+	if got := prom[`vnfopt_cache_rebuilds_total`+sl]; got == 0 {
+		t.Fatal("cache rebuild counter did not advance")
 	}
 	if got := prom[`vnfopt_solver_calls_total{solver="DP"}`]; got < 1 {
 		t.Fatalf("solver_calls_total %v, want >= 1", got)

@@ -198,10 +198,6 @@ func (s *server) startScenarioWAL(sc *scenario, spec *ScenarioSpec, durable bool
 // records would lose acknowledged writes. Until then the checkpoint is
 // owed, and run takes it at the next epoch boundary; a scenario that
 // never closes another epoch keeps its log whole.
-//
-// A boot from the checkpoint resumes an engine whose cost cache is
-// rebuilt from the rates, where this one's has history; the engine is
-// rebased behind the record so both hold the same bits from here on.
 func (sc *scenario) checkpoint() error {
 	if sc.wal == nil || !sc.dirty {
 		return nil
@@ -219,15 +215,7 @@ func (sc *scenario) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	at := sc.wal.NextSeq()
-	err = sc.wal.Checkpoint(wal.TypeCreate, payload)
-	if sc.wal.NextSeq() > at {
-		// The record is in the log (even if dropping older segments then
-		// failed), and a boot will resume from it: carry on from the same
-		// bits that boot will have.
-		sc.eng.Rebase()
-	}
-	if err != nil {
+	if err := sc.wal.Checkpoint(wal.TypeCreate, payload); err != nil {
 		return err
 	}
 	sc.dirty = false

@@ -15,6 +15,7 @@ import (
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/failfs"
+	"vnfopt/internal/fault"
 	"vnfopt/internal/migration"
 	"vnfopt/internal/wal"
 )
@@ -224,14 +225,18 @@ func TestCheckpointWaitsForEpochBoundary(t *testing.T) {
 	}
 }
 
-// TestCheckpointRebasesLiveEngine: a boot from a checkpoint builds its
-// cost cache from the rates, while the daemon that wrote the checkpoint
-// has a cache with history — sparse updates take the delta path, one
-// rounding each — and the two agree only to reassociation tolerance. So
-// the daemon rebuilds its own cache behind every checkpoint it writes,
-// and the epochs after it come out the same on both, bit for bit, under
-// rates no float sums exactly.
-func TestCheckpointRebasesLiveEngine(t *testing.T) {
+// inexactEpoch is epoch i of a seeded stream over diffSpec's 24 flows:
+// one sparse ingest + step, with rates no float sums exactly.
+func inexactEpoch(rng *rand.Rand, i int) ratesRequest {
+	return ratesRequest{Updates: []engine.RateUpdate{{Flow: rng.Intn(24), Rate: 100 * rng.Float64()}, {Flow: rng.Intn(24), Rate: 0.1 * float64(i)}}, Step: true}
+}
+
+// TestBootFromCheckpointBitIdentical: a boot from a checkpoint builds
+// its cost cache from the rates — and so does the daemon that wrote the
+// checkpoint, every epoch, so nothing is done to it behind the record and
+// the epochs after it come out the same on both, bit for bit, under
+// sparse updates with rates no float sums exactly.
+func TestBootFromCheckpointBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	srv := newWALServer(failfs.OS, dir)
 	h := srv.handler()
@@ -242,8 +247,7 @@ func TestCheckpointRebasesLiveEngine(t *testing.T) {
 	epochs := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			body := ratesRequest{Updates: []engine.RateUpdate{{Flow: rng.Intn(24), Rate: 100 * rng.Float64()}, {Flow: rng.Intn(24), Rate: 0.1 * float64(i)}}, Step: true}
-			if code := post(t, h, "POST", "/v1/scenarios/c1/rates", body); code != http.StatusOK {
+			if code := post(t, h, "POST", "/v1/scenarios/c1/rates", inexactEpoch(rng, i)); code != http.StatusOK {
 				t.Fatalf("epoch %d: %d", i, code)
 			}
 		}
@@ -253,9 +257,6 @@ func TestCheckpointRebasesLiveEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	epochs(12)
-	if m := srv.get("c1").eng.Metrics(); m.DeltaEpochs < 20 {
-		t.Fatalf("only %d of 24 epochs took the delta path", m.DeltaEpochs)
-	}
 	want := normalizedState(t, srv, "c1")
 	wantSnap := *srv.get("c1").eng.Snapshot()
 	srv.closeAll()
@@ -269,6 +270,79 @@ func TestCheckpointRebasesLiveEngine(t *testing.T) {
 	}
 	if got := *srv2.get("c1").eng.Snapshot(); got.CommCost != wantSnap.CommCost || got.CommittedCost != wantSnap.CommittedCost {
 		t.Fatalf("snapshot costs %v / %v, want %v / %v", got.CommCost, got.CommittedCost, wantSnap.CommCost, wantSnap.CommittedCost)
+	}
+}
+
+// TestCheckpointScheduleKeepsBits: when a daemon checkpoints decides how
+// long its log is and nothing else. One request stream — sparse updates
+// with rates no float sums exactly, around a switch fault and its heal —
+// goes to a daemon that never checkpoints, one that checkpoints behind
+// every request, and one that checkpoints at seeded points and is closed
+// and booted from its log after each; all three end on the same bytes.
+func TestCheckpointScheduleKeepsBits(t *testing.T) {
+	type request struct {
+		path string
+		body any
+	}
+	victim := []fault.Fault{{Kind: fault.Switch, U: firstPlaced(t, diffSpec("c1"))}}
+	rng := rand.New(rand.NewSource(5))
+	stream := []request{{"/v1/scenarios", diffSpec("c1")}}
+	for i := 0; i < 60; i++ {
+		switch i {
+		case 8:
+			stream = append(stream, request{"/v1/scenarios/c1/faults", faultsRequest{Inject: victim}})
+		case 20:
+			stream = append(stream, request{"/v1/scenarios/c1/faults", faultsRequest{Heal: victim}})
+		}
+		stream = append(stream, request{"/v1/scenarios/c1/rates", inexactEpoch(rng, i)})
+	}
+
+	// run feeds the stream to a fresh daemon, handing it to behind after
+	// every request, and returns where it ends.
+	run := func(name string, behind func(dir string, srv *server) *server) (string, engine.Snapshot) {
+		dir := t.TempDir()
+		srv := newWALServer(failfs.OS, dir)
+		for i, r := range stream {
+			if code := post(t, srv.handler(), "POST", r.path, r.body); !is2xx(code) {
+				t.Fatalf("%s: request %d (%s): HTTP %d", name, i, r.path, code)
+			}
+			srv = behind(dir, srv)
+		}
+		defer srv.closeWALs()
+		defer srv.closeAll()
+		return normalizedState(t, srv, "c1"), *srv.get("c1").eng.Snapshot()
+	}
+	checkpoint := func(srv *server) {
+		if err := checkpointNow(srv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, wantSnap := run("never", func(_ string, srv *server) *server { return srv })
+	for _, schedule := range []struct {
+		name   string
+		behind func(dir string, srv *server) *server
+	}{
+		{"behind every request", func(_ string, srv *server) *server {
+			checkpoint(srv)
+			return srv
+		}},
+		{"at seeded points, with a restart after each", func(dir string, srv *server) *server {
+			if rng.Intn(4) != 0 {
+				return srv
+			}
+			checkpoint(srv)
+			srv.closeAll()
+			srv.closeWALs()
+			return bootWAL(t, dir, "")
+		}},
+	} {
+		got, gotSnap := run(schedule.name, schedule.behind)
+		if got != want {
+			t.Errorf("checkpointing %s changes the state\n got: %s\nwant: %s", schedule.name, got, want)
+		}
+		if gotSnap.CommCost != wantSnap.CommCost || gotSnap.CommittedCost != wantSnap.CommittedCost {
+			t.Errorf("checkpointing %s: snapshot costs %v / %v, want %v / %v", schedule.name, gotSnap.CommCost, gotSnap.CommittedCost, wantSnap.CommCost, wantSnap.CommittedCost)
+		}
 	}
 }
 
@@ -528,72 +602,106 @@ func TestDeleteWALRetireFailure(t *testing.T) {
 	}
 }
 
-// TestRemovedSearchWorkersStillLoads: search_workers left the scenario
-// spec, so a live create that sends it is refused like any unknown
-// field — but the create records and state files an older daemon wrote
-// with it must still boot (they decode leniently), and their exhaustive
-// migrator steps on the one search that is left.
+// TestRemovedSearchWorkersStillLoads: a field that left the scenario
+// spec or the engine state is refused on a live create like any unknown
+// field — but the create records, checkpoints and state files an older
+// daemon wrote with it must still boot (they decode leniently) and carry
+// on: search_workers' exhaustive migrator steps on the one search that is
+// left; rebuild_fraction and the delta_pairs / delta_epochs /
+// rebuild_epochs counters of the cost cache's delta path are ignored, the
+// state around them is not.
 func TestRemovedSearchWorkersStillLoads(t *testing.T) {
-	const oldSpec = `{"search_workers":2,"k":4,"flows":10,"seed":3,"sfc_len":3,"migrator":"exhaustive","node_budget":50000`
+	// live is what a client may no longer send; old is the spec an older
+	// daemon wrote, resuming at epoch from its state if it carries one;
+	// a step of the booted scenario consults migrator, by exact search
+	// or not.
+	removed := []struct {
+		name      string
+		live, old string
+		epoch     int
+		migrator  string
+		searches  bool
+	}{
+		{
+			name:     "search_workers",
+			live:     `{"search_workers":2,"k":4,"flows":10}`,
+			old:      `{"search_workers":2,"k":4,"flows":10,"seed":3,"sfc_len":3,"migrator":"exhaustive","node_budget":50000}`,
+			migrator: "Exhaustive",
+			searches: true,
+		},
+		{
+			name: "rebuild_fraction",
+			live: `{"k":4,"flows":10,"policy":{"rebuild_fraction":1}}`,
+			old: `{"pairs":[{"src":0,"dst":5,"rate":10},{"src":1,"dst":9,"rate":8},{"src":2,"dst":12,"rate":5}],` +
+				`"policy":{"hysteresis":0,"cooldown":0,"budget":0,"rebuild_fraction":1,"repair_retries":0,"repair_backoff_ns":0},` +
+				`"state":{"epoch":2,"rates":[10,8,5],"placement":[8,9,10],"committed_cost":1,"committed_epoch":0,"last_migration":-1,` +
+				`"metrics":{"epochs":2,"delta_pairs":5,"delta_epochs":3,"rebuild_epochs":1}}}`,
+			epoch:    2,
+			migrator: "mPareto",
+		},
+	}
+	// Each medium boots a daemon from old and says how many epochs it
+	// replays on top.
+	media := []struct {
+		name string
+		boot func(t *testing.T, dir, old string) (srv *server, replayed int)
+	}{
+		{"create record", func(t *testing.T, dir, old string) (*server, int) {
+			l, err := wal.Open(filepath.Join(dir, "wal", scenarioDirName("old")), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(wal.TypeCreate, []byte(`{"id":"old","spec":`+old+`}`)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(wal.TypeStep, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return bootWAL(t, dir, ""), 1
+		}},
+		{"snapshot", func(t *testing.T, dir, old string) (*server, int) {
+			snap := filepath.Join(dir, "snap.json")
+			if err := os.WriteFile(snap, []byte(`[{"id":"old","spec":`+old+`}]`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return bootWAL(t, dir, snap), 0
+		}},
+	}
 
 	live := newServer()
 	defer live.closeAll()
-	if code := post(t, live.handler(), "POST", "/v1/scenarios", json.RawMessage(oldSpec+`}`)); code != http.StatusBadRequest {
-		t.Fatalf("live create with search_workers: HTTP %d, want 400", code)
+	for _, m := range media {
+		t.Run(m.name, func(t *testing.T) {
+			for _, r := range removed {
+				t.Run(r.name, func(t *testing.T) {
+					if code := post(t, live.handler(), "POST", "/v1/scenarios", json.RawMessage(r.live)); code != http.StatusBadRequest {
+						t.Fatalf("live create with %s: HTTP %d, want 400", r.name, code)
+					}
+					srv, replayed := m.boot(t, t.TempDir(), r.old)
+					defer srv.closeWALs()
+					defer srv.closeAll()
+					sc := srv.get("old")
+					if sc == nil {
+						t.Fatal("scenario not recovered")
+					}
+					if got := sc.eng.MigratorName(); got != r.migrator {
+						t.Fatalf("recovered migrator %q, want %s", got, r.migrator)
+					}
+					before := migration.SearchExpansions()
+					if code := post(t, srv.handler(), "POST", "/v1/scenarios/old/step", nil); code != http.StatusOK {
+						t.Fatalf("step after recovery: HTTP %d", code)
+					}
+					if r.searches && migration.SearchExpansions() == before {
+						t.Fatal("step after recovery ran no exact search")
+					}
+					if got, want := sc.eng.Snapshot().Epoch, r.epoch+replayed+1; got != want {
+						t.Fatalf("epoch %d after recovery + one step, want %d", got, want)
+					}
+				})
+			}
+		})
 	}
-
-	stepsExhaustive := func(t *testing.T, srv *server, wantEpoch int) {
-		t.Helper()
-		sc := srv.get("old")
-		if sc == nil {
-			t.Fatal("scenario not recovered")
-		}
-		if got := sc.eng.MigratorName(); got != "Exhaustive" {
-			t.Fatalf("recovered migrator %q, want Exhaustive", got)
-		}
-		before := migration.SearchExpansions()
-		if code := post(t, srv.handler(), "POST", "/v1/scenarios/old/step", nil); code != http.StatusOK {
-			t.Fatalf("step after recovery: HTTP %d", code)
-		}
-		if migration.SearchExpansions() == before {
-			t.Fatal("step after recovery ran no exact search")
-		}
-		if got := sc.eng.Snapshot().Epoch; got != wantEpoch {
-			t.Fatalf("epoch %d after recovery + one step, want %d", got, wantEpoch)
-		}
-	}
-
-	t.Run("create record", func(t *testing.T) {
-		dir := t.TempDir()
-		logDir := filepath.Join(dir, "wal", scenarioDirName("old"))
-		l, err := wal.Open(logDir, wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Append(wal.TypeCreate, []byte(`{"id":"old","spec":`+oldSpec+`}}`)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Append(wal.TypeStep, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		srv := bootWAL(t, dir, "")
-		defer srv.closeWALs()
-		defer srv.closeAll()
-		stepsExhaustive(t, srv, 2)
-	})
-
-	t.Run("snapshot", func(t *testing.T) {
-		dir := t.TempDir()
-		snap := filepath.Join(dir, "snap.json")
-		if err := os.WriteFile(snap, []byte(`[{"id":"old","spec":`+oldSpec+`}}]`), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		srv := bootWAL(t, dir, snap)
-		defer srv.closeWALs()
-		defer srv.closeAll()
-		stepsExhaustive(t, srv, 1)
-	})
 }

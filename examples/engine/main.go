@@ -1,7 +1,7 @@
 // Engine: run the online placement engine in-process against a full day
 // of dynamic cloud traffic. Instead of re-solving TOM every hour like the
 // batch simulator, the engine ingests only the flows whose rates changed,
-// maintains C_a incrementally, and consults mPareto only when the drift
+// keeps C_a current, and consults mPareto only when the drift
 // trigger fires — printing each epoch's decision and the daily savings
 // versus never migrating.
 //
@@ -42,9 +42,8 @@ func main() {
 		Base: base.WithRates(sched[0]),
 		Mu:   1e4,
 		Policy: vnfopt.EnginePolicy{
-			Hysteresis:      1.1,
-			Cooldown:        2,
-			RebuildFraction: 1, // always fold updates in with O(|V|) deltas
+			Hysteresis: 1.1,
+			Cooldown:   2,
 		},
 	})
 	if err != nil {
@@ -58,8 +57,7 @@ func main() {
 	prev := sched[0]
 	var totalE, totalF float64
 	for h := 1; h <= len(sched); h++ {
-		// Stream only the flows whose rate actually changed this hour —
-		// the engine folds them into its cost cache with O(|V|) deltas.
+		// Stream only the flows whose rate actually changed this hour.
 		var ups []vnfopt.RateUpdate
 		for i, r := range sched[h-1] {
 			if r != prev[i] || h == 1 {
@@ -94,6 +92,4 @@ func main() {
 		totalE, totalF, 100*(totalF-totalE)/totalF)
 	fmt.Printf("control loop: %d/%d epochs consulted the migrator, %d migrations (%d VNF moves)\n",
 		met.Consults, met.Epochs, met.Migrations, met.Moves)
-	fmt.Printf("cache: %d delta epochs (%d pair deltas), %d rebuild epochs\n",
-		met.DeltaEpochs, met.DeltaPairs, met.RebuildEpochs)
 }

@@ -9,10 +9,10 @@
 //
 //   - writers stream per-flow rate updates with Ingest; updates are
 //     coalesced (last write wins per flow) into a pending set,
-//   - Step closes an epoch: it folds the pending set into the aggregated
-//     WorkloadCache — via the O(|V|)-per-pair ApplyDelta fast path when
-//     the epoch touched few host pairs, or one SetWorkload rebuild when it
-//     touched most of them,
+//   - Step closes an epoch: it folds the pending set into the flow table
+//     and, when a served flow's rate changed, rebuilds the aggregated
+//     WorkloadCache from the served workload — the cache is a function of
+//     the rates, never of the order they arrived in,
 //   - a drift trigger compares the epoch's communication cost against the
 //     cost recorded when the placement was last committed; only when the
 //     drift exceeds the hysteresis factor (and the cooldown has elapsed)
@@ -30,7 +30,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,13 +56,6 @@ type Policy struct {
 	// Budget caps the VNF moves of one migration via migration.Budgeted
 	// (0 = unlimited).
 	Budget int `json:"budget"`
-	// RebuildFraction picks delta vs rebuild: when an epoch changes more
-	// than this fraction of the cache's aggregated pairs, Step rebuilds
-	// with SetWorkload instead of per-pair ApplyDelta sweeps. 0 means the
-	// default 0.5; negative forces rebuilds (every epoch), ≥ 1 keeps the
-	// delta path except when an epoch touches more pairs than the cache
-	// currently holds.
-	RebuildFraction float64 `json:"rebuild_fraction"`
 	// RepairRetries is the number of attempts a topology event makes to
 	// obtain an exact (non-fallback) repair before accepting the greedy
 	// fallback (0 = default 3). Attempts after the first back off by
@@ -185,11 +177,6 @@ type Metrics struct {
 	// Migrations counts committed migrations; Moves the VNFs they moved.
 	Migrations int `json:"migrations"`
 	Moves      int `json:"moves"`
-	// DeltaPairs counts host pairs updated through ApplyDelta;
-	// DeltaEpochs/RebuildEpochs count which path each epoch took.
-	DeltaPairs    int64 `json:"delta_pairs"`
-	DeltaEpochs   int64 `json:"delta_epochs"`
-	RebuildEpochs int64 `json:"rebuild_epochs"`
 	// UpdatesCoalesced counts accepted updates that overwrote a pending
 	// update to the same flow (last write wins) before the epoch closed.
 	UpdatesCoalesced int64 `json:"updates_coalesced"`
@@ -288,9 +275,6 @@ func build(cfg Config) (*Engine, error) {
 	if cfg.Migrator == nil {
 		cfg.Migrator = migration.MPareto{}
 	}
-	if cfg.Policy.RebuildFraction == 0 {
-		cfg.Policy.RebuildFraction = 0.5
-	}
 	if cfg.Routing != nil {
 		rc := *cfg.Routing // engine owns its copy; defaults don't leak back
 		if rc.LinkCapacity <= 0 || math.IsNaN(rc.LinkCapacity) || math.IsInf(rc.LinkCapacity, 0) {
@@ -314,11 +298,6 @@ func build(cfg Config) (*Engine, error) {
 		e.mig = migration.Budgeted{Inner: cfg.Migrator, Budget: cfg.Policy.Budget}
 	}
 	e.cache = cfg.PPDC.NewWorkloadCache(e.flows)
-	if e.obs != nil {
-		// The initial aggregation above is construction, not invalidation
-		// traffic; rebuild/delta accounting starts here.
-		e.cache.SetObserver(e.obs)
-	}
 	if cfg.Initial != nil {
 		if err := cfg.Initial.Validate(cfg.PPDC, cfg.SFC); err != nil {
 			return nil, fmt.Errorf("engine: initial placement: %w", err)
@@ -409,14 +388,21 @@ func (e *Engine) Ingest(updates []RateUpdate) (IngestResult, error) {
 }
 
 // Step closes the current epoch: it folds the pending updates into the
-// cost cache, evaluates the drift trigger, possibly consults the migrator
-// and commits a migration, and publishes the new snapshot.
+// flow table and the cost cache, evaluates the drift trigger, possibly
+// consults the migrator and commits a migration, and publishes the new
+// snapshot.
 func (e *Engine) Step() (StepResult, error) {
 	start := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	e.applyPending()
+	changed := e.applyPending()
+	served := e.servedWorkload()
+	if changed {
+		rebuildStart := time.Now()
+		e.cache.SetWorkload(served)
+		e.obs.observeRebuild(time.Since(rebuildStart))
+	}
 	e.epoch++
 	res := StepResult{Epoch: e.epoch}
 
@@ -446,7 +432,6 @@ func (e *Engine) Step() (StepResult, error) {
 	cooled := e.cfg.Policy.Cooldown <= 0 ||
 		e.lastMigEpoch < 0 ||
 		e.epoch-e.lastMigEpoch > e.cfg.Policy.Cooldown
-	served := e.servedWorkload()
 	if drifted && cooled && len(served) > 0 {
 		consultStart := time.Now()
 		m, ct, err := e.safeMigrate(served)
@@ -514,69 +499,23 @@ func finiteCost(what string, c float64) error {
 	return nil
 }
 
-// applyPending folds the coalesced pending updates into flows and the
-// cache, choosing between the per-pair delta path and a full rebuild.
-// Flows are visited in index order so the fold is deterministic.
+// applyPending folds the coalesced pending updates into the flow table
+// and reports whether a served flow's rate changed, i.e. whether the cost
+// cache is stale. An unserved flow (dead endpoint or partitioned) records
+// its rate for the eventual heal; the serving cache holds no pair for it.
 // Called with e.mu held.
-func (e *Engine) applyPending() {
-	if len(e.pending) == 0 {
-		return
-	}
-	idxs := make([]int, 0, len(e.pending))
-	for i := range e.pending {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-
-	// Per-(src,dst) rate deltas, first-appearance order over sorted flows.
-	type pairDelta struct {
-		src, dst int
-		dr       float64
-	}
-	var deltas []pairDelta
-	where := make(map[[2]int]int, len(idxs))
-	for _, i := range idxs {
-		r := e.pending[i]
-		f := &e.flows[i]
-		if r == f.Rate {
+func (e *Engine) applyPending() (changed bool) {
+	for i, r := range e.pending {
+		if r == e.flows[i].Rate {
 			continue
 		}
-		dr := r - f.Rate
-		f.Rate = r
-		if e.servable != nil && !e.servable[i] {
-			// The flow is excluded from service (dead endpoint or
-			// partitioned); its rate is recorded for the eventual heal but
-			// the serving cache holds no pair for it.
-			continue
-		}
-		key := [2]int{f.Src, f.Dst}
-		if j, ok := where[key]; ok {
-			deltas[j].dr += dr
-		} else {
-			where[key] = len(deltas)
-			deltas = append(deltas, pairDelta{f.Src, f.Dst, dr})
+		e.flows[i].Rate = r
+		if e.servable == nil || e.servable[i] {
+			changed = true
 		}
 	}
 	clear(e.pending)
-	if len(deltas) == 0 {
-		return
-	}
-
-	pairs := len(e.cache.Aggregated())
-	if pairs == 0 {
-		pairs = 1
-	}
-	if float64(len(deltas)) > e.cfg.Policy.RebuildFraction*float64(pairs) {
-		e.cache.SetWorkload(e.servedWorkload())
-		e.met.RebuildEpochs++
-		return
-	}
-	for _, d := range deltas {
-		i := e.cache.EnsurePair(d.src, d.dst)
-		e.cache.ApplyDelta(i, e.cache.PairRate(i)+d.dr)
-	}
-	e.met.DeltaPairs += int64(len(deltas))
-	e.met.DeltaEpochs++
+	return changed
 }
 
 // servedWorkload returns the live workload restricted to servable flows:

@@ -1,11 +1,15 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"vnfopt/internal/fault"
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/obs"
@@ -222,25 +226,16 @@ func TestBudgetCapsEpochMoves(t *testing.T) {
 	}
 }
 
-// TestDeltaVsRebuildPaths: sparse epochs take the ApplyDelta path, dense
-// epochs rebuild, and both keep the cache equal to a scalar re-evaluation.
-func TestDeltaVsRebuildPaths(t *testing.T) {
+// TestCacheTracksScalarOracle: on dense epochs (every flow changes) and
+// sparse ones (one flow) alike, the cost the engine reports from its cache
+// equals a scalar re-evaluation of the live rates.
+func TestCacheTracksScalarOracle(t *testing.T) {
 	e, sched := newEngine(t, Policy{Hysteresis: math.Inf(1)}, 6)
 	d, base, _ := fixture(t, 6)
-	w := base.WithRates(sched[0])
-
-	// Dense epoch: every flow changes → rebuild.
-	if _, err := e.Ingest(hourUpdates(sched[1])); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Step(); err != nil {
-		t.Fatal(err)
-	}
-	w = w.WithRates(sched[1])
-	// Sparse epochs: one flow at a time → delta path.
-	for i := 0; i < 5; i++ {
-		w[i].Rate += 7
-		if _, err := e.Ingest([]RateUpdate{{Flow: i, Rate: w[i].Rate}}); err != nil {
+	w := base.WithRates(sched[1])
+	step := func(name string, updates []RateUpdate) {
+		t.Helper()
+		if _, err := e.Ingest(updates); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.Step()
@@ -249,13 +244,101 @@ func TestDeltaVsRebuildPaths(t *testing.T) {
 		}
 		want := d.CommCost(w, res.Placement)
 		if math.Abs(res.CommCost-want) > 1e-9*math.Max(1, want) {
-			t.Fatalf("sparse epoch %d: cache cost %v != scalar %v", i, res.CommCost, want)
+			t.Fatalf("%s: cache cost %v != scalar %v", name, res.CommCost, want)
 		}
 	}
-	m := e.Metrics()
-	if m.RebuildEpochs == 0 || m.DeltaEpochs != 5 || m.DeltaPairs == 0 {
-		t.Fatalf("path counters: %+v", m)
+	step("dense epoch", hourUpdates(sched[1]))
+	for i := 0; i < 5; i++ {
+		w[i].Rate += 7
+		step(fmt.Sprintf("sparse epoch %d", i), []RateUpdate{{Flow: i, Rate: w[i].Rate}})
 	}
+}
+
+// TestCacheIsFunctionOfRates: whatever mix of sparse and dense ingests,
+// steps, faults and heals brought the engine here, its cost cache holds
+// the bits a fresh aggregation of the served workload holds — and an
+// epoch that changed no served rate did not rebuild it.
+func TestCacheIsFunctionOfRates(t *testing.T) {
+	r := obs.NewRegistry()
+	e, sched := newEngineCfg(t, 9, Config{Observer: NewObserver(r, nil, "t")})
+	rebuilds := r.Counter(`vnfopt_cache_rebuilds_total{scenario="t"}`)
+	check := func(what string) {
+		t.Helper()
+		fresh := e.d.NewWorkloadCache(e.servedWorkload())
+		in, eg := e.cache.EndpointCosts()
+		inF, egF := fresh.EndpointCosts()
+		if !slices.Equal(in, inF) || !slices.Equal(eg, egF) ||
+			e.cache.TotalRate() != fresh.TotalRate() || e.cache.CommCost(nil) != fresh.CommCost(nil) {
+			t.Fatalf("%s: cache differs from a fresh aggregation of the served workload", what)
+		}
+	}
+	ingest := func(what string, updates []RateUpdate) {
+		t.Helper()
+		if _, err := e.Ingest(updates); err != nil {
+			t.Fatal(err)
+		}
+		check(what + ": ingest")
+	}
+	// step closes an epoch and reports whether it rebuilt the cache.
+	step := func(what string) bool {
+		t.Helper()
+		before := rebuilds.Value()
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		check(what + ": step")
+		return rebuilds.Value() > before
+	}
+	faults := func(what string, inject, heal []fault.Fault) {
+		t.Helper()
+		if _, err := e.ApplyFaults(context.Background(), inject, heal); err != nil {
+			t.Fatal(err)
+		}
+		check(what)
+	}
+	rng := rand.New(rand.NewSource(4))
+	sparse := func() []RateUpdate {
+		// Rates no float sums exactly, one of them landing on a flow twice.
+		f := rng.Intn(e.Flows())
+		return []RateUpdate{{Flow: f, Rate: 100 * rng.Float64()}, {Flow: rng.Intn(e.Flows()), Rate: 0.1 * rng.Float64()}, {Flow: f, Rate: 100 * rng.Float64()}}
+	}
+
+	for h := 1; h <= 12; h++ {
+		if h%4 == 0 {
+			ingest("dense", hourUpdates(sched[h]))
+		} else {
+			ingest("sparse", sparse())
+		}
+		if !step("healthy") {
+			t.Fatalf("epoch %d changed rates and rebuilt nothing", h)
+		}
+	}
+	ingest("resend", hourUpdates(e.flows.Rates()))
+	if step("resend") {
+		t.Fatal("an epoch that changed no rate rebuilt the cache")
+	}
+
+	host := []fault.Fault{{Kind: fault.Host, U: e.cfg.Base[0].Src}}
+	faults("inject", host, nil)
+	if len(e.unserved) == 0 {
+		t.Fatal("killing a flow endpoint unserved nothing")
+	}
+	var dark []RateUpdate
+	for _, u := range e.unserved {
+		dark = append(dark, RateUpdate{Flow: u.Flow, Rate: 100 * rng.Float64()})
+	}
+	ingest("unserved", dark)
+	if step("unserved") {
+		t.Fatal("an epoch that changed only unserved flows rebuilt the cache")
+	}
+	ingest("degraded", append(sparse(), dark[0]))
+	if !step("degraded") {
+		t.Fatal("a served rate changed while degraded and nothing was rebuilt")
+	}
+	ingest("pending across the heal", sparse())
+	faults("heal", nil, host)
+	ingest("healed", sparse())
+	step("healed")
 }
 
 // TestSnapshotAndMetrics: snapshots are consistent and metrics monotonic.
@@ -405,9 +488,7 @@ func TestWithObserverWiring(t *testing.T) {
 	if got := r.Counter("vnfopt_engine_updates_total" + l).Value(); got != int64(6*e.Flows()) {
 		t.Fatalf("updates counter %d, want %d", got, 6*e.Flows())
 	}
-	cache := r.Counter("vnfopt_cache_rebuilds_total"+l).Value() +
-		r.Counter("vnfopt_cache_deltas_total"+l).Value()
-	if cache == 0 {
+	if r.Counter("vnfopt_cache_rebuilds_total"+l).Value() == 0 {
 		t.Fatal("no cache accounting reached the observer")
 	}
 	if moves > 0 {
@@ -500,13 +581,12 @@ func TestStepFailsOnNonFiniteCost(t *testing.T) {
 	}
 }
 
-// TestRebaseKeepsResumeBitIdentical: sparse updates go through the cost
-// cache's delta path, whose sums depend on the order they were built in,
-// so an engine and one resumed from its State (a rebuilt cache) agree
-// only to reassociation tolerance — unless the saved engine rebases
-// where the state was taken. Then every later epoch comes out bit for
-// bit the same on both, whatever the rates.
-func TestRebaseKeepsResumeBitIdentical(t *testing.T) {
+// TestResumeBitIdenticalAtAnySavePoint: the cost cache is rebuilt from
+// the rates, never summed in the order updates arrived, so an engine and
+// one resumed from its State carry on bit for bit the same — under sparse
+// updates with rates no float sums exactly, and with nothing done to the
+// saved engine where the state was taken.
+func TestResumeBitIdenticalAtAnySavePoint(t *testing.T) {
 	d, base, _ := fixture(t, 8)
 	cfg := Config{PPDC: d, SFC: model.NewSFC(3), Base: base, Mu: 1e3}
 	a, err := New(cfg)
@@ -553,13 +633,9 @@ func TestRebaseKeepsResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a.Rebase()
 			if b, err = ResumeJSON(cfg, blob); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-	if m := a.Metrics(); m.DeltaEpochs < 30 {
-		t.Fatalf("only %d of 40 epochs took the delta path", m.DeltaEpochs)
 	}
 }

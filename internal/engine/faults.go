@@ -139,9 +139,6 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	// together under the engine lock.
 	e.flows = flows
 	clear(e.pending)
-	if e.obs != nil {
-		cache.SetObserver(e.obs)
-	}
 	e.cache = cache
 	if next.Empty() {
 		e.d, e.view, e.servable, e.unserved = e.cfg.PPDC, nil, nil, nil

@@ -13,10 +13,6 @@ import (
 // nil *Observer disables instrumentation entirely — every use is behind
 // one nil check, and the obs handles themselves are nil-safe, so the
 // disabled configuration costs nothing measurable.
-//
-// Observer also implements model.CacheObserver, so the engine wires it
-// straight into its WorkloadCache: rebuild timings and per-pair delta
-// magnitudes are attributed to the same scenario as the epoch metrics.
 type Observer struct {
 	// Registry is the backing registry (nil when metrics are disabled).
 	Registry *obs.Registry
@@ -26,7 +22,6 @@ type Observer struct {
 	epochSeconds    *obs.Histogram
 	consultSeconds  *obs.Histogram
 	improvement     *obs.Histogram
-	deltaMagnitude  *obs.Histogram
 	rebuildSeconds  *obs.Histogram
 	sfcPassSeconds  *obs.Histogram
 	drift           *obs.Gauge
@@ -44,7 +39,6 @@ type Observer struct {
 	migrations      *obs.Counter
 	moves           *obs.Counter
 	rebuilds        *obs.Counter
-	deltas          *obs.Counter
 	faultsInjected  *obs.Counter
 	faultsHealed    *obs.Counter
 	repairs         *obs.Counter
@@ -67,7 +61,6 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 		epochSeconds:    r.Histogram("vnfopt_engine_epoch_seconds" + l),
 		consultSeconds:  r.Histogram("vnfopt_engine_consult_seconds" + l),
 		improvement:     r.Histogram("vnfopt_engine_improvement" + l),
-		deltaMagnitude:  r.Histogram("vnfopt_cache_delta_magnitude" + l),
 		rebuildSeconds:  r.Histogram("vnfopt_cache_rebuild_seconds" + l),
 		sfcPassSeconds:  r.Histogram("vnfopt_sfcroute_pass_seconds" + l),
 		drift:           r.Gauge("vnfopt_engine_drift_ratio" + l),
@@ -85,7 +78,6 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 		migrations:      r.Counter("vnfopt_engine_migrations_total" + l),
 		moves:           r.Counter("vnfopt_engine_moves_total" + l),
 		rebuilds:        r.Counter("vnfopt_cache_rebuilds_total" + l),
-		deltas:          r.Counter("vnfopt_cache_deltas_total" + l),
 		faultsInjected:  r.Counter("vnfopt_engine_faults_injected_total" + l),
 		faultsHealed:    r.Counter("vnfopt_engine_faults_healed_total" + l),
 		repairs:         r.Counter("vnfopt_engine_repairs_total" + l),
@@ -94,22 +86,13 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 	}
 }
 
-// CacheRebuilt implements model.CacheObserver.
-func (o *Observer) CacheRebuilt(pairs int, elapsed time.Duration) {
+// observeRebuild records one cost-cache rebuild by Step.
+func (o *Observer) observeRebuild(elapsed time.Duration) {
 	if o == nil {
 		return
 	}
 	o.rebuilds.Inc()
 	o.rebuildSeconds.Observe(elapsed.Seconds())
-}
-
-// CacheDelta implements model.CacheObserver.
-func (o *Observer) CacheDelta(magnitude float64) {
-	if o == nil {
-		return
-	}
-	o.deltas.Inc()
-	o.deltaMagnitude.Observe(magnitude)
 }
 
 // observeIngest records one accepted Ingest batch.

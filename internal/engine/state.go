@@ -77,20 +77,6 @@ func (e *Engine) MarshalState() ([]byte, error) {
 	return json.Marshal(e.State())
 }
 
-// Rebase rebuilds the cost cache from the live rates, the way Resume
-// builds it, and republishes the snapshot. The cache's delta path
-// accumulates one rounding per update, so a cache with history and a
-// rebuilt one agree to reassociation tolerance, not bit for bit. A caller
-// that has saved State and will Resume from it in place of this engine's
-// history — the daemon, behind a checkpoint — rebases, so this engine and
-// the resumed one carry on from the same bits.
-func (e *Engine) Rebase() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cache.SetWorkload(e.servedWorkload())
-	e.publish(e.cache.CommCost(e.p))
-}
-
 // Resume builds an engine from a configuration plus a saved State,
 // restoring rates, placement, trigger reference, and counters. The Config
 // must describe the same scenario the State was captured from (same flow
@@ -128,11 +114,7 @@ func Resume(cfg Config, st *State) (*Engine, error) {
 		if err := st.Placement.Validate(plan.PPDC, cfg.SFC); err != nil {
 			return nil, fmt.Errorf("engine: state placement invalid on degraded fabric: %w", err)
 		}
-		cache := plan.PPDC.NewWorkloadCache(plan.Served)
-		if e.obs != nil {
-			cache.SetObserver(e.obs)
-		}
-		e.cache = cache
+		e.cache = plan.PPDC.NewWorkloadCache(plan.Served)
 		e.faults = fs
 		e.d, e.view, e.servable, e.unserved = plan.PPDC, v, plan.Servable, plan.Unserved
 	}

@@ -1,20 +1,5 @@
 package model
 
-import "time"
-
-// CacheObserver receives WorkloadCache invalidation traffic: one
-// CacheRebuilt call per SetWorkload (with the rebuilt pair count and
-// wall time) and one CacheDelta call per effective ApplyDelta (with the
-// absolute rate change). The model package defines only the interface —
-// implementations live with the observability layer (engine.Observer
-// feeds internal/obs) so the cost model carries no metrics dependency.
-// The observer runs synchronously on the mutating goroutine; keep
-// implementations to a few atomic operations.
-type CacheObserver interface {
-	CacheRebuilt(pairs int, elapsed time.Duration)
-	CacheDelta(magnitude float64)
-}
-
 // WorkloadCache is the aggregated-workload fast path of the cost model.
 // The scalar oracles (CommCost, EndpointCosts) re-scan all l flows per
 // query; at data-center scale l dwarfs the number of distinct hosts, so
@@ -35,42 +20,49 @@ type CacheObserver interface {
 // (equivalence is fuzz-tested to float-reassociation tolerance).
 //
 // All aggregation runs in first-appearance order of the workload slice,
-// so rebuilt caches are deterministic: identical workloads produce
-// bit-identical vectors regardless of map iteration order.
+// so the cache is a function of (fabric, workload): identical workloads
+// produce bit-identical vectors regardless of map iteration order or of
+// what the cache held before.
 //
 // The cache snapshots the workload. When rates move — the TOM
-// dynamic-rates path mutates λ every simulated hour — call SetWorkload
-// with the updated workload to invalidate and rebuild (O(l + H·|V|)), or,
-// when only a few host pairs changed, ApplyDelta each changed pair in
-// O(|V|) without touching the rest of the aggregates. The online engine
-// (internal/engine) uses the delta path for sparse epoch updates and
-// falls back to SetWorkload when an epoch touches most pairs.
+// dynamic-rates path mutates λ every simulated hour, the online engine
+// (internal/engine) folds streamed updates every epoch — call SetWorkload
+// with the updated workload: it is the one way the cache changes, an
+// O(l + H·|V|) rebuild that allocates nothing in steady state.
 type WorkloadCache struct {
 	d *PPDC
 	// pairs is the (src,dst)-aggregated workload; its Rate fields hold the
 	// summed λ of all flows sharing that host pair.
 	pairs Workload
-	// pairIdx maps a (src,dst) host pair to its index in pairs.
-	pairIdx map[[2]int]int
 	// ingress[v] = Σ_i λ_i c(s_i, v); egress[v] = Σ_i λ_i c(v, t_i),
 	// aggregated per distinct source/dest host.
 	ingress, egress []float64
 	totalRate       float64
 	// direct is C_a of the empty placement: Σ λ c(s,t).
 	direct float64
-	// obs, when set, is notified of rebuilds and deltas; nil (the
-	// default) costs one pointer check per mutation.
-	obs CacheObserver
+
+	// Rebuild scratch, cleared and refilled by every SetWorkload: the
+	// (src,dst) → pairs index and the per-host λ marginals with their
+	// host → index maps.
+	pairIdx        map[[2]int]int
+	srcIdx, dstIdx map[int]int
+	srcs, dsts     []hostRate
 }
 
-// SetObserver installs (or, with nil, removes) the cache's invalidation
-// observer. Not safe to call concurrently with SetWorkload/ApplyDelta;
-// install before sharing the cache.
-func (c *WorkloadCache) SetObserver(o CacheObserver) { c.obs = o }
+// hostRate is one host's λ marginal.
+type hostRate struct {
+	host int
+	rate float64
+}
 
 // NewWorkloadCache builds the aggregated cost cache for w.
 func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
-	c := &WorkloadCache{d: d}
+	c := &WorkloadCache{
+		d:       d,
+		pairIdx: make(map[[2]int]int, len(w)),
+		srcIdx:  make(map[int]int),
+		dstIdx:  make(map[int]int),
+	}
 	c.SetWorkload(w)
 	return c
 }
@@ -80,13 +72,9 @@ func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
 // dynamic-rates simulation); the endpoints may change too — the cache
 // makes no assumption that w matches the previous workload's host pairs.
 func (c *WorkloadCache) SetWorkload(w Workload) {
-	var start time.Time
-	if c.obs != nil {
-		start = time.Now()
-	}
 	n := c.d.Topo.Graph.Order()
 	// Group flows by (src, dst) host pair, first-appearance order.
-	c.pairIdx = make(map[[2]int]int, len(w))
+	clear(c.pairIdx)
 	c.pairs = c.pairs[:0]
 	for _, f := range w {
 		if f.Rate == 0 {
@@ -101,122 +89,46 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 		}
 	}
 	// Per-host λ marginals, first-appearance order.
-	type hostRate struct {
-		host int
-		rate float64
-	}
-	var srcs, dsts []hostRate
-	srcIdx := make(map[int]int)
-	dstIdx := make(map[int]int)
+	clear(c.srcIdx)
+	clear(c.dstIdx)
+	c.srcs, c.dsts = c.srcs[:0], c.dsts[:0]
 	c.totalRate, c.direct = 0, 0
 	for _, f := range c.pairs {
 		c.totalRate += f.Rate
 		c.direct += f.Rate * c.d.APSP.Cost(f.Src, f.Dst)
-		if i, ok := srcIdx[f.Src]; ok {
-			srcs[i].rate += f.Rate
+		if i, ok := c.srcIdx[f.Src]; ok {
+			c.srcs[i].rate += f.Rate
 		} else {
-			srcIdx[f.Src] = len(srcs)
-			srcs = append(srcs, hostRate{f.Src, f.Rate})
+			c.srcIdx[f.Src] = len(c.srcs)
+			c.srcs = append(c.srcs, hostRate{f.Src, f.Rate})
 		}
-		if i, ok := dstIdx[f.Dst]; ok {
-			dsts[i].rate += f.Rate
+		if i, ok := c.dstIdx[f.Dst]; ok {
+			c.dsts[i].rate += f.Rate
 		} else {
-			dstIdx[f.Dst] = len(dsts)
-			dsts = append(dsts, hostRate{f.Dst, f.Rate})
+			c.dstIdx[f.Dst] = len(c.dsts)
+			c.dsts = append(c.dsts, hostRate{f.Dst, f.Rate})
 		}
 	}
-	if c.ingress == nil || len(c.ingress) != n {
+	if len(c.ingress) != n {
 		c.ingress = make([]float64, n)
 		c.egress = make([]float64, n)
 	} else {
-		for v := range c.ingress {
-			c.ingress[v], c.egress[v] = 0, 0
-		}
+		clear(c.ingress)
+		clear(c.egress)
 	}
-	for _, s := range srcs {
+	for _, s := range c.srcs {
 		row := c.d.APSP.Row(s.host)
 		for v := 0; v < n; v++ {
 			c.ingress[v] += s.rate * row[v]
 		}
 	}
-	for _, t := range dsts {
+	for _, t := range c.dsts {
 		// Undirected PPDC: c(v, t) = c(t, v), so one contiguous row serves
 		// the egress sweep too.
 		row := c.d.APSP.Row(t.host)
 		for v := 0; v < n; v++ {
 			c.egress[v] += t.rate * row[v]
 		}
-	}
-	if c.obs != nil {
-		c.obs.CacheRebuilt(len(c.pairs), time.Since(start))
-	}
-}
-
-// PairIndex returns the aggregated-pair index of the (src, dst) host pair,
-// or -1 when the pair is not in the cache (it had zero rate at the last
-// rebuild and has not been added since).
-func (c *WorkloadCache) PairIndex(src, dst int) int {
-	if i, ok := c.pairIdx[[2]int{src, dst}]; ok {
-		return i
-	}
-	return -1
-}
-
-// EnsurePair returns the aggregated-pair index of (src, dst), appending a
-// zero-rate pair when absent so a subsequent ApplyDelta can raise it. The
-// returned index stays valid until the next SetWorkload, which compacts
-// zero-rate pairs away.
-func (c *WorkloadCache) EnsurePair(src, dst int) int {
-	key := [2]int{src, dst}
-	if i, ok := c.pairIdx[key]; ok {
-		return i
-	}
-	i := len(c.pairs)
-	c.pairIdx[key] = i
-	c.pairs = append(c.pairs, VMPair{Src: src, Dst: dst})
-	return i
-}
-
-// PairRate returns the aggregated rate of pair pairIdx.
-func (c *WorkloadCache) PairRate(pairIdx int) float64 { return c.pairs[pairIdx].Rate }
-
-// ApplyDelta is the incremental half of the invalidation contract: it sets
-// the aggregated rate of pair pairIdx to newRate, adjusting totalRate, the
-// direct cost, and the two endpoint vectors by the rate difference in
-// O(|V|) — one APSP row sweep per endpoint instead of SetWorkload's full
-// O(l + H·|V|) rebuild. A no-op when the rate is unchanged.
-//
-// Deltas accumulate floating-point error one rounding per update, so a
-// cache driven by a long delta stream agrees with a fresh rebuild to
-// reassociation tolerance (≈1e-9 relative; fuzzed in internal/
-// differential), not bit-for-bit. Callers that need the bit-exact
-// deterministic form (or that changed most pairs at once, where the delta
-// path is slower) should rebuild with SetWorkload.
-func (c *WorkloadCache) ApplyDelta(pairIdx int, newRate float64) {
-	p := &c.pairs[pairIdx]
-	dr := newRate - p.Rate
-	if dr == 0 {
-		return
-	}
-	if c.obs != nil {
-		mag := dr
-		if mag < 0 {
-			mag = -mag
-		}
-		c.obs.CacheDelta(mag)
-	}
-	p.Rate = newRate
-	c.totalRate += dr
-	c.direct += dr * c.d.APSP.Cost(p.Src, p.Dst)
-	n := len(c.ingress)
-	srcRow := c.d.APSP.Row(p.Src)
-	for v := 0; v < n; v++ {
-		c.ingress[v] += dr * srcRow[v]
-	}
-	// Undirected PPDC: c(v, t) = c(t, v), same as the SetWorkload sweep.
-	dstRow := c.d.APSP.Row(p.Dst)
-	for v := 0; v < n; v++ {
-		c.egress[v] += dr * dstRow[v]
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"vnfopt/internal/topology"
 )
 
-// benchCache builds the k=8 (128-host) paper-scale fixture the delta-path
+// benchCache builds the k=8 (128-host) paper-scale fixture the cache
 // benchmarks run on: l flows over a fat tree, aggregated once.
 func benchCache(b *testing.B, l int) (*WorkloadCache, Workload) {
 	b.Helper()
@@ -25,19 +25,8 @@ func benchCache(b *testing.B, l int) (*WorkloadCache, Workload) {
 	return d.NewWorkloadCache(w), w
 }
 
-// BenchmarkWorkloadCacheApplyDelta measures the O(|V|) incremental update
-// of one changed pair — the engine's per-pair epoch cost.
-func BenchmarkWorkloadCacheApplyDelta(b *testing.B) {
-	c, _ := benchCache(b, 2000)
-	pairs := len(c.Aggregated())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ApplyDelta(i%pairs, float64(i%97)+1)
-	}
-}
-
-// BenchmarkWorkloadCacheRebuild measures the full SetWorkload rebuild the
-// delta path replaces — the O(l + H·|V|) baseline for one changed pair.
+// BenchmarkWorkloadCacheRebuild measures the full SetWorkload rebuild —
+// the engine's O(l + H·|V|) cost of an epoch that changed a rate.
 func BenchmarkWorkloadCacheRebuild(b *testing.B) {
 	c, w := benchCache(b, 2000)
 	b.ResetTimer()

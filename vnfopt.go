@@ -362,7 +362,7 @@ func NewSimulator(cfg SimConfig) (*Simulator, error) { return sim.New(cfg) }
 
 // Engine is the long-running online counterpart of the batch simulator: it
 // owns a PPDC plus a live workload, ingests streaming per-pair rate
-// updates, maintains C_a incrementally, and runs a drift-triggered TOM
+// updates, keeps C_a current, and runs a drift-triggered TOM
 // loop (see internal/engine and docs/ENGINE.md).
 type Engine = engine.Engine
 
