@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race bench bench-smoke bench-solver bench-kernels bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-daemon-full bench-wal bench-wal-full bench-e2e-smoke bench-compare crash-smoke fuzz fuzz-list chaos-smoke
+.PHONY: check vet fmt build test race bench bench-smoke bench-kernels bench-e2e-smoke bench-compare crash-smoke fuzz fuzz-list chaos-smoke orphans
 
-check: vet fmt build race bench-smoke bench-solver bench-apsp-delta bench-apsp-weight bench-sfcroute bench-daemon bench-wal bench-e2e-smoke chaos-smoke crash-smoke fuzz-list
+check: vet fmt build race bench-smoke bench-e2e-smoke chaos-smoke crash-smoke orphans fuzz-list
 
 vet:
 	$(GO) vet ./...
@@ -26,76 +26,32 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One-iteration engine benchmark: proves the hot loop (and its nil- vs
-# live-observer variants) still compiles and runs, without bench noise.
+# One iteration of every kernel microbenchmark with numbers on record,
+# so the code behind them still compiles and runs; no timing is read.
+# In order: the engine hot loop with a nil and a live observer; the
+# branch-and-bound solvers and their shared kernel (BENCH_solver.json);
+# the incremental fault-event and weight-delta APSP paths on the -short
+# topologies (BENCH_apsp.json); layered SFC routing (BENCH_sfcroute.json).
+# The bitwise and differential asserts these benchmarks lean on
+# (Test*IncrementalMatchesRebuild, TestDifferentialMetricClosure,
+# TestAdmitAllMatchesPerFlowAdmit) run under `race`. The daemon is not
+# load-tested here: that is bench/ (bench-e2e-smoke below).
 bench-smoke:
 	$(GO) test -run NONE -bench BenchmarkEngine -benchtime 1x ./internal/engine/
-
-# One-iteration smoke of the branch-and-bound solver benchmarks and the
-# kernel microbench (results/BENCH_solver.json records the full numbers).
-bench-solver:
 	$(GO) test -run NONE -bench BenchmarkSolver -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench BenchmarkKernelSequential -benchtime 1x -benchmem ./internal/bnb/
+	$(GO) test -run NONE -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchtime 1x -short ./internal/fault/
+	$(GO) test -run NONE -bench 'BenchmarkLayered|BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
 
-# Bitwise assert plus one-iteration smoke of the incremental fault-event
-# APSP path against the full rebuild: every event class (link, switch,
-# rack, the worst-case picks, and the heals — switch_back among them)
-# must produce a view identical to Rebuild before the bench-harness runs
-# once over the -short topologies (results/BENCH_apsp.json records the
-# full numbers).
-bench-apsp-delta:
-	$(GO) test -run TestFaultEventIncrementalMatchesRebuild -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal' -benchtime 1x -short ./internal/fault/
-
-# Bitwise assert plus one-iteration smoke of the weight-delta APSP path
-# (degrade faults / link re-pricing) against the full rebuild: every
-# weight event must produce a view identical to Rebuild through a
-# degrade -> re-price -> heal chain before the bench harness runs once
-# over the -short topologies (results/BENCH_apsp.json records the full
-# numbers under "weight_events", including the k=32 fat tree and the
-# 10k-switch jellyfish from the non-short run).
-bench-apsp-weight:
-	$(GO) test -run TestWeightEventIncrementalMatchesRebuild -bench BenchmarkWeightEvent -benchtime 1x -short ./internal/fault/
-
-# Differential asserts plus one-iteration smoke of the layered SFC
-# routing subsystem: the layered shortest path must reproduce the
-# metric-closure chain cost, and the batched route pass (AdmitAll, one
-# search per distinct source) must equal the per-flow Admit loop bit for
-# bit, before the build/route/admission/route-pass benches run once
-# (results/BENCH_sfcroute.json records the full numbers).
-bench-sfcroute:
-	$(GO) test -run 'TestDifferentialMetricClosure|TestAdmitAllMatchesPerFlowAdmit' -bench 'BenchmarkLayered|BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
-
-# Control-plane load smoke: internal/loadgen drives the sharded daemon
-# over HTTP (create fleet, per-call ingest, bulk NDJSON ingest, snapshot
-# reads) and asserts every phase moved and bulk beat per-call. The full
-# form scales to 1000+ concurrent scenarios and enforces the >= 10x
-# bulk-over-per-call acceptance bar, writing results/BENCH_daemon.json.
-bench-daemon:
-	$(GO) test -run TestBenchDaemon -v ./cmd/vnfoptd/
-
-bench-daemon-full:
-	VNFOPT_BENCH_FULL=1 VNFOPT_BENCH_OUT=$(CURDIR)/results/BENCH_daemon.json \
-		$(GO) test -run TestBenchDaemon -v -timeout 20m ./cmd/vnfoptd/
-
-# WAL overhead + crash/restart smoke: the loadgen workload against a
-# no-WAL baseline and both fsync policies, with a hard filesystem kill
-# and recovery in every WAL arm (acked updates must all survive under
-# `always`). The full form enforces the <= 20% group-commit overhead
-# bar and writes results/BENCH_wal.json.
-bench-wal:
-	$(GO) test -run TestBenchWAL -v ./cmd/vnfoptd/
-
-bench-wal-full:
-	VNFOPT_BENCH_FULL=1 VNFOPT_BENCH_OUT=$(CURDIR)/results/BENCH_wal.json \
-		$(GO) test -run TestBenchWAL -v -timeout 20m ./cmd/vnfoptd/
-
-# The reaction-time benchmark (bench/, the one BENCHMARK.json runs) is a
-# module of its own, so `go test ./...` neither compiles nor runs it: a
-# change to cmd/vnfoptd or internal/* can break it unnoticed. Vet it and
-# run its tests — a short pass of every workload against the real daemon,
-# oracle included (~10 s) — against this checkout. -count=1 because the
-# test builds cmd/vnfoptd in a subprocess, which the test cache cannot
-# see change.
+# The reaction-time benchmark (bench/, the one BENCHMARK.json runs) is the
+# daemon's load test: the real binary with the WAL on, four workloads, a
+# SIGKILL and restart every round, every answer checked against an
+# in-process oracle. It is a module of its own, so `go test ./...`
+# neither compiles nor runs it: a change to cmd/vnfoptd or internal/* can
+# break it unnoticed. Vet it and run its tests — a short pass of every
+# workload against the real daemon, oracle included (~10 s) — against
+# this checkout. -count=1 because the test builds cmd/vnfoptd in a
+# subprocess, which the test cache cannot see change.
 bench-e2e-smoke:
 	$(GO) -C bench vet .
 	$(GO) -C bench test -count=1 .
@@ -177,4 +133,21 @@ fuzz-list:
 	@listed="$$($(MAKE) -s -n fuzz | grep -o -- '-fuzz Fuzz[A-Za-z0-9_]*' | cut -d' ' -f2)"; \
 	for f in $$(grep -rh '^func Fuzz' --include='*_test.go' --exclude-dir=bench . | sed 's/^func \([A-Za-z0-9_]*\).*/\1/'); do \
 		echo "$$listed" | grep -qx "$$f" || { echo "fuzz target $$f is not in 'make fuzz'"; bad=1; }; \
+	done; test -z "$$bad"
+
+# An internal package no program reaches is code only its own tests keep
+# alive: fail when `go list ./internal/...` names one that neither the
+# root module's programs, examples and facade nor the bench module
+# import, transitively. Three are meant to be that, and no others:
+#	chaos         harness for its own tests (chaos-smoke)
+#	differential  harness for its own tests and fuzz targets (make fuzz)
+#	ilp           EXPERIMENTS.md's Fig. 4 ablation, run from bench_test.go
+ORPHANS_ALLOWED = chaos differential ilp
+orphans:
+	@reached="$$({ $(GO) list -deps ./cmd/... ./examples/... . && $(GO) -C bench list -deps .; } | sort -u)"; \
+	test -n "$$reached" || exit 1; \
+	for p in $$($(GO) list ./internal/...); do \
+		echo "$$reached" | grep -qx "$$p" && continue; \
+		case " $(ORPHANS_ALLOWED) " in *" $${p#vnfopt/internal/} "*) continue;; esac; \
+		echo "orphan package $$p: no program imports it and it is not in ORPHANS_ALLOWED"; bad=1; \
 	done; test -z "$$bad"

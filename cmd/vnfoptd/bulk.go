@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"sync"
 
@@ -16,27 +17,25 @@ import (
 
 // Bulk ingest: POST /v1/scenarios/{id}/rates:bulk carries an arbitrary
 // number of rate updates on one connection, so a million-flow tenant is
-// one request, not a million. Two body formats:
+// one request, not a million. The body is newline-delimited JSON and
+// nothing else: Content-Type application/x-ndjson (or application/ndjson;
+// any case, any parameters), each line either one update
+// {"flow":7,"rate":1.5} or an array chunk [{...},{...}]. Any other
+// content type is 400 — the {"updates":[...]} object belongs to
+// POST .../rates, and a body this route cannot stream is refused rather
+// than half-read.
 //
-//   - Content-Type: application/x-ndjson (or application/ndjson) —
-//     newline-delimited JSON, each line either one update
-//     {"flow":7,"rate":1.5} or an array chunk [{...},{...}]. The body
-//     is *streamed*: lines are folded into batches of bulkBatchSize
-//     updates and each batch becomes one mailbox command while the next
-//     lines are still being parsed, so memory stays O(batch), never
-//     O(body), and a connection pushing faster than the shard's run
-//     loop drains is flow-controlled by the bounded mailbox instead of
-//     buffered.
-//   - anything else — the single-call JSON forms: either the /rates
-//     body {"updates":[...],"step":bool} or a bare update array, split
-//     into the same batches.
+// The body is *streamed*: lines are folded into batches of bulkBatchSize
+// updates and each batch becomes one mailbox command while the next
+// lines are still being parsed, so memory stays O(batch), never O(body),
+// and a connection pushing faster than the shard's run loop drains is
+// flow-controlled by the bounded mailbox instead of buffered.
 //
-// ?step=true (or "step":true in the JSON form) closes the epoch after
-// the final batch. Each batch is atomic (a bad update rejects its whole
-// batch and aborts the stream) but the request is not: batches already
-// executed stay ingested, exactly as if they had arrived as separate
-// /rates calls. The response reports totals plus the per-batch
-// accepted/coalesced/epoch accounting.
+// ?step=true closes the epoch after the final batch. Each batch is
+// atomic (a bad update rejects its whole batch and aborts the stream)
+// but the request is not: batches already executed stay ingested,
+// exactly as if they had arrived as separate /rates calls. The response
+// reports totals plus the per-batch accepted/coalesced/epoch accounting.
 
 // bulkBatchSize is the number of updates folded into one mailbox
 // command. Large enough to amortize the command handoff, small enough
@@ -90,6 +89,10 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, codeBadRequest, "bad step %q (want true or false)", r.URL.Query().Get("step"))
 		return
 	}
+	if ct := r.Header.Get("Content-Type"); !isNDJSON(ct) {
+		writeError(w, codeBadRequest, `Content-Type %q: rates:bulk takes application/x-ndjson, one update or one array of updates per line; the {"updates":[...]} object goes to POST /v1/scenarios/{id}/rates`, ct)
+		return
+	}
 
 	acc := &bulkAccount{}
 	var wg sync.WaitGroup
@@ -117,13 +120,7 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 		return err
 	}
 
-	var parseErr error
-	ct := r.Header.Get("Content-Type")
-	if isNDJSON(ct) {
-		parseErr = streamNDJSON(r.Body, submit)
-	} else {
-		parseErr, step = parseBulkJSON(w, r, submit, step)
-	}
+	parseErr := streamNDJSON(r.Body, submit)
 	wg.Wait() // every submitted batch has executed; acc is stable
 
 	switch {
@@ -160,15 +157,10 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 }
 
 func isNDJSON(contentType string) bool {
-	// Strip any ;charset=... parameter before comparing.
-	if i := bytes.IndexByte([]byte(contentType), ';'); i >= 0 {
-		contentType = contentType[:i]
-	}
-	switch contentType {
-	case "application/x-ndjson", "application/ndjson":
-		return true
-	}
-	return false
+	// The media type comes back lower-cased and without its parameters,
+	// and empty when the header does not parse.
+	mt, _, _ := mime.ParseMediaType(contentType)
+	return mt == "application/x-ndjson" || mt == "application/ndjson"
 }
 
 // streamNDJSON reads newline-delimited updates from body, flushing to
@@ -220,41 +212,4 @@ func streamNDJSON(body io.Reader, submit func([]engine.RateUpdate) error) error 
 		return err
 	}
 	return flush()
-}
-
-// parseBulkJSON handles the non-streaming body forms: the /rates
-// request object or a bare update array, chunked into the same batches
-// as the NDJSON path. Returns the parse error and the (possibly
-// body-requested) step flag.
-func parseBulkJSON(w http.ResponseWriter, r *http.Request, submit func([]engine.RateUpdate) error, step bool) (error, bool) {
-	// The array form is bounded like every other buffered JSON body,
-	// but bulk arrays are the migration path for clients not yet on
-	// NDJSON — give them 8x the single-call headroom.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8*maxBodyBytes))
-	var probe json.RawMessage
-	if err := dec.Decode(&probe); err != nil {
-		return err, step
-	}
-	var updates []engine.RateUpdate
-	trimmed := bytes.TrimSpace(probe)
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := json.Unmarshal(trimmed, &updates); err != nil {
-			return err, step
-		}
-	} else {
-		var req ratesRequest
-		if err := json.Unmarshal(trimmed, &req); err != nil {
-			return err, step
-		}
-		updates = req.Updates
-		step = step || req.Step
-	}
-	for len(updates) > 0 {
-		n := min(bulkBatchSize, len(updates))
-		if err := submit(append([]engine.RateUpdate(nil), updates[:n]...)); err != nil {
-			return err, step
-		}
-		updates = updates[n:]
-	}
-	return nil, step
 }

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/failfs"
@@ -162,16 +163,28 @@ func driveMixedSchedule(t *testing.T, srv *server, ts *httptest.Server, spec Sce
 // identical there because the router breaks overflow ties
 // deterministically. The exhaustive case runs Algorithm 6 under a node
 // budget that cuts a consult short: replay is only identical there
-// because the one search stops at the same node every time.
+// because the one search stops at the same node every time. The interval
+// case is the plain scenario logged under group commit (-wal-sync
+// interval): most appends are acknowledged without an fsync of their own.
 func TestLiveEqualsReplay(t *testing.T) {
 	routed := diffSpec("routed")
 	routed.Routing = &engine.RoutingConfig{LinkCapacity: 60, Alpha: 1, Classify: true}
 	exhaustive := diffSpec("exhaustive")
 	exhaustive.Migrator, exhaustive.NodeBudget = "exhaustive", 5
-	for _, spec := range []ScenarioSpec{diffSpec("plain"), routed, exhaustive} {
+	always := wal.Options{Policy: wal.SyncAlways}
+	groupCommit := wal.Options{Policy: wal.SyncInterval, SyncEvery: 20 * time.Millisecond}
+	for _, tc := range []struct {
+		spec ScenarioSpec
+		opts wal.Options
+	}{
+		{diffSpec("plain"), always}, {routed, always}, {exhaustive, always},
+		{diffSpec("interval"), groupCommit},
+	} {
+		spec := tc.spec
 		t.Run(spec.ID, func(t *testing.T) {
 			dir := t.TempDir()
 			a := newWALServer(failfs.OS, dir)
+			a.walOpts = tc.opts
 			ts := httptest.NewServer(a.handler())
 			consult := driveMixedSchedule(t, a, ts, spec, nil)
 			ts.Close()

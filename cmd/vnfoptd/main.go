@@ -21,7 +21,7 @@
 //	GET    /v1/scenarios                  list scenarios (limit/offset/status)
 //	DELETE /v1/scenarios/{id}             drop a scenario (drains its mailbox)
 //	POST   /v1/scenarios/{id}/rates       ingest rate deltas (optional step)
-//	POST   /v1/scenarios/{id}/rates:bulk  streamed NDJSON / JSON-array bulk ingest
+//	POST   /v1/scenarios/{id}/rates:bulk  streamed bulk ingest (NDJSON only)
 //	POST   /v1/scenarios/{id}/step        close the epoch / run the TOM loop
 //	POST   /v1/scenarios/{id}/faults      inject/heal topology faults (repair)
 //	GET    /v1/scenarios/{id}/faults      active faults + unserved flows
@@ -75,7 +75,6 @@ func main() {
 		pprofFlag  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel   = flag.String("log-level", "info", "slog level: debug, info, warn, or error")
 		mailbox    = flag.Int("mailbox", defaultMailboxCap, "per-scenario command mailbox capacity (backpressure bound)")
-		scMetrics  = flag.Bool("scenario-metrics", true, "per-scenario engine metric series (disable for fleets of many thousands of scenarios)")
 	)
 	flag.Parse()
 
@@ -91,7 +90,6 @@ func main() {
 	if *mailbox > 0 {
 		srv.mailboxCap = *mailbox
 	}
-	srv.scenarioMetrics = *scMetrics
 	if *snapshot != "" && *walDir == "" {
 		fmt.Fprintln(os.Stderr, "vnfoptd: -snapshot imports a state file into the write-ahead log and needs -wal; without -wal nothing is persisted")
 		os.Exit(2)

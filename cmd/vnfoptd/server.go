@@ -257,11 +257,6 @@ type server struct {
 
 	start      time.Time
 	mailboxCap int
-	// scenarioMetrics controls the per-scenario engine observer. On by
-	// default; fleets of thousands of scenarios (the load harness) turn
-	// it off to keep the registry's per-scenario series cardinality from
-	// dominating the run.
-	scenarioMetrics bool
 
 	// fs is the filesystem seam for everything durable. Production uses
 	// failfs.OS; the crash-injection suite swaps in a failfs.Faulty.
@@ -284,13 +279,12 @@ type server struct {
 
 func newServer() *server {
 	s := &server{
-		scenarios:       shard.NewMap[*scenario](),
-		start:           time.Now(),
-		mailboxCap:      defaultMailboxCap,
-		scenarioMetrics: true,
-		fs:              failfs.OS,
-		reg:             obs.NewRegistry(),
-		log:             slog.New(slog.NewTextHandler(io.Discard, nil)),
+		scenarios:  shard.NewMap[*scenario](),
+		start:      time.Now(),
+		mailboxCap: defaultMailboxCap,
+		fs:         failfs.OS,
+		reg:        obs.NewRegistry(),
+		log:        slog.New(slog.NewTextHandler(io.Discard, nil)),
 	}
 	s.walMetrics = wal.NewMetrics(s.reg)
 	s.rejected = s.reg.Counter("vnfoptd_mailbox_rejected_total")
@@ -382,15 +376,20 @@ func (s *server) buildScenario(id string, spec *ScenarioSpec) (*scenario, error)
 		return nil, fmt.Errorf("no spec")
 	}
 	events := obs.NewEventLog(0)
-	var o *engine.Observer
-	if s.scenarioMetrics {
-		o = engine.NewObserver(s.reg, events, id)
-	}
-	eng, err := buildEngine(spec, s.reg, o)
+	eng, err := buildEngine(spec, s.reg, engine.NewObserver(s.reg, events, id))
 	if err != nil {
+		s.dropSeries(id)
 		return nil, err
 	}
 	return s.newScenario(id, spec, eng, events), nil
+}
+
+// dropSeries retires the metric series engine.NewObserver registered
+// for a scenario (it labels every one `{scenario="<id>"}`), so /metrics
+// stops reporting a scenario that is gone and a later scenario of the
+// same id counts from zero.
+func (s *server) dropSeries(id string) {
+	s.reg.DropLabels(fmt.Sprintf("{scenario=%q}", id))
 }
 
 // handler builds the route table (Go 1.22 pattern mux). Every route is
@@ -494,6 +493,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if err := s.startScenarioWAL(sc, &spec, false); err != nil {
 			_ = s.dropWALDir(id)
 			sc.actor.Close()
+			s.dropSeries(id)
 			writeError(w, codeInternal, "scenario %q: wal: %v", id, err)
 			return
 		}
@@ -586,7 +586,15 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 // back to life), then collect.
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	// The scenario and its series leave together, under createMu: a
+	// re-create of the id then resolves fresh series, never the ones
+	// this scenario's draining actor still writes to.
+	s.createMu.Lock()
 	sc, ok := s.scenarios.Delete(id)
+	if ok {
+		s.dropSeries(id)
+	}
+	s.createMu.Unlock()
 	if !ok {
 		if s.retryWALDelete(w, id) {
 			return

@@ -230,25 +230,13 @@ func TestBulkAccounting(t *testing.T) {
 		t.Fatalf("step result missing or wrong: %+v", res.Step)
 	}
 
-	// The JSON-array body form must land identically.
-	arr := []byte(`[{"flow":3,"rate":1},{"flow":3,"rate":2}]`)
-	resp, err := ts.Client().Post(ts.URL+"/v1/scenarios/acct/rates:bulk", "application/json", bytes.NewReader(arr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrRes ingestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&arrRes); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || arrRes.Accepted != 2 || arrRes.Coalesced != 1 || arrRes.Epoch != 2 {
-		t.Fatalf("array form: %d %+v", resp.StatusCode, arrRes.IngestResult)
-	}
 }
 
 // TestBulkRejectsBadStream: a malformed line aborts with 400 and an
 // invalid update inside a well-formed line answers 422; earlier batches
-// stay ingested (documented batch-atomic, not request-atomic).
+// stay ingested (documented batch-atomic, not request-atomic). The route
+// takes NDJSON and says so: a body under any other content type is 400,
+// never a 200 that read one JSON value and dropped the rest.
 func TestBulkRejectsBadStream(t *testing.T) {
 	ts := httptest.NewServer(newServer().handler())
 	defer ts.Close()
@@ -263,6 +251,53 @@ func TestBulkRejectsBadStream(t *testing.T) {
 	}
 	if _, code := postBulk(t, ts, "missing", []byte(`{"flow":0,"rate":1}`+"\n"), false); code != http.StatusNotFound {
 		t.Fatalf("missing scenario: %d", code)
+	}
+
+	const (
+		lines  = `{"flow":0,"rate":1}` + "\n" + `{"flow":1,"rate":2}` + "\n"
+		chunks = `[{"flow":0,"rate":1}]` + "\n" + `[{"flow":1,"rate":2}]` + "\n"
+		object = `{"updates":[{"flow":0,"rate":1}]}`
+	)
+	for _, tc := range []struct {
+		name, contentType, body string
+		status, accepted        int
+	}{
+		{"curl default type", "application/x-www-form-urlencoded", lines, http.StatusBadRequest, 0},
+		{"no type", "", lines, http.StatusBadRequest, 0},
+		{"array chunks as json", "application/json", chunks, http.StatusBadRequest, 0},
+		{"rates object with a tail", "application/json", object + " trailing garbage", http.StatusBadRequest, 0},
+		{"rates object", "application/json", object, http.StatusBadRequest, 0},
+		{"bare array", "application/json", `[{"flow":0,"rate":1}]`, http.StatusBadRequest, 0},
+		{"type in capitals", "Application/X-NDJSON", lines, http.StatusOK, 2},
+		{"space before the parameter", "application/x-ndjson ; charset=utf-8", lines, http.StatusOK, 2},
+		{"unprefixed type", "application/ndjson", chunks, http.StatusOK, 2},
+	} {
+		req, err := http.NewRequest("POST", ts.URL+"/v1/scenarios/bad/rates:bulk", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.contentType != "" {
+			req.Header.Set("Content-Type", tc.contentType)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Accepted int `json:"accepted"`
+			Error    struct {
+				Code, Message string
+			} `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.status || out.Accepted != tc.accepted {
+			t.Errorf("%s: status %d accepted %d (%v), want %d / %d", tc.name, resp.StatusCode, out.Accepted, err, tc.status, tc.accepted)
+		}
+		if tc.status == http.StatusBadRequest && (out.Error.Code != "bad_request" ||
+			!strings.Contains(out.Error.Message, "application/x-ndjson") || !strings.Contains(out.Error.Message, "/rates")) {
+			t.Errorf("%s: refusal %+v does not name the accepted type and the single-call route", tc.name, out.Error)
+		}
 	}
 }
 
@@ -452,7 +487,6 @@ func TestSnapshotDuringDrain(t *testing.T) {
 // must be one of the codes the API defines for these races.
 func TestConcurrentCreateDeleteIngest(t *testing.T) {
 	srv := newServer()
-	srv.scenarioMetrics = false // ids are reused across create/delete
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
@@ -509,6 +543,61 @@ func TestConcurrentCreateDeleteIngest(t *testing.T) {
 	}
 	wg.Wait()
 	srv.closeAll()
+}
+
+// TestDeleteDropsScenarioSeries: a scenario's series leave /metrics with
+// it — one deleted while degraded must not read degraded forever — a
+// successor of the same id counts from zero, and a create that fails
+// registers nothing.
+func TestDeleteDropsScenarioSeries(t *testing.T) {
+	ts := httptest.NewServer(newServer().handler())
+	defer ts.Close()
+	const id, epochs = "short-lived", `vnfopt_engine_epochs_total{scenario="short-lived"}`
+	mentions := func() (n int) {
+		for name := range promSnapshot(t, ts) {
+			if strings.Contains(name, id) {
+				n++
+			}
+		}
+		return n
+	}
+
+	if code := do(t, ts, "POST", "/v1/scenarios", diffSpec(id), nil); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	for i := 0; i < 2; i++ {
+		if code := do(t, ts, "POST", "/v1/scenarios/"+id+"/step", nil, nil); code != http.StatusOK {
+			t.Fatalf("step: %d", code)
+		}
+	}
+	if got := promSnapshot(t, ts)[epochs]; got != 2 {
+		t.Fatalf("%s = %v before the delete, want 2", epochs, got)
+	}
+	if code := do(t, ts, "DELETE", "/v1/scenarios/"+id, nil, nil); code != http.StatusOK {
+		t.Fatalf("delete: %d", code)
+	}
+	if n := mentions(); n != 0 {
+		t.Fatalf("%d series still name the deleted scenario", n)
+	}
+
+	if code := do(t, ts, "POST", "/v1/scenarios", diffSpec(id), nil); code != http.StatusCreated {
+		t.Fatal("re-create failed")
+	}
+	if got, ok := promSnapshot(t, ts)[epochs]; !ok || got != 0 {
+		t.Fatalf("%s = %v (present %v) on the successor, want 0", epochs, got, ok)
+	}
+	if code := do(t, ts, "DELETE", "/v1/scenarios/"+id, nil, nil); code != http.StatusOK {
+		t.Fatalf("second delete: %d", code)
+	}
+
+	bad := diffSpec(id)
+	bad.Topology = "torus"
+	if code := do(t, ts, "POST", "/v1/scenarios", bad, nil); code != http.StatusUnprocessableEntity {
+		t.Fatalf("create on an unknown topology: %d", code)
+	}
+	if n := mentions(); n != 0 {
+		t.Fatalf("%d series name a scenario that was never created", n)
+	}
 }
 
 // TestListPaginationAndFilter covers the listing envelope: limit,

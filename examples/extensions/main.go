@@ -1,6 +1,9 @@
 // Extensions: the paper's future-work section, running. Side by side on
 // one scenario: per-switch capacity / colocation, VNF replication versus
 // migration, per-flow SFC classes, and the when-to-migrate policies.
+// Replication, multi-SFC and the forecasting migrator are extensions the
+// facade does not carry: this program is their caller and imports them
+// from internal/ directly.
 //
 // Run with: go run ./examples/extensions
 package main
@@ -11,6 +14,9 @@ import (
 	"math/rand"
 
 	"vnfopt"
+	"vnfopt/internal/multisfc"
+	"vnfopt/internal/predict"
+	"vnfopt/internal/replication"
 )
 
 func main() {
@@ -46,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dep, err := vnfopt.PlaceReplicas(dc, flows, sfc, 3)
+	dep, err := replication.Place(dc, flows, sfc, 3, replication.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, repCost := vnfopt.ReassignReplicas(dc, shifted, dep.Chains)
+	_, repCost := replication.Reassign(dc, shifted, dep.Chains)
 	fmt.Printf("   migrate 1 chain:   C_t = %.0f (pays migration traffic once)\n", migCt)
 	fmt.Printf("   reassign 3 chains: C_a = %.0f (zero migration, 3x VNF instances)\n", repCost)
 
@@ -67,7 +73,7 @@ func main() {
 		class[i] = i % 2
 	}
 	sfcs := []vnfopt.SFC{vnfopt.NewSFC(5), vnfopt.NewSFC(2)} // app chain vs access chain
-	mdep, mcost, err := vnfopt.PlaceMultiSFC(dc, flows, class, sfcs)
+	mdep, mcost, err := multisfc.Place(dc, flows, class, sfcs, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,7 +97,7 @@ func main() {
 		vnfopt.MPareto(),
 		vnfopt.TriggeredMigration(vnfopt.MPareto(), 3),
 		vnfopt.PeriodicMigration(vnfopt.MPareto(), 4),
-		vnfopt.PredictiveMigration(vnfopt.MPareto(), 0.6),
+		&predict.Migrator{Inner: vnfopt.MPareto(), Forecast: predict.NewEWMA(0.6)},
 	} {
 		tr, err := s.RunVNF(mig)
 		if err != nil {

@@ -86,56 +86,6 @@ func TestExtraTopologiesFacade(t *testing.T) {
 	}
 }
 
-func TestReplicationFacade(t *testing.T) {
-	topo := vnfopt.MustFatTree(4, nil)
-	dc := vnfopt.MustNewPPDC(topo, vnfopt.Options{})
-	rng := rand.New(rand.NewSource(5))
-	flows, err := vnfopt.GeneratePairsClustered(topo, 30, 4, vnfopt.DefaultIntraRack, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfc := vnfopt.NewSFC(3)
-	dep, err := vnfopt.PlaceReplicas(dc, flows, sfc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dep.Chains) != 2 {
-		t.Fatalf("chains %d", len(dep.Chains))
-	}
-	flows2 := flows.WithRates(vnfopt.GenerateRates(len(flows), rng))
-	assign, cost := vnfopt.ReassignReplicas(dc, flows2, dep.Chains)
-	if len(assign) != len(flows2) || cost <= 0 {
-		t.Fatalf("assign=%d cost=%v", len(assign), cost)
-	}
-}
-
-func TestMultiSFCFacade(t *testing.T) {
-	topo := vnfopt.MustFatTree(4, nil)
-	dc := vnfopt.MustNewPPDC(topo, vnfopt.Options{})
-	rng := rand.New(rand.NewSource(6))
-	flows := vnfopt.MustGeneratePairs(topo, 16, vnfopt.DefaultIntraRack, rng)
-	class := make([]int, len(flows))
-	for i := range class {
-		class[i] = i % 2
-	}
-	sfcs := []vnfopt.SFC{vnfopt.NewSFC(3), vnfopt.NewSFC(2)}
-	dep, cost, err := vnfopt.PlaceMultiSFC(dc, flows, class, sfcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost <= 0 || len(dep.Chains) != 2 {
-		t.Fatalf("cost=%v chains=%d", cost, len(dep.Chains))
-	}
-	flows2 := flows.WithRates(vnfopt.GenerateRates(len(flows), rng))
-	_, ct, err := vnfopt.MigrateMultiSFC(dc, flows2, class, dep, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct <= 0 {
-		t.Fatalf("ct=%v", ct)
-	}
-}
-
 func TestAnnealAndPredictiveFacade(t *testing.T) {
 	topo := vnfopt.MustFatTree(4, nil)
 	dc := vnfopt.MustNewPPDC(topo, vnfopt.Options{})
@@ -155,28 +105,5 @@ func TestAnnealAndPredictiveFacade(t *testing.T) {
 	}
 	if saCost > dpCost+1e-6 {
 		t.Fatalf("anneal %v worse than DP %v", saCost, dpCost)
-	}
-
-	sched, err := vnfopt.PaperBurst().Schedule(topo, flows, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := vnfopt.NewSimulator(vnfopt.SimConfig{
-		PPDC: dc, SFC: sfc, Base: flows, Schedule: sched, Mu: 1e3, HourVolume: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := s.RunVNF(vnfopt.PredictiveMigration(vnfopt.MPareto(), 0.6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Strategy != "mPareto+forecast" || len(tr.Steps) != s.Hours() {
-		t.Fatalf("trace %q with %d steps", tr.Strategy, len(tr.Steps))
-	}
-	for _, st := range tr.Steps {
-		if st.MeanLatency < 0 {
-			t.Fatalf("negative latency at hour %d", st.Hour)
-		}
 	}
 }

@@ -134,7 +134,7 @@ func TestFaultyDeadAfterCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.Kill()
+	ffs.CrashAt(1, false) // the write below is the kill point
 	if _, err := f.Write([]byte("x")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("write after crash: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestFaultyDeadAfterCrash(t *testing.T) {
 		t.Fatalf("rename after crash: %v", err)
 	}
 	if !ffs.Crashed() {
-		t.Fatal("Crashed() = false after Kill")
+		t.Fatal("Crashed() = false after the kill point")
 	}
 }
 

@@ -53,16 +53,6 @@ func (f *Faulty) CrashAt(n int, torn bool) {
 	f.crashed = false
 }
 
-// Kill crashes the FS immediately: every subsequent operation fails
-// with ErrCrashed. This is the SIGKILL analogue for restart tests —
-// the abandoned server's queued commands can no longer touch the
-// directory a recovered server is reading.
-func (f *Faulty) Kill() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.crashed = true
-}
-
 // Ops reports how many mutating operations have been counted since the
 // last CrashAt (or construction).
 func (f *Faulty) Ops() int {

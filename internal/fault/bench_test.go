@@ -229,7 +229,7 @@ func BenchmarkRebuildSingleLink(b *testing.B) {
 }
 
 // TestFaultEventIncrementalMatchesRebuild is the deterministic assert
-// behind `make bench-apsp-delta`: for every benchmark event on the k=8
+// behind the fault-event benchmarks: for every benchmark event on the k=8
 // fat tree, the incremental view must equal the full rebuild bit-for-bit
 // (matrix, dead mask, component labels) — the cheap CI-grade pin of the
 // property the differential fuzz explores at random.

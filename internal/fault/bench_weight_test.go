@@ -141,7 +141,7 @@ func BenchmarkWeightHeal(b *testing.B) {
 }
 
 // TestWeightEventIncrementalMatchesRebuild is the deterministic assert
-// behind `make bench-apsp-weight`: for every weight event on the k=8
+// behind the weight-event benchmarks: for every weight event on the k=8
 // fat tree, the incremental view must equal the full rebuild bit-for-bit
 // through a degrade -> re-price -> heal chain — the cheap CI-grade pin
 // of the property FuzzWeightDeltaAPSP explores at random.

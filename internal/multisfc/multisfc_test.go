@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/placement"
 	"vnfopt/internal/topology"
@@ -32,8 +31,8 @@ func TestPlacePerClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dep.Chains) != 2 {
-		t.Fatalf("chains %d", len(dep.Chains))
+	if len(dep.Chains) != 2 || total <= 0 {
+		t.Fatalf("chains %d, total %v", len(dep.Chains), total)
 	}
 	for c, chain := range dep.Chains {
 		if err := chain.Validate(d, sfcs[c]); err != nil {
@@ -76,9 +75,12 @@ func TestMigratePerClass(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	w2 := w.WithRates(workload.Rates(len(w), rng))
-	out, ct, err := Migrate(d, w2, class, dep, 100, migration.MPareto{})
+	out, ct, err := Migrate(d, w2, class, dep, 100, nil) // nil = mPareto
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ct <= 0 {
+		t.Fatalf("migration total %v", ct)
 	}
 	stay, err := CommCost(d, w2, class, dep)
 	if err != nil {

@@ -204,6 +204,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return r.lookup(name, kindHistogram, func(e *entry) { e.h = NewHistogram() }).h
 }
 
+// DropLabels unregisters every metric whose label block is exactly
+// labels, braces included (`{scenario="s1"}`), so the owner of a label
+// set can retire it: the series leave the exposition, and the next
+// get-or-create under one of the names starts from zero. Handles
+// resolved earlier keep working but are exported nowhere. No-op on a
+// nil registry and for the empty block (the unlabelled metrics belong
+// to the process).
+func (r *Registry) DropLabels(labels string) {
+	if r == nil || labels == "" {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name := range r.metrics {
+		if _, l := splitName(name); l == labels {
+			delete(r.metrics, name)
+		}
+	}
+}
+
 // snapshot returns the registered entries sorted by full name.
 func (r *Registry) snapshot() []*entry {
 	r.mu.RLock()

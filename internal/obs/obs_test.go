@@ -34,6 +34,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		t.Fatal("nil histogram has state")
 	}
 	r.GaugeFunc("y", func() float64 { return 1 })
+	r.DropLabels(`{a="b"}`)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Fatal("nil registry wrote exposition")
@@ -58,6 +59,24 @@ func TestRegistryIdentityAndKinds(t *testing.T) {
 	a.Inc()
 	if b.Value() != 1 {
 		t.Fatal("aliased handles diverged")
+	}
+
+	// DropLabels retires exactly one label block, across kinds; the next
+	// lookup under a dropped name is a fresh metric.
+	r.Histogram(`lat_seconds{route="/x"}`).Observe(1)
+	r.Counter("req_total").Inc()
+	r.DropLabels(`{route="/x"}`)
+	r.DropLabels("")
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); strings.Contains(out, `route="/x"`) ||
+		!strings.Contains(out, `req_total{route="/y"} 0`) || !strings.Contains(out, "req_total 1") {
+		t.Fatalf("after DropLabels:\n%s", out)
+	}
+	if c := r.Counter(`req_total{route="/x"}`); c == a || c.Value() != 0 {
+		t.Fatal("a dropped name came back with its old handle")
 	}
 
 	for _, bad := range []string{"", "2leading", "sp ace", "bad{unclosed"} {

@@ -96,6 +96,14 @@ func TestPredictiveMigratorNeverWorseThanStaying(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tr.Strategy != "mPareto+forecast" || len(tr.Steps) != s.Hours() {
+		t.Fatalf("trace %q with %d steps over a %d-hour day", tr.Strategy, len(tr.Steps), s.Hours())
+	}
+	for _, st := range tr.Steps {
+		if st.MeanLatency < 0 {
+			t.Fatalf("negative latency at hour %d", st.Hour)
+		}
+	}
 	frozen, err := s.RunFrozen()
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,9 @@ func TestMoreReplicasNeverHurt(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Validate every chain and assignment.
+		if len(dep.Chains) != r {
+			t.Fatalf("r=%d: %d chains", r, len(dep.Chains))
+		}
 		for c, chain := range dep.Chains {
 			if err := chain.Validate(d, sfc); err != nil {
 				t.Fatalf("r=%d chain %d: %v", r, c, err)
@@ -94,6 +97,9 @@ func TestReassignAdaptsToNewRates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	w2 := w.WithRates(workload.Rates(len(w), rng))
 	assign2, cost2 := Reassign(d, w2, dep.Chains)
+	if len(assign2) != len(w2) || cost2 <= 0 {
+		t.Fatalf("reassignment of %d flows: %d assigned, cost %v", len(w2), len(assign2), cost2)
+	}
 	// Reassignment is per-flow optimal given the chains: no other
 	// assignment can beat it.
 	for i := range w2 {

@@ -4,7 +4,7 @@
 // 24-switch mesh (wide-spread delays prune poorly, so the search
 // actually explores a large tree) plus the k=8 fat-tree TOP instance
 // the paper evaluates. Recorded numbers live in
-// results/BENCH_solver.json; `make bench-solver` runs this file at
+// results/BENCH_solver.json; `make bench-smoke` runs this file at
 // -benchtime 1x as a smoke gate.
 package vnfopt_test
 

@@ -38,11 +38,8 @@ import (
 	"vnfopt/internal/graph"
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
-	"vnfopt/internal/multisfc"
 	"vnfopt/internal/obs"
 	"vnfopt/internal/placement"
-	"vnfopt/internal/predict"
-	"vnfopt/internal/replication"
 	"vnfopt/internal/routing"
 	"vnfopt/internal/sim"
 	"vnfopt/internal/stroll"
@@ -464,14 +461,6 @@ func PeriodicMigration(inner Migrator, interval int) Migrator {
 	return &migration.Periodic{Inner: inner, Interval: interval}
 }
 
-// PredictiveMigration wraps a migrator with an EWMA traffic forecaster:
-// the chain is positioned for the predicted next rates (extension, after
-// the prediction-based migration the paper cites). Stateful — use one
-// instance per simulation run.
-func PredictiveMigration(inner Migrator, alpha float64) Migrator {
-	return &predict.Migrator{Inner: inner, Forecast: predict.NewEWMA(alpha)}
-}
-
 // --- Extra topologies ------------------------------------------------------
 
 // LeafSpine builds a two-tier Clos fabric (every leaf connects to every
@@ -484,36 +473,4 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, weight WeightFunc) (*Topology, 
 // hostsPerSwitch hosts on every switch.
 func Jellyfish(numSwitches, switchDegree, hostsPerSwitch int, weight WeightFunc, rng *rand.Rand) (*Topology, error) {
 	return topology.Jellyfish(numSwitches, switchDegree, hostsPerSwitch, weight, rng)
-}
-
-// --- Future-work extensions ------------------------------------------------
-
-// ReplicaDeployment is a set of replica SFC chains with a flow assignment.
-type ReplicaDeployment = replication.Deployment
-
-// PlaceReplicas deploys r replica chains of the SFC (the paper's
-// future-work alternative to migration) with a Lloyd-style
-// assign/re-place alternation.
-func PlaceReplicas(d *PPDC, w Workload, sfc SFC, r int) (*ReplicaDeployment, error) {
-	return replication.Place(d, w, sfc, r, replication.Options{})
-}
-
-// ReassignReplicas re-routes flows to their cheapest replica chain under
-// new rates (no VNF moves, no migration traffic).
-func ReassignReplicas(d *PPDC, w Workload, chains []Placement) ([]int, float64) {
-	return replication.Reassign(d, w, chains)
-}
-
-// MultiSFCDeployment is one chain per traffic class (the paper's
-// future-work generalization to per-flow SFCs).
-type MultiSFCDeployment = multisfc.Deployment
-
-// PlaceMultiSFC places one chain per class; class[i] names flow i's SFC.
-func PlaceMultiSFC(d *PPDC, w Workload, class []int, sfcs []SFC) (*MultiSFCDeployment, float64, error) {
-	return multisfc.Place(d, w, class, sfcs, nil)
-}
-
-// MigrateMultiSFC runs TOM per class under new rates.
-func MigrateMultiSFC(d *PPDC, w Workload, class []int, dep *MultiSFCDeployment, mu float64) (*MultiSFCDeployment, float64, error) {
-	return multisfc.Migrate(d, w, class, dep, mu, nil)
 }
