@@ -110,9 +110,10 @@ bench-kernels:
 
 # Short fuzz pass over the solver-invariant web, the cost-kernel
 # equivalence property, the bitwise APSP gates, DP-Stroll against the
-# exhaustive stroll and the daemon's hostile-log-record replay. This is
-# the only list of fuzz targets (fuzz-list holds it to that): CI runs it
-# with a shorter per-target budget (make fuzz FUZZTIME=10s).
+# exhaustive stroll, the daemon's hostile-log-record replay and its
+# rate-update scanner against encoding/json. This is the only list of
+# fuzz targets (fuzz-list holds it to that): CI runs it with a shorter
+# per-target budget (make fuzz FUZZTIME=10s).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzCostCacheEquivalence -fuzztime $(FUZZTIME) -run xxx ./internal/differential/
@@ -125,6 +126,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDPAgainstExhaustive -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/
+	$(GO) test -fuzz FuzzRateScan -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/
 
 # A fuzz target that is not on the recipe above is one CI never runs:
 # fail when the repository (bench/ is its own module) declares one the

@@ -3,13 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
 	"sync"
+	"time"
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/shard"
@@ -101,7 +101,10 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 	// mailbox is full — the stream is flow-controlled to the drain rate
 	// — and aborts when the client goes away.
 	ctx := r.Context()
+	var submitting time.Duration
 	submit := func(batch []engine.RateUpdate) error {
+		t := time.Now()
+		defer func() { submitting += time.Since(t) }()
 		if err := acc.failed(); err != nil {
 			return err
 		}
@@ -120,7 +123,11 @@ func (s *server) handleRatesBulk(w http.ResponseWriter, r *http.Request) {
 		return err
 	}
 
+	start := time.Now()
 	parseErr := streamNDJSON(r.Body, submit)
+	// Decode time is the stream's wall time less what submit took: a full
+	// mailbox blocks there, and that wait is not the decoder's.
+	s.decodeBulk.Observe((time.Since(start) - submitting).Seconds())
 	wg.Wait() // every submitted batch has executed; acc is stable
 
 	switch {
@@ -185,19 +192,9 @@ func streamNDJSON(body io.Reader, submit func([]engine.RateUpdate) error) error 
 		if len(raw) == 0 {
 			continue
 		}
-		switch raw[0] {
-		case '[':
-			var chunk []engine.RateUpdate
-			if err := json.Unmarshal(raw, &chunk); err != nil {
-				return fmt.Errorf("line %d: %v", line, err)
-			}
-			batch = append(batch, chunk...)
-		default:
-			var u engine.RateUpdate
-			if err := json.Unmarshal(raw, &u); err != nil {
-				return fmt.Errorf("line %d: %v", line, err)
-			}
-			batch = append(batch, u)
+		var err error
+		if batch, err = scanRatesLine(raw, batch); err != nil {
+			return fmt.Errorf("line %d: %v", line, err)
 		}
 		if len(batch) >= bulkBatchSize {
 			if err := flush(); err != nil {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -271,8 +273,12 @@ type server struct {
 	// runs; cleared by recoverState.
 	recovering atomic.Bool
 
-	reg       *obs.Registry
-	rejected  *obs.Counter // mailbox-full 429s
+	reg      *obs.Registry
+	rejected *obs.Counter // mailbox-full 429s
+	// decodeRates / decodeBulk time reading and decoding a request's
+	// updates on the two ingest routes, before the mailbox.
+	decodeRates, decodeBulk *obs.Histogram
+
 	log       *slog.Logger
 	pprofOpen bool
 }
@@ -288,6 +294,8 @@ func newServer() *server {
 	}
 	s.walMetrics = wal.NewMetrics(s.reg)
 	s.rejected = s.reg.Counter("vnfoptd_mailbox_rejected_total")
+	s.decodeRates = s.reg.Histogram(`vnfoptd_decode_seconds{route="POST /v1/scenarios/{id}/rates"}`)
+	s.decodeBulk = s.reg.Histogram(`vnfoptd_decode_seconds{route="POST /v1/scenarios/{id}/rates:bulk"}`)
 	s.reg.GaugeFunc("vnfoptd_uptime_seconds", func() float64 {
 		return time.Since(s.start).Seconds()
 	})
@@ -451,11 +459,25 @@ func (s *server) get(id string) *scenario {
 // line by line with a per-line bound instead of a body bound.
 const maxBodyBytes = 8 << 20
 
-func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var spec ScenarioSpec
+// decodeStrict decodes the one JSON value a create or faults body is
+// into v: bounded by maxBodyBytes, no unknown field, and nothing but
+// white space after the value (Decode alone stops at the first value and
+// would drop the rest unread).
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
+func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	var spec ScenarioSpec
+	if err := decodeStrict(w, r, &spec); err != nil {
 		writeError(w, codeBadRequest, "bad scenario spec: %v", err)
 		return
 	}
@@ -648,14 +670,6 @@ func (s *server) retryWALDelete(w http.ResponseWriter, id string) bool {
 	return true
 }
 
-// ratesRequest is the delta-ingest body: a batch of per-flow rate updates,
-// optionally stepping the epoch in the same call.
-type ratesRequest struct {
-	Updates []engine.RateUpdate `json:"updates"`
-	// Step closes the epoch right after the ingest when true.
-	Step bool `json:"step"`
-}
-
 // ingestResponse is the shared response of POST /rates and the bulk
 // endpoint: the engine's accepted/coalesced/epoch accounting, plus the
 // per-batch breakdown and the optional step result.
@@ -668,6 +682,34 @@ type ingestResponse struct {
 	Step *engine.StepResult `json:"step,omitempty"`
 }
 
+// bodyPool recycles the buffers decodeRatesBody reads a body into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer worth keeping: a rates body is a
+// few tens of KB, and one 8 MiB request must not pin 8 MiB per pool slot.
+const maxPooledBody = 1 << 20
+
+// decodeRatesBody reads a POST …/rates body — {"updates":[…],"step":…},
+// grammar in ratescan.go — whole into a pooled buffer, bounded by
+// maxBodyBytes, and scans it there. The updates do not point into the
+// buffer.
+func decodeRatesBody(w http.ResponseWriter, r *http.Request) (updates []engine.RateUpdate, step bool, err error) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return nil, false, err
+	}
+	return scanRatesBody(buf.Bytes())
+}
+
 func (s *server) handleRates(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sc := s.get(id)
@@ -675,17 +717,19 @@ func (s *server) handleRates(w http.ResponseWriter, r *http.Request) {
 		writeError(w, codeNotFound, "no scenario %q", id)
 		return
 	}
-	var req ratesRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	start := time.Now()
+	updates, withStep, err := decodeRatesBody(w, r)
+	s.decodeRates.Observe(time.Since(start).Seconds())
+	if err != nil {
 		writeError(w, codeBadRequest, "bad rates body: %v", err)
 		return
 	}
 	// The step rides in the same mailbox slot as the ingest but is its own
 	// command (and its own log record).
-	ing := &ingestCmd{updates: req.Updates}
+	ing := &ingestCmd{updates: updates}
 	cmds := []command{ing}
 	var step *stepCmd
-	if req.Step {
+	if withStep {
 		step = &stepCmd{}
 		cmds = append(cmds, step)
 	}
@@ -743,9 +787,7 @@ func (s *server) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req faultsRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeStrict(w, r, &req); err != nil {
 		writeError(w, codeBadRequest, "bad faults body: %v", err)
 		return
 	}
