@@ -1,10 +1,12 @@
 package differential
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"vnfopt/internal/model"
+	"vnfopt/internal/placement"
 	"vnfopt/internal/topology"
 	"vnfopt/internal/workload"
 )
@@ -93,6 +95,14 @@ func FuzzCostCacheEquivalence(f *testing.F) {
 				if got, want := cache.TotalCost(p, m, mu), d.TotalCost(w, p, m, mu); !closeRel(got, want) {
 					t.Fatalf("round %d: C_t %v, scalar %v", round, got, want)
 				}
+			}
+			// The Problem this re-used cache describes solves as a fresh
+			// one does: same placement, bit-equal cost.
+			sfc := model.NewSFC(n)
+			p1, c1, err1 := placement.Solve(context.Background(), placement.DP{}, cache.Problem(sfc))
+			p2, c2, err2 := placement.DP{}.Place(d, w, sfc)
+			if (err1 == nil) != (err2 == nil) || !p1.Equal(p2) || c1 != c2 {
+				t.Fatalf("round %d: DP on the cache's Problem %v/%v/%v, on fresh inputs %v/%v/%v", round, p1, c1, err1, p2, c2, err2)
 			}
 			// Mutate rates (occasionally zeroing some flows out entirely)
 			// and push them through the invalidation hook.

@@ -28,6 +28,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -308,7 +309,7 @@ func build(cfg Config) (*Engine, error) {
 		if placer == nil {
 			placer = placement.DP{}
 		}
-		p0, _, err := placer.Place(cfg.PPDC, e.flows, cfg.SFC)
+		p0, _, err := placement.Solve(context.TODO(), placer, e.cache.Problem(cfg.SFC))
 		if err != nil {
 			return nil, fmt.Errorf("engine: initial placement: %w", err)
 		}
@@ -396,13 +397,14 @@ func (e *Engine) Step() (StepResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	changed := e.applyPending()
-	served := e.servedWorkload()
-	if changed {
+	if e.applyPending() {
 		rebuildStart := time.Now()
-		e.cache.SetWorkload(served)
+		e.cache.SetWorkload(e.servedWorkload())
 		e.obs.observeRebuild(time.Since(rebuildStart))
 	}
+	// The epoch's one aggregation: the drift check below and every solver
+	// of the consult read this cache, none builds its own.
+	pr := e.cache.Problem(e.cfg.SFC)
 	e.epoch++
 	res := StepResult{Epoch: e.epoch}
 
@@ -432,9 +434,12 @@ func (e *Engine) Step() (StepResult, error) {
 	cooled := e.cfg.Policy.Cooldown <= 0 ||
 		e.lastMigEpoch < 0 ||
 		e.epoch-e.lastMigEpoch > e.cfg.Policy.Cooldown
-	if drifted && cooled && len(served) > 0 {
+	if drifted && cooled && len(pr.Workload) > 0 {
 		consultStart := time.Now()
-		m, ct, err := e.safeMigrate(served)
+		// Consult contains a panicking solver: it surfaces as a step
+		// error (event + vnfopt_engine_step_errors_total), the control
+		// loop lives on.
+		m, ct, err := migration.Consult(context.TODO(), e.mig, pr, e.p, e.cfg.Mu)
 		consultTime = time.Since(consultStart)
 		if err == nil {
 			err = finiteCost("C_t", ct)
@@ -519,8 +524,9 @@ func (e *Engine) applyPending() (changed bool) {
 }
 
 // servedWorkload returns the live workload restricted to servable flows:
-// e.flows itself while healthy, a filtered copy while degraded. Called
-// with e.mu held.
+// e.flows itself while healthy, a filtered copy while degraded. It is what
+// the cost cache is set from, and the cache keeps it (Problem().Workload).
+// Called with e.mu held.
 func (e *Engine) servedWorkload() model.Workload {
 	if e.servable == nil {
 		return e.flows
@@ -532,19 +538,6 @@ func (e *Engine) servedWorkload() model.Workload {
 		}
 	}
 	return w
-}
-
-// safeMigrate consults the effective migrator on the active serving
-// model with panic containment: a panicking solver surfaces as an
-// ordinary error (step_error event + vnfopt_engine_step_errors_total)
-// instead of killing the control loop. Called with e.mu held.
-func (e *Engine) safeMigrate(w model.Workload) (m model.Placement, ct float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, ct, err = nil, 0, fmt.Errorf("migrator %s panicked: %v", e.mig.Name(), r)
-		}
-	}()
-	return e.mig.Migrate(e.d, w, e.cfg.SFC, e.p, e.cfg.Mu)
 }
 
 // publish swaps the reader snapshot. Called with e.mu held.

@@ -271,6 +271,11 @@ func TestCacheIsFunctionOfRates(t *testing.T) {
 			e.cache.TotalRate() != fresh.TotalRate() || e.cache.CommCost(nil) != fresh.CommCost(nil) {
 			t.Fatalf("%s: cache differs from a fresh aggregation of the served workload", what)
 		}
+		// What the consult is handed is that cache's own: the serving
+		// model and the served flows, nothing assembled beside it.
+		if pr := e.cache.Problem(e.cfg.SFC); pr.PPDC != e.d || !slices.Equal(pr.Workload, e.servedWorkload()) {
+			t.Fatalf("%s: the cache's Problem is not (serving model, served workload)", what)
+		}
 	}
 	ingest := func(what string, updates []RateUpdate) {
 		t.Helper()
@@ -337,6 +342,9 @@ func TestCacheIsFunctionOfRates(t *testing.T) {
 	}
 	ingest("pending across the heal", sparse())
 	faults("heal", nil, host)
+	if e.d != e.cfg.PPDC {
+		t.Fatal("healed engine serves a model other than its pristine PPDC")
+	}
 	ingest("healed", sparse())
 	step("healed")
 }

@@ -120,7 +120,7 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	attempts := 0
 	for {
 		attempts++
-		res, err = migration.Repair(ctx, plan.PPDC, e.cfg.PPDC, plan.Served, cache, e.cfg.SFC, e.p, e.cfg.Mu, e.mig)
+		res, err = migration.Repair(ctx, cache.Problem(e.cfg.SFC), e.cfg.PPDC, e.p, e.cfg.Mu, e.mig)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 		}
@@ -139,11 +139,15 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	// together under the engine lock.
 	e.flows = flows
 	clear(e.pending)
-	e.cache = cache
+	// The serving model is the one the cache aggregates over. Once the
+	// last fault heals that is cfg.PPDC itself: ApplyDelta hands the
+	// pristine model back for an empty fault set and PlanService keeps a
+	// connected fabric whole.
+	e.cache, e.d = cache, plan.PPDC
 	if next.Empty() {
-		e.d, e.view, e.servable, e.unserved = e.cfg.PPDC, nil, nil, nil
+		e.view, e.servable, e.unserved = nil, nil, nil
 	} else {
-		e.d, e.view, e.servable, e.unserved = plan.PPDC, view, plan.Servable, plan.Unserved
+		e.view, e.servable, e.unserved = view, plan.Servable, plan.Unserved
 	}
 	e.faults = next
 	e.met.FaultsInjected += int64(injected)

@@ -98,7 +98,11 @@ func TestMigrateContextCompletesUncancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, c2, err := (Exhaustive{}).MigrateContext(context.Background(), d, w, sfc, p, 1)
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, c2, err := Consult(context.Background(), Exhaustive{}, pr, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

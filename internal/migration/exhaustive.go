@@ -28,13 +28,13 @@ func SearchExpansions() int64 { return searchExpansions.Load() }
 //	lower bound      = partial + Λ·(nearestHop + (edges remaining − 1)·minSwitchDist) + minEgress
 //
 // (the migration terms of unplaced VNFs are bounded below by zero).
-// MigrateContext makes unbounded searches cancellable.
+// The context of MigrateProblem makes unbounded searches cancellable.
 type Exhaustive struct {
 	// NodeBudget caps search expansions; 0 = unlimited.
 	NodeBudget int
-	// Seed optionally provides an incumbent migrator (e.g. MPareto{}).
-	// When it implements ContextMigrator it is consulted under the same
-	// context as the search.
+	// Seed optionally provides an incumbent migrator (e.g. MPareto{}). It
+	// is consulted through Consult, on the search's own Problem and
+	// context.
 	Seed Migrator
 }
 
@@ -48,11 +48,11 @@ func (a Exhaustive) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p mo
 	return m, c, err
 }
 
-// MigrateContext is Migrate under a context: the search polls ctx every
+// MigrateProblem implements ProblemMigrator: the search polls ctx every
 // 1024 expansions and, once cancelled, returns the best incumbent found
 // so far (at worst staying put) together with ctx.Err().
-func (a Exhaustive) MigrateContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	m, c, _, err := a.MigrateProvenContext(ctx, d, w, sfc, p, mu)
+func (a Exhaustive) MigrateProblem(ctx context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error) {
+	m, c, _, err := a.migrateProven(ctx, pr, p, mu)
 	return m, c, err
 }
 
@@ -62,12 +62,22 @@ func (a Exhaustive) MigrateProven(d *model.PPDC, w model.Workload, sfc model.SFC
 	return a.MigrateProvenContext(context.Background(), d, w, sfc, p, mu)
 }
 
-// MigrateProvenContext is the full form: anytime search with node
-// budget, proven-optimality flag, and cooperative cancellation. On
-// cancellation the incumbent is returned with proven == false and
-// err == ctx.Err(). An already-cancelled context returns before the
-// Seed migrator is consulted.
+// MigrateProvenContext is MigrateProven under a context.
 func (a Exhaustive) MigrateProvenContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, bool, error) {
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return a.migrateProven(ctx, pr, p, mu)
+}
+
+// migrateProven is the full form: anytime search with node budget,
+// proven-optimality flag, and cooperative cancellation. On cancellation
+// the incumbent is returned with proven == false and err == ctx.Err().
+// An already-cancelled context returns before the Seed migrator is
+// consulted.
+func (a Exhaustive) migrateProven(ctx context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, bool, error) {
+	d, w, sfc := pr.PPDC, pr.Workload, pr.SFC
 	if err := checkInputs(d, w, sfc, p, mu); err != nil {
 		return nil, 0, false, err
 	}
@@ -75,22 +85,14 @@ func (a Exhaustive) MigrateProvenContext(ctx context.Context, d *model.PPDC, w m
 		return nil, 0, false, err
 	}
 	n := sfc.Len()
-	in, eg := d.NewWorkloadCache(w).EndpointCosts()
+	in, eg := pr.Cache.EndpointCosts()
 	lambda := w.TotalRate()
 	sw := d.Topo.Switches
 
 	best := p.Clone() // staying put is always feasible
 	bestCost := d.CommCost(w, p)
 	if a.Seed != nil {
-		var m model.Placement
-		var c float64
-		var err error
-		if cm, ok := a.Seed.(ContextMigrator); ok {
-			m, c, err = cm.MigrateContext(ctx, d, w, sfc, p, mu)
-		} else {
-			m, c, err = a.Seed.Migrate(d, w, sfc, p, mu)
-		}
-		if err == nil && c < bestCost {
+		if m, c, err := Consult(ctx, a.Seed, pr, p, mu); err == nil && c < bestCost {
 			best = m.Clone()
 			bestCost = c
 		}

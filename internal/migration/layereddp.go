@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"context"
 	"math"
 
 	"vnfopt/internal/model"
@@ -26,14 +27,25 @@ type LayeredDP struct{}
 // Name implements Migrator.
 func (LayeredDP) Name() string { return "LayeredDP" }
 
-// Migrate implements Migrator. When the duplicate-repair pass degrades the
-// traced solution past the cost of not migrating at all, staying put wins
-// (m = p is always feasible with C_t = C_a(p)).
+// Migrate implements Migrator.
 func (a LayeredDP) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	m, _, err := a.MigrateBound(d, w, sfc, p, mu)
+	pr, err := d.NewProblem(w, sfc)
 	if err != nil {
 		return nil, 0, err
 	}
+	return a.MigrateProblem(context.TODO(), pr, p, mu)
+}
+
+// MigrateProblem implements ProblemMigrator. When the duplicate-repair
+// pass degrades the traced solution past the cost of not migrating at
+// all, staying put wins (m = p is always feasible with C_t = C_a(p)).
+// The DP is O(n·|V_s|²) and does not poll the context.
+func (a LayeredDP) MigrateProblem(_ context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error) {
+	m, _, err := a.migrateBound(pr, p, mu)
+	if err != nil {
+		return nil, 0, err
+	}
+	d, w := pr.PPDC, pr.Workload
 	ct := d.TotalCost(w, p, m, mu)
 	if stay := d.CommCost(w, p); stay <= ct {
 		return p.Clone(), stay, nil
@@ -44,13 +56,22 @@ func (a LayeredDP) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p mod
 // MigrateBound returns the (possibly repaired) migration target together
 // with the unconstrained DP value, which lower-bounds the true TOM
 // optimum.
-func (LayeredDP) MigrateBound(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	if err := checkInputs(d, w, sfc, p, mu); err != nil {
+func (a LayeredDP) MigrateBound(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return a.migrateBound(pr, p, mu)
+}
+
+// migrateBound is MigrateBound on a prepared Problem.
+func (LayeredDP) migrateBound(pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error) {
+	d, sfc, cache := pr.PPDC, pr.SFC, pr.Cache
+	if err := checkInputs(d, pr.Workload, sfc, p, mu); err != nil {
 		return nil, 0, err
 	}
 	n := sfc.Len()
 	sw := d.Topo.Switches
-	cache := d.NewWorkloadCache(w)
 	in, eg := cache.EndpointCosts()
 	lambda := cache.TotalRate()
 

@@ -22,14 +22,34 @@ type Migrator interface {
 	Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error)
 }
 
-// ContextMigrator is a Migrator with a cancellable variant. Exhaustive
-// implements it and consults it on its own Seed, and Repair prefers it
-// for the TOM consult, so cancellation reaches nested searches.
-type ContextMigrator interface {
+// ProblemMigrator is a Migrator that reads a prepared model.Problem —
+// cost cache included — instead of aggregating the workload again, under
+// a context. Every TOM algorithm a vnfoptd scenario can run implements
+// it; call it through Consult.
+type ProblemMigrator interface {
 	Migrator
-	// MigrateContext is Migrate under a context: on cancellation it
-	// returns the best incumbent found so far together with ctx.Err().
-	MigrateContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error)
+	// MigrateProblem is Migrate on pr. A migrator that searches polls ctx
+	// and, once it is cancelled, returns the best incumbent found so far
+	// together with ctx.Err().
+	MigrateProblem(ctx context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error)
+}
+
+// Consult runs inner on pr from placement p: through MigrateProblem when
+// inner has it, so pr's cache and ctx reach the algorithm (and, through
+// it, any migrator or placer nested inside it), else through Migrate on
+// pr's fabric, workload and SFC. A panic in inner comes back as an
+// error: the engine's control loop and a fault repair outlive a buggy
+// solver.
+func Consult(ctx context.Context, inner Migrator, pr model.Problem, p model.Placement, mu float64) (m model.Placement, ct float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m, ct, err = nil, 0, fmt.Errorf("migration: %s panicked: %v", inner.Name(), r)
+		}
+	}()
+	if pm, ok := inner.(ProblemMigrator); ok {
+		return pm.MigrateProblem(ctx, pr, p, mu)
+	}
+	return inner.Migrate(pr.PPDC, pr.Workload, pr.SFC, p, mu)
 }
 
 // checkInputs validates the common preconditions of all migrators.
@@ -63,6 +83,12 @@ func (NoMigration) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p mod
 		return nil, 0, err
 	}
 	return p.Clone(), d.CommCost(w, p), nil
+}
+
+// MigrateProblem implements ProblemMigrator. Staying put reads no cache,
+// so here the Problem form is the one that delegates.
+func (a NoMigration) MigrateProblem(_ context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error) {
+	return a.Migrate(pr.PPDC, pr.Workload, pr.SFC, p, mu)
 }
 
 // MigrationCount returns the number of VNFs that actually move between p

@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"context"
 	"math"
 
 	"vnfopt/internal/model"
@@ -32,18 +33,29 @@ func (MPareto) Name() string { return "mPareto" }
 
 // Migrate implements Migrator.
 func (a MPareto) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	if err := checkInputs(d, w, sfc, p, mu); err != nil {
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return a.MigrateProblem(context.TODO(), pr, p, mu)
+}
+
+// MigrateProblem implements ProblemMigrator: the placer and the frontier
+// sweep both read pr's cache. The sweep is h_max points long and does
+// not poll ctx; the placer gets it.
+func (a MPareto) MigrateProblem(ctx context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error) {
+	if err := checkInputs(pr.PPDC, pr.Workload, pr.SFC, p, mu); err != nil {
 		return nil, 0, err
 	}
 	placer := a.Placer
 	if placer == nil {
 		placer = placement.DP{}
 	}
-	pNew, _, err := placer.Place(d, w, sfc)
+	pNew, _, err := placement.Solve(ctx, placer, pr)
 	if err != nil {
 		return nil, 0, err
 	}
-	points := ParallelFrontiers(d, w, sfc, p, pNew, mu)
+	points := parallelFrontiers(pr, p, pNew, mu)
 	best := math.Inf(1)
 	var m model.Placement
 	for _, fp := range points {
@@ -80,6 +92,12 @@ type FrontierPoint struct {
 // Definition 2 between placements p and pNew, with their cost coordinates.
 // The first point is always p (C_b = 0) and the last is pNew.
 func ParallelFrontiers(d *model.PPDC, w model.Workload, sfc model.SFC, p, pNew model.Placement, mu float64) []FrontierPoint {
+	return parallelFrontiers(d.NewWorkloadCache(w).Problem(sfc), p, pNew, mu)
+}
+
+// parallelFrontiers is ParallelFrontiers on a prepared Problem.
+func parallelFrontiers(pr model.Problem, p, pNew model.Placement, mu float64) []FrontierPoint {
+	d, w, sfc := pr.PPDC, pr.Workload, pr.SFC
 	n := sfc.Len()
 	paths := make([][]int, n)
 	hmax := 1
@@ -93,7 +111,7 @@ func ParallelFrontiers(d *model.PPDC, w model.Workload, sfc model.SFC, p, pNew m
 			hmax = len(paths[j])
 		}
 	}
-	in, eg := d.NewWorkloadCache(w).EndpointCosts()
+	in, eg := pr.Cache.EndpointCosts()
 	lambda := w.TotalRate()
 
 	points := make([]FrontierPoint, 0, hmax)

@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"context"
 	"fmt"
 
 	"vnfopt/internal/model"
@@ -77,7 +78,18 @@ func (bu Budgeted) Name() string {
 
 // Migrate implements Migrator.
 func (bu Budgeted) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	m, ct, err := bu.Inner.Migrate(d, w, sfc, p, mu)
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return bu.MigrateProblem(context.TODO(), pr, p, mu)
+}
+
+// MigrateProblem implements ProblemMigrator: the inner migrator is
+// consulted on pr under ctx; the trim prices with the scalar model.
+func (bu Budgeted) MigrateProblem(ctx context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error) {
+	d, w, sfc := pr.PPDC, pr.Workload, pr.SFC
+	m, ct, err := Consult(ctx, bu.Inner, pr, p, mu)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -31,12 +31,12 @@ type RepairResult struct {
 }
 
 // Repair computes a repair migration after a topology fault: given the
-// degraded serving model d (live switches only — typically
-// fault.ServicePlan.PPDC), the pristine model the current placement p
-// was computed on, the served workload w and d's aggregated cost cache
-// over it (d.NewWorkloadCache(w) — only read here, so the caller builds
-// it once per fault event, shares it across retries and goes on serving
-// from it), it returns a placement on surviving switches minimizing C_t.
+// Problem on the degraded serving model (live switches only — typically
+// fault.ServicePlan.PPDC — with the served workload and the cost cache
+// over it; only read here, so the caller builds it once per fault event,
+// shares it across retries and goes on serving from it) and the pristine
+// model the current placement p was computed on, it returns a placement
+// on surviving switches minimizing C_t.
 //
 // The repair runs in two stages:
 //
@@ -54,7 +54,8 @@ type RepairResult struct {
 //
 // Repair returns an error only when no feasible patch exists (fewer
 // usable switches than the SFC needs) or the inputs are inconsistent.
-func Repair(ctx context.Context, d, pristine *model.PPDC, w model.Workload, cache *model.WorkloadCache, sfc model.SFC, p model.Placement, mu float64, inner Migrator) (*RepairResult, error) {
+func Repair(ctx context.Context, pr model.Problem, pristine *model.PPDC, p model.Placement, mu float64, inner Migrator) (*RepairResult, error) {
+	d, w, cache, sfc := pr.PPDC, pr.Workload, pr.Cache, pr.SFC
 	if d == nil || pristine == nil {
 		return nil, fmt.Errorf("migration: repair needs degraded and pristine models")
 	}
@@ -158,7 +159,7 @@ func Repair(ctx context.Context, d, pristine *model.PPDC, w model.Workload, cach
 	if err := ctx.Err(); err != nil {
 		res.Fallback = true
 		res.FallbackReason = err.Error()
-	} else if m, err := consult(ctx, inner, d, w, sfc, patched, mu); err != nil {
+	} else if m, _, err := Consult(ctx, inner, pr, patched, mu); err != nil {
 		res.Fallback = true
 		res.FallbackReason = err.Error()
 	} else if m.Validate(d, sfc) == nil {
@@ -169,20 +170,4 @@ func Repair(ctx context.Context, d, pristine *model.PPDC, w model.Workload, cach
 	res.Cost = repairCost(final)
 	res.Moves = MigrationCount(p, final)
 	return res, nil
-}
-
-// consult runs the inner migrator with panic containment, preferring its
-// context-aware form when available.
-func consult(ctx context.Context, inner Migrator, d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (m model.Placement, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, fmt.Errorf("migration: %s panicked: %v", inner.Name(), r)
-		}
-	}()
-	if cm, ok := inner.(ContextMigrator); ok {
-		m, _, err = cm.MigrateContext(ctx, d, w, sfc, p, mu)
-		return m, err
-	}
-	m, _, err = inner.Migrate(d, w, sfc, p, mu)
-	return m, err
 }

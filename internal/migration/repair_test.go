@@ -37,7 +37,7 @@ func repairFixture(t *testing.T, sfcLen int) (pristine *model.PPDC, plan *fault.
 
 func TestRepairMovesOffDeadSwitch(t *testing.T) {
 	pristine, plan, w, sfc, p := repairFixture(t, 3)
-	res, err := Repair(context.Background(), plan.PPDC, pristine, w, plan.PPDC.NewWorkloadCache(w), sfc, p, 1000, nil)
+	res, err := Repair(context.Background(), plan.PPDC.NewWorkloadCache(w).Problem(sfc), pristine, p, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRepairNoopWhenPlacementLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := view.PlanService(w)
-	res, err := Repair(context.Background(), plan.PPDC, pristine, plan.Served, plan.PPDC.NewWorkloadCache(plan.Served), sfc, p, 1000, nil)
+	res, err := Repair(context.Background(), plan.PPDC.NewWorkloadCache(plan.Served).Problem(sfc), pristine, p, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func (errMigrator) Migrate(*model.PPDC, model.Workload, model.SFC, model.Placeme
 func TestRepairGreedyFallbackOnSolverFailure(t *testing.T) {
 	for _, inner := range []Migrator{panicMigrator{}, errMigrator{}} {
 		pristine, plan, w, sfc, p := repairFixture(t, 3)
-		res, err := Repair(context.Background(), plan.PPDC, pristine, w, plan.PPDC.NewWorkloadCache(w), sfc, p, 1000, inner)
+		res, err := Repair(context.Background(), plan.PPDC.NewWorkloadCache(w).Problem(sfc), pristine, p, 1000, inner)
 		if err != nil {
 			t.Fatalf("%s: repair must fall back, got error %v", inner.Name(), err)
 		}
@@ -131,7 +131,7 @@ func TestRepairCancelledContextFallsBack(t *testing.T) {
 	pristine, plan, w, sfc, p := repairFixture(t, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Repair(ctx, plan.PPDC, pristine, w, plan.PPDC.NewWorkloadCache(w), sfc, p, 1000, nil)
+	res, err := Repair(ctx, plan.PPDC.NewWorkloadCache(w).Problem(sfc), pristine, p, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRepairInfeasibleWhenTooFewSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := view.PlanService(w)
-	if _, err := Repair(context.Background(), plan.PPDC, pristine, plan.Served, plan.PPDC.NewWorkloadCache(plan.Served), sfc, p, 1, nil); err == nil {
+	if _, err := Repair(context.Background(), plan.PPDC.NewWorkloadCache(plan.Served).Problem(sfc), pristine, p, 1, nil); err == nil {
 		t.Fatal("repair should be infeasible with 1 live switch for 2 VNFs")
 	}
 }
@@ -171,11 +171,11 @@ func TestRepairNeverWorseThanGreedyPatch(t *testing.T) {
 	// The TOM consult starts from the greedy patch; the final cost must
 	// not exceed the pure-fallback cost for the same fault.
 	pristine, plan, w, sfc, p := repairFixture(t, 3)
-	exact, err := Repair(context.Background(), plan.PPDC, pristine, w, plan.PPDC.NewWorkloadCache(w), sfc, p, 1000, nil)
+	exact, err := Repair(context.Background(), plan.PPDC.NewWorkloadCache(w).Problem(sfc), pristine, p, 1000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Repair(context.Background(), plan.PPDC, pristine, w, plan.PPDC.NewWorkloadCache(w), sfc, p, 1000, errMigrator{})
+	greedy, err := Repair(context.Background(), plan.PPDC.NewWorkloadCache(w).Problem(sfc), pristine, p, 1000, errMigrator{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,17 @@ package model
 // (internal/engine) folds streamed updates every epoch — call SetWorkload
 // with the updated workload: it is the one way the cache changes, an
 // O(l + H·|V|) rebuild that allocates nothing in steady state.
+//
+// A cache has one owner goroutine: SetWorkload rewrites the vectors in
+// place and UnitEndpointCosts builds its pair on first ask, so neither
+// may run beside any other call. The engine holds its lock around every
+// use; offline callers build their own cache per call.
 type WorkloadCache struct {
 	d *PPDC
+	// flows is the workload the cache was last set from, flow by flow
+	// (zero-rate flows included): with d it is everything the aggregates
+	// are a function of, and what Problem hands to the solvers.
+	flows Workload
 	// pairs is the (src,dst)-aggregated workload; its Rate fields hold the
 	// summed λ of all flows sharing that host pair.
 	pairs Workload
@@ -40,6 +49,10 @@ type WorkloadCache struct {
 	totalRate       float64
 	// direct is C_a of the empty placement: Σ λ c(s,t).
 	direct float64
+	// unitIn/unitEg are the endpoint vectors of flows with every rate
+	// set to 1 (see UnitEndpointCosts); nil until asked for, and again
+	// once a flow's endpoints change.
+	unitIn, unitEg []float64
 
 	// Rebuild scratch, cleared and refilled by every SetWorkload: the
 	// (src,dst) → pairs index and the per-host λ marginals with their
@@ -59,6 +72,7 @@ type hostRate struct {
 func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
 	c := &WorkloadCache{
 		d:       d,
+		flows:   make(Workload, 0, len(w)),
 		pairIdx: make(map[[2]int]int, len(w)),
 		srcIdx:  make(map[int]int),
 		dstIdx:  make(map[int]int),
@@ -73,10 +87,17 @@ func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
 // makes no assumption that w matches the previous workload's host pairs.
 func (c *WorkloadCache) SetWorkload(w Workload) {
 	n := c.d.Topo.Graph.Order()
-	// Group flows by (src, dst) host pair, first-appearance order.
+	// Keep the flow list, and group flows by (src, dst) host pair in
+	// first-appearance order. The unit-rate vectors depend on the
+	// endpoints only: they survive a walk that finds none moved.
+	kept := c.flows
+	moved := len(w) != len(kept)
+	c.flows = c.flows[:0]
 	clear(c.pairIdx)
 	c.pairs = c.pairs[:0]
-	for _, f := range w {
+	for i, f := range w {
+		moved = moved || f.Src != kept[i].Src || f.Dst != kept[i].Dst
+		c.flows = append(c.flows, f) // overwrites kept[i], already compared
 		if f.Rate == 0 {
 			continue
 		}
@@ -109,6 +130,9 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 			c.dsts = append(c.dsts, hostRate{f.Dst, f.Rate})
 		}
 	}
+	if moved {
+		c.unitIn, c.unitEg = nil, nil
+	}
 	if len(c.ingress) != n {
 		c.ingress = make([]float64, n)
 		c.egress = make([]float64, n)
@@ -137,6 +161,27 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 // callers must not mutate or retain them across rebuilds.
 func (c *WorkloadCache) EndpointCosts() (ingress, egress []float64) {
 	return c.ingress, c.egress
+}
+
+// UnitEndpointCosts returns the endpoint vectors of the cached workload
+// with every flow's rate taken as 1 — zero-rate flows count — which is
+// what the rate-oblivious baselines (placement.Steering, Greedy) score
+// by: unitIn[v] = Σ_i c(s_i, v), unitEg[v] = Σ_i c(v, t_i). They are the
+// EndpointCosts of a cache built on that rate-1 workload, bit for bit,
+// because that is how they are computed. Built on first ask and kept
+// until SetWorkload sees a flow's endpoints differ from the kept list,
+// so rate churn alone never recomputes them. Owned by the cache like
+// EndpointCosts; do not mutate.
+func (c *WorkloadCache) UnitEndpointCosts() (ingress, egress []float64) {
+	if c.unitIn == nil {
+		unit := make(Workload, len(c.flows))
+		for i, f := range c.flows {
+			f.Rate = 1
+			unit[i] = f
+		}
+		c.unitIn, c.unitEg = c.d.NewWorkloadCache(unit).EndpointCosts()
+	}
+	return c.unitIn, c.unitEg
 }
 
 // TotalRate returns Λ = Σ λ_i.

@@ -151,3 +151,89 @@ func TestWorkloadCacheDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestUnitEndpointCosts: the unit-rate vectors are, bit for bit, the
+// EndpointCosts of a cache built on the rate-1 workload (zero-rate flows
+// counted); a rates-only SetWorkload keeps the very arrays, an endpoint
+// move — or a different flow count — drops them.
+func TestUnitEndpointCosts(t *testing.T) {
+	d, w, rng := cacheFixture(t)
+	w[3].Rate = 0
+	w = append(w, w[5], w[5]) // flows sharing a host pair
+	c := d.NewWorkloadCache(w)
+
+	check := func(when string, w Workload) (in []float64) {
+		t.Helper()
+		unit := make(Workload, len(w))
+		for i, f := range w {
+			f.Rate = 1
+			unit[i] = f
+		}
+		wantIn, wantEg := d.NewWorkloadCache(unit).EndpointCosts()
+		in, eg := c.UnitEndpointCosts()
+		for v := range wantIn {
+			if in[v] != wantIn[v] || eg[v] != wantEg[v] {
+				t.Fatalf("%s: unit vectors differ from a fresh unit-rate cache at vertex %d: (%v,%v) vs (%v,%v)",
+					when, v, in[v], eg[v], wantIn[v], wantEg[v])
+			}
+		}
+		return in
+	}
+	first := check("fresh", w)
+	if again, _ := c.UnitEndpointCosts(); &again[0] != &first[0] {
+		t.Fatal("second ask recomputed the unit vectors")
+	}
+
+	w2 := append(Workload(nil), w...)
+	for i := range w2 {
+		w2[i].Rate = rng.Float64() * 1000
+	}
+	w2[7].Rate = 0
+	c.SetWorkload(w2)
+	if kept := check("rates only", w2); &kept[0] != &first[0] {
+		t.Fatal("a rates-only SetWorkload recomputed the unit vectors")
+	}
+
+	last := &w2[len(w2)-1]
+	for _, h := range d.Hosts() {
+		if h != last.Dst {
+			last.Dst = h
+			break
+		}
+	}
+	c.SetWorkload(w2)
+	if moved := check("endpoint moved", w2); &moved[0] == &first[0] {
+		t.Fatal("an endpoint move kept the stale unit vectors")
+	}
+
+	c.SetWorkload(w2[:len(w2)-1])
+	check("one flow fewer", w2[:len(w2)-1])
+}
+
+// TestProblemIsTheCachesOwn: a Problem carries the cache's fabric and
+// the flow list the cache was set from — a copy, so the caller's slice
+// can move on without the Problem's workload and cache parting ways.
+func TestProblemIsTheCachesOwn(t *testing.T) {
+	d, w, _ := cacheFixture(t)
+	sfc := NewSFC(3)
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.PPDC != d || pr.Cache == nil || pr.SFC.Len() != 3 || len(pr.Workload) != len(w) {
+		t.Fatalf("problem %+v does not describe its inputs", pr)
+	}
+	w[0].Rate += 1000
+	if pr.Workload[0].Rate == w[0].Rate {
+		t.Fatal("Problem.Workload aliases the caller's slice")
+	}
+	if got, want := pr.PPDC.CommCost(pr.Workload, nil), pr.Cache.CommCost(nil); !closeRel(got, want) {
+		t.Fatalf("workload and cache of one Problem disagree: %v vs %v", got, want)
+	}
+	if _, err := d.NewProblem(Workload{{Src: -1, Dst: w[0].Dst, Rate: 1}}, sfc); err == nil {
+		t.Fatal("NewProblem built a cache over an invalid workload")
+	}
+	if _, err := (*PPDC)(nil).NewProblem(w, sfc); err == nil {
+		t.Fatal("NewProblem on a nil PPDC")
+	}
+}

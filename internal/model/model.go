@@ -85,6 +85,23 @@ func (d *PPDC) Switches() []int { return d.Topo.Switches }
 // Hosts returns V_h.
 func (d *PPDC) Hosts() []int { return d.Topo.Hosts }
 
+// vertexSet is a membership mask over the PPDC's vertices, indexed by
+// vertex id. The validators build one per call from Topo.Hosts or
+// Topo.Switches — not from Topo.Kind, which a degraded serving model
+// shares with its pristine fabric while its lists drop the dead.
+type vertexSet []bool
+
+func (d *PPDC) vertexSet(members []int) vertexSet {
+	set := make(vertexSet, d.Topo.Graph.Order())
+	for _, v := range members {
+		set[v] = true
+	}
+	return set
+}
+
+// has reports membership; an id outside the graph is in no set.
+func (s vertexSet) has(v int) bool { return v >= 0 && v < len(s) && s[v] }
+
 // VMPair is one communicating VM flow (v_i, v'_i): a source host, a
 // destination host, and the current traffic rate λ_i.
 type VMPair struct {
@@ -134,12 +151,9 @@ func (w Workload) WithRates(rates []float64) Workload {
 // Validate checks that every flow endpoint is a host of the PPDC and every
 // rate is a finite non-negative number.
 func (w Workload) Validate(d *PPDC) error {
-	isHost := make(map[int]bool, len(d.Topo.Hosts))
-	for _, h := range d.Topo.Hosts {
-		isHost[h] = true
-	}
+	isHost := d.vertexSet(d.Topo.Hosts)
 	for i, p := range w {
-		if !isHost[p.Src] || !isHost[p.Dst] {
+		if !isHost.has(p.Src) || !isHost.has(p.Dst) {
 			return fmt.Errorf("model: flow %d endpoints (%d,%d) are not hosts", i, p.Src, p.Dst)
 		}
 		if p.Rate < 0 || math.IsNaN(p.Rate) || math.IsInf(p.Rate, 0) {
@@ -196,14 +210,11 @@ func (p Placement) Validate(d *PPDC, sfc SFC) error {
 	if len(p) != sfc.Len() {
 		return fmt.Errorf("model: placement covers %d VNFs, SFC has %d", len(p), sfc.Len())
 	}
-	isSwitch := make(map[int]bool, len(d.Topo.Switches))
-	for _, s := range d.Topo.Switches {
-		isSwitch[s] = true
-	}
+	isSwitch := d.vertexSet(d.Topo.Switches)
 	cap := d.SwitchCap()
 	count := make(map[int]int, len(p))
 	for j, s := range p {
-		if !isSwitch[s] {
+		if !isSwitch.has(s) {
 			return fmt.Errorf("model: placement of %s at vertex %d, which is not a switch", sfc.Names[j], s)
 		}
 		count[s]++

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"time"
 
 	"vnfopt/internal/migration"
@@ -54,16 +55,32 @@ func (s InstrumentedSolver) Name() string { return s.Inner.Name() }
 func (s InstrumentedSolver) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error) {
 	start := time.Now()
 	p, c, err := s.Inner.Place(d, w, sfc)
-	if m := s.M; m != nil {
-		m.Seconds.Observe(time.Since(start).Seconds())
-		m.Calls.Inc()
-		if err != nil {
-			m.Errors.Inc()
-		} else {
-			m.Cost.Set(c)
-		}
-	}
+	s.observe(start, c, err)
 	return p, c, err
+}
+
+// PlaceProblem implements placement.ProblemSolver: the Problem and the
+// context go on to the inner solver.
+func (s InstrumentedSolver) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement, float64, error) {
+	start := time.Now()
+	p, c, err := placement.Solve(ctx, s.Inner, pr)
+	s.observe(start, c, err)
+	return p, c, err
+}
+
+// observe publishes one finished call.
+func (s InstrumentedSolver) observe(start time.Time, c float64, err error) {
+	m := s.M
+	if m == nil {
+		return
+	}
+	m.Seconds.Observe(time.Since(start).Seconds())
+	m.Calls.Inc()
+	if err != nil {
+		m.Errors.Inc()
+	} else {
+		m.Cost.Set(c)
+	}
 }
 
 // MigratorMetrics are the pre-resolved handles an InstrumentedMigrator
@@ -107,17 +124,34 @@ func (im InstrumentedMigrator) Name() string { return im.Inner.Name() }
 func (im InstrumentedMigrator) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
 	start := time.Now()
 	target, ct, err := im.Inner.Migrate(d, w, sfc, p, mu)
-	if m := im.M; m != nil {
-		m.Seconds.Observe(time.Since(start).Seconds())
-		m.Calls.Inc()
-		if err != nil {
-			m.Errors.Inc()
-		} else {
-			m.Cost.Set(ct)
-			if len(target) == len(p) {
-				m.Moves.Add(int64(migration.MigrationCount(p, target)))
-			}
+	im.observe(start, p, target, ct, err)
+	return target, ct, err
+}
+
+// MigrateProblem implements migration.ProblemMigrator: the Problem and
+// the context go on to the inner migrator, so a cancelled consult stops
+// the search it wraps.
+func (im InstrumentedMigrator) MigrateProblem(ctx context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, error) {
+	start := time.Now()
+	target, ct, err := migration.Consult(ctx, im.Inner, pr, p, mu)
+	im.observe(start, p, target, ct, err)
+	return target, ct, err
+}
+
+// observe publishes one finished call.
+func (im InstrumentedMigrator) observe(start time.Time, p, target model.Placement, ct float64, err error) {
+	m := im.M
+	if m == nil {
+		return
+	}
+	m.Seconds.Observe(time.Since(start).Seconds())
+	m.Calls.Inc()
+	if err != nil {
+		m.Errors.Inc()
+	} else {
+		m.Cost.Set(ct)
+		if len(target) == len(p) {
+			m.Moves.Add(int64(migration.MigrationCount(p, target)))
 		}
 	}
-	return target, ct, err
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"math"
 
 	"vnfopt/internal/model"
@@ -13,19 +14,6 @@ import (
 // That rate-obliviousness is precisely the gap the paper's traffic-aware
 // TOP algorithms exploit (Figs. 9 and 10): under diverse production rate
 // mixes, the delay-optimal placement is far from traffic-optimal.
-
-// unweightedEndpointCosts is EndpointCosts with every λ_i treated as 1:
-// the average-delay objective of the baselines (scaled by l). It rides
-// the aggregated cache with a unit-rate copy of the workload, so the
-// per-vertex sweep is over distinct endpoint hosts rather than flows.
-func unweightedEndpointCosts(d *model.PPDC, w model.Workload) (ingress, egress []float64) {
-	unit := make(model.Workload, len(w))
-	for i, f := range w {
-		f.Rate = 1
-		unit[i] = f
-	}
-	return d.NewWorkloadCache(unit).EndpointCosts()
-}
 
 // Steering adapts the placement heuristic of Zhang et al. [55] to the
 // paper's single-SFC model, following the paper's own description: "It
@@ -52,12 +40,24 @@ type Steering struct{}
 func (Steering) Name() string { return "Steering" }
 
 // Place implements Solver.
-func (Steering) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error) {
+func (a Steering) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error) {
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return a.PlaceProblem(context.TODO(), pr)
+}
+
+// PlaceProblem implements ProblemSolver. The score is a function of the
+// fabric and the flow endpoints only, so it reads the cache's unit-rate
+// vectors, which rate churn does not rebuild.
+func (Steering) PlaceProblem(_ context.Context, pr model.Problem) (model.Placement, float64, error) {
+	d, w, sfc := pr.PPDC, pr.Workload, pr.SFC
 	if err := checkInputs(d, w, sfc); err != nil {
 		return nil, 0, err
 	}
 	n := sfc.Len()
-	in, eg := unweightedEndpointCosts(d, w)
+	in, eg := pr.Cache.UnitEndpointCosts()
 	used := make(map[int]int, n)
 	p := make(model.Placement, 0, n)
 	for j := 0; j < n; j++ {
@@ -106,7 +106,8 @@ func (Greedy) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Place
 		return nil, 0, err
 	}
 	n := sfc.Len()
-	in, eg := unweightedEndpointCosts(d, w)
+	// Every λ_i counts as 1: the cache's unit-rate endpoint vectors.
+	in, eg := d.NewWorkloadCache(w).UnitEndpointCosts()
 	l := float64(len(w))
 	if l == 0 {
 		l = 1

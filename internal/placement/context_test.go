@@ -104,7 +104,11 @@ func TestPlaceContextCompletesUncancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, c2, err := (Optimal{Seed: DP{}}).PlaceContext(context.Background(), d, w, small)
+	pr, err := d.NewProblem(w, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, c2, err := Solve(context.Background(), Optimal{Seed: DP{}}, pr)
 	if err != nil {
 		t.Fatal(err)
 	}

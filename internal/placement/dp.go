@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -32,11 +33,22 @@ func (DP) Name() string { return "DP" }
 
 // Place implements Solver.
 func (a DP) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error) {
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return a.PlaceProblem(context.TODO(), pr)
+}
+
+// PlaceProblem implements ProblemSolver: Algorithm 3 over pr's endpoint
+// vectors. The sweep is polynomial and does not poll ctx.
+func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement, float64, error) {
+	d, w, sfc := pr.PPDC, pr.Workload, pr.SFC
 	if err := checkInputs(d, w, sfc); err != nil {
 		return nil, 0, err
 	}
 	n := sfc.Len()
-	in, eg := endpointArrays(d, w)
+	in, eg := pr.Cache.EndpointCosts()
 	switch n {
 	case 1:
 		p, c := bestSingle(d, w, in, eg)
@@ -54,7 +66,7 @@ func (a DP) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placeme
 	// bites immediately (Steering is O(n·|V_s|) and always feasible).
 	bestCost := math.Inf(1)
 	var best model.Placement
-	if p, c, err := (Steering{}).Place(d, w, sfc); err == nil {
+	if p, c, err := (Steering{}).PlaceProblem(ctx, pr); err == nil {
 		best, bestCost = p, c
 	}
 

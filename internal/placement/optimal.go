@@ -33,15 +33,14 @@ func SearchExpansions() int64 { return searchExpansions.Load() }
 //
 // The paper's complexity O(|V|^n) makes Algorithm 4 a small-instance
 // benchmark only; NodeBudget turns it into an anytime search that reports
-// whether optimality was proven, and PlaceContext makes unbounded
-// searches cancellable.
+// whether optimality was proven, and the context of PlaceProblem makes
+// unbounded searches cancellable.
 type Optimal struct {
 	// NodeBudget caps search expansions; 0 = unlimited.
 	NodeBudget int
 	// Seed optionally provides an incumbent (e.g. the DP solution) so
-	// pruning is effective immediately. Nil means start from +Inf. When
-	// the seed implements ContextSolver it is consulted under the same
-	// context as the search, so cancellation reaches it too.
+	// pruning is effective immediately. Nil means start from +Inf. It is
+	// consulted through Solve, on the search's own Problem and context.
 	Seed Solver
 }
 
@@ -49,19 +48,19 @@ type Optimal struct {
 func (Optimal) Name() string { return "Optimal" }
 
 // Place implements Solver. Callers that need the proven-optimality flag
-// should use PlaceProven; callers that need cancellation, PlaceContext.
+// should use PlaceProven.
 func (a Optimal) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error) {
 	p, c, _, err := a.PlaceProvenContext(context.Background(), d, w, sfc)
 	return p, c, err
 }
 
-// PlaceContext is Place under a context: the search polls ctx every
+// PlaceProblem implements ProblemSolver: the search polls ctx every
 // 1024 node expansions and, once cancelled, stops and returns the best
 // incumbent found so far together with ctx.Err(). The incumbent may be
 // nil when cancellation struck before any complete placement was
 // evaluated and no Seed was configured.
-func (a Optimal) PlaceContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error) {
-	p, c, _, err := a.PlaceProvenContext(ctx, d, w, sfc)
+func (a Optimal) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement, float64, error) {
+	p, c, _, err := a.placeProven(ctx, pr)
 	return p, c, err
 }
 
@@ -71,12 +70,22 @@ func (a Optimal) PlaceProven(d *model.PPDC, w model.Workload, sfc model.SFC) (mo
 	return a.PlaceProvenContext(context.Background(), d, w, sfc)
 }
 
-// PlaceProvenContext is the full form: anytime search with node budget,
+// PlaceProvenContext is PlaceProven under a context.
+func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, bool, error) {
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	return a.placeProven(ctx, pr)
+}
+
+// placeProven is the full form: anytime search with node budget,
 // proven-optimality flag, and cooperative cancellation. On cancellation
 // the incumbent (possibly nil) is returned with proven == false and
 // err == ctx.Err(). An already-cancelled context returns before the
 // Seed solver is consulted.
-func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, bool, error) {
+func (a Optimal) placeProven(ctx context.Context, pr model.Problem) (model.Placement, float64, bool, error) {
+	d, w, sfc := pr.PPDC, pr.Workload, pr.SFC
 	if err := checkInputs(d, w, sfc); err != nil {
 		return nil, 0, false, err
 	}
@@ -84,7 +93,7 @@ func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.
 		return nil, 0, false, err
 	}
 	n := sfc.Len()
-	in, eg := endpointArrays(d, w)
+	in, eg := pr.Cache.EndpointCosts()
 	switch n {
 	case 1:
 		p, c := bestSingle(d, w, in, eg)
@@ -100,15 +109,7 @@ func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.
 	bestCost := math.Inf(1)
 	var best model.Placement
 	if a.Seed != nil {
-		var p model.Placement
-		var c float64
-		var err error
-		if cs, ok := a.Seed.(ContextSolver); ok {
-			p, c, err = cs.PlaceContext(ctx, d, w, sfc)
-		} else {
-			p, c, err = a.Seed.Place(d, w, sfc)
-		}
-		if err == nil {
+		if p, c, err := Solve(ctx, a.Seed, pr); err == nil {
 			best = p.Clone()
 			bestCost = c
 		}

@@ -22,14 +22,26 @@ type Solver interface {
 	Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error)
 }
 
-// ContextSolver is a Solver with a cancellable variant. Optimal
-// implements it, and consults it on its own Seed so cancellation
-// reaches nested searches.
-type ContextSolver interface {
+// ProblemSolver is a Solver that reads a prepared model.Problem — cost
+// cache included — instead of aggregating the workload again, under a
+// context. Every TOP algorithm a vnfoptd scenario can run implements it;
+// call it through Solve.
+type ProblemSolver interface {
 	Solver
-	// PlaceContext is Place under a context: on cancellation it returns
-	// the best incumbent found so far together with ctx.Err().
-	PlaceContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error)
+	// PlaceProblem is Place on pr. A solver that searches polls ctx and,
+	// once it is cancelled, returns the best incumbent found so far
+	// together with ctx.Err().
+	PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement, float64, error)
+}
+
+// Solve runs s on pr: through PlaceProblem when s has it, so pr's cache
+// and ctx reach the algorithm (and, through it, any solver nested inside
+// it), else through Place on pr's fabric, workload and SFC.
+func Solve(ctx context.Context, s Solver, pr model.Problem) (model.Placement, float64, error) {
+	if ps, ok := s.(ProblemSolver); ok {
+		return ps.PlaceProblem(ctx, pr)
+	}
+	return s.Place(pr.PPDC, pr.Workload, pr.SFC)
 }
 
 // checkInputs validates the common preconditions of all solvers.
@@ -72,12 +84,12 @@ func switchCosts(d *model.PPDC) [][]float64 {
 	return d.APSP.CostMatrix(d.Topo.Switches)
 }
 
-// endpointArrays restricts the aggregated workload cache's endpoint
-// vectors to just what the solvers index (full vertex arrays; switch
-// lookups go through the vertex id directly). The aggregated build costs
-// O(l + H·|V|) for H distinct flow-endpoint hosts, versus the scalar
-// model.PPDC.EndpointCosts O(l·|V|) — the scalar form stays available as
-// the differential oracle.
+// endpointArrays builds the aggregated workload cache for w and returns
+// its endpoint vectors (full vertex arrays; switch lookups go through the
+// vertex id directly), for the solvers that are handed no model.Problem.
+// The aggregated build costs O(l + H·|V|) for H distinct flow-endpoint
+// hosts, versus the scalar model.PPDC.EndpointCosts O(l·|V|) — the scalar
+// form stays available as the differential oracle.
 func endpointArrays(d *model.PPDC, w model.Workload) (ingress, egress []float64) {
 	return d.NewWorkloadCache(w).EndpointCosts()
 }

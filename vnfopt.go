@@ -209,7 +209,11 @@ func OptimalPlacement(nodeBudget int) PlacementSolver {
 // best incumbent found so far (at worst the DP seed) together with
 // ctx.Err(). nodeBudget 0 means unlimited.
 func OptimalPlacementContext(ctx context.Context, d *PPDC, w Workload, sfc SFC, nodeBudget int) (Placement, float64, error) {
-	return placement.Optimal{NodeBudget: nodeBudget, Seed: placement.DP{}}.PlaceContext(ctx, d, w, sfc)
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return placement.Optimal{NodeBudget: nodeBudget, Seed: placement.DP{}}.PlaceProblem(ctx, pr)
 }
 
 // SteeringPlacement returns the Steering [55] comparison baseline.
@@ -255,7 +259,11 @@ func OptimalMigration(nodeBudget int) Migrator {
 // best incumbent found so far (at worst the mPareto seed or staying put)
 // together with ctx.Err(). nodeBudget 0 means unlimited.
 func OptimalMigrationContext(ctx context.Context, d *PPDC, w Workload, sfc SFC, p Placement, mu float64, nodeBudget int) (Placement, float64, error) {
-	return migration.Exhaustive{NodeBudget: nodeBudget, Seed: migration.MPareto{}}.MigrateContext(ctx, d, w, sfc, p, mu)
+	pr, err := d.NewProblem(w, sfc)
+	if err != nil {
+		return nil, 0, err
+	}
+	return migration.Exhaustive{NodeBudget: nodeBudget, Seed: migration.MPareto{}}.MigrateProblem(ctx, pr, p, mu)
 }
 
 // NoMigration returns the keep-everything-in-place reference.
