@@ -23,8 +23,14 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/experiments is the figure sweep: under -race it was ~105 s of
+# a ~140 s `make check`, and its only concurrency is the per-run fan-out
+# through parallel.Map over solvers that every other package's tests
+# already run under the detector. It runs without it (~11 s), so `check`
+# still covers the figures.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -vx vnfopt/internal/experiments)
+	$(GO) test ./internal/experiments/
 
 # One iteration of every kernel microbenchmark with numbers on record,
 # so the code behind them still compiles and runs; no timing is read.
@@ -139,14 +145,16 @@ fuzz-list:
 
 # An internal package no program reaches is code only its own tests keep
 # alive: fail when `go list ./internal/...` names one that neither the
-# root module's programs, examples and facade nor the bench module
-# import, transitively. Three are meant to be that, and no others:
+# root module's programs and examples nor the bench module import,
+# transitively. The facade (the root package) is a library, not a
+# program: what only it imports is not reached. Three are meant to be
+# orphans, and no others:
 #	chaos         harness for its own tests (chaos-smoke)
 #	differential  harness for its own tests and fuzz targets (make fuzz)
 #	ilp           EXPERIMENTS.md's Fig. 4 ablation, run from bench_test.go
 ORPHANS_ALLOWED = chaos differential ilp
 orphans:
-	@reached="$$({ $(GO) list -deps ./cmd/... ./examples/... . && $(GO) -C bench list -deps .; } | sort -u)"; \
+	@reached="$$({ $(GO) list -deps ./cmd/... ./examples/... && $(GO) -C bench list -deps .; } | sort -u)"; \
 	test -n "$$reached" || exit 1; \
 	for p in $$($(GO) list ./internal/...); do \
 		echo "$$reached" | grep -qx "$$p" && continue; \

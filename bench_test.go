@@ -12,14 +12,13 @@ import (
 	"strings"
 	"testing"
 
-	"vnfopt"
+	"vnfopt/internal/engine"
 	"vnfopt/internal/experiments"
 	"vnfopt/internal/graph"
 	"vnfopt/internal/ilp"
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/placement"
-	"vnfopt/internal/replication"
 	"vnfopt/internal/sim"
 	"vnfopt/internal/stroll"
 	"vnfopt/internal/topology"
@@ -193,84 +192,38 @@ func BenchmarkAblationFullFrontier(b *testing.B) {
 }
 
 // BenchmarkAblationColocation quantifies footnote 3's distinct-switch
-// constraint: with colocation allowed (paper future work) the chain cost
-// collapses entirely.
+// constraint: with colocation allowed (paper future work) the whole chain
+// stacks on one switch, the chain cost Σ c(p(j), p(j+1)) is zero, and the
+// optimum is the n = 1 optimum min_v (in[v] + eg[v]).
 func BenchmarkAblationColocation(b *testing.B) {
 	ft := topology.MustFatTree(4, nil)
-	strict := model.MustNew(ft, model.Options{})
-	loose := model.MustNew(ft, model.Options{AllowColocation: true})
+	d := model.MustNew(ft, model.Options{})
 	rng := rand.New(rand.NewSource(5))
 	w := workload.MustPairsClustered(ft, 30, 4, workload.DefaultIntraRack, rng)
-	sfc := model.NewSFC(5)
 	var distinct, colocated float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, cd, err := (placement.DP{}).Place(strict, w, sfc)
+		_, cd, err := (placement.DP{}).Place(d, w, model.NewSFC(5))
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, cc, err := (placement.Colocated{}).Place(loose, w, sfc)
+		_, cc, err := (placement.DP{}).Place(d, w, model.NewSFC(1))
 		if err != nil {
 			b.Fatal(err)
 		}
 		distinct, colocated = cd, cc
 	}
+	if r := colocated / distinct; r < 0.55 || r > 0.65 {
+		b.Fatalf("colocated/distinct C_a = %.3f at n=5, EXPERIMENTS.md records ≈ 0.60", r)
+	}
 	b.ReportMetric(distinct, "distinct-Ca")
 	b.ReportMetric(colocated, "colocated-Ca")
 }
 
-// BenchmarkAblationReplicationVsMigration compares the paper's future-work
-// alternative — R replica chains with per-hour flow reassignment, zero
-// migration traffic — against mPareto migration of a single chain over a
-// simulated burst day.
-func BenchmarkAblationReplicationVsMigration(b *testing.B) {
-	ft := topology.MustFatTree(8, nil)
-	d := model.MustNew(ft, model.Options{})
-	sfc := model.NewSFC(4)
-	const mu = 1e4
-	var migTotal, repTotal float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(7))
-		base := workload.MustPairsClustered(ft, 64, 4, workload.DefaultIntraRack, rng)
-		sched, err := vnfopt.PaperBurst().Schedule(ft, base, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Migration arm: single chain, mPareto hourly.
-		p, _, err := (placement.DP{}).Place(d, base.WithRates(sched[0]), sfc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Replication arm: 3 chains placed for hour-1 traffic, flows
-		// reassigned hourly, VNFs never move.
-		dep, err := replication.Place(d, base.WithRates(sched[0]), sfc, 3, replication.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		migTotal, repTotal = 0, 0
-		for h := range sched {
-			w := base.WithRates(sched[h])
-			for f := range w {
-				w[f].Rate *= 10 // hourly traffic volume (see experiments.Config.HourVolume)
-			}
-			m, ct, err := (migration.MPareto{}).Migrate(d, w, sfc, p, mu)
-			if err != nil {
-				b.Fatal(err)
-			}
-			migTotal += ct
-			p = m
-			_, repCost := replication.Reassign(d, w, dep.Chains)
-			repTotal += repCost
-		}
-	}
-	b.ReportMetric(migTotal, "migration-day-cost")
-	b.ReportMetric(repTotal, "replication-day-cost")
-}
-
-// BenchmarkAblationHysteresis quantifies the Triggered policy's trade
-// between placement stability and traffic: higher hysteresis means fewer
-// migrations at a higher day cost.
+// BenchmarkAblationHysteresis quantifies the engine's drift trigger
+// (engine.Policy.Hysteresis, the when-to-migrate knob vnfoptd runs): a
+// higher threshold consults mPareto on fewer hours, trading day cost for
+// placement stability.
 func BenchmarkAblationHysteresis(b *testing.B) {
 	ft := topology.MustFatTree(8, nil)
 	d := model.MustNew(ft, model.Options{})
@@ -287,20 +240,22 @@ func BenchmarkAblationHysteresis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	levels := []float64{0, 1.5, 5, 50}
 	results := map[float64]*sim.Trace{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, h := range []float64{1, 2, 5} {
-			tr, err := s.RunVNF(migration.Triggered{Inner: migration.MPareto{}, Hysteresis: h})
+		for _, h := range levels {
+			tr, err := s.RunEngine(migration.MPareto{}, engine.Policy{Hysteresis: h})
 			if err != nil {
 				b.Fatal(err)
 			}
 			results[h] = tr
 		}
 	}
-	for _, h := range []float64{1, 2, 5} {
-		b.ReportMetric(results[h].Total, "cost-h"+strconv.FormatFloat(h, 'f', 0, 64))
-		b.ReportMetric(float64(results[h].TotalMoves), "moves-h"+strconv.FormatFloat(h, 'f', 0, 64))
+	for _, h := range levels {
+		suffix := "-h" + strconv.FormatFloat(h, 'g', -1, 64)
+		b.ReportMetric(results[h].Total, "cost"+suffix)
+		b.ReportMetric(float64(results[h].TotalMoves), "moves"+suffix)
 	}
 }
 

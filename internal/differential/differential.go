@@ -2,7 +2,7 @@
 // every other on one scenario — the invariant web that must hold no
 // matter the topology, workload, or parameters:
 //
-//	TOP:  Optimal ≤ DP ≤ {Steering, Greedy};  Anneal ≤ DP;
+//	TOP:  Optimal ≤ DP ≤ {Steering, Greedy};
 //	      every placement validates (capacity, switch-only).
 //	TOM:  Exhaustive ≤ {mPareto, LayeredDP, surrogate} ≤ NoMigration;
 //	      LayeredDP's unconstrained bound ≤ Exhaustive;
@@ -82,7 +82,6 @@ func Run(d *model.PPDC, w1, w2 model.Workload, sfc model.SFC, opts Options) (*Re
 		placement.DP{},
 		placement.Steering{},
 		placement.Greedy{},
-		placement.Anneal{Iterations: 3000},
 	}
 	for _, s := range solvers {
 		p, c, err := s.Place(d, w1, sfc)
@@ -115,10 +114,6 @@ func Run(d *model.PPDC, w1, w2 model.Workload, sfc model.SFC, opts Options) (*Re
 			return nil, fmt.Errorf("differential: %s cost %v below Optimal %v", name, c, cOpt)
 		}
 	}
-	if rep.PlacementCosts["Anneal"] > rep.PlacementCosts["DP"]+tol {
-		return nil, fmt.Errorf("differential: Anneal %v worse than its DP seed %v",
-			rep.PlacementCosts["Anneal"], rep.PlacementCosts["DP"])
-	}
 
 	// --- TOM ---------------------------------------------------------
 	pInit, _, err := (placement.DP{}).Place(d, w1, sfc)
@@ -137,7 +132,6 @@ func Run(d *model.PPDC, w1, w2 model.Workload, sfc model.SFC, opts Options) (*Re
 		migration.LayeredDP{},
 		migration.OptimalSurrogate(),
 		migration.NoMigration{},
-		migration.Triggered{Inner: migration.MPareto{}, Hysteresis: 1},
 	}
 	for _, mg := range migs {
 		m, ct, err := mg.Migrate(d, w2, sfc, pInit, opts.Mu)

@@ -21,7 +21,7 @@ func TestDifferentialFatTree(t *testing.T) {
 	if !rep.OptimalProven {
 		t.Fatal("k=4 should prove optimality unbudgeted")
 	}
-	for _, name := range []string{"DP", "Steering", "Greedy", "Anneal", "Optimal"} {
+	for _, name := range []string{"DP", "Steering", "Greedy", "Optimal"} {
 		if _, ok := rep.PlacementCosts[name]; !ok {
 			t.Errorf("missing placement cost for %s", name)
 		}

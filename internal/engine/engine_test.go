@@ -13,6 +13,7 @@ import (
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/obs"
+	"vnfopt/internal/placement"
 	"vnfopt/internal/topology"
 	"vnfopt/internal/workload"
 )
@@ -470,11 +471,17 @@ func TestWithInitialAdoptsPlacement(t *testing.T) {
 }
 
 // TestWithObserverWiring: a live Config.Observer sees epochs, ingests,
-// cache activity, and migration events flow through the engine.
+// cache activity, and migration events flow through the engine, and the
+// instrumented solver and migrator sharing its registry count one
+// placement at New and one consult per epoch of the zero policy.
 func TestWithObserverWiring(t *testing.T) {
 	r := obs.NewRegistry()
 	ev := obs.NewEventLog(8)
-	e, sched := newEngineCfg(t, 3, Config{Observer: NewObserver(r, ev, "t")})
+	e, sched := newEngineCfg(t, 3, Config{
+		Observer: NewObserver(r, ev, "t"),
+		Placer:   obs.InstrumentedSolver{Inner: placement.DP{}, M: obs.NewSolverMetrics(r, "DP")},
+		Migrator: obs.InstrumentedMigrator{Inner: migration.MPareto{}, M: obs.NewMigratorMetrics(r, "mPareto")},
+	})
 	moves := 0
 	for h := 0; h < 6; h++ {
 		if _, err := e.Ingest(hourUpdates(sched[h])); err != nil {
@@ -498,6 +505,12 @@ func TestWithObserverWiring(t *testing.T) {
 	}
 	if r.Counter("vnfopt_cache_rebuilds_total"+l).Value() == 0 {
 		t.Fatal("no cache accounting reached the observer")
+	}
+	if got := r.Counter(`vnfopt_solver_calls_total{solver="DP"}`).Value(); got != 1 {
+		t.Fatalf("solver calls %d, want 1", got)
+	}
+	if got := r.Counter(`vnfopt_migrator_calls_total{migrator="mPareto"}`).Value(); got != 6 {
+		t.Fatalf("migrator calls %d, want 6", got)
 	}
 	if moves > 0 {
 		if got := r.Counter("vnfopt_engine_moves_total" + l).Value(); got != int64(moves) {

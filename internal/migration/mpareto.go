@@ -2,6 +2,7 @@ package migration
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"vnfopt/internal/model"
@@ -137,5 +138,5 @@ func parallelFrontiers(pr model.Problem, p, pNew model.Placement, mu float64) []
 }
 
 func errNoFrontier() error {
-	return fmtErrorf("migration: no valid migration frontier")
+	return fmt.Errorf("migration: no valid migration frontier")
 }

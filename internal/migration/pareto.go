@@ -1,9 +1,5 @@
 package migration
 
-import "fmt"
-
-func fmtErrorf(format string, args ...interface{}) error { return fmt.Errorf(format, args...) }
-
 // ParetoFilter returns the subset of points that are Pareto-optimal in the
 // (Cb, Ca) plane: no other point is at most as large in both coordinates
 // and strictly smaller in one. Input order is preserved.

@@ -7,52 +7,6 @@ import (
 	"vnfopt/internal/model"
 )
 
-// Triggered wraps a migrator with a hysteresis trigger that decides *when*
-// migrating is worth it — the question Cziva et al. [18] (cited by the
-// paper) attack with optimal-stopping theory, here as a simple
-// configurable threshold. The inner migrator proposes a target m; the
-// wrapper accepts it only when the communication saving clearly pays for
-// the migration traffic:
-//
-//	C_a(p) − C_a(m)  ≥  Hysteresis · C_b(p, m)
-//
-// Hysteresis = 1 accepts any strictly profitable move (TOM's own
-// criterion); larger values migrate only on decisive gains, trading some
-// traffic for placement stability (fewer FlowTags rule updates, fewer
-// mid-migration reroutes). The ablation bench quantifies the trade.
-type Triggered struct {
-	// Inner proposes migrations (e.g. MPareto{}).
-	Inner Migrator
-	// Hysteresis is the required saving-to-cost ratio (≥ 0; 1 = neutral).
-	Hysteresis float64
-}
-
-// Name implements Migrator.
-func (tr Triggered) Name() string {
-	return fmt.Sprintf("%s(hyst=%g)", tr.Inner.Name(), tr.Hysteresis)
-}
-
-// Migrate implements Migrator.
-func (tr Triggered) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	if tr.Hysteresis < 0 {
-		return nil, 0, fmt.Errorf("migration: negative hysteresis %v", tr.Hysteresis)
-	}
-	m, _, err := tr.Inner.Migrate(d, w, sfc, p, mu)
-	if err != nil {
-		return nil, 0, err
-	}
-	stay := d.CommCost(w, p)
-	if m.Equal(p) {
-		return p.Clone(), stay, nil
-	}
-	saving := stay - d.CommCost(w, m)
-	cb := d.MigrationCost(p, m, mu)
-	if saving < tr.Hysteresis*cb {
-		return p.Clone(), stay, nil
-	}
-	return m, d.TotalCost(w, p, m, mu), nil
-}
-
 // Budgeted wraps a migrator with a per-call migration budget: at most
 // Budget VNFs may move in one migration — the operator constraint behind
 // the online engine's policy knob (each move is a FlowTags rule update and
@@ -124,34 +78,4 @@ func (bu Budgeted) MigrateProblem(ctx context.Context, pr model.Problem, p model
 		return p.Clone(), stay, nil
 	}
 	return m, ct, nil
-}
-
-// Periodic wraps a migrator to act only every Interval-th call, modelling
-// operators that reconsider placement on a coarser schedule than the
-// traffic sampling period. Calls in between keep the placement (at its
-// current communication cost). The zero value acts every call.
-type Periodic struct {
-	// Inner proposes migrations.
-	Inner Migrator
-	// Interval is the action period in calls (≤ 1 = every call).
-	Interval int
-
-	calls int
-}
-
-// Name implements Migrator.
-func (pr *Periodic) Name() string {
-	return fmt.Sprintf("%s(every=%d)", pr.Inner.Name(), pr.Interval)
-}
-
-// Migrate implements Migrator.
-func (pr *Periodic) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	pr.calls++
-	if pr.Interval > 1 && (pr.calls-1)%pr.Interval != 0 {
-		if err := checkInputs(d, w, sfc, p, mu); err != nil {
-			return nil, 0, err
-		}
-		return p.Clone(), d.CommCost(w, p), nil
-	}
-	return pr.Inner.Migrate(d, w, sfc, p, mu)
 }

@@ -3,7 +3,6 @@ package migration
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"vnfopt/internal/model"
@@ -28,85 +27,6 @@ func policyScenario(t *testing.T, seed int64) (*model.PPDC, model.Workload, mode
 		w[i].Rate = workload.Rate(rng) * 20
 	}
 	return d, w, sfc, p
-}
-
-func TestTriggeredNeutralMatchesInnerDecision(t *testing.T) {
-	d, w, sfc, p := policyScenario(t, 1)
-	const mu = 100
-	inner, innerCt, err := (MPareto{}).Migrate(d, w, sfc, p, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ct, err := (Triggered{Inner: MPareto{}, Hysteresis: 1}).Migrate(d, w, sfc, p, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With hysteresis 1 the trigger only rejects moves whose saving is
-	// below C_b — moves mPareto would only make if C_t still improved by
-	// ties; either way the accepted cost never exceeds staying.
-	stay := d.CommCost(w, p)
-	if ct > stay+1e-6 {
-		t.Fatalf("triggered cost %v worse than staying %v", ct, stay)
-	}
-	if !m.Equal(p) && math.Abs(ct-innerCt) > 1e-6 {
-		t.Fatalf("accepted move cost %v != inner %v", ct, innerCt)
-	}
-	_ = inner
-}
-
-func TestTriggeredHighHysteresisFreezes(t *testing.T) {
-	d, w, sfc, p := policyScenario(t, 2)
-	m, ct, err := (Triggered{Inner: MPareto{}, Hysteresis: 1e9}).Migrate(d, w, sfc, p, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(p) {
-		t.Fatalf("migrated despite absurd hysteresis: %v -> %v", p, m)
-	}
-	if want := d.CommCost(w, p); math.Abs(ct-want) > 1e-9 {
-		t.Fatalf("frozen cost %v != C_a(p) %v", ct, want)
-	}
-}
-
-func TestTriggeredNegativeHysteresisRejected(t *testing.T) {
-	d, w, sfc, p := policyScenario(t, 3)
-	if _, _, err := (Triggered{Inner: MPareto{}, Hysteresis: -1}).Migrate(d, w, sfc, p, 1); err == nil {
-		t.Fatal("negative hysteresis accepted")
-	}
-}
-
-func TestTriggeredName(t *testing.T) {
-	if n := (Triggered{Inner: MPareto{}, Hysteresis: 2}).Name(); n != "mPareto(hyst=2)" {
-		t.Fatalf("name %q", n)
-	}
-}
-
-func TestPeriodicActsOnSchedule(t *testing.T) {
-	d, w, sfc, p := policyScenario(t, 4)
-	pr := &Periodic{Inner: MPareto{}, Interval: 3}
-	if !strings.Contains(pr.Name(), "every=3") {
-		t.Fatalf("name %q", pr.Name())
-	}
-	const mu = 100
-	cur := p
-	actions := 0
-	for call := 0; call < 6; call++ {
-		m, _, err := pr.Migrate(d, w, sfc, cur, mu)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Equal(cur) {
-			actions++
-			if call%3 != 0 {
-				t.Fatalf("moved on off-schedule call %d", call)
-			}
-		}
-		cur = m
-	}
-	// Calls 0 and 3 were the action slots; at most two moves.
-	if actions > 2 {
-		t.Fatalf("%d actions in 6 calls with interval 3", actions)
-	}
 }
 
 func TestBudgetedCapsMoves(t *testing.T) {
@@ -151,19 +71,5 @@ func TestBudgetedCapsMoves(t *testing.T) {
 func TestBudgetedName(t *testing.T) {
 	if n := (Budgeted{Inner: MPareto{}, Budget: 2}).Name(); n != "mPareto(budget=2)" {
 		t.Fatalf("name %q", n)
-	}
-}
-
-func TestPeriodicZeroValueActsAlways(t *testing.T) {
-	d, w, sfc, p := policyScenario(t, 5)
-	pr := &Periodic{Inner: NoMigration{}}
-	for i := 0; i < 3; i++ {
-		m, ct, err := pr.Migrate(d, w, sfc, p, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Equal(p) || math.Abs(ct-d.CommCost(w, p)) > 1e-9 {
-			t.Fatal("zero-value periodic misbehaved")
-		}
 	}
 }

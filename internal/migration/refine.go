@@ -1,6 +1,7 @@
 package migration
 
 import (
+	"fmt"
 	"math"
 
 	"vnfopt/internal/model"
@@ -116,7 +117,7 @@ func (b BestOf) Name() string {
 // Migrate implements Migrator.
 func (b BestOf) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
 	if len(b.Migrants) == 0 {
-		return nil, 0, fmtErrorf("migration: BestOf with no migrators")
+		return nil, 0, fmt.Errorf("migration: BestOf with no migrators")
 	}
 	bestCt := math.Inf(1)
 	var best model.Placement

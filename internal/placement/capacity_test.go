@@ -100,22 +100,3 @@ func TestCapacityAllowsLongChainsOnSmallFabric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestColocatedNeedsCapacity(t *testing.T) {
-	ft := topology.MustFatTree(2, nil)
-	rng := rand.New(rand.NewSource(4))
-	w := workload.MustPairs(ft, 5, workload.DefaultIntraRack, rng)
-	sfc := model.NewSFC(3)
-	capped := model.MustNew(ft, model.Options{SwitchCapacity: 2})
-	if _, _, err := (Colocated{}).Place(capped, w, sfc); err == nil {
-		t.Fatal("3 VNFs colocated on capacity-2 switch accepted")
-	}
-	roomy := model.MustNew(ft, model.Options{SwitchCapacity: 3})
-	p, _, err := (Colocated{}).Place(roomy, w, sfc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p[0] != p[1] || p[1] != p[2] {
-		t.Fatalf("colocated placement %v not on one switch", p)
-	}
-}

@@ -21,7 +21,7 @@ import (
 //
 // DP follows the paper's distinct-switch model: even when the PPDC allows
 // colocation it only produces all-distinct placements (and so needs
-// n ≤ |V_s|); use Optimal or Anneal to exploit spare switch capacity.
+// n ≤ |V_s|); use Optimal to exploit spare switch capacity.
 type DP struct {
 	// MaxEdges caps the per-query edge ramp of the stroll DP
 	// (0 = solver default).

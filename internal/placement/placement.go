@@ -84,16 +84,6 @@ func switchCosts(d *model.PPDC) [][]float64 {
 	return d.APSP.CostMatrix(d.Topo.Switches)
 }
 
-// endpointArrays builds the aggregated workload cache for w and returns
-// its endpoint vectors (full vertex arrays; switch lookups go through the
-// vertex id directly), for the solvers that are handed no model.Problem.
-// The aggregated build costs O(l + H·|V|) for H distinct flow-endpoint
-// hosts, versus the scalar model.PPDC.EndpointCosts O(l·|V|) — the scalar
-// form stays available as the differential oracle.
-func endpointArrays(d *model.PPDC, w model.Workload) (ingress, egress []float64) {
-	return d.NewWorkloadCache(w).EndpointCosts()
-}
-
 // bestSingle solves n = 1: place the only VNF at the switch minimizing
 // ingress + egress cost. This is one of the paper's "simple solutions for
 // cases of n = 1, 2". The returned cost is re-evaluated through the

@@ -26,25 +26,25 @@
 //	flows2 := flows.WithRates(vnfopt.GenerateRates(len(flows), rng))
 //	m, ct, err := vnfopt.MPareto().Migrate(dc, flows2, sfc, p, 1e4) // Algorithm 5
 //
+// The facade holds what the programs under cmd/ and examples/ call and
+// nothing else (facade_reach_test.go): a name no program uses is reached
+// through its internal package instead.
+//
 // See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 // reproduction of every figure in the paper's evaluation.
 package vnfopt
 
 import (
-	"context"
 	"math/rand"
 
 	"vnfopt/internal/engine"
-	"vnfopt/internal/graph"
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
-	"vnfopt/internal/obs"
 	"vnfopt/internal/placement"
 	"vnfopt/internal/routing"
 	"vnfopt/internal/sim"
 	"vnfopt/internal/stroll"
 	"vnfopt/internal/topology"
-	"vnfopt/internal/vmmig"
 	"vnfopt/internal/workload"
 )
 
@@ -65,11 +65,6 @@ type (
 	// Placement maps each VNF to its hosting switch; also used for
 	// migration targets m.
 	Placement = model.Placement
-	// WorkloadCache is the aggregated-workload fast path of the cost
-	// model: O(n) C_a per candidate placement after a one-time O(l + H·|V|)
-	// aggregation, with a SetWorkload invalidation hook for dynamic rates.
-	// Build one with PPDC.NewWorkloadCache.
-	WorkloadCache = model.WorkloadCache
 )
 
 // Topology types (see internal/topology).
@@ -79,8 +74,6 @@ type (
 	Topology = topology.Topology
 	// WeightFunc assigns link weights during topology generation.
 	WeightFunc = topology.WeightFunc
-	// Graph is the underlying weighted undirected graph.
-	Graph = graph.Graph
 )
 
 // Algorithm interfaces.
@@ -90,13 +83,9 @@ type (
 	PlacementSolver = placement.Solver
 	// Migrator is a TOM algorithm (Table II: mPareto, Optimal).
 	Migrator = migration.Migrator
-	// VMMigrator is a VM-migration baseline (Table II: PLAN, MCF).
-	VMMigrator = vmmig.VMMigrator
 	// FrontierPoint is one parallel migration frontier with its
 	// (C_b, C_a) coordinates — the axes of the paper's Fig. 6(b).
 	FrontierPoint = migration.FrontierPoint
-	// Diurnal is the paper's Eq. 9 daily traffic model.
-	Diurnal = workload.Diurnal
 	// BurstModel layers tenant rack bursts over the diurnal envelope —
 	// the dynamic-traffic generator of the Fig. 11 experiments.
 	BurstModel = workload.BurstModel
@@ -107,14 +96,9 @@ type (
 	StrollResult = stroll.Result
 )
 
-// Workload generation constants (paper Section VI).
-const (
-	// DefaultIntraRack is the fraction of VM pairs placed under one edge
-	// switch (80%, Benson et al.).
-	DefaultIntraRack = workload.DefaultIntraRack
-	// RateMax is the top of the traffic-rate range.
-	RateMax = workload.RateMax
-)
+// DefaultIntraRack is the fraction of VM pairs placed under one edge
+// switch (80%, Benson et al.; paper Section VI).
+const DefaultIntraRack = workload.DefaultIntraRack
 
 // FatTree builds a k-ary fat-tree PPDC (k even): k³/4 hosts, 5k²/4
 // switches. weight nil means unit (hop-count) weights.
@@ -144,25 +128,12 @@ func RandomMesh(numSwitches, numHosts, extraEdges int, weight WeightFunc, rng *r
 	return topology.RandomMesh(numSwitches, numHosts, extraEdges, weight, rng)
 }
 
-// UnitWeights returns hop-count link weights (the paper's unweighted
-// PPDCs).
-func UnitWeights() WeightFunc { return topology.UnitWeights() }
-
-// UniformDelay returns link delays uniform on [mean−halfWidth,
-// mean+halfWidth].
-func UniformDelay(mean, halfWidth float64, rng *rand.Rand) WeightFunc {
-	return topology.UniformDelay(mean, halfWidth, rng)
-}
-
 // PaperDelay returns the paper's Fig. 10 weighted-PPDC distribution
 // (mean 1.5, half-width 0.5).
 func PaperDelay(rng *rand.Rand) WeightFunc { return topology.PaperDelay(rng) }
 
-// NewPPDC builds a PPDC from a topology, computing the all-pairs cost
-// cache.
-func NewPPDC(t *Topology, opts Options) (*PPDC, error) { return model.New(t, opts) }
-
-// MustNewPPDC is NewPPDC but panics on error.
+// MustNewPPDC builds a PPDC from a topology, computing the all-pairs cost
+// cache; it panics on a topology the model rejects.
 func MustNewPPDC(t *Topology, opts Options) *PPDC { return model.MustNew(t, opts) }
 
 // NewSFC builds a service function chain of n generic VNFs f1..fn.
@@ -186,10 +157,6 @@ func GeneratePairsClustered(t *Topology, l, tenantRacks int, intraRack float64, 
 // mix.
 func GenerateRates(l int, rng *rand.Rand) []float64 { return workload.Rates(l, rng) }
 
-// PaperDiurnal returns the paper's Eq. 9 daily traffic model (N = 12,
-// τ_min = 0.2, 3-hour coast shift).
-func PaperDiurnal() Diurnal { return workload.PaperDiurnal() }
-
 // PaperBurst returns the tenant-burst dynamic-traffic model used by the
 // Fig. 11 experiments (Eq. 9 envelope × rack bursts).
 func PaperBurst() BurstModel { return workload.PaperBurst() }
@@ -204,70 +171,14 @@ func OptimalPlacement(nodeBudget int) PlacementSolver {
 	return placement.Optimal{NodeBudget: nodeBudget, Seed: placement.DP{}}
 }
 
-// OptimalPlacementContext runs Algorithm 4 under a context: the search
-// polls ctx every ~1024 node expansions and, once cancelled, returns the
-// best incumbent found so far (at worst the DP seed) together with
-// ctx.Err(). nodeBudget 0 means unlimited.
-func OptimalPlacementContext(ctx context.Context, d *PPDC, w Workload, sfc SFC, nodeBudget int) (Placement, float64, error) {
-	pr, err := d.NewProblem(w, sfc)
-	if err != nil {
-		return nil, 0, err
-	}
-	return placement.Optimal{NodeBudget: nodeBudget, Seed: placement.DP{}}.PlaceProblem(ctx, pr)
-}
-
 // SteeringPlacement returns the Steering [55] comparison baseline.
 func SteeringPlacement() PlacementSolver { return placement.Steering{} }
 
 // GreedyPlacement returns the Greedy [34] comparison baseline.
 func GreedyPlacement() PlacementSolver { return placement.Greedy{} }
 
-// AnnealPlacement returns a simulated-annealing TOP solver seeded by the
-// DP (extension; never worse than DP, deterministic for a fixed seed).
-// iterations 0 uses the default budget.
-func AnnealPlacement(iterations int, seed int64) PlacementSolver {
-	return placement.Anneal{Iterations: iterations, Seed: seed}
-}
-
-// Top1DP solves TOP-1 (one flow) with Algorithm 2's DP-Stroll.
-func Top1DP(d *PPDC, f VMPair, n int) (Placement, float64, error) {
-	return placement.Top1DP(d, f, n)
-}
-
-// Top1Optimal solves TOP-1 exactly (within nodeBudget expansions;
-// 0 = unlimited); the bool reports proven optimality.
-func Top1Optimal(d *PPDC, f VMPair, n, nodeBudget int) (Placement, float64, bool, error) {
-	return placement.Top1Optimal(d, f, n, nodeBudget)
-}
-
-// Top1PrimalDual solves TOP-1 with the primal-dual Algorithm 1.
-func Top1PrimalDual(d *PPDC, f VMPair, n int) (Placement, float64, error) {
-	return placement.Top1PrimalDual(d, f, n)
-}
-
 // MPareto returns the paper's Algorithm 5 (the recommended TOM solver).
 func MPareto() Migrator { return migration.MPareto{} }
-
-// OptimalMigration returns the paper's Algorithm 6 (exhaustive; small
-// instances only). nodeBudget 0 means unlimited.
-func OptimalMigration(nodeBudget int) Migrator {
-	return migration.Exhaustive{NodeBudget: nodeBudget, Seed: migration.MPareto{}}
-}
-
-// OptimalMigrationContext runs Algorithm 6 under a context: the search
-// polls ctx every ~1024 node expansions and, once cancelled, returns the
-// best incumbent found so far (at worst the mPareto seed or staying put)
-// together with ctx.Err(). nodeBudget 0 means unlimited.
-func OptimalMigrationContext(ctx context.Context, d *PPDC, w Workload, sfc SFC, p Placement, mu float64, nodeBudget int) (Placement, float64, error) {
-	pr, err := d.NewProblem(w, sfc)
-	if err != nil {
-		return nil, 0, err
-	}
-	return migration.Exhaustive{NodeBudget: nodeBudget, Seed: migration.MPareto{}}.MigrateProblem(ctx, pr, p, mu)
-}
-
-// NoMigration returns the keep-everything-in-place reference.
-func NoMigration() Migrator { return migration.NoMigration{} }
 
 // ParallelFrontiers enumerates the parallel migration frontiers between
 // two placements with their (C_b, C_a) coordinates (Fig. 6(b)).
@@ -286,18 +197,6 @@ func IsConvexFront(points []FrontierPoint) bool { return migration.IsConvexFront
 // (Fig. 11(b)).
 func MigrationCount(p, m Placement) int { return migration.MigrationCount(p, m) }
 
-// PLANBaseline returns the PLAN [17] VM-migration baseline. hostCapacity 0
-// means uncapacitated.
-func PLANBaseline(hostCapacity int) VMMigrator {
-	return vmmig.PLAN{Opts: vmmig.Options{HostCapacity: hostCapacity}}
-}
-
-// MCFBaseline returns the MCF [24] min-cost-flow VM-migration baseline.
-// hostCapacity 0 means uncapacitated.
-func MCFBaseline(hostCapacity int) VMMigrator {
-	return vmmig.MCF{Opts: vmmig.Options{HostCapacity: hostCapacity}}
-}
-
 // SolveStrollDP solves a standalone n-stroll instance with Algorithm 2.
 func SolveStrollDP(in StrollInstance) (StrollResult, error) { return stroll.DP(in) }
 
@@ -305,13 +204,6 @@ func SolveStrollDP(in StrollInstance) (StrollResult, error) { return stroll.DP(i
 // unlimited).
 func SolveStrollOptimal(in StrollInstance, nodeBudget int) (StrollResult, error) {
 	return stroll.Exhaustive(in, stroll.ExhaustiveOptions{NodeBudget: nodeBudget})
-}
-
-// SolveStrollOptimalContext is SolveStrollOptimal under a context: once
-// cancelled the best incumbent (at worst the DP seed) is returned with
-// Optimal=false alongside ctx.Err().
-func SolveStrollOptimalContext(ctx context.Context, in StrollInstance, nodeBudget int) (StrollResult, error) {
-	return stroll.ExhaustiveContext(ctx, in, stroll.ExhaustiveOptions{NodeBudget: nodeBudget})
 }
 
 // SolveStrollPrimalDual solves a standalone n-stroll with Algorithm 1.
@@ -324,25 +216,9 @@ func SolveStrollPrimalDual(in StrollInstance) (StrollResult, error) {
 // Link is an undirected network link key (U < V).
 type Link = routing.Link
 
-// LinkReport summarizes a link-load distribution.
-type LinkReport = routing.Report
-
-// FlowRoute materializes one flow's policy-preserving path
-// (src → f_1 → … → f_n → dst) as a vertex walk.
-func FlowRoute(d *PPDC, f VMPair, p Placement) []int { return routing.FlowRoute(d, f, p) }
-
 // LinkLoads accumulates per-link traffic for a workload under a placement.
 func LinkLoads(d *PPDC, w Workload, p Placement) (map[Link]float64, error) {
 	return routing.LinkLoads(d, w, p)
-}
-
-// SummarizeLinkLoads reports max/mean/P99 link loads.
-func SummarizeLinkLoads(loads map[Link]float64) LinkReport { return routing.Summarize(loads) }
-
-// LinkUtilization reports the peak utilization and the number of links
-// above a threshold (the paper assumes links provisioned around 40%).
-func LinkUtilization(loads map[Link]float64, capacity, threshold float64) (maxUtil float64, above int, err error) {
-	return routing.Utilization(loads, capacity, threshold)
 }
 
 // --- Dynamic-traffic simulation --------------------------------------------
@@ -355,9 +231,6 @@ type SimConfig = sim.Config
 // migrators, VM baselines, or nothing react, and records costs, moves, and
 // optionally link loads.
 type Simulator = sim.Simulator
-
-// SimTrace is one strategy's recorded run.
-type SimTrace = sim.Trace
 
 // NewSimulator validates a scenario and computes the initial TOP
 // placement.
@@ -381,12 +254,6 @@ type EnginePolicy = engine.Policy
 // RateUpdate is one streaming per-flow rate observation.
 type RateUpdate = engine.RateUpdate
 
-// EngineSnapshot is the engine's lock-free read model.
-type EngineSnapshot = engine.Snapshot
-
-// EngineStepResult reports one epoch of the control loop.
-type EngineStepResult = engine.StepResult
-
 // NewEngine validates a scenario and returns a running engine.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 
@@ -395,90 +262,3 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 // pricing exponent, admission utilization target, and max-flow
 // rejection classification.
 type RoutingConfig = engine.RoutingConfig
-
-// RoutingReport is the full per-epoch admission/utilization report
-// (Engine.RoutingReport): per-flow decisions, per-link loads, and the
-// saturated-link set.
-type RoutingReport = engine.RoutingReport
-
-// RoutingSummary is the compact admission summary published on
-// EngineSnapshot.Routing and EngineStepResult.Routing.
-type RoutingSummary = engine.RoutingSummary
-
-// FlowDecision is one flow's admission outcome within a RoutingReport.
-type FlowDecision = engine.FlowDecision
-
-// --- Observability ---------------------------------------------------------
-
-// MetricsRegistry is a concurrency-safe get-or-create metrics registry
-// (counters, gauges, lock-free streaming histograms) with Prometheus
-// text exposition via WritePrometheus. A nil registry hands out nil
-// handles whose methods all no-op, so instrumentation can stay wired in
-// permanently and be disabled for free.
-type MetricsRegistry = obs.Registry
-
-// EventLog is a bounded ring buffer of structured events (migrations,
-// step errors) with monotonic sequence numbers.
-type EventLog = obs.EventLog
-
-// Event is one EventLog entry.
-type Event = obs.Event
-
-// EngineObserver is the engine's observability sink: pre-resolved
-// metric handles plus an optional event log, built by NewObserver.
-type EngineObserver = engine.Observer
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewEventLog returns a bounded event ring (capacity <= 0 selects the
-// default of 256 events).
-func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
-
-// NewObserver resolves the engine metric family against r, labelling
-// every series with the scenario name when non-empty. Attach the result
-// as EngineConfig.Observer (or SimConfig.Observer). Either argument may
-// be nil.
-func NewObserver(r *MetricsRegistry, events *EventLog, scenario string) *EngineObserver {
-	return engine.NewObserver(r, events, scenario)
-}
-
-// InstrumentedPlacement wraps a TOP solver so every Place call is timed
-// and counted under vnfopt_solver_*{solver="<name>"} in r.
-func InstrumentedPlacement(s PlacementSolver, r *MetricsRegistry) PlacementSolver {
-	return obs.InstrumentedSolver{Inner: s, M: obs.NewSolverMetrics(r, s.Name())}
-}
-
-// InstrumentedMigration wraps a TOM migrator so every Migrate call is
-// timed and counted under vnfopt_migrator_*{migrator="<name>"} in r.
-func InstrumentedMigration(m Migrator, r *MetricsRegistry) Migrator {
-	return obs.InstrumentedMigrator{Inner: m, M: obs.NewMigratorMetrics(r, m.Name())}
-}
-
-// --- Migration policies (extensions) --------------------------------------
-
-// TriggeredMigration wraps a migrator with a hysteresis trigger: accept a
-// proposed move only when the communication saving is at least hysteresis
-// times the migration cost.
-func TriggeredMigration(inner Migrator, hysteresis float64) Migrator {
-	return migration.Triggered{Inner: inner, Hysteresis: hysteresis}
-}
-
-// PeriodicMigration wraps a migrator to act only every interval-th call.
-func PeriodicMigration(inner Migrator, interval int) Migrator {
-	return &migration.Periodic{Inner: inner, Interval: interval}
-}
-
-// --- Extra topologies ------------------------------------------------------
-
-// LeafSpine builds a two-tier Clos fabric (every leaf connects to every
-// spine; hostsPerLeaf hosts per leaf).
-func LeafSpine(leaves, spines, hostsPerLeaf int, weight WeightFunc) (*Topology, error) {
-	return topology.LeafSpine(leaves, spines, hostsPerLeaf, weight)
-}
-
-// Jellyfish builds a random-regular-graph fabric (Singla et al.) with
-// hostsPerSwitch hosts on every switch.
-func Jellyfish(numSwitches, switchDegree, hostsPerSwitch int, weight WeightFunc, rng *rand.Rand) (*Topology, error) {
-	return topology.Jellyfish(numSwitches, switchDegree, hostsPerSwitch, weight, rng)
-}
