@@ -46,7 +46,7 @@ bench-smoke:
 	$(GO) test -run NONE -bench BenchmarkEngine -benchtime 1x ./internal/engine/
 	$(GO) test -run NONE -bench BenchmarkSolver -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench BenchmarkKernelSequential -benchtime 1x -benchmem ./internal/bnb/
-	$(GO) test -run NONE -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchtime 1x -short ./internal/fault/
+	$(GO) test -run NONE -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchtime 1x -benchmem -short ./internal/fault/
 	$(GO) test -run NONE -bench 'BenchmarkLayered|BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
 
 # The reaction-time benchmark (bench/, the one BENCHMARK.json runs) is the
@@ -108,9 +108,12 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # Just the performance-kernel benchmarks behind results/BENCH_apsp.json
-# and results/BENCH_solver.json.
+# and results/BENCH_solver.json. The fault and weight events run -short
+# (the fat trees): B/op is what says a delta copies the cells it changes
+# and not the rows they sit in.
 bench-kernels:
 	$(GO) test -bench 'BenchmarkAllPairs|BenchmarkDijkstra' -benchmem -run xxx ./internal/graph/
+	$(GO) test -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchmem -short -run xxx ./internal/fault/
 	$(GO) test -bench 'BenchmarkAPSPFatTree|BenchmarkCommCostAggregated' -benchmem -run xxx .
 	$(GO) test -bench BenchmarkKernel -benchmem -run xxx ./internal/bnb/
 

@@ -12,7 +12,9 @@
 //     replan of the same fault set;
 //   - after the final heal the fabric is pristine again and — at μ=0
 //     under the always-consult policy — the cost returns exactly to the
-//     fault-free reference engine's optimum.
+//     fault-free reference engine's optimum;
+//   - the pristine APSP matrix, which every degraded view shares blocks
+//     with, is still the build of the pristine graph.
 //
 // Everything is a pure function of (scenario, seed): two runs with the
 // same inputs produce identical reports, which is what makes a chaos
@@ -332,6 +334,17 @@ func Run(ctx context.Context, cfg Config, sched *Schedule) (*Report, error) {
 	final, ref := chaosEng.Snapshot(), refEng.Snapshot()
 	if final.Degraded || final.ActiveFaults != 0 {
 		return nil, fmt.Errorf("chaos: schedule ended with %d active faults", final.ActiveFaults)
+	}
+	// Every delta of the schedule shared blocks with the pristine matrix,
+	// directly or down a chain of views, and the last heal returned to it:
+	// a delta that wrote through a shared block would have left it
+	// something other than the build of the pristine graph.
+	pristine, err := fault.Apply(cfg.PPDC, fault.FaultSet{})
+	if err != nil {
+		return nil, err
+	}
+	if err := fault.Diff(pristine, fault.Rebuild(cfg.PPDC, fault.FaultSet{})); err != nil {
+		return nil, fmt.Errorf("chaos: the pristine matrix changed under the schedule: %w", err)
 	}
 	rep.FinalCost, rep.RefFinalCost = final.CommCost, ref.CommCost
 	met := chaosEng.Metrics()

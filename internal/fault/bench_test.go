@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -26,7 +27,7 @@ func logHost(b *testing.B) {
 	b.Logf("host %s", host)
 }
 
-func benchModel(b *testing.B, name string) *model.PPDC {
+func benchModel(b testing.TB, name string) *model.PPDC {
 	if d, ok := benchModels.Load(name); ok {
 		return d.(*model.PPDC)
 	}
@@ -211,6 +212,51 @@ func BenchmarkFaultHeal(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// TestDeltaBytesBudget holds the three event classes that touch every row
+// of the k=16 matrix for a few cells each — a switch dies (column
+// patches), a host uplink is re-priced (one column), the lowest-id core
+// switch comes back (every row repaired) — to bytes that follow those
+// cells: under 6 MB an event, where copying every touched row whole is
+// the 22 MB matrix.
+func TestDeltaBytesBudget(t *testing.T) {
+	d := benchModel(t, "fattree_k16")
+	pristine, err := Apply(d, FaultSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, _ := eventFaults(d, "switch")
+	uplink, _ := weightEventFaults(d, "host_uplink")
+	both, after := healEvent(d, "switch_back")
+	twoFaults, err := Apply(d, both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		from *View
+		to   FaultSet
+	}{
+		{"switch", pristine, sw},
+		{"host_uplink", pristine, uplink},
+		{"switch_back", twoFaults, after},
+	} {
+		const runs = 3
+		var before, done runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := ApplyDelta(d, c.from, c.to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&done)
+		perEvent := (done.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %.2f MB per event", c.name, float64(perEvent)/1e6)
+		if perEvent > 6e6 {
+			t.Errorf("%s: %.2f MB allocated per event, budget 6 MB", c.name, float64(perEvent)/1e6)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"vnfopt/internal/graph"
@@ -254,4 +255,47 @@ func dumbbell(t *testing.T) (*model.PPDC, []int, []int) {
 	g.AddEdge(0, 1, 1)
 	d := model.MustNew(topo, model.Options{})
 	return d, topo.Hosts, topo.Switches
+}
+
+// TestDiff pins what the standing oracle of ApplyDelta against Rebuild
+// looks at. Routing walks the predecessor matrix (APSP.Path), so two
+// views that agree on every cost and disagree on one predecessor must not
+// pass as identical: over the unit square 0-1-3-2-0 every cost is the
+// same with and without the weight-2 chord {0,3}, and with it vertex 3's
+// predecessor from 0 is 0 itself, not 1.
+func TestDiff(t *testing.T) {
+	view := func(chord, far float64) *View {
+		g := graph.New(4)
+		g.AddEdge(0, 1, 1)
+		g.AddEdge(1, 3, 1)
+		g.AddEdge(0, 2, 1)
+		g.AddEdge(2, 3, far)
+		if chord > 0 {
+			g.AddEdge(0, 3, chord)
+		}
+		d := &model.PPDC{Topo: &topology.Topology{Graph: g}, APSP: graph.AllPairs(g)}
+		v, err := Apply(d, FaultSet{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	square := view(0, 1)
+	for _, c := range []struct {
+		name string
+		b    *View
+		want string // substring of the divergence; "" for none
+	}{
+		{"identical", view(0, 1), ""},
+		{"one cost", view(0, 1.5), "cost[2][3]"},
+		{"one predecessor, every cost equal", view(2, 1), "pred[0][3]: 1 != 0"},
+	} {
+		err := Diff(square, c.b)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: Diff = %v, want a divergence at %s", c.name, err, c.want)
+		}
+	}
 }

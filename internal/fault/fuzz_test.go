@@ -141,6 +141,22 @@ func viewEqual(t *testing.T, d *model.PPDC, a, b *View) {
 	}
 }
 
+// deltaStep takes the view of fs from prev through ApplyDelta and pins it
+// to the full rebuild. The delta shares with prev's matrix every block it
+// does not change, so prev is pinned too, after the delta, to the rebuild
+// of its own fault set: a write through a shared block would corrupt it —
+// in the end the pristine matrix the last heal returns to.
+func deltaStep(t *testing.T, d *model.PPDC, prev *View, fs FaultSet) *View {
+	t.Helper()
+	inc, err := ApplyDelta(d, prev, fs)
+	if err != nil {
+		t.Fatalf("fault set built from candidates must validate: %v", err)
+	}
+	viewEqual(t, d, inc, Rebuild(d, fs))
+	apspEqual(t, d, prev, Rebuild(d, prev.Faults()))
+	return inc
+}
+
 // FuzzIncrementalAPSP is the differential fuzz for the incremental APSP
 // layer: a random inject/heal sequence is applied twice — once through
 // the delta path (each view built from the previous view via ApplyDelta,
@@ -173,24 +189,14 @@ func FuzzIncrementalAPSP(f *testing.F) {
 				active := fs.Faults()
 				fs = fs.Remove(active[int(b>>1)%len(active)])
 			}
-			inc, err := ApplyDelta(d, prev, fs)
-			if err != nil {
-				t.Fatalf("fault set built from candidates must validate: %v", err)
-			}
-			viewEqual(t, d, inc, Rebuild(d, fs))
-			prev = inc
+			prev = deltaStep(t, d, prev, fs)
 		}
 		// Drain the surviving faults one at a time: every heal keeps the
 		// incremental chain pinned to the rebuild, and the empty tail is
 		// the pristine matrix again.
 		for fs.Len() > 0 {
 			fs = fs.Remove(fs.Faults()[0])
-			inc, err := ApplyDelta(d, prev, fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viewEqual(t, d, inc, Rebuild(d, fs))
-			prev = inc
+			prev = deltaStep(t, d, prev, fs)
 		}
 		apspEqual(t, d, prev, Rebuild(d, FaultSet{}))
 	})
@@ -406,23 +412,13 @@ func FuzzWeightDeltaAPSP(f *testing.F) {
 					fs = fs.Remove(active[int(b>>2)%len(active)])
 				}
 			}
-			inc, err := ApplyDelta(d, prev, fs)
-			if err != nil {
-				t.Fatalf("fault set built from candidates must validate: %v", err)
-			}
-			viewEqual(t, d, inc, Rebuild(d, fs))
-			prev = inc
+			prev = deltaStep(t, d, prev, fs)
 		}
 		// Drain: heal everything one fault at a time along the chain, then
 		// the empty set must be the pristine matrix again.
 		for fs.Len() > 0 {
 			fs = fs.Remove(fs.Faults()[0])
-			inc, err := ApplyDelta(d, prev, fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viewEqual(t, d, inc, Rebuild(d, fs))
-			prev = inc
+			prev = deltaStep(t, d, prev, fs)
 		}
 		apspEqual(t, d, prev, Rebuild(d, FaultSet{}))
 	})

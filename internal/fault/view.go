@@ -269,8 +269,9 @@ func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 }
 
 // Diff reports the first divergence between two views of the same
-// order: the APSP cost matrix compared bitwise, the dead mask, and the
-// component labelling. It returns nil when the views are identical.
+// order: the APSP cost matrix compared bitwise, the predecessor matrix
+// routing walks (APSP.Path), the dead mask, and the component labelling.
+// It returns nil when the views are identical.
 // The chaos harness runs it at every fault transition as a standing
 // differential check of the incremental ApplyDelta path against the
 // full rebuild.
@@ -282,6 +283,7 @@ func Diff(a, b *View) error {
 	if a.Components() != b.Components() {
 		return fmt.Errorf("fault: component count %d != %d", a.Components(), b.Components())
 	}
+	pa, pb := a.degraded.APSP, b.degraded.APSP
 	for u := 0; u < n; u++ {
 		if a.Dead(u) != b.Dead(u) {
 			return fmt.Errorf("fault: dead[%d]: %v != %v", u, a.Dead(u), b.Dead(u))
@@ -289,10 +291,12 @@ func Diff(a, b *View) error {
 		if a.Component(u) != b.Component(u) {
 			return fmt.Errorf("fault: comp[%d]: %d != %d", u, a.Component(u), b.Component(u))
 		}
-		ra, rb := a.degraded.APSP.Row(u), b.degraded.APSP.Row(u)
-		for v := range ra {
-			if math.Float64bits(ra[v]) != math.Float64bits(rb[v]) {
-				return fmt.Errorf("fault: cost[%d][%d]: %v != %v (bitwise)", u, v, ra[v], rb[v])
+		for v := 0; v < n; v++ {
+			if ca, cb := pa.Cost(u, v), pb.Cost(u, v); math.Float64bits(ca) != math.Float64bits(cb) {
+				return fmt.Errorf("fault: cost[%d][%d]: %v != %v (bitwise)", u, v, ca, cb)
+			}
+			if qa, qb := pa.Pred(u, v), pb.Pred(u, v); qa != qb {
+				return fmt.Errorf("fault: pred[%d][%d]: %d != %d", u, v, qa, qb)
 			}
 		}
 	}

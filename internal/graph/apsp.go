@@ -29,19 +29,45 @@ func SetAPSPObserver(fn APSPObserver) {
 	apspObserver.Store(&fn)
 }
 
+// apspBlock is the number of cells in one block of a row, the unit of
+// sharing between a matrix and the ones ApplyEdgeDeltas derives from it:
+// 512 bytes of dist, 256 of prev. Cell v of a row sits in block
+// v>>apspShift at index v&apspMask.
+const (
+	apspShift = 6
+	apspBlock = 1 << apspShift
+	apspMask  = apspBlock - 1
+)
+
+type (
+	distBlock [apspBlock]float64
+	prevBlock [apspBlock]int32
+)
+
+// apspRow is one source's row: a table of pointers to blocks of cells per
+// field. The last block is padded to full length; no vertex id reaches the
+// padding, and nothing else is ever used as an index.
+type apspRow struct {
+	dist []*distBlock // d(v): shortest-path cost source->v
+	prev []*prevBlock // p(v): predecessor of v on that path
+}
+
+func (r apspRow) d(v int) float64 { return r.dist[v>>apspShift][v&apspMask] }
+func (r apspRow) p(v int) int32   { return r.prev[v>>apspShift][v&apspMask] }
+
 // APSP holds an all-pairs shortest path matrix with predecessor links for
 // path reconstruction. It is the c(u,v) oracle of the paper's cost model:
 // every communication and migration cost is a λ- or μ-weighted APSP lookup.
 //
-// Rows are independent slices: a full build lays them over one contiguous
-// row-major buffer, while an incremental ApplyEdgeDeltas result shares the
-// unchanged rows of its parent matrix outright. APSP values are therefore
-// immutable once returned — mutating a row would silently corrupt every
+// A full build lays every row's blocks over one contiguous buffer, while
+// an incremental ApplyEdgeDeltas result shares with its parent matrix
+// every row table the delta leaves alone and, in the rows it writes, every
+// block in which no cell changes value. APSP values are therefore
+// immutable once returned — mutating a block would silently corrupt every
 // matrix sharing it.
 type APSP struct {
 	n    int
-	dist [][]float64 // dist[u][v]: shortest-path cost u->v
-	prev [][]int32   // prev[u][v]: predecessor of v on the shortest u->v path
+	rows []apspRow
 	// span bounds every finite cost in the matrix when the relaxations of
 	// the graph it was built over are strictly increasing (strictRelax) —
 	// every row is then canonical, the premise of ApplyEdgeDeltas' row
@@ -50,39 +76,61 @@ type APSP struct {
 	span float64
 }
 
-// apspStride returns the blocked row-major stride for an n-order
-// matrix: row starts rounded up to a multiple of 16 elements, so every
-// float64 dist row (8 per 64-byte line) and every int32 prev row (16
-// per line) begins on a cache-line boundary. Aligned row starts keep
-// the parallel build's chunk boundaries off shared cache lines (no
-// false sharing between workers writing adjacent rows) and make
-// row-vs-row sweeps — the delta classifier reading dist rows, the cost
-// cache streaming Row(u) — stride through whole lines instead of
-// straddling them. At k=32 fat-tree and 10k-switch jellyfish orders the
-// padding overhead is ≤ 16/n < 0.2%.
-func apspStride(n int) int {
-	return (n + 15) &^ 15
+// flatRows holds k rows of an n-order matrix whose cells are contiguous
+// per field, each row padded to whole blocks: what a full Dijkstra run
+// writes, since DijkstraInto takes flat slices. Every block starts on a
+// cache line (the allocator aligns these sizes to 64 bytes and a block is
+// a multiple of that), so the parallel build's workers never share one.
+type flatRows struct {
+	n, stride int // stride: cells per padded row
+	dist      []float64
+	prev      []int32
+	distTab   []*distBlock
+	prevTab   []*prevBlock
 }
 
-// newAPSP allocates an n-order matrix whose rows tile one contiguous
-// stride-padded row-major backing buffer per field (see apspStride).
-// Rows keep logical length n — the padding lives between rows, invisible
-// to every accessor — with capacity clamped to n so an append cannot
-// scribble on a neighbor's padding.
-func newAPSP(n int) *APSP {
-	a := &APSP{
-		n:    n,
-		dist: make([][]float64, n),
-		prev: make([][]int32, n),
+func newFlatRows(n, k int) flatRows {
+	blocks := (n + apspMask) >> apspShift
+	stride := blocks * apspBlock
+	return flatRows{
+		n: n, stride: stride,
+		dist:    make([]float64, k*stride),
+		prev:    make([]int32, k*stride),
+		distTab: make([]*distBlock, k*blocks),
+		prevTab: make([]*prevBlock, k*blocks),
 	}
-	stride := apspStride(n)
-	db := make([]float64, n*stride)
-	pb := make([]int32, n*stride)
-	for i := 0; i < n; i++ {
-		a.dist[i] = db[i*stride : i*stride+n : i*stride+n]
-		a.prev[i] = pb[i*stride : i*stride+n : i*stride+n]
+}
+
+// cells returns row i's flat cells, for DijkstraInto to fill.
+func (f flatRows) cells(i int) ([]float64, []int32) {
+	o := i * f.stride
+	return f.dist[o : o+f.n : o+f.n], f.prev[o : o+f.n : o+f.n]
+}
+
+// row returns row i with its tables pointed at its blocks.
+func (f flatRows) row(i int) apspRow {
+	blocks := f.stride >> apspShift
+	r := apspRow{
+		dist: f.distTab[i*blocks : (i+1)*blocks : (i+1)*blocks],
+		prev: f.prevTab[i*blocks : (i+1)*blocks : (i+1)*blocks],
 	}
-	return a
+	for b := range r.dist {
+		o := i*f.stride + b*apspBlock
+		r.dist[b] = (*distBlock)(f.dist[o : o+apspBlock])
+		r.prev[b] = (*prevBlock)(f.prev[o : o+apspBlock])
+	}
+	return r
+}
+
+// newAPSP allocates an n-order matrix over one flatRows, which it returns
+// for the build to fill.
+func newAPSP(n int) (*APSP, flatRows) {
+	f := newFlatRows(n, n)
+	a := &APSP{n: n, rows: make([]apspRow, n)}
+	for i := range a.rows {
+		a.rows[i] = f.row(i)
+	}
+	return a, f
 }
 
 // AllPairs runs Dijkstra from every vertex and caches the results.
@@ -110,13 +158,14 @@ func AllPairsWorkers(g *Graph, workers int) *APSP {
 		start = time.Now()
 	}
 	n := g.Order()
-	a := newAPSP(n)
+	a, flat := newAPSP(n)
 	a.span = canonicalSpan(g.weightBounds())
 	csr := g.Freeze()
 	err := parallel.MapChunked(n, workers, func(lo, hi int) error {
 		var scratch SSSPScratch
 		for src := lo; src < hi; src++ {
-			csr.DijkstraInto(src, a.dist[src], a.prev[src], &scratch)
+			dist, prev := flat.cells(src)
+			csr.DijkstraInto(src, dist, prev, &scratch)
 		}
 		return nil
 	})
@@ -137,14 +186,14 @@ func AllPairsWorkers(g *Graph, workers int) *APSP {
 // and as the allocation-behavior baseline for the benchmarks.
 func AllPairsSequential(g *Graph) *APSP {
 	n := g.Order()
-	a := newAPSP(n)
+	a, flat := newAPSP(n)
 	a.span = canonicalSpan(g.weightBounds())
 	for src := 0; src < n; src++ {
 		dist, prev := g.Dijkstra(src)
-		copy(a.dist[src], dist)
-		row := a.prev[src]
+		distRow, prevRow := flat.cells(src)
+		copy(distRow, dist)
 		for v, p := range prev {
-			row[v] = int32(p)
+			prevRow[v] = int32(p)
 		}
 	}
 	return a
@@ -154,33 +203,43 @@ func AllPairsSequential(g *Graph) *APSP {
 func (a *APSP) Order() int { return a.n }
 
 // Cost returns the shortest-path cost c(u,v); Inf if unreachable.
-func (a *APSP) Cost(u, v int) float64 { return a.dist[u][v] }
+func (a *APSP) Cost(u, v int) float64 { return a.rows[u].d(v) }
 
-// Row returns the contiguous shortest-path cost row from u:
-// Row(u)[v] == Cost(u, v). The slice aliases the cached matrix and must
-// not be mutated; it exists so vectorized sweeps (e.g. the aggregated
-// workload cost cache) can stream one row without per-element index
-// arithmetic.
-func (a *APSP) Row(u int) []float64 { return a.dist[u] }
+// AddScaledRow adds scale·c(u,v) to acc[v] for every vertex v; acc has
+// length Order(). It walks u's row block by block, so sweeps over whole
+// rows (the aggregated workload cost cache) pay the block lookup once per
+// 64 cells rather than once per Cost call.
+func (a *APSP) AddScaledRow(acc []float64, u int, scale float64) {
+	acc = acc[:a.n]
+	for b, blk := range a.rows[u].dist {
+		seg := acc[b*apspBlock:]
+		if len(seg) > apspBlock {
+			seg = seg[:apspBlock]
+		}
+		for i := range seg {
+			seg[i] += scale * blk[i]
+		}
+	}
+}
 
 // Pred returns the predecessor of v on the cached shortest u→v path, or
 // -1 when v is unreachable from u (and for v == u). Differential tests
 // use it to compare predecessor matrices entry-for-entry without
 // materializing paths.
-func (a *APSP) Pred(u, v int) int { return int(a.prev[u][v]) }
+func (a *APSP) Pred(u, v int) int { return int(a.rows[u].p(v)) }
 
 // Reachable reports whether v is reachable from u.
-func (a *APSP) Reachable(u, v int) bool { return !math.IsInf(a.dist[u][v], 1) }
+func (a *APSP) Reachable(u, v int) bool { return !math.IsInf(a.rows[u].d(v), 1) }
 
 // Path reconstructs a shortest u-v vertex sequence (inclusive). It returns
 // nil when v is unreachable from u.
 func (a *APSP) Path(u, v int) []int {
-	if math.IsInf(a.dist[u][v], 1) {
+	row := a.rows[u]
+	if math.IsInf(row.d(v), 1) {
 		return nil
 	}
 	var rev []int
-	row := a.prev[u]
-	for x := v; x != -1; x = int(row[x]) {
+	for x := v; x != -1; x = int(row.p(x)) {
 		rev = append(rev, x)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
@@ -194,12 +253,12 @@ func (a *APSP) Path(u, v int) []int {
 // min-cost path, not the min-hop path. It walks the prev links directly
 // rather than materializing the path, so it never allocates.
 func (a *APSP) Hops(u, v int) int {
-	if math.IsInf(a.dist[u][v], 1) {
+	row := a.rows[u]
+	if math.IsInf(row.d(v), 1) {
 		return -1
 	}
-	row := a.prev[u]
 	h := -1
-	for x := int32(v); x != -1; x = row[x] {
+	for x := v; x != -1; x = int(row.p(x)) {
 		h++
 	}
 	return h
@@ -209,9 +268,9 @@ func (a *APSP) Hops(u, v int) int {
 // used in the paper's complexity bound for Algo. 5.
 func (a *APSP) Diameter() float64 {
 	d := 0.0
-	for _, row := range a.dist {
-		for _, c := range row {
-			if !math.IsInf(c, 1) && c > d {
+	for _, row := range a.rows {
+		for v := 0; v < a.n; v++ {
+			if c := row.d(v); !math.IsInf(c, 1) && c > d {
 				d = c
 			}
 		}
@@ -243,19 +302,36 @@ func (a *APSP) MetricClosure(keep []int) (*Graph, []int) {
 // CostMatrix exposes a dense submatrix of shortest-path costs over the
 // given vertices: out[i][j] = c(keep[i], keep[j]). Solvers that index the
 // closure heavily use this rather than adjacency lists.
-// The rows alias one contiguous row-major buffer (two allocations total,
-// like the dist matrix itself), so solvers streaming the closure stay
-// cache-local and the build cost no longer scales allocations with the
-// submatrix order.
+// The rows alias one contiguous row-major buffer (two allocations total),
+// so solvers streaming the closure stay cache-local and the build cost
+// does not scale allocations with the submatrix order. keep is cut once
+// into stretches that count up by one inside one block — a topology
+// numbers its switches in a run, so there are few — and every row copies
+// stretch by stretch, not cell by cell.
 func (a *APSP) CostMatrix(keep []int) [][]float64 {
 	k := len(keep)
+	type stretch struct{ at, block, off, n int }
+	var few [16]stretch // on the stack: the usual keep allocates nothing here
+	runs := few[:0]
+	for j := 0; j < k; {
+		v, n := keep[j], 1
+		for j+n < k && keep[j+n] == v+n && (v+n)&apspMask != 0 {
+			n++
+		}
+		runs = append(runs, stretch{j, v >> apspShift, v & apspMask, n})
+		j += n
+	}
 	out := make([][]float64, k)
 	buf := make([]float64, k*k)
 	for i, u := range keep {
 		row := buf[i*k : (i+1)*k]
-		src := a.dist[u]
-		for j, v := range keep {
-			row[j] = src[v]
+		src := a.rows[u].dist
+		for _, r := range runs {
+			if r.n == 1 {
+				row[r.at] = src[r.block][r.off]
+			} else {
+				copy(row[r.at:r.at+r.n], src[r.block][r.off:r.off+r.n])
+			}
 		}
 		out[i] = row
 	}

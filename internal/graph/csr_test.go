@@ -89,15 +89,15 @@ func TestAllPairsParallelBitIdentical(t *testing.T) {
 			if got.n != want.n {
 				t.Fatalf("order mismatch %d vs %d", got.n, want.n)
 			}
-			for s := range want.dist {
-				for v := range want.dist[s] {
-					if got.dist[s][v] != want.dist[s][v] {
+			for s := 0; s < n; s++ {
+				for v := 0; v < n; v++ {
+					if got.Cost(s, v) != want.Cost(s, v) {
 						t.Fatalf("trial %d workers %d: dist[%d][%d] = %v, oracle %v",
-							trial, workers, s, v, got.dist[s][v], want.dist[s][v])
+							trial, workers, s, v, got.Cost(s, v), want.Cost(s, v))
 					}
-					if got.prev[s][v] != want.prev[s][v] {
+					if got.Pred(s, v) != want.Pred(s, v) {
 						t.Fatalf("trial %d workers %d: prev[%d][%d] = %d, oracle %d",
-							trial, workers, s, v, got.prev[s][v], want.prev[s][v])
+							trial, workers, s, v, got.Pred(s, v), want.Pred(s, v))
 					}
 				}
 			}

@@ -216,16 +216,16 @@ func (p *deltaPlan) splitPendantReweights(next *Graph) {
 }
 
 // rowDirty reports whether source s's cached row can survive the delta.
-// It inspects only s's old dist/prev rows; see ApplyEdgeDeltas for the
-// correctness argument of each test.
-func (p *deltaPlan) rowDirty(s int, dist []float64, prev []int32) bool {
+// It inspects only s's old row; see ApplyEdgeDeltas for the correctness
+// argument of each test.
+func (p *deltaPlan) rowDirty(row apspRow) bool {
 	// A removed edge invalidates s exactly when it is a tree edge: the
 	// prev row references it, so the rebuilt row cannot be identical. A
 	// removed non-tree edge never decides a settlement (its relaxations
 	// were no-ops or were overwritten), and with the heap's total order
 	// the stale entries it leaves behind cannot reorder equal-cost pops.
 	for _, e := range p.links {
-		if int(prev[e.V]) == e.U || int(prev[e.U]) == e.V {
+		if int(row.p(e.V)) == e.U || int(row.p(e.U)) == e.V {
 			return true
 		}
 	}
@@ -237,7 +237,7 @@ func (p *deltaPlan) rowDirty(s int, dist []float64, prev []int32) bool {
 	// old neighbors can have such a predecessor, so only they are
 	// checked.
 	for _, c := range p.childCand {
-		if x := prev[c]; x >= 0 && p.isolated[x] {
+		if x := row.p(int(c)); x >= 0 && p.isolated[x] {
 			return true
 		}
 	}
@@ -248,7 +248,7 @@ func (p *deltaPlan) rowDirty(s int, dist []float64, prev []int32) bool {
 	// so the incumbent prev[v] loses exactly when (d(u), u) precedes
 	// (d(prev[v]), prev[v]).
 	for _, e := range p.grown {
-		if relaxWins(dist, prev, e) {
+		if relaxWins(row, e) {
 			return true
 		}
 	}
@@ -264,10 +264,10 @@ func (p *deltaPlan) rowDirty(s int, dist []float64, prev []int32) bool {
 	// harder under a larger one, so no test is needed on the old weight
 	// and callers never have to supply it.
 	for _, e := range p.reweighted {
-		if int(prev[e.V]) == e.U || int(prev[e.U]) == e.V {
+		if int(row.p(e.V)) == e.U || int(row.p(e.U)) == e.V {
 			return true
 		}
-		if relaxWins(dist, prev, e) {
+		if relaxWins(row, e) {
 			return true
 		}
 	}
@@ -278,8 +278,8 @@ func (p *deltaPlan) rowDirty(s int, dist []float64, prev []int32) bool {
 // row's settled distances in a fresh Dijkstra run: a strict improvement
 // of either endpoint from the other, or an equal-cost relaxation that
 // wins the (cost, vertex) tie-break against the incumbent predecessor.
-func relaxWins(dist []float64, prev []int32, e EdgeRecord) bool {
-	du, dv := dist[e.U], dist[e.V]
+func relaxWins(row apspRow, e EdgeRecord) bool {
+	du, dv := row.d(e.U), row.d(e.V)
 	uInf, vInf := math.IsInf(du, 1), math.IsInf(dv, 1)
 	if uInf && vInf {
 		// An edge between two vertices s cannot reach creates no
@@ -290,14 +290,14 @@ func relaxWins(dist []float64, prev []int32, e EdgeRecord) bool {
 	if !uInf {
 		if t := du + e.Weight; t < dv {
 			return true
-		} else if t == dv && tieFlips(dist, prev, e.U, e.V) {
+		} else if t == dv && tieFlips(row, e.U, e.V) {
 			return true
 		}
 	}
 	if !vInf {
 		if t := dv + e.Weight; t < du {
 			return true
-		} else if t == du && tieFlips(dist, prev, e.V, e.U) {
+		} else if t == du && tieFlips(row, e.V, e.U) {
 			return true
 		}
 	}
@@ -306,53 +306,86 @@ func relaxWins(dist []float64, prev []int32, e EdgeRecord) bool {
 
 // tieFlips reports whether new equal-cost predecessor u would replace
 // v's incumbent predecessor under the heap's (cost, vertex) total order.
-func tieFlips(dist []float64, prev []int32, u, v int) bool {
-	p := prev[v]
+func tieFlips(row apspRow, u, v int) bool {
+	p := row.p(v)
 	if p < 0 {
 		// v is the source itself: relaxations into the source never win
 		// (its distance 0 cannot strictly improve).
 		return false
 	}
-	du, dp := dist[u], dist[int(p)]
+	du, dp := row.d(u), row.d(int(p))
 	return du < dp || (du == dp && int32(u) < p)
 }
 
-// patchChanges reports whether the column patches would alter this clean
-// row at all. Rows they cannot touch (every isolated column already
-// unreachable, every pendant attachment unreachable) are shared with the
-// parent matrix instead of being copied.
-func (p *deltaPlan) patchChanges(dist []float64) bool {
-	for _, x := range p.isoList {
-		if !math.IsInf(dist[x], 1) {
-			return true
-		}
-	}
-	for _, v := range p.pendList {
-		if !math.IsInf(dist[p.pendant[v]], 1) {
-			return true
-		}
-	}
-	return false
+// cowRow is a row being derived from a parent matrix's: it starts as the
+// parent's two tables and takes a copy of a table, then of a block, the
+// first time a cell in it changes value. A write that stores the value
+// already there copies nothing — the repair re-derives many prev cells
+// that come out unchanged — so a derived row the delta does not alter
+// stays the parent's, pointer for pointer.
+type cowRow struct {
+	apspRow         // the derived row; read through d and p
+	from    apspRow // the parent's row: what is pointer-equal to it is shared
 }
 
-// patchRow applies the column patches to a copied clean row: isolated
-// vertices become unreachable, pendant revivals attach at exactly
+func deriveRow(from apspRow) cowRow { return cowRow{apspRow: from, from: from} }
+
+func (r *cowRow) setDist(v int, x float64) {
+	b, i := v>>apspShift, v&apspMask
+	blk := r.dist[b]
+	if math.Float64bits(blk[i]) == math.Float64bits(x) {
+		return
+	}
+	if blk == r.from.dist[b] {
+		blk = ownBlock(&r.dist, r.from.dist, b)
+	}
+	blk[i] = x
+}
+
+func (r *cowRow) setPrev(v int, x int32) {
+	b, i := v>>apspShift, v&apspMask
+	blk := r.prev[b]
+	if blk[i] == x {
+		return
+	}
+	if blk == r.from.prev[b] {
+		blk = ownBlock(&r.prev, r.from.prev, b)
+	}
+	blk[i] = x
+}
+
+// ownBlock replaces block b of a derived table, still the parent's block,
+// with a copy the row may write — in a copy of the table, if the table is
+// still the parent's too.
+func ownBlock[B any](tab *[]*B, from []*B, b int) *B {
+	if &(*tab)[0] == &from[0] {
+		*tab = append([]*B(nil), from...)
+	}
+	own := *from[b]
+	(*tab)[b] = &own
+	return &own
+}
+
+// patchRow applies the column patches to a clean row: isolated vertices
+// become unreachable, pendant revivals attach at exactly
 // dist(s, neighbor) + w — the same float expression the full Dijkstra
-// would evaluate, hence bit-identical. The row already holds the parent
-// values, so the attachment distance is read in place.
-func (p *deltaPlan) patchRow(dist []float64, prev []int32) {
+// would evaluate, hence bit-identical. The attachment distance is read
+// from the derived row, after the patches before it. A row the patches
+// cannot touch (every isolated column already unreachable, every pendant
+// attachment unreachable) stays shared with the parent.
+func (p *deltaPlan) patchRow(r *cowRow) {
 	for _, x := range p.isoList {
-		dist[x] = Inf
-		prev[x] = -1
+		r.setDist(int(x), Inf)
+		r.setPrev(int(x), -1)
 	}
 	for _, v := range p.pendList {
 		u := p.pendant[v]
-		if du := dist[u]; !math.IsInf(du, 1) {
-			dist[v] = du + p.pendantW[v]
-			prev[v] = u
+		if du := r.d(int(u)); !math.IsInf(du, 1) {
+			r.setDist(int(v), du+p.pendantW[v])
+			r.setPrev(int(v), u)
 		} else {
-			dist[v] = Inf
-			prev[v] = -1
+			r.setDist(int(v), Inf)
+			r.setPrev(int(v), -1)
 		}
 	}
 }
@@ -411,8 +444,8 @@ func (s *deltaStats) add(o deltaStats) {
 
 // Row states of one delta.
 const (
-	rowClean  uint8 = iota // shared with the parent, or cloned and patched
-	rowRepair              // cloned and repaired (CSR.repairRow)
+	rowClean  uint8 = iota // derived and patched (patchRow)
+	rowRepair              // derived and repaired (CSR.repairRow)
 	rowRerun               // full DijkstraInto
 )
 
@@ -420,17 +453,18 @@ const (
 // the cached matrix of the graph next was derived from; d is the full
 // edge delta between the two graphs.
 //
-// The receiver is never mutated: untouched rows are shared with the
-// receiver (both matrices are immutable), rows with a provably-exact
-// column fix are cloned and patched, and a dirty row is cloned and
-// repaired — only the vertices whose distance the delta moves are
-// re-settled, and prev is recomputed only next to them (CSR.repairRow) —
-// fanned over `workers` goroutines exactly like AllPairsWorkers (workers
-// ≤ 0 = GOMAXPROCS). The result is bit-identical to AllPairs(next) at any
-// worker count — FuzzRepairRows here and FuzzIncrementalAPSP /
-// FuzzWeightDeltaAPSP in internal/fault pin this differentially. It
-// returns the new matrix and the number of rows it could not carry over
-// or patch (repaired or re-run).
+// The receiver is never mutated: every row but the re-run ones is derived
+// from the receiver's copy-on-write (cowRow) — both matrices are
+// immutable, and what the delta copies follows the cells it changes, not
+// the matrix order. A clean row takes the provably-exact column fixes, if
+// any; a dirty row is repaired — only the vertices whose distance the
+// delta moves are re-settled, and prev is recomputed only next to them
+// (CSR.repairRow) — fanned over `workers` goroutines exactly like
+// AllPairsWorkers (workers ≤ 0 = GOMAXPROCS). The result is bit-identical
+// to AllPairs(next) at any worker count — FuzzRepairRows here and
+// FuzzIncrementalAPSP / FuzzWeightDeltaAPSP in internal/fault pin this
+// differentially. It returns the new matrix and the number of rows it
+// could not carry over or patch (repaired or re-run).
 //
 // Guard. Row reuse and repair both rest on rows being canonical — a
 // function of the graph, not of the Dijkstra trace (see repair.go) —
@@ -493,12 +527,7 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 	}
 
 	minW, reach := next.weightBounds()
-	out := &APSP{
-		n:    n,
-		dist: make([][]float64, n),
-		prev: make([][]int32, n),
-		span: canonicalSpan(minW, reach),
-	}
+	out := &APSP{n: n, rows: make([]apspRow, n), span: canonicalSpan(minW, reach)}
 
 	state := make([]uint8, n)
 	if !strictRelax(minW, math.Max(a.span, reach)) {
@@ -514,28 +543,19 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 		// Classify every row in parallel: each worker owns a contiguous row
 		// range, reads only the old matrix, and writes only its own rows of
 		// the new one, so the outcome is independent of the worker count.
-		// A clean row the patches cannot touch is shared with the parent
-		// matrix outright; a patched row is append-cloned (the runtime skips
-		// zeroing pointer-free backing arrays on that path) so the parent
-		// stays immutable. Dirty rows are cloned in the repair pass.
+		// Dirty rows are derived in the repair pass.
 		if err := parallel.MapChunked(n, workers, func(lo, hi int) error {
 			for s := lo; s < hi; s++ {
 				if state[s] != rowClean {
 					continue
 				}
-				distRow, prevRow := a.dist[s], a.prev[s]
-				if plan.rowDirty(s, distRow, prevRow) {
+				if plan.rowDirty(a.rows[s]) {
 					state[s] = rowRepair
 					continue
 				}
-				if plan.patchChanges(distRow) {
-					nd := append([]float64(nil), distRow...)
-					np := append([]int32(nil), prevRow...)
-					plan.patchRow(nd, np)
-					out.dist[s], out.prev[s] = nd, np
-				} else {
-					out.dist[s], out.prev[s] = distRow, prevRow
-				}
+				r := deriveRow(a.rows[s])
+				plan.patchRow(&r)
+				out.rows[s] = r.apspRow
 			}
 			return nil
 		}); err != nil {
@@ -551,8 +571,7 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 	}
 	var stats deltaStats
 	if len(rows) > 0 {
-		// Frozen only here: an all-clean delta (every row shared or
-		// patched) never needs the CSR.
+		// Frozen only here: an all-clean delta never needs the CSR.
 		csr := next.Freeze()
 		ends := d.endpoints()
 		var mu sync.Mutex
@@ -560,23 +579,23 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 			var scratch repairScratch
 			var st deltaStats
 			for _, src := range rows[lo:hi] {
-				var nd []float64
-				var np []int32
 				if state[src] == rowRerun {
-					nd, np = make([]float64, n), make([]int32, n)
-					csr.DijkstraInto(src, nd, np, &scratch.sssp)
+					// Every cell of the row changes: its own flat cells, a
+					// per-row allocation so that a later matrix sharing one
+					// row does not keep this delta's others alive.
+					flat := newFlatRows(n, 1)
+					dist, prev := flat.cells(0)
+					csr.DijkstraInto(src, dist, prev, &scratch.sssp)
+					out.rows[src] = flat.row(0)
 					st.rerun++
 				} else {
-					// Cloned like a patched row: no zero-fill of cells the
-					// copy overwrites anyway.
-					nd = append([]float64(nil), a.dist[src]...)
-					np = append([]int32(nil), a.prev[src]...)
-					settled, cells := csr.repairRow(src, nd, np, ends, &scratch)
+					r := deriveRow(a.rows[src])
+					settled, cells := csr.repairRow(src, &r, ends, &scratch)
+					out.rows[src] = r.apspRow
 					st.repaired++
 					st.settled += settled
 					st.prevCells += cells
 				}
-				out.dist[src], out.prev[src] = nd, np
 			}
 			mu.Lock()
 			stats.add(st)

@@ -14,17 +14,24 @@ func apspBitEqual(t *testing.T, a, b *APSP) {
 	if a.n != b.n {
 		t.Fatalf("order %d != %d", a.n, b.n)
 	}
-	for s := range a.dist {
-		for v := range a.dist[s] {
-			if math.Float64bits(a.dist[s][v]) != math.Float64bits(b.dist[s][v]) {
+	for s := range a.rows {
+		ra, rb := a.rows[s], b.rows[s]
+		for v := 0; v < a.n; v++ {
+			if da, db := ra.d(v), rb.d(v); math.Float64bits(da) != math.Float64bits(db) {
 				t.Fatalf("dist[%d][%d]: %v (%#x) != %v (%#x)",
-					s, v, a.dist[s][v], math.Float64bits(a.dist[s][v]), b.dist[s][v], math.Float64bits(b.dist[s][v]))
+					s, v, da, math.Float64bits(da), db, math.Float64bits(db))
 			}
-			if a.prev[s][v] != b.prev[s][v] {
-				t.Fatalf("prev[%d][%d]: %d != %d", s, v, a.prev[s][v], b.prev[s][v])
+			if ra.p(v) != rb.p(v) {
+				t.Fatalf("prev[%d][%d]: %d != %d", s, v, ra.p(v), rb.p(v))
 			}
 		}
 	}
+}
+
+// sameTables reports whether two rows are one: the same two block tables,
+// not copies of them.
+func sameTables(a, b apspRow) bool {
+	return &a.dist[0] == &b.dist[0] && &a.prev[0] == &b.prev[0]
 }
 
 // filterEdges returns g without the edges in the down-set.
@@ -90,8 +97,8 @@ func TestApplyDeltasEmptyDelta(t *testing.T) {
 		t.Fatalf("no-op delta recomputed %d rows", dirty)
 	}
 	apspBitEqual(t, a, b)
-	for s := range a.dist {
-		if &a.dist[s][0] != &b.dist[s][0] || &a.prev[s][0] != &b.prev[s][0] {
+	for s := range a.rows {
+		if !sameTables(a.rows[s], b.rows[s]) {
 			t.Fatalf("no-op delta copied row %d instead of sharing it", s)
 		}
 	}
@@ -307,7 +314,7 @@ func TestApplyWeightDeltasIncreaseNonTreeClean(t *testing.T) {
 		t.Fatalf("increase dirtied %d sources, want 2 (only the endpoints)", dirty)
 	}
 	for _, s := range []int{0, 1} {
-		if &b.dist[s][0] != &a.dist[s][0] {
+		if !sameTables(b.rows[s], a.rows[s]) {
 			t.Fatalf("clean row %d was copied instead of shared", s)
 		}
 	}
@@ -423,38 +430,159 @@ func TestApplyEdgeDeltasMixed(t *testing.T) {
 	}
 }
 
-// TestAPSPBlockedLayout asserts the stride contract of newAPSP: rows are
-// logical length n with capacity clamped to n (no bleed into padding),
-// and consecutive rows sit apspStride(n) elements apart in one buffer.
+// TestAPSPBlockedLayout asserts the geometry of a full build at orders on
+// both sides of a block boundary: a row is ceil(n/apspBlock) blocks per
+// field, consecutive blocks of the build are back to back in one buffer
+// (row after row, the last block of each padded), every block starts on a
+// cache line, and no accessor's answer depends on the padding — it is
+// poisoned here, and every accessor still agrees with the sequential
+// oracle.
 func TestAPSPBlockedLayout(t *testing.T) {
-	for _, n := range []int{1, 15, 16, 17, 100} {
-		if s := apspStride(n); s < n || s%16 != 0 {
-			t.Fatalf("apspStride(%d)=%d", n, s)
+	for _, n := range []int{1, 20, apspBlock - 1, apspBlock, apspBlock + 1, 100, 3 * apspBlock} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		g := randomConnectedGraph(rng, n, n)
+		a := AllPairs(g)
+		blocks := (n + apspBlock - 1) / apspBlock
+		var lastD *distBlock
+		var lastP *prevBlock
+		for s, row := range a.rows {
+			if len(row.dist) != blocks || len(row.prev) != blocks || cap(row.dist) != blocks || cap(row.prev) != blocks {
+				t.Fatalf("n=%d row %d: %d/%d blocks (cap %d/%d), want %d", n, s, len(row.dist), len(row.prev), cap(row.dist), cap(row.prev), blocks)
+			}
+			for b := range row.dist {
+				d, p := row.dist[b], row.prev[b]
+				if uintptr(unsafe.Pointer(d))%64 != 0 || uintptr(unsafe.Pointer(p))%64 != 0 {
+					t.Fatalf("n=%d row %d block %d: dist %p / prev %p not on a cache line", n, s, b, d, p)
+				}
+				if lastD != nil {
+					if got := uintptr(unsafe.Pointer(d)) - uintptr(unsafe.Pointer(lastD)); got != unsafe.Sizeof(*d) {
+						t.Fatalf("n=%d row %d block %d: dist block %d bytes after the one before, want %d", n, s, b, got, unsafe.Sizeof(*d))
+					}
+					if got := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(lastP)); got != unsafe.Sizeof(*p) {
+						t.Fatalf("n=%d row %d block %d: prev block %d bytes after the one before, want %d", n, s, b, got, unsafe.Sizeof(*p))
+					}
+				}
+				lastD, lastP = d, p
+			}
+			for v := n; v < blocks*apspBlock; v++ {
+				row.dist[v>>apspShift][v&apspMask] = math.NaN()
+				row.prev[v>>apspShift][v&apspMask] = int32(rng.Intn(n))
+			}
+		}
+
+		want := AllPairsSequential(g)
+		apspBitEqual(t, a, want)
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		if got, w := a.Diameter(), want.Diameter(); got != w || math.IsNaN(got) {
+			t.Fatalf("n=%d: Diameter %v over poisoned padding, want %v", n, got, w)
+		}
+		cm := a.CostMatrix(all)
+		closure, _ := a.MetricClosure(all)
+		wantClosure, _ := want.MetricClosure(all)
+		if closure.Size() != wantClosure.Size() {
+			t.Fatalf("n=%d: MetricClosure has %d edges over poisoned padding, want %d", n, closure.Size(), wantClosure.Size())
+		}
+		for u := 0; u < n; u++ {
+			acc := make([]float64, n)
+			a.AddScaledRow(acc, u, 2)
+			for v := 0; v < n; v++ {
+				c := want.Cost(u, v)
+				if a.Cost(u, v) != c || cm[u][v] != c || acc[v] != 2*c || a.Reachable(u, v) != want.Reachable(u, v) {
+					t.Fatalf("n=%d (%d,%d): Cost %v, CostMatrix %v, AddScaledRow %v, want %v", n, u, v, a.Cost(u, v), cm[u][v], acc[v], c)
+				}
+				if a.Pred(u, v) != want.Pred(u, v) || a.Hops(u, v) != want.Hops(u, v) || len(a.Path(u, v)) != len(want.Path(u, v)) {
+					t.Fatalf("n=%d (%d,%d): Pred %d Hops %d Path %v, want %d %d %v", n, u, v,
+						a.Pred(u, v), a.Hops(u, v), a.Path(u, v), want.Pred(u, v), want.Hops(u, v), want.Path(u, v))
+				}
+			}
 		}
 	}
-	g := line(20)
-	a := AllPairs(g)
-	n, stride := 20, apspStride(20)
-	for i := 0; i < n; i++ {
-		if len(a.dist[i]) != n || cap(a.dist[i]) != n {
-			t.Fatalf("dist row %d: len=%d cap=%d want %d/%d", i, len(a.dist[i]), cap(a.dist[i]), n, n)
+}
+
+// TestDeltaCopiesWhatItChanges pins that what a delta copies follows the
+// cells it changes, not the matrix order. Over the k=8 fat tree (208
+// vertices, 4 blocks a row) a host kill, its heal, a switch kill, a
+// host-uplink re-price and a tree-popular link cut each derive a matrix in
+// which a block differs from the parent's only where a cell in it does:
+// outside the re-run rows (one flat allocation each) every block that is
+// not the parent's own holds a changed cell, and every block that holds
+// none is the parent's own. The parent is untouched.
+func TestDeltaCopiesWhatItChanges(t *testing.T) {
+	et, switches := fatTreeEdges(8)
+	host := switches + 5
+	var uplink, aggCore int
+	for i := range et.u {
+		if et.v[i] == host {
+			uplink = i
 		}
-		if len(a.prev[i]) != n || cap(a.prev[i]) != n {
-			t.Fatalf("prev row %d: len=%d cap=%d", i, len(a.prev[i]), cap(a.prev[i]))
+		if et.u[i] < switches && et.v[i] < 16 { // agg-core links come first
+			aggCore = i
 		}
 	}
-	for i := 1; i < n; i++ {
-		// Row i starts exactly stride elements after row i-1 in the shared
-		// backing buffer. The capacity clamp forbids re-slicing across the
-		// padding, so measure with pointer arithmetic.
-		dGap := uintptr(unsafe.Pointer(&a.dist[i][0])) - uintptr(unsafe.Pointer(&a.dist[i-1][0]))
-		if dGap != uintptr(stride)*unsafe.Sizeof(float64(0)) {
-			t.Fatalf("dist rows %d,%d are %d bytes apart, want %d elements", i-1, i, dGap, stride)
+	g := et.graph()
+	cur := AllPairs(g)
+	for _, ev := range []struct {
+		name  string
+		apply func()
+	}{
+		{"host kill", func() { et.vertexUp(host, false) }},
+		{"host heal", func() { et.vertexUp(host, true) }},
+		{"switch kill", func() { et.vertexUp(20, false) }},
+		{"host uplink re-price", func() { et.w[uplink] = 3 }},
+		{"link cut", func() { et.up[aggCore] = false }},
+	} {
+		ev.apply()
+		next, d := et.commit(false)
+		want, curWant := AllPairsSequential(next), AllPairsSequential(g)
+		inc, st := cur.applyEdgeDeltas(next, d, 2)
+		apspBitEqual(t, inc, want)
+		apspBitEqual(t, cur, curWant)
+
+		copied, flat := 0, 0
+		for s := range inc.rows {
+			was, is := cur.rows[s], inc.rows[s]
+			rowCopied, rowChanged := 0, 0
+			tally := func(own, diff bool) {
+				if own {
+					rowCopied++
+				}
+				if diff {
+					rowChanged++
+				}
+			}
+			for b := range is.dist {
+				lo, hi := b*apspBlock, min((b+1)*apspBlock, inc.n)
+				dDiff, pDiff := false, false
+				for v := lo; v < hi; v++ {
+					dDiff = dDiff || math.Float64bits(was.d(v)) != math.Float64bits(is.d(v))
+					pDiff = pDiff || was.p(v) != is.p(v)
+				}
+				tally(is.dist[b] != was.dist[b], dDiff)
+				tally(is.prev[b] != was.prev[b], pDiff)
+			}
+			if rowCopied == 2*len(is.dist) && rowChanged < rowCopied {
+				flat++ // a re-run row: every block its own, whatever changed
+				continue
+			}
+			if rowCopied != rowChanged {
+				t.Fatalf("%s: row %d copied %d blocks, %d hold a changed cell", ev.name, s, rowCopied, rowChanged)
+			}
+			if rowCopied == 0 && !sameTables(was, is) {
+				t.Fatalf("%s: row %d copied its tables and no block", ev.name, s)
+			}
+			copied += rowCopied
 		}
-		pGap := uintptr(unsafe.Pointer(&a.prev[i][0])) - uintptr(unsafe.Pointer(&a.prev[i-1][0]))
-		if pGap != uintptr(stride)*unsafe.Sizeof(int32(0)) {
-			t.Fatalf("prev rows %d,%d are %d bytes apart, want %d elements", i-1, i, pGap, stride)
+		if flat > st.rerun {
+			t.Fatalf("%s: %d rows with every block copied, %d re-run", ev.name, flat, st.rerun)
 		}
+		if copied == 0 {
+			t.Fatalf("%s: no block copied, the event changed nothing", ev.name)
+		}
+		t.Logf("%s: %d of %d blocks copied, %d rows repaired, %d re-run", ev.name, copied, 2*len(inc.rows)*len(inc.rows[0].dist), st.repaired, st.rerun)
+		g, cur = next, inc
 	}
 }
 
@@ -533,7 +661,7 @@ func TestApplyWeightDeltasPendantPatch(t *testing.T) {
 		if s == 1 {
 			continue
 		}
-		if &b.dist[s][0] == &a.dist[s][0] {
+		if sameTables(b.rows[s], a.rows[s]) {
 			t.Fatalf("row %d shared although column 1 changed", s)
 		}
 		if got, want := b.Cost(s, 1), b.Cost(s, 0)+3; got != want {
@@ -567,7 +695,7 @@ func TestApplyWeightDeltasPendantK2(t *testing.T) {
 		t.Fatalf("K2 re-weight dirtied %d sources, want 2", dirty)
 	}
 	for s := 0; s <= 2; s++ {
-		if &b.dist[s][0] != &a.dist[s][0] {
+		if !sameTables(b.rows[s], a.rows[s]) {
 			t.Fatalf("row %d of the untouched component was not shared", s)
 		}
 	}

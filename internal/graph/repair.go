@@ -98,8 +98,9 @@ func (s *repairScratch) begin(n int) uint32 {
 	return s.gen
 }
 
-// repairRow rewrites dist/prev — a private copy of source src's canonical
-// row over the delta's old graph — into src's canonical row over c. ends
+// repairRow rewrites r — derived from source src's canonical row over the
+// delta's old graph — into src's canonical row over c, copying only the
+// blocks in which a cell changes (cowRow). ends
 // lists the endpoint pairs of every delta record, flattened. The records
 // only name where the two graphs may differ: every weight is read from c,
 // so naming a multi-edge pair once, or an unchanged edge, is harmless.
@@ -110,7 +111,7 @@ func (s *repairScratch) begin(n int) uint32 {
 //
 // It returns the number of vertices the drain settled and the number of
 // prev cells recomputed.
-func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *repairScratch) (settled, prevCells int) {
+func (c *CSR) repairRow(src int, r *cowRow, ends []int32, s *repairScratch) (settled, prevCells int) {
 	gen := s.begin(c.n)
 	h := &s.sssp.heap
 	h.items = h.items[:0]
@@ -125,14 +126,14 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 	// One pass is enough: a supporter is strictly closer, so it has been
 	// popped and decided, or never will be.
 	for i := 0; i < len(ends); i += 2 {
-		u, v := ends[i], ends[i+1]
-		if prev[v] == u && s.seen[v] != gen {
+		u, v := int(ends[i]), int(ends[i+1])
+		if int(r.p(v)) == u && s.seen[v] != gen {
 			s.seen[v] = gen
-			h.push(heapItem{v: int(v), cost: dist[v]})
+			h.push(heapItem{v: v, cost: r.d(v)})
 		}
-		if prev[u] == v && s.seen[u] != gen {
+		if int(r.p(u)) == v && s.seen[u] != gen {
 			s.seen[u] = gen
-			h.push(heapItem{v: int(u), cost: dist[u]})
+			h.push(heapItem{v: u, cost: r.d(u)})
 		}
 	}
 	touched := s.touched[:0]
@@ -141,7 +142,7 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 		lo, hi := c.rowStart[it.v], c.rowStart[it.v+1]
 		supported := false
 		for e := lo; e < hi; e++ {
-			if u := c.to[e]; s.mark[u] != gen && dist[u]+c.wt[e] <= it.cost {
+			if u := c.to[e]; s.mark[u] != gen && r.d(int(u))+c.wt[e] <= it.cost {
 				supported = true
 				break
 			}
@@ -152,9 +153,9 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 		s.mark[it.v] = gen
 		touched = append(touched, int32(it.v))
 		for e := lo; e < hi; e++ {
-			if ch := c.to[e]; prev[ch] == int32(it.v) && s.seen[ch] != gen {
+			if ch := c.to[e]; r.p(int(ch)) == int32(it.v) && s.seen[ch] != gen {
 				s.seen[ch] = gen
-				h.push(heapItem{v: int(ch), cost: dist[ch]})
+				h.push(heapItem{v: int(ch), cost: r.d(int(ch))})
 			}
 		}
 	}
@@ -167,12 +168,12 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 		best := Inf
 		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
 			if u := c.to[e]; s.mark[u] != gen {
-				if nd := dist[u] + c.wt[e]; nd < best {
+				if nd := r.d(int(u)) + c.wt[e]; nd < best {
 					best = nd
 				}
 			}
 		}
-		dist[v] = best
+		r.setDist(int(v), best)
 		if best < Inf {
 			h.push(heapItem{v: int(v), cost: best})
 		}
@@ -185,8 +186,8 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 	for _, x := range ends {
 		if s.seen[x] != gen+1 && s.mark[x] != gen {
 			s.seen[x] = gen + 1
-			if dist[x] < Inf {
-				h.push(heapItem{v: int(x), cost: dist[x]})
+			if dx := r.d(int(x)); dx < Inf {
+				h.push(heapItem{v: int(x), cost: dx})
 			}
 		}
 	}
@@ -197,14 +198,14 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 	// is left alone: (5) derives it from the final distances.
 	for h.Len() > 0 {
 		it := h.pop()
-		if it.cost > dist[it.v] {
+		if it.cost > r.d(it.v) {
 			continue // stale entry
 		}
 		settled++
 		for e := c.rowStart[it.v]; e < c.rowStart[it.v+1]; e++ {
 			to := c.to[e]
-			if nd := it.cost + c.wt[e]; nd < dist[to] {
-				dist[to] = nd
+			if nd := it.cost + c.wt[e]; nd < r.d(int(to)) {
+				r.setDist(int(to), nd)
 				touched = append(touched, to)
 				h.push(heapItem{v: int(to), cost: nd})
 			}
@@ -215,12 +216,12 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 	// and its neighbours' distances — so it can differ from the old row
 	// only at a record endpoint, a written cell, or next to one.
 	for _, x := range ends {
-		prevCells += c.canonicalPrev(src, x, dist, prev, s)
+		prevCells += c.canonicalPrev(src, x, r, s)
 	}
 	for _, v := range touched {
-		prevCells += c.canonicalPrev(src, v, dist, prev, s)
+		prevCells += c.canonicalPrev(src, v, r, s)
 		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
-			prevCells += c.canonicalPrev(src, c.to[e], dist, prev, s)
+			prevCells += c.canonicalPrev(src, c.to[e], r, s)
 		}
 	}
 	s.touched = touched
@@ -229,7 +230,7 @@ func (c *CSR) repairRow(src int, dist []float64, prev []int32, ends []int32, s *
 
 // canonicalPrev sets prev[v] by the canonical rule (see the top of the
 // file), once per row; it returns 1 when it did the work.
-func (c *CSR) canonicalPrev(src int, v int32, dist []float64, prev []int32, s *repairScratch) int {
+func (c *CSR) canonicalPrev(src int, v int32, r *cowRow, s *repairScratch) int {
 	if s.seen[v] == s.gen+2 {
 		return 0
 	}
@@ -238,14 +239,14 @@ func (c *CSR) canonicalPrev(src int, v int32, dist []float64, prev []int32, s *r
 		return 0 // prev[src] is -1 in every row
 	}
 	best, bestD := int32(-1), Inf
-	if dv := dist[v]; dv < Inf {
+	if dv := r.d(int(v)); dv < Inf {
 		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
 			u := c.to[e]
-			if du := dist[u]; du+c.wt[e] == dv && (du < bestD || du == bestD && u < best) {
+			if du := r.d(int(u)); du+c.wt[e] == dv && (du < bestD || du == bestD && u < best) {
 				best, bestD = u, du
 			}
 		}
 	}
-	prev[v] = best
+	r.setPrev(int(v), best)
 	return 1
 }

@@ -88,7 +88,9 @@ func (et *edgeTable) vertexUp(x int, up bool) {
 // and one special weight the input chooses (the seeds pass 0, +Inf and
 // 1e300, so the guard's full re-run side runs, and the transitions into
 // and out of it). After every delta the incremental matrix at workers 1,
-// 2 and 5 must equal AllPairsSequential(next) in dist bits and in prev.
+// 2 and 5 must equal AllPairsSequential(next) in dist bits and in prev,
+// and the matrix the delta was taken from must still equal the rebuild of
+// its own graph: a write through a block the two share would show there.
 func FuzzRepairRows(f *testing.F) {
 	f.Add(int64(1), 2.5, []byte{0, 9, 2, 19, 1, 12, 35, 4, 5, 3})
 	f.Add(int64(2), 0.0, []byte{6, 0, 14, 6, 1, 2, 22, 7})
@@ -127,8 +129,8 @@ func FuzzRepairRows(f *testing.F) {
 		removedOnce := rng.Intn(2) == 0
 
 		g := et.graph()
-		cur := AllPairs(g)
-		apspBitEqual(t, cur, AllPairsSequential(g))
+		cur, curWant := AllPairs(g), AllPairsSequential(g)
+		apspBitEqual(t, cur, curWant)
 		for i, b := range ops {
 			e, x := int(b>>3&15)%len(et.u), int(b>>3&15)%n
 			switch b & 7 {
@@ -158,18 +160,19 @@ func FuzzRepairRows(f *testing.F) {
 			}
 			next, d := et.commit(removedOnce)
 			want := AllPairsSequential(next)
-			repairEveryRow(t, cur, next, d, want)
+			repairEveryRow(t, cur, curWant, next, d, want)
 			var inc *APSP
 			dirty := -1
 			for _, workers := range []int{1, 2, 5} {
 				got, rows := cur.ApplyEdgeDeltas(next, d, workers)
 				apspBitEqual(t, got, want)
+				apspBitEqual(t, cur, curWant)
 				if dirty >= 0 && rows != dirty {
 					t.Fatalf("step %d: %d rows at %d workers, %d at fewer", i, rows, workers, dirty)
 				}
 				inc, dirty = got, rows
 			}
-			cur = inc
+			cur, curWant = inc, want
 		}
 	})
 }
@@ -177,9 +180,11 @@ func FuzzRepairRows(f *testing.F) {
 // repairEveryRow runs the row repair on every row of a — the clean and
 // the forced ones too, which ApplyEdgeDeltas never hands it — and demands
 // want's bits: the repair is a complete dynamic SSSP, not a helper that
-// only works on the rows the classifier picks. Skipped when the guard
-// fails, where nothing may be repaired.
-func repairEveryRow(t *testing.T, a *APSP, next *Graph, d EdgeDelta, want *APSP) {
+// only works on the rows the classifier picks. The repairs write through
+// copy-on-write rows derived from a's, so a must come out of them equal to
+// aWant, the rebuild of its own graph. Skipped when the guard fails, where
+// nothing may be repaired.
+func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want *APSP) {
 	t.Helper()
 	if minW, reach := next.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
 		return
@@ -188,16 +193,17 @@ func repairEveryRow(t *testing.T, a *APSP, next *Graph, d EdgeDelta, want *APSP)
 	csr := next.Freeze()
 	var scratch repairScratch
 	for src := 0; src < a.n; src++ {
-		dist := append([]float64(nil), a.dist[src]...)
-		prev := append([]int32(nil), a.prev[src]...)
-		csr.repairRow(src, dist, prev, ends, &scratch)
-		for v := range dist {
-			if math.Float64bits(dist[v]) != math.Float64bits(want.dist[src][v]) || prev[v] != want.prev[src][v] {
+		r := deriveRow(a.rows[src])
+		csr.repairRow(src, &r, ends, &scratch)
+		w := want.rows[src]
+		for v := 0; v < a.n; v++ {
+			if math.Float64bits(r.d(v)) != math.Float64bits(w.d(v)) || r.p(v) != w.p(v) {
 				t.Fatalf("repairRow(%d): cell %d = (%v, %d), rebuild has (%v, %d)",
-					src, v, dist[v], prev[v], want.dist[src][v], want.prev[src][v])
+					src, v, r.d(v), r.p(v), w.d(v), w.p(v))
 			}
 		}
 	}
+	apspBitEqual(t, a, aWant)
 }
 
 // TestApplyDeltasAbsorbingLinkCut: the graph the delta leaves may be
@@ -277,8 +283,10 @@ func TestStrictRelax(t *testing.T) {
 		// Whenever the guard passes, no relaxation may be absorbed at any
 		// distance a row can hold.
 		if c.want {
-			for _, row := range AllPairs(g).dist {
-				for _, dv := range row {
+			a := AllPairs(g)
+			for u := 0; u < a.n; u++ {
+				for v := 0; v < a.n; v++ {
+					dv := a.Cost(u, v)
 					for _, w := range c.ws {
 						if !(dv+w > dv) {
 							t.Errorf("%s: %v + %v absorbed under a passing guard", c.name, dv, w)
@@ -399,7 +407,7 @@ func TestRepairStormWorkBound(t *testing.T) {
 	}
 
 	g := et.graph()
-	cur := AllPairs(g)
+	cur, curWant := AllPairs(g), AllPairs(g)
 	degree := func(g *Graph) []int {
 		deg := make([]int, n)
 		for v := range deg {
@@ -413,9 +421,10 @@ func TestRepairStormWorkBound(t *testing.T) {
 		before := degree(g)
 		next, d := et.commit(false)
 		want := AllPairs(next)
-		repairEveryRow(t, cur, next, d, want)
+		repairEveryRow(t, cur, curWant, next, d, want)
 		inc, st := cur.applyEdgeDeltas(next, d, []int{1, 2, 0}[events%3])
 		apspBitEqual(t, inc, want)
+		apspBitEqual(t, cur, curWant)
 		// Forced rows, counted from the two graphs alone: a vertex that
 		// lost or regained all its edges, or a degree-1 endpoint of a
 		// re-priced edge.
@@ -436,7 +445,7 @@ func TestRepairStormWorkBound(t *testing.T) {
 			t.Fatalf("event %d: %d rows re-run in full, only %d forced", events, st.rerun, len(forced))
 		}
 		total.add(st)
-		g, cur = next, inc
+		g, cur, curWant = next, inc, want
 		events++
 	}
 	for len(kinds) > 0 || len(active) > 0 {

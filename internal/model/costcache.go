@@ -31,8 +31,8 @@ package model
 // O(l + H·|V|) rebuild that allocates nothing in steady state.
 //
 // A cache has one owner goroutine: SetWorkload rewrites the vectors in
-// place and UnitEndpointCosts builds its pair on first ask, so neither
-// may run beside any other call. The engine holds its lock around every
+// place, and UnitEndpointCosts and SwitchCosts build what they return on
+// first ask, so none of them may run beside any other call. The engine holds its lock around every
 // use; offline callers build their own cache per call.
 type WorkloadCache struct {
 	d *PPDC
@@ -53,6 +53,9 @@ type WorkloadCache struct {
 	// set to 1 (see UnitEndpointCosts); nil until asked for, and again
 	// once a flow's endpoints change.
 	unitIn, unitEg []float64
+	// switchCosts is the dense closure over the switches (see
+	// SwitchCosts); nil until asked for.
+	switchCosts [][]float64
 
 	// Rebuild scratch, cleared and refilled by every SetWorkload: the
 	// (src,dst) → pairs index and the per-host λ marginals with their
@@ -141,18 +144,12 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 		clear(c.egress)
 	}
 	for _, s := range c.srcs {
-		row := c.d.APSP.Row(s.host)
-		for v := 0; v < n; v++ {
-			c.ingress[v] += s.rate * row[v]
-		}
+		c.d.APSP.AddScaledRow(c.ingress, s.host, s.rate)
 	}
 	for _, t := range c.dsts {
-		// Undirected PPDC: c(v, t) = c(t, v), so one contiguous row serves
-		// the egress sweep too.
-		row := c.d.APSP.Row(t.host)
-		for v := 0; v < n; v++ {
-			c.egress[v] += t.rate * row[v]
-		}
+		// Undirected PPDC: c(v, t) = c(t, v), so t's row serves the egress
+		// sweep too.
+		c.d.APSP.AddScaledRow(c.egress, t.host, t.rate)
 	}
 }
 
@@ -182,6 +179,18 @@ func (c *WorkloadCache) UnitEndpointCosts() (ingress, egress []float64) {
 		c.unitIn, c.unitEg = c.d.NewWorkloadCache(unit).EndpointCosts()
 	}
 	return c.unitIn, c.unitEg
+}
+
+// SwitchCosts returns the dense |V_s|×|V_s| shortest-path cost matrix
+// over the switches, indexed like Topo.Switches — the metric closure the
+// stroll solvers take as input. The fabric under a cache never changes,
+// so it is built on first ask and kept for the cache's life. Owned by the
+// cache; do not mutate.
+func (c *WorkloadCache) SwitchCosts() [][]float64 {
+	if c.switchCosts == nil {
+		c.switchCosts = c.d.APSP.CostMatrix(c.d.Topo.Switches)
+	}
+	return c.switchCosts
 }
 
 // TotalRate returns Λ = Σ λ_i.

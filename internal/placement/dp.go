@@ -59,7 +59,7 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 	}
 
 	si := newSwitchIndex(d)
-	cost := switchCosts(d)
+	cost := pr.Cache.SwitchCosts()
 	lambda := w.TotalRate()
 
 	// Seed the incumbent with Steering so the bound-based pruning below

@@ -78,12 +78,6 @@ func newSwitchIndex(d *model.PPDC) switchIndex {
 	return switchIndex{vertices: sw, index: idx}
 }
 
-// switchCosts returns the dense |V_s|×|V_s| shortest-path cost matrix over
-// switches — the metric closure the stroll solvers take as input.
-func switchCosts(d *model.PPDC) [][]float64 {
-	return d.APSP.CostMatrix(d.Topo.Switches)
-}
-
 // bestSingle solves n = 1: place the only VNF at the switch minimizing
 // ingress + egress cost. This is one of the paper's "simple solutions for
 // cases of n = 1, 2". The returned cost is re-evaluated through the
