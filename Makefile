@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test race bench bench-smoke bench-kernels bench-e2e-smoke bench-compare crash-smoke fuzz fuzz-list chaos-smoke orphans
+.PHONY: check vet fmt build test race bench bench-smoke bench-kernels bench-e2e-smoke bench-compare crash-smoke fuzz fuzz-list run-list chaos-smoke orphans
 
-check: vet fmt build race bench-smoke bench-e2e-smoke chaos-smoke crash-smoke orphans fuzz-list
+check: vet fmt build race bench-smoke bench-e2e-smoke chaos-smoke crash-smoke orphans fuzz-list run-list
 
 vet:
 	$(GO) vet ./...
@@ -145,6 +145,19 @@ fuzz-list:
 	for f in $$(grep -rh '^func Fuzz' --include='*_test.go' --exclude-dir=bench . | sed 's/^func \([A-Za-z0-9_]*\).*/\1/'); do \
 		echo "$$listed" | grep -qx "$$f" || { echo "fuzz target $$f is not in 'make fuzz'"; bad=1; }; \
 	done; test -z "$$bad"
+
+# `go test -run 'A|B'` passes without a word when B names no test, so a
+# renamed test silently drops out of a smoke run: fail when a name in a
+# recipe's `-run 'TestA|TestB' ./pkg/` alternation is not declared as
+# `func TestA(` in that package.
+run-list:
+	@lists="$$(sed -n "s/^\t.*-run '\(Test[^']*\)' \(\.\/[^ ]*\).*/\1 \2/p" Makefile)"; \
+	test -n "$$lists" || { echo "run-list: no -run alternation found"; exit 1; }; \
+	echo "$$lists" | { while read -r names dir; do \
+		for t in $$(echo "$$names" | tr '|' ' '); do \
+			grep -qs "^func $$t(" $${dir%/}/*_test.go || { echo "test $$t in a -run list is not declared in $$dir"; bad=1; }; \
+		done; \
+	done; test -z "$$bad"; }
 
 # An internal package no program reaches is code only its own tests keep
 # alive: fail when `go list ./internal/...` names one that neither the

@@ -333,9 +333,8 @@ func newServer() *server {
 		apspVerts.Set(float64(vertices))
 	})
 	// Incremental APSP updates: wall time per delta, how many rows the
-	// last transition could not carry over or patch (repaired or re-run)
-	// — the live view of the dirty-source classifier — and per-kind
-	// counters so fault-transition deltas (inject/heal) and weight deltas
+	// last transition changed (re-run, or repaired into tables of their
+	// own), and per-kind counters so fault-transition deltas (inject/heal) and weight deltas
 	// (degrade, epoch re-pricing) are distinguishable in exposition.
 	apspDelta := s.reg.Histogram("vnfopt_apsp_delta_seconds")
 	apspDirty := s.reg.Gauge("vnfopt_apsp_dirty_sources")
@@ -350,7 +349,7 @@ func newServer() *server {
 		case graph.DeltaFault:
 			apspFaultDeltas.Inc()
 		case graph.DeltaMixed:
-			// A mixed transition exercised both classifiers.
+			// A mixed transition is both.
 			apspWeightDeltas.Inc()
 			apspFaultDeltas.Inc()
 		}

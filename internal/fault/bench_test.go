@@ -14,9 +14,9 @@ import (
 )
 
 // Benchmarks for the fault-time repair path: the cost of one topology
-// event (inject or heal) with the incremental dirty-source APSP update
-// versus the full AllPairs rebuild. results/BENCH_apsp.json records the
-// numbers under "fault_events".
+// event (inject or heal) with the incremental APSP update — every row
+// repaired where the event moves it — versus the full AllPairs rebuild.
+// results/BENCH_apsp.json records the numbers under "fault_events".
 
 var benchModels sync.Map // name -> *model.PPDC
 
@@ -59,9 +59,9 @@ func benchModel(b testing.TB, name string) *model.PPDC {
 // representative single element. The deterministic low-vertex-ID heap
 // tie-break concentrates shortest-path trees on low-ID core and
 // aggregation links, so the first switch and its first link are
-// near-worst-case elements (their removal dirties almost every source)
+// near-worst-case elements (their removal changes almost every row)
 // while a mid-fabric ToR and its highest-ID uplink sit near the median
-// of the dirty-count distribution.
+// of the changed-row distribution.
 func midRackToR(d *model.PPDC) int {
 	rack := d.Topo.Racks[len(d.Topo.Racks)/2]
 	return d.Topo.Graph.Neighbors(rack[0])[0].To
@@ -121,8 +121,8 @@ func eventFaults(d *model.PPDC, event string) (FaultSet, bool) {
 var benchEvents = []string{"link", "switch", "rack", "link_worst", "switch_worst"}
 
 // BenchmarkFaultEvent measures one inject transition from the pristine
-// fabric: the incremental path (ApplyDelta from the pristine view,
-// repairing only the dirty rows) against the full Rebuild.
+// fabric: the incremental path (ApplyDelta from the pristine view) against
+// the full Rebuild.
 func BenchmarkFaultEvent(b *testing.B) {
 	logHost(b)
 	topos := []string{"fattree_k8", "fattree_k16"}
@@ -173,8 +173,7 @@ func healEvent(d *model.PPDC, event string) (both, after FaultSet) {
 	case "switch_back":
 		// The fault storm's heaviest class: the lowest-id core switch comes
 		// back. Its restored links win the (cost, vertex) tie-break nearly
-		// everywhere, so every source is dirty — for about two changed
-		// cells a row.
+		// everywhere, so every row changes — in about two cells.
 		healed = Fault{Kind: Switch, U: d.Topo.Switches[0]}
 	}
 	after = NewFaultSet(Fault{Kind: Switch, U: d.Topo.Switches[len(d.Topo.Switches)-1]})
@@ -216,10 +215,10 @@ func BenchmarkFaultHeal(b *testing.B) {
 }
 
 // TestDeltaBytesBudget holds the three event classes that touch every row
-// of the k=16 matrix for a few cells each — a switch dies (column
-// patches), a host uplink is re-priced (one column), the lowest-id core
-// switch comes back (every row repaired) — to bytes that follow those
-// cells: under 6 MB an event, where copying every touched row whole is
+// of the k=16 matrix for a few cells each — a switch dies (its column and
+// its hosts'), a host uplink is re-priced (one column), the lowest-id core
+// switch comes back (its column and a few prev cells) — to bytes that
+// follow those cells: under 6 MB an event, where copying every touched row whole is
 // the 22 MB matrix.
 func TestDeltaBytesBudget(t *testing.T) {
 	d := benchModel(t, "fattree_k16")

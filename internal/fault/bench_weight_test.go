@@ -43,14 +43,13 @@ func weightEventFaults(d *model.PPDC, event string) (FaultSet, bool) {
 		// switch link (a ToR uplink on fat trees) at 4x its weight.
 		return degradeLink(midSwitch(), true, true)
 	case "host_uplink":
-		// A host's single link: the pendant-patch path — only the host's
-		// own Dijkstra row recomputes, every other row takes the exact
-		// column patch.
+		// A host's single link: only the host's own row re-runs (the
+		// delta leaves it one edge), every other row moves in one cell,
+		// the host's column.
 		return degradeLink(midSwitch(), false, false)
 	case "spine_worst":
-		// The most tree-popular link: the first switch's first link. The
-		// worst case for the classification — expected near-parity with
-		// the rebuild.
+		// The most tree-popular link: the first switch's first link, on
+		// the tree of nearly every row.
 		return degradeLink(d.Topo.Switches[0], true, false)
 	}
 	return FaultSet{}, false

@@ -145,9 +145,8 @@ func TestDegradeViewWeights(t *testing.T) {
 	apspEqual(t, d, healed, pristine)
 }
 
-// TestDegradeRemoveHealPermutations is the satellite coverage for
-// composing the weight-delta classification with the removal rules in
-// any order: a link is degraded, hard-failed, and both faults healed,
+// TestDegradeRemoveHealPermutations is the coverage for composing
+// re-weights with removals in any order: a link is degraded, hard-failed, and both faults healed,
 // with every interleaving of the four transitions driven through the
 // incremental ApplyDelta chain and pinned against the full Rebuild at
 // each step. While the link is down the degrade is latent; healing the

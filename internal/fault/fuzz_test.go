@@ -160,7 +160,7 @@ func deltaStep(t *testing.T, d *model.PPDC, prev *View, fs FaultSet) *View {
 // FuzzIncrementalAPSP is the differential fuzz for the incremental APSP
 // layer: a random inject/heal sequence is applied twice — once through
 // the delta path (each view built from the previous view via ApplyDelta,
-// so dirty-source recompute chains across events) and once through the
+// so repaired rows chain across events) and once through the
 // full Rebuild — and every intermediate view must match bit-for-bit:
 // same dist and prev matrices, same dead mask, same component labels.
 func FuzzIncrementalAPSP(f *testing.F) {
@@ -380,8 +380,8 @@ func FuzzWeightDeltaAPSP(f *testing.F) {
 			}
 		}
 	}
-	// Factors > 1 and < 1 both appear so increase and decrease dirty
-	// rules are exercised, plus re-degrading at a different factor.
+	// Factors > 1 and < 1 both appear so weight increases and decreases
+	// are exercised, plus re-degrading at a different factor.
 	factors := []float64{0.25, 0.5, 1.5, 2, 3, 8}
 
 	f.Fuzz(func(t *testing.T, ops []byte) {

@@ -205,9 +205,9 @@ func Rebuild(d *model.PPDC, fs FaultSet) *View {
 }
 
 // ApplyDelta is Apply with an incremental APSP update: when prev is a
-// view of the same pristine model, only the rows whose cached
-// shortest-path trees the fault transition invalidates are repaired
-// (graph.APSP.ApplyEdgeDeltas); every other row is carried over verbatim.
+// view of the same pristine model, every row of its matrix is repaired
+// where the fault transition moves it (graph.APSP.ApplyEdgeDeltas), and
+// a row it does not move is carried over verbatim.
 // The result is bit-identical to Apply — the differential fuzz target
 // FuzzIncrementalAPSP pins this over random inject/heal sequences — at a
 // fraction of the cost for the typical 1–3 element transition. A nil
@@ -235,13 +235,13 @@ func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 	g := degradedClone(pg, v.dead, down, degr)
 
 	// Three-way edge delta between the two degraded graphs, from one pass
-	// over the pristine edge set (u < v side only; parallel links repeat,
-	// which the dirty tests tolerate). Every weight a record carries is
-	// the *effective* cost under the respective fault set — the same
-	// expression degradedClone evaluates — so a restored or re-weighted
-	// edge patches in bit-identical to the full rebuild, and an edge that
-	// is degraded and removed in one transition flows through the removal
-	// rule, composing the two classifiers in any order.
+	// over the pristine edge set (u < v side only; each parallel link is a
+	// record of its own, as graph.EdgeDelta asks). A restored or
+	// re-weighted record carries its edge's *effective* cost under the new
+	// fault set — the same expression degradedClone evaluates — so the
+	// repair relaxes it bit-identical to the full rebuild; a removed
+	// record's weight is never read. An edge that is degraded and removed
+	// in one transition is a removal, whichever came first.
 	var delta graph.EdgeDelta
 	for u := 0; u < n; u++ {
 		for _, e := range pg.Neighbors(u) {
@@ -252,7 +252,7 @@ func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 			kn := keepEdge(v.dead, down, u, e.To)
 			switch {
 			case ko && !kn:
-				delta.Removed = append(delta.Removed, graph.EdgeRecord{U: u, V: e.To, Weight: effWeight(oldDegr, u, e.To, e.Weight)})
+				delta.Removed = append(delta.Removed, graph.EdgeRecord{U: u, V: e.To})
 			case !ko && kn:
 				delta.Restored = append(delta.Restored, graph.EdgeRecord{U: u, V: e.To, Weight: effWeight(degr, u, e.To, e.Weight)})
 			case ko && kn:

@@ -71,7 +71,7 @@ type APSP struct {
 	// span bounds every finite cost in the matrix when the relaxations of
 	// the graph it was built over are strictly increasing (strictRelax) —
 	// every row is then canonical, the premise of ApplyEdgeDeltas' row
-	// reuse and repair. +Inf when they are not: the next delta re-runs
+	// repair. +Inf when they are not: the next delta re-runs
 	// every row.
 	span float64
 }

@@ -46,26 +46,30 @@ func filterEdges(g *Graph, down map[[2]int]bool) *Graph {
 
 // TestApplyDeltasRandomSequence drives random fail/restore sequences over
 // random connected graphs and pins ApplyEdgeDeltas bit-for-bit against a full
-// AllPairs rebuild of the filtered graph, at several worker counts.
+// AllPairs rebuild of the filtered graph, at several worker counts. A pair
+// of parallel edges fails and comes back together, and the delta lists
+// each of its edges with its own weight, as EdgeDelta asks.
 func TestApplyDeltasRandomSequence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 12 + rng.Intn(24)
 		g := randomConnectedGraph(rng, n, n)
-		edges := g.Edges()
+		edges := g.Edges() // sorted: a pair's parallel edges are adjacent
 		down := map[[2]int]bool{}
 		cur := AllPairs(g)
 		for step := 0; step < 8; step++ {
 			var removed, restored []EdgeRecord
-			for _, e := range edges {
-				key := [2]int{e.U, e.V}
+			for i, j := 0, 0; i < len(edges); i = j {
+				for j = i + 1; j < len(edges) && edges[j].U == edges[i].U && edges[j].V == edges[i].V; j++ {
+				}
+				key := [2]int{edges[i].U, edges[i].V}
 				switch {
 				case !down[key] && rng.Intn(6) == 0:
 					down[key] = true
-					removed = append(removed, e)
+					removed = append(removed, edges[i:j]...)
 				case down[key] && rng.Intn(3) == 0:
 					delete(down, key)
-					restored = append(restored, e)
+					restored = append(restored, edges[i:j]...)
 				}
 			}
 			next := filterEdges(g, down)
@@ -89,7 +93,7 @@ func TestApplyDeltasEmptyDelta(t *testing.T) {
 	g := randomConnectedGraph(rng, 20, 25)
 	a := AllPairs(g)
 	// Freeze sizes its arrays from the edge count, so it panics on this
-	// copy: the call below returns only if the all-clean delta skips it.
+	// copy: the call below returns only if a delta naming no edge skips it.
 	unfreezable := g.Clone()
 	unfreezable.m = -1
 	b, dirty := a.ApplyEdgeDeltas(unfreezable, EdgeDelta{}, 0)
@@ -581,7 +585,7 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 		if copied == 0 {
 			t.Fatalf("%s: no block copied, the event changed nothing", ev.name)
 		}
-		t.Logf("%s: %d of %d blocks copied, %d rows repaired, %d re-run", ev.name, copied, 2*len(inc.rows)*len(inc.rows[0].dist), st.repaired, st.rerun)
+		t.Logf("%s: %d of %d blocks copied, %d rows changed, %d re-run", ev.name, copied, 2*len(inc.rows)*len(inc.rows[0].dist), st.changed, st.rerun)
 		g, cur = next, inc
 	}
 }
@@ -634,14 +638,14 @@ func TestWeightDeltaObserverKinds(t *testing.T) {
 	}
 }
 
-// TestApplyWeightDeltasPendantPatch: re-pricing a leaf's single edge
-// must patch the leaf's column in clean rows (dist(s,hub)+w', exact)
-// and recompute only the leaf's own row — this is what keeps host-
-// uplink re-pricing from dirtying every source in host-attached
-// fabrics.
-func TestApplyWeightDeltasPendantPatch(t *testing.T) {
-	// Star: hub 0 with leaves 1..4, plus a 0-5-6 path so clean rows have
-	// interior structure too.
+// TestApplyWeightDeltasPendantLeaf: re-pricing a leaf's single edge
+// re-runs exactly the leaf's own row — a record endpoint left with one
+// edge — and repairs every other row in the one cell that moves, the
+// leaf's column: dist(s,hub)+w', the float expression the rebuild
+// evaluates.
+func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
+	// Star: hub 0 with leaves 1..4, plus a 0-5-6 path so the repaired rows
+	// have interior structure too.
 	g := New(7)
 	for leaf := 1; leaf <= 4; leaf++ {
 		g.AddEdge(0, leaf, 1)
@@ -651,12 +655,12 @@ func TestApplyWeightDeltasPendantPatch(t *testing.T) {
 	a := AllPairs(g)
 
 	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 3})
-	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
+	b, st := a.applyEdgeDeltas(next, recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
-	if dirty != 1 {
-		t.Fatalf("pendant re-weight dirtied %d sources, want 1 (the leaf)", dirty)
+	if want := rerunRows(next, recs); want != 1 || st.rerun != want {
+		t.Fatalf("pendant re-weight re-ran %d rows, want %d (the leaf)", st.rerun, want)
 	}
-	// Every other row is patched, not shared: column 1 moved.
+	// Every other row is repaired, not shared: column 1 moved.
 	for s := 0; s < 7; s++ {
 		if s == 1 {
 			continue
@@ -665,23 +669,23 @@ func TestApplyWeightDeltasPendantPatch(t *testing.T) {
 			t.Fatalf("row %d shared although column 1 changed", s)
 		}
 		if got, want := b.Cost(s, 1), b.Cost(s, 0)+3; got != want {
-			t.Fatalf("patched dist[%d][1] = %v, want %v", s, got, want)
+			t.Fatalf("repaired dist[%d][1] = %v, want %v", s, got, want)
 		}
 	}
 
-	// The same edge re-priced again from the patched matrix (3 -> 0.5):
-	// the second patch reads the first one's clean rows.
+	// The same edge re-priced again from the repaired matrix (3 -> 0.5):
+	// the second delta starts from the first one's derived rows.
 	next2, recs2 := reweight(next, map[[2]int]float64{{0, 1}: 0.5})
-	c, dirty := b.ApplyEdgeDeltas(next2, recs2, 1)
-	if dirty != 1 {
-		t.Fatalf("chained pendant re-weight dirtied %d sources, want 1", dirty)
+	c, st := b.applyEdgeDeltas(next2, recs2, 1)
+	if st.rerun != 1 {
+		t.Fatalf("chained pendant re-weight re-ran %d rows, want 1", st.rerun)
 	}
 	apspBitEqual(t, c, AllPairs(next2))
 }
 
 // TestApplyWeightDeltasPendantK2: both endpoints degree 1 (an isolated
-// K2 component) — the column patch is circular, so both rows recompute
-// and rows of the other component stay shared.
+// K2 component) — both rows re-run, and rows of the other component,
+// which reach neither endpoint, stay shared.
 func TestApplyWeightDeltasPendantK2(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 1, 1)
@@ -689,10 +693,10 @@ func TestApplyWeightDeltasPendantK2(t *testing.T) {
 	g.AddEdge(3, 4, 2)
 	a := AllPairs(g)
 	next, recs := reweight(g, map[[2]int]float64{{3, 4}: 7})
-	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
+	b, st := a.applyEdgeDeltas(next, recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
-	if dirty != 2 {
-		t.Fatalf("K2 re-weight dirtied %d sources, want 2", dirty)
+	if want := rerunRows(next, recs); want != 2 || st.rerun != want || st.changed != 0 {
+		t.Fatalf("K2 re-weight re-ran %d rows and changed %d more, want %d and 0", st.rerun, st.changed, want)
 	}
 	for s := 0; s <= 2; s++ {
 		if !sameTables(b.rows[s], a.rows[s]) {

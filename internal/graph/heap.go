@@ -8,19 +8,12 @@ type heapItem struct {
 
 // less is the heap's strict total order: primarily by cost, with equal
 // costs broken by vertex ID. The tie-break is not an optimization — it is
-// a correctness requirement of the incremental APSP layer. With a total
-// order, the sequence of *effective* (non-stale) pops is a function of
-// the live entry multiset alone, so extra stale entries left behind by a
-// removed or restored edge cannot reorder equal-cost settlements. That is
-// what makes a Dijkstra run over a delta-filtered graph bit-identical to
-// a from-scratch run whenever the delta does not touch the source's
-// shortest-path tree (see APSP.ApplyEdgeDeltas).
-//
-// The row repair leans on the same order a second way: where relaxations
-// strictly increase the cost, vertices settle in exactly (cost, vertex)
-// order, so the predecessor a full run leaves at v is the tight neighbour
-// smallest in that order — a rule repairRow can apply to final distances
-// without replaying the run (see repair.go).
+// a correctness requirement of the incremental APSP layer. Where
+// relaxations strictly increase the cost, vertices settle in exactly
+// (cost, vertex) order, so the predecessor a full run leaves at v is the
+// tight neighbour smallest in that order — a rule repairRow can apply to
+// final distances without replaying the run (see repair.go), which is
+// what lets APSP.ApplyEdgeDeltas repair a row instead of re-running it.
 func less(a, b heapItem) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost

@@ -72,71 +72,85 @@ func canonicalSpan(minW, reach float64) float64 {
 }
 
 // repairScratch holds the reusable buffers of one row-repair stream. The
-// two mark arrays are generation-stamped, so starting a row costs O(1)
+// two stamp arrays are generation-stamped, so starting a row costs O(1)
 // instead of an O(n) clear.
 type repairScratch struct {
 	sssp SSSPScratch
 	// mark[v] == gen: v lost its support in this row.
 	mark []uint32
-	// seen[v] == gen: queued in the support pass; gen+1: pushed as a
-	// record endpoint; gen+2: predecessor recomputed.
+	// seen[v] == gen: queued in the support pass; gen+1: prev re-derived.
 	seen    []uint32
 	gen     uint32
 	touched []int32 // vertices whose dist cell the repair wrote
+	fix     []int32 // seeds and tie heads: prev may move where no distance did
 }
 
 // begin starts a row over an n-vertex graph and returns its generation.
 func (s *repairScratch) begin(n int) uint32 {
 	if len(s.mark) != n {
 		s.mark, s.seen, s.gen = make([]uint32, n), make([]uint32, n), 0
-	} else if s.gen > math.MaxUint32-6 {
+	} else if s.gen > math.MaxUint32-4 {
 		clear(s.mark)
 		clear(s.seen)
 		s.gen = 0
 	}
-	s.gen += 3
+	s.gen += 2
+	s.touched, s.fix = s.touched[:0], s.fix[:0]
 	return s.gen
 }
 
 // repairRow rewrites r — derived from source src's canonical row over the
 // delta's old graph — into src's canonical row over c, copying only the
-// blocks in which a cell changes (cowRow). ends
-// lists the endpoint pairs of every delta record, flattened. The records
-// only name where the two graphs may differ: every weight is read from c,
-// so naming a multi-edge pair once, or an unchanged edge, is harmless.
+// blocks in which a cell changes (cowRow). The delta's Removed and
+// Reweighted records name where a distance can be lost, its Restored and
+// Reweighted records, at their weights in c, where one can be gained.
 //
 // Both graphs' relaxations must be strictly increasing over the old
 // row's distances as well as the new (ApplyEdgeDeltas' guard); the old
 // row is then canonical, and every "strictly closer" below holds.
 //
-// It returns the number of vertices the drain settled and the number of
-// prev cells recomputed.
-func (c *CSR) repairRow(src int, r *cowRow, ends []int32, s *repairScratch) (settled, prevCells int) {
+// Its work is bounded by what the delta moves, not by the row: a record
+// whose edge carries no tree path and wins no tie costs O(1), and prev is
+// re-derived only where it can change. It returns the number of vertices
+// the drain settled and the number of prev cells recomputed.
+func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (settled, prevCells int) {
 	gen := s.begin(c.n)
 	h := &s.sssp.heap
 	h.items = h.items[:0]
 
 	// (1) Lost support. A vertex can lose its distance only through its
-	// tree edge: seed the child end of every named tree edge and pop in
-	// (old dist, id) order. A popped vertex keeps its distance — as an
-	// upper bound a real path of c witnesses — if an unmarked neighbour
-	// still offers a candidate no larger; otherwise it is marked and its
-	// tree children queue up (a child over a removed edge is not adjacent
-	// in c any more, but that edge is named, so it is a seed already).
-	// One pass is enough: a supporter is strictly closer, so it has been
-	// popped and decided, or never will be.
-	for i := 0; i < len(ends); i += 2 {
-		u, v := int(ends[i]), int(ends[i+1])
-		if int(r.p(v)) == u && s.seen[v] != gen {
+	// tree edge: seed the child end of every removed or re-weighted tree
+	// edge and pop in (old dist, id) order. A popped vertex keeps its
+	// distance — as an upper bound a real path of c witnesses — if an
+	// unmarked neighbour still offers a candidate no larger; otherwise it
+	// is marked and its tree children queue up (a child over a removed edge
+	// is not adjacent in c any more, but that edge is named, so it is a
+	// seed already). One pass is enough: a supporter is strictly closer, so
+	// it has been popped and decided, or never will be. A seed's prev can
+	// move while its distance holds, so (5) re-derives it.
+	seed := func(v int) {
+		switch {
+		case s.seen[v] == gen:
+		case c.rowStart[v] == c.rowStart[v+1]:
+			// No edge in c: nothing supports v, and nothing hangs off it.
+			s.seen[v], s.mark[v] = gen, gen
+			s.touched = append(s.touched, int32(v))
+		default:
 			s.seen[v] = gen
 			h.push(heapItem{v: v, cost: r.d(v)})
-		}
-		if int(r.p(u)) == v && s.seen[u] != gen {
-			s.seen[u] = gen
-			h.push(heapItem{v: u, cost: r.d(u)})
+			s.fix = append(s.fix, int32(v))
 		}
 	}
-	touched := s.touched[:0]
+	for _, recs := range [2][]EdgeRecord{d.Removed, d.Reweighted} {
+		for _, e := range recs {
+			if int(r.p(e.V)) == e.U {
+				seed(e.V)
+			}
+			if int(r.p(e.U)) == e.V {
+				seed(e.U)
+			}
+		}
+	}
 	for h.Len() > 0 {
 		it := h.pop()
 		lo, hi := c.rowStart[it.v], c.rowStart[it.v+1]
@@ -151,7 +165,7 @@ func (c *CSR) repairRow(src int, r *cowRow, ends []int32, s *repairScratch) (set
 			continue
 		}
 		s.mark[it.v] = gen
-		touched = append(touched, int32(it.v))
+		s.touched = append(s.touched, int32(it.v))
 		for e := lo; e < hi; e++ {
 			if ch := c.to[e]; r.p(int(ch)) == int32(it.v) && s.seen[ch] != gen {
 				s.seen[ch] = gen
@@ -164,7 +178,7 @@ func (c *CSR) repairRow(src int, r *cowRow, ends []int32, s *repairScratch) (set
 	// over unmarked neighbours (+Inf if none: an isolated vertex needs no
 	// case of its own). Marked cells are only written here, unmarked ones
 	// only read, so the order does not matter.
-	for _, v := range touched {
+	for _, v := range s.touched {
 		best := Inf
 		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
 			if u := c.to[e]; s.mark[u] != gen {
@@ -179,23 +193,25 @@ func (c *CSR) repairRow(src int, r *cowRow, ends []int32, s *repairScratch) (set
 		}
 	}
 
-	// (3) Gains. An edge that appeared or got cheaper can only improve
-	// what lies beyond its endpoints: queue both, so the drain relaxes
-	// their whole adjacency in c — every parallel edge of a named pair
-	// included. Marked endpoints are queued already.
-	for _, x := range ends {
-		if s.seen[x] != gen+1 && s.mark[x] != gen {
-			s.seen[x] = gen + 1
-			if dx := r.d(int(x)); dx < Inf {
-				h.push(heapItem{v: int(x), cost: dx})
-			}
+	// (3) Gains. An edge that appeared or got cheaper can lower only what
+	// lies across it: relax each restored or re-weighted record both ways
+	// at its weight, and queue the head it strictly improves; the drain
+	// carries the gain on from there. A tie that wins the canonical
+	// (dist, id) rule moves prev[head] without moving a distance, so (5)
+	// re-derives it. Removed records queue nothing here: a marked vertex
+	// is queued already.
+	for _, recs := range [2][]EdgeRecord{d.Restored, d.Reweighted} {
+		for _, e := range recs {
+			c.gain(r, s, e.U, e.V, e.Weight)
+			c.gain(r, s, e.V, e.U, e.Weight)
 		}
 	}
 
 	// (4) One ordinary Dijkstra drain over all of c. Every cell is an upper
 	// bound witnessed by a path, and every edge that could still lower its
-	// head has its tail queued, so the drain ends at the fixed point. prev
-	// is left alone: (5) derives it from the final distances.
+	// head starts at a queued vertex — a marked one or a head (3) lowered —
+	// so the drain ends at the fixed point. prev is left alone: (5) derives
+	// it from the final distances.
 	for h.Len() > 0 {
 		it := h.pop()
 		if it.cost > r.d(it.v) {
@@ -206,35 +222,63 @@ func (c *CSR) repairRow(src int, r *cowRow, ends []int32, s *repairScratch) (set
 			to := c.to[e]
 			if nd := it.cost + c.wt[e]; nd < r.d(int(to)) {
 				r.setDist(int(to), nd)
-				touched = append(touched, to)
+				s.touched = append(s.touched, to)
 				h.push(heapItem{v: int(to), cost: nd})
 			}
 		}
 	}
 
-	// (5) Predecessors. The canonical prev of v reads dist[v], v's edges
-	// and its neighbours' distances — so it can differ from the old row
-	// only at a record endpoint, a written cell, or next to one.
-	for _, x := range ends {
-		prevCells += c.canonicalPrev(src, x, r, s)
-	}
-	for _, v := range touched {
+	// (5) Predecessors. The canonical prev of y reads dist[y], y's edges
+	// and its neighbours' distances. Outside the seeds and tie heads it can
+	// move only at a written cell v, or at a neighbour y of one that v led
+	// (prev[y] == v) or that v is now tight for: a neighbour that was tight
+	// and lost nothing, or was neither, keeps its prev.
+	for _, v := range s.fix {
 		prevCells += c.canonicalPrev(src, v, r, s)
+	}
+	for _, v := range s.touched {
+		prevCells += c.canonicalPrev(src, v, r, s)
+		dv := r.d(int(v))
 		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
-			prevCells += c.canonicalPrev(src, c.to[e], r, s)
+			y := c.to[e]
+			if r.p(int(y)) == v || dv < Inf && dv+c.wt[e] == r.d(int(y)) {
+				prevCells += c.canonicalPrev(src, y, r, s)
+			}
 		}
 	}
-	s.touched = touched
 	return settled, prevCells
+}
+
+// gain relaxes the edge u→v of weight w in step (3) of repairRow: a
+// strict improvement writes v and queues it, an equal candidate that
+// precedes v's incumbent predecessor in (dist, id) order marks v's prev
+// for re-derivation.
+func (c *CSR) gain(r *cowRow, s *repairScratch, u, v int, w float64) {
+	du := r.d(u)
+	if du == Inf {
+		return // an unreachable tail offers nothing
+	}
+	switch nd, dv := du+w, r.d(v); {
+	case nd < dv:
+		r.setDist(v, nd)
+		s.touched = append(s.touched, int32(v))
+		s.sssp.heap.push(heapItem{v: v, cost: nd})
+	case nd == dv:
+		if p := r.p(v); p >= 0 {
+			if dp := r.d(int(p)); du < dp || du == dp && int32(u) < p {
+				s.fix = append(s.fix, int32(v))
+			}
+		}
+	}
 }
 
 // canonicalPrev sets prev[v] by the canonical rule (see the top of the
 // file), once per row; it returns 1 when it did the work.
 func (c *CSR) canonicalPrev(src int, v int32, r *cowRow, s *repairScratch) int {
-	if s.seen[v] == s.gen+2 {
+	if s.seen[v] == s.gen+1 {
 		return 0
 	}
-	s.seen[v] = s.gen + 2
+	s.seen[v] = s.gen + 1
 	if int(v) == src {
 		return 0 // prev[src] is -1 in every row
 	}

@@ -38,8 +38,8 @@ func (et *edgeTable) graph() *Graph {
 
 // commit returns the current graph and the delta since the last commit.
 // With removedOnce, a pair of parallel edges going down together is
-// named by one Removed record — its weight is never read, and the row
-// repair reads every weight from the graph.
+// named by one Removed record, which EdgeDelta allows: a Removed record's
+// weight is never read.
 func (et *edgeTable) commit(removedOnce bool) (*Graph, EdgeDelta) {
 	var d EdgeDelta
 	named := map[[2]int]bool{}
@@ -177,24 +177,23 @@ func FuzzRepairRows(f *testing.F) {
 	})
 }
 
-// repairEveryRow runs the row repair on every row of a — the clean and
-// the forced ones too, which ApplyEdgeDeltas never hands it — and demands
-// want's bits: the repair is a complete dynamic SSSP, not a helper that
-// only works on the rows the classifier picks. The repairs write through
-// copy-on-write rows derived from a's, so a must come out of them equal to
-// aWant, the rebuild of its own graph. Skipped when the guard fails, where
-// nothing may be repaired.
+// repairEveryRow runs the row repair on every row of a — the re-run ones
+// too, which ApplyEdgeDeltas hands DijkstraInto instead — and demands
+// want's bits: the repair is a complete dynamic SSSP, and the re-run rule
+// saves work, not bits. The repairs write through copy-on-write rows
+// derived from a's, so a must come out of them equal to aWant, the rebuild
+// of its own graph. Skipped when the guard fails, where nothing may be
+// repaired.
 func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want *APSP) {
 	t.Helper()
 	if minW, reach := next.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
 		return
 	}
-	ends := d.endpoints()
 	csr := next.Freeze()
 	var scratch repairScratch
 	for src := 0; src < a.n; src++ {
 		r := deriveRow(a.rows[src])
-		csr.repairRow(src, &r, ends, &scratch)
+		csr.repairRow(src, &r, d, &scratch)
 		w := want.rows[src]
 		for v := 0; v < a.n; v++ {
 			if math.Float64bits(r.d(v)) != math.Float64bits(w.d(v)) || r.p(v) != w.p(v) {
@@ -229,8 +228,8 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 	next, d := et.commit(false)
 	b, st := a.applyEdgeDeltas(next, d, 1)
 	apspBitEqual(t, b, AllPairsSequential(next))
-	if st.repaired != 0 || st.rerun != 5 {
-		t.Fatalf("repaired %d, re-ran %d rows from a non-canonical parent, want 0 and 5", st.repaired, st.rerun)
+	if st.rerun != 5 {
+		t.Fatalf("re-ran %d rows from a non-canonical parent, want all 5", st.rerun)
 	}
 	if math.IsInf(b.span, 1) {
 		t.Fatal("the cut graph has unit weights only: its matrix is canonical again")
@@ -250,8 +249,8 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 	next2, d2 := et2.commit(false)
 	b2, st2 := a2.applyEdgeDeltas(next2, d2, 1)
 	apspBitEqual(t, b2, AllPairsSequential(next2))
-	if st2.repaired != 0 {
-		t.Fatalf("repaired %d rows across a 2^80 weight swing, want the full re-run", st2.repaired)
+	if st2.rerun != 4 {
+		t.Fatalf("re-ran %d rows across a 2^80 weight swing, want all 4", st2.rerun)
 	}
 }
 
@@ -340,14 +339,14 @@ func fatTreeEdges(k int) (*edgeTable, int) {
 // 3 degrades, 4 switch and 1 host failure; at most three active; every
 // one healed) runs over the k=8 fat tree, and after every event
 //
-//   - the incremental matrix equals the rebuild;
-//   - a full re-run is spent only on a forced row — the own row of a
-//     vertex the event isolates, revives, or re-prices the single edge
-//     of;
+//   - the incremental matrix equals the rebuild, and so does every row
+//     repaired (repairEveryRow);
+//   - exactly the rows of the record endpoints the event leaves with at
+//     most one edge are re-run in full (rerunRows);
 //
 // and over the cycle the repairs settle at most twice the recorded
-// number of vertices: a row re-run settles all 208, a repair about eight
-// (the two endpoints of each record among them).
+// number of vertices: a row re-run settles all 208, a repaired row a
+// handful where the event moves a distance and none where it does not.
 func TestRepairStormWorkBound(t *testing.T) {
 	const k = 8
 	et, switches := fatTreeEdges(k)
@@ -408,41 +407,17 @@ func TestRepairStormWorkBound(t *testing.T) {
 
 	g := et.graph()
 	cur, curWant := AllPairs(g), AllPairs(g)
-	degree := func(g *Graph) []int {
-		deg := make([]int, n)
-		for v := range deg {
-			deg[v] = g.Degree(v)
-		}
-		return deg
-	}
 	var total deltaStats
 	events := 0
 	step := func() {
-		before := degree(g)
 		next, d := et.commit(false)
 		want := AllPairs(next)
 		repairEveryRow(t, cur, curWant, next, d, want)
 		inc, st := cur.applyEdgeDeltas(next, d, []int{1, 2, 0}[events%3])
 		apspBitEqual(t, inc, want)
 		apspBitEqual(t, cur, curWant)
-		// Forced rows, counted from the two graphs alone: a vertex that
-		// lost or regained all its edges, or a degree-1 endpoint of a
-		// re-priced edge.
-		forced := map[int]bool{}
-		for v, deg := range degree(next) {
-			if (deg == 0) != (before[v] == 0) {
-				forced[v] = true
-			}
-		}
-		for _, e := range d.Reweighted {
-			for _, v := range [2]int{e.U, e.V} {
-				if next.Degree(v) == 1 {
-					forced[v] = true
-				}
-			}
-		}
-		if st.rerun > len(forced) {
-			t.Fatalf("event %d: %d rows re-run in full, only %d forced", events, st.rerun, len(forced))
+		if want := rerunRows(next, d); st.rerun != want {
+			t.Fatalf("event %d: %d rows re-run in full, want %d", events, st.rerun, want)
 		}
 		total.add(st)
 		g, cur, curWant = next, inc, want
@@ -470,14 +445,31 @@ func TestRepairStormWorkBound(t *testing.T) {
 		t.Fatalf("storm ran %d events, want 64", events)
 	}
 	apspBitEqual(t, cur, AllPairs(et.graph()))
-	t.Logf("64 events: %d rows repaired, %d re-run in full, %d vertices settled, %d prev cells recomputed",
-		total.repaired, total.rerun, total.settled, total.prevCells)
+	t.Logf("64 events: %d rows changed, %d re-run in full, %d vertices settled, %d prev cells recomputed",
+		total.changed, total.rerun, total.settled, total.prevCells)
 
-	// Recorded on this schedule; a full re-run of the repaired rows would
-	// settle total.repaired × 208 vertices.
-	const recordedSettled = 22931
+	// Recorded on this schedule; re-running the changed rows would settle
+	// total.changed × 208 vertices.
+	const recordedSettled = 11614
 	if total.settled > 2*recordedSettled {
 		t.Fatalf("repairs settled %d vertices over the cycle, recorded %d: the repair is doing more than it has to",
 			total.settled, recordedSettled)
 	}
+}
+
+// rerunRows counts the rows ApplyEdgeDeltas re-runs in full when the
+// guard holds: the distinct record endpoints next leaves with at most one
+// edge.
+func rerunRows(next *Graph, d EdgeDelta) int {
+	rerun := map[int]bool{}
+	for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
+		for _, e := range recs {
+			for _, x := range [2]int{e.U, e.V} {
+				if next.Degree(x) <= 1 {
+					rerun[x] = true
+				}
+			}
+		}
+	}
+	return len(rerun)
 }
