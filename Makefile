@@ -119,8 +119,9 @@ bench-kernels:
 
 # Short fuzz pass over the solver-invariant web, the cost-kernel
 # equivalence property, the bitwise APSP gates, DP-Stroll against the
-# exhaustive stroll, the daemon's hostile-log-record replay and its
-# rate-update scanner against encoding/json. This is the only list of
+# exhaustive stroll and its lazy table against the full one, the
+# daemon's hostile-log-record replay and its rate-update scanner against
+# encoding/json. This is the only list of
 # fuzz targets (fuzz-list holds it to that): CI runs it with a shorter
 # per-target budget (make fuzz FUZZTIME=10s).
 FUZZTIME ?= 30s
@@ -133,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRepairRows -fuzztime $(FUZZTIME) -run xxx ./internal/graph/
 	$(GO) test -fuzz FuzzMinCostFlow -fuzztime $(FUZZTIME) -run xxx ./internal/mcf/
 	$(GO) test -fuzz FuzzDPAgainstExhaustive -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
+	$(GO) test -fuzz FuzzDPTableLazyTop -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/
 	$(GO) test -fuzz FuzzDecodeCommand -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/
 	$(GO) test -fuzz FuzzRateScan -fuzztime $(FUZZTIME) -run xxx ./cmd/vnfoptd/

@@ -74,12 +74,18 @@ func FuzzCostCacheEquivalence(f *testing.F) {
 		cache := d.NewWorkloadCache(w)
 		rounds := 1 + int(mutations)%8
 		for round := 0; round < rounds; round++ {
+			// Defined at switch cells; host cells are 0.
 			in, eg := cache.EndpointCosts()
 			inS, egS := d.EndpointCosts(w)
-			for v := range in {
+			for _, v := range d.Switches() {
 				if !closeRel(in[v], inS[v]) || !closeRel(eg[v], egS[v]) {
 					t.Fatalf("round %d: endpoint vectors diverge at vertex %d: (%v,%v) vs (%v,%v)",
 						round, v, in[v], eg[v], inS[v], egS[v])
+				}
+			}
+			for _, h := range d.Hosts() {
+				if in[h] != 0 || eg[h] != 0 {
+					t.Fatalf("round %d: host cell %d is (%v,%v), want 0", round, h, in[h], eg[h])
 				}
 			}
 			if got, want := cache.CommCost(nil), d.CommCost(w, nil); !closeRel(got, want) {

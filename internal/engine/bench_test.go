@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 
+	"vnfopt/internal/fault"
 	"vnfopt/internal/model"
 	"vnfopt/internal/obs"
 	"vnfopt/internal/topology"
@@ -92,6 +94,134 @@ func BenchmarkEngineStepDiurnal(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := e.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// stormEvent is one topology event of faultStormEngine's schedule.
+type stormEvent struct{ inject, heal []fault.Fault }
+
+// faultStormEngine is the reaction-time benchmark's `fault-storm`
+// scenario in process (bench/workloads.go genFaultStorm, seed 1, scenario
+// 0): a k=16 fat tree, 500 flows clustered on 16 racks, a 3-VNF chain,
+// μ = 1000, mPareto repair, and one 64-event cycle drawn from the storm
+// seed — the fixed prelude, then faultMix kinds in shuffled order with at
+// most three faults active, every fault healed, so the cycle ends
+// pristine and repeats.
+func faultStormEngine(tb testing.TB) (*Engine, []stormEvent) {
+	tb.Helper()
+	const (
+		k, flows, racks, cycle = 16, 500, 16, 64
+		stormSeed              = 20220530
+	)
+	topo := topology.MustFatTree(k, nil)
+	rng := rand.New(rand.NewSource(7919))
+	base := workload.MustPairsClustered(topo, flows, racks, workload.DefaultIntraRack, rng)
+	e, err := New(Config{PPDC: model.MustNew(topo, model.Options{}), SFC: model.NewSFC(3), Base: base, Mu: 1000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+
+	faultMix := []fault.Kind{
+		fault.Link, fault.Switch, fault.Link, fault.Degrade, fault.Link, fault.Switch, fault.Link, fault.Degrade,
+		fault.Link, fault.Switch, fault.Link, fault.Degrade, fault.Link, fault.Switch, fault.Link, fault.Host,
+	}
+	prelude := []struct {
+		kind fault.Kind
+		heal int // index into the active list, -1 to inject
+	}{
+		{fault.Link, -1}, {fault.Degrade, -1}, {fault.Switch, -1},
+		{heal: 2}, {heal: 1}, {heal: 0},
+		{fault.Host, -1}, {heal: 0},
+	}
+	rng = rand.New(rand.NewSource(stormSeed))
+	var (
+		events []stormEvent
+		active []fault.Fault
+	)
+	isActive := func(f fault.Fault) bool {
+		for _, a := range active {
+			if a.Kind == f.Kind && (a.U == f.U && a.V == f.V || a.U == f.V && a.V == f.U) {
+				return true
+			}
+		}
+		return false
+	}
+	link := func() (int, int) {
+		u := topo.Switches[rng.Intn(len(topo.Switches))]
+		nb := topo.Graph.Neighbors(u)
+		return u, nb[rng.Intn(len(nb))].To
+	}
+	draw := func(kind fault.Kind) fault.Fault {
+		switch kind {
+		case fault.Link:
+			u, v := link()
+			return fault.Fault{Kind: fault.Link, U: u, V: v}
+		case fault.Degrade:
+			u, v := link()
+			return fault.Fault{Kind: fault.Degrade, U: u, V: v, Factor: float64(2 + rng.Intn(7))}
+		case fault.Switch:
+			return fault.Fault{Kind: fault.Switch, U: topo.Switches[rng.Intn(len(topo.Switches))]}
+		}
+		return fault.Fault{Kind: fault.Host, U: topo.Hosts[rng.Intn(len(topo.Hosts))]}
+	}
+	inject := func(f fault.Fault) {
+		active = append(active, f)
+		events = append(events, stormEvent{inject: []fault.Fault{f}})
+	}
+	heal := func(j int) {
+		f := active[j]
+		active = append(active[:j], active[j+1:]...)
+		f.Factor = 0 // a heal names the link, not the factor
+		events = append(events, stormEvent{heal: []fault.Fault{f}})
+	}
+	var kinds []fault.Kind
+	for len(kinds) < cycle/2-len(prelude)/2 {
+		kinds = append(kinds, faultMix[len(kinds)%len(faultMix)])
+	}
+	rng.Shuffle(len(kinds), func(a, b int) { kinds[a], kinds[b] = kinds[b], kinds[a] })
+	for _, step := range prelude {
+		if step.heal >= 0 {
+			heal(step.heal)
+			continue
+		}
+		f := draw(step.kind)
+		for isActive(f) {
+			f = draw(step.kind)
+		}
+		inject(f)
+	}
+	for len(kinds) > 0 {
+		if len(active) == 0 || len(active) < 3 && rng.Float64() < 0.6 {
+			f := draw(kinds[0])
+			if isActive(f) {
+				continue
+			}
+			kinds = kinds[1:]
+			inject(f)
+		} else {
+			heal(rng.Intn(len(active)))
+		}
+	}
+	for len(active) > 0 {
+		heal(0)
+	}
+	return e, events
+}
+
+// BenchmarkEngineFaultStorm times one event of faultStormEngine: the
+// incremental APSP delta, the service plan, the cost-cache build on the
+// degraded fabric and the mPareto repair consult. Before/after figures
+// are in docs/ENGINE.md.
+func BenchmarkEngineFaultStorm(b *testing.B) {
+	e, events := faultStormEngine(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := events[i%len(events)]
+		if _, err := e.ApplyFaults(ctx, ev.inject, ev.heal); err != nil {
 			b.Fatal(err)
 		}
 	}

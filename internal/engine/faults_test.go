@@ -469,3 +469,57 @@ func TestApplyFaultsDegrade(t *testing.T) {
 		t.Fatal("negative degrade factor accepted")
 	}
 }
+
+// TestFaultStormInvariants replays faultStormEngine's cycle and checks,
+// after every event, what the repair leaves behind: the placement sits on
+// distinct live switches of the serving model, and the cost cache — its
+// switch cells, Λ, C_a of the placement, and the rate-1 vectors the
+// Steering seed reads — holds the bits fresh caches over the served
+// workload hold.
+func TestFaultStormInvariants(t *testing.T) {
+	e, events := faultStormEngine(t)
+	ctx := context.Background()
+	for i, ev := range events {
+		if _, err := e.ApplyFaults(ctx, ev.inject, ev.heal); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		live := make(map[int]bool, len(e.d.Topo.Switches))
+		for _, s := range e.d.Topo.Switches {
+			live[s] = true
+		}
+		seen := make(map[int]bool, len(e.p))
+		for _, s := range e.p {
+			if !live[s] || seen[s] || e.view != nil && e.view.Dead(s) {
+				t.Fatalf("event %d: placement %v is not on distinct live switches", i, e.p)
+			}
+			seen[s] = true
+		}
+
+		served := e.servedWorkload()
+		fresh := e.d.NewWorkloadCache(served)
+		unit := make(model.Workload, len(served))
+		for j, f := range served {
+			f.Rate = 1
+			unit[j] = f
+		}
+		inU, egU := e.d.NewWorkloadCache(unit).EndpointCosts()
+		in, eg := e.cache.EndpointCosts()
+		inF, egF := fresh.EndpointCosts()
+		unitIn, unitEg := e.cache.UnitEndpointCosts()
+		for _, s := range e.d.Topo.Switches {
+			if in[s] != inF[s] || eg[s] != egF[s] {
+				t.Fatalf("event %d: switch %d cell (%v,%v), fresh cache (%v,%v)", i, s, in[s], eg[s], inF[s], egF[s])
+			}
+			if unitIn[s] != inU[s] || unitEg[s] != egU[s] {
+				t.Fatalf("event %d: switch %d unit cell (%v,%v), fresh rate-1 cache (%v,%v)", i, s, unitIn[s], unitEg[s], inU[s], egU[s])
+			}
+		}
+		if e.cache.TotalRate() != fresh.TotalRate() || e.cache.CommCost(e.p) != fresh.CommCost(e.p) {
+			t.Fatalf("event %d: Λ %v / C_a %v, fresh cache %v / %v", i,
+				e.cache.TotalRate(), e.cache.CommCost(e.p), fresh.TotalRate(), fresh.CommCost(e.p))
+		}
+	}
+	if e.faults.Len() != 0 {
+		t.Fatalf("the cycle ends with %d faults active, want pristine", e.faults.Len())
+	}
+}

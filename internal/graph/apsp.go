@@ -205,19 +205,41 @@ func (a *APSP) Order() int { return a.n }
 // Cost returns the shortest-path cost c(u,v); Inf if unreachable.
 func (a *APSP) Cost(u, v int) float64 { return a.rows[u].d(v) }
 
-// AddScaledRow adds scale·c(u,v) to acc[v] for every vertex v; acc has
-// length Order(). It walks u's row block by block, so sweeps over whole
-// rows (the aggregated workload cost cache) pay the block lookup once per
-// 64 cells rather than once per Cost call.
-func (a *APSP) AddScaledRow(acc []float64, u int, scale float64) {
-	acc = acc[:a.n]
-	for b, blk := range a.rows[u].dist {
-		seg := acc[b*apspBlock:]
-		if len(seg) > apspBlock {
-			seg = seg[:apspBlock]
+// Stretches is a vertex list cut into stretches that count up by one
+// inside one block, so a row is read a stretch at a time rather than a
+// cell at a time. A topology numbers its switches in a run, so the
+// switches cut into few. CostMatrix and AddScaledCells read rows through
+// it.
+type Stretches []stretch
+
+// stretch is keep[at : at+n], which is cells off..off+n-1 of block block.
+type stretch struct{ at, block, off, n int }
+
+// AppendStretches cuts keep into stretches, appends them to dst and
+// returns the result.
+func AppendStretches(dst Stretches, keep []int) Stretches {
+	for j := 0; j < len(keep); {
+		v, n := keep[j], 1
+		for j+n < len(keep) && keep[j+n] == v+n && (v+n)&apspMask != 0 {
+			n++
 		}
-		for i := range seg {
-			seg[i] += scale * blk[i]
+		dst = append(dst, stretch{j, v >> apspShift, v & apspMask, n})
+		j += n
+	}
+	return dst
+}
+
+// AddScaledCells adds scale·c(u,v) to acc[v] for every vertex v of keep;
+// acc is vertex-indexed and its other cells are left alone. The
+// aggregated workload cost cache sweeps its rows this way, paying one
+// block lookup per stretch and touching no cell it never reads.
+func (a *APSP) AddScaledCells(acc []float64, u int, scale float64, keep Stretches) {
+	src := a.rows[u].dist
+	for _, r := range keep {
+		cells := src[r.block][r.off : r.off+r.n]
+		seg := acc[r.block<<apspShift+r.off:][:r.n]
+		for i, c := range cells {
+			seg[i] += scale * c
 		}
 	}
 }
@@ -305,22 +327,11 @@ func (a *APSP) MetricClosure(keep []int) (*Graph, []int) {
 // The rows alias one contiguous row-major buffer (two allocations total),
 // so solvers streaming the closure stay cache-local and the build cost
 // does not scale allocations with the submatrix order. keep is cut once
-// into stretches that count up by one inside one block — a topology
-// numbers its switches in a run, so there are few — and every row copies
-// stretch by stretch, not cell by cell.
+// into Stretches, and every row copies stretch by stretch.
 func (a *APSP) CostMatrix(keep []int) [][]float64 {
 	k := len(keep)
-	type stretch struct{ at, block, off, n int }
 	var few [16]stretch // on the stack: the usual keep allocates nothing here
-	runs := few[:0]
-	for j := 0; j < k; {
-		v, n := keep[j], 1
-		for j+n < k && keep[j+n] == v+n && (v+n)&apspMask != 0 {
-			n++
-		}
-		runs = append(runs, stretch{j, v >> apspShift, v & apspMask, n})
-		j += n
-	}
+	runs := AppendStretches(few[:0], keep)
 	out := make([][]float64, k)
 	buf := make([]float64, k*k)
 	for i, u := range keep {

@@ -484,6 +484,7 @@ func TestAPSPBlockedLayout(t *testing.T) {
 			t.Fatalf("n=%d: Diameter %v over poisoned padding, want %v", n, got, w)
 		}
 		cm := a.CostMatrix(all)
+		allRuns := AppendStretches(nil, all)
 		closure, _ := a.MetricClosure(all)
 		wantClosure, _ := want.MetricClosure(all)
 		if closure.Size() != wantClosure.Size() {
@@ -491,11 +492,11 @@ func TestAPSPBlockedLayout(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			acc := make([]float64, n)
-			a.AddScaledRow(acc, u, 2)
+			a.AddScaledCells(acc, u, 2, allRuns)
 			for v := 0; v < n; v++ {
 				c := want.Cost(u, v)
 				if a.Cost(u, v) != c || cm[u][v] != c || acc[v] != 2*c || a.Reachable(u, v) != want.Reachable(u, v) {
-					t.Fatalf("n=%d (%d,%d): Cost %v, CostMatrix %v, AddScaledRow %v, want %v", n, u, v, a.Cost(u, v), cm[u][v], acc[v], c)
+					t.Fatalf("n=%d (%d,%d): Cost %v, CostMatrix %v, AddScaledCells %v, want %v", n, u, v, a.Cost(u, v), cm[u][v], acc[v], c)
 				}
 				if a.Pred(u, v) != want.Pred(u, v) || a.Hops(u, v) != want.Hops(u, v) || len(a.Path(u, v)) != len(want.Path(u, v)) {
 					t.Fatalf("n=%d (%d,%d): Pred %d Hops %d Path %v, want %d %d %v", n, u, v,

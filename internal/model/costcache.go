@@ -1,5 +1,7 @@
 package model
 
+import "vnfopt/internal/graph"
+
 // WorkloadCache is the aggregated-workload fast path of the cost model.
 // The scalar oracles (CommCost, EndpointCosts) re-scan all l flows per
 // query; at data-center scale l dwarfs the number of distinct hosts, so
@@ -10,7 +12,9 @@ package model
 //   - per-host λ marginals (by source, by dest) feed the traffic-weighted
 //     per-switch ingress/egress vectors
 //     ingress[v] = Σ_s λ(s)·c(s,v), egress[v] = Σ_t λ(t)·c(v,t),
-//     built in O(H·|V|) instead of EndpointCosts' O(l·|V|).
+//     built in O(H·|V_s|) instead of EndpointCosts' O(l·|V|). They are
+//     defined at switch cells only — a placement lives on switches, so
+//     nothing reads a host cell — and their host cells are 0.
 //
 // After the one-time build, CommCost(p) is
 // Λ·chain(p) + ingress[p(1)] + egress[p(n)] — O(n) per candidate
@@ -28,7 +32,7 @@ package model
 // dynamic-rates path mutates λ every simulated hour, the online engine
 // (internal/engine) folds streamed updates every epoch — call SetWorkload
 // with the updated workload: it is the one way the cache changes, an
-// O(l + H·|V|) rebuild that allocates nothing in steady state.
+// O(l + H·|V_s|) rebuild that allocates nothing in steady state.
 //
 // A cache has one owner goroutine: SetWorkload rewrites the vectors in
 // place, and UnitEndpointCosts and SwitchCosts build what they return on
@@ -44,9 +48,11 @@ type WorkloadCache struct {
 	// summed λ of all flows sharing that host pair.
 	pairs Workload
 	// ingress[v] = Σ_i λ_i c(s_i, v); egress[v] = Σ_i λ_i c(v, t_i),
-	// aggregated per distinct source/dest host.
+	// aggregated per distinct source/dest host, at switch cells v only.
 	ingress, egress []float64
-	totalRate       float64
+	// switches is Topo.Switches cut into stretches once, for the sweeps.
+	switches  graph.Stretches
+	totalRate float64
 	// direct is C_a of the empty placement: Σ λ c(s,t).
 	direct float64
 	// unitIn/unitEg are the endpoint vectors of flows with every rate
@@ -59,7 +65,8 @@ type WorkloadCache struct {
 
 	// Rebuild scratch, cleared and refilled by every SetWorkload: the
 	// (src,dst) → pairs index and the per-host λ marginals with their
-	// host → index maps.
+	// host → index maps (UnitEndpointCosts refills the marginals with
+	// flow counts).
 	pairIdx        map[[2]int]int
 	srcIdx, dstIdx map[int]int
 	srcs, dsts     []hostRate
@@ -74,11 +81,12 @@ type hostRate struct {
 // NewWorkloadCache builds the aggregated cost cache for w.
 func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
 	c := &WorkloadCache{
-		d:       d,
-		flows:   make(Workload, 0, len(w)),
-		pairIdx: make(map[[2]int]int, len(w)),
-		srcIdx:  make(map[int]int),
-		dstIdx:  make(map[int]int),
+		d:        d,
+		switches: graph.AppendStretches(nil, d.Topo.Switches),
+		flows:    make(Workload, 0, len(w)),
+		pairIdx:  make(map[[2]int]int, len(w)),
+		srcIdx:   make(map[int]int),
+		dstIdx:   make(map[int]int),
 	}
 	c.SetWorkload(w)
 	return c
@@ -113,25 +121,12 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 		}
 	}
 	// Per-host λ marginals, first-appearance order.
-	clear(c.srcIdx)
-	clear(c.dstIdx)
-	c.srcs, c.dsts = c.srcs[:0], c.dsts[:0]
+	c.resetMarginals()
 	c.totalRate, c.direct = 0, 0
 	for _, f := range c.pairs {
 		c.totalRate += f.Rate
 		c.direct += f.Rate * c.d.APSP.Cost(f.Src, f.Dst)
-		if i, ok := c.srcIdx[f.Src]; ok {
-			c.srcs[i].rate += f.Rate
-		} else {
-			c.srcIdx[f.Src] = len(c.srcs)
-			c.srcs = append(c.srcs, hostRate{f.Src, f.Rate})
-		}
-		if i, ok := c.dstIdx[f.Dst]; ok {
-			c.dsts[i].rate += f.Rate
-		} else {
-			c.dstIdx[f.Dst] = len(c.dsts)
-			c.dsts = append(c.dsts, hostRate{f.Dst, f.Rate})
-		}
+		c.addMarginals(f, f.Rate)
 	}
 	if moved {
 		c.unitIn, c.unitEg = nil, nil
@@ -143,19 +138,49 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 		clear(c.ingress)
 		clear(c.egress)
 	}
+	c.sweep(c.ingress, c.egress)
+}
+
+func (c *WorkloadCache) resetMarginals() {
+	clear(c.srcIdx)
+	clear(c.dstIdx)
+	c.srcs, c.dsts = c.srcs[:0], c.dsts[:0]
+}
+
+// addMarginals adds rate to the marginals of f's source and dest hosts,
+// appending a host on its first appearance.
+func (c *WorkloadCache) addMarginals(f VMPair, rate float64) {
+	if i, ok := c.srcIdx[f.Src]; ok {
+		c.srcs[i].rate += rate
+	} else {
+		c.srcIdx[f.Src] = len(c.srcs)
+		c.srcs = append(c.srcs, hostRate{f.Src, rate})
+	}
+	if i, ok := c.dstIdx[f.Dst]; ok {
+		c.dsts[i].rate += rate
+	} else {
+		c.dstIdx[f.Dst] = len(c.dsts)
+		c.dsts = append(c.dsts, hostRate{f.Dst, rate})
+	}
+}
+
+// sweep adds each marginal's scaled row into in (sources) and eg (dests)
+// at the switch cells, in marginal order.
+func (c *WorkloadCache) sweep(in, eg []float64) {
 	for _, s := range c.srcs {
-		c.d.APSP.AddScaledRow(c.ingress, s.host, s.rate)
+		c.d.APSP.AddScaledCells(in, s.host, s.rate, c.switches)
 	}
 	for _, t := range c.dsts {
 		// Undirected PPDC: c(v, t) = c(t, v), so t's row serves the egress
 		// sweep too.
-		c.d.APSP.AddScaledRow(c.egress, t.host, t.rate)
+		c.d.APSP.AddScaledCells(eg, t.host, t.rate, c.switches)
 	}
 }
 
-// EndpointCosts returns the aggregated per-vertex ingress/egress vectors.
-// The slices are owned by the cache and are invalidated by SetWorkload;
-// callers must not mutate or retain them across rebuilds.
+// EndpointCosts returns the aggregated per-vertex ingress/egress vectors,
+// defined at switch cells; host cells are 0. The slices are owned by the
+// cache and are invalidated by SetWorkload; callers must not mutate or
+// retain them across rebuilds.
 func (c *WorkloadCache) EndpointCosts() (ingress, egress []float64) {
 	return c.ingress, c.egress
 }
@@ -163,20 +188,23 @@ func (c *WorkloadCache) EndpointCosts() (ingress, egress []float64) {
 // UnitEndpointCosts returns the endpoint vectors of the cached workload
 // with every flow's rate taken as 1 — zero-rate flows count — which is
 // what the rate-oblivious baselines (placement.Steering, Greedy) score
-// by: unitIn[v] = Σ_i c(s_i, v), unitEg[v] = Σ_i c(v, t_i). They are the
-// EndpointCosts of a cache built on that rate-1 workload, bit for bit,
-// because that is how they are computed. Built on first ask and kept
+// by: unitIn[v] = Σ_i c(s_i, v), unitEg[v] = Σ_i c(v, t_i), defined at
+// switch cells; host cells are 0. They are the EndpointCosts of a cache
+// built on that rate-1 workload, bit for bit: each host's flow count is
+// its rate-1 marginal, an exact integer, and the counts are swept in the
+// same first-appearance order. Built on first ask and kept
 // until SetWorkload sees a flow's endpoints differ from the kept list,
 // so rate churn alone never recomputes them. Owned by the cache like
 // EndpointCosts; do not mutate.
 func (c *WorkloadCache) UnitEndpointCosts() (ingress, egress []float64) {
 	if c.unitIn == nil {
-		unit := make(Workload, len(c.flows))
-		for i, f := range c.flows {
-			f.Rate = 1
-			unit[i] = f
+		c.resetMarginals()
+		for _, f := range c.flows {
+			c.addMarginals(f, 1)
 		}
-		c.unitIn, c.unitEg = c.d.NewWorkloadCache(unit).EndpointCosts()
+		n := c.d.Topo.Graph.Order()
+		c.unitIn, c.unitEg = make([]float64, n), make([]float64, n)
+		c.sweep(c.unitIn, c.unitEg)
 	}
 	return c.unitIn, c.unitEg
 }

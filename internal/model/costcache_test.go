@@ -50,11 +50,17 @@ func TestWorkloadCacheMatchesScalarOracles(t *testing.T) {
 	if got, want := c.TotalRate(), w.TotalRate(); !closeRel(got, want) {
 		t.Fatalf("TotalRate %v != %v", got, want)
 	}
+	// The vectors are defined at switch cells; host cells are 0.
 	in, eg := c.EndpointCosts()
 	inS, egS := d.EndpointCosts(w)
-	for v := range in {
+	for _, v := range d.Switches() {
 		if !closeRel(in[v], inS[v]) || !closeRel(eg[v], egS[v]) {
 			t.Fatalf("endpoint vectors diverge at %d: (%v,%v) vs (%v,%v)", v, in[v], eg[v], inS[v], egS[v])
+		}
+	}
+	for _, h := range d.Hosts() {
+		if in[h] != 0 || eg[h] != 0 {
+			t.Fatalf("host cell %d is (%v,%v), want 0", h, in[h], eg[h])
 		}
 	}
 	if got, want := c.CommCost(nil), d.CommCost(w, nil); !closeRel(got, want) {

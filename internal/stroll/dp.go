@@ -14,11 +14,21 @@ import (
 // The table is shared across sources: one DPTable answers stroll queries
 // from *every* source toward t, which is what makes the paper's Algorithm 3
 // (all ingress/egress pairs) affordable on k=16 fat trees.
+//
+// Only the top layer is filled lazily. A query at r edges reads layer r at
+// its source alone and the layers below along its walk, so layers 1..r−1
+// are full and layer r holds just the cells asked for; a ramp past r
+// first completes layer r. Every cell is computed by the same loop from
+// the same full layer below, so which cells a table holds never changes
+// their bits — only how many get computed.
 type DPTable struct {
 	cost [][]float64
 	t    int
 	c    [][]float64 // c[e][u], e >= 1
 	succ [][]int32   // succ[e][u]: next node after u on the optimal walk
+	// done[u] reports whether cell u of the top layer len(c)−1 is filled;
+	// nil when the top layer is full.
+	done []bool
 }
 
 // NewDPTable prepares the 1-edge base case toward target t.
@@ -43,37 +53,51 @@ func NewDPTable(cost [][]float64, t int) *DPTable {
 	}
 }
 
-// extend grows the table so walks of up to maxE edges are available.
-func (tb *DPTable) extend(maxE int) {
+// reach makes cell s of layer e available: layers below e are completed,
+// and layer e, if it is new or still the partial top, gets cell s.
+func (tb *DPTable) reach(e, s int) {
 	nv := len(tb.cost)
-	for e := len(tb.c); e <= maxE; e++ {
-		prevC, prevS := tb.c[e-1], tb.succ[e-1]
-		curC := make([]float64, nv)
-		curS := make([]int32, nv)
-		for u := 0; u < nv; u++ {
-			best := math.Inf(1)
-			bestV := int32(-1)
-			for v := 0; v < nv; v++ {
-				// v is the walk's next hop: not u itself, not the
-				// target (t only terminates walks), and not an
-				// immediate backtrack (the hop after v must not
-				// return to u).
-				if v == u || v == tb.t || int(prevS[v]) == u {
-					continue
-				}
-				if pc := prevC[v]; !math.IsInf(pc, 1) {
-					if cand := tb.cost[u][v] + pc; cand < best {
-						best = cand
-						bestV = int32(v)
-					}
-				}
+	for top := len(tb.c) - 1; top < e; top++ {
+		for u, ok := range tb.done { // nil while layer 1 is the top
+			if !ok {
+				tb.fill(top, u)
 			}
-			curC[u] = best
-			curS[u] = bestV
 		}
-		tb.c = append(tb.c, curC)
-		tb.succ = append(tb.succ, curS)
+		tb.c = append(tb.c, make([]float64, nv))
+		tb.succ = append(tb.succ, make([]int32, nv))
+		if tb.done == nil {
+			tb.done = make([]bool, nv)
+		} else {
+			clear(tb.done)
+		}
 	}
+	if tb.done != nil && e == len(tb.c)-1 && !tb.done[s] {
+		tb.fill(e, s)
+	}
+}
+
+// fill computes cell u of layer e from the full layer e−1.
+func (tb *DPTable) fill(e, u int) {
+	prevC, prevS := tb.c[e-1], tb.succ[e-1]
+	best := math.Inf(1)
+	bestV := int32(-1)
+	for v := range tb.cost {
+		// v is the walk's next hop: not u itself, not the target (t only
+		// terminates walks), and not an immediate backtrack (the hop
+		// after v must not return to u).
+		if v == u || v == tb.t || int(prevS[v]) == u {
+			continue
+		}
+		if pc := prevC[v]; !math.IsInf(pc, 1) {
+			if cand := tb.cost[u][v] + pc; cand < best {
+				best = cand
+				bestV = int32(v)
+			}
+		}
+	}
+	tb.c[e][u] = best
+	tb.succ[e][u] = bestV
+	tb.done[u] = true
 }
 
 // walk traces the optimal e-edge walk from s. It returns nil when no such
@@ -115,7 +139,7 @@ func (tb *DPTable) Stroll(s, n, maxEdges int) (Result, error) {
 	var bestWalk []int // walk with the most distinct intermediates so far
 	bestDistinct := -1
 	for ; r <= maxEdges; r++ {
-		tb.extend(r)
+		tb.reach(r, s)
 		w := tb.walk(s, r)
 		if w == nil {
 			continue

@@ -1,7 +1,9 @@
 package stroll
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -66,6 +68,82 @@ func FuzzDPAgainstExhaustive(f *testing.F) {
 		// would indicate a regression rather than the heuristic's nature.
 		if dp.Cost > 6*opt.Cost+1e-9 {
 			t.Fatalf("dp %v exceeds 6x optimum %v (nv=%d n=%d seed=%d)", dp.Cost, opt.Cost, nv, n, seed)
+		}
+	})
+}
+
+// extendFull is the eager DPTable build: every layer up to maxE, every
+// cell. A table it has grown answers Stroll from these full layers alone,
+// so it is the reference the lazy table's cells are held to.
+func extendFull(tb *DPTable, maxE int) {
+	nv := len(tb.cost)
+	for e := len(tb.c); e <= maxE; e++ {
+		prevC, prevS := tb.c[e-1], tb.succ[e-1]
+		curC := make([]float64, nv)
+		curS := make([]int32, nv)
+		for u := 0; u < nv; u++ {
+			best := math.Inf(1)
+			bestV := int32(-1)
+			for v := 0; v < nv; v++ {
+				if v == u || v == tb.t || int(prevS[v]) == u {
+					continue
+				}
+				if pc := prevC[v]; !math.IsInf(pc, 1) {
+					if cand := tb.cost[u][v] + pc; cand < best {
+						best = cand
+						bestV = int32(v)
+					}
+				}
+			}
+			curC[u] = best
+			curS[u] = bestV
+		}
+		tb.c = append(tb.c, curC)
+		tb.succ = append(tb.succ, curS)
+	}
+}
+
+// FuzzDPTableLazyTop queries one DPTable from several sources in random
+// order, with chain lengths and edge caps that ramp the top layer up and
+// down and stall into insertMissing, and requires every answer to carry
+// the bits of the same query against full-layer tables.
+// Run with `go test -fuzz=FuzzDPTableLazyTop ./internal/stroll`.
+func FuzzDPTableLazyTop(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(8))
+	f.Add(int64(42), uint8(9), uint8(20))
+	f.Add(int64(-7), uint8(12), uint8(5))
+	f.Add(int64(3), uint8(15), uint8(30))
+	f.Fuzz(func(t *testing.T, seed int64, nvRaw, queriesRaw uint8) {
+		nv := 4 + int(nvRaw)%16 // 4..19 vertices
+		rng := rand.New(rand.NewSource(seed))
+		in := randomMetricInstance(rng, nv, 0)
+		lazy := NewDPTable(in.Cost, in.T)
+		full := NewDPTable(in.Cost, in.T)
+		extendFull(full, nv+8) // the deepest ramp below: n ≤ nv−2, cap ≤ n+9
+		for q := 0; q < 1+int(queriesRaw)%24; q++ {
+			s := rng.Intn(nv - 1)
+			if s >= in.T {
+				s++
+			}
+			// Short chains ramp and succeed; long ones mostly stall into
+			// insertMissing. n reaches every vertex but s and t.
+			n := rng.Intn(nv - 1)
+			if rng.Intn(2) == 0 {
+				n = rng.Intn(min(4, nv-1))
+			}
+			maxEdges := 0 // the default ramp, n+9
+			if rng.Intn(3) == 0 {
+				maxEdges = n + 1 + rng.Intn(3) // a short ramp, often stalled
+			}
+			got, errGot := lazy.Stroll(s, n, maxEdges)
+			want, errWant := full.Stroll(s, n, maxEdges)
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("query %d (s=%d n=%d cap=%d): lazy err %v, full err %v", q, s, n, maxEdges, errGot, errWant)
+			}
+			if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || !slices.Equal(got.Walk, want.Walk) ||
+				!slices.Equal(got.Visited, want.Visited) || got.Repaired != want.Repaired {
+				t.Fatalf("query %d (s=%d n=%d cap=%d): lazy %+v, full %+v", q, s, n, maxEdges, got, want)
+			}
 		}
 	})
 }
