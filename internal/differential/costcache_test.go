@@ -2,6 +2,7 @@ package differential
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -53,7 +54,9 @@ func randomCachePlacement(d *model.PPDC, n int, rng *rand.Rand) model.Placement 
 // reassociation tolerance) across random topologies, workloads, random
 // placements, and repeated rate mutations through the SetWorkload
 // invalidation hook. Any divergence is a real kernel bug: the cache and
-// the oracle sum exactly the same λ·c terms.
+// the oracle sum exactly the same λ·c terms. A cache re-set with new
+// rates — re-summing its grouping or regrouping — must also hold a fresh
+// cache's bits.
 // Run with `go test -fuzz=FuzzCostCacheEquivalence ./internal/differential`.
 func FuzzCostCacheEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(12), uint8(3), uint8(4))
@@ -110,6 +113,24 @@ func FuzzCostCacheEquivalence(f *testing.F) {
 			if (err1 == nil) != (err2 == nil) || !p1.Equal(p2) || c1 != c2 {
 				t.Fatalf("round %d: DP on the cache's Problem %v/%v/%v, on fresh inputs %v/%v/%v", round, p1, c1, err1, p2, c2, err2)
 			}
+			// Re-set the cache with rate-mutated copies: one keeping w's
+			// zero-rate flows, which SetWorkload re-sums over the grouping
+			// it has, then one with some rates zeroed, which regroups. Both
+			// must leave a fresh cache's bits.
+			kept := w.WithRates(workload.Rates(len(w), rng))
+			zeroed := kept.WithRates(workload.Rates(len(w), rng))
+			for i := range kept {
+				if w[i].Rate == 0 {
+					kept[i].Rate = 0
+				}
+				if rng.Intn(4) == 0 {
+					zeroed[i].Rate = 0
+				}
+			}
+			for _, w2 := range []model.Workload{kept, zeroed} {
+				cache.SetWorkload(w2)
+				requireFreshCache(t, round, d, cache, w2, n, rng)
+			}
 			// Mutate rates (occasionally zeroing some flows out entirely)
 			// and push them through the invalidation hook.
 			w = w.WithRates(workload.Rates(len(w), rng))
@@ -119,6 +140,43 @@ func FuzzCostCacheEquivalence(f *testing.F) {
 			cache.SetWorkload(w)
 		}
 	})
+}
+
+// requireFreshCache fails unless cache holds, bit for bit, what a fresh
+// cache over w holds: the aggregated pairs in order, Λ, the switch cells
+// of the endpoint and unit-rate vectors, and C_a of random placements.
+func requireFreshCache(t *testing.T, round int, d *model.PPDC, cache *model.WorkloadCache, w model.Workload, n int, rng *rand.Rand) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	fresh := d.NewWorkloadCache(w)
+	got, want := cache.Aggregated(), fresh.Aggregated()
+	if len(got) != len(want) {
+		t.Fatalf("round %d: re-set cache has %d pairs, fresh %d", round, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Src != want[i].Src || got[i].Dst != want[i].Dst || !same(got[i].Rate, want[i].Rate) {
+			t.Fatalf("round %d: re-set cache pair %d is %+v, fresh %+v", round, i, got[i], want[i])
+		}
+	}
+	in, eg := cache.EndpointCosts()
+	inF, egF := fresh.EndpointCosts()
+	uIn, uEg := cache.UnitEndpointCosts()
+	uInF, uEgF := fresh.UnitEndpointCosts()
+	for _, v := range d.Switches() {
+		if !same(in[v], inF[v]) || !same(eg[v], egF[v]) || !same(uIn[v], uInF[v]) || !same(uEg[v], uEgF[v]) {
+			t.Fatalf("round %d: re-set cache differs from a fresh one at switch %d", round, v)
+		}
+	}
+	if !same(cache.TotalRate(), fresh.TotalRate()) || !same(cache.CommCost(nil), fresh.CommCost(nil)) {
+		t.Fatalf("round %d: re-set cache Λ/direct C_a %v/%v, fresh %v/%v", round,
+			cache.TotalRate(), cache.CommCost(nil), fresh.TotalRate(), fresh.CommCost(nil))
+	}
+	for trial := 0; trial < 5; trial++ {
+		p := randomCachePlacement(d, n, rng)
+		if !same(cache.CommCost(p), fresh.CommCost(p)) {
+			t.Fatalf("round %d: re-set cache C_a(%v) %v, fresh %v", round, p, cache.CommCost(p), fresh.CommCost(p))
+		}
+	}
 }
 
 // TestCostCacheEquivalenceCorpus runs the fuzz body over a deterministic

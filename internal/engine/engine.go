@@ -208,10 +208,15 @@ type Engine struct {
 	mig migration.Migrator // effective migrator (budget-wrapped)
 	obs *Observer          // nil = uninstrumented
 
-	flows   model.Workload // live per-flow rates, indexed as Base
-	cache   *model.WorkloadCache
-	p       model.Placement
-	pending map[int]float64 // coalesced flow → rate for the next epoch
+	flows model.Workload // live per-flow rates, indexed as Base
+	cache *model.WorkloadCache
+	p     model.Placement
+	// The pending set: the coalesced rates of the next epoch, indexed as
+	// Base. pending[i] is live only while isPending[i]; touched lists
+	// those flows.
+	pending   []float64
+	isPending []bool
+	touched   []int32
 
 	// Topology-fault state (see faults.go). d is the active serving
 	// model: cfg.PPDC while healthy, the fault view's service-region
@@ -291,7 +296,8 @@ func build(cfg Config) (*Engine, error) {
 		mig:          cfg.Migrator,
 		obs:          cfg.Observer,
 		flows:        append(model.Workload(nil), cfg.Base...),
-		pending:      make(map[int]float64),
+		pending:      make([]float64, len(cfg.Base)),
+		isPending:    make([]bool, len(cfg.Base)),
 		d:            cfg.PPDC,
 		lastMigEpoch: -1,
 	}
@@ -377,8 +383,11 @@ func (e *Engine) Ingest(updates []RateUpdate) (IngestResult, error) {
 	defer e.mu.Unlock()
 	coalesced := 0
 	for _, u := range updates {
-		if _, dup := e.pending[u.Flow]; dup {
+		if e.isPending[u.Flow] {
 			coalesced++
+		} else {
+			e.isPending[u.Flow] = true
+			e.touched = append(e.touched, int32(u.Flow))
 		}
 		e.pending[u.Flow] = u.Rate
 	}
@@ -492,7 +501,7 @@ func (e *Engine) Step() (StepResult, error) {
 func (e *Engine) Settled() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.pending) == 0 && !e.open
+	return len(e.touched) == 0 && !e.open
 }
 
 // finiteCost rejects a cost no decision can be made on — and no JSON
@@ -510,17 +519,22 @@ func finiteCost(what string, c float64) error {
 // its rate for the eventual heal; the serving cache holds no pair for it.
 // Called with e.mu held.
 func (e *Engine) applyPending() (changed bool) {
-	for i, r := range e.pending {
-		if r == e.flows[i].Rate {
-			continue
-		}
-		e.flows[i].Rate = r
-		if e.servable == nil || e.servable[i] {
-			changed = true
+	for _, i := range e.touched {
+		if r := e.pending[i]; r != e.flows[i].Rate {
+			e.flows[i].Rate = r
+			changed = changed || e.servable == nil || e.servable[i]
 		}
 	}
-	clear(e.pending)
+	e.dropPending()
 	return changed
+}
+
+// dropPending empties the pending set. Called with e.mu held.
+func (e *Engine) dropPending() {
+	for _, i := range e.touched {
+		e.isPending[i] = false
+	}
+	e.touched = e.touched[:0]
 }
 
 // servedWorkload returns the live workload restricted to servable flows:

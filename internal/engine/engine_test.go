@@ -660,3 +660,44 @@ func TestResumeBitIdenticalAtAnySavePoint(t *testing.T) {
 		}
 	}
 }
+
+// TestRetainedTablesMatchFresh replays two days of diurnalEngine, whose
+// every epoch consults Algorithm 5 (mPareto over Algorithm 3) on the one
+// cost cache the engine keeps — and with it the Algorithm-2 tables that
+// cache retains across epochs. After every Step the committed placement
+// and C_t must be, bit for bit, what mPareto returns on a fresh Problem
+// (fresh cache, fresh tables) from the previous placement. C_t also keeps
+// Eq. 8's stay-put bound: frontier 1 is the previous placement at C_b = 0,
+// so C_t ≤ C_a(p_prev) — to 1e-12 relative, as the frontier sums Λ flow
+// by flow and the cache pair by pair.
+func TestRetainedTablesMatchFresh(t *testing.T) {
+	e, hours := diurnalEngine(t)
+	ctx := context.Background()
+	for h := 0; h < 2*len(hours); h++ {
+		prev := e.p.Clone()
+		if _, err := e.Ingest(hours[h%len(hours)]); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Consulted {
+			t.Fatalf("hour %d did not consult", h)
+		}
+		pr, err := e.d.NewProblem(e.servedWorkload(), e.cfg.SFC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, ct, err := migration.MPareto{}.MigrateProblem(ctx, pr, prev, e.cfg.Mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Placement, m) || math.Float64bits(res.TotalCost) != math.Float64bits(ct) {
+			t.Fatalf("hour %d: engine committed %v at C_t %v, a fresh consult %v at %v", h, res.Placement, res.TotalCost, m, ct)
+		}
+		if stay := pr.Cache.CommCost(prev); res.TotalCost > stay*(1+1e-12) {
+			t.Fatalf("hour %d: C_t %v above the stay-put C_a %v", h, res.TotalCost, stay)
+		}
+	}
+}

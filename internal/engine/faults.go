@@ -86,10 +86,10 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	// rebuilt cache see (the cache is reconstructed below either way) — a
 	// copy until the commit, so a refused transition keeps them pending.
 	flows := e.flows
-	if len(e.pending) > 0 {
+	if len(e.touched) > 0 {
 		flows = append(model.Workload(nil), e.flows...)
-		for i, r := range e.pending {
-			flows[i].Rate = r
+		for _, i := range e.touched {
+			flows[i].Rate = e.pending[i]
 		}
 	}
 
@@ -138,7 +138,7 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	// Commit: swap flow table, serving model, cache, masks, and placement
 	// together under the engine lock.
 	e.flows = flows
-	clear(e.pending)
+	e.dropPending()
 	// The serving model is the one the cache aggregates over. Once the
 	// last fault heals that is cfg.PPDC itself: ApplyDelta hands the
 	// pristine model back for an empty fault set and PlanService keeps a

@@ -15,6 +15,7 @@ import (
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/obs"
+	"vnfopt/internal/placement"
 	"vnfopt/internal/topology"
 )
 
@@ -475,11 +476,14 @@ func TestApplyFaultsDegrade(t *testing.T) {
 // distinct live switches of the serving model, and the cost cache — its
 // switch cells, Λ, C_a of the placement, and the rate-1 vectors the
 // Steering seed reads — holds the bits fresh caches over the served
-// workload hold.
+// workload hold. No DP table outlives its fabric either: the repair run
+// again on a fresh cache, from the placement before the event, commits
+// the placement the engine did.
 func TestFaultStormInvariants(t *testing.T) {
 	e, events := faultStormEngine(t)
 	ctx := context.Background()
 	for i, ev := range events {
+		prev := e.p.Clone()
 		if _, err := e.ApplyFaults(ctx, ev.inject, ev.heal); err != nil {
 			t.Fatalf("event %d: %v", i, err)
 		}
@@ -517,6 +521,28 @@ func TestFaultStormInvariants(t *testing.T) {
 		if e.cache.TotalRate() != fresh.TotalRate() || e.cache.CommCost(e.p) != fresh.CommCost(e.p) {
 			t.Fatalf("event %d: Λ %v / C_a %v, fresh cache %v / %v", i,
 				e.cache.TotalRate(), e.cache.CommCost(e.p), fresh.TotalRate(), fresh.CommCost(e.p))
+		}
+
+		if err := served.Validate(e.d); err != nil {
+			t.Fatalf("event %d: served workload: %v", i, err)
+		}
+		res, err := migration.Repair(ctx, fresh.Problem(e.cfg.SFC), e.cfg.PPDC, prev, e.cfg.Mu, e.mig)
+		if err != nil {
+			t.Fatalf("event %d: repair on a fresh cache: %v", i, err)
+		}
+		want := prev
+		if res.Moves > 0 {
+			want = res.Placement
+		}
+		if !want.Equal(e.p) {
+			t.Fatalf("event %d: engine placement %v, repair on a fresh cache %v", i, e.p, want)
+		}
+		// Algorithm 3 on the engine's cache — its tables filled by this
+		// event's repair — answers as on the fresh one.
+		pE, cE, errE := placement.Solve(ctx, placement.DP{}, e.cache.Problem(e.cfg.SFC))
+		pF, cF, errF := placement.Solve(ctx, placement.DP{}, fresh.Problem(e.cfg.SFC))
+		if errE != nil || errF != nil || !pE.Equal(pF) || cE != cF {
+			t.Fatalf("event %d: DP on the engine's cache %v at %v (%v), on a fresh cache %v at %v (%v)", i, pE, cE, errE, pF, cF, errF)
 		}
 	}
 	if e.faults.Len() != 0 {

@@ -32,12 +32,19 @@ import "vnfopt/internal/graph"
 // dynamic-rates path mutates λ every simulated hour, the online engine
 // (internal/engine) folds streamed updates every epoch — call SetWorkload
 // with the updated workload: it is the one way the cache changes, an
-// O(l + H·|V_s|) rebuild that allocates nothing in steady state.
+// O(l + H·|V_s|) rebuild that allocates nothing in steady state. It
+// regroups the flows only when an endpoint or the set of zero-rate flows
+// changed; rate churn alone re-sums the pairs it already has.
+//
+// What depends on the fabric alone — SwitchCosts and the solver slot
+// FabricMemo — is built on first ask and lives as long as the cache: no
+// SetWorkload touches it, and a fabric change means a new cache.
 //
 // A cache has one owner goroutine: SetWorkload rewrites the vectors in
-// place, and UnitEndpointCosts and SwitchCosts build what they return on
-// first ask, so none of them may run beside any other call. The engine holds its lock around every
-// use; offline callers build their own cache per call.
+// place, and UnitEndpointCosts, SwitchCosts and FabricMemo build what they
+// return on first ask, so none of them may run beside any other call. The
+// engine holds its lock around every use; offline callers build their own
+// cache per call.
 type WorkloadCache struct {
 	d *PPDC
 	// flows is the workload the cache was last set from, flow by flow
@@ -47,6 +54,8 @@ type WorkloadCache struct {
 	// pairs is the (src,dst)-aggregated workload; its Rate fields hold the
 	// summed λ of all flows sharing that host pair.
 	pairs Workload
+	// pairOf[i] is flow i's index in pairs, −1 for a zero-rate flow.
+	pairOf []int32
 	// ingress[v] = Σ_i λ_i c(s_i, v); egress[v] = Σ_i λ_i c(v, t_i),
 	// aggregated per distinct source/dest host, at switch cells v only.
 	ingress, egress []float64
@@ -62,6 +71,9 @@ type WorkloadCache struct {
 	// switchCosts is the dense closure over the switches (see
 	// SwitchCosts); nil until asked for.
 	switchCosts [][]float64
+	// memo is the solver's per-fabric value (see FabricMemo); nil until
+	// asked for.
+	memo any
 
 	// Rebuild scratch, cleared and refilled by every SetWorkload: the
 	// (src,dst) → pairs index and the per-host λ marginals with their
@@ -92,32 +104,40 @@ func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
 	return c
 }
 
-// SetWorkload is the invalidation hook: it discards every aggregate and
-// rebuilds from w. Call it whenever rates change (e.g. each hour of a
-// dynamic-rates simulation); the endpoints may change too — the cache
+// SetWorkload is the invalidation hook: it discards every rate aggregate
+// and rebuilds them from w. Call it whenever rates change (e.g. each hour
+// of a dynamic-rates simulation); the endpoints may change too — the cache
 // makes no assumption that w matches the previous workload's host pairs.
 func (c *WorkloadCache) SetWorkload(w Workload) {
 	n := c.d.Topo.Graph.Order()
-	// Keep the flow list, and group flows by (src, dst) host pair in
-	// first-appearance order. The unit-rate vectors depend on the
-	// endpoints only: they survive a walk that finds none moved.
+	// Keep the flow list. The unit-rate vectors depend on the endpoints
+	// only: they survive a walk that finds none moved. The grouping also
+	// depends on which flows are zero — pair order is first appearance
+	// among non-zero flows — so it survives only if that pattern holds too.
 	kept := c.flows
 	moved := len(w) != len(kept)
+	regroup := moved
 	c.flows = c.flows[:0]
-	clear(c.pairIdx)
-	c.pairs = c.pairs[:0]
 	for i, f := range w {
-		moved = moved || f.Src != kept[i].Src || f.Dst != kept[i].Dst
-		c.flows = append(c.flows, f) // overwrites kept[i], already compared
-		if f.Rate == 0 {
-			continue
+		if !moved {
+			moved = f.Src != kept[i].Src || f.Dst != kept[i].Dst
+			regroup = regroup || moved || (f.Rate == 0) != (kept[i].Rate == 0)
 		}
-		key := [2]int{f.Src, f.Dst}
-		if i, ok := c.pairIdx[key]; ok {
-			c.pairs[i].Rate += f.Rate
-		} else {
-			c.pairIdx[key] = len(c.pairs)
-			c.pairs = append(c.pairs, f)
+		c.flows = append(c.flows, f) // overwrites kept[i], already compared
+	}
+	if regroup {
+		c.group()
+	} else {
+		// Same pairs in the same order: re-sum them flow by flow. A pair's
+		// first flow is non-zero, and 0 + r is r, so every sum has the
+		// bits the regroup would give it.
+		for i := range c.pairs {
+			c.pairs[i].Rate = 0
+		}
+		for i, j := range c.pairOf {
+			if j >= 0 {
+				c.pairs[j].Rate += c.flows[i].Rate
+			}
 		}
 	}
 	// Per-host λ marginals, first-appearance order.
@@ -139,6 +159,29 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 		clear(c.egress)
 	}
 	c.sweep(c.ingress, c.egress)
+}
+
+// group groups the non-zero flows by (src, dst) host pair in
+// first-appearance order, recording each flow's pair in pairOf.
+func (c *WorkloadCache) group() {
+	clear(c.pairIdx)
+	c.pairs, c.pairOf = c.pairs[:0], c.pairOf[:0]
+	for _, f := range c.flows {
+		if f.Rate == 0 {
+			c.pairOf = append(c.pairOf, -1)
+			continue
+		}
+		key := [2]int{f.Src, f.Dst}
+		j, ok := c.pairIdx[key]
+		if ok {
+			c.pairs[j].Rate += f.Rate
+		} else {
+			j = len(c.pairs)
+			c.pairIdx[key] = j
+			c.pairs = append(c.pairs, f)
+		}
+		c.pairOf = append(c.pairOf, int32(j))
+	}
 }
 
 func (c *WorkloadCache) resetMarginals() {
@@ -219,6 +262,18 @@ func (c *WorkloadCache) SwitchCosts() [][]float64 {
 		c.switchCosts = c.d.APSP.CostMatrix(c.d.Topo.Switches)
 	}
 	return c.switchCosts
+}
+
+// FabricMemo returns the solver-owned value kept for the cache's life
+// beside SwitchCosts, calling build for it on first ask. Like SwitchCosts
+// it may depend on the fabric only, never on rates: placement.DP keeps its
+// Algorithm-2 tables here, one per egress switch, so every epoch on one
+// fabric shares them. The cache never looks inside it.
+func (c *WorkloadCache) FabricMemo(build func() any) any {
+	if c.memo == nil {
+		c.memo = build()
+	}
+	return c.memo
 }
 
 // TotalRate returns Λ = Σ λ_i.

@@ -131,6 +131,116 @@ func TestWorkloadCacheSetWorkload(t *testing.T) {
 	}
 }
 
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// requireFreshBits fails unless c holds, bit for bit, what a fresh cache
+// over w holds: the aggregated pairs in order, Λ, the switch cells of the
+// endpoint and unit-rate vectors, and C_a of the empty and random
+// placements.
+func requireFreshBits(t *testing.T, when string, d *PPDC, c *WorkloadCache, w Workload, rng *rand.Rand) {
+	t.Helper()
+	fresh := d.NewWorkloadCache(w)
+	got, want := c.Aggregated(), fresh.Aggregated()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, fresh cache %d", when, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Src != want[i].Src || got[i].Dst != want[i].Dst || !sameBits(got[i].Rate, want[i].Rate) {
+			t.Fatalf("%s: pair %d is %+v, fresh cache %+v", when, i, got[i], want[i])
+		}
+	}
+	if !sameBits(c.TotalRate(), fresh.TotalRate()) {
+		t.Fatalf("%s: Λ %v, fresh cache %v", when, c.TotalRate(), fresh.TotalRate())
+	}
+	in, eg := c.EndpointCosts()
+	inF, egF := fresh.EndpointCosts()
+	unitIn, unitEg := c.UnitEndpointCosts()
+	unitInF, unitEgF := fresh.UnitEndpointCosts()
+	for _, v := range d.Switches() {
+		if !sameBits(in[v], inF[v]) || !sameBits(eg[v], egF[v]) {
+			t.Fatalf("%s: switch %d cell (%v,%v), fresh cache (%v,%v)", when, v, in[v], eg[v], inF[v], egF[v])
+		}
+		if !sameBits(unitIn[v], unitInF[v]) || !sameBits(unitEg[v], unitEgF[v]) {
+			t.Fatalf("%s: switch %d unit cell (%v,%v), fresh cache (%v,%v)", when, v, unitIn[v], unitEg[v], unitInF[v], unitEgF[v])
+		}
+	}
+	if !sameBits(c.CommCost(nil), fresh.CommCost(nil)) {
+		t.Fatalf("%s: direct C_a %v, fresh cache %v", when, c.CommCost(nil), fresh.CommCost(nil))
+	}
+	for trial := 0; trial < 20; trial++ {
+		p := randomPlacement(d, 1+rng.Intn(5), rng)
+		if !sameBits(c.CommCost(p), fresh.CommCost(p)) {
+			t.Fatalf("%s: C_a(%v) %v, fresh cache %v", when, p, c.CommCost(p), fresh.CommCost(p))
+		}
+	}
+}
+
+// TestSetWorkloadReuseMatchesFresh: a SetWorkload that re-sums the
+// grouping it already has — rates changed, endpoints and zero-rate
+// pattern did not — and one that regroups both leave the cache with a
+// fresh cache's bits, through rate churn, a flow going to 0 and back, a
+// zero that reorders the pairs, and an endpoint move.
+func TestSetWorkloadReuseMatchesFresh(t *testing.T) {
+	d, w, rng := cacheFixture(t)
+	h := d.Hosts()
+	// Pair A owns flows 0 and 10, pair B flow 5: A comes first while flow
+	// 0 is non-zero, B first while it is zero.
+	w[0] = VMPair{Src: h[0], Dst: h[1], Rate: 2}
+	w[10] = VMPair{Src: h[0], Dst: h[1], Rate: 3}
+	w[5] = VMPair{Src: h[2], Dst: h[3], Rate: 5}
+	w[20], w[30] = w[7], w[7] // one pair shared by three flows
+	a, b := [2]int{h[0], h[1]}, [2]int{h[2], h[3]}
+	for i, f := range w {
+		if k := [2]int{f.Src, f.Dst}; i != 0 && i != 10 && k == a || i != 5 && k == b {
+			t.Fatalf("flow %d shares pair A or B", i)
+		}
+	}
+	c := d.NewWorkloadCache(w)
+	requireFreshBits(t, "new", d, c, w, rng)
+	aFirst := func() bool {
+		for _, f := range c.Aggregated() {
+			if k := [2]int{f.Src, f.Dst}; k == a || k == b {
+				return k == a
+			}
+		}
+		panic("neither pair A nor B aggregated")
+	}
+
+	churn := func(w Workload) Workload {
+		w2 := append(Workload(nil), w...)
+		for i := range w2 {
+			if w2[i].Rate != 0 {
+				w2[i].Rate = rng.Float64() * 1000
+			}
+		}
+		return w2
+	}
+	steps := []struct {
+		name   string
+		mutate func(Workload) Workload
+	}{
+		{"rate churn", churn},
+		{"rate churn again", churn},
+		{"flow 7 to 0", func(w Workload) Workload { w = churn(w); w[7].Rate = 0; return w }},
+		{"churn with flow 7 at 0", churn},
+		{"flow 7 back", func(w Workload) Workload { w = churn(w); w[7].Rate = 4; return w }},
+		{"flow 0 to 0: B before A", func(w Workload) Workload { w = churn(w); w[0].Rate = 0; return w }},
+		{"churn with B before A", churn},
+		{"flow 0 back: A before B", func(w Workload) Workload { w = churn(w); w[0].Rate = 1e-3; return w }},
+		{"endpoint move", func(w Workload) Workload { w = churn(w); w[12].Dst = h[len(h)-1]; return w }},
+		{"churn after the move", churn},
+	}
+	for _, s := range steps {
+		w = s.mutate(w)
+		c.SetWorkload(w)
+		requireFreshBits(t, s.name, d, c, w, rng)
+		if aFirst() != (w[0].Rate != 0) {
+			t.Fatalf("%s: pair A before B is %v with flow 0 at rate %v", s.name, aFirst(), w[0].Rate)
+		}
+	}
+}
+
 // TestWorkloadCacheRebuildAllocatesNothing: once the cache has seen a
 // workload, rebuilding over the same endpoints reuses every aggregate.
 func TestWorkloadCacheRebuildAllocatesNothing(t *testing.T) {

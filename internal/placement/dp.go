@@ -17,7 +17,13 @@ import (
 //	C_a = ingress[p(1)] + Λ·stroll(p(1), p(n), n−2) + egress[p(n)].
 //
 // One DP table per egress switch serves all ingress switches, so the whole
-// sweep costs O(n·|V_s|³) rather than the naive O(n·|V_s|⁴).
+// sweep costs O(n·|V_s|³) rather than the naive O(n·|V_s|⁴). A table reads
+// only the switch closure and its egress, so it is a function of the fabric
+// alone: the tables live in the cost cache's FabricMemo, and one table per
+// egress serves every consult on the fabric — each epoch of the engine
+// fills only the cells no earlier epoch reached. Every cell is computed by
+// the same loop from the same full layer below, whichever consult asks
+// first, so placements and costs keep their bits.
 //
 // DP follows the paper's distinct-switch model: even when the PPDC allows
 // colocation it only produces all-distinct placements (and so needs
@@ -58,8 +64,9 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 		return p, c, nil
 	}
 
-	si := newSwitchIndex(d)
+	sw := d.Topo.Switches // closure index → graph vertex
 	cost := pr.Cache.SwitchCosts()
+	tabs := pr.Cache.FabricMemo(func() any { return make([]*stroll.DPTable, len(cost)) }).([]*stroll.DPTable)
 	lambda := w.TotalRate()
 
 	// Seed the incumbent with Steering so the bound-based pruning below
@@ -82,7 +89,7 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 		}
 	}
 	minIn := math.Inf(1)
-	for _, v := range si.vertices {
+	for _, v := range sw {
 		if in[v] < minIn {
 			minIn = in[v]
 		}
@@ -91,47 +98,46 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 
 	// Visit egress switches cheapest-first; once the bound exceeds the
 	// incumbent every later egress is prunable too.
-	egOrder := make([]int, len(si.vertices))
+	egOrder := make([]int, len(sw))
 	for i := range egOrder {
 		egOrder[i] = i
 	}
 	sort.Slice(egOrder, func(x, y int) bool {
-		return eg[si.vertices[egOrder[x]]] < eg[si.vertices[egOrder[y]]]
+		return eg[sw[egOrder[x]]] < eg[sw[egOrder[y]]]
 	})
-	inOrder := make([]int, len(si.vertices))
+	inOrder := make([]int, len(sw))
 	copy(inOrder, egOrder)
 	sort.Slice(inOrder, func(x, y int) bool {
-		return in[si.vertices[inOrder[x]]] < in[si.vertices[inOrder[y]]]
+		return in[sw[inOrder[x]]] < in[sw[inOrder[y]]]
 	})
 
 	for _, tj := range egOrder {
-		egT := eg[si.vertices[tj]]
+		egT := eg[sw[tj]]
 		if egT+minIn+chainLB >= bestCost {
 			break // sorted: no later egress can win either
 		}
-		var tb *stroll.DPTable
 		for _, sj := range inOrder {
 			if sj == tj {
 				continue
 			}
-			if in[si.vertices[sj]]+egT+chainLB >= bestCost {
+			if in[sw[sj]]+egT+chainLB >= bestCost {
 				break // sorted: no later ingress can win for this egress
 			}
-			if tb == nil {
-				tb = stroll.NewDPTable(cost, tj)
+			if tabs[tj] == nil {
+				tabs[tj] = stroll.NewDPTable(cost, tj)
 			}
-			res, err := tb.Stroll(sj, n-2, a.MaxEdges)
+			res, err := tabs[tj].Stroll(sj, n-2, a.MaxEdges)
 			if err != nil {
 				return nil, 0, err
 			}
-			cand := in[si.vertices[sj]] + egT + lambda*res.Cost
+			cand := in[sw[sj]] + egT + lambda*res.Cost
 			if cand < bestCost {
 				p := make(model.Placement, 0, n)
-				p = append(p, si.vertices[sj])
+				p = append(p, sw[sj])
 				for _, v := range res.Visited {
-					p = append(p, si.vertices[v])
+					p = append(p, sw[v])
 				}
-				p = append(p, si.vertices[tj])
+				p = append(p, sw[tj])
 				bestCost = cand
 				best = p
 			}

@@ -62,22 +62,6 @@ func checkInputs(d *model.PPDC, w model.Workload, sfc model.SFC) error {
 	return nil
 }
 
-// switchIndex maps graph vertex IDs of switches to their dense closure
-// index and back.
-type switchIndex struct {
-	vertices []int       // closure index -> graph vertex
-	index    map[int]int // graph vertex -> closure index
-}
-
-func newSwitchIndex(d *model.PPDC) switchIndex {
-	sw := d.Topo.Switches
-	idx := make(map[int]int, len(sw))
-	for i, v := range sw {
-		idx[v] = i
-	}
-	return switchIndex{vertices: sw, index: idx}
-}
-
 // bestSingle solves n = 1: place the only VNF at the switch minimizing
 // ingress + egress cost. This is one of the paper's "simple solutions for
 // cases of n = 1, 2". The returned cost is re-evaluated through the
