@@ -37,17 +37,21 @@ race:
 # In order: the engine hot loop with a nil and a live observer; the
 # branch-and-bound solvers and their shared kernel (BENCH_solver.json);
 # the incremental fault-event and weight-delta APSP paths on the -short
-# topologies (BENCH_apsp.json); layered SFC routing (BENCH_sfcroute.json).
+# topologies (BENCH_apsp.json); layered SFC routing (BENCH_sfcroute.json);
+# the daemon's rate-update decode against encoding/json (the table in
+# docs/API.md).
 # The bitwise and differential asserts these benchmarks lean on
 # (Test*IncrementalMatchesRebuild, TestDifferentialMetricClosure,
-# TestAdmitAllMatchesPerFlowAdmit) run under `race`. The daemon is not
-# load-tested here: that is bench/ (bench-e2e-smoke below).
+# TestAdmitAllMatchesPerFlowAdmit, TestDecodeBenchInputsAgree) run under
+# `race`. The daemon is not load-tested here: that is bench/
+# (bench-e2e-smoke below).
 bench-smoke:
 	$(GO) test -run NONE -bench BenchmarkEngine -benchtime 1x ./internal/engine/
 	$(GO) test -run NONE -bench BenchmarkSolver -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench BenchmarkKernelSequential -benchtime 1x -benchmem ./internal/bnb/
 	$(GO) test -run NONE -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchtime 1x -benchmem -short ./internal/fault/
 	$(GO) test -run NONE -bench 'BenchmarkLayered|BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
+	$(GO) test -run NONE -bench BenchmarkDecodeRates -benchtime 1x ./cmd/vnfoptd/
 
 # The reaction-time benchmark (bench/, the one BENCHMARK.json runs) is the
 # daemon's load test: the real binary with the WAL on, four workloads, a

@@ -188,8 +188,10 @@ func streamNDJSON(body io.Reader, submit func([]engine.RateUpdate) error) error 
 	line := 0
 	for sc.Scan() {
 		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
+		// Only JSON white space blanks a line (bytes.TrimSpace also takes
+		// \v, \f, U+0085, U+00A0); the scanner reads the rest as it came.
+		raw := sc.Bytes()
+		if len(bytes.TrimLeft(raw, " \t\r\n")) == 0 {
 			continue
 		}
 		var err error

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 
 	"vnfopt/internal/engine"
 )
@@ -21,9 +22,15 @@ import (
 //	update = "{" field "," field "}"
 //	field  = `"flow"` ":" int | `"rate"` ":" number
 //	line   = update | array                       ; one NDJSON line
-//	int    = [ "-" ] ( "0" | digit1-9 *digit )    ; strconv.ParseInt(…, 10, 64)
+//	int    = [ "-" ] ( "0" | digit1-9 *digit )    ; as strconv.ParseInt(…, 10, 64)
 //	number = int [ "." 1*digit ] [ ( "e" | "E" ) [ "+" | "-" ] 1*digit ]
-//	                                              ; RFC 8259, then strconv.ParseFloat(…, 64)
+//	                                              ; RFC 8259, as strconv.ParseFloat(…, 64)
+//
+// A number is converted in the pass that validates it. rate rounds the
+// digits strconv's reader would collect with ParseFloat's own fast paths
+// (atof.go), so its bits are ParseFloat's by construction. update tries
+// the spelling json.Marshal emits first and re-reads anything else in the
+// general loop, so what it accepts or refuses is the general loop's call.
 //
 // Members and fields come in either order, each at most once; both
 // members are optional ({} is a legal empty batch), both fields are
@@ -121,18 +128,24 @@ func (s *rateScanner) errHere(want string) error {
 	if s.i >= len(s.b) {
 		return scanErrorf(s.i, "unexpected end of input, want %s", want)
 	}
-	return scanErrorf(s.i, "unexpected %q, want %s", s.b[s.i], want)
+	return scanErrorf(s.i, "unexpected %s, want %s", quoteByte(s.b[s.i]), want)
+}
+
+// quoteByte quotes c as a Go character, except that a byte past ASCII
+// prints as '\xc2', not as the Latin-1 letter %q would make of it.
+func quoteByte(c byte) string {
+	if c >= utf8.RuneSelf {
+		return fmt.Sprintf(`'\x%02x'`, c)
+	}
+	return strconv.QuoteRune(rune(c))
 }
 
 func (s *rateScanner) space() {
-	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case ' ', '\t', '\r', '\n':
-			s.i++
-		default:
-			return
-		}
+	b, i := s.b, s.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
 	}
+	s.i = i
 }
 
 // open consumes white space and the opening c of an object or array.
@@ -177,7 +190,7 @@ func (s *rateScanner) next(c byte) (more bool, err error) {
 func (s *rateScanner) end() error {
 	s.space()
 	if s.i < len(s.b) {
-		return scanErrorf(s.i, "unexpected %q after the value", s.b[s.i])
+		return scanErrorf(s.i, "unexpected %s after the value", quoteByte(s.b[s.i]))
 	}
 	return nil
 }
@@ -247,6 +260,10 @@ func (s *rateScanner) update() (u engine.RateUpdate, err error) {
 		return u, err
 	}
 	start := s.i - 1
+	if u, ok := s.marshalled(start); ok {
+		return u, nil
+	}
+	s.i = start + 1
 	var seenFlow, seenRate bool
 	for more := !s.close('}'); more; {
 		key, at, err := s.key()
@@ -285,72 +302,156 @@ func (s *rateScanner) update() (u engine.RateUpdate, err error) {
 	return u, nil
 }
 
-// digits consumes a run of decimal digits and reports its length.
-func (s *rateScanner) digits() int {
-	start := s.i
-	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
-		s.i++
+// marshalled reads the update at start as json.Marshal spells it,
+// `{"flow":N,"rate":X}`. On any other byte, or any error, it reports
+// false and update's general loop re-reads the update from its '{', so
+// every refusal, and its offset, comes from that one place.
+func (s *rateScanner) marshalled(start int) (u engine.RateUpdate, ok bool) {
+	b := s.b
+	if len(b)-start < 8 || string(b[start:start+8]) != `{"flow":` {
+		return u, false
 	}
-	return s.i - start
+	s.i = start + 8
+	flow, err := s.flow()
+	if err != nil || len(b)-s.i < 8 || string(b[s.i:s.i+8]) != `,"rate":` {
+		return u, false
+	}
+	s.i += 8
+	rate, err := s.rate()
+	if err != nil || s.i >= len(b) || b[s.i] != '}' {
+		return u, false
+	}
+	s.i++
+	return engine.RateUpdate{Flow: flow, Rate: rate}, true
 }
 
-// integer consumes the int token of the grammar: an optional minus, then
-// 0 or a digit run that does not start with 0.
-func (s *rateScanner) integer() error {
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
+// decimal is a number token as strconv's readFloat reads it: the first 19
+// significant digits (nd of them), whether a non-zero one past them was
+// dropped, and dp, the decimal point's place in digits from the first.
+type decimal struct {
+	neg       bool
+	mant      uint64
+	nd, dp    int
+	truncated bool
+}
+
+// digits reads a run of decimal digits into d; the loop works on locals,
+// since d sits behind a pointer.
+func (d *decimal) digits(b []byte, i int) int {
+	mant, nd := d.mant, d.nd
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		if nd < 19 {
+			mant = mant*10 + uint64(b[i]-'0')
+			nd++
+		} else if b[i] != '0' {
+			d.truncated = true
+		}
 	}
-	first := s.i
-	switch n := s.digits(); {
-	case n == 0:
+	d.mant, d.nd = mant, nd
+	return i
+}
+
+// integer reads the int token of the grammar — an optional minus, then 0
+// or a digit run that does not start with 0 — into d.
+func (s *rateScanner) integer(d *decimal) error {
+	b, i := s.b, s.i
+	if d.neg = i < len(b) && b[i] == '-'; d.neg {
+		i++
+	}
+	first := i
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else {
+		i = d.digits(b, i)
+		d.dp = i - first
+	}
+	s.i = i
+	switch {
+	case i == first:
 		return s.errHere("a digit")
-	case n > 1 && s.b[first] == '0':
+	case i < len(b) && b[i]-'0' <= 9:
 		return scanErrorf(first, "number with a leading zero")
 	}
 	return nil
 }
 
+// flow converts the int token as it reads it, refusing what
+// strconv.ParseInt(…, 10, 64) refuses, with the same message.
 func (s *rateScanner) flow() (int, error) {
 	start := s.i
-	if err := s.integer(); err != nil {
+	var d decimal
+	if err := s.integer(&d); err != nil {
 		return 0, err
 	}
-	if s.i < len(s.b) && (s.b[s.i] == '.' || s.b[s.i] == 'e' || s.b[s.i] == 'E') {
+	b, i := s.b, s.i
+	switch {
+	case i < len(b) && (b[i] == '.' || b[i]|0x20 == 'e'):
 		return 0, scanErrorf(start, "flow is not an integer")
+	case d.dp > 19 || d.mant > 1<<63 || d.mant == 1<<63 && !d.neg:
+		return 0, scanErrorf(start, "flow %s out of range", b[start:i])
 	}
-	n, err := strconv.ParseInt(string(s.b[start:s.i]), 10, 64)
-	if err != nil {
-		return 0, scanErrorf(start, "flow %s out of range", s.b[start:s.i])
+	if d.neg {
+		d.mant = -d.mant
 	}
-	return int(n), nil
+	return int(int64(d.mant)), nil
 }
 
-// rate validates an RFC 8259 number token itself — ParseFloat alone also
-// takes +1, .5, 1., 0x1p3, Inf, NaN and 1_0 — and then lets ParseFloat
-// round it, so the bits are the ones encoding/json produces.
+// rate reads an RFC 8259 number token (ParseFloat alone also takes +1,
+// .5, 1., 0x1p3, Inf, NaN and 1_0) into a decimal and rounds it with
+// ParseFloat's fast paths; one past 19 digits, or that both decline, goes
+// to strconv.ParseFloat itself.
 func (s *rateScanner) rate() (float64, error) {
 	start := s.i
-	if err := s.integer(); err != nil {
+	var d decimal
+	if err := s.integer(&d); err != nil {
 		return 0, err
 	}
-	if s.i < len(s.b) && s.b[s.i] == '.' {
-		s.i++
-		if s.digits() == 0 {
+	b, i := s.b, s.i
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac := i
+		for ; d.nd == 0 && i < len(b) && b[i] == '0'; i++ { // not significant
+			d.dp--
+		}
+		if i = d.digits(b, i); i == frac {
+			s.i = i
 			return 0, s.errHere("a digit after the decimal point")
 		}
 	}
-	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
-		s.i++
-		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
-			s.i++
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		neg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || neg) {
+			i++
 		}
-		if s.digits() == 0 {
+		e, digits := 0, i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // readFloat's bound: far past any float64
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == digits {
+			s.i = i
 			return 0, s.errHere("a digit in the exponent")
 		}
+		if neg {
+			e = -e
+		}
+		d.dp += e
 	}
-	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
+	s.i = i
+	exp := d.dp - d.nd // for a zero mantissa, either path gives ±0
+	if !d.truncated {
+		if f, ok := atof64exact(d.mant, exp, d.neg); ok {
+			return f, nil
+		}
+		if f, ok := eiselLemire64(d.mant, exp, d.neg); ok {
+			return f, nil
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
 	if err != nil {
-		return 0, scanErrorf(start, "rate %s out of range", s.b[start:s.i])
+		return 0, scanErrorf(start, "rate %s out of range", b[start:i])
 	}
 	return f, nil
 }

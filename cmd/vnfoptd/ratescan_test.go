@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -134,6 +135,37 @@ var rateScanCases = []struct {
 	{name: "empty body", in: ``, err: `offset 0: unexpected end of input, want '{'`},
 	{name: "bare array as a body", in: `[{"flow":0,"rate":1}]`, err: `offset 0: unexpected '[', want '{'`},
 	{name: "vertical tab is not white space", in: "{\v}", err: `offset 1: unexpected '\v', want a key`},
+
+	// Only JSON white space makes an NDJSON line blank or pads it.
+	{name: "line: leading vertical tab", in: "\v" + `{"flow":0,"rate":1}`, line: true, err: `offset 0: unexpected '\v', want '{'`},
+	{name: "line: trailing form feed", in: `{"flow":0,"rate":1}` + "\f", line: true, err: `offset 19: unexpected '\f' after the value`},
+	{name: "line: leading no-break space", in: "\u00a0" + `{"flow":0,"rate":1}`, line: true, err: `offset 0: unexpected '\xc2', want '{'`},
+	{name: "line: vertical tab alone", in: "\v", line: true, err: `offset 0: unexpected '\v', want '{'`},
+
+	// The conversion's boundaries: where rate leaves Clinger's exact path,
+	// where Eisel–Lemire declines, and where ParseFloat takes over.
+	{name: "line: mantissas of 19 and 20 digits", line: true,
+		in:      `[{"flow":0,"rate":9999999999999999999},{"flow":1,"rate":99999999999999999999},{"flow":2,"rate":12345678901234567890},{"flow":3,"rate":0.00000000000000000000000001}]`,
+		updates: []engine.RateUpdate{{Flow: 0, Rate: 9999999999999999999}, {Flow: 1, Rate: 99999999999999999999}, {Flow: 2, Rate: 12345678901234567890}, {Flow: 3, Rate: 1e-26}}},
+	{name: "line: exponents", line: true,
+		in:      `[{"flow":0,"rate":1e22},{"flow":1,"rate":1e-22},{"flow":2,"rate":3e23},{"flow":3,"rate":3e-23},{"flow":4,"rate":1e37},{"flow":5,"rate":1e38},{"flow":6,"rate":1e308},{"flow":7,"rate":1e-324},{"flow":8,"rate":1e-325}]`,
+		updates: []engine.RateUpdate{{Flow: 0, Rate: 1e22}, {Flow: 1, Rate: 1e-22}, {Flow: 2, Rate: 3e23}, {Flow: 3, Rate: 3e-23}, {Flow: 4, Rate: 1e37}, {Flow: 5, Rate: 1e38}, {Flow: 6, Rate: 1e308}, {Flow: 7, Rate: 0}, {Flow: 8, Rate: 0}}},
+	{name: "line: zeros and subnormals", line: true,
+		in:      `[{"flow":0,"rate":-0},{"flow":1,"rate":0e400},{"flow":2,"rate":4.9e-324},{"flow":3,"rate":2.4703282292062328e-324}]`,
+		updates: []engine.RateUpdate{{Flow: 0, Rate: math.Copysign(0, -1)}, {Flow: 1, Rate: 0}, {Flow: 2, Rate: 5e-324}, {Flow: 3, Rate: 5e-324}}},
+	{name: "line: float64 limits", line: true,
+		in:      `[{"flow":0,"rate":2.2250738585072011e-308},{"flow":1,"rate":1.7976931348623157e308},{"flow":2,"rate":1.7976931348623158e308}]`,
+		updates: []engine.RateUpdate{{Flow: 0, Rate: 2.2250738585072011e-308}, {Flow: 1, Rate: math.MaxFloat64}, {Flow: 2, Rate: math.MaxFloat64}}},
+	{name: "line: halfway and inexact", line: true, in: `[{"flow":0,"rate":9007199254740993},{"flow":1,"rate":1e23}]`,
+		updates: []engine.RateUpdate{{Flow: 0, Rate: 9007199254740992}, {Flow: 1, Rate: 1e23}}},
+	{name: "line: past float64 by rounding", in: `{"flow":0,"rate":1.7976931348623159e308}`, line: true, err: `offset 17: rate 1.7976931348623159e308 out of range`},
+	{name: "line: exponent 309", in: `{"flow":0,"rate":1e309}`, line: true, err: `offset 17: rate 1e309 out of range`},
+
+	// Updates that leave the encoding/json spelling midway are read again
+	// by the general loop, offsets and all.
+	{name: "line: space before the brace", in: `{"flow":1,"rate":1 }`, line: true, updates: []engine.RateUpdate{{Flow: 1, Rate: 1}}},
+	{name: "line: flow with a leading zero", in: `{"flow":01,"rate":1}`, line: true, err: `offset 8: number with a leading zero`},
+	{name: "line: rate past float64", in: `{"flow":1,"rate":1e999}`, line: true, err: `offset 17: rate 1e999 out of range`},
 }
 
 // TestRateScanTable pins the scanner's answer per class of input, and —
@@ -188,6 +220,72 @@ func checkAgainstOracle(t *testing.T, in []byte, line bool) {
 	var want ratesRequest
 	if jerr := jsonStrict(in, &want); jerr != nil || step != want.Step || !sameUpdates(got, want.Updates) {
 		t.Fatalf("body %q: scanner %v step=%v, encoding/json %+v (%v)", in, got, step, want, jerr)
+	}
+}
+
+// raceEnabled is set under -race, where TestRateMatchesParseFloat, a
+// sequential conversion check, runs a twentieth of its patterns.
+var raceEnabled bool
+
+// TestRateMatchesParseFloat holds rate's conversion to strconv.ParseFloat,
+// bit for bit and accept for accept: a million seeded finite float64 bit
+// patterns, each spelled as %g, as %e at a random precision of 0–24 —
+// many digits past the 19 the fast paths take — and as %f.
+func TestRateMatchesParseFloat(t *testing.T) {
+	patterns := 1_000_000
+	if raceEnabled {
+		patterns /= 20
+	}
+	rng := rand.New(rand.NewSource(2101))
+	var tok []byte
+	for n := 0; n < patterns; {
+		f := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		n++
+		for form := 0; form < 3; form++ {
+			switch form {
+			case 0:
+				tok = strconv.AppendFloat(tok[:0], f, 'g', -1, 64)
+			case 1:
+				tok = strconv.AppendFloat(tok[:0], f, 'e', rng.Intn(25), 64)
+			case 2:
+				tok = strconv.AppendFloat(tok[:0], f, 'f', -1, 64)
+			}
+			s := rateScanner{b: tok}
+			got, err := s.rate()
+			want, werr := strconv.ParseFloat(string(tok), 64)
+			if (err == nil) != (werr == nil) || err == nil && (s.i != len(tok) || math.Float64bits(got) != math.Float64bits(want)) {
+				t.Fatalf("%s: rate %v (%v, stopped at %d), ParseFloat %v (%v)", tok, got, err, s.i, want, werr)
+			}
+		}
+	}
+}
+
+// TestPow10Table checks the computed table against literals of Go's
+// strconv/eisel_lemire.go, {low, high}.
+func TestPow10Table(t *testing.T) {
+	for _, tc := range []struct {
+		e      int
+		lo, hi uint64
+	}{
+		{-348, 0x1732C869CD60E453, 0xFA8FD5A0081C0288},
+		{-1, 0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC},
+		{0, 0x0000000000000000, 0x8000000000000000},
+		{22, 0x0000000000000000, 0x878678326EAC9000},
+		{347, 0x4B7195F2D2D1A9FB, 0xD13EB46469447567},
+	} {
+		if got := pow10[tc.e-pow10Min]; got != [2]uint64{tc.lo, tc.hi} {
+			t.Errorf("1e%d: %#x, want {%#x, %#x}", tc.e, got, tc.lo, tc.hi)
+		}
+	}
+}
+
+// BenchmarkPow10Table is what every daemon start pays for the table.
+func BenchmarkPow10Table(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		pow10 = pow10Table()
 	}
 }
 

@@ -300,30 +300,11 @@ func (a *APSP) Diameter() float64 {
 	return d
 }
 
-// MetricClosure builds the complete graph G” of paper Algo. 2: vertices
-// keep map to the subset `keep` of the original graph's vertices, and every
-// pair is joined by an edge of weight c(u,v). The returned index slice maps
-// closure vertex i to original vertex keep[i].
-//
-// The triangle inequality holds by construction, which the stroll DP relies
-// on ("using G” overcomes an obstacle otherwise faced by using G").
-func (a *APSP) MetricClosure(keep []int) (*Graph, []int) {
-	idx := append([]int(nil), keep...)
-	h := New(len(idx))
-	for i := 0; i < len(idx); i++ {
-		for j := i + 1; j < len(idx); j++ {
-			c := a.Cost(idx[i], idx[j])
-			if !math.IsInf(c, 1) {
-				h.AddEdge(i, j, c)
-			}
-		}
-	}
-	return h, idx
-}
-
 // CostMatrix exposes a dense submatrix of shortest-path costs over the
-// given vertices: out[i][j] = c(keep[i], keep[j]). Solvers that index the
-// closure heavily use this rather than adjacency lists.
+// given vertices: out[i][j] = c(keep[i], keep[j]) — the complete graph G”
+// of paper Algo. 2 over keep, whose triangle inequality holds by
+// construction, which the stroll DP relies on ("using G” overcomes an
+// obstacle otherwise faced by using G").
 // The rows alias one contiguous row-major buffer (two allocations total),
 // so solvers streaming the closure stay cache-local and the build cost
 // does not scale allocations with the submatrix order. keep is cut once

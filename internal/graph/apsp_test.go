@@ -88,7 +88,7 @@ func TestAPSPDiameterIgnoresUnreachable(t *testing.T) {
 	}
 }
 
-func TestMetricClosureTriangleInequality(t *testing.T) {
+func TestCostMatrixTriangleInequality(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -104,14 +104,14 @@ func TestMetricClosureTriangleInequality(t *testing.T) {
 		if len(keep) < 3 {
 			return true
 		}
-		h, _ := a.MetricClosure(keep)
+		m := a.CostMatrix(keep)
 		// Check triangle inequality on the closure for random triples.
 		for trial := 0; trial < 20; trial++ {
 			i, j, k := rng.Intn(len(keep)), rng.Intn(len(keep)), rng.Intn(len(keep))
 			if i == j || j == k || i == k {
 				continue
 			}
-			if h.EdgeWeight(i, k) > h.EdgeWeight(i, j)+h.EdgeWeight(j, k)+1e-9 {
+			if m[i][k] > m[i][j]+m[j][k]+1e-9 {
 				return false
 			}
 		}
@@ -119,29 +119,6 @@ func TestMetricClosureTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMetricClosureIsComplete(t *testing.T) {
-	g := line(6)
-	a := AllPairs(g)
-	keep := []int{0, 2, 5}
-	h, idx := a.MetricClosure(keep)
-	if h.Order() != 3 {
-		t.Fatalf("order = %d", h.Order())
-	}
-	for i := 0; i < 3; i++ {
-		for j := i + 1; j < 3; j++ {
-			if !h.HasEdge(i, j) {
-				t.Fatalf("closure missing edge (%d,%d)", i, j)
-			}
-		}
-	}
-	if h.EdgeWeight(0, 2) != 5 { // dist(0,5) on the line
-		t.Fatalf("closure weight = %v, want 5", h.EdgeWeight(0, 2))
-	}
-	if idx[0] != 0 || idx[1] != 2 || idx[2] != 5 {
-		t.Fatalf("index map = %v", idx)
 	}
 }
 

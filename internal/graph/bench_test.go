@@ -83,19 +83,6 @@ func BenchmarkAllPairs(b *testing.B) {
 	}
 }
 
-func BenchmarkMetricClosure(b *testing.B) {
-	g := benchGraph(300, 900)
-	a := AllPairs(g)
-	keep := make([]int, 150)
-	for i := range keep {
-		keep[i] = i * 2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MetricClosure(keep)
-	}
-}
-
 func BenchmarkCostMatrix(b *testing.B) {
 	g := benchGraph(300, 900)
 	a := AllPairs(g)

@@ -127,27 +127,6 @@ func (c *CSR) WithWeights(wt []float64) *CSR {
 	return &CSR{n: c.n, rowStart: c.rowStart, to: c.to, wt: wt}
 }
 
-// Reweight returns a snapshot with the same structure (rowStart and
-// target arrays are shared, not copied) but every edge weight replaced
-// by f(u, v, w). buf, when non-nil, must have length NumSlots() and
-// becomes the new weight array — callers repricing a snapshot every
-// epoch (the congestion-aware router) reuse one buffer and allocate
-// nothing. f must return a non-negative weight or +Inf; +Inf prunes the
-// edge from any Dijkstra run without disturbing the slot layout.
-func (c *CSR) Reweight(buf []float64, f func(u, v int, w float64) float64) *CSR {
-	if buf == nil {
-		buf = make([]float64, len(c.wt))
-	} else if len(buf) != len(c.wt) {
-		panic(fmt.Sprintf("graph: Reweight buffer has %d slots, snapshot has %d", len(buf), len(c.wt)))
-	}
-	for u := 0; u < c.n; u++ {
-		for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
-			buf[e] = f(u, int(c.to[e]), c.wt[e])
-		}
-	}
-	return &CSR{n: c.n, rowStart: c.rowStart, to: c.to, wt: buf}
-}
-
 // Layered builds the directed layered expansion of the snapshot used
 // for chain-constrained routing (Sallam et al.): len(gateways)+1
 // stacked copies of the graph, where copy ℓ keeps every edge of the

@@ -170,21 +170,29 @@ func TestCSRLayeredDuplicateGateways(t *testing.T) {
 	}
 }
 
-// TestCSRReweight: the reweighted snapshot shares structure, applies f,
-// and an Inf weight prunes the edge; a caller buffer is adopted.
-func TestCSRReweight(t *testing.T) {
+// TestCSRWithWeights: the snapshot over a caller's weight array shares
+// structure, reads the weights given, and an Inf weight prunes the edge.
+func TestCSRWithWeights(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(1, 2, 3)
 	g.AddEdge(0, 2, 10)
 	base := g.Freeze()
 	buf := make([]float64, base.NumSlots())
-	doubled := base.Reweight(buf, func(u, v int, w float64) float64 { return 2 * w })
+	reweight := func(f func(u, v int, w float64) float64) *CSR {
+		for u := 0; u < base.n; u++ {
+			for e := base.rowStart[u]; e < base.rowStart[u+1]; e++ {
+				buf[e] = f(u, int(base.to[e]), base.wt[e])
+			}
+		}
+		return base.WithWeights(buf)
+	}
+	doubled := reweight(func(u, v int, w float64) float64 { return 2 * w })
 	d, _ := doubled.Dijkstra(0)
 	if d[2] != 10 { // 2*(2+3)
 		t.Fatalf("doubled dist[2] = %v, want 10", d[2])
 	}
-	pruned := base.Reweight(nil, func(u, v int, w float64) float64 {
+	pruned := reweight(func(u, v int, w float64) float64 {
 		if (u == 0 && v == 1) || (u == 1 && v == 0) {
 			return math.Inf(1)
 		}

@@ -485,11 +485,6 @@ func TestAPSPBlockedLayout(t *testing.T) {
 		}
 		cm := a.CostMatrix(all)
 		allRuns := AppendStretches(nil, all)
-		closure, _ := a.MetricClosure(all)
-		wantClosure, _ := want.MetricClosure(all)
-		if closure.Size() != wantClosure.Size() {
-			t.Fatalf("n=%d: MetricClosure has %d edges over poisoned padding, want %d", n, closure.Size(), wantClosure.Size())
-		}
 		for u := 0; u < n; u++ {
 			acc := make([]float64, n)
 			a.AddScaledCells(acc, u, 2, allRuns)
