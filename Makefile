@@ -122,7 +122,8 @@ bench-kernels:
 	$(GO) test -bench BenchmarkKernel -benchmem -run xxx ./internal/bnb/
 
 # Short fuzz pass over the solver-invariant web, the cost-kernel
-# equivalence property, the bitwise APSP gates, DP-Stroll against the
+# equivalence property, the bitwise APSP gates, the bounded layered
+# route search against a full Dijkstra, DP-Stroll against the
 # exhaustive stroll and its lazy table against the full one, the
 # daemon's hostile-log-record replay and its rate-update scanner against
 # encoding/json. This is the only list of
@@ -137,6 +138,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzRepairRows -fuzztime $(FUZZTIME) -run xxx ./internal/graph/
 	$(GO) test -fuzz FuzzMinCostFlow -fuzztime $(FUZZTIME) -run xxx ./internal/mcf/
+	$(GO) test -fuzz FuzzLayeredSearch -fuzztime $(FUZZTIME) -run xxx ./internal/sfcroute/
 	$(GO) test -fuzz FuzzDPAgainstExhaustive -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzDPTableLazyTop -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/

@@ -44,6 +44,7 @@ type Observer struct {
 	repairs         *obs.Counter
 	repairFallbacks *obs.Counter
 	sfcSearches     *obs.Counter
+	sfcSettled      *obs.Counter
 }
 
 // NewObserver resolves the engine metric family against r, labelling
@@ -83,6 +84,7 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 		repairs:         r.Counter("vnfopt_engine_repairs_total" + l),
 		repairFallbacks: r.Counter("vnfopt_engine_repair_fallbacks_total" + l),
 		sfcSearches:     r.Counter("vnfopt_sfcroute_searches_total" + l),
+		sfcSettled:      r.Counter("vnfopt_sfcroute_settled_total" + l),
 	}
 }
 
@@ -135,15 +137,17 @@ func (o *Observer) observeStep(res StepResult, drift float64, consultTime time.D
 }
 
 // observeRouting records one capacity-aware routing pass: how long it
-// took (router rebuild, re-pricing and admission) and how many
-// shortest-path searches it ran, the admission gauges, the hottest
-// link's utilization, and an event when the pass rejected flows.
-func (o *Observer) observeRouting(rep *RoutingReport, elapsed time.Duration, searches int) {
+// took (router rebuild, re-pricing and admission), how many
+// shortest-path searches it ran and how many vertices they settled, the
+// admission gauges, the hottest link's utilization, and an event when
+// the pass rejected flows.
+func (o *Observer) observeRouting(rep *RoutingReport, elapsed time.Duration, searches, settled int) {
 	if o == nil {
 		return
 	}
 	o.sfcPassSeconds.Observe(elapsed.Seconds())
 	o.sfcSearches.Add(int64(searches))
+	o.sfcSettled.Add(int64(settled))
 	o.sfcAdmitted.Set(float64(rep.Admitted))
 	o.sfcRejected.Set(float64(rep.Rejected))
 	o.linkUtilization.Set(rep.MaxUtilization)

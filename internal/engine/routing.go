@@ -164,7 +164,7 @@ func (e *Engine) routeEpoch() error {
 	rep.Saturated = rep.Links[:cut]
 	rep.MaxUtilization, rep.MaxLink = e.router.MaxUtilization()
 	e.routingReport = rep
-	e.obs.observeRouting(rep, time.Since(start), e.router.Searches())
+	e.obs.observeRouting(rep, time.Since(start), e.router.Searches(), e.router.Settled())
 	return nil
 }
 

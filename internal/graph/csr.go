@@ -54,12 +54,32 @@ func (c *CSR) Order() int { return c.n }
 // a full single-source pass with zero heap allocations.
 type SSSPScratch struct {
 	heap costHeap
+	// Visit, when set, is called once per vertex v as it settles — in
+	// (dist, id) order, so v's cells are final — and reports whether to
+	// relax v's edges. It may Discard; discarding every vertex stops.
+	Visit func(v int) (relax bool)
+}
+
+// Discard drops the queued entries of the vertices in [lo, hi). The
+// kept ones are pushed back in place: the k-th push writes slot k, which
+// the loop has already read.
+func (s *SSSPScratch) Discard(lo, hi int) {
+	h := &s.heap
+	items := h.items
+	h.items = h.items[:0]
+	for _, it := range items {
+		if it.v < lo || it.v >= hi {
+			h.push(it)
+		}
+	}
 }
 
 // DijkstraInto runs Dijkstra from src, writing costs and predecessor
 // links into the caller-provided dist and prev rows (each of length
 // Order()). Unreachable vertices get dist Inf and prev -1; prev[src] is
-// -1. Output is bit-identical to Graph.Dijkstra on the frozen graph.
+// -1. Output is bit-identical to Graph.Dijkstra on the frozen graph
+// unless a Visit hook on s skips or discards; then which cells are final
+// is the hook's argument.
 func (c *CSR) DijkstraInto(src int, dist []float64, prev []int32, s *SSSPScratch) {
 	if len(dist) != c.n || len(prev) != c.n {
 		panic("graph: DijkstraInto row length mismatch")
@@ -69,13 +89,16 @@ func (c *CSR) DijkstraInto(src int, dist []float64, prev []int32, s *SSSPScratch
 		prev[i] = -1
 	}
 	dist[src] = 0
-	h := &s.heap
+	h, visit := &s.heap, s.Visit
 	h.items = h.items[:0]
 	h.push(heapItem{v: src, cost: 0})
 	for h.Len() > 0 {
 		it := h.pop()
 		if it.cost > dist[it.v] {
 			continue // stale entry
+		}
+		if visit != nil && !visit(it.v) {
+			continue
 		}
 		for e := c.rowStart[it.v]; e < c.rowStart[it.v+1]; e++ {
 			to := c.to[e]

@@ -234,3 +234,47 @@ func TestAdmitAllSearchCount(t *testing.T) {
 		t.Fatalf("pruned AdmitAll ran %d searches, want the %d per-flow attempts (bound: + %d sources)", got, attempts, sources)
 	}
 }
+
+// TestAdmitAllSettlesUnderHalf pins the bound on the layered search: on
+// a k=8 pass whose chain sits on adjacent switches, as TOP places it,
+// each search settles under half of the expansion — a search that runs
+// every layer out settles all of it, so a bound silently turned off
+// fails here.
+func TestAdmitAllSettlesUnderHalf(t *testing.T) {
+	d := model.MustNew(topology.MustFatTree(8, nil), model.Options{})
+	isSwitch := make(map[int]bool)
+	for _, s := range d.Switches() {
+		isSwitch[s] = true
+	}
+	// Walk three adjacent switches from the first.
+	chain := []int{d.Switches()[0]}
+	for len(chain) < 3 {
+		for _, e := range d.Topo.Graph.Neighbors(chain[len(chain)-1]) {
+			if isSwitch[e.To] && !slices.Contains(chain, e.To) {
+				chain = append(chain, e.To)
+				break
+			}
+		}
+	}
+	hosts := d.Hosts()
+	rng := rand.New(rand.NewSource(1))
+	demands := passDemands(rng, hosts, 1000, len(hosts))
+	for i := range demands {
+		demands[i].Rate = 1 + 9*rng.Float64()
+	}
+	r, err := NewRouter(d, Config{Capacity: 1e9, Alpha: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.BeginEpoch(PlacementSites(chain)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.AdmitAll(demands); err != nil {
+		t.Fatal(err)
+	}
+	per := float64(r.Settled()) / float64(r.Searches())
+	t.Logf("chain %v: %d searches settled %.1f of %d vertices each", chain, r.Searches(), per, r.lay.Order())
+	if r.Searches() != len(hosts) || per >= float64(r.lay.Order())/2 {
+		t.Fatalf("%d searches settled %.1f of %d vertices each, want %d searches under half", r.Searches(), per, r.lay.Order(), len(hosts))
+	}
+}

@@ -40,20 +40,21 @@ func BenchmarkLayeredRoute(b *testing.B) {
 		k := k
 		b.Run(fmt.Sprintf("fat-tree-k%d-n3", k), func(b *testing.B) {
 			d := model.MustNew(topology.MustFatTree(k, nil), model.Options{})
-			r, err := NewRouter(d, Config{Capacity: 1e12})
+			lay, err := BuildLayered(d.Topo.Graph.Freeze(), benchSites(d))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := r.BeginEpoch(benchSites(d)); err != nil {
-				b.Fatal(err)
-			}
 			hosts := d.Hosts()
+			var s SearchScratch
+			if _, err := lay.ShortestPathOn(lay.csr, hosts[0], hosts[1], &s); err != nil {
+				b.Fatal(err) // sizes the scratch outside the timed loop
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src := hosts[i%len(hosts)]
 				dst := hosts[(i*7+3)%len(hosts)]
-				if _, err := r.Route(src, dst); err != nil {
+				if _, err := lay.ShortestPathOn(lay.csr, src, dst, &s); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -137,7 +138,7 @@ func BenchmarkRoutePass(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				searches := 0
+				searches, settled := 0, 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -148,8 +149,10 @@ func BenchmarkRoutePass(b *testing.B) {
 						b.Fatal(err)
 					}
 					searches += r.Searches()
+					settled += r.Settled()
 				}
 				b.ReportMetric(float64(searches)/float64(b.N), "searches/op")
+				b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
 			})
 		}
 	}

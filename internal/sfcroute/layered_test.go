@@ -2,8 +2,10 @@ package sfcroute
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vnfopt/internal/graph"
@@ -20,18 +22,25 @@ func line(n int) *graph.CSR {
 	return g.Freeze()
 }
 
+// shortestPath routes one pair on the expansion's own weights with a
+// fresh scratch.
+func shortestPath(lay *Layered, src, dst int) (PathResult, error) {
+	var s SearchScratch
+	return lay.ShortestPathOn(lay.csr, src, dst, &s)
+}
+
 func TestEmptyChainIsPlainShortestPath(t *testing.T) {
 	base := line(6)
 	lay, err := BuildLayered(base, nil)
 	if err != nil {
 		t.Fatalf("BuildLayered(nil): %v", err)
 	}
-	if lay.Order() != base.Order() || lay.Stages() != 0 {
-		t.Fatalf("n=0 expansion has order %d stages %d", lay.Order(), lay.Stages())
+	if lay.Order() != base.Order() {
+		t.Fatalf("n=0 expansion has order %d, want the fabric's %d", lay.Order(), base.Order())
 	}
-	res, err := lay.ShortestPath(0, 5)
+	res, err := shortestPath(lay, 0, 5)
 	if err != nil {
-		t.Fatalf("ShortestPath: %v", err)
+		t.Fatalf("ShortestPathOn: %v", err)
 	}
 	dist, _ := base.Dijkstra(0)
 	if res.Cost != dist[5] {
@@ -59,9 +68,9 @@ func TestSiteAtSourceAndDestination(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildLayered: %v", err)
 	}
-	res, err := lay.ShortestPath(0, 4)
+	res, err := shortestPath(lay, 0, 4)
 	if err != nil {
-		t.Fatalf("ShortestPath: %v", err)
+		t.Fatalf("ShortestPathOn: %v", err)
 	}
 	if res.Cost != 4 {
 		t.Fatalf("cost %v, want 4 (no detour for on-path sites)", res.Cost)
@@ -85,9 +94,9 @@ func TestSpurSiteDoublesLink(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildLayered: %v", err)
 	}
-	res, err := lay.ShortestPath(0, 2)
+	res, err := shortestPath(lay, 0, 2)
 	if err != nil {
-		t.Fatalf("ShortestPath: %v", err)
+		t.Fatalf("ShortestPathOn: %v", err)
 	}
 	if res.Cost != 4 {
 		t.Fatalf("cost %v, want 4 (0-1, 1-3 twice, 1-2)", res.Cost)
@@ -129,14 +138,14 @@ func TestUnreachableLayerFailsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildLayered: %v", err)
 	}
-	if _, err := lay.ShortestPath(0, 1); !errors.Is(err, ErrUnroutable) {
+	if _, err := shortestPath(lay, 0, 1); !errors.Is(err, ErrUnroutable) {
 		t.Fatalf("unreachable chain: got %v, want ErrUnroutable", err)
 	}
 	// Bad endpoints are caller errors, not ErrUnroutable.
-	if _, err := lay.ShortestPath(-1, 1); err == nil || errors.Is(err, ErrUnroutable) {
+	if _, err := shortestPath(lay, -1, 1); err == nil || errors.Is(err, ErrUnroutable) {
 		t.Fatalf("negative src: got %v", err)
 	}
-	if _, err := lay.ShortestPath(0, 4); err == nil || errors.Is(err, ErrUnroutable) {
+	if _, err := shortestPath(lay, 0, 4); err == nil || errors.Is(err, ErrUnroutable) {
 		t.Fatalf("out-of-range dst: got %v", err)
 	}
 }
@@ -146,10 +155,8 @@ func TestShortestPathOnRejectsForeignView(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildLayered: %v", err)
 	}
-	dist := make([]float64, lay.Order())
-	prev := make([]int32, lay.Order())
-	var s graph.SSSPScratch
-	if _, err := lay.ShortestPathOn(line(4), 0, 3, dist, prev, &s); err == nil {
+	var s SearchScratch
+	if _, err := lay.ShortestPathOn(line(4), 0, 3, &s); err == nil {
 		t.Fatal("accepted a weight view with the wrong order")
 	}
 }
@@ -208,9 +215,9 @@ func TestDifferentialMetricClosure(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d: BuildLayered(%v): %v", trial, p, err)
 				}
-				res, err := lay.ShortestPath(src, dst)
+				res, err := shortestPath(lay, src, dst)
 				if err != nil {
-					t.Fatalf("trial %d: ShortestPath(%d,%d | %v): %v", trial, src, dst, p, err)
+					t.Fatalf("trial %d: ShortestPathOn(%d,%d | %v): %v", trial, src, dst, p, err)
 				}
 				// Metric-closure concatenation: src → p1 → … → pn → dst.
 				closure := 0.0
@@ -242,4 +249,90 @@ func TestDifferentialMetricClosure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzLayeredSearch holds the bounded layered search to a full
+// DijkstraInto on the same weight view: for every target, the route it
+// reads — cost bits, walk, gateways, error — must be the full tree's.
+// Fabrics are small and random, with zero-weight links and +Inf
+// (pruned) slots; chains have 0–3 stages of up to three sites, with
+// repeated sites and sites at the endpoints; target sets repeat and may
+// be unreachable. Several searches share one scratch, so the stamps of
+// one search must not leak into the next.
+func FuzzLayeredSearch(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(2), uint8(40), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(3), uint8(0), uint8(30))
+	f.Add(int64(3), uint8(2), uint8(0), uint8(128), uint8(60))
+	f.Add(int64(4), uint8(9), uint8(1), uint8(200), uint8(10))
+	f.Fuzz(func(t *testing.T, seed int64, order, stages, zero, inf uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + int(order)%9
+		integer := rng.Intn(2) == 0
+		weight := func() float64 {
+			switch {
+			case rng.Intn(256) < int(zero):
+				return 0
+			case integer:
+				return float64(1 + rng.Intn(3))
+			}
+			return 1 + 9*rng.Float64()
+		}
+		g := graph.New(n)
+		for v := 1; v < n; v++ {
+			if rng.Intn(8) > 0 { // sometimes disconnected
+				g.AddEdge(rng.Intn(v), v, weight())
+			}
+		}
+		for i := rng.Intn(n + 1); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				g.AddEdge(u, v, weight())
+			}
+		}
+		src, dst := rng.Intn(n), rng.Intn(n)
+		sites := make([][]int, int(stages)%4)
+		for l := range sites {
+			for i := 1 + rng.Intn(3); i > 0; i-- {
+				sites[l] = append(sites[l], rng.Intn(n))
+			}
+			switch rng.Intn(4) {
+			case 0:
+				sites[l] = append(sites[l], src)
+			case 1:
+				sites[l] = append(sites[l], dst)
+			case 2:
+				sites[l] = append(sites[l], sites[l][0]) // a repeated site
+			}
+		}
+		lay, err := BuildLayered(g.Freeze(), sites)
+		if err != nil {
+			t.Fatalf("BuildLayered(%v): %v", sites, err)
+		}
+		wt := make([]float64, lay.csr.NumSlots())
+		lay.csr.ForEachSlot(func(slot, _, _ int, w float64) {
+			if wt[slot] = w; rng.Intn(256) < int(inf) {
+				wt[slot] = math.Inf(1)
+			}
+		})
+		view := lay.csr.WithWeights(wt)
+		var s SearchScratch
+		for search := 0; search < 3; search++ {
+			dsts := []int{dst}
+			for i := rng.Intn(4); i > 0; i-- {
+				dsts = append(dsts, rng.Intn(n))
+			}
+			lay.search(view, src, &s, dsts...)
+			dist, prev := view.Dijkstra(src)
+			full := &SearchScratch{dist: dist, prev: prev}
+			for _, d := range dsts {
+				got, gotErr := lay.pathFrom(src, d, &s)
+				want, wantErr := lay.pathFrom(src, d, full)
+				if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || !slices.Equal(got.Walk, want.Walk) ||
+					!slices.Equal(got.Gateways, want.Gateways) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("search %d, sites %v, %d → %d of targets %v: bounded %+v (%v), full %+v (%v)",
+						search, sites, src, d, dsts, got, gotErr, want, wantErr)
+				}
+			}
+			src, dst = rng.Intn(n), rng.Intn(n)
+		}
+	})
 }

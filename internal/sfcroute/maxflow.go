@@ -19,31 +19,30 @@ import (
 // path found by the Router is a feasibility certificate, so the two
 // bounds bracket the NP-hard quantity from both sides.
 
-// flowNetwork lays g out as a directed mcf network over the layered
-// expansion: per layer, two arcs per undirected link (capacity capOf,
-// cost = link weight); per stage, one uncapacitated zero-cost crossing
-// arc at every site. arcLinks records each forward arc's physical link
-// for flow extraction.
-func flowNetwork(g *graph.Graph, sites [][]int, capOf routing.CapacityFunc) (nw *mcf.Network, arcIDs []int, arcLinks []routing.Link, err error) {
+// MaxFlow computes the chain-constrained max-flow relaxation bound from
+// src to dst: the most traffic any routing (splittable, multi-path)
+// could push through the chain if every link offered its full capacity
+// in every layer. A demand above the returned Flow is provably
+// unroutable. The mcf network is the layered expansion: per layer, two
+// arcs per undirected link (capacity capOf, cost = link weight); per
+// stage, one uncapacitated zero-cost crossing arc at every site.
+func MaxFlow(g *graph.Graph, sites [][]int, src, dst int, capOf routing.CapacityFunc) (mcf.Result, error) {
 	V := g.Order()
 	if err := validateSites(sites, V); err != nil {
-		return nil, nil, nil, err
+		return mcf.Result{}, err
 	}
 	layers := len(sites) + 1
-	nw = mcf.NewNetwork(layers * V)
+	nw := mcf.NewNetwork(layers * V)
 	edges := g.Edges()
 	for l := 0; l < layers; l++ {
 		off := l * V
 		for _, rec := range edges {
-			link := routing.Link{U: rec.U, V: rec.V}
-			c := capOf(link)
+			c := capOf(routing.Link{U: rec.U, V: rec.V})
 			if c < 0 || math.IsNaN(c) {
-				return nil, nil, nil, fmt.Errorf("sfcroute: link (%d,%d) has invalid capacity %v", rec.U, rec.V, c)
+				return mcf.Result{}, fmt.Errorf("sfcroute: link (%d,%d) has invalid capacity %v", rec.U, rec.V, c)
 			}
-			arcIDs = append(arcIDs, nw.AddArc(off+rec.U, off+rec.V, c, rec.Weight))
-			arcLinks = append(arcLinks, link)
-			arcIDs = append(arcIDs, nw.AddArc(off+rec.V, off+rec.U, c, rec.Weight))
-			arcLinks = append(arcLinks, link)
+			nw.AddArc(off+rec.U, off+rec.V, c, rec.Weight)
+			nw.AddArc(off+rec.V, off+rec.U, c, rec.Weight)
 		}
 	}
 	for l, stage := range sites {
@@ -52,57 +51,12 @@ func flowNetwork(g *graph.Graph, sites [][]int, capOf routing.CapacityFunc) (nw 
 			nw.AddArc(off+s, off+V+s, math.Inf(1), 0)
 		}
 	}
-	return nw, arcIDs, arcLinks, nil
-}
-
-// MaxFlow computes the chain-constrained max-flow relaxation bound from
-// src to dst: the most traffic any routing (splittable, multi-path)
-// could push through the chain if every link offered its full capacity
-// in every layer. A demand above the returned Flow is provably
-// unroutable.
-func MaxFlow(g *graph.Graph, sites [][]int, src, dst int, capOf routing.CapacityFunc) (mcf.Result, error) {
-	nw, _, _, err := flowNetwork(g, sites, capOf)
-	if err != nil {
-		return mcf.Result{}, err
-	}
-	s, t := src, len(sites)*g.Order()+dst
+	s, t := src, len(sites)*V+dst
 	if s == t {
 		// n=0 with identical endpoints: nothing constrains the flow.
 		return mcf.Result{Flow: math.Inf(1)}, nil
 	}
 	return nw.MinCostFlow(s, t, math.Inf(1))
-}
-
-// MinCostRoute ships amount units from src through the chain to dst at
-// minimum cost on the relaxed layered network, returning the mcf result
-// and the per-physical-link flow assignment (summed over layers and
-// directions). The assignment is a splittable routing: every
-// decomposed path respects the chain order, but a link used in several
-// layers may exceed its capacity in aggregate — callers enforcing hard
-// feasibility use Router.Admit instead.
-func MinCostRoute(g *graph.Graph, sites [][]int, src, dst int, amount float64, capOf routing.CapacityFunc) (mcf.Result, map[routing.Link]float64, error) {
-	if amount < 0 || math.IsNaN(amount) {
-		return mcf.Result{}, nil, fmt.Errorf("sfcroute: invalid amount %v", amount)
-	}
-	nw, arcIDs, arcLinks, err := flowNetwork(g, sites, capOf)
-	if err != nil {
-		return mcf.Result{}, nil, err
-	}
-	s, t := src, len(sites)*g.Order()+dst
-	if s == t {
-		return mcf.Result{Flow: amount}, map[routing.Link]float64{}, nil
-	}
-	res, err := nw.MinCostFlow(s, t, amount)
-	if err != nil {
-		return mcf.Result{}, nil, err
-	}
-	assign := make(map[routing.Link]float64)
-	for i, id := range arcIDs {
-		if f := nw.Flow(id); f > 0 {
-			assign[arcLinks[i]] += f
-		}
-	}
-	return res, assign, nil
 }
 
 // MaxFlow is the Router's residual-capacity bound: the relaxation
@@ -113,7 +67,7 @@ func (r *Router) MaxFlow(src, dst int) (mcf.Result, error) {
 	if r.lay == nil {
 		return mcf.Result{}, fmt.Errorf("sfcroute: BeginEpoch not called")
 	}
-	return MaxFlow(r.d.Topo.Graph, r.sites, src, dst, func(l routing.Link) float64 {
+	return MaxFlow(r.d.Topo.Graph, r.lay.sites, src, dst, func(l routing.Link) float64 {
 		return r.headroom(r.lidx[l])
 	})
 }

@@ -64,20 +64,11 @@ func TestMaxFlowRelaxationIsPerLayer(t *testing.T) {
 	if res.Flow != 5 {
 		t.Fatalf("relaxation bound %v, want 5 (per-layer capacities)", res.Flow)
 	}
-	// MinCostRoute makes the overcommit visible: the spur link's summed
-	// assignment is twice its capacity.
-	mc, assign, err := MinCostRoute(d, [][]int{{3}}, 0, 2, 5, routing.UniformCapacity(5))
-	if err != nil {
-		t.Fatalf("MinCostRoute: %v", err)
-	}
-	if mc.Flow != 5 || mc.Cost != 20 {
-		t.Fatalf("min-cost route %+v, want flow 5 cost 20", mc)
-	}
-	if got := assign[routing.Link{U: 1, V: 3}]; got != 10 {
-		t.Fatalf("spur assignment %v, want 10 (5 units × 2 layers)", got)
-	}
-	if got := assign[routing.Link{U: 0, V: 1}]; got != 5 {
-		t.Fatalf("ingress assignment %v, want 5", got)
+	// The cost makes the overcommit visible: every unit crosses the spur
+	// link in both layers (0-1, 1-3, 3-1, 1-2), so the spur carries 10
+	// units against its capacity 5.
+	if res.Cost != 20 {
+		t.Fatalf("relaxed flow cost %v, want 20 (5 units × 4 crossings)", res.Cost)
 	}
 }
 
@@ -104,10 +95,6 @@ func TestMaxFlowDegenerateEndpoints(t *testing.T) {
 	if !math.IsInf(res.Flow, 1) {
 		t.Fatalf("flow %v, want +Inf", res.Flow)
 	}
-	mc, assign, err := MinCostRoute(topo.Graph, nil, 0, 0, 3, routing.UniformCapacity(5))
-	if err != nil || mc.Flow != 3 || len(assign) != 0 {
-		t.Fatalf("degenerate MinCostRoute: %+v %v %v", mc, assign, err)
-	}
 	// A chain through a site forces real traffic even for src == dst.
 	res, err = MaxFlow(topo.Graph, [][]int{{1}}, 0, 0, routing.UniformCapacity(5))
 	if err != nil {
@@ -128,9 +115,6 @@ func TestMaxFlowValidation(t *testing.T) {
 	}
 	if _, err := MaxFlow(topo.Graph, nil, 0, 2, func(routing.Link) float64 { return -1 }); err == nil {
 		t.Fatal("accepted a negative capacity")
-	}
-	if _, _, err := MinCostRoute(topo.Graph, nil, 0, 2, -1, routing.UniformCapacity(1)); err == nil {
-		t.Fatal("accepted a negative amount")
 	}
 }
 

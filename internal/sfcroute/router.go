@@ -88,15 +88,13 @@ type Router struct {
 	// Layered state for the current sites: laySlotLink maps layered
 	// slots to link indices (-1 for crossings), layWt holds the priced
 	// layered weights, pruneWt the per-admission pruning buffer.
-	sites       [][]int
 	lay         *Layered
 	laySlotLink []int32
 	layWt       []float64
 	pruneWt     []float64
 
-	dist    []float64
-	prev    []int32
-	scratch graph.SSSPScratch
+	search  SearchScratch
+	dsts    []int // the targets of AdmitAll's shared search
 	blocked []bool
 	epoch   int
 
@@ -105,7 +103,7 @@ type Router struct {
 	// links only — loads only grow within an epoch, so it stays exact. A
 	// flow whose rate it covers has an empty prune set.
 	minHeadroom float64
-	// searches counts the Dijkstra runs since BeginEpoch.
+	// searches counts the layered searches since BeginEpoch.
 	searches int
 	// cnt[link] is the traversal count of the walk walkLinks last
 	// tallied; touched lists its non-zero entries.
@@ -211,24 +209,18 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 		r.load[i] = 0
 		r.minHeadroom = min(r.minHeadroom, r.headroom(i))
 	}
-	r.searches = 0
+	r.searches, r.search.settled = 0, 0
 	lay, err := BuildLayered(r.priced, sites)
 	if err != nil {
 		return err
 	}
 	r.lay = lay
-	// Keep an owned copy: MaxFlow classification reads the sites for the
-	// rest of the epoch, after the caller may have reused its slices.
-	r.sites = make([][]int, len(sites))
-	for i, stage := range sites {
-		r.sites[i] = append([]int(nil), stage...)
-	}
-	ns := lay.CSR().NumSlots()
-	r.laySlotLink = resize(r.laySlotLink, ns)
-	r.layWt = resizeF(r.layWt, ns)
-	r.pruneWt = resizeF(r.pruneWt, ns)
-	n := lay.BaseOrder()
-	lay.CSR().ForEachSlot(func(slot, u, v int, w float64) {
+	ns := lay.csr.NumSlots()
+	r.laySlotLink = slices.Grow(r.laySlotLink[:0], ns)[:ns]
+	r.layWt = slices.Grow(r.layWt[:0], ns)[:ns]
+	r.pruneWt = slices.Grow(r.pruneWt[:0], ns)[:ns]
+	n := lay.n
+	lay.csr.ForEachSlot(func(slot, u, v int, w float64) {
 		bu, bv := u%n, v%n
 		if bu == bv { // layer crossing
 			r.laySlotLink[slot] = -1
@@ -237,36 +229,8 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 		}
 		r.layWt[slot] = w
 	})
-	lv := lay.Order()
-	r.dist = resizeF(r.dist, lv)
-	r.prev = resize(r.prev, lv)
 	r.epoch++
 	return nil
-}
-
-func resize(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func resizeF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// Route computes the chain-constrained shortest path under the current
-// prices, ignoring capacity entirely (no pruning, no commit). It is the
-// capacity-blind reference the differential tests compare against the
-// metric closure.
-func (r *Router) Route(src, dst int) (PathResult, error) {
-	if r.lay == nil {
-		return PathResult{}, fmt.Errorf("sfcroute: BeginEpoch not called")
-	}
-	return r.unpruned(src, dst, nil)
 }
 
 // Demand is one flow offered to AdmitAll.
@@ -288,6 +252,11 @@ type sharedRoute struct {
 // BeginEpoch.
 func (r *Router) Searches() int { return r.searches }
 
+// Settled returns the number of layered vertices those searches settled
+// and relaxed: a search stops at its last target and relaxes nothing in
+// a layer whose exits have all settled.
+func (r *Router) Settled() int { return r.search.settled }
+
 // Admit routes one flow of the given rate against residual capacity and
 // commits its load on success. Links whose residual headroom cannot
 // absorb the rate are pruned before the search; a surviving path that
@@ -305,7 +274,8 @@ func (r *Router) Admit(src, dst int, rate float64) (Decision, error) {
 // deterministic, so while no link is pruned for a flow its first search
 // rebuilds the same tree as every other flow's from that source. The
 // first flow of a source to need that tree builds it and reads out the
-// route of every later flow from the source that may still use it;
+// route of every later flow from the source that may still use it —
+// the tree is searched only until those flows' destinations settle;
 // admission takes the route if the flow's prune set is still empty when
 // its turn comes, and prunes and searches as Admit does otherwise. Only
 // routes are kept, never trees — the one dist/prev scratch is
@@ -320,7 +290,7 @@ func (r *Router) AdmitAll(demands []Demand) ([]Decision, error) {
 	// order[first[s]:first[s+1]], ascending. A demand off the fabric is
 	// left out; admit reports it when its turn comes.
 	onFabric := func(dm Demand) bool { return r.lay.checkEndpoints(dm.Src, dm.Dst) == nil }
-	n := r.lay.BaseOrder()
+	n := r.lay.n
 	first := make([]int32, n+2)
 	for _, dm := range demands {
 		if onFabric(dm) {
@@ -344,11 +314,18 @@ func (r *Router) AdmitAll(demands []Demand) ([]Decision, error) {
 			// This flow would run the unpruned search itself. Flows skipped
 			// here exceed the minimum headroom, which only falls, so they
 			// prune when their turn comes: one tree per source is enough.
-			r.searches++
-			r.lay.CSR().DijkstraInto(dm.Src, r.dist, r.prev, &r.scratch)
-			for _, j := range order[first[dm.Src]:first[dm.Src+1]] {
+			group := order[first[dm.Src]:first[dm.Src+1]]
+			r.dsts = r.dsts[:0]
+			for _, j := range group {
 				if to := demands[j]; int(j) >= i && r.pruneFree(to.Rate) {
-					res, err := r.lay.pathFrom(to.Src, to.Dst, r.dist, r.prev)
+					r.dsts = append(r.dsts, to.Dst)
+				}
+			}
+			r.searches++
+			r.lay.search(r.lay.csr, dm.Src, &r.search, r.dsts...)
+			for _, j := range group {
+				if to := demands[j]; int(j) >= i && r.pruneFree(to.Rate) {
+					res, err := r.lay.pathFrom(to.Src, to.Dst, &r.search)
 					shared[j] = sharedRoute{res: res, err: err, have: true}
 				}
 			}
@@ -377,7 +354,7 @@ func (r *Router) unpruned(src, dst int, pre *sharedRoute) (PathResult, error) {
 		return pre.res, pre.err
 	}
 	r.searches++
-	return r.lay.ShortestPathOn(r.lay.CSR(), src, dst, r.dist, r.prev, &r.scratch)
+	return r.lay.ShortestPathOn(r.lay.csr, src, dst, &r.search)
 }
 
 // admit is the one admission routine behind Admit and AdmitAll; pre,
@@ -417,7 +394,7 @@ func (r *Router) admit(dm Demand, pre *sharedRoute) (Decision, error) {
 				}
 			}
 			r.searches++
-			res, err = r.lay.ShortestPathOn(r.lay.CSR().WithWeights(r.pruneWt), src, dst, r.dist, r.prev, &r.scratch)
+			res, err = r.lay.ShortestPathOn(r.lay.csr.WithWeights(r.pruneWt), src, dst, &r.search)
 		}
 		if err != nil {
 			if errors.Is(err, ErrUnroutable) {

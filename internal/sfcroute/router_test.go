@@ -311,8 +311,8 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := r.Admit(0, 2, 1); err == nil {
 		t.Fatal("Admit before BeginEpoch succeeded")
 	}
-	if _, err := r.Route(0, 2); err == nil {
-		t.Fatal("Route before BeginEpoch succeeded")
+	if _, err := r.AdmitAll([]Demand{{Src: 0, Dst: 2, Rate: 1}}); err == nil {
+		t.Fatal("AdmitAll before BeginEpoch succeeded")
 	}
 	if err := r.BeginEpoch(nil); err != nil {
 		t.Fatalf("BeginEpoch: %v", err)

@@ -12,19 +12,19 @@
 // problems become tractable on top of the existing kernels:
 //
 //   - SFC-constrained shortest path: one zero-alloc CSR Dijkstra on the
-//     layered snapshot (Layered.ShortestPath). With singleton sites —
-//     one fixed switch per VNF, the placement case — the result is
-//     exactly the metric-closure concatenation the optimizers price, and
-//     the differential tests pin the two bit-for-bit on unit-weight
-//     fabrics.
+//     layered snapshot (Layered.ShortestPathOn) that retires a layer once
+//     the next stage's sites settle and stops at its destinations. With
+//     singleton sites — one fixed switch per VNF, the placement case —
+//     the route is exactly the metric-closure concatenation the
+//     optimizers price, pinned bit-for-bit on unit-weight fabrics.
 //
-//   - SFC-constrained max flow / min-cost routing: a directed flow
-//     network over the layered expansion solved by internal/mcf
-//     (MaxFlow, MinCostRoute). Capacities apply per layer copy, which is
-//     a relaxation of the true shared-capacity constraint (the exact
-//     problem is NP-hard); the relaxed optimum is an *upper bound* on
-//     the routable volume, so a demand exceeding it is provably
-//     unroutable — the soundness direction admission control needs.
+//   - SFC-constrained max flow: a directed flow network over the
+//     layered expansion solved by internal/mcf (MaxFlow). Capacities
+//     apply per layer copy, which is a relaxation of the true
+//     shared-capacity constraint (the exact problem is NP-hard); the
+//     relaxed optimum is an *upper bound* on the routable volume, so a
+//     demand exceeding it is provably unroutable — the soundness
+//     direction admission control needs.
 //
 // Router combines both: congestion-aware link pricing (weights grow
 // with utilization), residual-capacity tracking, unsplittable-path
@@ -33,13 +33,14 @@
 // in its drift loop, handing the epoch's flows to Router.AdmitAll in one
 // batch: prices are frozen per epoch and the search is deterministic, so
 // every flow whose prune set is empty shares its source's one unpruned
-// shortest-path tree instead of re-deriving it — one search per distinct
-// source, bit-identical to admitting flow by flow.
+// search, run until the last of their destinations settles — one search
+// per distinct source, bit-identical to admitting flow by flow.
 package sfcroute
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
@@ -83,9 +84,9 @@ func validateSites(sites [][]int, n int) error {
 // once built; routers swap weight arrays (pricing, pruning) with
 // graph.CSR.WithWeights without rebuilding the structure.
 type Layered struct {
-	csr    *graph.CSR
-	n      int // base fabric order
-	stages int // chain length
+	csr   *graph.CSR
+	n     int     // base fabric order
+	sites [][]int // owned copy; stage ℓ's sites are layer ℓ's exits
 }
 
 // BuildLayered expands base for the given per-stage site sets. An empty
@@ -95,20 +96,15 @@ func BuildLayered(base *graph.CSR, sites [][]int) (*Layered, error) {
 	if err := validateSites(sites, base.Order()); err != nil {
 		return nil, err
 	}
-	return &Layered{csr: base.Layered(sites, 0), n: base.Order(), stages: len(sites)}, nil
+	own := make([][]int, len(sites))
+	for i, stage := range sites {
+		own[i] = slices.Clone(stage)
+	}
+	return &Layered{csr: base.Layered(sites, 0), n: base.Order(), sites: own}, nil
 }
 
-// Order returns the layered vertex count, (stages+1) × BaseOrder().
+// Order returns the layered vertex count, (stages+1) × the fabric's.
 func (L *Layered) Order() int { return L.csr.Order() }
-
-// BaseOrder returns the fabric vertex count.
-func (L *Layered) BaseOrder() int { return L.n }
-
-// Stages returns the chain length n.
-func (L *Layered) Stages() int { return L.stages }
-
-// CSR exposes the layered snapshot (for weight-swapped routing runs).
-func (L *Layered) CSR() *graph.CSR { return L.csr }
 
 // PathResult is one chain-constrained route: its cost under the weights
 // it was computed with, the projected fabric walk src..dst (layer
@@ -120,29 +116,85 @@ type PathResult struct {
 	Gateways []int   `json:"gateways"`
 }
 
-// ShortestPath computes the chain-constrained shortest path from src to
-// dst on the layered snapshot's own weights, allocating its scratch.
-func (L *Layered) ShortestPath(src, dst int) (PathResult, error) {
-	dist := make([]float64, L.csr.Order())
-	prev := make([]int32, L.csr.Order())
-	var scratch graph.SSSPScratch
-	return L.ShortestPathOn(L.csr, src, dst, dist, prev, &scratch)
+// SearchScratch is the reusable state of the layered search: dist/prev
+// rows, heap, and per layer the count of exits (last layer: targets)
+// still unsettled. mark is generation-stamped, so a repeated site or
+// target counts once and a search starts without clearing it.
+type SearchScratch struct {
+	dist    []float64
+	prev    []int32
+	sssp    graph.SSSPScratch
+	mark    []uint64 // mark[x] == gen: x is an exit or target of this search
+	gen     uint64   // never wraps
+	left    []int
+	n       int
+	settled int // vertices settled and relaxed, over the scratch's life
 }
 
-// ShortestPathOn is the kernel form: it runs the zero-alloc CSR
-// Dijkstra on w — a snapshot sharing this expansion's structure, e.g. a
-// pruned or re-priced WithWeights view — with caller-owned dist/prev
-// rows (length Order()) and scratch. Only the PathResult slices
-// allocate.
-func (L *Layered) ShortestPathOn(w *graph.CSR, src, dst int, dist []float64, prev []int32, s *graph.SSSPScratch) (PathResult, error) {
+// search runs Dijkstra from (0, src) on w, a view of this expansion,
+// until the targets (stages, dst) of dsts settle. Vertices settle in
+// (dist, id) order, so a settled vertex's cells are final, and so are
+// those of its tree path, which settled before it. A path leaves layer
+// ℓ only over an exit's crossing; once every exit has settled and been
+// relaxed, what is left in layer ℓ can lower only unsettled layer-ℓ
+// cells, which no route reads, so the layer retires: its queued entries
+// are dropped and nothing more in it is relaxed. After the search only
+// the targets' routes in s are final — exactly DijkstraInto's.
+func (L *Layered) search(w *graph.CSR, src int, s *SearchScratch, dsts ...int) {
+	if nv := L.csr.Order(); len(s.dist) != nv {
+		s.dist, s.prev, s.mark = make([]float64, nv), make([]int32, nv), make([]uint64, nv)
+		s.sssp.Visit = s.settle
+	}
+	s.gen++
+	s.n, s.left = L.n, append(s.left[:0], make([]int, len(L.sites)+1)...)
+	for l := range s.left {
+		exits := dsts
+		if l < len(L.sites) {
+			exits = L.sites[l]
+		}
+		for _, v := range exits {
+			if x := l*L.n + v; s.mark[x] != s.gen {
+				s.mark[x], s.left[l] = s.gen, s.left[l]+1
+			}
+		}
+	}
+	w.DijkstraInto(src, s.dist, s.prev, &s.sssp)
+}
+
+// settle is search's Visit hook. A layer's last exit retires the layer
+// and is still relaxed; the last target ends the search.
+func (s *SearchScratch) settle(x int) bool {
+	l := x / s.n
+	if s.left[l] == 0 {
+		return false
+	}
+	s.settled++
+	if s.mark[x] == s.gen {
+		if s.left[l]--; s.left[l] == 0 {
+			if l == len(s.left)-1 {
+				s.sssp.Discard(0, len(s.dist)) // the last target: stop
+				return false
+			}
+			s.sssp.Discard(l*s.n, (l+1)*s.n) // the last exit: retire
+		}
+	}
+	return true
+}
+
+// ShortestPathOn computes the chain-constrained shortest path from src
+// to dst on w — this expansion's CSR or a view sharing its structure,
+// e.g. a pruned or re-priced WithWeights one — with reusable scratch s.
+// Only the PathResult slices allocate. The search ends once dst's route
+// is final; no other cell of s is.
+func (L *Layered) ShortestPathOn(w *graph.CSR, src, dst int, s *SearchScratch) (PathResult, error) {
 	if w.Order() != L.csr.Order() {
 		return PathResult{}, fmt.Errorf("sfcroute: weight view order %d does not match layered order %d", w.Order(), L.csr.Order())
 	}
 	if err := L.checkEndpoints(src, dst); err != nil {
 		return PathResult{}, err
 	}
-	w.DijkstraInto(src, dist, prev, s)
-	return L.pathFrom(src, dst, dist, prev)
+	L.search(w, src, s, dst)
+	return L.pathFrom(src, dst, s)
 }
 
 func (L *Layered) checkEndpoints(src, dst int) error {
@@ -152,27 +204,29 @@ func (L *Layered) checkEndpoints(src, dst int) error {
 	return nil
 }
 
-// pathFrom reads dst's route out of the shortest-path tree a
-// DijkstraInto run from (0, src) left in dist/prev. One tree serves
-// every destination, so a caller routing several flows from one source
-// on one weight view searches once and calls this per flow.
-func (L *Layered) pathFrom(src, dst int, dist []float64, prev []int32) (PathResult, error) {
-	target := L.stages*L.n + dst
-	cost := dist[target]
+// pathFrom reads dst's route out of the tree the last search from
+// (0, src) left in s. Only a target of that search reads a final route,
+// but one search serves all of its targets: a caller routing several
+// flows from one source on one weight view searches once for their
+// destinations and calls this per flow.
+func (L *Layered) pathFrom(src, dst int, s *SearchScratch) (PathResult, error) {
+	stages := len(L.sites)
+	target := stages*L.n + dst
+	cost := s.dist[target]
 	if cost == graph.Inf {
-		return PathResult{}, fmt.Errorf("%w: %d → chain(%d stages) → %d", ErrUnroutable, src, L.stages, dst)
+		return PathResult{}, fmt.Errorf("%w: %d → chain(%d stages) → %d", ErrUnroutable, src, stages, dst)
 	}
 	// Reconstruct the layered path, then project: a crossing keeps the
 	// same base vertex across consecutive layered vertices (the fabric
 	// has no self-loops, so equal consecutive base ids happen only at
 	// crossings) and records the stage's chosen gateway.
 	var rev []int
-	for x := target; x != -1; x = int(prev[x]) {
+	for x := target; x != -1; x = int(s.prev[x]) {
 		rev = append(rev, x)
 	}
 	res := PathResult{Cost: cost, Walk: make([]int, 0, len(rev))}
-	if L.stages > 0 {
-		res.Gateways = make([]int, 0, L.stages)
+	if stages > 0 {
+		res.Gateways = make([]int, 0, stages)
 	}
 	for i := len(rev) - 1; i >= 0; i-- {
 		v := rev[i] % L.n
