@@ -607,10 +607,16 @@ func TestDeleteWALRetireFailure(t *testing.T) {
 // field — but the create records, checkpoints and state files an older
 // daemon wrote with it must still boot (they decode leniently) and carry
 // on: search_workers' exhaustive migrator steps on the one search that is
-// left; rebuild_fraction and the delta_pairs / delta_epochs /
-// rebuild_epochs counters of the cost cache's delta path are ignored, the
-// state around them is not.
+// left; rebuild_fraction, the repair retry's repair_retries /
+// repair_backoff_ns and the delta_pairs / delta_epochs / rebuild_epochs
+// counters of the cost cache's delta path are ignored, the state around
+// them is not.
 func TestRemovedSearchWorkersStillLoads(t *testing.T) {
+	// An older daemon's spec with every policy key since removed.
+	const oldPolicy = `{"pairs":[{"src":0,"dst":5,"rate":10},{"src":1,"dst":9,"rate":8},{"src":2,"dst":12,"rate":5}],` +
+		`"policy":{"hysteresis":0,"cooldown":0,"budget":0,"rebuild_fraction":1,"repair_retries":3,"repair_backoff_ns":25000000},` +
+		`"state":{"epoch":2,"rates":[10,8,5],"placement":[8,9,10],"committed_cost":1,"committed_epoch":0,"last_migration":-1,` +
+		`"metrics":{"epochs":2,"delta_pairs":5,"delta_epochs":3,"rebuild_epochs":1}}}`
 	// live is what a client may no longer send; old is the spec an older
 	// daemon wrote, resuming at epoch from its state if it carries one;
 	// a step of the booted scenario consults migrator, by exact search
@@ -629,16 +635,9 @@ func TestRemovedSearchWorkersStillLoads(t *testing.T) {
 			migrator: "Exhaustive",
 			searches: true,
 		},
-		{
-			name: "rebuild_fraction",
-			live: `{"k":4,"flows":10,"policy":{"rebuild_fraction":1}}`,
-			old: `{"pairs":[{"src":0,"dst":5,"rate":10},{"src":1,"dst":9,"rate":8},{"src":2,"dst":12,"rate":5}],` +
-				`"policy":{"hysteresis":0,"cooldown":0,"budget":0,"rebuild_fraction":1,"repair_retries":0,"repair_backoff_ns":0},` +
-				`"state":{"epoch":2,"rates":[10,8,5],"placement":[8,9,10],"committed_cost":1,"committed_epoch":0,"last_migration":-1,` +
-				`"metrics":{"epochs":2,"delta_pairs":5,"delta_epochs":3,"rebuild_epochs":1}}}`,
-			epoch:    2,
-			migrator: "mPareto",
-		},
+		{name: "rebuild_fraction", live: `{"k":4,"flows":10,"policy":{"rebuild_fraction":1}}`, old: oldPolicy, epoch: 2, migrator: "mPareto"},
+		{name: "repair_retries", live: `{"k":4,"flows":10,"policy":{"repair_retries":3}}`, old: oldPolicy, epoch: 2, migrator: "mPareto"},
+		{name: "repair_backoff_ns", live: `{"k":4,"flows":10,"policy":{"repair_backoff_ns":25000000}}`, old: oldPolicy, epoch: 2, migrator: "mPareto"},
 	}
 	// Each medium boots a daemon from old and says how many epochs it
 	// replays on top.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"vnfopt/internal/fault"
 	"vnfopt/internal/migration"
@@ -33,9 +32,6 @@ type FaultResult struct {
 	// Repair is the repair pass that re-validated the placement on the
 	// new fabric (nil when the call was a no-op).
 	Repair *migration.RepairResult `json:"repair,omitempty"`
-	// Attempts is the number of repair attempts made; attempts beyond
-	// the first retried a fallback hoping for an exact consult.
-	Attempts int `json:"repair_attempts,omitempty"`
 }
 
 // ApplyFaults is the engine's topology-event path, the structural
@@ -45,12 +41,12 @@ type FaultResult struct {
 // the aggregated cost cache over the served workload, and runs a repair
 // migration so the placement only ever uses live switches.
 //
-// The repair consults the engine's configured migrator via
-// migration.Repair; when the exact consult fails or is cancelled the
-// greedy fallback is retried up to Policy.RepairRetries times with
-// doubling backoff starting at Policy.RepairBackoff before the fallback
-// placement is accepted. Repair never leaves the engine on a dead
-// switch once a feasible patch exists.
+// The repair consults the engine's configured migrator once via
+// migration.Repair and commits its result: the exact consult, or the
+// greedy fallback when the consult fails or is cancelled. Every migrator
+// the engine runs is a pure function of its Problem, so asking again
+// could only return the same fallback. Repair never leaves the engine on
+// a dead switch once a feasible patch exists.
 //
 // On any error the engine state is untouched. The call fails with
 // ErrInfeasible (wrapped) when the surviving fabric cannot host the SFC.
@@ -79,7 +75,7 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 		healed++
 	}
 	if injected == 0 && healed == 0 {
-		return e.faultResult(nil, 0, 0, 0), nil
+		return e.faultResult(nil, 0, 0), nil
 	}
 
 	// Fold pending rates into the flow table the service plan and the
@@ -105,34 +101,12 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 
-	retries := e.cfg.Policy.RepairRetries
-	if retries <= 0 {
-		retries = 3
-	}
-	backoff := e.cfg.Policy.RepairBackoff
-	if backoff <= 0 {
-		backoff = 25 * time.Millisecond
-	}
-	// One cost cache per event: every repair attempt prices against it and
-	// the commit below installs the same object.
+	// One cost cache per event: the repair prices against it and the
+	// commit below installs the same object.
 	cache := plan.PPDC.NewWorkloadCache(plan.Served)
-	var res *migration.RepairResult
-	attempts := 0
-	for {
-		attempts++
-		res, err = migration.Repair(ctx, cache.Problem(e.cfg.SFC), e.cfg.PPDC, e.p, e.cfg.Mu, e.mig)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		if !res.Fallback || attempts >= retries || ctx.Err() != nil {
-			break
-		}
-		e.obs.observeRepairRetry(attempts, res.FallbackReason)
-		select {
-		case <-ctx.Done():
-		case <-time.After(backoff):
-		}
-		backoff *= 2
+	res, err := migration.Repair(ctx, cache.Problem(e.cfg.SFC), e.cfg.PPDC, e.p, e.cfg.Mu, e.mig)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 
 	// Commit: swap flow table, serving model, cache, masks, and placement
@@ -179,7 +153,7 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 		e.routingReport = nil
 	}
 	e.open = rerr != nil
-	out := e.faultResult(res, injected, healed, attempts)
+	out := e.faultResult(res, injected, healed)
 	e.obs.observeFaults(out)
 	e.publish(cur)
 	return out, nil
@@ -201,7 +175,7 @@ func (e *Engine) Unserved() []fault.UnservedFlow {
 
 // faultResult assembles a FaultResult from the current engine state.
 // Called with e.mu held.
-func (e *Engine) faultResult(res *migration.RepairResult, injected, healed, attempts int) *FaultResult {
+func (e *Engine) faultResult(res *migration.RepairResult, injected, healed int) *FaultResult {
 	return &FaultResult{
 		Active:   e.faults.Faults(),
 		Degraded: e.view != nil,
@@ -209,6 +183,5 @@ func (e *Engine) faultResult(res *migration.RepairResult, injected, healed, atte
 		Healed:   healed,
 		Unserved: append([]fault.UnservedFlow(nil), e.unserved...),
 		Repair:   res,
-		Attempts: attempts,
 	}
 }

@@ -201,26 +201,14 @@ func (o *Observer) observeFaults(res *FaultResult) {
 	}
 	if res.Repair.Moves > 0 || res.Repair.Fallback {
 		o.Events.Append("repair",
-			fmt.Sprintf("repair moved %d VNFs (%d forced, cost %.6g, fallback=%v, attempts=%d)",
-				res.Repair.Moves, len(res.Repair.Forced), res.Repair.Cost, res.Repair.Fallback, res.Attempts),
+			fmt.Sprintf("repair moved %d VNFs (%d forced, cost %.6g, fallback=%v)",
+				res.Repair.Moves, len(res.Repair.Forced), res.Repair.Cost, res.Repair.Fallback),
 			map[string]float64{
-				"moves":    float64(res.Repair.Moves),
-				"forced":   float64(len(res.Repair.Forced)),
-				"cost":     res.Repair.Cost,
-				"attempts": float64(res.Attempts),
+				"moves":  float64(res.Repair.Moves),
+				"forced": float64(len(res.Repair.Forced)),
+				"cost":   res.Repair.Cost,
 			})
 	}
-}
-
-// observeRepairRetry records one repair attempt that fell back and will
-// be retried.
-func (o *Observer) observeRepairRetry(attempt int, reason string) {
-	if o == nil {
-		return
-	}
-	o.Events.Append("repair_retry",
-		fmt.Sprintf("repair attempt %d fell back (%s); retrying", attempt, reason),
-		map[string]float64{"attempt": float64(attempt)})
 }
 
 // observeError records a failed Step.
