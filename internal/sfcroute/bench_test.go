@@ -27,7 +27,7 @@ func BenchmarkLayeredBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildLayered(base, sites); err != nil {
+				if _, err := buildLayered(base, sites); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -40,13 +40,13 @@ func BenchmarkLayeredRoute(b *testing.B) {
 		k := k
 		b.Run(fmt.Sprintf("fat-tree-k%d-n3", k), func(b *testing.B) {
 			d := model.MustNew(topology.MustFatTree(k, nil), model.Options{})
-			lay, err := BuildLayered(d.Topo.Graph.Freeze(), benchSites(d))
+			lay, err := buildLayered(d.Topo.Graph.Freeze(), benchSites(d))
 			if err != nil {
 				b.Fatal(err)
 			}
 			hosts := d.Hosts()
 			var s SearchScratch
-			if _, err := lay.ShortestPathOn(lay.csr, hosts[0], hosts[1], &s); err != nil {
+			if _, err := lay.shortestPathOn(lay.csr, hosts[0], hosts[1], &s); err != nil {
 				b.Fatal(err) // sizes the scratch outside the timed loop
 			}
 			b.ReportAllocs()
@@ -54,7 +54,7 @@ func BenchmarkLayeredRoute(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				src := hosts[i%len(hosts)]
 				dst := hosts[(i*7+3)%len(hosts)]
-				if _, err := lay.ShortestPathOn(lay.csr, src, dst, &s); err != nil {
+				if _, err := lay.shortestPathOn(lay.csr, src, dst, &s); err != nil {
 					b.Fatal(err)
 				}
 			}

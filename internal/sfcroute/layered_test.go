@@ -26,21 +26,21 @@ func line(n int) *graph.CSR {
 // fresh scratch.
 func shortestPath(lay *Layered, src, dst int) (PathResult, error) {
 	var s SearchScratch
-	return lay.ShortestPathOn(lay.csr, src, dst, &s)
+	return lay.shortestPathOn(lay.csr, src, dst, &s)
 }
 
 func TestEmptyChainIsPlainShortestPath(t *testing.T) {
 	base := line(6)
-	lay, err := BuildLayered(base, nil)
+	lay, err := buildLayered(base, nil)
 	if err != nil {
-		t.Fatalf("BuildLayered(nil): %v", err)
+		t.Fatalf("buildLayered(nil): %v", err)
 	}
 	if lay.Order() != base.Order() {
 		t.Fatalf("n=0 expansion has order %d, want the fabric's %d", lay.Order(), base.Order())
 	}
 	res, err := shortestPath(lay, 0, 5)
 	if err != nil {
-		t.Fatalf("ShortestPathOn: %v", err)
+		t.Fatalf("shortestPathOn: %v", err)
 	}
 	dist, _ := base.Dijkstra(0)
 	if res.Cost != dist[5] {
@@ -64,13 +64,13 @@ func TestSiteAtSourceAndDestination(t *testing.T) {
 	base := line(5)
 	// Stage 1 sits on the source vertex, stage 2 on the destination:
 	// the chain adds zero detour and both crossings are at walk endpoints.
-	lay, err := BuildLayered(base, [][]int{{0}, {4}})
+	lay, err := buildLayered(base, [][]int{{0}, {4}})
 	if err != nil {
-		t.Fatalf("BuildLayered: %v", err)
+		t.Fatalf("buildLayered: %v", err)
 	}
 	res, err := shortestPath(lay, 0, 4)
 	if err != nil {
-		t.Fatalf("ShortestPathOn: %v", err)
+		t.Fatalf("shortestPathOn: %v", err)
 	}
 	if res.Cost != 4 {
 		t.Fatalf("cost %v, want 4 (no detour for on-path sites)", res.Cost)
@@ -90,13 +90,13 @@ func TestSpurSiteDoublesLink(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(1, 3, 1)
-	lay, err := BuildLayered(g.Freeze(), [][]int{{3}})
+	lay, err := buildLayered(g.Freeze(), [][]int{{3}})
 	if err != nil {
-		t.Fatalf("BuildLayered: %v", err)
+		t.Fatalf("buildLayered: %v", err)
 	}
 	res, err := shortestPath(lay, 0, 2)
 	if err != nil {
-		t.Fatalf("ShortestPathOn: %v", err)
+		t.Fatalf("shortestPathOn: %v", err)
 	}
 	if res.Cost != 4 {
 		t.Fatalf("cost %v, want 4 (0-1, 1-3 twice, 1-2)", res.Cost)
@@ -117,13 +117,13 @@ func TestSpurSiteDoublesLink(t *testing.T) {
 
 func TestBuildLayeredErrors(t *testing.T) {
 	base := line(4)
-	if _, err := BuildLayered(base, [][]int{{1}, {}}); !errors.Is(err, ErrNoSite) {
+	if _, err := buildLayered(base, [][]int{{1}, {}}); !errors.Is(err, ErrNoSite) {
 		t.Fatalf("empty stage: got %v, want ErrNoSite", err)
 	}
-	if _, err := BuildLayered(base, [][]int{{4}}); err == nil {
+	if _, err := buildLayered(base, [][]int{{4}}); err == nil {
 		t.Fatal("out-of-range site accepted")
 	}
-	if _, err := BuildLayered(base, [][]int{{-1}}); err == nil {
+	if _, err := buildLayered(base, [][]int{{-1}}); err == nil {
 		t.Fatal("negative site accepted")
 	}
 }
@@ -134,9 +134,9 @@ func TestUnreachableLayerFailsCleanly(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
-	lay, err := BuildLayered(g.Freeze(), [][]int{{2}})
+	lay, err := buildLayered(g.Freeze(), [][]int{{2}})
 	if err != nil {
-		t.Fatalf("BuildLayered: %v", err)
+		t.Fatalf("buildLayered: %v", err)
 	}
 	if _, err := shortestPath(lay, 0, 1); !errors.Is(err, ErrUnroutable) {
 		t.Fatalf("unreachable chain: got %v, want ErrUnroutable", err)
@@ -151,12 +151,12 @@ func TestUnreachableLayerFailsCleanly(t *testing.T) {
 }
 
 func TestShortestPathOnRejectsForeignView(t *testing.T) {
-	lay, err := BuildLayered(line(4), [][]int{{1}})
+	lay, err := buildLayered(line(4), [][]int{{1}})
 	if err != nil {
-		t.Fatalf("BuildLayered: %v", err)
+		t.Fatalf("buildLayered: %v", err)
 	}
 	var s SearchScratch
-	if _, err := lay.ShortestPathOn(line(4), 0, 3, &s); err == nil {
+	if _, err := lay.shortestPathOn(line(4), 0, 3, &s); err == nil {
 		t.Fatal("accepted a weight view with the wrong order")
 	}
 }
@@ -211,13 +211,13 @@ func TestDifferentialMetricClosure(t *testing.T) {
 				for j := range p {
 					p[j] = switches[rng.Intn(len(switches))]
 				}
-				lay, err := BuildLayered(base, PlacementSites(p))
+				lay, err := buildLayered(base, PlacementSites(p))
 				if err != nil {
-					t.Fatalf("trial %d: BuildLayered(%v): %v", trial, p, err)
+					t.Fatalf("trial %d: buildLayered(%v): %v", trial, p, err)
 				}
 				res, err := shortestPath(lay, src, dst)
 				if err != nil {
-					t.Fatalf("trial %d: ShortestPathOn(%d,%d | %v): %v", trial, src, dst, p, err)
+					t.Fatalf("trial %d: shortestPathOn(%d,%d | %v): %v", trial, src, dst, p, err)
 				}
 				// Metric-closure concatenation: src → p1 → … → pn → dst.
 				closure := 0.0
@@ -303,9 +303,9 @@ func FuzzLayeredSearch(f *testing.F) {
 				sites[l] = append(sites[l], sites[l][0]) // a repeated site
 			}
 		}
-		lay, err := BuildLayered(g.Freeze(), sites)
+		lay, err := buildLayered(g.Freeze(), sites)
 		if err != nil {
-			t.Fatalf("BuildLayered(%v): %v", sites, err)
+			t.Fatalf("buildLayered(%v): %v", sites, err)
 		}
 		wt := make([]float64, lay.csr.NumSlots())
 		lay.csr.ForEachSlot(func(slot, _, _ int, w float64) {

@@ -14,10 +14,8 @@ import (
 // Config tunes a Router.
 type Config struct {
 	// Capacity is the uniform link capacity (the paper's homogeneous
-	// provisioning assumption). Required positive unless CapOf is set.
+	// provisioning assumption). Required positive.
 	Capacity float64
-	// CapOf overrides Capacity per link when non-nil.
-	CapOf routing.CapacityFunc
 	// Alpha is the congestion-pricing strength: at utilization u a link
 	// of weight w is priced w·(1 + Alpha·u/(1−u)) (u capped just below 1
 	// so prices stay finite). 0 keeps the capacity-blind distance
@@ -29,15 +27,16 @@ type Config struct {
 	// capacity (default 1.0). Set it to the provisioning point (e.g.
 	// 0.40) to admit against headroom instead of raw capacity.
 	MaxUtilization float64
-	// MaxReroutes bounds the reroute attempts when a path individually
-	// fits every link but multi-traversal (an n-tour crossing one link
-	// in several layers) overflows it (default 4).
-	MaxReroutes int
 	// Classify runs the layered max-flow bound on every rejection to
 	// distinguish provably infeasible demands (bound < rate) from
 	// unsplittable-path failures. Costs one mcf solve per rejection.
 	Classify bool
 }
+
+// maxReroutes bounds the reroute attempts when a path individually fits
+// every link but multi-traversal (an n-tour crossing one link in several
+// layers) overflows it.
+const maxReroutes = 4
 
 // Admission reasons.
 const (
@@ -73,7 +72,6 @@ type Router struct {
 	cfg Config
 
 	links []routing.Link
-	lcap  []float64 // capacity per link
 	load  []float64 // committed load per link
 	lidx  map[routing.Link]int
 
@@ -114,11 +112,8 @@ type Router struct {
 // NewRouter builds a router over d's fabric. The fabric snapshot is
 // frozen here; fault-degraded serving models need a fresh router.
 func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
-	if cfg.CapOf == nil {
-		if cfg.Capacity <= 0 || math.IsNaN(cfg.Capacity) || math.IsInf(cfg.Capacity, 0) {
-			return nil, fmt.Errorf("sfcroute: invalid uniform capacity %v", cfg.Capacity)
-		}
-		cfg.CapOf = routing.UniformCapacity(cfg.Capacity)
+	if cfg.Capacity <= 0 || math.IsNaN(cfg.Capacity) || math.IsInf(cfg.Capacity, 0) {
+		return nil, fmt.Errorf("sfcroute: invalid uniform capacity %v", cfg.Capacity)
 	}
 	if cfg.Alpha < 0 || math.IsNaN(cfg.Alpha) {
 		return nil, fmt.Errorf("sfcroute: invalid congestion alpha %v", cfg.Alpha)
@@ -129,9 +124,6 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	if cfg.MaxUtilization < 0 || cfg.MaxUtilization > 1 {
 		return nil, fmt.Errorf("sfcroute: max utilization %v outside (0,1]", cfg.MaxUtilization)
 	}
-	if cfg.MaxReroutes == 0 {
-		cfg.MaxReroutes = 4
-	}
 	r := &Router{d: d, cfg: cfg, lidx: make(map[routing.Link]int)}
 	// Parallel edges (none in the shipped topologies) collapse onto one
 	// physical link sharing one capacity.
@@ -140,13 +132,8 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 		if _, dup := r.lidx[l]; dup {
 			continue
 		}
-		c := cfg.CapOf(l)
-		if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-			return nil, fmt.Errorf("sfcroute: link (%d,%d) has invalid capacity %v", l.U, l.V, c)
-		}
 		r.lidx[l] = len(r.links)
 		r.links = append(r.links, l)
-		r.lcap = append(r.lcap, c)
 	}
 	r.load = make([]float64, len(r.links))
 	r.blocked = make([]bool, len(r.links))
@@ -182,7 +169,7 @@ const priceCap = 0.98
 
 // price returns the congestion-priced weight of one link.
 func (r *Router) price(w float64, link int) float64 {
-	u := r.load[link] / r.lcap[link]
+	u := r.load[link] / r.cfg.Capacity
 	if u <= 0 {
 		return w
 	}
@@ -210,7 +197,7 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 		r.minHeadroom = min(r.minHeadroom, r.headroom(i))
 	}
 	r.searches, r.search.settled = 0, 0
-	lay, err := BuildLayered(r.priced, sites)
+	lay, err := buildLayered(r.priced, sites)
 	if err != nil {
 		return err
 	}
@@ -354,7 +341,7 @@ func (r *Router) unpruned(src, dst int, pre *sharedRoute) (PathResult, error) {
 		return pre.res, pre.err
 	}
 	r.searches++
-	return r.lay.ShortestPathOn(r.lay.csr, src, dst, &r.search)
+	return r.lay.shortestPathOn(r.lay.csr, src, dst, &r.search)
 }
 
 // admit is the one admission routine behind Admit and AdmitAll; pre,
@@ -378,7 +365,7 @@ func (r *Router) admit(dm Demand, pre *sharedRoute) (Decision, error) {
 		return Decision{Admitted: true, Cost: res.Cost, Walk: res.Walk, Gateways: res.Gateways}, nil
 	}
 	clear(r.blocked)
-	for attempt := 0; attempt <= r.cfg.MaxReroutes; attempt++ {
+	for attempt := 0; attempt <= maxReroutes; attempt++ {
 		var res PathResult
 		var err error
 		if attempt == 0 && r.pruneFree(rate) {
@@ -394,7 +381,7 @@ func (r *Router) admit(dm Demand, pre *sharedRoute) (Decision, error) {
 				}
 			}
 			r.searches++
-			res, err = r.lay.ShortestPathOn(r.lay.csr.WithWeights(r.pruneWt), src, dst, &r.search)
+			res, err = r.lay.shortestPathOn(r.lay.csr.WithWeights(r.pruneWt), src, dst, &r.search)
 		}
 		if err != nil {
 			if errors.Is(err, ErrUnroutable) {
@@ -411,7 +398,7 @@ func (r *Router) admit(dm Demand, pre *sharedRoute) (Decision, error) {
 		links := r.walkLinks(res.Walk)
 		over, overBy := -1, 0.0
 		for _, link := range links {
-			excess := r.load[link] + float64(r.cnt[link])*rate - r.lcap[link]*r.cfg.MaxUtilization
+			excess := r.load[link] + float64(r.cnt[link])*rate - r.cfg.Capacity*r.cfg.MaxUtilization
 			if excess > 1e-12 && excess > overBy {
 				over, overBy = int(link), excess
 			}
@@ -425,7 +412,7 @@ func (r *Router) admit(dm Demand, pre *sharedRoute) (Decision, error) {
 		}
 		r.blocked[over] = true
 	}
-	d := r.reject(src, dst, rate, r.cfg.MaxReroutes)
+	d := r.reject(src, dst, rate, maxReroutes)
 	if d.Reason == ReasonNoPath {
 		d.Reason = ReasonFragmented
 	}
@@ -439,7 +426,7 @@ func (r *Router) reject(src, dst int, rate float64, attempts int) Decision {
 	if !r.cfg.Classify {
 		return d
 	}
-	bound, err := r.MaxFlow(src, dst)
+	bound, err := r.maxFlow(src, dst)
 	if err == nil && bound.Flow < rate-1e-9 {
 		d.Reason = ReasonInfeasible
 	}
@@ -449,7 +436,7 @@ func (r *Router) reject(src, dst int, rate float64, attempts int) Decision {
 // headroom is the admissible residual of one link under the utilization
 // target.
 func (r *Router) headroom(link int) float64 {
-	h := r.lcap[link]*r.cfg.MaxUtilization - r.load[link]
+	h := r.cfg.Capacity*r.cfg.MaxUtilization - r.load[link]
 	if h < 0 {
 		return 0
 	}
@@ -506,27 +493,9 @@ func (r *Router) SetLoads(loads map[routing.Link]float64) error {
 }
 
 // LinkLoads returns the capacity-aware load records of the committed
-// flows, hottest first (routing.Loads over the router's capacities).
+// flows, hottest first.
 func (r *Router) LinkLoads() []routing.LinkLoad {
-	recs, err := routing.Loads(r.Loads(), func(l routing.Link) float64 { return r.lcap[r.lidx[l]] })
-	if err != nil {
-		// Capacities were validated at construction; this is unreachable.
-		panic(err)
-	}
-	return recs
-}
-
-// Saturated lists links above the utilization threshold, hottest first.
-func (r *Router) Saturated(threshold float64) []routing.LinkLoad {
-	recs := r.LinkLoads()
-	cut := len(recs)
-	for i, rec := range recs {
-		if rec.Utilization <= threshold {
-			cut = i
-			break
-		}
-	}
-	return recs[:cut]
+	return routing.Loads(r.Loads(), r.cfg.Capacity)
 }
 
 // MaxUtilization returns the hottest link's utilization and identity
@@ -534,7 +503,7 @@ func (r *Router) Saturated(threshold float64) []routing.LinkLoad {
 func (r *Router) MaxUtilization() (float64, routing.Link) {
 	best, link := 0.0, routing.Link{}
 	for i := range r.links {
-		if u := r.load[i] / r.lcap[i]; u > best {
+		if u := r.load[i] / r.cfg.Capacity; u > best {
 			best, link = u, r.links[i]
 		}
 	}

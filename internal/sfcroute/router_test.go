@@ -83,9 +83,9 @@ func TestAdmitCommitsAndExhaustsCapacity(t *testing.T) {
 	if dec.Admitted || dec.Reason != ReasonInfeasible {
 		t.Fatalf("over-capacity flow: %+v, want rejection with %q", dec, ReasonInfeasible)
 	}
-	bound, err := r.MaxFlow(0, 3)
+	bound, err := r.maxFlow(0, 3)
 	if err != nil {
-		t.Fatalf("MaxFlow: %v", err)
+		t.Fatalf("maxFlow: %v", err)
 	}
 	if bound.Flow != 2 {
 		t.Fatalf("residual max-flow bound %v, want 2", bound.Flow)
@@ -135,9 +135,9 @@ func TestProvableRejectionOfInfeasibleChain(t *testing.T) {
 	if dec.Admitted || dec.Reason != ReasonInfeasible {
 		t.Fatalf("infeasible chain: %+v, want %q", dec, ReasonInfeasible)
 	}
-	bound, err := r.MaxFlow(0, 3)
+	bound, err := r.maxFlow(0, 3)
 	if err != nil {
-		t.Fatalf("MaxFlow: %v", err)
+		t.Fatalf("maxFlow: %v", err)
 	}
 	if bound.Flow != 5 {
 		t.Fatalf("chain max-flow bound %v, want 5", bound.Flow)
@@ -145,16 +145,21 @@ func TestProvableRejectionOfInfeasibleChain(t *testing.T) {
 }
 
 func TestMultiTraversalOverflowTriggersReroute(t *testing.T) {
-	// Two spur sites off s1; every candidate path crosses its spur link
-	// twice (out and back), overflowing capacity 6 at rate 4. With one
-	// reroute allowed the router tries both spurs, then reports the
-	// failure as fragmentation: paths exist, none fits unsplittably.
-	d := starPPDC(t, 2)
-	r, err := NewRouter(d, Config{Capacity: 6, MaxReroutes: 1, Classify: true})
+	// One spur site off s1 per attempt the reroute bound allows; every
+	// candidate path crosses its spur link twice (out and back),
+	// overflowing capacity 6 at rate 4. The router tries every spur, then
+	// reports the failure as fragmentation: paths exist, none fits
+	// unsplittably.
+	d := starPPDC(t, maxReroutes+1)
+	r, err := NewRouter(d, Config{Capacity: 6, Classify: true})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	if err := r.BeginEpoch([][]int{{3, 4}}); err != nil {
+	spurs := make([]int, maxReroutes+1)
+	for i := range spurs {
+		spurs[i] = 3 + i
+	}
+	if err := r.BeginEpoch([][]int{spurs}); err != nil {
 		t.Fatalf("BeginEpoch: %v", err)
 	}
 	dec, err := r.Admit(0, 2, 4)
@@ -293,7 +298,7 @@ func TestBeginEpochResetsLoadsAndReprices(t *testing.T) {
 func TestRouterConfigValidation(t *testing.T) {
 	d := linearPPDC(t, 1)
 	if _, err := NewRouter(d, Config{}); err == nil {
-		t.Fatal("accepted zero capacity with no CapOf")
+		t.Fatal("accepted zero capacity")
 	}
 	if _, err := NewRouter(d, Config{Capacity: 10, Alpha: -1}); err == nil {
 		t.Fatal("accepted negative alpha")
@@ -301,8 +306,8 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := NewRouter(d, Config{Capacity: 10, MaxUtilization: 1.5}); err == nil {
 		t.Fatal("accepted utilization target above 1")
 	}
-	if _, err := NewRouter(d, Config{CapOf: func(routing.Link) float64 { return -1 }}); err == nil {
-		t.Fatal("accepted negative per-link capacity")
+	if _, err := NewRouter(d, Config{Capacity: -1}); err == nil {
+		t.Fatal("accepted negative capacity")
 	}
 	r, err := NewRouter(d, Config{Capacity: 10})
 	if err != nil {
@@ -342,12 +347,6 @@ func TestSaturatedReport(t *testing.T) {
 		if rec.Utilization != 0.5 || rec.Headroom != 5 {
 			t.Fatalf("record %+v, want utilization 0.5 headroom 5", rec)
 		}
-	}
-	if hot := r.Saturated(0.4); len(hot) != 3 {
-		t.Fatalf("Saturated(0.4) = %d links, want 3", len(hot))
-	}
-	if hot := r.Saturated(0.5); len(hot) != 0 {
-		t.Fatalf("Saturated(0.5) = %d links, want 0 (strictly above)", len(hot))
 	}
 }
 

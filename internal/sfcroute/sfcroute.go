@@ -12,14 +12,14 @@
 // problems become tractable on top of the existing kernels:
 //
 //   - SFC-constrained shortest path: one zero-alloc CSR Dijkstra on the
-//     layered snapshot (Layered.ShortestPathOn) that retires a layer once
+//     layered snapshot (Layered.shortestPathOn) that retires a layer once
 //     the next stage's sites settle and stops at its destinations. With
 //     singleton sites — one fixed switch per VNF, the placement case —
 //     the route is exactly the metric-closure concatenation the
 //     optimizers price, pinned bit-for-bit on unit-weight fabrics.
 //
 //   - SFC-constrained max flow: a directed flow network over the
-//     layered expansion solved by internal/mcf (MaxFlow). Capacities
+//     layered expansion solved by internal/mcf (maxFlow). Capacities
 //     apply per layer copy, which is a relaxation of the true
 //     shared-capacity constraint (the exact problem is NP-hard); the
 //     relaxed optimum is an *upper bound* on the routable volume, so a
@@ -89,10 +89,10 @@ type Layered struct {
 	sites [][]int // owned copy; stage ℓ's sites are layer ℓ's exits
 }
 
-// BuildLayered expands base for the given per-stage site sets. An empty
+// buildLayered expands base for the given per-stage site sets. An empty
 // sites slice (n=0 chain) degenerates to the plain fabric: shortest
 // path on it is the ordinary point-to-point Dijkstra.
-func BuildLayered(base *graph.CSR, sites [][]int) (*Layered, error) {
+func buildLayered(base *graph.CSR, sites [][]int) (*Layered, error) {
 	if err := validateSites(sites, base.Order()); err != nil {
 		return nil, err
 	}
@@ -109,7 +109,8 @@ func (L *Layered) Order() int { return L.csr.Order() }
 // PathResult is one chain-constrained route: its cost under the weights
 // it was computed with, the projected fabric walk src..dst (layer
 // crossings removed; a link traversed in two layers appears twice, as
-// in routing.FlowRoute), and the site chosen for each stage in order.
+// in the walks routing.LinkLoads charges), and the site chosen for each
+// stage in order.
 type PathResult struct {
 	Cost     float64 `json:"cost"`
 	Walk     []int   `json:"walk"`
@@ -181,12 +182,12 @@ func (s *SearchScratch) settle(x int) bool {
 	return true
 }
 
-// ShortestPathOn computes the chain-constrained shortest path from src
+// shortestPathOn computes the chain-constrained shortest path from src
 // to dst on w — this expansion's CSR or a view sharing its structure,
 // e.g. a pruned or re-priced WithWeights one — with reusable scratch s.
 // Only the PathResult slices allocate. The search ends once dst's route
 // is final; no other cell of s is.
-func (L *Layered) ShortestPathOn(w *graph.CSR, src, dst int, s *SearchScratch) (PathResult, error) {
+func (L *Layered) shortestPathOn(w *graph.CSR, src, dst int, s *SearchScratch) (PathResult, error) {
 	if w.Order() != L.csr.Order() {
 		return PathResult{}, fmt.Errorf("sfcroute: weight view order %d does not match layered order %d", w.Order(), L.csr.Order())
 	}
