@@ -288,54 +288,6 @@ func (s *Simulator) RunVM(mig vmmig.VMMigrator) (*Trace, error) {
 	return tr, nil
 }
 
-// RunJoint simulates the schedule with both knobs turned each hour: the
-// TOM migrator first repositions the VNFs for the hour's rates, then the
-// VM baseline relocates endpoints against the *updated* placement. An
-// extension beyond the paper, which studies the two mechanisms separately
-// (Fig. 11); the joint run bounds how much headroom remains when they
-// cooperate. The hour's cost charges VNF migration + VM migration + the
-// resulting communication cost; Moves counts both kinds.
-func (s *Simulator) RunJoint(vnfMig migration.Migrator, vmMig vmmig.VMMigrator) (*Trace, error) {
-	tr := &Trace{Strategy: vnfMig.Name() + "+" + vmMig.Name(), Initial: s.Initial()}
-	p := s.p0.Clone()
-	hosts := make([][2]int, len(s.cfg.Base))
-	for i, f := range s.cfg.Base {
-		hosts[i] = [2]int{f.Src, f.Dst}
-	}
-	for h := range s.hours {
-		w := make(model.Workload, len(s.hours[h]))
-		for i, f := range s.hours[h] {
-			f.Src, f.Dst = hosts[i][0], hosts[i][1]
-			w[i] = f
-		}
-		m, _, err := vnfMig.Migrate(s.cfg.PPDC, w, s.cfg.SFC, p, s.cfg.Mu)
-		if err != nil {
-			return nil, fmt.Errorf("sim: joint %s hour %d: %w", vnfMig.Name(), h+1, err)
-		}
-		vnfCost := s.cfg.PPDC.MigrationCost(p, m, s.cfg.Mu)
-		out, vmTotal, vmMoves, err := vmMig.Migrate(s.cfg.PPDC, w, s.cfg.SFC, m, s.cfg.Mu)
-		if err != nil {
-			return nil, fmt.Errorf("sim: joint %s hour %d: %w", vmMig.Name(), h+1, err)
-		}
-		step := Step{
-			Hour:        h + 1,
-			Cost:        vnfCost + vmTotal, // vmTotal already includes comm cost
-			Moves:       migration.MigrationCount(p, m) + vmMoves,
-			MeanLatency: s.meanLatency(out, m),
-		}
-		if err := s.track(&step, out, p, m); err != nil {
-			return nil, err
-		}
-		tr.record(step)
-		p = m
-		for i := range out {
-			hosts[i] = [2]int{out[i].Src, out[i].Dst}
-		}
-	}
-	tr.Final = p
-	return tr, nil
-}
-
 // RunFrozen simulates the schedule with the placement frozen at the
 // initial TOP solution (the paper's NoMigration reference).
 func (s *Simulator) RunFrozen() (*Trace, error) {

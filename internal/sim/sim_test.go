@@ -196,27 +196,3 @@ func TestMeanLatency(t *testing.T) {
 		}
 	}
 }
-
-func TestRunJoint(t *testing.T) {
-	s := scenario(t, false)
-	joint, err := s.RunJoint(migration.MPareto{}, vmmig.PLAN{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joint.Strategy != "mPareto+PLAN" {
-		t.Fatalf("strategy %q", joint.Strategy)
-	}
-	if len(joint.Steps) != s.Hours() {
-		t.Fatalf("steps %d", len(joint.Steps))
-	}
-	// Joint adaptation should not lose to the pure VNF strategy on the
-	// same traffic (VM moves are only taken when individually
-	// profitable).
-	vnfOnly, err := s.RunVNF(migration.MPareto{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joint.Total > vnfOnly.Total*1.001 {
-		t.Fatalf("joint %v worse than VNF-only %v", joint.Total, vnfOnly.Total)
-	}
-}
