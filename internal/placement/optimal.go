@@ -50,7 +50,7 @@ func (Optimal) Name() string { return "Optimal" }
 // Place implements Solver. Callers that need the proven-optimality flag
 // should use PlaceProven.
 func (a Optimal) Place(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, error) {
-	p, c, _, err := a.PlaceProvenContext(context.Background(), d, w, sfc)
+	p, c, _, err := a.PlaceProven(d, w, sfc)
 	return p, c, err
 }
 
@@ -67,16 +67,11 @@ func (a Optimal) PlaceProblem(ctx context.Context, pr model.Problem) (model.Plac
 // PlaceProven is Place plus a flag reporting whether the search completed
 // within its node budget (i.e. the result is provably optimal).
 func (a Optimal) PlaceProven(d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, bool, error) {
-	return a.PlaceProvenContext(context.Background(), d, w, sfc)
-}
-
-// PlaceProvenContext is PlaceProven under a context.
-func (a Optimal) PlaceProvenContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC) (model.Placement, float64, bool, error) {
 	pr, err := d.NewProblem(w, sfc)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return a.placeProven(ctx, pr)
+	return a.placeProven(context.Background(), pr)
 }
 
 // placeProven is the full form: anytime search with node budget,

@@ -14,12 +14,12 @@ import (
 // (Theorem 1) and converts the stroll's first n distinct switches back
 // into a placement.
 
-// Top1Instance builds the n-stroll instance of Theorem 1 for one flow:
+// top1Instance builds the n-stroll instance of Theorem 1 for one flow:
 // closure index 0 is s(v_1), index 1 is s(v'_1) (kept separate even when
 // the two VMs share a host, matching the paper's n-tour construction in
 // Fig. 5), and indices 2… are the switches. The returned slice maps
 // closure indices back to graph vertices.
-func Top1Instance(d *model.PPDC, f model.VMPair, n int) (stroll.Instance, []int, error) {
+func top1Instance(d *model.PPDC, f model.VMPair, n int) (stroll.Instance, []int, error) {
 	if d == nil {
 		return stroll.Instance{}, nil, fmt.Errorf("placement: nil PPDC")
 	}
@@ -45,7 +45,7 @@ func top1Result(d *model.PPDC, f model.VMPair, keep []int, res stroll.Result) (m
 
 // Top1DP solves TOP-1 with the paper's Algorithm 2 (DP-Stroll).
 func Top1DP(d *model.PPDC, f model.VMPair, n int) (model.Placement, float64, error) {
-	in, keep, err := Top1Instance(d, f, n)
+	in, keep, err := top1Instance(d, f, n)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -60,7 +60,7 @@ func Top1DP(d *model.PPDC, f model.VMPair, n int) (model.Placement, float64, err
 // Top1Optimal solves TOP-1 exactly (within nodeBudget; 0 = unlimited) and
 // also reports whether optimality was proven.
 func Top1Optimal(d *model.PPDC, f model.VMPair, n, nodeBudget int) (model.Placement, float64, bool, error) {
-	in, keep, err := Top1Instance(d, f, n)
+	in, keep, err := top1Instance(d, f, n)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -74,7 +74,7 @@ func Top1Optimal(d *model.PPDC, f model.VMPair, n, nodeBudget int) (model.Placem
 
 // Top1PrimalDual solves TOP-1 with the primal-dual Algorithm 1.
 func Top1PrimalDual(d *model.PPDC, f model.VMPair, n int) (model.Placement, float64, error) {
-	in, keep, err := Top1Instance(d, f, n)
+	in, keep, err := top1Instance(d, f, n)
 	if err != nil {
 		return nil, 0, err
 	}
