@@ -44,7 +44,7 @@ func (Exhaustive) Name() string { return "Exhaustive" }
 
 // Migrate implements Migrator.
 func (a Exhaustive) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, error) {
-	m, c, _, err := a.MigrateProvenContext(context.Background(), d, w, sfc, p, mu)
+	m, c, _, err := a.MigrateProven(d, w, sfc, p, mu)
 	return m, c, err
 }
 
@@ -59,16 +59,11 @@ func (a Exhaustive) MigrateProblem(ctx context.Context, pr model.Problem, p mode
 // MigrateProven is Migrate plus a flag reporting whether the search
 // completed within its node budget.
 func (a Exhaustive) MigrateProven(d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, bool, error) {
-	return a.MigrateProvenContext(context.Background(), d, w, sfc, p, mu)
-}
-
-// MigrateProvenContext is MigrateProven under a context.
-func (a Exhaustive) MigrateProvenContext(ctx context.Context, d *model.PPDC, w model.Workload, sfc model.SFC, p model.Placement, mu float64) (model.Placement, float64, bool, error) {
 	pr, err := d.NewProblem(w, sfc)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return a.migrateProven(ctx, pr, p, mu)
+	return a.migrateProven(context.Background(), pr, p, mu)
 }
 
 // migrateProven is the full form: anytime search with node budget,

@@ -262,7 +262,7 @@ func TestParetoFilter(t *testing.T) {
 		{Cb: 2, Ca: 9}, // dominated by (1,8)
 		{Cb: 3, Ca: 5},
 	}
-	got := ParetoFilter(pts)
+	got := paretoFilter(pts)
 	if len(got) != 3 {
 		t.Fatalf("filtered = %+v", got)
 	}
@@ -275,7 +275,7 @@ func TestParetoFilter(t *testing.T) {
 
 func TestIsParetoFrontDetectsViolation(t *testing.T) {
 	// Non-dominated zig-zag cannot happen post-filter; craft a filtered
-	// sweep where Ca rises: impossible after ParetoFilter, so check a
+	// sweep where Ca rises: impossible after paretoFilter, so check a
 	// Cb-order violation instead (front listed backwards).
 	pts := []FrontierPoint{
 		{Cb: 3, Ca: 5},

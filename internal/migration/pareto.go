@@ -1,9 +1,9 @@
 package migration
 
-// ParetoFilter returns the subset of points that are Pareto-optimal in the
+// paretoFilter returns the subset of points that are Pareto-optimal in the
 // (Cb, Ca) plane: no other point is at most as large in both coordinates
 // and strictly smaller in one. Input order is preserved.
-func ParetoFilter(points []FrontierPoint) []FrontierPoint {
+func paretoFilter(points []FrontierPoint) []FrontierPoint {
 	var out []FrontierPoint
 	for i, a := range points {
 		dominated := false
@@ -27,10 +27,10 @@ func ParetoFilter(points []FrontierPoint) []FrontierPoint {
 // Fig. 6(b) observes: sorted by increasing C_b, C_a never increases —
 // "C_a(m) cannot be reduced without increasing C_b(p,m)".
 func IsParetoFront(points []FrontierPoint) bool {
-	pts := ParetoFilter(points)
+	pts := paretoFilter(points)
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Cb < pts[i-1].Cb-1e-9 {
-			// ParetoFilter preserved order, so a decrease in Cb means
+			// paretoFilter preserved order, so a decrease in Cb means
 			// the original sweep was not monotone in Cb.
 			return false
 		}
@@ -47,7 +47,7 @@ func IsParetoFront(points []FrontierPoint) bool {
 // means every front point lies on or below the segment joining its
 // neighbours.
 func IsConvexFront(points []FrontierPoint) bool {
-	pts := ParetoFilter(points)
+	pts := paretoFilter(points)
 	for i := 1; i+1 < len(pts); i++ {
 		a, b, c := pts[i-1], pts[i], pts[i+1]
 		// Cross product of (b-a) x (c-a); ≥ 0 keeps the front convex
