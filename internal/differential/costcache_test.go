@@ -143,21 +143,13 @@ func FuzzCostCacheEquivalence(f *testing.F) {
 }
 
 // requireFreshCache fails unless cache holds, bit for bit, what a fresh
-// cache over w holds: the aggregated pairs in order, Λ, the switch cells
-// of the endpoint and unit-rate vectors, and C_a of random placements.
+// cache over w holds: Λ, the switch cells of the endpoint and unit-rate
+// vectors, and C_a of random placements. (The aggregated pairs are
+// unexported; the model package's requireFreshBits compares them.)
 func requireFreshCache(t *testing.T, round int, d *model.PPDC, cache *model.WorkloadCache, w model.Workload, n int, rng *rand.Rand) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	fresh := d.NewWorkloadCache(w)
-	got, want := cache.Aggregated(), fresh.Aggregated()
-	if len(got) != len(want) {
-		t.Fatalf("round %d: re-set cache has %d pairs, fresh %d", round, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Src != want[i].Src || got[i].Dst != want[i].Dst || !same(got[i].Rate, want[i].Rate) {
-			t.Fatalf("round %d: re-set cache pair %d is %+v, fresh %+v", round, i, got[i], want[i])
-		}
-	}
 	in, eg := cache.EndpointCosts()
 	inF, egF := fresh.EndpointCosts()
 	uIn, uEg := cache.UnitEndpointCosts()

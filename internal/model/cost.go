@@ -44,15 +44,6 @@ func (d *PPDC) CommCost(w Workload, p Placement) float64 {
 	return total
 }
 
-// FlowCost returns one flow's policy-preserving communication cost under p:
-// λ ( c(s, p(1)) + chain(p) + c(p(n), t) ).
-func (d *PPDC) FlowCost(f VMPair, p Placement) float64 {
-	if len(p) == 0 {
-		return f.Rate * d.APSP.Cost(f.Src, f.Dst)
-	}
-	return f.Rate * (d.APSP.Cost(f.Src, p[0]) + d.ChainCost(p) + d.APSP.Cost(p[len(p)-1], f.Dst))
-}
-
 // MigrationCost returns C_b(p, m) = μ Σ_j c(p(j), m(j)). It panics when the
 // placements have different lengths, which indicates a solver bug.
 func (d *PPDC) MigrationCost(p, m Placement, mu float64) float64 {

@@ -279,10 +279,6 @@ func (c *WorkloadCache) FabricMemo(build func() any) any {
 // TotalRate returns Λ = Σ λ_i.
 func (c *WorkloadCache) TotalRate() float64 { return c.totalRate }
 
-// Aggregated returns the (src,dst)-grouped workload with summed rates.
-// Shared storage; do not mutate.
-func (c *WorkloadCache) Aggregated() Workload { return c.pairs }
-
 // CommCost returns C_a(p) (Eq. 1) in O(len(p)) — equivalent to the scalar
 // PPDC.CommCost up to float reassociation.
 func (c *WorkloadCache) CommCost(p Placement) float64 {

@@ -90,7 +90,7 @@ func TestWorkloadCacheAggregatesDuplicatePairs(t *testing.T) {
 		{Src: h[2], Dst: h[3], Rate: 0}, // zero rate: must be dropped
 	}
 	c := d.NewWorkloadCache(w)
-	agg := c.Aggregated()
+	agg := c.pairs
 	if len(agg) != 2 {
 		t.Fatalf("aggregated to %d pairs, want 2: %v", len(agg), agg)
 	}
@@ -141,7 +141,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 func requireFreshBits(t *testing.T, when string, d *PPDC, c *WorkloadCache, w Workload, rng *rand.Rand) {
 	t.Helper()
 	fresh := d.NewWorkloadCache(w)
-	got, want := c.Aggregated(), fresh.Aggregated()
+	got, want := c.pairs, fresh.pairs
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d pairs, fresh cache %d", when, len(got), len(want))
 	}
@@ -199,7 +199,7 @@ func TestSetWorkloadReuseMatchesFresh(t *testing.T) {
 	c := d.NewWorkloadCache(w)
 	requireFreshBits(t, "new", d, c, w, rng)
 	aFirst := func() bool {
-		for _, f := range c.Aggregated() {
+		for _, f := range c.pairs {
 			if k := [2]int{f.Src, f.Dst}; k == a || k == b {
 				return k == a
 			}

@@ -71,9 +71,6 @@ func TestCommCostEmptyPlacement(t *testing.T) {
 	if got := d.CommCost(w, nil); got != 18 {
 		t.Fatalf("direct cost = %v, want 18", got)
 	}
-	if got := d.FlowCost(w[0], nil); got != 18 {
-		t.Fatalf("FlowCost = %v, want 18", got)
-	}
 }
 
 func TestFlowCostSumsToCommCost(t *testing.T) {
@@ -91,10 +88,10 @@ func TestFlowCostSumsToCommCost(t *testing.T) {
 	p := Placement{ft.Switches[0], ft.Switches[5], ft.Switches[11]}
 	sum := 0.0
 	for _, f := range w {
-		sum += d.FlowCost(f, p)
+		sum += d.CommCost(Workload{f}, p)
 	}
 	if got := d.CommCost(w, p); math.Abs(got-sum) > 1e-6 {
-		t.Fatalf("CommCost %v != Σ FlowCost %v", got, sum)
+		t.Fatalf("CommCost %v != Σ per-flow cost %v", got, sum)
 	}
 }
 

@@ -153,7 +153,7 @@ func TestPropertyFlowCostNonNegative(t *testing.T) {
 			return false
 		}
 		for _, fl := range w {
-			if fx.d.FlowCost(fl, p) < 0 {
+			if fx.d.CommCost(Workload{fl}, p) < 0 {
 				return false
 			}
 		}
