@@ -67,7 +67,7 @@ func TestApplyDeltaAbsorbingLinkCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	viewEqual(t, d, inc, Rebuild(d, after))
-	if inc.Reachable(0, 20) {
+	if inc.reachable(0, 20) {
 		t.Fatal("host 20 still reachable with both uplinks of its ToR cut")
 	}
 }

@@ -109,8 +109,8 @@ func TestDegradeViewWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.Components() != 1 {
-		t.Fatalf("degrade partitioned the fabric: %d components", view.Components())
+	if view.components() != 1 {
+		t.Fatalf("degrade partitioned the fabric: %d components", view.components())
 	}
 	for x := 0; x < d.Topo.Graph.Order(); x++ {
 		if view.Dead(x) {

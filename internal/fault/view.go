@@ -280,16 +280,16 @@ func Diff(a, b *View) error {
 	if bn := b.degraded.Topo.Graph.Order(); bn != n {
 		return fmt.Errorf("fault: view order %d != %d", n, bn)
 	}
-	if a.Components() != b.Components() {
-		return fmt.Errorf("fault: component count %d != %d", a.Components(), b.Components())
+	if a.components() != b.components() {
+		return fmt.Errorf("fault: component count %d != %d", a.components(), b.components())
 	}
 	pa, pb := a.degraded.APSP, b.degraded.APSP
 	for u := 0; u < n; u++ {
 		if a.Dead(u) != b.Dead(u) {
 			return fmt.Errorf("fault: dead[%d]: %v != %v", u, a.Dead(u), b.Dead(u))
 		}
-		if a.Component(u) != b.Component(u) {
-			return fmt.Errorf("fault: comp[%d]: %d != %d", u, a.Component(u), b.Component(u))
+		if a.component(u) != b.component(u) {
+			return fmt.Errorf("fault: comp[%d]: %d != %d", u, a.component(u), b.component(u))
 		}
 		for v := 0; v < n; v++ {
 			if ca, cb := pa.Cost(u, v), pb.Cost(u, v); math.Float64bits(ca) != math.Float64bits(cb) {
@@ -332,9 +332,6 @@ func (v *View) label(g *graph.Graph) {
 	}
 }
 
-// Pristine returns the unfaulted model the view derives from.
-func (v *View) Pristine() *model.PPDC { return v.pristine }
-
 // PPDC returns the degraded model: the filtered graph, the live
 // host/switch lists, and the rebuilt APSP. With no active faults it is
 // the pristine model itself.
@@ -350,17 +347,17 @@ func (v *View) Degraded() bool { return !v.faults.Empty() }
 // fault). Vertices isolated by link faults are alive but unreachable.
 func (v *View) Dead(u int) bool { return v.dead != nil && v.dead[u] }
 
-// Component returns the connected-component label of u (−1 for dead
+// component returns the connected-component label of u (−1 for dead
 // vertices). Two live vertices can reach each other iff their labels
 // match.
-func (v *View) Component(u int) int { return v.comp[u] }
+func (v *View) component(u int) int { return v.comp[u] }
 
-// Components returns the number of live connected components.
-func (v *View) Components() int { return v.ncomp }
+// components returns the number of live connected components.
+func (v *View) components() int { return v.ncomp }
 
-// Reachable reports whether two live vertices can still reach each
+// reachable reports whether two live vertices can still reach each
 // other in the degraded fabric.
-func (v *View) Reachable(u, w int) bool {
+func (v *View) reachable(u, w int) bool {
 	return v.comp[u] != -1 && v.comp[u] == v.comp[w]
 }
 
