@@ -134,7 +134,7 @@ func (m BurstModel) Schedule(t *topology.Topology, w model.Workload, rng *rand.R
 			if west[i] {
 				hh -= m.Diurnal.ShiftHours
 			}
-			row[i] = amp[i] * m.Diurnal.Scale(hh) * m.bump(hh, peak[i])
+			row[i] = amp[i] * m.Diurnal.scale(hh) * m.bump(hh, peak[i])
 		}
 		out[h-1] = row
 	}

@@ -45,9 +45,9 @@ func (m Diurnal) Validate() error {
 	return nil
 }
 
-// Scale returns τ_h per Eq. 9. Hours outside [0, N] return 0 (no activity
+// scale returns τ_h per Eq. 9. Hours outside [0, N] return 0 (no activity
 // outside the working day).
-func (m Diurnal) Scale(h int) float64 {
+func (m Diurnal) scale(h int) float64 {
 	switch {
 	case h <= 0 || h > m.N:
 		return 0
@@ -67,9 +67,9 @@ func (m Diurnal) Horizon() int { return m.N + m.ShiftHours }
 // "half of the VM flows are three hours earlier than the other half".
 func (m Diurnal) FlowScale(i, h int) float64 {
 	if i%2 == 1 {
-		return m.Scale(h - m.ShiftHours)
+		return m.scale(h - m.ShiftHours)
 	}
-	return m.Scale(h)
+	return m.scale(h)
 }
 
 // Apply returns the workload at hour h: each flow's base rate multiplied by
@@ -79,16 +79,6 @@ func (m Diurnal) Apply(base model.Workload, h int) model.Workload {
 	for i, f := range base {
 		f.Rate *= m.FlowScale(i, h)
 		out[i] = f
-	}
-	return out
-}
-
-// Series returns the scale factors τ_0..τ_N — the curve of the paper's
-// Fig. 8 for one coast.
-func (m Diurnal) Series() []float64 {
-	out := make([]float64, m.N+1)
-	for h := 0; h <= m.N; h++ {
-		out[h] = m.Scale(h)
 	}
 	return out
 }

@@ -61,12 +61,12 @@ func Rates(l int, rng *rand.Rand) []float64 {
 	return out
 }
 
-// Pairs places l communicating VM pairs onto the topology's hosts.
+// pairs places l communicating VM pairs onto the topology's hosts.
 // A fraction intraRack of the pairs get both endpoints under the same
 // (uniformly chosen) edge switch; the rest get two independent uniform
 // hosts. Rates are drawn from the paper's mix. Topologies without rack
 // structure fall back to uniform host selection for all pairs.
-func Pairs(t *topology.Topology, l int, intraRack float64, rng *rand.Rand) (model.Workload, error) {
+func pairs(t *topology.Topology, l int, intraRack float64, rng *rand.Rand) (model.Workload, error) {
 	if l < 0 {
 		return nil, fmt.Errorf("workload: negative flow count %d", l)
 	}
@@ -92,16 +92,16 @@ func Pairs(t *topology.Topology, l int, intraRack float64, rng *rand.Rand) (mode
 	return w, nil
 }
 
-// MustPairs is Pairs but panics on error.
+// MustPairs is pairs but panics on error.
 func MustPairs(t *topology.Topology, l int, intraRack float64, rng *rand.Rand) model.Workload {
-	w, err := Pairs(t, l, intraRack, rng)
+	w, err := pairs(t, l, intraRack, rng)
 	if err != nil {
 		panic(err)
 	}
 	return w
 }
 
-// PairsClustered is Pairs with tenant concentration: the workload's racks
+// PairsClustered is pairs with tenant concentration: the workload's racks
 // are drawn from a small random subset of tenantRacks racks instead of the
 // whole fabric. Production traffic is tenant-skewed (the paper's Zoom
 // example: one Meeting Connector VM serves 200 meetings), and the dynamic

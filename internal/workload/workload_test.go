@@ -81,14 +81,14 @@ func TestPairsValidatesAgainstModel(t *testing.T) {
 func TestPairsErrors(t *testing.T) {
 	ft := topology.MustFatTree(2, nil)
 	rng := rand.New(rand.NewSource(5))
-	if _, err := Pairs(ft, -1, 0.8, rng); err == nil {
+	if _, err := pairs(ft, -1, 0.8, rng); err == nil {
 		t.Fatal("negative l accepted")
 	}
-	if _, err := Pairs(ft, 5, 1.5, rng); err == nil {
+	if _, err := pairs(ft, 5, 1.5, rng); err == nil {
 		t.Fatal("intra-rack > 1 accepted")
 	}
 	empty := &topology.Topology{Name: "empty"}
-	if _, err := Pairs(empty, 5, 0.5, rng); err == nil {
+	if _, err := pairs(empty, 5, 0.5, rng); err == nil {
 		t.Fatal("hostless topology accepted")
 	}
 	defer func() {
@@ -127,7 +127,7 @@ func TestDiurnalEq9Values(t *testing.T) {
 		-1: 0,
 	}
 	for h, want := range cases {
-		if got := m.Scale(h); math.Abs(got-want) > 1e-12 {
+		if got := m.scale(h); math.Abs(got-want) > 1e-12 {
 			t.Errorf("τ_%d = %v, want %v", h, got, want)
 		}
 	}
@@ -138,7 +138,7 @@ func TestDiurnalSymmetryProperty(t *testing.T) {
 	m := PaperDiurnal()
 	f := func(hRaw uint8) bool {
 		h := int(hRaw) % (m.N + 1)
-		return math.Abs(m.Scale(h)-m.Scale(m.N-h)) < 1e-12
+		return math.Abs(m.scale(h)-m.scale(m.N-h)) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -148,12 +148,12 @@ func TestDiurnalSymmetryProperty(t *testing.T) {
 func TestDiurnalMonotoneMorning(t *testing.T) {
 	m := PaperDiurnal()
 	for h := 1; h < m.N/2; h++ {
-		if m.Scale(h+1) <= m.Scale(h) {
-			t.Fatalf("τ not increasing at %d: %v -> %v", h, m.Scale(h), m.Scale(h+1))
+		if m.scale(h+1) <= m.scale(h) {
+			t.Fatalf("τ not increasing at %d: %v -> %v", h, m.scale(h), m.scale(h+1))
 		}
 	}
 	for h := m.N / 2; h < m.N; h++ {
-		if m.Scale(h+1) >= m.Scale(h) {
+		if m.scale(h+1) >= m.scale(h) {
 			t.Fatalf("τ not decreasing at %d", h)
 		}
 	}
@@ -163,14 +163,14 @@ func TestDiurnalFlowScaleCoasts(t *testing.T) {
 	m := PaperDiurnal()
 	// At hour 6, east coast (even flows) is at peak; west coast (odd) is
 	// 3 hours behind.
-	if got := m.FlowScale(0, 6); got != m.Scale(6) {
+	if got := m.FlowScale(0, 6); got != m.scale(6) {
 		t.Fatalf("east flow scale = %v", got)
 	}
-	if got := m.FlowScale(1, 6); got != m.Scale(3) {
+	if got := m.FlowScale(1, 6); got != m.scale(3) {
 		t.Fatalf("west flow scale = %v, want τ_3", got)
 	}
 	// Before the west-coast day starts its flows are silent.
-	if got := m.FlowScale(1, 2); got != m.Scale(-1) {
+	if got := m.FlowScale(1, 2); got != m.scale(-1) {
 		t.Fatalf("west flow at h=2 = %v, want 0", got)
 	}
 }
@@ -179,10 +179,10 @@ func TestDiurnalApply(t *testing.T) {
 	m := PaperDiurnal()
 	base := model.Workload{{Src: 0, Dst: 1, Rate: 1000}, {Src: 2, Dst: 3, Rate: 2000}}
 	got := m.Apply(base, 6)
-	if got[0].Rate != 1000*m.Scale(6) {
+	if got[0].Rate != 1000*m.scale(6) {
 		t.Fatalf("east rate = %v", got[0].Rate)
 	}
-	if got[1].Rate != 2000*m.Scale(3) {
+	if got[1].Rate != 2000*m.scale(3) {
 		t.Fatalf("west rate = %v", got[1].Rate)
 	}
 	if base[0].Rate != 1000 {
@@ -198,9 +198,8 @@ func TestDiurnalHorizonAndSeries(t *testing.T) {
 	if m.Horizon() != 15 {
 		t.Fatalf("horizon = %d, want 15", m.Horizon())
 	}
-	s := m.Series()
-	if len(s) != 13 || s[0] != 0 || s[6] != 0.8 || s[12] != 0 {
-		t.Fatalf("series = %v", s)
+	if s := []float64{m.scale(0), m.scale(6), m.scale(12)}; s[0] != 0 || s[1] != 0.8 || s[2] != 0 {
+		t.Fatalf("τ_0, τ_6, τ_12 = %v, want 0, 0.8, 0", s)
 	}
 }
 
