@@ -426,11 +426,14 @@ func FuzzDecodeCommand(f *testing.F) {
 			t.Fatalf("create: %d", code)
 		}
 		sc := a.get("c1")
+		var seq uint64
 		var appendErr error
-		if err := sc.actor.Do(func() { appendErr = sc.appendWAL(wal.Type(typ), payload) }); err != nil || appendErr != nil {
+		if err := sc.actor.Do(func() {
+			seq, appendErr = sc.wal.Append(wal.Type(typ), payload)
+			sc.dirty = true // as appendWAL leaves it
+		}); err != nil || appendErr != nil {
 			t.Fatalf("append: %v / %v", err, appendErr)
 		}
-		seq := sc.wal.NextSeq() - 1
 		a.closeAll()
 		a.closeWALs()
 

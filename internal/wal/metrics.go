@@ -82,7 +82,3 @@ func (m *Metrics) observeCompact(n int) {
 	}
 	m.compacted.Add(int64(n))
 }
-
-// ReplayedRecords reports the total records streamed through Replay —
-// test hooks use it to cancel a recovery mid-replay deterministically.
-func (m *Metrics) ReplayedRecords() int64 { return m.replayed.Value() }

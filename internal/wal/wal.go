@@ -572,27 +572,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// NextSeq is the sequence number the next Append will assign.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
-// Segments is the number of on-disk segment files.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
-}
-
-// TruncatedTails reports how many torn tails Open dropped.
-func (l *Log) TruncatedTails() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.truncated
-}
-
 // Close syncs and closes the active segment. Idempotent; appends after
 // Close fail with ErrClosed.
 func (l *Log) Close() error {

@@ -104,15 +104,15 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Segments() < 3 {
-		t.Fatalf("expected rotation, got %d segments", l.Segments())
+	if len(l.segs) < 3 {
+		t.Fatalf("expected rotation, got %d segments", len(l.segs))
 	}
 
 	if err := l.Checkpoint(TypeCreate, []byte("whole state")); err != nil {
 		t.Fatal(err)
 	}
-	if l.Segments() != 1 {
-		t.Fatalf("checkpoint left %d segments, want 1", l.Segments())
+	if len(l.segs) != 1 {
+		t.Fatalf("checkpoint left %d segments, want 1", len(l.segs))
 	}
 	if _, err := os.Stat(filepath.Join(dir, segName(lastSeq+1))); err != nil {
 		t.Fatalf("checkpoint did not start a segment of its own: %v", err)
@@ -205,8 +205,8 @@ func TestCheckpointCrashEveryPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.Segments() < 3 {
-			t.Fatalf("expected rotation, got %d segments", l.Segments())
+		if len(l.segs) < 3 {
+			t.Fatalf("expected rotation, got %d segments", len(l.segs))
 		}
 		return dir, l, last
 	}
@@ -304,8 +304,8 @@ func TestTornTailTruncated(t *testing.T) {
 		if len(got) != 2 {
 			t.Fatalf("cut=%d: replayed %d records, want 2", cut, len(got))
 		}
-		if l.TruncatedTails() != 1 {
-			t.Fatalf("cut=%d: truncated %d tails, want 1", cut, l.TruncatedTails())
+		if l.truncated != 1 {
+			t.Fatalf("cut=%d: truncated %d tails, want 1", cut, l.truncated)
 		}
 		if seq, err := l.Append(TypeStep, nil); err != nil || seq != 3 {
 			t.Fatalf("cut=%d: append after truncation: seq %d err %v", cut, seq, err)
