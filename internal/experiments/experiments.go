@@ -114,11 +114,11 @@ type Table struct {
 	Notes []string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends a formatted row.
+func (t *Table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// AddNote appends a footnote.
-func (t *Table) AddNote(format string, args ...interface{}) {
+// addNote appends a footnote.
+func (t *Table) addNote(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 

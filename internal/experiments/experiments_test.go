@@ -61,7 +61,7 @@ func TestExample1MatchesPaperNumbers(t *testing.T) {
 
 func TestFig7DPWithinGuarantee(t *testing.T) {
 	cfg := QuickConfig()
-	tab, err := Fig7(cfg)
+	tab, err := fig7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFig7DPWithinGuarantee(t *testing.T) {
 func TestFig11dShowsReduction(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Runs = 2
-	tab, err := Fig11d(cfg)
+	tab, err := fig11d(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

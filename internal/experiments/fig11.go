@@ -33,11 +33,11 @@ func dayStrategies(cfg Config, d *model.PPDC, w model.Workload) (vnf []migration
 	return vnf, vm
 }
 
-// Fig11ab reproduces Fig. 11(a) and (b): the hour-by-hour total cost and
+// fig11ab reproduces Fig. 11(a) and (b): the hour-by-hour total cost and
 // migration counts of mPareto, PLAN, MCF, and Optimal over the diurnal day
 // on a k=KLarge fat tree with μ=cfg.Mu. One simulated day per run; cells
 // are means over runs.
-func Fig11ab(cfg Config) (*Table, *Table, error) {
+func fig11ab(cfg Config) (*Table, *Table, error) {
 	d := unweightedFatTree(cfg.KLarge)
 	burst := workload.PaperBurst()
 	n := cfg.VNFs
@@ -111,8 +111,8 @@ func Fig11ab(cfg Config) (*Table, *Table, error) {
 			costRow = append(costRow, fmt.Sprintf("%.0f", stats.Mean(hourly[name][h])))
 			moveRow = append(moveRow, fmt.Sprintf("%.1f", stats.Mean(moves[name][h])))
 		}
-		costT.AddRow(costRow...)
-		moveT.AddRow(moveRow...)
+		costT.addRow(costRow...)
+		moveT.addRow(moveRow...)
 	}
 	// Daily totals as the last row.
 	costTotals := []string{"total"}
@@ -126,16 +126,16 @@ func Fig11ab(cfg Config) (*Table, *Table, error) {
 		costTotals = append(costTotals, fmt.Sprintf("%.0f", ct))
 		moveTotals = append(moveTotals, fmt.Sprintf("%.1f", mv))
 	}
-	costT.AddRow(costTotals...)
-	moveT.AddRow(moveTotals...)
-	costT.AddNote("Optimal* is the Algorithm-6 surrogate (refined LayeredDP ∧ refined mPareto); see DESIGN.md substitution #2")
+	costT.addRow(costTotals...)
+	moveT.addRow(moveTotals...)
+	costT.addNote("Optimal* is the Algorithm-6 surrogate (refined LayeredDP ∧ refined mPareto); see DESIGN.md substitution #2")
 	return costT, moveT, nil
 }
 
-// Fig11c reproduces Fig. 11(c): total daily cost vs the number of VM pairs
+// fig11c reproduces Fig. 11(c): total daily cost vs the number of VM pairs
 // l (exponential scale, base 2) for mPareto and Optimal at μ=10⁴ and 10⁵,
 // with NoMigration as the reference.
-func Fig11c(cfg Config) (*Table, error) {
+func fig11c(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KLarge)
 	burst := workload.PaperBurst()
 	n := cfg.VNFs
@@ -184,7 +184,7 @@ func Fig11c(cfg Config) (*Table, error) {
 				cells[k] = append(cells[k], v)
 			}
 		}
-		t.AddRow(
+		t.addRow(
 			fmt.Sprintf("%d", l),
 			fmtSummary(stats.Summarize(cells["mPareto μ=1e+04"])),
 			fmtSummary(stats.Summarize(cells["Optimal* μ=1e+04"])),
@@ -198,10 +198,10 @@ func Fig11c(cfg Config) (*Table, error) {
 
 func displayName(name string) string { return name }
 
-// Fig11d reproduces Fig. 11(d): total daily cost vs the number of VNFs n
+// fig11d reproduces Fig. 11(d): total daily cost vs the number of VNFs n
 // for mPareto against NoMigration, quantifying the headline "VNF migration
 // reduces the total cost of VM flows by up to 73%".
-func Fig11d(cfg Config) (*Table, error) {
+func fig11d(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KLarge)
 	burst := workload.PaperBurst()
 	ns := []int{3, 5, 7, 9, 11, 13}
@@ -242,7 +242,7 @@ func Fig11d(cfg Config) (*Table, error) {
 		if nmS.Mean > 0 {
 			red = (nmS.Mean - mpS.Mean) / nmS.Mean
 		}
-		t.AddRow(
+		t.addRow(
 			fmt.Sprintf("%d", n),
 			fmtSummary(mpS),
 			fmtSummary(nmS),

@@ -9,7 +9,7 @@ import (
 	"vnfopt/internal/workload"
 )
 
-// Fig6b reproduces the paper's Fig. 6(b): the (C_b, C_a) coordinates of
+// fig6b reproduces the paper's Fig. 6(b): the (C_b, C_a) coordinates of
 // every parallel VNF migration frontier while the SFC migrates from an
 // initial traffic-optimal placement p to the new optimum p' after the
 // traffic shifts — a k=KLarge fat tree with n=6 VNFs and μ=200, as in the
@@ -17,7 +17,7 @@ import (
 // tenant changes), which actually moves the optimum; independent rate
 // redraws leave it pinned. The table also reports whether the sweep forms
 // a Pareto front and whether it is convex (Theorem 5's condition).
-func Fig6b(cfg Config) (*Table, error) {
+func fig6b(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KLarge)
 	n := 6
 	if n > len(d.Topo.Switches) {
@@ -60,7 +60,7 @@ func Fig6b(cfg Config) (*Table, error) {
 			},
 		}
 		for i, fp := range points {
-			t.AddRow(
+			t.addRow(
 				fmt.Sprintf("%d", i+1),
 				fmt.Sprintf("%.1f", fp.Cb),
 				fmt.Sprintf("%.1f", fp.Ca),
@@ -68,7 +68,7 @@ func Fig6b(cfg Config) (*Table, error) {
 				fmt.Sprintf("%v", fp.Valid),
 			)
 		}
-		t.AddNote("Pareto front: %v; convex (Theorem 5 condition): %v",
+		t.addNote("Pareto front: %v; convex (Theorem 5 condition): %v",
 			migration.IsParetoFront(points), migration.IsConvexFront(points))
 		return t, nil
 	}

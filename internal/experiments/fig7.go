@@ -10,7 +10,7 @@ import (
 	"vnfopt/internal/stats"
 )
 
-// Fig7 reproduces the paper's Fig. 7: TOP-1 (n-stroll) algorithms on an
+// fig7 reproduces the paper's Fig. 7: TOP-1 (n-stroll) algorithms on an
 // unweighted k=KSmall fat tree with one VM pair, varying the number of
 // VNFs n. Series: Optimal (Algorithm 4 / exhaustive stroll), DP-Stroll
 // (Algorithm 2), the PrimalDual 2+ε guarantee plotted as 2×Optimal (as the
@@ -19,7 +19,7 @@ import (
 //
 // The paper's qualitative claims checked here: DP-Stroll stays within a
 // few percent of Optimal (paper: ~8%) and solidly under the guarantee.
-func Fig7(cfg Config) (*Table, error) {
+func fig7(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KSmall)
 	maxN := 8
 	if cfg.KSmall < 6 {
@@ -76,7 +76,7 @@ func Fig7(cfg Config) (*Table, error) {
 			pd = append(pd, ro.pd)
 			bound = append(bound, 2*ro.opt)
 		}
-		t.AddRow(
+		t.addRow(
 			fmt.Sprintf("%d", n),
 			fmtSummary(stats.Summarize(opt)),
 			fmtSummary(stats.Summarize(dp)),
@@ -85,7 +85,7 @@ func Fig7(cfg Config) (*Table, error) {
 		)
 	}
 	if unproven > 0 {
-		t.AddNote("%d Optimal points hit the %d-node search budget (anytime incumbent reported)", unproven, cfg.OptBudget)
+		t.addNote("%d Optimal points hit the %d-node search budget (anytime incumbent reported)", unproven, cfg.OptBudget)
 	}
 	return t, nil
 }

@@ -6,10 +6,10 @@ import (
 	"vnfopt/internal/workload"
 )
 
-// Fig8 reproduces the paper's Fig. 8: the daily VM traffic-rate pattern of
+// fig8 reproduces the paper's Fig. 8: the daily VM traffic-rate pattern of
 // Eq. 9 (N = 12 working hours, τ_min = 0.2) for the two coasts — east
 // coast following τ_h directly and west coast shifted 3 hours later.
-func Fig8(cfg Config) (*Table, error) {
+func fig8(cfg Config) (*Table, error) {
 	m := workload.PaperDiurnal()
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -19,7 +19,7 @@ func Fig8(cfg Config) (*Table, error) {
 		Columns: []string{"hour", "east coast τ_h", "west coast τ_{h-3}"},
 	}
 	for h := 0; h <= m.Horizon(); h++ {
-		t.AddRow(
+		t.addRow(
 			fmt.Sprintf("%d", h),
 			fmt.Sprintf("%.3f", m.FlowScale(0, h)),
 			fmt.Sprintf("%.3f", m.FlowScale(1, h)),

@@ -74,9 +74,9 @@ func comparePlacement(cfg Config, d *model.PPDC, mkWorkload func(r int) model.Wo
 	return row, unproven, nil
 }
 
-// Fig9a reproduces Fig. 9(a): TOP total communication cost vs the number
+// fig9a reproduces Fig. 9(a): TOP total communication cost vs the number
 // of VM pairs l on an unweighted k=KSmall fat tree, n fixed.
-func Fig9a(cfg Config) (*Table, error) {
+func fig9a(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KSmall)
 	n := cfg.VNFs
 	ls := []int{cfg.FlowsSmall / 4, cfg.FlowsSmall / 2, cfg.FlowsSmall, cfg.FlowsSmall * 2, cfg.FlowsSmall * 4}
@@ -95,16 +95,16 @@ func Fig9a(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		totalUnproven += unproven
-		t.AddRow(append([]string{fmt.Sprintf("%d", l)}, row...)...)
+		t.addRow(append([]string{fmt.Sprintf("%d", l)}, row...)...)
 	}
 	if totalUnproven > 0 {
-		t.AddNote("%d Optimal points hit the %d-node budget (anytime incumbent reported)", totalUnproven, cfg.OptBudget)
+		t.addNote("%d Optimal points hit the %d-node budget (anytime incumbent reported)", totalUnproven, cfg.OptBudget)
 	}
 	return t, nil
 }
 
-// Fig9b reproduces Fig. 9(b): TOP cost vs the number of VNFs n, l fixed.
-func Fig9b(cfg Config) (*Table, error) {
+// fig9b reproduces Fig. 9(b): TOP cost vs the number of VNFs n, l fixed.
+func fig9b(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KSmall)
 	l := cfg.FlowsSmall
 	maxN := 8
@@ -126,19 +126,19 @@ func Fig9b(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		totalUnproven += unproven
-		t.AddRow(append([]string{fmt.Sprintf("%d", n)}, row...)...)
+		t.addRow(append([]string{fmt.Sprintf("%d", n)}, row...)...)
 	}
 	if totalUnproven > 0 {
-		t.AddNote("%d Optimal points hit the %d-node budget (anytime incumbent reported)", totalUnproven, cfg.OptBudget)
+		t.addNote("%d Optimal points hit the %d-node budget (anytime incumbent reported)", totalUnproven, cfg.OptBudget)
 	}
 	return t, nil
 }
 
-// Fig10 reproduces Fig. 10: the same comparison on *weighted* PPDCs whose
+// fig10 reproduces Fig. 10: the same comparison on *weighted* PPDCs whose
 // link delays follow the Greedy [34] setting (uniform, mean 1.5 ms,
 // half-width 0.5 ms). Headline claims: DP within 6–12% of Optimal, and 56%
 // to 64% cheaper than Steering/Greedy.
-func Fig10(cfg Config) (*Table, error) {
+func fig10(cfg Config) (*Table, error) {
 	l := cfg.FlowsSmall
 	maxN := 8
 	if cfg.KSmall < 6 {
@@ -186,10 +186,10 @@ func Fig10(cfg Config) (*Table, error) {
 		for _, s := range samples {
 			row = append(row, fmtSummary(stats.Summarize(s)))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	if totalUnproven > 0 {
-		t.AddNote("%d Optimal points hit the %d-node budget (anytime incumbent reported)", totalUnproven, cfg.OptBudget)
+		t.addNote("%d Optimal points hit the %d-node budget (anytime incumbent reported)", totalUnproven, cfg.OptBudget)
 	}
 	return t, nil
 }

@@ -10,13 +10,13 @@ import (
 	"vnfopt/internal/workload"
 )
 
-// LinkLoad is an extension experiment (not a paper figure): it routes the
+// linkLoad is an extension experiment (not a paper figure): it routes the
 // policy-preserving traffic onto actual links over the simulated day and
 // compares the per-link load profile of mPareto against NoMigration —
 // the bandwidth view behind the paper's motivation that SFC traffic
 // "consumes higher bandwidth" and its provisioning assumption of ~40%
 // link utilization.
-func LinkLoad(cfg Config) (*Table, error) {
+func linkLoad(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KLarge)
 	burst := workload.PaperBurst()
 	n := cfg.VNFs
@@ -60,12 +60,12 @@ func LinkLoad(cfg Config) (*Table, error) {
 			cfg.KLarge, cfg.FlowsLarge, n, cfg.Mu, cfg.Runs),
 		Columns: []string{"metric", "mPareto", "NoMigration"},
 	}
-	t.AddRow("peak link load",
+	t.addRow("peak link load",
 		fmtSummary(stats.Summarize(mpPeak)),
 		fmtSummary(stats.Summarize(nmPeak)))
-	t.AddRow("total traffic (Σ link·load)",
+	t.addRow("total traffic (Σ link·load)",
 		fmtSummary(stats.Summarize(mpTotal)),
 		fmtSummary(stats.Summarize(nmTotal)))
-	t.AddNote("peak link load includes the one-shot migration transfers (μ per link on each VNF's path)")
+	t.addNote("peak link load includes the one-shot migration transfers (μ per link on each VNF's path)")
 	return t, nil
 }

@@ -10,13 +10,13 @@ import (
 	"vnfopt/internal/workload"
 )
 
-// MuSweep is an extension experiment: sensitivity of TOM to the migration
+// muSweep is an extension experiment: sensitivity of TOM to the migration
 // coefficient μ across four orders of magnitude. The paper samples only
 // μ ∈ {10⁴, 10⁵} (Fig. 11(c)); the sweep exposes the full trade-off — at
 // small μ mPareto chases every shift (many moves, lowest communication
 // cost), while past a knee migration never amortizes and mPareto
 // degenerates to NoMigration.
-func MuSweep(cfg Config) (*Table, error) {
+func muSweep(cfg Config) (*Table, error) {
 	d := unweightedFatTree(cfg.KLarge)
 	burst := workload.PaperBurst()
 	n := cfg.VNFs
@@ -62,13 +62,13 @@ func MuSweep(cfg Config) (*Table, error) {
 			moves = append(moves, o.moves)
 			frozen = append(frozen, o.frozen)
 		}
-		t.AddRow(
+		t.addRow(
 			fmt.Sprintf("%.0g", mu),
 			fmtSummary(stats.Summarize(cost)),
 			fmtSummary(stats.Summarize(moves)),
 			fmtSummary(stats.Summarize(frozen)),
 		)
 	}
-	t.AddNote("hourly traffic volume = %g rate units (see Config.HourVolume)", cfg.HourVolume)
+	t.addNote("hourly traffic volume = %g rate units (see Config.HourVolume)", cfg.HourVolume)
 	return t, nil
 }

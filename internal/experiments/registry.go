@@ -21,24 +21,24 @@ func wrap1(f func(Config) (*Table, error)) Runner {
 
 // registry maps experiment IDs to runners.
 var registry = map[string]Runner{
-	"example1": wrap1(Example1),
-	"fig6b":    wrap1(Fig6b),
-	"fig7":     wrap1(Fig7),
-	"fig8":     wrap1(Fig8),
-	"fig9a":    wrap1(Fig9a),
-	"fig9b":    wrap1(Fig9b),
-	"fig10":    wrap1(Fig10),
+	"example1": wrap1(example1),
+	"fig6b":    wrap1(fig6b),
+	"fig7":     wrap1(fig7),
+	"fig8":     wrap1(fig8),
+	"fig9a":    wrap1(fig9a),
+	"fig9b":    wrap1(fig9b),
+	"fig10":    wrap1(fig10),
 	"fig11ab": func(cfg Config) ([]*Table, error) {
-		a, b, err := Fig11ab(cfg)
+		a, b, err := fig11ab(cfg)
 		if err != nil {
 			return nil, err
 		}
 		return []*Table{a, b}, nil
 	},
-	"fig11c":   wrap1(Fig11c),
-	"fig11d":   wrap1(Fig11d),
-	"linkload": wrap1(LinkLoad),
-	"musweep":  wrap1(MuSweep),
+	"fig11c":   wrap1(fig11c),
+	"fig11d":   wrap1(fig11d),
+	"linkload": wrap1(linkLoad),
+	"musweep":  wrap1(muSweep),
 }
 
 // IDs lists the available experiment identifiers in sorted order.
