@@ -27,12 +27,12 @@ type State struct {
 	CommittedEpoch int     `json:"committed_epoch"`
 	// LastMigration is the epoch of the last commit (-1 = none).
 	LastMigration int `json:"last_migration"`
-	// Faults holds the active topology faults; Resume reapplies them so
+	// Faults holds the active topology faults; resume reapplies them so
 	// a restarted engine comes back in the same degraded mode it left.
 	Faults []fault.Fault `json:"faults,omitempty"`
 	// PricedFrom holds the link loads that priced the last routing pass,
 	// by link (Routing.Alpha > 0; absent when that pass ran unpriced).
-	// Resume re-runs the pass from them, so the routing report and every
+	// resume re-runs the pass from them, so the routing report and every
 	// later pass come out as the saved engine's.
 	PricedFrom []PricedLink `json:"priced_from,omitempty"`
 	// Metrics carries the monotonic counters across the restart.
@@ -77,11 +77,11 @@ func (e *Engine) MarshalState() ([]byte, error) {
 	return json.Marshal(e.State())
 }
 
-// Resume builds an engine from a configuration plus a saved State,
+// resume builds an engine from a configuration plus a saved State,
 // restoring rates, placement, trigger reference, and counters. The Config
 // must describe the same scenario the State was captured from (same flow
 // count and fabric); the placement is re-validated against it.
-func Resume(cfg Config, st *State) (*Engine, error) {
+func resume(cfg Config, st *State) (*Engine, error) {
 	if st == nil {
 		return nil, fmt.Errorf("engine: nil state")
 	}
@@ -142,11 +142,11 @@ func Resume(cfg Config, st *State) (*Engine, error) {
 	return e.begin(e.cache.CommCost(e.p))
 }
 
-// ResumeJSON is Resume from serialized state.
+// ResumeJSON is resume from serialized state.
 func ResumeJSON(cfg Config, data []byte) (*Engine, error) {
 	var st State
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("engine: bad state: %w", err)
 	}
-	return Resume(cfg, &st)
+	return resume(cfg, &st)
 }
