@@ -136,22 +136,22 @@ func newAPSP(n int) (*APSP, flatRows) {
 // AllPairs runs Dijkstra from every vertex and caches the results.
 // Complexity O(|V| * |E| log |V|). The build freezes the graph into a CSR
 // snapshot and fans the |V| independent sources across GOMAXPROCS workers
-// (see AllPairsWorkers); output is bit-identical to AllPairsSequential at
+// (see allPairsWorkers); output is bit-identical to AllPairsSequential at
 // any worker count. Measured on the k=16 fat tree (1344 vertices, 3072
 // edges; BenchmarkAPSPFatTree): ~74 ms for the sequential [][]Edge
 // oracle at ~18.8k heap allocations, ~53 ms for the CSR kernel on one
 // core at 26 allocations (just the result matrices plus per-chunk
 // scratch).
 func AllPairs(g *Graph) *APSP {
-	return AllPairsWorkers(g, 0)
+	return allPairsWorkers(g, 0)
 }
 
-// AllPairsWorkers is AllPairs with an explicit worker count (≤ 0 =
+// allPairsWorkers is AllPairs with an explicit worker count (≤ 0 =
 // GOMAXPROCS, 1 = sequential CSR kernel). Workers own disjoint contiguous
 // row ranges of the dist/prev matrices and per-range scratch buffers, so
 // the result is bit-identical to the sequential build regardless of
 // worker count or scheduling.
-func AllPairsWorkers(g *Graph, workers int) *APSP {
+func allPairsWorkers(g *Graph, workers int) *APSP {
 	obs := apspObserver.Load()
 	var start time.Time
 	if obs != nil {
@@ -250,8 +250,8 @@ func (a *APSP) AddScaledCells(acc []float64, u int, scale float64, keep Stretche
 // materializing paths.
 func (a *APSP) Pred(u, v int) int { return int(a.rows[u].p(v)) }
 
-// Reachable reports whether v is reachable from u.
-func (a *APSP) Reachable(u, v int) bool { return !math.IsInf(a.rows[u].d(v), 1) }
+// reachable reports whether v is reachable from u.
+func (a *APSP) reachable(u, v int) bool { return !math.IsInf(a.rows[u].d(v), 1) }
 
 // Path reconstructs a shortest u-v vertex sequence (inclusive). It returns
 // nil when v is unreachable from u.
@@ -270,11 +270,11 @@ func (a *APSP) Path(u, v int) []int {
 	return rev
 }
 
-// Hops returns the number of edges on the reconstructed shortest u-v path
+// hops returns the number of edges on the reconstructed shortest u-v path
 // (0 for u==v, -1 if unreachable). Note this counts edges of the cached
 // min-cost path, not the min-hop path. It walks the prev links directly
 // rather than materializing the path, so it never allocates.
-func (a *APSP) Hops(u, v int) int {
+func (a *APSP) hops(u, v int) int {
 	row := a.rows[u]
 	if math.IsInf(row.d(v), 1) {
 		return -1

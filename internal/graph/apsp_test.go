@@ -57,16 +57,16 @@ func TestAPSPUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
 	a := AllPairs(g)
-	if a.Reachable(0, 2) {
+	if a.reachable(0, 2) {
 		t.Fatal("2 should be unreachable")
 	}
 	if a.Path(0, 2) != nil {
 		t.Fatal("path to unreachable should be nil")
 	}
-	if a.Hops(0, 2) != -1 {
+	if a.hops(0, 2) != -1 {
 		t.Fatal("hops to unreachable should be -1")
 	}
-	if !a.Reachable(0, 1) || a.Hops(0, 1) != 1 || a.Hops(1, 1) != 0 {
+	if !a.reachable(0, 1) || a.hops(0, 1) != 1 || a.hops(1, 1) != 0 {
 		t.Fatal("reachability bookkeeping wrong")
 	}
 }

@@ -69,7 +69,7 @@ func BenchmarkAllPairsParallel(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				AllPairsWorkers(g, workers)
+				allPairsWorkers(g, workers)
 			}
 		})
 	}

@@ -85,7 +85,7 @@ func TestAllPairsParallelBitIdentical(t *testing.T) {
 		g := randomConnectedGraph(rng, n, rng.Intn(2*n))
 		want := AllPairsSequential(g)
 		for _, workers := range []int{0, 1, 2, 3, 7, n + 13} {
-			got := AllPairsWorkers(g, workers)
+			got := allPairsWorkers(g, workers)
 			if got.n != want.n {
 				t.Fatalf("order mismatch %d vs %d", got.n, want.n)
 			}

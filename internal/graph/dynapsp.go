@@ -160,7 +160,7 @@ func (s *deltaStats) add(o deltaStats) {
 // whose distance the delta moves are re-settled, and prev is re-derived
 // only next to them, so what a delta copies follows the cells it changes
 // and a row it leaves alone stays the receiver's, pointer for pointer.
-// Rows fan out over `workers` goroutines exactly like AllPairsWorkers
+// Rows fan out over `workers` goroutines exactly like allPairsWorkers
 // (workers ≤ 0 = GOMAXPROCS). The result is bit-identical to
 // AllPairs(next) at any worker count — FuzzRepairRows here and
 // FuzzIncrementalAPSP / FuzzWeightDeltaAPSP in internal/fault pin this
@@ -207,8 +207,8 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 		rerun := make([]bool, n)
 		for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
 			for _, e := range recs {
-				rerun[e.U] = rerun[e.U] || next.Degree(e.U) <= 1
-				rerun[e.V] = rerun[e.V] || next.Degree(e.V) <= 1
+				rerun[e.U] = rerun[e.U] || next.degree(e.U) <= 1
+				rerun[e.V] = rerun[e.V] || next.degree(e.V) <= 1
 			}
 		}
 		csr := next.Freeze()

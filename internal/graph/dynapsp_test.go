@@ -162,7 +162,7 @@ func TestApplyDeltasSparseDirtySet(t *testing.T) {
 	}
 }
 
-// TestHopsAllocFree asserts the satellite guarantee: Hops walks prev
+// TestHopsAllocFree asserts the satellite guarantee: hops walks prev
 // links without materializing the path.
 func TestHopsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -170,7 +170,7 @@ func TestHopsAllocFree(t *testing.T) {
 	a := AllPairs(g)
 	if allocs := testing.AllocsPerRun(100, func() {
 		for v := 0; v < 40; v++ {
-			a.Hops(0, v)
+			a.hops(0, v)
 		}
 	}); allocs != 0 {
 		t.Fatalf("Hops allocated %v times per run", allocs)
@@ -179,7 +179,7 @@ func TestHopsAllocFree(t *testing.T) {
 	for u := 0; u < 40; u++ {
 		for v := 0; v < 40; v++ {
 			want := len(a.Path(u, v)) - 1
-			if got := a.Hops(u, v); got != want {
+			if got := a.hops(u, v); got != want {
 				t.Fatalf("Hops(%d,%d)=%d want %d", u, v, got, want)
 			}
 		}
@@ -490,12 +490,12 @@ func TestAPSPBlockedLayout(t *testing.T) {
 			a.AddScaledCells(acc, u, 2, allRuns)
 			for v := 0; v < n; v++ {
 				c := want.Cost(u, v)
-				if a.Cost(u, v) != c || cm[u][v] != c || acc[v] != 2*c || a.Reachable(u, v) != want.Reachable(u, v) {
+				if a.Cost(u, v) != c || cm[u][v] != c || acc[v] != 2*c || a.reachable(u, v) != want.reachable(u, v) {
 					t.Fatalf("n=%d (%d,%d): Cost %v, CostMatrix %v, AddScaledCells %v, want %v", n, u, v, a.Cost(u, v), cm[u][v], acc[v], c)
 				}
-				if a.Pred(u, v) != want.Pred(u, v) || a.Hops(u, v) != want.Hops(u, v) || len(a.Path(u, v)) != len(want.Path(u, v)) {
+				if a.Pred(u, v) != want.Pred(u, v) || a.hops(u, v) != want.hops(u, v) || len(a.Path(u, v)) != len(want.Path(u, v)) {
 					t.Fatalf("n=%d (%d,%d): Pred %d Hops %d Path %v, want %d %d %v", n, u, v,
-						a.Pred(u, v), a.Hops(u, v), a.Path(u, v), want.Pred(u, v), want.Hops(u, v), want.Path(u, v))
+						a.Pred(u, v), a.hops(u, v), a.Path(u, v), want.Pred(u, v), want.hops(u, v), want.Path(u, v))
 				}
 			}
 		}

@@ -44,12 +44,6 @@ func (g *Graph) Order() int { return len(g.adj) }
 // Size returns the number of undirected edges.
 func (g *Graph) Size() int { return g.m }
 
-// AddVertex appends a new isolated vertex and returns its ID.
-func (g *Graph) AddVertex() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
-}
-
 // AddEdge inserts an undirected edge {u,v} with weight w.
 // It panics on out-of-range vertices, self-loops, or negative weights,
 // all of which indicate a topology construction bug.
@@ -100,8 +94,8 @@ func (g *Graph) EdgeWeight(u, v int) float64 {
 // with the graph and must not be mutated.
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
-// Degree returns the number of incident edge endpoints at u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+// degree returns the number of incident edge endpoints at u.
+func (g *Graph) degree(u int) int { return len(g.adj[u]) }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
@@ -167,9 +161,9 @@ func (g *Graph) Dijkstra(src int) (dist []float64, prev []int) {
 	return dist, prev
 }
 
-// BFSHops returns hop counts from src, ignoring weights. Unreachable
+// bfsHops returns hop counts from src, ignoring weights. Unreachable
 // vertices get -1.
-func (g *Graph) BFSHops(src int) []int {
+func (g *Graph) bfsHops(src int) []int {
 	n := len(g.adj)
 	hops := make([]int, n)
 	for i := range hops {
@@ -196,7 +190,7 @@ func (g *Graph) Connected() bool {
 	if len(g.adj) <= 1 {
 		return true
 	}
-	hops := g.BFSHops(0)
+	hops := g.bfsHops(0)
 	for _, h := range hops {
 		if h == -1 {
 			return false

@@ -27,14 +27,6 @@ func TestNewEmpty(t *testing.T) {
 	}
 }
 
-func TestAddVertex(t *testing.T) {
-	g := New(2)
-	id := g.AddVertex()
-	if id != 2 || g.Order() != 3 {
-		t.Fatalf("AddVertex: id=%d order=%d", id, g.Order())
-	}
-}
-
 func TestAddEdgePanics(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -149,7 +141,7 @@ func TestBFSHops(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 100) // hops ignore weights
 	g.AddEdge(1, 2, 100)
-	hops := g.BFSHops(0)
+	hops := g.bfsHops(0)
 	want := []int{0, 1, 2, -1}
 	for i := range want {
 		if hops[i] != want[i] {
@@ -159,11 +151,13 @@ func TestBFSHops(t *testing.T) {
 }
 
 func TestConnected(t *testing.T) {
-	g := line(4)
-	if !g.Connected() {
+	if !line(4).Connected() {
 		t.Fatal("line should be connected")
 	}
-	g.AddVertex()
+	g := New(5)
+	for i := 0; i < 3; i++ {
+		g.AddEdge(i, i+1, 1)
+	}
 	if g.Connected() {
 		t.Fatal("isolated vertex should disconnect")
 	}

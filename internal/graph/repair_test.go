@@ -465,7 +465,7 @@ func rerunRows(next *Graph, d EdgeDelta) int {
 	for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
 		for _, e := range recs {
 			for _, x := range [2]int{e.U, e.V} {
-				if next.Degree(x) <= 1 {
+				if next.degree(x) <= 1 {
 					rerun[x] = true
 				}
 			}

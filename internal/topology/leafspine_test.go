@@ -92,7 +92,7 @@ func TestJellyfish10kFixture(t *testing.T) {
 		t.Fatalf("dims: %d switches / %d hosts, want 10000/0", jf.NumSwitches(), jf.NumHosts())
 	}
 	for _, s := range jf.Switches {
-		if d := jf.Graph.Degree(s); d < 2 || d > 6 {
+		if d := len(jf.Graph.Neighbors(s)); d < 2 || d > 6 {
 			t.Fatalf("switch %d degree %d outside [2,6]", s, d)
 		}
 	}
