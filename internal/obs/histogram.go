@@ -20,7 +20,7 @@ const (
 )
 
 // Histogram is a lock-free streaming histogram with quantile estimation.
-// The zero value is NOT ready; use NewHistogram or Registry.Histogram. A
+// The zero value is NOT ready; use newHistogram or Registry.Histogram. A
 // nil *Histogram is a disabled handle: Observe no-ops and the accessors
 // return zeros.
 type Histogram struct {
@@ -30,8 +30,8 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
+// newHistogram returns an empty histogram.
+func newHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a positive value to its bucket, clamped to the
 // covered range.
@@ -74,16 +74,16 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 {
+// samples returns the number of recorded samples.
+func (h *Histogram) samples() uint64 {
 	if h == nil {
 		return 0
 	}
 	return h.count.Load()
 }
 
-// Sum returns the sum of recorded samples.
-func (h *Histogram) Sum() float64 {
+// sum returns the sum of recorded samples.
+func (h *Histogram) sum() float64 {
 	if h == nil {
 		return 0
 	}

@@ -201,7 +201,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, kindHistogram, func(e *entry) { e.h = NewHistogram() }).h
+	return r.lookup(name, kindHistogram, func(e *entry) { e.h = newHistogram() }).h
 }
 
 // DropLabels unregisters every metric whose label block is exactly

@@ -30,7 +30,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 		t.Fatal("nil gauge has a value")
 	}
 	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
+	if h.samples() != 0 || h.sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram has state")
 	}
 	r.GaugeFunc("y", func() float64 { return 1 })
@@ -121,7 +121,7 @@ func TestGaugeFunc(t *testing.T) {
 // upper bound is within a factor 10^(1/20) ≈ 1.122 of the true value, so
 // quantile estimates must land within ~13% above the exact quantile.
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	rng := rand.New(rand.NewSource(42))
 	n := 20000
 	vals := make([]float64, n)
@@ -131,15 +131,15 @@ func TestHistogramQuantiles(t *testing.T) {
 		vals[i] = math.Pow(10, -4+6*rng.Float64())
 		h.Observe(vals[i])
 	}
-	if h.Count() != uint64(n) {
-		t.Fatalf("count %d", h.Count())
+	if h.samples() != uint64(n) {
+		t.Fatalf("count %d", h.samples())
 	}
 	var sum float64
 	for _, v := range vals {
 		sum += v
 	}
-	if math.Abs(h.Sum()-sum) > 1e-6*sum {
-		t.Fatalf("sum %v, want %v", h.Sum(), sum)
+	if math.Abs(h.sum()-sum) > 1e-6*sum {
+		t.Fatalf("sum %v, want %v", h.sum(), sum)
 	}
 	sorted := append([]float64(nil), vals...)
 	for i := 1; i < len(sorted); i++ {
@@ -158,12 +158,12 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEdgeValues(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	h.Observe(0)
 	h.Observe(-3)
 	h.Observe(math.NaN()) // dropped
-	if h.Count() != 2 {
-		t.Fatalf("count %d, want 2 (NaN dropped)", h.Count())
+	if h.samples() != 2 {
+		t.Fatalf("count %d, want 2 (NaN dropped)", h.samples())
 	}
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("all-nonpositive median %v", q)
@@ -275,7 +275,7 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("shared_total").Value(); got != 8000 {
 		t.Fatalf("counter %d, want 8000", got)
 	}
-	if got := r.Histogram("shared_seconds").Count(); got != 8000 {
+	if got := r.Histogram("shared_seconds").samples(); got != 8000 {
 		t.Fatalf("histogram count %d, want 8000", got)
 	}
 	if ev.Total() != 80 {

@@ -45,8 +45,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				ql := `quantile="` + strconv.FormatFloat(q, 'g', -1, 64) + `"`
 				writeSample(bw, fam, spliceLabel(labels, ql), formatFloat(e.h.Quantile(q)))
 			}
-			writeSample(bw, fam+"_sum", labels, formatFloat(e.h.Sum()))
-			writeSample(bw, fam+"_count", labels, strconv.FormatUint(e.h.Count(), 10))
+			writeSample(bw, fam+"_sum", labels, formatFloat(e.h.sum()))
+			writeSample(bw, fam+"_count", labels, strconv.FormatUint(e.h.samples(), 10))
 		}
 	}
 	return bw.Flush()
