@@ -20,9 +20,9 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample (n-1) standard deviation; 0 for fewer than two
+// stdDev returns the sample (n-1) standard deviation; 0 for fewer than two
 // points.
-func StdDev(xs []float64) float64 {
+func stdDev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
@@ -72,16 +72,16 @@ func tValue95(df int) float64 {
 type Summary struct {
 	N        int
 	Mean     float64
-	StdDev   float64
+	stdDev   float64
 	CI95Half float64
 }
 
 // Summarize computes the Summary of a sample.
 func Summarize(xs []float64) Summary {
 	n := len(xs)
-	s := Summary{N: n, Mean: Mean(xs), StdDev: StdDev(xs)}
+	s := Summary{N: n, Mean: Mean(xs), stdDev: stdDev(xs)}
 	if n >= 2 {
-		s.CI95Half = tValue95(n-1) * s.StdDev / math.Sqrt(float64(n))
+		s.CI95Half = tValue95(n-1) * s.stdDev / math.Sqrt(float64(n))
 	}
 	return s
 }

@@ -19,16 +19,16 @@ func TestMean(t *testing.T) {
 func TestStdDev(t *testing.T) {
 	// Sample stddev of {2,4,4,4,5,5,7,9} is ≈2.138.
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if sd := StdDev(xs); math.Abs(sd-2.13809) > 1e-4 {
+	if sd := stdDev(xs); math.Abs(sd-2.13809) > 1e-4 {
 		t.Fatalf("stddev = %v", sd)
 	}
-	if StdDev([]float64{5}) != 0 || StdDev(nil) != 0 {
+	if stdDev([]float64{5}) != 0 || stdDev(nil) != 0 {
 		t.Fatal("degenerate stddev should be 0")
 	}
 }
 
 func TestStdDevConstantSample(t *testing.T) {
-	if sd := StdDev([]float64{3, 3, 3, 3}); sd != 0 {
+	if sd := stdDev([]float64{3, 3, 3, 3}); sd != 0 {
 		t.Fatalf("constant sample stddev = %v", sd)
 	}
 }
@@ -60,7 +60,7 @@ func TestSummarize20Runs(t *testing.T) {
 	if s.N != 20 || s.Mean != 9.5 {
 		t.Fatalf("summary = %+v", s)
 	}
-	want := 2.093 * StdDev(xs) / math.Sqrt(20)
+	want := 2.093 * stdDev(xs) / math.Sqrt(20)
 	if math.Abs(s.CI95Half-want) > 1e-9 {
 		t.Fatalf("CI half = %v, want %v", s.CI95Half, want)
 	}

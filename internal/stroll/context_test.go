@@ -48,7 +48,7 @@ func hardInstance() Instance {
 func TestExhaustiveContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ExhaustiveContext(ctx, hardInstance(), ExhaustiveOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := exhaustiveContext(ctx, hardInstance(), ExhaustiveOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want Canceled", err)
 	}
 }
@@ -62,7 +62,7 @@ func TestExhaustiveContextMidSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cc := &countdownCtx{Context: context.Background(), after: 1}
-	res, err := ExhaustiveContext(cc, in, ExhaustiveOptions{})
+	res, err := exhaustiveContext(cc, in, ExhaustiveOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want Canceled (%d polls)", err, cc.calls.Load())
 	}
@@ -87,7 +87,7 @@ func TestExhaustiveContextCompletesUncancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExhaustiveContext(context.Background(), in, ExhaustiveOptions{})
+	got, err := exhaustiveContext(context.Background(), in, ExhaustiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 //     early.
 //
 // NodeBudget caps the search; when exhausted the best incumbent is
-// returned with Optimal=false. ExhaustiveContext adds cooperative
+// returned with Optimal=false. exhaustiveContext adds cooperative
 // cancellation with the same incumbent semantics.
 
 // searchExpansions accumulates node expansions across every Exhaustive
@@ -46,14 +46,14 @@ type ExhaustiveOptions struct {
 // Exhaustive finds a provably optimal n-stroll (paper Algorithms 4/6 use
 // this as their inner engine) unless the node budget is exhausted first.
 func Exhaustive(in Instance, opts ExhaustiveOptions) (Result, error) {
-	return ExhaustiveContext(context.Background(), in, opts)
+	return exhaustiveContext(context.Background(), in, opts)
 }
 
-// ExhaustiveContext is Exhaustive under a context: the search polls ctx
+// exhaustiveContext is Exhaustive under a context: the search polls ctx
 // every 1024 expansions and, once cancelled, returns the best incumbent
 // found so far (at worst the DP seed) with Optimal == false alongside
 // ctx.Err().
-func ExhaustiveContext(ctx context.Context, in Instance, opts ExhaustiveOptions) (Result, error) {
+func exhaustiveContext(ctx context.Context, in Instance, opts ExhaustiveOptions) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
