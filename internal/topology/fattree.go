@@ -22,7 +22,7 @@ func FatTree(k int, weight WeightFunc) (*Topology, error) {
 		return nil, fmt.Errorf("topology: fat-tree arity k must be even and >= 2, got %d", k)
 	}
 	if weight == nil {
-		weight = UnitWeights()
+		weight = unitWeights()
 	}
 	half := k / 2
 	numCore := half * half

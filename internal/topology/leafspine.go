@@ -16,7 +16,7 @@ func LeafSpine(leaves, spines, hostsPerLeaf int, weight WeightFunc) (*Topology, 
 			leaves, spines, hostsPerLeaf)
 	}
 	if weight == nil {
-		weight = UnitWeights()
+		weight = unitWeights()
 	}
 	numSwitches := leaves + spines
 	numHosts := leaves * hostsPerLeaf
@@ -71,7 +71,7 @@ func Jellyfish(numSwitches, switchDegree, hostsPerSwitch int, weight WeightFunc,
 		return nil, fmt.Errorf("topology: Jellyfish requires a rand source")
 	}
 	if weight == nil {
-		weight = UnitWeights()
+		weight = unitWeights()
 	}
 	numHosts := numSwitches * hostsPerSwitch
 	t := newBase(fmt.Sprintf("jellyfish(%d,d=%d)", numSwitches, switchDegree), numSwitches+numHosts)

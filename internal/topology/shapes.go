@@ -16,7 +16,7 @@ func Linear(numSwitches int, weight WeightFunc) (*Topology, error) {
 		return nil, fmt.Errorf("topology: linear needs >= 1 switch, got %d", numSwitches)
 	}
 	if weight == nil {
-		weight = UnitWeights()
+		weight = unitWeights()
 	}
 	t := newBase(fmt.Sprintf("linear(%d)", numSwitches), numSwitches+2)
 	t.addHost(0, "h1")
@@ -41,7 +41,7 @@ func Ring(numSwitches int, weight WeightFunc) (*Topology, error) {
 		return nil, fmt.Errorf("topology: ring needs >= 3 switches, got %d", numSwitches)
 	}
 	if weight == nil {
-		weight = UnitWeights()
+		weight = unitWeights()
 	}
 	t := newBase(fmt.Sprintf("ring(%d)", numSwitches), 2*numSwitches)
 	for i := 0; i < numSwitches; i++ {
@@ -68,7 +68,7 @@ func Star(numLeaves int, weight WeightFunc) (*Topology, error) {
 		return nil, fmt.Errorf("topology: star needs >= 1 leaf, got %d", numLeaves)
 	}
 	if weight == nil {
-		weight = UnitWeights()
+		weight = unitWeights()
 	}
 	t := newBase(fmt.Sprintf("star(%d)", numLeaves), 1+2*numLeaves)
 	t.addSwitch(0, "hub")
@@ -102,7 +102,7 @@ func RandomMesh(numSwitches, numHosts, extraEdges int, weight WeightFunc, rng *r
 		return nil, fmt.Errorf("topology: RandomMesh requires a rand source")
 	}
 	if weight == nil {
-		weight = UnitWeights()
+		weight = unitWeights()
 	}
 	t := newBase(fmt.Sprintf("mesh(%d,%d)", numSwitches, numHosts), numSwitches+numHosts)
 	for i := 0; i < numSwitches; i++ {

@@ -49,14 +49,14 @@ type Topology struct {
 // Generators call it once per physical link in a deterministic order.
 type WeightFunc func() float64
 
-// UnitWeights returns a WeightFunc assigning every link cost 1 (the paper's
+// unitWeights returns a WeightFunc assigning every link cost 1 (the paper's
 // unweighted, hop-count PPDCs).
-func UnitWeights() WeightFunc { return func() float64 { return 1 } }
+func unitWeights() WeightFunc { return func() float64 { return 1 } }
 
-// UniformDelay returns a WeightFunc drawing link delays uniformly from
+// uniformDelay returns a WeightFunc drawing link delays uniformly from
 // [mean-halfWidth, mean+halfWidth]. The paper's weighted experiments follow
 // Greedy [34]: uniform link delays with mean 1.5 ms and variation 0.5 ms.
-func UniformDelay(mean, halfWidth float64, rng *rand.Rand) WeightFunc {
+func uniformDelay(mean, halfWidth float64, rng *rand.Rand) WeightFunc {
 	if halfWidth < 0 || mean-halfWidth < 0 {
 		panic(fmt.Sprintf("topology: invalid delay distribution mean=%v halfWidth=%v", mean, halfWidth))
 	}
@@ -65,7 +65,7 @@ func UniformDelay(mean, halfWidth float64, rng *rand.Rand) WeightFunc {
 
 // PaperDelay is the weighted-PPDC link delay distribution used in the
 // paper's Fig. 10 (mean 1.5, half-width 0.5).
-func PaperDelay(rng *rand.Rand) WeightFunc { return UniformDelay(1.5, 0.5, rng) }
+func PaperDelay(rng *rand.Rand) WeightFunc { return uniformDelay(1.5, 0.5, rng) }
 
 // NumHosts returns |V_h|.
 func (t *Topology) NumHosts() int { return len(t.Hosts) }

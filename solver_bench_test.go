@@ -28,7 +28,8 @@ import (
 func solverMesh(tb testing.TB) (*model.PPDC, model.Workload) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(5))
-	mesh, err := topology.RandomMesh(24, 12, 30, topology.UniformDelay(5, 4.9, rng), rng)
+	mean, half := 5.0, 4.9 // link delays uniform on [mean−half, mean+half]
+	mesh, err := topology.RandomMesh(24, 12, 30, func() float64 { return mean - half + 2*half*rng.Float64() }, rng)
 	if err != nil {
 		tb.Fatal(err)
 	}
