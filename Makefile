@@ -167,21 +167,12 @@ run-list:
 		done; \
 	done; test -z "$$bad"; }
 
-# An internal package no program reaches is code only its own tests keep
-# alive: fail when `go list ./internal/...` names one that neither the
-# root module's programs and examples nor the bench module import,
-# transitively. The facade (the root package) is a library, not a
-# program: what only it imports is not reached. Three are meant to be
-# orphans, and no others:
-#	chaos         harness for its own tests (chaos-smoke)
-#	differential  harness for its own tests and fuzz targets (make fuzz)
-#	ilp           EXPERIMENTS.md's Fig. 4 ablation, run from bench_test.go
-ORPHANS_ALLOWED = chaos differential ilp
+# Code only its own tests keep alive, found by go/parser over the tree
+# (internal_reach_test.go, facade_reach_test.go): an internal package no
+# program imports, transitively, from cmd/, examples/ or the bench
+# module; an exported func or method of internal/ that no non-test file
+# outside its package names; a facade export no program uses. The
+# exceptions and their reasons (test oracles, test harnesses, ablations
+# EXPERIMENTS.md reports) are the one list reachAllowed.
 orphans:
-	@reached="$$({ $(GO) list -deps ./cmd/... ./examples/... && $(GO) -C bench list -deps .; } | sort -u)"; \
-	test -n "$$reached" || exit 1; \
-	for p in $$($(GO) list ./internal/...); do \
-		echo "$$reached" | grep -qx "$$p" && continue; \
-		case " $(ORPHANS_ALLOWED) " in *" $${p#vnfopt/internal/} "*) continue;; esac; \
-		echo "orphan package $$p: no program imports it and it is not in ORPHANS_ALLOWED"; bad=1; \
-	done; test -z "$$bad"
+	$(GO) test -count=1 -run 'TestInternalPackagesReachedByPrograms|TestInternalNamesReachedOutsidePackage|TestFacadeReachedByPrograms' ./
