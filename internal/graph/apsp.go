@@ -250,9 +250,6 @@ func (a *APSP) AddScaledCells(acc []float64, u int, scale float64, keep Stretche
 // materializing paths.
 func (a *APSP) Pred(u, v int) int { return int(a.rows[u].p(v)) }
 
-// reachable reports whether v is reachable from u.
-func (a *APSP) reachable(u, v int) bool { return !math.IsInf(a.rows[u].d(v), 1) }
-
 // Path reconstructs a shortest u-v vertex sequence (inclusive). It returns
 // nil when v is unreachable from u.
 func (a *APSP) Path(u, v int) []int {
@@ -268,22 +265,6 @@ func (a *APSP) Path(u, v int) []int {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// hops returns the number of edges on the reconstructed shortest u-v path
-// (0 for u==v, -1 if unreachable). Note this counts edges of the cached
-// min-cost path, not the min-hop path. It walks the prev links directly
-// rather than materializing the path, so it never allocates.
-func (a *APSP) hops(u, v int) int {
-	row := a.rows[u]
-	if math.IsInf(row.d(v), 1) {
-		return -1
-	}
-	h := -1
-	for x := v; x != -1; x = int(row.p(x)) {
-		h++
-	}
-	return h
 }
 
 // Diameter returns the greatest finite pairwise cost, i.e. the diameter D

@@ -57,16 +57,13 @@ func TestAPSPUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
 	a := AllPairs(g)
-	if a.reachable(0, 2) {
+	if !math.IsInf(a.Cost(0, 2), 1) {
 		t.Fatal("2 should be unreachable")
 	}
 	if a.Path(0, 2) != nil {
 		t.Fatal("path to unreachable should be nil")
 	}
-	if a.hops(0, 2) != -1 {
-		t.Fatal("hops to unreachable should be -1")
-	}
-	if !a.reachable(0, 1) || a.hops(0, 1) != 1 || a.hops(1, 1) != 0 {
+	if math.IsInf(a.Cost(0, 1), 1) || len(a.Path(0, 1))-1 != 1 || len(a.Path(1, 1))-1 != 0 {
 		t.Fatal("reachability bookkeeping wrong")
 	}
 }

@@ -17,11 +17,20 @@ import (
 // visible. Neighbor order is preserved exactly, so CSR Dijkstra performs
 // the identical sequence of float operations as Graph.Dijkstra and its
 // dist/prev output is bit-identical (asserted by tests).
+//
+// Dead ends. A vertex whose row holds exactly one arc, and which no other
+// arc enters, is a dead end: a fabric leaf, e.g. a PPDC host on its edge
+// switch. Its one neighbour x is its only way in, so its cell is final
+// once x relaxes it, and relaxing it back cannot lower x: for weights
+// w, w' ≥ 0, fl(fl(d(x) + w) + w') ≥ d(x) by monotone rounding. Dijkstra
+// therefore writes a dead end's cell without queueing it; the others pop
+// in the same (dist, id) order as before, so rows stay bit-identical.
 type CSR struct {
 	n        int
 	rowStart []int32   // len n+1; edges of u are [rowStart[u], rowStart[u+1])
 	to       []int32   // edge targets
 	wt       []float64 // edge weights
+	dead     []bool    // dead[v]: v is a dead end
 }
 
 // Freeze builds the CSR snapshot of g.
@@ -32,6 +41,7 @@ func (g *Graph) Freeze() *CSR {
 		rowStart: make([]int32, n+1),
 		to:       make([]int32, 2*g.m),
 		wt:       make([]float64, 2*g.m),
+		dead:     make([]bool, n),
 	}
 	e := int32(0)
 	for u, es := range g.adj {
@@ -41,6 +51,7 @@ func (g *Graph) Freeze() *CSR {
 			c.wt[e] = edge.Weight
 			e++
 		}
+		c.dead[u] = len(es) == 1 // edges are undirected: its one arc is the one in
 	}
 	c.rowStart[n] = e
 	return c
@@ -54,10 +65,16 @@ func (c *CSR) Order() int { return c.n }
 // a full single-source pass with zero heap allocations.
 type SSSPScratch struct {
 	heap costHeap
-	// Visit, when set, is called once per vertex v as it settles — in
-	// (dist, id) order, so v's cells are final — and reports whether to
-	// relax v's edges. It may Discard; discarding every vertex stops.
+	// Visit, when set, is called once per vertex v as its cells become
+	// final, and reports whether to relax v's edges. A queued vertex is
+	// visited as it settles, in (dist, id) order; a dead end as its cell
+	// is written, and there the result is ignored — it has nothing to
+	// relax. Visit may Discard; once it discards every vertex, the search
+	// ends with what the current vertex's remaining arcs still queue.
 	Visit func(v int) (relax bool)
+	// Settled counts the vertices popped and relaxed, over the scratch's
+	// life; a dead end is only written, never counted.
+	Settled int
 }
 
 // Discard drops the queued entries of the vertices in [lo, hi). The
@@ -79,7 +96,7 @@ func (s *SSSPScratch) Discard(lo, hi int) {
 // Order()). Unreachable vertices get dist Inf and prev -1; prev[src] is
 // -1. Output is bit-identical to Graph.Dijkstra on the frozen graph
 // unless a Visit hook on s skips or discards; then which cells are final
-// is the hook's argument.
+// is the hook's argument. Dead ends are written, not queued.
 func (c *CSR) DijkstraInto(src int, dist []float64, prev []int32, s *SSSPScratch) {
 	if len(dist) != c.n || len(prev) != c.n {
 		panic("graph: DijkstraInto row length mismatch")
@@ -100,12 +117,18 @@ func (c *CSR) DijkstraInto(src int, dist []float64, prev []int32, s *SSSPScratch
 		if visit != nil && !visit(it.v) {
 			continue
 		}
+		s.Settled++
 		for e := c.rowStart[it.v]; e < c.rowStart[it.v+1]; e++ {
 			to := c.to[e]
 			if nd := it.cost + c.wt[e]; nd < dist[to] {
 				dist[to] = nd
 				prev[to] = int32(it.v)
-				h.push(heapItem{v: int(to), cost: nd})
+				switch {
+				case !c.dead[to]:
+					h.push(heapItem{v: int(to), cost: nd})
+				case visit != nil:
+					visit(int(to)) // not a stop: it.v's other arcs still relax
+				}
 			}
 		}
 	}
@@ -119,6 +142,16 @@ func (c *CSR) Dijkstra(src int) (dist []float64, prev []int32) {
 	var s SSSPScratch
 	c.DijkstraInto(src, dist, prev, &s)
 	return dist, prev
+}
+
+// Arc returns the slot of the first arc u→v, or -1 when there is none.
+func (c *CSR) Arc(u, v int) int {
+	for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
+		if int(c.to[e]) == v {
+			return int(e)
+		}
+	}
+	return -1
 }
 
 // NumSlots returns the number of directed edge slots in the snapshot
@@ -138,8 +171,9 @@ func (c *CSR) ForEachSlot(f func(slot, u, v int, w float64)) {
 	}
 }
 
-// WithWeights returns a snapshot sharing this one's structure (rowStart
-// and target arrays) with wt as its weight array; len(wt) must equal
+// WithWeights returns a snapshot sharing this one's structure (rowStart,
+// target arrays and dead-end marks: an +Inf weight never relaxes, so it
+// leaves a dead end dead) with wt as its weight array; len(wt) must equal
 // NumSlots(). The caller keeps ownership of wt and may rewrite it
 // between Dijkstra runs — the capacity-aware router reuses one buffer
 // to prune saturated links (weight +Inf) without reallocating.
@@ -147,7 +181,7 @@ func (c *CSR) WithWeights(wt []float64) *CSR {
 	if len(wt) != len(c.wt) {
 		panic(fmt.Sprintf("graph: WithWeights got %d slots, snapshot has %d", len(wt), len(c.wt)))
 	}
-	return &CSR{n: c.n, rowStart: c.rowStart, to: c.to, wt: wt}
+	return &CSR{n: c.n, rowStart: c.rowStart, to: c.to, wt: wt, dead: c.dead}
 }
 
 // Layered builds the directed layered expansion of the snapshot used
@@ -163,7 +197,10 @@ func (c *CSR) WithWeights(wt []float64) *CSR {
 //
 // Vertex (ℓ, v) has ID ℓ·Order()+v. The expansion is itself a CSR, so
 // DijkstraInto runs on it unchanged and stays zero-alloc with a warm
-// scratch.
+// scratch. (ℓ, v) is a dead end when its row holds one arc and no
+// crossing enters it (v ∉ gateways[ℓ−1]): its one way in is then the
+// reverse of its one arc, if there is any. A site of stage ℓ has its
+// crossing out beside its fabric arcs, so a leaf site is no dead end.
 func (c *CSR) Layered(gateways [][]int, interWeight float64) *CSR {
 	if interWeight < 0 || math.IsNaN(interWeight) {
 		panic(fmt.Sprintf("graph: invalid inter-layer weight %v", interWeight))
@@ -179,14 +216,13 @@ func (c *CSR) Layered(gateways [][]int, interWeight float64) *CSR {
 		rowStart: make([]int32, layers*n+1),
 		to:       make([]int32, 0, layers*len(c.to)+extra),
 		wt:       make([]float64, 0, layers*len(c.wt)+extra),
+		dead:     make([]bool, layers*n),
 	}
-	gw := make([]bool, n)
+	gw, in := make([]bool, n), make([]bool, n) // in: stage ℓ−1's sites
 	for l := 0; l < layers; l++ {
-		up := l < layers-1
-		if up {
-			for i := range gw {
-				gw[i] = false
-			}
+		gw, in = in, gw
+		clear(gw)
+		if l < len(gateways) {
 			for _, v := range gateways[l] {
 				if v < 0 || v >= n {
 					panic(fmt.Sprintf("graph: layered gateway %d out of range [0,%d)", v, n))
@@ -196,15 +232,17 @@ func (c *CSR) Layered(gateways [][]int, interWeight float64) *CSR {
 		}
 		off := int32(l * n)
 		for u := 0; u < n; u++ {
-			L.rowStart[off+int32(u)] = int32(len(L.to))
+			x := off + int32(u)
+			L.rowStart[x] = int32(len(L.to))
 			for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
 				L.to = append(L.to, c.to[e]+off)
 				L.wt = append(L.wt, c.wt[e])
 			}
-			if up && gw[u] {
+			if gw[u] {
 				L.to = append(L.to, off+int32(n)+int32(u))
 				L.wt = append(L.wt, interWeight)
 			}
+			L.dead[x] = int32(len(L.to))-L.rowStart[x] == 1 && !in[u]
 		}
 	}
 	L.rowStart[layers*n] = int32(len(L.to))

@@ -6,14 +6,48 @@ import (
 	"testing"
 )
 
+// deadEndGraphs are the graphs on which the CSR kernel writes dead ends
+// instead of queueing them: fat trees, whose hosts are leaves, at unit
+// and at random weights, and a hand graph with a pendant path, a leaf on
+// two parallel edges (two arcs: not dead), a zero-weight leaf, an
+// isolated vertex and leaves in both orders next to their neighbours.
+func deadEndGraphs(rng *rand.Rand) []*Graph {
+	var gs []*Graph
+	for _, k := range []int{4, 8} {
+		et, _ := fatTreeEdges(k)
+		gs = append(gs, et.graph())
+		for i := range et.w {
+			et.w[i] = 1 + 9*rng.Float64()
+		}
+		gs = append(gs, et.graph())
+	}
+	h := New(11)
+	h.AddEdge(1, 2, 1.5)
+	h.AddEdge(2, 3, 0.25)
+	h.AddEdge(3, 1, 2)
+	h.AddEdge(3, 4, 1) // pendant path 3-4-5-6
+	h.AddEdge(4, 5, 0.5)
+	h.AddEdge(5, 6, 3)
+	h.AddEdge(1, 7, 2) // leaf on two parallel edges
+	h.AddEdge(7, 1, 0.75)
+	h.AddEdge(0, 2, 1) // leaves on either side of their neighbour's id
+	h.AddEdge(9, 2, 4)
+	h.AddEdge(5, 10, 0) // zero-weight leaf; 8 is isolated
+	return append(gs, h)
+}
+
 // TestCSRDijkstraBitIdentical: the CSR kernel must reproduce
 // Graph.Dijkstra bit-for-bit (same relaxation order, same float ops), not
-// merely within tolerance.
+// merely within tolerance — also where it writes dead ends unqueued.
 func TestCSRDijkstraBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var graphs []*Graph
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(60)
-		g := randomConnectedGraph(rng, n, rng.Intn(2*n))
+		graphs = append(graphs, randomConnectedGraph(rng, n, rng.Intn(2*n)))
+	}
+	for trial, g := range append(graphs, deadEndGraphs(rng)...) {
+		n := g.Order()
 		csr := g.Freeze()
 		var scratch SSSPScratch
 		dist := make([]float64, n)
@@ -80,9 +114,13 @@ func TestCSRDisconnectedAndTrivial(t *testing.T) {
 // several worker counts, including workers > |V|.
 func TestAllPairsParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var graphs []*Graph
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + rng.Intn(80)
-		g := randomConnectedGraph(rng, n, rng.Intn(2*n))
+		graphs = append(graphs, randomConnectedGraph(rng, n, rng.Intn(2*n)))
+	}
+	for trial, g := range append(graphs, deadEndGraphs(rng)...) {
+		n := g.Order()
 		want := AllPairsSequential(g)
 		for _, workers := range []int{0, 1, 2, 3, 7, n + 13} {
 			got := allPairsWorkers(g, workers)
@@ -155,6 +193,41 @@ func TestCSRLayeredChainConstraint(t *testing.T) {
 	for v := 0; v < 4; v++ {
 		if !math.IsInf(dist1[v], 1) {
 			t.Fatalf("layer-1 escaped downward to %d (cost %v)", v, dist1[v])
+		}
+	}
+}
+
+// TestCSRLayeredDeadEnds: on an expansion, writing dead ends unqueued
+// leaves every row bit-identical to the same expansion queueing every
+// vertex. The sites include a leaf (a crossing enters its copy above,
+// which is therefore no dead end) next to switches; sources and targets
+// include leaves in every layer.
+func TestCSRLayeredDeadEnds(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	et, switches := fatTreeEdges(4)
+	for i := range et.w {
+		et.w[i] = 1 + 9*rng.Float64()
+	}
+	base := et.graph().Freeze()
+	n := base.Order()
+	leafSite := switches + 3
+	L := base.Layered([][]int{{leafSite, 6}, {0, 13}, {14}}, 0)
+	if L.dead[leafSite] || L.dead[n+leafSite] || !L.dead[2*n+leafSite] || !L.dead[3*n+leafSite] {
+		t.Fatalf("leaf site %d: dead marks %v over its four copies, want [false false true true]",
+			leafSite, []bool{L.dead[leafSite], L.dead[n+leafSite], L.dead[2*n+leafSite], L.dead[3*n+leafSite]})
+	}
+	queued := *L
+	queued.dead = make([]bool, L.n)
+	var s SSSPScratch
+	dist, prev := make([]float64, L.n), make([]int32, L.n)
+	for src := 0; src < L.n; src++ {
+		wantDist, wantPrev := queued.Dijkstra(src)
+		L.DijkstraInto(src, dist, prev, &s)
+		for v := range dist {
+			if math.Float64bits(dist[v]) != math.Float64bits(wantDist[v]) || prev[v] != wantPrev[v] {
+				t.Fatalf("src %d: cell %d = (%v, %d), queueing every vertex gives (%v, %d)",
+					src, v, dist[v], prev[v], wantDist[v], wantPrev[v])
+			}
 		}
 	}
 }

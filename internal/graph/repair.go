@@ -177,7 +177,9 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (sett
 	// (2) Re-settle. Every marked vertex restarts from its best candidate
 	// over unmarked neighbours (+Inf if none: an isolated vertex needs no
 	// case of its own). Marked cells are only written here, unmarked ones
-	// only read, so the order does not matter.
+	// only read, so the order does not matter. Here, in (3) and in (4) a
+	// dead end is written and not queued, as in DijkstraInto: relaxing it
+	// back cannot lower its neighbour, whose distance only falls from here.
 	for _, v := range s.touched {
 		best := Inf
 		for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
@@ -188,7 +190,7 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (sett
 			}
 		}
 		r.setDist(int(v), best)
-		if best < Inf {
+		if best < Inf && !c.dead[v] {
 			h.push(heapItem{v: int(v), cost: best})
 		}
 	}
@@ -223,7 +225,9 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (sett
 			if nd := it.cost + c.wt[e]; nd < r.d(int(to)) {
 				r.setDist(int(to), nd)
 				s.touched = append(s.touched, to)
-				h.push(heapItem{v: int(to), cost: nd})
+				if !c.dead[to] {
+					h.push(heapItem{v: int(to), cost: nd})
+				}
 			}
 		}
 	}
@@ -252,7 +256,7 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (sett
 // gain relaxes the edge u→v of weight w in step (3) of repairRow: a
 // strict improvement writes v and queues it, an equal candidate that
 // precedes v's incumbent predecessor in (dist, id) order marks v's prev
-// for re-derivation.
+// for re-derivation. A dead end is written, not queued.
 func (c *CSR) gain(r *cowRow, s *repairScratch, u, v int, w float64) {
 	du := r.d(u)
 	if du == Inf {
@@ -262,7 +266,9 @@ func (c *CSR) gain(r *cowRow, s *repairScratch, u, v int, w float64) {
 	case nd < dv:
 		r.setDist(v, nd)
 		s.touched = append(s.touched, int32(v))
-		s.sssp.heap.push(heapItem{v: v, cost: nd})
+		if !c.dead[v] {
+			s.sssp.heap.push(heapItem{v: v, cost: nd})
+		}
 	case nd == dv:
 		if p := r.p(v); p >= 0 {
 			if dp := r.d(int(p)); du < dp || du == dp && int32(u) < p {

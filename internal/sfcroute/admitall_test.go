@@ -235,12 +235,13 @@ func TestAdmitAllSearchCount(t *testing.T) {
 	}
 }
 
-// TestAdmitAllSettlesUnderHalf pins the bound on the layered search: on
-// a k=8 pass whose chain sits on adjacent switches, as TOP places it,
-// each search settles under half of the expansion — a search that runs
-// every layer out settles all of it, so a bound silently turned off
-// fails here.
-func TestAdmitAllSettlesUnderHalf(t *testing.T) {
+// TestAdmitAllSettlesUnderATenth pins the bound on the layered search:
+// on a k=8 pass whose chain sits on adjacent switches, as TOP places it,
+// each search settles under a tenth of the expansion — a search that
+// runs every layer out settles all of it, and one that queues its hosts
+// (dead ends, written as their edge switch relaxes them) settles about a
+// quarter, so either fails here.
+func TestAdmitAllSettlesUnderATenth(t *testing.T) {
 	d := model.MustNew(topology.MustFatTree(8, nil), model.Options{})
 	isSwitch := make(map[int]bool)
 	for _, s := range d.Switches() {
@@ -274,7 +275,7 @@ func TestAdmitAllSettlesUnderHalf(t *testing.T) {
 	}
 	per := float64(r.Settled()) / float64(r.Searches())
 	t.Logf("chain %v: %d searches settled %.1f of %d vertices each", chain, r.Searches(), per, r.lay.Order())
-	if r.Searches() != len(hosts) || per >= float64(r.lay.Order())/2 {
-		t.Fatalf("%d searches settled %.1f of %d vertices each, want %d searches under half", r.Searches(), per, r.lay.Order(), len(hosts))
+	if r.Searches() != len(hosts) || per >= float64(r.lay.Order())/10 {
+		t.Fatalf("%d searches settled %.1f of %d vertices each, want %d searches under a tenth", r.Searches(), per, r.lay.Order(), len(hosts))
 	}
 }

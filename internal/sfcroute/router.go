@@ -196,7 +196,7 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 		r.load[i] = 0
 		r.minHeadroom = min(r.minHeadroom, r.headroom(i))
 	}
-	r.searches, r.search.settled = 0, 0
+	r.searches, r.search.sssp.Settled = 0, 0
 	lay, err := buildLayered(r.priced, sites)
 	if err != nil {
 		return err
@@ -206,13 +206,16 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 	r.laySlotLink = slices.Grow(r.laySlotLink[:0], ns)[:ns]
 	r.layWt = slices.Grow(r.layWt[:0], ns)[:ns]
 	r.pruneWt = slices.Grow(r.pruneWt[:0], ns)[:ns]
-	n := lay.n
+	// Each layer copies the base slots in order, a site's crossing after
+	// its fabric arcs: the b-th fabric slot of the expansion is base slot
+	// b mod NumSlots.
+	n, b := lay.n, 0
 	lay.csr.ForEachSlot(func(slot, u, v int, w float64) {
-		bu, bv := u%n, v%n
-		if bu == bv { // layer crossing
+		if u%n == v%n { // layer crossing
 			r.laySlotLink[slot] = -1
 		} else {
-			r.laySlotLink[slot] = int32(r.lidx[mkLink(bu, bv)])
+			r.laySlotLink[slot] = r.slotLink[b%len(r.slotLink)]
+			b++
 		}
 		r.layWt[slot] = w
 	})
@@ -239,10 +242,10 @@ type sharedRoute struct {
 // BeginEpoch.
 func (r *Router) Searches() int { return r.searches }
 
-// Settled returns the number of layered vertices those searches settled
-// and relaxed: a search stops at its last target and relaxes nothing in
-// a layer whose exits have all settled.
-func (r *Router) Settled() int { return r.search.settled }
+// Settled returns the number of layered vertices those searches popped
+// and relaxed: a search stops at its last target, relaxes nothing in a
+// layer whose exits have all settled, and only writes a dead end.
+func (r *Router) Settled() int { return r.search.sssp.Settled }
 
 // Admit routes one flow of the given rate against residual capacity and
 // commits its load on success. Links whose residual headroom cannot
@@ -452,7 +455,7 @@ func (r *Router) walkLinks(walk []int) []int32 {
 	}
 	r.touched = r.touched[:0]
 	for i := 0; i+1 < len(walk); i++ {
-		link := int32(r.lidx[mkLink(walk[i], walk[i+1])])
+		link := r.slotLink[r.priced.Arc(walk[i], walk[i+1])]
 		if r.cnt[link] == 0 {
 			r.touched = append(r.touched, link)
 		}

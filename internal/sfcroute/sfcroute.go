@@ -122,25 +122,26 @@ type PathResult struct {
 // still unsettled. mark is generation-stamped, so a repeated site or
 // target counts once and a search starts without clearing it.
 type SearchScratch struct {
-	dist    []float64
-	prev    []int32
-	sssp    graph.SSSPScratch
-	mark    []uint64 // mark[x] == gen: x is an exit or target of this search
-	gen     uint64   // never wraps
-	left    []int
-	n       int
-	settled int // vertices settled and relaxed, over the scratch's life
+	dist []float64
+	prev []int32
+	sssp graph.SSSPScratch
+	mark []uint64 // mark[x] == gen: x is an exit or target of this search
+	gen  uint64   // never wraps
+	left []int
+	n    int
 }
 
 // search runs Dijkstra from (0, src) on w, a view of this expansion,
-// until the targets (stages, dst) of dsts settle. Vertices settle in
-// (dist, id) order, so a settled vertex's cells are final, and so are
-// those of its tree path, which settled before it. A path leaves layer
-// ℓ only over an exit's crossing; once every exit has settled and been
-// relaxed, what is left in layer ℓ can lower only unsettled layer-ℓ
-// cells, which no route reads, so the layer retires: its queued entries
-// are dropped and nothing more in it is relaxed. After the search only
-// the targets' routes in s are final — exactly DijkstraInto's.
+// until the targets (stages, dst) of dsts settle. A settled vertex's
+// cells are final, and so are those of its tree path, which settled
+// before it. A dead end — a host, in a layer no crossing enters —
+// settles as its edge switch relaxes it. A path leaves layer ℓ only
+// over an exit's crossing; once every exit has settled and been relaxed,
+// what is left in layer ℓ can lower only unsettled layer-ℓ cells, which
+// no route reads, so the layer retires: its queued entries are dropped
+// and nothing more in it is relaxed. An exit is never a dead end: its
+// crossing is beside its fabric arcs. After the search only the targets'
+// routes in s are final — exactly DijkstraInto's.
 func (L *Layered) search(w *graph.CSR, src int, s *SearchScratch, dsts ...int) {
 	if nv := L.csr.Order(); len(s.dist) != nv {
 		s.dist, s.prev, s.mark = make([]float64, nv), make([]int32, nv), make([]uint64, nv)
@@ -163,13 +164,14 @@ func (L *Layered) search(w *graph.CSR, src int, s *SearchScratch, dsts ...int) {
 }
 
 // settle is search's Visit hook. A layer's last exit retires the layer
-// and is still relaxed; the last target ends the search.
+// and is still relaxed; the last target ends the search. A host target
+// settles while its edge switch relaxes its arcs, and what the ones
+// after it queue is popped unrelaxed: the last layer has no target left.
 func (s *SearchScratch) settle(x int) bool {
 	l := x / s.n
 	if s.left[l] == 0 {
 		return false
 	}
-	s.settled++
 	if s.mark[x] == s.gen {
 		if s.left[l]--; s.left[l] == 0 {
 			if l == len(s.left)-1 {
@@ -217,25 +219,31 @@ func (L *Layered) pathFrom(src, dst int, s *SearchScratch) (PathResult, error) {
 	if cost == graph.Inf {
 		return PathResult{}, fmt.Errorf("%w: %d → chain(%d stages) → %d", ErrUnroutable, src, stages, dst)
 	}
-	// Reconstruct the layered path, then project: a crossing keeps the
-	// same base vertex across consecutive layered vertices (the fabric
-	// has no self-loops, so equal consecutive base ids happen only at
-	// crossings) and records the stage's chosen gateway.
-	var rev []int
+	// Project the layered path from its end: a crossing keeps the same
+	// base vertex across consecutive layered vertices (the fabric has no
+	// self-loops, so equal consecutive base ids happen only at crossings)
+	// and records the stage's chosen gateway. The path climbs one layer
+	// per crossing, so it has exactly stages of them: count its vertices,
+	// and both slices are allocated at their lengths.
+	verts := 0
 	for x := target; x != -1; x = int(s.prev[x]) {
-		rev = append(rev, x)
+		verts++
 	}
-	res := PathResult{Cost: cost, Walk: make([]int, 0, len(rev))}
+	res := PathResult{Cost: cost, Walk: make([]int, verts-stages)}
 	if stages > 0 {
-		res.Gateways = make([]int, 0, stages)
+		res.Gateways = make([]int, stages)
 	}
-	for i := len(rev) - 1; i >= 0; i-- {
-		v := rev[i] % L.n
-		if len(res.Walk) > 0 && res.Walk[len(res.Walk)-1] == v {
-			res.Gateways = append(res.Gateways, v)
-			continue
+	w, g := len(res.Walk), stages
+	for x := target; x != -1; {
+		p, v := int(s.prev[x]), x%L.n
+		if p >= 0 && p%L.n == v {
+			g--
+			res.Gateways[g] = v
+		} else {
+			w--
+			res.Walk[w] = v
 		}
-		res.Walk = append(res.Walk, v)
+		x = p
 	}
 	return res, nil
 }
