@@ -34,7 +34,11 @@ race:
 
 # One iteration of every kernel microbenchmark with numbers on record,
 # so the code behind them still compiles and runs; no timing is read.
-# In order: the engine hot loop with a nil and a live observer; the
+# In order: the four engine benchmarks — BenchmarkEngineStep and
+# BenchmarkEngineStepObserved (the hot loop with a nil and a live
+# observer), BenchmarkEngineStepDiurnal and BenchmarkEngineFaultStorm (the
+# in-process diurnal-react and fault-storm scenarios), with B/op, so CI
+# logs show what one fault event allocates; the
 # branch-and-bound solvers and their shared kernel (BENCH_solver.json);
 # the incremental fault-event and weight-delta APSP paths on the -short
 # topologies (BENCH_apsp.json); layered SFC routing (BENCH_sfcroute.json);
@@ -46,7 +50,7 @@ race:
 # `race`. The daemon is not load-tested here: that is bench/
 # (bench-e2e-smoke below).
 bench-smoke:
-	$(GO) test -run NONE -bench BenchmarkEngine -benchtime 1x ./internal/engine/
+	$(GO) test -run NONE -bench BenchmarkEngine -benchtime 1x -benchmem ./internal/engine/
 	$(GO) test -run NONE -bench BenchmarkSolver -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench BenchmarkKernelSequential -benchtime 1x -benchmem ./internal/bnb/
 	$(GO) test -run NONE -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchtime 1x -benchmem -short ./internal/fault/

@@ -101,7 +101,7 @@ func FuzzCostCacheEquivalence(f *testing.F) {
 				}
 				m := randomCachePlacement(d, n, rng)
 				mu := float64(rng.Intn(100_000))
-				if got, want := cache.TotalCost(p, m, mu), d.TotalCost(w, p, m, mu); !closeRel(got, want) {
+				if got, want := d.MigrationCost(p, m, mu)+cache.CommCost(m), d.TotalCost(w, p, m, mu); !closeRel(got, want) {
 					t.Fatalf("round %d: C_t %v, scalar %v", round, got, want)
 				}
 			}

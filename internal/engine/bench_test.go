@@ -256,3 +256,33 @@ func TestStepAllocationBudget(t *testing.T) {
 		t.Fatalf("one Ingest+Step allocates %d B, budget %d B: is the consult building its own cost cache again?", perStep, budget)
 	}
 }
+
+// TestFaultEventAllocationBudget holds a fault event to the garbage of
+// what its delta changed. One cycle of faultStormEngine — 64 events on
+// the k=16 fat tree — allocates ≈ 1.5 MB and ≈ 2 800 objects per event:
+// the repaired APSP rows, one cost cache derived from the last, and the
+// repair consult. A fresh 320×320 switch closure per event costs ≈ 800 KB
+// more, and a degraded graph cloned vertex by vertex ≈ 2 000 allocations
+// more, so either fails here.
+func TestFaultEventAllocationBudget(t *testing.T) {
+	e, events := faultStormEngine(t)
+	const bytesBudget, allocBudget = 1_660_000, 3_100
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, ev := range events {
+		if _, err := e.ApplyFaults(ctx, ev.inject, ev.heal); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(len(events))
+	perBytes, perAllocs := (after.TotalAlloc-before.TotalAlloc)/n, (after.Mallocs-before.Mallocs)/n
+	t.Logf("per event: %d B, %d allocs", perBytes, perAllocs)
+	if perBytes > bytesBudget {
+		t.Errorf("a fault event allocates %d B, budget %d B: is the switch closure (≈ 800 KB) built fresh every event again?", perBytes, bytesBudget)
+	}
+	if perAllocs > allocBudget {
+		t.Errorf("a fault event makes %d allocations, budget %d: is the degraded graph cloned vertex by vertex (≈ 2 000) again?", perAllocs, allocBudget)
+	}
+}

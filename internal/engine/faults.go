@@ -101,9 +101,9 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 
-	// One cost cache per event: the repair prices against it and the
-	// commit below installs the same object.
-	cache := plan.PPDC.NewWorkloadCache(plan.Served)
+	// One cost cache per event, derived from the current one: the repair
+	// prices against it and the commit below installs the same object.
+	cache := e.cache.OnFabric(plan.PPDC, plan.Served)
 	res, err := migration.Repair(ctx, cache.Problem(e.cfg.SFC), e.cfg.PPDC, e.p, e.cfg.Mu, e.mig)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)

@@ -473,18 +473,42 @@ func TestApplyFaultsDegrade(t *testing.T) {
 // TestFaultStormInvariants replays faultStormEngine's cycle and checks,
 // after every event, what the repair leaves behind: the placement sits on
 // distinct live switches of the serving model, and the cost cache — its
-// switch cells, Λ, C_a of the placement, and the rate-1 vectors the
-// Steering seed reads — holds the bits fresh caches over the served
-// workload hold. No DP table outlives its fabric either: the repair run
-// again on a fresh cache, from the placement before the event, commits
-// the placement the engine did.
+// switch cells, Λ, C_a of the placement, the rate-1 vectors the Steering
+// seed reads, and the switch closure with its floor — holds the bits
+// fresh caches over the served workload hold, although the event derived
+// it from the cache before. It checks that the derivation ran: most
+// closure rows are shared with the cache before the event. No DP table
+// outlives its fabric either: the repair run again on a fresh cache, from
+// the placement before the event, commits the placement the engine did.
 func TestFaultStormInvariants(t *testing.T) {
 	e, events := faultStormEngine(t)
 	ctx := context.Background()
+	shared, rows := 0, 0
 	for i, ev := range events {
 		prev := e.p.Clone()
+		before, _ := e.cache.SwitchCosts()
 		if _, err := e.ApplyFaults(ctx, ev.inject, ev.heal); err != nil {
 			t.Fatalf("event %d: %v", i, err)
+		}
+		closure, floor := e.cache.SwitchCosts()
+		want := e.d.APSP.CostMatrix(e.d.Topo.Switches)
+		wantFloor := math.Inf(1)
+		for r, row := range want {
+			for c, x := range row {
+				if math.Float64bits(closure[r][c]) != math.Float64bits(x) {
+					t.Fatalf("event %d: closure[%d][%d] %v, fresh CostMatrix %v", i, r, c, closure[r][c], x)
+				}
+				if c != r && x < wantFloor {
+					wantFloor = x
+				}
+			}
+			if len(before) == len(want) && &closure[r][0] == &before[r][0] {
+				shared++
+			}
+		}
+		rows += len(want)
+		if math.Float64bits(floor) != math.Float64bits(wantFloor) {
+			t.Fatalf("event %d: closure floor %v, fresh %v", i, floor, wantFloor)
 		}
 		live := make(map[int]bool, len(e.d.Topo.Switches))
 		for _, s := range e.d.Topo.Switches {
@@ -529,12 +553,12 @@ func TestFaultStormInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("event %d: repair on a fresh cache: %v", i, err)
 		}
-		want := prev
+		wantP := prev
 		if res.Moves > 0 {
-			want = res.Placement
+			wantP = res.Placement
 		}
-		if !want.Equal(e.p) {
-			t.Fatalf("event %d: engine placement %v, repair on a fresh cache %v", i, e.p, want)
+		if !wantP.Equal(e.p) {
+			t.Fatalf("event %d: engine placement %v, repair on a fresh cache %v", i, e.p, wantP)
 		}
 		// Algorithm 3 on the engine's cache — its tables filled by this
 		// event's repair — answers as on the fresh one.
@@ -546,5 +570,12 @@ func TestFaultStormInvariants(t *testing.T) {
 	}
 	if e.faults.Len() != 0 {
 		t.Fatalf("the cycle ends with %d faults active, want pristine", e.faults.Len())
+	}
+	// A switch event changes the switch list and rebuilds the closure, a
+	// quarter of the cycle; every other event shares the rows its delta
+	// left alone.
+	t.Logf("closure rows shared with the cache before the event: %d of %d (%.1f per event)", shared, rows, float64(shared)/float64(len(events)))
+	if shared < rows/2 {
+		t.Fatalf("%d of %d closure rows shared across the cycle, want at least half: is every event rebuilding the closure?", shared, rows)
 	}
 }

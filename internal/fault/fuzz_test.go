@@ -163,6 +163,9 @@ func deltaStep(t *testing.T, d *model.PPDC, prev *View, fs FaultSet) *View {
 // so repaired rows chain across events) and once through the
 // full Rebuild — and every intermediate view must match bit-for-bit:
 // same dist and prev matrices, same dead mask, same component labels.
+// A cost cache rides along the delta chain as the engine carries it, each
+// one derived from the last with OnFabric on the view's serving model,
+// and must hold what a fresh cache there holds.
 func FuzzIncrementalAPSP(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{2, 4, 6, 3})
@@ -172,6 +175,11 @@ func FuzzIncrementalAPSP(f *testing.F) {
 	topo := topology.MustFatTree(4, nil)
 	d := model.MustNew(topo, model.Options{})
 	cand := allFaults(d)
+	rng := rand.New(rand.NewSource(5))
+	w := make(model.Workload, 24)
+	for i := range w {
+		w[i] = model.VMPair{Src: topo.Hosts[rng.Intn(len(topo.Hosts))], Dst: topo.Hosts[rng.Intn(len(topo.Hosts))], Rate: float64(rng.Intn(4))}
+	}
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 48 {
@@ -182,6 +190,15 @@ func FuzzIncrementalAPSP(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cache := d.NewWorkloadCache(w)
+		cache.UnitEndpointCosts()
+		cache.SwitchCosts()
+		step := func() {
+			prev = deltaStep(t, d, prev, fs)
+			plan := prev.PlanService(w)
+			cache = cache.OnFabric(plan.PPDC, plan.Served)
+			cacheEqual(t, cache, plan.PPDC.NewWorkloadCache(plan.Served))
+		}
 		for _, b := range ops {
 			if b&1 == 0 {
 				fs = fs.Add(cand[int(b>>1)%len(cand)])
@@ -189,17 +206,53 @@ func FuzzIncrementalAPSP(f *testing.F) {
 				active := fs.Faults()
 				fs = fs.Remove(active[int(b>>1)%len(active)])
 			}
-			prev = deltaStep(t, d, prev, fs)
+			step()
 		}
 		// Drain the surviving faults one at a time: every heal keeps the
 		// incremental chain pinned to the rebuild, and the empty tail is
 		// the pristine matrix again.
 		for fs.Len() > 0 {
 			fs = fs.Remove(fs.Faults()[0])
-			prev = deltaStep(t, d, prev, fs)
+			step()
 		}
 		apspEqual(t, d, prev, Rebuild(d, FaultSet{}))
 	})
+}
+
+// cacheEqual compares a derived cost cache with a fresh one bit for bit:
+// both endpoint pairs, the switch closure and its floor, Λ and the
+// direct cost.
+func cacheEqual(t *testing.T, got, want *model.WorkloadCache) {
+	t.Helper()
+	same := func(what string, a, b []float64) {
+		t.Helper()
+		for v := range b {
+			if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+				t.Fatalf("derived cache %s[%d] = %v, fresh %v", what, v, a[v], b[v])
+			}
+		}
+	}
+	in, eg := got.EndpointCosts()
+	inF, egF := want.EndpointCosts()
+	same("ingress", in, inF)
+	same("egress", eg, egF)
+	in, eg = got.UnitEndpointCosts()
+	inF, egF = want.UnitEndpointCosts()
+	same("unit ingress", in, inF)
+	same("unit egress", eg, egF)
+	cost, floor := got.SwitchCosts()
+	costF, floorF := want.SwitchCosts()
+	if len(cost) != len(costF) {
+		t.Fatalf("derived closure over %d switches, fresh %d", len(cost), len(costF))
+	}
+	for i := range costF {
+		same("closure row", cost[i], costF[i])
+	}
+	for _, x := range [][2]float64{{floor, floorF}, {got.TotalRate(), want.TotalRate()}, {got.CommCost(nil), want.CommCost(nil)}} {
+		if math.Float64bits(x[0]) != math.Float64bits(x[1]) {
+			t.Fatalf("derived cache floor/Λ/direct %v, fresh %v", x[0], x[1])
+		}
+	}
 }
 
 // permute calls fn with every permutation of faults.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -137,11 +138,8 @@ func newAPSP(n int) (*APSP, flatRows) {
 // Complexity O(|V| * |E| log |V|). The build freezes the graph into a CSR
 // snapshot and fans the |V| independent sources across GOMAXPROCS workers
 // (see allPairsWorkers); output is bit-identical to AllPairsSequential at
-// any worker count. Measured on the k=16 fat tree (1344 vertices, 3072
-// edges; BenchmarkAPSPFatTree): ~74 ms for the sequential [][]Edge
-// oracle at ~18.8k heap allocations, ~53 ms for the CSR kernel on one
-// core at 26 allocations (just the result matrices plus per-chunk
-// scratch).
+// any worker count (measurements: docs/ALGORITHMS.md, "Performance
+// kernels").
 func AllPairs(g *Graph) *APSP {
 	return allPairsWorkers(g, 0)
 }
@@ -208,7 +206,7 @@ func (a *APSP) Cost(u, v int) float64 { return a.rows[u].d(v) }
 // Stretches is a vertex list cut into stretches that count up by one
 // inside one block, so a row is read a stretch at a time rather than a
 // cell at a time. A topology numbers its switches in a run, so the
-// switches cut into few. CostMatrix and AddScaledCells read rows through
+// switches cut into few. CostMatrix and SumScaledCells read rows through
 // it.
 type Stretches []stretch
 
@@ -229,19 +227,60 @@ func AppendStretches(dst Stretches, keep []int) Stretches {
 	return dst
 }
 
-// AddScaledCells adds scale·c(u,v) to acc[v] for every vertex v of keep;
-// acc is vertex-indexed and its other cells are left alone. The
-// aggregated workload cost cache sweeps its rows this way, paying one
-// block lookup per stretch and touching no cell it never reads.
-func (a *APSP) AddScaledCells(acc []float64, u int, scale float64, keep Stretches) {
-	src := a.rows[u].dist
-	for _, r := range keep {
-		cells := src[r.block][r.off : r.off+r.n]
-		seg := acc[r.block<<apspShift+r.off:][:r.n]
-		for i, c := range cells {
-			seg[i] += scale * c
+// SumScaledCells sets acc[v] = Σ_i scales[i]·c(rows[i], v), added in
+// row order, at every vertex v of keep, a block at a time; acc's other
+// cells are left alone. prevAcc is this call's result over prev at
+// prevKeep from the same rows and scales (the caller vouches for them): a
+// block with the same keep cells, every row's block pointer-equal to
+// prev's, would add the same values in the same order, so it is copied.
+// A nil prev sums every block.
+func (a *APSP) SumScaledCells(acc []float64, rows []int, scales []float64, keep Stretches, prev *APSP, prevAcc []float64, prevKeep Stretches) {
+	for lo, hi := 0, 0; lo < len(keep); lo = hi {
+		b := keep[lo].block
+		for hi = lo + 1; hi < len(keep) && keep[hi].block == b; hi++ {
+		}
+		seg := keep[lo:hi]
+		copied := prev != nil && sameCells(seg, prevKeep, b) && a.sharesBlock(prev, rows, b)
+		for _, r := range seg {
+			if o := b<<apspShift + r.off; copied {
+				copy(acc[o:o+r.n], prevAcc[o:o+r.n])
+			} else {
+				clear(acc[o : o+r.n])
+			}
+		}
+		if copied {
+			continue
+		}
+		for i, u := range rows {
+			cells := a.rows[u].dist[b]
+			for _, r := range seg {
+				dst := acc[b<<apspShift+r.off:][:r.n]
+				for j, c := range cells[r.off : r.off+r.n] {
+					dst[j] += scales[i] * c
+				}
+			}
 		}
 	}
+}
+
+// sameCells reports whether seg, a run of stretches in block b, is
+// prevKeep's whole run in b, cell for cell.
+func sameCells(seg, prevKeep Stretches, b int) bool {
+	j := slices.IndexFunc(prevKeep, func(r stretch) bool { return r.block == b })
+	if k := j + len(seg); j < 0 || k > len(prevKeep) || k < len(prevKeep) && prevKeep[k].block == b {
+		return false
+	}
+	return slices.EqualFunc(seg, prevKeep[j:j+len(seg)], func(x, y stretch) bool { return x.block == y.block && x.off == y.off && x.n == y.n })
+}
+
+// sharesBlock reports whether a and prev share block b of every row.
+func (a *APSP) sharesBlock(prev *APSP, rows []int, b int) bool {
+	for _, u := range rows {
+		if a.rows[u].dist[b] != prev.rows[u].dist[b] {
+			return false
+		}
+	}
+	return true
 }
 
 // Pred returns the predecessor of v on the cached shortest u→v path, or
@@ -285,28 +324,48 @@ func (a *APSP) Diameter() float64 {
 // given vertices: out[i][j] = c(keep[i], keep[j]) — the complete graph G”
 // of paper Algo. 2 over keep, whose triangle inequality holds by
 // construction, which the stroll DP relies on ("using G” overcomes an
-// obstacle otherwise faced by using G").
-// The rows alias one contiguous row-major buffer (two allocations total),
-// so solvers streaming the closure stay cache-local and the build cost
-// does not scale allocations with the submatrix order. keep is cut once
-// into Stretches, and every row copies stretch by stretch.
+// obstacle otherwise faced by using G"). It is CostMatrixFrom with no
+// parent: the rows alias one contiguous row-major buffer (two allocations
+// total), so solvers streaming the closure stay cache-local.
 func (a *APSP) CostMatrix(keep []int) [][]float64 {
+	return a.CostMatrixFrom(keep, nil, nil)
+}
+
+// CostMatrixFrom is CostMatrix derived from prevOut, the closure over the
+// same keep on prev: a row whose blocks under keep are all prev's, by
+// pointer, is prevOut's row, shared; any other row is copied into an
+// allocation of its own, so a shared row pins only itself or a full
+// build's one buffer — a derived chain holds ≤ 2·len(keep)² cells.
+func (a *APSP) CostMatrixFrom(keep []int, prev *APSP, prevOut [][]float64) [][]float64 {
 	k := len(keep)
 	var few [16]stretch // on the stack: the usual keep allocates nothing here
 	runs := AppendStretches(few[:0], keep)
 	out := make([][]float64, k)
-	buf := make([]float64, k*k)
+	var buf []float64
+	if prev == nil {
+		buf = make([]float64, k*k)
+	}
 	for i, u := range keep {
-		row := buf[i*k : (i+1)*k]
-		src := a.rows[u].dist
+		src, shared := a.rows[u].dist, prev != nil
+		for j := 0; j < len(runs) && shared; j++ {
+			shared = src[runs[j].block] == prev.rows[u].dist[runs[j].block]
+		}
+		if shared {
+			out[i] = prevOut[i]
+			continue
+		}
+		if buf != nil {
+			out[i] = buf[i*k : (i+1)*k]
+		} else {
+			out[i] = make([]float64, k)
+		}
 		for _, r := range runs {
 			if r.n == 1 {
-				row[r.at] = src[r.block][r.off]
+				out[i][r.at] = src[r.block][r.off]
 			} else {
-				copy(row[r.at:r.at+r.n], src[r.block][r.off:r.off+r.n])
+				copy(out[i][r.at:r.at+r.n], src[r.block][r.off:r.off+r.n])
 			}
 		}
-		out[i] = row
 	}
 	return out
 }

@@ -95,7 +95,7 @@ func TestApplyDeltasEmptyDelta(t *testing.T) {
 	a := AllPairs(g)
 	// Freeze sizes its arrays from the edge count, so it panics on this
 	// copy: the call below returns only if a delta naming no edge skips it.
-	unfreezable := g.Clone()
+	unfreezable := g.CloneMapped(func(_, _ int, w float64) (float64, bool) { return w, true })
 	unfreezable.m = -1
 	b, dirty := a.ApplyEdgeDeltas(unfreezable, EdgeDelta{}, 0)
 	if dirty != 0 {
@@ -464,11 +464,11 @@ func TestAPSPBlockedLayout(t *testing.T) {
 		allRuns := AppendStretches(nil, all)
 		for u := 0; u < n; u++ {
 			acc := make([]float64, n)
-			a.AddScaledCells(acc, u, 2, allRuns)
+			a.SumScaledCells(acc, []int{u}, []float64{2}, allRuns, nil, nil, nil)
 			for v := 0; v < n; v++ {
 				c := want.Cost(u, v)
 				if math.Float64bits(a.Cost(u, v)) != math.Float64bits(c) || cm[u][v] != c || acc[v] != 2*c {
-					t.Fatalf("n=%d (%d,%d): Cost %v, CostMatrix %v, AddScaledCells %v, want %v", n, u, v, a.Cost(u, v), cm[u][v], acc[v], c)
+					t.Fatalf("n=%d (%d,%d): Cost %v, CostMatrix %v, SumScaledCells %v, want %v", n, u, v, a.Cost(u, v), cm[u][v], acc[v], c)
 				}
 				if a.Pred(u, v) != want.Pred(u, v) || !slices.Equal(a.Path(u, v), want.Path(u, v)) {
 					t.Fatalf("n=%d (%d,%d): Pred %d Path %v, want %d %v", n, u, v,

@@ -97,15 +97,6 @@ func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 // degree returns the number of incident edge endpoints at u.
 func (g *Graph) degree(u int) int { return len(g.adj[u]) }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]Edge, len(g.adj)), m: g.m}
-	for i, es := range g.adj {
-		c.adj[i] = append([]Edge(nil), es...)
-	}
-	return c
-}
-
 // CloneMapped returns a copy of the graph with the same vertex set,
 // filtered and re-weighted in one pass: an edge for which mapEdge(u, v, w)
 // returns (w', true) survives with weight w', one returning false is
@@ -117,18 +108,22 @@ func (g *Graph) Clone() *Graph {
 // graph exactly — the degraded-fabric views in internal/fault rely on
 // this to make inject/heal round-trips and incremental rebuilds
 // bit-identical.
+// Every kept edge lands in one backing array (two allocations per clone),
+// each vertex's list capped at its own length, so a later AddEdge
+// reallocates that list rather than writing over its neighbour's.
 func (g *Graph) CloneMapped(mapEdge func(u, v int, w float64) (float64, bool)) *Graph {
 	c := &Graph{adj: make([][]Edge, len(g.adj))}
-	kept := 0
+	buf := make([]Edge, 0, 2*g.m)
 	for u, es := range g.adj {
+		lo := len(buf)
 		for _, e := range es {
 			if w, ok := mapEdge(u, e.To, e.Weight); ok {
-				c.adj[u] = append(c.adj[u], Edge{To: e.To, Weight: w})
-				kept++
+				buf = append(buf, Edge{To: e.To, Weight: w})
 			}
 		}
+		c.adj[u] = buf[lo:len(buf):len(buf)]
 	}
-	c.m = kept / 2
+	c.m = len(buf) / 2
 	return c
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,15 +164,25 @@ func TestConnected(t *testing.T) {
 	}
 }
 
+// TestClone holds a CloneMapped copy apart from its source. The identity
+// map reproduces the graph, and an edge added to the copy lands neither
+// in the source nor in a neighbour's list, though the copy's lists share
+// one backing array.
 func TestClone(t *testing.T) {
 	g := line(3)
-	c := g.Clone()
+	c := g.CloneMapped(func(_, _ int, w float64) (float64, bool) { return w, true })
+	if !slices.Equal(c.Edges(), g.Edges()) {
+		t.Fatalf("identity clone edges %v, want %v", c.Edges(), g.Edges())
+	}
 	c.AddEdge(0, 2, 1)
 	if g.HasEdge(0, 2) {
 		t.Fatal("clone mutation leaked into original")
 	}
 	if g.Size() != 2 || c.Size() != 3 {
 		t.Fatalf("sizes: g=%d c=%d", g.Size(), c.Size())
+	}
+	if nb := c.Neighbors(1); !slices.Equal(nb, []Edge{{0, 1}, {2, 1}}) {
+		t.Fatalf("vertex 1's list %v after an edge was added at vertex 0, want it unchanged", nb)
 	}
 }
 

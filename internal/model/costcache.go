@@ -1,6 +1,11 @@
 package model
 
-import "vnfopt/internal/graph"
+import (
+	"math"
+	"slices"
+
+	"vnfopt/internal/graph"
+)
 
 // WorkloadCache is the aggregated-workload fast path of the cost model.
 // The scalar oracles (CommCost, EndpointCosts) re-scan all l flows per
@@ -38,13 +43,14 @@ import "vnfopt/internal/graph"
 //
 // What depends on the fabric alone — SwitchCosts and the solver slot
 // FabricMemo — is built on first ask and lives as long as the cache: no
-// SetWorkload touches it, and a fabric change means a new cache.
+// SetWorkload touches it, and a fabric change means a new cache, which
+// OnFabric derives from the old one.
 //
 // A cache has one owner goroutine: SetWorkload rewrites the vectors in
 // place, and UnitEndpointCosts, SwitchCosts and FabricMemo build what they
 // return on first ask, so none of them may run beside any other call. The
 // engine holds its lock around every use; offline callers build their own
-// cache per call.
+// cache per call. OnFabric only reads its receiver, under the same rule.
 type WorkloadCache struct {
 	d *PPDC
 	// flows is the workload the cache was last set from, flow by flow
@@ -56,51 +62,92 @@ type WorkloadCache struct {
 	pairs Workload
 	// pairOf[i] is flow i's index in pairs, −1 for a zero-rate flow.
 	pairOf []int32
-	// ingress[v] = Σ_i λ_i c(s_i, v); egress[v] = Σ_i λ_i c(v, t_i),
-	// aggregated per distinct source/dest host, at switch cells v only.
-	ingress, egress []float64
+	// rate holds ingress[v] = Σ_i λ_i c(s_i, v) and egress[v] =
+	// Σ_i λ_i c(v, t_i), aggregated per distinct source/dest host, at
+	// switch cells v only, with the λ marginals they were summed from.
+	rate endpoints
+	// unit is the pair at every rate 1 (see UnitEndpointCosts), nil until
+	// asked for and again once a flow's endpoints change.
+	unit endpoints
 	// switches is Topo.Switches cut into stretches once, for the sweeps.
 	switches  graph.Stretches
 	totalRate float64
 	// direct is C_a of the empty placement: Σ λ c(s,t).
 	direct float64
-	// unitIn/unitEg are the endpoint vectors of flows with every rate
-	// set to 1 (see UnitEndpointCosts); nil until asked for, and again
-	// once a flow's endpoints change.
-	unitIn, unitEg []float64
-	// switchCosts is the dense closure over the switches (see
-	// SwitchCosts); nil until asked for.
+	// switchCosts is the closure (see SwitchCosts), nil until asked for;
+	// rowFloor[i] is its row i's least off-diagonal cell, floor the least.
 	switchCosts [][]float64
+	rowFloor    []float64
+	floor       float64
 	// memo is the solver's per-fabric value (see FabricMemo); nil until
 	// asked for.
 	memo any
 
-	// Rebuild scratch, cleared and refilled by every SetWorkload: the
-	// (src,dst) → pairs index and the per-host λ marginals with their
-	// host → index maps (UnitEndpointCosts refills the marginals with
-	// flow counts).
+	// Rebuild scratch: the pair index and the marginals' host indexes.
 	pairIdx        map[[2]int]int
 	srcIdx, dstIdx map[int]int
-	srcs, dsts     []hostRate
 }
 
-// hostRate is one host's λ marginal.
-type hostRate struct {
-	host int
-	rate float64
+// endpoints is a pair of endpoint vectors and the marginals they sum.
+type endpoints struct {
+	in, eg     []float64
+	srcs, dsts marginals
 }
 
-// NewWorkloadCache builds the aggregated cost cache for w.
+// marginals lists hosts in first-appearance order with their weights.
+type marginals struct {
+	hosts []int
+	rates []float64
+}
+
+// same reports whether m and o list the same hosts, in order, at the
+// same rate bits.
+func (m marginals) same(o marginals) bool {
+	return slices.Equal(m.hosts, o.hosts) && slices.EqualFunc(m.rates, o.rates, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	})
+}
+
+// noParent is the empty parent of a cache built from nothing.
+var noParent WorkloadCache
+
+// NewWorkloadCache builds the aggregated cost cache for w. It is OnFabric
+// with no parent: every block of every vector is summed.
 func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
+	return d.newCache(&noParent, w)
+}
+
+// OnFabric returns the cache of w on d — bit for bit what
+// d.NewWorkloadCache(w) holds — derived from c, a cache on a fabric of the
+// same vertex set whose APSP matrix d's may share blocks with (a fault
+// view derived from c's).
+// Each vector re-sums only the blocks whose inputs changed, and the
+// closure, built when c has one, shares c's rows the change left alone.
+// FabricMemo starts empty. c is only read: a caller may drop the result.
+func (c *WorkloadCache) OnFabric(d *PPDC, w Workload) *WorkloadCache {
+	return d.newCache(c, w)
+}
+
+func (d *PPDC) newCache(p *WorkloadCache, w Workload) *WorkloadCache {
+	// Start from the parent's flow list and grouping, so SetWorkload's
+	// regroup-or-re-sum test decides as it would on the parent.
 	c := &WorkloadCache{
 		d:        d,
 		switches: graph.AppendStretches(nil, d.Topo.Switches),
-		flows:    make(Workload, 0, len(w)),
+		flows:    append(make(Workload, 0, len(w)), p.flows...),
+		pairs:    slices.Clone(p.pairs),
+		pairOf:   slices.Clone(p.pairOf),
 		pairIdx:  make(map[[2]int]int, len(w)),
 		srcIdx:   make(map[int]int),
 		dstIdx:   make(map[int]int),
 	}
-	c.SetWorkload(w)
+	c.set(w, p)
+	if p.unit.in != nil {
+		c.sumUnit(p)
+	}
+	if p.switchCosts != nil {
+		c.buildClosure(p)
+	}
 	return c
 }
 
@@ -109,6 +156,11 @@ func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
 // of a dynamic-rates simulation); the endpoints may change too — the cache
 // makes no assumption that w matches the previous workload's host pairs.
 func (c *WorkloadCache) SetWorkload(w Workload) {
+	c.set(w, &noParent)
+}
+
+// set is SetWorkload summing the rate vectors against the parent p's.
+func (c *WorkloadCache) set(w Workload, p *WorkloadCache) {
 	n := c.d.Topo.Graph.Order()
 	// Keep the flow list. The unit-rate vectors depend on the endpoints
 	// only: they survive a walk that finds none moved. The grouping also
@@ -141,24 +193,20 @@ func (c *WorkloadCache) SetWorkload(w Workload) {
 		}
 	}
 	// Per-host λ marginals, first-appearance order.
-	c.resetMarginals()
+	c.resetMarginals(&c.rate)
 	c.totalRate, c.direct = 0, 0
 	for _, f := range c.pairs {
 		c.totalRate += f.Rate
 		c.direct += f.Rate * c.d.APSP.Cost(f.Src, f.Dst)
-		c.addMarginals(f, f.Rate)
+		c.addMarginals(&c.rate, f, f.Rate)
 	}
 	if moved {
-		c.unitIn, c.unitEg = nil, nil
+		c.unit.in, c.unit.eg = nil, nil
 	}
-	if len(c.ingress) != n {
-		c.ingress = make([]float64, n)
-		c.egress = make([]float64, n)
-	} else {
-		clear(c.ingress)
-		clear(c.egress)
+	if len(c.rate.in) != n {
+		c.rate.in, c.rate.eg = make([]float64, n), make([]float64, n)
 	}
-	c.sweep(c.ingress, c.egress)
+	c.sum(&c.rate, &p.rate, p)
 }
 
 // group groups the non-zero flows by (src, dst) host pair in
@@ -184,40 +232,51 @@ func (c *WorkloadCache) group() {
 	}
 }
 
-func (c *WorkloadCache) resetMarginals() {
+func (c *WorkloadCache) resetMarginals(e *endpoints) {
 	clear(c.srcIdx)
 	clear(c.dstIdx)
-	c.srcs, c.dsts = c.srcs[:0], c.dsts[:0]
+	e.srcs = marginals{e.srcs.hosts[:0], e.srcs.rates[:0]}
+	e.dsts = marginals{e.dsts.hosts[:0], e.dsts.rates[:0]}
 }
 
-// addMarginals adds rate to the marginals of f's source and dest hosts,
+// addMarginals adds rate to e's marginals of f's source and dest hosts,
 // appending a host on its first appearance.
-func (c *WorkloadCache) addMarginals(f VMPair, rate float64) {
-	if i, ok := c.srcIdx[f.Src]; ok {
-		c.srcs[i].rate += rate
-	} else {
-		c.srcIdx[f.Src] = len(c.srcs)
-		c.srcs = append(c.srcs, hostRate{f.Src, rate})
-	}
-	if i, ok := c.dstIdx[f.Dst]; ok {
-		c.dsts[i].rate += rate
-	} else {
-		c.dstIdx[f.Dst] = len(c.dsts)
-		c.dsts = append(c.dsts, hostRate{f.Dst, rate})
-	}
+func (c *WorkloadCache) addMarginals(e *endpoints, f VMPair, rate float64) {
+	e.srcs.add(c.srcIdx, f.Src, rate)
+	e.dsts.add(c.dstIdx, f.Dst, rate)
 }
 
-// sweep adds each marginal's scaled row into in (sources) and eg (dests)
-// at the switch cells, in marginal order.
-func (c *WorkloadCache) sweep(in, eg []float64) {
-	for _, s := range c.srcs {
-		c.d.APSP.AddScaledCells(in, s.host, s.rate, c.switches)
+// add adds rate to host's marginal, appending host on its first
+// appearance; idx maps each host to its index.
+func (m *marginals) add(idx map[int]int, host int, rate float64) {
+	if i, ok := idx[host]; ok {
+		m.rates[i] += rate
+		return
 	}
-	for _, t := range c.dsts {
-		// Undirected PPDC: c(v, t) = c(t, v), so t's row serves the egress
-		// sweep too.
-		c.d.APSP.AddScaledCells(eg, t.host, t.rate, c.switches)
+	idx[host] = len(m.hosts)
+	m.hosts = append(m.hosts, host)
+	m.rates = append(m.rates, rate)
+}
+
+// sum sets e's vectors from its marginals: each marginal's scaled row,
+// added at the switch cells in marginal order. A side whose marginals are
+// those of pe, the same pair of the parent p, copies the blocks the
+// fabric change left alone.
+func (c *WorkloadCache) sum(e, pe *endpoints, p *WorkloadCache) {
+	a := c.d.APSP
+	a.SumScaledCells(e.in, e.srcs.hosts, e.srcs.rates, c.switches, p.matrixIf(pe.in, e.srcs, pe.srcs), pe.in, p.switches)
+	// Undirected PPDC: c(v, t) = c(t, v), so t's row serves the egress
+	// sweep too.
+	a.SumScaledCells(e.eg, e.dsts.hosts, e.dsts.rates, c.switches, p.matrixIf(pe.eg, e.dsts, pe.dsts), pe.eg, p.switches)
+}
+
+// matrixIf returns p's APSP matrix when p holds acc summed from the
+// marginals m, nil (sum every block) otherwise.
+func (p *WorkloadCache) matrixIf(acc []float64, m, pm marginals) *graph.APSP {
+	if acc == nil || !m.same(pm) {
+		return nil
 	}
+	return p.d.APSP
 }
 
 // EndpointCosts returns the aggregated per-vertex ingress/egress vectors,
@@ -225,7 +284,7 @@ func (c *WorkloadCache) sweep(in, eg []float64) {
 // cache and are invalidated by SetWorkload; callers must not mutate or
 // retain them across rebuilds.
 func (c *WorkloadCache) EndpointCosts() (ingress, egress []float64) {
-	return c.ingress, c.egress
+	return c.rate.in, c.rate.eg
 }
 
 // UnitEndpointCosts returns the endpoint vectors of the cached workload
@@ -240,28 +299,61 @@ func (c *WorkloadCache) EndpointCosts() (ingress, egress []float64) {
 // so rate churn alone never recomputes them. Owned by the cache like
 // EndpointCosts; do not mutate.
 func (c *WorkloadCache) UnitEndpointCosts() (ingress, egress []float64) {
-	if c.unitIn == nil {
-		c.resetMarginals()
-		for _, f := range c.flows {
-			c.addMarginals(f, 1)
-		}
-		n := c.d.Topo.Graph.Order()
-		c.unitIn, c.unitEg = make([]float64, n), make([]float64, n)
-		c.sweep(c.unitIn, c.unitEg)
+	if c.unit.in == nil {
+		c.sumUnit(&noParent)
 	}
-	return c.unitIn, c.unitEg
+	return c.unit.in, c.unit.eg
+}
+
+// sumUnit builds the rate-1 vectors against the parent p's.
+func (c *WorkloadCache) sumUnit(p *WorkloadCache) {
+	c.resetMarginals(&c.unit)
+	for _, f := range c.flows {
+		c.addMarginals(&c.unit, f, 1)
+	}
+	n := c.d.Topo.Graph.Order()
+	c.unit.in, c.unit.eg = make([]float64, n), make([]float64, n)
+	c.sum(&c.unit, &p.unit, p)
 }
 
 // SwitchCosts returns the dense |V_s|×|V_s| shortest-path cost matrix
 // over the switches, indexed like Topo.Switches — the metric closure the
-// stroll solvers take as input. The fabric under a cache never changes,
-// so it is built on first ask and kept for the cache's life. Owned by the
-// cache; do not mutate.
-func (c *WorkloadCache) SwitchCosts() [][]float64 {
+// stroll solvers take as input — and its floor, the least cost between
+// two distinct switches (+Inf below two switches). The fabric under a
+// cache never changes, so both are built on first ask and kept for the
+// cache's life. Owned by the cache; do not mutate.
+func (c *WorkloadCache) SwitchCosts() (cost [][]float64, floor float64) {
 	if c.switchCosts == nil {
-		c.switchCosts = c.d.APSP.CostMatrix(c.d.Topo.Switches)
+		c.buildClosure(&noParent)
 	}
-	return c.switchCosts
+	return c.switchCosts, c.floor
+}
+
+// buildClosure builds the closure and its row floors. A parent closure on
+// the same switch list lends every row the fabric change left alone, with
+// its floor (graph.APSP.CostMatrixFrom); a different list — a switch
+// failed or healed — builds from scratch.
+func (c *WorkloadCache) buildClosure(p *WorkloadCache) {
+	sw := c.d.Topo.Switches
+	var prev *graph.APSP
+	if p.switchCosts != nil && slices.Equal(p.d.Topo.Switches, sw) {
+		prev = p.d.APSP
+	}
+	c.switchCosts = c.d.APSP.CostMatrixFrom(sw, prev, p.switchCosts)
+	c.rowFloor, c.floor = make([]float64, len(sw)), math.Inf(1)
+	for i, row := range c.switchCosts {
+		f := math.Inf(1)
+		if prev != nil && &row[0] == &p.switchCosts[i][0] {
+			f = p.rowFloor[i]
+		} else {
+			for j, x := range row {
+				if j != i && x < f {
+					f = x
+				}
+			}
+		}
+		c.rowFloor[i], c.floor = f, min(c.floor, f)
+	}
 }
 
 // FabricMemo returns the solver-owned value kept for the cache's life
@@ -285,11 +377,5 @@ func (c *WorkloadCache) CommCost(p Placement) float64 {
 	if len(p) == 0 {
 		return c.direct
 	}
-	return c.totalRate*c.d.ChainCost(p) + c.ingress[p[0]] + c.egress[p[len(p)-1]]
-}
-
-// TotalCost returns C_t(p, m) = C_b(p, m) + C_a(m) (Eq. 8) using the
-// cached C_a.
-func (c *WorkloadCache) TotalCost(p, m Placement, mu float64) float64 {
-	return c.d.MigrationCost(p, m, mu) + c.CommCost(m)
+	return c.totalRate*c.d.ChainCost(p) + c.rate.in[p[0]] + c.rate.eg[p[len(p)-1]]
 }

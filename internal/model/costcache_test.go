@@ -74,7 +74,7 @@ func TestWorkloadCacheMatchesScalarOracles(t *testing.T) {
 		}
 		m := randomPlacement(d, n, rng)
 		mu := rng.Float64() * 1e4
-		if got, want := c.TotalCost(p, m, mu), d.TotalCost(w, p, m, mu); !closeRel(got, want) {
+		if got, want := d.MigrationCost(p, m, mu)+c.CommCost(m), d.TotalCost(w, p, m, mu); !closeRel(got, want) {
 			t.Fatalf("C_t = %v, scalar %v", got, want)
 		}
 	}

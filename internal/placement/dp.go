@@ -64,8 +64,8 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 		return p, c, nil
 	}
 
-	sw := d.Topo.Switches // closure index → graph vertex
-	cost := pr.Cache.SwitchCosts()
+	sw := d.Topo.Switches                   // closure index → graph vertex
+	cost, minEdge := pr.Cache.SwitchCosts() // minEdge: the closure's floor
 	tabs := pr.Cache.FabricMemo(func() any { return make([]*stroll.DPTable, len(cost)) }).([]*stroll.DPTable)
 	lambda := w.TotalRate()
 
@@ -80,14 +80,6 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 	// Admissible lower bounds for pruning whole egress/ingress branches:
 	// any n-VNF chain costs at least Λ·(n−1)·minEdge, and any placement
 	// pays at least the cheapest ingress.
-	minEdge := math.Inf(1)
-	for i := range cost {
-		for j := range cost[i] {
-			if i != j && cost[i][j] < minEdge {
-				minEdge = cost[i][j]
-			}
-		}
-	}
 	minIn := math.Inf(1)
 	for _, v := range sw {
 		if in[v] < minIn {
