@@ -1,8 +1,10 @@
 # Developer entry points. `make check` is the tier-1 gate plus static
 # analysis and the race detector; CI and pre-commit should run it. The
-# race run matters here: the parallel APSP build fans Dijkstra sources
-# across goroutines writing disjoint row ranges, and -race proves the
-# ranges really are disjoint on every topology the tests touch.
+# race run matters here: APSP rows are built on first read, in batches
+# fanned across goroutines, while other readers read the same matrix, and
+# -race proves a row is published only after its cells are written
+# (TestConcurrentRowReads: eight goroutines on one shared and one derived
+# matrix) on every topology the tests touch.
 
 GO ?= go
 

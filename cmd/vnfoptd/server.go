@@ -326,16 +326,17 @@ func newServer() *server {
 	s.reg.GaugeFunc(`vnfopt_search_expansions_total{search="migration"}`, func() float64 {
 		return float64(migration.SearchExpansions())
 	})
+	// APSP rows are built on first read: the build histogram times each
+	// batch of rows built, wherever the read lands, and the gauge holds
+	// the matrix order. A delta reports its wall time, the rows it changed
+	// (repaired into tables of their own, or built in the parent and left
+	// unbuilt) and its kind: fault (inject/heal), weight (degrade), both.
 	apsp := s.reg.Histogram("vnfopt_apsp_build_seconds")
 	apspVerts := s.reg.Gauge("vnfopt_apsp_vertices")
 	graph.SetAPSPObserver(func(vertices, edges, workers int, elapsed time.Duration) {
 		apsp.Observe(elapsed.Seconds())
 		apspVerts.Set(float64(vertices))
 	})
-	// Incremental APSP updates: wall time per delta, how many rows the
-	// last transition changed (re-run, or repaired into tables of their
-	// own), and per-kind counters so fault-transition deltas (inject/heal) and weight deltas
-	// (degrade, epoch re-pricing) are distinguishable in exposition.
 	apspDelta := s.reg.Histogram("vnfopt_apsp_delta_seconds")
 	apspDirty := s.reg.Gauge("vnfopt_apsp_dirty_sources")
 	apspFaultDeltas := s.reg.Counter("vnfopt_apsp_fault_deltas")

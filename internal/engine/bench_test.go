@@ -259,14 +259,15 @@ func TestStepAllocationBudget(t *testing.T) {
 
 // TestFaultEventAllocationBudget holds a fault event to the garbage of
 // what its delta changed. One cycle of faultStormEngine — 64 events on
-// the k=16 fat tree — allocates ≈ 1.5 MB and ≈ 2 800 objects per event:
-// the repaired APSP rows, one cost cache derived from the last, and the
-// repair consult. A fresh 320×320 switch closure per event costs ≈ 800 KB
-// more, and a degraded graph cloned vertex by vertex ≈ 2 000 allocations
-// more, so either fails here.
+// the k=16 fat tree — allocates ≈ 1.04 MB and ≈ 1 240 objects per event:
+// the repaired APSP rows (the 448 the cost model reads, of 1 344), one
+// cost cache derived from the last, and the repair consult. Every row
+// repaired again costs ≈ 1 600 allocations and ≈ 730 KB more, a fresh
+// 320×320 switch closure per event ≈ 800 KB more, and a degraded graph
+// cloned vertex by vertex ≈ 2 000 allocations more, so each fails here.
 func TestFaultEventAllocationBudget(t *testing.T) {
 	e, events := faultStormEngine(t)
-	const bytesBudget, allocBudget = 1_660_000, 3_100
+	const bytesBudget, allocBudget = 1_150_000, 1_370
 	ctx := context.Background()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -280,9 +281,44 @@ func TestFaultEventAllocationBudget(t *testing.T) {
 	perBytes, perAllocs := (after.TotalAlloc-before.TotalAlloc)/n, (after.Mallocs-before.Mallocs)/n
 	t.Logf("per event: %d B, %d allocs", perBytes, perAllocs)
 	if perBytes > bytesBudget {
-		t.Errorf("a fault event allocates %d B, budget %d B: is the switch closure (≈ 800 KB) built fresh every event again?", perBytes, bytesBudget)
+		t.Errorf("a fault event allocates %d B, budget %d B: is every APSP row repaired again, or the switch closure (≈ 800 KB) built fresh every event?", perBytes, bytesBudget)
 	}
 	if perAllocs > allocBudget {
-		t.Errorf("a fault event makes %d allocations, budget %d: is the degraded graph cloned vertex by vertex (≈ 2 000) again?", perAllocs, allocBudget)
+		t.Errorf("a fault event makes %d allocations, budget %d: is every APSP row repaired again (≈ 2 800 in all), or the degraded graph cloned vertex by vertex (≈ 2 000 more)?", perAllocs, allocBudget)
+	}
+}
+
+// TestFaultStormBuildsReadRows pins the rows faultStormEngine's matrices
+// build: the 320 switches' and the 128 flow hosts' of 1 344 — the rows
+// the cost model reads — after create and once the cycle ends pristine.
+// In between, a fault that isolates a switch or a host, or leaves a host
+// one re-priced link, leaves its row unbuilt until it is read again, and
+// at most three faults are active. A matrix built in full, or a delta
+// that repairs every row, fails here.
+func TestFaultStormBuildsReadRows(t *testing.T) {
+	e, events := faultStormEngine(t)
+	built := func() int {
+		a, n := e.d.APSP, 0
+		for u := range a.Order() {
+			if a.Built(u) {
+				n++
+			}
+		}
+		return n
+	}
+	if n, got := e.d.APSP.Order(), built(); n != 1344 || got != 448 {
+		t.Fatalf("after create: %d of %d rows built, want 448 of 1344", got, n)
+	}
+	ctx := context.Background()
+	for i, ev := range events {
+		if _, err := e.ApplyFaults(ctx, ev.inject, ev.heal); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if got := built(); got < 448-3 || got > 448 {
+			t.Fatalf("event %d: %d rows built, want 445 to 448", i, got)
+		}
+	}
+	if got := built(); e.faults.Len() != 0 || got != 448 {
+		t.Fatalf("after the cycle (%d faults active): %d rows built, want 448", e.faults.Len(), got)
 	}
 }

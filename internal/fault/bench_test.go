@@ -16,7 +16,10 @@ import (
 // Benchmarks for the fault-time repair path: the cost of one topology
 // event (inject or heal) with the incremental APSP update — every row
 // repaired where the event moves it — versus the full AllPairs rebuild.
-// results/BENCH_apsp.json records the numbers under "fault_events".
+// A matrix builds a row on its first read, so every matrix here is read
+// in full (readAll): the deltas start from full matrices and the rebuilds
+// build every row, as results/BENCH_apsp.json records them under
+// "fault_events".
 
 var benchModels sync.Map // name -> *model.PPDC
 
@@ -51,8 +54,15 @@ func benchModel(b testing.TB, name string) *model.PPDC {
 		b.Fatal(err)
 	}
 	d := model.MustNew(topo, model.Options{})
+	d.APSP.Diameter() // reads every row
 	benchModels.Store(name, d)
 	return d
+}
+
+// readAll reads, so builds, every row of v's matrix, and returns v.
+func readAll(v *View) *View {
+	v.PPDC().APSP.Diameter()
+	return v
 }
 
 // midRackToR returns the top-of-rack switch of the middle rack — a
@@ -152,7 +162,7 @@ func BenchmarkFaultEvent(b *testing.B) {
 				b.Run(event+"/rebuild", func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						Rebuild(d, fs)
+						readAll(Rebuild(d, fs))
 					}
 				})
 			}
@@ -195,6 +205,7 @@ func BenchmarkFaultHeal(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				readAll(degraded)
 				b.Run(event+"/incremental", func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
@@ -206,7 +217,7 @@ func BenchmarkFaultHeal(b *testing.B) {
 				b.Run(event+"/rebuild", func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						Rebuild(d, after)
+						readAll(Rebuild(d, after))
 					}
 				})
 			}
@@ -233,6 +244,7 @@ func TestDeltaBytesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	readAll(twoFaults)
 	for _, c := range []struct {
 		name string
 		from *View
@@ -269,7 +281,7 @@ func BenchmarkRebuildSingleLink(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Rebuild(d, fs)
+		readAll(Rebuild(d, fs))
 	}
 }
 

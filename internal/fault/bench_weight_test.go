@@ -91,7 +91,7 @@ func BenchmarkWeightEvent(b *testing.B) {
 				b.Run(event+"/rebuild", func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						Rebuild(d, fs)
+						readAll(Rebuild(d, fs))
 					}
 				})
 			}
@@ -120,6 +120,7 @@ func BenchmarkWeightHeal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			readAll(degraded)
 			after := both.Remove(up)
 			b.Run("incremental", func(b *testing.B) {
 				b.ReportAllocs()
@@ -132,7 +133,7 @@ func BenchmarkWeightHeal(b *testing.B) {
 			b.Run("rebuild", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					Rebuild(d, after)
+					readAll(Rebuild(d, after))
 				}
 			})
 		})

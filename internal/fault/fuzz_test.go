@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
 	"vnfopt/internal/topology"
 )
@@ -127,6 +128,12 @@ func FuzzFaultHealRoundTrip(f *testing.F) {
 func viewEqual(t *testing.T, d *model.PPDC, a, b *View) {
 	t.Helper()
 	apspEqual(t, d, a, b)
+	sameLabels(t, d, a, b)
+}
+
+// sameLabels compares two views' dead masks and component labelling.
+func sameLabels(t *testing.T, d *model.PPDC, a, b *View) {
+	t.Helper()
 	n := d.Topo.Graph.Order()
 	if a.components() != b.components() {
 		t.Fatalf("components: %d != %d", a.components(), b.components())
@@ -160,12 +167,19 @@ func deltaStep(t *testing.T, d *model.PPDC, prev *View, fs FaultSet) *View {
 // FuzzIncrementalAPSP is the differential fuzz for the incremental APSP
 // layer: a random inject/heal sequence is applied twice — once through
 // the delta path (each view built from the previous view via ApplyDelta,
-// so repaired rows chain across events) and once through the
-// full Rebuild — and every intermediate view must match bit-for-bit:
-// same dist and prev matrices, same dead mask, same component labels.
-// A cost cache rides along the delta chain as the engine carries it, each
-// one derived from the last with OnFabric on the view's serving model,
-// and must hold what a fresh cache there holds.
+// so repaired rows chain across events) and once through the full
+// Rebuild — and every intermediate view must match: same dead mask, same
+// component labels, and every APSP row read bit-identical in dist and
+// prev to AllPairsSequential over the fault set's graph. The model is
+// fresh per input, so its matrix starts with no row built; before each
+// delta the input picks which rows of the current view are read, so a
+// derived matrix mixes repaired rows, rows left unbuilt and rows built
+// later over its own graph. A row read before a delta is read again after
+// it: the delta shares blocks with its parent, and a write through one
+// would show there. A cost cache rides along the delta chain as the
+// engine carries it, each one derived from the last with OnFabric on the
+// view's serving model, and must hold what a fresh cache there holds.
+// Once every fault is healed, the pristine matrix is read in full.
 func FuzzIncrementalAPSP(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{2, 4, 6, 3})
@@ -173,28 +187,46 @@ func FuzzIncrementalAPSP(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 2, 9, 9, 40, 41, 200, 201})
 	f.Add([]byte{0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9, 11})
 	topo := topology.MustFatTree(4, nil)
-	d := model.MustNew(topo, model.Options{})
-	cand := allFaults(d)
+	cand := allFaults(model.MustNew(topo, model.Options{}))
 	rng := rand.New(rand.NewSource(5))
 	w := make(model.Workload, 24)
 	for i := range w {
 		w[i] = model.VMPair{Src: topo.Hosts[rng.Intn(len(topo.Hosts))], Dst: topo.Hosts[rng.Intn(len(topo.Hosts))], Rate: float64(rng.Intn(4))}
 	}
+	n := topo.Graph.Order()
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
+		d := model.MustNew(topo, model.Options{})
 		fs := FaultSet{}
 		prev, err := ApplyDelta(d, nil, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		prevWant := graph.AllPairsSequential(topo.Graph)
 		cache := d.NewWorkloadCache(w)
 		cache.UnitEndpointCosts()
 		cache.SwitchCosts()
-		step := func() {
-			prev = deltaStep(t, d, prev, fs)
+		var read []int
+		step := func(b byte) {
+			// The rows this input reads: every stride-th from an offset.
+			read = read[:0]
+			for u := int(b) % 5; u < n; u += 1 + int(b>>4)%7 {
+				read = append(read, u)
+				rowsEqual(t, prev.PPDC().APSP, prevWant, u)
+			}
+			inc, err := ApplyDelta(d, prev, fs)
+			if err != nil {
+				t.Fatalf("fault set built from candidates must validate: %v", err)
+			}
+			rebuilt := Rebuild(d, fs)
+			sameLabels(t, d, inc, rebuilt)
+			for _, u := range read {
+				rowsEqual(t, prev.PPDC().APSP, prevWant, u)
+			}
+			prev, prevWant = inc, graph.AllPairsSequential(rebuilt.PPDC().Topo.Graph)
 			plan := prev.PlanService(w)
 			cache = cache.OnFabric(plan.PPDC, plan.Served)
 			cacheEqual(t, cache, plan.PPDC.NewWorkloadCache(plan.Served))
@@ -206,17 +238,34 @@ func FuzzIncrementalAPSP(f *testing.F) {
 				active := fs.Faults()
 				fs = fs.Remove(active[int(b>>1)%len(active)])
 			}
-			step()
+			step(b)
 		}
 		// Drain the surviving faults one at a time: every heal keeps the
 		// incremental chain pinned to the rebuild, and the empty tail is
 		// the pristine matrix again.
 		for fs.Len() > 0 {
 			fs = fs.Remove(fs.Faults()[0])
-			step()
+			step(byte(fs.Len()))
+		}
+		for u := range n {
+			rowsEqual(t, prev.PPDC().APSP, prevWant, u)
 		}
 		apspEqual(t, d, prev, Rebuild(d, FaultSet{}))
 	})
+}
+
+// rowsEqual compares row u of two APSP matrices bit-for-bit, dist and
+// prev, reading (so building) it in both.
+func rowsEqual(t *testing.T, a, b *graph.APSP, u int) {
+	t.Helper()
+	for v := range a.Order() {
+		if x, y := a.Cost(u, v), b.Cost(u, v); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("APSP[%d][%d]: %v (%#x) != %v (%#x)", u, v, x, math.Float64bits(x), y, math.Float64bits(y))
+		}
+		if pa, pb := a.Pred(u, v), b.Pred(u, v); pa != pb {
+			t.Fatalf("prev[%d][%d]: %d != %d", u, v, pa, pb)
+		}
+	}
 }
 
 // cacheEqual compares a derived cost cache with a fresh one bit for bit:

@@ -23,7 +23,7 @@ type View struct {
 	ncomp    int
 }
 
-// Apply builds the degraded view of d under fs with a full APSP build.
+// Apply builds the degraded view of d under fs over a fresh APSP matrix.
 // It is the oracle the tests, the fuzz targets and the chaos harness
 // hold ApplyDelta — the one path production code takes — against. An
 // empty fault set short-circuits to the pristine model itself (no

@@ -3,20 +3,21 @@ package graph
 import (
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"vnfopt/internal/parallel"
 )
 
-// APSPObserver receives the wall time of one all-pairs build. The graph
-// package stays free of any observability dependency: an interested
-// party (e.g. cmd/vnfoptd wiring the internal/obs registry) installs a
-// callback with SetAPSPObserver and the kernel reports into it.
+// APSPObserver receives the wall time of one batch of APSP rows built on
+// first read (see APSP). The graph package stays free of any
+// observability dependency: an interested party (e.g. cmd/vnfoptd wiring
+// the internal/obs registry) installs a callback with SetAPSPObserver.
 type APSPObserver func(vertices, edges, workers int, elapsed time.Duration)
 
 // apspObserver is the installed callback; nil (the default) costs one
-// atomic load per AllPairs build.
+// atomic load and a clock read per batch of rows built.
 var apspObserver atomic.Pointer[APSPObserver]
 
 // SetAPSPObserver installs (or, with nil, removes) the process-wide
@@ -60,20 +61,25 @@ func (r apspRow) p(v int) int32   { return r.prev[v>>apspShift][v&apspMask] }
 // path reconstruction. It is the c(u,v) oracle of the paper's cost model:
 // every communication and migration cost is a λ- or μ-weighted APSP lookup.
 //
-// A full build lays every row's blocks over one contiguous buffer, while
-// an incremental ApplyEdgeDeltas result shares with its parent matrix
-// every row table the delta leaves alone and, in the rows it writes, every
-// block in which no cell changes value. APSP values are therefore
-// immutable once returned — mutating a block would silently corrupt every
-// matrix sharing it.
+// A row is built on its first read, over the graph the matrix keeps
+// frozen; a reader that knows its rows (CostMatrix, SumScaledCells) builds
+// the missing ones as one batch. A delta's result shares with its parent
+// every row table and block it leaves alone. A cell never changes once
+// built, and building a row writes only that row: a write to a block would
+// corrupt every matrix sharing it. Concurrent readers are safe: rows are
+// built under a lock, each published after its cells.
 type APSP struct {
 	n    int
 	rows []apspRow
+	// built[u] != 0 (atomic) once rows[u] is written; a uint32, not an
+	// atomic.Bool, keeps Row inlinable.
+	built   []uint32
+	csr     *CSR        // what an unbuilt row is built over; nil if none is
+	mu      sync.Mutex  // serializes row builds
+	scratch SSSPScratch // the inline build's, under mu
 	// span bounds every finite cost in the matrix when the relaxations of
-	// the graph it was built over are strictly increasing (strictRelax) —
-	// every row is then canonical, the premise of ApplyEdgeDeltas' row
-	// repair. +Inf when they are not: the next delta re-runs
-	// every row.
+	// its graph strictly increase (strictRelax): every row is canonical,
+	// the premise of ApplyEdgeDeltas' repair. +Inf when they do not.
 	span float64
 }
 
@@ -123,69 +129,93 @@ func (f flatRows) row(i int) apspRow {
 	return r
 }
 
-// newAPSP allocates an n-order matrix over one flatRows, which it returns
-// for the build to fill.
-func newAPSP(n int) (*APSP, flatRows) {
-	f := newFlatRows(n, n)
-	a := &APSP{n: n, rows: make([]apspRow, n)}
-	for i := range a.rows {
-		a.rows[i] = f.row(i)
-	}
-	return a, f
+// newAPSP allocates an n-order matrix with no row built.
+func newAPSP(n int, span float64, csr *CSR) *APSP {
+	return &APSP{n: n, rows: make([]apspRow, n), built: make([]uint32, n), csr: csr, span: span}
 }
 
-// AllPairs runs Dijkstra from every vertex and caches the results.
-// Complexity O(|V| * |E| log |V|). The build freezes the graph into a CSR
-// snapshot and fans the |V| independent sources across GOMAXPROCS workers
-// (see allPairsWorkers); output is bit-identical to AllPairsSequential at
-// any worker count (measurements: docs/ALGORITHMS.md, "Performance
+// AllPairs returns the all-pairs matrix of g, a CSR snapshot of it and no
+// row built. Every row read is bit-identical to AllPairsSequential's, in
+// any read order, at any worker count (docs/ALGORITHMS.md, "Performance
 // kernels").
 func AllPairs(g *Graph) *APSP {
-	return allPairsWorkers(g, 0)
+	return newAPSP(g.Order(), canonicalSpan(g.weightBounds()), g.Freeze())
 }
 
-// allPairsWorkers is AllPairs with an explicit worker count (≤ 0 =
-// GOMAXPROCS, 1 = sequential CSR kernel). Workers own disjoint contiguous
-// row ranges of the dist/prev matrices and per-range scratch buffers, so
-// the result is bit-identical to the sequential build regardless of
-// worker count or scheduling.
-func allPairsWorkers(g *Graph, workers int) *APSP {
-	obs := apspObserver.Load()
-	var start time.Time
-	if obs != nil {
-		start = time.Now()
+// Built reports whether row u is built: read, or repaired by a delta.
+func (a *APSP) Built(u int) bool { return atomic.LoadUint32(&a.built[u]) != 0 }
+
+// buildRow builds row u: Row's slow path, kept out of its inline budget.
+//
+//go:noinline
+func (a *APSP) buildRow(u int) { a.buildRows([]int{u}, 1) }
+
+// buildRows builds, as one batch, the rows of us — of every vertex when
+// us is nil — that no reader has built yet.
+func (a *APSP) buildRows(us []int, workers int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if us == nil {
+		for u := range a.n {
+			us = append(us, u)
+		}
 	}
-	n := g.Order()
-	a, flat := newAPSP(n)
-	a.span = canonicalSpan(g.weightBounds())
-	csr := g.Freeze()
-	err := parallel.MapChunked(n, workers, func(lo, hi int) error {
+	var todo []int
+	for _, u := range us {
+		if !a.Built(u) {
+			todo = append(todo, u)
+		}
+	}
+	slices.Sort(todo)
+	if todo = slices.Compact(todo); len(todo) > 0 {
+		a.fill(todo, workers)
+	}
+}
+
+// fanOutArcs is the least arc count (rows × 2|E|) a batch fans out at:
+// below, about 50 µs of Dijkstra, a goroutine hand-off costs more.
+const fanOutArcs = 1 << 13
+
+// fill builds rows todo — sorted, none built — into one buffer under
+// a.mu, inline or over workers (≤ 0 = GOMAXPROCS) in contiguous ranges
+// with a scratch each. The build observer sees the batch.
+func (a *APSP) fill(todo []int, workers int) {
+	obs, start := apspObserver.Load(), time.Now()
+	flat := newFlatRows(a.n, len(todo))
+	if len(todo)*a.csr.NumSlots() < fanOutArcs {
+		for i, u := range todo {
+			dist, prev := flat.cells(i)
+			a.csr.DijkstraInto(u, dist, prev, &a.scratch)
+		}
+	} else if err := parallel.MapChunked(len(todo), workers, func(lo, hi int) error {
 		var scratch SSSPScratch
-		for src := lo; src < hi; src++ {
-			dist, prev := flat.cells(src)
-			csr.DijkstraInto(src, dist, prev, &scratch)
+		for i := lo; i < hi; i++ {
+			dist, prev := flat.cells(i)
+			a.csr.DijkstraInto(todo[i], dist, prev, &scratch)
 		}
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		// DijkstraInto cannot fail on a valid Graph; a surfaced panic is a
 		// kernel bug and must not be swallowed.
 		panic(err)
 	}
-	if obs != nil {
-		(*obs)(n, g.Size(), workers, time.Since(start))
+	for i, u := range todo {
+		a.rows[u] = flat.row(i)
+		atomic.StoreUint32(&a.built[u], 1)
 	}
-	return a
+	if obs != nil {
+		(*obs)(a.n, a.csr.NumSlots()/2, workers, time.Since(start))
+	}
 }
 
 // AllPairsSequential is the original one-source-at-a-time build over the
-// [][]Edge adjacency. It is kept as the differential oracle for the CSR
-// and parallel kernels (tests assert byte-identical dist/prev matrices)
-// and as the allocation-behavior baseline for the benchmarks.
+// [][]Edge adjacency, every row built before it returns: the
+// differential oracle of the lazy and incremental kernels and the
+// allocation baseline of the benchmarks.
 func AllPairsSequential(g *Graph) *APSP {
 	n := g.Order()
-	a, flat := newAPSP(n)
-	a.span = canonicalSpan(g.weightBounds())
+	a := newAPSP(n, canonicalSpan(g.weightBounds()), nil)
+	flat := newFlatRows(n, n)
 	for src := 0; src < n; src++ {
 		dist, prev := g.Dijkstra(src)
 		distRow, prevRow := flat.cells(src)
@@ -193,6 +223,7 @@ func AllPairsSequential(g *Graph) *APSP {
 		for v, p := range prev {
 			prevRow[v] = int32(p)
 		}
+		a.rows[src], a.built[src] = flat.row(src), 1 // not shared yet
 	}
 	return a
 }
@@ -200,8 +231,23 @@ func AllPairsSequential(g *Graph) *APSP {
 // Order returns the number of vertices covered by the matrix.
 func (a *APSP) Order() int { return a.n }
 
-// Cost returns the shortest-path cost c(u,v); Inf if unreachable.
-func (a *APSP) Cost(u, v int) float64 { return a.rows[u].d(v) }
+// Cost returns the shortest-path cost c(u,v); Inf if unreachable. A hot
+// loop reads it as a.Row(u).Cost(v), which inlines.
+func (a *APSP) Cost(u, v int) float64 { return a.Row(u).Cost(v) }
+
+// Row is a built row's costs, read unchecked; one slice stays in registers.
+type Row struct{ dist []*distBlock }
+
+// Cost returns c(u, v), u the row's source.
+func (r Row) Cost(v int) float64 { return r.dist[v>>apspShift][v&apspMask] }
+
+// Row returns row u, built first if no reader has; unlike Cost, it inlines.
+func (a *APSP) Row(u int) Row {
+	if atomic.LoadUint32(&a.built[u]) == 0 {
+		a.buildRow(u)
+	}
+	return Row{a.rows[u].dist}
+}
 
 // Stretches is a vertex list cut into stretches that count up by one
 // inside one block, so a row is read a stretch at a time rather than a
@@ -233,8 +279,9 @@ func AppendStretches(dst Stretches, keep []int) Stretches {
 // prevKeep from the same rows and scales (the caller vouches for them): a
 // block with the same keep cells, every row's block pointer-equal to
 // prev's, would add the same values in the same order, so it is copied.
-// A nil prev sums every block.
+// A nil prev sums every block. Rows not built yet are built as one batch.
 func (a *APSP) SumScaledCells(acc []float64, rows []int, scales []float64, keep Stretches, prev *APSP, prevAcc []float64, prevKeep Stretches) {
+	a.buildRows(rows, 0)
 	for lo, hi := 0, 0; lo < len(keep); lo = hi {
 		b := keep[lo].block
 		for hi = lo + 1; hi < len(keep) && keep[hi].block == b; hi++ {
@@ -273,10 +320,11 @@ func sameCells(seg, prevKeep Stretches, b int) bool {
 	return slices.EqualFunc(seg, prevKeep[j:j+len(seg)], func(x, y stretch) bool { return x.block == y.block && x.off == y.off && x.n == y.n })
 }
 
-// sharesBlock reports whether a and prev share block b of every row.
+// sharesBlock reports whether a and prev share block b of every row, all
+// built in a; a row prev has not built is not (nor built to compare).
 func (a *APSP) sharesBlock(prev *APSP, rows []int, b int) bool {
 	for _, u := range rows {
-		if a.rows[u].dist[b] != prev.rows[u].dist[b] {
+		if !prev.Built(u) || a.rows[u].dist[b] != prev.rows[u].dist[b] {
 			return false
 		}
 	}
@@ -287,15 +335,15 @@ func (a *APSP) sharesBlock(prev *APSP, rows []int, b int) bool {
 // -1 when v is unreachable from u (and for v == u). Differential tests
 // use it to compare predecessor matrices entry-for-entry without
 // materializing paths.
-func (a *APSP) Pred(u, v int) int { return int(a.rows[u].p(v)) }
+func (a *APSP) Pred(u, v int) int { a.Row(u); return int(a.rows[u].p(v)) }
 
 // Path reconstructs a shortest u-v vertex sequence (inclusive). It returns
 // nil when v is unreachable from u.
 func (a *APSP) Path(u, v int) []int {
-	row := a.rows[u]
-	if math.IsInf(row.d(v), 1) {
+	if math.IsInf(a.Row(u).Cost(v), 1) {
 		return nil
 	}
+	row := a.rows[u]
 	var rev []int
 	for x := v; x != -1; x = int(row.p(x)) {
 		rev = append(rev, x)
@@ -307,8 +355,9 @@ func (a *APSP) Path(u, v int) []int {
 }
 
 // Diameter returns the greatest finite pairwise cost, i.e. the diameter D
-// used in the paper's complexity bound for Algo. 5.
+// used in the paper's complexity bound for Algo. 5. It builds every row.
 func (a *APSP) Diameter() float64 {
+	a.buildRows(nil, 0)
 	d := 0.0
 	for _, row := range a.rows {
 		for v := 0; v < a.n; v++ {
@@ -335,8 +384,10 @@ func (a *APSP) CostMatrix(keep []int) [][]float64 {
 // same keep on prev: a row whose blocks under keep are all prev's, by
 // pointer, is prevOut's row, shared; any other row is copied into an
 // allocation of its own, so a shared row pins only itself or a full
-// build's one buffer — a derived chain holds ≤ 2·len(keep)² cells.
+// build's one buffer — a derived chain holds ≤ 2·len(keep)² cells. Rows
+// not built yet are built as one batch; one prev has not built is copied.
 func (a *APSP) CostMatrixFrom(keep []int, prev *APSP, prevOut [][]float64) [][]float64 {
+	a.buildRows(keep, 0)
 	k := len(keep)
 	var few [16]stretch // on the stack: the usual keep allocates nothing here
 	runs := AppendStretches(few[:0], keep)
@@ -346,7 +397,7 @@ func (a *APSP) CostMatrixFrom(keep []int, prev *APSP, prevOut [][]float64) [][]f
 		buf = make([]float64, k*k)
 	}
 	for i, u := range keep {
-		src, shared := a.rows[u].dist, prev != nil
+		src, shared := a.rows[u].dist, prev != nil && prev.Built(u)
 		for j := 0; j < len(runs) && shared; j++ {
 			shared = src[runs[j].block] == prev.rows[u].dist[runs[j].block]
 		}

@@ -3,10 +3,21 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// allPairsWorkers is AllPairs with every row built at once over an
+// explicit worker count (≤ 0 = GOMAXPROCS, 1 = sequential CSR kernel):
+// the full build of the layout tests and the benchmarks.
+func allPairsWorkers(g *Graph, workers int) *APSP {
+	a := AllPairs(g)
+	a.buildRows(nil, workers)
+	return a
+}
 
 func TestAPSPMatchesDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -140,5 +151,68 @@ func TestWriteDOT(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("DOT output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestConcurrentRowReads has 8 goroutines read random rows — through
+// Cost, Pred, Row, Path, CostMatrix and SumScaledCells, so single rows,
+// inline batches and batches past fanOutArcs are built side by side — of
+// one shared AllPairs matrix and
+// of one matrix derived from it while half its rows were built. Every
+// answer must carry the oracle's bits; under -race (make race) it also
+// proves a row is published only after its cells are written.
+func TestConcurrentRowReads(t *testing.T) {
+	et, switches := fatTreeEdges(8)
+	g := et.graph()
+	base := AllPairs(g)
+	for u := 0; u < g.Order(); u += 2 {
+		base.Row(u)
+	}
+	et.vertexUp(3, false)
+	et.w[0] = 4
+	next, d := et.commit(false)
+	derived, _ := base.ApplyEdgeDeltas(next, d, 0)
+	for _, m := range []struct {
+		name      string
+		a, oracle *APSP
+	}{
+		{"shared", AllPairs(g), AllPairsSequential(g)},
+		{"derived", derived, AllPairsSequential(next)},
+	} {
+		a, want, n := m.a, m.oracle, m.oracle.n
+		var wg sync.WaitGroup
+		for w := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for range 40 {
+					u, v := rng.Intn(n), rng.Intn(n)
+					keep := []int{u, rng.Intn(switches), rng.Intn(n), v}
+					for range 16 {
+						keep = append(keep, rng.Intn(n))
+					}
+					cm := a.CostMatrix(keep)
+					acc := make([]float64, n)
+					a.SumScaledCells(acc, keep[:2], []float64{1, 2}, AppendStretches(nil, []int{v}), nil, nil, nil)
+					c := want.Cost(u, v)
+					switch {
+					case math.Float64bits(a.Cost(u, v)) != math.Float64bits(c) || a.Row(u).Cost(v) != c:
+						t.Errorf("%s: c(%d,%d) = %v, oracle %v", m.name, u, v, a.Cost(u, v), c)
+					case a.Pred(u, v) != want.Pred(u, v) || !slices.Equal(a.Path(u, v), want.Path(u, v)):
+						t.Errorf("%s: path %d→%d %v, oracle %v", m.name, u, v, a.Path(u, v), want.Path(u, v))
+					case cm[0][3] != c || cm[2][1] != want.Cost(keep[2], keep[1]):
+						t.Errorf("%s: CostMatrix over %v disagrees with the oracle", m.name, keep)
+					case acc[v] != want.Cost(keep[0], v)+2*want.Cost(keep[1], v):
+						t.Errorf("%s: SumScaledCells at %d = %v", m.name, v, acc[v])
+					default:
+						continue
+					}
+					return
+				}
+			}()
+		}
+		wg.Wait()
+		apspBitEqual(t, a, want)
 	}
 }

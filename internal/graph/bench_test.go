@@ -56,9 +56,11 @@ func BenchmarkAllPairsSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkAllPairsParallel sweeps worker counts over the CSR kernel.
-// workers=1 isolates the CSR + scratch-reuse win; workers=0 (GOMAXPROCS)
-// adds the fan-out.
+// BenchmarkAllPairsParallel sweeps worker counts over the CSR kernel,
+// building every row as one batch (allPairsWorkers), so it times a full
+// build although AllPairs builds a row on its first read. workers=1
+// isolates the CSR + scratch-reuse win; workers=0 (GOMAXPROCS) adds the
+// fan-out.
 func BenchmarkAllPairsParallel(b *testing.B) {
 	g := fatTreeScaleGraph()
 	for _, workers := range []int{1, 2, 4, 0} {
@@ -75,17 +77,19 @@ func BenchmarkAllPairsParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkAllPairs times a full build at GOMAXPROCS: every row read,
+// as one batch.
 func BenchmarkAllPairs(b *testing.B) {
 	g := benchGraph(300, 900)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AllPairs(g)
+		allPairsWorkers(g, 0)
 	}
 }
 
 func BenchmarkCostMatrix(b *testing.B) {
 	g := benchGraph(300, 900)
-	a := AllPairs(g)
+	a := allPairsWorkers(g, 0)
 	keep := make([]int, 150)
 	for i := range keep {
 		keep[i] = i * 2

@@ -26,11 +26,10 @@ const (
 
 // APSPDeltaObserver receives the outcome of one incremental APSP update:
 // what kind of delta ran, the matrix order, the number of dirty rows —
-// those the delta changed: re-run, or repaired into tables of their own
-// — the worker count, and the wall time. Fault and weight
-// deltas report through this one hook — there is no second registration
-// point per delta flavor. Like APSPObserver it is a process-wide hook so
-// the graph package stays free of observability dependencies.
+// repaired into tables of their own, or built in the parent and left
+// unbuilt — the worker count, and the wall time. Fault and weight deltas
+// report through this one hook. Like APSPObserver it is a process-wide
+// hook so the graph package stays free of observability dependencies.
 type APSPDeltaObserver func(kind DeltaKind, vertices, dirty, workers int, elapsed time.Duration)
 
 var apspDeltaObserver atomic.Pointer[APSPDeltaObserver]
@@ -136,14 +135,14 @@ func (d EdgeDelta) kind() DeltaKind {
 // deltaStats counts what one delta did with its rows. Tests bound the
 // repair's work with it.
 type deltaStats struct {
-	rerun     int // rows re-run in full through DijkstraInto
+	unbuilt   int // rows the parent had built that are left unbuilt
 	changed   int // repaired rows that own a table: a cell changed
 	settled   int // vertices the repairs' drains settled
 	prevCells int // prev cells the repairs recomputed
 }
 
 func (s *deltaStats) add(o deltaStats) {
-	s.rerun += o.rerun
+	s.unbuilt += o.unbuilt
 	s.changed += o.changed
 	s.settled += o.settled
 	s.prevCells += o.prevCells
@@ -151,23 +150,23 @@ func (s *deltaStats) add(o deltaStats) {
 
 // ApplyEdgeDeltas builds the APSP matrix of `next` incrementally from
 // the cached matrix of the graph next was derived from; d is the full
-// edge delta between the two graphs. It returns the new matrix and the
-// number of rows the delta changed: the rows re-run, and the repaired
-// rows that are not the receiver's own.
+// edge delta between the two graphs. It returns the new matrix and its
+// dirty count: the repaired rows that are not the receiver's own, plus
+// the rows the receiver had built that are left unbuilt.
 //
-// The receiver is never mutated. Every row is derived from the receiver's
-// copy-on-write (cowRow) and repaired (CSR.repairRow): only the vertices
-// whose distance the delta moves are re-settled, and prev is re-derived
-// only next to them, so what a delta copies follows the cells it changes
-// and a row it leaves alone stays the receiver's, pointer for pointer.
-// Rows fan out over `workers` goroutines exactly like allPairsWorkers
-// (workers ≤ 0 = GOMAXPROCS). The result is bit-identical to
-// AllPairs(next) at any worker count — FuzzRepairRows here and
-// FuzzIncrementalAPSP / FuzzWeightDeltaAPSP in internal/fault pin this
-// differentially.
+// The receiver is never mutated. The rows it had built when the delta
+// started are derived from its own, copy-on-write (cowRow), and repaired
+// (CSR.repairRow): only the vertices whose distance the delta moves are
+// re-settled, and prev is re-derived only next to them, so what a delta
+// copies follows the cells it changes and a row it leaves alone stays the
+// receiver's, pointer for pointer. Every other row is left unbuilt, to be
+// built on its first read over next. The repairs fan out over `workers`
+// goroutines (≤ 0 = GOMAXPROCS). Every row read is bit-identical to
+// AllPairsSequential(next) at any worker count — FuzzRepairRows here and
+// FuzzIncrementalAPSP / FuzzWeightDeltaAPSP in internal/fault pin this.
 //
-// Two rules, both properties of the input, re-run a row through
-// DijkstraInto instead:
+// Two rules, both properties of the input, leave a row the receiver had
+// built unbuilt instead of repairing it:
 //
 //   - The guard. Repair rests on rows being canonical — a function of the
 //     graph, not of the Dijkstra trace (see repair.go) — which holds when
@@ -175,14 +174,14 @@ func (s *deltaStats) add(o deltaStats) {
 //     (the receiver's span is finite), over next, and for next's weights
 //     added to the old rows' distances. strictRelax decides that from the
 //     two graphs' weight ranges in O(E). When it fails — a zero weight, or
-//     a degrade factor so extreme that 1e300 + 1 == 1e300 — every row
-//     re-runs, which is the rebuild by construction.
+//     a degrade factor so extreme that 1e300 + 1 == 1e300 — every row is
+//     left unbuilt, which is the rebuild by construction.
 //   - The delta leaves the row's source, an endpoint of a record, with at
 //     most one edge: isolated, or a leaf re-attached or re-priced. Every
 //     cell of that row changes, and the repair would re-settle them all.
 func (a *APSP) ApplyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, int) {
 	out, st := a.applyEdgeDeltas(next, d, workers)
-	return out, st.rerun + st.changed
+	return out, st.unbuilt + st.changed
 }
 
 func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, deltaStats) {
@@ -197,43 +196,47 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 	}
 
 	minW, reach := next.weightBounds()
-	out := &APSP{n: n, rows: make([]apspRow, n), span: canonicalSpan(minW, reach)}
-	rerunAll := !strictRelax(minW, math.Max(a.span, reach))
+	// out is not shared until it returns: its flags are written plainly.
+	out := newAPSP(n, canonicalSpan(minW, reach), a.csr)
+	repair := strictRelax(minW, math.Max(a.span, reach))
 	var stats deltaStats
-	if !rerunAll && len(d.Removed)+len(d.Restored)+len(d.Reweighted) == 0 {
-		// A delta that names no edge changes no row: no CSR is needed.
-		copy(out.rows, a.rows)
-	} else {
-		rerun := make([]bool, n)
-		for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
-			for _, e := range recs {
-				rerun[e.U] = rerun[e.U] || next.degree(e.U) <= 1
-				rerun[e.V] = rerun[e.V] || next.degree(e.V) <= 1
+	if repair && len(d.Removed)+len(d.Restored)+len(d.Reweighted) == 0 {
+		// A delta that names no edge changes no row, and a.csr is next's.
+		for src := range n {
+			if a.Built(src) {
+				out.rows[src], out.built[src] = a.rows[src], 1
 			}
 		}
-		csr := next.Freeze()
+	} else {
+		drop := make([]bool, n)
+		for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
+			for _, e := range recs {
+				drop[e.U] = drop[e.U] || next.degree(e.U) <= 1
+				drop[e.V] = drop[e.V] || next.degree(e.V) <= 1
+			}
+		}
+		var todo []int
+		for src := range n {
+			switch {
+			case !a.Built(src):
+			case !repair || drop[src]:
+				stats.unbuilt++
+			default:
+				todo = append(todo, src)
+			}
+		}
+		out.csr = next.Freeze()
 		var mu sync.Mutex
-		// Each worker owns a contiguous row range, reads only the old matrix,
-		// and writes only its own rows of the new one, so the outcome is
-		// independent of the worker count.
-		if err := parallel.MapChunked(n, workers, func(lo, hi int) error {
+		// Each worker owns a contiguous range of todo, reads only the old
+		// matrix, and writes only its own rows of the new one, so the
+		// outcome is independent of the worker count.
+		if err := parallel.MapChunked(len(todo), workers, func(lo, hi int) error {
 			var scratch repairScratch
 			var st deltaStats
-			for src := lo; src < hi; src++ {
-				if rerunAll || rerun[src] {
-					// Its own flat cells, a per-row allocation so that a later
-					// matrix sharing one row does not keep this delta's others
-					// alive.
-					flat := newFlatRows(n, 1)
-					dist, prev := flat.cells(0)
-					csr.DijkstraInto(src, dist, prev, &scratch.sssp)
-					out.rows[src] = flat.row(0)
-					st.rerun++
-					continue
-				}
+			for _, src := range todo[lo:hi] {
 				r := deriveRow(a.rows[src])
-				settled, cells := csr.repairRow(src, &r, d, &scratch)
-				out.rows[src] = r.apspRow
+				settled, cells := out.csr.repairRow(src, &r, d, &scratch)
+				out.rows[src], out.built[src] = r.apspRow, 1
 				if r.changed() {
 					st.changed++
 				}
@@ -245,13 +248,13 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 			mu.Unlock()
 			return nil
 		}); err != nil {
-			// Neither kernel can fail on a valid Graph; a surfaced panic is
+			// The repair cannot fail on a valid Graph; a surfaced panic is
 			// a kernel bug and must not be swallowed.
 			panic(err)
 		}
 	}
 	if obs != nil {
-		(*obs)(d.kind(), n, stats.rerun+stats.changed, workers, time.Since(start))
+		(*obs)(d.kind(), n, stats.unbuilt+stats.changed, workers, time.Since(start))
 	}
 	return out, stats
 }

@@ -10,21 +10,31 @@ import (
 )
 
 // apspBitEqual fails unless a and b are bit-identical over dist and prev.
+// It reads, so builds, every row of both.
 func apspBitEqual(t *testing.T, a, b *APSP) {
 	t.Helper()
 	if a.n != b.n {
 		t.Fatalf("order %d != %d", a.n, b.n)
 	}
 	for s := range a.rows {
-		ra, rb := a.rows[s], b.rows[s]
-		for v := 0; v < a.n; v++ {
-			if da, db := ra.d(v), rb.d(v); math.Float64bits(da) != math.Float64bits(db) {
-				t.Fatalf("dist[%d][%d]: %v (%#x) != %v (%#x)",
-					s, v, da, math.Float64bits(da), db, math.Float64bits(db))
-			}
-			if ra.p(v) != rb.p(v) {
-				t.Fatalf("prev[%d][%d]: %d != %d", s, v, ra.p(v), rb.p(v))
-			}
+		rowBitEqual(t, a, b, s)
+	}
+}
+
+// rowBitEqual fails unless row s of a and b are bit-identical over dist
+// and prev. It reads, so builds, row s of both.
+func rowBitEqual(t *testing.T, a, b *APSP, s int) {
+	t.Helper()
+	a.Row(s)
+	b.Row(s)
+	ra, rb := a.rows[s], b.rows[s]
+	for v := 0; v < a.n; v++ {
+		if da, db := ra.d(v), rb.d(v); math.Float64bits(da) != math.Float64bits(db) {
+			t.Fatalf("dist[%d][%d]: %v (%#x) != %v (%#x)",
+				s, v, da, math.Float64bits(da), db, math.Float64bits(db))
+		}
+		if ra.p(v) != rb.p(v) {
+			t.Fatalf("prev[%d][%d]: %d != %d", s, v, ra.p(v), rb.p(v))
 		}
 	}
 }
@@ -87,12 +97,12 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 }
 
 // TestApplyDeltasEmptyDelta checks that an empty EdgeDelta recomputes
-// zero rows, shares every row with the (immutable) receiver rather than
-// copying the matrix, and never freezes the graph.
+// zero rows, shares every row with the (immutable, fully built) receiver
+// rather than copying the matrix, and never freezes the graph.
 func TestApplyDeltasEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedGraph(rng, 20, 25)
-	a := AllPairs(g)
+	a := allPairsWorkers(g, 0)
 	// Freeze sizes its arrays from the edge count, so it panics on this
 	// copy: the call below returns only if a delta naming no edge skips it.
 	unfreezable := g.CloneMapped(func(_, _ int, w float64) (float64, bool) { return w, true })
@@ -110,7 +120,8 @@ func TestApplyDeltasEmptyDelta(t *testing.T) {
 }
 
 // TestApplyDeltasDisconnects checks a deletion that splits the graph and
-// the restoration that heals it, including the Inf bookkeeping.
+// the restoration that heals it, including the Inf bookkeeping. The
+// parent is fully built, so every row is the delta's to repair or drop.
 func TestApplyDeltasDisconnects(t *testing.T) {
 	// 0-1-2   3-4-5 joined by bridge 2-3.
 	g := New(6)
@@ -119,16 +130,23 @@ func TestApplyDeltasDisconnects(t *testing.T) {
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(3, 4, 1)
 	g.AddEdge(4, 5, 1)
-	a := AllPairs(g)
+	a := allPairsWorkers(g, 0)
 	bridge := []EdgeRecord{{U: 2, V: 3, Weight: 1}}
 	down := map[[2]int]bool{{2, 3}: true}
 	cut := filterEdges(g, down)
 	b, dirty := a.ApplyEdgeDeltas(cut, EdgeDelta{Removed: bridge}, 1)
-	apspBitEqual(t, b, AllPairs(cut))
 	if dirty != 6 {
 		// Every source's tree crosses the bridge.
 		t.Fatalf("bridge cut dirtied %d sources, want 6", dirty)
 	}
+	// The cut leaves the bridge's ends 2 and 3 with one edge each: their
+	// rows are left unbuilt, and built on first read below.
+	for s := range 6 {
+		if b.Built(s) == (s == 2 || s == 3) {
+			t.Fatalf("row %d built=%v after the cut, want rows 2 and 3 unbuilt and the rest repaired", s, b.Built(s))
+		}
+	}
+	apspBitEqual(t, b, AllPairs(cut))
 	if !math.IsInf(b.Cost(0, 5), 1) {
 		t.Fatalf("cut bridge still reports cost %v", b.Cost(0, 5))
 	}
@@ -279,7 +297,7 @@ func TestApplyWeightDeltasIncreaseNonTreeClean(t *testing.T) {
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(0, 2, 1)
 	g.AddEdge(2, 3, 1)
-	a := AllPairs(g)
+	a := allPairsWorkers(g, 0)
 	for _, s := range []int{0, 1} {
 		if a.Pred(s, 3) == 2 || a.Pred(s, 2) == 3 {
 			t.Fatalf("fixture assumption broken: source %d routes through {2,3}", s)
@@ -422,7 +440,7 @@ func TestAPSPBlockedLayout(t *testing.T) {
 	for _, n := range []int{1, 20, apspBlock - 1, apspBlock, apspBlock + 1, 100, 3 * apspBlock} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		g := randomConnectedGraph(rng, n, n)
-		a := AllPairs(g)
+		a := allPairsWorkers(g, 0)
 		blocks := (n + apspBlock - 1) / apspBlock
 		var lastD *distBlock
 		var lastP *prevBlock
@@ -482,11 +500,12 @@ func TestAPSPBlockedLayout(t *testing.T) {
 // TestDeltaCopiesWhatItChanges pins that what a delta copies follows the
 // cells it changes, not the matrix order. Over the k=8 fat tree (208
 // vertices, 4 blocks a row) a host kill, its heal, a switch kill, a
-// host-uplink re-price and a tree-popular link cut each derive a matrix in
-// which a block differs from the parent's only where a cell in it does:
-// outside the re-run rows (one flat allocation each) every block that is
-// not the parent's own holds a changed cell, and every block that holds
-// none is the parent's own. The parent is untouched.
+// host-uplink re-price and a tree-popular link cut each derive a matrix,
+// from a fully built parent, in which a block differs from the parent's
+// only where a cell in it does: outside the rows left unbuilt (built on
+// first read, one flat allocation each) every block that is not the
+// parent's own holds a changed cell, and every block that holds none is
+// the parent's own. The parent is untouched.
 func TestDeltaCopiesWhatItChanges(t *testing.T) {
 	et, switches := fatTreeEdges(8)
 	host := switches + 5
@@ -500,7 +519,7 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 		}
 	}
 	g := et.graph()
-	cur := AllPairs(g)
+	cur := allPairsWorkers(g, 0)
 	for _, ev := range []struct {
 		name  string
 		apply func()
@@ -515,11 +534,25 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 		next, d := et.commit(false)
 		want, curWant := AllPairsSequential(next), AllPairsSequential(g)
 		inc, st := cur.applyEdgeDeltas(next, d, 2)
+		unbuilt := 0
+		left := make([]bool, inc.n)
+		for s := range left {
+			left[s] = !inc.Built(s)
+			if left[s] {
+				unbuilt++
+			}
+		}
+		if unbuilt != st.unbuilt {
+			t.Fatalf("%s: %d rows unbuilt, the delta counts %d", ev.name, unbuilt, st.unbuilt)
+		}
 		apspBitEqual(t, inc, want)
 		apspBitEqual(t, cur, curWant)
 
-		copied, flat := 0, 0
+		copied := 0
 		for s := range inc.rows {
+			if left[s] {
+				continue // built on read above, over next: every block its own
+			}
 			was, is := cur.rows[s], inc.rows[s]
 			rowCopied, rowChanged := 0, 0
 			tally := func(own, diff bool) {
@@ -540,10 +573,6 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 				tally(is.dist[b] != was.dist[b], dDiff)
 				tally(is.prev[b] != was.prev[b], pDiff)
 			}
-			if rowCopied == 2*len(is.dist) && rowChanged < rowCopied {
-				flat++ // a re-run row: every block its own, whatever changed
-				continue
-			}
 			if rowCopied != rowChanged {
 				t.Fatalf("%s: row %d copied %d blocks, %d hold a changed cell", ev.name, s, rowCopied, rowChanged)
 			}
@@ -552,13 +581,10 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 			}
 			copied += rowCopied
 		}
-		if flat > st.rerun {
-			t.Fatalf("%s: %d rows with every block copied, %d re-run", ev.name, flat, st.rerun)
-		}
 		if copied == 0 {
 			t.Fatalf("%s: no block copied, the event changed nothing", ev.name)
 		}
-		t.Logf("%s: %d of %d blocks copied, %d rows changed, %d re-run", ev.name, copied, 2*len(inc.rows)*len(inc.rows[0].dist), st.changed, st.rerun)
+		t.Logf("%s: %d of %d blocks copied, %d rows changed, %d left unbuilt", ev.name, copied, 2*len(inc.rows)*len(inc.rows[0].dist), st.changed, st.unbuilt)
 		g, cur = next, inc
 	}
 }
@@ -612,10 +638,10 @@ func TestWeightDeltaObserverKinds(t *testing.T) {
 }
 
 // TestApplyWeightDeltasPendantLeaf: re-pricing a leaf's single edge
-// re-runs exactly the leaf's own row — a record endpoint left with one
-// edge — and repairs every other row in the one cell that moves, the
-// leaf's column: dist(s,hub)+w', the float expression the rebuild
-// evaluates.
+// leaves exactly the leaf's own row — a record endpoint left with one
+// edge — unbuilt, to be built on its first read, and repairs every other
+// row of the fully built parent in the one cell that moves, the leaf's
+// column: dist(s,hub)+w', the float expression the rebuild evaluates.
 func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
 	// Star: hub 0 with leaves 1..4, plus a 0-5-6 path so the repaired rows
 	// have interior structure too.
@@ -625,14 +651,14 @@ func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
 	}
 	g.AddEdge(0, 5, 1)
 	g.AddEdge(5, 6, 1)
-	a := AllPairs(g)
+	a := allPairsWorkers(g, 0)
 
 	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 3})
 	b, st := a.applyEdgeDeltas(next, recs, 1)
-	apspBitEqual(t, b, AllPairs(next))
-	if want := rerunRows(next, recs); want != 1 || st.rerun != want {
-		t.Fatalf("pendant re-weight re-ran %d rows, want %d (the leaf)", st.rerun, want)
+	if want := unbuiltRows(next, recs); want != 1 || st.unbuilt != want || b.Built(1) {
+		t.Fatalf("pendant re-weight left %d rows unbuilt (row 1 built: %v), want %d (the leaf)", st.unbuilt, b.Built(1), want)
 	}
+	apspBitEqual(t, b, AllPairs(next))
 	// Every other row is repaired, not shared: column 1 moved.
 	for s := 0; s < 7; s++ {
 		if s == 1 {
@@ -650,27 +676,27 @@ func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
 	// the second delta starts from the first one's derived rows.
 	next2, recs2 := reweight(next, map[[2]int]float64{{0, 1}: 0.5})
 	c, st := b.applyEdgeDeltas(next2, recs2, 1)
-	if st.rerun != 1 {
-		t.Fatalf("chained pendant re-weight re-ran %d rows, want 1", st.rerun)
+	if st.unbuilt != 1 || c.Built(1) {
+		t.Fatalf("chained pendant re-weight left %d rows unbuilt (row 1 built: %v), want 1", st.unbuilt, c.Built(1))
 	}
 	apspBitEqual(t, c, AllPairs(next2))
 }
 
 // TestApplyWeightDeltasPendantK2: both endpoints degree 1 (an isolated
-// K2 component) — both rows re-run, and rows of the other component,
-// which reach neither endpoint, stay shared.
+// K2 component) — both rows are left unbuilt, and rows of the other
+// component, which reach neither endpoint, stay shared.
 func TestApplyWeightDeltasPendantK2(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(3, 4, 2)
-	a := AllPairs(g)
+	a := allPairsWorkers(g, 0)
 	next, recs := reweight(g, map[[2]int]float64{{3, 4}: 7})
 	b, st := a.applyEdgeDeltas(next, recs, 1)
-	apspBitEqual(t, b, AllPairs(next))
-	if want := rerunRows(next, recs); want != 2 || st.rerun != want || st.changed != 0 {
-		t.Fatalf("K2 re-weight re-ran %d rows and changed %d more, want %d and 0", st.rerun, st.changed, want)
+	if want := unbuiltRows(next, recs); want != 2 || st.unbuilt != want || st.changed != 0 || b.Built(3) || b.Built(4) {
+		t.Fatalf("K2 re-weight left %d rows unbuilt and changed %d more, want %d (rows 3 and 4) and 0", st.unbuilt, st.changed, want)
 	}
+	apspBitEqual(t, b, AllPairs(next))
 	for s := 0; s <= 2; s++ {
 		if !sameTables(b.rows[s], a.rows[s]) {
 			t.Fatalf("row %d of the untouched component was not shared", s)

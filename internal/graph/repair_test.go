@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -86,11 +87,17 @@ func (et *edgeTable) vertexUp(x int, up bool) {
 // palette or from the reals — takes a chain of deltas mixing removals,
 // restores, re-weights up and down, vertices isolated and re-attached,
 // and one special weight the input chooses (the seeds pass 0, +Inf and
-// 1e300, so the guard's full re-run side runs, and the transitions into
-// and out of it). After every delta the incremental matrix at workers 1,
-// 2 and 5 must equal AllPairsSequential(next) in dist bits and in prev,
-// and the matrix the delta was taken from must still equal the rebuild of
-// its own graph: a write through a block the two share would show there.
+// 1e300, so the guard's every-row-unbuilt side runs, and the transitions
+// into and out of it). Before every delta the input picks which rows of
+// the current matrix are read, so a parent mixes repaired rows, rows
+// built on first read over its own graph and rows never built; each row
+// read must equal AllPairsSequential of that step's graph in dist bits
+// and in prev. The incremental matrices at workers 1 and 2 must equal
+// AllPairsSequential(next) in full, and the one at workers 5, which the
+// chain goes on from, is read only where the input picks; the matrix the
+// delta was taken from must still equal the rebuild of its own graph in
+// every row it had built: a write through a block the two share would
+// show there. The last matrix is read in full.
 func FuzzRepairRows(f *testing.F) {
 	f.Add(int64(1), 2.5, []byte{0, 9, 2, 19, 1, 12, 35, 4, 5, 3})
 	f.Add(int64(2), 0.0, []byte{6, 0, 14, 6, 1, 2, 22, 7})
@@ -130,7 +137,6 @@ func FuzzRepairRows(f *testing.F) {
 
 		g := et.graph()
 		cur, curWant := AllPairs(g), AllPairsSequential(g)
-		apspBitEqual(t, cur, curWant)
 		for i, b := range ops {
 			e, x := int(b>>3&15)%len(et.u), int(b>>3&15)%n
 			switch b & 7 {
@@ -158,6 +164,7 @@ func FuzzRepairRows(f *testing.F) {
 			if b&0x80 != 0 && i < len(ops)-1 {
 				continue // batch with the next op into one delta
 			}
+			readRows(t, cur, curWant, rng)
 			next, d := et.commit(removedOnce)
 			want := AllPairsSequential(next)
 			repairEveryRow(t, cur, curWant, next, d, want)
@@ -165,8 +172,10 @@ func FuzzRepairRows(f *testing.F) {
 			dirty := -1
 			for _, workers := range []int{1, 2, 5} {
 				got, rows := cur.ApplyEdgeDeltas(next, d, workers)
-				apspBitEqual(t, got, want)
-				apspBitEqual(t, cur, curWant)
+				if workers < 5 {
+					apspBitEqual(t, got, want)
+				}
+				builtBitEqual(t, cur, curWant)
 				if dirty >= 0 && rows != dirty {
 					t.Fatalf("step %d: %d rows at %d workers, %d at fewer", i, rows, workers, dirty)
 				}
@@ -174,16 +183,40 @@ func FuzzRepairRows(f *testing.F) {
 			}
 			cur, curWant = inc, want
 		}
+		apspBitEqual(t, cur, curWant)
 	})
 }
 
-// repairEveryRow runs the row repair on every row of a — the re-run ones
-// too, which ApplyEdgeDeltas hands DijkstraInto instead — and demands
-// want's bits: the repair is a complete dynamic SSSP, and the re-run rule
-// saves work, not bits. The repairs write through copy-on-write rows
-// derived from a's, so a must come out of them equal to aWant, the rebuild
-// of its own graph. Skipped when the guard fails, where nothing may be
-// repaired.
+// readRows reads a random subset of a's rows — none, all, or each with
+// even odds — and pins each to want's.
+func readRows(t *testing.T, a, want *APSP, rng *rand.Rand) {
+	t.Helper()
+	mode := rng.Intn(4)
+	for s := range a.n {
+		if mode == 1 || mode > 1 && rng.Intn(2) == 0 {
+			rowBitEqual(t, a, want, s)
+		}
+	}
+}
+
+// builtBitEqual pins every row built in a to want's, building none.
+func builtBitEqual(t *testing.T, a, want *APSP) {
+	t.Helper()
+	for s := range a.n {
+		if a.Built(s) {
+			rowBitEqual(t, a, want, s)
+		}
+	}
+}
+
+// repairEveryRow runs the row repair on every row — the ones
+// ApplyEdgeDeltas leaves unbuilt too — and demands want's bits: the
+// repair is a complete dynamic SSSP, and leaving a row unbuilt saves work,
+// not bits. A row is derived from a's where a has built it, from aWant's,
+// the rebuild of a's graph, elsewhere; it builds none of a's rows. The
+// repairs write through copy-on-write rows, so a's built rows must come
+// out of them equal to aWant's. Skipped when the guard fails, where
+// nothing may be repaired.
 func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want *APSP) {
 	t.Helper()
 	if minW, reach := next.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
@@ -192,8 +225,16 @@ func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want
 	csr := next.Freeze()
 	var scratch repairScratch
 	for src := 0; src < a.n; src++ {
-		r := deriveRow(a.rows[src])
+		var from apspRow
+		if a.Built(src) {
+			from = a.rows[src]
+		} else {
+			aWant.Row(src)
+			from = aWant.rows[src]
+		}
+		r := deriveRow(from)
 		csr.repairRow(src, &r, d, &scratch)
+		want.Row(src)
 		w := want.rows[src]
 		for v := 0; v < a.n; v++ {
 			if math.Float64bits(r.d(v)) != math.Float64bits(w.d(v)) || r.p(v) != w.p(v) {
@@ -202,7 +243,7 @@ func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want
 			}
 		}
 	}
-	apspBitEqual(t, a, aWant)
+	builtBitEqual(t, a, aWant)
 }
 
 // TestApplyDeltasAbsorbingLinkCut: the graph the delta leaves may be
@@ -210,14 +251,15 @@ func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want
 // edge of weight 1e300 every unit hop is absorbed (1e300 + 1 == 1e300),
 // so the vertices there sit at one distance and would vouch for each
 // other in the repair's support pass once the edge is cut. The parent's
-// span records that its rows are not canonical, and every row re-runs.
+// span records that its rows are not canonical, and every row of the
+// fully built parent is left unbuilt, to be built over the cut graph.
 func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 	et := &edgeTable{n: 5}
 	et.add(0, 1, 1e300)
 	et.add(1, 2, 1)
 	et.add(2, 3, 1)
 	et.add(0, 4, 1)
-	a := AllPairs(et.graph())
+	a := allPairsWorkers(et.graph(), 0)
 	if !math.IsInf(a.span, 1) {
 		t.Fatalf("span %v over an absorbing weight, want +Inf", a.span)
 	}
@@ -227,10 +269,10 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 	et.pairUp(0, false)
 	next, d := et.commit(false)
 	b, st := a.applyEdgeDeltas(next, d, 1)
-	apspBitEqual(t, b, AllPairsSequential(next))
-	if st.rerun != 5 {
-		t.Fatalf("re-ran %d rows from a non-canonical parent, want all 5", st.rerun)
+	if st.unbuilt != 5 || slices.ContainsFunc([]int{0, 1, 2, 3, 4}, b.Built) {
+		t.Fatalf("left %d rows unbuilt from a non-canonical parent, want all 5", st.unbuilt)
 	}
+	apspBitEqual(t, b, AllPairsSequential(next))
 	if math.IsInf(b.span, 1) {
 		t.Fatal("the cut graph has unit weights only: its matrix is canonical again")
 	}
@@ -241,17 +283,17 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 	et2.add(0, 1, 0x1p40)
 	et2.add(1, 2, 0x1p40)
 	et2.add(2, 3, 0x1p40)
-	a2 := AllPairs(et2.graph())
+	a2 := allPairsWorkers(et2.graph(), 0)
 	if math.IsInf(a2.span, 1) {
 		t.Fatal("fixture: uniform weights must be canonical")
 	}
 	et2.w[0], et2.w[1], et2.w[2] = 0x1p-40, 0x1p-40, 0x1p-40
 	next2, d2 := et2.commit(false)
 	b2, st2 := a2.applyEdgeDeltas(next2, d2, 1)
-	apspBitEqual(t, b2, AllPairsSequential(next2))
-	if st2.rerun != 4 {
-		t.Fatalf("re-ran %d rows across a 2^80 weight swing, want all 4", st2.rerun)
+	if st2.unbuilt != 4 || slices.ContainsFunc([]int{0, 1, 2, 3}, b2.Built) {
+		t.Fatalf("left %d rows unbuilt across a 2^80 weight swing, want all 4", st2.unbuilt)
 	}
+	apspBitEqual(t, b2, AllPairsSequential(next2))
 }
 
 // TestStrictRelax pins the guard's arithmetic at its edges.
@@ -337,16 +379,17 @@ func fatTreeEdges(k int) (*edgeTable, int) {
 // TestRepairStormWorkBound pins that the saving is a count. A fixed-seed
 // 64-event storm in the benchmark's mix (per 16 injections 8 link cuts,
 // 3 degrades, 4 switch and 1 host failure; at most three active; every
-// one healed) runs over the k=8 fat tree, and after every event
+// one healed) runs over the k=8 fat tree, every matrix read in full, and
+// after every event
 //
 //   - the incremental matrix equals the rebuild, and so does every row
 //     repaired (repairEveryRow);
 //   - exactly the rows of the record endpoints the event leaves with at
-//     most one edge are re-run in full (rerunRows);
+//     most one edge are left unbuilt (unbuiltRows);
 //
 // and over the cycle the repairs settle at most twice the recorded
-// number of vertices: a row re-run settles all 208, a repaired row a
-// handful where the event moves a distance and none where it does not.
+// number of vertices: a row built afresh settles all 208, a repaired row
+// a handful where the event moves a distance and none where it does not.
 func TestRepairStormWorkBound(t *testing.T) {
 	const k = 8
 	et, switches := fatTreeEdges(k)
@@ -406,7 +449,7 @@ func TestRepairStormWorkBound(t *testing.T) {
 	}
 
 	g := et.graph()
-	cur, curWant := AllPairs(g), AllPairs(g)
+	cur, curWant := allPairsWorkers(g, 0), AllPairs(g)
 	var total deltaStats
 	events := 0
 	step := func() {
@@ -414,11 +457,11 @@ func TestRepairStormWorkBound(t *testing.T) {
 		want := AllPairs(next)
 		repairEveryRow(t, cur, curWant, next, d, want)
 		inc, st := cur.applyEdgeDeltas(next, d, []int{1, 2, 0}[events%3])
+		if want := unbuiltRows(next, d); st.unbuilt != want {
+			t.Fatalf("event %d: %d rows left unbuilt, want %d", events, st.unbuilt, want)
+		}
 		apspBitEqual(t, inc, want)
 		apspBitEqual(t, cur, curWant)
-		if want := rerunRows(next, d); st.rerun != want {
-			t.Fatalf("event %d: %d rows re-run in full, want %d", events, st.rerun, want)
-		}
 		total.add(st)
 		g, cur, curWant = next, inc, want
 		events++
@@ -445,8 +488,8 @@ func TestRepairStormWorkBound(t *testing.T) {
 		t.Fatalf("storm ran %d events, want 64", events)
 	}
 	apspBitEqual(t, cur, AllPairs(et.graph()))
-	t.Logf("64 events: %d rows changed, %d re-run in full, %d vertices settled, %d prev cells recomputed",
-		total.changed, total.rerun, total.settled, total.prevCells)
+	t.Logf("64 events: %d rows changed, %d left unbuilt, %d vertices settled, %d prev cells recomputed",
+		total.changed, total.unbuilt, total.settled, total.prevCells)
 
 	// Recorded on this schedule; re-running the changed rows would settle
 	// total.changed × 208 vertices.
@@ -457,10 +500,10 @@ func TestRepairStormWorkBound(t *testing.T) {
 	}
 }
 
-// rerunRows counts the rows ApplyEdgeDeltas re-runs in full when the
-// guard holds: the distinct record endpoints next leaves with at most one
-// edge.
-func rerunRows(next *Graph, d EdgeDelta) int {
+// unbuiltRows counts the rows of a fully built parent ApplyEdgeDeltas
+// leaves unbuilt when the guard holds: the distinct record endpoints next
+// leaves with at most one edge.
+func unbuiltRows(next *Graph, d EdgeDelta) int {
 	rerun := map[int]bool{}
 	for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
 		for _, e := range recs {

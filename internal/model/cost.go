@@ -19,27 +19,27 @@ package model
 func (d *PPDC) ChainCost(p Placement) float64 {
 	sum := 0.0
 	for j := 0; j+1 < len(p); j++ {
-		sum += d.APSP.Cost(p[j], p[j+1])
+		sum += d.APSP.Row(p[j]).Cost(p[j+1])
 	}
 	return sum
 }
 
 // CommCost returns C_a(p) for the workload under placement p (Eq. 1).
 // An empty placement means flows communicate directly (no SFC), costing
-// Σ λ_i c(s_i, t_i).
+// Σ λ_i c(s_i, t_i). It reads the egress switch's row once per call.
 func (d *PPDC) CommCost(w Workload, p Placement) float64 {
 	if len(p) == 0 {
 		sum := 0.0
 		for _, f := range w {
-			sum += f.Rate * d.APSP.Cost(f.Src, f.Dst)
+			sum += f.Rate * d.APSP.Row(f.Src).Cost(f.Dst)
 		}
 		return sum
 	}
 	chain := d.ChainCost(p)
 	total := w.TotalRate() * chain
-	in, out := p[0], p[len(p)-1]
+	in, out := p[0], d.APSP.Row(p[len(p)-1])
 	for _, f := range w {
-		total += f.Rate * (d.APSP.Cost(f.Src, in) + d.APSP.Cost(out, f.Dst))
+		total += f.Rate * (d.APSP.Row(f.Src).Cost(in) + out.Cost(f.Dst))
 	}
 	return total
 }
@@ -52,7 +52,7 @@ func (d *PPDC) MigrationCost(p, m Placement, mu float64) float64 {
 	}
 	sum := 0.0
 	for j := range p {
-		sum += d.APSP.Cost(p[j], m[j])
+		sum += d.APSP.Row(p[j]).Cost(m[j])
 	}
 	return mu * sum
 }

@@ -197,7 +197,6 @@ func (c *WorkloadCache) set(w Workload, p *WorkloadCache) {
 	c.totalRate, c.direct = 0, 0
 	for _, f := range c.pairs {
 		c.totalRate += f.Rate
-		c.direct += f.Rate * c.d.APSP.Cost(f.Src, f.Dst)
 		c.addMarginals(&c.rate, f, f.Rate)
 	}
 	if moved {
@@ -207,6 +206,9 @@ func (c *WorkloadCache) set(w Workload, p *WorkloadCache) {
 		c.rate.in, c.rate.eg = make([]float64, n), make([]float64, n)
 	}
 	c.sum(&c.rate, &p.rate, p)
+	for _, f := range c.pairs { // after the sweep built their rows as one batch
+		c.direct += f.Rate * c.d.APSP.Row(f.Src).Cost(f.Dst)
+	}
 }
 
 // group groups the non-zero flows by (src, dst) host pair in

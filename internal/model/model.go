@@ -55,7 +55,7 @@ type PPDC struct {
 	Opts Options
 }
 
-// New builds a PPDC from a topology, computing the APSP cache.
+// New builds a PPDC from a topology and its APSP cache, built as read.
 func New(t *topology.Topology, opts Options) (*PPDC, error) {
 	if t == nil {
 		return nil, fmt.Errorf("model: nil topology")

@@ -28,6 +28,7 @@ var reachAllowed = map[string]string{
 	"failfs":                   "harness: the crash matrix fails the filesystem through it at every I/O boundary",
 	"ilp":                      "ablation: the Fig. 4 row on the ILP's path assumption, `internal/ilp`",
 	"graph.AllPairsSequential": "oracle: the one-source-at-a-time APSP every parallel and incremental build is held to bit for bit",
+	"graph.APSP.Built":         "harness: which rows a lazily built matrix holds; the engine and fault tests pin a workload's read set with it",
 	"graph.Graph.Dijkstra":     "oracle: the adjacency-list Dijkstra the CSR kernels are held to",
 	"graph.CSR.Dijkstra":       "oracle: the full single-source search the bounded layered search of sfcroute is held to",
 	"graph.Graph.EdgeWeight":   "oracle: an edge's weight read off the adjacency list; the degrade tests hold rebuilt fabrics to it",
