@@ -38,12 +38,13 @@ race:
 # so the code behind them still compiles and runs; no timing is read.
 # In order: the four engine benchmarks — BenchmarkEngineStep and
 # BenchmarkEngineStepObserved (the hot loop with a nil and a live
-# observer), BenchmarkEngineStepDiurnal and BenchmarkEngineFaultStorm (the
-# in-process diurnal-react and fault-storm scenarios), with B/op, so CI
+# observer), BenchmarkEngineStepDiurnal, BenchmarkEngineStepFlashCrowd and
+# BenchmarkEngineFaultStorm (the in-process diurnal-react,
+# flashcrowd-routed and fault-storm scenarios), with B/op, so CI
 # logs show what one fault event allocates; the
 # branch-and-bound solvers and their shared kernel (BENCH_solver.json);
 # the incremental fault-event and weight-delta APSP paths on the -short
-# topologies (BENCH_apsp.json); layered SFC routing (BENCH_sfcroute.json);
+# topologies (BENCH_apsp.json); SFC stage routing (BENCH_sfcroute.json);
 # the daemon's rate-update decode against encoding/json (the table in
 # docs/API.md).
 # The bitwise and differential asserts these benchmarks lean on
@@ -56,7 +57,7 @@ bench-smoke:
 	$(GO) test -run NONE -bench BenchmarkSolver -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench BenchmarkKernelSequential -benchtime 1x -benchmem ./internal/bnb/
 	$(GO) test -run NONE -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchtime 1x -benchmem -short ./internal/fault/
-	$(GO) test -run NONE -bench 'BenchmarkLayered|BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
+	$(GO) test -run NONE -bench 'BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
 	$(GO) test -run NONE -bench BenchmarkDecodeRates -benchtime 1x ./cmd/vnfoptd/
 
 # The reaction-time benchmark (bench/, the one BENCHMARK.json runs) is the
@@ -144,7 +145,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWeightDeltaAPSP -fuzztime $(FUZZTIME) -run xxx ./internal/fault/
 	$(GO) test -fuzz FuzzRepairRows -fuzztime $(FUZZTIME) -run xxx ./internal/graph/
 	$(GO) test -fuzz FuzzMinCostFlow -fuzztime $(FUZZTIME) -run xxx ./internal/mcf/
-	$(GO) test -fuzz FuzzLayeredSearch -fuzztime $(FUZZTIME) -run xxx ./internal/sfcroute/
+	$(GO) test -fuzz FuzzStageRoute -fuzztime $(FUZZTIME) -run xxx ./internal/sfcroute/
 	$(GO) test -fuzz FuzzDPAgainstExhaustive -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzDPTableLazyTop -fuzztime $(FUZZTIME) -run xxx ./internal/stroll/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run xxx ./internal/wal/

@@ -99,6 +99,112 @@ func BenchmarkEngineStepDiurnal(b *testing.B) {
 	}
 }
 
+// flashCrowdEngine is the reaction-time benchmark's `flashcrowd-routed`
+// scenario in process (bench/workloads.go genFlashCrowd, seed 1, scenario
+// 0): a k=8 fat tree, 1 000 flows with flow f sourced in rack f mod 32,
+// a 3-VNF chain, μ = 1000, hysteresis 1.05, and the capacity-aware route
+// pass on — link capacity 8 × the base total rate, α 0.5, admission at
+// 80 % utilization, rejections classified. Each op restores the previous
+// rack's crowd of 16 flows and lifts the next one's thirty-fold.
+func flashCrowdEngine(tb testing.TB, o *Observer) (*Engine, [][]RateUpdate) {
+	tb.Helper()
+	const (
+		k, flows, crowdSize, crowdFactor = 8, 1000, 16, 30
+		capacityFactor                   = 8
+	)
+	topo := topology.MustFatTree(k, nil)
+	rng := rand.New(rand.NewSource(7919))
+	racks := topo.Racks
+	base := make(model.Workload, flows)
+	crowd := make([][]int, len(racks))
+	for f := range base {
+		r := f % len(racks)
+		src, dst := racks[r], racks[r]
+		if rng.Float64() >= workload.DefaultIntraRack {
+			dst = racks[rng.Intn(len(racks))]
+		}
+		base[f] = model.VMPair{Src: src[rng.Intn(len(src))], Dst: dst[rng.Intn(len(dst))], Rate: workload.Rate(rng)}
+		if len(crowd[r]) < crowdSize {
+			crowd[r] = append(crowd[r], f)
+		}
+	}
+	var order []int
+	for _, r := range rng.Perm(len(racks)) {
+		if len(crowd[r]) > 0 {
+			order = append(order, r)
+		}
+	}
+	e, err := New(Config{
+		PPDC: model.MustNew(topo, model.Options{}), SFC: model.NewSFC(3), Base: base, Mu: 1000,
+		Policy:   Policy{Hysteresis: 1.05},
+		Routing:  &RoutingConfig{LinkCapacity: base.TotalRate() * capacityFactor, Alpha: 0.5, MaxUtilization: 0.8, Classify: true},
+		Observer: o,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ops := make([][]RateUpdate, len(order))
+	for j, r := range order {
+		prev := order[(j+len(order)-1)%len(order)]
+		for _, f := range crowd[prev] {
+			ops[j] = append(ops[j], RateUpdate{Flow: f, Rate: base[f].Rate})
+		}
+		for _, f := range crowd[r] {
+			ops[j] = append(ops[j], RateUpdate{Flow: f, Rate: base[f].Rate * crowdFactor})
+		}
+	}
+	return e, ops
+}
+
+// BenchmarkEngineStepFlashCrowd times one op of flashCrowdEngine: Ingest
+// of the two crowds' 32 updates plus the Step that folds them, consults
+// TOM past the hysteresis and runs the route pass. Before/after figures
+// are in docs/ENGINE.md.
+func BenchmarkEngineStepFlashCrowd(b *testing.B) {
+	e, ops := flashCrowdEngine(b, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Ingest(ops[i%len(ops)]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestFlashCrowdRoutePassWork pins the work of flashCrowdEngine's route
+// passes — the pass New runs, then one cycle of its ops — exactly.
+// Nothing is pruned at this capacity, so every pass runs 131 searches:
+// the chain's two stage hops, p_3's full tree and one search per source
+// host. Together they settle 99 902 vertices, ≈ 3 030 a pass; the
+// layered search per source this replaced settled 317 649.
+func TestFlashCrowdRoutePassWork(t *testing.T) {
+	reg := obs.NewRegistry()
+	e, ops := flashCrowdEngine(t, NewObserver(reg, obs.NewEventLog(16), "crowd"))
+	searches := reg.Counter(`vnfopt_sfcroute_searches_total{scenario="crowd"}`)
+	settled := reg.Counter(`vnfopt_sfcroute_settled_total{scenario="crowd"}`)
+	if got := searches.Value(); got != 131 {
+		t.Fatalf("New's pass ran %d searches, want 131", got)
+	}
+	for i, u := range ops {
+		if _, err := e.Ingest(u); err != nil {
+			t.Fatal(err)
+		}
+		before := searches.Value()
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if got := searches.Value() - before; got != 131 {
+			t.Fatalf("op %d: the pass ran %d searches, want 131", i, got)
+		}
+	}
+	if got := settled.Value(); len(ops) != 32 || got != 99902 {
+		t.Fatalf("%d passes settled %d vertices, want 33 passes settling 99902", len(ops)+1, got)
+	}
+}
+
 // stormEvent is one topology event of faultStormEngine's schedule.
 type stormEvent struct{ inject, heal []fault.Fault }
 

@@ -10,9 +10,9 @@ import (
 
 // RoutingConfig enables the capacity-aware SFC routing pass: when set,
 // every epoch re-routes the served workload through the committed chain
-// placement on the layered expansion (internal/sfcroute), admitting flows
-// against residual link capacity and reporting which flows no feasible
-// route can carry. The placement optimizers stay capacity-blind — this
+// placement, one shortest path per chain stage (internal/sfcroute),
+// admitting flows against residual link capacity and reporting which
+// flows no feasible route can carry. The placement optimizers stay capacity-blind — this
 // pass is the admission-control check on top of their answer, the
 // capacity side of the paper's 40%-provisioning discussion.
 type RoutingConfig struct {
@@ -122,7 +122,8 @@ func (e *Engine) routeEpoch() error {
 		return fmt.Errorf("routing: %w", err)
 	}
 	// One batch in flow-index order: admission order decides who gets
-	// residual capacity, and the router shares one search per source.
+	// residual capacity; the router shares its stage searches and one
+	// search per source.
 	rep := &RoutingReport{Epoch: e.epoch, Decisions: make([]FlowDecision, 0, len(e.flows))}
 	demands := make([]sfcroute.Demand, 0, len(e.flows))
 	for i, f := range e.flows {

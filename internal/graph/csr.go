@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CSR is a frozen compressed-sparse-row view of a Graph: all adjacency
 // lists flattened into two parallel arrays indexed by a per-vertex offset
@@ -144,19 +141,23 @@ func (c *CSR) Dijkstra(src int) (dist []float64, prev []int32) {
 	return dist, prev
 }
 
-// Arc returns the slot of the first arc u→v, or -1 when there is none.
+// Arc returns the slot of the first arc u→v of least weight, or -1 when
+// there is none. On a shortest-path tree edge u→v it is an arc the
+// search could have set v's cell with: the search relaxed every parallel
+// arc and kept the least sum, and the least weight gives it, so a left
+// fold of a tree path over these arcs reproduces the path's cells.
 func (c *CSR) Arc(u, v int) int {
+	best := -1
 	for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
-		if int(c.to[e]) == v {
-			return int(e)
+		if int(c.to[e]) == v && (best < 0 || c.wt[e] < c.wt[best]) {
+			best = int(e)
 		}
 	}
-	return -1
+	return best
 }
 
 // NumSlots returns the number of directed edge slots in the snapshot
-// (2× the undirected edge count for a frozen Graph; layered expansions
-// add their inter-layer slots on top).
+// (2× the undirected edge count for a frozen Graph).
 func (c *CSR) NumSlots() int { return len(c.to) }
 
 // ForEachSlot calls f once per directed edge slot in slot order:
@@ -182,69 +183,4 @@ func (c *CSR) WithWeights(wt []float64) *CSR {
 		panic(fmt.Sprintf("graph: WithWeights got %d slots, snapshot has %d", len(wt), len(c.wt)))
 	}
 	return &CSR{n: c.n, rowStart: c.rowStart, to: c.to, wt: wt, dead: c.dead}
-}
-
-// Layered builds the directed layered expansion of the snapshot used
-// for chain-constrained routing (Sallam et al.): len(gateways)+1
-// stacked copies of the graph, where copy ℓ keeps every edge of the
-// snapshot (shifted by ℓ·Order()) and each gateway vertex v ∈
-// gateways[ℓ] gains one extra *directed* edge from its copy in layer ℓ
-// to its copy in layer ℓ+1 with weight interWeight. A path from (0,
-// src) to (len(gateways), dst) therefore crosses exactly one gateway
-// of every stage in order — the service-function-chain constraint
-// expressed as plain graph structure. Duplicate gateway entries within
-// one stage collapse to a single edge; out-of-range vertices panic.
-//
-// Vertex (ℓ, v) has ID ℓ·Order()+v. The expansion is itself a CSR, so
-// DijkstraInto runs on it unchanged and stays zero-alloc with a warm
-// scratch. (ℓ, v) is a dead end when its row holds one arc and no
-// crossing enters it (v ∉ gateways[ℓ−1]): its one way in is then the
-// reverse of its one arc, if there is any. A site of stage ℓ has its
-// crossing out beside its fabric arcs, so a leaf site is no dead end.
-func (c *CSR) Layered(gateways [][]int, interWeight float64) *CSR {
-	if interWeight < 0 || math.IsNaN(interWeight) {
-		panic(fmt.Sprintf("graph: invalid inter-layer weight %v", interWeight))
-	}
-	layers := len(gateways) + 1
-	n := c.n
-	extra := 0
-	for _, stage := range gateways {
-		extra += len(stage)
-	}
-	L := &CSR{
-		n:        layers * n,
-		rowStart: make([]int32, layers*n+1),
-		to:       make([]int32, 0, layers*len(c.to)+extra),
-		wt:       make([]float64, 0, layers*len(c.wt)+extra),
-		dead:     make([]bool, layers*n),
-	}
-	gw, in := make([]bool, n), make([]bool, n) // in: stage ℓ−1's sites
-	for l := 0; l < layers; l++ {
-		gw, in = in, gw
-		clear(gw)
-		if l < len(gateways) {
-			for _, v := range gateways[l] {
-				if v < 0 || v >= n {
-					panic(fmt.Sprintf("graph: layered gateway %d out of range [0,%d)", v, n))
-				}
-				gw[v] = true
-			}
-		}
-		off := int32(l * n)
-		for u := 0; u < n; u++ {
-			x := off + int32(u)
-			L.rowStart[x] = int32(len(L.to))
-			for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
-				L.to = append(L.to, c.to[e]+off)
-				L.wt = append(L.wt, c.wt[e])
-			}
-			if gw[u] {
-				L.to = append(L.to, off+int32(n)+int32(u))
-				L.wt = append(L.wt, interWeight)
-			}
-			L.dead[x] = int32(len(L.to))-L.rowStart[x] == 1 && !in[u]
-		}
-	}
-	L.rowStart[layers*n] = int32(len(L.to))
-	return L
 }

@@ -143,106 +143,6 @@ func TestAllPairsParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCSRLayeredEmptyChain: zero gateway stages must reproduce the base
-// snapshot exactly — same order, same Dijkstra output.
-func TestCSRLayeredEmptyChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomConnectedGraph(rng, 20, 30)
-	base := g.Freeze()
-	lay := base.Layered(nil, 0)
-	if lay.Order() != base.Order() || lay.NumSlots() != base.NumSlots() {
-		t.Fatalf("empty-chain expansion reshaped the graph: %d/%d vs %d/%d",
-			lay.Order(), lay.NumSlots(), base.Order(), base.NumSlots())
-	}
-	for src := 0; src < base.Order(); src++ {
-		wd, wp := base.Dijkstra(src)
-		gd, gp := lay.Dijkstra(src)
-		for v := range wd {
-			if wd[v] != gd[v] || wp[v] != gp[v] {
-				t.Fatalf("src %d vertex %d: (%v,%d) vs base (%v,%d)", src, v, gd[v], gp[v], wd[v], wp[v])
-			}
-		}
-	}
-}
-
-// TestCSRLayeredChainConstraint: on a 4-path a-b-c-d with the single
-// gateway at c, the layered shortest path a→(1,b) must detour through c
-// (cost a→c + c→b), not take the direct a→b edge.
-func TestCSRLayeredChainConstraint(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(2, 3, 1)
-	lay := g.Freeze().Layered([][]int{{2}}, 0)
-	if lay.Order() != 8 {
-		t.Fatalf("expected 2×4 layered vertices, got %d", lay.Order())
-	}
-	dist, _ := lay.Dijkstra(0)
-	// (1,b) = vertex 4+1: a→b→c, cross, c→b = 2 + 0 + 1.
-	if dist[4+1] != 3 {
-		t.Fatalf("constrained a→b cost = %v, want 3", dist[4+1])
-	}
-	// Layer 1 cannot be left downward: (1,a) must cost 2+0+2, and layer 0
-	// must be unreachable from layer 1 (directed crossing). Reaching (0,x)
-	// never goes through layer 1, so dist of layer-0 vertices match base.
-	if dist[4+0] != 4 {
-		t.Fatalf("constrained a→a cost = %v, want 4", dist[4])
-	}
-	// From (1,a) the lower layer is unreachable.
-	dist1, _ := lay.Dijkstra(4 + 0)
-	for v := 0; v < 4; v++ {
-		if !math.IsInf(dist1[v], 1) {
-			t.Fatalf("layer-1 escaped downward to %d (cost %v)", v, dist1[v])
-		}
-	}
-}
-
-// TestCSRLayeredDeadEnds: on an expansion, writing dead ends unqueued
-// leaves every row bit-identical to the same expansion queueing every
-// vertex. The sites include a leaf (a crossing enters its copy above,
-// which is therefore no dead end) next to switches; sources and targets
-// include leaves in every layer.
-func TestCSRLayeredDeadEnds(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	et, switches := fatTreeEdges(4)
-	for i := range et.w {
-		et.w[i] = 1 + 9*rng.Float64()
-	}
-	base := et.graph().Freeze()
-	n := base.Order()
-	leafSite := switches + 3
-	L := base.Layered([][]int{{leafSite, 6}, {0, 13}, {14}}, 0)
-	if L.dead[leafSite] || L.dead[n+leafSite] || !L.dead[2*n+leafSite] || !L.dead[3*n+leafSite] {
-		t.Fatalf("leaf site %d: dead marks %v over its four copies, want [false false true true]",
-			leafSite, []bool{L.dead[leafSite], L.dead[n+leafSite], L.dead[2*n+leafSite], L.dead[3*n+leafSite]})
-	}
-	queued := *L
-	queued.dead = make([]bool, L.n)
-	var s SSSPScratch
-	dist, prev := make([]float64, L.n), make([]int32, L.n)
-	for src := 0; src < L.n; src++ {
-		wantDist, wantPrev := queued.Dijkstra(src)
-		L.DijkstraInto(src, dist, prev, &s)
-		for v := range dist {
-			if math.Float64bits(dist[v]) != math.Float64bits(wantDist[v]) || prev[v] != wantPrev[v] {
-				t.Fatalf("src %d: cell %d = (%v, %d), queueing every vertex gives (%v, %d)",
-					src, v, dist[v], prev[v], wantDist[v], wantPrev[v])
-			}
-		}
-	}
-}
-
-// TestCSRLayeredDuplicateGateways: duplicate gateway entries collapse to
-// one crossing edge.
-func TestCSRLayeredDuplicateGateways(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 1)
-	lay := g.Freeze().Layered([][]int{{1, 1, 1}}, 0)
-	if got, want := lay.NumSlots(), 2*2+1; got != want {
-		t.Fatalf("slots = %d, want %d (duplicates must collapse)", got, want)
-	}
-}
-
 // TestCSRWithWeights: the snapshot over a caller's weight array shares
 // structure, reads the weights given, and an Inf weight prunes the edge.
 func TestCSRWithWeights(t *testing.T) {

@@ -2,7 +2,6 @@ package sfcroute
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,51 +14,6 @@ import (
 func benchSites(d *model.PPDC) [][]int {
 	sw := d.Switches()
 	return [][]int{{sw[0]}, {sw[len(sw)/2]}, {sw[len(sw)-1]}}
-}
-
-func BenchmarkLayeredBuild(b *testing.B) {
-	for _, k := range []int{8, 16} {
-		k := k
-		b.Run(fmt.Sprintf("fat-tree-k%d-n3", k), func(b *testing.B) {
-			d := model.MustNew(topology.MustFatTree(k, nil), model.Options{})
-			base := d.Topo.Graph.Freeze()
-			sites := benchSites(d)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := buildLayered(base, sites); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkLayeredRoute(b *testing.B) {
-	for _, k := range []int{8, 16} {
-		k := k
-		b.Run(fmt.Sprintf("fat-tree-k%d-n3", k), func(b *testing.B) {
-			d := model.MustNew(topology.MustFatTree(k, nil), model.Options{})
-			lay, err := buildLayered(d.Topo.Graph.Freeze(), benchSites(d))
-			if err != nil {
-				b.Fatal(err)
-			}
-			hosts := d.Hosts()
-			var s SearchScratch
-			if _, err := lay.shortestPathOn(lay.csr, hosts[0], hosts[1], &s); err != nil {
-				b.Fatal(err) // sizes the scratch outside the timed loop
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := hosts[i%len(hosts)]
-				dst := hosts[(i*7+3)%len(hosts)]
-				if _, err := lay.shortestPathOn(lay.csr, src, dst, &s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAdmitSaturated measures admission in a fabric provisioned so
@@ -106,10 +60,11 @@ func BenchmarkAdmitSaturated(b *testing.B) {
 
 // BenchmarkRoutePass times one whole route pass — BeginEpoch plus the
 // admission of 1 000 flows leaving all 128 hosts of a k=8 fat-tree — as
-// the engine runs it (AdmitAll) and as it used to (one Admit per flow).
-// Loose capacity never prunes, so AdmitAll runs 128 searches where the
-// loop runs 1 000; saturated capacity prunes most flows, where the two
-// must cost about the same.
+// the engine runs it (AdmitAll) and as the bench's side router does (one
+// Admit per flow). Both share the epoch's stage searches and one search
+// per source: loose capacity never prunes, so a pass runs 3 + 128
+// searches; saturated capacity prunes most flows, each attempt searching
+// its own n+1 legs.
 func BenchmarkRoutePass(b *testing.B) {
 	d := model.MustNew(topology.MustFatTree(8, nil), model.Options{})
 	hosts := d.Hosts()

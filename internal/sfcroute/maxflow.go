@@ -63,10 +63,10 @@ func maxFlow(g *graph.Graph, sites [][]int, src, dst int, capOf func(routing.Lin
 // computed against current headroom (capacity × MaxUtilization − load).
 // Admit consults it to prove rejections.
 func (r *Router) maxFlow(src, dst int) (mcf.Result, error) {
-	if r.lay == nil {
-		return mcf.Result{}, fmt.Errorf("sfcroute: BeginEpoch not called")
+	if !r.ready {
+		return mcf.Result{}, errNoEpoch
 	}
-	return maxFlow(r.d.Topo.Graph, r.lay.sites, src, dst, func(l routing.Link) float64 {
+	return maxFlow(r.d.Topo.Graph, PlacementSites(r.sites), src, dst, func(l routing.Link) float64 {
 		return r.headroom(r.lidx[l])
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
@@ -34,8 +33,8 @@ type Config struct {
 }
 
 // maxReroutes bounds the reroute attempts when a path individually fits
-// every link but multi-traversal (an n-tour crossing one link in several
-// layers) overflows it.
+// every link but multi-traversal (a chain walk crossing one link in
+// several stages) overflows it.
 const maxReroutes = 4
 
 // Admission reasons.
@@ -47,7 +46,7 @@ const (
 	// residual-capacity pruning (the demand may still be splittable).
 	ReasonNoPath = "no_path"
 	// ReasonFragmented: paths exist but every candidate within the
-	// reroute budget overflows some link through multi-layer reuse.
+	// reroute budget overflows some link through multi-stage reuse.
 	ReasonFragmented = "fragmented"
 )
 
@@ -56,11 +55,12 @@ const (
 type Decision struct {
 	Admitted bool    `json:"admitted"`
 	Cost     float64 `json:"cost"`
-	Walk     []int   `json:"walk,omitempty"`
-	Gateways []int   `json:"gateways,omitempty"`
 	Reroutes int     `json:"reroutes,omitempty"`
 	Reason   string  `json:"reason,omitempty"`
 }
+
+// errNoEpoch refuses admission outside an epoch.
+var errNoEpoch = errors.New("sfcroute: no epoch: BeginEpoch not called, or the last call failed")
 
 // Router routes chain-constrained flows against link capacities: it
 // prices links by utilization (optional), tracks residual capacity as
@@ -75,36 +75,61 @@ type Router struct {
 	load  []float64 // committed load per link
 	lidx  map[routing.Link]int
 
-	// Base-snapshot slot tables: slotLink[s] is the link index of base
-	// slot s; baseWt its pristine weight; pricedWt the congestion-priced
-	// buffer the layered build reads.
+	// Fabric slot tables: slotLink[s] is the link index of slot s and
+	// baseWt its pristine weight; pricedWt holds the epoch's congestion
+	// prices and pruneWt one attempt's pruned prices, which the views
+	// priced and pruned read.
 	slotLink []int32
 	baseWt   []float64
 	pricedWt []float64
+	pruneWt  []float64
 	priced   *graph.CSR
+	pruned   *graph.CSR
 
-	// Layered state for the current sites: laySlotLink maps layered
-	// slots to link indices (-1 for crossings), layWt holds the priced
-	// layered weights, pruneWt the per-admission pruning buffer.
-	lay         *Layered
-	laySlotLink []int32
-	layWt       []float64
-	pruneWt     []float64
+	// sites[ℓ] is stage ℓ+1's switch. ready is set by a BeginEpoch that
+	// succeeds and cleared by one that fails.
+	sites []int
+	ready bool
+	epoch int
 
-	search  SearchScratch
-	dsts    []int // the targets of AdmitAll's shared search
+	// The epoch's shared stage routes on the priced weights, built by its
+	// first unpruned attempt (shared): hops holds the arc slots of
+	// p_1 → … → p_n, hopsOK is false when a stage cannot reach the next,
+	// and tailDist/tailPrev is p_n's full tree, tailArc[v] the slot of
+	// v's tree arc (−1 at p_n and off the tree).
+	shared   bool
+	hops     []int32
+	hopsOK   bool
+	tailDist []float64
+	tailPrev []int32
+	tailArc  []int32
+	// A source's path to p_1 on the priced weights, searched once per
+	// epoch: srcArcs[srcAt[v]:][:srcLen[v]] while srcEpoch[v] is the
+	// epoch; srcLen −1 when p_1 is unreachable from v.
+	srcEpoch []int
+	srcAt    []int32
+	srcLen   []int32
+	srcArcs  []int32
+
+	// The scratch of one search; a bounded one stops as stopAt's cell
+	// becomes final. walk holds the arc slots of the route last
+	// assembled.
+	dist   []float64
+	prev   []int32
+	sssp   graph.SSSPScratch
+	stopAt int
+	walk   []int32
+
 	blocked []bool
-	epoch   int
-
 	// minHeadroom is the smallest headroom over all links: set in
 	// BeginEpoch and lowered on each commit over the committed walk's
 	// links only — loads only grow within an epoch, so it stays exact. A
 	// flow whose rate it covers has an empty prune set.
 	minHeadroom float64
-	// searches counts the layered searches since BeginEpoch.
+	// searches counts the searches since BeginEpoch.
 	searches int
-	// cnt[link] is the traversal count of the walk walkLinks last
-	// tallied; touched lists its non-zero entries.
+	// cnt[link] is the traversal count of the walk tally last counted;
+	// touched lists its non-zero entries.
 	cnt     []int32
 	touched []int32
 }
@@ -139,17 +164,25 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	r.blocked = make([]bool, len(r.links))
 	r.cnt = make([]int32, len(r.links))
 	base := d.Topo.Graph.Freeze() // pristine fabric weights
-	ns := base.NumSlots()
-	r.slotLink = make([]int32, ns)
-	r.baseWt = make([]float64, ns)
-	r.pricedWt = make([]float64, ns)
-	base.ForEachSlot(func(slot, u, v int, w float64) {
+	r.freeze(base)
+	r.slotLink = make([]int32, base.NumSlots())
+	base.ForEachSlot(func(slot, u, v int, _ float64) {
 		r.slotLink[slot] = int32(r.lidx[mkLink(u, v)])
-		r.baseWt[slot] = w
 	})
-	copy(r.pricedWt, r.baseWt)
-	r.priced = base.WithWeights(r.pricedWt)
 	return r, nil
+}
+
+// freeze sizes the weight views and search state for a fabric snapshot.
+func (r *Router) freeze(base *graph.CSR) {
+	n, ns := base.Order(), base.NumSlots()
+	r.baseWt, r.pricedWt, r.pruneWt = make([]float64, ns), make([]float64, ns), make([]float64, ns)
+	base.ForEachSlot(func(slot, _, _ int, w float64) { r.baseWt[slot] = w })
+	copy(r.pricedWt, r.baseWt)
+	r.priced, r.pruned = base.WithWeights(r.pricedWt), base.WithWeights(r.pruneWt)
+	r.dist, r.prev = make([]float64, n), make([]int32, n)
+	r.tailDist, r.tailPrev, r.tailArc = make([]float64, n), make([]int32, n), make([]int32, n)
+	r.srcEpoch, r.srcAt, r.srcLen = make([]int, n), make([]int32, n), make([]int32, n)
+	r.sssp.Visit = r.stop
 }
 
 func mkLink(a, b int) routing.Link {
@@ -179,13 +212,19 @@ func (r *Router) price(w float64, link int) float64 {
 	return w * (1 + r.cfg.Alpha*u/(1-u))
 }
 
-// BeginEpoch starts a routing epoch for the given chain sites: link
-// prices are recomputed from the loads committed during the *previous*
-// epoch (the drift-loop re-pricing; with Alpha 0 the prices are the
-// pristine weights), the residual state is reset, and the layered
-// expansion is rebuilt for the sites. Use PlacementSites(p) for the
-// fixed-placement case.
+// BeginEpoch starts a routing epoch for the given chain sites, one per
+// stage (repeated entries of it collapse): link prices are recomputed
+// from the loads committed during the *previous* epoch (the drift-loop
+// re-pricing; with Alpha 0 the prices are the pristine weights) and the
+// residual state is reset. Use PlacementSites(p) for a placement. Sites
+// that fail validation change nothing but readiness: Admit and AdmitAll
+// refuse until a BeginEpoch succeeds, and the next one prices from the
+// loads still committed.
 func (r *Router) BeginEpoch(sites [][]int) error {
+	if err := stageSites(sites, r.priced.Order()); err != nil {
+		r.ready = false
+		return err
+	}
 	if r.cfg.Alpha > 0 {
 		for slot, link := range r.slotLink {
 			r.pricedWt[slot] = r.price(r.baseWt[slot], int(link))
@@ -196,30 +235,14 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 		r.load[i] = 0
 		r.minHeadroom = min(r.minHeadroom, r.headroom(i))
 	}
-	r.searches, r.search.sssp.Settled = 0, 0
-	lay, err := buildLayered(r.priced, sites)
-	if err != nil {
-		return err
+	r.sites = r.sites[:0]
+	for _, stage := range sites {
+		r.sites = append(r.sites, stage[0])
 	}
-	r.lay = lay
-	ns := lay.csr.NumSlots()
-	r.laySlotLink = slices.Grow(r.laySlotLink[:0], ns)[:ns]
-	r.layWt = slices.Grow(r.layWt[:0], ns)[:ns]
-	r.pruneWt = slices.Grow(r.pruneWt[:0], ns)[:ns]
-	// Each layer copies the base slots in order, a site's crossing after
-	// its fabric arcs: the b-th fabric slot of the expansion is base slot
-	// b mod NumSlots.
-	n, b := lay.n, 0
-	lay.csr.ForEachSlot(func(slot, u, v int, w float64) {
-		if u%n == v%n { // layer crossing
-			r.laySlotLink[slot] = -1
-		} else {
-			r.laySlotLink[slot] = r.slotLink[b%len(r.slotLink)]
-			b++
-		}
-		r.layWt[slot] = w
-	})
+	r.searches, r.sssp.Settled = 0, 0
+	r.shared, r.srcArcs = false, r.srcArcs[:0]
 	r.epoch++
+	r.ready = true
 	return nil
 }
 
@@ -229,98 +252,37 @@ type Demand struct {
 	Rate     float64
 }
 
-// sharedRoute is a demand's route on the epoch's unpruned prices, read
-// out of its source's tree by AdmitAll ahead of the demand's turn (have
-// is false for a demand no tree was read for).
-type sharedRoute struct {
-	res  PathResult
-	err  error // nil or ErrUnroutable
-	have bool
-}
-
 // Searches returns the number of shortest-path searches run since
-// BeginEpoch.
+// BeginEpoch: the epoch's stage searches, one per source reached, and
+// n+1 per pruned attempt.
 func (r *Router) Searches() int { return r.searches }
 
-// Settled returns the number of layered vertices those searches popped
-// and relaxed: a search stops at its last target, relaxes nothing in a
-// layer whose exits have all settled, and only writes a dead end.
-func (r *Router) Settled() int { return r.search.sssp.Settled }
+// Settled returns the number of fabric vertices those searches popped
+// and relaxed: a bounded search stops at its stop without relaxing it,
+// and only writes a dead end.
+func (r *Router) Settled() int { return r.sssp.Settled }
 
 // Admit routes one flow of the given rate against residual capacity and
 // commits its load on success. Links whose residual headroom cannot
-// absorb the rate are pruned before the search; a surviving path that
-// still overflows a link by crossing it in several layers triggers a
+// absorb the rate are pruned before the searches; a surviving route that
+// still overflows a link by crossing it several times triggers a
 // bounded reroute with that link blocked. A zero-rate flow is admitted
 // along its priced route without consuming capacity.
 func (r *Router) Admit(src, dst int, rate float64) (Decision, error) {
-	return r.admit(Demand{Src: src, Dst: dst, Rate: rate}, nil)
+	return r.admit(Demand{Src: src, Dst: dst, Rate: rate})
 }
 
 // AdmitAll admits the demands in index order — the order decides who
-// gets residual capacity — with exactly the outcome of calling Admit on
-// each in turn, but one unpruned search per distinct source where Admit
-// runs one per flow. Prices are frozen for the epoch and the search is
-// deterministic, so while no link is pruned for a flow its first search
-// rebuilds the same tree as every other flow's from that source. The
-// first flow of a source to need that tree builds it and reads out the
-// route of every later flow from the source that may still use it —
-// the tree is searched only until those flows' destinations settle;
-// admission takes the route if the flow's prune set is still empty when
-// its turn comes, and prunes and searches as Admit does otherwise. Only
-// routes are kept, never trees — the one dist/prev scratch is
-// overwritten by the next search — and they die with the call. On error
-// the returned decisions cover the demands before the failing one, whose
-// load stays committed.
+// gets residual capacity — with the outcome of calling Admit on each in
+// turn, which it is. On error the returned decisions cover the demands
+// before the failing one, whose load stays committed.
 func (r *Router) AdmitAll(demands []Demand) ([]Decision, error) {
-	if r.lay == nil {
-		return nil, fmt.Errorf("sfcroute: BeginEpoch not called")
+	if !r.ready {
+		return nil, errNoEpoch
 	}
-	// Counting sort of the demand indices by source: source s owns
-	// order[first[s]:first[s+1]], ascending. A demand off the fabric is
-	// left out; admit reports it when its turn comes.
-	onFabric := func(dm Demand) bool { return r.lay.checkEndpoints(dm.Src, dm.Dst) == nil }
-	n := r.lay.n
-	first := make([]int32, n+2)
-	for _, dm := range demands {
-		if onFabric(dm) {
-			first[dm.Src+2]++
-		}
-	}
-	for s := 2; s < len(first); s++ {
-		first[s] += first[s-1]
-	}
-	order := make([]int32, first[n+1])
-	for i, dm := range demands {
-		if onFabric(dm) {
-			order[first[dm.Src+1]] = int32(i)
-			first[dm.Src+1]++
-		}
-	}
-	shared := make([]sharedRoute, len(demands))
 	out := make([]Decision, 0, len(demands))
-	for i, dm := range demands {
-		if !shared[i].have && r.pruneFree(dm.Rate) && onFabric(dm) {
-			// This flow would run the unpruned search itself. Flows skipped
-			// here exceed the minimum headroom, which only falls, so they
-			// prune when their turn comes: one tree per source is enough.
-			group := order[first[dm.Src]:first[dm.Src+1]]
-			r.dsts = r.dsts[:0]
-			for _, j := range group {
-				if to := demands[j]; int(j) >= i && r.pruneFree(to.Rate) {
-					r.dsts = append(r.dsts, to.Dst)
-				}
-			}
-			r.searches++
-			r.lay.search(r.lay.csr, dm.Src, &r.search, r.dsts...)
-			for _, j := range group {
-				if to := demands[j]; int(j) >= i && r.pruneFree(to.Rate) {
-					res, err := r.lay.pathFrom(to.Src, to.Dst, &r.search)
-					shared[j] = sharedRoute{res: res, err: err, have: true}
-				}
-			}
-		}
-		dec, err := r.admit(dm, &shared[i])
+	for _, dm := range demands {
+		dec, err := r.admit(dm)
 		if err != nil {
 			return out, err
 		}
@@ -336,82 +298,62 @@ func (r *Router) pruneFree(rate float64) bool {
 	return rate >= 0 && rate <= r.minHeadroom
 }
 
-// unpruned returns the route on the epoch's own priced weights: pre's
-// when AdmitAll already read it out of the source's tree, a fresh
-// search otherwise.
-func (r *Router) unpruned(src, dst int, pre *sharedRoute) (PathResult, error) {
-	if pre != nil && pre.have {
-		return pre.res, pre.err
-	}
-	r.searches++
-	return r.lay.shortestPathOn(r.lay.csr, src, dst, &r.search)
-}
-
-// admit is the one admission routine behind Admit and AdmitAll; pre,
-// when it holds a route, stands in for the unpruned search.
-func (r *Router) admit(dm Demand, pre *sharedRoute) (Decision, error) {
-	if r.lay == nil {
-		return Decision{}, fmt.Errorf("sfcroute: BeginEpoch not called")
+// admit is the one admission routine behind Admit and AdmitAll.
+func (r *Router) admit(dm Demand) (Decision, error) {
+	if !r.ready {
+		return Decision{}, errNoEpoch
 	}
 	src, dst, rate := dm.Src, dm.Dst, dm.Rate
 	if rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		return Decision{}, fmt.Errorf("sfcroute: invalid rate %v", rate)
 	}
+	if n := r.priced.Order(); src < 0 || src >= n || dst < 0 || dst >= n {
+		return Decision{}, fmt.Errorf("sfcroute: endpoints (%d,%d) out of range [0,%d)", src, dst, n)
+	}
 	if rate == 0 {
-		res, err := r.unpruned(src, dst, pre)
-		if err != nil {
-			if errors.Is(err, ErrUnroutable) {
-				return Decision{Reason: ReasonNoPath}, nil
-			}
-			return Decision{}, err
+		cost, ok := r.route(src, dst, false)
+		if !ok {
+			return Decision{Reason: ReasonNoPath}, nil
 		}
-		return Decision{Admitted: true, Cost: res.Cost, Walk: res.Walk, Gateways: res.Gateways}, nil
+		return Decision{Admitted: true, Cost: cost}, nil
 	}
 	clear(r.blocked)
 	for attempt := 0; attempt <= maxReroutes; attempt++ {
-		var res PathResult
-		var err error
-		if attempt == 0 && r.pruneFree(rate) {
-			// The pruned weights would equal layWt slot for slot.
-			res, err = r.unpruned(src, dst, pre)
-		} else {
+		// An attempt with nothing to prune routes on the shared prices.
+		pruned := attempt > 0 || !r.pruneFree(rate)
+		if pruned {
 			// Prune links that cannot absorb one traversal of this flow.
-			for slot, link := range r.laySlotLink {
-				if link >= 0 && (r.blocked[link] || r.headroom(int(link)) < rate) {
+			for slot, link := range r.slotLink {
+				if r.blocked[link] || r.headroom(int(link)) < rate {
 					r.pruneWt[slot] = graph.Inf
 				} else {
-					r.pruneWt[slot] = r.layWt[slot]
+					r.pruneWt[slot] = r.pricedWt[slot]
 				}
 			}
-			r.searches++
-			res, err = r.lay.shortestPathOn(r.lay.csr.WithWeights(r.pruneWt), src, dst, &r.search)
 		}
-		if err != nil {
-			if errors.Is(err, ErrUnroutable) {
-				return r.reject(src, dst, rate, attempt), nil
-			}
-			return Decision{}, err
+		cost, ok := r.route(src, dst, pruned)
+		if !ok {
+			return r.reject(src, dst, rate, attempt), nil
 		}
-		// Multi-traversal check: the walk may cross one physical link in
-		// several layers; the committed load is rate × traversals. The
-		// worst overflow is blocked; equal excess (a tour crossing two
-		// links twice each) goes to the lowest link index — the links come
-		// in ascending order, so the first maximum is it. Admission must
-		// replay identically.
-		links := r.walkLinks(res.Walk)
+		// Multi-traversal check: the walk may cross one physical link
+		// several times; the committed load is rate × traversals. The
+		// worst overflow is blocked, equal excess (a tour crossing two
+		// links twice each) going to the lowest link index: admission
+		// must replay identically.
+		r.tally()
 		over, overBy := -1, 0.0
-		for _, link := range links {
+		for _, link := range r.touched {
 			excess := r.load[link] + float64(r.cnt[link])*rate - r.cfg.Capacity*r.cfg.MaxUtilization
-			if excess > 1e-12 && excess > overBy {
+			if excess > 1e-12 && (excess > overBy || excess == overBy && int(link) < over) {
 				over, overBy = int(link), excess
 			}
 		}
 		if over < 0 {
-			for _, link := range links {
+			for _, link := range r.touched {
 				r.load[link] += float64(r.cnt[link]) * rate
 				r.minHeadroom = min(r.minHeadroom, r.headroom(int(link)))
 			}
-			return Decision{Admitted: true, Cost: res.Cost, Walk: res.Walk, Gateways: res.Gateways, Reroutes: attempt}, nil
+			return Decision{Admitted: true, Cost: cost, Reroutes: attempt}, nil
 		}
 		r.blocked[over] = true
 	}
@@ -446,23 +388,21 @@ func (r *Router) headroom(link int) float64 {
 	return h
 }
 
-// walkLinks tallies a projected walk's per-link traversals into r.cnt
-// and returns the links it crosses in ascending index order. The tally
-// is valid until the next call, which clears it.
-func (r *Router) walkLinks(walk []int) []int32 {
+// tally counts the last route's per-link traversals into r.cnt and
+// lists the links it crosses in r.touched, in walk order. The tally is
+// valid until the next call, which clears it.
+func (r *Router) tally() {
 	for _, link := range r.touched {
 		r.cnt[link] = 0
 	}
 	r.touched = r.touched[:0]
-	for i := 0; i+1 < len(walk); i++ {
-		link := r.slotLink[r.priced.Arc(walk[i], walk[i+1])]
+	for _, slot := range r.walk {
+		link := r.slotLink[slot]
 		if r.cnt[link] == 0 {
 			r.touched = append(r.touched, link)
 		}
 		r.cnt[link]++
 	}
-	slices.Sort(r.touched)
-	return r.touched
 }
 
 // Loads returns a copy of the committed per-link loads (zero-load links

@@ -3,6 +3,7 @@ package sfcroute
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"vnfopt/internal/graph"
@@ -21,33 +22,40 @@ func linearPPDC(t *testing.T, switches int) *model.PPDC {
 	return model.MustNew(topo, model.Options{})
 }
 
-// starPPDC is h0 - s1 - h2 plus spur switches s3.. hanging off s1: the
-// only way a chain can visit a spur is to cross its link twice.
-func starPPDC(t *testing.T, spurs int) *model.PPDC {
+// relayPPDC is h0 - s1 - h2 plus a spur switch s3 that s1 reaches only
+// over one of `relays` two-hop detours s1 - r - s3: a chain through s3
+// crosses its detour's two links twice each, out and back.
+func relayPPDC(t *testing.T, relays int) *model.PPDC {
 	t.Helper()
-	n := 3 + spurs
+	n := 4 + relays
 	g := graph.New(n)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	topo := &topology.Topology{
-		Name:     "star",
+		Name:     "relay",
 		Graph:    g,
 		Hosts:    []int{0, 2},
-		Switches: []int{1},
+		Switches: []int{1, 3},
 		Kind:     make([]topology.NodeKind, n),
 		Labels:   make([]string, n),
 	}
-	topo.Kind[0], topo.Kind[1], topo.Kind[2] = topology.Host, topology.Switch, topology.Host
-	for i := 0; i < spurs; i++ {
-		v := 3 + i
+	topo.Kind[0], topo.Kind[1], topo.Kind[2], topo.Kind[3] = topology.Host, topology.Switch, topology.Host, topology.Switch
+	for v := 4; v < n; v++ {
 		g.AddEdge(1, v, 1)
+		g.AddEdge(v, 3, 1)
 		topo.Switches = append(topo.Switches, v)
 		topo.Kind[v] = topology.Switch
 	}
 	if err := topo.Validate(); err != nil {
-		t.Fatalf("star topology: %v", err)
+		t.Fatalf("relay topology: %v", err)
 	}
 	return model.MustNew(topo, model.Options{})
+}
+
+// lastWalk is the vertex walk of the route r assembled last.
+func lastWalk(t *testing.T, r *Router, src int) []int {
+	t.Helper()
+	return walkVertices(t, r.priced, src, r.walk)
 }
 
 func TestAdmitCommitsAndExhaustsCapacity(t *testing.T) {
@@ -145,21 +153,18 @@ func TestProvableRejectionOfInfeasibleChain(t *testing.T) {
 }
 
 func TestMultiTraversalOverflowTriggersReroute(t *testing.T) {
-	// One spur site off s1 per attempt the reroute bound allows; every
-	// candidate path crosses its spur link twice (out and back),
-	// overflowing capacity 6 at rate 4. The router tries every spur, then
-	// reports the failure as fragmentation: paths exist, none fits
-	// unsplittably.
-	d := starPPDC(t, maxReroutes+1)
+	// The one site s3 hangs off s1 behind one relay per attempt the
+	// reroute bound allows; every route detours over a relay and back,
+	// crossing its two links twice each and overflowing capacity 6 at
+	// rate 4. Each attempt blocks its detour, the next takes another,
+	// and the router reports the failure as fragmentation: paths exist,
+	// none fits unsplittably.
+	d := relayPPDC(t, maxReroutes+1)
 	r, err := NewRouter(d, Config{Capacity: 6, Classify: true})
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	spurs := make([]int, maxReroutes+1)
-	for i := range spurs {
-		spurs[i] = 3 + i
-	}
-	if err := r.BeginEpoch([][]int{spurs}); err != nil {
+	if err := r.BeginEpoch([][]int{{3}}); err != nil {
 		t.Fatalf("BeginEpoch: %v", err)
 	}
 	dec, err := r.Admit(0, 2, 4)
@@ -167,23 +172,29 @@ func TestMultiTraversalOverflowTriggersReroute(t *testing.T) {
 		t.Fatalf("Admit: %v", err)
 	}
 	if dec.Admitted {
-		t.Fatalf("admitted a flow that overflows every spur: %+v", dec)
+		t.Fatalf("admitted a flow that overflows every detour: %+v", dec)
 	}
-	if dec.Reason != ReasonFragmented {
-		t.Fatalf("reason %q, want %q (relaxation bound 6 ≥ 4, so not infeasible)", dec.Reason, ReasonFragmented)
+	if dec.Reason != ReasonFragmented || dec.Reroutes != maxReroutes {
+		t.Fatalf("reason %q after %d reroutes, want %q after %d (relaxation bound 6 ≥ 4, so not infeasible)",
+			dec.Reason, dec.Reroutes, ReasonFragmented, maxReroutes)
 	}
 	if len(r.Loads()) != 0 {
 		t.Fatalf("rejected flow left committed load: %v", r.Loads())
 	}
-	// Halving the rate fits a single traversal pair: admitted, and the
-	// spur link carries 2 traversals × rate.
+	// Rate 3 fits one detour crossed twice: admitted on the first, whose
+	// links each carry 2 traversals × rate.
 	dec, err = r.Admit(0, 2, 3)
-	if err != nil || !dec.Admitted {
+	if err != nil || !dec.Admitted || dec.Reroutes != 0 {
 		t.Fatalf("rate-3 flow: %+v, %v", dec, err)
 	}
-	spur := mkLink(dec.Walk[1], dec.Walk[2])
-	if got := r.Loads()[spur]; got != 6 {
-		t.Fatalf("spur link %v carries %v, want 6 (two traversals)", spur, got)
+	walk := lastWalk(t, r, 0)
+	if want := []int{0, 1, 4, 3, 4, 1, 2}; !slices.Equal(walk, want) {
+		t.Fatalf("walk %v, want %v", walk, want)
+	}
+	for _, l := range []routing.Link{{U: 1, V: 4}, {U: 3, V: 4}} {
+		if got := r.Loads()[l]; got != 6 {
+			t.Fatalf("detour link %v carries %v, want 6 (two traversals)", l, got)
+		}
 	}
 }
 
@@ -235,6 +246,7 @@ func TestCongestionPricingSpreadsAcrossEpochs(t *testing.T) {
 		if err != nil || !d1.Admitted {
 			t.Fatalf("epoch-1 admit: %+v, %v", d1, err)
 		}
+		w1 := lastWalk(t, r, src)
 		if err := r.BeginEpoch(nil); err != nil {
 			t.Fatalf("BeginEpoch 2: %v", err)
 		}
@@ -242,29 +254,17 @@ func TestCongestionPricingSpreadsAcrossEpochs(t *testing.T) {
 		if err != nil || !d2.Admitted {
 			t.Fatalf("epoch-2 admit: %+v, %v", d2, err)
 		}
-		return d1.Walk, d2.Walk
+		return w1, lastWalk(t, r, src)
 	}
 
 	w1, w2 := route(0)
-	if !equalWalks(w1, w2) {
+	if !slices.Equal(w1, w2) {
 		t.Fatalf("alpha=0 routed differently across epochs: %v vs %v", w1, w2)
 	}
 	w1, w2 = route(2)
-	if equalWalks(w1, w2) {
+	if slices.Equal(w1, w2) {
 		t.Fatalf("alpha=2 kept the loaded path across epochs: %v", w2)
 	}
-}
-
-func equalWalks(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestBeginEpochResetsLoadsAndReprices(t *testing.T) {
@@ -402,5 +402,65 @@ func TestAdmitDeterministicUnderTightCapacity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFailedBeginEpochChangesNothing: BeginEpoch validates the sites
+// before it touches anything. A refused call leaves the committed loads
+// and prices as they were, admission refuses until a BeginEpoch
+// succeeds, and that one prices from the loads still committed — the
+// same epoch a router that never saw the bad call begins.
+func TestFailedBeginEpochChangesNothing(t *testing.T) {
+	d := linearPPDC(t, 2)
+	routers := make([]*Router, 2)
+	for i := range routers {
+		r, err := NewRouter(d, Config{Capacity: 10, Alpha: 1, Classify: true})
+		if err != nil {
+			t.Fatalf("NewRouter: %v", err)
+		}
+		if err := r.BeginEpoch(PlacementSites(model.Placement{1})); err != nil {
+			t.Fatalf("BeginEpoch: %v", err)
+		}
+		if dec, err := r.Admit(0, 3, 5); err != nil || !dec.Admitted {
+			t.Fatalf("Admit: %+v, %v", dec, err)
+		}
+		routers[i] = r
+	}
+	bad, good := routers[0], routers[1]
+	loads := bad.Loads()
+	for _, sites := range [][][]int{{{1}, {}}, {{1}, {2, 1}}} {
+		if err := bad.BeginEpoch(sites); err == nil {
+			t.Fatalf("accepted sites %v", sites)
+		}
+		if got := bad.Loads(); !reflect.DeepEqual(got, loads) {
+			t.Fatalf("refused BeginEpoch(%v) changed the loads: %v, was %v", sites, got, loads)
+		}
+	}
+	if _, err := bad.Admit(0, 3, 1); err == nil {
+		t.Fatal("Admit after a refused BeginEpoch succeeded")
+	}
+	if _, err := bad.AdmitAll([]Demand{{Src: 0, Dst: 3, Rate: 1}}); err == nil {
+		t.Fatal("AdmitAll after a refused BeginEpoch succeeded")
+	}
+	if _, err := bad.maxFlow(0, 3); err == nil {
+		t.Fatal("maxFlow after a refused BeginEpoch succeeded")
+	}
+	var decs [2]Decision
+	for i, r := range routers {
+		if err := r.BeginEpoch(PlacementSites(model.Placement{2})); err != nil {
+			t.Fatalf("BeginEpoch: %v", err)
+		}
+		dec, err := r.Admit(0, 3, 1)
+		if err != nil || !dec.Admitted {
+			t.Fatalf("Admit: %+v, %v", dec, err)
+		}
+		decs[i] = dec
+	}
+	// u = 0.5 on the three links: priced cost = 3 · (1 + 1·0.5/0.5) = 6.
+	if decs[0] != decs[1] || decs[0].Cost != 6 {
+		t.Fatalf("after the refused call %+v, without it %+v; want cost 6", decs[0], decs[1])
+	}
+	if got, want := bad.Loads(), good.Loads(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("loads %v, want %v", got, want)
 	}
 }

@@ -30,7 +30,7 @@ var reachAllowed = map[string]string{
 	"graph.AllPairsSequential": "oracle: the one-source-at-a-time APSP every parallel and incremental build is held to bit for bit",
 	"graph.APSP.Built":         "harness: which rows a lazily built matrix holds; the engine and fault tests pin a workload's read set with it",
 	"graph.Graph.Dijkstra":     "oracle: the adjacency-list Dijkstra the CSR kernels are held to",
-	"graph.CSR.Dijkstra":       "oracle: the full single-source search the bounded layered search of sfcroute is held to",
+	"graph.CSR.Dijkstra":       "oracle: the full single-source search sfcroute holds a route with no stage to (TestEmptyChainIsPlainShortestPath)",
 	"graph.Graph.EdgeWeight":   "oracle: an edge's weight read off the adjacency list; the degrade tests hold rebuilt fabrics to it",
 	"topology.Jellyfish":       "harness: the random-regular fabric of the generality tests and the large-fabric APSP benchmarks",
 	"migration.FullFrontiers":  "ablation: the exhaustive-frontier row, `BenchmarkAblationFullFrontier`",
