@@ -139,8 +139,14 @@ func TestRoutingEndpointDisabled(t *testing.T) {
 	if code := do(t, ts, "GET", "/v1/scenarios/ghost/routing", nil, nil); code != 404 {
 		t.Fatalf("routing on missing scenario: %d, want 404", code)
 	}
-	bad := map[string]any{"id": "bad", "routing": map[string]any{"link_capacity": -5}}
-	if code := do(t, ts, "POST", "/v1/scenarios", bad, nil); code != 422 {
-		t.Fatalf("negative capacity accepted: %d", code)
+	for _, routing := range []map[string]any{
+		{"link_capacity": -5},
+		{"link_capacity": 100, "saturation_threshold": -0.1},
+		{"link_capacity": 100, "saturation_threshold": 1.5},
+	} {
+		bad := map[string]any{"id": "bad", "routing": routing}
+		if code := do(t, ts, "POST", "/v1/scenarios", bad, nil); code != 422 {
+			t.Fatalf("routing %v accepted: %d, want 422", routing, code)
+		}
 	}
 }

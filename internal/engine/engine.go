@@ -39,7 +39,6 @@ import (
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/placement"
-	"vnfopt/internal/routing"
 	"vnfopt/internal/sfcroute"
 )
 
@@ -223,11 +222,11 @@ type Engine struct {
 
 	// Capacity-aware routing state (see routing.go). router is rebuilt
 	// lazily whenever the serving model changes; routingReport holds the
-	// last completed pass, pricedFrom the link loads that priced it
-	// (Routing.Alpha > 0 only; empty after a rebuild).
+	// last completed pass, pricedFrom the link loads that priced it, in
+	// link order (Routing.Alpha > 0 only; empty after a rebuild).
 	router        *sfcroute.Router
 	routingReport *RoutingReport
-	pricedFrom    map[routing.Link]float64
+	pricedFrom    []PricedLink
 
 	epoch          int
 	committedCost  float64
@@ -277,6 +276,9 @@ func build(cfg Config) (*Engine, error) {
 		rc := *cfg.Routing // engine owns its copy; defaults don't leak back
 		if rc.LinkCapacity <= 0 || math.IsNaN(rc.LinkCapacity) || math.IsInf(rc.LinkCapacity, 0) {
 			return nil, fmt.Errorf("engine: routing link capacity %v must be positive and finite", rc.LinkCapacity)
+		}
+		if !(rc.SaturationThreshold >= 0 && rc.SaturationThreshold <= 1) {
+			return nil, fmt.Errorf("engine: routing saturation threshold %v outside [0,1]", rc.SaturationThreshold)
 		}
 		if rc.SaturationThreshold == 0 {
 			rc.SaturationThreshold = 0.40 // the paper's provisioning point

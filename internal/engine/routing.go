@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"vnfopt/internal/routing"
 	"vnfopt/internal/sfcroute"
 )
 
@@ -28,10 +27,11 @@ type RoutingConfig struct {
 	// (0 = 1.0). Set 0.40 to admit against the paper's provisioning point.
 	MaxUtilization float64 `json:"max_utilization,omitempty"`
 	// SaturationThreshold marks links "saturated" in reports when their
-	// utilization strictly exceeds it (0 = the paper's 0.40).
+	// utilization strictly exceeds it: in [0, 1], 0 = the paper's 0.40.
 	SaturationThreshold float64 `json:"saturation_threshold,omitempty"`
-	// Classify runs the layered max-flow bound on every rejection to
-	// label provably-infeasible flows (one mcf solve per rejection).
+	// Classify runs the max-flow bound on every rejection to label
+	// provably-infeasible flows (one mcf solve per chain leg per
+	// rejection).
 	Classify bool `json:"classify,omitempty"`
 }
 
@@ -59,14 +59,14 @@ type RoutingReport struct {
 	RejectedRate float64 `json:"rejected_rate"`
 	// RejectReasons histograms rejections by sfcroute reason.
 	RejectReasons map[string]int `json:"reject_reasons,omitempty"`
-	// MaxUtilization is the hottest link's utilization; MaxLink its
-	// identity.
-	MaxUtilization float64      `json:"max_utilization"`
-	MaxLink        routing.Link `json:"max_link"`
+	// MaxUtilization is the hottest link's utilization and MaxLink its
+	// identity: Links[0]'s, zero when no link is loaded.
+	MaxUtilization float64       `json:"max_utilization"`
+	MaxLink        sfcroute.Link `json:"max_link"`
 	// Links lists every loaded link hottest-first with capacity headroom;
 	// Saturated is the prefix above SaturationThreshold.
-	Links     []routing.LinkLoad `json:"links"`
-	Saturated []routing.LinkLoad `json:"saturated,omitempty"`
+	Links     []sfcroute.LinkLoad `json:"links"`
+	Saturated []sfcroute.LinkLoad `json:"saturated,omitempty"`
 	// Decisions holds the per-flow outcomes, indexed like the base
 	// workload (unserved flows omitted).
 	Decisions []FlowDecision `json:"decisions"`
@@ -116,7 +116,7 @@ func (e *Engine) routeEpoch() error {
 		return err
 	}
 	if rc.Alpha > 0 {
-		e.pricedFrom = e.router.Loads()
+		e.pricedFrom = e.router.PricedLoads(e.pricedFrom[:0])
 	}
 	if err := e.router.BeginEpoch(sfcroute.PlacementSites(e.p)); err != nil {
 		return fmt.Errorf("routing: %w", err)
@@ -163,7 +163,9 @@ func (e *Engine) routeEpoch() error {
 		}
 	}
 	rep.Saturated = rep.Links[:cut]
-	rep.MaxUtilization, rep.MaxLink = e.router.MaxUtilization()
+	if len(rep.Links) > 0 {
+		rep.MaxUtilization, rep.MaxLink = rep.Links[0].Utilization, rep.Links[0].Link
+	}
 	e.routingReport = rep
 	e.obs.observeRouting(rep, time.Since(start), e.router.Searches(), e.router.Settled())
 	return nil
@@ -194,7 +196,7 @@ func (e *Engine) RoutingReport() *RoutingReport {
 		return nil
 	}
 	cp := *rep
-	cp.Links = append([]routing.LinkLoad(nil), rep.Links...)
+	cp.Links = append([]sfcroute.LinkLoad(nil), rep.Links...)
 	cp.Saturated = cp.Links[:len(rep.Saturated)]
 	cp.Decisions = append([]FlowDecision(nil), rep.Decisions...)
 	if rep.RejectReasons != nil {

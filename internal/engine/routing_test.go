@@ -2,8 +2,11 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vnfopt/internal/fault"
@@ -191,6 +194,12 @@ func TestEngineRoutingConfigValidation(t *testing.T) {
 		Routing: &RoutingConfig{LinkCapacity: 10, Alpha: -1}}); err == nil {
 		t.Fatal("accepted negative alpha")
 	}
+	for _, thr := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+			Routing: &RoutingConfig{LinkCapacity: 10, SaturationThreshold: thr}}); err == nil {
+			t.Fatalf("accepted saturation threshold %v", thr)
+		}
+	}
 }
 
 // TestEngineAdmissionSpreadsWithinEpoch pins the mechanism behind the
@@ -222,6 +231,40 @@ func TestEngineAdmissionSpreadsWithinEpoch(t *testing.T) {
 		if !dec.Admitted && dec.Reason == sfcroute.ReasonInfeasible {
 			t.Fatalf("flow %d provably infeasible under 0.40 target: %+v", dec.Flow, dec)
 		}
+	}
+}
+
+// TestResumeRefusesRepeatedPricedLink: State lists priced_from in link
+// order, one record a link. A state naming a link twice is refused with
+// an error naming the link, not resumed on whichever record came last.
+func TestResumeRefusesRepeatedPricedLink(t *testing.T) {
+	d, sfc, w := routingScenario(t)
+	cfg := Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+		Routing: &RoutingConfig{LinkCapacity: 12, Alpha: 1}}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := e.Step(); err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	st := e.State()
+	if len(st.PricedFrom) == 0 {
+		t.Fatal("no priced_from after a priced pass")
+	}
+	if _, err := resume(cfg, st); err != nil {
+		t.Fatalf("resume of the saved state: %v", err)
+	}
+	dup := st.PricedFrom[0]
+	dup.Load++
+	st.PricedFrom = append(st.PricedFrom[:1], append([]PricedLink{dup}, st.PricedFrom[1:]...)...)
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("link (%d,%d) repeated", dup.U, dup.V)
+	if _, err := ResumeJSON(cfg, blob); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ResumeJSON with a repeated link: %v, want an error with %q", err, want)
 	}
 }
 

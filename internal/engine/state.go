@@ -1,14 +1,13 @@
 package engine
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
 
 	"vnfopt/internal/fault"
 	"vnfopt/internal/model"
-	"vnfopt/internal/routing"
+	"vnfopt/internal/sfcroute"
 )
 
 // State is the engine's durable core — everything needed to resume the
@@ -31,7 +30,8 @@ type State struct {
 	// a restarted engine comes back in the same degraded mode it left.
 	Faults []fault.Fault `json:"faults,omitempty"`
 	// PricedFrom holds the link loads that priced the last routing pass,
-	// by link (Routing.Alpha > 0; absent when that pass ran unpriced).
+	// in link order (Routing.Alpha > 0; absent when that pass ran
+	// unpriced).
 	// resume re-runs the pass from them, so the routing report and every
 	// later pass come out as the saved engine's.
 	PricedFrom []PricedLink `json:"priced_from,omitempty"`
@@ -40,11 +40,7 @@ type State struct {
 }
 
 // PricedLink is one link's load in State.PricedFrom.
-type PricedLink struct {
-	U    int     `json:"u"`
-	V    int     `json:"v"`
-	Load float64 `json:"load"`
-}
+type PricedLink = sfcroute.PricedLink
 
 // State captures the engine's durable core. Pending (un-stepped) updates
 // are not part of it: an epoch that has not closed has not happened — a
@@ -63,12 +59,9 @@ func (e *Engine) State() *State {
 		Metrics:        e.met,
 	}
 	st.Metrics.Trajectory = append([]float64(nil), e.met.Trajectory...)
-	for l, load := range e.pricedFrom {
-		st.PricedFrom = append(st.PricedFrom, PricedLink{U: l.U, V: l.V, Load: load})
+	if len(e.pricedFrom) > 0 {
+		st.PricedFrom = slices.Clone(e.pricedFrom)
 	}
-	slices.SortFunc(st.PricedFrom, func(a, b PricedLink) int {
-		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
-	})
 	return st
 }
 
@@ -131,11 +124,7 @@ func resume(cfg Config, st *State) (*Engine, error) {
 		if err := e.ensureRouter(); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
-		loads := make(map[routing.Link]float64, len(st.PricedFrom))
-		for _, pl := range st.PricedFrom {
-			loads[routing.Link{U: pl.U, V: pl.V}] = pl.Load
-		}
-		if err := e.router.SetLoads(loads); err != nil {
+		if err := e.router.SetLoads(st.PricedFrom); err != nil {
 			return nil, fmt.Errorf("engine: state priced_from: %w", err)
 		}
 	}

@@ -120,13 +120,9 @@ func TestAdmitAllMatchesPerFlowAdmit(t *testing.T) {
 						if batch.Searches() != each.Searches() {
 							t.Fatalf("epoch %d: AdmitAll ran %d searches, the per-flow loop %d", epoch, batch.Searches(), each.Searches())
 						}
-						gl, wl := batch.Loads(), each.Loads()
-						if len(gl) != len(wl) {
-							t.Fatalf("epoch %d: %d loaded links, want %d", epoch, len(gl), len(wl))
-						}
-						for l, w := range wl {
-							if math.Float64bits(gl[l]) != math.Float64bits(w) {
-								t.Fatalf("epoch %d link %v: load %v, want %v", epoch, l, gl[l], w)
+						for i, w := range each.load {
+							if math.Float64bits(batch.load[i]) != math.Float64bits(w) {
+								t.Fatalf("epoch %d link %v: load %v, want %v", epoch, each.links[i], batch.load[i], w)
 							}
 						}
 					}
@@ -171,7 +167,7 @@ func TestAdmitAllStopsAtInvalidDemand(t *testing.T) {
 	if len(decs) != 1 || !decs[0].Admitted {
 		t.Fatalf("decisions before the failing demand: %+v, want the one admitted flow", decs)
 	}
-	if got, want := batch.Loads(), each.Loads(); len(got) != 3 || len(want) != 3 {
+	if got, want := batch.PricedLoads(nil), each.PricedLoads(nil); len(got) != 3 || len(want) != 3 {
 		t.Fatalf("loads after the failure: %v, want %v", got, want)
 	}
 	// An endpoint off the fabric fails in turn too, not up front.

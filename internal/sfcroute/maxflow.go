@@ -1,72 +1,63 @@
 package sfcroute
 
 import (
-	"fmt"
 	"math"
 
-	"vnfopt/internal/graph"
 	"vnfopt/internal/mcf"
-	"vnfopt/internal/routing"
 )
 
-// The flow-network side of the layered transformation. True
+// The flow side of Sallam et al.'s layered transformation. True
 // SFC-constrained max flow with link capacities *shared across layers*
-// is NP-hard, so the network built here applies each link's capacity
-// per (layer, direction) copy — a polynomial relaxation whose optimum
-// can only exceed the true value. That direction is exactly what
-// admission control needs: if even the relaxation cannot ship a demand,
-// the demand is provably unroutable and must be rejected. Conversely a
-// path found by the Router is a feasibility certificate, so the two
-// bounds bracket the NP-hard quantity from both sides.
+// is NP-hard; the relaxation here applies each link's capacity per
+// (layer, direction) copy, so its optimum can only exceed the true
+// value. That direction is exactly what admission control needs: if even
+// the relaxation cannot ship a demand, the demand is provably unroutable
+// and must be rejected. Conversely a path found by the Router is a
+// feasibility certificate, so the two bounds bracket the NP-hard
+// quantity from both sides.
+//
+// With one site per stage the layered network is a series of its legs:
+// layer ℓ is entered only through the crossing at p_ℓ and left only
+// through the crossing at p_{ℓ+1}, and each layer has capacities of its
+// own, so every unit of flow crosses every leg and the relaxation's max
+// flow is the least of the legs' max flows on the fabric alone.
 
-// maxFlow computes the chain-constrained max-flow relaxation bound from
-// src to dst: the most traffic any routing (splittable, multi-path)
-// could push through the chain if every link offered its full capacity
-// in every layer. A demand above the returned Flow is provably
-// unroutable. The mcf network is the layered expansion: per layer, two
-// arcs per undirected link (capacity capOf, cost = link weight); per
-// stage, one uncapacitated zero-cost crossing arc at every site.
-func maxFlow(g *graph.Graph, sites [][]int, src, dst int, capOf func(routing.Link) float64) (mcf.Result, error) {
-	V := g.Order()
-	if err := validateSites(sites, V); err != nil {
-		return mcf.Result{}, err
+// maxFlow is the Router's residual-capacity bound: the least max flow of
+// the legs src → p_1, p_ℓ → p_{ℓ+1} and p_n → dst, each on the fabric
+// with every arc's capacity its link's headroom (capacity ×
+// MaxUtilization − load) and its cost the link's weight. A leg whose ends
+// are one vertex is unbounded, so with no other leg the bound is +Inf. A
+// leg stops augmenting at the least flow of the legs before it, which
+// cannot lower the least. Admit consults it to prove rejections.
+func (r *Router) maxFlow(src, dst int) (float64, error) {
+	if !r.ready {
+		return 0, errNoEpoch
 	}
-	layers := len(sites) + 1
-	nw := mcf.NewNetwork(layers * V)
-	edges := g.Edges()
-	for l := 0; l < layers; l++ {
-		off := l * V
-		for _, rec := range edges {
-			c := capOf(routing.Link{U: rec.U, V: rec.V})
-			if c < 0 || math.IsNaN(c) {
-				return mcf.Result{}, fmt.Errorf("sfcroute: link (%d,%d) has invalid capacity %v", rec.U, rec.V, c)
+	bound, at := math.Inf(1), src
+	for l := 0; l <= len(r.sites) && bound > 0; l++ {
+		next := dst
+		if l < len(r.sites) {
+			next = r.sites[l]
+		}
+		if at != next {
+			flow, err := r.legFlow(at, next, bound)
+			if err != nil {
+				return 0, err
 			}
-			nw.AddArc(off+rec.U, off+rec.V, c, rec.Weight)
-			nw.AddArc(off+rec.V, off+rec.U, c, rec.Weight)
+			bound = min(bound, flow)
 		}
+		at = next
 	}
-	for l, stage := range sites {
-		off := l * V
-		for _, s := range stage {
-			nw.AddArc(off+s, off+V+s, math.Inf(1), 0)
-		}
-	}
-	s, t := src, len(sites)*V+dst
-	if s == t {
-		// n=0 with identical endpoints: nothing constrains the flow.
-		return mcf.Result{Flow: math.Inf(1)}, nil
-	}
-	return nw.MinCostFlow(s, t, math.Inf(1))
+	return bound, nil
 }
 
-// maxFlow is the Router's residual-capacity bound: the relaxation
-// computed against current headroom (capacity × MaxUtilization − load).
-// Admit consults it to prove rejections.
-func (r *Router) maxFlow(src, dst int) (mcf.Result, error) {
-	if !r.ready {
-		return mcf.Result{}, errNoEpoch
-	}
-	return maxFlow(r.d.Topo.Graph, PlacementSites(r.sites), src, dst, func(l routing.Link) float64 {
-		return r.headroom(r.lidx[l])
+// legFlow is the max flow from a to b ≠ a on the fabric, up to limit:
+// one mcf arc per slot, with its link's headroom as capacity.
+func (r *Router) legFlow(a, b int, limit float64) (float64, error) {
+	nw := mcf.NewNetwork(r.priced.Order())
+	r.priced.ForEachSlot(func(slot, u, v int, _ float64) {
+		nw.AddArc(u, v, r.headroom(int(r.slotLink[slot])), r.baseWt[slot])
 	})
+	res, err := nw.MinCostFlow(a, b, limit)
+	return res.Flow, err
 }

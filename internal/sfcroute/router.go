@@ -1,13 +1,14 @@
 package sfcroute
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
-	"vnfopt/internal/routing"
 )
 
 // Config tunes a Router.
@@ -26,9 +27,9 @@ type Config struct {
 	// capacity (default 1.0). Set it to the provisioning point (e.g.
 	// 0.40) to admit against headroom instead of raw capacity.
 	MaxUtilization float64
-	// Classify runs the layered max-flow bound on every rejection to
-	// distinguish provably infeasible demands (bound < rate) from
-	// unsplittable-path failures. Costs one mcf solve per rejection.
+	// Classify runs the max-flow bound on every rejection to distinguish
+	// provably infeasible demands (bound < rate) from unsplittable-path
+	// failures. Costs one mcf solve per chain leg per rejection.
 	Classify bool
 }
 
@@ -59,6 +60,32 @@ type Decision struct {
 	Reason   string  `json:"reason,omitempty"`
 }
 
+// Link is an undirected fabric link with U < V. Links are ordered by
+// (U, V): the link order of a Router's loads and of its records.
+type Link struct {
+	U, V int
+}
+
+// LinkLoad is one link's capacity-aware load record: the traffic it
+// carries, its capacity, the resulting utilization fraction, and the
+// remaining headroom (capacity − load, clamped at 0).
+type LinkLoad struct {
+	Link        Link    `json:"link"`
+	Load        float64 `json:"load"`
+	Capacity    float64 `json:"capacity"`
+	Utilization float64 `json:"utilization"`
+	Headroom    float64 `json:"headroom"`
+}
+
+// PricedLink is one link's committed load, which the next BeginEpoch
+// prices from: PricedLoads lists them in link order, and SetLoads takes
+// them so.
+type PricedLink struct {
+	U    int     `json:"u"`
+	V    int     `json:"v"`
+	Load float64 `json:"load"`
+}
+
 // errNoEpoch refuses admission outside an epoch.
 var errNoEpoch = errors.New("sfcroute: no epoch: BeginEpoch not called, or the last call failed")
 
@@ -71,9 +98,10 @@ type Router struct {
 	d   *model.PPDC
 	cfg Config
 
-	links []routing.Link
-	load  []float64 // committed load per link
-	lidx  map[routing.Link]int
+	// links holds the fabric's links in link order and load their
+	// committed loads: the router's one load store.
+	links []Link
+	load  []float64
 
 	// Fabric slot tables: slotLink[s] is the link index of slot s and
 	// baseWt its pristine weight; pricedWt holds the epoch's congestion
@@ -149,34 +177,33 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	if cfg.MaxUtilization < 0 || cfg.MaxUtilization > 1 {
 		return nil, fmt.Errorf("sfcroute: max utilization %v outside (0,1]", cfg.MaxUtilization)
 	}
-	r := &Router{d: d, cfg: cfg, lidx: make(map[routing.Link]int)}
-	// Parallel edges (none in the shipped topologies) collapse onto one
-	// physical link sharing one capacity.
-	for _, rec := range d.Topo.Graph.Edges() {
-		l := routing.Link{U: rec.U, V: rec.V}
-		if _, dup := r.lidx[l]; dup {
-			continue
+	r := &Router{d: d, cfg: cfg}
+	r.freeze(d.Topo.Graph)
+	return r, nil
+}
+
+// freeze indexes the links of fabric g and sizes the weight views, slot
+// tables and search state for its snapshot. Graph.Edges is sorted by
+// (U, V), so the links come in link order; parallel edges (none in the
+// shipped topologies) collapse onto one physical link sharing one
+// capacity.
+func (r *Router) freeze(g *graph.Graph) {
+	for _, rec := range g.Edges() {
+		if l := (Link{U: rec.U, V: rec.V}); len(r.links) == 0 || r.links[len(r.links)-1] != l {
+			r.links = append(r.links, l)
 		}
-		r.lidx[l] = len(r.links)
-		r.links = append(r.links, l)
 	}
 	r.load = make([]float64, len(r.links))
 	r.blocked = make([]bool, len(r.links))
 	r.cnt = make([]int32, len(r.links))
-	base := d.Topo.Graph.Freeze() // pristine fabric weights
-	r.freeze(base)
-	r.slotLink = make([]int32, base.NumSlots())
-	base.ForEachSlot(func(slot, u, v int, _ float64) {
-		r.slotLink[slot] = int32(r.lidx[mkLink(u, v)])
-	})
-	return r, nil
-}
-
-// freeze sizes the weight views and search state for a fabric snapshot.
-func (r *Router) freeze(base *graph.CSR) {
+	base := g.Freeze() // pristine fabric weights
 	n, ns := base.Order(), base.NumSlots()
+	r.slotLink = make([]int32, ns)
 	r.baseWt, r.pricedWt, r.pruneWt = make([]float64, ns), make([]float64, ns), make([]float64, ns)
-	base.ForEachSlot(func(slot, _, _ int, w float64) { r.baseWt[slot] = w })
+	base.ForEachSlot(func(slot, u, v int, w float64) {
+		i, _ := r.link(u, v)
+		r.slotLink[slot], r.baseWt[slot] = int32(i), w
+	})
 	copy(r.pricedWt, r.baseWt)
 	r.priced, r.pruned = base.WithWeights(r.pricedWt), base.WithWeights(r.pruneWt)
 	r.dist, r.prev = make([]float64, n), make([]int32, n)
@@ -185,11 +212,15 @@ func (r *Router) freeze(base *graph.CSR) {
 	r.sssp.Visit = r.stop
 }
 
-func mkLink(a, b int) routing.Link {
+// link returns the index of the link joining a and b; ok is false when
+// the fabric has none.
+func (r *Router) link(a, b int) (i int, ok bool) {
 	if a > b {
 		a, b = b, a
 	}
-	return routing.Link{U: a, V: b}
+	return slices.BinarySearchFunc(r.links, Link{U: a, V: b}, func(x, t Link) int {
+		return cmp.Or(cmp.Compare(x.U, t.U), cmp.Compare(x.V, t.V))
+	})
 }
 
 // Model returns the PPDC the router was frozen from — the engine
@@ -372,7 +403,7 @@ func (r *Router) reject(src, dst int, rate float64, attempts int) Decision {
 		return d
 	}
 	bound, err := r.maxFlow(src, dst)
-	if err == nil && bound.Flow < rate-1e-9 {
+	if err == nil && bound < rate-1e-9 {
 		d.Reason = ReasonInfeasible
 	}
 	return d
@@ -405,50 +436,58 @@ func (r *Router) tally() {
 	}
 }
 
-// Loads returns a copy of the committed per-link loads (zero-load links
-// omitted), in the map form internal/routing's reports consume.
-func (r *Router) Loads() map[routing.Link]float64 {
-	out := make(map[routing.Link]float64)
-	for i, l := range r.links {
-		if r.load[i] > 0 {
-			out[l] = r.load[i]
+// PricedLoads appends the loaded links' committed loads to buf, in link
+// order.
+func (r *Router) PricedLoads(buf []PricedLink) []PricedLink {
+	for i, v := range r.load {
+		if v > 0 {
+			buf = append(buf, PricedLink{U: r.links[i].U, V: r.links[i].V, Load: v})
 		}
 	}
-	return out
+	return buf
 }
 
-// SetLoads replaces the committed loads with a Loads result saved from a
-// router over the same fabric, so the next BeginEpoch prices from them:
-// a resumed engine re-enters the drift loop where the saved one stood.
-func (r *Router) SetLoads(loads map[routing.Link]float64) error {
+// SetLoads replaces the committed loads with records PricedLoads listed
+// on a router over the same fabric, so the next BeginEpoch prices from
+// them: a resumed engine re-enters the drift loop where the saved one
+// stood. The records must be in link order; a link named twice is
+// refused.
+func (r *Router) SetLoads(recs []PricedLink) error {
 	clear(r.load)
-	for l, v := range loads {
-		i, ok := r.lidx[mkLink(l.U, l.V)]
-		if !ok {
-			return fmt.Errorf("sfcroute: no link (%d,%d) in the fabric", l.U, l.V)
+	last := -1
+	for _, rec := range recs {
+		i, ok := r.link(rec.U, rec.V)
+		switch {
+		case !ok:
+			return fmt.Errorf("sfcroute: no link (%d,%d) in the fabric", rec.U, rec.V)
+		case i == last:
+			return fmt.Errorf("sfcroute: link (%d,%d) repeated", rec.U, rec.V)
+		case i < last:
+			return fmt.Errorf("sfcroute: link (%d,%d) out of link order", rec.U, rec.V)
+		case rec.Load < 0 || math.IsNaN(rec.Load) || math.IsInf(rec.Load, 0):
+			return fmt.Errorf("sfcroute: link (%d,%d): invalid load %v", rec.U, rec.V, rec.Load)
 		}
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("sfcroute: link (%d,%d): invalid load %v", l.U, l.V, v)
-		}
-		r.load[i] = v
+		r.load[i], last = rec.Load, i
 	}
 	return nil
 }
 
-// LinkLoads returns the capacity-aware load records of the committed
-// flows, hottest first.
-func (r *Router) LinkLoads() []routing.LinkLoad {
-	return routing.Loads(r.Loads(), r.cfg.Capacity)
-}
-
-// MaxUtilization returns the hottest link's utilization and identity
-// (zero when nothing is routed).
-func (r *Router) MaxUtilization() (float64, routing.Link) {
-	best, link := 0.0, routing.Link{}
-	for i := range r.links {
-		if u := r.load[i] / r.cfg.Capacity; u > best {
-			best, link = u, r.links[i]
+// LinkLoads returns the capacity-aware load records of the loaded links,
+// hottest first; links of equal utilization keep link order.
+func (r *Router) LinkLoads() []LinkLoad {
+	loaded := 0
+	for _, v := range r.load {
+		if v > 0 {
+			loaded++
 		}
 	}
-	return best, link
+	c := r.cfg.Capacity
+	out := make([]LinkLoad, 0, loaded)
+	for i, v := range r.load {
+		if v > 0 {
+			out = append(out, LinkLoad{Link: r.links[i], Load: v, Capacity: c, Utilization: v / c, Headroom: max(c-v, 0)})
+		}
+	}
+	slices.SortStableFunc(out, func(a, b LinkLoad) int { return cmp.Compare(b.Utilization, a.Utilization) })
+	return out
 }

@@ -4,11 +4,11 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
-	"vnfopt/internal/routing"
 	"vnfopt/internal/topology"
 )
 
@@ -52,6 +52,16 @@ func relayPPDC(t *testing.T, relays int) *model.PPDC {
 	return model.MustNew(topo, model.Options{})
 }
 
+// loadOn is the committed load of link (u, v).
+func loadOn(t *testing.T, r *Router, u, v int) float64 {
+	t.Helper()
+	i, ok := r.link(u, v)
+	if !ok {
+		t.Fatalf("no link (%d,%d)", u, v)
+	}
+	return r.load[i]
+}
+
 // lastWalk is the vertex walk of the route r assembled last.
 func lastWalk(t *testing.T, r *Router, src int) []int {
 	t.Helper()
@@ -76,10 +86,9 @@ func TestAdmitCommitsAndExhaustsCapacity(t *testing.T) {
 			t.Fatalf("Admit %d: %+v", i, dec)
 		}
 	}
-	loads := r.Loads()
-	for _, l := range []routing.Link{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}} {
-		if loads[l] != 8 {
-			t.Fatalf("link %v carries %v, want 8", l, loads[l])
+	for _, l := range []Link{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}} {
+		if got := loadOn(t, r, l.U, l.V); got != 8 {
+			t.Fatalf("link %v carries %v, want 8", l, got)
 		}
 	}
 	// Third flow needs 4 but only 2 headroom remains anywhere: the
@@ -95,15 +104,17 @@ func TestAdmitCommitsAndExhaustsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("maxFlow: %v", err)
 	}
-	if bound.Flow != 2 {
-		t.Fatalf("residual max-flow bound %v, want 2", bound.Flow)
+	if bound != 2 {
+		t.Fatalf("residual max-flow bound %v, want 2", bound)
 	}
 	// A flow within the residual still gets through.
 	if dec, err = r.Admit(0, 3, 2); err != nil || !dec.Admitted {
 		t.Fatalf("residual-fitting flow: %+v, %v", dec, err)
 	}
-	if u, link := r.MaxUtilization(); u != 1 || link != (routing.Link{U: 0, V: 1}) {
-		t.Fatalf("MaxUtilization = %v at %v", u, link)
+	// Three links at utilization 1: the hottest record is the first in
+	// link order.
+	if hot := r.LinkLoads()[0]; hot.Utilization != 1 || hot.Link != (Link{U: 0, V: 1}) {
+		t.Fatalf("hottest link %+v, want (0,1) at utilization 1", hot)
 	}
 }
 
@@ -120,8 +131,8 @@ func TestZeroRateFlowRoutesWithoutCommitting(t *testing.T) {
 	if err != nil || !dec.Admitted || dec.Cost != 2 {
 		t.Fatalf("zero-rate: %+v, %v", dec, err)
 	}
-	if len(r.Loads()) != 0 {
-		t.Fatalf("zero-rate flow committed load: %v", r.Loads())
+	if loaded := r.PricedLoads(nil); len(loaded) != 0 {
+		t.Fatalf("zero-rate flow committed load: %v", loaded)
 	}
 }
 
@@ -147,8 +158,8 @@ func TestProvableRejectionOfInfeasibleChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("maxFlow: %v", err)
 	}
-	if bound.Flow != 5 {
-		t.Fatalf("chain max-flow bound %v, want 5", bound.Flow)
+	if bound != 5 {
+		t.Fatalf("chain max-flow bound %v, want 5", bound)
 	}
 }
 
@@ -178,8 +189,8 @@ func TestMultiTraversalOverflowTriggersReroute(t *testing.T) {
 		t.Fatalf("reason %q after %d reroutes, want %q after %d (relaxation bound 6 ≥ 4, so not infeasible)",
 			dec.Reason, dec.Reroutes, ReasonFragmented, maxReroutes)
 	}
-	if len(r.Loads()) != 0 {
-		t.Fatalf("rejected flow left committed load: %v", r.Loads())
+	if loaded := r.PricedLoads(nil); len(loaded) != 0 {
+		t.Fatalf("rejected flow left committed load: %v", loaded)
 	}
 	// Rate 3 fits one detour crossed twice: admitted on the first, whose
 	// links each carry 2 traversals × rate.
@@ -191,8 +202,8 @@ func TestMultiTraversalOverflowTriggersReroute(t *testing.T) {
 	if want := []int{0, 1, 4, 3, 4, 1, 2}; !slices.Equal(walk, want) {
 		t.Fatalf("walk %v, want %v", walk, want)
 	}
-	for _, l := range []routing.Link{{U: 1, V: 4}, {U: 3, V: 4}} {
-		if got := r.Loads()[l]; got != 6 {
+	for _, l := range []Link{{U: 1, V: 4}, {U: 3, V: 4}} {
+		if got := loadOn(t, r, l.U, l.V); got != 6 {
 			t.Fatalf("detour link %v carries %v, want 6 (two traversals)", l, got)
 		}
 	}
@@ -216,7 +227,7 @@ func TestMaxUtilizationTargetAdmitsAgainstHeadroom(t *testing.T) {
 	if dec, _ := r.Admit(0, 2, 3); dec.Admitted {
 		t.Fatal("admitted past the provisioning point (3+3 > 4)")
 	}
-	if u, _ := r.MaxUtilization(); u != 0.3 {
+	if u := r.LinkLoads()[0].Utilization; u != 0.3 {
 		t.Fatalf("utilization %v, want 0.3", u)
 	}
 }
@@ -282,8 +293,8 @@ func TestBeginEpochResetsLoadsAndReprices(t *testing.T) {
 	if err := r.BeginEpoch(nil); err != nil {
 		t.Fatalf("BeginEpoch 2: %v", err)
 	}
-	if len(r.Loads()) != 0 {
-		t.Fatalf("loads survived epoch reset: %v", r.Loads())
+	if loaded := r.PricedLoads(nil); len(loaded) != 0 {
+		t.Fatalf("loads survived epoch reset: %v", loaded)
 	}
 	// u = 0.5 on both links: priced cost = 2 · (1 + 1·0.5/0.5) = 4.
 	dec, err := r.Admit(0, 2, 1)
@@ -427,12 +438,12 @@ func TestFailedBeginEpochChangesNothing(t *testing.T) {
 		routers[i] = r
 	}
 	bad, good := routers[0], routers[1]
-	loads := bad.Loads()
+	loads := slices.Clone(bad.load)
 	for _, sites := range [][][]int{{{1}, {}}, {{1}, {2, 1}}} {
 		if err := bad.BeginEpoch(sites); err == nil {
 			t.Fatalf("accepted sites %v", sites)
 		}
-		if got := bad.Loads(); !reflect.DeepEqual(got, loads) {
+		if got := bad.load; !slices.Equal(got, loads) {
 			t.Fatalf("refused BeginEpoch(%v) changed the loads: %v, was %v", sites, got, loads)
 		}
 	}
@@ -460,7 +471,85 @@ func TestFailedBeginEpochChangesNothing(t *testing.T) {
 	if decs[0] != decs[1] || decs[0].Cost != 6 {
 		t.Fatalf("after the refused call %+v, without it %+v; want cost 6", decs[0], decs[1])
 	}
-	if got, want := bad.Loads(), good.Loads(); !reflect.DeepEqual(got, want) {
+	if got, want := bad.load, good.load; !slices.Equal(got, want) {
 		t.Fatalf("loads %v, want %v", got, want)
+	}
+}
+
+// TestUtilization: each link's utilization is its load over the uniform
+// capacity, and the records come hottest first.
+func TestUtilization(t *testing.T) {
+	r, err := NewRouter(linearPPDC(t, 1), Config{Capacity: 100})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	if err := r.SetLoads([]PricedLink{{U: 0, V: 1, Load: 10}, {U: 1, V: 2, Load: 50}}); err != nil {
+		t.Fatalf("SetLoads: %v", err)
+	}
+	recs := r.LinkLoads()
+	if len(recs) != 2 || recs[0].Utilization != 0.5 || recs[1].Utilization != 0.1 {
+		t.Fatalf("records %+v, want utilization 0.5 then 0.1", recs)
+	}
+}
+
+// TestLoadsHeadroom: LinkLoads surfaces capacity headroom per link,
+// sorted hottest first with ties in link order, clamps negative
+// headroom on overloaded links, and omits unloaded ones.
+func TestLoadsHeadroom(t *testing.T) {
+	r, err := NewRouter(linearPPDC(t, 3), Config{Capacity: 100})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	err = r.SetLoads([]PricedLink{
+		{U: 0, V: 1, Load: 30},
+		{U: 1, V: 2, Load: 120}, // overloaded
+		{U: 2, V: 3, Load: 30},  // utilization tie with (0,1)
+		{U: 3, V: 4, Load: 0},   // dropped
+	})
+	if err != nil {
+		t.Fatalf("SetLoads: %v", err)
+	}
+	recs := r.LinkLoads()
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
+	}
+	if recs[0].Link != (Link{U: 1, V: 2}) || recs[0].Utilization != 1.2 || recs[0].Headroom != 0 {
+		t.Fatalf("hottest record wrong: %+v", recs[0])
+	}
+	if recs[1].Link != (Link{U: 0, V: 1}) || recs[2].Link != (Link{U: 2, V: 3}) {
+		t.Fatalf("tie order not link order: %+v", recs[1:])
+	}
+	if recs[1].Headroom != 70 {
+		t.Fatalf("headroom = %v, want 70", recs[1].Headroom)
+	}
+}
+
+// TestSetLoadsRefusesBadRecords: SetLoads takes PricedLoads' records in
+// link order; a repeated, misordered or unknown link, or an invalid
+// load, is refused with an error naming the link.
+func TestSetLoadsRefusesBadRecords(t *testing.T) {
+	r, err := NewRouter(linearPPDC(t, 2), Config{Capacity: 10})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	for _, tc := range []struct {
+		recs []PricedLink
+		want string
+	}{
+		{[]PricedLink{{U: 0, V: 1, Load: 1}, {U: 1, V: 0, Load: 2}}, "link (1,0) repeated"},
+		{[]PricedLink{{U: 1, V: 2, Load: 1}, {U: 0, V: 1, Load: 2}}, "link (0,1) out of link order"},
+		{[]PricedLink{{U: 0, V: 2, Load: 1}}, "no link (0,2)"},
+		{[]PricedLink{{U: 2, V: 3, Load: -1}}, "link (2,3): invalid load"},
+	} {
+		if err := r.SetLoads(tc.recs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("SetLoads(%v): %v, want an error with %q", tc.recs, err, tc.want)
+		}
+	}
+	recs := []PricedLink{{U: 0, V: 1, Load: 1}, {U: 2, V: 3, Load: 2.5}}
+	if err := r.SetLoads(recs); err != nil {
+		t.Fatalf("SetLoads: %v", err)
+	}
+	if got := r.PricedLoads(nil); !slices.Equal(got, recs) {
+		t.Fatalf("PricedLoads %v, want the records set %v", got, recs)
 	}
 }

@@ -1,8 +1,10 @@
-// Package sfcroute is the capacity-aware routing subsystem: it turns
-// link capacity from an after-the-fact report (internal/routing) into a
-// first-class routing constraint for service function chains, after
-// Sallam et al. ("Shortest Path and Maximum Flow Problems Under Service
-// Function Chaining Constraints").
+// Package sfcroute is the capacity-aware routing subsystem: it makes
+// link capacity a first-class routing constraint for service function
+// chains, after Sallam et al. ("Shortest Path and Maximum Flow Problems
+// Under Service Function Chaining Constraints"). Its Router owns the
+// fabric's links: one load per link, in link order, which prices the
+// next epoch, gates admission, and feeds the reports, the engine's saved
+// state and the max-flow bound.
 //
 // The engine routes through a placement, which puts each of the chain's
 // n VNFs on one switch p_1..p_n. A flow from src to dst then costs
@@ -18,14 +20,16 @@
 //     fold of the arc weights along that walk. A pruned or rerouted
 //     attempt runs the same n+1 searches on its own pruned weights.
 //
-//   - SFC-constrained max flow: a directed flow network over Sallam et
-//     al.'s layered expansion — n+1 copies of the fabric, a crossing
-//     from layer ℓ to ℓ+1 at each stage ℓ+1 site — solved by
-//     internal/mcf (maxFlow). Capacities apply per layer copy, which is
-//     a relaxation of the true shared-capacity constraint (the exact
-//     problem is NP-hard); the relaxed optimum is an *upper bound* on
-//     the routable volume, so a demand exceeding it is provably
-//     unroutable — the soundness direction admission control needs.
+//   - SFC-constrained max flow: Sallam et al.'s layered expansion — n+1
+//     copies of the fabric, a crossing from layer ℓ to ℓ+1 at p_{ℓ+1} —
+//     with capacities per layer copy, a relaxation of the true
+//     shared-capacity constraint (the exact problem is NP-hard). With one
+//     site per stage that network is a series of its n+1 legs, so its
+//     max flow is the least of the legs' max flows on the fabric, each
+//     solved by internal/mcf (maxFlow). The relaxed optimum is an *upper
+//     bound* on the routable volume, so a demand exceeding it is
+//     provably unroutable — the soundness direction admission control
+//     needs.
 //
 // The stage route is the layered shortest path written out per stage.
 // With one site per stage, layer ℓ ≥ 1 of the expansion is entered only
@@ -72,31 +76,20 @@ func PlacementSites(p model.Placement) [][]int {
 	return sites
 }
 
-// validateSites checks every stage is non-empty and within [0, n).
-func validateSites(sites [][]int, n int) error {
+// stageSites validates per-stage site sets for a stage route, which
+// crosses each stage at its one site: every stage is non-empty and
+// within [0, n), repeated entries of a site collapse, and a stage with
+// two different sites is refused.
+func stageSites(sites [][]int, n int) error {
 	for l, stage := range sites {
 		if len(stage) == 0 {
 			return fmt.Errorf("%w: stage %d of %d", ErrNoSite, l+1, len(sites))
 		}
 		for _, v := range stage {
-			if v < 0 || v >= n {
+			switch {
+			case v < 0 || v >= n:
 				return fmt.Errorf("sfcroute: stage %d site %d out of range [0,%d)", l+1, v, n)
-			}
-		}
-	}
-	return nil
-}
-
-// stageSites validates per-stage site sets for a stage route, which
-// crosses each stage at its one site: repeated entries of a site
-// collapse, and a stage with two different sites is refused.
-func stageSites(sites [][]int, n int) error {
-	if err := validateSites(sites, n); err != nil {
-		return err
-	}
-	for l, stage := range sites {
-		for _, v := range stage {
-			if v != stage[0] {
+			case v != stage[0]:
 				return fmt.Errorf("sfcroute: stage %d has sites %d and %d; a stage route crosses one site per stage", l+1, stage[0], v)
 			}
 		}

@@ -8,29 +8,25 @@ import (
 	"testing"
 
 	"vnfopt/internal/graph"
+	"vnfopt/internal/mcf"
 	"vnfopt/internal/model"
 	"vnfopt/internal/topology"
 )
 
-// line returns the CSR of a path graph 0-1-...-(n-1) with unit weights.
-func line(n int) *graph.CSR {
+// line returns the path graph 0-1-...-(n-1) with unit weights.
+func line(n int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i+1 < n; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	return g.Freeze()
+	return g
 }
 
-// fabricRouter is a Router over a bare fabric, for route tests: it has
-// no links to admit against, but it routes.
-func fabricRouter(t testing.TB, base *graph.CSR, sites [][]int) *Router {
+// fabricRouter is a Router over a bare fabric, for route tests: its
+// links have no capacity to admit against, but it routes.
+func fabricRouter(t testing.TB, g *graph.Graph, sites [][]int) *Router {
 	t.Helper()
-	r := &Router{}
-	r.freeze(base)
-	if err := r.BeginEpoch(sites); err != nil {
-		t.Fatalf("BeginEpoch(%v): %v", sites, err)
-	}
-	return r
+	return capRouter(t, g, 0, sites)
 }
 
 // pathResult is one route read out of a Router.
@@ -72,7 +68,7 @@ func TestEmptyChainIsPlainShortestPath(t *testing.T) {
 	if !ok {
 		t.Fatal("n=0 route unroutable on a line")
 	}
-	dist, _ := base.Dijkstra(0)
+	dist, _ := base.Freeze().Dijkstra(0)
 	if res.Cost != dist[5] {
 		t.Fatalf("n=0 cost %v != plain Dijkstra %v", res.Cost, dist[5])
 	}
@@ -103,7 +99,7 @@ func TestSpurSiteDoublesLink(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(1, 3, 1)
-	res, ok := shortestPath(t, fabricRouter(t, g.Freeze(), [][]int{{3}}), 0, 2)
+	res, ok := shortestPath(t, fabricRouter(t, g, [][]int{{3}}), 0, 2)
 	if !ok {
 		t.Fatal("spur chain unroutable")
 	}
@@ -152,7 +148,7 @@ func TestUnreachableLayerFailsCleanly(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
-	r := fabricRouter(t, g.Freeze(), [][]int{{2}})
+	r := fabricRouter(t, g, [][]int{{2}})
 	if _, ok := shortestPath(t, r, 0, 1); ok {
 		t.Fatal("routed a chain through an unreachable site")
 	}
@@ -207,7 +203,6 @@ func TestDifferentialMetricClosure(t *testing.T) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			d := model.MustNew(fx.topo, model.Options{})
-			base := d.Topo.Graph.Freeze()
 			rng := rand.New(rand.NewSource(42))
 			hosts, switches := d.Hosts(), d.Switches()
 			for trial := 0; trial < 60; trial++ {
@@ -218,7 +213,7 @@ func TestDifferentialMetricClosure(t *testing.T) {
 				for j := range p {
 					p[j] = switches[rng.Intn(len(switches))]
 				}
-				res, ok := shortestPath(t, fabricRouter(t, base, PlacementSites(p)), src, dst)
+				res, ok := shortestPath(t, fabricRouter(t, d.Topo.Graph, PlacementSites(p)), src, dst)
 				if !ok {
 					t.Fatalf("trial %d: (%d,%d | %v) unroutable", trial, src, dst, p)
 				}
@@ -368,7 +363,7 @@ func FuzzStageRoute(f *testing.F) {
 			return 1 + 9*rng.Float64()
 		})
 		base := g.Freeze()
-		r := fabricRouter(t, base, nil)
+		r := fabricRouter(t, g, nil)
 		for epoch := 0; epoch < 3; epoch++ {
 			sites := fuzzSites(rng, n, int(stages)%4, rng.Intn(n), rng.Intn(n))
 			if err := r.BeginEpoch(sites); err != nil {
@@ -426,6 +421,36 @@ func layeredRoute(n int, edges []graph.EdgeRecord, sites []int, src, dst int) ([
 	return walk, dist[target], true
 }
 
+// layeredFlow is the max flow of Sallam et al.'s layered mcf network,
+// built here as the reference the router's series of legs replaces: per
+// layer, two arcs per edge record with its link's headroom as capacity
+// and its weight as cost; per stage, one uncapacitated zero-cost
+// crossing from layer ℓ to ℓ+1 at p_{ℓ+1}.
+func layeredFlow(t *testing.T, r *Router, edges []graph.EdgeRecord, src, dst int) float64 {
+	t.Helper()
+	n := r.priced.Order()
+	nw := mcf.NewNetwork((len(r.sites) + 1) * n)
+	for l := 0; l <= len(r.sites); l++ {
+		for _, e := range edges {
+			i, _ := r.link(e.U, e.V)
+			nw.AddArc(l*n+e.U, l*n+e.V, r.headroom(i), e.Weight)
+			nw.AddArc(l*n+e.V, l*n+e.U, r.headroom(i), e.Weight)
+		}
+	}
+	for l, p := range r.sites {
+		nw.AddArc(l*n+p, (l+1)*n+p, math.Inf(1), 0)
+	}
+	s, sink := src, len(r.sites)*n+dst
+	if s == sink {
+		return math.Inf(1)
+	}
+	res, err := nw.MinCostFlow(s, sink, math.Inf(1))
+	if err != nil {
+		t.Fatalf("layered MinCostFlow: %v", err)
+	}
+	return res.Flow
+}
+
 // TestStageRouteMatchesLayeredExpansion holds stage routes to the
 // layered expansion they replace, on random small multigraphs with 0–3
 // stages. On weights whose sums are exact — zero, dyadic and small
@@ -433,6 +458,12 @@ func layeredRoute(n int, edges []graph.EdgeRecord, sites []int, src, dst int) ([
 // sums round, a layered stage starts its search at the rounded cost of
 // the stages before it, so a near tie may resolve the other way: there
 // the cost must agree within 1e-12 relative, and the walk is not held.
+//
+// On the same multigraphs the max-flow bound, a series of per-leg max
+// flows, is held to the layered mcf network's max flow, with headroom
+// set through committed loads: bit-equal on integer headroom, where
+// every augmentation is exact, and within 1e-9 relative on fractional
+// headroom, where the two networks augment in different orders.
 func TestStageRouteMatchesLayeredExpansion(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -444,13 +475,13 @@ func TestStageRouteMatchesLayeredExpansion(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
-			walks := 0
+			walks, flows := 0, 0
 			for trial := 0; trial < 1500; trial++ {
 				n := 2 + rng.Intn(9)
 				g := fuzzFabric(rng, n, func() float64 { return tc.weights[rng.Intn(len(tc.weights))] })
 				src, dst := rng.Intn(n), rng.Intn(n)
 				sites := fuzzSites(rng, n, rng.Intn(4), src, dst)
-				r := fabricRouter(t, g.Freeze(), sites)
+				r := capRouter(t, g, 10, sites)
 				got, ok := shortestPath(t, r, src, dst)
 				walk, cost, wantOK := layeredRoute(n, g.Edges(), r.sites, src, dst)
 				switch {
@@ -465,8 +496,29 @@ func TestStageRouteMatchesLayeredExpansion(t *testing.T) {
 				case !slices.Equal(got.Walk, walk):
 					walks++
 				}
+				for _, integer := range []bool{true, false} {
+					for i := range r.load {
+						if r.load[i] = 10 * rng.Float64(); integer {
+							r.load[i] = math.Floor(r.load[i] + 0.5)
+						}
+					}
+					flow, err := r.maxFlow(src, dst)
+					if err != nil {
+						t.Fatalf("trial %d: maxFlow: %v", trial, err)
+					}
+					want := layeredFlow(t, r, g.Edges(), src, dst)
+					exact := math.Float64bits(flow) == math.Float64bits(want)
+					near := !math.IsInf(want, 0) && math.Abs(flow-want) <= 1e-9*math.Max(1, want)
+					if !exact && (integer || !near) {
+						t.Fatalf("trial %d, sites %v, %d → %d (integer headroom %v): leg bound %v, layered max flow %v",
+							trial, sites, src, dst, integer, flow, want)
+					}
+					if !exact {
+						flows++
+					}
+				}
 			}
-			t.Logf("%d walks differ from the layered search's", walks)
+			t.Logf("%d walks differ from the layered search's, %d bounds in the low bits", walks, flows)
 		})
 	}
 }

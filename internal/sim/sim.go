@@ -21,7 +21,6 @@ import (
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/placement"
-	"vnfopt/internal/routing"
 	"vnfopt/internal/vmmig"
 )
 
@@ -66,7 +65,7 @@ type Step struct {
 	MeanLatency float64
 	// Links summarizes the hour's link loads (zero value unless
 	// Config.TrackLinks).
-	Links routing.Report
+	Links LinkReport
 }
 
 // Trace is a full simulation run.
@@ -177,12 +176,12 @@ func (s *Simulator) track(step *Step, w model.Workload, pPrev, pCur model.Placem
 	if !s.cfg.TrackLinks {
 		return nil
 	}
-	loads, err := routing.LinkLoads(s.cfg.PPDC, w, pCur)
+	loads, err := LinkLoads(s.cfg.PPDC, w, pCur)
 	if err != nil {
 		return err
 	}
-	routing.AddMigrationLoads(s.cfg.PPDC, loads, pPrev, pCur, s.cfg.Mu)
-	step.Links = routing.Summarize(loads)
+	addMigrationLoads(s.cfg.PPDC, loads, pPrev, pCur, s.cfg.Mu)
+	step.Links = summarize(loads)
 	return nil
 }
 

@@ -41,7 +41,7 @@ import (
 	"vnfopt/internal/migration"
 	"vnfopt/internal/model"
 	"vnfopt/internal/placement"
-	"vnfopt/internal/routing"
+	"vnfopt/internal/sfcroute"
 	"vnfopt/internal/sim"
 	"vnfopt/internal/stroll"
 	"vnfopt/internal/topology"
@@ -214,11 +214,11 @@ func SolveStrollPrimalDual(in StrollInstance) (StrollResult, error) {
 // --- Routing / link loads -------------------------------------------------
 
 // Link is an undirected network link key (U < V).
-type Link = routing.Link
+type Link = sfcroute.Link
 
 // LinkLoads accumulates per-link traffic for a workload under a placement.
 func LinkLoads(d *PPDC, w Workload, p Placement) (map[Link]float64, error) {
-	return routing.LinkLoads(d, w, p)
+	return sim.LinkLoads(d, w, p)
 }
 
 // --- Dynamic-traffic simulation --------------------------------------------
