@@ -129,8 +129,8 @@ bench-kernels:
 	$(GO) test -bench BenchmarkKernel -benchmem -run xxx ./internal/bnb/
 
 # Short fuzz pass over the solver-invariant web, the cost-kernel
-# equivalence property, the bitwise APSP gates, the bounded layered
-# route search against a full Dijkstra, DP-Stroll against the
+# equivalence property, the bitwise APSP gates, the router's stage
+# routes against a per-leg Dijkstra (FuzzStageRoute), DP-Stroll against the
 # exhaustive stroll and its lazy table against the full one, the
 # daemon's hostile-log-record replay and its rate-update scanner against
 # encoding/json. This is the only list of

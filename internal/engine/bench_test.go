@@ -365,15 +365,15 @@ func TestStepAllocationBudget(t *testing.T) {
 
 // TestFaultEventAllocationBudget holds a fault event to the garbage of
 // what its delta changed. One cycle of faultStormEngine — 64 events on
-// the k=16 fat tree — allocates ≈ 1.04 MB and ≈ 1 240 objects per event:
+// the k=16 fat tree — allocates ≈ 0.93 MB and ≈ 840 objects per event:
 // the repaired APSP rows (the 448 the cost model reads, of 1 344), one
 // cost cache derived from the last, and the repair consult. Every row
-// repaired again costs ≈ 1 600 allocations and ≈ 730 KB more, a fresh
+// repaired again costs ≈ 790 allocations and ≈ 500 KB more, a fresh
 // 320×320 switch closure per event ≈ 800 KB more, and a degraded graph
 // cloned vertex by vertex ≈ 2 000 allocations more, so each fails here.
 func TestFaultEventAllocationBudget(t *testing.T) {
 	e, events := faultStormEngine(t)
-	const bytesBudget, allocBudget = 1_150_000, 1_370
+	const bytesBudget, allocBudget = 1_025_000, 930
 	ctx := context.Background()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -390,7 +390,7 @@ func TestFaultEventAllocationBudget(t *testing.T) {
 		t.Errorf("a fault event allocates %d B, budget %d B: is every APSP row repaired again, or the switch closure (≈ 800 KB) built fresh every event?", perBytes, bytesBudget)
 	}
 	if perAllocs > allocBudget {
-		t.Errorf("a fault event makes %d allocations, budget %d: is every APSP row repaired again (≈ 2 800 in all), or the degraded graph cloned vertex by vertex (≈ 2 000 more)?", perAllocs, allocBudget)
+		t.Errorf("a fault event makes %d allocations, budget %d: is every APSP row repaired again (≈ 1 600 in all), or the degraded graph cloned vertex by vertex (≈ 2 000 more)?", perAllocs, allocBudget)
 	}
 }
 

@@ -183,7 +183,7 @@ func healEvent(d *model.PPDC, event string) (both, after FaultSet) {
 	case "switch_back":
 		// The fault storm's heaviest class: the lowest-id core switch comes
 		// back. Its restored links win the (cost, vertex) tie-break nearly
-		// everywhere, so every row changes — in about two cells.
+		// everywhere, and every row changes in its column.
 		healed = Fault{Kind: Switch, U: d.Topo.Switches[0]}
 	}
 	after = NewFaultSet(Fault{Kind: Switch, U: d.Topo.Switches[len(d.Topo.Switches)-1]})
@@ -228,7 +228,7 @@ func BenchmarkFaultHeal(b *testing.B) {
 // TestDeltaBytesBudget holds the three event classes that touch every row
 // of the k=16 matrix for a few cells each — a switch dies (its column and
 // its hosts'), a host uplink is re-priced (one column), the lowest-id core
-// switch comes back (its column and a few prev cells) — to bytes that
+// switch comes back (its column) — to bytes that
 // follow those cells: under 6 MB an event, where copying every touched row whole is
 // the 22 MB matrix.
 func TestDeltaBytesBudget(t *testing.T) {

@@ -258,8 +258,8 @@ func dumbbell(t *testing.T) (*model.PPDC, []int, []int) {
 }
 
 // TestDiff pins what the standing oracle of ApplyDelta against Rebuild
-// looks at. Routing walks the predecessor matrix (APSP.Path), so two
-// views that agree on every cost and disagree on one predecessor must not
+// looks at. mPareto, the full frontier and sim's loader walk APSP.Path, so
+// two views that agree on every cost and disagree on one predecessor must not
 // pass as identical: over the unit square 0-1-3-2-0 every cost is the
 // same with and without the weight-2 chord {0,3}, and with it vertex 3's
 // predecessor from 0 is 0 itself, not 1.

@@ -32,8 +32,11 @@ func allFaults(d *model.PPDC) []Fault {
 }
 
 // apspEqual compares two APSP oracles bit-for-bit over all pairs: dist
-// matrices by float bits and prev matrices entry-for-entry, so a delta
-// path that finds the right costs along different trees still fails.
+// matrices by float bits and Pred entry-for-entry. Pred is derived from
+// the costs and the graph on read, so on canonical matrices it follows
+// from the cost bits; it is compared for the matrices that are not,
+// where it reads a search, so a path that finds the right costs along a
+// different trace still fails.
 func apspEqual(t *testing.T, d *model.PPDC, a, b *View) {
 	t.Helper()
 	n := d.Topo.Graph.Order()
@@ -255,7 +258,7 @@ func FuzzIncrementalAPSP(f *testing.F) {
 }
 
 // rowsEqual compares row u of two APSP matrices bit-for-bit, dist and
-// prev, reading (so building) it in both.
+// Pred (see apspEqual), reading (so building) it in both.
 func rowsEqual(t *testing.T, a, b *graph.APSP, u int) {
 	t.Helper()
 	for v := range a.Order() {

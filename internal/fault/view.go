@@ -269,8 +269,12 @@ func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 }
 
 // Diff reports the first divergence between two views of the same
-// order: the APSP cost matrix compared bitwise, the predecessor matrix
-// routing walks (APSP.Path), the dead mask, and the component labelling.
+// order: the APSP cost matrix compared bitwise, the predecessors that
+// mPareto, the full frontier and sim's loader walk (APSP.Path), the dead
+// mask, and the component labelling. APSP.Pred is derived from the costs
+// and the graph on read, so on a matrix whose rows are canonical it
+// follows from the cost bits; the comparison is kept for the matrices
+// whose rows are not, where Pred reads a search.
 // It returns nil when the views are identical.
 // The chaos harness runs it at every fault transition as a standing
 // differential check of the incremental ApplyDelta path against the

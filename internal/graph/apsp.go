@@ -33,33 +33,20 @@ func SetAPSPObserver(fn APSPObserver) {
 
 // apspBlock is the number of cells in one block of a row, the unit of
 // sharing between a matrix and the ones ApplyEdgeDeltas derives from it:
-// 512 bytes of dist, 256 of prev. Cell v of a row sits in block
-// v>>apspShift at index v&apspMask.
+// 512 bytes of costs. Cell v of a row sits in block v>>apspShift at index
+// v&apspMask.
 const (
 	apspShift = 6
 	apspBlock = 1 << apspShift
 	apspMask  = apspBlock - 1
 )
 
-type (
-	distBlock [apspBlock]float64
-	prevBlock [apspBlock]int32
-)
+type distBlock [apspBlock]float64
 
-// apspRow is one source's row: a table of pointers to blocks of cells per
-// field. The last block is padded to full length; no vertex id reaches the
-// padding, and nothing else is ever used as an index.
-type apspRow struct {
-	dist []*distBlock // d(v): shortest-path cost source->v
-	prev []*prevBlock // p(v): predecessor of v on that path
-}
-
-func (r apspRow) d(v int) float64 { return r.dist[v>>apspShift][v&apspMask] }
-func (r apspRow) p(v int) int32   { return r.prev[v>>apspShift][v&apspMask] }
-
-// APSP holds an all-pairs shortest path matrix with predecessor links for
-// path reconstruction. It is the c(u,v) oracle of the paper's cost model:
-// every communication and migration cost is a λ- or μ-weighted APSP lookup.
+// APSP holds an all-pairs shortest path matrix. It is the c(u,v) oracle of
+// the paper's cost model: every communication and migration cost is a λ-
+// or μ-weighted APSP lookup. A row holds costs only; Pred and Path derive
+// a predecessor from them on read (see Pred).
 //
 // A row is built on its first read, over the graph the matrix keeps
 // frozen; a reader that knows its rows (CostMatrix, SumScaledCells) builds
@@ -70,30 +57,36 @@ func (r apspRow) p(v int) int32   { return r.prev[v>>apspShift][v&apspMask] }
 // built under a lock, each published after its cells.
 type APSP struct {
 	n    int
-	rows []apspRow
+	rows []Row
 	// built[u] != 0 (atomic) once rows[u] is written; a uint32, not an
 	// atomic.Bool, keeps Row inlinable.
 	built   []uint32
-	csr     *CSR        // what an unbuilt row is built over; nil if none is
-	mu      sync.Mutex  // serializes row builds
-	scratch SSSPScratch // the inline build's, under mu
+	csr     *CSR        // the matrix's graph: what an unbuilt row is built over
+	mu      sync.Mutex  // serializes row builds and the trace
+	scratch SSSPScratch // the inline build's and the trace's, under mu
 	// span bounds every finite cost in the matrix when the relaxations of
 	// its graph strictly increase (strictRelax): every row is canonical,
-	// the premise of ApplyEdgeDeltas' repair. +Inf when they do not.
+	// the premise of ApplyEdgeDeltas' repair and of Pred's rule. +Inf when
+	// they do not.
 	span float64
+	// trace is the last search Pred or Path ran on a matrix whose rows are
+	// not canonical, under mu: a sweep over one row runs one search.
+	trace struct {
+		src  int
+		dist []float64
+		prev []int32
+	}
 }
 
-// flatRows holds k rows of an n-order matrix whose cells are contiguous
-// per field, each row padded to whole blocks: what a full Dijkstra run
-// writes, since DijkstraInto takes flat slices. Every block starts on a
-// cache line (the allocator aligns these sizes to 64 bytes and a block is
-// a multiple of that), so the parallel build's workers never share one.
+// flatRows holds k rows of an n-order matrix whose cells are contiguous,
+// each row padded to whole blocks: what a full Dijkstra run writes, since
+// DijkstraInto takes a flat slice. Every block starts on a cache line (the
+// allocator aligns these sizes to 64 bytes and a block is a multiple of
+// that), so the parallel build's workers never share one.
 type flatRows struct {
 	n, stride int // stride: cells per padded row
 	dist      []float64
-	prev      []int32
-	distTab   []*distBlock
-	prevTab   []*prevBlock
+	tab       []*distBlock
 }
 
 func newFlatRows(n, k int) flatRows {
@@ -101,37 +94,31 @@ func newFlatRows(n, k int) flatRows {
 	stride := blocks * apspBlock
 	return flatRows{
 		n: n, stride: stride,
-		dist:    make([]float64, k*stride),
-		prev:    make([]int32, k*stride),
-		distTab: make([]*distBlock, k*blocks),
-		prevTab: make([]*prevBlock, k*blocks),
+		dist: make([]float64, k*stride),
+		tab:  make([]*distBlock, k*blocks),
 	}
 }
 
 // cells returns row i's flat cells, for DijkstraInto to fill.
-func (f flatRows) cells(i int) ([]float64, []int32) {
+func (f flatRows) cells(i int) []float64 {
 	o := i * f.stride
-	return f.dist[o : o+f.n : o+f.n], f.prev[o : o+f.n : o+f.n]
+	return f.dist[o : o+f.n : o+f.n]
 }
 
-// row returns row i with its tables pointed at its blocks.
-func (f flatRows) row(i int) apspRow {
+// row returns row i with its table pointed at its blocks.
+func (f flatRows) row(i int) Row {
 	blocks := f.stride >> apspShift
-	r := apspRow{
-		dist: f.distTab[i*blocks : (i+1)*blocks : (i+1)*blocks],
-		prev: f.prevTab[i*blocks : (i+1)*blocks : (i+1)*blocks],
-	}
+	r := Row{f.tab[i*blocks : (i+1)*blocks : (i+1)*blocks]}
 	for b := range r.dist {
 		o := i*f.stride + b*apspBlock
 		r.dist[b] = (*distBlock)(f.dist[o : o+apspBlock])
-		r.prev[b] = (*prevBlock)(f.prev[o : o+apspBlock])
 	}
 	return r
 }
 
 // newAPSP allocates an n-order matrix with no row built.
 func newAPSP(n int, span float64, csr *CSR) *APSP {
-	return &APSP{n: n, rows: make([]apspRow, n), built: make([]uint32, n), csr: csr, span: span}
+	return &APSP{n: n, rows: make([]Row, n), built: make([]uint32, n), csr: csr, span: span}
 }
 
 // AllPairs returns the all-pairs matrix of g, a CSR snapshot of it and no
@@ -184,14 +171,12 @@ func (a *APSP) fill(todo []int, workers int) {
 	flat := newFlatRows(a.n, len(todo))
 	if len(todo)*a.csr.NumSlots() < fanOutArcs {
 		for i, u := range todo {
-			dist, prev := flat.cells(i)
-			a.csr.DijkstraInto(u, dist, prev, &a.scratch)
+			a.csr.DijkstraInto(u, flat.cells(i), nil, &a.scratch)
 		}
 	} else if err := parallel.MapChunked(len(todo), workers, func(lo, hi int) error {
 		var scratch SSSPScratch
 		for i := lo; i < hi; i++ {
-			dist, prev := flat.cells(i)
-			a.csr.DijkstraInto(todo[i], dist, prev, &scratch)
+			a.csr.DijkstraInto(todo[i], flat.cells(i), nil, &scratch)
 		}
 		return nil
 	}); err != nil {
@@ -211,18 +196,15 @@ func (a *APSP) fill(todo []int, workers int) {
 // AllPairsSequential is the original one-source-at-a-time build over the
 // [][]Edge adjacency, every row built before it returns: the
 // differential oracle of the lazy and incremental kernels and the
-// allocation baseline of the benchmarks.
+// allocation baseline of the benchmarks. It keeps a CSR snapshot of g,
+// which Pred and Path read.
 func AllPairsSequential(g *Graph) *APSP {
 	n := g.Order()
-	a := newAPSP(n, canonicalSpan(g.weightBounds()), nil)
+	a := newAPSP(n, canonicalSpan(g.weightBounds()), g.Freeze())
 	flat := newFlatRows(n, n)
 	for src := 0; src < n; src++ {
-		dist, prev := g.Dijkstra(src)
-		distRow, prevRow := flat.cells(src)
-		copy(distRow, dist)
-		for v, p := range prev {
-			prevRow[v] = int32(p)
-		}
+		dist, _ := g.Dijkstra(src)
+		copy(flat.cells(src), dist)
 		a.rows[src], a.built[src] = flat.row(src), 1 // not shared yet
 	}
 	return a
@@ -236,6 +218,9 @@ func (a *APSP) Order() int { return a.n }
 func (a *APSP) Cost(u, v int) float64 { return a.Row(u).Cost(v) }
 
 // Row is a built row's costs, read unchecked; one slice stays in registers.
+// It is one source's table of pointers to blocks of cells. The last block
+// is padded to full length; no vertex id reaches the padding, and nothing
+// else is ever used as an index.
 type Row struct{ dist []*distBlock }
 
 // Cost returns c(u, v), u the row's source.
@@ -246,7 +231,7 @@ func (a *APSP) Row(u int) Row {
 	if atomic.LoadUint32(&a.built[u]) == 0 {
 		a.buildRow(u)
 	}
-	return Row{a.rows[u].dist}
+	return a.rows[u]
 }
 
 // Stretches is a vertex list cut into stretches that count up by one
@@ -331,27 +316,60 @@ func (a *APSP) sharesBlock(prev *APSP, rows []int, b int) bool {
 	return true
 }
 
-// Pred returns the predecessor of v on the cached shortest u→v path, or
-// -1 when v is unreachable from u (and for v == u). Differential tests
-// use it to compare predecessor matrices entry-for-entry without
-// materializing paths.
-func (a *APSP) Pred(u, v int) int { a.Row(u); return int(a.rows[u].p(v)) }
+// Pred returns the predecessor of v on the shortest u→v path a Dijkstra
+// run from u leaves, or -1 when v is unreachable from u (and for v == u).
+// No row stores it. On a matrix whose rows are canonical it is derived
+// from row u's costs and v's arcs (CSR.pred), building no other row; on
+// any other it is read from one search from u, which the matrix keeps for
+// the next call.
+func (a *APSP) Pred(u, v int) int {
+	row := a.Row(u)
+	if math.IsInf(a.span, 1) {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+	}
+	return a.pred(row, u, v)
+}
 
-// Path reconstructs a shortest u-v vertex sequence (inclusive). It returns
-// nil when v is unreachable from u.
+// Path reconstructs a shortest u-v vertex sequence (inclusive) by
+// following Pred back from v. It returns nil when v is unreachable from u.
 func (a *APSP) Path(u, v int) []int {
-	if math.IsInf(a.Row(u).Cost(v), 1) {
+	row := a.Row(u)
+	if math.IsInf(row.Cost(v), 1) {
 		return nil
 	}
-	row := a.rows[u]
+	if math.IsInf(a.span, 1) {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+	}
 	var rev []int
-	for x := v; x != -1; x = int(row.p(x)) {
+	for x := v; x != -1; x = a.pred(row, u, x) {
 		rev = append(rev, x)
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
+}
+
+// pred is Pred over row, u's; where the rows are not canonical the
+// caller holds mu. There the tight rule can cycle — over {0–3: 1, 3–1: 0,
+// 3–2: 0, 1–2: 0} it makes 1 and 2 each other's predecessor on the paths
+// from 0, where the search gives 3 to both — so the search from u that
+// built the row (such a matrix repairs none) is run again, and its prev
+// is read.
+func (a *APSP) pred(row Row, u, v int) int {
+	if !math.IsInf(a.span, 1) {
+		return a.csr.pred(row, v)
+	}
+	t := &a.trace
+	switch {
+	case t.prev == nil:
+		t.dist, t.prev = make([]float64, a.n), make([]int32, a.n)
+	case t.src == u:
+		return int(t.prev[v])
+	}
+	a.csr.DijkstraInto(u, t.dist, t.prev, &a.scratch)
+	t.src = u
+	return int(t.prev[v])
 }
 
 // Diameter returns the greatest finite pairwise cost, i.e. the diameter D
@@ -361,7 +379,7 @@ func (a *APSP) Diameter() float64 {
 	d := 0.0
 	for _, row := range a.rows {
 		for v := 0; v < a.n; v++ {
-			if c := row.d(v); !math.IsInf(c, 1) && c > d {
+			if c := row.Cost(v); !math.IsInf(c, 1) && c > d {
 				d = c
 			}
 		}

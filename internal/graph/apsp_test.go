@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -157,8 +158,9 @@ func TestWriteDOT(t *testing.T) {
 // TestConcurrentRowReads has 8 goroutines read random rows — through
 // Cost, Pred, Row, Path, CostMatrix and SumScaledCells, so single rows,
 // inline batches and batches past fanOutArcs are built side by side — of
-// one shared AllPairs matrix and
-// of one matrix derived from it while half its rows were built. Every
+// one shared AllPairs matrix, of one matrix derived from it while half
+// its rows were built, and of one whose zero weight makes Pred and Path
+// read the search the matrix keeps. Every
 // answer must carry the oracle's bits; under -race (make race) it also
 // proves a row is published only after its cells are written.
 func TestConcurrentRowReads(t *testing.T) {
@@ -172,11 +174,15 @@ func TestConcurrentRowReads(t *testing.T) {
 	et.w[0] = 4
 	next, d := et.commit(false)
 	derived, _ := base.ApplyEdgeDeltas(next, d, 0)
+	zt, _ := fatTreeEdges(8)
+	zt.w[0] = 0
+	traced := zt.graph()
 	for _, m := range []struct {
 		name      string
 		a, oracle *APSP
 	}{
 		{"shared", AllPairs(g), AllPairsSequential(g)},
+		{"traced", AllPairs(traced), AllPairsSequential(traced)},
 		{"derived", derived, AllPairsSequential(next)},
 	} {
 		a, want, n := m.a, m.oracle, m.oracle.n
@@ -214,5 +220,106 @@ func TestConcurrentRowReads(t *testing.T) {
 		}
 		wg.Wait()
 		apspBitEqual(t, a, want)
+	}
+}
+
+// predMatchesTrace fails unless a's Pred and Path agree, for every
+// (u, v), with the links g.Dijkstra(u) leaves: the adjacency-list search,
+// which shares no code with the derivation. A row's Pred is checked in
+// full before its Path, so a rule that cycles fails there, not in a Path
+// that never ends.
+func predMatchesTrace(t *testing.T, name string, a *APSP, g *Graph) {
+	t.Helper()
+	for u := range g.Order() {
+		dist, prev := g.Dijkstra(u)
+		for v := range g.Order() {
+			if got := a.Pred(u, v); got != prev[v] {
+				t.Fatalf("%s: Pred(%d, %d) = %d, the search leaves %d", name, u, v, got, prev[v])
+			}
+		}
+		for v := range g.Order() {
+			var want []int
+			if !math.IsInf(dist[v], 1) {
+				for x := v; x != -1; x = prev[x] {
+					want = append(want, x)
+				}
+				slices.Reverse(want)
+			}
+			if got := a.Path(u, v); !slices.Equal(got, want) {
+				t.Fatalf("%s: Path(%d, %d) = %v, the search's %v", name, u, v, got, want)
+			}
+		}
+	}
+}
+
+// TestPredMatchesDijkstraTrace holds the predecessors Pred and Path
+// derive on read to Graph.Dijkstra's trace: over a unit-weight k=4 fat
+// tree, full of ties, and random multigraphs with parallel edges and
+// weights from a tie-heavy palette — AllPairs, AllPairsSequential and
+// every matrix of a mixed delta sequence that also passes through a zero
+// and an absorbing weight — and over the two shapes on which the tight
+// rule alone would cycle.
+func TestPredMatchesDijkstraTrace(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	fat, _ := fatTreeEdges(4)
+	tables := []*edgeTable{fat}
+	for range 6 {
+		n := 6 + rng.Intn(30)
+		et := &edgeTable{n: n}
+		for v := 1; v < n; v++ {
+			et.add(rng.Intn(v), v, float64(1+rng.Intn(3)))
+		}
+		for i := n; i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				et.add(u, v, float64(1+rng.Intn(3)))
+			}
+		}
+		et.add(et.u[0], et.v[0], et.w[0]+1) // a parallel edge at least
+		tables = append(tables, et)
+	}
+	for i, et := range tables {
+		g := et.graph()
+		predMatchesTrace(t, "AllPairs", AllPairs(g), g)
+		predMatchesTrace(t, "AllPairsSequential", AllPairsSequential(g), g)
+		cur := AllPairs(g)
+		for step := range 8 {
+			e := rng.Intn(len(et.u))
+			switch rng.Intn(5) {
+			case 0:
+				et.pairUp(e, false)
+			case 1:
+				et.vertexUp(rng.Intn(et.n), false)
+			case 2:
+				et.w[e] = float64(1 + rng.Intn(3))
+			case 3:
+				et.w[e] = []float64{0, 1e300}[rng.Intn(2)]
+			}
+			if rng.Intn(3) == 0 {
+				for j := range et.up {
+					et.up[j] = true
+				}
+			}
+			next, d := et.commit(false)
+			cur, _ = cur.ApplyEdgeDeltas(next, d, 2)
+			predMatchesTrace(t, fmt.Sprintf("graph %d delta %d", i, step), cur, next)
+		}
+	}
+
+	// The tight rule gives 1 and 2 to each other here, by a zero weight
+	// and by an absorbing one; the search gives 3 to both.
+	for _, w := range []struct{ far, near float64 }{{1, 0}, {1e300, 1}} {
+		g := New(4)
+		g.AddEdge(0, 3, w.far)
+		g.AddEdge(3, 1, w.near)
+		g.AddEdge(3, 2, w.near)
+		g.AddEdge(1, 2, w.near)
+		a := AllPairs(g)
+		if !math.IsInf(a.span, 1) {
+			t.Fatalf("fixture %v: span %v, want the rows not canonical", w, a.span)
+		}
+		predMatchesTrace(t, fmt.Sprint(w), a, g)
+		if p := a.Path(0, 1); !slices.Equal(p, []int{0, 3, 1}) {
+			t.Fatalf("fixture %v: Path(0, 1) = %v, want [0 3 1]", w, p)
+		}
 	}
 }

@@ -72,6 +72,7 @@ type SSSPScratch struct {
 	// Settled counts the vertices popped and relaxed, over the scratch's
 	// life; a dead end is only written, never counted.
 	Settled int
+	prev    []int32 // the links of a caller that passes no prev
 }
 
 // Discard drops the queued entries of the vertices in [lo, hi). The
@@ -90,11 +91,20 @@ func (s *SSSPScratch) Discard(lo, hi int) {
 
 // DijkstraInto runs Dijkstra from src, writing costs and predecessor
 // links into the caller-provided dist and prev rows (each of length
-// Order()). Unreachable vertices get dist Inf and prev -1; prev[src] is
-// -1. Output is bit-identical to Graph.Dijkstra on the frozen graph
-// unless a Visit hook on s skips or discards; then which cells are final
-// is the hook's argument. Dead ends are written, not queued.
+// Order(); prev may be nil, for a caller that wants no links). Unreachable
+// vertices get dist Inf and prev -1; prev[src] is -1. Output is
+// bit-identical to Graph.Dijkstra on the frozen graph unless a Visit hook
+// on s skips or discards; then which cells are final is the hook's
+// argument. Dead ends are written, not queued.
 func (c *CSR) DijkstraInto(src int, dist []float64, prev []int32, s *SSSPScratch) {
+	if prev == nil {
+		// Into s's own buffer: the loop below stays one loop for both
+		// kinds of caller, without a test per relaxation.
+		if len(s.prev) != c.n {
+			s.prev = make([]int32, c.n)
+		}
+		prev = s.prev
+	}
 	if len(dist) != c.n || len(prev) != c.n {
 		panic("graph: DijkstraInto row length mismatch")
 	}
@@ -139,6 +149,25 @@ func (c *CSR) Dijkstra(src int) (dist []float64, prev []int32) {
 	var s SSSPScratch
 	c.DijkstraInto(src, dist, prev, &s)
 	return dist, prev
+}
+
+// pred is the predecessor of v on the path to it in r, a canonical row
+// (repair.go) over c: the neighbour x with the least (r(x), x) among those
+// with fl(r(x) + w(x,v)) == r(v). -1 where none is — at the row's source,
+// and where v is unreachable. It reads v's arcs and r's cells at their
+// heads, nothing else.
+func (c *CSR) pred(r Row, v int) int {
+	dv, best, bestD := r.Cost(v), -1, Inf
+	if dv == Inf {
+		return -1
+	}
+	for e := c.rowStart[v]; e < c.rowStart[v+1]; e++ {
+		x := int(c.to[e])
+		if dx := r.Cost(x); dx+c.wt[e] == dv && (dx < bestD || dx == bestD && x < best) {
+			best, bestD = x, dx
+		}
+	}
+	return best
 }
 
 // Arc returns the slot of the first arc u→v of least weight, or -1 when

@@ -45,56 +45,40 @@ func SetAPSPDeltaObserver(fn APSPDeltaObserver) {
 }
 
 // cowRow is a row being derived from a parent matrix's: it starts as the
-// parent's two tables and takes a copy of a table, then of a block, the
+// parent's table and takes a copy of the table, then of a block, the
 // first time a cell in it changes value. A write that stores the value
-// already there copies nothing — the repair re-derives many prev cells
-// that come out unchanged — so a derived row the delta does not alter
+// already there copies nothing, so a derived row the delta does not alter
 // stays the parent's, pointer for pointer.
 type cowRow struct {
-	apspRow         // the derived row; read through d and p
-	from    apspRow // the parent's row: what is pointer-equal to it is shared
+	Row      // the derived row; read through Cost
+	from Row // the parent's row: what is pointer-equal to it is shared
 }
 
-func deriveRow(from apspRow) cowRow { return cowRow{apspRow: from, from: from} }
+func deriveRow(from Row) cowRow { return cowRow{Row: from, from: from} }
 
-// changed reports whether the row owns a table: whether a cell changed.
-func (r *cowRow) changed() bool {
-	return &r.dist[0] != &r.from.dist[0] || &r.prev[0] != &r.from.prev[0]
-}
+// changed reports whether the row owns its table: whether a cell changed.
+func (r *cowRow) changed() bool { return &r.dist[0] != &r.from.dist[0] }
 
-func (r *cowRow) setDist(v int, x float64) {
+func (r *cowRow) set(v int, x float64) {
 	b, i := v>>apspShift, v&apspMask
 	blk := r.dist[b]
 	if math.Float64bits(blk[i]) == math.Float64bits(x) {
 		return
 	}
 	if blk == r.from.dist[b] {
-		blk = ownBlock(&r.dist, r.from.dist, b)
+		blk = r.ownBlock(b)
 	}
 	blk[i] = x
 }
 
-func (r *cowRow) setPrev(v int, x int32) {
-	b, i := v>>apspShift, v&apspMask
-	blk := r.prev[b]
-	if blk[i] == x {
-		return
+// ownBlock replaces block b, still the parent's, with a copy the row may
+// write — in a copy of the table, if the table is still the parent's too.
+func (r *cowRow) ownBlock(b int) *distBlock {
+	if !r.changed() {
+		r.dist = append([]*distBlock(nil), r.from.dist...)
 	}
-	if blk == r.from.prev[b] {
-		blk = ownBlock(&r.prev, r.from.prev, b)
-	}
-	blk[i] = x
-}
-
-// ownBlock replaces block b of a derived table, still the parent's block,
-// with a copy the row may write — in a copy of the table, if the table is
-// still the parent's too.
-func ownBlock[B any](tab *[]*B, from []*B, b int) *B {
-	if &(*tab)[0] == &from[0] {
-		*tab = append([]*B(nil), from...)
-	}
-	own := *from[b]
-	(*tab)[b] = &own
+	own := *r.from.dist[b]
+	r.dist[b] = &own
 	return &own
 }
 
@@ -135,17 +119,15 @@ func (d EdgeDelta) kind() DeltaKind {
 // deltaStats counts what one delta did with its rows. Tests bound the
 // repair's work with it.
 type deltaStats struct {
-	unbuilt   int // rows the parent had built that are left unbuilt
-	changed   int // repaired rows that own a table: a cell changed
-	settled   int // vertices the repairs' drains settled
-	prevCells int // prev cells the repairs recomputed
+	unbuilt int // rows the parent had built that are left unbuilt
+	changed int // repaired rows that own a table: a cell changed
+	settled int // vertices the repairs' drains settled
 }
 
 func (s *deltaStats) add(o deltaStats) {
 	s.unbuilt += o.unbuilt
 	s.changed += o.changed
 	s.settled += o.settled
-	s.prevCells += o.prevCells
 }
 
 // ApplyEdgeDeltas builds the APSP matrix of `next` incrementally from
@@ -157,9 +139,8 @@ func (s *deltaStats) add(o deltaStats) {
 // The receiver is never mutated. The rows it had built when the delta
 // started are derived from its own, copy-on-write (cowRow), and repaired
 // (CSR.repairRow): only the vertices whose distance the delta moves are
-// re-settled, and prev is re-derived only next to them, so what a delta
-// copies follows the cells it changes and a row it leaves alone stays the
-// receiver's, pointer for pointer. Every other row is left unbuilt, to be
+// re-settled, so what a delta copies follows the cells it changes and a
+// row it leaves alone stays the receiver's, pointer for pointer. Every other row is left unbuilt, to be
 // built on its first read over next. The repairs fan out over `workers`
 // goroutines (≤ 0 = GOMAXPROCS). Every row read is bit-identical to
 // AllPairsSequential(next) at any worker count — FuzzRepairRows here and
@@ -235,13 +216,11 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 			var st deltaStats
 			for _, src := range todo[lo:hi] {
 				r := deriveRow(a.rows[src])
-				settled, cells := out.csr.repairRow(src, &r, d, &scratch)
-				out.rows[src], out.built[src] = r.apspRow, 1
+				st.settled += out.csr.repairRow(src, &r, d, &scratch)
+				out.rows[src], out.built[src] = r.Row, 1
 				if r.changed() {
 					st.changed++
 				}
-				st.settled += settled
-				st.prevCells += cells
 			}
 			mu.Lock()
 			stats.add(st)

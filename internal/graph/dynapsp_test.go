@@ -9,8 +9,8 @@ import (
 	"unsafe"
 )
 
-// apspBitEqual fails unless a and b are bit-identical over dist and prev.
-// It reads, so builds, every row of both.
+// apspBitEqual fails unless a and b are bit-identical over dist and agree
+// on Pred. It reads, so builds, every row of both.
 func apspBitEqual(t *testing.T, a, b *APSP) {
 	t.Helper()
 	if a.n != b.n {
@@ -22,28 +22,28 @@ func apspBitEqual(t *testing.T, a, b *APSP) {
 }
 
 // rowBitEqual fails unless row s of a and b are bit-identical over dist
-// and prev. It reads, so builds, row s of both.
+// and agree on Pred. It reads, so builds, row s of both. Pred is derived
+// from the costs and the graph, so on canonical matrices over one graph
+// it follows from the cost bits; the comparison is kept for the matrices
+// that are not, whose Pred reads a search (TestPredMatchesDijkstraTrace
+// holds both kinds to Graph.Dijkstra).
 func rowBitEqual(t *testing.T, a, b *APSP, s int) {
 	t.Helper()
-	a.Row(s)
-	b.Row(s)
-	ra, rb := a.rows[s], b.rows[s]
+	ra, rb := a.Row(s), b.Row(s)
 	for v := 0; v < a.n; v++ {
-		if da, db := ra.d(v), rb.d(v); math.Float64bits(da) != math.Float64bits(db) {
+		if da, db := ra.Cost(v), rb.Cost(v); math.Float64bits(da) != math.Float64bits(db) {
 			t.Fatalf("dist[%d][%d]: %v (%#x) != %v (%#x)",
 				s, v, da, math.Float64bits(da), db, math.Float64bits(db))
 		}
-		if ra.p(v) != rb.p(v) {
-			t.Fatalf("prev[%d][%d]: %d != %d", s, v, ra.p(v), rb.p(v))
+		if pa, pb := a.Pred(s, v), b.Pred(s, v); pa != pb {
+			t.Fatalf("prev[%d][%d]: %d != %d", s, v, pa, pb)
 		}
 	}
 }
 
-// sameTables reports whether two rows are one: the same two block tables,
-// not copies of them.
-func sameTables(a, b apspRow) bool {
-	return &a.dist[0] == &b.dist[0] && &a.prev[0] == &b.prev[0]
-}
+// sameTables reports whether two rows are one: the same block table, not
+// a copy of it.
+func sameTables(a, b Row) bool { return &a.dist[0] == &b.dist[0] }
 
 // filterEdges returns g without the edges in the down-set.
 func filterEdges(g *Graph, down map[[2]int]bool) *Graph {
@@ -430,8 +430,8 @@ func TestApplyEdgeDeltasMixed(t *testing.T) {
 }
 
 // TestAPSPBlockedLayout asserts the geometry of a full build at orders on
-// both sides of a block boundary: a row is ceil(n/apspBlock) blocks per
-// field, consecutive blocks of the build are back to back in one buffer
+// both sides of a block boundary: a row is ceil(n/apspBlock) blocks,
+// consecutive blocks of the build are back to back in one buffer
 // (row after row, the last block of each padded), every block starts on a
 // cache line, and no accessor's answer depends on the padding — it is
 // poisoned here, and every accessor still agrees with the sequential
@@ -443,29 +443,23 @@ func TestAPSPBlockedLayout(t *testing.T) {
 		a := allPairsWorkers(g, 0)
 		blocks := (n + apspBlock - 1) / apspBlock
 		var lastD *distBlock
-		var lastP *prevBlock
 		for s, row := range a.rows {
-			if len(row.dist) != blocks || len(row.prev) != blocks || cap(row.dist) != blocks || cap(row.prev) != blocks {
-				t.Fatalf("n=%d row %d: %d/%d blocks (cap %d/%d), want %d", n, s, len(row.dist), len(row.prev), cap(row.dist), cap(row.prev), blocks)
+			if len(row.dist) != blocks || cap(row.dist) != blocks {
+				t.Fatalf("n=%d row %d: %d blocks (cap %d), want %d", n, s, len(row.dist), cap(row.dist), blocks)
 			}
-			for b := range row.dist {
-				d, p := row.dist[b], row.prev[b]
-				if uintptr(unsafe.Pointer(d))%64 != 0 || uintptr(unsafe.Pointer(p))%64 != 0 {
-					t.Fatalf("n=%d row %d block %d: dist %p / prev %p not on a cache line", n, s, b, d, p)
+			for b, d := range row.dist {
+				if uintptr(unsafe.Pointer(d))%64 != 0 {
+					t.Fatalf("n=%d row %d block %d: %p not on a cache line", n, s, b, d)
 				}
 				if lastD != nil {
 					if got := uintptr(unsafe.Pointer(d)) - uintptr(unsafe.Pointer(lastD)); got != unsafe.Sizeof(*d) {
-						t.Fatalf("n=%d row %d block %d: dist block %d bytes after the one before, want %d", n, s, b, got, unsafe.Sizeof(*d))
-					}
-					if got := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(lastP)); got != unsafe.Sizeof(*p) {
-						t.Fatalf("n=%d row %d block %d: prev block %d bytes after the one before, want %d", n, s, b, got, unsafe.Sizeof(*p))
+						t.Fatalf("n=%d row %d block %d: %d bytes after the block before, want %d", n, s, b, got, unsafe.Sizeof(*d))
 					}
 				}
-				lastD, lastP = d, p
+				lastD = d
 			}
 			for v := n; v < blocks*apspBlock; v++ {
 				row.dist[v>>apspShift][v&apspMask] = math.NaN()
-				row.prev[v>>apspShift][v&apspMask] = int32(rng.Intn(n))
 			}
 		}
 
@@ -555,36 +549,31 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 			}
 			was, is := cur.rows[s], inc.rows[s]
 			rowCopied, rowChanged := 0, 0
-			tally := func(own, diff bool) {
-				if own {
+			for b := range is.dist {
+				lo, hi := b*apspBlock, min((b+1)*apspBlock, inc.n)
+				diff := false
+				for v := lo; v < hi; v++ {
+					diff = diff || math.Float64bits(was.Cost(v)) != math.Float64bits(is.Cost(v))
+				}
+				if is.dist[b] != was.dist[b] {
 					rowCopied++
 				}
 				if diff {
 					rowChanged++
 				}
 			}
-			for b := range is.dist {
-				lo, hi := b*apspBlock, min((b+1)*apspBlock, inc.n)
-				dDiff, pDiff := false, false
-				for v := lo; v < hi; v++ {
-					dDiff = dDiff || math.Float64bits(was.d(v)) != math.Float64bits(is.d(v))
-					pDiff = pDiff || was.p(v) != is.p(v)
-				}
-				tally(is.dist[b] != was.dist[b], dDiff)
-				tally(is.prev[b] != was.prev[b], pDiff)
-			}
 			if rowCopied != rowChanged {
 				t.Fatalf("%s: row %d copied %d blocks, %d hold a changed cell", ev.name, s, rowCopied, rowChanged)
 			}
 			if rowCopied == 0 && !sameTables(was, is) {
-				t.Fatalf("%s: row %d copied its tables and no block", ev.name, s)
+				t.Fatalf("%s: row %d copied its table and no block", ev.name, s)
 			}
 			copied += rowCopied
 		}
 		if copied == 0 {
 			t.Fatalf("%s: no block copied, the event changed nothing", ev.name)
 		}
-		t.Logf("%s: %d of %d blocks copied, %d rows changed, %d left unbuilt", ev.name, copied, 2*len(inc.rows)*len(inc.rows[0].dist), st.changed, st.unbuilt)
+		t.Logf("%s: %d of %d blocks copied, %d rows changed, %d left unbuilt", ev.name, copied, len(inc.rows)*len(inc.rows[0].dist), st.changed, st.unbuilt)
 		g, cur = next, inc
 	}
 }

@@ -11,9 +11,10 @@ type heapItem struct {
 // a correctness requirement of the incremental APSP layer. Where
 // relaxations strictly increase the cost, vertices settle in exactly
 // (cost, vertex) order, so the predecessor a full run leaves at v is the
-// tight neighbour smallest in that order — a rule repairRow can apply to
+// tight neighbour smallest in that order — a rule CSR.pred applies to
 // final distances without replaying the run (see repair.go), which is
-// what lets APSP.ApplyEdgeDeltas repair a row instead of re-running it.
+// what lets a row store its costs alone, and APSP.ApplyEdgeDeltas repair
+// a row instead of re-running it.
 func less(a, b heapItem) bool {
 	if a.cost != b.cost {
 		return a.cost < b.cost

@@ -92,7 +92,7 @@ func (et *edgeTable) vertexUp(x int, up bool) {
 // the current matrix are read, so a parent mixes repaired rows, rows
 // built on first read over its own graph and rows never built; each row
 // read must equal AllPairsSequential of that step's graph in dist bits
-// and in prev. The incremental matrices at workers 1 and 2 must equal
+// and in Pred. The incremental matrices at workers 1 and 2 must equal
 // AllPairsSequential(next) in full, and the one at workers 5, which the
 // chain goes on from, is read only where the input picks; the matrix the
 // delta was taken from must still equal the rebuild of its own graph in
@@ -225,21 +225,16 @@ func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want
 	csr := next.Freeze()
 	var scratch repairScratch
 	for src := 0; src < a.n; src++ {
-		var from apspRow
+		from := aWant.Row(src)
 		if a.Built(src) {
 			from = a.rows[src]
-		} else {
-			aWant.Row(src)
-			from = aWant.rows[src]
 		}
 		r := deriveRow(from)
 		csr.repairRow(src, &r, d, &scratch)
-		want.Row(src)
-		w := want.rows[src]
+		w := want.Row(src)
 		for v := 0; v < a.n; v++ {
-			if math.Float64bits(r.d(v)) != math.Float64bits(w.d(v)) || r.p(v) != w.p(v) {
-				t.Fatalf("repairRow(%d): cell %d = (%v, %d), rebuild has (%v, %d)",
-					src, v, r.d(v), r.p(v), w.d(v), w.p(v))
+			if math.Float64bits(r.Cost(v)) != math.Float64bits(w.Cost(v)) {
+				t.Fatalf("repairRow(%d): cell %d = %v, rebuild has %v", src, v, r.Cost(v), w.Cost(v))
 			}
 		}
 	}
@@ -488,12 +483,12 @@ func TestRepairStormWorkBound(t *testing.T) {
 		t.Fatalf("storm ran %d events, want 64", events)
 	}
 	apspBitEqual(t, cur, AllPairs(et.graph()))
-	t.Logf("64 events: %d rows changed, %d left unbuilt, %d vertices settled, %d prev cells recomputed",
-		total.changed, total.unbuilt, total.settled, total.prevCells)
+	t.Logf("64 events: %d rows changed, %d left unbuilt, %d vertices settled",
+		total.changed, total.unbuilt, total.settled)
 
 	// Recorded on this schedule; re-running the changed rows would settle
 	// total.changed × 208 vertices.
-	const recordedSettled = 11614
+	const recordedSettled = 4365
 	if total.settled > 2*recordedSettled {
 		t.Fatalf("repairs settled %d vertices over the cycle, recorded %d: the repair is doing more than it has to",
 			total.settled, recordedSettled)
