@@ -130,7 +130,8 @@ bench-kernels:
 
 # Short fuzz pass over the solver-invariant web, the cost-kernel
 # equivalence property, the bitwise APSP gates, the router's stage
-# routes against a per-leg Dijkstra (FuzzStageRoute), DP-Stroll against the
+# routes against per-leg Dijkstra trees, the source leg read rootward
+# from p_1's (FuzzStageRoute), DP-Stroll against the
 # exhaustive stroll and its lazy table against the full one, the
 # daemon's hostile-log-record replay and its rate-update scanner against
 # encoding/json. This is the only list of

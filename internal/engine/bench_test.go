@@ -174,37 +174,6 @@ func BenchmarkEngineStepFlashCrowd(b *testing.B) {
 	}
 }
 
-// TestFlashCrowdRoutePassWork pins the work of flashCrowdEngine's route
-// passes — the pass New runs, then one cycle of its ops — exactly.
-// Nothing is pruned at this capacity, so every pass runs 131 searches:
-// the chain's two stage hops, p_3's full tree and one search per source
-// host. Together they settle 99 902 vertices, ≈ 3 030 a pass; the
-// layered search per source this replaced settled 317 649.
-func TestFlashCrowdRoutePassWork(t *testing.T) {
-	reg := obs.NewRegistry()
-	e, ops := flashCrowdEngine(t, NewObserver(reg, obs.NewEventLog(16), "crowd"))
-	searches := reg.Counter(`vnfopt_sfcroute_searches_total{scenario="crowd"}`)
-	settled := reg.Counter(`vnfopt_sfcroute_settled_total{scenario="crowd"}`)
-	if got := searches.Value(); got != 131 {
-		t.Fatalf("New's pass ran %d searches, want 131", got)
-	}
-	for i, u := range ops {
-		if _, err := e.Ingest(u); err != nil {
-			t.Fatal(err)
-		}
-		before := searches.Value()
-		if _, err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if got := searches.Value() - before; got != 131 {
-			t.Fatalf("op %d: the pass ran %d searches, want 131", i, got)
-		}
-	}
-	if got := settled.Value(); len(ops) != 32 || got != 99902 {
-		t.Fatalf("%d passes settled %d vertices, want 33 passes settling 99902", len(ops)+1, got)
-	}
-}
-
 // stormEvent is one topology event of faultStormEngine's schedule.
 type stormEvent struct{ inject, heal []fault.Fault }
 

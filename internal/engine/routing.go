@@ -122,8 +122,8 @@ func (e *Engine) routeEpoch() error {
 		return fmt.Errorf("routing: %w", err)
 	}
 	// One batch in flow-index order: admission order decides who gets
-	// residual capacity; the router shares its stage searches and one
-	// search per source.
+	// residual capacity; the router reads every unpruned route from the
+	// epoch's shared searches.
 	rep := &RoutingReport{Epoch: e.epoch, Decisions: make([]FlowDecision, 0, len(e.flows))}
 	demands := make([]sfcroute.Demand, 0, len(e.flows))
 	for i, f := range e.flows {

@@ -99,14 +99,14 @@ func TestEngineCapacityRoutingPublishes(t *testing.T) {
 	if got := reg.Gauge(`vnfopt_link_utilization{scenario="test"}`).Value(); got != rep.MaxUtilization {
 		t.Fatalf("utilization gauge %v, want %v", got, rep.MaxUtilization)
 	}
-	// Two passes (New, Step) of six searches each: the 2-VNF chain's stage
-	// hop and tail tree, and one per distinct source — the four flows
-	// leave four hosts and nothing is pruned at capacity 1000.
+	// Two passes (New, Step) of two searches each: the 2-VNF chain's two
+	// full trees, one at each site, which hold the stage hop and every
+	// flow's source and tail legs — nothing is pruned at capacity 1000.
 	if got := histogramCount(t, reg, `vnfopt_sfcroute_pass_seconds_count{scenario="test"}`); got != 2 {
 		t.Fatalf("pass_seconds observed %d passes, want 2", got)
 	}
-	if got := reg.Counter(`vnfopt_sfcroute_searches_total{scenario="test"}`).Value(); got != 12 {
-		t.Fatalf("searches_total %d, want 12", got)
+	if got := reg.Counter(`vnfopt_sfcroute_searches_total{scenario="test"}`).Value(); got != 4 {
+		t.Fatalf("searches_total %d, want 4", got)
 	}
 }
 

@@ -61,10 +61,10 @@ func BenchmarkAdmitSaturated(b *testing.B) {
 // BenchmarkRoutePass times one whole route pass — BeginEpoch plus the
 // admission of 1 000 flows leaving all 128 hosts of a k=8 fat-tree — as
 // the engine runs it (AdmitAll) and as the bench's side router does (one
-// Admit per flow). Both share the epoch's stage searches and one search
-// per source: loose capacity never prunes, so a pass runs 3 + 128
-// searches; saturated capacity prunes most flows, each attempt searching
-// its own n+1 legs.
+// Admit per flow). Both share the epoch's searches: loose capacity never
+// prunes, so a pass runs 3 — p_1's and p_3's trees and the hop p_2 →
+// p_3; saturated capacity prunes most flows, each attempt searching its
+// own n+1 legs.
 func BenchmarkRoutePass(b *testing.B) {
 	d := model.MustNew(topology.MustFatTree(8, nil), model.Options{})
 	hosts := d.Hosts()

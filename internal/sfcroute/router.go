@@ -118,26 +118,16 @@ type Router struct {
 	// succeeds and cleared by one that fails.
 	sites []int
 	ready bool
-	epoch int
 
 	// The epoch's shared stage routes on the priced weights, built by its
-	// first unpruned attempt (shared): hops holds the arc slots of
-	// p_1 → … → p_n, hopsOK is false when a stage cannot reach the next,
-	// and tailDist/tailPrev is p_n's full tree, tailArc[v] the slot of
-	// v's tree arc (−1 at p_n and off the tree).
-	shared   bool
-	hops     []int32
-	hopsOK   bool
-	tailDist []float64
-	tailPrev []int32
-	tailArc  []int32
-	// A source's path to p_1 on the priced weights, searched once per
-	// epoch: srcArcs[srcAt[v]:][:srcLen[v]] while srcEpoch[v] is the
-	// epoch; srcLen −1 when p_1 is unreachable from v.
-	srcEpoch []int
-	srcAt    []int32
-	srcLen   []int32
-	srcArcs  []int32
+	// first unpruned attempt (shared): p_1's tree trees[0], p_n's tail
+	// (trees[0] when p_1 = p_n), the hop slots p_1 → … → p_n, and hopsOK,
+	// false when a stage cannot reach the next.
+	shared bool
+	trees  [2]siteTree
+	tail   *siteTree
+	hops   []int32
+	hopsOK bool
 
 	// The scratch of one search; a bounded one stops as stopAt's cell
 	// becomes final. walk holds the arc slots of the route last
@@ -207,8 +197,9 @@ func (r *Router) freeze(g *graph.Graph) {
 	copy(r.pricedWt, r.baseWt)
 	r.priced, r.pruned = base.WithWeights(r.pricedWt), base.WithWeights(r.pruneWt)
 	r.dist, r.prev = make([]float64, n), make([]int32, n)
-	r.tailDist, r.tailPrev, r.tailArc = make([]float64, n), make([]int32, n), make([]int32, n)
-	r.srcEpoch, r.srcAt, r.srcLen = make([]int, n), make([]int32, n), make([]int32, n)
+	for i := range r.trees {
+		r.trees[i] = siteTree{dist: make([]float64, n), prev: make([]int32, n), from: make([]int32, n), to: make([]int32, n)}
+	}
 	r.sssp.Visit = r.stop
 }
 
@@ -271,8 +262,7 @@ func (r *Router) BeginEpoch(sites [][]int) error {
 		r.sites = append(r.sites, stage[0])
 	}
 	r.searches, r.sssp.Settled = 0, 0
-	r.shared, r.srcArcs = false, r.srcArcs[:0]
-	r.epoch++
+	r.shared = false
 	r.ready = true
 	return nil
 }
@@ -284,8 +274,7 @@ type Demand struct {
 }
 
 // Searches returns the number of shortest-path searches run since
-// BeginEpoch: the epoch's stage searches, one per source reached, and
-// n+1 per pruned attempt.
+// BeginEpoch: the epoch's trees and hop searches, and n+1 per pruned attempt.
 func (r *Router) Searches() int { return r.searches }
 
 // Settled returns the number of fabric vertices those searches popped

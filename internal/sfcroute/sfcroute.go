@@ -12,13 +12,13 @@
 // its shortest chain route is a concatenation of per-stage shortest
 // paths — its stage route:
 //
-//   - SFC-constrained shortest path: per epoch, one search on the priced
-//     fabric from each stage site p_ℓ, stopped as p_{ℓ+1} settles, and
-//     the full tree from p_n; per source, one search stopped as p_1
-//     settles. A flow's walk is its source's path to p_1, the shared
-//     stage paths, then p_n's tree path to dst, and its cost is the left
-//     fold of the arc weights along that walk. A pruned or rerouted
-//     attempt runs the same n+1 searches on its own pruned weights.
+//   - SFC-constrained shortest path: per epoch, a full tree on the
+//     priced fabric from each chain end, p_1 and p_n, and a search from
+//     each later site p_ℓ, ℓ ≥ 2, stopped as p_{ℓ+1} settles. A flow's
+//     walk is src's path in p_1's tree read towards p_1, the stage
+//     paths, then p_n's tree path to dst; its cost is the left fold of
+//     the arc weights along that walk. A pruned or rerouted attempt runs
+//     n+1 searches, src's among them, on its own pruned weights.
 //
 //   - SFC-constrained max flow: Sallam et al.'s layered expansion — n+1
 //     copies of the fabric, a crossing from layer ℓ to ℓ+1 at p_{ℓ+1} —
@@ -43,14 +43,19 @@
 // rounding. Each stage path is then canonical whatever the flow came
 // from, which is the spec this package keeps.
 //
+// A source leg is canonical the other way round: src's path in p_1's
+// tree, read towards p_1. Where shortest src → p_1 paths tie, it may
+// take another of them than a search from src would — the layered
+// search's layer 0, or a pruned attempt's first leg.
+//
 // Router combines both: congestion-aware link pricing (weights grow
 // with utilization), residual-capacity tracking, unsplittable-path
 // admission with bounded rerouting, and max-flow-backed rejection
 // classification. The online engine re-prices and re-routes every epoch
 // in its drift loop, handing the epoch's flows to Router.AdmitAll in one
 // batch. Prices are frozen per epoch and the searches are deterministic,
-// so every unpruned attempt of the epoch shares the stage paths and its
-// source's path to p_1 — Admit and AdmitAll alike.
+// so every unpruned attempt of the epoch reads its whole route from the
+// epoch's two trees and stage paths — Admit and AdmitAll alike.
 package sfcroute
 
 import (
@@ -99,11 +104,9 @@ func stageSites(sites [][]int, n int) error {
 
 // route assembles the stage route src → p_1 → … → p_n → dst into r.walk
 // and returns its cost, the left fold of the weights along the walk;
-// ok is false when some leg is unreachable. On the epoch's own prices
-// (pruned false) the stage paths and p_n's tree are searched once per
-// epoch and src's leg once per source; a pruned attempt searches all
-// n+1 legs on r.pruneWt. With no stage, the source's search is the
-// route.
+// ok is false when some leg is unreachable. Unpruned, it reads the
+// epoch's shared stage routes; a pruned attempt searches all n+1 legs
+// on r.pruneWt. With no stage, the source's search is the route.
 func (r *Router) route(src, dst int, pruned bool) (cost float64, ok bool) {
 	w, wt := r.priced, r.pricedWt
 	if pruned {
@@ -122,15 +125,11 @@ func (r *Router) route(src, dst int, pruned bool) (cost float64, ok bool) {
 		if r.walk, ok = r.segment(r.walk, w, at, dst); !ok {
 			return 0, false
 		}
-	case !r.shareStages() || !r.sourceLeg(src) || r.tailDist[dst] == graph.Inf:
+	case !r.shareStages() || r.trees[0].dist[src] == graph.Inf || r.tail.dist[dst] == graph.Inf:
 		return 0, false
 	default:
-		r.walk = append(r.walk, r.hops...)
-		at := len(r.walk)
-		for v := dst; r.tailArc[v] >= 0; v = int(r.tailPrev[v]) {
-			r.walk = append(r.walk, r.tailArc[v])
-		}
-		slices.Reverse(r.walk[at:])
+		r.walk = r.trees[0].appendTo(r.walk, src)
+		r.walk = r.tail.appendFrom(append(r.walk, r.hops...), dst)
 	}
 	for _, slot := range r.walk {
 		cost += wt[slot]
@@ -138,62 +137,89 @@ func (r *Router) route(src, dst int, pruned bool) (cost float64, ok bool) {
 	return cost, true
 }
 
-// shareStages builds the epoch's shared stage routes on the priced
-// weights once: each hop p_ℓ → p_{ℓ+1}, searched until p_{ℓ+1} settles,
-// and p_n's full tree with the arc into each vertex. It reports whether
-// every stage reaches the next.
+// shareStages builds the epoch's shared stage routes once: p_1's full
+// tree, holding the hop p_1 → p_2; a bounded search per later hop; and
+// p_n's full tree. It reports whether every stage reaches the next.
 func (r *Router) shareStages() bool {
 	if r.shared {
 		return r.hopsOK
 	}
-	r.shared, r.hops, r.hopsOK = true, r.hops[:0], true
-	for l := 1; l < len(r.sites) && r.hopsOK; l++ {
+	r.shared = true
+	head, last := &r.trees[0], len(r.sites)-1
+	r.grow(head, r.sites[0])
+	p2 := r.sites[min(1, last)]
+	r.hops, r.hopsOK = head.appendFrom(r.hops[:0], p2), head.dist[p2] != graph.Inf
+	for l := 2; l <= last && r.hopsOK; l++ {
 		r.hops, r.hopsOK = r.segment(r.hops, r.priced, r.sites[l-1], r.sites[l])
 	}
-	if r.hopsOK {
-		r.searches++
-		visit := r.sssp.Visit
-		r.sssp.Visit = nil
-		r.priced.DijkstraInto(r.sites[len(r.sites)-1], r.tailDist, r.tailPrev, &r.sssp)
-		r.sssp.Visit = visit
-		for v, u := range r.tailPrev {
-			r.tailArc[v] = -1
-			if u >= 0 {
-				r.tailArc[v] = int32(r.priced.Arc(int(u), v))
-			}
-		}
+	r.tail = head
+	if r.hopsOK && r.sites[last] != r.sites[0] {
+		r.tail = &r.trees[1]
+		r.grow(r.tail, r.sites[last])
 	}
 	return r.hopsOK
 }
 
-// sourceLeg appends src's path to p_1 on the priced weights to r.walk,
-// searching it on the epoch's first call for src, and reports whether
-// p_1 is reachable.
-func (r *Router) sourceLeg(src int) bool {
-	if r.srcEpoch[src] != r.epoch {
-		at := len(r.srcArcs)
-		var ok bool
-		r.srcArcs, ok = r.segment(r.srcArcs, r.priced, src, r.sites[0])
-		r.srcEpoch[src], r.srcAt[src], r.srcLen[src] = r.epoch, int32(at), int32(len(r.srcArcs)-at)
-		if !ok {
-			r.srcLen[src] = -1
+// siteTree is a full shortest-path tree on the priced weights, rooted at
+// a chain end: dist/prev, and each vertex's tree arc slot both ways,
+// from[v] = Arc(prev[v], v) and to[v] = Arc(v, prev[v]); −1 where prev[v] is.
+type siteTree struct {
+	dist           []float64
+	prev, from, to []int32
+}
+
+// grow fills t with the full tree of root on the priced weights.
+func (r *Router) grow(t *siteTree, root int) {
+	r.searches++
+	visit := r.sssp.Visit
+	r.sssp.Visit = nil
+	r.priced.DijkstraInto(root, t.dist, t.prev, &r.sssp)
+	r.sssp.Visit = visit
+	for v, u := range t.prev {
+		t.from[v], t.to[v] = -1, -1
+		if u >= 0 {
+			t.from[v], t.to[v] = int32(r.priced.Arc(int(u), v)), int32(r.priced.Arc(v, int(u)))
 		}
 	}
-	if r.srcLen[src] < 0 {
-		return false
+}
+
+// appendFrom appends to buf the arc slots of the tree path root → v, a
+// vertex on the tree, in walk order.
+func (t *siteTree) appendFrom(buf []int32, v int) []int32 {
+	at := len(buf)
+	for ; t.from[v] >= 0; v = int(t.prev[v]) {
+		buf = append(buf, t.from[v])
 	}
-	r.walk = append(r.walk, r.srcArcs[r.srcAt[src]:][:r.srcLen[src]]...)
-	return true
+	slices.Reverse(buf[at:])
+	return buf
+}
+
+// appendTo appends to buf the arc slots of the tree path v → root, for v
+// on the tree: a shortest path, as a link is priced the same both ways.
+func (t *siteTree) appendTo(buf []int32, v int) []int32 {
+	for ; t.to[v] >= 0; v = int(t.prev[v]) {
+		buf = append(buf, t.to[v])
+	}
+	return buf
 }
 
 // segment appends to buf the arc slots of the shortest a → b path on w,
 // searched from a until b's cell is final; ok is false when b is
-// unreachable.
+// unreachable. Each step takes w.Arc's least-weight arc, so the path's
+// left fold is b's cell.
 func (r *Router) segment(buf []int32, w *graph.CSR, a, b int) ([]int32, bool) {
 	r.searches++
 	r.stopAt = b
 	w.DijkstraInto(a, r.dist, r.prev, &r.sssp)
-	return appendPath(buf, w, r.dist, r.prev, b)
+	if r.dist[b] == graph.Inf {
+		return buf, false
+	}
+	at := len(buf)
+	for v := b; r.prev[v] >= 0; v = int(r.prev[v]) {
+		buf = append(buf, int32(w.Arc(int(r.prev[v]), v)))
+	}
+	slices.Reverse(buf[at:])
+	return buf, true
 }
 
 // stop is the bounded searches' Visit hook. The stop ends the search
@@ -209,20 +235,4 @@ func (r *Router) stop(v int) bool {
 	r.stopAt = -1
 	r.sssp.Discard(0, len(r.dist))
 	return false
-}
-
-// appendPath appends to buf the arc slots of the tree path to b that
-// dist/prev hold on w, in walk order; ok is false when b is unreachable.
-// Each step takes w.Arc's least-weight arc, so the path's left fold is
-// b's cell.
-func appendPath(buf []int32, w *graph.CSR, dist []float64, prev []int32, b int) ([]int32, bool) {
-	if dist[b] == graph.Inf {
-		return buf, false
-	}
-	at := len(buf)
-	for v := b; prev[v] >= 0; v = int(prev[v]) {
-		buf = append(buf, int32(w.Arc(int(prev[v]), v)))
-	}
-	slices.Reverse(buf[at:])
-	return buf, true
 }
