@@ -281,7 +281,7 @@ func BenchmarkAblationILPPathAssumption(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := stroll.Exhaustive(stroll.Instance{Cost: apsp.CostMatrix(keep), S: 0, T: 5, N: 2}, stroll.ExhaustiveOptions{})
+		res, err := stroll.Exhaustive(stroll.Instance{Cost: apsp.CostMatrix(keep), S: 0, T: 5, N: 2}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -170,7 +170,9 @@ func TestLiveEqualsReplay(t *testing.T) {
 	routed := diffSpec("routed")
 	routed.Routing = &engine.RoutingConfig{LinkCapacity: 60, Alpha: 1, Classify: true}
 	exhaustive := diffSpec("exhaustive")
-	exhaustive.Migrator, exhaustive.NodeBudget = "exhaustive", 5
+	// An 8-VNF chain: at the default 3 every consult is closed at the
+	// root by the kernel's bound and no search reaches the budget.
+	exhaustive.Migrator, exhaustive.NodeBudget, exhaustive.SFCLen = "exhaustive", 5, 8
 	always := wal.Options{Policy: wal.SyncAlways}
 	groupCommit := wal.Options{Policy: wal.SyncInterval, SyncEvery: 20 * time.Millisecond}
 	for _, tc := range []struct {

@@ -11,16 +11,33 @@
 // A Spec describes choosing one candidate (a dense id in [0, K)) per
 // slot 0..N-1, where no candidate may appear more than Cap times
 // (Cap <= 0 = unlimited). Branches accumulate StepCost, are pruned
-// against SeedCost (or the best leaf so far) using StepCost+TailBound,
-// and leaves close with LeafCost. Children are expanded cheapest
-// step first (ties in candidate-id order), which both tightens the
-// incumbent early and fixes the visit order. A leaf replaces the
-// incumbent iff its cost is strictly lower, so among equal-cost optima
-// the first in depth-first visit order wins: one Spec has one result,
-// at any node budget.
+// against SeedCost (or the best leaf so far), and leaves close with
+// LeafCost. Children are expanded cheapest step first (ties in
+// candidate-id order), which both tightens the incumbent early and
+// fixes the visit order.
+//
+// # Bound and rounding
+//
+// The kernel derives its bound from the Spec before the first
+// expansion: tail[d][v], the least cost of slots d+1..N-1 plus the leaf
+// after v fills slot d, over tuples that never put one candidate in two
+// consecutive slots when Cap == 1 and over all tuples otherwise. Every
+// feasible completion is one of them, so the bound is admissible. The
+// table sums right to left and the search left to right, and a tight
+// bound sits within ulps of the optimum, so with m = 2(N+1)·2⁻⁵³·|best|
+// (0 while best is ±Inf) a branch is pruned when partial + tail >=
+// best − m, and a leaf replaces the incumbent only below best − 2m (it
+// used to be "strictly lower", which let the bound's rounding pick among
+// optima equal up to 2 ulps). Every leaf that could replace the
+// incumbent then survives the bound, so one Spec has one result at any
+// node budget: the first in depth-first visit order among optima within
+// 2m, or the seed when it is within 2m. The rule needs costs >= 0.
 package bnb
 
-import "context"
+import (
+	"context"
+	"math"
+)
 
 // ctxCheckMask throttles context polls to one ctx.Err() call per
 // ctxCheckMask+1 node expansions, matching the historical cadence of the
@@ -28,7 +45,8 @@ import "context"
 // pre-search poll is the caller's).
 const ctxCheckMask = 1023
 
-// Spec defines one ordered-tuple branch-and-bound search.
+// Spec defines one ordered-tuple branch-and-bound search. Every step,
+// leaf and seed cost must be >= 0 (see the package doc).
 type Spec struct {
 	// N is the tuple length (slots to fill); must be >= 1.
 	N int
@@ -40,14 +58,10 @@ type Spec struct {
 	// candidate last (or the root, at depth 0 — last is then undefined)
 	// with candidate v at slot depth.
 	StepCost func(last, v, depth int) float64
-	// TailBound is an admissible lower bound on the cost still to pay
-	// after placing v at slot depth (excluding StepCost(last, v, depth)
-	// itself, including the leaf closing cost).
-	TailBound func(v, depth int) float64
 	// LeafCost closes a complete tuple ending in candidate last.
 	LeafCost func(last int) float64
-	// SeedCost is the incumbent cost the search must strictly beat;
-	// +Inf when the caller has no seed.
+	// SeedCost is the incumbent cost the search must beat by more than
+	// the rounding margin; +Inf when the caller has no seed.
 	SeedCost float64
 	// NodeBudget caps node expansions (0 = unlimited). The search stops
 	// exactly at the budget, and Proven is then false.
@@ -64,7 +78,7 @@ type Result struct {
 	Path []int
 	// Proven reports whether the search ran to completion (no budget
 	// exhaustion, no cancellation): the result is then the global
-	// optimum over all feasible tuples and the seed.
+	// optimum over all feasible tuples and the seed, up to 2m.
 	Proven bool
 	// Expansions is the number of node expansions performed.
 	Expansions int64
@@ -76,18 +90,19 @@ type Result struct {
 // (the kernel's first poll happens after 1024 expansions).
 func Search(ctx context.Context, s Spec) (Result, error) {
 	q := &search{
-		spec:     &s,
-		ctx:      ctx,
-		used:     make([]int16, s.K),
-		path:     make([]int32, s.N),
-		kids:     make([][]cand, s.N),
-		budget:   int64(s.NodeBudget),
-		bestCost: s.SeedCost,
-		best:     make([]int32, s.N),
+		spec:   &s,
+		ctx:    ctx,
+		used:   make([]int16, s.K),
+		path:   make([]int32, s.N),
+		kids:   make([][]cand, s.N),
+		tail:   relax(&s),
+		budget: int64(s.NodeBudget),
+		best:   make([]int32, s.N),
 	}
 	for i := range q.kids {
 		q.kids[i] = make([]cand, 0, s.K)
 	}
+	q.setIncumbent(s.SeedCost)
 	q.rec(-1, 0, 0)
 	res := Result{
 		Cost:       q.bestCost,
@@ -101,6 +116,33 @@ func Search(ctx context.Context, s Spec) (Result, error) {
 		return res, ctx.Err()
 	}
 	return res, nil
+}
+
+// relax returns the bound table of s, flat (tail[d*K+v]), in O(N·K²)
+// step costs: tail[N-1][v] = LeafCost(v) and tail[d][v] =
+// min_u StepCost(v, u, d+1) + tail[d+1][u], with u ≠ v when Cap == 1.
+func relax(s *Spec) []float64 {
+	k := s.K
+	tail := make([]float64, s.N*k)
+	for v := range k {
+		tail[(s.N-1)*k+v] = s.LeafCost(v)
+	}
+	for d := s.N - 2; d >= 0; d-- {
+		row, next := tail[d*k:(d+1)*k], tail[(d+1)*k:(d+2)*k]
+		for v := range row {
+			lo := math.Inf(1)
+			for u, t := range next {
+				if s.Cap == 1 && u == v {
+					continue
+				}
+				if c := s.StepCost(v, u, d+1) + t; c < lo {
+					lo = c
+				}
+			}
+			row[v] = lo
+		}
+	}
+	return tail
 }
 
 // cand is one feasible child: candidate id and its step cost. 16 bytes,
@@ -120,14 +162,24 @@ type search struct {
 	used []int16
 	path []int32
 	kids [][]cand
+	tail []float64
 
 	budget    int64
 	nodes     int64
 	exhausted bool
 	cancelled bool
 	bestCost  float64
+	m         float64 // rounding margin of bestCost
 	best      []int32
 	found     bool
+}
+
+// setIncumbent makes c the cost to beat, with its rounding margin.
+func (q *search) setIncumbent(c float64) {
+	q.bestCost, q.m = c, 0
+	if !math.IsInf(c, 0) {
+		q.m = float64(2*(q.spec.N+1)) * 0x1p-53 * math.Abs(c)
+	}
 }
 
 // children fills kids[depth] with the feasible candidates below a node
@@ -175,16 +227,17 @@ func (q *search) rec(last int32, depth int, cur float64) {
 	}
 	s := q.spec
 	if depth == s.N {
-		if total := cur + s.LeafCost(int(last)); total < q.bestCost {
-			q.bestCost = total
+		if total := cur + s.LeafCost(int(last)); total < q.bestCost-2*q.m {
+			q.setIncumbent(total)
 			q.found = true
 			copy(q.best, q.path)
 		}
 		return
 	}
+	tail := q.tail[depth*s.K:]
 	for _, ch := range q.children(last, depth) {
 		nc := cur + ch.c
-		if nc+s.TailBound(int(ch.v), depth) >= q.bestCost {
+		if nc+tail[ch.v] >= q.bestCost-q.m {
 			continue
 		}
 		q.used[ch.v]++

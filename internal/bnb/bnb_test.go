@@ -5,46 +5,42 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 )
 
 // tableSpec builds a random search over K candidates with step costs
-// from a dense table (row K is the root row), a leaf-closing vector,
-// and an admissible tail bound assembled from the table minima. With
-// quant > 0 costs are quantized onto a coarse grid so equal-cost optima
-// abound and the deterministic tie-break is actually exercised.
+// from a dense table (row K is the root row) and a leaf-closing vector.
+// With quant > 0 costs are quantized onto a coarse grid so equal-cost
+// optima abound and the deterministic tie-break is actually exercised.
 func tableSpec(rng *rand.Rand, n, k, capacity int, quant float64) Spec {
-	step := make([][]float64, k+1)
-	for i := range step {
-		step[i] = make([]float64, k)
-		for j := range step[i] {
-			c := 1 + 99*rng.Float64()
-			if quant > 0 {
-				c = math.Trunc(c/quant) * quant
-			}
-			step[i][j] = c
-		}
-	}
-	leaf := make([]float64, k)
-	minStep, minLeaf := math.Inf(1), math.Inf(1)
-	for j := range leaf {
+	draw := func() float64 {
 		c := 1 + 99*rng.Float64()
 		if quant > 0 {
 			c = math.Trunc(c/quant) * quant
 		}
-		leaf[j] = c
-		if c < minLeaf {
-			minLeaf = c
-		}
+		return c
 	}
+	step := make([][]float64, k+1)
 	for i := range step {
-		for _, c := range step[i] {
-			if c < minStep {
-				minStep = c
-			}
+		step[i] = make([]float64, k)
+		for j := range step[i] {
+			step[i][j] = draw()
 		}
 	}
+	leaf := make([]float64, k)
+	for j := range leaf {
+		leaf[j] = draw()
+	}
+	return matrixSpec(n, capacity, step, leaf)
+}
+
+// matrixSpec is the Spec of a dense step table (row len(leaf) is the
+// root row) and a leaf vector.
+func matrixSpec(n, capacity int, step [][]float64, leaf []float64) Spec {
+	k := len(leaf)
 	return Spec{
 		N:   n,
 		K:   k,
@@ -55,39 +51,110 @@ func tableSpec(rng *rand.Rand, n, k, capacity int, quant float64) Spec {
 			}
 			return step[last][v]
 		},
-		TailBound: func(v, depth int) float64 {
-			return float64(n-1-depth)*minStep + minLeaf
-		},
 		LeafCost: func(last int) float64 { return leaf[last] },
 		SeedCost: math.Inf(1),
 	}
 }
 
-// bruteForce enumerates every feasible tuple and returns the minimum
-// cost, accumulating in the kernel's association order so equal costs
-// are equal bitwise.
-func bruteForce(s Spec) float64 {
+// pairSpec is a tour through all k candidates (N = K, Cap = 1) whose
+// only cheap steps pair i with i^1. The consecutive-distinct relaxation
+// may bounce between the two members of a pair, so it counts every
+// remaining step as cheap while a feasible tour pays an expensive step
+// between pairs: the bound is loose and the tree is large, which is
+// what the budget, cancellation and allocation tests need.
+func pairSpec(rng *rand.Rand, k int) Spec {
+	step := make([][]float64, k+1)
+	for i := range step {
+		step[i] = make([]float64, k)
+		for j := range step[i] {
+			if i < k && j == i^1 {
+				step[i][j] = 1 + rng.Float64()
+			} else {
+				step[i][j] = 10 + 10*rng.Float64()
+			}
+		}
+	}
+	leaf := make([]float64, k)
+	for j := range leaf {
+		leaf[j] = 1 + rng.Float64()
+	}
+	return matrixSpec(k, 1, step, leaf)
+}
+
+// margin is the kernel's rounding margin m for an incumbent cost best.
+func margin(s Spec, best float64) float64 {
+	if math.IsInf(best, 0) {
+		return 0
+	}
+	return float64(2*(s.N+1)) * 0x1p-53 * math.Abs(best)
+}
+
+// enumerate visits every feasible tuple in the kernel's order — children
+// cheapest step first, equal steps in id order — summing left to right
+// and replacing the incumbent by the kernel's rule (a leaf must come in
+// below best − 2m), with no pruning at all. It returns the cost, the
+// tuple (nil when the seed was never beaten) and every feasible tuple.
+func enumerate(s Spec) (float64, []int, [][]int) {
 	used := make([]int, s.K)
+	path := make([]int, s.N)
 	best := s.SeedCost
+	var bestPath []int
+	var all [][]int
 	var rec func(last, depth int, cur float64)
 	rec = func(last, depth int, cur float64) {
 		if depth == s.N {
-			if total := cur + s.LeafCost(last); total < best {
+			all = append(all, append([]int(nil), path...))
+			if total := cur + s.LeafCost(last); total < best-2*margin(s, best) {
 				best = total
+				bestPath = append(bestPath[:0], path...)
 			}
 			return
 		}
+		var kids []int
 		for v := 0; v < s.K; v++ {
-			if s.Cap > 0 && used[v] >= s.Cap {
-				continue
+			if s.Cap <= 0 || used[v] < s.Cap {
+				kids = append(kids, v)
 			}
+		}
+		sort.SliceStable(kids, func(a, b int) bool {
+			return s.StepCost(last, kids[a], depth) < s.StepCost(last, kids[b], depth)
+		})
+		for _, v := range kids {
 			used[v]++
+			path[depth] = v
 			rec(v, depth+1, cur+s.StepCost(last, v, depth))
 			used[v]--
 		}
 	}
 	rec(-1, 0, 0)
-	return best
+	return best, bestPath, all
+}
+
+// costRightToLeft sums a tuple in the bound table's association order:
+// leaf first, then each step onto the sum of the steps after it.
+func costRightToLeft(s Spec, path []int) float64 {
+	c := s.LeafCost(path[len(path)-1])
+	for d := len(path) - 1; d >= 0; d-- {
+		last := -1
+		if d > 0 {
+			last = path[d-1]
+		}
+		c = s.StepCost(last, path[d], d) + c
+	}
+	return c
+}
+
+// rootBound is the kernel's relaxation at the root: the least cost of a
+// whole tuple over the relaxed set.
+func rootBound(s Spec) float64 {
+	tail := relax(&s)
+	lo := math.Inf(1)
+	for v := 0; v < s.K; v++ {
+		if c := s.StepCost(-1, v, 0) + tail[v]; c < lo {
+			lo = c
+		}
+	}
+	return lo
 }
 
 func pathCost(s Spec, path []int) float64 {
@@ -112,13 +179,13 @@ func TestSequentialMatchesBruteForce(t *testing.T) {
 			capacity = 0 // unlimited
 		}
 		s := tableSpec(rng, n, k, capacity, 0)
-		want := bruteForce(s)
+		want, wantPath, _ := enumerate(s)
 		res, err := Search(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cost != want {
-			t.Fatalf("trial %d: cost %v, brute force %v", trial, res.Cost, want)
+		if res.Cost != want || !slices.Equal(res.Path, wantPath) {
+			t.Fatalf("trial %d: %v %v, enumeration %v %v", trial, res.Cost, res.Path, want, wantPath)
 		}
 		if !res.Proven {
 			t.Fatalf("trial %d: unbudgeted search not proven", trial)
@@ -146,12 +213,13 @@ func TestSeedNeverBeatenKeepsSeed(t *testing.T) {
 }
 
 func TestNodeBudgetStopsSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	s := tableSpec(rng, 5, 9, 1, 0)
-	s.TailBound = func(int, int) float64 { return -1e12 } // defeat pruning: full tree
+	s := pairSpec(rand.New(rand.NewSource(4)), 8)
 	full, err := Search(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if full.Expansions <= 100 {
+		t.Fatalf("full search took %d expansions, want > 100 for a budget of 100 to bite", full.Expansions)
 	}
 	s.NodeBudget = 100
 	res, err := Search(context.Background(), s)
@@ -182,9 +250,10 @@ func (c *countdownCtx) Err() error {
 }
 
 func TestCancellationMidSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := tableSpec(rng, 6, 10, 1, 0)
-	s.TailBound = func(int, int) float64 { return -1e12 } // full tree, polls guaranteed
+	s := pairSpec(rand.New(rand.NewSource(5)), 9)
+	if full, _ := Search(context.Background(), s); full.Expansions <= ctxCheckMask+1 {
+		t.Fatalf("full search took %d expansions, want > %d to reach the first poll", full.Expansions, ctxCheckMask+1)
+	}
 	cc := &countdownCtx{Context: context.Background()}
 	res, err := Search(cc, s)
 	if !errors.Is(err, context.Canceled) {
@@ -229,14 +298,13 @@ func TestInfeasibleReturnsSeed(t *testing.T) {
 }
 
 // TestZeroAllocExpansions: the number of heap allocations per Search
-// call is a small constant (scratch setup), independent of the tens of
-// thousands of node expansions performed — i.e. the inner loop is
+// call is a small constant (scratch setup and the bound table),
+// independent of the thousands of node expansions performed — i.e. the inner loop is
 // allocation-free.
 func TestZeroAllocExpansions(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	small := tableSpec(rng, 2, 8, 1, 0)
-	big := tableSpec(rng, 5, 8, 1, 0)
-	big.TailBound = func(int, int) float64 { return -1e12 } // full ~8.8k-node tree
+	big := pairSpec(rng, 10)
 
 	measure := func(s Spec) (allocs float64, expansions int64) {
 		var res Result

@@ -42,7 +42,7 @@ func TestFig4ILPIsPathBound(t *testing.T) {
 	// Walk-based optimum is 6 — strictly better than the ILP's path.
 	apsp := graph.AllPairs(p.G)
 	keep := []int{0, 1, 2, 3, 4, 5}
-	res, err := stroll.Exhaustive(stroll.Instance{Cost: apsp.CostMatrix(keep), S: 0, T: 5, N: 2}, stroll.ExhaustiveOptions{})
+	res, err := stroll.Exhaustive(stroll.Instance{Cost: apsp.CostMatrix(keep), S: 0, T: 5, N: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestILPMatchesStrollOnPathOptimalInstances(t *testing.T) {
 		for i := range keep {
 			keep[i] = i
 		}
-		res, err := stroll.Exhaustive(stroll.Instance{Cost: apsp.CostMatrix(keep), S: 0, T: nv - 1, N: n}, stroll.ExhaustiveOptions{})
+		res, err := stroll.Exhaustive(stroll.Instance{Cost: apsp.CostMatrix(keep), S: 0, T: nv - 1, N: n}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestFromPPDCAgainstStroll(t *testing.T) {
 		}
 		res, err := stroll.Exhaustive(stroll.Instance{
 			Cost: apsp.CostMatrix(all), S: 0, T: 1, N: n,
-		}, stroll.ExhaustiveOptions{})
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,8 +30,8 @@ func (c *countdownCtx) Err() error {
 
 // hardMigration mirrors the placement package's worst case for the
 // bound: random-mesh weights spread over two orders of magnitude, unit
-// switch capacity, a 7-VNF chain. The seeded search blows well past
-// 1024 expansions.
+// switch capacity, a 9-VNF chain. The seeded search blows well past
+// 1024 expansions (a 7-VNF chain closes in under 600).
 func hardMigration(t *testing.T) (*model.PPDC, model.Workload, model.SFC, model.Placement) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -50,7 +50,7 @@ func hardMigration(t *testing.T) (*model.PPDC, model.Workload, model.SFC, model.
 			Rate: 1 + rng.Float64(),
 		}
 	}
-	sfc := model.NewSFC(7)
+	sfc := model.NewSFC(9)
 	p, _, err := (placement.DP{}).Place(d, w, sfc)
 	if err != nil {
 		t.Fatal(err)

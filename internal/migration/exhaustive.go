@@ -2,12 +2,10 @@ package migration
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"vnfopt/internal/bnb"
 	"vnfopt/internal/model"
-	"vnfopt/internal/placement"
 )
 
 // searchExpansions accumulates node expansions across every Exhaustive
@@ -25,9 +23,10 @@ func SearchExpansions() int64 { return searchExpansions.Load() }
 // as a small-instance benchmark:
 //
 //	partial(depth j) = Σ_{i≤j} μ·c(p(i), m(i)) + ingress(m(1)) + Λ·chain-so-far
-//	lower bound      = partial + Λ·(nearestHop + (edges remaining − 1)·minSwitchDist) + minEgress
+//	lower bound      = partial + the cheapest completion, μ and Λ terms
+//	                   alike, over switch sequences with no switch twice
+//	                   in a row (the kernel's relaxation, internal/bnb)
 //
-// (the migration terms of unplaced VNFs are bounded below by zero).
 // The context of MigrateProblem makes unbounded searches cancellable.
 type Exhaustive struct {
 	// NodeBudget caps search expansions; 0 = unlimited.
@@ -93,14 +92,6 @@ func (a Exhaustive) migrateProven(ctx context.Context, pr model.Problem, p model
 		}
 	}
 
-	hop, minEdge := placement.NearestHopTable(d, sw)
-	minEg := math.Inf(1)
-	for _, s := range sw {
-		if eg[s] < minEg {
-			minEg = eg[s]
-		}
-	}
-
 	res, err := bnb.Search(ctx, bnb.Spec{
 		N:   n,
 		K:   len(sw),
@@ -111,13 +102,6 @@ func (a Exhaustive) migrateProven(ctx context.Context, pr model.Problem, p model
 				return step + in[sw[v]]
 			}
 			return step + lambda*d.APSP.Cost(sw[last], sw[v])
-		},
-		TailBound: func(v, depth int) float64 {
-			r := n - 1 - depth
-			if r == 0 {
-				return eg[sw[v]]
-			}
-			return lambda*(hop[v]+float64(r-1)*minEdge) + minEg
 		},
 		LeafCost:   func(last int) float64 { return eg[sw[last]] },
 		SeedCost:   bestCost,

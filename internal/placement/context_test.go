@@ -29,9 +29,9 @@ func (c *countdownCtx) Err() error {
 
 // bigInstance is tuned so the branch-and-bound lower bound prunes
 // poorly: a random mesh with link weights spread over two orders of
-// magnitude and unit switch capacity. The seeded n=7 search takes well
-// over 1024 expansions, so the first in-search context poll is reached
-// deterministically.
+// magnitude and unit switch capacity. The seeded n=9 search takes well
+// over 1024 expansions (n=7 closes in under 600), so the first
+// in-search context poll is reached deterministically.
 func bigInstance(t *testing.T) (*model.PPDC, model.Workload, model.SFC) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -50,7 +50,7 @@ func bigInstance(t *testing.T) (*model.PPDC, model.Workload, model.SFC) {
 			Rate: 1 + rng.Float64(),
 		}
 	}
-	return d, w, model.NewSFC(7)
+	return d, w, model.NewSFC(9)
 }
 
 func TestPlaceContextPreCancelled(t *testing.T) {

@@ -24,11 +24,10 @@ func SearchExpansions() int64 { return searchExpansions.Load() }
 // branch-and-bound kernel (internal/bnb) so the k=4/k=8 benchmark
 // configurations stay tractable:
 //
-//   - partial cost  = ingress[p(1)] + Λ·chain-so-far;
-//   - lower bound   = partial + Λ·(nearestHop[v] + (edges remaining − 1)·minSwitchDist) + minEgress,
-//     where nearestHop[v] is v's cheapest distinct-switch hop — per-switch
-//     tables computed once per search, strictly tighter than the old
-//     single global minSwitchDist;
+//   - partial cost = ingress[p(1)] + Λ·chain-so-far;
+//   - lower bound  = partial + the cheapest completion Λ·(chain left) +
+//     egress, over switch sequences with no switch twice in a row (the
+//     kernel's relaxation, internal/bnb);
 //   - children expanded nearest-first.
 //
 // The paper's complexity O(|V|^n) makes Algorithm 4 a small-instance
@@ -110,14 +109,6 @@ func (a Optimal) placeProven(ctx context.Context, pr model.Problem) (model.Place
 		}
 	}
 
-	hop, minEdge := NearestHopTable(d, sw)
-	minEg := math.Inf(1)
-	for _, s := range sw {
-		if eg[s] < minEg {
-			minEg = eg[s]
-		}
-	}
-
 	res, err := bnb.Search(ctx, bnb.Spec{
 		N:   n,
 		K:   len(sw),
@@ -127,13 +118,6 @@ func (a Optimal) placeProven(ctx context.Context, pr model.Problem) (model.Place
 				return in[sw[v]] // ingress cost for p(1)
 			}
 			return lambda * d.APSP.Cost(sw[last], sw[v])
-		},
-		TailBound: func(v, depth int) float64 {
-			r := n - 1 - depth
-			if r == 0 {
-				return eg[sw[v]]
-			}
-			return lambda*(hop[v]+float64(r-1)*minEdge) + minEg
 		},
 		LeafCost:   func(last int) float64 { return eg[sw[last]] },
 		SeedCost:   bestCost,
@@ -154,34 +138,4 @@ func (a Optimal) placeProven(ctx context.Context, pr model.Problem) (model.Place
 		return nil, 0, false, errNoPlacement(n)
 	}
 	return best, bestCost, res.Proven, nil
-}
-
-// NearestHopTable returns, per switch (dense index into sw), the cost of
-// its cheapest hop to a distinct switch, plus the global minimum over
-// those — the admissible bounds on a chain edge leaving a known
-// (respectively unknown) switch, shared by the TailBound of Optimal and
-// of migration.Exhaustive. With colocation allowed (capacity ≠ 1)
-// consecutive VNFs can share a switch at zero cost, so both collapse
-// to 0.
-func NearestHopTable(d *model.PPDC, sw []int) ([]float64, float64) {
-	hop := make([]float64, len(sw))
-	if d.SwitchCap() != 1 {
-		return hop, 0
-	}
-	minEdge := math.Inf(1)
-	for i, u := range sw {
-		h := math.Inf(1)
-		for j, v := range sw {
-			if i != j {
-				if c := d.APSP.Cost(u, v); c < h {
-					h = c
-				}
-			}
-		}
-		hop[i] = h
-		if h < minEdge {
-			minEdge = h
-		}
-	}
-	return hop, minEdge
 }

@@ -179,17 +179,16 @@ func TestCheckInputsErrors(t *testing.T) {
 	}
 }
 
+// TestOptimalNodeBudgetAnytime runs on bigInstance's n=9 mesh: the
+// kernel's bound proves a k=4 fat tree at n=4 within 10 nodes.
 func TestOptimalNodeBudgetAnytime(t *testing.T) {
-	ft := topology.MustFatTree(4, nil)
-	d := model.MustNew(ft, model.Options{})
-	w := workload.MustPairs(ft, 10, workload.DefaultIntraRack, rand.New(rand.NewSource(5)))
-	sfc := model.NewSFC(4)
+	d, w, sfc := bigInstance(t)
 	p, _, proven, err := (Optimal{NodeBudget: 10, Seed: DP{}}).PlaceProven(d, w, sfc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if proven {
-		t.Fatal("10-node budget cannot prove optimality on k=4, n=4")
+		t.Fatal("10-node budget cannot prove optimality on the n=9 mesh")
 	}
 	if err := p.Validate(d, sfc); err != nil {
 		t.Fatalf("anytime incumbent invalid: %v", err)

@@ -64,7 +64,7 @@ func Top1Optimal(d *model.PPDC, f model.VMPair, n, nodeBudget int) (model.Placem
 	if err != nil {
 		return nil, 0, false, err
 	}
-	res, err := stroll.Exhaustive(in, stroll.ExhaustiveOptions{NodeBudget: nodeBudget})
+	res, err := stroll.Exhaustive(in, nodeBudget)
 	if err != nil {
 		return nil, 0, false, err
 	}

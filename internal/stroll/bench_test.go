@@ -46,7 +46,7 @@ func BenchmarkExhaustive(b *testing.B) {
 	in := benchInstance(20, 4) // k=4-scale exact search
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Exhaustive(in, ExhaustiveOptions{}); err != nil {
+		if _, err := Exhaustive(in, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

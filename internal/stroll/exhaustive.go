@@ -2,7 +2,6 @@ package stroll
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"vnfopt/internal/bnb"
@@ -15,15 +14,13 @@ import (
 // of intermediates on the shared branch-and-bound kernel (internal/bnb):
 //
 //   - upper bound seeded by the DP solution (Algorithm 2);
-//   - lower bound for a partial path about to extend to v with r more
-//     intermediates after it: cost so far + step +
-//     max( c(v,t), nearestHop(v) + (r−1)·minEdge + minToT ), all terms
-//     admissible in a metric (nearestHop/minEdge/minToT range over
-//     candidate intermediates only);
+//   - lower bound: cost so far + step + the cheapest walk on to t with
+//     no intermediate twice in a row (the kernel's relaxation,
+//     internal/bnb; admissible in any cost matrix);
 //   - children visited cheapest-extension-first to tighten the incumbent
 //     early.
 //
-// NodeBudget caps the search; when exhausted the best incumbent is
+// A node budget caps the search; when exhausted the best incumbent is
 // returned with Optimal=false. exhaustiveContext adds cooperative
 // cancellation with the same incumbent semantics.
 
@@ -35,25 +32,19 @@ var searchExpansions atomic.Int64
 // node expansions.
 func SearchExpansions() int64 { return searchExpansions.Load() }
 
-// ExhaustiveOptions tunes the branch-and-bound search.
-type ExhaustiveOptions struct {
-	// NodeBudget caps the number of search-tree expansions; 0 means
-	// unlimited. When the budget runs out the incumbent is returned with
-	// Result.Optimal == false.
-	NodeBudget int
-}
-
 // Exhaustive finds a provably optimal n-stroll (paper Algorithms 4/6 use
-// this as their inner engine) unless the node budget is exhausted first.
-func Exhaustive(in Instance, opts ExhaustiveOptions) (Result, error) {
-	return exhaustiveContext(context.Background(), in, opts)
+// this as their inner engine) unless nodeBudget search-tree expansions
+// (0 = unlimited) run out first: the incumbent is then returned with
+// Result.Optimal == false.
+func Exhaustive(in Instance, nodeBudget int) (Result, error) {
+	return exhaustiveContext(context.Background(), in, nodeBudget)
 }
 
 // exhaustiveContext is Exhaustive under a context: the search polls ctx
 // every 1024 expansions and, once cancelled, returns the best incumbent
 // found so far (at worst the DP seed) with Optimal == false alongside
 // ctx.Err().
-func exhaustiveContext(ctx context.Context, in Instance, opts ExhaustiveOptions) (Result, error) {
+func exhaustiveContext(ctx context.Context, in Instance, nodeBudget int) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -89,28 +80,6 @@ func exhaustiveContext(ctx context.Context, in Instance, opts ExhaustiveOptions)
 			cands = append(cands, v)
 		}
 	}
-	// Per-candidate nearest-neighbor and nearest-terminal tables for the
-	// admissible tail bound: hop[i] is i's cheapest edge to another
-	// candidate, minEdge the global minimum over those, minToT the
-	// cheapest closing edge. Zero minima keep the bound valid (weaker).
-	hop := make([]float64, len(cands))
-	minEdge, minToT := math.Inf(1), math.Inf(1)
-	for i, u := range cands {
-		h := math.Inf(1)
-		for j, v := range cands {
-			if i != j && in.Cost[u][v] < h {
-				h = in.Cost[u][v]
-			}
-		}
-		hop[i] = h
-		if h < minEdge {
-			minEdge = h
-		}
-		if c := in.Cost[u][in.T]; c < minToT {
-			minToT = c
-		}
-	}
-
 	res, err := bnb.Search(ctx, bnb.Spec{
 		N:   in.N,
 		K:   len(cands),
@@ -121,20 +90,9 @@ func exhaustiveContext(ctx context.Context, in Instance, opts ExhaustiveOptions)
 			}
 			return in.Cost[cands[last]][cands[v]]
 		},
-		TailBound: func(v, depth int) float64 {
-			direct := in.Cost[cands[v]][in.T]
-			r := in.N - 1 - depth
-			if r == 0 {
-				return direct
-			}
-			if lb := hop[v] + float64(r-1)*minEdge + minToT; lb > direct {
-				return lb
-			}
-			return direct
-		},
 		LeafCost:   func(last int) float64 { return in.Cost[cands[last]][in.T] },
 		SeedCost:   best.Cost,
-		NodeBudget: opts.NodeBudget,
+		NodeBudget: nodeBudget,
 	})
 	searchExpansions.Add(res.Expansions)
 

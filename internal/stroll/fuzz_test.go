@@ -25,7 +25,7 @@ func FuzzDPAgainstExhaustive(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomMetricInstance(rng, nv, n)
 
-		opt, err := Exhaustive(in, ExhaustiveOptions{})
+		opt, err := Exhaustive(in, 0)
 		if err != nil {
 			t.Fatalf("exhaustive: %v", err)
 		}

@@ -94,7 +94,7 @@ func TestDPExample2Fig4(t *testing.T) {
 }
 
 func TestExhaustiveExample2Fig4(t *testing.T) {
-	res, err := Exhaustive(fig4Instance(), ExhaustiveOptions{})
+	res, err := Exhaustive(fig4Instance(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestDPZeroN(t *testing.T) {
 func TestExhaustiveZeroN(t *testing.T) {
 	in := fig4Instance()
 	in.N = 0
-	res, err := Exhaustive(in, ExhaustiveOptions{})
+	res, err := Exhaustive(in, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestDPNeverBelowExhaustive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Exhaustive(in, ExhaustiveOptions{})
+		opt, err := Exhaustive(in, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestPrimalDualProducesFeasibleStrolls(t *testing.T) {
 		if got := walkCost(in.Cost, res.Walk); math.Abs(got-res.Cost) > 1e-9 {
 			t.Fatalf("trial %d: cost mismatch %v vs %v", trial, got, res.Cost)
 		}
-		opt, _ := Exhaustive(in, ExhaustiveOptions{})
+		opt, _ := Exhaustive(in, 0)
 		if res.Cost < opt.Cost-1e-9 {
 			t.Fatalf("trial %d: primal-dual %v beats optimal %v", trial, res.Cost, opt.Cost)
 		}
@@ -268,7 +268,7 @@ func TestOptimalMonotoneInN(t *testing.T) {
 		prev := -1.0
 		for n := 0; n <= 4; n++ {
 			in.N = n
-			res, err := Exhaustive(in, ExhaustiveOptions{})
+			res, err := Exhaustive(in, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -286,7 +286,7 @@ func TestOptimalMonotoneInN(t *testing.T) {
 func TestExhaustiveNodeBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	in := randomMetricInstance(rng, 12, 5)
-	res, err := Exhaustive(in, ExhaustiveOptions{NodeBudget: 3})
+	res, err := Exhaustive(in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

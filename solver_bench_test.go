@@ -22,8 +22,8 @@ import (
 
 // solverMesh is the hard instance: a 24-switch random mesh with delays
 // drawn from [0.1, 9.9] and 12 random flows. The wide delay spread
-// keeps the nearest-neighbor bound loose, which is the regime where
-// branch-and-bound does real work (tens of thousands of expansions)
+// keeps the kernel's bound loose, which is the regime where
+// branch-and-bound does real work (hundreds of expansions at n=7)
 // instead of collapsing onto the seed.
 func solverMesh(tb testing.TB) (*model.PPDC, model.Workload) {
 	tb.Helper()

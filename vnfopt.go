@@ -203,7 +203,7 @@ func SolveStrollDP(in StrollInstance) (StrollResult, error) { return stroll.DP(i
 // SolveStrollOptimal solves a standalone n-stroll exactly (nodeBudget 0 =
 // unlimited).
 func SolveStrollOptimal(in StrollInstance, nodeBudget int) (StrollResult, error) {
-	return stroll.Exhaustive(in, stroll.ExhaustiveOptions{NodeBudget: nodeBudget})
+	return stroll.Exhaustive(in, nodeBudget)
 }
 
 // SolveStrollPrimalDual solves a standalone n-stroll with Algorithm 1.
