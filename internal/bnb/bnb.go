@@ -22,9 +22,11 @@
 // expansion: tail[d][v], the least cost of slots d+1..N-1 plus the leaf
 // after v fills slot d, over tuples that never put one candidate in two
 // consecutive slots when Cap == 1 and over all tuples otherwise. Every
-// feasible completion is one of them, so the bound is admissible. The
-// table sums right to left and the search left to right, and a tight
-// bound sits within ulps of the optimum, so with m = 2(N+1)·2⁻⁵³·|best|
+// feasible completion is one of them, so the bound is admissible.
+// Relaxed reads the same table forward, for callers that want the
+// relaxation's optimum itself (migration.LayeredDP). The table sums
+// right to left and the search left to right, and a tight bound sits
+// within ulps of the optimum, so with m = 2(N+1)·2⁻⁵³·|best|
 // (0 while best is ±Inf) a branch is pruned when partial + tail >=
 // best − m, and a leaf replaces the incumbent only below best − 2m (it
 // used to be "strictly lower", which let the bound's rounding pick among
@@ -143,6 +145,39 @@ func relax(s *Spec) []float64 {
 		}
 	}
 	return tail
+}
+
+// Relaxed returns the optimum of s's relaxation, min_v StepCost(−1, v,
+// 0) + tail[0][v], and a tuple attaining it, read forward from the table
+// Search bounds with: slot d takes the first v (v ≠ last when Cap == 1)
+// minimizing StepCost(last, v, d) + tail[d][v]. The tuple's cost summed
+// right to left is the value to the bit. Under Cap == 1 the tuple never
+// repeats a candidate in consecutive slots, but may repeat one further
+// apart; it is nil when no relaxed tuple exists (the value is then +Inf).
+// Relaxed ignores SeedCost and NodeBudget.
+func Relaxed(s Spec) (float64, []int) {
+	tail := relax(&s)
+	path := make([]int, s.N)
+	root, last := math.Inf(1), -1
+	for d := range path {
+		lo, arg := math.Inf(1), -1
+		for v, t := range tail[d*s.K : (d+1)*s.K] {
+			if s.Cap == 1 && v == last {
+				continue
+			}
+			if c := s.StepCost(last, v, d) + t; c < lo {
+				lo, arg = c, v
+			}
+		}
+		if arg < 0 {
+			return math.Inf(1), nil
+		}
+		if d == 0 {
+			root = lo
+		}
+		path[d], last = arg, arg
+	}
+	return root, path
 }
 
 // cand is one feasible child: candidate id and its step cost. 16 bytes,

@@ -144,17 +144,28 @@ func costRightToLeft(s Spec, path []int) float64 {
 	return c
 }
 
-// rootBound is the kernel's relaxation at the root: the least cost of a
-// whole tuple over the relaxed set.
-func rootBound(s Spec) float64 {
-	tail := relax(&s)
-	lo := math.Inf(1)
-	for v := 0; v < s.K; v++ {
-		if c := s.StepCost(-1, v, 0) + tail[v]; c < lo {
-			lo = c
+// relaxedTuples lists the tuples the kernel's relaxation ranges over:
+// all K^N of them, less those with one candidate in two consecutive
+// slots when Cap == 1.
+func relaxedTuples(s Spec) [][]int {
+	var out [][]int
+	path := make([]int, s.N)
+	var rec func(depth int)
+	rec = func(depth int) {
+		if depth == s.N {
+			out = append(out, append([]int(nil), path...))
+			return
+		}
+		for v := 0; v < s.K; v++ {
+			if s.Cap == 1 && depth > 0 && path[depth-1] == v {
+				continue
+			}
+			path[depth] = v
+			rec(depth + 1)
 		}
 	}
-	return lo
+	rec(0)
+	return out
 }
 
 func pathCost(s Spec, path []int) float64 {

@@ -5,7 +5,7 @@
 //	TOP:  Optimal ≤ DP ≤ {Steering, Greedy};
 //	      every placement validates (capacity, switch-only).
 //	TOM:  Exhaustive ≤ {mPareto, LayeredDP, surrogate} ≤ NoMigration;
-//	      LayeredDP's unconstrained bound ≤ Exhaustive;
+//	      LayeredDP's relaxation bound ≤ Exhaustive;
 //	      every reported C_t matches the model evaluation.
 //	Kernels: the aggregated workload cost cache ≡ the scalar cost oracle
 //	      on every placement any solver produces, across the w1 → w2
@@ -164,11 +164,13 @@ func Run(d *model.PPDC, w1, w2 model.Workload, sfc model.SFC, opts Options) (*Re
 			return nil, fmt.Errorf("differential: %s C_t %v below Exhaustive %v", name, ct, ctOpt)
 		}
 	}
-	// LayeredDP's unconstrained value lower-bounds the optimum.
-	if _, bound, err := (migration.LayeredDP{}).MigrateBound(d, w2, sfc, pInit, opts.Mu); err == nil {
-		if provenM && bound > ctOpt+tol {
-			return nil, fmt.Errorf("differential: LayeredDP bound %v above proven optimum %v", bound, ctOpt)
-		}
+	// LayeredDP's relaxation value lower-bounds the optimum.
+	_, bound, err := (migration.LayeredDP{}).MigrateBound(d, w2, sfc, pInit, opts.Mu)
+	if err != nil {
+		return nil, fmt.Errorf("differential: LayeredDP bound: %w", err)
+	}
+	if provenM && bound > ctOpt+tol {
+		return nil, fmt.Errorf("differential: LayeredDP bound %v above proven optimum %v", bound, ctOpt)
 	}
 	return rep, nil
 }

@@ -167,7 +167,7 @@ func fig11c(cfg Config) (*Table, error) {
 					if err != nil {
 						return nil, err
 					}
-					out[fmt.Sprintf("%s μ=%.0g", displayName(mig.Name()), mu)] = r.DailyTotal
+					out[fmt.Sprintf("%s μ=%.0g", mig.Name(), mu)] = r.DailyTotal
 				}
 				if mu == mus[0] {
 					out["NoMigration"] = sim.runNoMigration().DailyTotal
@@ -195,8 +195,6 @@ func fig11c(cfg Config) (*Table, error) {
 	}
 	return t, nil
 }
-
-func displayName(name string) string { return name }
 
 // fig11d reproduces Fig. 11(d): total daily cost vs the number of VNFs n
 // for mPareto against NoMigration, quantifying the headline "VNF migration

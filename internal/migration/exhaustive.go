@@ -2,6 +2,7 @@ package migration
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 
 	"vnfopt/internal/bnb"
@@ -71,18 +72,13 @@ func (a Exhaustive) MigrateProven(d *model.PPDC, w model.Workload, sfc model.SFC
 // An already-cancelled context returns before the Seed migrator is
 // consulted.
 func (a Exhaustive) migrateProven(ctx context.Context, pr model.Problem, p model.Placement, mu float64) (model.Placement, float64, bool, error) {
-	d, w, sfc := pr.PPDC, pr.Workload, pr.SFC
-	if err := checkInputs(d, w, sfc, p, mu); err != nil {
+	d, w := pr.PPDC, pr.Workload
+	if err := checkInputs(d, w, pr.SFC, p, mu); err != nil {
 		return nil, 0, false, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, false, err
 	}
-	n := sfc.Len()
-	in, eg := pr.Cache.EndpointCosts()
-	lambda := w.TotalRate()
-	sw := d.Topo.Switches
-
 	best := p.Clone() // staying put is always feasible
 	bestCost := d.CommCost(w, p)
 	if a.Seed != nil {
@@ -92,8 +88,31 @@ func (a Exhaustive) migrateProven(ctx context.Context, pr model.Problem, p model
 		}
 	}
 
-	res, err := bnb.Search(ctx, bnb.Spec{
-		N:   n,
+	spec := tomSpec(pr, p, mu)
+	spec.SeedCost, spec.NodeBudget = bestCost, a.NodeBudget
+	res, err := bnb.Search(ctx, spec)
+	searchExpansions.Add(res.Expansions)
+	if res.Path != nil {
+		best, bestCost = onSwitches(d, res.Path), res.Cost
+	}
+	if err != nil {
+		return best, bestCost, false, err
+	}
+	return best, bestCost, res.Proven, nil
+}
+
+// tomSpec is TOM as a bnb.Spec, the one both Exhaustive and LayeredDP
+// run: slot j picks the switch (an index into d.Topo.Switches) hosting
+// f_{j+1}, at μ·c(p(j+1), v) plus the ingress at slot 0 or Λ·c(u, v)
+// after it, and the leaf adds the egress. At most SwitchCap() VNFs share
+// a switch; there is no seed and no node budget.
+func tomSpec(pr model.Problem, p model.Placement, mu float64) bnb.Spec {
+	d := pr.PPDC
+	in, eg := pr.Cache.EndpointCosts()
+	lambda := pr.Workload.TotalRate()
+	sw := d.Topo.Switches
+	return bnb.Spec{
+		N:   pr.SFC.Len(),
 		K:   len(sw),
 		Cap: d.SwitchCap(),
 		StepCost: func(last, v, depth int) float64 {
@@ -103,20 +122,16 @@ func (a Exhaustive) migrateProven(ctx context.Context, pr model.Problem, p model
 			}
 			return step + lambda*d.APSP.Cost(sw[last], sw[v])
 		},
-		LeafCost:   func(last int) float64 { return eg[sw[last]] },
-		SeedCost:   bestCost,
-		NodeBudget: a.NodeBudget,
-	})
-	searchExpansions.Add(res.Expansions)
-	if res.Path != nil {
-		best = make(model.Placement, n)
-		for j, v := range res.Path {
-			best[j] = sw[v]
-		}
-		bestCost = res.Cost
+		LeafCost: func(last int) float64 { return eg[sw[last]] },
+		SeedCost: math.Inf(1),
 	}
-	if err != nil {
-		return best, bestCost, false, err
+}
+
+// onSwitches maps a tomSpec tuple of switch indices to its placement.
+func onSwitches(d *model.PPDC, path []int) model.Placement {
+	m := make(model.Placement, len(path))
+	for j, v := range path {
+		m[j] = d.Topo.Switches[v]
 	}
-	return best, bestCost, res.Proven, nil
+	return m
 }

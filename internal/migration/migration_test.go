@@ -180,39 +180,49 @@ func TestExhaustiveIsLowerBoundForHeuristics(t *testing.T) {
 }
 
 func TestLayeredDPBoundSandwich(t *testing.T) {
-	// unconstrained DP value ≤ true optimum ≤ repaired LayeredDP cost.
+	// relaxation value ≤ true optimum ≤ repaired LayeredDP cost, on 60
+	// instances per n; tight pins how many bounds meet the optimum.
 	ft := topology.MustFatTree(4, nil)
 	d := model.MustNew(ft, model.Options{})
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 5; trial++ {
-		w := workload.MustPairs(ft, 8, workload.DefaultIntraRack, rng)
-		sfc := model.NewSFC(3)
-		p, _, err := (placement.DP{}).Place(d, w, sfc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w2 := w.WithRates(workload.Rates(len(w), rng))
-		m, bound, err := (LayeredDP{}).MigrateBound(d, w2, sfc, p, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repaired := d.TotalCost(w2, p, m, 200)
-		_, opt, proven, err := (Exhaustive{Seed: MPareto{}}).MigrateProven(d, w2, sfc, p, 200)
-		if err != nil || !proven {
-			t.Fatal(err)
-		}
-		if bound > opt+1e-6 {
-			t.Fatalf("trial %d: DP bound %v above optimum %v", trial, bound, opt)
-		}
-		if repaired < opt-1e-6 {
-			t.Fatalf("trial %d: repaired cost %v below optimum %v", trial, repaired, opt)
-		}
-		// When the unconstrained trace was already distinct, all three
-		// coincide.
-		if err := m.Validate(d, sfc); err == nil && math.Abs(repaired-bound) < 1e-9 {
-			if math.Abs(repaired-opt) > 1e-6 {
-				t.Fatalf("trial %d: distinct DP trace %v should equal optimum %v", trial, repaired, opt)
+	for _, tc := range []struct{ n, tight int }{{3, 51}, {4, 54}} {
+		tight := 0
+		for trial := 0; trial < 60; trial++ {
+			w := workload.MustPairs(ft, 8, workload.DefaultIntraRack, rng)
+			sfc := model.NewSFC(tc.n)
+			p, _, err := (placement.DP{}).Place(d, w, sfc)
+			if err != nil {
+				t.Fatal(err)
 			}
+			w2 := w.WithRates(workload.Rates(len(w), rng))
+			m, bound, err := (LayeredDP{}).MigrateBound(d, w2, sfc, p, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repaired := d.TotalCost(w2, p, m, 200)
+			_, opt, proven, err := (Exhaustive{Seed: MPareto{}}).MigrateProven(d, w2, sfc, p, 200)
+			if err != nil || !proven {
+				t.Fatal(err)
+			}
+			if bound > opt+1e-6 {
+				t.Fatalf("n=%d trial %d: bound %v above optimum %v", tc.n, trial, bound, opt)
+			}
+			if repaired < opt-1e-6 {
+				t.Fatalf("n=%d trial %d: repaired cost %v below optimum %v", tc.n, trial, repaired, opt)
+			}
+			// When the traced target was already distinct, all three
+			// coincide.
+			if err := m.Validate(d, sfc); err == nil && math.Abs(repaired-bound) < 1e-9 {
+				if math.Abs(repaired-opt) > 1e-6 {
+					t.Fatalf("n=%d trial %d: distinct trace %v should equal optimum %v", tc.n, trial, repaired, opt)
+				}
+			}
+			if math.Abs(bound-opt) <= 1e-9*opt {
+				tight++
+			}
+		}
+		if tight != tc.tight {
+			t.Errorf("n=%d: bound equals the optimum in %d of 60 instances, want %d", tc.n, tight, tc.tight)
 		}
 	}
 }

@@ -35,27 +35,9 @@ func (r Refined) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model
 	m = m.Clone()
 	in, eg := d.NewWorkloadCache(w).EndpointCosts()
 	lambda := w.TotalRate()
-	n := len(m)
-	used := make(map[int]int, n)
+	used := make(map[int]int, len(m))
 	for _, v := range m {
 		used[v]++
-	}
-
-	// local returns the C_t contribution of hosting f_{j+1} at v with the
-	// rest of m fixed.
-	local := func(j, v int) float64 {
-		c := mu * d.APSP.Cost(p[j], v)
-		if j == 0 {
-			c += in[v]
-		} else {
-			c += lambda * d.APSP.Cost(m[j-1], v)
-		}
-		if j == n-1 {
-			c += eg[v]
-		} else {
-			c += lambda * d.APSP.Cost(v, m[j+1])
-		}
-		return c
 	}
 
 	sweeps := r.MaxSweeps
@@ -64,8 +46,8 @@ func (r Refined) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model
 	}
 	for s := 0; s < sweeps; s++ {
 		improved := false
-		for j := 0; j < n; j++ {
-			cur := local(j, m[j])
+		for j := range m {
+			cur := localCost(d, in, eg, lambda, mu, p, m, j, m[j])
 			best := cur
 			bestV := m[j]
 			for _, v := range d.Topo.Switches {
@@ -75,7 +57,7 @@ func (r Refined) Migrate(d *model.PPDC, w model.Workload, sfc model.SFC, p model
 				if !d.CapFits(used, v) {
 					continue
 				}
-				if c := local(j, v); c < best-1e-12 {
+				if c := localCost(d, in, eg, lambda, mu, p, m, j, v); c < best-1e-12 {
 					best = c
 					bestV = v
 				}
