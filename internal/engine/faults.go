@@ -154,7 +154,7 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	}
 	e.open = rerr != nil
 	out := e.faultResult(res, injected, healed)
-	e.obs.observeFaults(out)
+	e.obs.observeFaults(out, cache.ClosureRowsCopied())
 	e.publish(cur)
 	return out, nil
 }

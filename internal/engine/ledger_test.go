@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -21,6 +22,7 @@ type workLine struct {
 // workMeters measures each ledger line: keyed by twin, then layer.
 var workMeters = map[string]map[string]func(t *testing.T) map[string]int64{
 	"flash-crowd": {"route_pass": flashCrowdRoutePassWork},
+	"fault-storm": {"cost_cache": faultStormCostCacheWork},
 }
 
 // flashCrowdRoutePassWork runs flashCrowdEngine's route passes — the
@@ -42,6 +44,41 @@ func flashCrowdRoutePassWork(t *testing.T) map[string]int64 {
 		"searches": int64(reg.Counter(`vnfopt_sfcroute_searches_total{scenario="crowd"}`).Value()),
 		"settled":  int64(reg.Counter(`vnfopt_sfcroute_settled_total{scenario="crowd"}`).Value()),
 	}
+}
+
+// faultStormCostCacheWork runs faultStormEngine's cycle and counts the
+// switch-closure rows its events' cost caches copied — the rows their
+// repair consults read — and how many of the serving APSP matrix's rows
+// are built: after create, the fewest and the most after an event, and
+// once the cycle ends pristine. The cost model reads the 320 switches'
+// rows and the 128 flow hosts'; a fault that isolates a switch or a
+// host, or leaves a host one re-priced link, leaves its row unbuilt until
+// it is read again. A matrix built in full, or a delta that repairs every
+// row, moves the built counts; a closure copied whole moves closure_rows.
+func faultStormCostCacheWork(t *testing.T) map[string]int64 {
+	reg := obs.NewRegistry()
+	e, events := faultStormEngine(t, NewObserver(reg, nil, "storm"))
+	built := func() int64 {
+		a, n := e.d.APSP, int64(0)
+		for u := range a.Order() {
+			if a.Built(u) {
+				n++
+			}
+		}
+		return n
+	}
+	work := map[string]int64{"apsp_rows": int64(e.d.APSP.Order()), "rows_built_create": built()}
+	lo, hi := work["apsp_rows"], int64(0)
+	for i, ev := range events {
+		if _, err := e.ApplyFaults(context.Background(), ev.inject, ev.heal); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		lo, hi = min(lo, built()), max(hi, built())
+	}
+	work["rows_built_min"], work["rows_built_max"], work["rows_built_end"] = lo, hi, built()
+	work["faults_active_end"] = int64(e.faults.Len())
+	work["closure_rows"] = reg.Counter(`vnfopt_cache_closure_rows_total{scenario="storm"}`).Value()
+	return work
 }
 
 // TestWorkLedger pins every line of testdata/work_ledger.json exactly,

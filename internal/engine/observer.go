@@ -39,6 +39,7 @@ type Observer struct {
 	migrations      *obs.Counter
 	moves           *obs.Counter
 	rebuilds        *obs.Counter
+	closureRows     *obs.Counter
 	faultsInjected  *obs.Counter
 	faultsHealed    *obs.Counter
 	repairs         *obs.Counter
@@ -79,6 +80,7 @@ func NewObserver(r *obs.Registry, events *obs.EventLog, scenario string) *Observ
 		migrations:      r.Counter("vnfopt_engine_migrations_total" + l),
 		moves:           r.Counter("vnfopt_engine_moves_total" + l),
 		rebuilds:        r.Counter("vnfopt_cache_rebuilds_total" + l),
+		closureRows:     r.Counter("vnfopt_cache_closure_rows_total" + l),
 		faultsInjected:  r.Counter("vnfopt_engine_faults_injected_total" + l),
 		faultsHealed:    r.Counter("vnfopt_engine_faults_healed_total" + l),
 		repairs:         r.Counter("vnfopt_engine_repairs_total" + l),
@@ -165,11 +167,13 @@ func (o *Observer) observeRouting(rep *RoutingReport, elapsed time.Duration, sea
 }
 
 // observeFaults records one committed topology-event transition: the
-// degraded-mode gauges plus fault/repair counters and events.
-func (o *Observer) observeFaults(res *FaultResult) {
+// degraded-mode gauges plus fault/repair counters and events, and the
+// switch-closure rows the event's cost cache copied for its repair.
+func (o *Observer) observeFaults(res *FaultResult, closureRows int) {
 	if o == nil {
 		return
 	}
+	o.closureRows.Add(int64(closureRows))
 	if res.Degraded {
 		o.degraded.Set(1)
 	} else {

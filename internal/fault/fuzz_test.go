@@ -211,7 +211,6 @@ func FuzzIncrementalAPSP(f *testing.F) {
 		prevWant := graph.AllPairsSequential(topo.Graph)
 		cache := d.NewWorkloadCache(w)
 		cache.UnitEndpointCosts()
-		cache.SwitchCosts()
 		var read []int
 		step := func(b byte) {
 			// The rows this input reads: every stride-th from an offset.
@@ -272,8 +271,9 @@ func rowsEqual(t *testing.T, a, b *graph.APSP, u int) {
 }
 
 // cacheEqual compares a derived cost cache with a fresh one bit for bit:
-// both endpoint pairs, the switch closure and its floor, Λ and the
-// direct cost.
+// both endpoint pairs, the switch closure — the derived view's rows to
+// the fresh view's cells — Λ and the direct cost; the derived floor is at
+// most the fresh closure's least cost between two switches.
 func cacheEqual(t *testing.T, got, want *model.WorkloadCache) {
 	t.Helper()
 	same := func(what string, a, b []float64) {
@@ -292,17 +292,26 @@ func cacheEqual(t *testing.T, got, want *model.WorkloadCache) {
 	inF, egF = want.UnitEndpointCosts()
 	same("unit ingress", in, inF)
 	same("unit egress", eg, egF)
-	cost, floor := got.SwitchCosts()
-	costF, floorF := want.SwitchCosts()
-	if len(cost) != len(costF) {
-		t.Fatalf("derived closure over %d switches, fresh %d", len(cost), len(costF))
+	cost, costF := got.SwitchCosts(), want.SwitchCosts()
+	if cost.Len() != costF.Len() {
+		t.Fatalf("derived closure over %d switches, fresh %d", cost.Len(), costF.Len())
 	}
-	for i := range costF {
-		same("closure row", cost[i], costF[i])
+	least := math.Inf(1)
+	for i := range costF.Len() {
+		row := make([]float64, costF.Len())
+		for j := range row {
+			if row[j] = costF.Cost(i, j); j != i {
+				least = min(least, row[j])
+			}
+		}
+		same("closure row", cost.Row(i), row)
 	}
-	for _, x := range [][2]float64{{floor, floorF}, {got.TotalRate(), want.TotalRate()}, {got.CommCost(nil), want.CommCost(nil)}} {
+	if cost.Floor() > least {
+		t.Fatalf("derived closure floor %v above the fresh closure's least cost between two switches, %v", cost.Floor(), least)
+	}
+	for _, x := range [][2]float64{{got.TotalRate(), want.TotalRate()}, {got.CommCost(nil), want.CommCost(nil)}} {
 		if math.Float64bits(x[0]) != math.Float64bits(x[1]) {
-			t.Fatalf("derived cache floor/Λ/direct %v, fresh %v", x[0], x[1])
+			t.Fatalf("derived cache Λ/direct %v, fresh %v", x[0], x[1])
 		}
 	}
 }

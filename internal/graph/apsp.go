@@ -69,6 +69,9 @@ type APSP struct {
 	// the premise of ApplyEdgeDeltas' repair and of Pred's rule. +Inf when
 	// they do not.
 	span float64
+	// minW is the graph's least edge weight (+Inf without edges): no cost
+	// between two distinct vertices is below it.
+	minW float64
 	// trace is the last search Pred or Path ran on a matrix whose rows are
 	// not canonical, under mu: a sweep over one row runs one search.
 	trace struct {
@@ -116,9 +119,10 @@ func (f flatRows) row(i int) Row {
 	return r
 }
 
-// newAPSP allocates an n-order matrix with no row built.
-func newAPSP(n int, span float64, csr *CSR) *APSP {
-	return &APSP{n: n, rows: make([]Row, n), built: make([]uint32, n), csr: csr, span: span}
+// newAPSP allocates an n-order matrix with no row built over a graph
+// with the given weightBounds.
+func newAPSP(n int, minW, reach float64, csr *CSR) *APSP {
+	return &APSP{n: n, rows: make([]Row, n), built: make([]uint32, n), csr: csr, span: canonicalSpan(minW, reach), minW: minW}
 }
 
 // AllPairs returns the all-pairs matrix of g, a CSR snapshot of it and no
@@ -126,7 +130,8 @@ func newAPSP(n int, span float64, csr *CSR) *APSP {
 // any read order, at any worker count (docs/ALGORITHMS.md, "Performance
 // kernels").
 func AllPairs(g *Graph) *APSP {
-	return newAPSP(g.Order(), canonicalSpan(g.weightBounds()), g.Freeze())
+	minW, reach := g.weightBounds()
+	return newAPSP(g.Order(), minW, reach, g.Freeze())
 }
 
 // Built reports whether row u is built: read, or repaired by a delta.
@@ -200,7 +205,8 @@ func (a *APSP) fill(todo []int, workers int) {
 // which Pred and Path read.
 func AllPairsSequential(g *Graph) *APSP {
 	n := g.Order()
-	a := newAPSP(n, canonicalSpan(g.weightBounds()), g.Freeze())
+	minW, reach := g.weightBounds()
+	a := newAPSP(n, minW, reach, g.Freeze())
 	flat := newFlatRows(n, n)
 	for src := 0; src < n; src++ {
 		dist, _ := g.Dijkstra(src)
@@ -391,50 +397,69 @@ func (a *APSP) Diameter() float64 {
 // given vertices: out[i][j] = c(keep[i], keep[j]) — the complete graph G”
 // of paper Algo. 2 over keep, whose triangle inequality holds by
 // construction, which the stroll DP relies on ("using G” overcomes an
-// obstacle otherwise faced by using G"). It is CostMatrixFrom with no
-// parent: the rows alias one contiguous row-major buffer (two allocations
-// total), so solvers streaming the closure stay cache-local.
+// obstacle otherwise faced by using G"). The rows alias one contiguous
+// row-major buffer (two allocations total), so solvers streaming the
+// closure stay cache-local. Closure reads the same cells in place.
 func (a *APSP) CostMatrix(keep []int) [][]float64 {
-	return a.CostMatrixFrom(keep, nil, nil)
-}
-
-// CostMatrixFrom is CostMatrix derived from prevOut, the closure over the
-// same keep on prev: a row whose blocks under keep are all prev's, by
-// pointer, is prevOut's row, shared; any other row is copied into an
-// allocation of its own, so a shared row pins only itself or a full
-// build's one buffer — a derived chain holds ≤ 2·len(keep)² cells. Rows
-// not built yet are built as one batch; one prev has not built is copied.
-func (a *APSP) CostMatrixFrom(keep []int, prev *APSP, prevOut [][]float64) [][]float64 {
 	a.buildRows(keep, 0)
 	k := len(keep)
 	var few [16]stretch // on the stack: the usual keep allocates nothing here
 	runs := AppendStretches(few[:0], keep)
-	out := make([][]float64, k)
-	var buf []float64
-	if prev == nil {
-		buf = make([]float64, k*k)
-	}
+	out, buf := make([][]float64, k), make([]float64, k*k)
 	for i, u := range keep {
-		src, shared := a.rows[u].dist, prev != nil && prev.Built(u)
-		for j := 0; j < len(runs) && shared; j++ {
-			shared = src[runs[j].block] == prev.rows[u].dist[runs[j].block]
-		}
-		if shared {
-			out[i] = prevOut[i]
-			continue
-		}
-		if buf != nil {
-			out[i] = buf[i*k : (i+1)*k]
-		} else {
-			out[i] = make([]float64, k)
-		}
-		for _, r := range runs {
-			if r.n == 1 {
-				out[i][r.at] = src[r.block][r.off]
-			} else {
-				copy(out[i][r.at:r.at+r.n], src[r.block][r.off:r.off+r.n])
-			}
-		}
+		out[i] = buf[i*k : (i+1)*k]
+		a.rows[u].gather(out[i], runs)
 	}
 	return out
 }
+
+// gather copies the row's cells at the vertices runs was cut from into
+// dst, in list order.
+func (r Row) gather(dst []float64, runs Stretches) {
+	for _, s := range runs {
+		copy(dst[s.at:s.at+s.n], r.dist[s.block][s.off:s.off+s.n])
+	}
+}
+
+// Closure is CostMatrix over keep read from the matrix in place: cell
+// (i, j) is c(keep[i], keep[j]). Row copies row i's cells out on its
+// first read and keeps the copy; Cost reads one cell and copies nothing.
+// Row fills the view, so a view has one owner goroutine.
+type Closure struct {
+	a      *APSP
+	keep   []int
+	runs   Stretches
+	rows   [][]float64 // rows[i]: row i's cells, nil until read
+	copied int
+}
+
+// Closure returns the view of the closure over keep. Every row of keep
+// the matrix has not built is built first, as one batch.
+func (a *APSP) Closure(keep []int) *Closure {
+	a.buildRows(keep, 0)
+	return &Closure{a: a, keep: keep, runs: AppendStretches(nil, keep), rows: make([][]float64, len(keep))}
+}
+
+// Len returns the number of vertices the closure is over.
+func (c *Closure) Len() int { return len(c.keep) }
+
+// Cost returns c(keep[i], keep[j]).
+func (c *Closure) Cost(i, j int) float64 { return c.a.Row(c.keep[i]).Cost(c.keep[j]) }
+
+// Row returns row i's cells, indexed like keep. Owned by the view; do
+// not mutate.
+func (c *Closure) Row(i int) []float64 {
+	if c.rows[i] == nil {
+		c.rows[i] = make([]float64, len(c.keep))
+		c.a.Row(c.keep[i]).gather(c.rows[i], c.runs)
+		c.copied++
+	}
+	return c.rows[i]
+}
+
+// Copied returns the number of rows Row has copied out.
+func (c *Closure) Copied() int { return c.copied }
+
+// Floor returns a lower bound on every cell off the diagonal: the least
+// edge weight of the matrix's graph (+Inf without edges).
+func (c *Closure) Floor() float64 { return c.a.minW }

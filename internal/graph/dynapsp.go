@@ -178,7 +178,7 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 
 	minW, reach := next.weightBounds()
 	// out is not shared until it returns: its flags are written plainly.
-	out := newAPSP(n, canonicalSpan(minW, reach), a.csr)
+	out := newAPSP(n, minW, reach, a.csr)
 	repair := strictRelax(minW, math.Max(a.span, reach))
 	var stats deltaStats
 	if repair && len(d.Removed)+len(d.Restored)+len(d.Reweighted) == 0 {

@@ -44,13 +44,15 @@ import (
 // What depends on the fabric alone — SwitchCosts and the solver slot
 // FabricMemo — is built on first ask and lives as long as the cache: no
 // SetWorkload touches it, and a fabric change means a new cache, which
-// OnFabric derives from the old one.
+// OnFabric derives from the old one, with neither of them.
 //
 // A cache has one owner goroutine: SetWorkload rewrites the vectors in
 // place, and UnitEndpointCosts, SwitchCosts and FabricMemo build what they
 // return on first ask, so none of them may run beside any other call. The
-// engine holds its lock around every use; offline callers build their own
-// cache per call. OnFabric only reads its receiver, under the same rule.
+// rule covers reads of the SwitchCosts view too, since its Row fills it.
+// The engine holds its lock around every use; offline callers build their
+// own cache per call. OnFabric only reads its receiver, under the same
+// rule.
 type WorkloadCache struct {
 	d *PPDC
 	// flows is the workload the cache was last set from, flow by flow
@@ -74,18 +76,16 @@ type WorkloadCache struct {
 	totalRate float64
 	// direct is C_a of the empty placement: Σ λ c(s,t).
 	direct float64
-	// switchCosts is the closure (see SwitchCosts), nil until asked for;
-	// rowFloor[i] is its row i's least off-diagonal cell, floor the least.
-	switchCosts [][]float64
-	rowFloor    []float64
-	floor       float64
+	// closure is the switch closure (see SwitchCosts), nil until asked for.
+	closure *graph.Closure
 	// memo is the solver's per-fabric value (see FabricMemo); nil until
 	// asked for.
 	memo any
 
-	// Rebuild scratch: the pair index and the marginals' host indexes.
+	// Rebuild scratch: the pair index, made by the first regroup, and the
+	// marginals' host indexes, one cell per vertex (see marginals.add).
 	pairIdx        map[[2]int]int
-	srcIdx, dstIdx map[int]int
+	srcIdx, dstIdx []int32
 }
 
 // endpoints is a pair of endpoint vectors and the marginals they sum.
@@ -121,9 +121,9 @@ func (d *PPDC) NewWorkloadCache(w Workload) *WorkloadCache {
 // d.NewWorkloadCache(w) holds — derived from c, a cache on a fabric of the
 // same vertex set whose APSP matrix d's may share blocks with (a fault
 // view derived from c's).
-// Each vector re-sums only the blocks whose inputs changed, and the
-// closure, built when c has one, shares c's rows the change left alone.
-// FabricMemo starts empty. c is only read: a caller may drop the result.
+// Each vector re-sums only the blocks whose inputs changed. SwitchCosts
+// and FabricMemo start empty. c is only read: a caller may drop the
+// result.
 func (c *WorkloadCache) OnFabric(d *PPDC, w Workload) *WorkloadCache {
 	return d.newCache(c, w)
 }
@@ -131,22 +131,19 @@ func (c *WorkloadCache) OnFabric(d *PPDC, w Workload) *WorkloadCache {
 func (d *PPDC) newCache(p *WorkloadCache, w Workload) *WorkloadCache {
 	// Start from the parent's flow list and grouping, so SetWorkload's
 	// regroup-or-re-sum test decides as it would on the parent.
+	n := d.Topo.Graph.Order()
 	c := &WorkloadCache{
 		d:        d,
 		switches: graph.AppendStretches(nil, d.Topo.Switches),
 		flows:    append(make(Workload, 0, len(w)), p.flows...),
 		pairs:    slices.Clone(p.pairs),
 		pairOf:   slices.Clone(p.pairOf),
-		pairIdx:  make(map[[2]int]int, len(w)),
-		srcIdx:   make(map[int]int),
-		dstIdx:   make(map[int]int),
+		srcIdx:   make([]int32, n),
+		dstIdx:   make([]int32, n),
 	}
 	c.set(w, p)
 	if p.unit.in != nil {
 		c.sumUnit(p)
-	}
-	if p.switchCosts != nil {
-		c.buildClosure(p)
 	}
 	return c
 }
@@ -192,13 +189,7 @@ func (c *WorkloadCache) set(w Workload, p *WorkloadCache) {
 			}
 		}
 	}
-	// Per-host λ marginals, first-appearance order.
-	c.resetMarginals(&c.rate)
-	c.totalRate, c.direct = 0, 0
-	for _, f := range c.pairs {
-		c.totalRate += f.Rate
-		c.addMarginals(&c.rate, f, f.Rate)
-	}
+	c.aggregate(&c.rate, c.pairs, false)
 	if moved {
 		c.unit.in, c.unit.eg = nil, nil
 	}
@@ -206,7 +197,9 @@ func (c *WorkloadCache) set(w Workload, p *WorkloadCache) {
 		c.rate.in, c.rate.eg = make([]float64, n), make([]float64, n)
 	}
 	c.sum(&c.rate, &p.rate, p)
+	c.totalRate, c.direct = 0, 0
 	for _, f := range c.pairs { // after the sweep built their rows as one batch
+		c.totalRate += f.Rate
 		c.direct += f.Rate * c.d.APSP.Row(f.Src).Cost(f.Dst)
 	}
 }
@@ -214,6 +207,9 @@ func (c *WorkloadCache) set(w Workload, p *WorkloadCache) {
 // group groups the non-zero flows by (src, dst) host pair in
 // first-appearance order, recording each flow's pair in pairOf.
 func (c *WorkloadCache) group() {
+	if c.pairIdx == nil {
+		c.pairIdx = make(map[[2]int]int, len(c.flows))
+	}
 	clear(c.pairIdx)
 	c.pairs, c.pairOf = c.pairs[:0], c.pairOf[:0]
 	for _, f := range c.flows {
@@ -234,28 +230,31 @@ func (c *WorkloadCache) group() {
 	}
 }
 
-func (c *WorkloadCache) resetMarginals(e *endpoints) {
-	clear(c.srcIdx)
-	clear(c.dstIdx)
+// aggregate sets e's marginals — per source and per dest host, in
+// first-appearance order — from flows at their rates, or at rate 1 when
+// unit is set.
+func (c *WorkloadCache) aggregate(e *endpoints, flows Workload, unit bool) {
 	e.srcs = marginals{e.srcs.hosts[:0], e.srcs.rates[:0]}
 	e.dsts = marginals{e.dsts.hosts[:0], e.dsts.rates[:0]}
-}
-
-// addMarginals adds rate to e's marginals of f's source and dest hosts,
-// appending a host on its first appearance.
-func (c *WorkloadCache) addMarginals(e *endpoints, f VMPair, rate float64) {
-	e.srcs.add(c.srcIdx, f.Src, rate)
-	e.dsts.add(c.dstIdx, f.Dst, rate)
+	for _, f := range flows {
+		if unit {
+			f.Rate = 1
+		}
+		e.srcs.add(c.srcIdx, f.Src, f.Rate)
+		e.dsts.add(c.dstIdx, f.Dst, f.Rate)
+	}
 }
 
 // add adds rate to host's marginal, appending host on its first
-// appearance; idx maps each host to its index.
-func (m *marginals) add(idx map[int]int, host int, rate float64) {
-	if i, ok := idx[host]; ok {
+// appearance. idx holds one cell per vertex: host is listed at idx[host]
+// exactly when m.hosts has host there, so a cell left over from another
+// list — or never written — reads as absent, and no reset clears idx.
+func (m *marginals) add(idx []int32, host int, rate float64) {
+	if i := idx[host]; int(i) < len(m.hosts) && m.hosts[i] == host {
 		m.rates[i] += rate
 		return
 	}
-	idx[host] = len(m.hosts)
+	idx[host] = int32(len(m.hosts))
 	m.hosts = append(m.hosts, host)
 	m.rates = append(m.rates, rate)
 }
@@ -309,53 +308,33 @@ func (c *WorkloadCache) UnitEndpointCosts() (ingress, egress []float64) {
 
 // sumUnit builds the rate-1 vectors against the parent p's.
 func (c *WorkloadCache) sumUnit(p *WorkloadCache) {
-	c.resetMarginals(&c.unit)
-	for _, f := range c.flows {
-		c.addMarginals(&c.unit, f, 1)
-	}
+	c.aggregate(&c.unit, c.flows, true)
 	n := c.d.Topo.Graph.Order()
 	c.unit.in, c.unit.eg = make([]float64, n), make([]float64, n)
 	c.sum(&c.unit, &p.unit, p)
 }
 
-// SwitchCosts returns the dense |V_s|×|V_s| shortest-path cost matrix
-// over the switches, indexed like Topo.Switches — the metric closure the
-// stroll solvers take as input — and its floor, the least cost between
-// two distinct switches (+Inf below two switches). The fabric under a
-// cache never changes, so both are built on first ask and kept for the
-// cache's life. Owned by the cache; do not mutate.
-func (c *WorkloadCache) SwitchCosts() (cost [][]float64, floor float64) {
-	if c.switchCosts == nil {
-		c.buildClosure(&noParent)
+// SwitchCosts returns the metric closure over the switches, indexed like
+// Topo.Switches — the input of the stroll solvers — as a view of the APSP
+// matrix (graph.Closure): the first ask builds every switch row not built
+// yet as one batch, and a row of the view is copied out of the matrix on
+// its first read. Its Floor bounds every cost between two distinct
+// switches from below. The fabric under a cache never changes, so the
+// view lives as long as the cache. Owned by the cache; do not mutate.
+func (c *WorkloadCache) SwitchCosts() *graph.Closure {
+	if c.closure == nil {
+		c.closure = c.d.APSP.Closure(c.d.Topo.Switches)
 	}
-	return c.switchCosts, c.floor
+	return c.closure
 }
 
-// buildClosure builds the closure and its row floors. A parent closure on
-// the same switch list lends every row the fabric change left alone, with
-// its floor (graph.APSP.CostMatrixFrom); a different list — a switch
-// failed or healed — builds from scratch.
-func (c *WorkloadCache) buildClosure(p *WorkloadCache) {
-	sw := c.d.Topo.Switches
-	var prev *graph.APSP
-	if p.switchCosts != nil && slices.Equal(p.d.Topo.Switches, sw) {
-		prev = p.d.APSP
+// ClosureRowsCopied returns the number of rows the SwitchCosts view has
+// copied out of the matrix, 0 when nothing asked for it.
+func (c *WorkloadCache) ClosureRowsCopied() int {
+	if c.closure == nil {
+		return 0
 	}
-	c.switchCosts = c.d.APSP.CostMatrixFrom(sw, prev, p.switchCosts)
-	c.rowFloor, c.floor = make([]float64, len(sw)), math.Inf(1)
-	for i, row := range c.switchCosts {
-		f := math.Inf(1)
-		if prev != nil && &row[0] == &p.switchCosts[i][0] {
-			f = p.rowFloor[i]
-		} else {
-			for j, x := range row {
-				if j != i && x < f {
-					f = x
-				}
-			}
-		}
-		c.rowFloor[i], c.floor = f, min(c.floor, f)
-	}
+	return c.closure.Copied()
 }
 
 // FabricMemo returns the solver-owned value kept for the cache's life

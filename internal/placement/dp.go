@@ -64,9 +64,9 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 		return p, c, nil
 	}
 
-	sw := d.Topo.Switches                   // closure index → graph vertex
-	cost, minEdge := pr.Cache.SwitchCosts() // minEdge: the closure's floor
-	tabs := pr.Cache.FabricMemo(func() any { return make([]*stroll.DPTable, len(cost)) }).([]*stroll.DPTable)
+	sw := d.Topo.Switches // closure index → graph vertex
+	cost := pr.Cache.SwitchCosts()
+	tabs := pr.Cache.FabricMemo(func() any { return make([]*stroll.DPTable, cost.Len()) }).([]*stroll.DPTable)
 	lambda := w.TotalRate()
 
 	// Seed the incumbent with Steering so the bound-based pruning below
@@ -78,15 +78,17 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 	}
 
 	// Admissible lower bounds for pruning whole egress/ingress branches:
-	// any n-VNF chain costs at least Λ·(n−1)·minEdge, and any placement
-	// pays at least the cheapest ingress.
+	// any n-VNF chain costs at least Λ·(n−1)·floor — the fabric's least
+	// link weight, below every closure cost — and any placement pays at
+	// least the cheapest ingress. A looser floor only lets more candidates
+	// be evaluated, none of which beats the incumbent.
 	minIn := math.Inf(1)
 	for _, v := range sw {
 		if in[v] < minIn {
 			minIn = in[v]
 		}
 	}
-	chainLB := lambda * float64(n-1) * minEdge
+	chainLB := lambda * float64(n-1) * cost.Floor()
 
 	// Visit egress switches cheapest-first; once the bound exceeds the
 	// incumbent every later egress is prunable too.

@@ -29,7 +29,7 @@ func BenchmarkDPTableSharedQueries(b *testing.B) {
 	in := benchInstance(82, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb := NewDPTable(in.Cost, in.T)
+		tb := NewDPTable(Matrix(in.Cost), in.T)
 		// One table, every source — Algorithm 3's access pattern.
 		for s := 0; s < len(in.Cost); s++ {
 			if s == in.T {

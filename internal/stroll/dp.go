@@ -22,7 +22,7 @@ import (
 // the same full layer below, so which cells a table holds never changes
 // their bits — only how many get computed.
 type DPTable struct {
-	cost [][]float64
+	cost Closure
 	t    int
 	c    [][]float64 // c[e][u], e >= 1
 	succ [][]int32   // succ[e][u]: next node after u on the optimal walk
@@ -31,20 +31,16 @@ type DPTable struct {
 	done []bool
 }
 
-// NewDPTable prepares the 1-edge base case toward target t.
-func NewDPTable(cost [][]float64, t int) *DPTable {
-	nv := len(cost)
+// NewDPTable prepares the 1-edge base case toward target t. It reads
+// the target's column cell by cell and copies no row.
+func NewDPTable(cost Closure, t int) *DPTable {
+	nv := cost.Len()
 	base := make([]float64, nv)
 	bSucc := make([]int32, nv)
-	for u := 0; u < nv; u++ {
-		if u == t {
-			base[u] = math.Inf(1)
-			bSucc[u] = -1
-		} else {
-			base[u] = cost[u][t]
-			bSucc[u] = int32(t)
-		}
+	for u := range nv {
+		base[u], bSucc[u] = cost.Cost(u, t), int32(t)
 	}
+	base[t], bSucc[t] = math.Inf(1), -1
 	return &DPTable{
 		cost: cost,
 		t:    t,
@@ -56,7 +52,7 @@ func NewDPTable(cost [][]float64, t int) *DPTable {
 // reach makes cell s of layer e available: layers below e are completed,
 // and layer e, if it is new or still the partial top, gets cell s.
 func (tb *DPTable) reach(e, s int) {
-	nv := len(tb.cost)
+	nv := tb.cost.Len()
 	for top := len(tb.c) - 1; top < e; top++ {
 		for u, ok := range tb.done { // nil while layer 1 is the top
 			if !ok {
@@ -78,10 +74,10 @@ func (tb *DPTable) reach(e, s int) {
 
 // fill computes cell u of layer e from the full layer e−1.
 func (tb *DPTable) fill(e, u int) {
-	prevC, prevS := tb.c[e-1], tb.succ[e-1]
+	prevC, prevS, row := tb.c[e-1], tb.succ[e-1], tb.cost.Row(u)
 	best := math.Inf(1)
 	bestV := int32(-1)
-	for v := range tb.cost {
+	for v, c := range row {
 		// v is the walk's next hop: not u itself, not the target (t only
 		// terminates walks), and not an immediate backtrack (the hop
 		// after v must not return to u).
@@ -89,7 +85,7 @@ func (tb *DPTable) fill(e, u int) {
 			continue
 		}
 		if pc := prevC[v]; !math.IsInf(pc, 1) {
-			if cand := tb.cost[u][v] + pc; cand < best {
+			if cand := c + pc; cand < best {
 				best = cand
 				bestV = int32(v)
 			}
@@ -176,7 +172,7 @@ func (tb *DPTable) Stroll(s, n, maxEdges int) (Result, error) {
 // insertMissing grows the walk's distinct intermediate count to n by
 // repeatedly inserting the globally cheapest (node, position) pair —
 // cheapest-insertion on the metric closure.
-func insertMissing(cost [][]float64, walk []int, s, t, n int) ([]int, error) {
+func insertMissing(cost Closure, walk []int, s, t, n int) ([]int, error) {
 	w := append([]int(nil), walk...)
 	inWalk := make(map[int]bool, len(w))
 	for _, v := range w {
@@ -186,12 +182,13 @@ func insertMissing(cost [][]float64, walk []int, s, t, n int) ([]int, error) {
 	for distinct < n {
 		bestDelta := math.Inf(1)
 		bestV, bestPos := -1, -1
-		for v := range cost {
+		for v := range cost.Len() {
 			if v == s || v == t || inWalk[v] {
 				continue
 			}
 			for i := 0; i+1 < len(w); i++ {
-				delta := cost[w[i]][v] + cost[v][w[i+1]] - cost[w[i]][w[i+1]]
+				row := cost.Row(w[i])
+				delta := row[v] + cost.Cost(v, w[i+1]) - row[w[i+1]]
 				if delta < bestDelta {
 					bestDelta = delta
 					bestV, bestPos = v, i
@@ -216,5 +213,5 @@ func DP(in Instance) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	return NewDPTable(in.Cost, in.T).Stroll(in.S, in.N, 0)
+	return NewDPTable(Matrix(in.Cost), in.T).Stroll(in.S, in.N, 0)
 }

@@ -47,7 +47,7 @@ func FuzzDPAgainstExhaustive(f *testing.F) {
 			if res.Walk[0] != in.S || res.Walk[len(res.Walk)-1] != in.T {
 				t.Fatalf("%s walk endpoints %v", name, res.Walk)
 			}
-			if got := walkCost(in.Cost, res.Walk); got > res.Cost+1e-9 || got < res.Cost-1e-9 {
+			if got := walkCost(Matrix(in.Cost), res.Walk); got > res.Cost+1e-9 || got < res.Cost-1e-9 {
 				t.Fatalf("%s reported %v but walk costs %v", name, res.Cost, got)
 			}
 			seen := map[int]bool{}
@@ -76,7 +76,7 @@ func FuzzDPAgainstExhaustive(f *testing.F) {
 // cell. A table it has grown answers Stroll from these full layers alone,
 // so it is the reference the lazy table's cells are held to.
 func extendFull(tb *DPTable, maxE int) {
-	nv := len(tb.cost)
+	nv := tb.cost.Len()
 	for e := len(tb.c); e <= maxE; e++ {
 		prevC, prevS := tb.c[e-1], tb.succ[e-1]
 		curC := make([]float64, nv)
@@ -89,7 +89,7 @@ func extendFull(tb *DPTable, maxE int) {
 					continue
 				}
 				if pc := prevC[v]; !math.IsInf(pc, 1) {
-					if cand := tb.cost[u][v] + pc; cand < best {
+					if cand := tb.cost.Cost(u, v) + pc; cand < best {
 						best = cand
 						bestV = int32(v)
 					}
@@ -117,8 +117,8 @@ func FuzzDPTableLazyTop(f *testing.F) {
 		nv := 4 + int(nvRaw)%16 // 4..19 vertices
 		rng := rand.New(rand.NewSource(seed))
 		in := randomMetricInstance(rng, nv, 0)
-		lazy := NewDPTable(in.Cost, in.T)
-		full := NewDPTable(in.Cost, in.T)
+		lazy := NewDPTable(Matrix(in.Cost), in.T)
+		full := NewDPTable(Matrix(in.Cost), in.T)
 		extendFull(full, nv+8) // the deepest ramp below: n ≤ nv−2, cap ≤ n+9
 		for q := 0; q < 1+int(queriesRaw)%24; q++ {
 			s := rng.Intn(nv - 1)

@@ -74,7 +74,7 @@ func PrimalDual(in Instance) (Result, error) {
 	vis := distinctIntermediates(walk, in.S, in.T)
 	walk = truncateAfterN(in, walk, vis, in.N)
 	vis = vis[:in.N]
-	return Result{Cost: walkCost(in.Cost, walk), Walk: walk, Visited: vis}, nil
+	return Result{Cost: walkCost(Matrix(in.Cost), walk), Walk: walk, Visited: vis}, nil
 }
 
 // growMoats runs one GW growth phase with uniform prize pi and returns the
@@ -390,7 +390,7 @@ func fallbackStroll(in Instance) Result {
 	}
 	walk = append(walk, in.T)
 	return Result{
-		Cost:    walkCost(in.Cost, walk),
+		Cost:    walkCost(Matrix(in.Cost), walk),
 		Walk:    walk,
 		Visited: distinctIntermediates(walk, in.S, in.T),
 	}

@@ -91,11 +91,27 @@ func (in Instance) Validate() error {
 	return nil
 }
 
-// walkCost sums matrix costs along a vertex sequence.
-func walkCost(cost [][]float64, walk []int) float64 {
+// Closure is the metric closure the DP reads: Row(u) holds the costs
+// from u to each of the Len vertices, Cost(u, v) one of them. A view may
+// copy a row out on its first Row, so a reader of one cell asks Cost.
+type Closure interface {
+	Len() int
+	Row(u int) []float64
+	Cost(u, v int) float64
+}
+
+// Matrix is a dense Closure: Matrix[u][v] is the cost from u to v.
+type Matrix [][]float64
+
+func (m Matrix) Len() int              { return len(m) }
+func (m Matrix) Row(u int) []float64   { return m[u] }
+func (m Matrix) Cost(u, v int) float64 { return m[u][v] }
+
+// walkCost sums closure costs along a vertex sequence.
+func walkCost(cost Closure, walk []int) float64 {
 	s := 0.0
 	for i := 0; i+1 < len(walk); i++ {
-		s += cost[walk[i]][walk[i+1]]
+		s += cost.Row(walk[i])[walk[i+1]]
 	}
 	return s
 }

@@ -116,7 +116,7 @@ func TestPrimalDualExample2Fig4(t *testing.T) {
 	if res.Cost < 6 || res.Cost > 12 {
 		t.Fatalf("primal-dual cost = %v, want in [6, 12]", res.Cost)
 	}
-	if got := walkCost(fig4Instance().Cost, res.Walk); math.Abs(got-res.Cost) > 1e-9 {
+	if got := walkCost(Matrix(fig4Instance().Cost), res.Walk); math.Abs(got-res.Cost) > 1e-9 {
 		t.Fatalf("reported cost %v != walk cost %v", res.Cost, got)
 	}
 }
@@ -225,7 +225,7 @@ func TestPrimalDualProducesFeasibleStrolls(t *testing.T) {
 		if res.Walk[0] != in.S || res.Walk[len(res.Walk)-1] != in.T {
 			t.Fatalf("trial %d: walk endpoints %v", trial, res.Walk)
 		}
-		if got := walkCost(in.Cost, res.Walk); math.Abs(got-res.Cost) > 1e-9 {
+		if got := walkCost(Matrix(in.Cost), res.Walk); math.Abs(got-res.Cost) > 1e-9 {
 			t.Fatalf("trial %d: cost mismatch %v vs %v", trial, got, res.Cost)
 		}
 		opt, _ := Exhaustive(in, 0)
@@ -301,7 +301,7 @@ func TestExhaustiveNodeBudget(t *testing.T) {
 
 func TestDPTableSharedAcrossSources(t *testing.T) {
 	in := fig4Instance()
-	tb := NewDPTable(in.Cost, in.T)
+	tb := NewDPTable(Matrix(in.Cost), in.T)
 	// Query from several sources; each must match the one-shot DP.
 	for _, s := range []int{0, 1, 4} {
 		one, err := DP(Instance{Cost: in.Cost, S: s, T: in.T, N: 2})
