@@ -4,7 +4,7 @@
 //
 //	TOP:  Optimal ≤ DP ≤ {Steering, Greedy};
 //	      every placement validates (capacity, switch-only).
-//	TOM:  Exhaustive ≤ {mPareto, LayeredDP, surrogate} ≤ NoMigration;
+//	TOM:  Exhaustive ≤ {mPareto, LayeredDP} ≤ NoMigration;
 //	      LayeredDP's relaxation bound ≤ Exhaustive;
 //	      every reported C_t matches the model evaluation.
 //	Kernels: the aggregated workload cost cache ≡ the scalar cost oracle
@@ -130,7 +130,6 @@ func Run(d *model.PPDC, w1, w2 model.Workload, sfc model.SFC, opts Options) (*Re
 	migs := []migration.Migrator{
 		migration.MPareto{},
 		migration.LayeredDP{},
-		migration.OptimalSurrogate(),
 		migration.NoMigration{},
 	}
 	for _, mg := range migs {

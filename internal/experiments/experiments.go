@@ -59,9 +59,9 @@ type Config struct {
 	// migrations for PLAN/MCF) correspond to ≈10 rate units per hour.
 	HourVolume float64
 	// OptBudget caps branch-and-bound expansions for the exhaustive
-	// Optimal algorithms; 0 = unlimited. At k=8 unlimited search is
-	// infeasible for larger n, so the budgeted anytime result stands in
-	// (flagged in table footers).
+	// Optimal algorithms (Algorithm 4 in Figs. 7, 9 and 10, Algorithm 6
+	// in each hour of Fig. 11); 0 = unlimited. A search that hits it
+	// reports its anytime incumbent, counted in the table's footnote.
 	OptBudget int
 	// HostCapacity bounds VMs per host for the PLAN/MCF baselines
 	// (0 = twice the average initial occupancy, set per workload).

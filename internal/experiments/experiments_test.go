@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,6 +91,43 @@ func TestFig11dShowsReduction(t *testing.T) {
 		nm := parseMean(t, row[2])
 		if mp > nm+1e-6 {
 			t.Errorf("n=%s: mPareto daily total %v exceeds NoMigration %v", row[0], mp, nm)
+		}
+	}
+}
+
+// TestFig11OptimalFootnotesBudget: Fig. 11's Optimal column is Algorithm
+// 6 under its own name, proven in every QuickConfig hour (no footnote),
+// and each table footnotes the hours whose search hits the node budget.
+func TestFig11OptimalFootnotesBudget(t *testing.T) {
+	fig11 := func(cfg Config) []*Table {
+		t.Helper()
+		a, b, err := fig11ab(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := fig11c(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Table{a, b, c}
+	}
+	for _, tab := range fig11(QuickConfig()) {
+		if tab.Columns[2] != "Optimal" && tab.Columns[2] != "Optimal μ=1e4" {
+			t.Errorf("%s: column 2 is %q, want Optimal", tab.Title, tab.Columns[2])
+		}
+		if len(tab.Notes) != 0 {
+			t.Errorf("%s: unexpected notes %q", tab.Title, tab.Notes)
+		}
+	}
+	cfg := QuickConfig()
+	cfg.Runs, cfg.OptBudget = 1, 1
+	for _, tab := range fig11(cfg) {
+		if len(tab.Notes) != 1 {
+			t.Fatalf("%s: notes %q, want one budget footnote", tab.Title, tab.Notes)
+		}
+		var count, budget int
+		if _, err := fmt.Sscanf(tab.Notes[0], "%d Optimal hours hit the %d-node budget", &count, &budget); err != nil || count <= 0 || budget != 1 {
+			t.Errorf("%s: footnote %q (count %d, budget %d, err %v)", tab.Title, tab.Notes[0], count, budget, err)
 		}
 	}
 }

@@ -22,9 +22,8 @@ import (
 // true lower bound on the TOM optimum; when the traced target puts two
 // VNFs on one switch further apart, a local repair pass moves later
 // duplicates to their best free switch, so the cost is an upper bound.
-// This is the paper-scale "Optimal" surrogate at k=16, where Algorithm
-// 6's O(|V_s|^n) enumeration is infeasible (documented substitution; the
-// tests hold bound ≤ optimum ≤ cost where Algorithm 6 runs).
+// It stays as the migrator a scenario can select where Exhaustive's
+// search has no time bound, and its bound feeds the differential checks.
 type LayeredDP struct{}
 
 // Name implements Migrator.
