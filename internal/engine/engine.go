@@ -220,10 +220,11 @@ type Engine struct {
 	servable []bool
 	unserved []fault.UnservedFlow
 
-	// Capacity-aware routing state (see routing.go). router is rebuilt
-	// lazily whenever the serving model changes; routingReport holds the
-	// last completed pass, pricedFrom the link loads that priced it, in
-	// link order (Routing.Alpha > 0 only; empty after a rebuild).
+	// Capacity-aware routing state (see routing.go). router is built once,
+	// over the pristine fabric, and rebased onto each serving model a
+	// fault transition commits; routingReport holds the last completed
+	// pass, pricedFrom the link loads that priced it, in link order
+	// (Routing.Alpha > 0 only; empty after a rebase).
 	router        *sfcroute.Router
 	routingReport *RoutingReport
 	pricedFrom    []PricedLink
@@ -248,7 +249,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.begin(e.committedCost)
+	return e.begin(e.committedCost, nil)
 }
 
 // build is New up to, not including, the first routing pass and
@@ -319,9 +320,26 @@ func build(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// begin runs the routing pass over what the constructor assembled and
-// publishes the first snapshot; curCost is C_a under e.p.
-func (e *Engine) begin(curCost float64) (*Engine, error) {
+// begin builds the router when routing is on, its loads set to loads —
+// none for New, the saved pass's for resume — runs the routing pass over
+// what the constructor assembled and publishes the first snapshot;
+// curCost is C_a under e.p.
+func (e *Engine) begin(curCost float64, loads []PricedLink) (*Engine, error) {
+	if rc := e.cfg.Routing; rc != nil {
+		r, err := sfcroute.NewRouter(e.d, sfcroute.Config{
+			Capacity:       rc.LinkCapacity,
+			Alpha:          rc.Alpha,
+			MaxUtilization: rc.MaxUtilization,
+			Classify:       rc.Classify,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("engine: routing: %w", err)
+		}
+		if err := r.SetLoads(loads); err != nil {
+			return nil, fmt.Errorf("engine: state priced_from: %w", err)
+		}
+		e.router = r
+	}
 	if err := e.routeEpoch(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

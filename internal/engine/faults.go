@@ -142,11 +142,15 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	e.committedCost = cur
 	e.committedEpoch = e.epoch
 
-	// Re-route on the new serving model (routeEpoch rebuilds the router
-	// lazily when it sees the swapped model). The transition is already
-	// committed, so a routing failure — an engine invariant violation,
-	// since capacities and placements were validated — degrades to an
-	// event plus a dropped report rather than unwinding the fault apply.
+	// Re-route on the new serving model: the router is rebased onto its
+	// weights, loads cleared, so the pass is unpriced. The transition is
+	// already committed, so a routing failure — an engine invariant
+	// violation, since capacities and placements were validated —
+	// degrades to an event plus a dropped report rather than unwinding
+	// the fault apply.
+	if e.router != nil {
+		e.router.Rebase(e.d)
+	}
 	rerr := e.routeEpoch()
 	if rerr != nil {
 		e.obs.observeError(e.epoch, rerr)

@@ -390,6 +390,18 @@ func TestStateRoundTripWithFaults(t *testing.T) {
 	}
 }
 
+// fabricWeight returns the least weight of the arcs u→v of d's fabric,
+// the CSR its APSP is over: +Inf where none is live.
+func fabricWeight(d *model.PPDC, u, v int) float64 {
+	least := graph.Inf
+	d.APSP.Fabric().ForEachSlot(func(_, a, b int, w float64) {
+		if a == u && b == v {
+			least = min(least, w)
+		}
+	})
+	return least
+}
+
 // TestApplyFaultsDegrade drives the soft-failure path end to end: a
 // degrade re-prices the fabric without killing anything, a factor change
 // counts as a fresh injection, the heal names only the link, and the
@@ -422,7 +434,7 @@ func TestApplyFaultsDegrade(t *testing.T) {
 		t.Fatalf("degrade must not unserve flows: %+v", snap)
 	}
 	pw := d.Topo.Graph.EdgeWeight(u, v)
-	if got := e.view.PPDC().Topo.Graph.EdgeWeight(u, v); got != pw*5 {
+	if got := fabricWeight(e.view.PPDC(), u, v); got != pw*5 {
 		t.Fatalf("serving fabric edge weight %v, want %v", got, pw*5)
 	}
 
@@ -436,7 +448,7 @@ func TestApplyFaultsDegrade(t *testing.T) {
 	if res.Injected != 1 || len(res.Active) != 1 {
 		t.Fatalf("factor change not treated as injection: %+v", res)
 	}
-	if got := e.view.PPDC().Topo.Graph.EdgeWeight(u, v); got != pw*2 {
+	if got := fabricWeight(e.view.PPDC(), u, v); got != pw*2 {
 		t.Fatalf("replaced factor: edge weight %v, want %v", got, pw*2)
 	}
 	// Re-degrading at the SAME factor is a no-op.

@@ -139,7 +139,7 @@ func (o *Observer) observeStep(res StepResult, drift float64, consultTime time.D
 }
 
 // observeRouting records one capacity-aware routing pass: how long it
-// took (router rebuild, re-pricing and admission), how many
+// took (re-pricing and admission), how many
 // shortest-path searches it ran and how many vertices they settled, the
 // admission gauges, the hottest link's utilization, and an event when
 // the pass rejected flows.

@@ -80,31 +80,8 @@ type RoutingSummary struct {
 	SaturatedLinks     int     `json:"saturated_links"`
 }
 
-// ensureRouter builds the router for the active serving model when there
-// is none yet or a fault transition swapped the model; a fresh router
-// holds no loads, so its first pass is unpriced. Called with e.mu held
-// and e.cfg.Routing set.
-func (e *Engine) ensureRouter() error {
-	if e.router != nil && e.router.Model() == e.d {
-		return nil
-	}
-	rc := e.cfg.Routing
-	r, err := sfcroute.NewRouter(e.d, sfcroute.Config{
-		Capacity:       rc.LinkCapacity,
-		Alpha:          rc.Alpha,
-		MaxUtilization: rc.MaxUtilization,
-		Classify:       rc.Classify,
-	})
-	if err != nil {
-		return fmt.Errorf("routing: %w", err)
-	}
-	e.router = r
-	return nil
-}
-
 // routeEpoch runs the capacity-aware routing pass for the current
-// placement and serving model, rebuilding the router lazily when a fault
-// transition swapped the serving model. Called with e.mu held; a nil
+// placement on the router's serving model. Called with e.mu held; a nil
 // RoutingConfig makes it a no-op.
 func (e *Engine) routeEpoch() error {
 	rc := e.cfg.Routing
@@ -112,9 +89,6 @@ func (e *Engine) routeEpoch() error {
 		return nil
 	}
 	start := time.Now()
-	if err := e.ensureRouter(); err != nil {
-		return err
-	}
 	if rc.Alpha > 0 {
 		e.pricedFrom = e.router.PricedLoads(e.pricedFrom[:0])
 	}

@@ -36,7 +36,7 @@ func routePassTrace(t *testing.T) []byte {
 	step(1)
 	step(2)
 	// Killing flow 0's edge switch strands its rack: those flows drop out
-	// of `servable` and the router is rebuilt on the degraded model.
+	// of `servable` and the router is rebased onto the degraded model.
 	edge := e.cfg.PPDC.Topo.Graph.Neighbors(e.cfg.Base[0].Src)[0].To
 	if _, err := e.ApplyFaults(context.Background(), []fault.Fault{{Kind: fault.Switch, U: edge}}, nil); err != nil {
 		t.Fatalf("ApplyFaults: %v", err)

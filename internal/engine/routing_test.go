@@ -274,7 +274,9 @@ func TestResumeRefusesRepeatedPricedLink(t *testing.T) {
 // pristine-fabric, epoch-0 pass its construction ran, and from there on
 // routes every epoch as the saved engine does. With congestion pricing
 // (Alpha > 0) that takes the loads that priced the saved engine's last
-// pass, which State carries.
+// pass, which State carries — also while faults are active, where both
+// engines' routers are on a fault view's weights: rebased there by a
+// transition, or built there by the resume.
 func TestResumeRoutesRestoredState(t *testing.T) {
 	for _, alpha := range []float64{0, 2} {
 		t.Run(fmt.Sprintf("alpha=%v", alpha), func(t *testing.T) {
@@ -309,6 +311,14 @@ func TestResumeRoutesRestoredState(t *testing.T) {
 			}
 
 			core := d.Switches()[len(d.Switches())-1]
+			faults := func(inject, heal []fault.Fault) func(*Engine) error {
+				return func(x *Engine) error {
+					_, err := x.ApplyFaults(context.Background(), inject, heal)
+					return err
+				}
+			}
+			uplink := fault.Fault{Kind: fault.Link, U: w[2].Src, V: d.Topo.Graph.Neighbors(w[2].Src)[0].To}
+			hot := fault.Fault{Kind: fault.Degrade, U: w[0].Src, V: d.Topo.Graph.Neighbors(w[0].Src)[0].To, Factor: 3}
 			step := func(updates ...RateUpdate) func(*Engine) error {
 				return func(x *Engine) error {
 					if _, err := x.Ingest(updates); err != nil {
@@ -321,15 +331,18 @@ func TestResumeRoutesRestoredState(t *testing.T) {
 			// r is resumed after every stage and then taken through the next
 			// one next to e: it must land where e does.
 			r := resume("new")
-			priced := false
+			priced, pricedDegraded := false, false
 			for i, stage := range []func(*Engine) error{
 				step(RateUpdate{Flow: 0, Rate: 11}),
 				step(RateUpdate{Flow: 1, Rate: 4}),
-				func(x *Engine) error {
-					_, err := x.ApplyFaults(context.Background(), []fault.Fault{{Kind: fault.Switch, U: core}}, nil)
-					return err
-				},
+				faults([]fault.Fault{{Kind: fault.Switch, U: core}}, nil),
 				step(RateUpdate{Flow: 0, Rate: 24}, RateUpdate{Flow: 3, Rate: 2}),
+				step(),
+				faults([]fault.Fault{uplink, hot}, nil),
+				step(RateUpdate{Flow: 1, Rate: 13}),
+				faults(nil, []fault.Fault{{Kind: fault.Switch, U: core}}),
+				step(RateUpdate{Flow: 2, Rate: 9}),
+				faults(nil, []fault.Fault{uplink, hot}),
 				step(),
 			} {
 				name := fmt.Sprintf("stage %d", i)
@@ -339,14 +352,16 @@ func TestResumeRoutesRestoredState(t *testing.T) {
 					}
 				}
 				same(name+", one epoch after resuming", r)
-				priced = priced || len(e.State().PricedFrom) > 0
+				st := e.State()
+				priced = priced || len(st.PricedFrom) > 0
+				pricedDegraded = pricedDegraded || len(st.PricedFrom) > 0 && len(st.Faults) > 0
 				r = resume(name)
 			}
 			if rep := e.RoutingReport(); rep.Rejected == 0 || rep.Admitted == 0 {
 				t.Fatalf("fixture is not over capacity: %+v", rep)
 			}
-			if priced != (alpha > 0) {
-				t.Fatalf("state carried pricing loads: %v, with alpha %v", priced, alpha)
+			if priced != (alpha > 0) || pricedDegraded != (alpha > 0) {
+				t.Fatalf("state carried pricing loads: %v, with faults active: %v, with alpha %v", priced, pricedDegraded, alpha)
 			}
 		})
 	}

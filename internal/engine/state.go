@@ -120,15 +120,7 @@ func resume(cfg Config, st *State) (*Engine, error) {
 	// The routing pass begin runs is the saved engine's last one over
 	// again: same rates, placement and serving model, priced from the
 	// same loads.
-	if len(st.PricedFrom) > 0 && e.cfg.Routing != nil {
-		if err := e.ensureRouter(); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		if err := e.router.SetLoads(st.PricedFrom); err != nil {
-			return nil, fmt.Errorf("engine: state priced_from: %w", err)
-		}
-	}
-	return e.begin(e.cache.CommCost(e.p))
+	return e.begin(e.cache.CommCost(e.p), st.PricedFrom)
 }
 
 // ResumeJSON is resume from serialized state.

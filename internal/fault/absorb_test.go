@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// Fault.Validate accepts any finite degrade factor > 0, so a request can
-// price a link at 1e300 × its weight — and then 1e300 + 1 == 1e300, a
-// relaxation that does not increase the cost. Rows over such a fabric are
-// a product of the Dijkstra trace, not of the graph alone, and the row
-// repair may not reason about them: the graph layer's guard sends every row of such a transition through the
+// Fault.Validate accepts any degrade factor > 0 that keeps the degraded
+// reach finite, so a request can price a link at 1e300 × its weight —
+// and then 1e300 + 1 == 1e300, a relaxation that does not increase the
+// cost. Rows over such a fabric are a product of the Dijkstra trace, not
+// of the graph alone, and the row repair may not reason about them: the
+// graph layer's guard sends every row of such a transition through the
 // full re-run. These tests pin the incremental chain to Rebuild across
 // that regime and across its borders.
 

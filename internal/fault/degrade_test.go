@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
 	"vnfopt/internal/topology"
 )
@@ -83,6 +84,10 @@ func TestDegradeValidate(t *testing.T) {
 		{Fault{Kind: Degrade, U: u, V: v, Factor: -1}, "must be finite and > 0"},
 		{Fault{Kind: Degrade, U: u, V: v, Factor: math.Inf(1)}, "must be finite and > 0"},
 		{Fault{Kind: Degrade, U: u, V: v, Factor: math.NaN()}, "must be finite and > 0"},
+		// Finite factors whose degraded reach is not: at the largest, two
+		// host uplinks served a flow between the hosts at +Inf.
+		{Fault{Kind: Degrade, U: u, V: v, Factor: math.MaxFloat64}, "overflows"},
+		{Fault{Kind: Degrade, U: u, V: v, Factor: math.MaxFloat64 / 8}, "overflows"},
 		{Fault{Kind: Degrade, U: 0, V: 1, Factor: 2}, "no link"},
 		{Fault{Kind: Link, U: u, V: v, Factor: 2}, "only valid on degrade"},
 		{Fault{Kind: Switch, U: d.Topo.Switches[0], Factor: 0.5}, "only valid on degrade"},
@@ -119,7 +124,7 @@ func TestDegradeViewWeights(t *testing.T) {
 	}
 	// The degraded edge's direct cost is exactly factor× pristine.
 	pw := d.Topo.Graph.EdgeWeight(u, v)
-	if got := view.PPDC().Topo.Graph.EdgeWeight(u, v); got != pw*4 {
+	if got := fabricWeight(view.PPDC(), u, v); got != pw*4 {
 		t.Fatalf("degraded edge weight %v, want %v", got, pw*4)
 	}
 	// No pair gets cheaper, and the degraded view matches Rebuild.
@@ -210,7 +215,7 @@ func TestDegradeRemoveHealPermutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mid.PPDC().Topo.Graph.HasEdge(u, v) {
+	if fabricWeight(mid.PPDC(), u, v) < graph.Inf {
 		t.Fatal("cut link still present under degrade+cut")
 	}
 	back, err := ApplyDelta(d, mid, fs.Remove(link))
@@ -218,7 +223,21 @@ func TestDegradeRemoveHealPermutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	pw := d.Topo.Graph.EdgeWeight(u, v)
-	if got := back.PPDC().Topo.Graph.EdgeWeight(u, v); got != pw*3 {
+	if got := fabricWeight(back.PPDC(), u, v); got != pw*3 {
 		t.Fatalf("healed link came back at weight %v, want degraded %v", got, pw*3)
 	}
+}
+
+// fabricWeight returns the least weight of the arcs u→v of d's fabric,
+// the CSR its APSP is over: +Inf where none is live. It reads a view's
+// degraded weights whichever form the view takes, a weight vector over
+// the pristine fabric or a filtered clone.
+func fabricWeight(d *model.PPDC, u, v int) float64 {
+	least := graph.Inf
+	d.APSP.Fabric().ForEachSlot(func(_, a, b int, w float64) {
+		if a == u && b == v {
+			least = min(least, w)
+		}
+	})
+	return least
 }

@@ -50,7 +50,8 @@ const (
 // Fault is one failure. For Link and Degrade faults both U and V are set
 // (order irrelevant); for Switch and Host faults the vertex is U and V
 // must be zero or equal to U. Factor is the weight multiplier of a
-// Degrade fault (> 0, finite) and must be zero for every other kind.
+// Degrade fault (> 0, with factor × the link's weight × the vertex count
+// finite) and must be zero for every other kind.
 type Fault struct {
 	Kind   Kind    `json:"kind"`
 	U      int     `json:"u"`
@@ -116,6 +117,13 @@ func (f Fault) Validate(d *model.PPDC) error {
 		if f.Kind == Degrade {
 			if !(f.Factor > 0) || math.IsInf(f.Factor, 0) {
 				return fmt.Errorf("fault: degrade{%d,%d} factor %g must be finite and > 0 (use a link fault to take the link down)", f.U, f.V, f.Factor)
+			}
+			// The degraded reach stays finite: an overflowed arc would weigh
+			// +Inf, a down link to a view, and a flow across it cost +Inf.
+			for _, e := range d.Topo.Graph.Neighbors(f.U) {
+				if e.To == f.V && math.IsInf(f.Factor*e.Weight*float64(n), 1) {
+					return fmt.Errorf("fault: degrade{%d,%d} factor %g overflows: × weight %g × %d vertices is not finite", f.U, f.V, f.Factor, e.Weight, n)
+				}
 			}
 		}
 	case Switch:

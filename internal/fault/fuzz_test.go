@@ -379,13 +379,13 @@ func TestHealOrderPermutationRelabelling(t *testing.T) {
 				if inc.Dead(f.U) {
 					t.Fatalf("healed vertex %d still dead", f.U)
 				}
-				joined := false
-				for _, e := range inc.PPDC().Topo.Graph.Neighbors(f.U) {
-					if inc.reachable(f.U, e.To) {
-						joined = true
+				live, joined := false, false
+				inc.PPDC().APSP.Fabric().ForEachSlot(func(_, a, b int, w float64) {
+					if a == f.U && w < graph.Inf {
+						live, joined = true, joined || inc.reachable(f.U, b)
 					}
-				}
-				if !joined && len(inc.PPDC().Topo.Graph.Neighbors(f.U)) > 0 {
+				})
+				if live && !joined {
 					t.Fatalf("healed vertex %d rejoined no component", f.U)
 				}
 			}

@@ -11,9 +11,11 @@ import (
 )
 
 // View is an immutable degraded snapshot of a pristine PPDC under one
-// FaultSet: the filtered graph with its rebuilt APSP oracle, the live
+// FaultSet: its APSP oracle, over the degraded fabric, the live
 // host/switch membership, and the connected-component labelling used
-// for reachability and partition detection.
+// for reachability and partition detection. ApplyDelta's fabric weighs
+// the pristine CSR's arcs anew, +Inf where they are down, over the
+// pristine Topo.Graph; Rebuild's, the oracle's, is a filtered clone.
 type View struct {
 	pristine *model.PPDC
 	faults   FaultSet
@@ -35,7 +37,7 @@ func Apply(d *model.PPDC, fs FaultSet) (*View, error) {
 	}
 	if fs.Empty() {
 		v := &View{pristine: d, faults: fs, degraded: d}
-		v.label(d.Topo.Graph)
+		v.label(d.APSP.Fabric())
 		return v, nil
 	}
 	return Rebuild(d, fs), nil
@@ -130,10 +132,10 @@ func keepEdge(dead []bool, down linkSet, u, w int) bool {
 
 // effWeight returns the cost a surviving pristine edge {u, w} of weight
 // wt carries under the degrade factors. Rebuild's degradedClone and
-// ApplyDelta's delta records both evaluate exactly this expression, so
-// the incremental path's restored/reweighted weights are bit-identical
-// to the full rebuild's. A factor of 1 (no degrade) returns wt itself —
-// no float operation that could perturb an undegraded edge.
+// ApplyDelta's view weights evaluate exactly this expression, finite by
+// Validate, so the incremental path's weights are bit-identical to the
+// full rebuild's. A factor of 1 (no degrade) returns wt itself — no
+// float operation that could perturb an undegraded edge.
 func effWeight(degr degradeSet, u, w int, wt float64) float64 {
 	if f := degr.factor(u, w); f != 1 {
 		return wt * f
@@ -153,7 +155,7 @@ func degradedClone(pg *graph.Graph, dead []bool, down linkSet, degr degradeSet) 
 }
 
 // buildView assembles the degraded view's topology and labelling around
-// an already-filtered graph; apsp supplies the view's cost oracle.
+// g, its graph, and apsp, its cost oracle over the degraded fabric.
 func buildView(v *View, d *model.PPDC, g *graph.Graph, apsp *graph.APSP) *View {
 	t := &topology.Topology{
 		Name:   d.Topo.Name + "+faults",
@@ -184,7 +186,7 @@ func buildView(v *View, d *model.PPDC, g *graph.Graph, apsp *graph.APSP) *View {
 	// be disconnected and the membership lists exclude dead vertices), so
 	// the PPDC is assembled directly rather than through model.New.
 	v.degraded = &model.PPDC{Topo: t, APSP: apsp, Opts: d.Opts}
-	v.label(g)
+	v.label(apsp.Fabric())
 	return v
 }
 
@@ -219,53 +221,51 @@ func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 	}
 	if fs.Empty() {
 		v := &View{pristine: d, faults: fs, degraded: d}
-		v.label(d.Topo.Graph)
+		v.label(d.APSP.Fabric())
 		return v, nil
 	}
 	if prev == nil || prev.pristine != d {
 		prev = &View{pristine: d, faults: FaultSet{}, degraded: d}
 	}
-	pg := d.Topo.Graph
-	n := pg.Order()
+	n := d.Topo.Graph.Order()
 	v := &View{pristine: d, faults: fs}
 	var down linkSet
 	var degr degradeSet
 	v.dead, down, degr = fs.filter(n)
 	oldDead, oldDown, oldDegr := prev.faults.filter(n)
-	g := degradedClone(pg, v.dead, down, degr)
 
-	// Three-way edge delta between the two degraded graphs, from one pass
-	// over the pristine edge set (u < v side only; each parallel link is a
-	// record of its own, as graph.EdgeDelta asks). A restored or
-	// re-weighted record carries its edge's *effective* cost under the new
-	// fault set — the same expression degradedClone evaluates — so the
+	// One pass over the pristine fabric's slots fills the view's weights —
+	// the effective cost where the edge survives, the same expression
+	// degradedClone evaluates, +Inf where it does not — and the three-way
+	// edge delta between the two views, from the u < v side (each
+	// parallel link is a record of its own, as graph.EdgeDelta asks). A
+	// restored or re-weighted record carries the slot's new weight, so the
 	// repair relaxes it bit-identical to the full rebuild; a removed
 	// record's weight is never read. An edge that is degraded and removed
 	// in one transition is a removal, whichever came first.
+	fabric := d.APSP.Fabric()
+	wt := make([]float64, fabric.NumSlots())
 	var delta graph.EdgeDelta
-	for u := 0; u < n; u++ {
-		for _, e := range pg.Neighbors(u) {
-			if u > e.To {
-				continue
-			}
-			ko := keepEdge(oldDead, oldDown, u, e.To)
-			kn := keepEdge(v.dead, down, u, e.To)
-			switch {
-			case ko && !kn:
-				delta.Removed = append(delta.Removed, graph.EdgeRecord{U: u, V: e.To})
-			case !ko && kn:
-				delta.Restored = append(delta.Restored, graph.EdgeRecord{U: u, V: e.To, Weight: effWeight(degr, u, e.To, e.Weight)})
-			case ko && kn:
-				ow := effWeight(oldDegr, u, e.To, e.Weight)
-				nw := effWeight(degr, u, e.To, e.Weight)
-				if ow != nw {
-					delta.Reweighted = append(delta.Reweighted, graph.EdgeRecord{U: u, V: e.To, Weight: nw})
-				}
-			}
+	fabric.ForEachSlot(func(slot, u, w int, pw float64) {
+		kn := keepEdge(v.dead, down, u, w)
+		wt[slot] = graph.Inf
+		if kn {
+			wt[slot] = effWeight(degr, u, w, pw)
 		}
-	}
-	apsp, _ := prev.degraded.APSP.ApplyEdgeDeltas(g, delta, 0)
-	return buildView(v, d, g, apsp), nil
+		if u > w {
+			return
+		}
+		switch ko := keepEdge(oldDead, oldDown, u, w); {
+		case ko && !kn:
+			delta.Removed = append(delta.Removed, graph.EdgeRecord{U: u, V: w})
+		case !ko && kn:
+			delta.Restored = append(delta.Restored, graph.EdgeRecord{U: u, V: w, Weight: wt[slot]})
+		case ko && kn && effWeight(oldDegr, u, w, pw) != wt[slot]:
+			delta.Reweighted = append(delta.Reweighted, graph.EdgeRecord{U: u, V: w, Weight: wt[slot]})
+		}
+	})
+	apsp, _ := prev.degraded.APSP.ApplyEdgeDeltas(fabric.WithWeights(wt), delta, 0)
+	return buildView(v, d, d.Topo.Graph, apsp), nil
 }
 
 // Diff reports the first divergence between two views of the same
@@ -307,38 +307,42 @@ func Diff(a, b *View) error {
 	return nil
 }
 
-// label computes connected-component labels over the live vertices.
-func (v *View) label(g *graph.Graph) {
-	n := g.Order()
+// label computes connected-component labels over the live vertices: the
+// components of c's arcs that are not +Inf, numbered in the order of
+// their least vertex.
+func (v *View) label(c *graph.CSR) {
+	n := c.Order()
+	root := make([]int, n)
 	v.comp = make([]int, n)
-	for i := range v.comp {
-		v.comp[i] = -1
+	for x := range root {
+		root[x], v.comp[x] = x, -1
 	}
-	var stack []int
-	for s := 0; s < n; s++ {
-		if v.comp[s] != -1 || (v.dead != nil && v.dead[s]) {
-			continue
+	find := func(x int) int {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
 		}
-		id := v.ncomp
-		v.ncomp++
-		stack = append(stack[:0], s)
-		v.comp[s] = id
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.Neighbors(u) {
-				if v.comp[e.To] == -1 {
-					v.comp[e.To] = id
-					stack = append(stack, e.To)
-				}
+		return x
+	}
+	c.ForEachSlot(func(_, x, y int, w float64) {
+		if x < y && w < graph.Inf {
+			root[find(x)] = find(y)
+		}
+	})
+	for x := range n {
+		if r := find(x); !v.Dead(x) {
+			if v.comp[r] == -1 {
+				v.comp[r] = v.ncomp
+				v.ncomp++
 			}
+			v.comp[x] = v.comp[r]
 		}
 	}
 }
 
-// PPDC returns the degraded model: the filtered graph, the live
-// host/switch lists, and the rebuilt APSP. With no active faults it is
-// the pristine model itself.
+// PPDC returns the degraded model: the live host/switch lists and the
+// APSP over the degraded fabric. With no active faults it is the
+// pristine model itself.
 func (v *View) PPDC() *model.PPDC { return v.degraded }
 
 // Faults returns the active fault set.

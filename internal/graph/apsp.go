@@ -119,20 +119,21 @@ func (f flatRows) row(i int) Row {
 	return r
 }
 
-// newAPSP allocates an n-order matrix with no row built over a graph
-// with the given weightBounds.
-func newAPSP(n int, minW, reach float64, csr *CSR) *APSP {
-	return &APSP{n: n, rows: make([]Row, n), built: make([]uint32, n), csr: csr, span: canonicalSpan(minW, reach), minW: minW}
+// newAPSP allocates the matrix over csr with no row built.
+func newAPSP(csr *CSR) *APSP {
+	minW, reach := csr.weightBounds()
+	return &APSP{n: csr.n, rows: make([]Row, csr.n), built: make([]uint32, csr.n), csr: csr, span: canonicalSpan(minW, reach), minW: minW}
 }
 
 // AllPairs returns the all-pairs matrix of g, a CSR snapshot of it and no
 // row built. Every row read is bit-identical to AllPairsSequential's, in
 // any read order, at any worker count (docs/ALGORITHMS.md, "Performance
 // kernels").
-func AllPairs(g *Graph) *APSP {
-	minW, reach := g.weightBounds()
-	return newAPSP(g.Order(), minW, reach, g.Freeze())
-}
+func AllPairs(g *Graph) *APSP { return newAPSP(g.freeze()) }
+
+// Fabric returns the CSR the matrix is over: g's snapshot for
+// AllPairs(g), the weight view a delta was applied for otherwise.
+func (a *APSP) Fabric() *CSR { return a.csr }
 
 // Built reports whether row u is built: read, or repaired by a delta.
 func (a *APSP) Built(u int) bool { return atomic.LoadUint32(&a.built[u]) != 0 }
@@ -205,8 +206,7 @@ func (a *APSP) fill(todo []int, workers int) {
 // which Pred and Path read.
 func AllPairsSequential(g *Graph) *APSP {
 	n := g.Order()
-	minW, reach := g.weightBounds()
-	a := newAPSP(n, minW, reach, g.Freeze())
+	a := newAPSP(g.freeze())
 	flat := newFlatRows(n, n)
 	for src := 0; src < n; src++ {
 		dist, _ := g.Dijkstra(src)

@@ -173,7 +173,7 @@ func TestConcurrentRowReads(t *testing.T) {
 	et.vertexUp(3, false)
 	et.w[0] = 4
 	next, d := et.commit(false)
-	derived, _ := base.ApplyEdgeDeltas(next, d, 0)
+	derived, _ := base.ApplyEdgeDeltas(next.freeze(), d, 0)
 	zt, _ := fatTreeEdges(8)
 	zt.w[0] = 0
 	traced := zt.graph()
@@ -300,7 +300,7 @@ func TestPredMatchesDijkstraTrace(t *testing.T) {
 				}
 			}
 			next, d := et.commit(false)
-			cur, _ = cur.ApplyEdgeDeltas(next, d, 2)
+			cur, _ = cur.ApplyEdgeDeltas(next.freeze(), d, 2)
 			predMatchesTrace(t, fmt.Sprintf("graph %d delta %d", i, step), cur, next)
 		}
 	}

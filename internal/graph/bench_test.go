@@ -25,7 +25,7 @@ func BenchmarkDijkstra(b *testing.B) {
 // same sources as BenchmarkDijkstra with zero per-source allocations.
 func BenchmarkDijkstraCSR(b *testing.B) {
 	g := benchGraph(1000, 3000)
-	csr := g.Freeze()
+	csr := g.freeze()
 	dist := make([]float64, csr.Order())
 	prev := make([]int32, csr.Order())
 	var scratch SSSPScratch

@@ -10,10 +10,12 @@ import "fmt"
 // difference that matters when AllPairs runs |V| Dijkstras back to back
 // over a fat-tree PPDC.
 //
-// A CSR is a snapshot: edges added to the Graph after Freeze are not
-// visible. Neighbor order is preserved exactly, so CSR Dijkstra performs
-// the identical sequence of float operations as Graph.Dijkstra and its
-// dist/prev output is bit-identical (asserted by tests).
+// A CSR is a snapshot: edges added to the Graph after it is frozen are
+// not visible. Neighbor order is preserved exactly, so CSR Dijkstra
+// performs the identical sequence of float operations as Graph.Dijkstra
+// and its dist/prev output is bit-identical (asserted by tests).
+// An arc of weight +Inf is an absent arc: no search relaxes it and no
+// bound reads it, so a fault view is the fabric under other weights.
 //
 // Dead ends. A vertex whose row holds exactly one arc, and which no other
 // arc enters, is a dead end: a fabric leaf, e.g. a PPDC host on its edge
@@ -30,8 +32,8 @@ type CSR struct {
 	dead     []bool    // dead[v]: v is a dead end
 }
 
-// Freeze builds the CSR snapshot of g.
-func (g *Graph) Freeze() *CSR {
+// freeze builds the CSR snapshot of g.
+func (g *Graph) freeze() *CSR {
 	n := len(g.adj)
 	c := &CSR{
 		n:        n,
@@ -56,6 +58,35 @@ func (g *Graph) Freeze() *CSR {
 
 // Order returns the number of vertices in the snapshot.
 func (c *CSR) Order() int { return c.n }
+
+// weightBounds returns the least finite arc weight (+Inf without one)
+// and the reach: Order() × the greatest finite weight, an upper bound on
+// every finite shortest-path cost over c. A path has fewer than Order()
+// arcs and each addition rounds up by at most a factor 1+2⁻⁵³, which the
+// spare arc absorbs at any order a matrix can be allocated for.
+func (c *CSR) weightBounds() (minW, reach float64) {
+	minW, maxW := Inf, 0.0
+	for _, w := range c.wt {
+		if w < minW {
+			minW = w
+		}
+		if w > maxW && w < Inf {
+			maxW = w
+		}
+	}
+	return minW, float64(c.n) * maxW
+}
+
+// live returns the number of v's arcs of finite weight: the ones a
+// search relaxes.
+func (c *CSR) live(v int) (k int) {
+	for _, w := range c.wt[c.rowStart[v]:c.rowStart[v+1]] {
+		if w < Inf {
+			k++
+		}
+	}
+	return k
+}
 
 // SSSPScratch holds the reusable buffers of one CSR Dijkstra stream: the
 // priority queue storage survives across sources, so a warm scratch runs
@@ -204,9 +235,9 @@ func (c *CSR) ForEachSlot(f func(slot, u, v int, w float64)) {
 // WithWeights returns a snapshot sharing this one's structure (rowStart,
 // target arrays and dead-end marks: an +Inf weight never relaxes, so it
 // leaves a dead end dead) with wt as its weight array; len(wt) must equal
-// NumSlots(). The caller keeps ownership of wt and may rewrite it
-// between Dijkstra runs — the capacity-aware router reuses one buffer
-// to prune saturated links (weight +Inf) without reallocating.
+// NumSlots(). The caller keeps ownership of wt. A fault view's fabric is
+// one such snapshot, never rewritten; the capacity-aware router reuses
+// one buffer to prune saturated links (weight +Inf) between searches.
 func (c *CSR) WithWeights(wt []float64) *CSR {
 	if len(wt) != len(c.wt) {
 		panic(fmt.Sprintf("graph: WithWeights got %d slots, snapshot has %d", len(wt), len(c.wt)))

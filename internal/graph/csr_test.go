@@ -48,7 +48,7 @@ func TestCSRDijkstraBitIdentical(t *testing.T) {
 	}
 	for trial, g := range append(graphs, deadEndGraphs(rng)...) {
 		n := g.Order()
-		csr := g.Freeze()
+		csr := g.freeze()
 		var scratch SSSPScratch
 		dist := make([]float64, n)
 		prev := make([]int32, n)
@@ -67,12 +67,12 @@ func TestCSRDijkstraBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCSRSnapshotIsFrozen: edges added after Freeze are invisible to the
+// TestCSRSnapshotIsFrozen: edges added after freeze are invisible to the
 // snapshot.
 func TestCSRSnapshotIsFrozen(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 5)
-	csr := g.Freeze()
+	csr := g.freeze()
 	g.AddEdge(1, 2, 1)
 	dist, _ := csr.Dijkstra(0)
 	if dist[1] != 5 || !math.IsInf(dist[2], 1) {
@@ -91,7 +91,7 @@ func TestCSRDisconnectedAndTrivial(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 2)
 	// vertices 2 and 3 are isolated
-	csr := g.Freeze()
+	csr := g.freeze()
 	dist, prev := csr.Dijkstra(2)
 	if dist[2] != 0 || prev[2] != -1 {
 		t.Fatalf("self row wrong: %v %v", dist[2], prev[2])
@@ -102,7 +102,7 @@ func TestCSRDisconnectedAndTrivial(t *testing.T) {
 		}
 	}
 
-	one := New(1).Freeze()
+	one := New(1).freeze()
 	d1, p1 := one.Dijkstra(0)
 	if d1[0] != 0 || p1[0] != -1 {
 		t.Fatalf("order-1 graph: %v %v", d1, p1)
@@ -150,7 +150,7 @@ func TestCSRWithWeights(t *testing.T) {
 	g.AddEdge(0, 1, 2)
 	g.AddEdge(1, 2, 3)
 	g.AddEdge(0, 2, 10)
-	base := g.Freeze()
+	base := g.freeze()
 	buf := make([]float64, base.NumSlots())
 	reweight := func(f func(u, v int, w float64) float64) *CSR {
 		for u := 0; u < base.n; u++ {
@@ -179,5 +179,70 @@ func TestCSRWithWeights(t *testing.T) {
 	d, _ = base.Dijkstra(0)
 	if d[2] != 5 {
 		t.Fatalf("base snapshot mutated: dist[2] = %v, want 5", d[2])
+	}
+}
+
+// TestInfArcIsAbsentArc pins what a fault view rests on: a CSR whose
+// arcs of some edges weigh +Inf (WithWeights) is, bit for bit, the CSR
+// of the graph without those edges. Over random fabrics thick with
+// pendants and bridges, and the dead-end graphs, random edge subsets go
+// +Inf and others are re-weighted; the matrix over the view — from
+// scratch, and derived by ApplyEdgeDeltas from the fabric's full matrix,
+// the rows it leaves unbuilt read afterwards — must match
+// AllPairsSequential over the CloneMapped graph: every cost, Pred, the
+// span and the Floor.
+func TestInfArcIsAbsentArc(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	graphs := deadEndGraphs(rng)
+	for range 20 {
+		n := 2 + rng.Intn(40)
+		graphs = append(graphs, randomConnectedGraph(rng, n, rng.Intn(n/2+1)))
+	}
+	for gi, g := range graphs {
+		base := AllPairs(g)
+		full := allPairsWorkers(g, 0)
+		for trial := range 6 {
+			down, factor := map[[2]int]bool{}, map[[2]int]float64{}
+			for _, e := range g.Edges() {
+				p := [2]int{e.U, e.V}
+				switch r := rng.Float64(); {
+				case r < 0.25:
+					down[p] = true
+				case r < 0.4:
+					factor[p] = []float64{0.5, 3, 7.25}[rng.Intn(3)]
+				}
+			}
+			mapped := func(u, v int, w float64) (float64, bool) {
+				p := [2]int{min(u, v), max(u, v)}
+				if f, ok := factor[p]; ok {
+					w *= f
+				}
+				return w, !down[p]
+			}
+			wt := make([]float64, base.Fabric().NumSlots())
+			var d EdgeDelta
+			base.Fabric().ForEachSlot(func(slot, u, v int, w float64) {
+				nw, ok := mapped(u, v, w)
+				wt[slot] = nw
+				switch {
+				case !ok:
+					wt[slot] = Inf
+					if u < v {
+						d.Removed = append(d.Removed, EdgeRecord{U: u, V: v})
+					}
+				case nw != w && u < v:
+					d.Reweighted = append(d.Reweighted, EdgeRecord{U: u, V: v, Weight: nw})
+				}
+			})
+			view := base.Fabric().WithWeights(wt)
+			want := AllPairsSequential(g.CloneMapped(mapped))
+			inc, _ := full.ApplyEdgeDeltas(view, d, 1+trial%3)
+			for name, got := range map[string]*APSP{"scratch": newAPSP(view), "delta": inc} {
+				if got.span != want.span || got.minW != want.minW || got.Closure(nil).Floor() != want.Closure(nil).Floor() {
+					t.Fatalf("graph %d trial %d %s: span %v floor %v, the clone's %v and %v", gi, trial, name, got.span, got.minW, want.span, want.minW)
+				}
+				apspBitEqual(t, got, want)
+			}
+		}
 	}
 }

@@ -130,11 +130,12 @@ func (s *deltaStats) add(o deltaStats) {
 	s.settled += o.settled
 }
 
-// ApplyEdgeDeltas builds the APSP matrix of `next` incrementally from
-// the cached matrix of the graph next was derived from; d is the full
-// edge delta between the two graphs. It returns the new matrix and its
-// dirty count: the repaired rows that are not the receiver's own, plus
-// the rows the receiver had built that are left unbuilt.
+// ApplyEdgeDeltas builds the APSP matrix over `next`, any CSR of the
+// receiver's order — in production a weight view of its fabric, so it
+// freezes nothing — incrementally from the receiver; d is the full edge
+// delta between the two. It returns the new matrix and its dirty count:
+// the repaired rows that are not the receiver's own, plus the rows the
+// receiver had built that are left unbuilt.
 //
 // The receiver is never mutated. The rows it had built when the delta
 // started are derived from its own, copy-on-write (cowRow), and repaired
@@ -143,7 +144,7 @@ func (s *deltaStats) add(o deltaStats) {
 // row it leaves alone stays the receiver's, pointer for pointer. Every other row is left unbuilt, to be
 // built on its first read over next. The repairs fan out over `workers`
 // goroutines (≤ 0 = GOMAXPROCS). Every row read is bit-identical to
-// AllPairsSequential(next) at any worker count — FuzzRepairRows here and
+// AllPairsSequential over the graph next holds — FuzzRepairRows here and
 // FuzzIncrementalAPSP / FuzzWeightDeltaAPSP in internal/fault pin this.
 //
 // Two rules, both properties of the input, leave a row the receiver had
@@ -158,14 +159,14 @@ func (s *deltaStats) add(o deltaStats) {
 //     a degrade factor so extreme that 1e300 + 1 == 1e300 — every row is
 //     left unbuilt, which is the rebuild by construction.
 //   - The delta leaves the row's source, an endpoint of a record, with at
-//     most one edge: isolated, or a leaf re-attached or re-priced. Every
+//     most one live arc: isolated, or a leaf re-attached or re-priced. Every
 //     cell of that row changes, and the repair would re-settle them all.
-func (a *APSP) ApplyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, int) {
+func (a *APSP) ApplyEdgeDeltas(next *CSR, d EdgeDelta, workers int) (*APSP, int) {
 	out, st := a.applyEdgeDeltas(next, d, workers)
 	return out, st.unbuilt + st.changed
 }
 
-func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, deltaStats) {
+func (a *APSP) applyEdgeDeltas(next *CSR, d EdgeDelta, workers int) (*APSP, deltaStats) {
 	n := a.n
 	if next.Order() != n {
 		panic("graph: ApplyEdgeDeltas vertex count mismatch")
@@ -176,24 +177,28 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 		start = time.Now()
 	}
 
-	minW, reach := next.weightBounds()
 	// out is not shared until it returns: its flags are written plainly.
-	out := newAPSP(n, minW, reach, a.csr)
-	repair := strictRelax(minW, math.Max(a.span, reach))
+	out := newAPSP(next)
+	repair := strictRelax(out.minW, math.Max(a.span, out.span)) // out.span: next's reach, or +Inf
 	var stats deltaStats
 	if repair && len(d.Removed)+len(d.Restored)+len(d.Reweighted) == 0 {
-		// A delta that names no edge changes no row, and a.csr is next's.
+		// A delta that names no edge changes no row: next weighs what the
+		// receiver's fabric weighs.
 		for src := range n {
 			if a.Built(src) {
 				out.rows[src], out.built[src] = a.rows[src], 1
 			}
 		}
 	} else {
-		drop := make([]bool, n)
+		// A record endpoint's live arcs in next: drop at most one (the
+		// second rule); bare at none, so nothing supports its cell.
+		drop, bare := make([]bool, n), make([]bool, n)
 		for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
 			for _, e := range recs {
-				drop[e.U] = drop[e.U] || next.degree(e.U) <= 1
-				drop[e.V] = drop[e.V] || next.degree(e.V) <= 1
+				for _, x := range [2]int{e.U, e.V} {
+					k := next.live(x)
+					drop[x], bare[x] = k <= 1, k == 0
+				}
 			}
 		}
 		var todo []int
@@ -206,7 +211,6 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 				todo = append(todo, src)
 			}
 		}
-		out.csr = next.Freeze()
 		var mu sync.Mutex
 		// Each worker owns a contiguous range of todo, reads only the old
 		// matrix, and writes only its own rows of the new one, so the
@@ -216,7 +220,7 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 			var st deltaStats
 			for _, src := range todo[lo:hi] {
 				r := deriveRow(a.rows[src])
-				st.settled += out.csr.repairRow(src, &r, d, &scratch)
+				st.settled += next.repairRow(src, &r, d, bare, &scratch)
 				out.rows[src], out.built[src] = r.Row, 1
 				if r.changed() {
 					st.changed++
@@ -227,7 +231,7 @@ func (a *APSP) applyEdgeDeltas(next *Graph, d EdgeDelta, workers int) (*APSP, de
 			mu.Unlock()
 			return nil
 		}); err != nil {
-			// The repair cannot fail on a valid Graph; a surfaced panic is
+			// The repair cannot fail on a valid CSR; a surfaced panic is
 			// a kernel bug and must not be swallowed.
 			panic(err)
 		}

@@ -85,7 +85,7 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 			}
 			next := filterEdges(g, down)
 			workers := []int{1, 2, 5, 0}[step%4]
-			inc, dirty := cur.ApplyEdgeDeltas(next, EdgeDelta{Removed: removed, Restored: restored}, workers)
+			inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), EdgeDelta{Removed: removed, Restored: restored}, workers)
 			full := AllPairs(next)
 			apspBitEqual(t, inc, full)
 			if dirty < 0 || dirty > n {
@@ -98,16 +98,17 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 
 // TestApplyDeltasEmptyDelta checks that an empty EdgeDelta recomputes
 // zero rows, shares every row with the (immutable, fully built) receiver
-// rather than copying the matrix, and never freezes the graph.
+// rather than copying the matrix, and is over the CSR it was handed: a
+// weight view of the receiver's own fabric, which nothing re-freezes.
 func TestApplyDeltasEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedGraph(rng, 20, 25)
 	a := allPairsWorkers(g, 0)
-	// Freeze sizes its arrays from the edge count, so it panics on this
-	// copy: the call below returns only if a delta naming no edge skips it.
-	unfreezable := g.CloneMapped(func(_, _ int, w float64) (float64, bool) { return w, true })
-	unfreezable.m = -1
-	b, dirty := a.ApplyEdgeDeltas(unfreezable, EdgeDelta{}, 0)
+	next := a.Fabric().WithWeights(slices.Clone(a.Fabric().wt))
+	b, dirty := a.ApplyEdgeDeltas(next, EdgeDelta{}, 0)
+	if b.Fabric() != next {
+		t.Fatal("the delta's matrix is not over the CSR it was handed")
+	}
 	if dirty != 0 {
 		t.Fatalf("no-op delta recomputed %d rows", dirty)
 	}
@@ -134,7 +135,7 @@ func TestApplyDeltasDisconnects(t *testing.T) {
 	bridge := []EdgeRecord{{U: 2, V: 3, Weight: 1}}
 	down := map[[2]int]bool{{2, 3}: true}
 	cut := filterEdges(g, down)
-	b, dirty := a.ApplyEdgeDeltas(cut, EdgeDelta{Removed: bridge}, 1)
+	b, dirty := a.ApplyEdgeDeltas(cut.freeze(), EdgeDelta{Removed: bridge}, 1)
 	if dirty != 6 {
 		// Every source's tree crosses the bridge.
 		t.Fatalf("bridge cut dirtied %d sources, want 6", dirty)
@@ -150,7 +151,7 @@ func TestApplyDeltasDisconnects(t *testing.T) {
 	if !math.IsInf(b.Cost(0, 5), 1) {
 		t.Fatalf("cut bridge still reports cost %v", b.Cost(0, 5))
 	}
-	c, dirty := b.ApplyEdgeDeltas(g, EdgeDelta{Restored: bridge}, 1)
+	c, dirty := b.ApplyEdgeDeltas(g.freeze(), EdgeDelta{Restored: bridge}, 1)
 	apspBitEqual(t, c, a)
 	if dirty != 6 {
 		t.Fatalf("bridge heal dirtied %d sources, want 6", dirty)
@@ -174,7 +175,7 @@ func TestApplyDeltasSparseDirtySet(t *testing.T) {
 	// must leave sources 0 and 1 clean only if their trees avoid it.
 	down := map[[2]int]bool{{2, 3}: true}
 	cut := filterEdges(g, down)
-	b, dirty := a.ApplyEdgeDeltas(cut, EdgeDelta{Removed: []EdgeRecord{{U: 2, V: 3, Weight: 1}}}, 1)
+	b, dirty := a.ApplyEdgeDeltas(cut.freeze(), EdgeDelta{Removed: []EdgeRecord{{U: 2, V: 3, Weight: 1}}}, 1)
 	apspBitEqual(t, b, AllPairs(cut))
 	if dirty >= 4 {
 		t.Fatalf("equal-cost alternate removal dirtied all %d sources", dirty)
@@ -276,7 +277,7 @@ func TestApplyWeightDeltasRandomSequence(t *testing.T) {
 			}
 			next, recs := reweight(g, newWt)
 			workers := []int{1, 2, 5, 0}[step%4]
-			inc, dirty := cur.ApplyEdgeDeltas(next, recs, workers)
+			inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), recs, workers)
 			apspBitEqual(t, inc, AllPairs(next))
 			if dirty < 0 || dirty > n {
 				t.Fatalf("seed %d step %d: dirty=%d out of range", seed, step, dirty)
@@ -304,7 +305,7 @@ func TestApplyWeightDeltasIncreaseNonTreeClean(t *testing.T) {
 		}
 	}
 	next, recs := reweight(g, map[[2]int]float64{{2, 3}: 5})
-	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
+	b, dirty := a.ApplyEdgeDeltas(next.freeze(), recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	// Only sources 2 and 3 hold {2,3} as a tree edge (their direct hop
 	// to each other); every other tree routes via vertex 1 and stays
@@ -332,7 +333,7 @@ func TestApplyWeightDeltasDecreaseReroutes(t *testing.T) {
 		t.Fatalf("fixture: cost(0,1)=%v pred=%d", a.Cost(0, 1), a.Pred(0, 1))
 	}
 	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 1})
-	b, dirty := a.ApplyEdgeDeltas(next, recs, 1)
+	b, dirty := a.ApplyEdgeDeltas(next.freeze(), recs, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	if b.Cost(0, 1) != 1 || b.Pred(0, 1) != 0 {
 		t.Fatalf("after decrease: cost(0,1)=%v pred=%d", b.Cost(0, 1), b.Pred(0, 1))
@@ -359,7 +360,7 @@ func TestApplyEdgeDeltasRepriceRealWeights(t *testing.T) {
 		}
 		next, recs := reweight(g, changed)
 		workers := []int{1, 3, 0}[step%3]
-		inc, dirty := cur.ApplyEdgeDeltas(next, recs, workers)
+		inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), recs, workers)
 		apspBitEqual(t, inc, AllPairs(next))
 		if dirty > g.Order() {
 			t.Fatalf("step %d: dirty=%d out of range", step, dirty)
@@ -419,7 +420,7 @@ func TestApplyEdgeDeltasMixed(t *testing.T) {
 				curWt[key] = w
 				reweighted = append(reweighted, EdgeRecord{U: key[0], V: key[1], Weight: w})
 			}
-			inc, dirty := cur.ApplyEdgeDeltas(next, EdgeDelta{Removed: removed, Restored: restored, Reweighted: reweighted}, []int{1, 4, 0}[step%3])
+			inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), EdgeDelta{Removed: removed, Restored: restored, Reweighted: reweighted}, []int{1, 4, 0}[step%3])
 			apspBitEqual(t, inc, AllPairs(next))
 			if dirty < 0 || dirty > n {
 				t.Fatalf("seed %d step %d: dirty=%d", seed, step, dirty)
@@ -527,7 +528,7 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 		ev.apply()
 		next, d := et.commit(false)
 		want, curWant := AllPairsSequential(next), AllPairsSequential(g)
-		inc, st := cur.applyEdgeDeltas(next, d, 2)
+		inc, st := cur.applyEdgeDeltas(next.freeze(), d, 2)
 		unbuilt := 0
 		left := make([]bool, inc.n)
 		for s := range left {
@@ -598,11 +599,11 @@ func TestWeightDeltaObserverKinds(t *testing.T) {
 
 	e01 := []EdgeRecord{{U: 0, V: 1, Weight: 1}}
 	cut := filterEdges(g, map[[2]int]bool{{0, 1}: true})
-	b, _ := a.ApplyEdgeDeltas(cut, EdgeDelta{Removed: e01}, 1)
-	_, _ = b.ApplyEdgeDeltas(g, EdgeDelta{Restored: e01}, 1)
+	b, _ := a.ApplyEdgeDeltas(cut.freeze(), EdgeDelta{Removed: e01}, 1)
+	_, _ = b.ApplyEdgeDeltas(g.freeze(), EdgeDelta{Restored: e01}, 1)
 
 	rw, recs := reweight(g, map[[2]int]float64{{2, 3}: 3})
-	_, _ = a.ApplyEdgeDeltas(rw, recs, 1)
+	_, _ = a.ApplyEdgeDeltas(rw.freeze(), recs, 1)
 
 	mixed := g.CloneMapped(func(u, v int, w float64) (float64, bool) {
 		if u == 0 && v == 1 || u == 1 && v == 0 {
@@ -613,7 +614,7 @@ func TestWeightDeltaObserverKinds(t *testing.T) {
 		}
 		return w, true
 	})
-	_, _ = a.ApplyEdgeDeltas(mixed, EdgeDelta{Removed: e01, Reweighted: recs.Reweighted}, 1)
+	_, _ = a.ApplyEdgeDeltas(mixed.freeze(), EdgeDelta{Removed: e01, Reweighted: recs.Reweighted}, 1)
 
 	want := []DeltaKind{DeltaFault, DeltaFault, DeltaWeight, DeltaMixed}
 	if len(kinds) != len(want) {
@@ -643,7 +644,7 @@ func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
 	a := allPairsWorkers(g, 0)
 
 	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 3})
-	b, st := a.applyEdgeDeltas(next, recs, 1)
+	b, st := a.applyEdgeDeltas(next.freeze(), recs, 1)
 	if want := unbuiltRows(next, recs); want != 1 || st.unbuilt != want || b.Built(1) {
 		t.Fatalf("pendant re-weight left %d rows unbuilt (row 1 built: %v), want %d (the leaf)", st.unbuilt, b.Built(1), want)
 	}
@@ -664,7 +665,7 @@ func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
 	// The same edge re-priced again from the repaired matrix (3 -> 0.5):
 	// the second delta starts from the first one's derived rows.
 	next2, recs2 := reweight(next, map[[2]int]float64{{0, 1}: 0.5})
-	c, st := b.applyEdgeDeltas(next2, recs2, 1)
+	c, st := b.applyEdgeDeltas(next2.freeze(), recs2, 1)
 	if st.unbuilt != 1 || c.Built(1) {
 		t.Fatalf("chained pendant re-weight left %d rows unbuilt (row 1 built: %v), want 1", st.unbuilt, c.Built(1))
 	}
@@ -681,7 +682,7 @@ func TestApplyWeightDeltasPendantK2(t *testing.T) {
 	g.AddEdge(3, 4, 2)
 	a := allPairsWorkers(g, 0)
 	next, recs := reweight(g, map[[2]int]float64{{3, 4}: 7})
-	b, st := a.applyEdgeDeltas(next, recs, 1)
+	b, st := a.applyEdgeDeltas(next.freeze(), recs, 1)
 	if want := unbuiltRows(next, recs); want != 2 || st.unbuilt != want || st.changed != 0 || b.Built(3) || b.Built(4) {
 		t.Fatalf("K2 re-weight left %d rows unbuilt and changed %d more, want %d (rows 3 and 4) and 0", st.unbuilt, st.changed, want)
 	}

@@ -94,9 +94,6 @@ func (g *Graph) EdgeWeight(u, v int) float64 {
 // with the graph and must not be mutated.
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
-// degree returns the number of incident edge endpoints at u.
-func (g *Graph) degree(u int) int { return len(g.adj[u]) }
-
 // CloneMapped returns a copy of the graph with the same vertex set,
 // filtered and re-weighted in one pass: an edge for which mapEdge(u, v, w)
 // returns (w', true) survives with weight w', one returning false is
@@ -105,9 +102,8 @@ func (g *Graph) degree(u int) int { return len(g.adj[u]) }
 // undirected edge go through it, and an asymmetric function would
 // corrupt the adjacency invariant. Adjacency order of the kept edges is
 // preserved, so mapping every edge to (w, true) reproduces the original
-// graph exactly — the degraded-fabric views in internal/fault rely on
-// this to make inject/heal round-trips and incremental rebuilds
-// bit-identical.
+// graph exactly — internal/fault's Rebuild oracle relies on this to hold
+// its degraded clone bit for bit to the weight views production takes.
 // Every kept edge lands in one backing array (two allocations per clone),
 // each vertex's list capped at its own length, so a later AddEdge
 // reallocates that list rather than writing over its neighbour's.

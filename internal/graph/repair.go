@@ -36,26 +36,6 @@ import "math"
 // relaxEps is 2⁻⁵²: ulp(d) ≤ d·relaxEps for every normal float64 d.
 const relaxEps = 0x1p-52
 
-// weightBounds returns g's smallest edge weight (+Inf without edges) and
-// its reach: Order() × the largest weight, an upper bound on every finite
-// shortest-path cost over g. A path has fewer than Order() edges and each
-// addition rounds up by at most a factor 1+2⁻⁵³, which the spare edge
-// absorbs at any order a matrix can be allocated for.
-func (g *Graph) weightBounds() (minW, reach float64) {
-	minW, maxW := Inf, 0.0
-	for _, es := range g.adj {
-		for _, e := range es {
-			if e.Weight < minW {
-				minW = e.Weight
-			}
-			if e.Weight > maxW {
-				maxW = e.Weight
-			}
-		}
-	}
-	return minW, float64(len(g.adj)) * maxW
-}
-
 // strictRelax reports whether fl(d + w) > d for every weight w ≥ minW and
 // every distance 0 ≤ d ≤ reach. Rounding absorbs w only when w ≤ ulp(d)/2
 // and ulp(d) ≤ d·2⁻⁵², so the test leaves a factor two of headroom (it
@@ -65,7 +45,7 @@ func strictRelax(minW, reach float64) bool {
 	return minW > reach*relaxEps
 }
 
-// canonicalSpan is the APSP.span of a matrix built over a graph with the
+// canonicalSpan is the APSP.span of a matrix built over a CSR with the
 // given weightBounds.
 func canonicalSpan(minW, reach float64) float64 {
 	if strictRelax(minW, reach) {
@@ -106,6 +86,7 @@ func (s *repairScratch) begin(n int) uint32 {
 // blocks in which a cell changes (cowRow). The delta's Removed and
 // Reweighted records name where a distance can be lost, its Restored and
 // Reweighted records, at their weights in c, where one can be gained.
+// bare[x] marks a record endpoint x with no live arc in c.
 //
 // Both graphs' relaxations must be strictly increasing over the old
 // row's distances as well as the new (ApplyEdgeDeltas' guard); the old
@@ -114,7 +95,7 @@ func (s *repairScratch) begin(n int) uint32 {
 // Its work is bounded by what the delta moves, not by the row: a record
 // whose edge carries no tight path costs O(degree) — each end's support
 // check. It returns the number of vertices the drain settled.
-func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (settled int) {
+func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, bare []bool, s *repairScratch) (settled int) {
 	gen := s.begin(c.n)
 	h := &s.sssp.heap
 	h.items = h.items[:0]
@@ -127,15 +108,15 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (sett
 	// popped vertex keeps its distance — as an upper bound a real path of
 	// c witnesses — if an unmarked neighbour still offers a candidate no
 	// larger; otherwise it is marked and every neighbour it was tight for
-	// queues up (one over a removed edge is not adjacent in c any more, but
-	// that edge is named, so its end is a seed already). One pass is
+	// queues up (one over a removed edge — absent from c, or +Inf, which
+	// is no edge — is named, so its end is a seed already). One pass is
 	// enough: a supporter is strictly closer, so it has been popped and
 	// decided, or never will be.
 	seed := func(v int) {
 		switch {
 		case v == src || s.seen[v] == gen || r.Cost(v) == Inf:
-		case c.rowStart[v] == c.rowStart[v+1]:
-			// No edge in c: nothing supports v, and no neighbour is left to queue.
+		case bare[v]:
+			// No live arc in c: nothing supports v, and no neighbour is left to queue.
 			s.seen[v], s.mark[v] = gen, gen
 			s.lost = append(s.lost, int32(v))
 		default:
@@ -165,7 +146,7 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, s *repairScratch) (sett
 		s.mark[it.v] = gen
 		s.lost = append(s.lost, int32(it.v))
 		for e := lo; e < hi; e++ {
-			if y := c.to[e]; s.seen[y] != gen && it.cost+c.wt[e] == r.Cost(int(y)) {
+			if y := c.to[e]; s.seen[y] != gen && c.wt[e] < Inf && it.cost+c.wt[e] == r.Cost(int(y)) {
 				s.seen[y] = gen
 				h.push(heapItem{v: int(y), cost: r.Cost(int(y))})
 			}

@@ -171,7 +171,7 @@ func FuzzRepairRows(f *testing.F) {
 			var inc *APSP
 			dirty := -1
 			for _, workers := range []int{1, 2, 5} {
-				got, rows := cur.ApplyEdgeDeltas(next, d, workers)
+				got, rows := cur.ApplyEdgeDeltas(next.freeze(), d, workers)
 				if workers < 5 {
 					apspBitEqual(t, got, want)
 				}
@@ -219,10 +219,14 @@ func builtBitEqual(t *testing.T, a, want *APSP) {
 // nothing may be repaired.
 func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want *APSP) {
 	t.Helper()
-	if minW, reach := next.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
+	csr := next.freeze()
+	if minW, reach := csr.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
 		return
 	}
-	csr := next.Freeze()
+	bare := make([]bool, a.n)
+	for x := range bare {
+		bare[x] = csr.live(x) == 0
+	}
 	var scratch repairScratch
 	for src := 0; src < a.n; src++ {
 		from := aWant.Row(src)
@@ -230,7 +234,7 @@ func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want
 			from = a.rows[src]
 		}
 		r := deriveRow(from)
-		csr.repairRow(src, &r, d, &scratch)
+		csr.repairRow(src, &r, d, bare, &scratch)
 		w := want.Row(src)
 		for v := 0; v < a.n; v++ {
 			if math.Float64bits(r.Cost(v)) != math.Float64bits(w.Cost(v)) {
@@ -263,7 +267,7 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 	}
 	et.pairUp(0, false)
 	next, d := et.commit(false)
-	b, st := a.applyEdgeDeltas(next, d, 1)
+	b, st := a.applyEdgeDeltas(next.freeze(), d, 1)
 	if st.unbuilt != 5 || slices.ContainsFunc([]int{0, 1, 2, 3, 4}, b.Built) {
 		t.Fatalf("left %d rows unbuilt from a non-canonical parent, want all 5", st.unbuilt)
 	}
@@ -284,7 +288,7 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 	}
 	et2.w[0], et2.w[1], et2.w[2] = 0x1p-40, 0x1p-40, 0x1p-40
 	next2, d2 := et2.commit(false)
-	b2, st2 := a2.applyEdgeDeltas(next2, d2, 1)
+	b2, st2 := a2.applyEdgeDeltas(next2.freeze(), d2, 1)
 	if st2.unbuilt != 4 || slices.ContainsFunc([]int{0, 1, 2, 3}, b2.Built) {
 		t.Fatalf("left %d rows unbuilt across a 2^80 weight swing, want all 4", st2.unbuilt)
 	}
@@ -301,7 +305,7 @@ func TestStrictRelax(t *testing.T) {
 		{"unit", []float64{1, 1, 1}, true},
 		{"no edges", nil, true},
 		{"zero", []float64{0, 1}, false},
-		{"inf", []float64{1, math.Inf(1)}, false},
+		{"inf is no arc", []float64{1, math.Inf(1)}, true},
 		{"overflow", []float64{1e308, 1e308}, false},
 		{"absorbing", []float64{1, 1e300}, false},
 		{"wide but exact", []float64{1, 0x1p40}, true},
@@ -313,10 +317,11 @@ func TestStrictRelax(t *testing.T) {
 		for i, w := range c.ws {
 			g.AddEdge(i, i+1, w)
 		}
-		if got := !math.IsInf(canonicalSpan(g.weightBounds()), 1); got != c.want {
+		if got := !math.IsInf(canonicalSpan(g.freeze().weightBounds()), 1); got != c.want {
 			t.Errorf("%s: canonical=%v, want %v", c.name, got, c.want)
 		}
-		// Whenever the guard passes, no relaxation may be absorbed at any
+		// Whenever the guard passes, no relaxation over an arc a search
+		// relaxes (+Inf is an absent arc) may be absorbed at any finite
 		// distance a row can hold.
 		if c.want {
 			a := AllPairs(g)
@@ -324,7 +329,7 @@ func TestStrictRelax(t *testing.T) {
 				for v := 0; v < a.n; v++ {
 					dv := a.Cost(u, v)
 					for _, w := range c.ws {
-						if !(dv+w > dv) {
+						if dv < Inf && w < Inf && !(dv+w > dv) {
 							t.Errorf("%s: %v + %v absorbed under a passing guard", c.name, dv, w)
 						}
 					}
@@ -451,7 +456,7 @@ func TestRepairStormWorkBound(t *testing.T) {
 		next, d := et.commit(false)
 		want := AllPairs(next)
 		repairEveryRow(t, cur, curWant, next, d, want)
-		inc, st := cur.applyEdgeDeltas(next, d, []int{1, 2, 0}[events%3])
+		inc, st := cur.applyEdgeDeltas(next.freeze(), d, []int{1, 2, 0}[events%3])
 		if want := unbuiltRows(next, d); st.unbuilt != want {
 			t.Fatalf("event %d: %d rows left unbuilt, want %d", events, st.unbuilt, want)
 		}
@@ -503,7 +508,7 @@ func unbuiltRows(next *Graph, d EdgeDelta) int {
 	for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
 		for _, e := range recs {
 			for _, x := range [2]int{e.U, e.V} {
-				if next.degree(x) <= 1 {
+				if len(next.Neighbors(x)) <= 1 {
 					rerun[x] = true
 				}
 			}

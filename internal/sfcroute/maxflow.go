@@ -52,7 +52,9 @@ func (r *Router) maxFlow(src, dst int) (float64, error) {
 }
 
 // legFlow is the max flow from a to b ≠ a on the fabric, up to limit:
-// one mcf arc per slot, with its link's headroom as capacity.
+// one mcf arc per slot, with its link's headroom as capacity. A down
+// link's arcs cost +Inf, and no augmenting path takes an arc of infinite
+// cost, so they carry nothing.
 func (r *Router) legFlow(a, b int, limit float64) (float64, error) {
 	nw := mcf.NewNetwork(r.priced.Order())
 	r.priced.ForEachSlot(func(slot, u, v int, _ float64) {

@@ -13,7 +13,7 @@ import (
 func capRouter(t testing.TB, g *graph.Graph, c float64, sites [][]int) *Router {
 	t.Helper()
 	r := &Router{cfg: Config{Capacity: c, MaxUtilization: 1}}
-	r.freeze(g)
+	r.index(graph.AllPairs(g).Fabric())
 	if err := r.BeginEpoch(sites); err != nil {
 		t.Fatalf("BeginEpoch(%v): %v", sites, err)
 	}

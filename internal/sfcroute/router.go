@@ -95,7 +95,6 @@ var errNoEpoch = errors.New("sfcroute: no epoch: BeginEpoch not called, or the l
 // feasibly. All methods are single-goroutine; the engine serializes
 // routing inside its step lock.
 type Router struct {
-	d   *model.PPDC
 	cfg Config
 
 	// links holds the fabric's links in link order and load their
@@ -104,9 +103,9 @@ type Router struct {
 	load  []float64
 
 	// Fabric slot tables: slotLink[s] is the link index of slot s and
-	// baseWt its pristine weight; pricedWt holds the epoch's congestion
-	// prices and pruneWt one attempt's pruned prices, which the views
-	// priced and pruned read.
+	// baseWt its weight in the model the router is on, +Inf on a down
+	// link; pricedWt holds the epoch's congestion prices and pruneWt one
+	// attempt's pruned prices, which the views priced and pruned read.
 	slotLink []int32
 	baseWt   []float64
 	pricedWt []float64
@@ -152,8 +151,8 @@ type Router struct {
 	touched []int32
 }
 
-// NewRouter builds a router over d's fabric. The fabric snapshot is
-// frozen here; fault-degraded serving models need a fresh router.
+// NewRouter builds a router over d's fabric, d.APSP's CSR, whose weights
+// are its base weights: +Inf on a down link, which no route crosses.
 func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	if cfg.Capacity <= 0 || math.IsNaN(cfg.Capacity) || math.IsInf(cfg.Capacity, 0) {
 		return nil, fmt.Errorf("sfcroute: invalid uniform capacity %v", cfg.Capacity)
@@ -167,40 +166,53 @@ func NewRouter(d *model.PPDC, cfg Config) (*Router, error) {
 	if cfg.MaxUtilization < 0 || cfg.MaxUtilization > 1 {
 		return nil, fmt.Errorf("sfcroute: max utilization %v outside (0,1]", cfg.MaxUtilization)
 	}
-	r := &Router{d: d, cfg: cfg}
-	r.freeze(d.Topo.Graph)
+	r := &Router{cfg: cfg}
+	r.index(d.APSP.Fabric())
 	return r, nil
 }
 
-// freeze indexes the links of fabric g and sizes the weight views, slot
-// tables and search state for its snapshot. Graph.Edges is sorted by
-// (U, V), so the links come in link order; parallel edges (none in the
-// shipped topologies) collapse onto one physical link sharing one
-// capacity.
-func (r *Router) freeze(g *graph.Graph) {
-	for _, rec := range g.Edges() {
-		if l := (Link{U: rec.U, V: rec.V}); len(r.links) == 0 || r.links[len(r.links)-1] != l {
-			r.links = append(r.links, l)
+// index indexes the links of fabric c and sizes the weight views, slot
+// tables and search state for it. Links are sorted into link order;
+// parallel edges (none in the shipped topologies) collapse onto one
+// physical link sharing one capacity.
+func (r *Router) index(c *graph.CSR) {
+	c.ForEachSlot(func(_, u, v int, _ float64) {
+		if u < v {
+			r.links = append(r.links, Link{U: u, V: v})
 		}
-	}
+	})
+	slices.SortFunc(r.links, Link.compare)
+	r.links = slices.Compact(r.links)
 	r.load = make([]float64, len(r.links))
 	r.blocked = make([]bool, len(r.links))
 	r.cnt = make([]int32, len(r.links))
-	base := g.Freeze() // pristine fabric weights
-	n, ns := base.Order(), base.NumSlots()
+	n, ns := c.Order(), c.NumSlots()
 	r.slotLink = make([]int32, ns)
 	r.baseWt, r.pricedWt, r.pruneWt = make([]float64, ns), make([]float64, ns), make([]float64, ns)
-	base.ForEachSlot(func(slot, u, v int, w float64) {
+	c.ForEachSlot(func(slot, u, v int, w float64) {
 		i, _ := r.link(u, v)
 		r.slotLink[slot], r.baseWt[slot] = int32(i), w
 	})
 	copy(r.pricedWt, r.baseWt)
-	r.priced, r.pruned = base.WithWeights(r.pricedWt), base.WithWeights(r.pruneWt)
+	r.priced, r.pruned = c.WithWeights(r.pricedWt), c.WithWeights(r.pruneWt)
 	r.dist, r.prev = make([]float64, n), make([]int32, n)
 	for i := range r.trees {
 		r.trees[i] = siteTree{dist: make([]float64, n), prev: make([]int32, n), from: make([]int32, n), to: make([]int32, n)}
 	}
 	r.sssp.Visit = r.stop
+}
+
+// Rebase moves the router onto d, another model of the fabric it was
+// built over — a fault view of it, or the pristine model again — whose
+// weights become its base weights, and clears the committed loads: the
+// next BeginEpoch prices nothing, as a new router's would.
+func (r *Router) Rebase(d *model.PPDC) {
+	c := d.APSP.Fabric()
+	r.priced, r.pruned = c.WithWeights(r.pricedWt), c.WithWeights(r.pruneWt) // panics on another fabric
+	c.ForEachSlot(func(slot, _, _ int, w float64) { r.baseWt[slot] = w })
+	copy(r.pricedWt, r.baseWt)
+	clear(r.load)
+	r.ready = false
 }
 
 // link returns the index of the link joining a and b; ok is false when
@@ -209,15 +221,11 @@ func (r *Router) link(a, b int) (i int, ok bool) {
 	if a > b {
 		a, b = b, a
 	}
-	return slices.BinarySearchFunc(r.links, Link{U: a, V: b}, func(x, t Link) int {
-		return cmp.Or(cmp.Compare(x.U, t.U), cmp.Compare(x.V, t.V))
-	})
+	return slices.BinarySearchFunc(r.links, Link{U: a, V: b}, Link.compare)
 }
 
-// Model returns the PPDC the router was frozen from — the engine
-// compares it against its active serving model to detect fault
-// transitions that require a rebuilt router.
-func (r *Router) Model() *model.PPDC { return r.d }
+// compare orders links by (U, V): link order.
+func (x Link) compare(t Link) int { return cmp.Or(cmp.Compare(x.U, t.U), cmp.Compare(x.V, t.V)) }
 
 // priceCap keeps congestion prices finite on fully loaded links.
 const priceCap = 0.98

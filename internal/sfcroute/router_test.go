@@ -1,12 +1,15 @@
 package sfcroute
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
+	"vnfopt/internal/fault"
 	"vnfopt/internal/graph"
 	"vnfopt/internal/model"
 	"vnfopt/internal/topology"
@@ -551,5 +554,95 @@ func TestSetLoadsRefusesBadRecords(t *testing.T) {
 	}
 	if got := r.PricedLoads(nil); !slices.Equal(got, recs) {
 		t.Fatalf("PricedLoads %v, want the records set %v", got, recs)
+	}
+}
+
+// TestRebaseMatchesRouterOverRebuild holds a router rebased from fault
+// view to fault view — the pristine fabric's CSR under +Inf and degraded
+// weights — to a router built over fault.Rebuild's filtered clone of the
+// same fault set: every decision bit for bit with its reason and
+// reroutes, the max-flow bound of every rejection, and the link loads.
+// Random link, switch, host and degrade sets on a k=4 fat tree, now and
+// then none, at α 0 and 0.5 with Classify on, three epochs a set so the
+// loads price the next.
+func TestRebaseMatchesRouterOverRebuild(t *testing.T) {
+	d := model.MustNew(topology.MustFatTree(4, nil), model.Options{})
+	var pool []fault.Fault
+	for _, s := range d.Switches() {
+		pool = append(pool, fault.Fault{Kind: fault.Switch, U: s})
+	}
+	for _, h := range d.Hosts() {
+		pool = append(pool, fault.Fault{Kind: fault.Host, U: h})
+	}
+	for i, e := range d.Topo.Graph.Edges() {
+		pool = append(pool, fault.Fault{Kind: fault.Link, U: e.U, V: e.V}, fault.Fault{Kind: fault.Degrade, U: e.U, V: e.V, Factor: []float64{0.5, 3, 40}[i%3]})
+	}
+	for _, alpha := range []float64{0, 0.5} {
+		rng := rand.New(rand.NewSource(43))
+		cfg := Config{Capacity: 150, Alpha: alpha, Classify: true}
+		rebased, err := NewRouter(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var view *fault.View
+		rejects, infeasible := 0, 0
+		for trial := range 20 {
+			var fs fault.FaultSet
+			for range (1 + rng.Intn(4)) * min(1, trial%5) {
+				fs = fs.Add(pool[rng.Intn(len(pool))])
+			}
+			if view, err = fault.ApplyDelta(d, view, fs); err != nil {
+				t.Fatal(err)
+			}
+			rebased.Rebase(view.PPDC())
+			fresh, err := NewRouter(fault.Rebuild(d, fs).PPDC(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := view.PPDC().Topo.Switches
+			for epoch := range 3 {
+				var sites [][]int
+				for range 3 {
+					sites = append(sites, []int{live[rng.Intn(len(live))]})
+				}
+				demands := passDemands(rng, d.Hosts(), 40, len(d.Hosts()))
+				for _, r := range []*Router{rebased, fresh} {
+					if err := r.BeginEpoch(sites); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := range demands {
+					dm := &demands[i]
+					dm.Rate = 1 + 9*rng.Float64()
+					got, err1 := rebased.Admit(dm.Src, dm.Dst, dm.Rate)
+					want, err2 := fresh.Admit(dm.Src, dm.Dst, dm.Rate)
+					if err1 != nil || err2 != nil {
+						t.Fatal(err1, err2)
+					}
+					where := fmt.Sprintf("alpha %v trial %d %v epoch %d demand %d %+v", alpha, trial, fs.Faults(), epoch, i, *dm)
+					if !sameDecision(got, want) {
+						t.Fatalf("%s:\n rebased %+v\n rebuilt %+v", where, got, want)
+					}
+					if want.Admitted {
+						continue
+					}
+					rejects++
+					if want.Reason == ReasonInfeasible {
+						infeasible++
+					}
+					gb, err1 := rebased.maxFlow(dm.Src, dm.Dst)
+					wb, err2 := fresh.maxFlow(dm.Src, dm.Dst)
+					if err1 != nil || err2 != nil || math.Float64bits(gb) != math.Float64bits(wb) {
+						t.Fatalf("%s: max-flow bound %v (%v), rebuilt %v (%v)", where, gb, err1, wb, err2)
+					}
+				}
+				if got, want := rebased.LinkLoads(), fresh.LinkLoads(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("alpha %v trial %d epoch %d: link loads\n rebased %+v\n rebuilt %+v", alpha, trial, epoch, got, want)
+				}
+			}
+		}
+		if rejects == 0 || infeasible == 0 || infeasible == rejects {
+			t.Fatalf("alpha %v: %d rejects, %d infeasible: the fixture does not reach both reasons", alpha, rejects, infeasible)
+		}
 	}
 }

@@ -68,7 +68,7 @@ func TestEmptyChainIsPlainShortestPath(t *testing.T) {
 	if !ok {
 		t.Fatal("n=0 route unroutable on a line")
 	}
-	dist, _ := base.Freeze().Dijkstra(0)
+	dist, _ := graph.AllPairs(base).Fabric().Dijkstra(0)
 	if res.Cost != dist[5] {
 		t.Fatalf("n=0 cost %v != plain Dijkstra %v", res.Cost, dist[5])
 	}
@@ -378,7 +378,7 @@ func FuzzStageRoute(f *testing.F) {
 			}
 			return 1 + 9*rng.Float64()
 		})
-		base := g.Freeze()
+		base := graph.AllPairs(g).Fabric()
 		r := fabricRouter(t, g, nil)
 		for epoch := 0; epoch < 3; epoch++ {
 			sites := fuzzSites(rng, n, int(stages)%4, rng.Intn(n), rng.Intn(n))

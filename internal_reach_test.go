@@ -31,7 +31,7 @@ var reachAllowed = map[string]string{
 	"graph.APSP.Built":         "harness: which rows a lazily built matrix holds; the engine and fault tests pin a workload's read set with it",
 	"graph.Graph.Dijkstra":     "oracle: the adjacency-list Dijkstra the CSR kernels are held to",
 	"graph.CSR.Dijkstra":       "oracle: the full single-source search sfcroute holds a route with no stage to (TestEmptyChainIsPlainShortestPath)",
-	"graph.Graph.EdgeWeight":   "oracle: an edge's weight read off the adjacency list; the degrade tests hold rebuilt fabrics to it",
+	"graph.Graph.EdgeWeight":   "oracle: a pristine edge's weight read off the adjacency list; the degrade tests hold a view's fabric weights to its multiples",
 	"topology.Jellyfish":       "harness: the random-regular fabric of the generality tests and the large-fabric APSP benchmarks",
 	"migration.FullFrontiers":  "ablation: the exhaustive-frontier row, `BenchmarkAblationFullFrontier`",
 	"sim.Simulator.RunEngine":  "ablation: the drift-trigger row drives the engine through `sim.RunEngine`",
