@@ -334,7 +334,7 @@ func TestStepAllocationBudget(t *testing.T) {
 
 // TestFaultEventAllocationBudget holds a fault event to the garbage of
 // what its delta changed. One cycle of faultStormEngine — 64 events on
-// the k=16 fat tree — allocates ≈ 546 KB and 797 objects per event at
+// the k=16 fat tree — allocates ≈ 545 KB and 795 objects per event at
 // two procs: the repaired APSP rows (the 448 the cost model reads, of
 // 1 344), the view's weight vector over the fabric, one cost cache
 // derived from the last, the ≈ 20 switch-closure rows its repair consult

@@ -14,11 +14,17 @@ import (
 // full re-run. These tests pin the incremental chain to Rebuild across
 // that regime and across its borders.
 
-// TestApplyDeltaAbsorbedWeightHeal is the transition that first showed
-// the defect: with three links at 1e300 and two cut, healing one of the
-// 1e300 degrades left prev[31][0] at 4 where the rebuild says 12 — a
-// daemon would then disagree, in Path and Hops, with what boots from its
-// own checkpoint.
+// TestApplyDeltaAbsorbedWeightHeal heals one of three 1e300 degrades
+// beside two link cuts: the transition that once left prev[31][0] at 4
+// where the rebuild says 12, while a repaired row kept a predecessor of
+// its own. Rows store costs only now, and the chain reaches this
+// transition through a matrix the guard has already sent to a rebuild,
+// so the test is a regression pin: it passes with the guard forced open
+// (strictRelax always true), where TestApplyDeltaAbsorbingLinkCut and
+// TestApplyDeltaExtremeFactorChains fail. Its second prev pins the rule
+// for a prev whose matrix is not over d's fabric: Rebuild's view, over a
+// clone without the cut links, must not panic, and the transition starts
+// from d's own matrix instead.
 func TestApplyDeltaAbsorbedWeightHeal(t *testing.T) {
 	d := mustFatTree(t, 4)
 	healed := Fault{Kind: Degrade, U: 12, V: 15, Factor: 1e300}
@@ -31,15 +37,23 @@ func TestApplyDeltaAbsorbedWeightHeal(t *testing.T) {
 		Fault{Kind: Link, U: 10, V: 25},
 		Fault{Kind: Link, U: 19, V: 35},
 	)
-	if err := fs.Validate(d); err != nil {
-		t.Fatal(err)
-	}
-	after := fs.Remove(healed)
-	inc, err := ApplyDelta(d, Rebuild(d, fs), after)
+	chained, err := ApplyDelta(d, nil, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewEqual(t, d, inc, Rebuild(d, after))
+	after := fs.Remove(healed)
+	for _, c := range []struct {
+		name string
+		prev *View
+	}{{"chained", chained}, {"rebuild", Rebuild(d, fs)}} {
+		t.Run(c.name, func(t *testing.T) {
+			inc, err := ApplyDelta(d, c.prev, after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viewEqual(t, d, inc, Rebuild(d, after))
+		})
+	}
 }
 
 // TestApplyDeltaAbsorbingLinkCut: the fabric a transition leaves can be

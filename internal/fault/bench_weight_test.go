@@ -58,8 +58,8 @@ func weightEventFaults(d *model.PPDC, event string) (FaultSet, bool) {
 var weightEvents = []string{"uplink", "host_uplink", "spine_worst"}
 
 // BenchmarkWeightEvent measures one degrade transition from the
-// pristine fabric: the incremental path (ApplyDelta's reweighted diff
-// -> graph.ApplyEdgeDeltas) against the full Rebuild.
+// pristine fabric: the incremental path (ApplyDelta's weight vector
+// -> graph.APSP.Reweigh) against the full Rebuild.
 // The -short run keeps the fat trees; the full run adds the k=32 fat
 // tree and the 10k-switch jellyfish (gigabyte-matrix scale).
 func BenchmarkWeightEvent(b *testing.B) {

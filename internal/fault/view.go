@@ -206,15 +206,16 @@ func Rebuild(d *model.PPDC, fs FaultSet) *View {
 	return buildView(v, d, g, graph.AllPairs(g))
 }
 
-// ApplyDelta is Apply with an incremental APSP update: when prev is a
-// view of the same pristine model, every row of its matrix is repaired
-// where the fault transition moves it (graph.APSP.ApplyEdgeDeltas), and
-// a row it does not move is carried over verbatim.
-// The result is bit-identical to Apply — the differential fuzz target
-// FuzzIncrementalAPSP pins this over random inject/heal sequences — at a
-// fraction of the cost for the typical 1–3 element transition. A nil
-// prev (or a prev of a different model) delta-updates from the pristine
-// matrix itself; an empty fault set short-circuits to the pristine model.
+// ApplyDelta is Apply with an incremental APSP update: the view's fabric
+// is the pristine CSR under a new weight vector, and its matrix is prev's
+// re-weighed to it (graph.APSP.Reweigh), which repairs every row where
+// the fault transition moves it and carries a row it does not move over
+// verbatim. The result is bit-identical to Apply — the differential fuzz
+// target FuzzIncrementalAPSP pins this over random inject/heal sequences
+// — at a fraction of the cost for the typical 1–3 element transition. A
+// prev whose matrix is not over d's fabric — nil, a view of another
+// model, or Rebuild's, over a clone — re-weighs the pristine matrix
+// itself; an empty fault set short-circuits to the pristine model.
 func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 	if err := fs.Validate(d); err != nil {
 		return nil, err
@@ -224,47 +225,31 @@ func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 		v.label(d.APSP.Fabric())
 		return v, nil
 	}
-	if prev == nil || prev.pristine != d {
-		prev = &View{pristine: d, faults: FaultSet{}, degraded: d}
+	base := d.APSP
+	// ApplyDelta's views, and the empty set's, keep d's graph over a
+	// weight vector of d's fabric; Rebuild's keep a clone.
+	if prev != nil && prev.pristine == d && prev.degraded.Topo.Graph == d.Topo.Graph {
+		base = prev.degraded.APSP
 	}
 	n := d.Topo.Graph.Order()
 	v := &View{pristine: d, faults: fs}
 	var down linkSet
 	var degr degradeSet
 	v.dead, down, degr = fs.filter(n)
-	oldDead, oldDown, oldDegr := prev.faults.filter(n)
 
-	// One pass over the pristine fabric's slots fills the view's weights —
+	// One pass over the pristine fabric's slots fills the view's weights:
 	// the effective cost where the edge survives, the same expression
-	// degradedClone evaluates, +Inf where it does not — and the three-way
-	// edge delta between the two views, from the u < v side (each
-	// parallel link is a record of its own, as graph.EdgeDelta asks). A
-	// restored or re-weighted record carries the slot's new weight, so the
-	// repair relaxes it bit-identical to the full rebuild; a removed
-	// record's weight is never read. An edge that is degraded and removed
-	// in one transition is a removal, whichever came first.
+	// degradedClone evaluates, so the repair relaxes it bit-identical to
+	// the full rebuild; +Inf where it does not.
 	fabric := d.APSP.Fabric()
 	wt := make([]float64, fabric.NumSlots())
-	var delta graph.EdgeDelta
 	fabric.ForEachSlot(func(slot, u, w int, pw float64) {
-		kn := keepEdge(v.dead, down, u, w)
 		wt[slot] = graph.Inf
-		if kn {
+		if keepEdge(v.dead, down, u, w) {
 			wt[slot] = effWeight(degr, u, w, pw)
 		}
-		if u > w {
-			return
-		}
-		switch ko := keepEdge(oldDead, oldDown, u, w); {
-		case ko && !kn:
-			delta.Removed = append(delta.Removed, graph.EdgeRecord{U: u, V: w})
-		case !ko && kn:
-			delta.Restored = append(delta.Restored, graph.EdgeRecord{U: u, V: w, Weight: wt[slot]})
-		case ko && kn && effWeight(oldDegr, u, w, pw) != wt[slot]:
-			delta.Reweighted = append(delta.Reweighted, graph.EdgeRecord{U: u, V: w, Weight: wt[slot]})
-		}
 	})
-	apsp, _ := prev.degraded.APSP.ApplyEdgeDeltas(fabric.WithWeights(wt), delta, 0)
+	apsp, _ := base.Reweigh(wt, 0)
 	return buildView(v, d, d.Topo.Graph, apsp), nil
 }
 

@@ -32,7 +32,7 @@ func SetAPSPObserver(fn APSPObserver) {
 }
 
 // apspBlock is the number of cells in one block of a row, the unit of
-// sharing between a matrix and the ones ApplyEdgeDeltas derives from it:
+// sharing between a matrix and the ones Reweigh derives from it:
 // 512 bytes of costs. Cell v of a row sits in block v>>apspShift at index
 // v&apspMask.
 const (
@@ -66,7 +66,7 @@ type APSP struct {
 	scratch SSSPScratch // the inline build's and the trace's, under mu
 	// span bounds every finite cost in the matrix when the relaxations of
 	// its graph strictly increase (strictRelax): every row is canonical,
-	// the premise of ApplyEdgeDeltas' repair and of Pred's rule. +Inf when
+	// the premise of Reweigh's repair and of Pred's rule. +Inf when
 	// they do not.
 	span float64
 	// minW is the graph's least edge weight (+Inf without edges): no cost
@@ -132,7 +132,7 @@ func newAPSP(csr *CSR) *APSP {
 func AllPairs(g *Graph) *APSP { return newAPSP(g.freeze()) }
 
 // Fabric returns the CSR the matrix is over: g's snapshot for
-// AllPairs(g), the weight view a delta was applied for otherwise.
+// AllPairs(g), its parent's under the vector Reweigh was given otherwise.
 func (a *APSP) Fabric() *CSR { return a.csr }
 
 // Built reports whether row u is built: read, or repaired by a delta.

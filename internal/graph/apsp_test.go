@@ -172,8 +172,8 @@ func TestConcurrentRowReads(t *testing.T) {
 	}
 	et.vertexUp(3, false)
 	et.w[0] = 4
-	next, d := et.commit(false)
-	derived, _ := base.ApplyEdgeDeltas(next.freeze(), d, 0)
+	next, wt := et.commit()
+	derived, _ := base.Reweigh(wt, 0)
 	zt, _ := fatTreeEdges(8)
 	zt.w[0] = 0
 	traced := zt.graph()
@@ -299,8 +299,8 @@ func TestPredMatchesDijkstraTrace(t *testing.T) {
 					et.up[j] = true
 				}
 			}
-			next, d := et.commit(false)
-			cur, _ = cur.ApplyEdgeDeltas(next.freeze(), d, 2)
+			next, wt := et.commit()
+			cur, _ = cur.Reweigh(wt, 2)
 			predMatchesTrace(t, fmt.Sprintf("graph %d delta %d", i, step), cur, next)
 		}
 	}

@@ -187,7 +187,7 @@ func TestCSRWithWeights(t *testing.T) {
 // of the graph without those edges. Over random fabrics thick with
 // pendants and bridges, and the dead-end graphs, random edge subsets go
 // +Inf and others are re-weighted; the matrix over the view — from
-// scratch, and derived by ApplyEdgeDeltas from the fabric's full matrix,
+// scratch, and derived by Reweigh from the fabric's full matrix,
 // the rows it leaves unbuilt read afterwards — must match
 // AllPairsSequential over the CloneMapped graph: every cost, Pred, the
 // span and the Floor.
@@ -219,24 +219,10 @@ func TestInfArcIsAbsentArc(t *testing.T) {
 				}
 				return w, !down[p]
 			}
-			wt := make([]float64, base.Fabric().NumSlots())
-			var d EdgeDelta
-			base.Fabric().ForEachSlot(func(slot, u, v int, w float64) {
-				nw, ok := mapped(u, v, w)
-				wt[slot] = nw
-				switch {
-				case !ok:
-					wt[slot] = Inf
-					if u < v {
-						d.Removed = append(d.Removed, EdgeRecord{U: u, V: v})
-					}
-				case nw != w && u < v:
-					d.Reweighted = append(d.Reweighted, EdgeRecord{U: u, V: v, Weight: nw})
-				}
-			})
+			wt := weighed(base.Fabric(), mapped)
 			view := base.Fabric().WithWeights(wt)
 			want := AllPairsSequential(g.CloneMapped(mapped))
-			inc, _ := full.ApplyEdgeDeltas(view, d, 1+trial%3)
+			inc, _ := full.Reweigh(wt, 1+trial%3)
 			for name, got := range map[string]*APSP{"scratch": newAPSP(view), "delta": inc} {
 				if got.span != want.span || got.minW != want.minW || got.Closure(nil).Floor() != want.Closure(nil).Floor() {
 					t.Fatalf("graph %d trial %d %s: span %v floor %v, the clone's %v and %v", gi, trial, name, got.span, got.minW, want.span, want.minW)

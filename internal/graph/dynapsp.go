@@ -82,34 +82,46 @@ func (r *cowRow) ownBlock(b int) *distBlock {
 	return &own
 }
 
-// EdgeDelta is the full edge difference between the graph an APSP
-// matrix was built over and the graph it is being repaired for. Vertex
-// failures and revivals are expressed through their incident edges; the
-// vertex set itself never changes.
-//
-// Removed may name a pair of parallel edges once; Restored and Reweighted
-// list each edge with its own weight.
-type EdgeDelta struct {
-	// Removed lists edges present in the old graph but absent from the
-	// new. Their weights are never read.
-	Removed []EdgeRecord
-	// Restored lists edges absent from the old graph but present in the
-	// new, with their weights in the new graph.
-	Restored []EdgeRecord
-	// Reweighted lists edges present in both whose weight changed, each
-	// carrying the NEW weight; the old weight is never needed. An edge
-	// whose weight did not change may be listed: it costs a row work, not
-	// bits.
-	Reweighted []EdgeRecord
+// arcChange is one link a re-weighting changes, read off its u < v arc:
+// its weight in the receiver's fabric and in the new vector. +Inf is an
+// absent arc, so a change from +Inf restores the link, one to +Inf
+// removes it, and one between two finite weights re-prices it.
+type arcChange struct {
+	u, v     int
+	was, now float64
 }
 
-// kind labels the delta for the observer.
-func (d EdgeDelta) kind() DeltaKind {
-	structural := len(d.Removed)+len(d.Restored) > 0
+// diffWeights lists the links whose weight differs (!=) between c and wt,
+// a weight vector over c's slots, in slot order. A link's two arcs weigh
+// alike in every vector over a frozen Graph — keep it so in any vector
+// handed to Reweigh — so its u < v arc speaks for both; each parallel
+// link is a change of its own.
+func (c *CSR) diffWeights(wt []float64) (ch []arcChange) {
+	for u := range c.n {
+		for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
+			if v := int(c.to[e]); u < v && c.wt[e] != wt[e] {
+				ch = append(ch, arcChange{u: u, v: v, was: c.wt[e], now: wt[e]})
+			}
+		}
+	}
+	return ch
+}
+
+// deltaKind labels a change list for the observer: structural where a
+// link goes to or from +Inf, weight where it stays finite.
+func deltaKind(ch []arcChange) DeltaKind {
+	structural, weight := false, false
+	for _, x := range ch {
+		if x.was == Inf || x.now == Inf {
+			structural = true
+		} else {
+			weight = true
+		}
+	}
 	switch {
-	case structural && len(d.Reweighted) > 0:
+	case structural && weight:
 		return DeltaMixed
-	case len(d.Reweighted) > 0:
+	case weight:
 		return DeltaWeight
 	default:
 		return DeltaFault
@@ -130,75 +142,74 @@ func (s *deltaStats) add(o deltaStats) {
 	s.settled += o.settled
 }
 
-// ApplyEdgeDeltas builds the APSP matrix over `next`, any CSR of the
-// receiver's order — in production a weight view of its fabric, so it
-// freezes nothing — incrementally from the receiver; d is the full edge
-// delta between the two. It returns the new matrix and its dirty count:
-// the repaired rows that are not the receiver's own, plus the rows the
-// receiver had built that are left unbuilt.
+// Reweigh returns the APSP matrix over the receiver's fabric under wt, a
+// weight vector over its slots as CSR.WithWeights takes it (+Inf is an
+// absent arc), derived incrementally from the receiver, and its dirty
+// count: the repaired rows that are not the receiver's own, plus the rows
+// the receiver had built that are left unbuilt. The caller keeps
+// ownership of wt and must not change it while the matrix is in use.
 //
-// The receiver is never mutated. The rows it had built when the delta
-// started are derived from its own, copy-on-write (cowRow), and repaired
-// (CSR.repairRow): only the vertices whose distance the delta moves are
+// The matrix finds what changed itself, link by link (diffWeights). The
+// receiver is never mutated. The rows it had built when the call started
+// are derived from its own, copy-on-write (cowRow), and repaired
+// (CSR.repairRow): only the vertices whose distance a change moves are
 // re-settled, so what a delta copies follows the cells it changes and a
-// row it leaves alone stays the receiver's, pointer for pointer. Every other row is left unbuilt, to be
-// built on its first read over next. The repairs fan out over `workers`
-// goroutines (≤ 0 = GOMAXPROCS). Every row read is bit-identical to
-// AllPairsSequential over the graph next holds — FuzzRepairRows here and
-// FuzzIncrementalAPSP / FuzzWeightDeltaAPSP in internal/fault pin this.
+// row it leaves alone stays the receiver's, pointer for pointer. Every
+// other row is left unbuilt, to be built on its first read under wt. The
+// repairs fan out over `workers` goroutines (≤ 0 = GOMAXPROCS). Every row
+// read is bit-identical to AllPairsSequential over the graph without the
+// +Inf links — FuzzRepairRows here and FuzzIncrementalAPSP /
+// FuzzWeightDeltaAPSP in internal/fault pin this.
 //
 // Two rules, both properties of the input, leave a row the receiver had
 // built unbuilt instead of repairing it:
 //
 //   - The guard. Repair rests on rows being canonical — a function of the
 //     graph, not of the Dijkstra trace (see repair.go) — which holds when
-//     every relaxation strictly increases the cost: over the old graph
-//     (the receiver's span is finite), over next, and for next's weights
+//     every relaxation strictly increases the cost: under the old weights
+//     (the receiver's span is finite), under wt, and for wt's weights
 //     added to the old rows' distances. strictRelax decides that from the
-//     two graphs' weight ranges in O(E). When it fails — a zero weight, or
-//     a degrade factor so extreme that 1e300 + 1 == 1e300 — every row is
-//     left unbuilt, which is the rebuild by construction.
-//   - The delta leaves the row's source, an endpoint of a record, with at
-//     most one live arc: isolated, or a leaf re-attached or re-priced. Every
-//     cell of that row changes, and the repair would re-settle them all.
-func (a *APSP) ApplyEdgeDeltas(next *CSR, d EdgeDelta, workers int) (*APSP, int) {
-	out, st := a.applyEdgeDeltas(next, d, workers)
+//     two vectors' weight ranges in O(E). When it fails — a zero weight,
+//     or a degrade factor so extreme that 1e300 + 1 == 1e300 — every row
+//     is left unbuilt, which is the rebuild by construction.
+//   - The change leaves the row's source, an endpoint of a changed link,
+//     with at most one live arc: isolated, or a leaf re-attached or
+//     re-priced. Every cell of that row changes, and the repair would
+//     re-settle them all.
+func (a *APSP) Reweigh(wt []float64, workers int) (*APSP, int) {
+	out, st := a.reweigh(wt, workers)
 	return out, st.unbuilt + st.changed
 }
 
-func (a *APSP) applyEdgeDeltas(next *CSR, d EdgeDelta, workers int) (*APSP, deltaStats) {
+func (a *APSP) reweigh(wt []float64, workers int) (*APSP, deltaStats) {
 	n := a.n
-	if next.Order() != n {
-		panic("graph: ApplyEdgeDeltas vertex count mismatch")
-	}
 	obs := apspDeltaObserver.Load()
 	var start time.Time
 	if obs != nil {
 		start = time.Now()
 	}
 
+	next := a.csr.WithWeights(wt)
+	ch := a.csr.diffWeights(wt)
 	// out is not shared until it returns: its flags are written plainly.
 	out := newAPSP(next)
 	repair := strictRelax(out.minW, math.Max(a.span, out.span)) // out.span: next's reach, or +Inf
 	var stats deltaStats
-	if repair && len(d.Removed)+len(d.Restored)+len(d.Reweighted) == 0 {
-		// A delta that names no edge changes no row: next weighs what the
-		// receiver's fabric weighs.
+	if repair && len(ch) == 0 {
+		// wt weighs what the receiver's fabric weighs: no row changes.
 		for src := range n {
 			if a.Built(src) {
 				out.rows[src], out.built[src] = a.rows[src], 1
 			}
 		}
 	} else {
-		// A record endpoint's live arcs in next: drop at most one (the
-		// second rule); bare at none, so nothing supports its cell.
+		// A changed link's endpoint's live arcs under wt: drop at most one
+		// (the second rule); bare at none, so nothing supports its cell.
 		drop, bare := make([]bool, n), make([]bool, n)
-		for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
-			for _, e := range recs {
-				for _, x := range [2]int{e.U, e.V} {
-					k := next.live(x)
-					drop[x], bare[x] = k <= 1, k == 0
-				}
+		for _, x := range ch {
+			for _, v := range [2]int{x.u, x.v} {
+				k := next.live(v)
+				drop[v], bare[v] = k <= 1, k == 0
 			}
 		}
 		var todo []int
@@ -220,7 +231,7 @@ func (a *APSP) applyEdgeDeltas(next *CSR, d EdgeDelta, workers int) (*APSP, delt
 			var st deltaStats
 			for _, src := range todo[lo:hi] {
 				r := deriveRow(a.rows[src])
-				st.settled += next.repairRow(src, &r, d, bare, &scratch)
+				st.settled += next.repairRow(src, &r, ch, bare, &scratch)
 				out.rows[src], out.built[src] = r.Row, 1
 				if r.changed() {
 					st.changed++
@@ -237,7 +248,7 @@ func (a *APSP) applyEdgeDeltas(next *CSR, d EdgeDelta, workers int) (*APSP, delt
 		}
 	}
 	if obs != nil {
-		(*obs)(d.kind(), n, stats.unbuilt+stats.changed, workers, time.Since(start))
+		(*obs)(deltaKind(ch), n, stats.unbuilt+stats.changed, workers, time.Since(start))
 	}
 	return out, stats
 }

@@ -47,19 +47,35 @@ func sameTables(a, b Row) bool { return &a.dist[0] == &b.dist[0] }
 
 // filterEdges returns g without the edges in the down-set.
 func filterEdges(g *Graph, down map[[2]int]bool) *Graph {
-	return g.CloneMapped(func(u, v int, w float64) (float64, bool) {
-		if u > v {
-			u, v = v, u
+	return g.CloneMapped(downMap(down))
+}
+
+// downMap is the CloneMapped function that drops the edges in the
+// down-set and keeps every other at its weight.
+func downMap(down map[[2]int]bool) func(u, v int, w float64) (float64, bool) {
+	return func(u, v int, w float64) (float64, bool) {
+		return w, !down[[2]int{min(u, v), max(u, v)}]
+	}
+}
+
+// weighed is g.CloneMapped(mapEdge) as a weight vector over c = g.freeze():
+// the weight mapEdge gives an arc it keeps, +Inf on one it drops.
+func weighed(c *CSR, mapEdge func(u, v int, w float64) (float64, bool)) []float64 {
+	wt := make([]float64, c.NumSlots())
+	c.ForEachSlot(func(slot, u, v int, w float64) {
+		wt[slot] = Inf
+		if nw, ok := mapEdge(u, v, w); ok {
+			wt[slot] = nw
 		}
-		return w, !down[[2]int{u, v}]
 	})
+	return wt
 }
 
 // TestApplyDeltasRandomSequence drives random fail/restore sequences over
-// random connected graphs and pins ApplyEdgeDeltas bit-for-bit against a full
+// random connected graphs and pins Reweigh bit-for-bit against a full
 // AllPairs rebuild of the filtered graph, at several worker counts. A pair
-// of parallel edges fails and comes back together, and the delta lists
-// each of its edges with its own weight, as EdgeDelta asks.
+// of parallel edges fails and comes back together: each of its arcs is a
+// change of its own.
 func TestApplyDeltasRandomSequence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -69,7 +85,6 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 		down := map[[2]int]bool{}
 		cur := AllPairs(g)
 		for step := 0; step < 8; step++ {
-			var removed, restored []EdgeRecord
 			for i, j := 0, 0; i < len(edges); i = j {
 				for j = i + 1; j < len(edges) && edges[j].U == edges[i].U && edges[j].V == edges[i].V; j++ {
 				}
@@ -77,15 +92,13 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 				switch {
 				case !down[key] && rng.Intn(6) == 0:
 					down[key] = true
-					removed = append(removed, edges[i:j]...)
 				case down[key] && rng.Intn(3) == 0:
 					delete(down, key)
-					restored = append(restored, edges[i:j]...)
 				}
 			}
 			next := filterEdges(g, down)
 			workers := []int{1, 2, 5, 0}[step%4]
-			inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), EdgeDelta{Removed: removed, Restored: restored}, workers)
+			inc, dirty := cur.Reweigh(weighed(g.freeze(), downMap(down)), workers)
 			full := AllPairs(next)
 			apspBitEqual(t, inc, full)
 			if dirty < 0 || dirty > n {
@@ -96,18 +109,19 @@ func TestApplyDeltasRandomSequence(t *testing.T) {
 	}
 }
 
-// TestApplyDeltasEmptyDelta checks that an empty EdgeDelta recomputes
-// zero rows, shares every row with the (immutable, fully built) receiver
-// rather than copying the matrix, and is over the CSR it was handed: a
-// weight view of the receiver's own fabric, which nothing re-freezes.
+// TestApplyDeltasEmptyDelta checks that a weight vector equal to the
+// receiver's recomputes zero rows, shares every row with the (immutable,
+// fully built) receiver rather than copying the matrix, and is over the
+// vector it was handed: a weight view of the receiver's own fabric, which
+// nothing re-freezes.
 func TestApplyDeltasEmptyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnectedGraph(rng, 20, 25)
 	a := allPairsWorkers(g, 0)
-	next := a.Fabric().WithWeights(slices.Clone(a.Fabric().wt))
-	b, dirty := a.ApplyEdgeDeltas(next, EdgeDelta{}, 0)
-	if b.Fabric() != next {
-		t.Fatal("the delta's matrix is not over the CSR it was handed")
+	wt := slices.Clone(a.Fabric().wt)
+	b, dirty := a.Reweigh(wt, 0)
+	if &b.Fabric().wt[0] != &wt[0] || &b.Fabric().to[0] != &a.Fabric().to[0] {
+		t.Fatal("the matrix is not over the receiver's fabric under the vector it was handed")
 	}
 	if dirty != 0 {
 		t.Fatalf("no-op delta recomputed %d rows", dirty)
@@ -132,10 +146,9 @@ func TestApplyDeltasDisconnects(t *testing.T) {
 	g.AddEdge(3, 4, 1)
 	g.AddEdge(4, 5, 1)
 	a := allPairsWorkers(g, 0)
-	bridge := []EdgeRecord{{U: 2, V: 3, Weight: 1}}
 	down := map[[2]int]bool{{2, 3}: true}
 	cut := filterEdges(g, down)
-	b, dirty := a.ApplyEdgeDeltas(cut.freeze(), EdgeDelta{Removed: bridge}, 1)
+	b, dirty := a.Reweigh(weighed(a.Fabric(), downMap(down)), 1)
 	if dirty != 6 {
 		// Every source's tree crosses the bridge.
 		t.Fatalf("bridge cut dirtied %d sources, want 6", dirty)
@@ -151,7 +164,7 @@ func TestApplyDeltasDisconnects(t *testing.T) {
 	if !math.IsInf(b.Cost(0, 5), 1) {
 		t.Fatalf("cut bridge still reports cost %v", b.Cost(0, 5))
 	}
-	c, dirty := b.ApplyEdgeDeltas(g.freeze(), EdgeDelta{Restored: bridge}, 1)
+	c, dirty := b.Reweigh(a.Fabric().wt, 1)
 	apspBitEqual(t, c, a)
 	if dirty != 6 {
 		t.Fatalf("bridge heal dirtied %d sources, want 6", dirty)
@@ -175,7 +188,7 @@ func TestApplyDeltasSparseDirtySet(t *testing.T) {
 	// must leave sources 0 and 1 clean only if their trees avoid it.
 	down := map[[2]int]bool{{2, 3}: true}
 	cut := filterEdges(g, down)
-	b, dirty := a.ApplyEdgeDeltas(cut.freeze(), EdgeDelta{Removed: []EdgeRecord{{U: 2, V: 3, Weight: 1}}}, 1)
+	b, dirty := a.Reweigh(weighed(a.Fabric(), downMap(down)), 1)
 	apspBitEqual(t, b, AllPairs(cut))
 	if dirty >= 4 {
 		t.Fatalf("equal-cost alternate removal dirtied all %d sources", dirty)
@@ -233,30 +246,21 @@ func randomSimpleGraph(rng *rand.Rand, n, extra int) *Graph {
 	return g
 }
 
-// reweight returns a copy of g with the listed edges carrying their new
-// weights, plus the weight-only delta (new weights only, as
-// EdgeDelta.Reweighted carries them). Callers must not list an edge
-// whose new weight equals the old one.
-func reweight(g *Graph, newWt map[[2]int]float64) (*Graph, EdgeDelta) {
-	var recs []EdgeRecord
-	for key, w := range newWt {
-		recs = append(recs, EdgeRecord{U: key[0], V: key[1], Weight: w})
-	}
-	next := g.CloneMapped(func(u, v int, w float64) (float64, bool) {
-		if u > v {
-			u, v = v, u
-		}
-		if nw, ok := newWt[[2]int{u, v}]; ok {
+// reweight returns a copy of g with the listed edges (u < v) carrying
+// their new weights, plus the same weights as a vector over g.freeze().
+func reweight(g *Graph, newWt map[[2]int]float64) (*Graph, []float64) {
+	mapped := func(u, v int, w float64) (float64, bool) {
+		if nw, ok := newWt[[2]int{min(u, v), max(u, v)}]; ok {
 			return nw, true
 		}
 		return w, true
-	})
-	return next, EdgeDelta{Reweighted: recs}
+	}
+	return g.CloneMapped(mapped), weighed(g.freeze(), mapped)
 }
 
 // TestApplyWeightDeltasRandomSequence drives chained random re-weights —
 // increases, decreases, tie-creating and tie-breaking — and pins a
-// re-weight-only ApplyEdgeDeltas bit-for-bit against the full rebuild at
+// re-weight-only Reweigh bit-for-bit against the full rebuild at
 // several worker counts.
 func TestApplyWeightDeltasRandomSequence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -275,9 +279,9 @@ func TestApplyWeightDeltasRandomSequence(t *testing.T) {
 					newWt[[2]int{e.U, e.V}] = w
 				}
 			}
-			next, recs := reweight(g, newWt)
+			next, wt := reweight(g, newWt)
 			workers := []int{1, 2, 5, 0}[step%4]
-			inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), recs, workers)
+			inc, dirty := cur.Reweigh(wt, workers)
 			apspBitEqual(t, inc, AllPairs(next))
 			if dirty < 0 || dirty > n {
 				t.Fatalf("seed %d step %d: dirty=%d out of range", seed, step, dirty)
@@ -304,8 +308,8 @@ func TestApplyWeightDeltasIncreaseNonTreeClean(t *testing.T) {
 			t.Fatalf("fixture assumption broken: source %d routes through {2,3}", s)
 		}
 	}
-	next, recs := reweight(g, map[[2]int]float64{{2, 3}: 5})
-	b, dirty := a.ApplyEdgeDeltas(next.freeze(), recs, 1)
+	next, wt := reweight(g, map[[2]int]float64{{2, 3}: 5})
+	b, dirty := a.Reweigh(wt, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	// Only sources 2 and 3 hold {2,3} as a tree edge (their direct hop
 	// to each other); every other tree routes via vertex 1 and stays
@@ -332,8 +336,8 @@ func TestApplyWeightDeltasDecreaseReroutes(t *testing.T) {
 	if a.Cost(0, 1) != 2 || a.Pred(0, 1) != 2 {
 		t.Fatalf("fixture: cost(0,1)=%v pred=%d", a.Cost(0, 1), a.Pred(0, 1))
 	}
-	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 1})
-	b, dirty := a.ApplyEdgeDeltas(next.freeze(), recs, 1)
+	next, wt := reweight(g, map[[2]int]float64{{0, 1}: 1})
+	b, dirty := a.Reweigh(wt, 1)
 	apspBitEqual(t, b, AllPairs(next))
 	if b.Cost(0, 1) != 1 || b.Pred(0, 1) != 0 {
 		t.Fatalf("after decrease: cost(0,1)=%v pred=%d", b.Cost(0, 1), b.Pred(0, 1))
@@ -343,11 +347,11 @@ func TestApplyWeightDeltasDecreaseReroutes(t *testing.T) {
 	}
 }
 
-// TestApplyEdgeDeltasRepriceRealWeights pins the congestion re-pricing
+// TestReweighRepriceRealWeights pins the congestion re-pricing
 // shape — one fixed structure whose weights are rescaled by real-valued
 // factors step after step, so no two path costs tie — against AllPairs
 // at several worker counts.
-func TestApplyEdgeDeltasRepriceRealWeights(t *testing.T) {
+func TestReweighRepriceRealWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomSimpleGraph(rng, 30, 40)
 	cur := AllPairs(g)
@@ -358,9 +362,9 @@ func TestApplyEdgeDeltasRepriceRealWeights(t *testing.T) {
 				changed[[2]int{e.U, e.V}] = e.Weight * (1 + rng.Float64())
 			}
 		}
-		next, recs := reweight(g, changed)
+		next, wt := reweight(g, changed)
 		workers := []int{1, 3, 0}[step%3]
-		inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), recs, workers)
+		inc, dirty := cur.Reweigh(wt, workers)
 		apspBitEqual(t, inc, AllPairs(next))
 		if dirty > g.Order() {
 			t.Fatalf("step %d: dirty=%d out of range", step, dirty)
@@ -369,15 +373,16 @@ func TestApplyEdgeDeltasRepriceRealWeights(t *testing.T) {
 	}
 }
 
-// TestApplyEdgeDeltasMixed drives structural and weight changes in one
+// TestReweighMixed drives structural and weight changes in one
 // transition — the shape fault.ApplyDelta produces when a degrade and a
 // removal land in the same event.
-func TestApplyEdgeDeltasMixed(t *testing.T) {
+func TestReweighMixed(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
 		n := 10 + rng.Intn(15)
 		g := randomSimpleGraph(rng, n, n)
 		cur := AllPairs(g)
+		fabric := g.freeze()
 		down := map[[2]int]bool{}
 		// curWt tracks each edge's current cost across steps, including
 		// while it is down (a removed edge restores at its last cost).
@@ -386,41 +391,29 @@ func TestApplyEdgeDeltasMixed(t *testing.T) {
 			curWt[[2]int{e.U, e.V}] = e.Weight
 		}
 		for step := 0; step < 6; step++ {
-			var removed, restored, reweighted []EdgeRecord
 			newWt := map[[2]int]float64{}
 			for _, e := range g.Edges() {
 				key := [2]int{e.U, e.V}
 				switch {
 				case !down[key] && rng.Intn(8) == 0:
 					down[key] = true
-					removed = append(removed, EdgeRecord{U: e.U, V: e.V, Weight: curWt[key]})
 				case down[key] && rng.Intn(3) == 0:
 					delete(down, key)
-					restored = append(restored, EdgeRecord{U: e.U, V: e.V, Weight: curWt[key]})
 				case !down[key] && rng.Intn(6) == 0:
 					if w := float64(1 + rng.Intn(4)); w != curWt[key] {
 						newWt[key] = w
 					}
 				}
 			}
-			next := g.CloneMapped(func(u, v int, _ float64) (float64, bool) {
-				if u > v {
-					u, v = v, u
-				}
-				key := [2]int{u, v}
-				if down[key] {
-					return 0, false
-				}
-				if nw, ok := newWt[key]; ok {
-					return nw, true
-				}
-				return curWt[key], true
-			})
 			for key, w := range newWt {
 				curWt[key] = w
-				reweighted = append(reweighted, EdgeRecord{U: key[0], V: key[1], Weight: w})
 			}
-			inc, dirty := cur.ApplyEdgeDeltas(next.freeze(), EdgeDelta{Removed: removed, Restored: restored, Reweighted: reweighted}, []int{1, 4, 0}[step%3])
+			mapped := func(u, v int, _ float64) (float64, bool) {
+				key := [2]int{min(u, v), max(u, v)}
+				return curWt[key], !down[key]
+			}
+			next := g.CloneMapped(mapped)
+			inc, dirty := cur.Reweigh(weighed(fabric, mapped), []int{1, 4, 0}[step%3])
 			apspBitEqual(t, inc, AllPairs(next))
 			if dirty < 0 || dirty > n {
 				t.Fatalf("seed %d step %d: dirty=%d", seed, step, dirty)
@@ -526,9 +519,9 @@ func TestDeltaCopiesWhatItChanges(t *testing.T) {
 		{"link cut", func() { et.up[aggCore] = false }},
 	} {
 		ev.apply()
-		next, d := et.commit(false)
+		next, wt := et.commit()
 		want, curWant := AllPairsSequential(next), AllPairsSequential(g)
-		inc, st := cur.applyEdgeDeltas(next.freeze(), d, 2)
+		inc, st := cur.reweigh(wt, 2)
 		unbuilt := 0
 		left := make([]bool, inc.n)
 		for s := range left {
@@ -597,24 +590,18 @@ func TestWeightDeltaObserverKinds(t *testing.T) {
 	})
 	defer SetAPSPDeltaObserver(nil)
 
-	e01 := []EdgeRecord{{U: 0, V: 1, Weight: 1}}
-	cut := filterEdges(g, map[[2]int]bool{{0, 1}: true})
-	b, _ := a.ApplyEdgeDeltas(cut.freeze(), EdgeDelta{Removed: e01}, 1)
-	_, _ = b.ApplyEdgeDeltas(g.freeze(), EdgeDelta{Restored: e01}, 1)
+	b, _ := a.Reweigh(weighed(a.Fabric(), downMap(map[[2]int]bool{{0, 1}: true})), 1)
+	_, _ = b.Reweigh(a.Fabric().wt, 1)
 
-	rw, recs := reweight(g, map[[2]int]float64{{2, 3}: 3})
-	_, _ = a.ApplyEdgeDeltas(rw.freeze(), recs, 1)
+	_, wt := reweight(g, map[[2]int]float64{{2, 3}: 3})
+	_, _ = a.Reweigh(wt, 1)
 
-	mixed := g.CloneMapped(func(u, v int, w float64) (float64, bool) {
-		if u == 0 && v == 1 || u == 1 && v == 0 {
-			return 0, false
-		}
+	_, _ = a.Reweigh(weighed(a.Fabric(), func(u, v int, w float64) (float64, bool) {
 		if u+v == 5 { // edge {2,3}
 			return 3, true
 		}
-		return w, true
-	})
-	_, _ = a.ApplyEdgeDeltas(mixed.freeze(), EdgeDelta{Removed: e01, Reweighted: recs.Reweighted}, 1)
+		return w, u+v != 1 // edge {0,1} down
+	}), 1)
 
 	want := []DeltaKind{DeltaFault, DeltaFault, DeltaWeight, DeltaMixed}
 	if len(kinds) != len(want) {
@@ -643,9 +630,9 @@ func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
 	g.AddEdge(5, 6, 1)
 	a := allPairsWorkers(g, 0)
 
-	next, recs := reweight(g, map[[2]int]float64{{0, 1}: 3})
-	b, st := a.applyEdgeDeltas(next.freeze(), recs, 1)
-	if want := unbuiltRows(next, recs); want != 1 || st.unbuilt != want || b.Built(1) {
+	next, wt := reweight(g, map[[2]int]float64{{0, 1}: 3})
+	b, st := a.reweigh(wt, 1)
+	if want := unbuiltRows(a, next, wt); want != 1 || st.unbuilt != want || b.Built(1) {
 		t.Fatalf("pendant re-weight left %d rows unbuilt (row 1 built: %v), want %d (the leaf)", st.unbuilt, b.Built(1), want)
 	}
 	apspBitEqual(t, b, AllPairs(next))
@@ -664,8 +651,8 @@ func TestApplyWeightDeltasPendantLeaf(t *testing.T) {
 
 	// The same edge re-priced again from the repaired matrix (3 -> 0.5):
 	// the second delta starts from the first one's derived rows.
-	next2, recs2 := reweight(next, map[[2]int]float64{{0, 1}: 0.5})
-	c, st := b.applyEdgeDeltas(next2.freeze(), recs2, 1)
+	next2, wt2 := reweight(next, map[[2]int]float64{{0, 1}: 0.5})
+	c, st := b.reweigh(wt2, 1)
 	if st.unbuilt != 1 || c.Built(1) {
 		t.Fatalf("chained pendant re-weight left %d rows unbuilt (row 1 built: %v), want 1", st.unbuilt, c.Built(1))
 	}
@@ -681,9 +668,9 @@ func TestApplyWeightDeltasPendantK2(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(3, 4, 2)
 	a := allPairsWorkers(g, 0)
-	next, recs := reweight(g, map[[2]int]float64{{3, 4}: 7})
-	b, st := a.applyEdgeDeltas(next.freeze(), recs, 1)
-	if want := unbuiltRows(next, recs); want != 2 || st.unbuilt != want || st.changed != 0 || b.Built(3) || b.Built(4) {
+	next, wt := reweight(g, map[[2]int]float64{{3, 4}: 7})
+	b, st := a.reweigh(wt, 1)
+	if want := unbuiltRows(a, next, wt); want != 2 || st.unbuilt != want || st.changed != 0 || b.Built(3) || b.Built(4) {
 		t.Fatalf("K2 re-weight left %d rows unbuilt and changed %d more, want %d (rows 3 and 4) and 0", st.unbuilt, st.changed, want)
 	}
 	apspBitEqual(t, b, AllPairs(next))

@@ -13,7 +13,7 @@ type heapItem struct {
 // (cost, vertex) order, so the predecessor a full run leaves at v is the
 // tight neighbour smallest in that order — a rule CSR.pred applies to
 // final distances without replaying the run (see repair.go), which is
-// what lets a row store its costs alone, and APSP.ApplyEdgeDeltas repair
+// what lets a row store its costs alone, and APSP.Reweigh repair
 // a row instead of re-running it.
 func less(a, b heapItem) bool {
 	if a.cost != b.cost {

@@ -2,7 +2,7 @@ package graph
 
 import "math"
 
-// Row repair: the dynamic single-source kernel behind ApplyEdgeDeltas.
+// Row repair: the dynamic single-source kernel behind APSP.Reweigh.
 //
 // Canonical row. Call a graph's relaxations strictly increasing when
 // fl(d + w) > d for every edge weight w and every finite distance d a
@@ -26,12 +26,12 @@ import "math"
 //
 // So a row stores dist alone, and prev is that rule applied on read
 // (CSR.pred). Any procedure that reaches the fixed point yields the bits
-// of a from-scratch run. repairRow does, starting from the row of the
-// graph the delta was taken against, in the manner of Ramalingam & Reps
+// of a from-scratch run. repairRow does, starting from the row under the
+// weights before the change, in the manner of Ramalingam & Reps
 // (J. Algorithms 21, 1996): it finds the vertices that lose their
 // distance by the tight-edge test — an edge {x,y} carries a shortest path
 // to y exactly when fl(dist[x] + w) == dist[y] — and touches only the
-// vertices whose distance the delta can move and their neighbourhoods.
+// vertices whose distance the change can move and their neighbourhoods.
 
 // relaxEps is 2⁻⁵²: ulp(d) ≤ d·relaxEps for every normal float64 d.
 const relaxEps = 0x1p-52
@@ -81,37 +81,36 @@ func (s *repairScratch) begin(n int) uint32 {
 	return s.gen
 }
 
-// repairRow rewrites r — derived from source src's canonical row over the
-// delta's old graph — into src's canonical row over c, copying only the
-// blocks in which a cell changes (cowRow). The delta's Removed and
-// Reweighted records name where a distance can be lost, its Restored and
-// Reweighted records, at their weights in c, where one can be gained.
-// bare[x] marks a record endpoint x with no live arc in c.
+// repairRow rewrites r — derived from source src's canonical row under
+// the receiver's old weights — into src's canonical row over c, copying
+// only the blocks in which a cell changes (cowRow). ch lists the links
+// whose weight changed: one that was finite names where a distance can be
+// lost, one that is finite now, at its weight in c, where one can be
+// gained. bare[x] marks a changed link's endpoint x with no live arc in c.
 //
-// Both graphs' relaxations must be strictly increasing over the old
-// row's distances as well as the new (ApplyEdgeDeltas' guard); the old
-// row is then canonical, and every "strictly closer" below holds.
+// Both weightings' relaxations must be strictly increasing over the old
+// row's distances as well as the new (Reweigh's guard); the old row is
+// then canonical, and every "strictly closer" below holds.
 //
-// Its work is bounded by what the delta moves, not by the row: a record
-// whose edge carries no tight path costs O(degree) — each end's support
-// check. It returns the number of vertices the drain settled.
-func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, bare []bool, s *repairScratch) (settled int) {
+// Its work is bounded by what the change moves, not by the row: a link
+// that carries no tight path costs O(degree) — each end's support check.
+// It returns the number of vertices the drain settled.
+func (c *CSR) repairRow(src int, r *cowRow, ch []arcChange, bare []bool, s *repairScratch) (settled int) {
 	gen := s.begin(c.n)
 	h := &s.sssp.heap
 	h.items = h.items[:0]
 
 	// (1) Lost support. A vertex can lose its distance only with a tight
-	// edge of its (old d(x) + w == d(v)): one removed or re-weighted, or
-	// one from a vertex that lost its own. Seed both ends of every removed
-	// or re-weighted record — but the source and the unreachable cells,
-	// which have nothing to lose — and pop in (old dist, id) order. A
-	// popped vertex keeps its distance — as an upper bound a real path of
-	// c witnesses — if an unmarked neighbour still offers a candidate no
+	// edge of its (old d(x) + w == d(v)): one whose weight changed from a
+	// finite one, or one from a vertex that lost its own. Seed both ends of
+	// every link that was finite — but the source and the unreachable
+	// cells, which have nothing to lose — and pop in (old dist, id) order.
+	// A popped vertex keeps its distance — as an upper bound a real path
+	// of c witnesses — if an unmarked neighbour still offers a candidate no
 	// larger; otherwise it is marked and every neighbour it was tight for
-	// queues up (one over a removed edge — absent from c, or +Inf, which
-	// is no edge — is named, so its end is a seed already). One pass is
-	// enough: a supporter is strictly closer, so it has been popped and
-	// decided, or never will be.
+	// queues up (one over a changed link is a seed already, whatever its
+	// weight in c). One pass is enough: a supporter is strictly closer, so
+	// it has been popped and decided, or never will be.
 	seed := func(v int) {
 		switch {
 		case v == src || s.seen[v] == gen || r.Cost(v) == Inf:
@@ -124,10 +123,10 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, bare []bool, s *repairS
 			h.push(heapItem{v: v, cost: r.Cost(v)})
 		}
 	}
-	for _, recs := range [2][]EdgeRecord{d.Removed, d.Reweighted} {
-		for _, e := range recs {
-			seed(e.U)
-			seed(e.V)
+	for _, x := range ch {
+		if x.was < Inf {
+			seed(x.u)
+			seed(x.v)
 		}
 	}
 	for h.Len() > 0 {
@@ -174,15 +173,15 @@ func (c *CSR) repairRow(src int, r *cowRow, d EdgeDelta, bare []bool, s *repairS
 		}
 	}
 
-	// (3) Gains. An edge that appeared or got cheaper can lower only what
-	// lies across it: relax each restored or re-weighted record both ways
-	// at its weight, and queue the head it strictly improves; the drain
-	// carries the gain on from there. Removed records queue nothing here:
-	// a marked vertex is queued already.
-	for _, recs := range [2][]EdgeRecord{d.Restored, d.Reweighted} {
-		for _, e := range recs {
-			c.gain(r, h, e.U, e.V, e.Weight)
-			c.gain(r, h, e.V, e.U, e.Weight)
+	// (3) Gains. A link that appeared or got cheaper can lower only what
+	// lies across it: relax each link finite in c both ways at its new
+	// weight, and queue the head it strictly improves; the drain carries
+	// the gain on from there. A link gone to +Inf queues nothing here: a
+	// marked vertex is queued already.
+	for _, x := range ch {
+		if x.now < Inf {
+			c.gain(r, h, x.u, x.v, x.now)
+			c.gain(r, h, x.v, x.u, x.now)
 		}
 	}
 

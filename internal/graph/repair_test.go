@@ -8,23 +8,21 @@ import (
 )
 
 // edgeTable is a mutable multigraph for delta tests: a fixed list of
-// edges, each up or down at its current weight. commit materialises the
-// table as a Graph (edges in table order, so adjacency order is stable
-// across steps, as CloneMapped keeps it) and diffs it against the state
-// of the previous commit into the EdgeDelta ApplyEdgeDeltas takes.
+// edges, each up or down at its current weight. Its fabric is the CSR of
+// every edge in table order; commit materialises the table as a Graph —
+// the up edges in table order, so adjacency order is stable across steps,
+// as CloneMapped keeps it — and as the weight vector over that fabric
+// Reweigh takes, +Inf on a down edge.
 type edgeTable struct {
-	n     int
-	u, v  []int
-	w     []float64
-	up    []bool
-	lastW []float64
-	lastU []bool
+	n    int
+	u, v []int
+	w    []float64
+	up   []bool
 }
 
 func (et *edgeTable) add(u, v int, w float64) {
 	et.u, et.v = append(et.u, u), append(et.v, v)
-	et.w, et.lastW = append(et.w, w), append(et.lastW, w)
-	et.up, et.lastU = append(et.up, true), append(et.lastU, true)
+	et.w, et.up = append(et.w, w), append(et.up, true)
 }
 
 func (et *edgeTable) graph() *Graph {
@@ -37,31 +35,18 @@ func (et *edgeTable) graph() *Graph {
 	return g
 }
 
-// commit returns the current graph and the delta since the last commit.
-// With removedOnce, a pair of parallel edges going down together is
-// named by one Removed record, which EdgeDelta allows: a Removed record's
-// weight is never read.
-func (et *edgeTable) commit(removedOnce bool) (*Graph, EdgeDelta) {
-	var d EdgeDelta
-	named := map[[2]int]bool{}
+// commit returns the current graph, the oracle's, and the table fabric's
+// weight vector.
+func (et *edgeTable) commit() (*Graph, []float64) {
+	g := New(et.n)
 	for i := range et.u {
-		rec := EdgeRecord{U: et.u[i], V: et.v[i], Weight: et.w[i]}
-		switch {
-		case et.lastU[i] && !et.up[i]:
-			key := [2]int{min(rec.U, rec.V), max(rec.U, rec.V)}
-			if !removedOnce || !named[key] {
-				named[key] = true
-				rec.Weight = et.lastW[i]
-				d.Removed = append(d.Removed, rec)
-			}
-		case !et.lastU[i] && et.up[i]:
-			d.Restored = append(d.Restored, rec)
-		case et.up[i] && et.w[i] != et.lastW[i]:
-			d.Reweighted = append(d.Reweighted, rec)
+		w := et.w[i]
+		if !et.up[i] {
+			w = Inf
 		}
-		et.lastU[i], et.lastW[i] = et.up[i], et.w[i]
+		g.AddEdge(et.u[i], et.v[i], w)
 	}
-	return et.graph(), d
+	return et.graph(), g.freeze().wt
 }
 
 // pairUp sets every parallel edge between i's endpoints up or down.
@@ -133,7 +118,9 @@ func FuzzRepairRows(f *testing.F) {
 				et.add(u, v, weight())
 			}
 		}
-		removedOnce := rng.Intn(2) == 0
+		// The draw that once chose how a removal was listed: kept, so an
+		// input drives the edge sequence it always has.
+		_ = rng.Intn(2)
 
 		g := et.graph()
 		cur, curWant := AllPairs(g), AllPairsSequential(g)
@@ -165,13 +152,13 @@ func FuzzRepairRows(f *testing.F) {
 				continue // batch with the next op into one delta
 			}
 			readRows(t, cur, curWant, rng)
-			next, d := et.commit(removedOnce)
+			next, wt := et.commit()
 			want := AllPairsSequential(next)
-			repairEveryRow(t, cur, curWant, next, d, want)
+			repairEveryRow(t, cur, curWant, wt, want)
 			var inc *APSP
 			dirty := -1
 			for _, workers := range []int{1, 2, 5} {
-				got, rows := cur.ApplyEdgeDeltas(next.freeze(), d, workers)
+				got, rows := cur.Reweigh(wt, workers)
 				if workers < 5 {
 					apspBitEqual(t, got, want)
 				}
@@ -209,17 +196,16 @@ func builtBitEqual(t *testing.T, a, want *APSP) {
 	}
 }
 
-// repairEveryRow runs the row repair on every row — the ones
-// ApplyEdgeDeltas leaves unbuilt too — and demands want's bits: the
-// repair is a complete dynamic SSSP, and leaving a row unbuilt saves work,
-// not bits. A row is derived from a's where a has built it, from aWant's,
-// the rebuild of a's graph, elsewhere; it builds none of a's rows. The
-// repairs write through copy-on-write rows, so a's built rows must come
-// out of them equal to aWant's. Skipped when the guard fails, where
-// nothing may be repaired.
-func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want *APSP) {
+// repairEveryRow runs the row repair on every row — the ones Reweigh
+// leaves unbuilt too — and demands want's bits: the repair is a complete
+// dynamic SSSP, and leaving a row unbuilt saves work, not bits. A row is
+// derived from a's where a has built it, from aWant's, the rebuild of a's
+// graph, elsewhere; it builds none of a's rows. The repairs write through
+// copy-on-write rows, so a's built rows must come out of them equal to
+// aWant's. Skipped when the guard fails, where nothing may be repaired.
+func repairEveryRow(t *testing.T, a, aWant *APSP, wt []float64, want *APSP) {
 	t.Helper()
-	csr := next.freeze()
+	csr, ch := a.csr.WithWeights(wt), a.csr.diffWeights(wt)
 	if minW, reach := csr.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
 		return
 	}
@@ -234,7 +220,7 @@ func repairEveryRow(t *testing.T, a, aWant *APSP, next *Graph, d EdgeDelta, want
 			from = a.rows[src]
 		}
 		r := deriveRow(from)
-		csr.repairRow(src, &r, d, bare, &scratch)
+		csr.repairRow(src, &r, ch, bare, &scratch)
 		w := want.Row(src)
 		for v := 0; v < a.n; v++ {
 			if math.Float64bits(r.Cost(v)) != math.Float64bits(w.Cost(v)) {
@@ -266,8 +252,8 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 		t.Fatalf("fixture: cost(0,3)=%v, want the unit hops absorbed", a.Cost(0, 3))
 	}
 	et.pairUp(0, false)
-	next, d := et.commit(false)
-	b, st := a.applyEdgeDeltas(next.freeze(), d, 1)
+	next, wt := et.commit()
+	b, st := a.reweigh(wt, 1)
 	if st.unbuilt != 5 || slices.ContainsFunc([]int{0, 1, 2, 3, 4}, b.Built) {
 		t.Fatalf("left %d rows unbuilt from a non-canonical parent, want all 5", st.unbuilt)
 	}
@@ -287,8 +273,8 @@ func TestApplyDeltasAbsorbingLinkCut(t *testing.T) {
 		t.Fatal("fixture: uniform weights must be canonical")
 	}
 	et2.w[0], et2.w[1], et2.w[2] = 0x1p-40, 0x1p-40, 0x1p-40
-	next2, d2 := et2.commit(false)
-	b2, st2 := a2.applyEdgeDeltas(next2.freeze(), d2, 1)
+	next2, wt2 := et2.commit()
+	b2, st2 := a2.reweigh(wt2, 1)
 	if st2.unbuilt != 4 || slices.ContainsFunc([]int{0, 1, 2, 3}, b2.Built) {
 		t.Fatalf("left %d rows unbuilt across a 2^80 weight swing, want all 4", st2.unbuilt)
 	}
@@ -453,11 +439,11 @@ func TestRepairStormWorkBound(t *testing.T) {
 	var total deltaStats
 	events := 0
 	step := func() {
-		next, d := et.commit(false)
+		next, wt := et.commit()
 		want := AllPairs(next)
-		repairEveryRow(t, cur, curWant, next, d, want)
-		inc, st := cur.applyEdgeDeltas(next.freeze(), d, []int{1, 2, 0}[events%3])
-		if want := unbuiltRows(next, d); st.unbuilt != want {
+		repairEveryRow(t, cur, curWant, wt, want)
+		inc, st := cur.reweigh(wt, []int{1, 2, 0}[events%3])
+		if want := unbuiltRows(cur, next, wt); st.unbuilt != want {
 			t.Fatalf("event %d: %d rows left unbuilt, want %d", events, st.unbuilt, want)
 		}
 		apspBitEqual(t, inc, want)
@@ -500,17 +486,16 @@ func TestRepairStormWorkBound(t *testing.T) {
 	}
 }
 
-// unbuiltRows counts the rows of a fully built parent ApplyEdgeDeltas
-// leaves unbuilt when the guard holds: the distinct record endpoints next
-// leaves with at most one edge.
-func unbuiltRows(next *Graph, d EdgeDelta) int {
+// unbuiltRows counts the rows of a fully built parent a.Reweigh(wt)
+// leaves unbuilt when the guard holds: the distinct endpoints of changed
+// links that next, the graph without the +Inf links, leaves with at most
+// one edge.
+func unbuiltRows(a *APSP, next *Graph, wt []float64) int {
 	rerun := map[int]bool{}
-	for _, recs := range [3][]EdgeRecord{d.Removed, d.Restored, d.Reweighted} {
-		for _, e := range recs {
-			for _, x := range [2]int{e.U, e.V} {
-				if len(next.Neighbors(x)) <= 1 {
-					rerun[x] = true
-				}
+	for _, e := range a.csr.diffWeights(wt) {
+		for _, x := range [2]int{e.u, e.v} {
+			if len(next.Neighbors(x)) <= 1 {
+				rerun[x] = true
 			}
 		}
 	}
