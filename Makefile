@@ -36,7 +36,7 @@ race:
 
 # One iteration of every kernel microbenchmark with numbers on record,
 # so the code behind them still compiles and runs; no timing is read.
-# In order: the four engine benchmarks — BenchmarkEngineStep and
+# In order: the five engine benchmarks — BenchmarkEngineStep and
 # BenchmarkEngineStepObserved (the hot loop with a nil and a live
 # observer), BenchmarkEngineStepDiurnal, BenchmarkEngineStepFlashCrowd and
 # BenchmarkEngineFaultStorm (the in-process diurnal-react,

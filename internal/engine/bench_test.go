@@ -332,6 +332,39 @@ func TestStepAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestRoutedStepAllocationBudget holds a routed epoch to the garbage of
+// its consult and snapshot: the route pass refills buffers the engine
+// keeps and sorts nothing, so one op of flashCrowdEngine allocates
+// ≈ 4 KB once a cycle has warmed them (the parent's pass allocated
+// ≈ 125 KB more). Decisions, demands or stage sites allocated per epoch
+// again, or the hottest-first link list built every epoch, fail here.
+func TestRoutedStepAllocationBudget(t *testing.T) {
+	e, ops := flashCrowdEngine(t, nil)
+	const budget = 8 << 10
+	step := func(u []RateUpdate) {
+		if _, err := e.Ingest(u); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, u := range ops {
+		step(u)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, u := range ops {
+		step(u)
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / uint64(len(ops))
+	t.Logf("per op: %d B", perStep)
+	if perStep > budget {
+		t.Fatalf("one routed Ingest+Step allocates %d B, budget %d B: does the route pass allocate its decisions, demands or stage sites per epoch again, or build the hottest-first link list every epoch?", perStep, budget)
+	}
+}
+
 // TestFaultEventAllocationBudget holds a fault event to the garbage of
 // what its delta changed. One cycle of faultStormEngine — 64 events on
 // the k=16 fat tree — allocates ≈ 545 KB and 795 objects per event at

@@ -222,12 +222,12 @@ type Engine struct {
 
 	// Capacity-aware routing state (see routing.go). router is built once,
 	// over the pristine fabric, and rebased onto each serving model a
-	// fault transition commits; routingReport holds the last completed
-	// pass, pricedFrom the link loads that priced it, in link order
-	// (Routing.Alpha > 0 only; empty after a rebase).
-	router        *sfcroute.Router
-	routingReport *RoutingReport
-	pricedFrom    []PricedLink
+	// fault transition commits; route holds the last pass, pricedFrom
+	// the link loads that priced it, in link order (Routing.Alpha > 0
+	// only; empty after a rebase).
+	router     *sfcroute.Router
+	route      routePass
+	pricedFrom []PricedLink
 
 	epoch          int
 	committedCost  float64
@@ -338,7 +338,7 @@ func (e *Engine) begin(curCost float64, loads []PricedLink) (*Engine, error) {
 		if err := r.SetLoads(loads); err != nil {
 			return nil, fmt.Errorf("engine: state priced_from: %w", err)
 		}
-		e.router = r
+		e.router, e.route.sites = r, sfcroute.PlacementSites(e.p)
 	}
 	if err := e.routeEpoch(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)

@@ -154,7 +154,6 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	rerr := e.routeEpoch()
 	if rerr != nil {
 		e.obs.observeError(e.epoch, rerr)
-		e.routingReport = nil
 	}
 	e.open = rerr != nil
 	out := e.faultResult(res, injected, healed)

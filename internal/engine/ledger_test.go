@@ -27,7 +27,8 @@ var workMeters = map[string]map[string]func(t *testing.T) map[string]int64{
 
 // flashCrowdRoutePassWork runs flashCrowdEngine's route passes — the
 // pass New runs, then one cycle of its ops — and counts them, their
-// searches and the fabric vertices those settled.
+// searches and the fabric vertices those settled; then the allocations
+// of one more pass, warm, on the cycle's last placement and rates.
 func flashCrowdRoutePassWork(t *testing.T) map[string]int64 {
 	reg := obs.NewRegistry()
 	e, ops := flashCrowdEngine(t, NewObserver(reg, obs.NewEventLog(16), "crowd"))
@@ -39,11 +40,17 @@ func flashCrowdRoutePassWork(t *testing.T) map[string]int64 {
 			t.Fatal(err)
 		}
 	}
-	return map[string]int64{
+	work := map[string]int64{
 		"passes":   int64(histogramCount(t, reg, `vnfopt_sfcroute_pass_seconds_count{scenario="crowd"}`)),
 		"searches": int64(reg.Counter(`vnfopt_sfcroute_searches_total{scenario="crowd"}`).Value()),
 		"settled":  int64(reg.Counter(`vnfopt_sfcroute_settled_total{scenario="crowd"}`).Value()),
 	}
+	work["allocs_per_pass"] = int64(testing.AllocsPerRun(10, func() {
+		if err := e.routeEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	}))
+	return work
 }
 
 // faultStormCostCacheWork runs faultStormEngine's cycle and counts the

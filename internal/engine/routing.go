@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"vnfopt/internal/sfcroute"
@@ -80,41 +81,65 @@ type RoutingSummary struct {
 	SaturatedLinks     int     `json:"saturated_links"`
 }
 
+// routePass is the engine's last route pass, in buffers the next pass
+// refills. ok reports that rep holds a completed pass; rep has no Links,
+// Saturated or MaxLink, which RoutingReport builds on read from the
+// router's loads, still that pass's until the next one begins. saturated
+// counts the links strictly above the saturation threshold; sites (one
+// per VNF, made by begin), demands and decs are the pass's BeginEpoch
+// and AdmitAll input and output.
+type routePass struct {
+	rep       RoutingReport
+	ok        bool
+	saturated int
+	demands   []sfcroute.Demand
+	decs      []sfcroute.Decision
+	sites     [][]int
+}
+
 // routeEpoch runs the capacity-aware routing pass for the current
-// placement on the router's serving model. Called with e.mu held; a nil
-// RoutingConfig makes it a no-op.
+// placement on the router's serving model, into e.route. Called with
+// e.mu held; a nil RoutingConfig makes it a no-op, and a pass that fails
+// leaves no report.
 func (e *Engine) routeEpoch() error {
 	rc := e.cfg.Routing
 	if rc == nil {
 		return nil
 	}
 	start := time.Now()
+	rp := &e.route
+	rp.ok = false
 	if rc.Alpha > 0 {
 		e.pricedFrom = e.router.PricedLoads(e.pricedFrom[:0])
 	}
-	if err := e.router.BeginEpoch(sfcroute.PlacementSites(e.p)); err != nil {
+	for j, s := range e.p {
+		rp.sites[j][0] = s
+	}
+	if err := e.router.BeginEpoch(rp.sites); err != nil {
 		return fmt.Errorf("routing: %w", err)
 	}
 	// One batch in flow-index order: admission order decides who gets
 	// residual capacity; the router reads every unpruned route from the
 	// epoch's shared searches.
-	rep := &RoutingReport{Epoch: e.epoch, Decisions: make([]FlowDecision, 0, len(e.flows))}
-	demands := make([]sfcroute.Demand, 0, len(e.flows))
+	rep := &rp.rep
+	*rep = RoutingReport{Epoch: e.epoch, Decisions: rep.Decisions[:0], RejectReasons: rep.RejectReasons}
+	clear(rep.RejectReasons)
+	rp.demands = rp.demands[:0]
 	for i, f := range e.flows {
 		if e.servable != nil && !e.servable[i] {
 			continue
 		}
 		rep.Decisions = append(rep.Decisions, FlowDecision{Flow: i})
-		demands = append(demands, sfcroute.Demand{Src: f.Src, Dst: f.Dst, Rate: f.Rate})
+		rp.demands = append(rp.demands, sfcroute.Demand{Src: f.Src, Dst: f.Dst, Rate: f.Rate})
 	}
-	decs, err := e.router.AdmitAll(demands)
-	if err != nil {
-		return fmt.Errorf("routing: flow %d: %w", rep.Decisions[len(decs)].Flow, err)
+	var err error
+	if rp.decs, err = e.router.AdmitAll(rp.decs[:0], rp.demands); err != nil {
+		return fmt.Errorf("routing: flow %d: %w", rep.Decisions[len(rp.decs)].Flow, err)
 	}
-	for j, dec := range decs {
+	for j, dec := range rp.decs {
 		fd := &rep.Decisions[j]
 		fd.Admitted, fd.Cost, fd.Reroutes, fd.Reason = dec.Admitted, dec.Cost, dec.Reroutes, dec.Reason
-		rate := demands[j].Rate
+		rate := rp.demands[j].Rate
 		if dec.Admitted {
 			rep.Admitted++
 			rep.AdmittedRate += rate
@@ -127,20 +152,8 @@ func (e *Engine) routeEpoch() error {
 			rep.RejectReasons[dec.Reason]++
 		}
 	}
-	rep.Links = e.router.LinkLoads()
-	thr := rc.SaturationThreshold
-	cut := len(rep.Links)
-	for i, l := range rep.Links {
-		if l.Utilization <= thr {
-			cut = i
-			break
-		}
-	}
-	rep.Saturated = rep.Links[:cut]
-	if len(rep.Links) > 0 {
-		rep.MaxUtilization, rep.MaxLink = rep.Links[0].Utilization, rep.Links[0].Link
-	}
-	e.routingReport = rep
+	rep.MaxUtilization, rp.saturated = e.router.Hottest(rc.SaturationThreshold)
+	rp.ok = true
 	e.obs.observeRouting(rep, time.Since(start), e.router.Searches(), e.router.Settled())
 	return nil
 }
@@ -148,36 +161,38 @@ func (e *Engine) routeEpoch() error {
 // routingSummary digests the last routing pass for the snapshot. Called
 // with e.mu held.
 func (e *Engine) routingSummary() *RoutingSummary {
-	rep := e.routingReport
-	if rep == nil {
+	if !e.route.ok {
 		return nil
 	}
+	rep := &e.route.rep
 	return &RoutingSummary{
 		Admitted:           rep.Admitted,
 		Rejected:           rep.Rejected,
 		MaxLinkUtilization: rep.MaxUtilization,
-		SaturatedLinks:     len(rep.Saturated),
+		SaturatedLinks:     e.route.saturated,
 	}
 }
 
 // RoutingReport returns a copy of the most recent routing pass, or nil
-// when capacity routing is disabled (or the last pass failed).
+// when capacity routing is disabled (or the last pass failed). Its Links
+// are sorted here, from the pass's loads: the pass itself only needs
+// the hottest.
 func (e *Engine) RoutingReport() *RoutingReport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rep := e.routingReport
-	if rep == nil {
+	if !e.route.ok {
 		return nil
 	}
-	cp := *rep
-	cp.Links = append([]sfcroute.LinkLoad(nil), rep.Links...)
-	cp.Saturated = cp.Links[:len(rep.Saturated)]
-	cp.Decisions = append([]FlowDecision(nil), rep.Decisions...)
-	if rep.RejectReasons != nil {
-		cp.RejectReasons = make(map[string]int, len(rep.RejectReasons))
-		for k, v := range rep.RejectReasons {
-			cp.RejectReasons[k] = v
-		}
+	cp := e.route.rep
+	cp.Links = e.router.LinkLoads()
+	cp.Saturated = cp.Links[:e.route.saturated]
+	if len(cp.Links) > 0 {
+		cp.MaxLink = cp.Links[0].Link
+	}
+	cp.Decisions = append([]FlowDecision(nil), cp.Decisions...)
+	cp.RejectReasons = nil
+	if rr := e.route.rep.RejectReasons; len(rr) > 0 {
+		cp.RejectReasons = maps.Clone(rr)
 	}
 	return &cp
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -57,6 +58,47 @@ func TestRoutingReportSaturatedCut(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Saturated, rep.Links[:above]) {
 		t.Fatalf("saturated %v, want the %d links above %v: %v", rep.Saturated, above, thr, rep.Links[:above])
+	}
+}
+
+// TestRoutingReportSurvivesLaterEpochs: a report RoutingReport hands out
+// is the caller's. The engine refills its pass buffers every epoch — the
+// decisions, and the loads Links is built from — so a report sharing
+// one would change under its holder: two flash-crowd steps, a fault
+// transition and another read later, the held report marshals to the
+// bytes it did.
+func TestRoutingReportSurvivesLaterEpochs(t *testing.T) {
+	e, ops := flashCrowdEngine(t, nil)
+	step := func(u []RateUpdate) {
+		t.Helper()
+		if _, err := e.Ingest(u); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, u := range ops[:3] {
+		step(u)
+	}
+	held := e.RoutingReport()
+	want, err := json.Marshal(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(ops[3])
+	step(ops[4])
+	core := e.cfg.PPDC.Switches()[len(e.cfg.PPDC.Switches())-1]
+	if _, err := e.ApplyFaults(context.Background(), []fault.Fault{{Kind: fault.Switch, U: core}}, nil); err != nil {
+		t.Fatalf("ApplyFaults: %v", err)
+	}
+	later := e.RoutingReport()
+	if got, _ := json.Marshal(held); !bytes.Equal(got, want) {
+		t.Fatalf("a held report changed under later epochs and reads:\n got: %s\nwant: %s", got, want)
+	}
+	// The later passes must move what a shared buffer would carry over.
+	if reflect.DeepEqual(later.Decisions, held.Decisions) || reflect.DeepEqual(later.Links, held.Links) {
+		t.Fatal("the later pass left decisions or links as they were: the test would miss a shared buffer")
 	}
 }
 
@@ -138,6 +180,29 @@ func TestEngineAdmissionRejectsOverCapacity(t *testing.T) {
 	snap := e.Snapshot()
 	if snap.Routing == nil || snap.Routing.Rejected != rep.Rejected {
 		t.Fatalf("snapshot summary %+v does not match report", snap.Routing)
+	}
+}
+
+// TestRejectingPassAllocatesNothing: a warm pass that rejects flows
+// refills the reject-reason map it kept, as it refills its other
+// buffers, and a report read after it still names the reasons.
+func TestRejectingPassAllocatesNothing(t *testing.T) {
+	d, sfc, w := routingScenario(t)
+	e, err := New(Config{PPDC: d, SFC: sfc, Base: w, Mu: 1,
+		Routing: &RoutingConfig{LinkCapacity: 15}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := e.routeEpoch(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm rejecting pass allocates %v times, want 0: is the reject-reason map made again?", allocs)
+	}
+	if rep := e.RoutingReport(); rep.Rejected == 0 || len(rep.RejectReasons) == 0 {
+		t.Fatalf("expected rejections and their reasons under capacity 15, got %+v", rep)
 	}
 }
 

@@ -79,6 +79,7 @@ func TestAdmitAllMatchesPerFlowAdmit(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(k)))
 					demands := passDemands(rng, hosts, flows, len(hosts)/2)
 					rejects, reroutes := 0, 0
+					var got []Decision // refilled each epoch, as the engine's buffer is
 					for epoch := 0; epoch < 5; epoch++ {
 						for i := range demands {
 							demands[i].Rate = 1 + 9*rng.Float64()
@@ -91,7 +92,7 @@ func TestAdmitAllMatchesPerFlowAdmit(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						got, err := batch.AdmitAll(demands)
+						got, err = batch.AdmitAll(got[:0], demands)
 						if err != nil {
 							t.Fatalf("epoch %d: AdmitAll: %v", epoch, err)
 						}
@@ -148,7 +149,7 @@ func TestAdmitAllStopsAtInvalidDemand(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decs, gotErr := batch.AdmitAll(demands)
+	decs, gotErr := batch.AdmitAll(nil, demands)
 	if _, err := each.Admit(0, 3, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestAdmitAllStopsAtInvalidDemand(t *testing.T) {
 		t.Fatalf("loads after the failure: %v, want %v", got, want)
 	}
 	// An endpoint off the fabric fails in turn too, not up front.
-	decs, gotErr = batch.AdmitAll([]Demand{{Src: 0, Dst: 3, Rate: 1}, {Src: 0, Dst: 99, Rate: 1}})
+	decs, gotErr = batch.AdmitAll(nil, []Demand{{Src: 0, Dst: 3, Rate: 1}, {Src: 0, Dst: 99, Rate: 1}})
 	if gotErr == nil || len(decs) != 1 {
 		t.Fatalf("out-of-range endpoint: %d decisions, err %v", len(decs), gotErr)
 	}
@@ -198,7 +199,7 @@ func TestAdmitAllSearchCount(t *testing.T) {
 		}
 		var decs []Decision
 		if batch {
-			if decs, err = r.AdmitAll(demands); err != nil {
+			if decs, err = r.AdmitAll(nil, demands); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -266,7 +267,7 @@ func TestAdmitAllSettlesTwoTrees(t *testing.T) {
 	if err := r.BeginEpoch(PlacementSites(chain)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AdmitAll(demands); err != nil {
+	if _, err := r.AdmitAll(nil, demands); err != nil {
 		t.Fatal(err)
 	}
 	if r.Searches() != 3 || r.Settled() != 162 {

@@ -85,7 +85,7 @@ func BenchmarkRoutePass(b *testing.B) {
 			name  string
 			admit func(*Router) error
 		}{
-			{"AdmitAll", func(r *Router) error { _, err := r.AdmitAll(demands); return err }},
+			{"AdmitAll", func(r *Router) error { _, err := r.AdmitAll(nil, demands); return err }},
 			{"Admit", func(r *Router) error { admitEach(b, r, demands); return nil }},
 		} {
 			b.Run(regime.name+"/"+mode.name, func(b *testing.B) {

@@ -137,7 +137,8 @@ type Router struct {
 	stopAt int
 	walk   []int32
 
-	blocked []bool
+	blocked    []bool
+	anyBlocked bool // some blocked entry is set: admit clears them only then
 	// minHeadroom is the smallest headroom over all links: set in
 	// BeginEpoch and lowered on each commit over the committed walk's
 	// links only — loads only grow within an epoch, so it stays exact. A
@@ -302,13 +303,12 @@ func (r *Router) Admit(src, dst int, rate float64) (Decision, error) {
 
 // AdmitAll admits the demands in index order — the order decides who
 // gets residual capacity — with the outcome of calling Admit on each in
-// turn, which it is. On error the returned decisions cover the demands
-// before the failing one, whose load stays committed.
-func (r *Router) AdmitAll(demands []Demand) ([]Decision, error) {
+// turn, which it is, and appends the decisions to out. On error they
+// cover the demands before the failing one, whose load stays committed.
+func (r *Router) AdmitAll(out []Decision, demands []Demand) ([]Decision, error) {
 	if !r.ready {
-		return nil, errNoEpoch
+		return out, errNoEpoch
 	}
-	out := make([]Decision, 0, len(demands))
 	for _, dm := range demands {
 		dec, err := r.admit(dm)
 		if err != nil {
@@ -345,7 +345,10 @@ func (r *Router) admit(dm Demand) (Decision, error) {
 		}
 		return Decision{Admitted: true, Cost: cost}, nil
 	}
-	clear(r.blocked)
+	if r.anyBlocked {
+		clear(r.blocked)
+		r.anyBlocked = false
+	}
 	for attempt := 0; attempt <= maxReroutes; attempt++ {
 		// An attempt with nothing to prune routes on the shared prices.
 		pruned := attempt > 0 || !r.pruneFree(rate)
@@ -383,7 +386,7 @@ func (r *Router) admit(dm Demand) (Decision, error) {
 			}
 			return Decision{Admitted: true, Cost: cost, Reroutes: attempt}, nil
 		}
-		r.blocked[over] = true
+		r.blocked[over], r.anyBlocked = true, true
 	}
 	d := r.reject(src, dst, rate, maxReroutes)
 	if d.Reason == ReasonNoPath {
@@ -467,6 +470,20 @@ func (r *Router) SetLoads(recs []PricedLink) error {
 		r.load[i], last = rec.Load, i
 	}
 	return nil
+}
+
+// Hottest returns the greatest committed utilization (LinkLoads' first
+// record's, 0 when no link is loaded) and how many links are strictly
+// above utilization thr.
+func (r *Router) Hottest(thr float64) (hottest float64, above int) {
+	for _, v := range r.load {
+		u := v / r.cfg.Capacity
+		hottest = max(hottest, u)
+		if u > thr {
+			above++
+		}
+	}
+	return hottest, above
 }
 
 // LinkLoads returns the capacity-aware load records of the loaded links,

@@ -330,7 +330,7 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := r.Admit(0, 2, 1); err == nil {
 		t.Fatal("Admit before BeginEpoch succeeded")
 	}
-	if _, err := r.AdmitAll([]Demand{{Src: 0, Dst: 2, Rate: 1}}); err == nil {
+	if _, err := r.AdmitAll(nil, []Demand{{Src: 0, Dst: 2, Rate: 1}}); err == nil {
 		t.Fatal("AdmitAll before BeginEpoch succeeded")
 	}
 	if err := r.BeginEpoch(nil); err != nil {
@@ -453,7 +453,7 @@ func TestFailedBeginEpochChangesNothing(t *testing.T) {
 	if _, err := bad.Admit(0, 3, 1); err == nil {
 		t.Fatal("Admit after a refused BeginEpoch succeeded")
 	}
-	if _, err := bad.AdmitAll([]Demand{{Src: 0, Dst: 3, Rate: 1}}); err == nil {
+	if _, err := bad.AdmitAll(nil, []Demand{{Src: 0, Dst: 3, Rate: 1}}); err == nil {
 		t.Fatal("AdmitAll after a refused BeginEpoch succeeded")
 	}
 	if _, err := bad.maxFlow(0, 3); err == nil {
@@ -497,7 +497,8 @@ func TestUtilization(t *testing.T) {
 
 // TestLoadsHeadroom: LinkLoads surfaces capacity headroom per link,
 // sorted hottest first with ties in link order, clamps negative
-// headroom on overloaded links, and omits unloaded ones.
+// headroom on overloaded links, and omits unloaded ones; Hottest agrees
+// with its first record.
 func TestLoadsHeadroom(t *testing.T) {
 	r, err := NewRouter(linearPPDC(t, 3), Config{Capacity: 100})
 	if err != nil {
@@ -524,6 +525,11 @@ func TestLoadsHeadroom(t *testing.T) {
 	}
 	if recs[1].Headroom != 70 {
 		t.Fatalf("headroom = %v, want 70", recs[1].Headroom)
+	}
+	// Hottest reads the first record's utilization, and a link exactly at
+	// the threshold is not above it.
+	if hot, above := r.Hottest(0.3); hot != recs[0].Utilization || above != 1 {
+		t.Fatalf("Hottest = %v, %d above 0.3; want %v, 1", hot, above, recs[0].Utilization)
 	}
 }
 
