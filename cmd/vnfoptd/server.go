@@ -71,9 +71,8 @@ type ScenarioSpec struct {
 	Flows       int        `json:"flows"`
 	TenantRacks int        `json:"tenant_racks"`
 	Seed        int64      `json:"seed"`
-	// Migrator is "mpareto" (default), "layereddp", "exhaustive"
-	// (Algorithm 6 seeded with mPareto — exact, small fabrics only), or
-	// "nomigration".
+	// Migrator is "mpareto" (default), "exhaustive" (Algorithm 6 seeded
+	// with mPareto — exact, small fabrics only), or "nomigration".
 	Migrator string `json:"migrator"`
 	// NodeBudget caps the exhaustive migrator's search expansions per
 	// consult. 0 picks a safe daemon default (500000); < 0 means
@@ -166,8 +165,6 @@ func buildEngine(spec *ScenarioSpec, reg *obs.Registry, o *engine.Observer) (*en
 	case "", "mpareto":
 		spec.Migrator = "mpareto"
 		mig = migration.MPareto{}
-	case "layereddp":
-		mig = migration.LayeredDP{}
 	case "exhaustive":
 		budget := spec.NodeBudget
 		switch {
@@ -180,7 +177,7 @@ func buildEngine(spec *ScenarioSpec, reg *obs.Registry, o *engine.Observer) (*en
 	case "nomigration":
 		mig = migration.NoMigration{}
 	default:
-		return nil, fmt.Errorf("unknown migrator %q (want mpareto, layereddp, exhaustive, or nomigration)", spec.Migrator)
+		return nil, fmt.Errorf("unknown migrator %q (want mpareto, exhaustive, or nomigration)", spec.Migrator)
 	}
 
 	var placer placement.Solver = placement.DP{}

@@ -498,6 +498,10 @@ func TestErrorEnvelopeAndConflict(t *testing.T) {
 	check(http.StatusNotFound, "not_found", "GET", "/v1/scenarios/nope/events", nil)
 	check(http.StatusBadRequest, "bad_request", "POST", "/v1/scenarios", map[string]any{"bogus_field": 1})
 	check(http.StatusUnprocessableEntity, "invalid_argument", "POST", "/v1/scenarios", map[string]any{"topology": "torus"})
+	check(http.StatusUnprocessableEntity, "invalid_argument", "POST", "/v1/scenarios", map[string]any{"migrator": "layereddp"})
+	if !strings.Contains(env.Error.Message, `unknown migrator "layereddp"`) {
+		t.Fatalf("retired migrator: message %q", env.Error.Message)
+	}
 
 	var created struct {
 		ID string `json:"id"`
@@ -638,7 +642,7 @@ func TestLeafSpineScenario(t *testing.T) {
 		ID       string           `json:"id"`
 		Snapshot *engine.Snapshot `json:"snapshot"`
 	}
-	spec := ScenarioSpec{Topology: "leaf-spine", Flows: 10, Seed: 2, SFCLen: 2, Migrator: "layereddp"}
+	spec := ScenarioSpec{Topology: "leaf-spine", Flows: 10, Seed: 2, SFCLen: 2}
 	if code := do(t, ts, "POST", "/v1/scenarios", spec, &created); code != http.StatusCreated {
 		t.Fatalf("leaf-spine create: %d", code)
 	}

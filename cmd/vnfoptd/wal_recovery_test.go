@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"os"
@@ -472,6 +473,68 @@ func TestLogWithoutCreateRefused(t *testing.T) {
 	err = srv.recoverState(context.Background(), "")
 	if err == nil || !strings.Contains(err.Error(), "seq 1: first record is step, not create") {
 		t.Fatalf("want a refusal naming seq 1, got %v", err)
+	}
+}
+
+// TestRetiredMigratorRefusedOnRecovery: a log whose create record names
+// a migrator this build no longer has ("layereddp") fails the boot,
+// naming the scenario and the migrator, rather than rebuilding under
+// another one. The log is left byte for byte as found and the server
+// stays unready.
+func TestRetiredMigratorRefusedOnRecovery(t *testing.T) {
+	dir := t.TempDir()
+	logDir := filepath.Join(dir, "wal", scenarioDirName("c1"))
+	l, err := wal.Open(logDir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := crashSpec()
+	spec.Migrator = "layereddp"
+	payload, err := json.Marshal(walCreate{ID: "c1", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []struct {
+		typ     wal.Type
+		payload []byte
+	}{{wal.TypeCreate, payload}, {wal.TypeStep, nil}} {
+		if _, err := l.Append(rec.typ, rec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	segments := func() map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(logDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(logDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	before := segments()
+
+	srv := newWALServer(failfs.OS, dir)
+	srv.recovering.Store(true)
+	err = srv.recoverState(context.Background(), "")
+	if err == nil || !strings.Contains(err.Error(), `scenario "c1"`) || !strings.Contains(err.Error(), `unknown migrator "layereddp"`) {
+		t.Fatalf("want a refusal naming c1 and layereddp, got %v", err)
+	}
+	if after := segments(); !maps.Equal(before, after) {
+		t.Fatal("a refused recovery changed the log")
+	}
+	if code, body := get(t, srv.handler(), "/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after a refused recovery: %d %s", code, body)
+	}
+	if srv.scenarios.Len() != 0 {
+		t.Fatalf("%d scenarios served after a refused recovery", srv.scenarios.Len())
 	}
 }
 

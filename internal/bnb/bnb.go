@@ -23,8 +23,8 @@
 // after v fills slot d, over tuples that never put one candidate in two
 // consecutive slots when Cap == 1 and over all tuples otherwise. Every
 // feasible completion is one of them, so the bound is admissible.
-// Relaxed reads the same table forward, for callers that want the
-// relaxation's optimum itself (migration.LayeredDP). The table sums
+// Relaxed reads the table's root, for callers that want the
+// relaxation's optimum itself (migration.Bound). The table sums
 // right to left and the search left to right, and a tight bound sits
 // within ulps of the optimum, so with m = 2(N+1)·2⁻⁵³·|best|
 // (0 while best is ±Inf) a branch is pruned when partial + tail >=
@@ -147,37 +147,19 @@ func relax(s *Spec) []float64 {
 	return tail
 }
 
-// Relaxed returns the optimum of s's relaxation, min_v StepCost(−1, v,
-// 0) + tail[0][v], and a tuple attaining it, read forward from the table
-// Search bounds with: slot d takes the first v (v ≠ last when Cap == 1)
-// minimizing StepCost(last, v, d) + tail[d][v]. The tuple's cost summed
-// right to left is the value to the bit. Under Cap == 1 the tuple never
-// repeats a candidate in consecutive slots, but may repeat one further
-// apart; it is nil when no relaxed tuple exists (the value is then +Inf).
-// Relaxed ignores SeedCost and NodeBudget.
-func Relaxed(s Spec) (float64, []int) {
+// Relaxed returns the optimum of s's relaxation, the root of the table
+// Search bounds with: min_v StepCost(−1, v, 0) + tail[0][v], summed
+// right to left. It is +Inf when no relaxed tuple exists, and ignores
+// SeedCost and NodeBudget.
+func Relaxed(s Spec) float64 {
 	tail := relax(&s)
-	path := make([]int, s.N)
-	root, last := math.Inf(1), -1
-	for d := range path {
-		lo, arg := math.Inf(1), -1
-		for v, t := range tail[d*s.K : (d+1)*s.K] {
-			if s.Cap == 1 && v == last {
-				continue
-			}
-			if c := s.StepCost(last, v, d) + t; c < lo {
-				lo, arg = c, v
-			}
+	root := math.Inf(1)
+	for v, t := range tail[:s.K] {
+		if c := s.StepCost(-1, v, 0) + t; c < root {
+			root = c
 		}
-		if arg < 0 {
-			return math.Inf(1), nil
-		}
-		if d == 0 {
-			root = lo
-		}
-		path[d], last = arg, arg
 	}
-	return root, path
+	return root
 }
 
 // cand is one feasible child: candidate id and its step cost. 16 bytes,

@@ -4,8 +4,8 @@
 //
 //	TOP:  Optimal ≤ DP ≤ {Steering, Greedy};
 //	      every placement validates (capacity, switch-only).
-//	TOM:  Exhaustive ≤ {mPareto, LayeredDP} ≤ NoMigration;
-//	      LayeredDP's relaxation bound ≤ Exhaustive;
+//	TOM:  Exhaustive ≤ mPareto ≤ NoMigration;
+//	      the relaxation bound (migration.Bound) ≤ Exhaustive;
 //	      every reported C_t matches the model evaluation.
 //	Kernels: the aggregated workload cost cache ≡ the scalar cost oracle
 //	      on every placement any solver produces, across the w1 → w2
@@ -129,7 +129,6 @@ func Run(d *model.PPDC, w1, w2 model.Workload, sfc model.SFC, opts Options) (*Re
 	}
 	migs := []migration.Migrator{
 		migration.MPareto{},
-		migration.LayeredDP{},
 		migration.NoMigration{},
 	}
 	for _, mg := range migs {
@@ -163,13 +162,13 @@ func Run(d *model.PPDC, w1, w2 model.Workload, sfc model.SFC, opts Options) (*Re
 			return nil, fmt.Errorf("differential: %s C_t %v below Exhaustive %v", name, ct, ctOpt)
 		}
 	}
-	// LayeredDP's relaxation value lower-bounds the optimum.
-	_, bound, err := (migration.LayeredDP{}).MigrateBound(d, w2, sfc, pInit, opts.Mu)
+	// TOM's relaxation lower-bounds the optimum.
+	bound, err := migration.Bound(cache1.Problem(sfc), pInit, opts.Mu)
 	if err != nil {
-		return nil, fmt.Errorf("differential: LayeredDP bound: %w", err)
+		return nil, fmt.Errorf("differential: TOM bound: %w", err)
 	}
 	if provenM && bound > ctOpt+tol {
-		return nil, fmt.Errorf("differential: LayeredDP bound %v above proven optimum %v", bound, ctOpt)
+		return nil, fmt.Errorf("differential: TOM bound %v above proven optimum %v", bound, ctOpt)
 	}
 	return rep, nil
 }

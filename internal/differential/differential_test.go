@@ -26,7 +26,7 @@ func TestDifferentialFatTree(t *testing.T) {
 			t.Errorf("missing placement cost for %s", name)
 		}
 	}
-	for _, name := range []string{"mPareto", "LayeredDP", "NoMigration", "Exhaustive"} {
+	for _, name := range []string{"mPareto", "NoMigration", "Exhaustive"} {
 		if _, ok := rep.MigrationCosts[name]; !ok {
 			t.Errorf("missing migration cost for %s", name)
 		}

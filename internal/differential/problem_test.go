@@ -62,7 +62,6 @@ func TestProblemFormMatchesShim(t *testing.T) {
 	}
 	migrators := []migration.Migrator{
 		migration.MPareto{},
-		migration.LayeredDP{},
 		migration.Exhaustive{NodeBudget: 20_000, Seed: migration.MPareto{}},
 		migration.NoMigration{},
 		migration.Budgeted{Inner: migration.MPareto{}, Budget: 1},

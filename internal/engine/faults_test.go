@@ -239,7 +239,6 @@ func TestApplyFaultsCommitsFallback(t *testing.T) {
 func TestRepairIsDeterministic(t *testing.T) {
 	migrators := []migration.Migrator{
 		migration.MPareto{},
-		migration.LayeredDP{},
 		migration.Exhaustive{NodeBudget: 500_000, Seed: migration.MPareto{}},
 		migration.NoMigration{},
 	}

@@ -2,24 +2,50 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"vnfopt/internal/model"
 )
 
-// TestAllExperimentsQuick smoke-runs every registered experiment at
-// QuickConfig scale and sanity-checks the tables.
-func TestAllExperimentsQuick(t *testing.T) {
-	cfg := QuickConfig()
+// quickRuns runs every registered experiment once per package run at
+// QuickConfig; the tests below read its tables.
+var quickRuns = sync.OnceValue(func() map[string]quickRun {
+	runs := map[string]quickRun{}
 	for _, id := range IDs() {
-		id := id
+		tables, err := Run(id, QuickConfig())
+		runs[id] = quickRun{tables, err}
+	}
+	return runs
+})
+
+type quickRun struct {
+	tables []*Table
+	err    error
+}
+
+// quickTables returns experiment id's QuickConfig tables.
+func quickTables(t *testing.T, id string) []*Table {
+	t.Helper()
+	r := quickRuns()[id]
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.tables
+}
+
+// TestAllExperimentsQuick runs every registered experiment at QuickConfig
+// scale, sanity-checks the tables, and holds their printed text, in
+// IDs() order, byte for byte to testdata/quick_tables.txt.
+func TestAllExperimentsQuick(t *testing.T) {
+	var all strings.Builder
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			tables, err := Run(id, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tables := quickTables(t, id)
 			if len(tables) == 0 {
 				t.Fatal("no tables")
 			}
@@ -37,8 +63,16 @@ func TestAllExperimentsQuick(t *testing.T) {
 				if !strings.Contains(sb.String(), tab.Title) {
 					t.Fatal("Fprint lost the title")
 				}
+				all.WriteString(sb.String())
 			}
 		})
+	}
+	want, err := os.ReadFile("testdata/quick_tables.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := all.String(); got != string(want) {
+		t.Errorf("quick tables moved from testdata/quick_tables.txt; measured text:\n%s", got)
 	}
 }
 
@@ -49,11 +83,7 @@ func TestRunUnknownID(t *testing.T) {
 }
 
 func TestExample1MatchesPaperNumbers(t *testing.T) {
-	tabs, err := Run("example1", QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tabs[0].Rows {
+	for _, row := range quickTables(t, "example1")[0].Rows {
 		if len(row) == 3 && row[1] != row[2] && !strings.Contains(row[0], "reduction") {
 			t.Errorf("Example 1 row %q: paper %q vs measured %q", row[0], row[1], row[2])
 		}
@@ -61,11 +91,7 @@ func TestExample1MatchesPaperNumbers(t *testing.T) {
 }
 
 func TestFig7DPWithinGuarantee(t *testing.T) {
-	cfg := QuickConfig()
-	tab, err := fig7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTables(t, "fig7")[0]
 	// Column order: n, Optimal, DP-Stroll, 2x bound, PD measured.
 	for _, row := range tab.Rows {
 		opt := parseMean(t, row[1])
@@ -80,13 +106,7 @@ func TestFig7DPWithinGuarantee(t *testing.T) {
 }
 
 func TestFig11dShowsReduction(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Runs = 2
-	tab, err := fig11d(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tab.Rows {
+	for _, row := range quickTables(t, "fig11d")[0].Rows {
 		mp := parseMean(t, row[1])
 		nm := parseMean(t, row[2])
 		if mp > nm+1e-6 {
@@ -99,19 +119,7 @@ func TestFig11dShowsReduction(t *testing.T) {
 // 6 under its own name, proven in every QuickConfig hour (no footnote),
 // and each table footnotes the hours whose search hits the node budget.
 func TestFig11OptimalFootnotesBudget(t *testing.T) {
-	fig11 := func(cfg Config) []*Table {
-		t.Helper()
-		a, b, err := fig11ab(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := fig11c(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*Table{a, b, c}
-	}
-	for _, tab := range fig11(QuickConfig()) {
+	for _, tab := range slices.Concat(quickTables(t, "fig11ab"), quickTables(t, "fig11c")) {
 		if tab.Columns[2] != "Optimal" && tab.Columns[2] != "Optimal μ=1e4" {
 			t.Errorf("%s: column 2 is %q, want Optimal", tab.Title, tab.Columns[2])
 		}
@@ -121,7 +129,15 @@ func TestFig11OptimalFootnotesBudget(t *testing.T) {
 	}
 	cfg := QuickConfig()
 	cfg.Runs, cfg.OptBudget = 1, 1
-	for _, tab := range fig11(cfg) {
+	a, b, err := fig11ab(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fig11c(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*Table{a, b, c} {
 		if len(tab.Notes) != 1 {
 			t.Fatalf("%s: notes %q, want one budget footnote", tab.Title, tab.Notes)
 		}

@@ -101,8 +101,8 @@ func (a Exhaustive) migrateProven(ctx context.Context, pr model.Problem, p model
 	return best, bestCost, res.Proven, nil
 }
 
-// tomSpec is TOM as a bnb.Spec, the one both Exhaustive and LayeredDP
-// run: slot j picks the switch (an index into d.Topo.Switches) hosting
+// tomSpec is TOM as a bnb.Spec, the one Exhaustive searches and Bound
+// relaxes: slot j picks the switch (an index into d.Topo.Switches) hosting
 // f_{j+1}, at μ·c(p(j+1), v) plus the ingress at slot 0 or Λ·c(u, v)
 // after it, and the leaf adds the egress. At most SwitchCap() VNFs share
 // a switch; there is no seed and no node budget.
@@ -125,6 +125,18 @@ func tomSpec(pr model.Problem, p model.Placement, mu float64) bnb.Spec {
 		LeafCost: func(last int) float64 { return eg[sw[last]] },
 		SeedCost: math.Inf(1),
 	}
+}
+
+// Bound lower-bounds the TOM optimum from p under pr at coefficient mu:
+// the root of tomSpec's relaxation, which drops the switch capacity
+// except that under SwitchCap() == 1 no switch hosts two consecutive
+// VNFs (the consecutive-distinct form of Sallam et al.'s layered graph).
+// It is +Inf when every target costs +Inf.
+func Bound(pr model.Problem, p model.Placement, mu float64) (float64, error) {
+	if err := checkInputs(pr.PPDC, pr.Workload, pr.SFC, p, mu); err != nil {
+		return 0, err
+	}
+	return bnb.Relaxed(tomSpec(pr, p, mu)), nil
 }
 
 // onSwitches maps a tomSpec tuple of switch indices to its placement.

@@ -1,9 +1,8 @@
 // Package migration implements the paper's TOM algorithms: mPareto
 // (Algorithm 5, the parallel-migration-frontier search), the exhaustive
-// Algorithm 6, LayeredDP (an O(n·|V_s|²) relaxation-and-repair migrator
-// with a time bound the exact search lacks), and the NoMigration
-// reference, plus the Pareto-front utilities behind Fig. 6(b) and
-// Theorem 5's convexity condition.
+// Algorithm 6 with its relaxation lower bound (Bound), and the
+// NoMigration reference, plus the Pareto-front utilities behind Fig. 6(b)
+// and Theorem 5's convexity condition.
 package migration
 
 import (

@@ -54,7 +54,7 @@ func TestPropertyMParetoNeverWorseThanStaying(t *testing.T) {
 // TestPropertyTotalCostConsistency: every migrator's reported C_t equals
 // the model evaluation of its returned placement.
 func TestPropertyTotalCostConsistency(t *testing.T) {
-	migs := []Migrator{MPareto{}, LayeredDP{}, NoMigration{}, Exhaustive{NodeBudget: 10_000, Seed: MPareto{}}}
+	migs := []Migrator{MPareto{}, NoMigration{}, Exhaustive{NodeBudget: 10_000, Seed: MPareto{}}}
 	f := func(seed int64, which uint8) bool {
 		d, w, sfc, p, mu, ok := scenarioFromSeed(seed)
 		if !ok {

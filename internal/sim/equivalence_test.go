@@ -43,7 +43,7 @@ func legacyRunVNF(s *Simulator, mig migration.Migrator) (*Trace, error) {
 // and placements hour by hour, so every float on the reported path is the
 // same computation.
 func TestEngineReproducesLegacyLoopBitForBit(t *testing.T) {
-	for _, mig := range []migration.Migrator{migration.MPareto{}, migration.LayeredDP{}, migration.NoMigration{}} {
+	for _, mig := range []migration.Migrator{migration.MPareto{}, migration.NoMigration{}} {
 		s := scenario(t, false)
 		want, err := legacyRunVNF(s, mig)
 		if err != nil {
