@@ -106,7 +106,7 @@ bench-compare:
 # recovery; plus the replay-abort, checkpoint-race, delete-then-kill and
 # legacy-log invariants.
 crash-smoke:
-	$(GO) test -race -run 'TestCrashInjectionBitIdentical|TestRecoveryCancelLeavesLogIntact|TestSnapshotCompactionRacesIngest|TestCheckpointedReplayEqualsLive|TestCheckpointWaitsForEpochBoundary|TestWALDeleteAtomicity|TestSeedCrashThenReboot|TestLegacyImportSkipsLoggedAndRefusesLost|TestDeleteThenKillStaysDeleted|TestDeleteRecreateThenKillServesSuccessor|TestLegacyAnchorRecordSkipped|TestLogWithoutCreateRefused|TestRetiredMigratorRefusedOnRecovery|TestDeleteCommittedNoResurrect|TestDeletingSuffixIDIsSafe|TestDeleteWALRetireFailure' ./cmd/vnfoptd/
+	$(GO) test -race -run 'TestCrashInjectionBitIdentical|TestRecoveryCancelLeavesLogIntact|TestSnapshotCompactionRacesIngest|TestCheckpointedReplayEqualsLive|TestCheckpointWaitsForEpochBoundary|TestWALDeleteAtomicity|TestSeedCrashThenReboot|TestLegacyImportSkipsLoggedAndRefusesLost|TestDeleteThenKillStaysDeleted|TestDeleteRecreateThenKillServesSuccessor|TestLegacyAnchorRecordSkipped|TestLogWithoutCreateRefused|TestRetiredMigratorRefusedOnRecovery|TestRefusedCreateWritesNothing|TestDeleteCommittedNoResurrect|TestDeletingSuffixIDIsSafe|TestDeleteWALRetireFailure' ./cmd/vnfoptd/
 	$(GO) test -race ./internal/wal/ ./internal/failfs/
 
 # Seeded chaos run under the race detector: a deterministic fault

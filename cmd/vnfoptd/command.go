@@ -9,15 +9,16 @@ import (
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/fault"
+	"vnfopt/internal/obs"
 	"vnfopt/internal/shard"
 	"vnfopt/internal/wal"
 )
 
-// command is one logged mutation of a scenario's engine — the only way
-// the daemon changes an engine after it is built. A live request builds
-// a command and submits it to its scenario's actor, where run takes it
-// through validate → log → apply; boot replay decodes the same command
-// back out of the log and calls the same apply. A command keeps its
+// command is one logged mutation of a scenario — the only way the daemon
+// builds or changes an engine. A live request builds a command and
+// submits it to its scenario's actor, where run takes it through
+// validate → log → apply; boot replay decodes the same command back out
+// of the log and runs it with no log attached. A command keeps its
 // result for the handler that built it.
 type command interface {
 	walType() wal.Type
@@ -26,10 +27,10 @@ type command interface {
 	encode() ([]byte, error)
 	// validate runs before the record is logged: what it rejects never
 	// enters the log, so every logged command replays cleanly.
-	validate(*engine.Engine) error
+	validate(*scenario) error
 	// apply executes the command. By the engine's contract a failed
 	// apply changed nothing, and it fails again the same way on replay.
-	apply(*engine.Engine) error
+	apply(*scenario) error
 }
 
 // refused marks a command the engine turned down (422): it failed
@@ -37,6 +38,45 @@ type command interface {
 type refused struct{ error }
 
 func (r refused) Unwrap() error { return r.error }
+
+// createCmd builds a scenario's engine from its spec. Its record is
+// the first a live create or an import writes, and every checkpoint is
+// one more, whose spec carries the engine's state. validate builds the
+// engine, once; apply installs it on the scenario, which is not yet
+// published — so sc.eng, sc.Spec and sc.events are read without a lock.
+type createCmd struct {
+	id     string
+	spec   *ScenarioSpec
+	eng    *engine.Engine
+	events *obs.EventLog
+}
+
+func (c *createCmd) walType() wal.Type { return wal.TypeCreate }
+
+// encode runs after validate, so the record holds the spec with its
+// defaults filled in and a rebuild is deterministic.
+func (c *createCmd) encode() ([]byte, error) {
+	return json.Marshal(walCreate{ID: c.id, Spec: c.spec})
+}
+
+func (c *createCmd) validate(sc *scenario) (err error) {
+	switch {
+	case c.eng != nil:
+		return nil
+	case c.id != sc.ID:
+		return fmt.Errorf("create record for %q in log of %q", c.id, sc.ID)
+	case c.spec == nil:
+		return errors.New("no spec")
+	}
+	c.events = obs.NewEventLog(0)
+	c.eng, err = buildEngine(c.spec, sc.reg, engine.NewObserver(sc.reg, c.events, c.id))
+	return err
+}
+
+func (c *createCmd) apply(sc *scenario) error {
+	sc.Spec, sc.eng, sc.events = c.spec, c.eng, c.events
+	return nil
+}
 
 type ingestCmd struct {
 	updates []engine.RateUpdate
@@ -46,10 +86,10 @@ type ingestCmd struct {
 func (c *ingestCmd) walType() wal.Type       { return wal.TypeIngest }
 func (c *ingestCmd) encode() ([]byte, error) { return encodeRates(c.updates), nil }
 
-func (c *ingestCmd) validate(eng *engine.Engine) error { return eng.ValidateRates(c.updates) }
+func (c *ingestCmd) validate(sc *scenario) error { return sc.eng.ValidateRates(c.updates) }
 
-func (c *ingestCmd) apply(eng *engine.Engine) (err error) {
-	if c.res, err = eng.Ingest(c.updates); err != nil {
+func (c *ingestCmd) apply(sc *scenario) (err error) {
+	if c.res, err = sc.eng.Ingest(c.updates); err != nil {
 		return refused{err}
 	}
 	return nil
@@ -57,12 +97,12 @@ func (c *ingestCmd) apply(eng *engine.Engine) (err error) {
 
 type stepCmd struct{ res engine.StepResult }
 
-func (c *stepCmd) walType() wal.Type             { return wal.TypeStep }
-func (c *stepCmd) encode() ([]byte, error)       { return nil, nil }
-func (c *stepCmd) validate(*engine.Engine) error { return nil }
+func (c *stepCmd) walType() wal.Type        { return wal.TypeStep }
+func (c *stepCmd) encode() ([]byte, error)  { return nil, nil }
+func (c *stepCmd) validate(*scenario) error { return nil }
 
-func (c *stepCmd) apply(eng *engine.Engine) (err error) {
-	c.res, err = eng.Step()
+func (c *stepCmd) apply(sc *scenario) (err error) {
+	c.res, err = sc.eng.Step()
 	return err
 }
 
@@ -79,14 +119,14 @@ func (c *faultsCmd) encode() ([]byte, error) {
 	return json.Marshal(walFaults{Inject: c.inject, Heal: c.heal})
 }
 
-func (c *faultsCmd) validate(*engine.Engine) error { return nil }
+func (c *faultsCmd) validate(*scenario) error { return nil }
 
-func (c *faultsCmd) apply(eng *engine.Engine) (err error) {
+func (c *faultsCmd) apply(sc *scenario) (err error) {
 	ctx := c.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.res, err = eng.ApplyFaults(ctx, c.inject, c.heal); err != nil {
+	if c.res, err = sc.eng.ApplyFaults(ctx, c.inject, c.heal); err != nil {
 		return refused{err}
 	}
 	return nil
@@ -95,6 +135,12 @@ func (c *faultsCmd) apply(eng *engine.Engine) (err error) {
 // decodeCommand rebuilds a command from its log record.
 func decodeCommand(typ wal.Type, payload []byte) (command, error) {
 	switch typ {
+	case wal.TypeCreate:
+		var c walCreate
+		if err := json.Unmarshal(payload, &c); err != nil {
+			return nil, fmt.Errorf("create payload: %w", err)
+		}
+		return &createCmd{id: c.ID, spec: c.Spec}, nil
 	case wal.TypeIngest:
 		updates, err := decodeRates(payload)
 		if err != nil {
@@ -114,24 +160,21 @@ func decodeCommand(typ wal.Type, payload []byte) (command, error) {
 }
 
 // run takes one command through validate → log → apply. It must be
-// called from the scenario's actor, so records are appended in the order
-// they are applied; nothing is applied (or acknowledged) unless its
-// record is in the log. A checkpoint the scenario owes (see checkpoint)
-// is taken behind the command that settles the engine.
+// called from the scenario's actor (or before the scenario is
+// published), so records are appended in the order they are applied;
+// nothing is applied (or acknowledged) unless its record is in the log.
+// Replay runs with no log attached. A checkpoint the scenario owes (see
+// checkpoint) is taken behind the command that settles the engine.
 func (sc *scenario) run(c command) error {
-	if err := c.validate(sc.eng); err != nil {
+	if err := c.validate(sc); err != nil {
 		return refused{err}
 	}
 	if sc.wal != nil {
-		payload, err := c.encode()
-		if err == nil {
-			err = sc.appendWAL(c.walType(), payload)
-		}
-		if err != nil {
+		if err := sc.appendWAL(c); err != nil {
 			return fmt.Errorf("scenario %q: wal: %w", sc.ID, err)
 		}
 	}
-	err := c.apply(sc.eng)
+	err := c.apply(sc)
 	if sc.owed {
 		sc.offerCheckpoint()
 	}

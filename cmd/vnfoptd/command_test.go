@@ -30,6 +30,10 @@ import (
 // commandSamples is one populated command per kind.
 func commandSamples() []command {
 	return []command{
+		&createCmd{id: "c1", spec: &ScenarioSpec{
+			ID: "c1", Name: "sample", K: 4, SFCLen: 3, Mu: 10, Migrator: "nomigration",
+			Pairs: []PairSpec{{Src: 0, Dst: 5, Rate: 2.5}, {Src: 3, Dst: 12, Rate: 0.75}},
+		}},
 		&ingestCmd{updates: []engine.RateUpdate{{Flow: 0, Rate: 1.5}, {Flow: 7, Rate: 0}, {Flow: 7, Rate: 1e308}}},
 		&stepCmd{},
 		&faultsCmd{
@@ -40,10 +44,9 @@ func commandSamples() []command {
 }
 
 // TestCommandCodecCoversEveryType walks the whole wal.Type space: every
-// type the log layer names is either one of the two non-commands (the
-// create record that builds the scenario, the anchor older builds wrote)
-// or has a decoder that inverts its command's encode. A record type added
-// without a command fails here.
+// type the log layer names is either the one non-command (the anchor
+// older builds wrote) or has a decoder that inverts its command's
+// encode. A record type added without a command fails here.
 func TestCommandCodecCoversEveryType(t *testing.T) {
 	samples := make(map[wal.Type]command)
 	for _, c := range commandSamples() {
@@ -57,7 +60,7 @@ func TestCommandCodecCoversEveryType(t *testing.T) {
 			}
 			continue
 		}
-		if typ == wal.TypeCreate || typ == wal.TypeAnchor {
+		if typ == wal.TypeAnchor {
 			continue
 		}
 		c, ok := samples[typ]

@@ -226,6 +226,7 @@ type scenario struct {
 	wal   *wal.Log
 	dirty bool
 	owed  bool
+	reg   *obs.Registry
 	log   *slog.Logger
 }
 
@@ -355,14 +356,15 @@ func newServer() *server {
 	return s
 }
 
-// newScenario wraps an engine into a scenario shard with a running
-// actor. A panic escaping a command is contained by the actor; it is
-// logged and counted here so it stays visible.
-func (s *server) newScenario(id string, spec *ScenarioSpec, eng *engine.Engine, events *obs.EventLog) *scenario {
+// newScenario is the shell of scenario id: an actor running, no engine
+// yet — its createCmd installs one. A panic escaping a command is
+// contained by the actor; it is logged and counted here so it stays
+// visible.
+func (s *server) newScenario(id string) *scenario {
 	sc := &scenario{
-		ID: id, Spec: spec, Created: time.Now(),
-		eng: eng, events: events,
+		ID: id, Created: time.Now(),
 		actor: shard.NewActor(s.mailboxCap),
+		reg:   s.reg,
 		log:   s.log,
 	}
 	panics := s.reg.Counter("vnfoptd_actor_panics_total")
@@ -373,20 +375,30 @@ func (s *server) newScenario(id string, spec *ScenarioSpec, eng *engine.Engine, 
 	return sc
 }
 
-// buildScenario materializes a spec into a registered-but-unpublished
-// scenario shard: engine + observer + actor. Shared by live create, WAL
-// replay and the legacy import so all three produce identical shards.
-func (s *server) buildScenario(id string, spec *ScenarioSpec) (*scenario, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("no spec")
-	}
-	events := obs.NewEventLog(0)
-	eng, err := buildEngine(spec, s.reg, engine.NewObserver(s.reg, events, id))
+// create builds scenario id from spec and logs its create record,
+// leaving it unpublished: live create and the legacy import share it.
+// The engine is built before the log is opened, so a refused spec
+// writes nothing. A failure drops the metric series and, as far as the
+// filesystem lets it, the log directory; the next boot drops a husk
+// with no record in it.
+func (s *server) create(id string, spec *ScenarioSpec) (*scenario, error) {
+	sc, c := s.newScenario(id), &createCmd{id: id, spec: spec}
+	err := c.validate(sc)
 	if err != nil {
+		err = refused{err}
+	} else if sc.wal, err = s.openScenarioWAL(id); err != nil {
+		err = fmt.Errorf("scenario %q: wal: %w", id, err)
+		_ = s.dropWALDir(id)
+	} else if err = sc.run(c); err != nil {
+		sc.wal.Close() // only the append can fail
+		_ = s.dropWALDir(id)
+	}
+	if err != nil {
+		sc.actor.Close()
 		s.dropSeries(id)
 		return nil, err
 	}
-	return s.newScenario(id, spec, eng, events), nil
+	return sc, nil
 }
 
 // dropSeries retires the metric series engine.NewObserver registered
@@ -501,21 +513,15 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	sc, err := s.buildScenario(id, &spec)
-	if err != nil {
+	// Durability handshake: the create record is on disk before the
+	// scenario is published or the 201 sent.
+	sc, err := s.create(id, &spec)
+	if errors.As(err, new(refused)) {
 		writeError(w, codeInvalidArgument, "scenario: %v", err)
 		return
 	}
-	// Durability handshake: the create record must be on disk before the
-	// scenario is published or the 201 sent.
-	if s.walEnabled() {
-		if err := s.startScenarioWAL(sc, &spec, false); err != nil {
-			_ = s.dropWALDir(id)
-			sc.actor.Close()
-			s.dropSeries(id)
-			writeError(w, codeInternal, "scenario %q: wal: %v", id, err)
-			return
-		}
+	if s.writeCommandErr(w, id, err) {
+		return
 	}
 	s.scenarios.Insert(id, sc)
 	writeJSON(w, http.StatusCreated, map[string]any{

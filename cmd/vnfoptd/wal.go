@@ -21,18 +21,19 @@ import (
 )
 
 // WAL glue: with -wal set, a scenario's log directory is its whole
-// durable state. Every mutation — a scenario's create and each command
-// after it (command.go) — is appended to the scenario's write-ahead log
-// *before* it is applied and acknowledged, so a crash loses nothing that
-// a client was told succeeded (modulo the -wal-sync policy; see
-// docs/RESILIENCE.md). A checkpoint is one more create record, carrying
-// the full engine state, after which the log drops everything older.
-// Recovery is replay: the boot rebuilds each scenario from its log's
-// latest create record, then decodes the records after it back into
-// commands and applies them to the real engine — the same apply the live
-// request ran. The engine is deterministic, so replay lands
-// bit-identically on the pre-crash state — including commands that
-// failed (a step that errored errors again, changing nothing).
+// durable state. Every mutation is a command (command.go) — a scenario's
+// create, then each ingest, step and faults after it — and its record is
+// appended to the scenario's write-ahead log *before* it is applied and
+// acknowledged, so a crash loses nothing that a client was told
+// succeeded (modulo the -wal-sync policy; see docs/RESILIENCE.md). A
+// create record is fsynced under every policy. A checkpoint is one more
+// create record, carrying the full engine state, after which the log
+// drops everything older. Recovery is replay: the boot decodes every
+// record back into its command and runs it with no log attached — the
+// same run the live request took, a create record (re)building the
+// engine. The engine is deterministic, so replay lands bit-identically
+// on the pre-crash state — including commands that failed (a step that
+// errored errors again, changing nothing).
 //
 // Payload encodings (the log frames and checksums; the daemon owns the
 // bytes):
@@ -145,44 +146,30 @@ func (s *server) walPath(name string) string {
 	return strings.TrimSuffix(s.walDir, "/") + "/" + name
 }
 
-// appendWAL appends one record to sc's log and marks the scenario as
-// having moved past its last checkpoint. It must be called from the
-// scenario's actor (or before the scenario is published), so appends are
-// serialized per scenario; the caller must not apply or acknowledge the
-// command unless it returns nil.
-func (sc *scenario) appendWAL(typ wal.Type, payload []byte) error {
-	if _, err := sc.wal.Append(typ, payload); err != nil {
-		return err
-	}
-	sc.dirty = true
-	return nil
-}
-
-// startScenarioWAL begins the log of the still-unpublished sc with a
-// create record carrying spec as its first record — fsynced whatever
-// -wal-sync says when durable is set. On failure sc is left without a
-// log; the directory husk is the caller's to drop (the next boot drops
-// it otherwise).
-func (s *server) startScenarioWAL(sc *scenario, spec *ScenarioSpec, durable bool) error {
-	payload, err := json.Marshal(walCreate{ID: sc.ID, Spec: spec})
+// appendWAL writes c's record to sc's log. A create record — a create
+// or a checkpoint — goes through Checkpoint: it starts a fresh segment,
+// is fsynced under every -wal-sync policy and lets the log drop the
+// segments before it. Every other record is appended, synced as
+// -wal-sync says, and marks the log as grown past its last create
+// record. It must be called from the scenario's actor (or before the
+// scenario is published), so appends are serialized per scenario; the
+// caller must not apply or acknowledge the command unless it returns
+// nil.
+func (sc *scenario) appendWAL(c command) error {
+	payload, err := c.encode()
 	if err != nil {
 		return err
 	}
-	l, err := s.openScenarioWAL(sc.ID)
-	if err != nil {
-		return err
-	}
-	if durable {
-		err = l.Checkpoint(wal.TypeCreate, payload)
+	typ := c.walType()
+	if typ == wal.TypeCreate {
+		err = sc.wal.Checkpoint(typ, payload)
 	} else {
-		_, err = l.Append(wal.TypeCreate, payload)
+		_, err = sc.wal.Append(typ, payload)
 	}
-	if err != nil {
-		l.Close()
-		return err
+	if err == nil {
+		sc.dirty = typ != wal.TypeCreate
 	}
-	sc.wal = l
-	return nil
+	return err
 }
 
 // checkpoint appends sc's whole state as a create record and lets the
@@ -211,15 +198,7 @@ func (sc *scenario) checkpoint() error {
 	}
 	spec := *sc.Spec
 	spec.State = blob
-	payload, err := json.Marshal(walCreate{ID: sc.ID, Spec: &spec})
-	if err != nil {
-		return err
-	}
-	if err := sc.wal.Checkpoint(wal.TypeCreate, payload); err != nil {
-		return err
-	}
-	sc.dirty = false
-	return nil
+	return sc.appendWAL(&createCmd{id: sc.ID, spec: &spec})
 }
 
 // offerCheckpoint is checkpoint where nobody waits for the outcome: a
@@ -336,71 +315,59 @@ func (s *server) recoverState(ctx context.Context, importPath string) error {
 	return nil
 }
 
-// recoverScenario replays one scenario's log. A create record (re)builds
-// the scenario from its spec; every other record decodes into the
-// command that wrote it and runs that command's apply. A create behind
-// other records is a checkpoint: it supersedes everything before it —
-// normally the log has already dropped all that, and a crash between a
-// checkpoint's fsync and the removal of the older segments is the one
-// way to see both. Logged commands passed validate before they were
-// logged; an apply error reproduces the original run's rejection, which
-// changed nothing — exactly what the live server answered, so replay
-// ignores it. A log that never gets to a create cannot be rebuilt and is
-// refused, naming its first record.
+// recoverScenario replays one scenario's log: every record decodes into
+// the command that wrote it, run on the unpublished scenario with no log
+// attached — the same run a live request takes. A create behind other
+// records is a checkpoint: it installs a new engine, superseding
+// everything before it — normally the log has already dropped all that,
+// and a crash between a checkpoint's fsync and the removal of the older
+// segments is the one way to see both. Logged commands passed validate
+// before they were logged; a refusal or failure reproduces the original
+// run's, which changed nothing — exactly what the live server answered,
+// so replay ignores it. A create that cannot be built fails the boot,
+// and so does a log that never gets to a create, naming its first record.
 func (s *server) recoverScenario(ctx context.Context, id string) error {
 	l, err := s.openScenarioWAL(id)
 	if err != nil {
 		return err
 	}
-	var sc *scenario
+	sc := s.newScenario(id)
 	orphan := "" // the first record, while no create has been seen
 	err = l.Replay(func(rec wal.Record) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if rec.Type == wal.TypeCreate {
-			built, err := s.buildFromCreate(id, rec.Payload)
-			if err != nil {
-				return fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
-			if sc != nil {
-				sc.actor.Close()
-			}
-			sc = built
-			return nil
-		}
-		if sc == nil {
+		switch {
+		case sc.eng == nil && rec.Type != wal.TypeCreate:
 			if orphan == "" {
 				orphan = fmt.Sprintf("seq %d: first record is %s, not create", rec.Seq, rec.Type)
 			}
 			return nil
-		}
-		if rec.Type == wal.TypeAnchor {
+		case rec.Type == wal.TypeAnchor:
 			return nil // an older build's compaction marker, not a command
 		}
 		c, err := decodeCommand(rec.Type, rec.Payload)
 		if err != nil {
 			return fmt.Errorf("seq %d: %w", rec.Seq, err)
 		}
-		_ = c.apply(sc.eng)
-		sc.dirty = true
+		if err := sc.run(c); err != nil && rec.Type == wal.TypeCreate {
+			return fmt.Errorf("seq %d: %w", rec.Seq, err)
+		}
+		sc.dirty = rec.Type != wal.TypeCreate
 		return nil
 	})
-	if err == nil && sc == nil && orphan != "" {
+	if err == nil && sc.eng == nil && orphan != "" {
 		err = fmt.Errorf("%s — the log was compacted by an older build; see docs/RESILIENCE.md", orphan)
 	}
-	if err != nil {
+	if err != nil || sc.eng == nil {
 		l.Close()
-		if sc != nil {
-			sc.actor.Close()
+		sc.actor.Close()
+		if err != nil {
+			return err
 		}
-		return err
-	}
-	if sc == nil {
 		// An empty log directory: a create (or an import) that crashed
 		// between opening the log and appending its first record. The
 		// scenario never existed; drop the husk.
-		l.Close()
 		return s.dropWALDir(id)
 	}
 	sc.wal = l
@@ -409,22 +376,6 @@ func (s *server) recoverScenario(ctx context.Context, id string) error {
 	s.bumpNextID(id)
 	s.createMu.Unlock()
 	return nil
-}
-
-// buildFromCreate rebuilds the scenario a create record describes.
-func (s *server) buildFromCreate(id string, payload []byte) (*scenario, error) {
-	var c walCreate
-	if err := json.Unmarshal(payload, &c); err != nil {
-		return nil, fmt.Errorf("create payload: %w", err)
-	}
-	if c.ID != id {
-		return nil, fmt.Errorf("create record for %q in log of %q", c.ID, id)
-	}
-	sc, err := s.buildScenario(id, c.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("rebuild: %w", err)
-	}
-	return sc, nil
 }
 
 // importLegacyState is the one-shot import of a state file written by a
@@ -465,13 +416,9 @@ func (s *server) importLegacyState(path string) error {
 			// serve the older state.
 			return fmt.Errorf("import %s: scenario %q: wal directory missing but the state file records wal generation %s (wrong -wal root?)", path, ps.ID, ps.WalGen)
 		}
-		sc, err := s.buildScenario(ps.ID, ps.Spec)
+		sc, err := s.create(ps.ID, ps.Spec)
 		if err != nil {
 			return fmt.Errorf("import %s: scenario %q: %w", path, ps.ID, err)
-		}
-		if err := s.startScenarioWAL(sc, ps.Spec, true); err != nil {
-			sc.actor.Close()
-			return fmt.Errorf("import %s: scenario %q: seed wal: %w", path, ps.ID, err)
 		}
 		s.scenarios.Insert(ps.ID, sc)
 		s.bumpNextID(ps.ID)

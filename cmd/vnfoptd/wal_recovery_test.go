@@ -431,7 +431,7 @@ func TestLegacyAnchorRecordSkipped(t *testing.T) {
 	}
 	sc := srv.get("c1")
 	var appendErr error
-	if err := sc.actor.Do(func() { appendErr = sc.appendWAL(wal.TypeAnchor, []byte{1, 0, 0, 0, 0, 0, 0, 0}) }); err != nil || appendErr != nil {
+	if err := sc.actor.Do(func() { _, appendErr = sc.wal.Append(wal.TypeAnchor, []byte{1, 0, 0, 0, 0, 0, 0, 0}) }); err != nil || appendErr != nil {
 		t.Fatalf("append: %v / %v", err, appendErr)
 	}
 	if code := post(t, h, "POST", "/v1/scenarios/c1/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 0, Rate: 20}}, Step: true}); code != http.StatusOK {
@@ -478,63 +478,156 @@ func TestLogWithoutCreateRefused(t *testing.T) {
 
 // TestRetiredMigratorRefusedOnRecovery: a log whose create record names
 // a migrator this build no longer has ("layereddp") fails the boot,
-// naming the scenario and the migrator, rather than rebuilding under
-// another one. The log is left byte for byte as found and the server
-// stays unready.
+// naming the scenario, the record's seq and the migrator, rather than
+// rebuilding under another one — whether that record opens the log or
+// is a checkpoint behind a good create and a step. The log is left byte
+// for byte as found and the server stays unready.
 func TestRetiredMigratorRefusedOnRecovery(t *testing.T) {
-	dir := t.TempDir()
-	logDir := filepath.Join(dir, "wal", scenarioDirName("c1"))
-	l, err := wal.Open(logDir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := crashSpec()
-	spec.Migrator = "layereddp"
-	payload, err := json.Marshal(walCreate{ID: "c1", Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range []struct {
-		typ     wal.Type
-		payload []byte
-	}{{wal.TypeCreate, payload}, {wal.TypeStep, nil}} {
-		if _, err := l.Append(rec.typ, rec.payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l.Close()
-	segments := func() map[string]string {
+	retired := func(spec *ScenarioSpec) []byte {
 		t.Helper()
-		entries, err := os.ReadDir(logDir)
+		spec.Migrator = "layereddp"
+		payload, err := json.Marshal(walCreate{ID: "c1", Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := map[string]string{}
-		for _, e := range entries {
-			b, err := os.ReadFile(filepath.Join(logDir, e.Name()))
+		return payload
+	}
+	good, err := json.Marshal(walCreate{ID: "c1", Spec: crashSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		typ     wal.Type
+		payload []byte
+	}
+	for _, tc := range []struct {
+		name string
+		log  []record
+		seq  int
+	}{
+		{"create", []record{{wal.TypeCreate, retired(crashSpec())}, {wal.TypeStep, nil}}, 1},
+		{"checkpoint", []record{{wal.TypeCreate, good}, {wal.TypeStep, nil}, {wal.TypeCreate, retired(legacySpec(t))}}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			logDir := filepath.Join(dir, "wal", scenarioDirName("c1"))
+			l, err := wal.Open(logDir, wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[e.Name()] = string(b)
-		}
-		return out
-	}
-	before := segments()
+			for _, rec := range tc.log {
+				if _, err := l.Append(rec.typ, rec.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Close()
+			segments := func() map[string]string {
+				t.Helper()
+				entries, err := os.ReadDir(logDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := map[string]string{}
+				for _, e := range entries {
+					b, err := os.ReadFile(filepath.Join(logDir, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[e.Name()] = string(b)
+				}
+				return out
+			}
+			before := segments()
 
-	srv := newWALServer(failfs.OS, dir)
-	srv.recovering.Store(true)
-	err = srv.recoverState(context.Background(), "")
-	if err == nil || !strings.Contains(err.Error(), `scenario "c1"`) || !strings.Contains(err.Error(), `unknown migrator "layereddp"`) {
-		t.Fatalf("want a refusal naming c1 and layereddp, got %v", err)
+			srv := newWALServer(failfs.OS, dir)
+			srv.recovering.Store(true)
+			err = srv.recoverState(context.Background(), "")
+			for _, want := range []string{`scenario "c1"`, fmt.Sprintf("seq %d:", tc.seq), `unknown migrator "layereddp"`} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("want a refusal naming %s, got %v", want, err)
+				}
+			}
+			if after := segments(); !maps.Equal(before, after) {
+				t.Fatal("a refused recovery changed the log")
+			}
+			if code, body := get(t, srv.handler(), "/readyz"); code != http.StatusServiceUnavailable {
+				t.Fatalf("readyz after a refused recovery: %d %s", code, body)
+			}
+			if srv.scenarios.Len() != 0 {
+				t.Fatalf("%d scenarios served after a refused recovery", srv.scenarios.Len())
+			}
+		})
 	}
-	if after := segments(); !maps.Equal(before, after) {
-		t.Fatal("a refused recovery changed the log")
+}
+
+// TestRefusedCreateWritesNothing: a create whose spec is refused (422)
+// makes no filesystem operation, because its engine is built before its
+// log is opened. A create whose log cannot be started (500) — the
+// filesystem dies at each of the create's I/O boundaries in turn — is
+// neither registered nor left with metric series, and one that dies at
+// the first, the mkdir of its log directory, leaves no directory either.
+func TestRefusedCreateWritesNothing(t *testing.T) {
+	boot := func() (*server, *failfs.Faulty) {
+		ffs := failfs.NewFaulty(failfs.OS)
+		srv := newWALServer(ffs, t.TempDir())
+		if err := os.MkdirAll(srv.walDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return srv, ffs
 	}
-	if code, body := get(t, srv.handler(), "/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz after a refused recovery: %d %s", code, body)
+	walRoot := func(srv *server) []os.DirEntry {
+		t.Helper()
+		entries, err := os.ReadDir(srv.walDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return entries
 	}
-	if srv.scenarios.Len() != 0 {
-		t.Fatalf("%d scenarios served after a refused recovery", srv.scenarios.Len())
+	left := func(srv *server) {
+		t.Helper()
+		if srv.get("c1") != nil || srv.scenarios.Len() != 0 {
+			t.Fatalf("%d scenarios registered by a failed create", srv.scenarios.Len())
+		}
+		var prom strings.Builder
+		if err := srv.reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(prom.String(), `scenario="c1"`) {
+			t.Fatal(`a failed create left {scenario="c1"} series`)
+		}
+	}
+
+	srv, ffs := boot()
+	spec := crashSpec()
+	spec.Migrator = "layereddp"
+	if code := post(t, srv.handler(), "POST", "/v1/scenarios", spec); code != http.StatusUnprocessableEntity {
+		t.Fatalf("create naming a retired migrator: %d, want 422", code)
+	}
+	if n := ffs.Ops(); n != 0 {
+		t.Fatalf("a refused create made %d filesystem operations", n)
+	}
+	if entries := walRoot(srv); len(entries) != 0 {
+		t.Fatalf("a refused create left %v under the wal root", entries)
+	}
+	left(srv)
+	if code := post(t, srv.handler(), "POST", "/v1/scenarios", crashSpec()); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	total := ffs.Ops()
+	srv.closeAll()
+	srv.closeWALs()
+
+	for k := 1; k <= total; k++ {
+		srv, ffs := boot()
+		ffs.CrashAt(k, false)
+		if code := post(t, srv.handler(), "POST", "/v1/scenarios", crashSpec()); code != http.StatusInternalServerError {
+			t.Fatalf("create crashed at op %d of %d: %d, want 500", k, total, code)
+		}
+		left(srv)
+		if entries := walRoot(srv); k == 1 && len(entries) != 0 {
+			t.Fatalf("a create crashed at its mkdir left %v under the wal root", entries)
+		}
+		srv.closeAll()
 	}
 }
 

@@ -103,15 +103,13 @@ func BenchmarkEngineStepDiurnal(b *testing.B) {
 // scenario in process (bench/workloads.go genFlashCrowd, seed 1, scenario
 // 0): a k=8 fat tree, 1 000 flows with flow f sourced in rack f mod 32,
 // a 3-VNF chain, μ = 1000, hysteresis 1.05, and the capacity-aware route
-// pass on — link capacity 8 × the base total rate, α 0.5, admission at
-// 80 % utilization, rejections classified. Each op restores the previous
+// pass on — link capacity capacityFactor × the base total rate (8 in the
+// benchmark, where no pass refuses anything), α 0.5, admission at 80 %
+// utilization, rejections classified. Each op restores the previous
 // rack's crowd of 16 flows and lifts the next one's thirty-fold.
-func flashCrowdEngine(tb testing.TB, o *Observer) (*Engine, [][]RateUpdate) {
+func flashCrowdEngine(tb testing.TB, o *Observer, capacityFactor float64) (*Engine, [][]RateUpdate) {
 	tb.Helper()
-	const (
-		k, flows, crowdSize, crowdFactor = 8, 1000, 16, 30
-		capacityFactor                   = 8
-	)
+	const k, flows, crowdSize, crowdFactor = 8, 1000, 16, 30
 	topo := topology.MustFatTree(k, nil)
 	rng := rand.New(rand.NewSource(7919))
 	racks := topo.Racks
@@ -161,7 +159,7 @@ func flashCrowdEngine(tb testing.TB, o *Observer) (*Engine, [][]RateUpdate) {
 // TOM past the hysteresis and runs the route pass. Before/after figures
 // are in docs/ENGINE.md.
 func BenchmarkEngineStepFlashCrowd(b *testing.B) {
-	e, ops := flashCrowdEngine(b, nil)
+	e, ops := flashCrowdEngine(b, nil, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -339,7 +337,7 @@ func TestStepAllocationBudget(t *testing.T) {
 // ≈ 125 KB more). Decisions, demands or stage sites allocated per epoch
 // again, or the hottest-first link list built every epoch, fail here.
 func TestRoutedStepAllocationBudget(t *testing.T) {
-	e, ops := flashCrowdEngine(t, nil)
+	e, ops := flashCrowdEngine(t, nil, 8)
 	const budget = 8 << 10
 	step := func(u []RateUpdate) {
 		if _, err := e.Ingest(u); err != nil {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"maps"
 	"os"
 	"reflect"
 	"testing"
@@ -21,17 +22,18 @@ type workLine struct {
 
 // workMeters measures each ledger line: keyed by twin, then layer.
 var workMeters = map[string]map[string]func(t *testing.T) map[string]int64{
-	"flash-crowd": {"route_pass": flashCrowdRoutePassWork},
-	"fault-storm": {"cost_cache": faultStormCostCacheWork},
+	"flash-crowd":       {"route_pass": flashCrowdRoutePassWork},
+	"flash-crowd-tight": {"route_pass": tightCrowdRoutePassWork},
+	"fault-storm":       {"cost_cache": faultStormCostCacheWork},
 }
 
-// flashCrowdRoutePassWork runs flashCrowdEngine's route passes — the
-// pass New runs, then one cycle of its ops — and counts them, their
-// searches and the fabric vertices those settled; then the allocations
-// of one more pass, warm, on the cycle's last placement and rates.
-func flashCrowdRoutePassWork(t *testing.T) map[string]int64 {
+// crowdRoutePasses runs flashCrowdEngine at capacityFactor — the pass
+// New runs, then one cycle of its ops — handing each op's routing report
+// to report (nil: none is read), and counts the passes, their searches
+// and the fabric vertices those settled.
+func crowdRoutePasses(t *testing.T, capacityFactor float64, report func(*RoutingReport)) (*Engine, map[string]int64) {
 	reg := obs.NewRegistry()
-	e, ops := flashCrowdEngine(t, NewObserver(reg, obs.NewEventLog(16), "crowd"))
+	e, ops := flashCrowdEngine(t, NewObserver(reg, obs.NewEventLog(16), "crowd"), capacityFactor)
 	for _, u := range ops {
 		if _, err := e.Ingest(u); err != nil {
 			t.Fatal(err)
@@ -39,17 +41,50 @@ func flashCrowdRoutePassWork(t *testing.T) map[string]int64 {
 		if _, err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
+		if report != nil {
+			report(e.RoutingReport())
+		}
 	}
-	work := map[string]int64{
+	return e, map[string]int64{
 		"passes":   int64(histogramCount(t, reg, `vnfopt_sfcroute_pass_seconds_count{scenario="crowd"}`)),
 		"searches": int64(reg.Counter(`vnfopt_sfcroute_searches_total{scenario="crowd"}`).Value()),
 		"settled":  int64(reg.Counter(`vnfopt_sfcroute_settled_total{scenario="crowd"}`).Value()),
 	}
+}
+
+// flashCrowdRoutePassWork counts the route passes of flashCrowdEngine at
+// the benchmark's capacity, where every flow is admitted; then the
+// allocations of one more pass, warm, on the cycle's last placement and
+// rates.
+func flashCrowdRoutePassWork(t *testing.T) map[string]int64 {
+	e, work := crowdRoutePasses(t, 8, nil)
 	work["allocs_per_pass"] = int64(testing.AllocsPerRun(10, func() {
 		if err := e.routeEpoch(); err != nil {
 			t.Fatal(err)
 		}
 	}))
+	return work
+}
+
+// tightCrowdRoutePassWork counts the route passes of flashCrowdEngine at
+// half the base total rate per link, where admission binds: besides the
+// passes, searches and settled vertices, the ops' admitted and rejected
+// flows — the rejections by reason — and the reroutes their admissions
+// took. Its allocations are TestRejectingPassAllocatesNothing's: this
+// twin runs with an observer, which formats an event per rejection.
+func tightCrowdRoutePassWork(t *testing.T) map[string]int64 {
+	sum := map[string]int64{}
+	_, work := crowdRoutePasses(t, 0.5, func(rep *RoutingReport) {
+		sum["admitted"] += int64(rep.Admitted)
+		sum["rejected"] += int64(rep.Rejected)
+		for reason, n := range rep.RejectReasons {
+			sum["rejected_"+reason] += int64(n)
+		}
+		for _, d := range rep.Decisions {
+			sum["reroutes"] += int64(d.Reroutes)
+		}
+	})
+	maps.Copy(work, sum)
 	return work
 }
 

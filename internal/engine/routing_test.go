@@ -68,7 +68,7 @@ func TestRoutingReportSaturatedCut(t *testing.T) {
 // transition and another read later, the held report marshals to the
 // bytes it did.
 func TestRoutingReportSurvivesLaterEpochs(t *testing.T) {
-	e, ops := flashCrowdEngine(t, nil)
+	e, ops := flashCrowdEngine(t, nil, 8)
 	step := func(u []RateUpdate) {
 		t.Helper()
 		if _, err := e.Ingest(u); err != nil {
