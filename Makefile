@@ -104,9 +104,10 @@ bench-compare:
 # re-create included, then a first boot importing an older build's state
 # file — in both clean and torn-write flavors, and demand bit-identical
 # recovery; plus the replay-abort, checkpoint-race, delete-then-kill and
-# legacy-log invariants.
+# legacy-log invariants, and the concurrent boot replay (two logs in
+# flight at once; the same state and the same refusal on every boot).
 crash-smoke:
-	$(GO) test -race -run 'TestCrashInjectionBitIdentical|TestRecoveryCancelLeavesLogIntact|TestSnapshotCompactionRacesIngest|TestCheckpointedReplayEqualsLive|TestCheckpointWaitsForEpochBoundary|TestWALDeleteAtomicity|TestSeedCrashThenReboot|TestLegacyImportSkipsLoggedAndRefusesLost|TestDeleteThenKillStaysDeleted|TestDeleteRecreateThenKillServesSuccessor|TestLegacyAnchorRecordSkipped|TestLogWithoutCreateRefused|TestRetiredMigratorRefusedOnRecovery|TestRefusedCreateWritesNothing|TestDeleteCommittedNoResurrect|TestDeletingSuffixIDIsSafe|TestDeleteWALRetireFailure' ./cmd/vnfoptd/
+	$(GO) test -race -run 'TestCrashInjectionBitIdentical|TestRecoveryCancelLeavesLogIntact|TestSnapshotCompactionRacesIngest|TestCheckpointedReplayEqualsLive|TestCheckpointWaitsForEpochBoundary|TestWALDeleteAtomicity|TestSeedCrashThenReboot|TestLegacyImportSkipsLoggedAndRefusesLost|TestDeleteThenKillStaysDeleted|TestDeleteRecreateThenKillServesSuccessor|TestLegacyAnchorRecordSkipped|TestLogWithoutCreateRefused|TestRetiredMigratorRefusedOnRecovery|TestRefusedCreateWritesNothing|TestDeleteCommittedNoResurrect|TestDeletingSuffixIDIsSafe|TestDeleteWALRetireFailure|TestRecoveryReplaysLogsConcurrently|TestConcurrentRecoveryDeterministic' ./cmd/vnfoptd/
 	$(GO) test -race ./internal/wal/ ./internal/failfs/
 
 # Seeded chaos run under the race detector: a deterministic fault

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"sync"
 )
 
 // float64pow10 are the powers of ten a float64 holds exactly.
@@ -54,12 +55,17 @@ func atof64exact(mantissa uint64, exp int, neg bool) (f float64, ok bool) {
 	return
 }
 
-const pow10Min, pow10Max = -348, 347 // the exponents pow10 covers
+const pow10Min, pow10Max = -348, 347 // the exponents detailedPow10 covers
 
-// pow10 is strconv's detailedPowersOfTen, {low, high}: the top 128 bits
-// of 10^e, rounded down. Computed, not listed: 10^e by multiplication,
-// 10^-e as 2^(n+127) / 10^e, n the bit length of 10^e.
-var pow10 = pow10Table()
+// detailedPow10 is strconv's detailedPowersOfTen, {low, high}: the top
+// 128 bits of 10^e, rounded down. Computed, not listed: 10^e by
+// multiplication, 10^-e as 2^(n+127) / 10^e, n the bit length of 10^e.
+// It is built on first use, not at package init: boot replay decodes
+// binary rates and never reads it, so a restart does not pay for it.
+var detailedPow10 = sync.OnceValue(func() *[pow10Max - pow10Min + 1][2]uint64 {
+	t := pow10Table()
+	return &t
+})
 
 func pow10Table() (t [pow10Max - pow10Min + 1][2]uint64) {
 	var buf [16]byte
@@ -96,6 +102,8 @@ func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 		return 0, false
 	}
 
+	pow := detailedPow10()
+
 	// Normalization.
 	clz := bits.LeadingZeros64(man)
 	man <<= uint(clz)
@@ -103,11 +111,11 @@ func eiselLemire64(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 	retExp2 := uint64(217706*exp10>>16+64+float64ExponentBias) - uint64(clz)
 
 	// Multiplication.
-	xHi, xLo := bits.Mul64(man, pow10[exp10-pow10Min][1])
+	xHi, xLo := bits.Mul64(man, pow[exp10-pow10Min][1])
 
 	// Wider Approximation.
 	if xHi&0x1FF == 0x1FF && xLo+man < man {
-		yHi, yLo := bits.Mul64(man, pow10[exp10-pow10Min][0])
+		yHi, yLo := bits.Mul64(man, pow[exp10-pow10Min][0])
 		mergedHi, mergedLo := xHi, xLo+yHi
 		if mergedLo < xLo {
 			mergedHi++

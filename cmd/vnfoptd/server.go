@@ -268,8 +268,10 @@ type server struct {
 	walOpts    wal.Options
 	walMetrics *wal.Metrics
 	// recovering gates /v1 and /readyz while the boot-time WAL replay
-	// runs; cleared by recoverState.
-	recovering atomic.Bool
+	// runs; cleared by recoverState, which then sets recoverySeconds to
+	// the replay's wall time.
+	recovering      atomic.Bool
+	recoverySeconds *obs.Gauge
 
 	reg      *obs.Registry
 	rejected *obs.Counter // mailbox-full 429s
@@ -292,6 +294,7 @@ func newServer() *server {
 	}
 	s.walMetrics = wal.NewMetrics(s.reg)
 	s.rejected = s.reg.Counter("vnfoptd_mailbox_rejected_total")
+	s.recoverySeconds = s.reg.Gauge("vnfoptd_recovery_seconds")
 	s.decodeRates = s.reg.Histogram(`vnfoptd_decode_seconds{route="POST /v1/scenarios/{id}/rates"}`)
 	s.decodeBulk = s.reg.Histogram(`vnfoptd_decode_seconds{route="POST /v1/scenarios/{id}/rates:bulk"}`)
 	s.reg.GaugeFunc("vnfoptd_uptime_seconds", func() float64 {

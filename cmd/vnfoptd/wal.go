@@ -16,6 +16,7 @@ import (
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/fault"
+	"vnfopt/internal/parallel"
 	"vnfopt/internal/shard"
 	"vnfopt/internal/wal"
 )
@@ -262,18 +263,25 @@ func (s *server) checkpointLoop(ctx context.Context, interval time.Duration) {
 
 // recoverState drives the boot-time restore: the .deleting sweep, one
 // replay per scenario directory, and the one-shot import of a pre-WAL
-// state file (importPath, "" = none). ctx aborts the replay between
-// records (SIGTERM during a long recovery): segments are left exactly as
+// state file (importPath, "" = none). Scenario logs are independent:
+// they replay concurrently, at most GOMAXPROCS at a time, each in seq
+// order, and a failing one stops none of the others. The error returned
+// is the first failing directory's in ReadDir order, so a failed boot
+// names the same scenario however the replays were scheduled. ctx aborts
+// every replay between records (SIGTERM during a long recovery), and a
+// replay not yet started does not start: segments are left exactly as
 // found — recovery never deletes or truncates anything beyond the torn
 // tail of the final segment — so the next boot resumes from the same
-// log. The server must not serve /v1 traffic until this returns nil;
-// main gates that on s.recovering, which is cleared only on success — a
-// half-recovered server must never serve, and above all must never
-// checkpoint (that would capture partial state and compact away log
-// records the next recovery still needs).
+// log. The import runs after every replay has returned. The server must
+// not serve /v1 traffic until this returns nil; main gates that on
+// s.recovering, which is cleared only on success — a half-recovered
+// server must never serve, and above all must never checkpoint (that
+// would capture partial state and compact away log records the next
+// recovery still needs).
 func (s *server) recoverState(ctx context.Context, importPath string) error {
+	start := time.Now()
 	if !s.walEnabled() {
-		s.recovering.Store(false)
+		s.openGate(start)
 		return nil
 	}
 	if err := s.fs.MkdirAll(s.walDir, 0o755); err != nil {
@@ -293,26 +301,42 @@ func (s *server) recoverState(ctx context.Context, importPath string) error {
 			}
 		}
 	}
+	var dirs []string
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() || strings.HasSuffix(name, deletingSuffix) {
-			continue
+		if name := e.Name(); e.IsDir() && !strings.HasSuffix(name, deletingSuffix) {
+			dirs = append(dirs, name)
 		}
-		id, err := scenarioDirID(name)
+	}
+	err = parallel.ForEach(len(dirs), 0, func(i int) error {
+		id, err := scenarioDirID(dirs[i])
 		if err != nil {
-			return fmt.Errorf("wal dir %q: %w", name, err)
+			return fmt.Errorf("wal dir %q: %w", dirs[i], err)
 		}
-		if err := s.recoverScenario(ctx, id); err != nil {
+		if err = ctx.Err(); err == nil {
+			err = s.recoverScenario(ctx, id)
+		}
+		if err != nil {
 			return fmt.Errorf("scenario %q: %w", id, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if importPath != "" {
 		if err := s.importLegacyState(importPath); err != nil {
 			return err
 		}
 	}
-	s.recovering.Store(false)
+	s.openGate(start)
 	return nil
+}
+
+// openGate ends a successful recovery that began at start: it records
+// the boot's recovery wall time and lets /v1 and /readyz through.
+func (s *server) openGate(start time.Time) {
+	s.recoverySeconds.Set(time.Since(start).Seconds())
+	s.recovering.Store(false)
 }
 
 // recoverScenario replays one scenario's log: every record decodes into

@@ -1,23 +1,29 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vnfopt/internal/engine"
 	"vnfopt/internal/failfs"
 	"vnfopt/internal/fault"
 	"vnfopt/internal/migration"
+	"vnfopt/internal/topology"
 	"vnfopt/internal/wal"
 )
 
@@ -858,5 +864,315 @@ func TestRemovedSearchWorkersStillLoads(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// atLeastTwoProcs raises GOMAXPROCS to 2 for the rest of the test, so a
+// boot replays at least two logs at once whatever the host.
+func atLeastTwoProcs(t *testing.T) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// overlapFS holds each segment read under root until reads of a second
+// scenario directory have started, or until timeout — the first that
+// times out records how many directories were being read by then.
+type overlapFS struct {
+	failfs.FS
+	root    string
+	timeout time.Duration
+
+	mu       sync.Mutex
+	dirs     map[string]bool
+	both     chan struct{} // closed when the second directory's first read starts
+	inFlight int           // directories read when the first wait timed out; 0 = none did
+}
+
+func (f *overlapFS) ReadFile(name string) ([]byte, error) {
+	if rel, err := filepath.Rel(f.root, name); err == nil && !strings.HasPrefix(rel, "..") {
+		dir, _, _ := strings.Cut(filepath.ToSlash(rel), "/")
+		f.mu.Lock()
+		if !f.dirs[dir] {
+			f.dirs[dir] = true
+			if len(f.dirs) == 2 {
+				close(f.both)
+			}
+		}
+		timedOut := f.inFlight > 0
+		f.mu.Unlock()
+		if !timedOut {
+			select {
+			case <-f.both:
+			case <-time.After(f.timeout):
+				f.mu.Lock()
+				if f.inFlight == 0 {
+					f.inFlight = len(f.dirs)
+				}
+				f.mu.Unlock()
+			}
+		}
+	}
+	return f.FS.ReadFile(name)
+}
+
+// TestRecoveryReplaysLogsConcurrently: with two cores, a boot replays
+// two scenario logs at once. Each segment read waits until the other
+// scenario's reads have begun; a boot that replays one log at a time
+// gets there only by timing out, with one replay in flight.
+func TestRecoveryReplaysLogsConcurrently(t *testing.T) {
+	atLeastTwoProcs(t)
+	dir := t.TempDir()
+	a := newWALServer(failfs.OS, dir)
+	for _, id := range []string{"a1", "a2"} {
+		spec := crashSpec()
+		spec.ID = id
+		if code := post(t, a.handler(), "POST", "/v1/scenarios", spec); code != http.StatusCreated {
+			t.Fatalf("create %s: %d", id, code)
+		}
+		if code := post(t, a.handler(), "POST", "/v1/scenarios/"+id+"/step", nil); code != http.StatusOK {
+			t.Fatalf("step %s: %d", id, code)
+		}
+	}
+	want := map[string]string{"a1": normalizedState(t, a, "a1"), "a2": normalizedState(t, a, "a2")}
+	a.closeAll()
+	a.closeWALs()
+
+	fs := &overlapFS{FS: failfs.OS, root: filepath.Join(dir, "wal"), timeout: 10 * time.Second, dirs: map[string]bool{}, both: make(chan struct{})}
+	b := newWALServer(fs, dir)
+	defer b.closeWALs()
+	defer b.closeAll()
+	b.recovering.Store(true)
+	if err := b.recoverState(context.Background(), ""); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if fs.inFlight > 0 {
+		t.Fatalf("replays in flight: %d, want 2 (a segment read waited %v for the other scenario's)", fs.inFlight, fs.timeout)
+	}
+	for id, w := range want {
+		if got := normalizedState(t, b, id); got != w {
+			t.Fatalf("%s recovered to a different state\n got: %.200s\nwant: %.200s", id, got, w)
+		}
+	}
+	if got := b.recoverySeconds.Value(); got <= 0 {
+		t.Fatalf("vnfoptd_recovery_seconds = %v after a boot, want > 0", got)
+	}
+}
+
+// TestConcurrentRecoveryDeterministic: a boot that replays many logs at
+// once serves what the live daemon served, boot after boot. Eight logs —
+// the mixed schedule plain, priced routing over capacity and Algorithm 6
+// cut short by its node budget; a link fault and a degrade left active;
+// a log behind a checkpoint; leaf-spine, unpriced routing, no migration
+// — boot five times, each to the live /state and /routing bytes, and a
+// create without an id then gets the id after the highest restored one.
+// Two more logs whose create names the retired layereddp fail every one
+// of twenty boots the same way: the first of them in directory order
+// (at seq 10, though the other fails at seq 1 and sooner), with the
+// readiness gate shut and the log bytes untouched.
+func TestConcurrentRecoveryDeterministic(t *testing.T) {
+	atLeastTwoProcs(t)
+	dir := t.TempDir()
+	a := newWALServer(failfs.OS, dir)
+	ts := httptest.NewServer(a.handler())
+	routed := diffSpec("s2")
+	routed.Routing = &engine.RoutingConfig{LinkCapacity: 60, Alpha: 1, Classify: true}
+	exhaustive := diffSpec("s3")
+	exhaustive.Migrator, exhaustive.NodeBudget, exhaustive.SFCLen = "exhaustive", 5, 8
+	for _, spec := range []ScenarioSpec{diffSpec("s1"), routed, exhaustive, diffSpec("s5")} {
+		driveMixedSchedule(t, a, ts, spec, nil)
+	}
+	// s5 checkpoints, then takes more commands behind the checkpoint.
+	sc := a.get("s5")
+	var cerr error
+	if err := sc.actor.Do(func() { cerr = sc.checkpoint() }); err != nil || cerr != nil {
+		t.Fatalf("checkpoint s5: %v / %v", err, cerr)
+	}
+	if code := do(t, ts, "POST", "/v1/scenarios/s5/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 4, Rate: 55}}, Step: true}, nil); code != http.StatusOK {
+		t.Fatalf("ingest+step after checkpoint: %d", code)
+	}
+	// s4 keeps a link fault and a degrade active.
+	faulted := diffSpec("s4")
+	faulted.Seed = 11
+	if code := do(t, ts, "POST", "/v1/scenarios", faulted, nil); code != http.StatusCreated {
+		t.Fatalf("create s4: %d", code)
+	}
+	topo := topology.MustFatTree(4, nil)
+	var links [][2]int
+	for _, u := range topo.Switches {
+		for _, e := range topo.Graph.Neighbors(u) {
+			if topo.Kind[e.To] == topology.Switch && u < e.To {
+				links = append(links, [2]int{u, e.To})
+			}
+		}
+	}
+	inject := faultsRequest{Inject: []fault.Fault{
+		{Kind: fault.Link, U: links[0][0], V: links[0][1]},
+		{Kind: fault.Degrade, U: links[len(links)-1][0], V: links[len(links)-1][1], Factor: 3},
+	}}
+	if code := do(t, ts, "POST", "/v1/scenarios/s4/faults", inject, nil); code != http.StatusOK {
+		t.Fatalf("inject on s4: %d", code)
+	}
+	if code := do(t, ts, "POST", "/v1/scenarios/s4/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 2, Rate: 30}}, Step: true}, nil); code != http.StatusOK {
+		t.Fatalf("ingest+step on s4: %d", code)
+	}
+	leafSpine := diffSpec("s6")
+	leafSpine.Topology = "leaf-spine"
+	unpriced := diffSpec("s7")
+	unpriced.Routing = &engine.RoutingConfig{LinkCapacity: 60, Classify: true}
+	still := diffSpec("s11")
+	still.Migrator = "nomigration"
+	for _, spec := range []ScenarioSpec{leafSpine, unpriced, still} {
+		if code := do(t, ts, "POST", "/v1/scenarios", spec, nil); code != http.StatusCreated {
+			t.Fatalf("create %s: %d", spec.ID, code)
+		}
+		if code := do(t, ts, "POST", "/v1/scenarios/"+spec.ID+"/rates", ratesRequest{Updates: []engine.RateUpdate{{Flow: 0, Rate: 50}, {Flow: 7, Rate: 0.5}}, Step: true}, nil); code != http.StatusOK {
+			t.Fatalf("ingest+step on %s: %d", spec.ID, code)
+		}
+	}
+	ts.Close()
+
+	ids := []string{"s1", "s11", "s2", "s3", "s4", "s5", "s6", "s7"}
+	type served struct {
+		state       []byte
+		routingCode int
+		routing     []byte
+	}
+	serve := func(srv *server, id string) served {
+		t.Helper()
+		code, state := get(t, srv.handler(), "/v1/scenarios/"+id+"/state")
+		if code != http.StatusOK {
+			t.Fatalf("GET %s/state: %d", id, code)
+		}
+		rcode, routing := get(t, srv.handler(), "/v1/scenarios/"+id+"/routing")
+		return served{canonicalState(t, state), rcode, routing}
+	}
+	want := map[string]served{}
+	for _, id := range ids {
+		want[id] = serve(a, id)
+	}
+	a.closeAll()
+	a.closeWALs()
+
+	for boot := 0; boot < 5; boot++ {
+		at := t.TempDir()
+		copyTree(t, dir, at)
+		b := bootWAL(t, at, "")
+		if b.scenarios.Len() != len(ids) {
+			t.Fatalf("boot %d: %d scenarios, want %d", boot, b.scenarios.Len(), len(ids))
+		}
+		for _, id := range ids {
+			got, w := serve(b, id), want[id]
+			if !bytes.Equal(got.state, w.state) || got.routingCode != w.routingCode || !bytes.Equal(got.routing, w.routing) {
+				t.Fatalf("boot %d: %s diverges from the live daemon\n got: %s\n      %d %s\nwant: %s\n      %d %s",
+					boot, id, got.state, got.routingCode, got.routing, w.state, w.routingCode, w.routing)
+			}
+		}
+		var created struct {
+			ID string `json:"id"`
+		}
+		bs := httptest.NewServer(b.handler())
+		code := do(t, bs, "POST", "/v1/scenarios", diffSpec(""), &created)
+		bs.Close()
+		if code != http.StatusCreated || created.ID != "s12" {
+			t.Fatalf("boot %d: create without an id: HTTP %d, id %q, want s12", boot, code, created.ID)
+		}
+		b.closeAll()
+		b.closeWALs()
+	}
+
+	// The retired logs come first in directory order, so the two workers
+	// start on them at once: s0-retired steps eight times and then
+	// checkpoints into layereddp at seq 10, s0-retired-too is created
+	// with it at seq 1 and fails first.
+	retired := func(id string) []byte {
+		t.Helper()
+		spec := crashSpec()
+		spec.ID, spec.Migrator = id, "layereddp"
+		payload, err := json.Marshal(walCreate{ID: id, Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	good := crashSpec()
+	good.ID = "s0-retired"
+	goodCreate, err := json.Marshal(walCreate{ID: good.ID, Spec: good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		typ     wal.Type
+		payload []byte
+	}
+	slow := []record{{wal.TypeCreate, goodCreate}}
+	for range 8 {
+		slow = append(slow, record{wal.TypeStep, nil})
+	}
+	for id, recs := range map[string][]record{
+		"s0-retired":     append(slow, record{wal.TypeCreate, retired("s0-retired")}),
+		"s0-retired-too": {{wal.TypeCreate, retired("s0-retired-too")}, {wal.TypeStep, nil}},
+	} {
+		l, err := wal.Open(filepath.Join(dir, "wal", scenarioDirName(id)), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if _, err := l.Append(rec.typ, rec.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree := func() map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			out[path] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before := tree()
+	var first string
+	for boot := 0; boot < 20; boot++ {
+		srv := newWALServer(failfs.OS, dir)
+		srv.recovering.Store(true)
+		err := srv.recoverState(context.Background(), "")
+		if err == nil {
+			t.Fatalf("boot %d: recovery with retired logs succeeded", boot)
+		}
+		if boot == 0 {
+			first = err.Error()
+			for _, want := range []string{`scenario "s0-retired"`, "seq 10:", `unknown migrator "layereddp"`} {
+				if !strings.Contains(first, want) {
+					t.Fatalf("refusal does not name %s: %v", want, err)
+				}
+			}
+		} else if err.Error() != first {
+			t.Fatalf("boot %d refused differently\n got: %v\nwant: %s", boot, err, first)
+		}
+		if code, body := get(t, srv.handler(), "/readyz"); code != http.StatusServiceUnavailable {
+			t.Fatalf("boot %d: readyz after a refused recovery: %d %s", boot, code, body)
+		}
+		if got := srv.recoverySeconds.Value(); got != 0 {
+			t.Fatalf("boot %d: vnfoptd_recovery_seconds = %v after a refused recovery, want 0", boot, got)
+		}
+		srv.closeAll()
+		srv.closeWALs()
+	}
+	if after := tree(); !maps.Equal(before, after) {
+		t.Fatal("refused recoveries changed the log")
 	}
 }

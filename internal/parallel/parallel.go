@@ -1,5 +1,6 @@
 // Package parallel provides the small worker-pool primitive the
-// experiment harness uses to spread independent runs across cores. Every
+// experiment harness uses to spread independent runs across cores, and
+// the daemon to replay independent scenario logs at boot. Every
 // repetition of an experiment is seeded independently (experiments.Config
 // derives one RNG per run), so fan-out changes wall-clock time only —
 // results stay bit-identical to the sequential order.
@@ -11,14 +12,14 @@ import (
 	"sync"
 )
 
-// forEach runs fn(i) for i in [0, n) on up to workers goroutines
+// ForEach runs fn(i) for i in [0, n) on up to workers goroutines
 // (workers ≤ 0 = GOMAXPROCS; workers > n is clamped to n, so passing a
 // huge worker count never spawns idle goroutines). It returns the first
 // error by index order, running every index regardless (no short-circuit:
 // experiment runs are cheap relative to the value of complete error
 // reporting). A panicking task is recovered and surfaced as an error
 // naming the index; it does not take down the pool.
-func forEach(n, workers int, fn func(i int) error) error {
+func ForEach(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -67,7 +68,7 @@ func forEach(n, workers int, fn func(i int) error) error {
 // scratch buffers): one chunk per worker amortizes per-task scratch
 // allocation over n/workers items instead of paying it per item.
 //
-// Error and panic semantics match forEach: every chunk runs, and the error
+// Error and panic semantics match ForEach: every chunk runs, and the error
 // of the lowest-indexed chunk wins. workers ≤ 0 means GOMAXPROCS;
 // workers > n is clamped to n (each chunk then holds a single index).
 func MapChunked(n, workers int, fn func(lo, hi int) error) error {
@@ -90,7 +91,7 @@ func MapChunked(n, workers int, fn func(lo, hi int) error) error {
 			bounds[c+1]++
 		}
 	}
-	return forEach(workers, workers, func(c int) error {
+	return ForEach(workers, workers, func(c int) error {
 		return fn(bounds[c], bounds[c+1])
 	})
 }
@@ -99,7 +100,7 @@ func MapChunked(n, workers int, fn func(lo, hi int) error) error {
 // index order.
 func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := forEach(n, workers, func(i int) error {
+	err := ForEach(n, workers, func(i int) error {
 		v, err := fn(i)
 		if err != nil {
 			return err

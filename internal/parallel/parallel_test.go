@@ -10,7 +10,7 @@ import (
 
 func TestForEachRunsEveryIndex(t *testing.T) {
 	var hits [100]int32
-	if err := forEach(100, 8, func(i int) error {
+	if err := ForEach(100, 8, func(i int) error {
 		atomic.AddInt32(&hits[i], 1)
 		return nil
 	}); err != nil {
@@ -24,11 +24,11 @@ func TestForEachRunsEveryIndex(t *testing.T) {
 }
 
 func TestForEachZeroAndDefaults(t *testing.T) {
-	if err := forEach(0, 4, func(int) error { t.Fatal("ran"); return nil }); err != nil {
+	if err := ForEach(0, 4, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	ran := int32(0)
-	if err := forEach(3, 0, func(int) error { atomic.AddInt32(&ran, 1); return nil }); err != nil {
+	if err := ForEach(3, 0, func(int) error { atomic.AddInt32(&ran, 1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 3 {
@@ -38,7 +38,7 @@ func TestForEachZeroAndDefaults(t *testing.T) {
 
 func TestForEachFirstErrorByIndex(t *testing.T) {
 	e3, e7 := errors.New("three"), errors.New("seven")
-	err := forEach(10, 4, func(i int) error {
+	err := ForEach(10, 4, func(i int) error {
 		switch i {
 		case 3:
 			return e3
@@ -56,7 +56,7 @@ func TestForEachWorkersExceedN(t *testing.T) {
 	// workers > n must clamp to n: every index still runs exactly once and
 	// the call terminates (no goroutine waits on a never-filled channel).
 	var hits [3]int32
-	if err := forEach(3, 64, func(i int) error {
+	if err := ForEach(3, 64, func(i int) error {
 		atomic.AddInt32(&hits[i], 1)
 		return nil
 	}); err != nil {
@@ -71,7 +71,7 @@ func TestForEachWorkersExceedN(t *testing.T) {
 
 func TestForEachPanicNamesIndexAndLosesToEarlierError(t *testing.T) {
 	// A recovered panic surfaces as an error naming the index...
-	err := forEach(5, 8, func(i int) error {
+	err := ForEach(5, 8, func(i int) error {
 		if i == 4 {
 			panic("kaboom")
 		}
@@ -83,7 +83,7 @@ func TestForEachPanicNamesIndexAndLosesToEarlierError(t *testing.T) {
 	// ...but first-error-by-index order still holds when an earlier index
 	// returned a plain error.
 	e1 := errors.New("one")
-	err = forEach(5, 8, func(i int) error {
+	err = ForEach(5, 8, func(i int) error {
 		switch i {
 		case 1:
 			return e1
@@ -168,7 +168,7 @@ func TestMapChunkedPanicAndErrorOrder(t *testing.T) {
 }
 
 func TestForEachRecoversPanics(t *testing.T) {
-	err := forEach(5, 2, func(i int) error {
+	err := ForEach(5, 2, func(i int) error {
 		if i == 2 {
 			panic("boom")
 		}
