@@ -44,9 +44,12 @@ race:
 # logs show what one fault event allocates; the
 # branch-and-bound solvers (the hard mesh and the k=8 fat tree) and their
 # shared kernel on a tour its own bound prunes loosely
-# (BENCH_solver.json);
+# (BENCH_solver.json); the full APSP build over the k=4/8/16 fat trees
+# (BenchmarkAPSPFatTree, run beside the solvers at the root), the
+# random-graph builds and single-source Dijkstra (BenchmarkAllPairs*,
+# BenchmarkDijkstra*);
 # the incremental fault-event and weight-delta APSP paths on the -short
-# topologies (BENCH_apsp.json); SFC stage routing (BENCH_sfcroute.json);
+# topologies (all BENCH_apsp.json); SFC stage routing (BENCH_sfcroute.json);
 # the daemon's rate-update decode against encoding/json (the table in
 # docs/API.md).
 # The bitwise and differential asserts these benchmarks lean on
@@ -56,8 +59,9 @@ race:
 # (bench-e2e-smoke below).
 bench-smoke:
 	$(GO) test -run NONE -bench BenchmarkEngine -benchtime 1x -benchmem ./internal/engine/
-	$(GO) test -run NONE -bench BenchmarkSolver -benchtime 1x -benchmem .
+	$(GO) test -run NONE -bench 'BenchmarkSolver|BenchmarkAPSPFatTree' -benchtime 1x -benchmem .
 	$(GO) test -run NONE -bench BenchmarkKernelSequential -benchtime 1x -benchmem ./internal/bnb/
+	$(GO) test -run NONE -bench 'BenchmarkAllPairs|BenchmarkDijkstra' -benchtime 1x -benchmem ./internal/graph/
 	$(GO) test -run NONE -bench 'BenchmarkFaultEvent|BenchmarkFaultHeal|BenchmarkWeightEvent' -benchtime 1x -benchmem -short ./internal/fault/
 	$(GO) test -run NONE -bench 'BenchmarkAdmitSaturated|BenchmarkRoutePass' -benchtime 1x ./internal/sfcroute/
 	$(GO) test -run NONE -bench BenchmarkDecodeRates -benchtime 1x ./cmd/vnfoptd/

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"maps"
+	"math"
 	"os"
 	"reflect"
 	"testing"
 
+	"vnfopt/internal/graph"
 	"vnfopt/internal/obs"
 )
 
@@ -24,7 +26,7 @@ type workLine struct {
 var workMeters = map[string]map[string]func(t *testing.T) map[string]int64{
 	"flash-crowd":       {"route_pass": flashCrowdRoutePassWork},
 	"flash-crowd-tight": {"route_pass": tightCrowdRoutePassWork},
-	"fault-storm":       {"cost_cache": faultStormCostCacheWork},
+	"fault-storm":       {"cost_cache": faultStormCostCacheWork, "row_kernel": faultStormRowKernelWork},
 }
 
 // crowdRoutePasses runs flashCrowdEngine at capacityFactor — the pass
@@ -120,6 +122,73 @@ func faultStormCostCacheWork(t *testing.T) map[string]int64 {
 	work["rows_built_min"], work["rows_built_max"], work["rows_built_end"] = lo, hi, built()
 	work["faults_active_end"] = int64(e.faults.Len())
 	work["closure_rows"] = reg.Counter(`vnfopt_cache_closure_rows_total{scenario="storm"}`).Value()
+	return work
+}
+
+// faultStormRowKernelWork runs faultStormEngine's create and cycle and
+// counts the APSP rows built on first read, by the kernel that built
+// them: create_* over the pristine matrix at create, storm_* over every
+// matrix the cycle serves from. A row is built by layers over a fabric
+// whose live links all weigh the same — the pristine fat tree, and every
+// view that only cuts links or kills switches and hosts — and on the heap
+// over any other, a view with a degrade among its faults; graph's
+// TestRowKernelChoice pins that rule, and kernel reads it off the
+// matrix's fabric. The rows an event's Reweigh repairs are not first
+// reads: they are the ones the same Reweigh of the event's parent, run
+// again here, returns built.
+func faultStormRowKernelWork(t *testing.T) map[string]int64 {
+	e, events := faultStormEngine(t, nil)
+	built := func(a *graph.APSP) (n int64) {
+		for u := range a.Order() {
+			if a.Built(u) {
+				n++
+			}
+		}
+		return n
+	}
+	kernel := func(a *graph.APSP) string {
+		lo, hi := math.Inf(1), 0.0
+		a.Fabric().ForEachSlot(func(_, _, _ int, w float64) {
+			if w < math.Inf(1) {
+				lo, hi = min(lo, w), max(hi, w)
+			}
+		})
+		if lo == hi {
+			return "layered"
+		}
+		return "heap"
+	}
+	work := map[string]int64{"create_layered": 0, "create_heap": 0, "storm_layered": 0, "storm_heap": 0}
+	counted := map[*graph.APSP]int64{} // rows of a matrix already tallied
+	tally := func(phase string) {
+		a := e.d.APSP
+		work[phase+"_"+kernel(a)] += built(a) - counted[a]
+		counted[a] = built(a)
+	}
+	tally("create")
+	for i, ev := range events {
+		prev := e.d.APSP
+		before := built(prev)
+		if _, err := e.ApplyFaults(context.Background(), ev.inject, ev.heal); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		a := e.d.APSP
+		if built(prev) != before {
+			t.Fatalf("event %d: the parent matrix built rows after its delta; the replay would repair them", i)
+		}
+		if _, ok := counted[a]; !ok {
+			wt := make([]float64, a.Fabric().NumSlots())
+			a.Fabric().ForEachSlot(func(slot, _, _ int, w float64) { wt[slot] = w })
+			replay, _ := prev.Reweigh(wt, 1)
+			for u := range a.Order() {
+				if replay.Built(u) && !a.Built(u) {
+					t.Fatalf("event %d: the replayed delta repairs row %d, which the event's matrix lacks", i, u)
+				}
+			}
+			counted[a] = built(replay)
+		}
+		tally("storm")
+	}
 	return work
 }
 

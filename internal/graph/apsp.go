@@ -72,6 +72,11 @@ type APSP struct {
 	// minW is the graph's least edge weight (+Inf without edges): no cost
 	// between two distinct vertices is below it.
 	minW float64
+	// hop is the weight of every finite arc when all of them weigh the
+	// same and span is finite, as on a unit-weight fabric with some links
+	// cut: fill builds a row by layers (CSR.layersInto). 0 otherwise: by
+	// DijkstraInto.
+	hop float64
 	// trace is the last search Pred or Path ran on a matrix whose rows are
 	// not canonical, under mu: a sweep over one row runs one search.
 	trace struct {
@@ -82,10 +87,10 @@ type APSP struct {
 }
 
 // flatRows holds k rows of an n-order matrix whose cells are contiguous,
-// each row padded to whole blocks: what a full Dijkstra run writes, since
-// DijkstraInto takes a flat slice. Every block starts on a cache line (the
-// allocator aligns these sizes to 64 bytes and a block is a multiple of
-// that), so the parallel build's workers never share one.
+// each row padded to whole blocks: what a row build writes, since
+// layersInto and DijkstraInto take a flat slice. Every block starts on a
+// cache line (the allocator aligns these sizes to 64 bytes and a block is
+// a multiple of that), so the parallel build's workers never share one.
 type flatRows struct {
 	n, stride int // stride: cells per padded row
 	dist      []float64
@@ -102,7 +107,7 @@ func newFlatRows(n, k int) flatRows {
 	}
 }
 
-// cells returns row i's flat cells, for DijkstraInto to fill.
+// cells returns row i's flat cells, for a row build to fill.
 func (f flatRows) cells(i int) []float64 {
 	o := i * f.stride
 	return f.dist[o : o+f.n : o+f.n]
@@ -121,8 +126,12 @@ func (f flatRows) row(i int) Row {
 
 // newAPSP allocates the matrix over csr with no row built.
 func newAPSP(csr *CSR) *APSP {
-	minW, reach := csr.weightBounds()
-	return &APSP{n: csr.n, rows: make([]Row, csr.n), built: make([]uint32, csr.n), csr: csr, span: canonicalSpan(minW, reach), minW: minW}
+	minW, maxW, reach := csr.weightBounds()
+	a := &APSP{n: csr.n, rows: make([]Row, csr.n), built: make([]uint32, csr.n), csr: csr, span: canonicalSpan(minW, reach), minW: minW}
+	if minW == maxW && !math.IsInf(a.span, 1) {
+		a.hop = minW
+	}
+	return a
 }
 
 // AllPairs returns the all-pairs matrix of g, a CSR snapshot of it and no
@@ -171,22 +180,32 @@ const fanOutArcs = 1 << 13
 
 // fill builds rows todo — sorted, none built — into one buffer under
 // a.mu, inline or over workers (≤ 0 = GOMAXPROCS) in contiguous ranges
-// with a scratch each. The build observer sees the batch.
+// with a scratch each. A row is built by layers where the matrix's arcs
+// weigh alike (hop), by DijkstraInto elsewhere; both write the same bits
+// (docs/ALGORITHMS.md, "Performance kernels"). The build observer sees
+// the batch.
 func (a *APSP) fill(todo []int, workers int) {
 	obs, start := apspObserver.Load(), time.Now()
 	flat := newFlatRows(a.n, len(todo))
+	build := func(i int, s *SSSPScratch) {
+		if a.hop > 0 {
+			a.csr.layersInto(todo[i], flat.cells(i), a.hop, s)
+		} else {
+			a.csr.DijkstraInto(todo[i], flat.cells(i), nil, s)
+		}
+	}
 	if len(todo)*a.csr.NumSlots() < fanOutArcs {
-		for i, u := range todo {
-			a.csr.DijkstraInto(u, flat.cells(i), nil, &a.scratch)
+		for i := range todo {
+			build(i, &a.scratch)
 		}
 	} else if err := parallel.MapChunked(len(todo), workers, func(lo, hi int) error {
 		var scratch SSSPScratch
 		for i := lo; i < hi; i++ {
-			a.csr.DijkstraInto(todo[i], flat.cells(i), nil, &scratch)
+			build(i, &scratch)
 		}
 		return nil
 	}); err != nil {
-		// DijkstraInto cannot fail on a valid Graph; a surfaced panic is a
+		// A row build cannot fail on a valid Graph; a surfaced panic is a
 		// kernel bug and must not be swallowed.
 		panic(err)
 	}

@@ -4,11 +4,13 @@ import "fmt"
 
 // CSR is a frozen compressed-sparse-row view of a Graph: all adjacency
 // lists flattened into two parallel arrays indexed by a per-vertex offset
-// table. Dijkstra over a CSR touches two contiguous slices instead of
+// table. A search over a CSR touches two contiguous slices instead of
 // chasing [][]Edge headers, which removes a pointer dereference and a
 // bounds check per edge and keeps the edge stream cache-resident — the
-// difference that matters when AllPairs runs |V| Dijkstras back to back
-// over a fat-tree PPDC.
+// difference that matters when an APSP matrix builds its rows back to
+// back over a fat-tree PPDC: by layers (layersInto) where every live arc
+// weighs the same, as on a unit-weight fabric with some links cut, by
+// Dijkstra (DijkstraInto) elsewhere.
 //
 // A CSR is a snapshot: edges added to the Graph after it is frozen are
 // not visible. Neighbor order is preserved exactly, so CSR Dijkstra
@@ -59,13 +61,14 @@ func (g *Graph) freeze() *CSR {
 // Order returns the number of vertices in the snapshot.
 func (c *CSR) Order() int { return c.n }
 
-// weightBounds returns the least finite arc weight (+Inf without one)
-// and the reach: Order() × the greatest finite weight, an upper bound on
-// every finite shortest-path cost over c. A path has fewer than Order()
-// arcs and each addition rounds up by at most a factor 1+2⁻⁵³, which the
-// spare arc absorbs at any order a matrix can be allocated for.
-func (c *CSR) weightBounds() (minW, reach float64) {
-	minW, maxW := Inf, 0.0
+// weightBounds returns the least finite arc weight (+Inf without one),
+// the greatest (0 without one), and the reach: Order() × the greatest, an
+// upper bound on every finite shortest-path cost over c. A path has fewer
+// than Order() arcs and each addition rounds up by at most a factor
+// 1+2⁻⁵³, which the spare arc absorbs at any order a matrix can be
+// allocated for.
+func (c *CSR) weightBounds() (minW, maxW, reach float64) {
+	minW = Inf
 	for _, w := range c.wt {
 		if w < minW {
 			minW = w
@@ -74,7 +77,7 @@ func (c *CSR) weightBounds() (minW, reach float64) {
 			maxW = w
 		}
 	}
-	return minW, float64(c.n) * maxW
+	return minW, maxW, float64(c.n) * maxW
 }
 
 // live returns the number of v's arcs of finite weight: the ones a
@@ -104,6 +107,7 @@ type SSSPScratch struct {
 	// life; a dead end is only written, never counted.
 	Settled int
 	prev    []int32 // the links of a caller that passes no prev
+	queue   []int32 // layersInto's FIFO
 }
 
 // Discard drops the queued entries of the vertices in [lo, hi). The
@@ -170,6 +174,45 @@ func (c *CSR) DijkstraInto(src int, dist []float64, prev []int32, s *SSSPScratch
 			}
 		}
 	}
+}
+
+// layersInto writes src's row into dist (length Order()) over c, every
+// finite arc of which weighs w, with relaxations strictly increasing
+// (strictRelax; APSP.hop holds both): the same bits as DijkstraInto with
+// no prev, built breadth-first. A FIFO pops the vertices in order of hop
+// count, so the first arc to reach a vertex comes from the layer before
+// its own, and it writes fl(d + w) from that layer's one distance d.
+// Under strictly increasing relaxations the row is the unique fixed point
+// of dist[v] = min over arcs of fl(dist[u] + w) (repair.go), and layer L
+// holding d_L = fl(d_{L-1} + w), strictly increasing in L, is that fixed
+// point. +Inf arcs are skipped; dead ends are written, not queued.
+func (c *CSR) layersInto(src int, dist []float64, w float64, s *SSSPScratch) {
+	if len(dist) != c.n {
+		panic("graph: layersInto row length mismatch")
+	}
+	for i := range dist {
+		dist[i] = Inf
+	}
+	if cap(s.queue) < c.n {
+		s.queue = make([]int32, 0, c.n)
+	}
+	dist[src] = 0
+	q := append(s.queue[:0], int32(src))
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		d := dist[u] + w
+		lo, hi := c.rowStart[u], c.rowStart[u+1]
+		wt := c.wt[lo:hi]
+		for j, to := range c.to[lo:hi] {
+			if dist[to] == Inf && wt[j] < Inf {
+				dist[to] = d
+				if !c.dead[to] {
+					q = append(q, to)
+				}
+			}
+		}
+	}
+	s.queue = q
 }
 
 // Dijkstra is the allocating convenience form of DijkstraInto, for

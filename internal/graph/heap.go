@@ -23,8 +23,8 @@ func less(a, b heapItem) bool {
 }
 
 // costHeap is a hand-rolled binary min-heap on (cost, vertex). It avoids
-// the interface boxing of container/heap on the hottest path in the
-// library (all-pairs shortest paths over fat-tree PPDCs).
+// the interface boxing of container/heap on hot paths: the rows of a
+// weighted fabric, the delta repair and the router's priced searches.
 type costHeap struct {
 	items []heapItem
 }

@@ -69,20 +69,22 @@ func (et *edgeTable) vertexUp(x int, up bool) {
 
 // FuzzRepairRows is the graph-level differential fuzz of the delta
 // path: a random connected multigraph — weights from a tie-heavy integer
-// palette or from the reals — takes a chain of deltas mixing removals,
-// restores, re-weights up and down, vertices isolated and re-attached,
-// and one special weight the input chooses (the seeds pass 0, +Inf and
-// 1e300, so the guard's every-row-unbuilt side runs, and the transitions
-// into and out of it). Before every delta the input picks which rows of
-// the current matrix are read, so a parent mixes repaired rows, rows
-// built on first read over its own graph and rows never built; each row
-// read must equal AllPairsSequential of that step's graph in dist bits
-// and in Pred. The incremental matrices at workers 1 and 2 must equal
-// AllPairsSequential(next) in full, and the one at workers 5, which the
-// chain goes on from, is read only where the input picks; the matrix the
-// delta was taken from must still equal the rebuild of its own graph in
-// every row it had built: a write through a block the two share would
-// show there. The last matrix is read in full.
+// palette or from the reals, or, for a negative seed, one weight on every
+// link, so rows are built by layers until a delta re-prices a link, and
+// again once every re-priced link is restored or cut — takes a chain of
+// deltas mixing removals, restores, re-weights up and down, vertices
+// isolated and re-attached, and one special weight the input chooses
+// (the seeds pass 0, +Inf and 1e300, so the guard's every-row-unbuilt
+// side runs, and the transitions into and out of it). Before every delta
+// the input picks which rows of the current matrix are read, so a parent
+// mixes repaired rows, rows built on first read over its own graph and
+// rows never built; each row read must equal AllPairsSequential of that
+// step's graph in dist bits and in Pred. The incremental matrices at
+// workers 1 and 2 must equal AllPairsSequential(next) in full, and the
+// one at workers 5, which the chain goes on from, is read only where the
+// input picks; the matrix the delta was taken from must still equal the
+// rebuild of its own graph in every row it had built: a write through a
+// block the two share would show there. The last matrix is read in full.
 func FuzzRepairRows(f *testing.F) {
 	f.Add(int64(1), 2.5, []byte{0, 9, 2, 19, 1, 12, 35, 4, 5, 3})
 	f.Add(int64(2), 0.0, []byte{6, 0, 14, 6, 1, 2, 22, 7})
@@ -90,6 +92,9 @@ func FuzzRepairRows(f *testing.F) {
 	f.Add(int64(4), 1e300, []byte{6, 0, 1, 14, 8, 9, 7, 6, 132, 12, 5, 3})
 	f.Add(int64(5), 0x1p-60, []byte{134, 130, 0, 4, 129, 5, 6, 11, 15})
 	f.Add(int64(6), 1.0, []byte{4, 12, 132, 5, 13, 128, 129, 2, 3, 10, 11})
+	f.Add(int64(-1), 2.5, []byte{0, 8, 4, 12, 1, 5, 9, 16, 7, 2, 7, 3, 0, 1})
+	f.Add(int64(-2), 0.0, []byte{4, 20, 136, 0, 5, 13, 7, 6, 15, 1, 62, 7})
+	f.Add(int64(-3), 1e300, []byte{130, 7, 0, 8, 16, 1, 9, 14, 6, 5, 4, 12, 7, 3})
 
 	f.Fuzz(func(t *testing.T, seed int64, special float64, ops []byte) {
 		if math.IsNaN(special) {
@@ -102,8 +107,16 @@ func FuzzRepairRows(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(14)
 		integer := rng.Intn(2) == 0
+		// No seed from before the uniform palette is negative, so each of
+		// those inputs still draws the graph it always has.
+		uniform := seed < 0
 		weight := func() float64 {
-			if integer {
+			switch {
+			case uniform && integer:
+				return 1
+			case uniform:
+				return 0.1
+			case integer:
 				return float64(1 + rng.Intn(3))
 			}
 			return 1 + 9*rng.Float64()
@@ -206,7 +219,7 @@ func builtBitEqual(t *testing.T, a, want *APSP) {
 func repairEveryRow(t *testing.T, a, aWant *APSP, wt []float64, want *APSP) {
 	t.Helper()
 	csr, ch := a.csr.WithWeights(wt), a.csr.diffWeights(wt)
-	if minW, reach := csr.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
+	if minW, _, reach := csr.weightBounds(); !strictRelax(minW, math.Max(a.span, reach)) {
 		return
 	}
 	bare := make([]bool, a.n)
@@ -303,7 +316,8 @@ func TestStrictRelax(t *testing.T) {
 		for i, w := range c.ws {
 			g.AddEdge(i, i+1, w)
 		}
-		if got := !math.IsInf(canonicalSpan(g.freeze().weightBounds()), 1); got != c.want {
+		minW, _, reach := g.freeze().weightBounds()
+		if got := !math.IsInf(canonicalSpan(minW, reach), 1); got != c.want {
 			t.Errorf("%s: canonical=%v, want %v", c.name, got, c.want)
 		}
 		// Whenever the guard passes, no relaxation over an arc a search

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"vnfopt/internal/model"
 	"vnfopt/internal/stroll"
@@ -92,29 +92,31 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 
 	// Visit egress switches cheapest-first; once the bound exceeds the
 	// incumbent every later egress is prunable too.
-	egOrder := make([]int, len(sw))
-	for i := range egOrder {
-		egOrder[i] = i
+	egOrder := make([]byCost, len(sw))
+	for i, v := range sw {
+		egOrder[i] = byCost{eg[v], int32(i)}
 	}
-	sort.Slice(egOrder, func(x, y int) bool {
-		return eg[sw[egOrder[x]]] < eg[sw[egOrder[y]]]
-	})
-	inOrder := make([]int, len(sw))
-	copy(inOrder, egOrder)
-	sort.Slice(inOrder, func(x, y int) bool {
-		return in[sw[inOrder[x]]] < in[sw[inOrder[y]]]
-	})
+	sortByCost(egOrder)
+	// The ingress sort starts from the egress permutation: it decides
+	// where equal ingress costs fall, and with them which of equal-cost
+	// placements is kept.
+	inOrder := make([]byCost, len(sw))
+	for j, t := range egOrder {
+		inOrder[j] = byCost{in[sw[t.i]], t.i}
+	}
+	sortByCost(inOrder)
 
-	for _, tj := range egOrder {
-		egT := eg[sw[tj]]
+	for _, t := range egOrder {
+		tj, egT := int(t.i), t.key
 		if egT+minIn+chainLB >= bestCost {
 			break // sorted: no later egress can win either
 		}
-		for _, sj := range inOrder {
+		for _, s := range inOrder {
+			sj := int(s.i)
 			if sj == tj {
 				continue
 			}
-			if in[sw[sj]]+egT+chainLB >= bestCost {
+			if s.key+egT+chainLB >= bestCost {
 				break // sorted: no later ingress can win for this egress
 			}
 			if tabs[tj] == nil {
@@ -124,7 +126,7 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 			if err != nil {
 				return nil, 0, err
 			}
-			cand := in[sw[sj]] + egT + lambda*res.Cost
+			cand := s.key + egT + lambda*res.Cost
 			if cand < bestCost {
 				p := make(model.Placement, 0, n)
 				p = append(p, sw[sj])
@@ -145,6 +147,30 @@ func (a DP) PlaceProblem(ctx context.Context, pr model.Problem) (model.Placement
 	// Report the model-evaluated cost: when the stroll walk revisited
 	// nodes, the placement's chain shortcuts it and can only be cheaper.
 	return best, d.CommCost(w, best), nil
+}
+
+// byCost is a switch's closure index under a cost: an entry of DP's
+// egress and ingress orders, the key beside the index so a sort reads
+// neither through the switch list.
+type byCost struct {
+	key float64
+	i   int32
+}
+
+// sortByCost sorts ks by key, ascending, into the permutation sort.Slice
+// gives under key <: both run the same generated pdqsort, which only asks
+// whether the comparator is negative, and the comparator is < itself, so
+// +Inf and NaN order as they did (cmp.Compare would put NaN first).
+func sortByCost(ks []byCost) {
+	slices.SortFunc(ks, func(a, b byCost) int {
+		switch {
+		case a.key < b.key:
+			return -1
+		case b.key < a.key:
+			return 1
+		}
+		return 0
+	})
 }
 
 func errNoPlacement(n int) error {
