@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -240,4 +241,76 @@ func TestDegradeFaultAPI(t *testing.T) {
 	if len(fstate.Active) != 0 {
 		t.Fatalf("rejected degrade left faults active: %v", fstate.Active)
 	}
+}
+
+// TestFaultsGetIsOneTransition holds GET /faults to one transition while
+// another client toggles a host fault: every answer is degraded exactly
+// when its active set is non-empty, and reports the host's flow unserved
+// exactly then. The three fields are read under one engine lock; read
+// one at a time, a transition committing between the reads tore them.
+func TestFaultsGetIsOneTransition(t *testing.T) {
+	srv := newServer()
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	// k = 4: switches 0–19, hosts 20–35; a pair names hosts by index.
+	// Host 20 is flow 0's source; flow 1 keeps the fabric servable while
+	// it is down.
+	var created struct {
+		ID string `json:"id"`
+	}
+	if code := do(t, ts, "POST", "/v1/scenarios", ScenarioSpec{K: 4, Pairs: []PairSpec{{Src: 0, Dst: 15, Rate: 1}, {Src: 7, Dst: 8, Rate: 2}}}, &created); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	path := ts.URL + fmt.Sprintf("/v1/scenarios/%s/faults", created.ID)
+	host := []fault.Fault{{Kind: fault.Host, U: 20}}
+
+	const toggles = 40
+	done := make(chan error, 1)
+	go func() {
+		for i := range toggles {
+			req := faultsRequest{Inject: host}
+			if i%2 == 1 {
+				req = faultsRequest{Heal: host}
+			}
+			body, _ := json.Marshal(req)
+			resp, err := ts.Client().Post(path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				done <- err
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				done <- fmt.Errorf("toggle %d: status %d", i, resp.StatusCode)
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	reads, degraded := 0, 0
+	for running := true; running; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		var st struct {
+			Active   []fault.Fault        `json:"active"`
+			Degraded bool                 `json:"degraded"`
+			Unserved []fault.UnservedFlow `json:"unserved"`
+		}
+		do(t, ts, "GET", path[len(ts.URL):], nil, &st)
+		active := len(st.Active) > 0
+		if st.Degraded != active || (len(st.Unserved) > 0) != active {
+			t.Fatalf("read %d: degraded %v, active %v, unserved %v: not one transition", reads, st.Degraded, st.Active, st.Unserved)
+		}
+		if active {
+			degraded++
+		}
+	}
+	t.Logf("%d reads over %d toggles, %d degraded", reads, toggles, degraded)
 }

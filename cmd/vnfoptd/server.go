@@ -812,20 +812,20 @@ func (s *server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.res)
 }
 
-// handleFaultsGet reports the scenario's active faults and unserved
-// flows.
+// handleFaultsGet reports the scenario's active faults, degraded flag
+// and unserved flows, all three from one transition.
 func (s *server) handleFaultsGet(w http.ResponseWriter, r *http.Request) {
 	sc := s.get(r.PathValue("id"))
 	if sc == nil {
 		writeError(w, codeNotFound, "no scenario %q", r.PathValue("id"))
 		return
 	}
-	snap := sc.eng.Snapshot()
+	st := sc.eng.FaultState()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id":       sc.ID,
-		"active":   sc.eng.Faults(),
-		"degraded": snap.Degraded,
-		"unserved": sc.eng.Unserved(),
+		"active":   st.Active,
+		"degraded": st.Degraded,
+		"unserved": st.Unserved,
 	})
 }
 

@@ -288,7 +288,7 @@ func Run(ctx context.Context, cfg Config, sched *Schedule) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("chaos: epoch %d: schedule marked feasible but engine rejected: %w", ep, err)
 			}
-			fs := fault.NewFaultSet(chaosEng.Faults()...)
+			fs := fault.NewFaultSet(res.Active...)
 			v, err := fault.ApplyDelta(cfg.PPDC, prevView, fs)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: epoch %d: %w", ep, err)

@@ -162,18 +162,13 @@ func (e *Engine) ApplyFaults(ctx context.Context, inject, heal []fault.Fault) (*
 	return out, nil
 }
 
-// Faults returns the active fault set, sorted deterministically.
-func (e *Engine) Faults() []fault.Fault {
+// FaultState reports the active fault set, sorted, the degraded flag
+// and the unserved flows, read under one lock: all three from one
+// transition.
+func (e *Engine) FaultState() *FaultResult {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.faults.Faults()
-}
-
-// Unserved returns the flows currently excluded from service.
-func (e *Engine) Unserved() []fault.UnservedFlow {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]fault.UnservedFlow(nil), e.unserved...)
+	return e.faultResult(nil, 0, 0)
 }
 
 // faultResult assembles a FaultResult from the current engine state.

@@ -191,7 +191,7 @@ func TestApplyFaultsInfeasibleIsAtomic(t *testing.T) {
 		t.Fatalf("err=%v, want ErrInfeasible", err)
 	}
 	after := e.Snapshot()
-	if after.Degraded || len(e.Faults()) != 0 {
+	if after.Degraded || len(e.FaultState().Active) != 0 {
 		t.Fatal("rejected transition mutated engine state")
 	}
 	if after.Epoch != before.Epoch || after.CommCost != before.CommCost {

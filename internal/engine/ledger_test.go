@@ -131,21 +131,16 @@ func faultStormCostCacheWork(t *testing.T) map[string]int64 {
 // matrix the cycle serves from. A row is built by layers over a fabric
 // whose live links all weigh the same — the pristine fat tree, and every
 // view that only cuts links or kills switches and hosts — and on the heap
-// over any other, a view with a degrade among its faults; graph's
-// TestRowKernelChoice pins that rule, and kernel reads it off the
-// matrix's fabric. The rows an event's Reweigh repairs are not first
-// reads: they are the ones the same Reweigh of the event's parent, run
-// again here, returns built.
+// over any other, a view with a degrade among its faults. On a layered
+// fabric a host's row is derived from its edge switch's where the host's
+// link is up and the switch's row is built too: a batch of rows builds
+// the anchors it lacks, so every host a create reads is derived. graph's
+// TestRowKernelChoice pins both rules; kernel and derived read them off
+// the matrix. The rows an event's Reweigh repairs or derives are not
+// first reads: they are the ones the same Reweigh of the event's parent,
+// run again here, returns built.
 func faultStormRowKernelWork(t *testing.T) map[string]int64 {
 	e, events := faultStormEngine(t, nil)
-	built := func(a *graph.APSP) (n int64) {
-		for u := range a.Order() {
-			if a.Built(u) {
-				n++
-			}
-		}
-		return n
-	}
 	kernel := func(a *graph.APSP) string {
 		lo, hi := math.Inf(1), 0.0
 		a.Fabric().ForEachSlot(func(_, _, _ int, w float64) {
@@ -158,14 +153,53 @@ func faultStormRowKernelWork(t *testing.T) map[string]int64 {
 		}
 		return "heap"
 	}
-	work := map[string]int64{"create_layered": 0, "create_heap": 0, "storm_layered": 0, "storm_heap": 0}
-	counted := map[*graph.APSP]int64{} // rows of a matrix already tallied
+	// A vertex with one arc — a host — and that arc's slot and head.
+	n := e.d.APSP.Order()
+	arcs, slot, head := make([]int, n), make([]int, n), make([]int, n)
+	e.d.APSP.Fabric().ForEachSlot(func(s, u, v int, _ float64) {
+		arcs[u]++
+		slot[u], head[u] = s, v
+	})
+	derived := func(a *graph.APSP, wt []float64, u int) bool {
+		return arcs[u] == 1 && arcs[head[u]] > 1 && wt[slot[u]] < math.Inf(1) && a.Built(head[u])
+	}
+	work := map[string]int64{}
+	for _, phase := range []string{"create", "storm"} {
+		for _, k := range []string{"layered", "derived", "heap"} {
+			work[phase+"_"+k] = 0
+		}
+	}
+	tallied := map[*graph.APSP][]bool{} // per matrix, the rows already counted
+	rows := func(a *graph.APSP) []bool {
+		if tallied[a] == nil {
+			tallied[a] = make([]bool, a.Order())
+		}
+		return tallied[a]
+	}
 	tally := func(phase string) {
 		a := e.d.APSP
-		work[phase+"_"+kernel(a)] += built(a) - counted[a]
-		counted[a] = built(a)
+		k, seen, wt := kernel(a), rows(a), a.Fabric().Weights()
+		for u := range a.Order() {
+			if !a.Built(u) || seen[u] {
+				continue
+			}
+			seen[u] = true
+			if k == "layered" && derived(a, wt, u) {
+				work[phase+"_derived"]++
+			} else {
+				work[phase+"_"+k]++
+			}
+		}
 	}
 	tally("create")
+	built := func(a *graph.APSP) (n int) {
+		for u := range a.Order() {
+			if a.Built(u) {
+				n++
+			}
+		}
+		return n
+	}
 	for i, ev := range events {
 		prev := e.d.APSP
 		before := built(prev)
@@ -176,16 +210,15 @@ func faultStormRowKernelWork(t *testing.T) map[string]int64 {
 		if built(prev) != before {
 			t.Fatalf("event %d: the parent matrix built rows after its delta; the replay would repair them", i)
 		}
-		if _, ok := counted[a]; !ok {
-			wt := make([]float64, a.Fabric().NumSlots())
-			a.Fabric().ForEachSlot(func(slot, _, _ int, w float64) { wt[slot] = w })
-			replay, _ := prev.Reweigh(wt, 1)
+		if _, ok := tallied[a]; !ok {
+			replay, _ := prev.Reweigh(a.Fabric().Weights(), 1)
+			seen := rows(a)
 			for u := range a.Order() {
 				if replay.Built(u) && !a.Built(u) {
 					t.Fatalf("event %d: the replayed delta repairs row %d, which the event's matrix lacks", i, u)
 				}
+				seen[u] = replay.Built(u)
 			}
-			counted[a] = built(replay)
 		}
 		tally("storm")
 	}

@@ -263,6 +263,22 @@ func (fs FaultSet) Faults() []Fault {
 	return out
 }
 
+// delta lists the faults active in exactly one of fs and base, factors
+// included: a degrade whose factor changed is listed at both.
+func (fs FaultSet) delta(base FaultSet) (out []Fault) {
+	for f := range fs.set {
+		if _, ok := base.set[f]; !ok {
+			out = append(out, f)
+		}
+	}
+	for f := range base.set {
+		if _, ok := fs.set[f]; !ok {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // Validate checks every fault in the set against the pristine PPDC.
 func (fs FaultSet) Validate(d *model.PPDC) error {
 	for _, f := range fs.Faults() {

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"vnfopt/internal/graph"
@@ -37,7 +38,7 @@ func Apply(d *model.PPDC, fs FaultSet) (*View, error) {
 	}
 	if fs.Empty() {
 		v := &View{pristine: d, faults: fs, degraded: d}
-		v.label(d.APSP.Fabric())
+		v.comp, v.ncomp = d.APSP.Fabric().Components(nil)
 		return v, nil
 	}
 	return Rebuild(d, fs), nil
@@ -92,13 +93,16 @@ func (ds degradeSet) factor(u, w int) float64 {
 	return 1
 }
 
-// filter expands the fault set into its per-vertex dead mask, downed
-// link set, and degraded link factors for an n-vertex fabric.
+// filter expands the fault set into its per-vertex dead mask (nil when
+// no vertex is dead), downed link set, and degraded link factors for an
+// n-vertex fabric.
 func (fs FaultSet) filter(n int) (dead []bool, down linkSet, degr degradeSet) {
-	dead = make([]bool, n)
 	for f := range fs.set {
 		switch f.Kind {
 		case Switch, Host:
+			if dead == nil {
+				dead = make([]bool, n)
+			}
 			dead[f.U] = true
 		case Link:
 			down = append(down, [2]int{f.U, f.V})
@@ -154,8 +158,11 @@ func degradedClone(pg *graph.Graph, dead []bool, down linkSet, degr degradeSet) 
 	})
 }
 
-// buildView assembles the degraded view's topology and labelling around
-// g, its graph, and apsp, its cost oracle over the degraded fabric.
+// buildView assembles the degraded view's topology around g, its graph,
+// and apsp, its cost oracle over the degraded fabric. The membership
+// lists are read-only, so a list with no dead member is the pristine
+// one, shared: all of them when no vertex is dead, and otherwise every
+// rack but the dead hosts' own.
 func buildView(v *View, d *model.PPDC, g *graph.Graph, apsp *graph.APSP) *View {
 	t := &topology.Topology{
 		Name:   d.Topo.Name + "+faults",
@@ -163,31 +170,37 @@ func buildView(v *View, d *model.PPDC, g *graph.Graph, apsp *graph.APSP) *View {
 		Kind:   d.Topo.Kind,
 		Labels: d.Topo.Labels,
 	}
-	for _, h := range d.Topo.Hosts {
-		if !v.dead[h] {
-			t.Hosts = append(t.Hosts, h)
-		}
-	}
-	for _, s := range d.Topo.Switches {
-		if !v.dead[s] {
-			t.Switches = append(t.Switches, s)
-		}
-	}
-	for _, rack := range d.Topo.Racks {
-		live := make([]int, 0, len(rack))
-		for _, h := range rack {
-			if !v.dead[h] {
-				live = append(live, h)
-			}
-		}
-		t.Racks = append(t.Racks, live)
-	}
 	// The degraded topology deliberately fails Topology.Validate (it may
 	// be disconnected and the membership lists exclude dead vertices), so
 	// the PPDC is assembled directly rather than through model.New.
 	v.degraded = &model.PPDC{Topo: t, APSP: apsp, Opts: d.Opts}
-	v.label(apsp.Fabric())
+	if v.dead == nil {
+		t.Hosts, t.Switches, t.Racks = d.Topo.Hosts, d.Topo.Switches, d.Topo.Racks
+		return v
+	}
+	t.Hosts, t.Switches = v.live(d.Topo.Hosts), v.live(d.Topo.Switches)
+	t.Racks = make([][]int, len(d.Topo.Racks))
+	for i, rack := range d.Topo.Racks {
+		t.Racks[i] = v.live(rack)
+	}
 	return v
+}
+
+// live returns the members of us that are not dead: us itself when none
+// is.
+func (v *View) live(us []int) []int {
+	i := slices.IndexFunc(us, v.Dead)
+	if i < 0 {
+		return us
+	}
+	out := make([]int, i, len(us)-1)
+	copy(out, us)
+	for _, u := range us[i+1:] {
+		if !v.dead[u] {
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 // Rebuild constructs the degraded view without the empty-set shortcut.
@@ -203,53 +216,71 @@ func Rebuild(d *model.PPDC, fs FaultSet) *View {
 	var degr degradeSet
 	v.dead, down, degr = fs.filter(n)
 	g := degradedClone(d.Topo.Graph, v.dead, down, degr)
-	return buildView(v, d, g, graph.AllPairs(g))
+	apsp := graph.AllPairs(g)
+	v.comp, v.ncomp = apsp.Fabric().Components(v.dead)
+	return buildView(v, d, g, apsp)
 }
 
 // ApplyDelta is Apply with an incremental APSP update: the view's fabric
-// is the pristine CSR under a new weight vector, and its matrix is prev's
-// re-weighed to it (graph.APSP.Reweigh), which repairs every row where
-// the fault transition moves it and carries a row it does not move over
-// verbatim. The result is bit-identical to Apply — the differential fuzz
-// target FuzzIncrementalAPSP pins this over random inject/heal sequences
-// — at a fraction of the cost for the typical 1–3 element transition. A
-// prev whose matrix is not over d's fabric — nil, a view of another
-// model, or Rebuild's, over a clone — re-weighs the pristine matrix
-// itself; an empty fault set short-circuits to the pristine model.
+// is the pristine CSR under a new weight vector, and its matrix is its
+// base's re-weighed to it (graph.APSP.Reweigh), which repairs every row
+// where the fault transition moves it and carries a row it does not move
+// over verbatim. The result is bit-identical to Apply — the differential
+// fuzz target FuzzIncrementalAPSP pins this over random inject/heal
+// sequences — at a fraction of the cost for the typical 1–3 element
+// transition.
+//
+// The base is prev, when its matrix is over d's fabric; otherwise — nil,
+// a view of another model, or Rebuild's, over a clone — the pristine
+// model, whose fault set is empty. The transition's work follows what it
+// changes: the weight vector starts as the base's and re-weighs only
+// the arcs of the faults in one of the two sets and not the other
+// (CSR.SetArcs), each by the expression degradedClone evaluates, so the
+// bits are the full rebuild's; and a transition whose link, switch and
+// host faults are its base view's shares that view's component labels.
+// An empty fault set short-circuits to the pristine model.
 func ApplyDelta(d *model.PPDC, prev *View, fs FaultSet) (*View, error) {
 	if err := fs.Validate(d); err != nil {
 		return nil, err
 	}
+	var base *View
+	from, matrix := FaultSet{}, d.APSP // the base's faults and matrix
+	if prev != nil && prev.pristine == d && prev.degraded.Topo.Graph == d.Topo.Graph {
+		base, from, matrix = prev, prev.faults, prev.degraded.APSP
+	}
+	changed := fs.delta(from)
+	v := &View{pristine: d, faults: fs}
+	if base != nil && !slices.ContainsFunc(changed, func(f Fault) bool { return f.Kind != Degrade }) {
+		v.comp, v.ncomp = base.comp, base.ncomp
+	}
 	if fs.Empty() {
-		v := &View{pristine: d, faults: fs, degraded: d}
-		v.label(d.APSP.Fabric())
+		v.degraded = d
+		if v.comp == nil {
+			v.comp, v.ncomp = d.APSP.Fabric().Components(nil)
+		}
 		return v, nil
 	}
-	base := d.APSP
-	// ApplyDelta's views, and the empty set's, keep d's graph over a
-	// weight vector of d's fabric; Rebuild's keep a clone.
-	if prev != nil && prev.pristine == d && prev.degraded.Topo.Graph == d.Topo.Graph {
-		base = prev.degraded.APSP
-	}
-	n := d.Topo.Graph.Order()
-	v := &View{pristine: d, faults: fs}
 	var down linkSet
 	var degr degradeSet
-	v.dead, down, degr = fs.filter(n)
-
-	// One pass over the pristine fabric's slots fills the view's weights:
-	// the effective cost where the edge survives, the same expression
-	// degradedClone evaluates, so the repair relaxes it bit-identical to
-	// the full rebuild; +Inf where it does not.
-	fabric := d.APSP.Fabric()
-	wt := make([]float64, fabric.NumSlots())
-	fabric.ForEachSlot(func(slot, u, w int, pw float64) {
-		wt[slot] = graph.Inf
-		if keepEdge(v.dead, down, u, w) {
-			wt[slot] = effWeight(degr, u, w, pw)
+	v.dead, down, degr = fs.filter(d.Topo.Graph.Order())
+	wt := matrix.Fabric().Weights()
+	eff := func(u, w int, pw float64) float64 {
+		if !keepEdge(v.dead, down, u, w) {
+			return graph.Inf
 		}
-	})
-	apsp, _ := base.Reweigh(wt, 0)
+		return effWeight(degr, u, w, pw)
+	}
+	for _, f := range changed {
+		u, w := f.U, f.V
+		if f.Kind == Switch || f.Kind == Host {
+			w = -1 // every arc at the vertex
+		}
+		d.APSP.Fabric().SetArcs(wt, u, w, eff)
+	}
+	apsp, _ := matrix.Reweigh(wt, 0)
+	if v.comp == nil {
+		v.comp, v.ncomp = apsp.Fabric().Components(v.dead)
+	}
 	return buildView(v, d, d.Topo.Graph, apsp), nil
 }
 
@@ -290,39 +321,6 @@ func Diff(a, b *View) error {
 		}
 	}
 	return nil
-}
-
-// label computes connected-component labels over the live vertices: the
-// components of c's arcs that are not +Inf, numbered in the order of
-// their least vertex.
-func (v *View) label(c *graph.CSR) {
-	n := c.Order()
-	root := make([]int, n)
-	v.comp = make([]int, n)
-	for x := range root {
-		root[x], v.comp[x] = x, -1
-	}
-	find := func(x int) int {
-		for root[x] != x {
-			root[x] = root[root[x]]
-			x = root[x]
-		}
-		return x
-	}
-	c.ForEachSlot(func(_, x, y int, w float64) {
-		if x < y && w < graph.Inf {
-			root[find(x)] = find(y)
-		}
-	})
-	for x := range n {
-		if r := find(x); !v.Dead(x) {
-			if v.comp[r] == -1 {
-				v.comp[r] = v.ncomp
-				v.ncomp++
-			}
-			v.comp[x] = v.comp[r]
-		}
-	}
 }
 
 // PPDC returns the degraded model: the live host/switch lists and the
@@ -419,15 +417,16 @@ type ServicePlan struct {
 // rate churn.
 func (v *View) PlanService(w model.Workload) *ServicePlan {
 	d := v.degraded
-	plan := &ServicePlan{View: v, Region: -1, Servable: make([]bool, len(w))}
+	plan := &ServicePlan{View: v, Region: -1, Servable: make([]bool, len(w)),
+		Served: make(model.Workload, 0, len(w)), ServedIndex: make([]int, 0, len(w))}
 
 	// Components eligible to host the SFC: at least one live switch.
-	hasSwitch := make(map[int]bool)
+	hasSwitch := make([]bool, v.ncomp)
 	for _, s := range d.Topo.Switches {
 		hasSwitch[v.comp[s]] = true
 	}
-	rate := make(map[int]float64) // eligible component -> intra rate
-	hosts := make(map[int]int)    // component -> live host count
+	rate := make([]float64, v.ncomp) // eligible component -> intra rate
+	hosts := make([]int, v.ncomp)    // component -> live host count
 	for _, h := range d.Topo.Hosts {
 		hosts[v.comp[h]]++
 	}
@@ -459,7 +458,7 @@ func (v *View) PlanService(w model.Workload) *ServicePlan {
 		plan.PPDC = d
 	} else {
 		t := *d.Topo
-		t.Switches = nil
+		t.Switches = make([]int, 0, len(d.Topo.Switches))
 		for _, s := range d.Topo.Switches {
 			if v.comp[s] == best {
 				t.Switches = append(t.Switches, s)

@@ -74,8 +74,8 @@ type APSP struct {
 	minW float64
 	// hop is the weight of every finite arc when all of them weigh the
 	// same and span is finite, as on a unit-weight fabric with some links
-	// cut: fill builds a row by layers (CSR.layersInto). 0 otherwise: by
-	// DijkstraInto.
+	// cut: fill builds a row by layers (CSR.layersInto), or a dead end's
+	// from its anchor's (anchor). 0 otherwise: by DijkstraInto.
 	hop float64
 	// trace is the last search Pred or Path ran on a matrix whose rows are
 	// not canonical, under mu: a sweep over one row runs one search.
@@ -182,10 +182,35 @@ const fanOutArcs = 1 << 13
 // a.mu, inline or over workers (≤ 0 = GOMAXPROCS) in contiguous ranges
 // with a scratch each. A row is built by layers where the matrix's arcs
 // weigh alike (hop), by DijkstraInto elsewhere; both write the same bits
-// (docs/ALGORITHMS.md, "Performance kernels"). The build observer sees
-// the batch.
+// (docs/ALGORITHMS.md, "Performance kernels"). On a layered matrix a
+// dead end's row is derived from its anchor's with one add pass
+// (deriveCells) where the anchor's row is built or in the batch; a batch
+// of two or more rows pulls its dead ends' missing anchors in, and a lone
+// read of a dead end whose anchor is not built is built by layers. The
+// build observer sees the batch.
 func (a *APSP) fill(todo []int, workers int) {
 	obs, start := apspObserver.Load(), time.Now()
+	if a.hop > 0 && len(todo) > 1 {
+		k := len(todo)
+		for _, u := range todo[:k] {
+			if x := a.anchor(u); x >= 0 && !a.Built(x) {
+				todo = append(todo, x)
+			}
+		}
+		if len(todo) > k {
+			slices.Sort(todo)
+			todo = slices.Compact(todo)
+		}
+	}
+	var kernel, derived []int // indices into todo
+	for i, u := range todo {
+		x := a.anchor(u)
+		if _, batched := slices.BinarySearch(todo, x); x >= 0 && (batched || a.Built(x)) {
+			derived = append(derived, i)
+		} else {
+			kernel = append(kernel, i)
+		}
+	}
 	flat := newFlatRows(a.n, len(todo))
 	build := func(i int, s *SSSPScratch) {
 		if a.hop > 0 {
@@ -194,13 +219,13 @@ func (a *APSP) fill(todo []int, workers int) {
 			a.csr.DijkstraInto(todo[i], flat.cells(i), nil, s)
 		}
 	}
-	if len(todo)*a.csr.NumSlots() < fanOutArcs {
-		for i := range todo {
+	if len(kernel)*a.csr.NumSlots() < fanOutArcs {
+		for _, i := range kernel {
 			build(i, &a.scratch)
 		}
-	} else if err := parallel.MapChunked(len(todo), workers, func(lo, hi int) error {
+	} else if err := parallel.MapChunked(len(kernel), workers, func(lo, hi int) error {
 		var scratch SSSPScratch
-		for i := lo; i < hi; i++ {
+		for _, i := range kernel[lo:hi] {
 			build(i, &scratch)
 		}
 		return nil
@@ -210,12 +235,48 @@ func (a *APSP) fill(todo []int, workers int) {
 		panic(err)
 	}
 	for i, u := range todo {
-		a.rows[u] = flat.row(i)
+		a.rows[u] = flat.row(i) // read by the derivations below, unpublished
+	}
+	for _, i := range derived {
+		u := todo[i]
+		deriveCells(flat.cells(i), a.rows[a.anchor(u)], u, a.hop)
+	}
+	for _, u := range todo {
 		atomic.StoreUint32(&a.built[u], 1)
 	}
 	if obs != nil {
 		(*obs)(a.n, a.csr.NumSlots()/2, workers, time.Since(start))
 	}
+}
+
+// anchor returns the vertex whose row u's row is derived from on a
+// layered matrix, or -1: u's one neighbour, where u is a dead end whose
+// arc is live and the neighbour is not a dead end too. Every layer from
+// u is then the anchor's layer shifted by one arc of weight hop, so u's
+// row is fl(anchor's row + hop), 0 at u, bit for bit (docs/ALGORITHMS.md,
+// "Performance kernels").
+func (a *APSP) anchor(u int) int {
+	c := a.csr
+	if a.hop == 0 || !c.dead[u] {
+		return -1
+	}
+	e := c.rowStart[u]
+	if x := int(c.to[e]); c.wt[e] < Inf && !c.dead[x] {
+		return x
+	}
+	return -1
+}
+
+// deriveCells writes the row of dead end u into dst from its anchor's
+// row: fl(from + hop) in every cell, 0 at u.
+func deriveCells(dst []float64, from Row, u int, hop float64) {
+	for b, blk := range from.dist {
+		o := b << apspShift
+		for j, c := range blk[:min(apspBlock, len(dst)-o)] {
+			dst[o+j] = c + hop
+		}
+	}
+	dst[u] = 0
 }
 
 // AllPairsSequential is the original one-source-at-a-time build over the

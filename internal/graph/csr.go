@@ -25,7 +25,9 @@ import "fmt"
 // once x relaxes it, and relaxing it back cannot lower x: for weights
 // w, w' ≥ 0, fl(fl(d(x) + w) + w') ≥ d(x) by monotone rounding. Dijkstra
 // therefore writes a dead end's cell without queueing it; the others pop
-// in the same (dist, id) order as before, so rows stay bit-identical.
+// in the same (dist, id) order as before, so rows stay bit-identical. Its
+// neighbour is its anchor: where every live arc weighs the same, a dead
+// end's whole row is its anchor's plus one arc (APSP.anchor).
 type CSR struct {
 	n        int
 	rowStart []int32   // len n+1; edges of u are [rowStart[u], rowStart[u+1])
@@ -273,6 +275,79 @@ func (c *CSR) ForEachSlot(f func(slot, u, v int, w float64)) {
 			f(int(e), u, int(c.to[e]), c.wt[e])
 		}
 	}
+}
+
+// Weights returns a copy of the snapshot's weight array, slot-indexed as
+// WithWeights takes it: the vector a caller edits into the next one.
+func (c *CSR) Weights() []float64 { return append([]float64(nil), c.wt...) }
+
+// SetArcs sets wt[e] = f(x, y, w) at every arc e = x→y between u and v,
+// both ways and every parallel one, w its weight in c; at every arc out
+// of u and into u when v < 0. wt is a weight vector over c's slots, as
+// WithWeights takes it. A fault transition re-weighs only the arcs of
+// the faults it changes this way.
+func (c *CSR) SetArcs(wt []float64, u, v int, f func(x, y int, w float64) float64) {
+	if v >= 0 {
+		c.setArcs(wt, u, v, f)
+		c.setArcs(wt, v, u, f)
+		return
+	}
+	for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
+		y := int(c.to[e])
+		wt[e] = f(u, y, c.wt[e])
+		c.setArcs(wt, y, u, f) // again per parallel arc: the same values
+	}
+}
+
+// setArcs sets wt[e] = f(x, y, w) at every arc e = x→y.
+func (c *CSR) setArcs(wt []float64, x, y int, f func(x, y int, w float64) float64) {
+	for e := c.rowStart[x]; e < c.rowStart[x+1]; e++ {
+		if int(c.to[e]) == y {
+			wt[e] = f(x, y, c.wt[e])
+		}
+	}
+}
+
+// Components labels the connected components of c's finite arcs: comp[x]
+// is x's component, numbered in the order of each component's least
+// vertex, and -1 where dead[x] (dead may be nil); ncomp counts the
+// labels. A dead vertex must have no finite arc. A union-find over the
+// arrays, O(slots).
+func (c *CSR) Components(dead []bool) (comp []int, ncomp int) {
+	root := make([]int32, c.n)
+	for x := range root {
+		root[x] = int32(x)
+	}
+	find := func(x int32) int32 {
+		for root[x] != x {
+			root[x] = root[root[x]]
+			x = root[x]
+		}
+		return x
+	}
+	for u := range c.n {
+		for e := c.rowStart[u]; e < c.rowStart[u+1]; e++ {
+			if y := c.to[e]; int32(u) < y && c.wt[e] < Inf {
+				root[find(int32(u))] = find(y)
+			}
+		}
+	}
+	comp = make([]int, c.n)
+	for x := range comp {
+		comp[x] = -1
+	}
+	for x := range c.n {
+		if dead != nil && dead[x] {
+			continue
+		}
+		r := find(int32(x))
+		if comp[r] == -1 {
+			comp[r] = ncomp
+			ncomp++
+		}
+		comp[x] = comp[r]
+	}
+	return comp, ncomp
 }
 
 // WithWeights returns a snapshot sharing this one's structure (rowStart,

@@ -82,6 +82,28 @@ func (r *cowRow) ownBlock(b int) *distBlock {
 	return &own
 }
 
+// deriveDeadEnd derives dead end u's row in a — layered at from's hop,
+// its anchor's row repaired from from's — from from's row of u, whose arc
+// the delta left alone. Where the anchor's block is from's, so is u's:
+// it holds fl(the same cells + hop). Any other block is rewritten cell by
+// cell through the cowRow, which copies it only where a cell changes.
+func (a *APSP) deriveDeadEnd(from *APSP, u int) cowRow {
+	x := a.anchor(u)
+	r, now, was := deriveRow(from.rows[u]), a.rows[x], from.rows[x]
+	for b, blk := range now.dist {
+		if blk == was.dist[b] {
+			continue
+		}
+		o := b << apspShift
+		for j, c := range blk[:min(apspBlock, a.n-o)] {
+			if v := o + j; v != u {
+				r.set(v, c+a.hop)
+			}
+		}
+	}
+	return r
+}
+
 // arcChange is one link a re-weighting changes, read off its u < v arc:
 // its weight in the receiver's fabric and in the new vector. +Inf is an
 // absent arc, so a change from +Inf restores the link, one to +Inf
@@ -132,14 +154,16 @@ func deltaKind(ch []arcChange) DeltaKind {
 // repair's work with it.
 type deltaStats struct {
 	unbuilt int // rows the parent had built that are left unbuilt
-	changed int // repaired rows that own a table: a cell changed
+	changed int // repaired or derived rows that own a table: a cell changed
 	settled int // vertices the repairs' drains settled
+	derived int // dead ends' rows derived from their repaired anchors'
 }
 
 func (s *deltaStats) add(o deltaStats) {
 	s.unbuilt += o.unbuilt
 	s.changed += o.changed
 	s.settled += o.settled
+	s.derived += o.derived
 }
 
 // Reweigh returns the APSP matrix over the receiver's fabric under wt, a
@@ -154,12 +178,15 @@ func (s *deltaStats) add(o deltaStats) {
 // are derived from its own, copy-on-write (cowRow), and repaired
 // (CSR.repairRow): only the vertices whose distance a change moves are
 // re-settled, so what a delta copies follows the cells it changes and a
-// row it leaves alone stays the receiver's, pointer for pointer. Every
-// other row is left unbuilt, to be built on its first read under wt. The
-// repairs fan out over `workers` goroutines (≤ 0 = GOMAXPROCS). Every row
-// read is bit-identical to AllPairsSequential over the graph without the
-// +Inf links — FuzzRepairRows here and FuzzIncrementalAPSP /
-// FuzzWeightDeltaAPSP in internal/fault pin this.
+// row it leaves alone stays the receiver's, pointer for pointer. Where
+// the receiver and the result are layered at one hop, a dead end whose
+// anchor's row is repaired is derived from it instead (deriveDeadEnd),
+// with the same sharing. Every other row is left unbuilt, to be built on
+// its first read under wt. The repairs fan out over `workers` goroutines
+// (≤ 0 = GOMAXPROCS). Every row read is bit-identical to
+// AllPairsSequential over the graph without the +Inf links —
+// FuzzRepairRows here and FuzzIncrementalAPSP / FuzzWeightDeltaAPSP in
+// internal/fault pin this.
 //
 // Two rules, both properties of the input, leave a row the receiver had
 // built unbuilt instead of repairing it:
@@ -212,12 +239,17 @@ func (a *APSP) reweigh(wt []float64, workers int) (*APSP, deltaStats) {
 				drop[v], bare[v] = k <= 1, k == 0
 			}
 		}
-		var todo []int
+		// On a matrix layered at the parent's hop, a kept dead end whose
+		// anchor is repaired is derived from it after the repairs.
+		layered := repair && a.hop > 0 && a.hop == out.hop
+		var todo, derive []int
 		for src := range n {
-			switch {
+			switch x := out.anchor(src); {
 			case !a.Built(src):
 			case !repair || drop[src]:
 				stats.unbuilt++
+			case layered && x >= 0 && a.Built(x) && !drop[x]:
+				derive = append(derive, src)
 			default:
 				todo = append(todo, src)
 			}
@@ -245,6 +277,14 @@ func (a *APSP) reweigh(wt []float64, workers int) (*APSP, deltaStats) {
 			// The repair cannot fail on a valid CSR; a surfaced panic is
 			// a kernel bug and must not be swallowed.
 			panic(err)
+		}
+		for _, src := range derive {
+			r := out.deriveDeadEnd(a, src)
+			out.rows[src], out.built[src] = r.Row, 1
+			stats.derived++
+			if r.changed() {
+				stats.changed++
+			}
 		}
 	}
 	if obs != nil {

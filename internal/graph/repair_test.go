@@ -71,7 +71,10 @@ func (et *edgeTable) vertexUp(x int, up bool) {
 // path: a random connected multigraph — weights from a tie-heavy integer
 // palette or from the reals, or, for a negative seed, one weight on every
 // link, so rows are built by layers until a delta re-prices a link, and
-// again once every re-priced link is restored or cut — takes a chain of
+// again once every re-priced link is restored or cut; a seed below -3
+// also hangs dead ends on it, pendant vertices and, for an even seed, a
+// two-vertex component, so their rows are derived from their anchors' on
+// read and in the repair — takes a chain of
 // deltas mixing removals, restores, re-weights up and down, vertices
 // isolated and re-attached, and one special weight the input chooses
 // (the seeds pass 0, +Inf and 1e300, so the guard's every-row-unbuilt
@@ -95,6 +98,9 @@ func FuzzRepairRows(f *testing.F) {
 	f.Add(int64(-1), 2.5, []byte{0, 8, 4, 12, 1, 5, 9, 16, 7, 2, 7, 3, 0, 1})
 	f.Add(int64(-2), 0.0, []byte{4, 20, 136, 0, 5, 13, 7, 6, 15, 1, 62, 7})
 	f.Add(int64(-3), 1e300, []byte{130, 7, 0, 8, 16, 1, 9, 14, 6, 5, 4, 12, 7, 3})
+	f.Add(int64(-4), 2.5, []byte{0, 121, 4, 108, 1, 113, 5, 116, 3, 2, 124, 125, 1})
+	f.Add(int64(-5), 0.0, []byte{120, 9, 132, 0, 117, 6, 1, 13, 2, 122, 4})
+	f.Add(int64(-6), 1e300, []byte{128, 124, 121, 5, 6, 16, 0, 8, 1, 117, 125, 3})
 
 	f.Fuzz(func(t *testing.T, seed int64, special float64, ops []byte) {
 		if math.IsNaN(special) {
@@ -134,6 +140,19 @@ func FuzzRepairRows(f *testing.F) {
 		// The draw that once chose how a removal was listed: kept, so an
 		// input drives the edge sequence it always has.
 		_ = rng.Intn(2)
+		// Dead ends draw only for seeds no earlier input has, so each of
+		// those still draws the graph it always has.
+		if seed < -3 {
+			for i := 1 + rng.Intn(4); i > 0; i-- {
+				et.n++
+				et.add(rng.Intn(et.n-1), et.n-1, weight())
+			}
+			if seed%2 == 0 {
+				et.n += 2
+				et.add(et.n-2, et.n-1, weight())
+			}
+			n = et.n
+		}
 
 		g := et.graph()
 		cur, curWant := AllPairs(g), AllPairsSequential(g)
